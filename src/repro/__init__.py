@@ -81,7 +81,7 @@ from repro.scheduler import (
 )
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE
 
-__version__ = "2.2.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Dataset",

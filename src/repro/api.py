@@ -122,7 +122,6 @@ SLICE_OPTIONS = (
     "date_format",
     "timestamp_format",
     "float_places",
-    "columnar",
 )
 
 

@@ -288,7 +288,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             database=args.database or "",
             delimiter=args.delimiter,
             include_header=args.header,
-            columnar=False if args.no_columnar else None,
         )
         if args.distributed or args.nodes > 1:
             return _generate_cluster(args, engine, output)
@@ -655,12 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--database", help="target database for --kind sqlite")
     gen.add_argument("--delimiter", default="|")
     gen.add_argument("--header", action="store_true")
-    gen.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="force the row formatting path (bytes are identical either "
-        "way; this is a performance knob for comparison runs)",
-    )
     gen.add_argument("-w", "--workers", type=int, default=1)
     gen.add_argument(
         "--nodes",

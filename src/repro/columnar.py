@@ -1,38 +1,30 @@
-"""Typed column containers for the columnar generation path.
+"""Typed column containers — what ``Generator.generate_block`` returns.
 
-The batch-first API (``generate_batch``) already amortizes seed
-derivation and PRNG dispatch over a work package, but it still
-materializes every block as a Python object list and formats one string
-at a time. This module is the missing half of the paper's lazy-
-formatting argument (Figure 9: formatting dominates generation cost):
-generators that can produce a whole column as a numpy array hand it to
-the output layer *in computed form*, and the sink-side formatter decides
-how — and whether — each value ever becomes text.
+This is the paper's lazy-formatting argument (Figure 9: formatting
+dominates generation cost) applied to whole blocks: a generator hands
+its column to the output layer *in computed form*, and the sink-side
+formatter decides how — and whether — each value ever becomes text.
 
 A :class:`Column` is one field's values over a contiguous row block.
 Concrete kinds carry the representation the vectorized formatters
 exploit (int64 arrays, date ordinals, dictionary indices, charset-tagged
-strings); :class:`ObjectColumn` is the universal fallback that wraps a
-plain ``generate_batch`` list, so every generator participates in the
-columnar pipeline even without a ``generate_block`` override.
+strings); :class:`ObjectColumn` wraps a plain Python value list and is
+what the base ``generate_block`` (the per-row loop) and the list kernels
+return.
 
 Canonical-value access is part of the contract: ``column[offset]`` and
-``to_pylist()`` return exactly the Python objects the row path would
-have produced (``int`` not ``numpy.int64``, memoized ``datetime.date``
-objects, ``None`` where the null mask is set), so sibling lookups and
-row-writer output stay byte-identical whichever path ran.
+``to_pylist()`` return exactly the Python objects the scalar
+``generate`` would have produced (``int`` not ``numpy.int64``, memoized
+``datetime.date`` objects, ``None`` where the null mask is set), so
+sibling lookups and row-writer output are byte-identical to the scalar
+oracle.
 """
 
 from __future__ import annotations
 
 import datetime
 
-try:  # pragma: no cover - exercised via the HAVE_NUMPY branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - container always ships numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
+import numpy as _np
 
 #: int64 bounds — typed integer columns only exist when every value fits.
 INT64_MIN = -(2**63)
@@ -88,10 +80,10 @@ class Column:
 
 
 class ObjectColumn(Column):
-    """A plain ``generate_batch`` value list — the universal fallback.
+    """A plain Python value list — the universal representation.
 
-    ``data`` is the list itself (zero-copy); NULLs produced by the
-    generator are already inline, so the mask is usually absent.
+    ``data`` is the list itself (zero-copy). NULLs are either inline
+    ``None`` values or, under a ``NullGenerator``, set in the mask.
     """
 
     __slots__ = ()
@@ -227,10 +219,10 @@ class StrColumn(Column):
 class ColumnBlock:
     """All columns of one table over a contiguous row block.
 
-    Assembled by :meth:`BoundTable.generate_columns`; consumed by the
-    columnar writers (vectorized CSV, Arrow record batches) or
-    transposed back to row lists via :meth:`to_rows` for the row-writer
-    formats — both views of the same generated values.
+    Assembled by :meth:`BoundTable.generate_columns`; consumed by
+    ``RowWriter.write_block`` — at array level by the vectorized CSV
+    and Arrow writers, transposed back to row lists via :meth:`to_rows`
+    by the per-row formats — both views of the same generated values.
     """
 
     __slots__ = ("names", "columns", "count")
@@ -253,7 +245,8 @@ class ColumnBlock:
 
 def int_column_from_u64(outputs, span: int, minimum: int) -> IntColumn | None:
     """``minimum + (u64 % span)`` as an :class:`IntColumn`, or ``None``
-    when the result range does not fit int64 (caller falls back).
+    when the result range does not fit int64 (the caller then keeps
+    arbitrary-precision ints in an :class:`ObjectColumn`).
 
     Mirrors ``blocks.bounded`` + scalar offset elementwise. The modulo
     runs in uint64; the int64 cast and the addition both wrap modulo

@@ -39,10 +39,10 @@ DEFAULT_GENERATION_BLOCK = 1024
 class BoundTable:
     """A table with its generators instantiated and seeders resolved.
 
-    ``generate_rows`` is the inner loop of every worker: per row block,
-    one vectorized seed derivation per column and one ``generate_batch``
-    call per column. ``generate_row`` is the single-row form (previews
-    and point lookups) the batch output must stay byte-identical to.
+    ``generate_columns`` is the inner loop of every worker: per row
+    block, one vectorized seed derivation and one ``generate_block``
+    call per column. ``generate_row`` is the scalar oracle (built on
+    ``Generator.generate``) the block output must stay byte-identical to.
     """
 
     __slots__ = ("table", "column_names", "_generators", "_seeders")
@@ -89,17 +89,16 @@ class BoundTable:
     def generate_columns(
         self, start: int, stop: int, ctx: GenerationContext
     ) -> columnar.ColumnBlock:
-        """Rows ``[start, stop)`` as typed columns — the batch fast path.
+        """Rows ``[start, stop)`` as a column block.
 
         Column-major: the row block is hashed once (one vector ``mix64``
         shared by every column), then each generator produces its whole
-        column — via :meth:`Generator.generate_block` when it has a typed
-        kernel, else :meth:`Generator.generate_batch` wrapped in an
-        object-dtype fallback column. Output is byte-identical to calling
-        :meth:`generate_row` per row: every cell sees exactly the same
-        reseeded PRNG stream, and sibling lookups read completed columns
-        (canonical ``column[offset]`` values) instead of recomputing,
-        just like the row path reads the current row's earlier values.
+        column via :meth:`Generator.generate_block`. Output is
+        byte-identical to calling :meth:`generate_row` per row: every
+        cell sees exactly the same reseeded PRNG stream, and sibling
+        lookups read completed columns (canonical ``column[offset]``
+        values) instead of recomputing, just like ``generate_row`` reads
+        the current row's earlier values.
         """
         count = stop - start
         if count <= 0:
@@ -116,10 +115,6 @@ class BoundTable:
             for seeder, generator in zip(self._seeders, self._generators):
                 ctx.seed_block = seeder.seed_block_from_hashes(row_hashes)
                 column = generator.generate_block(ctx, start, count)
-                if column is None:
-                    column = columnar.ObjectColumn(
-                        generator.generate_batch(ctx, start, count)
-                    )
                 if len(column) != count:
                     raise GenerationError(
                         f"{generator.describe()} returned "
@@ -134,8 +129,8 @@ class BoundTable:
     def generate_rows(
         self, start: int, stop: int, ctx: GenerationContext
     ) -> list[list[object]]:
-        """Rows ``[start, stop)`` as value lists — the columnar block
-        transposed back to the row-path representation."""
+        """Rows ``[start, stop)`` as value lists — the column block
+        transposed."""
         return self.generate_columns(start, stop, ctx).to_rows()
 
     def generate_value(self, column_index: int, row: int, ctx: GenerationContext) -> object:
@@ -317,9 +312,8 @@ class GenerationEngine:
     ) -> list[list[object]]:
         """Rows ``[start, stop)`` of a table as one materialized block.
 
-        The public batch entry point: one call per work package is how
-        the scheduler drives generation. ``stop`` defaults to the table
-        size.
+        :meth:`generate_columns` transposed to row value lists.
+        ``stop`` defaults to the table size.
         """
         bound = self._bound(table_name)
         size = self.sizes[table_name]
@@ -330,11 +324,9 @@ class GenerationEngine:
     def generate_columns(
         self, table_name: str, start: int = 0, stop: int | None = None
     ) -> columnar.ColumnBlock:
-        """Rows ``[start, stop)`` of a table as one typed column block.
-
-        The columnar twin of :meth:`generate_rows`: same values, same
-        determinism, but kept in computed form for the columnar writers.
-        """
+        """Rows ``[start, stop)`` of a table as one column block — one
+        call per work package is how the scheduler drives generation.
+        ``stop`` defaults to the table size."""
         bound = self._bound(table_name)
         size = self.sizes[table_name]
         if stop is None or stop > size:
@@ -350,9 +342,9 @@ class GenerationEngine:
     ):
         """Yield rows ``start..stop`` of a table as value lists.
 
-        Internally batches through :meth:`BoundTable.generate_rows` in
-        ``block_size`` chunks, so streaming iteration rides the same fast
-        path as the scheduler while emitting rows one at a time.
+        Internally generates ``block_size`` rows at a time through
+        :meth:`BoundTable.generate_columns`, the same kernels the
+        scheduler drives, while emitting rows one at a time.
         """
         bound = self._bound(table_name)
         size = self.sizes[table_name]

@@ -24,6 +24,7 @@ import abc
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, TYPE_CHECKING
 
+from repro import columnar
 from repro.exceptions import GenerationError
 from repro.prng.xorshift import XorShift64Star
 
@@ -149,10 +150,10 @@ class GenerationContext:
     # generated earlier in the same row (field order in the model).
     row_values: list | None = None
     field_indices: dict[str, int] | None = None
-    # Filled by BoundTable.generate_rows (the batch fast path): the
-    # per-row cell seeds of the column being generated, the block's
-    # first row, and the completed columns of the current block (the
-    # column-major analogue of ``row_values`` for sibling lookups).
+    # Filled by BoundTable.generate_columns: the per-row cell seeds of
+    # the column being generated, the block's first row, and the
+    # completed columns of the current block (the column-major analogue
+    # of ``row_values`` for sibling lookups).
     seed_block: "SeedBlock | None" = None
     batch_start: int = 0
     batch_columns: list | None = None
@@ -165,8 +166,8 @@ class GenerationContext:
                 values = self.row_values
                 if values is not None and index < len(values):
                     return values[index]
-                # Batch path: columns earlier in field order are already
-                # complete for the whole block.
+                # Block generation: columns earlier in field order are
+                # already complete for the whole block.
                 columns = self.batch_columns
                 if columns is not None and index < len(columns):
                     offset = self.row - self.batch_start
@@ -193,7 +194,8 @@ class Generator(abc.ABC):
     Subclasses read their parameters from ``spec.params`` in ``__init__``
     (cheap validation) and finish setup in :meth:`bind` (which sees the
     schema). ``generate`` must be deterministic given the context's PRNG
-    state and row number.
+    state and row number; it is the scalar oracle (``compute_value``,
+    previews) that :meth:`generate_block` must agree with.
     """
 
     #: registry key; set by the ``@register`` decorator
@@ -209,28 +211,30 @@ class Generator(abc.ABC):
     def generate(self, ctx: GenerationContext) -> object:
         """Produce the value for the current row."""
 
-    def generate_batch(
+    def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        """Values for rows ``[start, start + count)`` of this column.
+    ) -> columnar.Column:
+        """The column for rows ``[start, start + count)``.
 
-        This is the batch-first contract the engine and scheduler drive:
-        the caller sets ``ctx.seed_block`` to the block's per-row cell
-        seeds (``reseed_mixed`` inputs, one per row) and the generator
-        returns exactly *count* values, byte-identical to calling
-        :meth:`generate` once per row with the same seeds.
+        The caller sets ``ctx.seed_block`` to the block's per-row cell
+        seeds (``reseed_mixed`` inputs, one per row); the result is a
+        :class:`repro.columnar.Column` of exactly *count* values whose
+        ``to_pylist()`` equals calling :meth:`generate` once per row
+        with the same seeds — the engine relies on that to keep every
+        output format byte-identical to the scalar oracle.
 
-        The default implementation *is* that per-row loop, so every
-        generator is batch-correct for free; high-volume generators
-        override it with vectorized kernels (see
-        :mod:`repro.prng.blocks`). Overrides may consult
-        ``ctx.batch_columns`` for completed sibling columns and must
-        leave ``ctx.seed_block`` as they found it.
+        The default *is* that per-row loop, wrapped in an
+        :class:`~repro.columnar.ObjectColumn`, so every generator is
+        block-correct for free. High-volume generators override it with
+        vectorized kernels (see :mod:`repro.prng.blocks`) and typed
+        columns the output layer formats at array level. Overrides may
+        consult ``ctx.batch_columns`` for completed sibling columns and
+        must leave ``ctx.seed_block`` as they found it.
         """
         seeds = ctx.seed_block
         if seeds is None:
             raise GenerationError(
-                f"{type(self).__name__}.generate_batch needs ctx.seed_block"
+                f"{type(self).__name__}.generate_block needs ctx.seed_block"
             )
         seed_ints = seeds.ints
         reseed = ctx.rng.reseed_mixed
@@ -241,29 +245,7 @@ class Generator(abc.ABC):
             ctx.row = start + offset
             reseed(seed_ints[offset])
             append(generate(ctx))
-        return values
-
-    def generate_block(self, ctx: GenerationContext, start: int, count: int):
-        """The column for rows ``[start, start + count)`` in *computed*
-        form — a :class:`repro.columnar.Column` — or ``None``.
-
-        This is the columnar extension of the batch contract: instead of
-        a Python value list, high-volume generators return a typed
-        column (numpy int64/float64/bool arrays, date ordinals,
-        dictionary indices, charset-tagged strings) that the output
-        layer formats at array level. The values must be *canonically
-        identical* to :meth:`generate_batch` under the same
-        ``ctx.seed_block`` — ``column.to_pylist()`` is the batch list —
-        which the engine relies on to keep every format byte-identical
-        between the row and columnar paths.
-
-        ``None`` means "no typed representation here" (numpy missing,
-        an unsupported parameter combination, or simply no override):
-        the engine then calls :meth:`generate_batch` and wraps the list
-        in an object-dtype fallback column. Overrides must leave
-        ``ctx.seed_block`` as they found it.
-        """
-        return None
+        return columnar.ObjectColumn(values)
 
     def describe(self) -> str:
         return type(self).__name__

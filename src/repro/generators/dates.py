@@ -1,9 +1,10 @@
 """Date and timestamp generators.
 
-Dates are generated as ordinal days (timestamps as epoch seconds) and
-only converted to :class:`datetime.date` objects at the boundary; string
-formatting is the output system's job (lazy formatting — paper Figure 9
-shows formatting dominates generation cost, so PDGF defers and caches it).
+Dates are generated as ordinal days (timestamps as second offsets from
+the lower bound) and only converted to :class:`datetime.date` objects at
+the boundary; string formatting is the output system's job (lazy
+formatting — paper Figure 9 shows formatting dominates generation cost,
+so PDGF defers and caches it).
 """
 
 from __future__ import annotations
@@ -53,30 +54,23 @@ class DateGenerator(Generator):
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.DateColumn | None:
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return None
-        _, outs = blocks.xorshift_step(states)
-        # Absolute ordinals; the generator-lifetime memo makes repeated
-        # days convert once per distinct day, not once per row.
+    ) -> columnar.DateColumn:
+        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
+        # Absolute ordinals (always inside int64); the generator-lifetime
+        # memo makes repeated days convert once per distinct day, not
+        # once per row.
         drawn = columnar.int_column_from_u64(outs, self._span, self._min_ordinal)
-        if drawn is None:  # pragma: no cover - date ordinals always fit int64
-            return None
         return columnar.DateColumn(drawn.data, self._ordinal_cache)
-
-    def generate_batch(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        column = self.generate_block(ctx, start, count)
-        if column is None:
-            return super().generate_batch(ctx, start, count)
-        return column.to_pylist()
 
 
 @register("TimestampGenerator")
 class TimestampGenerator(Generator):
-    """Uniform timestamps (second resolution) in ``[min, max]``."""
+    """Uniform timestamps (second resolution) in ``[min, max]``.
+
+    Values are ``min`` plus a drawn number of seconds in plain datetime
+    arithmetic — never via the host's local time zone, which would make
+    the bytes depend on ``TZ``.
+    """
 
     def bind(self, ctx: BindContext) -> None:
         min_raw = self.spec.params.get("min")
@@ -87,37 +81,34 @@ class TimestampGenerator(Generator):
             raise ModelError(
                 f"TimestampGenerator: empty range [{self._min}, {self._max}]"
             )
-        self._min_epoch = int(self._min.timestamp())
-        self._span = int(self._max.timestamp()) - self._min_epoch + 1
+        self._span = int((self._max - self._min).total_seconds()) + 1
 
     @staticmethod
     def _parse(value: object, default: datetime.datetime) -> datetime.datetime:
         if value is None:
             return default
         if isinstance(value, datetime.datetime):
-            return value
-        try:
-            return datetime.datetime.fromisoformat(str(value))
-        except ValueError as exc:
-            raise ModelError(f"bad timestamp literal {value!r}: {exc}") from exc
+            parsed = value
+        else:
+            try:
+                parsed = datetime.datetime.fromisoformat(str(value))
+            except ValueError as exc:
+                raise ModelError(f"bad timestamp literal {value!r}: {exc}") from exc
+        # second resolution: the window's bounds are whole seconds
+        return parsed.replace(microsecond=0)
 
     def generate(self, ctx: GenerationContext) -> datetime.datetime:
-        return datetime.datetime.fromtimestamp(
-            self._min_epoch + ctx.rng.next_long(self._span)
-        )
+        return self._min + datetime.timedelta(seconds=ctx.rng.next_long(self._span))
 
-    def generate_batch(
+    def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        # Epoch offsets rarely repeat (second resolution), so no memo —
-        # the win is the vectorized draw plus skipped per-row reseeds.
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return super().generate_batch(ctx, start, count)
-        _, outs = blocks.xorshift_step(states)
-        minimum = self._min_epoch
-        fromtimestamp = datetime.datetime.fromtimestamp
-        return [
-            fromtimestamp(minimum + offset)
+    ) -> columnar.ObjectColumn:
+        # Offsets rarely repeat (second resolution), so no memo — the
+        # win is the vectorized draw plus skipped per-row reseeds.
+        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
+        minimum = self._min
+        second = datetime.timedelta(seconds=1)
+        return columnar.ObjectColumn([
+            minimum + offset * second
             for offset in blocks.bounded(outs, self._span)
-        ]
+        ])

@@ -11,6 +11,8 @@ the base dictionary entry.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import columnar
 from repro.exceptions import GenerationError, ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
@@ -67,9 +69,9 @@ class DictListGenerator(Generator):
         self._by_row = as_bool(self.spec.params.get("by_row"))
         self._as_int = as_bool(self.spec.params.get("as_int"))
         self._values = self._dictionary.values()
-        # int conversions are memoized on first batch use rather than at
-        # bind so non-numeric dictionaries fail at the same point the
-        # per-row path would.
+        # int conversions are memoized on first block use rather than at
+        # bind so non-numeric dictionaries fail at generation time, as
+        # ``generate`` does.
         self._int_values: list[int] | None = None
 
     def generate(self, ctx: GenerationContext) -> object:
@@ -90,60 +92,36 @@ class DictListGenerator(Generator):
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.DictColumn | None:
-        # Integer dictionaries and suffixed values stay on the object
-        # path — their per-value text is not a plain entry lookup.
-        if self._as_int or not blocks.HAVE_NUMPY:
-            return None
-        import numpy as np
-
+    ) -> columnar.Column:
         values = self._values
         if self._by_row:
             indices = np.arange(start, start + count, dtype=np.int64) % len(values)
-            return columnar.DictColumn(indices, values)
-        if self._unique_suffix:
-            return None
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return None
-        _, outs = blocks.xorshift_step(states)
-        indices = self._dictionary.sample_index_block(blocks.to_doubles(outs))
-        return columnar.DictColumn(np.asarray(indices, dtype=np.int64), values)
-
-    def generate_batch(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        column = self.generate_block(ctx, start, count)
-        if column is not None:
-            return column.to_pylist()
-        values = self._values
-        if self._by_row:
-            size = len(values)
-            picked = [values[row % size] for row in range(start, start + count)]
             if self._as_int:
-                return [int(value) for value in picked]
-            return picked
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return super().generate_batch(ctx, start, count)
-        states, outs = blocks.xorshift_step(states)
+                return self._int_column(indices.tolist())
+            return columnar.DictColumn(indices, values)
+        states, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         indices = self._dictionary.sample_index_block(blocks.to_doubles(outs))
+        # Integer dictionaries and suffixed values stay object columns —
+        # their per-value text is not a plain entry lookup.
         if self._as_int:
-            ints = self._int_values
-            if ints is None:
-                ints = self._int_values = [int(value) for value in values]
-            return [ints[index] for index in indices]
+            return self._int_column(indices)
         if not self._unique_suffix:
-            return [values[index] for index in indices]
+            return columnar.DictColumn(np.asarray(indices, dtype=np.int64), values)
         # Second draw per row, continuing each cell's stream exactly as
-        # the per-row path's next_long(domain) does.
+        # ``generate``'s next_long(domain) does.
         domain = self._domain or max(len(self._dictionary) * 10, 1000)
         _, outs = blocks.xorshift_step(states)
         suffixes = blocks.bounded(outs, domain)
-        return [
+        return columnar.ObjectColumn([
             f"{values[index]}#{suffix}"
             for index, suffix in zip(indices, suffixes)
-        ]
+        ])
+
+    def _int_column(self, indices: list[int]) -> columnar.ObjectColumn:
+        ints = self._int_values
+        if ints is None:
+            ints = self._int_values = [int(value) for value in self._values]
+        return columnar.ObjectColumn([ints[index] for index in indices])
 
     @property
     def dictionary(self) -> WeightedDictionary:

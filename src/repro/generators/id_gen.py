@@ -8,12 +8,13 @@ reference generator can recompute any key without coordination.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator, as_bool
 from repro.generators.registry import register
 from repro.model import formula as _formula
-from repro.prng import blocks
 
 
 @register("IdGenerator")
@@ -30,35 +31,21 @@ class IdGenerator(Generator):
     def generate(self, ctx: GenerationContext) -> int:
         return self._base + ctx.row * self._step
 
-    def generate_batch(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        # Pure arithmetic progression — no PRNG, no numpy needed.
-        step = self._step
-        if step == 0:
-            return [self._base] * count
-        first = self._base + start * step
-        return list(range(first, first + count * step, step))
-
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.IntColumn | None:
-        if not blocks.HAVE_NUMPY or count == 0:
-            return None
+    ) -> columnar.Column:
+        # Pure arithmetic progression — no PRNG.
         step = self._step
         first = self._base + start * step
         last = first + (count - 1) * step
-        if not (columnar.INT64_MIN <= min(first, last)
+        if (columnar.INT64_MIN <= min(first, last)
                 and max(first, last) <= columnar.INT64_MAX):
-            return None  # beyond int64: keep the arbitrary-precision path
-        if step == 0:
-            import numpy as np
-
-            return columnar.IntColumn(np.full(count, first, dtype=np.int64))
-        import numpy as np
-
-        return columnar.IntColumn(
-            np.arange(first, first + count * step, step, dtype=np.int64)
+            return columnar.IntColumn(
+                first + step * np.arange(count, dtype=np.int64)
+            )
+        # beyond int64: keep arbitrary-precision ints
+        return columnar.ObjectColumn(
+            [first + step * offset for offset in range(count)]
         )
 
 
@@ -91,9 +78,9 @@ class RowFormulaGenerator(Generator):
         value = self._compiled({**self._base_env, "row": ctx.row})
         return int(value) if self._as_int else value
 
-    def generate_batch(
+    def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
+    ) -> columnar.ObjectColumn:
         # Row-only formula: skip the per-row reseed entirely and reuse
         # one environment dict across the block.
         env = dict(self._base_env)
@@ -108,4 +95,4 @@ class RowFormulaGenerator(Generator):
             for row in range(start, start + count):
                 env["row"] = row
                 append(compiled(env))
-        return values
+        return columnar.ObjectColumn(values)

@@ -47,52 +47,26 @@ class NullGenerator(Generator):
             return None
         return self._child.generate(ctx)
 
-    def generate_batch(
+    def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return super().generate_batch(ctx, start, count)
-        states, outs = blocks.xorshift_step(states)
-        nulls = (blocks.to_doubles(outs) < self._probability).tolist()
-        if all(nulls):
-            return [None] * count
-        # The advanced states *are* the child's streams: reseed_mixed on
-        # a live (never-zero) xorshift state is the identity, so handing
-        # them down as a seed block continues each row's stream exactly
-        # where the per-row path's delegation would.
-        parent_block = ctx.seed_block
-        ctx.seed_block = blocks.seed_block_from_states(states)
-        try:
-            child_values = self._child.generate_batch(ctx, start, count)
-        finally:
-            ctx.seed_block = parent_block
-        return [
-            None if is_null else value
-            for is_null, value in zip(nulls, child_values)
-        ]
-
-    def generate_block(self, ctx: GenerationContext, start: int, count: int):
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return None
-        states, outs = blocks.xorshift_step(states)
+    ) -> columnar.Column:
+        states, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         mask = blocks.to_doubles(outs) < self._probability
         if mask.all():
             return columnar.ObjectColumn([None] * count)
+        # The advanced states *are* the child's streams: reseed_mixed on
+        # a live (never-zero) xorshift state is the identity, so handing
+        # them down as a seed block continues each row's stream exactly
+        # where ``generate``'s delegation would.
         parent_block = ctx.seed_block
-        ctx.seed_block = blocks.seed_block_from_states(states)
+        ctx.seed_block = blocks.SeedBlock(states)
         try:
-            child_column = self._child.generate_block(ctx, start, count)
+            column = self._child.generate_block(ctx, start, count)
         finally:
             ctx.seed_block = parent_block
-        if child_column is None:
-            # No typed child column; the engine's generate_batch fallback
-            # redoes the (deterministic) draw on the object path.
-            return None
         if mask.any():
-            child_column.add_nulls(mask)
-        return child_column
+            column.add_nulls(mask)
+        return column
 
     @property
     def child(self) -> Generator:

@@ -46,33 +46,21 @@ class _BoundedNumberGenerator(Generator):
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.IntColumn | None:
-        if self._zipf is not None:
-            return None
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return None
-        _, outs = blocks.xorshift_step(states)
-        return columnar.int_column_from_u64(outs, self._span, self._min)
-
-    def generate_batch(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        column = self.generate_block(ctx, start, count)
-        if column is not None:
-            return column.to_pylist()
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return super().generate_batch(ctx, start, count)
-        _, outs = blocks.xorshift_step(states)
+    ) -> columnar.Column:
+        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         minimum = self._min
         span = self._span
         if self._zipf is not None:
             ranks = self._zipf.sample_block(blocks.to_doubles(outs))
-            return [minimum + (rank - 1) % span for rank in ranks]
-        if minimum == 0:
-            return blocks.bounded(outs, span)
-        return [minimum + v for v in blocks.bounded(outs, span)]
+            return columnar.ObjectColumn(
+                [minimum + (rank - 1) % span for rank in ranks]
+            )
+        column = columnar.int_column_from_u64(outs, span, minimum)
+        if column is None:
+            return columnar.ObjectColumn(
+                [minimum + v for v in blocks.bounded(outs, span)]
+            )
+        return column
 
 
 @register("LongGenerator")
@@ -131,33 +119,22 @@ class DoubleGenerator(Generator):
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.FloatColumn | None:
+    ) -> columnar.Column:
         if self._distribution != "uniform":
-            return None
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return None
-        _, outs = blocks.xorshift_step(states)
-        # Same IEEE-754 expression as the per-row path (min + u * span),
+            return super().generate_block(ctx, start, count)
+        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
+        # Same IEEE-754 expression as ``generate`` (min + u * span),
         # evaluated elementwise — bit-identical doubles.
         values = self._min + blocks.to_doubles(outs) * (self._max - self._min)
         if self._places is not None:
             # round() is correctly-rounded decimal rounding; numpy's
             # round is not — keep the scalar call so output bytes match
-            # the row path (float64 round-trips the list exactly).
+            # ``generate`` (float64 round-trips the list exactly).
             places = self._places
             values = blocks.as_float64(
                 [round(value, places) for value in values.tolist()]
             )
         return columnar.FloatColumn(values)
-
-    def generate_batch(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        column = self.generate_block(ctx, start, count)
-        if column is None:
-            return super().generate_batch(ctx, start, count)
-        return column.to_pylist()
 
 
 @register("BooleanGenerator")
@@ -176,17 +153,6 @@ class BooleanGenerator(Generator):
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.BoolColumn | None:
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return None
-        _, outs = blocks.xorshift_step(states)
+    ) -> columnar.BoolColumn:
+        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         return columnar.BoolColumn(blocks.to_doubles(outs) < self._p_true)
-
-    def generate_batch(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        column = self.generate_block(ctx, start, count)
-        if column is None:
-            return super().generate_batch(ctx, start, count)
-        return column.to_pylist()

@@ -11,6 +11,7 @@ actually carries in the output.
 
 from __future__ import annotations
 
+from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
@@ -85,13 +86,10 @@ class DefaultReferenceGenerator(Generator):
             return base + row * step
         return ctx.foreign(self._table_name, self._field_name, row)
 
-    def generate_batch(
+    def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return super().generate_batch(ctx, start, count)
-        _, outs = blocks.xorshift_step(states)
+    ) -> columnar.ObjectColumn:
+        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         size = self._target_size
         if self._zipf is not None:
             rows = [
@@ -103,14 +101,16 @@ class DefaultReferenceGenerator(Generator):
         if self._id_fastpath is not None:
             base, step = self._id_fastpath
             if step == 1:
-                return [base + row for row in rows]
-            return [base + row * step for row in rows]
+                return columnar.ObjectColumn([base + row for row in rows])
+            return columnar.ObjectColumn([base + row * step for row in rows])
         # Non-id target: recompute each referenced cell via the engine
         # callback (vectorized row picks, per-cell recomputation).
         foreign = ctx.foreign
         table_name = self._table_name
         field_name = self._field_name
-        return [foreign(table_name, field_name, row) for row in rows]
+        return columnar.ObjectColumn(
+            [foreign(table_name, field_name, row) for row in rows]
+        )
 
     @property
     def target(self) -> tuple[str, str]:

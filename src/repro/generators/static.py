@@ -7,6 +7,7 @@ the pure per-value system overhead of the generation pipeline.
 
 from __future__ import annotations
 
+from repro import columnar
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
 
@@ -28,7 +29,7 @@ class StaticValueGenerator(Generator):
     def generate(self, ctx: GenerationContext) -> object:
         return self._value
 
-    def generate_batch(
+    def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
-        return [self._value] * count
+    ) -> columnar.ObjectColumn:
+        return columnar.ObjectColumn([self._value] * count)

@@ -55,12 +55,10 @@ class RandomStringGenerator(Generator):
         alpha_len = self._alpha_len
         return "".join(alphabet[rng.next_long(alpha_len)] for _ in range(length))
 
-    def generate_batch(
+    def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
+    ) -> columnar.StrColumn:
         states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return super().generate_batch(ctx, start, count)
         if self._max > self._min:
             states, outs = blocks.xorshift_step(states)
             minimum = self._min
@@ -75,8 +73,8 @@ class RandomStringGenerator(Generator):
         alphabet = self._alphabet
         alpha_len = self._alpha_len
         # One vectorized step per character position; each row reads its
-        # first ``length`` draws — exactly the draws the per-row path
-        # makes, rows with shorter strings simply leave the rest unused.
+        # first ``length`` draws — exactly the draws ``generate`` makes,
+        # rows with shorter strings simply leave the rest unused.
         char_columns: list[list[str]] = []
         for _ in range(max_len):
             states, outs = blocks.xorshift_step(states)
@@ -84,25 +82,18 @@ class RandomStringGenerator(Generator):
                 [alphabet[value] for value in blocks.bounded(outs, alpha_len)]
             )
         if lengths is None:
-            return [
+            strings = [
                 "".join(column[offset] for column in char_columns)
                 for offset in range(count)
             ]
-        return [
-            "".join(char_columns[pos][offset] for pos in range(length))
-            for offset, length in enumerate(lengths)
-        ]
-
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.StrColumn | None:
+        else:
+            strings = [
+                "".join(char_columns[pos][offset] for pos in range(length))
+                for offset, length in enumerate(lengths)
+            ]
         # The alphabet is the whole emittable charset — tagging it lets
         # the CSV formatter skip quote scanning for the entire column.
-        if blocks.column_states(ctx.seed_block) is None:
-            return None
-        return columnar.StrColumn(
-            self.generate_batch(ctx, start, count), self._charset
-        )
+        return columnar.StrColumn(strings, self._charset)
 
 
 @register("PatternStringGenerator")
@@ -145,14 +136,12 @@ class PatternStringGenerator(Generator):
                 out.append(ch)
         return "".join(out)
 
-    def generate_batch(
+    def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> list:
+    ) -> columnar.StrColumn:
         states = blocks.column_states(ctx.seed_block)
-        if states is None:
-            return super().generate_batch(ctx, start, count)
         # One vectorized step per wildcard position, in pattern order —
-        # the same draw sequence every row's stream sees per-row.
+        # the same draw sequence ``generate`` makes for every row.
         pieces: list[object] = []
         for ch in self._pattern:
             if ch == "#":
@@ -168,19 +157,13 @@ class PatternStringGenerator(Generator):
             pieces.append(
                 [alphabet[value] for value in blocks.bounded(outs, bound)]
             )
-        return [
-            "".join(
-                piece if isinstance(piece, str) else piece[offset]
-                for piece in pieces
-            )
-            for offset in range(count)
-        ]
-
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.StrColumn | None:
-        if blocks.column_states(ctx.seed_block) is None:
-            return None
         return columnar.StrColumn(
-            self.generate_batch(ctx, start, count), self._charset
+            [
+                "".join(
+                    piece if isinstance(piece, str) else piece[offset]
+                    for piece in pieces
+                )
+                for offset in range(count)
+            ],
+            self._charset,
         )

@@ -69,7 +69,7 @@ def column_to_arrow(column: columnar.Column, formatter, pa):
     become a ``DictionaryArray`` over the entry list. Object columns let
     Arrow infer; if the values are too mixed for inference they are
     formatted to strings — the one per-value path, and only for columns
-    the row path would format per value anyway.
+    the text writers format per value anyway.
     """
     mask = column.nulls
     kind = column.kind
@@ -101,9 +101,9 @@ class ArrowWriter(RowWriter):
 
     ``mode="stream"`` frames chunks for one continuous IPC stream per
     file; ``mode="parquet"`` makes each chunk self-describing for
-    :class:`ParquetSink`. Binary formats have no row-text form, so the
-    row-path entry points refuse — the scheduler always drives this
-    writer through :meth:`write_block`.
+    :class:`ParquetSink`. Binary formats have no row-text form, so
+    ``write_row``/``write_rows`` refuse; every run formats through
+    :meth:`write_block`.
     """
 
     format_name = "arrow"

@@ -14,7 +14,7 @@ Byte-identity is the contract, not a goal: every fast path here mirrors
 a verified formatting equivalence (``astype(str)`` vs ``str(int)``,
 ``%.Nf`` vs ``f\"{v:.Nf}\"``, ``repr`` over ``tolist`` floats,
 ``np.where`` vs the bool branch), and any column whose representation
-cannot be proven safe falls back to the per-value loop the row path
+cannot be proven safe falls back to the per-value loop ``write_rows``
 runs — correct first, fast where provable.
 """
 
@@ -22,10 +22,7 @@ from __future__ import annotations
 
 import datetime
 
-try:  # pragma: no cover - exercised via the numpy branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - container always ships numpy
-    _np = None
+import numpy as _np
 
 #: characters ``str(int)`` can emit
 _INT_CHARS = frozenset("0123456789-")
@@ -66,7 +63,7 @@ def _column_text(column, formatter, specials: frozenset) -> list[str]:
         places = formatter.float_places
         if places is not None:
             # numpy applies the % operator elementwise — the same
-            # ``%.Nf`` text as the row path's f-string.
+            # ``%.Nf`` text as the value formatter's f-string.
             texts = _np.char.mod("%%.%df" % places, column.data).tolist()
         else:
             texts = [repr(value) for value in column.data.tolist()]
@@ -102,7 +99,7 @@ def _column_text(column, formatter, specials: frozenset) -> list[str]:
         else:
             texts = [csv_escape(text, specials) for text in column.data]
     else:
-        # Object fallback — exactly the per-value loop the row path runs.
+        # Object columns — exactly the per-value loop write_rows runs.
         fmt = formatter.format
         texts = [
             csv_escape(fmt(value), specials)  # columnar-ok: object fallback

@@ -35,11 +35,7 @@ class OutputConfig:
     ``kind``: ``"file"``, ``"gzip"``, ``"null"``, ``"memory"``, or ``"sqlite"``.
     ``format``: ``"csv"``, ``"json"``, ``"xml"``, ``"sql"``, ``"arrow"``,
     or ``"parquet"`` (the binary formats need the optional pyarrow extra).
-    ``columnar`` selects the columnar fast path: ``None`` (default) means
-    "wherever the writer supports it", ``False`` forces the row path for
-    text formats (the binary formats are columnar-only). Both paths emit
-    identical bytes, so — like the scheduler backend — the flag is a
-    performance knob, not part of the output's identity.
+    Format names are case-insensitive and stored in their registry form.
     """
 
     kind: str = "null"
@@ -53,7 +49,6 @@ class OutputConfig:
     timestamp_format: str = "%Y-%m-%d %H:%M:%S"
     float_places: int | None = None
     extension: str = ""
-    columnar: bool | None = None
     _memory_sinks: dict[str, MemorySink] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -62,9 +57,10 @@ class OutputConfig:
                 f"unknown sink kind {self.kind!r}; "
                 f"known kinds: {', '.join(SINK_KINDS)}"
             )
+        spec = format_spec(self.format)  # the one unknown-format error
+        self.format = spec.name
         if self.kind == "sqlite" and self.format != "sql":
             raise OutputError("sqlite sinks require format='sql'")
-        spec = format_spec(self.format)  # the one unknown-format error
         if spec.binary:
             if self.kind not in ("file", "null", "memory"):
                 raise OutputError(
@@ -72,11 +68,6 @@ class OutputConfig:
                     f"not kind={self.kind!r}"
                 )
             spec.require_available()  # raises OutputError without pyarrow
-        if spec.columnar_only and self.columnar is False:
-            raise OutputError(
-                f"format {self.format!r} is columnar-only; "
-                "columnar=False is not available"
-            )
 
     def new_formatter(self) -> ValueFormatter:
         """A fresh formatter (each worker owns one; caches are not shared)."""
@@ -92,14 +83,10 @@ class OutputConfig:
         return format_spec(self.format).new_writer(self, table, columns)
 
     def use_columnar(self, writer: RowWriter) -> bool:
-        """Whether the scheduler should drive *writer* via write_block."""
-        if not writer.supports_columns:
-            return False
-        if format_spec(self.format).columnar_only:
-            return True  # no row-text form exists
-        if self.columnar is None:
-            return True
-        return bool(self.columnar)
+        """Whether *writer* formats column blocks at array level rather
+        than through the default ``write_rows(block.to_rows())`` — the
+        bench layer table splits its to_rows/format timing on this."""
+        return writer.supports_columns
 
     def table_path(self, table: str) -> str:
         extension = self.extension or format_spec(self.format).extension

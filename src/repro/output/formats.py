@@ -17,7 +17,7 @@ A spec records everything format-generic code needs to know:
 * ``mime_type`` / ``extension`` — HTTP and file naming;
 * ``binary`` — chunks are ``bytes`` (Arrow IPC framing), not text;
 * ``columnar_only`` — no row-text form exists, so slices must align to
-  work-package boundaries and ``columnar=False`` is refused;
+  work-package boundaries;
 * ``requires_pyarrow`` — gate on the optional extra with a clear error.
 
 :func:`format_package` lives here too: the one generate+format code
@@ -185,14 +185,8 @@ def format_package(engine, output, package, *, first: bool | None = None):
     bound = engine.bound_table(package.table)
     writer = output.new_writer(package.table, bound.column_names)
     ctx = engine.new_context(package.table)
-    if output.use_columnar(writer):
-        with span("package.generate", table=package.table):
-            block = bound.generate_columns(package.start, package.stop, ctx)
-        with span("package.format", table=package.table):
-            chunk = writer.write_block(block, first=first)
-    else:
-        with span("package.generate", table=package.table):
-            rows = bound.generate_rows(package.start, package.stop, ctx)
-        with span("package.format", table=package.table):
-            chunk = writer.write_rows(rows)
+    with span("package.generate", table=package.table):
+        block = bound.generate_columns(package.start, package.stop, ctx)
+    with span("package.format", table=package.table):
+        chunk = writer.write_block(block, first=first)
     return chunk, writer

@@ -24,7 +24,7 @@ class RowWriter(abc.ABC):
     #: registry name used by output configuration files
     format_name: str = ""
 
-    #: True when :meth:`write_block` has a vectorized columnar path
+    #: True when :meth:`write_block` formats columns at array level
     #: (or, for binary formats, *requires* column blocks)
     supports_columns: bool = False
 
@@ -47,7 +47,8 @@ class RowWriter(abc.ABC):
         """Text for a single row, including the row terminator."""
 
     def write_rows(self, rows: list[list[object]]) -> str:
-        """Text for a block of rows — the batch path's formatting unit.
+        """Text for a block of rows — what the default
+        :meth:`write_block` formats through.
 
         Must be the concatenation of :meth:`write_row` over *rows* (the
         default implementation is exactly that), so block formatting can
@@ -58,11 +59,12 @@ class RowWriter(abc.ABC):
         return "".join(write_row(row) for row in rows)  # hot-loop-ok: contract fallback
 
     def write_block(self, block, first: bool = False):
-        """The chunk for one :class:`~repro.columnar.ColumnBlock`.
+        """The chunk for one :class:`~repro.columnar.ColumnBlock` — the
+        one method every run formats through.
 
         Must produce exactly the bytes :meth:`write_rows` would for the
-        transposed block (the default does just that), so the columnar
-        and row paths can never diverge. *first* is True for the run's
+        transposed block (the default does just that); array-level
+        overrides are tested against it. *first* is True for the run's
         first package — binary writers use it to emit stream framing
         (e.g. the Arrow schema) exactly once.
         """
@@ -100,8 +102,8 @@ class CsvWriter(RowWriter):
         self.delimiter = delimiter
         self.include_header = include_header
         self.terminator = terminator
-        #: characters that force quoting — shared by the row path, the
-        #: block fast path, and the columnar formatter
+        #: characters that force quoting — shared by write_row,
+        #: write_rows, and the vectorized block formatter
         self.specials = frozenset(delimiter) | {'"'} | frozenset(terminator)
 
     def header(self) -> str:
@@ -133,7 +135,7 @@ class CsvWriter(RowWriter):
 
     def write_block(self, block, first: bool = False) -> str:
         # The vectorized formatter reproduces write_row's bytes exactly;
-        # subclasses customizing per-row formatting keep the row path.
+        # subclasses customizing per-row formatting keep theirs.
         if type(self).write_row is not CsvWriter.write_row:
             return super().write_block(block, first)
         return format_csv_block(block, self)

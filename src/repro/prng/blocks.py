@@ -1,51 +1,38 @@
-"""Vectorized seed/PRNG block kernels for the batched generation path.
+"""Vectorized seed/PRNG block kernels for block generation.
 
 PDGF's per-value cost (paper Figures 7-9) is dominated, in this Python
 reproduction, by interpreter overhead: one seed derivation, one reseed,
-and one ``generate`` call per cell. The batch path amortizes that over a
-*work package*: the per-row seeds of a whole row block are derived as one
-vector operation, and the xorshift64* draws of an entire column are
+and one ``generate`` call per cell. Block generation amortizes that over
+a *work package*: the per-row seeds of a whole row block are derived as
+one vector operation, and the xorshift64* draws of an entire column are
 produced as array arithmetic.
 
 Everything here mirrors :mod:`repro.prng.xorshift` bit-for-bit — the
 kernels are alternative *implementations*, never alternative *streams*.
-`numpy` is optional: when it is unavailable the same functions run as
-pure-Python loops, and vectorized generators fall back to the per-row
-contract (``blocks.column_states`` returns ``None``).
-
-All arithmetic is modulo 2**64; numpy's ``uint64`` wraps natively, the
-pure-Python paths mask explicitly.
+All arithmetic is modulo 2**64, which numpy's ``uint64`` wraps natively.
 """
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.prng.xorshift import (
-    MASK64,
     _SPLITMIX_GAMMA,
     _SPLITMIX_MUL1,
     _SPLITMIX_MUL2,
     _XORSHIFT64STAR_MUL,
-    mix64,
 )
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - container always ships numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-if HAVE_NUMPY:
-    _U12 = _np.uint64(12)
-    _U25 = _np.uint64(25)
-    _U27 = _np.uint64(27)
-    _U30 = _np.uint64(30)
-    _U31 = _np.uint64(31)
-    _U11 = _np.uint64(11)
-    _GAMMA = _np.uint64(_SPLITMIX_GAMMA)
-    _MUL1 = _np.uint64(_SPLITMIX_MUL1)
-    _MUL2 = _np.uint64(_SPLITMIX_MUL2)
-    _STAR_MUL = _np.uint64(_XORSHIFT64STAR_MUL)
+_U12 = _np.uint64(12)
+_U25 = _np.uint64(25)
+_U27 = _np.uint64(27)
+_U30 = _np.uint64(30)
+_U31 = _np.uint64(31)
+_U11 = _np.uint64(11)
+_GAMMA = _np.uint64(_SPLITMIX_GAMMA)
+_MUL1 = _np.uint64(_SPLITMIX_MUL1)
+_MUL2 = _np.uint64(_SPLITMIX_MUL2)
+_STAR_MUL = _np.uint64(_XORSHIFT64STAR_MUL)
 
 #: multiplier converting ``u64 >> 11`` to a double in [0, 1) — identical
 #: to :meth:`~repro.prng.xorshift.XorShift64Star.next_double`.
@@ -55,48 +42,36 @@ _DOUBLE_SCALE = 1.0 / (1 << 53)
 class SeedBlock:
     """Per-row cell seeds for one column over a contiguous row block.
 
-    Wraps either a numpy ``uint64`` array (fast kernels) or a plain list
-    of Python ints (fallback); ``ints`` always yields Python ints so the
-    per-row fallback never leaks numpy scalars into PRNG state.
+    Wraps a numpy ``uint64`` array; ``ints`` yields Python ints so the
+    per-row loop never leaks numpy scalars into PRNG state.
     """
 
-    __slots__ = ("_array", "_ints")
+    __slots__ = ("array", "_ints")
 
-    def __init__(self, array=None, ints: list[int] | None = None) -> None:
-        if array is None and ints is None:
-            raise ValueError("SeedBlock needs an array or an int list")
-        self._array = array
-        self._ints = ints
-
-    @property
-    def array(self):
-        """The numpy ``uint64`` seed array, or ``None`` without numpy."""
-        return self._array
+    def __init__(self, array) -> None:
+        self.array = array
+        self._ints: list[int] | None = None
 
     @property
     def ints(self) -> list[int]:
         """The seeds as Python ints (lazily materialized from the array)."""
         if self._ints is None:
-            self._ints = self._array.tolist()
+            self._ints = self.array.tolist()
         return self._ints
 
     def __len__(self) -> int:
-        if self._array is not None:
-            return len(self._array)
-        return len(self._ints)
+        return len(self.array)
 
 
 def row_hash_block(start: int, count: int):
-    """``mix64(row)`` for rows ``[start, start+count)``.
+    """``mix64(row)`` for rows ``[start, start+count)`` as a uint64 array.
 
     One row block is hashed once and shared by every column's seeder
-    (the batch equivalent of ``BoundTable.generate_row`` hashing the row
-    once per row). Returns a numpy array or a list of ints.
+    (the block equivalent of ``BoundTable.generate_row`` hashing the row
+    once per row).
     """
-    if HAVE_NUMPY:
-        rows = _np.arange(start, start + count, dtype=_np.uint64)
-        return _splitmix_output(rows + _GAMMA)
-    return [mix64(row) for row in range(start, start + count)]
+    rows = _np.arange(start, start + count, dtype=_np.uint64)
+    return _splitmix_output(rows + _GAMMA)
 
 
 def seed_block_from_hashes(update_seed: int, row_hashes) -> SeedBlock:
@@ -105,39 +80,17 @@ def seed_block_from_hashes(update_seed: int, row_hashes) -> SeedBlock:
     Equivalent to :meth:`ColumnSeeder.seed_from_row_hash` applied per
     row; *row_hashes* is the output of :func:`row_hash_block`.
     """
-    if HAVE_NUMPY and not isinstance(row_hashes, list):
-        mixed = _np.uint64(update_seed) ^ row_hashes
-        return SeedBlock(array=_splitmix_output(mixed + _GAMMA))
-    masked = update_seed & MASK64
-    return SeedBlock(ints=[mix64(masked ^ h) for h in row_hashes])
+    mixed = _np.uint64(update_seed) ^ row_hashes
+    return SeedBlock(_splitmix_output(mixed + _GAMMA))
 
 
-def seed_block_from_states(states) -> SeedBlock:
-    """Wrap in-flight xorshift states as a child seed block.
+def column_states(seed_block: SeedBlock):
+    """Initial xorshift64* states for a column block.
 
-    Used by wrapper generators (NULL, probability) that hand the
-    *advanced* stream to a sub-generator: ``reseed_mixed(state)`` on a
-    live xorshift state is the identity, so the child block reproduces
-    exactly the stream the per-row path would have continued.
+    Mirrors ``reseed_mixed``: an (astronomically unlikely) zero seed
+    maps to the SplitMix gamma so the state is never zero.
     """
-    if HAVE_NUMPY and not isinstance(states, list):
-        return SeedBlock(array=states)
-    return SeedBlock(ints=list(states))
-
-
-def column_states(seed_block: SeedBlock | None):
-    """Initial xorshift64* states for a column block, or ``None``.
-
-    ``None`` signals "no fast path" (numpy missing or no seed block) and
-    tells vectorized generators to use the per-row fallback. Mirrors
-    ``reseed_mixed``: an (astronomically unlikely) zero seed maps to the
-    SplitMix gamma so the state is never zero.
-    """
-    if not HAVE_NUMPY or seed_block is None:
-        return None
     array = seed_block.array
-    if array is None:
-        return None
     return _np.where(array == 0, _GAMMA, array)
 
 

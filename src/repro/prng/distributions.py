@@ -12,10 +12,7 @@ import bisect
 import math
 from typing import Protocol, Sequence
 
-try:  # pragma: no cover - exercised via the block-sampling branches
-    import numpy as _np
-except ImportError:  # pragma: no cover - container always ships numpy
-    _np = None
+import numpy as _np
 
 
 class RandomSource(Protocol):
@@ -107,12 +104,10 @@ class Zipf:
         ``searchsorted(..., side="left")`` over the same float CDF is the
         elementwise equivalent of :meth:`sample`'s ``bisect_left``.
         """
-        if _np is not None and not isinstance(us, list):
-            cdf = self._cdf_array
-            if cdf is None:
-                cdf = self._cdf_array = _np.asarray(self._cdf)
-            return (_np.searchsorted(cdf, us, side="left") + 1).tolist()
-        return [bisect.bisect_left(self._cdf, u) + 1 for u in us]
+        cdf = self._cdf_array
+        if cdf is None:
+            cdf = self._cdf_array = _np.asarray(self._cdf)
+        return (_np.searchsorted(cdf, us, side="left") + 1).tolist()
 
 
 def pareto(rng: RandomSource, shape: float, scale: float = 1.0) -> float:
@@ -171,9 +166,7 @@ class Categorical:
 
     def sample_index_block(self, us) -> list[int]:
         """Value indices for a block of uniform doubles, as Python ints."""
-        if _np is not None and not isinstance(us, list):
-            cdf = self._cdf_array
-            if cdf is None:
-                cdf = self._cdf_array = _np.asarray(self._cdf)
-            return _np.searchsorted(cdf, us, side="left").tolist()
-        return [bisect.bisect_left(self._cdf, u) for u in us]
+        cdf = self._cdf_array
+        if cdf is None:
+            cdf = self._cdf_array = _np.asarray(self._cdf)
+        return _np.searchsorted(cdf, us, side="left").tolist()

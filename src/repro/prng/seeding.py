@@ -109,15 +109,9 @@ class ColumnSeeder:
     def seed_block_from_hashes(self, row_hashes) -> "blocks.SeedBlock":
         """Cell seeds for a whole row block given its shared row hashes.
 
-        The batch-path analogue of :meth:`seed_from_row_hash`:
+        The block analogue of :meth:`seed_from_row_hash`:
         *row_hashes* comes from :func:`repro.prng.blocks.row_hash_block`
         (computed once per block, shared by every column of the table)
         and the per-column mix is one vector operation.
         """
         return blocks.seed_block_from_hashes(self._update_seed, row_hashes)
-
-    def seed_block(self, start: int, count: int) -> "blocks.SeedBlock":
-        """Cell seeds for rows ``[start, start+count)`` of this column."""
-        return blocks.seed_block_from_hashes(
-            self._update_seed, blocks.row_hash_block(start, count)
-        )

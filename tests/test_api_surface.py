@@ -1,14 +1,17 @@
-"""The 2.0 public API surface.
+"""The public API surface.
 
-2.0 finishes the 1.1 deprecation cycle: scheduler configuration is
-keyword-only (the positional shim is gone — positionals now raise
-``TypeError``), ``repro.metrics`` no longer exists (timing helpers live
-in ``repro.obs``), and the ``Dataset`` facade plus the format registry
-are promoted to the top-level package.
+3.0 leaves one generate→format path: ``Generator`` has two generation
+methods (``generate``, ``generate_block``) and ``OutputConfig`` has no
+``columnar`` selector. 2.0 finished the 1.1 deprecation cycle:
+scheduler configuration is keyword-only (the positional shim is gone —
+positionals now raise ``TypeError``), ``repro.metrics`` no longer exists
+(timing helpers live in ``repro.obs``), and the ``Dataset`` facade plus
+the format registry are promoted to the top-level package.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import sys
 
@@ -67,8 +70,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_2(self):
-        assert repro.__version__.startswith("2.")
+    def test_version_is_3(self):
+        assert repro.__version__.startswith("3.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -87,3 +90,32 @@ class TestTopLevelSurface:
 
     def test_quickstart_mentions_dataset(self):
         assert "Dataset" in repro.__doc__
+
+
+class TestOneGeneratePath:
+    def test_generator_contract_is_two_methods(self):
+        public = {
+            name for name in vars(repro.Generator)
+            if not name.startswith("_") and callable(getattr(repro.Generator, name))
+        }
+        assert public == {"bind", "generate", "generate_block", "describe"}
+        assert repro.Generator.__abstractmethods__ == {"generate"}
+
+    def test_output_config_has_no_columnar_field(self):
+        names = {field.name for field in dataclasses.fields(OutputConfig)}
+        assert "columnar" not in names
+        with pytest.raises(TypeError):
+            OutputConfig(columnar=False)
+
+    def test_slice_rejects_columnar_option(self):
+        dataset = repro.Dataset(demo_schema())
+        with pytest.raises(repro.OutputError, match="columnar"):
+            dataset.slice("customer", 0, 2, format="csv", columnar=False)
+
+    def test_cli_rejects_no_columnar(self, capsys):
+        from repro.cli.main import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "--suite", "tpch", "--no-columnar"])
+        assert exit_info.value.code == 2
+        assert "--no-columnar" in capsys.readouterr().err

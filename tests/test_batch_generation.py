@@ -1,13 +1,14 @@
-"""Batch fast-path equivalence: generate_batch == per-row generate.
+"""Block generation equivalence: generate_block == per-row generate.
 
-The batch contract (PR: batch-first generator API) requires byte-exact
-agreement between ``BoundTable.generate_rows`` and repeated
-``generate_row`` calls for every registered generator, every suite, and
-every writer/backend combination. These tests enforce it property-style:
-a kitchen-sink schema covers every registered generator (a coverage
-assertion fails when a new generator is registered without being added
-here), and the benchmark suites are compared writer-for-writer on both
-scheduler backends.
+The generator contract requires byte-exact agreement between
+``BoundTable.generate_columns`` and repeated ``generate_row`` calls for
+every registered generator, every suite, and every writer/backend
+combination. These tests enforce it property-style: a kitchen-sink
+schema covers every registered generator (a coverage assertion fails
+when a new generator is registered without being added here), one
+oracle compares the block formatter against the reference
+``write_rows``/``write_row`` formatters over it, and the benchmark
+suites are compared writer-for-writer on both scheduler backends.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pickle
 
 import pytest
 
+from repro import columnar
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
 from repro.generators.base import ArtifactStore
@@ -171,24 +173,75 @@ def _rowwise(engine: GenerationEngine, table: str, start: int, stop: int) -> lis
     return [bound.generate_row(row, ctx) for row in range(start, stop)]
 
 
+def _library_generators() -> set[str]:
+    """Registered names owing block coverage: other test modules register
+    throwaway generators, only the library's own (repro.*) count."""
+    return {
+        name
+        for name in known_generators()
+        if _REGISTRY[name].__module__.startswith("repro.")
+    }
+
+
 class TestRegistryCoverage:
     def test_every_registered_generator_is_exercised(self, sink_engine):
         covered: set[str] = set()
         for table in sink_engine.schema.tables:
             for field in table.fields:
                 covered |= _spec_names(field.generator)
-        # Other test modules register throwaway generators; only the
-        # library's own (repro.*) generators owe batch-path coverage.
-        library = {
-            name
-            for name in known_generators()
-            if _REGISTRY[name].__module__.startswith("repro.")
-        }
-        missing = library - covered
+        missing = _library_generators() - covered
         assert not missing, (
-            f"generators without batch-equivalence coverage: {sorted(missing)}; "
+            f"generators without block-equivalence coverage: {sorted(missing)}; "
             "add them to kitchen_sink_schema"
         )
+
+    def test_every_registered_generate_block_returns_a_column(self, sink_engine):
+        # Each library class owns a top-level field, so its own
+        # generate_block (not a wrapping parent's) fills one column.
+        start, count = 3, 5
+        top_level: set[str] = set()
+        for table in sink_engine.schema.tables:
+            bound = sink_engine.bound_table(table.name)
+            block = sink_engine.generate_columns(table.name, start, start + count)
+            for generator, column in zip(bound.generators, block.columns):
+                assert isinstance(column, columnar.Column), generator.describe()
+                assert len(column) == count, generator.describe()
+                top_level.add(generator.spec_name)
+        missing = _library_generators() - top_level
+        assert not missing, sorted(missing)
+
+
+#: block cuts: one row, a block straddling typical package edges, and
+#: the whole table (clipped to the table size)
+BLOCK_CUTS = [(17, 18), (29, 67), (0, WIDE_ROWS)]
+
+
+class TestBlockFormatOracle:
+    """The one generate→format path against its two references.
+
+    ``write_block`` over ``generate_columns`` is what every run emits;
+    ``write_rows`` and ``write_row`` over the scalar ``generate_row``
+    are the reference formatters it must reproduce byte for byte.
+    """
+
+    @pytest.mark.parametrize("cut", BLOCK_CUTS, ids=lambda cut: f"{cut[0]}-{cut[1]}")
+    @pytest.mark.parametrize("fmt", ["csv", "json", "sql", "xml"])
+    def test_block_equals_rows_equals_row(self, sink_engine, fmt, cut):
+        for table, size in sink_engine.sizes.items():
+            start, stop = min(cut[0], size - 1), min(cut[1], size)
+            bound = sink_engine.bound_table(table)
+            ctx = sink_engine.new_context(table)
+            writer = OutputConfig(kind="null", format=fmt).new_writer(
+                table, bound.column_names
+            )
+            block = bound.generate_columns(start, stop, ctx)
+            by_block = writer.write_block(block, first=start == 0)
+            by_rows = writer.write_rows(block.to_rows())
+            by_row = "".join(
+                writer.write_row(bound.generate_row(row, ctx))
+                for row in range(start, stop)
+            )
+            assert by_block == by_rows == by_row, f"{table} [{fmt}] {start}-{stop}"
 
 
 class TestKitchenSinkEquivalence:
@@ -232,26 +285,7 @@ class TestKitchenSinkEquivalence:
         for block_size in (1, 7, 64, 1024):
             assert list(sink_engine.iter_rows("wide", block_size=block_size)) == reference
 
-    def test_wrong_batch_length_raises(self, sink_engine):
-        bound = sink_engine.bound_table("supplier")
-        generator = bound.generators[0]
-        cls = type(generator)
-        original_block = cls.generate_block
-        original_batch = cls.generate_batch
-        try:
-            # Silence the typed kernel so the engine takes the batch
-            # fallback, then hand it a wrong-length list.
-            cls.generate_block = lambda self, ctx, start, count: None
-            cls.generate_batch = lambda self, ctx, start, count: []
-            with pytest.raises(GenerationError, match="returned 0 values"):
-                sink_engine.generate_rows("supplier", 0, 4)
-        finally:
-            cls.generate_block = original_block
-            cls.generate_batch = original_batch
-
     def test_wrong_block_length_raises(self, sink_engine):
-        from repro import columnar
-
         bound = sink_engine.bound_table("supplier")
         generator = bound.generators[0]
         cls = type(generator)
@@ -270,7 +304,7 @@ class TestEnginePickleMidRun:
     def test_pickle_round_trips_batch_state(self, sink_engine):
         schema, artifacts = kitchen_sink_schema()
         engine = GenerationEngine(schema, artifacts)
-        # Drive the batch path far enough to populate every lazy cache
+        # Drive block generation far enough to populate every lazy cache
         # (date memos, dictionary int/value caches, numpy CDFs) ...
         first = engine.generate_rows("wide", 0, 40)
         # ... then pickle mid-run; caches must be rebuilt, not shipped.

@@ -1,12 +1,12 @@
-"""Columnar pipeline: typed columns, vectorized CSV, binary formats.
+"""Column blocks: typed columns, vectorized CSV, binary formats.
 
-The columnar path's whole contract is byte-identity with the row path —
-these tests pin it at every layer: column containers return canonical
-Python values, ``generate_columns`` transposes to exactly the per-row
-values, ``write_block`` emits exactly ``write_rows``'s text (including
-the awkward delimiter/date-format corners that defeat the charset
-proofs), and the scheduler produces identical output with the fast path
-on, off, and across backends. Arrow/Parquet coverage is split: the
+The block formatter's whole contract is byte-identity with the
+reference row formatters — these tests pin it at every layer: column
+containers return canonical Python values, ``generate_columns``
+transposes to exactly the per-row values, ``write_block`` emits exactly
+``write_rows``'s text (including the awkward delimiter/date-format
+corners that defeat the charset proofs), and the scheduler produces
+identical output across backends and across a crash/resume. Arrow/Parquet coverage is split: the
 graceful no-pyarrow error is always tested, the real encode/decode round
 trips run where pyarrow is installed (CI's arrow leg).
 """
@@ -29,7 +29,6 @@ from repro.output.rows import ValueFormatter
 from repro.output.writers import CsvWriter
 from repro.resilience.faults import FaultInjectingOutput, InjectedCrash
 from repro.scheduler import Scheduler
-from tests.conftest import demo_schema
 
 ROWS = 300
 
@@ -285,9 +284,8 @@ class TestCsvQuoting:
 # -- scheduler integration ----------------------------------------------------
 
 
-def _run_memory(schema_engine, *, columnar_flag=None, backend="thread",
-                workers=1, fmt="csv"):
-    output = OutputConfig(kind="memory", format=fmt, columnar=columnar_flag)
+def _run_memory(schema_engine, *, backend="thread", workers=1, fmt="csv"):
+    output = OutputConfig(kind="memory", format=fmt)
     Scheduler(
         schema_engine, output, package_size=64, workers=workers,
         backend=backend,
@@ -299,18 +297,6 @@ def _run_memory(schema_engine, *, columnar_flag=None, backend="thread",
 
 
 class TestSchedulerColumnar:
-    def test_columnar_on_off_identical(self):
-        on = _run_memory(GenerationEngine(columnar_schema()))
-        off = _run_memory(
-            GenerationEngine(columnar_schema()), columnar_flag=False
-        )
-        assert on == off
-
-    def test_demo_schema_columnar_on_off_identical(self):
-        on = _run_memory(GenerationEngine(demo_schema()))
-        off = _run_memory(GenerationEngine(demo_schema()), columnar_flag=False)
-        assert on == off
-
     def test_thread_process_columnar_identical(self):
         threads = _run_memory(
             GenerationEngine(columnar_schema()), backend="thread", workers=2

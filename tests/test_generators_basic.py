@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import datetime
+import hashlib
+import time
 
 import pytest
 
@@ -177,6 +179,44 @@ class TestTimestampGenerator:
         )
         with pytest.raises(ModelError):
             single_field_engine(spec, type_text="TIMESTAMP")
+
+
+    @pytest.mark.parametrize(
+        "zone", ["EST5EDT,M3.2.0,M11.1.0", "NZST-12NZDT,M9.5.0,M4.1.0/3"]
+    )
+    def test_bytes_do_not_depend_on_host_time_zone(self, zone, monkeypatch):
+        """A cell is a pure function of its seed — never of ``TZ``. Both
+        the block kernel and the scalar oracle are regenerated after a
+        ``tzset`` and must reproduce the UTC run's digest. The zones
+        have DST: a fixed offset cancels out of a local-time round trip
+        and would not catch one."""
+        spec = GeneratorSpec(
+            "TimestampGenerator", {"min": "1995-01-01", "max": "1995-12-31"}
+        )
+
+        def digests() -> tuple[str, str]:
+            engine = single_field_engine(spec, type_text="TIMESTAMP", rows=2000)
+            block = repr(engine.generate_rows("t")).encode()
+            scalar = repr(
+                [engine.generate_row("t", row) for row in range(2000)]
+            ).encode()
+            return (
+                hashlib.sha256(block).hexdigest(),
+                hashlib.sha256(scalar).hexdigest(),
+            )
+
+        try:
+            monkeypatch.setenv("TZ", "UTC")
+            time.tzset()
+            reference = digests()
+            assert reference[0] == reference[1]
+            monkeypatch.setenv("TZ", zone)
+            time.tzset()
+            assert time.timezone != 0, "zone did not take effect"
+            assert digests() == reference
+        finally:
+            monkeypatch.undo()
+            time.tzset()
 
 
 class TestRandomStringGenerator:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.exceptions import OutputError
 from repro.output.config import OutputConfig
+from repro.output.formats import FormatSpec
 from repro.output.rows import ValueFormatter
 from repro.output.sinks import (
     CallbackSink,
@@ -427,6 +428,21 @@ class TestOutputConfig:
     def test_sqlite_requires_sql_format(self):
         with pytest.raises(OutputError):
             OutputConfig(kind="sqlite", format="csv")
+
+    @pytest.mark.parametrize(
+        "kind, given", [("sqlite", "SQL"), ("file", "PARQUET"), ("memory", "CSV")]
+    )
+    def test_format_name_stored_in_registry_form(self, kind, given, monkeypatch):
+        # The sqlite format check, the parquet sink choice and the
+        # checkpoint fingerprint all read ``config.format`` raw, so a
+        # name accepted case-insensitively must be stored canonically.
+        # Whether pyarrow is installed is beside the point here.
+        monkeypatch.setattr(FormatSpec, "require_available", lambda self: None)
+        config = OutputConfig(kind=kind, format=given, database="x.db")
+        assert config.format == given.lower()
+        assert config == OutputConfig(
+            kind=kind, format=given.lower(), database="x.db"
+        )
 
     def test_table_path_extension(self, tmp_path):
         config = OutputConfig(kind="file", format="csv", directory=str(tmp_path))

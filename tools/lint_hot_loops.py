@@ -2,15 +2,16 @@
 
 Four checks, one AST walk:
 
-**Hot-loop check.** The batch-first fast path (PR: batched generation)
-only pays off if the scheduler work-package loop and the writer block
-formatters stay on the block API (``generate_rows`` / ``write_rows``).
-A per-row call — ``generate_row(...)`` or ``write_row(...)`` — sneaking
-back into those files reintroduces per-value interpreter overhead
-without failing any correctness test, so CI guards it structurally.
-Method *definitions* are fine (writers must still define ``write_row``;
-it is the unit of correctness). Only *calls* are flagged. Waive a
-deliberate per-row call with ``# hot-loop-ok: <reason>`` on the line.
+**Hot-loop check.** Block generation only pays off if the scheduler
+work-package loop and the writers stay on the single block API
+(``generate_columns`` → ``write_block``, with ``write_rows`` as the
+per-row formats' block formatter). A per-row call — ``generate_row(...)``
+or ``write_row(...)`` — sneaking back into those files reintroduces
+per-value interpreter overhead without failing any correctness test, so
+CI guards it structurally. Method *definitions* are fine (writers must
+still define ``write_row``; it is the reference the block formatters
+are tested against). Only *calls* are flagged. Waive a deliberate
+per-row call with ``# hot-loop-ok: <reason>`` on the line.
 
 **Swallowed-error check.** Fault tolerance (PR: checkpoint/resume)
 depends on failures *propagating*: a ``try/except Exception`` (or
@@ -33,11 +34,11 @@ in :mod:`repro.obs.export` (called once, after the run) and
 :mod:`repro.obs.serve` (its own thread). Waive a deliberate call with
 ``# span-io-ok: <reason>``.
 
-**Columnar fast-path check.** The columnar pipeline (PR: Arrow/Parquet
-sinks) exists to format whole arrays at once; a per-value
+**Vectorized-formatter check.** The array-level ``write_block``
+formatters exist to format whole columns at once; a per-value
 ``formatter.format(...)`` call inside the vectorized formatter modules
-(:mod:`repro.output.columnar`, :mod:`repro.output.arrow`) collapses the
-fast path back to row-at-a-time cost without failing any correctness
+(:mod:`repro.output.columnar`, :mod:`repro.output.arrow`) collapses
+them back to value-at-a-time cost without failing any correctness
 test — the bytes stay identical, only the throughput regresses. Any
 ``format()`` call in those files must carry a ``# columnar-ok: <reason>``
 waiver naming why the scalar fallback is deliberate (charset clash,
