@@ -9,17 +9,16 @@ each node's share is a pure function of (model, node index, node count).
 The cluster's makespan is therefore exactly ``max`` over the per-node
 durations, which we can measure *honestly on one machine* by running
 each node's share in isolation and composing. The primary series below
-does that for 1..24 simulated nodes; when the host has multiple cores a
-second, truly-parallel series (one OS process per node) is measured as
-well.
+does that for 1..24 simulated nodes (``run_node`` per node, makespan =
+max over nodes).
 
 Reproduction targets: cluster throughput grows ~linearly with nodes
 (paper's left panel), per-cluster duration shrinks ~1/nodes (right
 panel), and every node generates a disjoint, exact share of the data.
 
-A third series runs the *distributed* cluster runtime (real node
-processes with control-channel progress and work stealing) so the
-coordination overhead it adds over the pooled simulation is measured,
+A second, truly parallel series runs the cluster runtime (one OS
+process per node, parent-side dispatch and work stealing) so the
+coordination overhead it adds over the composed estimate is measured,
 not assumed. Run as a script with ``--smoke`` for the CI cluster
 canary: 3-node distributed TPC-H digest-checked against a single-node
 golden run, a kill-one-node resume leg, and a steal-vs-static makespan
@@ -37,14 +36,14 @@ import tempfile
 import pytest
 
 from repro.output.config import OutputConfig
-from repro.scheduler import ClusterScheduler, MetaScheduler
+from repro.scheduler import ClusterScheduler
 from repro.suites.bigbench import bigbench_artifacts, bigbench_schema
 
-from conftest import bench_sf, record
+from conftest import bench_sf, record, simulated_cluster
 
 _CPUS = multiprocessing.cpu_count()
 NODE_COUNTS = [1, 2, 4, 8, 16, 24]
-DISTRIBUTED_NODE_COUNTS = [1, 2, 4]
+DISTRIBUTED_NODE_COUNTS = sorted({1, 2, 4} | {n for n in (8,) if n <= _CPUS})
 
 _simulated: dict[int, float] = {}
 
@@ -59,31 +58,12 @@ def schema():
 
 @pytest.mark.parametrize("nodes", NODE_COUNTS)
 def test_scaleout_simulated_cluster(benchmark, schema, nodes):
-    """Per-node shares run in isolation; makespan = max(node durations).
-
-    Best of three repetitions: the max-over-nodes estimator is extremely
-    sensitive to one-off scheduler jitter on a single node.
-    """
-    scheduler = MetaScheduler(
-        schema, bigbench_artifacts(), OutputConfig(kind="null")
+    """Per-node shares run in isolation; makespan = max(node durations)
+    over each node's best of three repetitions."""
+    result = benchmark.pedantic(
+        simulated_cluster, args=(schema, bigbench_artifacts(), nodes),
+        rounds=1, iterations=1,
     )
-
-    def best_of_runs():
-        # Per-node work is deterministic; measurement noise is per run.
-        # Take each node's best time across repetitions, then compose the
-        # cluster makespan from those de-noised per-node times.
-        per_node: dict[int, object] = {}
-        for _ in range(3):
-            candidate = scheduler.run(nodes, processes=False)
-            for node in candidate.nodes:
-                held = per_node.get(node.node)
-                if held is None or node.seconds < held.seconds:
-                    per_node[node.node] = node
-        from repro.scheduler.meta import ClusterReport
-
-        return ClusterReport(list(per_node.values()))
-
-    result = benchmark.pedantic(best_of_runs, rounds=1, iterations=1)
     _simulated[nodes] = result.mb_per_second
     benchmark.extra_info["nodes"] = nodes
     benchmark.extra_info["cluster_mb_per_s"] = round(result.mb_per_second, 2)
@@ -94,32 +74,13 @@ def test_scaleout_simulated_cluster(benchmark, schema, nodes):
     assert result.rows == sum(schema.sizes().values())
 
 
-@pytest.mark.parametrize(
-    "nodes", [n for n in (1, 2, 4, 8) if n <= _CPUS] or [1]
-)
-def test_scaleout_real_processes(benchmark, schema, nodes):
-    """Truly parallel run (one OS process per node) where cores allow."""
-    scheduler = MetaScheduler(
-        schema, bigbench_artifacts(), OutputConfig(kind="null")
-    )
-    result = benchmark.pedantic(
-        scheduler.run, args=(nodes,), kwargs={"processes": True},
-        rounds=2, iterations=1, warmup_rounds=0,
-    )
-    record(
-        "Figure 4 (BigBench scale-out): nodes | cluster MB/s | makespan s",
-        (f"{nodes} (real procs)", round(result.mb_per_second, 2),
-         round(result.seconds, 3)),
-    )
-    assert result.rows == sum(schema.sizes().values())
-
-
 @pytest.mark.parametrize("nodes", DISTRIBUTED_NODE_COUNTS)
 def test_scaleout_distributed_cluster(benchmark, schema, nodes):
-    """The real cluster runtime: independent node processes, control
-    channel, stealing enabled. On a single-core host this measures the
-    coordination overhead, not parallel speedup — the interesting number
-    is how close it stays to the pooled series."""
+    """The cluster runtime — the truly parallel series: one OS process
+    per node, parent-side dispatch, stealing enabled. On a host with
+    fewer cores than nodes this measures the coordination overhead, not
+    parallel speedup — the interesting number is how close it stays to
+    the simulated series."""
     scheduler = ClusterScheduler(
         schema, bigbench_artifacts(), output=OutputConfig(kind="null")
     )

@@ -38,10 +38,9 @@ import pytest
 from repro.engine import GenerationEngine
 from repro.output.config import OutputConfig
 from repro.scheduler import generate
-from repro.scheduler.meta import MetaScheduler
 from repro.suites.tpch import tpch_artifacts, tpch_schema
 
-from conftest import bench_sf, record
+from conftest import bench_sf, record, simulated_cluster
 
 _CPUS = multiprocessing.cpu_count()
 THREAD_COUNTS = sorted({1, 2, 4, 8, max(_CPUS, 1), 2 * max(_CPUS, 1)})
@@ -103,26 +102,10 @@ def test_scaleup_processes_measured(benchmark, schema, workers):
 @pytest.mark.parametrize("workers", SIMULATED_WORKERS)
 def test_scaleup_workers_simulated(benchmark, schema, workers):
     """Shared-nothing worker simulation (see module docstring)."""
-    scheduler = MetaScheduler(
-        schema, tpch_artifacts(), OutputConfig(kind="null")
+    result = benchmark.pedantic(
+        simulated_cluster, args=(schema, tpch_artifacts(), workers),
+        rounds=1, iterations=1,
     )
-
-    def best_of_runs():
-        # Per-node work is deterministic; measurement noise is per run.
-        # Take each node's best time across repetitions, then compose the
-        # cluster makespan from those de-noised per-node times.
-        per_node: dict[int, object] = {}
-        for _ in range(3):
-            candidate = scheduler.run(workers, processes=False)
-            for node in candidate.nodes:
-                held = per_node.get(node.node)
-                if held is None or node.seconds < held.seconds:
-                    per_node[node.node] = node
-        from repro.scheduler.meta import ClusterReport
-
-        return ClusterReport(list(per_node.values()))
-
-    result = benchmark.pedantic(best_of_runs, rounds=1, iterations=1)
     _simulated[workers] = result.mb_per_second
     record(
         "Figure 5 (TPC-H scale-up): workers | MB/s",

@@ -1,11 +1,12 @@
-"""TPC-H generation: formats, parallel workers, simulated cluster.
+"""TPC-H generation: formats, parallel workers, a 4-node cluster.
 
 Shows the benchmark-kit side of PDGF:
 
 1. generate the TPC-H data set (the paper's TPC-H-subcommittee-reviewed
    model) in CSV and JSON;
-2. run the same model on a simulated shared-nothing cluster and show
-   that the nodes' outputs concatenate to exactly the single-node run;
+2. run the same model on the 4-node cluster runtime (one process per
+   node, work stealing on), then show that four coordinator-free
+   ``run_node`` shares concatenate to exactly the single-node run;
 3. time the DBGen-style baseline against PDGF (the paper's Figure 6).
 
 Run: ``python examples/tpch_cluster.py``
@@ -18,7 +19,7 @@ import time
 
 from repro import GenerationEngine, OutputConfig, generate
 from repro.output.sinks import NullSink
-from repro.scheduler.meta import MetaScheduler, run_node
+from repro.scheduler import ClusterScheduler, run_node
 from repro.suites.tpch import DbgenBaseline, tpch_artifacts, tpch_schema
 
 SCALE_FACTOR = 0.002
@@ -41,16 +42,17 @@ def main() -> None:
         with open(json_out.table_path("nation")) as handle:
             print("  JSON sample:   ", handle.readline().strip()[:100])
 
-    print("\n== simulated shared-nothing cluster (4 nodes) ==")
-    cluster = MetaScheduler(
-        schema, tpch_artifacts(), OutputConfig(kind="null")
-    ).run(nodes=4, processes=False)
+    print("\n== shared-nothing cluster (4 node processes) ==")
+    cluster = ClusterScheduler(
+        schema, tpch_artifacts(), output=OutputConfig(kind="null")
+    ).run(nodes=4)
     print(f"  cluster throughput {cluster.mb_per_second:.2f} MB/s "
-          f"(makespan {cluster.seconds:.3f}s)")
+          f"(makespan {cluster.seconds:.3f}s, {cluster.steals} steals)")
     for node in cluster.nodes:
         print(f"    node {node.node}: {node.rows:,} rows in {node.seconds:.3f}s")
 
-    # Node outputs concatenate to exactly the single-node data set.
+    # Static node shares need no runtime at all: run each in isolation
+    # and the outputs concatenate to exactly the single-node data set.
     single = OutputConfig(kind="memory")
     generate(GenerationEngine(schema, tpch_artifacts()), single)
     parts = []

@@ -72,7 +72,6 @@ from repro.resilience import RetryPolicy, RunManifest
 from repro.scheduler import (
     ClusterReport,
     ClusterScheduler,
-    MetaScheduler,
     ProgressMonitor,
     RunReport,
     Scheduler,
@@ -81,7 +80,7 @@ from repro.scheduler import (
 )
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Dataset",
@@ -119,7 +118,6 @@ __all__ = [
     "OutputConfig",
     "ClusterReport",
     "ClusterScheduler",
-    "MetaScheduler",
     "ProgressMonitor",
     "RunReport",
     "Scheduler",

@@ -225,45 +225,49 @@ def _cmd_preview(args: argparse.Namespace) -> int:
     return 0
 
 
-def _generate_cluster(args: argparse.Namespace, engine, output) -> int:
-    """Multi-node generation: the real distributed cluster runtime
-    (``--distributed``) or the pooled simulation (``--nodes N`` alone,
-    null sink only — pooled nodes share output paths and would clobber
-    each other's files; the distributed runtime merges per-node parts
-    instead)."""
-    from repro.scheduler import MetaScheduler
+#: ``generate`` flags the cluster runtime does not honour, with the
+#: argparse default that means "not set": nodes generate their shard
+#: sequentially in one process, and recover in-run rather than across runs.
+_SINGLE_NODE_ONLY_FLAGS = (
+    ("--workers", "workers", 1),
+    ("--backend", "backend", "thread"),
+    ("--inflight-extra", "inflight_extra", 2),
+    ("--max-attempts", "max_attempts", 1),
+    ("--resume", "resume", False),
+)
 
-    if args.nodes < 1:
-        raise ReproError(f"--nodes must be >= 1, got {args.nodes}")
-    if not args.distributed and args.kind != "null":
-        raise ReproError(
-            "--nodes without --distributed simulates throughput only and "
-            "needs --kind null; use --distributed for real file output"
-        )
-    scheduler = MetaScheduler(
+
+def _generate_cluster(args: argparse.Namespace, engine, output) -> int:
+    """Multi-node generation on the cluster runtime: one process per
+    node, parent-side work stealing, per-node parts merged into files
+    byte-identical to a single-node run."""
+    from repro.scheduler import ClusterScheduler
+
+    for flag, attribute, default in _SINGLE_NODE_ONLY_FLAGS:
+        if getattr(args, attribute) != default:
+            raise ReproError(
+                f"{flag} does not apply to a multi-node run (--nodes/"
+                "--distributed): each node generates its shard sequentially "
+                "and dead shards are reassigned live, not resumed across runs"
+            )
+    report = ClusterScheduler(
         engine.schema,
         engine.artifacts,
         output=output,
-        workers_per_node=args.workers,
         checkpoint=args.checkpoint,
-        resume_from=args.checkpoint if args.resume else None,
-    )
-    report = scheduler.run(
-        args.nodes, distributed=args.distributed, steal=not args.no_steal
-    )
-    mode = "distributed" if report.distributed else "pooled"
+        steal=not args.no_steal,
+    ).run(args.nodes)
     print(
         f"{report.rows:,} rows, {report.bytes_written / 1048576:.2f} MiB "
         f"in {report.seconds:.2f} s ({report.mb_per_second:.2f} MB/s, "
-        f"{len(report.nodes)} {mode} nodes)"
+        f"{len(report.nodes)} distributed nodes)"
     )
-    if report.distributed:
-        print(f"steals: {report.steals} ({report.stolen_rows:,} rows reassigned)")
-        if report.node_failures:
-            print(
-                f"recovered: {report.node_failures} dead nodes, "
-                f"{report.reassigned_ranges} ranges reassigned"
-            )
+    print(f"steals: {report.steals} ({report.stolen_rows:,} rows reassigned)")
+    if report.node_failures:
+        print(
+            f"recovered: {report.node_failures} dead nodes, "
+            f"{report.reassigned_ranges} ranges reassigned"
+        )
     if not args.quiet:
         for node in report.nodes:
             line = (
@@ -278,6 +282,10 @@ def _generate_cluster(args: argparse.Namespace, engine, output) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.nodes < 1:
+        raise ReproError(f"--nodes must be >= 1, got {args.nodes}")
+    if args.resume and not args.checkpoint:
+        raise ReproError("--resume requires --checkpoint DIR")
     tracer, registry, profiler, server = _telemetry_begin(args)
     try:
         engine = _load_engine(args)
@@ -311,8 +319,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
         if server is not None:
             server.attach_progress(progress)
-        if args.resume and not args.checkpoint:
-            raise ReproError("--resume requires --checkpoint DIR")
         retry = None
         if args.max_attempts > 1:
             from repro.resilience import RetryPolicy
@@ -660,21 +666,22 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="split the run across N cluster nodes; each node owns a "
-        "seed-derived share of every table (union == single-node run)",
+        help="run on N cluster nodes, one OS process each: every node "
+        "starts with a seed-derived shard of every table, idle nodes steal "
+        "from busy ones, dead nodes' work is reassigned, and the merged "
+        "files equal a single-node run byte for byte (text formats with "
+        "--kind file or null)",
     )
     gen.add_argument(
         "--distributed",
         action="store_true",
-        help="run each node as an independently launched OS process with "
-        "control-channel progress, per-node checkpoint journals, elastic "
-        "work stealing, and dead-node recovery (text formats with --kind "
-        "file or null; implies --nodes semantics even for N=1)",
+        help="use the cluster runtime even for --nodes 1 (--nodes N>1 "
+        "always does)",
     )
     gen.add_argument(
         "--no-steal",
         action="store_true",
-        help="disable elastic work stealing in --distributed runs",
+        help="disable elastic work stealing in multi-node runs",
     )
     gen.add_argument(
         "--backend",

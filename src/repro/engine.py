@@ -201,8 +201,8 @@ class GenerationEngine:
 
         Bound generators hold thread-locals and closure state that must
         not cross process boundaries; reconstructing from the model is
-        the meta scheduler's per-node bootstrap and — because generation
-        is seed-addressed — yields a byte-identical engine. This is what
+        how every cluster node boots and — because generation is
+        seed-addressed — yields a byte-identical engine. This is what
         lets the process-pool scheduler backend ship the engine to
         worker processes.
         """

@@ -6,9 +6,9 @@ each forked worker inherits a *copy* of the parent's tracer and records
 into the void. This module closes that gap:
 
 * a :class:`SpanContext` travels with each dispatched work package and
-  names the logical parent span (the scheduler's ``scheduler.run`` span,
-  or a meta-scheduler node slot) plus the dispatch attempt, so spans of
-  a requeued package after a worker crash carry ``attempt=2``;
+  names the logical parent span (the scheduler's ``scheduler.run``
+  span) plus the dispatch attempt, so spans of a requeued package after
+  a worker crash carry ``attempt=2``;
 * workers serialize their finished spans with :func:`span_payload`
   (plain dicts — picklable over the existing result queues) and their
   metric deltas with :meth:`MetricsRegistry.export_deltas`;
@@ -27,7 +27,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.obs.trace import SpanRecord, Tracer
+from repro.obs.profile import active_profiler
+from repro.obs.registry import active_metrics
+from repro.obs.trace import SpanRecord, Tracer, active_tracer
 
 #: payload schema version; bumped when the wire shape changes.
 SPAN_PAYLOAD_VERSION = 1
@@ -55,11 +57,11 @@ class SpanContext:
 
 @dataclass(frozen=True)
 class WorkerTelemetry:
-    """Which collectors a worker process should run (picklable).
+    """Which collectors an executor process should run (picklable).
 
-    Built by the parent from its own active collectors at pool spawn;
-    all-off (the default) keeps the worker's disabled-path cost at the
-    usual one-global-load-and-branch.
+    Built by the parent from its own active collectors when it spawns
+    executors (:meth:`from_active`); all-off (the default) keeps the
+    child's disabled-path cost at the usual one-global-load-and-branch.
     """
 
     trace: bool = False
@@ -70,6 +72,18 @@ class WorkerTelemetry:
     @property
     def enabled(self) -> bool:
         return self.trace or self.metrics or self.profile
+
+    @classmethod
+    def from_active(cls) -> "WorkerTelemetry":
+        """Mirror of what this process is collecting right now (all-off
+        when nothing is — children then ship no payloads)."""
+        profiler = active_profiler()
+        return cls(
+            trace=active_tracer() is not None,
+            metrics=active_metrics() is not None,
+            profile=profiler is not None,
+            profile_hz=profiler.hz if profiler is not None else DEFAULT_PROFILE_HZ,
+        )
 
 
 def export_spans(tracer: Tracer, drain: bool = True) -> list[dict]:

@@ -1,8 +1,8 @@
-"""Scheduling: work packages, thread/process scheduler, multi-node meta
-scheduler, and the distributed cluster runtime."""
+"""Scheduling: work packages, the single-node thread/process scheduler,
+and the multi-node cluster runtime — the last two on one executor-process
+core (:mod:`repro.scheduler.executor`)."""
 
-from repro.scheduler.cluster import ClusterScheduler
-from repro.scheduler.meta import ClusterReport, MetaScheduler, NodeReport, run_node
+from repro.scheduler.cluster import ClusterReport, ClusterScheduler, NodeReport
 from repro.scheduler.progress import ProgressMonitor, ProgressSnapshot
 from repro.scheduler.scheduler import (
     BACKENDS,
@@ -11,6 +11,8 @@ from repro.scheduler.scheduler import (
     Scheduler,
     TableReport,
     generate,
+    node_ranges,
+    run_node,
 )
 from repro.scheduler.work import (
     DEFAULT_PACKAGE_SIZE,
@@ -26,8 +28,8 @@ __all__ = [
     "DEFAULT_INFLIGHT_EXTRA",
     "ClusterReport",
     "ClusterScheduler",
-    "MetaScheduler",
     "NodeReport",
+    "node_ranges",
     "run_node",
     "ProgressMonitor",
     "ProgressSnapshot",

@@ -1,101 +1,148 @@
-"""Distributed cluster runtime: one OS process per node, elastic stealing.
+"""The multi-node runtime: one OS process per node, elastic stealing.
 
-This is the real version of the paper's §2 meta scheduler: where
-:class:`~repro.scheduler.meta.MetaScheduler` simulates a cluster with a
-process pool mapped over static :func:`~repro.scheduler.work.node_share`
-splits, :class:`ClusterScheduler` launches each node as an independent
-OS process with its own control channel — the substrate a remote-host
-deployment would keep, swapping the queues for sockets.
+This is the paper's §2 meta scheduler. Nodes need no communication —
+every row derives from the seed hierarchy — so the runtime moves only
+row-range bookkeeping, never data, and all of it lives in the parent:
 
-The coordination model stays shared-nothing in the only way that
-matters: *data* is never exchanged. Nodes derive every row from the seed
-hierarchy; the channels carry only row-range bookkeeping:
-
-* each node owns a shard (contiguous ``[start, stop)`` per table from
-  the seed-pure :func:`~repro.scheduler.work.plan_shards` split) and
-  journals completed packages into its own ``node<i>/`` checkpoint
-  manifest before reporting progress, so the parent's view is always a
-  prefix of durable state;
-* when a node drains its queue it reports idle and the parent *steals*:
-  the node with the most remaining work is asked to release the tail of
-  its pending packages (never anything started), and the released
-  ranges are reassigned to the idle node — redo-free, because no
-  released row was ever generated;
+* each node starts with a shard (contiguous ``[start, stop)`` per table
+  from the seed-pure :func:`~repro.scheduler.work.plan_shards` split),
+  kept by the parent as a deque of pending ranges in the
+  :class:`ShardLedger`;
+* the parent feeds every node work packages cut from the front of its
+  deque through a small fixed look-ahead window
+  (:data:`NODE_LOOKAHEAD`), so a node is never idle across the dispatch
+  round trip and everything beyond the window stays movable;
+* when a node runs dry the parent *steals*: the tail half of the
+  busiest node's pending packages moves to the idle node's deque — a
+  ledger edit, redo-free because nothing pending was ever sent anywhere;
 * when a node dies the parent truncates its part files to the reported
-  durable byte offsets and reassigns the remaining ranges to survivors
-  (or a fresh replacement process if none are left) — the same
-  regenerate-the-tail recovery the single-node checkpoint machinery
-  uses, at node granularity.
+  durable byte offsets and moves what it still held (in-flight and
+  pending) to a survivor, or to a fresh replacement process if none is
+  left — the same regenerate-the-tail recovery the single-node
+  checkpoint machinery uses, at node granularity.
 
-Nodes write *part files* keyed by absolute start row; the parent merges
-them in row order (header + parts + footer) into the exact bytes a
-single-node run writes. Text chunks depend only on their absolute row
-range — every text writer is strictly per-row — which is why stolen
-ranges can re-anchor package boundaries without changing a byte. The
-package-framed binary formats (Arrow/Parquet) cannot be split at stolen
-boundaries and are refused up front.
+A node is the process-pool worker body with a local sink: receive a
+package, generate and format it, append it to the open *part file* (a
+new part whenever the package does not continue the previous one),
+journal it into its own ``node<i>/`` checkpoint manifest, report. The
+report follows the journal, so the parent's ledger is always a prefix of
+durable state. Process bootstrap, telemetry shipping, liveness and
+shutdown are the shared :mod:`repro.scheduler.executor` core.
+
+The parent merges parts in row order (header + parts + footer) into the
+exact bytes a single-node run writes. Text chunks depend only on their
+absolute row range — every text writer is strictly per-row — which is
+why stolen ranges can re-anchor package boundaries without changing a
+byte. The package-framed binary formats (Arrow/Parquet) cannot be split
+at stolen boundaries and are refused up front.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import shutil
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.engine import GenerationEngine
 from repro.exceptions import SchedulingError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Schema
-from repro.obs import (
-    WorkerTelemetry,
-    active_metrics,
-    active_profiler,
-    active_tracer,
-    span,
-    span_payload,
-    stitch_spans,
-)
+from repro.obs import active_metrics, span, throughput_mb_per_s
 from repro.output.config import OutputConfig
 from repro.output.formats import format_package, format_spec
 from repro.output.sinks import FileSink, NullSink
-from repro.resilience.checkpoint import (
-    CheckpointWriter,
-    chunk_digest,
-    model_fingerprint,
-)
+from repro.resilience.checkpoint import CheckpointWriter, model_fingerprint
 from repro.resilience.faults import FaultPlan
-from repro.scheduler.meta import (
-    ClusterReport,
-    NodeReport,
-    _node_checkpoint_dir,
-)
-from repro.scheduler.scheduler import mp_context
-from repro.scheduler.work import (
-    DEFAULT_PACKAGE_SIZE,
-    WorkPackage,
-    partition_rows,
-    plan_shards,
-)
+from repro.scheduler.executor import ExecutorPool, ExecutorSlot, die
+from repro.scheduler.scheduler import TableInstruments, node_checkpoint_dir
+from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage, plan_shards
 
 #: where nodes write their part files, under the output directory.
 PARTS_DIRNAME = ".dbsynth-parts"
 
-#: sink kinds a distributed run supports. Parts must live in a shared
+#: sink kinds a cluster run supports. Parts must live in a shared
 #: filesystem namespace the parent can truncate and merge (``file``) or
 #: need no merging at all (``null``, the Figure-4 throughput setup).
 CLUSTER_SINK_KINDS = ("file", "null")
 
+#: packages a node may hold undone: the one it is generating plus one
+#: queued behind it, so the parent's dispatch round trip never idles the
+#: node while everything further out stays stealable.
+NODE_LOOKAHEAD = 2
+
+
+@dataclass(frozen=True)
+class NodeReport:
+    """Result of one node's part of a multi-node run.
+
+    ``telemetry`` is the node's final exported collectors (span payload,
+    metric deltas, folded profile counts) when the parent had collectors
+    active, else ``None``. ``steals_taken``/``steals_yielded`` count the
+    ranges this node received from, or gave up to, another node.
+    """
+
+    node: int
+    rows: int
+    bytes_written: int
+    seconds: float
+    telemetry: dict | None = None
+    steals_taken: int = 0
+    steals_yielded: int = 0
+
+
+@dataclass(frozen=True)
+class ClusterReport:
+    """Aggregated outcome of a multi-node run.
+
+    ``seconds`` is the cluster's makespan — the measured wall-clock of
+    the whole run (``makespan``), never less than the slowest node's own
+    timer; throughput uses it the way the paper's Figure 4 does. A
+    report composed by hand from independent :func:`run_node` shares
+    leaves ``makespan`` at 0 and falls back to the slowest node.
+
+    Runs of the cluster runtime additionally report the
+    elastic-scheduling counters — ``steals``/``stolen_rows`` for
+    work-stealing moves, ``node_failures`` and ``reassigned_ranges`` for
+    dead-node recovery — and ``frame_bytes``, the header/footer bytes
+    the parent merge adds around the nodes' rows.
+    """
+
+    nodes: list[NodeReport]
+    makespan: float = 0.0
+    steals: int = 0
+    stolen_rows: int = 0
+    node_failures: int = 0
+    reassigned_ranges: int = 0
+    frame_bytes: int = 0
+
+    @property
+    def rows(self) -> int:
+        return sum(n.rows for n in self.nodes)
+
+    @property
+    def bytes_written(self) -> int:
+        return self.frame_bytes + sum(n.bytes_written for n in self.nodes)
+
+    @property
+    def seconds(self) -> float:
+        slowest = max((n.seconds for n in self.nodes), default=0.0)
+        return max(self.makespan, slowest)
+
+    @property
+    def mb_per_second(self) -> float:
+        return throughput_mb_per_s(self.bytes_written, self.seconds)
+
 
 def part_path(part_dir: str, table: str, start: int, extension: str) -> str:
-    """Deterministic part-file path for the range of *table* starting at
-    absolute row *start*.
+    """Deterministic part-file path for the extent of *table* starting
+    at absolute row *start*.
 
     Both sides compute it independently — node processes open the sink,
     the parent truncates and merges without asking. Keyed by start row
-    so a reassigned tail range (which begins at the dead node's durable
+    so a reassigned tail (which begins at the dead node's durable
     boundary) never collides with the dead node's own part.
     """
     return os.path.join(part_dir, f"{table}.part{start:012d}{extension}")
@@ -103,6 +150,201 @@ def part_path(part_dir: str, table: str, start: int, extension: str) -> str:
 
 def _output_extension(output: OutputConfig) -> str:
     return output.extension or format_spec(output.format).extension
+
+
+# --------------------------------------------------------------------------
+# the ledger
+# --------------------------------------------------------------------------
+
+
+class Extent(NamedTuple):
+    """Rows ``[start, stop)`` of one table as a node holds them — a
+    pending range or a dispatched package — with why it holds them
+    (``"shard"``, ``"steal"``, ``"dead-node"``) and which node they came
+    from. This tuple is also the parent → node message."""
+
+    table: str
+    start: int
+    stop: int
+    reason: str
+    origin: int | None
+
+    @property
+    def rows(self) -> int:
+        return self.stop - self.start
+
+    @property
+    def key(self) -> tuple[str, int]:
+        return self.table, self.start
+
+
+class _Part:
+    """A contiguous extent one node generated: one part file, one
+    ``node.assignment`` span. Node and parent grow parts by the same
+    rule (:meth:`continues`) over the same package sequence, so the
+    parent knows every part without being told."""
+
+    __slots__ = ("table", "start", "stop", "reason", "origin", "bytes")
+
+    def __init__(self, first: Extent) -> None:
+        self.table, self.start, _, self.reason, self.origin = first
+        self.stop = first.start
+        self.bytes = 0
+
+    def continues(self, package: Extent) -> bool:
+        return (package.table, package.start, package.reason, package.origin) == (
+            self.table, self.stop, self.reason, self.origin
+        )
+
+
+class _Shard:
+    """One node's row of the ledger."""
+
+    __slots__ = ("slot", "pending", "parts", "rows", "bytes",
+                 "steals_taken", "steals_yielded")
+
+    def __init__(self, slot: ExecutorSlot) -> None:
+        self.slot = slot
+        self.pending: deque[Extent] = deque()
+        self.parts: list[_Part] = []
+        self.rows = 0
+        self.bytes = 0
+        self.steals_taken = 0
+        self.steals_yielded = 0
+
+
+class ShardLedger:
+    """Which node owns which rows, in three states per node: *pending*
+    ranges (a deque, movable), packages *in flight* (the slot's
+    ``inflight``, at most :data:`NODE_LOOKAHEAD`), and *parts* done.
+
+    Parts only grow on reported — therefore journaled and flushed —
+    packages, so truncating a dead node's part file to ``part.bytes``
+    can never cut data the ledger counts; at worst it discards
+    durable-but-unreported tail bytes, which the reassigned range
+    regenerates identically.
+    """
+
+    def __init__(self, package_size: int) -> None:
+        self.package_size = package_size
+        self.shards: dict[int, _Shard] = {}
+        self.steals = 0
+        self.stolen_rows = 0
+
+    def add(self, slot: ExecutorSlot) -> None:
+        self.shards[slot.ident] = _Shard(slot)
+
+    def assign(self, node: int, ranges, reason: str, origin: int | None) -> None:
+        self.shards[node].pending.extend(
+            Extent(table, start, stop, reason, origin)
+            for table, start, stop in ranges
+        )
+
+    def _packages(self, extent: Extent) -> int:
+        return -(-extent.rows // self.package_size)
+
+    def remaining(self, node: int) -> int:
+        """Packages *node* has not finished: in flight plus pending."""
+        shard = self.shards[node]
+        return len(shard.slot.inflight) + sum(map(self._packages, shard.pending))
+
+    @property
+    def done(self) -> bool:
+        return not any(
+            shard.pending or shard.slot.inflight for shard in self.shards.values()
+        )
+
+    def fill(self, node: int) -> list[Extent]:
+        """Cut the packages that top *node*'s look-ahead window up off
+        the front of its pending deque; the caller sends them."""
+        shard = self.shards[node]
+        packages: list[Extent] = []
+        room = NODE_LOOKAHEAD - len(shard.slot.inflight)
+        while shard.pending and len(packages) < room:
+            extent = shard.pending.popleft()
+            cut = min(extent.start + self.package_size, extent.stop)
+            if cut < extent.stop:
+                shard.pending.appendleft(extent._replace(start=cut))
+            packages.append(extent._replace(stop=cut))
+        return packages
+
+    def complete(self, node: int, package: Extent, nbytes: int) -> None:
+        shard = self.shards[node]
+        if not shard.parts or not shard.parts[-1].continues(package):
+            shard.parts.append(_Part(package))
+        part = shard.parts[-1]
+        part.stop = package.stop
+        part.bytes += nbytes
+        shard.rows += package.rows
+        shard.bytes += nbytes
+
+    def steal(self, thief: int) -> None:
+        """Move the tail half of the busiest other node's unfinished
+        packages to *thief* — pending ones only, newest ranges first
+        (the work the victim is furthest from reaching)."""
+        victim = max(
+            (node for node in self.shards if node != thief),
+            key=self.remaining, default=None,
+        )
+        if victim is None:
+            return
+        source = self.shards[victim]
+        want = self.remaining(victim) // 2
+        taken: list[tuple[str, int, int]] = []
+        while want > 0 and source.pending:
+            extent = source.pending.pop()
+            count = self._packages(extent)
+            keep = max(count - want, 0)
+            split = extent.start + keep * self.package_size
+            if keep:
+                source.pending.append(extent._replace(stop=split))
+            taken.append((extent.table, split, extent.stop))
+            want -= count - keep
+        if not taken:
+            return
+        taken.reverse()
+        self.assign(thief, taken, "steal", victim)
+        self.shards[thief].steals_taken += len(taken)
+        source.steals_yielded += len(taken)
+        self.steals += len(taken)
+        self.stolen_rows += sum(stop - start for _, start, stop in taken)
+
+    def fail(self, node: int, lost: list[Extent]) -> list[tuple[str, int, int]]:
+        """Take everything dead *node* held that is not durable — the
+        *lost* in-flight packages, then its pending deque — out of its
+        shard, as coalesced ranges ready to :meth:`assign` elsewhere."""
+        shard = self.shards[node]
+        ranges: list[tuple[str, int, int]] = []
+        for table, start, stop, *_ in [*lost, *shard.pending]:
+            if ranges and ranges[-1][0] == table and ranges[-1][2] == start:
+                ranges[-1] = (table, ranges[-1][1], stop)
+            else:
+                ranges.append((table, start, stop))
+        shard.pending.clear()
+        return ranges
+
+    def parts(self, table: str, size: int) -> list[_Part]:
+        """The parts of *table* in row order, verified to cover
+        ``[0, size)`` exactly once."""
+        parts = sorted(
+            (part for shard in self.shards.values() for part in shard.parts
+             if part.table == table),
+            key=lambda part: part.start,
+        )
+        position = 0
+        for part in parts:
+            if part.start != position:
+                raise SchedulingError(
+                    f"table {table!r}: parts are not contiguous at row "
+                    f"{position} (next part starts at {part.start}) — "
+                    "a range was lost or generated twice"
+                )
+            position = part.stop
+        if position != size:
+            raise SchedulingError(
+                f"table {table!r}: parts cover {position} of {size} rows"
+            )
+        return parts
 
 
 # --------------------------------------------------------------------------
@@ -114,347 +356,115 @@ def _output_extension(output: OutputConfig) -> str:
 class _NodeConfig:
     """Everything a node process needs, picklable at spawn."""
 
-    node: int
     nodes: int
     schema: Schema
     artifacts: ArtifactStore | None
     output: OutputConfig
     package_size: int
     part_dir: str | None
-    checkpoint_dir: str | None
-    assignments: list[tuple[str, int, int]]
-    telemetry: WorkerTelemetry | None
+    checkpoint: str | None
     faults: FaultPlan | None
-    origin: int | None = None
-    reason: str = "shard"
 
 
-class _NodeAssignment:
-    """Node-side state of one contiguous range it must generate."""
+class _OpenPart(_Part):
+    """Node side of a part: its sink and its ``node.assignment`` span."""
 
-    __slots__ = (
-        "table", "start", "stop", "origin", "reason", "pending", "sink",
-        "generated_rows", "generated_bytes", "span_cm", "span_handle",
-        "closed",
-    )
+    __slots__ = ("sink", "rows", "_span", "_handle")
 
-    def __init__(
-        self,
-        table: str,
-        start: int,
-        stop: int,
-        *,
-        package_size: int,
-        origin: int | None = None,
-        reason: str = "shard",
-    ) -> None:
-        self.table = table
-        self.start = start
-        self.stop = stop
-        self.origin = origin
-        self.reason = reason
-        self.pending = deque(
-            partition_rows(table, stop - start, package_size, offset=start)
-        )
-        self.sink = None
-        self.generated_rows = 0
-        self.generated_bytes = 0
-        self.span_cm = None
-        self.span_handle = None
-        self.closed = False
-
-
-def _cluster_node_main(config: _NodeConfig, control_queue, result_queue) -> None:
-    """Process body of one cluster node.
-
-    A forked child inherits copies of the parent's collectors; recording
-    into them would be invisible, so — exactly like scheduler workers —
-    the inherited state is reset and, when the parent asked for
-    telemetry, fresh node-local collectors run instead, exported in the
-    final ``done`` message for the parent to stitch.
-    """
-    from repro import obs
-
-    obs.reset()
-    tracer = registry = profiler = None
-    telemetry = config.telemetry
-    if telemetry is not None:
-        if telemetry.trace:
-            tracer = obs.enable_tracing()
-        if telemetry.metrics:
-            registry = obs.enable_metrics()
-        if telemetry.profile:
-            profiler = obs.enable_profiling(telemetry.profile_hz)
-    try:
-        _NodeRuntime(
-            config, control_queue, result_queue,
-            tracer=tracer, registry=registry, profiler=profiler,
-        ).run()
-    except BaseException as exc:  # fault-ok: forwarded to the parent as an error message
-        import traceback
-
-        result_queue.put((
-            "error", config.node, type(exc).__name__, str(exc),
-            traceback.format_exc(),
-        ))
-
-
-class _NodeRuntime:
-    """One node's generate loop: packages in range order, control
-    messages handled between packages (so a release request always sees
-    an accurate pending queue and steals are race-free by construction).
-    """
-
-    def __init__(
-        self, config: _NodeConfig, control_queue, result_queue,
-        *, tracer, registry, profiler,
-    ) -> None:
-        self.config = config
-        self.control = control_queue
-        self.results = result_queue
-        self.tracer = tracer
-        self.registry = registry
-        self.profiler = profiler
-        self.engine = GenerationEngine(config.schema, config.artifacts)
-        self.assignments = [
-            _NodeAssignment(
-                table, start, stop, package_size=config.package_size,
-                origin=config.origin,
-                reason=config.reason,
-            )
-            for table, start, stop in config.assignments
-        ]
+    def __init__(self, path: str | None, first: Extent) -> None:
+        super().__init__(first)
+        self.sink = FileSink(path) if path is not None else NullSink()
         self.rows = 0
-        self.bytes_written = 0
-        self._sequences: dict[str, int] = {}
-        self._extension = _output_extension(config.output)
-        self._delay = (
-            config.faults.node_delay(config.node)
-            if config.faults is not None else 0.0
-        )
-        self._idle_announced = False
-        self.journal = self._open_journal()
+        attrs = {"table": first.table, "start": first.start,
+                 "reason": first.reason, "attempt": 1}
+        if first.origin is not None:
+            attrs["origin"] = first.origin
+        self._span = span("node.assignment", **attrs)
+        self._handle = self._span.__enter__()
 
-    def _open_journal(self) -> CheckpointWriter | None:
-        directory = self.config.checkpoint_dir
-        if directory is None:
-            return None
+    def close(self) -> None:
+        self.sink.close()
+        self._handle.set(stop=self.stop, rows=self.rows, bytes=self.bytes)
+        self._span.__exit__(None, None, None)
+
+
+def _cluster_node(node, tasks, results, telemetry, config: _NodeConfig):
+    """Process body of one cluster node (see the module docstring)."""
+    engine = GenerationEngine(config.schema, config.artifacts)
+    output = config.output
+    extension = _output_extension(output)
+    faults = config.faults
+    delay = faults.node_delay(node) if faults is not None else 0.0
+    journal = None
+    if config.checkpoint is not None:
         # The fingerprint covers the cluster-wide model + output config,
         # not this node's (mutable, steal-dependent) range set, so every
         # node journal in a run carries the same identity.
-        tables = [table.name for table in self.engine.schema.tables]
-        fingerprint = model_fingerprint(
-            self.engine, self.config.output, self.config.package_size, tables
-        )
-        return CheckpointWriter(
-            directory,
-            fingerprint=fingerprint,
-            seed=self.engine.schema.seed,
-            package_size=self.config.package_size,
-            tables=dict(self.engine.sizes),
+        tables = [table.name for table in engine.schema.tables]
+        journal = CheckpointWriter(
+            node_checkpoint_dir(config.checkpoint, node),
+            fingerprint=model_fingerprint(
+                engine, output, config.package_size, tables
+            ),
+            seed=engine.schema.seed,
+            package_size=config.package_size,
+            tables=dict(engine.sizes),
             backend="cluster",
         )
-
-    def run(self) -> None:
-        config = self.config
-        started = time.perf_counter()
-        with span(
-            "meta.node", node=config.node, nodes=config.nodes, distributed=True,
-        ):
-            stopped = False
-            while not stopped:
-                stopped = self._drain_control()
-                if stopped:
-                    break
-                assignment = self._next_assignment()
-                if assignment is None:
-                    if not self._idle_announced:
-                        self.results.put(("idle", config.node))
-                        self._idle_announced = True
-                    stopped = self._handle_message(self.control.get())
-                    continue
-                self._generate_one(assignment)
-            for assignment in self.assignments:
-                self._close_assignment(assignment)
-        self._finalize(time.perf_counter() - started)
-
-    def _drain_control(self) -> bool:
-        while True:
-            try:
-                message = self.control.get_nowait()
-            except queue_module.Empty:
-                return False
-            if self._handle_message(message):
-                return True
-
-    def _handle_message(self, message) -> bool:
-        kind = message[0]
-        if kind == "stop":
-            return True
-        if kind == "assign":
-            _, table, start, stop, origin, reason = message
-            self.assignments.append(_NodeAssignment(
-                table, start, stop, package_size=self.config.package_size,
-                origin=origin, reason=reason,
+    sequences: dict[str, int] = {}
+    part: _OpenPart | None = None
+    started = time.perf_counter()
+    with span("meta.node", node=node, nodes=config.nodes):
+        while (extent := tasks.get()) is not None:
+            table, start, stop = extent[:3]
+            if faults is not None and faults.should_kill_node(table, start):
+                die(results, faults.kill_exit_code)
+            if part is None or not part.continues(extent):
+                if part is not None:
+                    part.close()
+                path = None
+                if config.part_dir is not None:
+                    path = part_path(config.part_dir, table, start, extension)
+                part = _OpenPart(path, extent)
+            began = time.perf_counter()
+            sequence = sequences.get(table, 0)
+            sequences[table] = sequence + 1
+            package = WorkPackage(table, start, stop, sequence)
+            with span(
+                "scheduler.package", table=table, sequence=sequence,
+                rows=package.rows, start=start, attempt=1,
+            ) as package_span:
+                # first= keys binary stream framing off absolute position;
+                # text formats ignore it, but keeping the single-node rule
+                # (exactly one "first" chunk, at row 0) costs nothing.
+                chunk, _writer = format_package(
+                    engine, output, package, first=start == 0
+                )
+                package_span.set(bytes=len(chunk))
+            part.sink.write(chunk)
+            if delay:
+                time.sleep(delay)
+            if journal is not None:
+                # flushes the sink first: a journaled package is durable,
+                # so the report below never overstates the part file.
+                journal.record_package(package, chunk, part.sink)
+            else:
+                part.sink.flush()
+            size = len(chunk.encode("utf-8"))
+            del chunk  # or it stays alive while the next package is formatted
+            part.stop = stop
+            part.rows += package.rows
+            part.bytes += size
+            results.put((
+                "package", node, (table, start),
+                (size, time.perf_counter() - began), None,
             ))
-            self._idle_announced = False
-        elif kind == "release":
-            self.results.put((
-                "released", self.config.node, self._release_tail(message[1]),
-            ))
-        return False
-
-    def _next_assignment(self) -> _NodeAssignment | None:
-        for assignment in self.assignments:
-            if assignment.pending:
-                return assignment
-            # drained by generation or emptied by a release: close its
-            # sink/span before moving on, so parts are complete on disk
-            # and assignment spans never overlap.
-            self._close_assignment(assignment)
-        return None
-
-    def _release_tail(self, want: int) -> list[tuple[str, int, int]]:
-        """Give up to *want* pending packages back to the parent.
-
-        Packages are taken from the tail of the newest assignments first
-        — the work this node is furthest from reaching. Only pending
-        (never started) packages move, which is what makes a stolen
-        range redo-free: no released row was ever generated here.
-        """
-        ranges: list[tuple[str, int, int]] = []
-        for assignment in reversed(self.assignments):
-            if want <= 0:
-                break
-            take = min(want, len(assignment.pending))
-            if take <= 0:
-                continue
-            popped = [assignment.pending.pop() for _ in range(take)]
-            released_start = popped[-1].start
-            ranges.append((assignment.table, released_start, assignment.stop))
-            assignment.stop = released_start
-            want -= take
-        ranges.reverse()
-        return ranges
-
-    def _open_assignment(self, assignment: _NodeAssignment) -> None:
-        config = self.config
-        if config.part_dir is None:
-            assignment.sink = NullSink()
-        else:
-            assignment.sink = FileSink(part_path(
-                config.part_dir, assignment.table, assignment.start,
-                self._extension,
-            ))
-        attrs = {
-            "table": assignment.table, "start": assignment.start,
-            "reason": assignment.reason, "attempt": 1,
-        }
-        if assignment.origin is not None:
-            attrs["origin"] = assignment.origin
-        assignment.span_cm = span("node.assignment", **attrs)
-        assignment.span_handle = assignment.span_cm.__enter__()
-
-    def _close_assignment(self, assignment: _NodeAssignment) -> None:
-        if assignment.closed:
-            return
-        assignment.closed = True
-        if assignment.sink is not None:
-            assignment.sink.close()
-        if assignment.span_cm is not None:
-            assignment.span_handle.set(
-                stop=assignment.stop,
-                rows=assignment.generated_rows,
-                bytes=assignment.generated_bytes,
-            )
-            assignment.span_cm.__exit__(None, None, None)
-            assignment.span_cm = None
-
-    def _generate_one(self, assignment: _NodeAssignment) -> None:
-        config = self.config
-        package = assignment.pending.popleft()
-        faults = config.faults
-        if faults is not None and faults.should_kill_node(
-            package.table, package.start
-        ):
-            # Same teardown discipline as scheduler worker kills: drain
-            # the result queue's feeder thread before dying so the
-            # shared pipe never wedges with a torn frame.
-            self.results.close()
-            self.results.join_thread()
-            os._exit(faults.kill_exit_code)
-        if assignment.sink is None:
-            self._open_assignment(assignment)
-        started = time.perf_counter()
-        sequence = self._sequences.get(package.table, 0)
-        self._sequences[package.table] = sequence + 1
-        with span(
-            "scheduler.package", table=package.table, sequence=sequence,
-            rows=package.rows, start=package.start, attempt=1,
-        ) as package_span:
-            # first= keys binary stream framing off absolute position;
-            # text formats ignore it, but keeping the single-node rule
-            # (exactly one "first" chunk, at row 0) costs nothing.
-            chunk, _writer = format_package(
-                self.engine, config.output, package,
-                first=package.start == 0,
-            )
-            package_span.set(bytes=len(chunk))
-        assignment.sink.write(chunk)
-        if self._delay:
-            time.sleep(self._delay)
-        size, _digest = chunk_digest(chunk)
-        if self.journal is not None:
-            # flushes the sink first: a journaled package is durable, so
-            # the progress message below never overstates the part file.
-            self.journal.record_package(
-                WorkPackage(package.table, package.start, package.stop, sequence),
-                chunk, assignment.sink,
-            )
-        else:
-            assignment.sink.flush()
-        assignment.generated_rows += package.rows
-        assignment.generated_bytes += size
-        self.rows += package.rows
-        self.bytes_written += size
-        elapsed = time.perf_counter() - started
-        self.results.put((
-            "package", config.node, package.table, package.start,
-            package.stop, package.rows, size, elapsed,
-        ))
-        if not assignment.pending:
-            self._close_assignment(assignment)
-
-    def _finalize(self, seconds: float) -> None:
-        if self.journal is not None:
-            self.journal.run_done()
-            self.journal.close()
-        payload = None
-        if (
-            self.tracer is not None or self.registry is not None
-            or self.profiler is not None
-        ):
-            if self.profiler is not None:
-                self.profiler.stop()
-            payload = {
-                "spans": (
-                    span_payload(self.tracer) if self.tracer is not None else None
-                ),
-                "metrics": (
-                    self.registry.export_deltas()
-                    if self.registry is not None else None
-                ),
-                "profile": (
-                    self.profiler.export_counts()
-                    if self.profiler is not None else None
-                ),
-            }
-        self.results.put(("done", self.config.node, {
-            "rows": self.rows,
-            "bytes": self.bytes_written,
-            "seconds": seconds,
-            "telemetry": payload,
-        }))
+        if part is not None:
+            part.close()
+    if journal is not None:
+        journal.run_done()
+        journal.close()
+    return {"seconds": time.perf_counter() - started}
 
 
 # --------------------------------------------------------------------------
@@ -462,81 +472,16 @@ class _NodeRuntime:
 # --------------------------------------------------------------------------
 
 
-class _ParentAssignment:
-    """The parent's ledger entry for one range owned by one node.
-
-    ``done_rows``/``done_bytes`` only advance on reported (therefore
-    durable) packages, so truncating a dead node's part to
-    ``done_bytes`` can never cut generated-but-journaled data the
-    parent knows about — at worst it discards durable-but-unreported
-    tail bytes, which the reassigned range regenerates identically.
-    """
-
-    __slots__ = ("table", "start", "stop", "done_rows", "done_bytes",
-                 "origin", "reason")
-
-    def __init__(
-        self, table: str, start: int, stop: int,
-        origin: int | None = None, reason: str = "shard",
-    ) -> None:
-        self.table = table
-        self.start = start
-        self.stop = stop
-        self.done_rows = 0
-        self.done_bytes = 0
-        self.origin = origin
-        self.reason = reason
-
-    @property
-    def rows(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def remaining(self) -> int:
-        return self.rows - self.done_rows
-
-    @property
-    def done(self) -> bool:
-        return self.done_rows >= self.rows
-
-
-class _NodeSlot:
-    """Parent-side handle for one node process."""
-
-    __slots__ = ("node", "process", "control", "assignments", "idle",
-                 "rows", "bytes_written", "steals_taken", "steals_yielded",
-                 "release_pending", "release_barren", "report", "failed")
-
-    def __init__(self, node: int, process, control, assignments) -> None:
-        self.node = node
-        self.process = process
-        self.control = control
-        self.assignments: list[_ParentAssignment] = assignments
-        self.idle = False
-        self.rows = 0
-        self.bytes_written = 0
-        self.steals_taken = 0
-        self.steals_yielded = 0
-        #: thief node id while a release request is outstanding
-        self.release_pending: int | None = None
-        #: an empty release reply means nothing pending is left to give;
-        #: sticky until new work is assigned, so stealing stops asking.
-        self.release_barren = False
-        self.report: dict | None = None
-        self.failed = False
-
-
 class ClusterScheduler:
-    """Drives a distributed run: real node processes, elastic stealing,
+    """Drives a multi-node run: real node processes, elastic stealing,
     dead-node recovery, and a byte-identical merged output.
 
     ``steal=False`` disables rebalancing (static shards only) — the
     control the benchmarks use to show stealing beats it on an
-    imbalanced cluster. ``min_steal_packages`` is the smallest remaining
-    backlog worth stealing from; below it the steal would cost more
-    coordination than it saves. ``faults`` scripts node kills and slow
-    nodes for tests; ``keep_parts`` leaves part files on disk for
-    forensics instead of removing them after the merge.
+    imbalanced cluster. ``faults`` scripts node kills and slow nodes for
+    tests; ``max_node_failures`` caps dead-node recoveries (default
+    ``max(2, nodes)``) so a crash loop aborts instead of respawning
+    forever.
     """
 
     def __init__(
@@ -548,10 +493,8 @@ class ClusterScheduler:
         package_size: int = DEFAULT_PACKAGE_SIZE,
         checkpoint: str | None = None,
         steal: bool = True,
-        min_steal_packages: int = 2,
         faults: FaultPlan | None = None,
         max_node_failures: int | None = None,
-        keep_parts: bool = False,
     ) -> None:
         self.schema = schema
         self.artifacts = artifacts
@@ -559,13 +502,8 @@ class ClusterScheduler:
         self.package_size = package_size
         self.checkpoint = checkpoint
         self.steal = steal
-        self.min_steal_packages = max(int(min_steal_packages), 1)
         self.faults = faults
         self.max_node_failures = max_node_failures
-        self.keep_parts = keep_parts
-        self._validate_output()
-
-    def _validate_output(self) -> None:
         if self.output.kind not in CLUSTER_SINK_KINDS:
             raise SchedulingError(
                 f"distributed runs support kinds {CLUSTER_SINK_KINDS}, "
@@ -583,498 +521,175 @@ class ClusterScheduler:
     def run(self, nodes: int) -> ClusterReport:
         if nodes < 1:
             raise SchedulingError(f"node count must be >= 1, got {nodes}")
-        return _ClusterRun(self, nodes).execute()
-
-
-class _ClusterRun:
-    """State of one :meth:`ClusterScheduler.run` invocation."""
-
-    def __init__(self, scheduler: ClusterScheduler, nodes: int) -> None:
-        self.scheduler = scheduler
-        self.nodes = nodes
-        self.output = scheduler.output
-        self.package_size = scheduler.package_size
-        self.engine = GenerationEngine(scheduler.schema, scheduler.artifacts)
-        self.sizes = dict(self.engine.sizes)
-        self._extension = _output_extension(self.output)
-        self.part_dir: str | None = None
-        self.slots: dict[int, _NodeSlot] = {}
-        self._next_node = nodes
-        self._steals = 0
-        self._stolen_rows = 0
-        self._failures = 0
-        self._reassigned = 0
-        self._meta_span_id = None
-        self.tracer = active_tracer()
-        self.registry = active_metrics()
-        self.profiler = active_profiler()
-        self.telemetry = None
-        if (
-            self.tracer is not None or self.registry is not None
-            or self.profiler is not None
-        ):
-            self.telemetry = WorkerTelemetry(
-                trace=self.tracer is not None,
-                metrics=self.registry is not None,
-                profile=self.profiler is not None,
-                profile_hz=(
-                    self.profiler.hz if self.profiler is not None else 100.0
-                ),
-            )
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def execute(self) -> ClusterReport:
-        if self.output.kind == "file":
-            os.makedirs(self.output.directory, exist_ok=True)
-            self.part_dir = os.path.join(self.output.directory, PARTS_DIRNAME)
-            os.makedirs(self.part_dir, exist_ok=True)
         started = time.perf_counter()
-        with span(
-            "meta.run", nodes=self.nodes, distributed=True,
-        ) as meta_span:
-            self._meta_span_id = getattr(meta_span, "span_id", None)
-            self.context = mp_context()
-            self.results = self.context.Queue()
-            try:
-                for node, shard in enumerate(plan_shards(self.sizes, self.nodes)):
-                    self._spawn_slot(node, shard)
-                self._event_loop()
-                self._shutdown()
-            except BaseException:
-                self._terminate_all()
-                raise
+        with span("meta.run", nodes=nodes) as meta_span:
+            run = _ClusterRun(self, nodes, getattr(meta_span, "span_id", None))
+            run.drive()
             makespan = time.perf_counter() - started
-            self._stitch_telemetry()
-            if self.part_dir is not None:
-                self._merge_parts()
-        reports = [
-            NodeReport(
-                slot.node, slot.rows, slot.bytes_written,
-                (slot.report or {}).get("seconds", 0.0),
-                (slot.report or {}).get("telemetry"),
-                steals_taken=slot.steals_taken,
-                steals_yielded=slot.steals_yielded,
-            )
-            for slot in sorted(self.slots.values(), key=lambda s: s.node)
-        ]
+            frame_bytes = run.assemble()
+        ledger = run.ledger
         return ClusterReport(
-            reports, makespan=makespan, distributed=True,
-            steals=self._steals, stolen_rows=self._stolen_rows,
-            node_failures=self._failures,
-            reassigned_ranges=self._reassigned,
+            [
+                NodeReport(
+                    node, shard.rows, shard.bytes,
+                    (shard.slot.report or {}).get("seconds", 0.0),
+                    shard.slot.telemetry,
+                    steals_taken=shard.steals_taken,
+                    steals_yielded=shard.steals_yielded,
+                )
+                for node, shard in sorted(ledger.shards.items())
+            ],
+            makespan=makespan, steals=ledger.steals, stolen_rows=ledger.stolen_rows,
+            node_failures=run.failures, reassigned_ranges=run.reassigned,
+            frame_bytes=frame_bytes,
         )
 
-    def _spawn_slot(
-        self,
-        node: int,
-        ranges: list[tuple[str, int, int]],
-        origin: int | None = None,
-        reason: str = "shard",
-    ) -> _NodeSlot:
-        control = self.context.Queue()
-        config = _NodeConfig(
-            node=node,
-            nodes=self.nodes,
-            schema=self.scheduler.schema,
-            artifacts=self.scheduler.artifacts,
-            output=self.output,
-            package_size=self.package_size,
-            part_dir=self.part_dir,
-            checkpoint_dir=_node_checkpoint_dir(self.scheduler.checkpoint, node),
-            assignments=list(ranges),
-            telemetry=self.telemetry,
-            faults=self.scheduler.faults,
-            origin=origin,
-            reason=reason,
+
+class _ClusterRun(ExecutorPool):
+    """One :meth:`ClusterScheduler.run`: shard-affine dispatch through
+    the look-ahead window, tail stealing for idle nodes, and dead-node
+    truncate-and-reassign — all as edits of the :class:`ShardLedger`."""
+
+    role = "cluster node"
+
+    def __init__(
+        self, scheduler: ClusterScheduler, nodes: int, meta_span_id: int | None
+    ) -> None:
+        self.output = output = scheduler.output
+        self.part_dir: str | None = None
+        if output.kind == "file":
+            self.part_dir = os.path.join(output.directory, PARTS_DIRNAME)
+            os.makedirs(self.part_dir, exist_ok=True)
+        super().__init__(
+            _cluster_node,
+            (_NodeConfig(
+                nodes, scheduler.schema, scheduler.artifacts, output,
+                scheduler.package_size, self.part_dir, scheduler.checkpoint,
+                scheduler.faults,
+            ),),
+            parent_span_id=meta_span_id, faults=scheduler.faults, tag="node",
         )
-        process = self.context.Process(
-            target=_cluster_node_main,
-            args=(config, control, self.results),
-            daemon=True,
-        )
-        slot = _NodeSlot(node, process, control, [
-            _ParentAssignment(table, start, stop, origin=origin, reason=reason)
-            for table, start, stop in ranges
-        ])
-        self.slots[node] = slot
-        process.start()
+        self.engine = GenerationEngine(scheduler.schema, scheduler.artifacts)
+        self.steal = scheduler.steal
+        self.failure_limit = scheduler.max_node_failures
+        if self.failure_limit is None:
+            self.failure_limit = max(2, nodes)
+        self.failures = 0
+        self.reassigned = 0
+        self._extension = _output_extension(output)
+        self.ledger = ShardLedger(scheduler.package_size)
+        registry = active_metrics()
+        self.instruments = {} if registry is None else {
+            table: (TableInstruments(registry, table),
+                    len(self.engine.bound_table(table).column_names))
+            for table in self.engine.sizes
+        }
+        for shard in plan_shards(self.engine.sizes, nodes):
+            self.ledger.assign(self._spawn_node().ident, shard, "shard", None)
+
+    def _spawn_node(self) -> ExecutorSlot:
+        slot = self.spawn()
+        self.ledger.add(slot)
         return slot
 
-    def _event_loop(self) -> None:
-        while not self._all_done():
-            try:
-                message = self.results.get(timeout=0.25)
-            except queue_module.Empty:
-                self._check_dead_nodes()
-                continue
-            self._dispatch(message)
-            self._steal_for_idle()
+    # -- policy --------------------------------------------------------------
 
-    def _all_done(self) -> bool:
-        return all(
-            assignment.done
-            for slot in self.slots.values()
-            for assignment in slot.assignments
-        )
+    def finished(self) -> bool:
+        return self.ledger.done
 
-    def _shutdown(self) -> None:
-        for slot in self.slots.values():
-            if slot.process.is_alive():
-                slot.control.put(("stop",))
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            expecting = [
-                slot for slot in self.slots.values()
-                if slot.report is None and not slot.failed
-            ]
-            if not expecting:
-                break
-            try:
-                message = self.results.get(timeout=0.25)
-            except queue_module.Empty:
-                for slot in expecting:
-                    if not slot.process.is_alive():
-                        # died after its last package, before "done":
-                        # all its work is accounted for, only its own
-                        # telemetry/timers are lost.
-                        self._recover_dead(slot)
-                continue
-            self._dispatch(message)
-        for slot in self.slots.values():
-            slot.process.join(timeout=5.0)
+    def dispatch(self) -> None:
+        ledger = self.ledger
+        live = self.live()
+        if self.steal:
+            for slot in live:
+                if not slot.inflight and not ledger.shards[slot.ident].pending:
+                    ledger.steal(slot.ident)
+        for slot in live:
+            for package in ledger.fill(slot.ident):
+                self.send(slot, package.key, package)
 
-    def _terminate_all(self) -> None:
-        for slot in self.slots.values():
-            if slot.process.is_alive():
-                slot.process.terminate()
-        for slot in self.slots.values():
-            slot.process.join(timeout=2.0)
-
-    # -- message handling --------------------------------------------------
-
-    def _dispatch(self, message) -> None:
-        kind = message[0]
-        if kind == "package":
-            self._on_package(*message[1:])
-        elif kind == "idle":
-            slot = self.slots.get(message[1])
-            if slot is not None:
-                slot.idle = True
-        elif kind == "released":
-            self._on_released(message[1], message[2])
-        elif kind == "done":
-            slot = self.slots.get(message[1])
-            if slot is not None:
-                slot.report = message[2]
-        elif kind == "error":
-            _, node, name, text, trace = message
-            self._terminate_all()
-            raise SchedulingError(
-                f"cluster node {node} failed with {name}: {text}\n{trace}"
+    def complete(self, slot, package, result) -> None:
+        nbytes, seconds = result
+        self.ledger.complete(slot.ident, package, nbytes)
+        if self.instruments:
+            instrument, columns = self.instruments[package.table]
+            instrument.record_package(
+                package.rows, nbytes, seconds, 0, 0, columns
             )
 
-    def _on_package(
-        self, node: int, table: str, start: int, stop: int,
-        rows: int, nbytes: int, seconds: float,
-    ) -> None:
-        slot = self.slots.get(node)
-        if slot is None:
-            return
-        for assignment in slot.assignments:
-            # a completed assignment must never match: its next-expected
-            # row equals its stop, which can be exactly where a *later*
-            # assignment of the same node begins (contiguous ranges are
-            # common after steals), and crediting it would starve the
-            # real owner's ledger forever.
-            if (
-                assignment.table == table
-                and not assignment.done
-                and assignment.start + assignment.done_rows == start
-                and stop <= assignment.stop
-            ):
-                assignment.done_rows += rows
-                assignment.done_bytes += nbytes
-                slot.rows += rows
-                slot.bytes_written += nbytes
-                return
-        # a straggler report from a range already recovered elsewhere
-        # (the node died with messages in flight): the reassignment
-        # regenerates those rows, so the report is safely ignored.
-
-    def _on_released(
-        self, victim_node: int, ranges: list[tuple[str, int, int]]
-    ) -> None:
-        victim = self.slots.get(victim_node)
-        if victim is None:
-            return
-        thief_node = victim.release_pending
-        victim.release_pending = None
+    def recover(self, slot, lost) -> None:
+        self.failures += 1
+        if self.failures > self.failure_limit:
+            raise SchedulingError(
+                f"{self.failures} node failures exceed the limit of "
+                f"{self.failure_limit}; refusing to respawn a crash loop"
+            )
+        if self.part_dir is not None:
+            self._truncate_parts(slot.ident, lost)
+        ranges = self.ledger.fail(slot.ident, lost)
         if not ranges:
-            victim.release_barren = True
             return
-        for table, start, stop in ranges:
-            self._shrink(victim, table, start, stop)
-        rows = sum(stop - start for _, start, stop in ranges)
-        thief = self.slots.get(thief_node) if thief_node is not None else None
-        if thief is None or not thief.process.is_alive():
-            # the idle node died while the request was in flight; the
-            # released ranges still need an owner.
-            self._reassign(ranges, origin=victim.node, reason="steal")
-        else:
-            self._assign_ranges(thief, ranges, origin=victim.node, reason="steal")
-            thief.steals_taken += len(ranges)
-        victim.steals_yielded += len(ranges)
-        self._steals += len(ranges)
-        self._stolen_rows += rows
+        self.reassigned += len(ranges)
+        # no survivors: resume on a fresh replacement process (new node
+        # id, own node<i> journal) — same rows, same bytes.
+        target = min(
+            self.live(), key=lambda s: self.ledger.remaining(s.ident), default=None
+        ) or self._spawn_node()
+        self.ledger.assign(target.ident, ranges, "dead-node", slot.ident)
 
-    def _shrink(
-        self, slot: _NodeSlot, table: str, start: int, stop: int
-    ) -> None:
-        for assignment in slot.assignments:
-            if (
-                assignment.table == table and assignment.stop == stop
-                and assignment.start <= start
-            ):
-                assignment.stop = start
-                if assignment.rows == 0:
-                    slot.assignments.remove(assignment)
-                return
-        raise SchedulingError(
-            f"node {slot.node} released ({table!r}, {start}, {stop}) which "
-            "the parent does not show it owning — ledger out of sync"
-        )
+    def _truncate_parts(self, node: int, lost: list[Extent]) -> None:
+        """Cut a dead node's part files back to what the ledger counts."""
+        parts = self.ledger.shards[node].parts
+        for part in parts:
+            # reopening at an offset truncates to it, and refuses a file
+            # shorter than what was reported durable
+            FileSink(
+                part_path(self.part_dir, part.table, part.start, self._extension),
+                resume_at=part.bytes,
+            ).close()
+        known = {(part.table, part.start) for part in parts}
+        for package in lost:
+            # a part the node opened for a package it never reported: the
+            # reassigned range starts at the same row and recreates it.
+            path = part_path(self.part_dir, *package.key, self._extension)
+            if package.key not in known and os.path.exists(path):
+                os.remove(path)
 
-    # -- work stealing -----------------------------------------------------
+    # -- output assembly -----------------------------------------------------
 
-    def _remaining_packages(self, slot: _NodeSlot) -> int:
-        size = self.package_size
-        return sum(
-            -(-assignment.remaining // size)
-            for assignment in slot.assignments
-        )
-
-    def _steal_for_idle(self) -> None:
-        if not self.scheduler.steal:
-            return
-        for slot in self.slots.values():
-            if slot.idle and not slot.failed and slot.process.is_alive():
-                self._try_steal(slot)
-
-    def _try_steal(self, thief: _NodeSlot) -> None:
-        candidates = [
-            slot for slot in self.slots.values()
-            if slot is not thief and not slot.failed
-            and slot.process.is_alive()
-            and slot.release_pending is None and not slot.release_barren
-            and self._remaining_packages(slot) >= self.scheduler.min_steal_packages
-        ]
-        if not candidates:
-            return
-        victim = max(candidates, key=self._remaining_packages)
-        want = self._remaining_packages(victim) // 2
-        if want < 1:
-            return
-        victim.release_pending = thief.node
-        victim.control.put(("release", want))
-
-    def _assign_ranges(
-        self,
-        slot: _NodeSlot,
-        ranges: list[tuple[str, int, int]],
-        origin: int | None,
-        reason: str,
-    ) -> None:
-        for table, start, stop in ranges:
-            slot.assignments.append(
-                _ParentAssignment(table, start, stop, origin=origin, reason=reason)
-            )
-            slot.control.put(("assign", table, start, stop, origin, reason))
-        slot.idle = False
-        slot.release_barren = False
-
-    # -- dead-node recovery ------------------------------------------------
-
-    def _check_dead_nodes(self) -> None:
-        for slot in list(self.slots.values()):
-            if slot.failed or slot.report is not None:
-                continue
-            if slot.process.is_alive():
-                continue
-            # drain stragglers the dead node flushed before dying so the
-            # durable ledger is as current as it can be, then recover.
-            self._drain_results()
-            if slot.report is None:
-                self._recover_dead(slot)
-
-    def _drain_results(self) -> None:
-        while True:
-            try:
-                message = self.results.get_nowait()
-            except queue_module.Empty:
-                return
-            self._dispatch(message)
-
-    def _recover_dead(self, slot: _NodeSlot) -> None:
-        slot.failed = True
-        slot.idle = False
-        slot.release_pending = None
-        self._failures += 1
-        limit = self.scheduler.max_node_failures
-        if limit is None:
-            limit = max(2, self.nodes)
-        if self._failures > limit:
-            raise SchedulingError(
-                f"{self._failures} node failures exceed the limit of {limit}; "
-                "refusing to respawn a crash loop"
-            )
-        remaining: list[tuple[str, int, int]] = []
-        for assignment in slot.assignments:
-            if assignment.done:
-                continue
-            split = assignment.start + assignment.done_rows
-            if self.part_dir is not None:
-                path = part_path(
-                    self.part_dir, assignment.table, assignment.start,
-                    self._extension,
+    def assemble(self) -> int:
+        """Verify the ledger covers every table exactly once and, for
+        file output, assemble the final per-table files byte-identical
+        to a single-node run: header, parts in row order, footer. Returns
+        the header/footer bytes, which no node counted."""
+        frame_bytes = 0
+        with span("meta.merge", tables=len(self.engine.sizes)):
+            for table, size in self.engine.sizes.items():
+                parts = self.ledger.parts(table, size)
+                writer = self.output.new_writer(
+                    table, self.engine.bound_table(table).column_names
                 )
-                if assignment.done_bytes:
-                    self._truncate_part(path, assignment.done_bytes)
-                elif os.path.exists(path):
-                    # opened but nothing reported durable: the reassigned
-                    # range starts at the same row and will recreate it.
-                    os.remove(path)
-            remaining.append((assignment.table, split, assignment.stop))
-            # the durable prefix [start, split) stays behind as this
-            # (now completed) part; zero-length prefixes are dropped.
-            assignment.stop = split
-        slot.assignments = [a for a in slot.assignments if a.rows > 0]
-        if remaining:
-            self._reassigned += len(remaining)
-            self._reassign(remaining, origin=slot.node, reason="dead-node")
-
-    @staticmethod
-    def _truncate_part(path: str, nbytes: int) -> None:
-        if not os.path.exists(path):
-            raise SchedulingError(
-                f"durable part missing after node death: {path!r}"
-            )
-        size = os.path.getsize(path)
-        if size < nbytes:
-            raise SchedulingError(
-                f"part {path!r} has {size} bytes but {nbytes} were reported "
-                "durable — the journal outlived the data"
-            )
-        if size > nbytes:
-            with open(path, "rb+") as handle:
-                handle.truncate(nbytes)
-
-    def _reassign(
-        self,
-        ranges: list[tuple[str, int, int]],
-        origin: int | None,
-        reason: str,
-    ) -> None:
-        live = [
-            slot for slot in self.slots.values()
-            if not slot.failed and slot.process.is_alive()
-        ]
-        if live:
-            idle = [slot for slot in live if slot.idle]
-            target = (
-                idle[0] if idle else min(live, key=self._remaining_packages)
-            )
-            self._assign_ranges(target, ranges, origin, reason)
-            return
-        # no survivors: resume the shard on a fresh replacement process
-        # (new node id, own node<i> journal) — same rows, same bytes.
-        node = self._next_node
-        self._next_node += 1
-        self._spawn_slot(node, ranges, origin=origin, reason=reason)
-
-    # -- output assembly ---------------------------------------------------
-
-    def _stitch_telemetry(self) -> None:
-        for slot in sorted(self.slots.values(), key=lambda s: s.node):
-            payload = (slot.report or {}).get("telemetry")
-            if not payload:
-                continue
-            if self.tracer is not None:
-                stitch_spans(
-                    self.tracer, payload.get("spans"),
-                    parent_id=self._meta_span_id,
-                    extra_attrs={"node": slot.node},
-                )
-            if self.registry is not None:
-                self.registry.merge_deltas(payload.get("metrics"))
-            if self.profiler is not None:
-                self.profiler.merge_counts(payload.get("profile"))
-
-    def _merge_parts(self) -> None:
-        """Assemble final per-table files from node parts, byte-identical
-        to a single-node run: header, parts in row order, footer."""
-        parts_by_table: dict[str, list[_ParentAssignment]] = {
-            table: [] for table in self.sizes
-        }
-        for slot in self.slots.values():
-            for assignment in slot.assignments:
-                if assignment.rows > 0:
-                    parts_by_table[assignment.table].append(assignment)
-        with span("meta.merge", tables=len(self.sizes)):
-            for table, size in self.sizes.items():
-                parts = sorted(parts_by_table[table], key=lambda a: a.start)
-                self._check_coverage(table, size, parts)
-                columns = self.engine.bound_table(table).column_names
-                writer = self.output.new_writer(table, columns)
-                final_path = self.output.table_path(table)
-                with open(final_path, "wb") as out:
-                    header = writer.header()
-                    if header:
-                        out.write(header.encode("utf-8"))
-                    for assignment in parts:
+                header = (writer.header() or "").encode("utf-8")
+                footer = (writer.footer() or "").encode("utf-8")
+                frame_bytes += len(header) + len(footer)
+                if self.part_dir is None:
+                    continue
+                with open(self.output.table_path(table), "wb") as out:
+                    out.write(header)
+                    for part in parts:
                         path = part_path(
-                            self.part_dir, table, assignment.start,
-                            self._extension,
+                            self.part_dir, table, part.start, self._extension
                         )
                         actual = os.path.getsize(path)
-                        if actual != assignment.done_bytes:
+                        if actual != part.bytes:
                             raise SchedulingError(
                                 f"part {path!r} has {actual} bytes, ledger "
-                                f"says {assignment.done_bytes} — refusing to "
-                                "merge inconsistent parts"
+                                f"says {part.bytes} — refusing to merge "
+                                "inconsistent parts"
                             )
                         with open(path, "rb") as src:
                             shutil.copyfileobj(src, out, 1 << 20)
-                    footer = writer.footer()
-                    if footer:
-                        out.write(footer.encode("utf-8"))
-        if not self.scheduler.keep_parts:
-            for parts in parts_by_table.values():
-                for assignment in parts:
-                    try:
-                        os.remove(part_path(
-                            self.part_dir, assignment.table, assignment.start,
-                            self._extension,
-                        ))
-                    except OSError:
-                        pass
-            try:
-                os.rmdir(self.part_dir)
-            except OSError:
-                pass
-
-    @staticmethod
-    def _check_coverage(table: str, size: int, parts) -> None:
-        position = 0
-        for assignment in parts:
-            if assignment.start != position:
-                raise SchedulingError(
-                    f"table {table!r}: parts are not contiguous at row "
-                    f"{position} (next part starts at {assignment.start}) — "
-                    "a range was lost or generated twice"
-                )
-            position = assignment.stop
-        if position != size:
-            raise SchedulingError(
-                f"table {table!r}: parts cover {position} of {size} rows"
-            )
+                    out.write(footer)
+        if self.part_dir is not None:
+            shutil.rmtree(self.part_dir, ignore_errors=True)
+        return frame_bytes

@@ -11,11 +11,11 @@ Two execution backends share one dispatch discipline:
 * ``backend="thread"`` — workers are threads in this process. CPython's
   GIL serializes CPU-bound generation, so threads document the paper's
   Figure 5 shape but cannot reproduce its speedup.
-* ``backend="process"`` — workers are OS processes, each rebuilding the
-  engine from the pickled model (the meta scheduler's per-node
-  bootstrap); finished chunks stream back to the parent, which writes
-  them to the sinks in order. Seed-addressed generation makes this safe:
-  any row is recomputable in any process with identical bytes.
+* ``backend="process"`` — workers are executor processes
+  (:mod:`repro.scheduler.executor`, the core shared with cluster nodes);
+  finished chunks stream back to the parent, which writes them to the
+  sinks in order. Seed-addressed generation makes this safe: any row is
+  recomputable in any process with identical bytes.
 
 Both backends dispatch through a bounded :class:`InFlightWindow`
 (``workers + inflight_extra`` slots): a package is only handed to a
@@ -34,32 +34,33 @@ telemetry black hole: each dispatched package carries a
 and ship span buffers plus metric deltas back on the existing result
 queues, and the parent stitches them under the run span — one coherent
 trace whichever backend ran, covering respawned workers (their spans
-carry ``attempt=2+``) and meta-scheduler node subtraces. The per-table
-rollup always feeds the extended :class:`RunReport` — telemetry only
-controls whether it is *also* exported.
+carry ``attempt=2+``). The per-table rollup always feeds the extended
+:class:`RunReport` — telemetry only controls whether it is *also*
+exported.
+
+:func:`run_node` / :func:`node_ranges` are the coordinator-free way to
+scale out: every machine runs its static share of every table as an
+ordinary ``Scheduler.run(row_ranges=...)``. The elastic multi-node
+runtime is :class:`~repro.scheduler.cluster.ClusterScheduler`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from queue import Empty
 
 from repro.engine import GenerationEngine
+from repro.generators.base import ArtifactStore
+from repro.model.schema import Schema
 from repro.obs import (
     SpanContext,
-    WorkerTelemetry,
     active_metrics,
     active_profiler,
     active_tracer,
     span,
-    span_payload,
-    stitch_spans,
     throughput_mb_per_s,
 )
 from repro.output.config import OutputConfig
@@ -72,8 +73,14 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
+from repro.scheduler.executor import ExecutorPool, die
 from repro.scheduler.progress import ProgressMonitor
-from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage, partition_rows
+from repro.scheduler.work import (
+    DEFAULT_PACKAGE_SIZE,
+    WorkPackage,
+    node_share,
+    partition_rows,
+)
 
 #: per-value latency histogram bounds, ns (Figures 7-9 run 100-10000 ns)
 _VALUE_LATENCY_BUCKETS_NS = (
@@ -170,7 +177,7 @@ class _TableStats:
         self.seconds = 0.0
 
 
-class _TableInstruments:
+class TableInstruments:
     """Metrics pre-bound to one table's label set (hot-path increments)."""
 
     __slots__ = ("rows", "bytes", "packages", "fmt_hits", "fmt_misses", "latency")
@@ -214,136 +221,151 @@ class _TableInstruments:
             self.latency.observe(elapsed / values * 1e9)
 
 
-def mp_context():
-    """Fork where available (cheap engine inheritance), else default.
-
-    Under spawn the engine crosses via :meth:`GenerationEngine.__reduce__`
-    — pickled as its model and rebuilt in the child — so both start
-    methods yield identical workers. Shared by the process backend, the
-    meta scheduler's node pool, and the distributed cluster runtime.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-def _process_worker_main(
-    engine: GenerationEngine,
-    output: OutputConfig,
-    task_queue,
-    result_queue,
-    faults: FaultPlan | None = None,
-    telemetry: WorkerTelemetry | None = None,
-) -> None:
+def _pool_worker(ident, tasks, results, telemetry, engine, output, faults):
     """Worker-process body: generate and format packages locally.
 
-    Receives ``(WorkPackage, SpanContext | None)`` items until a
-    ``None`` sentinel; streams ``("ok", table, sequence, chunk, rows,
-    seconds, fmt_hits, fmt_misses, telemetry_payload)`` tuples back.
-    Failures surface as an ``("error", ...)`` message instead of killing
-    the run silently. ``faults`` is the test harness's scripted crash
-    plan (``kill-worker-at-package-N``).
-
-    A forked child inherits the parent's tracer/metrics; recording into
-    the copy would be invisible, so the inherited state is always reset.
-    When the parent had collectors active it passes ``telemetry``, and
-    the worker runs its *own*: a fresh tracer drained into each result
-    message, a fresh registry exported as per-package deltas, and a
-    sampling profiler whose folded stacks ship in a final ``("profile",
-    pid, counts)`` message at shutdown. The parent stitches all of it
-    back into one run-wide view (:mod:`repro.obs.stitch`).
+    Receives ``(WorkPackage, SpanContext)`` items until the ``None``
+    sentinel; each result carries the formatted chunk plus this
+    package's spans and metric deltas (see :mod:`repro.scheduler.executor`
+    for the bootstrap and wire protocol). ``faults`` is the test
+    harness's scripted crash plan (``kill-worker-at-package-N``).
     """
-    from repro import obs
-
-    obs.reset()
-    tracer = None
-    registry = None
-    profiler = None
-    if telemetry is not None:
-        if telemetry.trace:
-            tracer = obs.enable_tracing()
-        if telemetry.metrics:
-            registry = obs.enable_metrics()
-        if telemetry.profile:
-            profiler = obs.enable_profiling(telemetry.profile_hz)
-    try:
-        while True:
-            item = task_queue.get()
-            if item is None:
-                if profiler is not None:
-                    profiler.stop()
-                    result_queue.put(
-                        ("profile", os.getpid(), profiler.export_counts())
-                    )
-                return
-            package, span_ctx = item
-            if faults is not None and faults.should_kill_worker(
-                package.table, package.sequence
-            ):
-                # Drain the result queue's feeder thread before dying:
-                # os._exit mid-send would tear a frame in the shared
-                # result pipe while holding its write-lock, wedging the
-                # surviving workers' sends forever. The scripted fault
-                # models "died before producing a result", which this
-                # still is — the kill just lands between frames.
-                result_queue.close()
-                result_queue.join_thread()
-                os._exit(faults.kill_exit_code)
-            started = time.perf_counter()
-            with span(
-                "scheduler.package", table=package.table,
-                sequence=package.sequence, rows=package.rows,
-                attempt=span_ctx.attempt if span_ctx is not None else 1,
-            ) as package_span:
-                chunk, writer = format_package(engine, output, package)
-                package_span.set(bytes=len(chunk))
-            elapsed = time.perf_counter() - started
-            formatter = writer.formatter
-            payload = None
-            if tracer is not None or registry is not None:
-                payload = {
-                    "spans": span_payload(tracer) if tracer is not None else None,
-                    "metrics": (
-                        registry.export_deltas() if registry is not None else None
-                    ),
-                }
-            result_queue.put((
-                "ok", package.table, package.sequence, chunk, package.rows,
-                elapsed, formatter.cache_hits, formatter.cache_misses, payload,
-            ))
-    except BaseException as exc:  # fault-ok: forwarded to the parent as an error message
-        result_queue.put(("error", type(exc).__name__, str(exc),
-                          traceback.format_exc()))
+    while (item := tasks.get()) is not None:
+        package, span_ctx = item
+        if faults is not None and faults.should_kill_worker(
+            package.table, package.sequence
+        ):
+            die(results, faults.kill_exit_code)
+        started = time.perf_counter()
+        with span(
+            "scheduler.package", table=package.table,
+            sequence=package.sequence, rows=package.rows,
+            attempt=span_ctx.attempt,
+        ) as package_span:
+            chunk, writer = format_package(engine, output, package)
+            package_span.set(bytes=len(chunk))
+        elapsed = time.perf_counter() - started
+        formatter = writer.formatter
+        results.put((
+            "package", ident, (package.table, package.sequence),
+            (chunk, elapsed, formatter.cache_hits, formatter.cache_misses),
+            telemetry.export(),
+        ))
 
 
-class _WorkerSlot:
-    """One process-backend worker: its process, private task queue, and
-    the packages dispatched to it that have not come back yet.
+class _ProcessPool(ExecutorPool):
+    """The process backend: packages stream through worker processes in
+    sequence order, the parent flushes finished chunks in order.
 
-    The private queue (instead of one shared queue) is what makes crash
-    recovery possible: when a worker dies, ``assigned`` is the exact set
-    of ``(package, span_context)`` pairs that must be requeued elsewhere
-    — the context's attempt count rises with the requeue, so stitched
-    traces show which spans came from a redo.
+    The parent is the only writer: it dispatches a package whenever the
+    delivery window has a free slot and feeds returned chunks to the
+    per-table muxes (which release window slots as chunks hit the
+    sinks). Because dispatch follows sequence order, at most ``workers +
+    inflight_extra`` chunks are ever buffered, however large the run.
+
+    When a worker dies and a :class:`~repro.resilience.RetryPolicy` is
+    attached, the packages it held are requeued to a freshly spawned
+    replacement instead of failing the run (generation is
+    seed-addressed, so a redo is byte-identical); their span context
+    advances one attempt so the redo's spans are identifiable in the
+    stitched trace. Without a policy, a dead worker fails the run.
     """
 
-    __slots__ = ("process", "queue", "assigned")
+    role = "generation worker"
 
-    def __init__(self, queue) -> None:
-        self.process = None
-        self.queue = queue
-        self.assigned: dict[tuple[str, int], tuple[WorkPackage, SpanContext | None]] = {}
-
-
-class _CrashRecovery:
-    """Counters for process-backend crash recovery, reported per run."""
-
-    __slots__ = ("requeued", "restarts")
-
-    def __init__(self) -> None:
+    def __init__(
+        self, scheduler: "Scheduler", packages, muxes, stats, instruments,
+        window: InFlightWindow, run_span_id: int | None,
+    ) -> None:
+        super().__init__(
+            _pool_worker,
+            (scheduler.engine, scheduler.output, scheduler.faults),
+            parent_span_id=run_span_id, faults=scheduler.faults,
+        )
+        self.retry = scheduler.retry
+        self.progress = scheduler.progress
+        self.packages = packages
+        self.muxes = muxes
+        self.stats = stats
+        self.instruments = instruments
+        self.window = window
+        self.columns = {
+            name: len(scheduler.engine.bound_table(name).column_names)
+            for name in muxes
+        }
+        self.span_ctx = SpanContext(parent_id=run_span_id)
+        self.max_restarts = (
+            0 if self.retry is None
+            else scheduler.workers * max(self.retry.max_attempts - 1, 1)
+        )
+        self.cursor = 0
+        self.completed = 0
         self.requeued = 0
         self.restarts = 0
+        for _ in range(min(scheduler.workers, len(packages))):
+            self.spawn()
+
+    def finished(self) -> bool:
+        return self.completed == len(self.packages)
+
+    def dispatch(self) -> None:
+        live = self.live()
+        while self.cursor < len(self.packages) and self.window.try_acquire():
+            package, _ = self.packages[self.cursor]
+            slot = min(live, key=lambda candidate: len(candidate.inflight))
+            self.send(
+                slot, (package.table, package.sequence), (package, self.span_ctx)
+            )
+            self.cursor += 1
+
+    def complete(self, slot, item, result) -> None:
+        package, _ = item
+        chunk, elapsed, hits, misses = result
+        table = package.table
+        self.muxes[table].submit(package.sequence, chunk)
+        table_stats = self.stats[table]
+        table_stats.rows += package.rows
+        table_stats.bytes += len(chunk)
+        table_stats.seconds += elapsed
+        instrument = self.instruments.get(table)
+        if instrument is not None:
+            instrument.record_package(
+                package.rows, len(chunk), elapsed, hits, misses,
+                self.columns[table],
+            )
+        if self.progress is not None:
+            self.progress.add(table, package.rows, len(chunk))
+        self.completed += 1
+
+    def recover(self, slot, lost) -> None:
+        from repro.exceptions import SchedulingError
+
+        died = (
+            f"generation worker process died with exit code "
+            f"{slot.process.exitcode}"
+        )
+        if self.retry is None:
+            raise SchedulingError(died)
+        if self.restarts >= self.max_restarts:
+            raise SchedulingError(
+                f"{died} after {self.restarts} worker restarts; giving up"
+            )
+        # The dead worker's queue may still hold undelivered items;
+        # abandon it wholesale — ``lost`` is authoritative.
+        replacement = self.spawn()
+        for package, span_ctx in lost:
+            if span_ctx.attempt >= self.retry.max_attempts:
+                raise SchedulingError(
+                    f"work package {package.sequence} of table "
+                    f"{package.table!r} failed {self.retry.max_attempts} "
+                    "dispatch attempts (worker crashed every time)"
+                )
+            self.send(
+                replacement, (package.table, package.sequence),
+                (package, span_ctx.retry()),
+            )
+        self.requeued += len(lost)
+        self.restarts += 1
 
 
 class Scheduler:
@@ -407,8 +429,8 @@ class Scheduler:
         row_ranges: dict[str, tuple[int, int]] | None = None,
     ) -> RunReport:
         """Generate *tables* (default: all), optionally restricted to
-        per-table ``[start, stop)`` ranges (the meta scheduler's node
-        shares).
+        per-table ``[start, stop)`` ranges (a node's static share, see
+        :func:`run_node`).
 
         With ``checkpoint`` set, every package that reaches its sink is
         journaled to the run manifest; with ``resume_from`` set, the
@@ -425,13 +447,13 @@ class Scheduler:
 
         registry = active_metrics()
         stats: dict[str, _TableStats] = {}
-        instruments: dict[str, _TableInstruments] = {}
+        instruments: dict[str, TableInstruments] = {}
         stats_lock = threading.Lock()
         window = InFlightWindow(self.workers + self.inflight_extra)
         self.last_window = window
 
         manifest, journal = self._resilience_setup(names, row_ranges)
-        recovery = _CrashRecovery()
+        requeued = restarts = 0
         resumed_packages = 0
         durable_bytes = 0
         skip_counter = None
@@ -457,7 +479,7 @@ class Scheduler:
                     total_rows += share
                     stats[name] = _TableStats()
                     if registry is not None:
-                        instruments[name] = _TableInstruments(registry, name)
+                        instruments[name] = TableInstruments(registry, name)
 
                     state = (
                         manifest.tables.get(name) if manifest is not None else None
@@ -550,10 +572,12 @@ class Scheduler:
                 if not packages:
                     pass
                 elif self.backend == "process":
-                    self._run_process_pool(
-                        packages, muxes, stats, instruments, window, recovery,
+                    pool = _ProcessPool(
+                        self, packages, muxes, stats, instruments, window,
                         run_span_id,
                     )
+                    pool.drive()
+                    requeued, restarts = pool.requeued, pool.restarts
                 elif self.workers == 1:
                     for package, mux in packages:
                         self._generate_package(
@@ -612,16 +636,16 @@ class Scheduler:
                     flush_count.inc(mux.flushes, table=name)
                 if mux.retries:
                     retry_count.inc(mux.retries, table=name)
-            if recovery.restarts:
+            if restarts:
                 registry.counter(
                     "worker_restarts_total",
                     "crashed worker processes replaced by the scheduler",
-                ).inc(recovery.restarts)
-            if recovery.requeued:
+                ).inc(restarts)
+            if requeued:
                 registry.counter(
                     "packages_requeued_total",
                     "in-flight packages requeued after a worker crash",
-                ).inc(recovery.requeued)
+                ).inc(requeued)
 
         table_reports = tuple(
             TableReport(name, stats[name].rows, stats[name].bytes, stats[name].seconds)
@@ -633,7 +657,7 @@ class Scheduler:
         )
         return RunReport(
             total_rows, bytes_written, elapsed, self.workers, table_reports,
-            self.backend, retries, recovery.requeued, recovery.restarts,
+            self.backend, retries, requeued, restarts,
             resumed_packages, profile,
         )
 
@@ -757,7 +781,7 @@ class Scheduler:
         name: str,
         count: int,
         stats: dict[str, _TableStats],
-        instruments: dict[str, _TableInstruments],
+        instruments: dict[str, TableInstruments],
     ) -> None:
         """Attribute header/footer bytes to their table's rollup."""
         stats[name].bytes += count
@@ -772,7 +796,7 @@ class Scheduler:
         packages: list[tuple[WorkPackage, OrderedSinkMux]],
         stats: dict[str, _TableStats],
         stats_lock: threading.Lock,
-        instruments: dict[str, _TableInstruments],
+        instruments: dict[str, TableInstruments],
         window: InFlightWindow,
         run_span_id: int | None,
     ) -> None:
@@ -811,7 +835,7 @@ class Scheduler:
         mux: OrderedSinkMux,
         stats: _TableStats,
         stats_lock: threading.Lock,
-        instruments: _TableInstruments | None = None,
+        instruments: TableInstruments | None = None,
         parent_span_id: int | None = None,
     ) -> None:
         """Worker body: generate, format, submit in row order."""
@@ -836,257 +860,6 @@ class Scheduler:
             )
         if self.progress is not None:
             self.progress.add(package.table, package.rows, len(chunk))
-
-    # -- process backend -----------------------------------------------------
-
-    def _run_process_pool(
-        self,
-        packages: list[tuple[WorkPackage, OrderedSinkMux]],
-        muxes: dict[str, OrderedSinkMux],
-        stats: dict[str, _TableStats],
-        instruments: dict[str, _TableInstruments],
-        window: InFlightWindow,
-        recovery: "_CrashRecovery",
-        run_span_id: int | None = None,
-    ) -> None:
-        """Stream packages through worker processes, flushing in order.
-
-        The parent is the only writer: it dispatches a package whenever
-        the delivery window has a free slot, receives finished chunks
-        over the result queue, and feeds them to the per-table muxes
-        (which release window slots as chunks hit the sinks). Because
-        dispatch follows sequence order, at most ``workers +
-        inflight_extra`` chunks are ever buffered, no matter how large
-        the run is.
-
-        Each worker owns a private task queue so the parent knows which
-        packages are in flight where. When a worker process dies and a
-        :class:`~repro.resilience.RetryPolicy` is attached, its
-        dispatched-but-unfinished packages are requeued to a freshly
-        spawned replacement instead of failing the run (generation is
-        seed-addressed, so a redo is byte-identical); a completed-set
-        guard drops the rare duplicate result of a package whose result
-        raced the crash. Without a policy, a dead worker fails the run
-        as before.
-        """
-        from repro.exceptions import SchedulingError
-
-        total = len(packages)
-        context = mp_context()
-        result_queue = context.Queue()
-
-        tracer = active_tracer()
-        registry = active_metrics()
-        profiler = active_profiler()
-        telemetry = None
-        if tracer is not None or registry is not None or profiler is not None:
-            telemetry = WorkerTelemetry(
-                trace=tracer is not None,
-                metrics=registry is not None,
-                profile=profiler is not None,
-                profile_hz=profiler.hz if profiler is not None else 100.0,
-            )
-        dispatch_ctx = (
-            SpanContext(parent_id=run_span_id) if telemetry is not None else None
-        )
-
-        def spawn() -> _WorkerSlot:
-            slot = _WorkerSlot(context.Queue())
-            slot.process = context.Process(
-                target=_process_worker_main,
-                args=(self.engine, self.output, slot.queue, result_queue,
-                      self.faults, telemetry),
-                daemon=True,
-            )
-            slot.process.start()
-            return slot
-
-        max_restarts = (
-            0 if self.retry is None
-            else self.workers * max(self.retry.max_attempts - 1, 1)
-        )
-        slots = [spawn() for _ in range(min(self.workers, total))]
-        attempts: dict[tuple[str, int], int] = {}
-        completed: set[tuple[str, int]] = set()
-        column_counts = {
-            name: len(self.engine.bound_table(name).column_names) for name in muxes
-        }
-        try:
-            next_index = 0
-            done = 0
-            # Stall watchdog for fault-injected runs: a scripted kill
-            # that wedges the result stream (torn frame, poisoned
-            # write-lock) would otherwise hang the parent's poll loop
-            # silently. Real runs use arbitrarily long packages, so the
-            # watchdog only arms when a fault plan is attached.
-            stall_limit = 60.0 if self.faults is not None else None
-            last_progress = time.monotonic()
-            while done < total:
-                alive = [slot for slot in slots if slot.process.is_alive()]
-                while alive and next_index < total and window.try_acquire():
-                    package, _ = packages[next_index]
-                    slot = min(alive, key=lambda s: len(s.assigned))
-                    key = (package.table, package.sequence)
-                    slot.queue.put((package, dispatch_ctx))
-                    slot.assigned[key] = (package, dispatch_ctx)
-                    attempts.setdefault(key, 1)
-                    next_index += 1
-                    last_progress = time.monotonic()
-                try:
-                    message = result_queue.get(timeout=0.5)
-                except Empty:
-                    restarts_before = recovery.restarts
-                    self._recover_dead_workers(
-                        slots, spawn, attempts, recovery, max_restarts
-                    )
-                    if recovery.restarts != restarts_before:
-                        last_progress = time.monotonic()
-                    if (
-                        stall_limit is not None
-                        and time.monotonic() - last_progress > stall_limit
-                    ):
-                        owed = sorted(
-                            key for slot in slots for key in slot.assigned
-                        )
-                        raise SchedulingError(
-                            f"process pool stalled: no progress for "
-                            f"{stall_limit:.0f}s with {done}/{total} packages "
-                            f"done and {len(owed)} results owed ({owed[:8]})"
-                        )
-                    continue
-                last_progress = time.monotonic()
-                if message[0] == "error":
-                    _, kind, text, trace = message
-                    raise SchedulingError(
-                        f"generation worker failed: {kind}: {text}\n{trace}"
-                    )
-                if message[0] == "profile":
-                    # A worker flushed its sampler at shutdown while
-                    # results were still in flight (can only happen on
-                    # early teardown) — fold it in and keep consuming.
-                    if profiler is not None:
-                        profiler.merge_counts(message[2])
-                    continue
-                (_, table, sequence, chunk, rows, elapsed, hits, misses,
-                 worker_payload) = message
-                if worker_payload is not None:
-                    # Stitch this package's worker spans under the run
-                    # span and fold its metric deltas into the parent
-                    # registry — even for duplicate results: the redo
-                    # work really happened and the trace should show it.
-                    if tracer is not None:
-                        stitch_spans(
-                            tracer, worker_payload.get("spans"),
-                            parent_id=run_span_id,
-                        )
-                    if registry is not None:
-                        registry.merge_deltas(worker_payload.get("metrics"))
-                key = (table, sequence)
-                if key in completed:
-                    # A worker finished this package just before dying;
-                    # the requeued redo produced it again. One copy is
-                    # already at the sink — drop the duplicate.
-                    continue
-                completed.add(key)
-                for slot in slots:
-                    slot.assigned.pop(key, None)
-                muxes[table].submit(sequence, chunk)
-                table_stats = stats[table]
-                table_stats.rows += rows
-                table_stats.bytes += len(chunk)
-                table_stats.seconds += elapsed
-                instrument = instruments.get(table)
-                if instrument is not None:
-                    instrument.record_package(
-                        rows, len(chunk), elapsed, hits, misses,
-                        column_counts[table],
-                    )
-                if self.progress is not None:
-                    self.progress.add(table, rows, len(chunk))
-                done += 1
-        finally:
-            for slot in slots:
-                if slot.process.is_alive():
-                    slot.queue.put(None)
-            for slot in slots:
-                slot.process.join(timeout=10)
-                if slot.process.is_alive():  # pragma: no cover - defensive cleanup
-                    slot.process.terminate()
-                    slot.process.join(timeout=10)
-            if profiler is not None:
-                # Workers flush their sampler counts in a final
-                # ("profile", pid, counts) message on the shutdown
-                # sentinel; fold them into the parent profiler so the
-                # collapsed-stack output covers both sides of the pool.
-                while True:
-                    try:
-                        message = result_queue.get(timeout=0.2)
-                    except Empty:
-                        break
-                    if message and message[0] == "profile":
-                        profiler.merge_counts(message[2])
-            for slot in slots:
-                slot.queue.close()
-            result_queue.close()
-
-    def _recover_dead_workers(
-        self,
-        slots: list["_WorkerSlot"],
-        spawn,
-        attempts: dict[tuple[str, int], int],
-        recovery: "_CrashRecovery",
-        max_restarts: int,
-    ) -> None:
-        """Replace crashed workers, requeueing their in-flight packages."""
-        from repro.exceptions import SchedulingError
-
-        for index, slot in enumerate(slots):
-            process = slot.process
-            if process.is_alive():
-                continue
-            crashed = bool(slot.assigned) or process.exitcode not in (0, None)
-            if not crashed:
-                continue
-            if self.retry is None:
-                raise SchedulingError(
-                    f"generation worker process died with exit code "
-                    f"{process.exitcode}"
-                ) from None
-            if recovery.restarts >= max_restarts:
-                raise SchedulingError(
-                    f"generation worker process died with exit code "
-                    f"{process.exitcode} after {recovery.restarts} worker "
-                    "restarts; giving up"
-                ) from None
-            for key in slot.assigned:
-                attempts[key] = attempts.get(key, 1) + 1
-                if attempts[key] > self.retry.max_attempts:
-                    table, sequence = key
-                    raise SchedulingError(
-                        f"work package {sequence} of table {table!r} failed "
-                        f"{self.retry.max_attempts} dispatch attempts "
-                        "(worker crashed every time)"
-                    ) from None
-            # The dead worker's queue may still hold undelivered items;
-            # abandon it wholesale — ``assigned`` is authoritative — and
-            # requeue everything to a fresh replacement. The span context
-            # advances one attempt so the redo's spans are identifiable
-            # in the stitched trace.
-            replacement = spawn()
-            for key, (package, span_ctx) in slot.assigned.items():
-                retry_ctx = span_ctx.retry() if span_ctx is not None else None
-                replacement.queue.put((package, retry_ctx))
-                replacement.assigned[key] = (package, retry_ctx)
-            recovery.requeued += len(slot.assigned)
-            recovery.restarts += 1
-            slot.queue.close()
-            slots[index] = replacement
-        if not any(slot.process.is_alive() for slot in slots):
-            raise SchedulingError(
-                "all generation worker processes exited before the run "
-                "completed"
-            ) from None
-
 
 def generate(
     engine: GenerationEngine,
@@ -1113,3 +886,53 @@ def generate(
         backend=backend, inflight_extra=inflight_extra,
         checkpoint=checkpoint, resume_from=resume_from, retry=retry,
     ).run(tables)
+
+
+def node_ranges(
+    sizes: dict[str, int], nodes: int, node: int
+) -> dict[str, tuple[int, int]]:
+    """Per-table ``[start, stop)`` row ranges for one node."""
+    return {table: node_share(size, nodes, node) for table, size in sizes.items()}
+
+
+def node_checkpoint_dir(base: str | None, node: int) -> str | None:
+    """Each node journals into its own ``node<i>`` subdirectory of the
+    checkpoint base — node shares are disjoint row ranges, so their
+    manifests must not interleave."""
+    if base is None:
+        return None
+    return os.path.join(base, f"node{node}")
+
+
+def run_node(
+    schema: Schema,
+    nodes: int,
+    node: int,
+    output: OutputConfig | None = None,
+    artifacts: ArtifactStore | None = None,
+    workers: int = 1,
+    package_size: int = DEFAULT_PACKAGE_SIZE,
+    checkpoint: str | None = None,
+    resume_from: str | None = None,
+    retry: RetryPolicy | None = None,
+) -> RunReport:
+    """Generate one node's static share in the current process.
+
+    The coordinator-free way to scale out (paper §4: "starting multiple
+    instances and generating a distinct range of the data set with each
+    instance"): same model + same node index ⇒ same share, every time,
+    with no runtime between the machines. It is
+    ``Scheduler.run(row_ranges=node_ranges(...))`` and nothing more.
+    ``checkpoint``/``resume_from`` name a *base* directory; the node
+    journals into its ``node<i>`` subdirectory, so only the nodes that
+    actually died need resuming.
+    """
+    engine = GenerationEngine(schema, artifacts)
+    scheduler = Scheduler(
+        engine, output or OutputConfig(),
+        workers=workers, package_size=package_size,
+        checkpoint=node_checkpoint_dir(checkpoint, node),
+        resume_from=node_checkpoint_dir(resume_from, node),
+        retry=retry,
+    )
+    return scheduler.run(row_ranges=node_ranges(engine.sizes, nodes, node))

@@ -70,8 +70,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_3(self):
-        assert repro.__version__.startswith("3.")
+    def test_version_is_4(self):
+        assert repro.__version__.startswith("4.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -119,3 +119,26 @@ class TestOneGeneratePath:
             main(["generate", "--suite", "tpch", "--no-columnar"])
         assert exit_info.value.code == 2
         assert "--no-columnar" in capsys.readouterr().err
+
+
+class TestOneMultiNodeRuntime:
+    def test_meta_scheduler_is_gone(self):
+        import importlib
+
+        import repro.scheduler
+
+        assert "MetaScheduler" not in repro.__all__
+        assert not hasattr(repro, "MetaScheduler")
+        assert not hasattr(repro.scheduler, "MetaScheduler")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.scheduler.meta")
+
+    def test_cluster_scheduler_has_no_steal_protocol_knobs(self):
+        import inspect
+
+        parameters = inspect.signature(repro.ClusterScheduler.__init__).parameters
+        assert "min_steal_packages" not in parameters
+        assert "keep_parts" not in parameters
+        assert set(inspect.signature(repro.ClusterScheduler.run).parameters) == {
+            "self", "nodes",
+        }

@@ -25,7 +25,7 @@ from repro.generators.registry import _REGISTRY, known_generators
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.config import OutputConfig
 from repro.scheduler import Scheduler
-from repro.scheduler.meta import node_ranges
+from repro.scheduler import node_ranges
 from repro.suites.bigbench import bigbench_engine
 from repro.suites.ssb import ssb_engine
 from repro.suites.tpch import tpch_engine  # also registers TpchPsSuppkeyGenerator

@@ -25,12 +25,14 @@ from repro.output.config import OutputConfig
 from repro.resilience import FaultPlan
 from repro.scheduler import (
     ClusterScheduler,
-    MetaScheduler,
+    Scheduler,
     generate,
     node_share,
     partition_rows,
     plan_shards,
 )
+from repro.scheduler.cluster import NODE_LOOKAHEAD, ShardLedger
+from repro.scheduler.executor import ExecutorSlot
 from tests.conftest import demo_schema
 
 
@@ -39,6 +41,9 @@ def _clean_obs_state():
     obs.reset()
     yield
     obs.reset()
+
+
+_CLI_NULL = ["generate", "--suite", "tpch", "--sf", "0.0005", "--kind", "null", "-q"]
 
 
 def _file_output(directory, fmt: str = "csv") -> OutputConfig:
@@ -118,7 +123,6 @@ class TestClusterByteIdentity:
         single = _single_node(tmp_path, schema)
         output = _file_output(tmp_path / "cluster")
         report = ClusterScheduler(schema, output=output, package_size=25).run(3)
-        assert report.distributed
         assert report.rows == 240
         assert report.node_failures == 0
         assert len(report.nodes) == 3
@@ -126,15 +130,28 @@ class TestClusterByteIdentity:
         # part files are an implementation detail; the merge removes them
         assert not os.path.exists(tmp_path / "cluster" / ".dbsynth-parts")
 
-    @pytest.mark.parametrize("fmt", ["json", "sql", "xml"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "sql", "xml"])
     def test_formats_with_headers_and_footers(self, tmp_path, fmt):
-        # sql/xml have non-trivial header+footer framing the merge must
-        # emit exactly once, around parts from three different nodes.
+        # csv (with its header line), sql and xml have header/footer
+        # framing the merge must emit exactly once, around parts from
+        # three different nodes.
         schema = demo_schema()
-        single = _single_node(tmp_path, schema, fmt=fmt)
-        output = _file_output(tmp_path / "cluster", fmt)
-        ClusterScheduler(schema, output=output, package_size=25).run(3)
-        _assert_identical(schema, single, output)
+        reference = OutputConfig(
+            kind="file", format=fmt, directory=str(tmp_path / "single"),
+            include_header=True,
+        )
+        single = generate(GenerationEngine(schema), reference, package_size=25)
+        output = OutputConfig(
+            kind="file", format=fmt, directory=str(tmp_path / "cluster"),
+            include_header=True,
+        )
+        report = ClusterScheduler(schema, output=output, package_size=25).run(3)
+        _assert_identical(schema, reference, output)
+        # the frame bytes the parent merge writes are part of the report
+        on_disk = sum(
+            os.path.getsize(output.table_path(t.name)) for t in schema.tables
+        )
+        assert report.bytes_written == on_disk == single.bytes_written
 
     def test_more_nodes_than_rows(self, tmp_path):
         schema = demo_schema(customers=3, orders=5)
@@ -288,6 +305,125 @@ class TestDeadNodeRecovery:
             ).run(1)
 
 
+class TestStealAndDeathTogether:
+    """Both ledger moves in one run: a range changes hands by stealing
+    and a node dies — the victim mid-shard, or a thief holding loot."""
+
+    @staticmethod
+    def _run(tmp_path, kill_at, delay):
+        schema = demo_schema()
+        single = _single_node(tmp_path, schema, package_size=5)
+        os.makedirs(tmp_path / "latch")
+        output = _file_output(tmp_path / "cluster")
+        report = ClusterScheduler(
+            schema, output=output, package_size=5,
+            faults=FaultPlan(
+                slow_nodes={0: delay}, kill_node_at=kill_at,
+                latch_dir=str(tmp_path / "latch"),
+            ),
+        ).run(3)
+        _assert_identical(schema, single, output)
+        assert report.rows == 240
+        assert report.steals > 0
+        assert report.node_failures == 1
+        # a node that died never sent its final report, so its timer is 0
+        (dead,) = [n for n in report.nodes if n.seconds == 0.0]
+        return report, dead
+
+    def test_steal_victim_dies_mid_shard(self, tmp_path):
+        # slow node 0 is what the others steal from. Its second package
+        # is in its look-ahead window from the start — never stealable —
+        # so node 0 itself dies there, one package durable, long after
+        # the fast nodes ran dry and took its tail.
+        report, dead = self._run(tmp_path, ("customer", 5), delay=0.2)
+        assert dead.node == 0
+        assert dead.steals_yielded > 0
+        assert dead.rows == 5
+
+    def test_thief_dies_holding_a_stolen_range(self, tmp_path):
+        # the last package of node 0's shard is the first thing a thief
+        # takes and the last thing slow node 0 would reach: whoever
+        # generates it stole it.
+        _start, stop = node_share(180, 3, 0)
+        report, dead = self._run(tmp_path, ("orders", stop - 5), delay=0.02)
+        assert dead.node != 0
+        assert dead.steals_taken > 0
+        assert report.reassigned_ranges >= 1
+
+
+class TestShardLedger:
+    """The parent-side ledger on its own: no processes, a seeded random
+    interleaving of dispatch, completion, stealing and node death."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("steal", [True, False])
+    def test_every_row_is_owned_exactly_once(self, seed, steal):
+        import random
+
+        rng = random.Random(seed)
+        sizes = {"a": 95, "b": 7, "c": 0, "d": 31}
+        ledger = ShardLedger(package_size=10)
+        slots = [ExecutorSlot(node) for node in range(3)]
+        for slot, shard in zip(slots, plan_shards(sizes, 3)):
+            ledger.add(slot)
+            ledger.assign(slot.ident, shard, "shard", None)
+        deaths = 2
+        while not ledger.done:
+            live = [slot for slot in slots if not slot.failed]
+            for slot in live:
+                idle = not slot.inflight and not ledger.shards[slot.ident].pending
+                if steal and idle:
+                    ledger.steal(slot.ident)
+                for package in ledger.fill(slot.ident):
+                    slot.inflight[package.key] = package
+                assert len(slot.inflight) <= NODE_LOOKAHEAD
+            busy = [slot for slot in live if slot.inflight]
+            slot = rng.choice(busy)
+            if deaths and len(live) > 1 and rng.random() < 0.1:
+                deaths -= 1
+                slot.failed = True
+                lost = list(slot.inflight.values())
+                slot.inflight.clear()
+                ranges = ledger.fail(slot.ident, lost)
+                heir = min(
+                    (s for s in live if s is not slot),
+                    key=lambda s: ledger.remaining(s.ident),
+                )
+                ledger.assign(heir.ident, ranges, "dead-node", slot.ident)
+                continue
+            key = next(iter(slot.inflight))  # a node works in dispatch order
+            package = slot.inflight.pop(key)
+            ledger.complete(slot.ident, package, nbytes=package.rows)
+        for table, size in sizes.items():
+            parts = ledger.parts(table, size)  # raises on a gap or overlap
+            assert sum(part.bytes for part in parts) == size
+        assert sum(shard.rows for shard in ledger.shards.values()) == sum(
+            sizes.values()
+        )
+        taken = sum(shard.steals_taken for shard in ledger.shards.values())
+        yielded = sum(shard.steals_yielded for shard in ledger.shards.values())
+        assert taken == yielded == ledger.steals
+
+    def test_steal_takes_the_tail_half_of_pending_packages(self):
+        ledger = ShardLedger(package_size=10)
+        victim, thief = ExecutorSlot(0), ExecutorSlot(1)
+        ledger.add(victim)
+        ledger.add(thief)
+        ledger.assign(0, [("t", 0, 95)], "shard", None)  # 10 packages
+        for package in ledger.fill(0):
+            victim.inflight[package.key] = package
+        ledger.steal(1)
+        # 10 unfinished // 2 = 5 packages, re-anchored at a package edge
+        assert list(ledger.shards[1].pending) == [("t", 50, 95, "steal", 0)]
+        assert list(ledger.shards[0].pending) == [("t", 20, 50, "shard", None)]
+        assert (ledger.steals, ledger.stolen_rows) == (1, 45)
+        # nothing in flight ever moves: a victim down to its window keeps it
+        ledger.shards[0].pending.clear()
+        ledger.shards[1].pending.clear()
+        ledger.steal(1)
+        assert not ledger.shards[1].pending and ledger.steals == 1
+
+
 class TestValidation:
     def test_binary_formats_are_refused(self, tmp_path):
         # build a valid config, then flip the format past __post_init__
@@ -312,20 +448,19 @@ class TestValidation:
                 demo_schema(), output=OutputConfig(kind="null")
             ).run(0)
 
-    def test_meta_rejects_workers_per_node(self):
-        scheduler = MetaScheduler(
-            demo_schema(), output=OutputConfig(kind="null"), workers_per_node=2
-        )
-        with pytest.raises(SchedulingError, match="workers_per_node"):
-            scheduler.run(2, distributed=True)
+    def test_meta_rejects_workers_per_node(self, capsys):
+        # nodes generate their shard sequentially; the one surface that
+        # could ask for more workers per node is the CLI, which refuses.
+        code = main(_CLI_NULL + ["--nodes", "2", "--workers", "2"])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
 
-    def test_meta_rejects_cross_run_resume(self, tmp_path):
-        scheduler = MetaScheduler(
-            demo_schema(), output=OutputConfig(kind="null"),
-            resume_from=str(tmp_path),
-        )
-        with pytest.raises(SchedulingError, match="resume_from"):
-            scheduler.run(2, distributed=True)
+    def test_meta_rejects_cross_run_resume(self, tmp_path, capsys):
+        code = main(_CLI_NULL + [
+            "--nodes", "2", "--checkpoint", str(tmp_path), "--resume",
+        ])
+        assert code == 2
+        assert "--resume" in capsys.readouterr().err
 
 
 class TestDistributedMeta:
@@ -333,35 +468,33 @@ class TestDistributedMeta:
         schema = demo_schema()
         single = _single_node(tmp_path, schema)
         output = _file_output(tmp_path / "cluster")
-        report = MetaScheduler(schema, output=output, package_size=25).run(
-            2, distributed=True
-        )
-        assert report.distributed
+        report = ClusterScheduler(schema, output=output, package_size=25).run(2)
+        assert report.makespan > 0 and len(report.nodes) == 2
         _assert_identical(schema, single, output)
 
     def test_tree_shape_parity_across_execution_paths(self):
-        """`dbsynth stats --tree` must render the same shape whatever ran:
-        sequential nodes, pooled processes, or the distributed cluster."""
-        totals = {}
-        for mode in ("sequential", "pooled", "distributed"):
-            tracer = obs.enable_tracing()
-            scheduler = MetaScheduler(
-                demo_schema(), output=OutputConfig(kind="null"),
-                package_size=30,
-            )
-            if mode == "distributed":
-                scheduler.run(2, distributed=True)
-            else:
-                scheduler.run(2, processes=mode == "pooled")
-            records = tracer.drain()
-            meta_run = next(r for r in records if r.name == "meta.run")
-            nodes = [r for r in records if r.name == "meta.node"]
-            assert len(nodes) == 2, mode
-            assert all(r.parent_id == meta_run.span_id for r in nodes), mode
-            assert sorted(r.attrs["node"] for r in nodes) == [0, 1], mode
-            totals[mode] = obs.table_totals(records)
-            obs.reset()
-        assert totals["sequential"] == totals["pooled"] == totals["distributed"]
+        """`dbsynth stats --tree` must account for the same per-table
+        rows and bytes whatever ran — one scheduler or a cluster — and a
+        cluster trace keeps the ``meta.run → meta.node`` shape."""
+        tracer = obs.enable_tracing()
+        Scheduler(
+            GenerationEngine(demo_schema()), OutputConfig(kind="null"),
+            package_size=30,
+        ).run()
+        single_totals = obs.table_totals(tracer.drain())
+        obs.reset()
+
+        tracer = obs.enable_tracing()
+        ClusterScheduler(
+            demo_schema(), output=OutputConfig(kind="null"), package_size=30,
+        ).run(2)
+        records = tracer.drain()
+        meta_run = next(r for r in records if r.name == "meta.run")
+        nodes = [r for r in records if r.name == "meta.node"]
+        assert len(nodes) == 2
+        assert all(r.parent_id == meta_run.span_id for r in nodes)
+        assert sorted(r.attrs["node"] for r in nodes) == [0, 1]
+        assert obs.table_totals(records) == single_totals
 
 
 class TestClusterCLI:
@@ -383,9 +516,34 @@ class TestClusterCLI:
             ), name
 
     def test_pooled_nodes_require_null_sink(self, tmp_path, capsys):
-        code = main([
-            "generate", "--suite", "tpch", "--sf", "0.0005",
-            "-d", str(tmp_path), "--nodes", "2",
-        ])
-        assert code == 2
-        assert "--distributed" in capsys.readouterr().err
+        """The pooled simulation this once guarded is gone: ``--nodes 2``
+        alone is the cluster runtime and writes real, mergeable files."""
+        single = tmp_path / "single"
+        cluster = tmp_path / "cluster"
+        base = ["generate", "--suite", "tpch", "--sf", "0.0005", "-q"]
+        assert main(base + ["-d", str(single)]) == 0
+        assert main(base + ["-d", str(cluster), "--nodes", "2"]) == 0
+        assert "2 distributed nodes" in capsys.readouterr().out
+        assert sorted(os.listdir(cluster)) == sorted(os.listdir(single))
+        for name in os.listdir(single):
+            assert filecmp.cmp(
+                single / name, cluster / name, shallow=False
+            ), name
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--nodes", "0"], "--nodes"),
+        (["--nodes", "-2"], "--nodes"),
+        (["--nodes", "2", "--resume"], "--resume"),
+        (["--nodes", "2", "--resume", "--checkpoint", "ckpt"], "--resume"),
+        (["--distributed", "--resume", "--checkpoint", "ckpt"], "--resume"),
+        (["--nodes", "2", "--workers", "4"], "--workers"),
+        (["--nodes", "2", "--backend", "process"], "--backend"),
+        (["--nodes", "2", "--max-attempts", "3"], "--max-attempts"),
+        (["--nodes", "2", "--inflight-extra", "5"], "--inflight-extra"),
+    ])
+    def test_unhonoured_flag_combinations_are_rejected(
+        self, flags, named, capsys
+    ):
+        assert main(_CLI_NULL + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err

@@ -12,7 +12,7 @@ from repro.core.translator import SchemaTranslator
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.output.config import OutputConfig
-from repro.scheduler import MetaScheduler, generate
+from repro.scheduler import ClusterScheduler, generate
 from repro.suites.imdb import build_imdb_database
 from repro.suites.tpch import ALL_QUERIES, tpch_engine
 from repro.update import UpdateBlackBox
@@ -143,11 +143,7 @@ class TestClusterSimulation:
         from repro.suites.bigbench import bigbench_schema, bigbench_artifacts
 
         schema = bigbench_schema(0.0003)
-        cluster = MetaScheduler(schema, bigbench_artifacts()).run(
-            nodes=2, processes=True
-        )
-        single = MetaScheduler(schema, bigbench_artifacts()).run(
-            nodes=1, processes=False
-        )
+        cluster = ClusterScheduler(schema, bigbench_artifacts()).run(nodes=2)
+        single = ClusterScheduler(schema, bigbench_artifacts()).run(nodes=1)
         assert cluster.rows == single.rows
         assert cluster.bytes_written == single.bytes_written

@@ -9,7 +9,7 @@ from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
 from repro.generators.base import GenerationContext
 from repro.prng.xorshift import XorShift64Star
-from repro.scheduler.meta import ClusterReport, NodeReport
+from repro.scheduler import ClusterReport, NodeReport
 from repro.scheduler.scheduler import RunReport
 from tests.conftest import demo_schema
 

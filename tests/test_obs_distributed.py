@@ -18,7 +18,7 @@ from repro.obs import SpanContext, span_payload, stitch_spans, table_totals
 from repro.obs.trace import Tracer
 from repro.output.config import OutputConfig
 from repro.resilience import FaultPlan, RetryPolicy
-from repro.scheduler import MetaScheduler, Scheduler
+from repro.scheduler import ClusterScheduler, Scheduler
 from tests.conftest import demo_schema
 
 
@@ -233,7 +233,7 @@ class TestMetaSchedulerStitching:
     def test_node_subtraces_under_meta_run(self, tmp_path):
         tracer = obs.enable_tracing()
         registry = obs.enable_metrics()
-        MetaScheduler(
+        ClusterScheduler(
             demo_schema(), output=OutputConfig(kind="null"), package_size=30,
         ).run(3)
         records = tracer.drain()
@@ -243,28 +243,17 @@ class TestMetaSchedulerStitching:
         assert all(r.parent_id == meta_run.span_id for r in nodes)
         assert sorted(r.attrs["node"] for r in nodes) == [0, 1, 2]
         node_ids = {r.span_id for r in nodes}
-        scheduler_runs = [r for r in records if r.name == "scheduler.run"]
-        assert len(scheduler_runs) == 3
-        assert all(r.parent_id in node_ids for r in scheduler_runs)
+        # each node's work hangs under its meta.node span, one
+        # node.assignment per part it wrote
+        assignments = [r for r in records if r.name == "node.assignment"]
+        assert len(assignments) >= 3
+        assert all(r.parent_id in node_ids for r in assignments)
         # node metric deltas merged: cluster rows total equals the model
         rows = _counter_values(registry, "rows_generated_total")
         assert sum(rows.values()) == 240
 
-    def test_sequential_nodes_record_ambient(self):
-        tracer = obs.enable_tracing()
-        MetaScheduler(
-            demo_schema(), output=OutputConfig(kind="null"), package_size=30,
-        ).run(2, processes=False)
-        records = tracer.drain()
-        meta_run = next(r for r in records if r.name == "meta.run")
-        nodes = [r for r in records if r.name == "meta.node"]
-        assert len(nodes) == 2
-        assert all(r.parent_id == meta_run.span_id for r in nodes)
-        reports_telemetry = [r for r in records if r.name == "scheduler.run"]
-        assert len(reports_telemetry) == 2
-
     def test_node_reports_carry_no_payload_when_disabled(self):
-        cluster = MetaScheduler(
+        cluster = ClusterScheduler(
             demo_schema(), output=OutputConfig(kind="null"), package_size=30,
         ).run(2)
         assert all(node.telemetry is None for node in cluster.nodes)

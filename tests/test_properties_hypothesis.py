@@ -134,7 +134,7 @@ class TestGenerationProperties:
     @given(st.integers(min_value=0, max_value=2**32),
            st.integers(min_value=1, max_value=8))
     def test_node_union_equals_single_run(self, seed, nodes):
-        from repro.scheduler.meta import run_node
+        from repro.scheduler import run_node
 
         schema = _tiny_schema(seed, 120)
         single = OutputConfig(kind="memory")

@@ -31,7 +31,7 @@ from repro.resilience import (
     RunManifest,
     model_fingerprint,
 )
-from repro.scheduler import MetaScheduler, Scheduler, generate
+from repro.scheduler import ClusterScheduler, Scheduler, generate
 from tests.conftest import demo_schema
 
 TABLES = ("customer", "orders")
@@ -505,7 +505,7 @@ class TestFaultHarness:
                 pytest.fail("InjectedCrash must not be an Exception")
 
 
-# -- generate() / meta scheduler threading -----------------------------------
+# -- generate() / cluster checkpoint plumbing ---------------------------------
 
 
 class TestPlumbing:
@@ -521,11 +521,10 @@ class TestPlumbing:
 
     def test_meta_scheduler_per_node_checkpoints(self, tmp_path):
         ckpt = str(tmp_path / "ckpt")
-        meta = MetaScheduler(
+        ClusterScheduler(
             demo_schema(), output=OutputConfig(kind="null"),
             package_size=25, checkpoint=ckpt,
-        )
-        meta.run(nodes=2, processes=False)
+        ).run(nodes=2)
         for node in range(2):
             manifest = RunManifest.load(os.path.join(ckpt, f"node{node}"))
             assert manifest.completed

@@ -8,7 +8,7 @@ import pytest
 from repro.engine import GenerationEngine
 from repro.exceptions import SchedulingError
 from repro.output.config import OutputConfig
-from repro.scheduler.meta import MetaScheduler, node_ranges, run_node
+from repro.scheduler import ClusterScheduler, node_ranges, run_node
 from repro.scheduler.progress import ProgressMonitor
 from repro.scheduler.scheduler import Scheduler, generate
 from repro.scheduler.work import WorkPackage, node_share, partition_rows, plan_node
@@ -162,20 +162,20 @@ class TestMetaScheduler:
 
     def test_inprocess_cluster_run(self):
         schema = demo_schema()
-        cluster = MetaScheduler(schema).run(nodes=3, processes=False)
+        cluster = ClusterScheduler(schema).run(nodes=3)
         assert cluster.rows == 240
         assert len(cluster.nodes) == 3
         assert cluster.bytes_written > 0
 
     def test_multiprocess_cluster_run(self):
         schema = demo_schema()
-        cluster = MetaScheduler(schema).run(nodes=2, processes=True)
+        cluster = ClusterScheduler(schema).run(nodes=2)
         assert cluster.rows == 240
         assert cluster.seconds > 0
 
     def test_invalid_node_count(self):
         with pytest.raises(SchedulingError):
-            MetaScheduler(demo_schema()).run(nodes=0)
+            ClusterScheduler(demo_schema()).run(nodes=0)
 
 
 class TestProgressMonitor:

@@ -19,9 +19,9 @@ from repro.exceptions import OutputError, SchedulingError
 from repro.output.config import OutputConfig
 from repro.output.sinks import OrderedSinkMux, Sink
 from repro.output.writers import CsvWriter
-from repro.scheduler import meta as meta_mod
 from repro.scheduler import scheduler as scheduler_mod
-from repro.scheduler.meta import ClusterReport, MetaScheduler, NodeReport
+from repro.scheduler import scheduler as scheduler_mod
+from repro.scheduler import ClusterReport, ClusterScheduler, NodeReport
 from repro.scheduler.progress import ProgressMonitor
 from repro.scheduler.scheduler import Scheduler, generate
 from tests.conftest import demo_schema
@@ -266,16 +266,12 @@ class TestClusterMakespan:
         assert ClusterReport(nodes, makespan=0.5).seconds == 2.0
 
     def test_multiprocess_run_records_pool_wall_clock(self):
-        cluster = MetaScheduler(demo_schema()).run(nodes=2, processes=True)
+        cluster = ClusterScheduler(demo_schema()).run(nodes=2)
         assert cluster.makespan > 0
         assert cluster.seconds >= max(n.seconds for n in cluster.nodes)
         assert cluster.rows == 240
 
-    def test_sequential_run_leaves_makespan_unset(self):
-        cluster = MetaScheduler(demo_schema()).run(nodes=2, processes=False)
-        assert cluster.makespan == 0.0
-        assert cluster.seconds == max(n.seconds for n in cluster.nodes)
-
-    def test_run_node_still_importable_from_meta(self):
-        # Guards the module surface the fix touched.
-        assert hasattr(meta_mod, "run_node")
+    def test_run_node_importable_from_scheduler(self):
+        # the static-share entry point lives next to Scheduler since 4.0
+        assert hasattr(scheduler_mod, "run_node")
+        assert hasattr(scheduler_mod, "node_ranges")
