@@ -259,3 +259,48 @@ def int_column_from_u64(outputs, span: int, minimum: int) -> IntColumn | None:
         return None
     bounded = outputs % _np.uint64(span)
     return IntColumn(bounded.astype(_np.int64) + _np.int64(minimum))
+
+
+def int_column_from_floats(values) -> IntColumn | None:
+    """``int(value)`` (truncation toward zero) over a float64 array as an
+    :class:`IntColumn`, or ``None`` when a value is not finite or does
+    not fit int64 — ``int()`` raises or yields a big int there, which the
+    caller's per-value path reproduces."""
+    with _np.errstate(invalid="ignore"):
+        if not (_np.abs(values) < 2.0**63).all():  # False for nan and inf too
+            return None
+    return IntColumn(values.astype(_np.int64))
+
+
+#: Below this many values :func:`round_places` rounds one by one: the
+#: array passes cost ~10 us flat against 0.5 us per ``round`` (measured;
+#: they break even between 16 and 32 values), and one-row reads stay cheap.
+_ROUND_ARRAY_MIN = 16
+
+
+def round_places(values, places: int):
+    """``round(value, places)`` over a float64 array — the same doubles.
+
+    ``round`` is correctly rounded on the exact decimal value of the
+    double (ties to even); ``rint(value * 10**places) / 10**places``
+    lands on the same double whenever the scaled value is provably not
+    at a ``.5`` tie: it is below 2**53 and further from the tie than its
+    own rounding error (one ulp bounds it, ``10**places`` being an exact
+    double up to 22), so the exact product rounds to the same integer,
+    and integer / power of ten is one correctly rounded division — as is
+    ``round``'s decimal-to-double step. The few values that fail the
+    test, every *places* outside 0..22 and every input too short to pay
+    for the array passes go through ``round``.
+    """
+    if len(values) < _ROUND_ARRAY_MIN or not 0 <= places <= 22:
+        return _np.array([round(v, places) for v in values.tolist()], dtype=_np.float64)
+    scale = 10.0**places
+    with _np.errstate(all="ignore"):  # inf/nan fail the test below
+        scaled = values * scale
+        magnitude = _np.abs(scaled)
+        to_tie = _np.abs(magnitude - _np.floor(magnitude) - 0.5)
+        exact = (to_tie > _np.spacing(magnitude)) & (magnitude < 2.0**53)
+        rounded = _np.rint(scaled) / scale
+    for offset in _np.nonzero(~exact)[0].tolist():
+        rounded[offset] = round(float(values[offset]), places)
+    return rounded

@@ -34,6 +34,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.prng.blocks import SeedBlock
 
 
+#: Blocks shorter than this keep the per-row loop in the generators whose
+#: array kernels have a fixed cost (MarkovChain, Formula, RowFormula), so
+#: 1-row serve reads and previews pay nothing for them and never build
+#: the Markov chain tables. Measured on the TPC-H model (per block, loop
+#: vs kernel): ``o_comment`` 16 rows 95 vs 165 us, 32 rows 189 vs 185 us,
+#: 64 rows 343 vs 268 us, 256 rows 1526 vs 448 us; the two formula
+#: kernels cost 7-15 us flat and break even at 8 rows; the Markov
+#: break-even decides.
+_KERNEL_MIN_ROWS = 32
+
+
 def as_bool(value: object, default: bool = False) -> bool:
     """Parse a spec parameter that may come from XML as a string.
 

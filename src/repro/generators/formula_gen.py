@@ -11,8 +11,17 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
+from repro import columnar
 from repro.exceptions import ModelError
-from repro.generators.base import BindContext, GenerationContext, Generator
+from repro.generators.base import (
+    BindContext,
+    GenerationContext,
+    Generator,
+    _KERNEL_MIN_ROWS,
+    as_bool,
+)
 from repro.generators.registry import register
 from repro.model import formula as _formula
 
@@ -40,8 +49,6 @@ class FormulaGenerator(Generator):
         self._compiled = _formula.compile_formula(self._expression)
         places = self.spec.params.get("places")
         self._places = int(places) if places is not None else None
-        from repro.generators.base import as_bool
-
         self._as_int = as_bool(self.spec.params.get("as_int"))
 
     def generate(self, ctx: GenerationContext) -> object:
@@ -60,3 +67,43 @@ class FormulaGenerator(Generator):
         if self._places is not None:
             return round(result, self._places)
         return result
+
+    def generate_block(
+        self, ctx: GenerationContext, start: int, count: int
+    ) -> columnar.Column:
+        """The formula evaluated once over the sibling columns.
+
+        Exact or fall back: anything that keeps the array result from
+        being provably what ``generate`` returns per row — a sibling that
+        is not a completed, NULL-free int/float column of this block, a
+        formula :meth:`CompiledFormula.evaluate_arrays` declines, a
+        result ``int()`` cannot truncate into int64 — takes the per-row
+        loop, which also raises the canonical error at the failing row.
+        """
+        column = self._formula_column(ctx) if count >= _KERNEL_MIN_ROWS else None
+        if column is None:
+            return super().generate_block(ctx, start, count)
+        return column
+
+    def _formula_column(self, ctx: GenerationContext) -> columnar.Column | None:
+        columns, indices = ctx.batch_columns, ctx.field_indices
+        if columns is None or indices is None:
+            return None
+        env = {}
+        for name in self._fields:
+            index = indices.get(name)
+            if index is None or index >= len(columns):
+                return None  # a later field: recomputed per row
+            sibling = columns[index]
+            if sibling.nulls is not None or sibling.kind not in ("int", "float"):
+                return None
+            # float(value), elementwise
+            env[name] = sibling.data.astype(np.float64, copy=False)
+        values = self._compiled.evaluate_arrays(env)
+        if values is None or values.dtype != np.float64:
+            return None
+        if self._as_int:
+            return columnar.int_column_from_floats(values)
+        if self._places is not None:
+            values = columnar.round_places(values, self._places)
+        return columnar.FloatColumn(values)

@@ -12,7 +12,13 @@ import numpy as np
 
 from repro import columnar
 from repro.exceptions import ModelError
-from repro.generators.base import BindContext, GenerationContext, Generator, as_bool
+from repro.generators.base import (
+    BindContext,
+    GenerationContext,
+    Generator,
+    _KERNEL_MIN_ROWS,
+    as_bool,
+)
 from repro.generators.registry import register
 from repro.model import formula as _formula
 
@@ -80,19 +86,19 @@ class RowFormulaGenerator(Generator):
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.ObjectColumn:
-        # Row-only formula: skip the per-row reseed entirely and reuse
-        # one environment dict across the block.
-        env = dict(self._base_env)
-        compiled = self._compiled
-        values: list = []
-        append = values.append
-        if self._as_int:
-            for row in range(start, start + count):
-                env["row"] = row
-                append(int(compiled(env)))
-        else:
-            for row in range(start, start + count):
-                env["row"] = row
-                append(compiled(env))
-        return columnar.ObjectColumn(values)
+    ) -> columnar.Column:
+        """The formula evaluated once over ``row`` as an int64 range; the
+        per-row loop wherever that is not provably the same values (see
+        :meth:`CompiledFormula.evaluate_arrays`)."""
+        if _KERNEL_MIN_ROWS <= count and start + count <= columnar.INT64_MAX:
+            rows = np.arange(start, start + count, dtype=np.int64)
+            values = self._compiled.evaluate_arrays({**self._base_env, "row": rows})
+            if values is not None:
+                if values.dtype == np.int64:
+                    return columnar.IntColumn(values)
+                if not self._as_int:
+                    return columnar.FloatColumn(values)
+                column = columnar.int_column_from_floats(values)
+                if column is not None:
+                    return column
+        return super().generate_block(ctx, start, count)

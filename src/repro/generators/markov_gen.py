@@ -7,9 +7,16 @@ with ``min``/``max`` word bounds and a model file reference).
 
 from __future__ import annotations
 
+from repro import columnar
 from repro.exceptions import ModelError
-from repro.generators.base import BindContext, GenerationContext, Generator
+from repro.generators.base import (
+    BindContext,
+    GenerationContext,
+    Generator,
+    _KERNEL_MIN_ROWS,
+)
 from repro.generators.registry import register
+from repro.prng import blocks
 from repro.text.markov import MarkovChain
 
 
@@ -40,6 +47,8 @@ class MarkovChainGenerator(Generator):
         if max_chars is None and ctx.field.dtype.length:
             max_chars = ctx.field.dtype.length
         self._max_chars = int(max_chars) if max_chars else None
+        if self._max_chars is not None and self._max_chars < 0:
+            raise ModelError(f"max_chars must not be negative, got {self._max_chars}")
 
     def generate(self, ctx: GenerationContext) -> str:
         text = self._chain.generate(ctx.rng, self._min, self._max)
@@ -49,6 +58,30 @@ class MarkovChainGenerator(Generator):
             space = clipped.rfind(" ")
             text = clipped[:space] if space > 0 else clipped
         return text
+
+    def generate_block(
+        self, ctx: GenerationContext, start: int, count: int
+    ) -> columnar.Column:
+        """All rows advance through the chain in lockstep, one draw per
+        row per step (:class:`~repro.text.markov.ChainTables`). Small
+        blocks keep the per-row loop and never build the tables."""
+        seeds = ctx.seed_block
+        if seeds is None or count < _KERNEL_MIN_ROWS:
+            return super().generate_block(ctx, start, count)  # raises without seeds
+        tables = self._chain.block_tables()
+        if not tables.plain:
+            return super().generate_block(ctx, start, count)
+        tokens, counts, exhausted = tables.sample(
+            blocks.column_states(seeds), self._min, self._max
+        )
+        texts = tables.join(tokens, counts, self._max_chars)
+        # rows no attempt could bring to ``min`` words: the scalar path
+        # keeps the longest of its attempts
+        for offset in exhausted:
+            ctx.row = start + offset
+            ctx.rng.reseed_mixed(int(seeds.array[offset]))
+            texts[offset] = self.generate(ctx)
+        return columnar.StrColumn(texts, tables.charset)
 
     @property
     def chain(self) -> MarkovChain:

@@ -87,7 +87,10 @@ class DoubleGenerator(Generator):
 
     ``places`` rounds to fixed decimals (e.g. money columns extracted as
     DECIMAL(15,2) get ``places=2``); ``distribution`` may be ``uniform``
-    or ``normal`` (with ``mean``/``stddev`` from profiling).
+    or ``normal`` (with ``mean``/``stddev`` from profiling). Only
+    ``uniform`` has a block kernel: ``normal`` draws through ``math.log``
+    and ``math.cos``, which numpy does not reproduce bit for bit, so it
+    stays on the base per-row loop.
     """
 
     def bind(self, ctx: BindContext) -> None:
@@ -127,13 +130,7 @@ class DoubleGenerator(Generator):
         # evaluated elementwise — bit-identical doubles.
         values = self._min + blocks.to_doubles(outs) * (self._max - self._min)
         if self._places is not None:
-            # round() is correctly-rounded decimal rounding; numpy's
-            # round is not — keep the scalar call so output bytes match
-            # ``generate`` (float64 round-trips the list exactly).
-            places = self._places
-            values = blocks.as_float64(
-                [round(value, places) for value in values.tolist()]
-            )
+            values = columnar.round_places(values, self._places)
         return columnar.FloatColumn(values)
 
 

@@ -11,6 +11,8 @@ actually carries in the output.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
@@ -88,28 +90,33 @@ class DefaultReferenceGenerator(Generator):
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.ObjectColumn:
+    ) -> columnar.Column:
         _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         size = self._target_size
         if self._zipf is not None:
-            rows = [
-                (rank - 1) % size
-                for rank in self._zipf.sample_block(blocks.to_doubles(outs))
-            ]
+            # ranks stop at min(size, 10 000): ``% size`` is the identity
+            rows = self._zipf.rank_block(blocks.to_doubles(outs)) - 1
         else:
-            rows = blocks.bounded(outs, size)
+            rows = outs % np.uint64(size)
         if self._id_fastpath is not None:
             base, step = self._id_fastpath
-            if step == 1:
-                return columnar.ObjectColumn([base + row for row in rows])
-            return columnar.ObjectColumn([base + row * step for row in rows])
+            extremes = (base, step, base + (size - 1) * step)
+            if (columnar.INT64_MIN <= min(extremes)
+                    and max(extremes) <= columnar.INT64_MAX):
+                # every key fits, so wrapping int64 arithmetic is exact
+                # (as in ``columnar.int_column_from_u64``)
+                return columnar.IntColumn(base + rows.astype(np.int64) * step)
+            # beyond int64: keep arbitrary-precision ints
+            return columnar.ObjectColumn(
+                [base + row * step for row in rows.tolist()]
+            )
         # Non-id target: recompute each referenced cell via the engine
         # callback (vectorized row picks, per-cell recomputation).
         foreign = ctx.foreign
         table_name = self._table_name
         field_name = self._field_name
         return columnar.ObjectColumn(
-            [foreign(table_name, field_name, row) for row in rows]
+            [foreign(table_name, field_name, row) for row in rows.tolist()]
         )
 
     @property

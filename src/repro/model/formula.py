@@ -19,6 +19,9 @@ import operator
 import re
 from typing import Callable, Mapping
 
+import numpy as _np
+
+from repro.columnar import INT64_MAX
 from repro.exceptions import FormulaError
 
 PROPERTY_REF_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_.]*)\}")
@@ -74,7 +77,7 @@ class CompiledFormula:
     identifier-shaped environment keys are both supported.
     """
 
-    __slots__ = ("expression", "references", "_code", "_ident_of")
+    __slots__ = ("expression", "references", "_code", "_ident_of", "_tree")
 
     def __init__(self, expression: str) -> None:
         self.expression = expression
@@ -91,8 +94,9 @@ class CompiledFormula:
             raise FormulaError(f"cannot parse formula {expression!r}: {exc}") from exc
         _validate_node(tree)
         self._code = compile(tree, "<formula>", "eval")
+        self._tree = tree.body
 
-    def __call__(self, properties: Mapping[str, float] | None = None) -> float:
+    def _environment(self, properties: Mapping[str, object] | None) -> dict[str, object]:
         properties = properties or {}
         env: dict[str, object] = {}
         for name, ident in self._ident_of.items():
@@ -104,12 +108,40 @@ class CompiledFormula:
         for key, value in properties.items():
             if key not in self._ident_of:
                 env.setdefault(key, value)
+        return env
+
+    def __call__(self, properties: Mapping[str, float] | None = None) -> float:
+        env = self._environment(properties)
         try:
             return eval(self._code, _EVAL_GLOBALS, env)  # noqa: S307 - validated AST
         except NameError as exc:
             raise FormulaError(f"unknown name in formula {self.expression!r}: {exc}") from exc
         except (ZeroDivisionError, ValueError, TypeError, OverflowError) as exc:
             raise FormulaError(f"error evaluating {self.expression!r}: {exc}") from exc
+
+    def evaluate_arrays(self, properties: Mapping[str, object]):
+        """Evaluate once over whole columns: *properties* may bind names to
+        ``int64``/``float64`` numpy arrays (and to plain numbers).
+
+        Returns an ``int64`` or ``float64`` array holding exactly what
+        calling the formula once per element would — or ``None`` whenever
+        that cannot be proven, and the caller evaluates per element (which
+        also raises the canonical :class:`FormulaError`). Proven means:
+        only ``+ - * / // %`` and unary signs (numpy's are IEEE-754 and
+        floor semantics, like Python's; function calls and ``**`` are
+        not attempted), no integer intermediate that could leave int64
+        (:func:`_int_magnitude`), and no numpy floating-point error flag.
+        """
+        try:
+            env = self._environment(properties)
+            _int_magnitude(self._tree, env)
+            with _np.errstate(all="raise"):
+                result = eval(self._code, _EVAL_GLOBALS, env)  # noqa: S307 - validated AST
+        except (_NotExact, FormulaError, NameError, ArithmeticError, ValueError, TypeError):
+            return None
+        if isinstance(result, _np.ndarray) and result.dtype in (_np.int64, _np.float64):
+            return result
+        return None
 
 
 _EVAL_GLOBALS = {"__builtins__": {}, **_FUNCTIONS}
@@ -149,6 +181,66 @@ def _validate_node(node: ast.AST) -> None:
             raise FormulaError(
                 f"syntax element {type(child).__name__} not allowed"
             )
+
+
+class _NotExact(Exception):
+    """Array evaluation would not provably equal per-element evaluation."""
+
+
+_EXACT_FLOAT_INT = 2**53  # every integer below converts to float exactly
+
+
+def _int_magnitude(node: ast.AST, env: Mapping[str, object]) -> int | None:
+    """An upper bound of ``|value|`` when *node* is integer-valued, ``None``
+    when it is float-valued; raises :class:`_NotExact` where int64 array
+    arithmetic could differ from Python's unbounded ints.
+
+    Float-valued nodes need no bound: numpy and Python run the same
+    double arithmetic, and int operands convert to double the same way.
+    """
+    if isinstance(node, ast.Constant):
+        bound = abs(node.value) if isinstance(node.value, int) else None
+    elif isinstance(node, ast.Name):
+        value = env.get(node.id)
+        if isinstance(value, _np.ndarray) and value.dtype == _np.int64:
+            bound = max(abs(int(value.min())), abs(int(value.max()))) if value.size else 0
+        elif isinstance(value, _np.ndarray) and value.dtype == _np.float64:
+            bound = None
+        elif type(value) is int:
+            bound = abs(value)
+        elif type(value) is float:
+            bound = None
+        else:
+            raise _NotExact
+    elif isinstance(node, ast.UnaryOp):
+        bound = _int_magnitude(node.operand, env)
+    elif isinstance(node, ast.BinOp):
+        left = _int_magnitude(node.left, env)
+        right = _int_magnitude(node.right, env)
+        op = type(node.op)
+        if op is ast.Pow:
+            raise _NotExact  # numpy's power is not Python's for every operand
+        if left is None or right is None:
+            bound = None
+        elif op is ast.Div:
+            # int / int is correctly rounded in Python; the double
+            # quotient only matches while both convert exactly
+            if left >= _EXACT_FLOAT_INT or right >= _EXACT_FLOAT_INT:
+                raise _NotExact
+            bound = None
+        elif op is ast.Mult:
+            bound = left * right
+        elif op is ast.FloorDiv:
+            bound = left  # |a // b| <= |a| for any integer b != 0
+        elif op is ast.Mod:
+            bound = right  # |a % b| < |b|
+        else:  # Add, Sub
+            bound = left + right
+    else:
+        raise _NotExact  # function calls
+    if bound is not None and bound > INT64_MAX:
+        raise _NotExact
+    return bound
 
 
 _COMPILE_CACHE: dict[str, CompiledFormula] = {}

@@ -117,11 +117,6 @@ def bounded(outputs, bound: int):
     return (outputs % _np.uint64(bound)).tolist()
 
 
-def as_float64(values: list[float]):
-    """A float64 array from a Python float list (exact round-trip)."""
-    return _np.asarray(values, dtype=_np.float64)
-
-
 def _splitmix_output(state):
     """The SplitMix64 output function over a block of advanced states.
 

@@ -98,8 +98,8 @@ class Zipf:
         u = rng.next_double()
         return bisect.bisect_left(self._cdf, u) + 1
 
-    def sample_block(self, us) -> list[int]:
-        """Ranks for a block of uniform doubles, as Python ints.
+    def rank_block(self, us):
+        """Ranks for a block of uniform doubles, as an int64 array.
 
         ``searchsorted(..., side="left")`` over the same float CDF is the
         elementwise equivalent of :meth:`sample`'s ``bisect_left``.
@@ -107,7 +107,11 @@ class Zipf:
         cdf = self._cdf_array
         if cdf is None:
             cdf = self._cdf_array = _np.asarray(self._cdf)
-        return (_np.searchsorted(cdf, us, side="left") + 1).tolist()
+        return _np.searchsorted(cdf, us, side="left").astype(_np.int64) + 1
+
+    def sample_block(self, us) -> list[int]:
+        """:meth:`rank_block` as Python ints."""
+        return self.rank_block(us).tolist()
 
 
 def pareto(rng: RandomSource, shape: float, scale: float = 1.0) -> float:
@@ -156,6 +160,11 @@ class Categorical:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @property
+    def cdf(self) -> list[float]:
+        """The cumulative weights :meth:`sample` bisects, one per value."""
+        return self._cdf
 
     def sample(self, rng: RandomSource) -> object:
         u = rng.next_double()

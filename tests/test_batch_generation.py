@@ -14,13 +14,14 @@ suites are compared writer-for-writer on both scheduler backends.
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
 from repro import columnar
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
-from repro.generators.base import ArtifactStore
+from repro.generators.base import ArtifactStore, _KERNEL_MIN_ROWS
 from repro.generators.registry import _REGISTRY, known_generators
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.config import OutputConfig
@@ -31,6 +32,8 @@ from repro.suites.ssb import ssb_engine
 from repro.suites.tpch import tpch_engine  # also registers TpchPsSuppkeyGenerator
 from repro.text.markov import train_chain
 
+#: above the generators' small-block constant, so whole-table blocks
+#: (and the 38-row cut below) run the array kernels, not the per-row loop
 WIDE_ROWS = 96
 
 
@@ -133,15 +136,52 @@ def kitchen_sink_schema() -> tuple[Schema, ArtifactStore]:
         Field.of("w_form", "DOUBLE", GeneratorSpec(
             "FormulaGenerator", {"formula": "[w_long] * 2 + 1", "places": 1}
         )),
+        Field.of("w_form_int", "BIGINT", GeneratorSpec(
+            "FormulaGenerator",
+            {"formula": "([w_long] // 7) % 13 - [w_double] / 3", "as_int": True},
+        )),
+        Field.of("w_form_fn", "DOUBLE", GeneratorSpec(
+            "FormulaGenerator",
+            {"formula": "min([w_long], 900) + round([w_double], 1) ** 2"},
+        )),
+        Field.of("w_form_fwd", "DOUBLE", GeneratorSpec(
+            "FormulaGenerator", {"formula": "[w_ref] * 0.25", "places": 2}
+        )),
+        Field.of("w_rowf_mod", "INTEGER", GeneratorSpec(
+            "RowFormulaGenerator", {"formula": "-(row % 7) + 1"}
+        )),
+        Field.of("w_rowf_float", "DOUBLE", GeneratorSpec(
+            "RowFormulaGenerator", {"formula": "row * 0.1 + 1 / 8", "as_int": False}
+        )),
+        Field.of("w_rowf_trunc", "INTEGER", GeneratorSpec(
+            "RowFormulaGenerator", {"formula": "(row - 40) / 3"}
+        )),
         Field.of("w_markov", "VARCHAR(120)", GeneratorSpec(
             "MarkovChainGenerator", {"model": "markov:test", "min": 2, "max": 5}
         )),
+        Field.of("w_markov_clip", "VARCHAR(12)", GeneratorSpec(
+            "MarkovChainGenerator", {"model": "markov:test", "min": 3, "max": 9}
+        )),
+        *(
+            Field.of(f"w_markov_null{index}", "VARCHAR(40)", GeneratorSpec(
+                "NullGenerator", {"probability": probability},
+                [GeneratorSpec(
+                    "MarkovChainGenerator",
+                    {"model": "markov:test", "min": 4, "max": 7},
+                )],
+            ))
+            for index, probability in enumerate((0.0, 0.3, 1.0))
+        ),
         Field.of("w_ref", "BIGINT", GeneratorSpec(
             "DefaultReferenceGenerator", {"table": "supplier", "field": "s_id"}
         )),
         Field.of("w_ref_zipf", "VARCHAR(30)", GeneratorSpec(
             "DefaultReferenceGenerator",
             {"table": "supplier", "field": "s_city", "distribution": "zipf"},
+        )),
+        Field.of("w_ref_zipf_id", "BIGINT", GeneratorSpec(
+            "DefaultReferenceGenerator",
+            {"table": "supplier", "field": "s_id", "distribution": "zipf"},
         )),
         Field.of("w_suppkey", "BIGINT", GeneratorSpec("TpchPsSuppkeyGenerator")),
     ]))
@@ -284,6 +324,31 @@ class TestKitchenSinkEquivalence:
         reference = sink_engine.generate_rows("wide")
         for block_size in (1, 7, 64, 1024):
             assert list(sink_engine.iter_rows("wide", block_size=block_size)) == reference
+
+    def test_random_cuts(self, sink_engine):
+        rng = random.Random(20150604)
+        reference = _rowwise(sink_engine, "wide", 0, WIDE_ROWS)
+        for _ in range(25):
+            start = rng.randrange(WIDE_ROWS)
+            stop = rng.randrange(start + 1, WIDE_ROWS + 1)
+            assert sink_engine.generate_rows("wide", start, stop) == reference[start:stop]
+
+    def test_array_kernels_are_hit(self, sink_engine):
+        # The equivalence tests above prove nothing about a kernel that
+        # silently fell back to the per-row loop: pin the column kinds.
+        assert WIDE_ROWS >= _KERNEL_MIN_ROWS
+        block = sink_engine.generate_columns("wide")
+        kinds = dict(zip(block.names, (column.kind for column in block.columns)))
+        expected = {
+            "w_rowf": "int", "w_rowf_mod": "int", "w_rowf_float": "float",
+            "w_rowf_trunc": "int", "w_form": "float", "w_form_int": "int",
+            "w_form_fn": "object", "w_form_fwd": "object", "w_double": "float",
+            "w_markov": "str", "w_markov_clip": "str", "w_markov_null0": "str",
+            "w_markov_null1": "str", "w_markov_null2": "object",
+            "w_ref": "int", "w_ref_zipf_id": "int", "w_ref_zipf": "object",
+        }
+        assert {name: kinds[name] for name in expected} == expected
+        assert block.columns[block.names.index("w_markov_null1")].nulls.any()
 
     def test_wrong_block_length_raises(self, sink_engine):
         bound = sink_engine.bound_table("supplier")
