@@ -34,7 +34,7 @@ def simulated_cluster(schema, artifacts, nodes: int, repetitions: int = 3):
     deterministic and the max is extremely sensitive to one noisy node,
     so each node contributes its best time across *repetitions*."""
     from repro.output.config import OutputConfig
-    from repro.scheduler import ClusterReport, NodeReport, run_node
+    from repro.scheduler import NodeReport, RunReport, run_node
 
     best: dict[int, NodeReport] = {}
     for _ in range(repetitions):
@@ -42,7 +42,13 @@ def simulated_cluster(schema, artifacts, nodes: int, repetitions: int = 3):
             run = run_node(schema, nodes, node, OutputConfig(kind="null"), artifacts)
             if node not in best or run.seconds < best[node].seconds:
                 best[node] = NodeReport(node, run.rows, run.bytes_written, run.seconds)
-    return ClusterReport(list(best.values()))
+    shares = tuple(best.values())
+    return RunReport(
+        rows=sum(share.rows for share in shares),
+        bytes_written=sum(share.bytes_written for share in shares),
+        seconds=max(share.seconds for share in shares),
+        workers=nodes, backend="cluster", nodes=shares,
+    )
 
 
 def record(figure: str, row: tuple) -> None:

@@ -50,6 +50,10 @@ def main() -> None:
           f"(makespan {cluster.seconds:.3f}s, {cluster.steals} steals)")
     for node in cluster.nodes:
         print(f"    node {node.node}: {node.rows:,} rows in {node.seconds:.3f}s")
+    # the same RunReport a single-node run returns: per-table breakdown too
+    largest = max(cluster.tables, key=lambda table: table.rows)
+    print(f"    largest table: {largest.name}, {largest.rows:,} rows, "
+          f"{largest.bytes_written / 1048576:.2f} MiB")
 
     # Static node shares need no runtime at all: run each in isolation
     # and the outputs concatenate to exactly the single-node data set.

@@ -70,7 +70,6 @@ from repro import obs
 from repro import resilience
 from repro.resilience import RetryPolicy, RunManifest
 from repro.scheduler import (
-    ClusterReport,
     ClusterScheduler,
     ProgressMonitor,
     RunReport,
@@ -80,7 +79,7 @@ from repro.scheduler import (
 )
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Dataset",
@@ -116,7 +115,6 @@ __all__ = [
     "Schema",
     "Table",
     "OutputConfig",
-    "ClusterReport",
     "ClusterScheduler",
     "ProgressMonitor",
     "RunReport",

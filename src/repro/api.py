@@ -39,7 +39,7 @@ from repro.exceptions import GenerationError, OutputError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Schema
 from repro.output.config import OutputConfig
-from repro.output.formats import format_package, format_spec
+from repro.output.formats import format_package, format_spec, table_frame
 from repro.resilience.checkpoint import schema_fingerprint
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage
 
@@ -294,20 +294,15 @@ class Dataset:
                 "parquet files, format='arrow' streams columns"
             )
         start, stop = self._resolve_range(table, start, stop)
-        size = self.engine.sizes[table]
-        probe = output.new_writer(table, self.columns(table))
-        if start == 0:
-            header = probe.header()
-            if header:
-                yield header.encode("utf-8") if not spec.binary else header
+        header, footer = table_frame(output, self.engine, table)
+        if start == 0 and header:
+            yield header.encode("utf-8") if not spec.binary else header
         for package in self._covering_packages(table, start, stop, spec):
             chunk, _ = format_package(self.engine, output, package)
             if chunk:
                 yield chunk.encode("utf-8") if not spec.binary else chunk
-        if stop == size:
-            footer = probe.footer()
-            if footer:
-                yield footer.encode("utf-8") if not spec.binary else footer
+        if stop == self.engine.sizes[table] and footer:
+            yield footer.encode("utf-8") if not spec.binary else footer
 
     # -- internals --------------------------------------------------------
 

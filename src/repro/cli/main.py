@@ -237,7 +237,7 @@ _SINGLE_NODE_ONLY_FLAGS = (
 )
 
 
-def _generate_cluster(args: argparse.Namespace, engine, output) -> int:
+def _generate_cluster(args: argparse.Namespace, engine, output):
     """Multi-node generation on the cluster runtime: one process per
     node, parent-side work stealing, per-node parts merged into files
     byte-identical to a single-node run."""
@@ -250,35 +250,58 @@ def _generate_cluster(args: argparse.Namespace, engine, output) -> int:
                 "--distributed): each node generates its shard sequentially "
                 "and dead shards are reassigned live, not resumed across runs"
             )
-    report = ClusterScheduler(
+    return ClusterScheduler(
         engine.schema,
         engine.artifacts,
         output=output,
         checkpoint=args.checkpoint,
         steal=not args.no_steal,
     ).run(args.nodes)
+
+
+def _print_report(report, quiet: bool) -> None:
+    """The run summary, one shape for every runtime."""
+    cluster = report.backend == "cluster"
+    pool = "distributed nodes" if cluster else f"{report.backend} workers"
     print(
         f"{report.rows:,} rows, {report.bytes_written / 1048576:.2f} MiB "
         f"in {report.seconds:.2f} s ({report.mb_per_second:.2f} MB/s, "
-        f"{len(report.nodes)} distributed nodes)"
+        f"{report.workers} {pool})"
     )
-    print(f"steals: {report.steals} ({report.stolen_rows:,} rows reassigned)")
+    if cluster:
+        print(f"steals: {report.steals} ({report.stolen_rows:,} rows reassigned)")
     if report.node_failures:
         print(
             f"recovered: {report.node_failures} dead nodes, "
             f"{report.reassigned_ranges} ranges reassigned"
         )
-    if not args.quiet:
-        for node in report.nodes:
-            line = (
-                f"  node{node.node:<4} {node.rows:>12,} rows "
-                f"{node.bytes_written / 1048576:>9.2f} MiB "
-                f"({node.seconds:.2f} s)"
-            )
-            if node.steals_taken or node.steals_yielded:
-                line += f" steals +{node.steals_taken}/-{node.steals_yielded}"
-            print(line)
-    return 0
+    if report.resumed_packages:
+        print(f"resumed: {report.resumed_packages} checkpointed packages skipped")
+    if report.retries:
+        print(f"retries: {report.retries} sink writes recovered")
+    if report.worker_restarts:
+        print(
+            f"recovered: {report.worker_restarts} crashed workers replaced, "
+            f"{report.requeued_packages} packages requeued"
+        )
+    if quiet:
+        return
+    for table in report.tables:
+        print(
+            f"  {table.name:<16} {table.rows:>12,} rows "
+            f"{table.bytes_written / 1048576:>9.2f} MiB "
+            f"{table.mb_per_second:>8.2f} MB/s "
+            f"({table.seconds:.2f} s)"
+        )
+    for node in report.nodes:
+        line = (
+            f"  node{node.node:<4} {node.rows:>12,} rows "
+            f"{node.bytes_written / 1048576:>9.2f} MiB "
+            f"({node.seconds:.2f} s)"
+        )
+        if node.steals_taken or node.steals_yielded:
+            line += f" steals +{node.steals_taken}/-{node.steals_yielded}"
+        print(line)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -298,7 +321,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             include_header=args.header,
         )
         if args.distributed or args.nodes > 1:
-            return _generate_cluster(args, engine, output)
+            _print_report(_generate_cluster(args, engine, output), args.quiet)
+            return 0
         if args.kind == "sqlite":
             # The SQL stream needs the target schema in place first.
             with SQLiteAdapter(output.database) as target:
@@ -341,28 +365,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
         if not args.quiet:
             print(file=sys.stderr)
-        print(
-            f"{report.rows:,} rows, {report.bytes_written / 1048576:.2f} MiB "
-            f"in {report.seconds:.2f} s ({report.mb_per_second:.2f} MB/s, "
-            f"{args.workers} {report.backend} workers)"
-        )
-        if report.resumed_packages:
-            print(f"resumed: {report.resumed_packages} checkpointed packages skipped")
-        if report.retries:
-            print(f"retries: {report.retries} sink writes recovered")
-        if report.worker_restarts:
-            print(
-                f"recovered: {report.worker_restarts} crashed workers replaced, "
-                f"{report.requeued_packages} packages requeued"
-            )
-        if not args.quiet:
-            for table in report.tables:
-                print(
-                    f"  {table.name:<16} {table.rows:>12,} rows "
-                    f"{table.bytes_written / 1048576:>9.2f} MiB "
-                    f"{table.mb_per_second:>8.2f} MB/s "
-                    f"({table.seconds:.2f} s)"
-                )
+        _print_report(report, args.quiet)
         return 0
     finally:
         _telemetry_end(args, tracer, registry, profiler, server)

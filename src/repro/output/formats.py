@@ -21,9 +21,11 @@ A spec records everything format-generic code needs to know:
 * ``requires_pyarrow`` — gate on the optional extra with a clear error.
 
 :func:`format_package` lives here too: the one generate+format code
-path for a work package, shared by the scheduler's thread and process
-workers, ``Dataset.slice``, and the serve subsystem — which is what
-makes a served slice byte-identical to the batch run's output.
+path for a work package, shared by every scheduler runtime (through
+:func:`repro.scheduler.executor.run_package`), ``Dataset.slice``, and
+the serve subsystem — which is what makes a served slice byte-identical
+to the batch run's output; :func:`table_frame` is its counterpart for
+the header and footer around the packages.
 """
 
 from __future__ import annotations
@@ -169,16 +171,16 @@ register_format(FormatSpec(
 def format_package(engine, output, package, *, first: bool | None = None):
     """Generate and format one work package — the shared worker body.
 
-    The scheduler's thread workers, its process workers,
-    ``Dataset.slice``, and the serve subsystem all produce chunks
-    through this one path, so the same ``(model, output config,
-    package)`` triple yields the same bytes wherever it is computed.
+    Every scheduler runtime, ``Dataset.slice``, and the serve subsystem
+    produce chunks through this one path, so the same ``(model, output
+    config, package)`` triple yields the same bytes wherever it is
+    computed.
     ``first`` defaults to ``package.sequence == 0`` — binary writers
     emit stream framing (the Arrow schema message) exactly once, in the
     first package's chunk.
 
-    Returns ``(chunk, writer)``; callers read formatter cache stats and
-    header/footer text off the writer.
+    Returns ``(chunk, writer)``; callers read formatter cache stats off
+    the writer.
     """
     if first is None:
         first = package.sequence == 0
@@ -190,3 +192,21 @@ def format_package(engine, output, package, *, first: bool | None = None):
     with span("package.format", table=package.table):
         chunk = writer.write_block(block, first=first)
     return chunk, writer
+
+
+def table_frame(output, engine, table: str):
+    """``(header, footer)`` of one table's output — what surrounds the
+    package stream, empty when the format has none. The one place a
+    probe writer is asked for them, so the batch schedulers, the cluster
+    merge and ``Dataset.stream`` cannot frame a table differently."""
+    probe = output.new_writer(table, engine.bound_table(table).column_names)
+    return probe.header(), probe.footer()
+
+
+def encoded_size(chunk) -> int:
+    """Bytes *chunk* occupies in an output file: its length for
+    ``bytes`` and for ASCII text (``str.isascii`` reads a flag, it does
+    not scan), the UTF-8 length otherwise."""
+    if isinstance(chunk, bytes) or chunk.isascii():
+        return len(chunk)
+    return len(chunk.encode("utf-8"))

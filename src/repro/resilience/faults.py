@@ -92,11 +92,6 @@ class FaultPlan:
             return False
         return self._arm_once(f"kill-{table}-{sequence}.latch")
 
-    def maybe_kill_worker(self, table: str, sequence: int) -> None:
-        """Called by the worker loop per package; dies if armed."""
-        if self.should_kill_worker(table, sequence):
-            os._exit(self.kill_exit_code)
-
     def should_kill_node(self, table: str, start: int) -> bool:
         """Whether the cluster node picking up the package that begins
         at absolute row ``start`` of ``table`` must die.
@@ -231,11 +226,8 @@ class FaultInjectingOutput:
              self._fail_every),
         )
 
-    def new_sink(self, table: str, resume_at: int | None = None):
-        if resume_at is None:
-            sink = self._inner.new_sink(table)
-        else:
-            sink = self._inner.new_sink(table, resume_at=resume_at)
+    def new_sink(self, table: str, **resume):
+        sink = self._inner.new_sink(table, **resume)
         if self._fail_every:
             sink = FlakySink(sink, self._fail_every)
         if self._crash_after:

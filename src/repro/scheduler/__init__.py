@@ -1,12 +1,14 @@
 """Scheduling: work packages, the single-node thread/process scheduler,
-and the multi-node cluster runtime — the last two on one executor-process
-core (:mod:`repro.scheduler.executor`)."""
+and the multi-node cluster runtime — three dispatch policies over one
+package body, one accounting and one :class:`RunReport`
+(:mod:`repro.scheduler.executor`, :mod:`repro.scheduler.scheduler`)."""
 
-from repro.scheduler.cluster import ClusterReport, ClusterScheduler, NodeReport
+from repro.scheduler.cluster import ClusterScheduler
 from repro.scheduler.progress import ProgressMonitor, ProgressSnapshot
 from repro.scheduler.scheduler import (
     BACKENDS,
     DEFAULT_INFLIGHT_EXTRA,
+    NodeReport,
     RunReport,
     Scheduler,
     TableReport,
@@ -26,7 +28,6 @@ from repro.scheduler.work import (
 __all__ = [
     "BACKENDS",
     "DEFAULT_INFLIGHT_EXTRA",
-    "ClusterReport",
     "ClusterScheduler",
     "NodeReport",
     "node_ranges",

@@ -21,13 +21,17 @@ row-range bookkeeping, never data, and all of it lives in the parent:
   left — the same regenerate-the-tail recovery the single-node
   checkpoint machinery uses, at node granularity.
 
-A node is the process-pool worker body with a local sink: receive a
-package, generate and format it, append it to the open *part file* (a
-new part whenever the package does not continue the previous one),
-journal it into its own ``node<i>/`` checkpoint manifest, report. The
-report follows the journal, so the parent's ledger is always a prefix of
-durable state. Process bootstrap, telemetry shipping, liveness and
-shutdown are the shared :mod:`repro.scheduler.executor` core.
+A node is the process-pool worker with a local sink: receive a package,
+run it through the same :func:`~repro.scheduler.executor.run_package`,
+append the chunk to the open *part file* (a new part whenever the
+package does not continue the previous one), journal it into its own
+``node<i>/`` checkpoint manifest, report. The report follows the
+journal, so the parent's ledger is always a prefix of durable state.
+Process bootstrap, telemetry shipping, liveness and shutdown are the
+shared :mod:`repro.scheduler.executor` core; the parent counts every
+reported package in the same
+:class:`~repro.scheduler.scheduler.RunAccounting` a single-node run
+uses and returns the same :class:`~repro.scheduler.scheduler.RunReport`.
 
 The parent merges parts in row order (header + parts + footer) into the
 exact bytes a single-node run writes. Text chunks depend only on their
@@ -50,14 +54,19 @@ from repro.engine import GenerationEngine
 from repro.exceptions import SchedulingError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Schema
-from repro.obs import active_metrics, span, throughput_mb_per_s
+from repro.obs import span
 from repro.output.config import OutputConfig
-from repro.output.formats import format_package, format_spec
+from repro.output.formats import format_spec, table_frame
 from repro.output.sinks import FileSink, NullSink
 from repro.resilience.checkpoint import CheckpointWriter, model_fingerprint
 from repro.resilience.faults import FaultPlan
-from repro.scheduler.executor import ExecutorPool, ExecutorSlot, die
-from repro.scheduler.scheduler import TableInstruments, node_checkpoint_dir
+from repro.scheduler.executor import ExecutorPool, ExecutorSlot, die, run_package
+from repro.scheduler.scheduler import (
+    NodeReport,
+    RunAccounting,
+    RunReport,
+    node_checkpoint_dir,
+)
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage, plan_shards
 
 #: where nodes write their part files, under the output directory.
@@ -74,82 +83,19 @@ CLUSTER_SINK_KINDS = ("file", "null")
 NODE_LOOKAHEAD = 2
 
 
-@dataclass(frozen=True)
-class NodeReport:
-    """Result of one node's part of a multi-node run.
-
-    ``telemetry`` is the node's final exported collectors (span payload,
-    metric deltas, folded profile counts) when the parent had collectors
-    active, else ``None``. ``steals_taken``/``steals_yielded`` count the
-    ranges this node received from, or gave up to, another node.
-    """
-
-    node: int
-    rows: int
-    bytes_written: int
-    seconds: float
-    telemetry: dict | None = None
-    steals_taken: int = 0
-    steals_yielded: int = 0
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """Aggregated outcome of a multi-node run.
-
-    ``seconds`` is the cluster's makespan — the measured wall-clock of
-    the whole run (``makespan``), never less than the slowest node's own
-    timer; throughput uses it the way the paper's Figure 4 does. A
-    report composed by hand from independent :func:`run_node` shares
-    leaves ``makespan`` at 0 and falls back to the slowest node.
-
-    Runs of the cluster runtime additionally report the
-    elastic-scheduling counters — ``steals``/``stolen_rows`` for
-    work-stealing moves, ``node_failures`` and ``reassigned_ranges`` for
-    dead-node recovery — and ``frame_bytes``, the header/footer bytes
-    the parent merge adds around the nodes' rows.
-    """
-
-    nodes: list[NodeReport]
-    makespan: float = 0.0
-    steals: int = 0
-    stolen_rows: int = 0
-    node_failures: int = 0
-    reassigned_ranges: int = 0
-    frame_bytes: int = 0
-
-    @property
-    def rows(self) -> int:
-        return sum(n.rows for n in self.nodes)
-
-    @property
-    def bytes_written(self) -> int:
-        return self.frame_bytes + sum(n.bytes_written for n in self.nodes)
-
-    @property
-    def seconds(self) -> float:
-        slowest = max((n.seconds for n in self.nodes), default=0.0)
-        return max(self.makespan, slowest)
-
-    @property
-    def mb_per_second(self) -> float:
-        return throughput_mb_per_s(self.bytes_written, self.seconds)
-
-
-def part_path(part_dir: str, table: str, start: int, extension: str) -> str:
+def part_path(output: OutputConfig, table: str, start: int) -> str:
     """Deterministic part-file path for the extent of *table* starting
-    at absolute row *start*.
+    at absolute row *start*: a table file of the parts directory, named
+    by the same rule as the final one.
 
     Both sides compute it independently — node processes open the sink,
     the parent truncates and merges without asking. Keyed by start row
     so a reassigned tail (which begins at the dead node's durable
     boundary) never collides with the dead node's own part.
     """
-    return os.path.join(part_dir, f"{table}.part{start:012d}{extension}")
-
-
-def _output_extension(output: OutputConfig) -> str:
-    return output.extension or format_spec(output.format).extension
+    return output.table_path(
+        os.path.join(PARTS_DIRNAME, f"{table}.part{start:012d}")
+    )
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +307,6 @@ class _NodeConfig:
     artifacts: ArtifactStore | None
     output: OutputConfig
     package_size: int
-    part_dir: str | None
     checkpoint: str | None
     faults: FaultPlan | None
 
@@ -392,7 +337,6 @@ def _cluster_node(node, tasks, results, telemetry, config: _NodeConfig):
     """Process body of one cluster node (see the module docstring)."""
     engine = GenerationEngine(config.schema, config.artifacts)
     output = config.output
-    extension = _output_extension(output)
     faults = config.faults
     delay = faults.node_delay(node) if faults is not None else 0.0
     journal = None
@@ -423,42 +367,34 @@ def _cluster_node(node, tasks, results, telemetry, config: _NodeConfig):
                 if part is not None:
                     part.close()
                 path = None
-                if config.part_dir is not None:
-                    path = part_path(config.part_dir, table, start, extension)
+                if output.kind == "file":
+                    path = part_path(output, table, start)
                 part = _OpenPart(path, extent)
-            began = time.perf_counter()
             sequence = sequences.get(table, 0)
             sequences[table] = sequence + 1
             package = WorkPackage(table, start, stop, sequence)
-            with span(
-                "scheduler.package", table=table, sequence=sequence,
-                rows=package.rows, start=start, attempt=1,
-            ) as package_span:
-                # first= keys binary stream framing off absolute position;
-                # text formats ignore it, but keeping the single-node rule
-                # (exactly one "first" chunk, at row 0) costs nothing.
-                chunk, _writer = format_package(
-                    engine, output, package, first=start == 0
-                )
-                package_span.set(bytes=len(chunk))
-            part.sink.write(chunk)
+            # first= keys binary stream framing off absolute position;
+            # text formats ignore it, but keeping the single-node rule
+            # (exactly one "first" chunk, at row 0) costs nothing.
+            result = run_package(
+                engine, output, package, attempt=1, first=start == 0, start=start
+            )
+            part.sink.write(result.chunk)
             if delay:
                 time.sleep(delay)
             if journal is not None:
                 # flushes the sink first: a journaled package is durable,
                 # so the report below never overstates the part file.
-                journal.record_package(package, chunk, part.sink)
+                journal.record_package(package, result.chunk, part.sink)
             else:
                 part.sink.flush()
-            size = len(chunk.encode("utf-8"))
-            del chunk  # or it stays alive while the next package is formatted
             part.stop = stop
             part.rows += package.rows
-            part.bytes += size
-            results.put((
-                "package", node, (table, start),
-                (size, time.perf_counter() - began), None,
-            ))
+            part.bytes += result.nbytes
+            # the chunk stays here; dropping it now also keeps it from
+            # staying alive while the next package is formatted
+            result = result._replace(chunk=None)
+            results.put(("package", node, (table, start), result, None))
         if part is not None:
             part.close()
     if journal is not None:
@@ -518,18 +454,18 @@ class ClusterScheduler:
                 "use a text format, or a single-node run for binary output"
             )
 
-    def run(self, nodes: int) -> ClusterReport:
+    def run(self, nodes: int) -> RunReport:
         if nodes < 1:
             raise SchedulingError(f"node count must be >= 1, got {nodes}")
         started = time.perf_counter()
         with span("meta.run", nodes=nodes) as meta_span:
             run = _ClusterRun(self, nodes, getattr(meta_span, "span_id", None))
             run.drive()
-            makespan = time.perf_counter() - started
-            frame_bytes = run.assemble()
+            run.assemble()
         ledger = run.ledger
-        return ClusterReport(
-            [
+        return run.accounting.report(
+            time.perf_counter() - started, nodes, "cluster",
+            nodes=tuple(
                 NodeReport(
                     node, shard.rows, shard.bytes,
                     (shard.slot.report or {}).get("seconds", 0.0),
@@ -538,10 +474,9 @@ class ClusterScheduler:
                     steals_yielded=shard.steals_yielded,
                 )
                 for node, shard in sorted(ledger.shards.items())
-            ],
-            makespan=makespan, steals=ledger.steals, stolen_rows=ledger.stolen_rows,
+            ),
+            steals=ledger.steals, stolen_rows=ledger.stolen_rows,
             node_failures=run.failures, reassigned_ranges=run.reassigned,
-            frame_bytes=frame_bytes,
         )
 
 
@@ -564,8 +499,7 @@ class _ClusterRun(ExecutorPool):
             _cluster_node,
             (_NodeConfig(
                 nodes, scheduler.schema, scheduler.artifacts, output,
-                scheduler.package_size, self.part_dir, scheduler.checkpoint,
-                scheduler.faults,
+                scheduler.package_size, scheduler.checkpoint, scheduler.faults,
             ),),
             parent_span_id=meta_span_id, faults=scheduler.faults, tag="node",
         )
@@ -576,14 +510,8 @@ class _ClusterRun(ExecutorPool):
             self.failure_limit = max(2, nodes)
         self.failures = 0
         self.reassigned = 0
-        self._extension = _output_extension(output)
         self.ledger = ShardLedger(scheduler.package_size)
-        registry = active_metrics()
-        self.instruments = {} if registry is None else {
-            table: (TableInstruments(registry, table),
-                    len(self.engine.bound_table(table).column_names))
-            for table in self.engine.sizes
-        }
+        self.accounting = RunAccounting(self.engine, list(self.engine.sizes))
         for shard in plan_shards(self.engine.sizes, nodes):
             self.ledger.assign(self._spawn_node().ident, shard, "shard", None)
 
@@ -609,13 +537,8 @@ class _ClusterRun(ExecutorPool):
                 self.send(slot, package.key, package)
 
     def complete(self, slot, package, result) -> None:
-        nbytes, seconds = result
-        self.ledger.complete(slot.ident, package, nbytes)
-        if self.instruments:
-            instrument, columns = self.instruments[package.table]
-            instrument.record_package(
-                package.rows, nbytes, seconds, 0, 0, columns
-            )
+        self.ledger.complete(slot.ident, package, result.nbytes)
+        self.accounting.package(package.table, package.rows, result)
 
     def recover(self, slot, lost) -> None:
         self.failures += 1
@@ -644,42 +567,38 @@ class _ClusterRun(ExecutorPool):
             # reopening at an offset truncates to it, and refuses a file
             # shorter than what was reported durable
             FileSink(
-                part_path(self.part_dir, part.table, part.start, self._extension),
+                part_path(self.output, part.table, part.start),
                 resume_at=part.bytes,
             ).close()
         known = {(part.table, part.start) for part in parts}
         for package in lost:
             # a part the node opened for a package it never reported: the
             # reassigned range starts at the same row and recreates it.
-            path = part_path(self.part_dir, *package.key, self._extension)
+            path = part_path(self.output, *package.key)
             if package.key not in known and os.path.exists(path):
                 os.remove(path)
 
     # -- output assembly -----------------------------------------------------
 
-    def assemble(self) -> int:
+    def assemble(self) -> None:
         """Verify the ledger covers every table exactly once and, for
         file output, assemble the final per-table files byte-identical
-        to a single-node run: header, parts in row order, footer. Returns
-        the header/footer bytes, which no node counted."""
-        frame_bytes = 0
+        to a single-node run: header, parts in row order, footer. The
+        header/footer bytes, which no node counted, are credited here."""
         with span("meta.merge", tables=len(self.engine.sizes)):
             for table, size in self.engine.sizes.items():
                 parts = self.ledger.parts(table, size)
-                writer = self.output.new_writer(
-                    table, self.engine.bound_table(table).column_names
+                header, footer = (
+                    text.encode("utf-8")
+                    for text in table_frame(self.output, self.engine, table)
                 )
-                header = (writer.header() or "").encode("utf-8")
-                footer = (writer.footer() or "").encode("utf-8")
-                frame_bytes += len(header) + len(footer)
+                self.accounting.frame(table, len(header) + len(footer))
                 if self.part_dir is None:
                     continue
                 with open(self.output.table_path(table), "wb") as out:
                     out.write(header)
                     for part in parts:
-                        path = part_path(
-                            self.part_dir, table, part.start, self._extension
-                        )
+                        path = part_path(self.output, table, part.start)
                         actual = os.path.getsize(path)
                         if actual != part.bytes:
                             raise SchedulingError(
@@ -692,4 +611,3 @@ class _ClusterRun(ExecutorPool):
                     out.write(footer)
         if self.part_dir is not None:
             shutil.rmtree(self.part_dir, ignore_errors=True)
-        return frame_bytes

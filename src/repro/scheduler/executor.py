@@ -1,4 +1,10 @@
-"""Executor processes: the core the process pool and the cluster share.
+"""The package body every runtime runs, and the executor-process core
+the process pool and the cluster share.
+
+:func:`run_package` is the worker loop's one body — generate a work
+package, format it, measure it — called by the in-process worker, the
+pool worker and the cluster node alike; they differ only in where the
+chunk goes next.
 
 A pool worker and a cluster node are the same kind of thing — a child
 process that receives work packages on a private queue, generates them
@@ -35,6 +41,7 @@ import os
 import time
 import traceback
 from queue import Empty
+from typing import NamedTuple
 
 from repro import obs
 from repro.exceptions import SchedulingError
@@ -43,9 +50,11 @@ from repro.obs import (
     active_metrics,
     active_profiler,
     active_tracer,
+    span,
     span_payload,
     stitch_spans,
 )
+from repro.output.formats import encoded_size, format_package
 
 #: how long the parent waits for a result before polling liveness.
 POLL_SECONDS = 0.25
@@ -56,6 +65,51 @@ SHUTDOWN_SECONDS = 60.0
 #: poll loop silently. Real runs use arbitrarily long packages, so the
 #: watchdog only arms when a fault plan is attached.
 STALL_SECONDS = 60.0
+
+
+class PackageResult(NamedTuple):
+    """One generated work package: the formatted ``chunk``, its encoded
+    size ``nbytes``, the generate+format ``seconds`` and the formatter's
+    memo-cache counts. Picklable — it is also the executors' result
+    message (a cluster node sends it with ``chunk=None``)."""
+
+    chunk: str | bytes | None
+    nbytes: int
+    seconds: float
+    fmt_hits: int
+    fmt_misses: int
+
+
+def run_package(
+    engine, output, package, *, attempt: int, parent_span_id: int | None = None,
+    first: bool | None = None, deliver=None, **span_attrs,
+) -> PackageResult:
+    """Generate and format *package* under its ``scheduler.package``
+    span — the one worker body of every runtime.
+
+    ``attempt`` is 1 unless a crashed executor's package is being
+    redone; ``parent_span_id`` names the run span when the caller's
+    thread has none open; ``first`` is :func:`format_package`'s.
+    ``deliver(chunk)``, when given, runs inside the span but outside the
+    timer: the in-process worker submits to its mux there, so the
+    ``sink.write`` spans stay children of the package that flushed them.
+    """
+    started = time.perf_counter()
+    with span(
+        "scheduler.package", parent_span_id, table=package.table,
+        sequence=package.sequence, rows=package.rows, attempt=attempt,
+        **span_attrs,
+    ) as package_span:
+        chunk, writer = format_package(engine, output, package, first=first)
+        nbytes = encoded_size(chunk)
+        seconds = time.perf_counter() - started
+        package_span.set(bytes=nbytes)
+        if deliver is not None:
+            deliver(chunk)
+    formatter = writer.formatter
+    return PackageResult(
+        chunk, nbytes, seconds, formatter.cache_hits, formatter.cache_misses
+    )
 
 
 def mp_context():

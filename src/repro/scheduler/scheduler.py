@@ -24,19 +24,18 @@ chunk reaches its sink. That caps the memory held in
 finished-but-undelivered chunks regardless of table size, replacing the
 old submit-everything-upfront futures list.
 
-Every run is instrumented: a ``scheduler.run`` span wraps the whole
-generation, each work package runs under a ``scheduler.package`` span
-with ``package.generate``/``package.format`` children, and the active
-metrics registry receives rows/bytes/package counters and per-value
-latency samples, all labelled per table. The process backend is no
+Whatever dispatched it, a package runs through one body
+(:func:`~repro.scheduler.executor.run_package`: the ``scheduler.package``
+span with its ``package.generate``/``package.format`` children) and is
+counted in one place (:class:`RunAccounting`, which feeds the
+:class:`RunReport`, the per-table metrics and the progress monitor
+together — also for the cluster runtime). The process backend is no
 telemetry black hole: each dispatched package carries a
 :class:`~repro.obs.stitch.SpanContext`, workers run their own collectors
 and ship span buffers plus metric deltas back on the existing result
 queues, and the parent stitches them under the run span — one coherent
 trace whichever backend ran, covering respawned workers (their spans
-carry ``attempt=2+``). The per-table rollup always feeds the extended
-:class:`RunReport` — telemetry only controls whether it is *also*
-exported.
+carry ``attempt=2+``).
 
 :func:`run_node` / :func:`node_ranges` are the coordinator-free way to
 scale out: every machine runs its static share of every table as an
@@ -64,7 +63,7 @@ from repro.obs import (
     throughput_mb_per_s,
 )
 from repro.output.config import OutputConfig
-from repro.output.formats import format_package
+from repro.output.formats import encoded_size, table_frame
 from repro.output.sinks import InFlightWindow, OrderedSinkMux, Sink
 from repro.resilience.checkpoint import (
     CheckpointWriter,
@@ -73,7 +72,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
-from repro.scheduler.executor import ExecutorPool, die
+from repro.scheduler.executor import ExecutorPool, PackageResult, die, run_package
 from repro.scheduler.progress import ProgressMonitor
 from repro.scheduler.work import (
     DEFAULT_PACKAGE_SIZE,
@@ -121,8 +120,33 @@ class TableReport:
 
 
 @dataclass(frozen=True)
+class NodeReport:
+    """Result of one node's part of a multi-node run.
+
+    ``telemetry`` is the node's final exported collectors (span payload,
+    metric deltas, folded profile counts) when the parent had collectors
+    active, else ``None``. ``steals_taken``/``steals_yielded`` count the
+    ranges this node received from, or gave up to, another node.
+    """
+
+    node: int
+    rows: int
+    bytes_written: int
+    seconds: float
+    telemetry: dict | None = None
+    steals_taken: int = 0
+    steals_yielded: int = 0
+
+
+@dataclass(frozen=True)
 class RunReport:
-    """Outcome of a generation run.
+    """Outcome of a generation run, whichever runtime produced it.
+
+    ``seconds`` is wall-clock from first dispatch through finish —
+    footers, journal and, on the cluster, the part merge; ``workers`` is
+    the pool size or the node count. ``bytes_written`` counts encoded
+    bytes, header/footer included, so for file output it is the size of
+    the files and the sum of ``tables``.
 
     The resilience fields report recovery work: ``retries`` counts sink
     writes that succeeded after transient failures, ``requeued_packages``
@@ -131,10 +155,15 @@ class RunReport:
     skipped instead of regenerating (their rows/bytes are included in
     the totals — the report describes the complete data set).
 
+    A cluster run (``backend="cluster"``) adds the per-node rollup
+    ``nodes`` and the elastic-scheduling counters: ``steals`` /
+    ``stolen_rows`` for work-stealing moves, ``node_failures`` /
+    ``reassigned_ranges`` for dead-node recovery.
+
     ``profile`` is populated when a sampling profiler was active during
     the run: per-stage :class:`~repro.obs.profile.StageProfile` entries
-    (largest share first) covering the parent and, on the process
-    backend, every worker's merged samples.
+    (largest share first) covering the parent and every executor
+    process's merged samples.
     """
 
     rows: int
@@ -148,6 +177,11 @@ class RunReport:
     worker_restarts: int = 0
     resumed_packages: int = 0
     profile: tuple = ()
+    nodes: tuple[NodeReport, ...] = ()
+    steals: int = 0
+    stolen_rows: int = 0
+    node_failures: int = 0
+    reassigned_ranges: int = 0
 
     @property
     def rows_per_second(self) -> float:
@@ -166,23 +200,15 @@ class RunReport:
         raise SchedulingError(f"no table {name!r} in run report")
 
 
-class _TableStats:
-    """Mutable per-table accumulator shared by the workers of one run."""
-
-    __slots__ = ("rows", "bytes", "seconds")
-
-    def __init__(self) -> None:
-        self.rows = 0
-        self.bytes = 0
-        self.seconds = 0.0
-
-
 class TableInstruments:
     """Metrics pre-bound to one table's label set (hot-path increments)."""
 
-    __slots__ = ("rows", "bytes", "packages", "fmt_hits", "fmt_misses", "latency")
+    __slots__ = (
+        "columns", "rows", "bytes", "packages", "fmt_hits", "fmt_misses", "latency",
+    )
 
-    def __init__(self, registry, table: str) -> None:
+    def __init__(self, registry, table: str, columns: int) -> None:
+        self.columns = columns
         self.rows = registry.counter(
             "rows_generated_total", "rows generated, per table"
         ).labels(table=table)
@@ -204,29 +230,114 @@ class TableInstruments:
             "per-value generate+format latency sampled per package, ns",
         ).labels(table=table)
 
-    def record_package(
-        self, rows: int, chunk_len: int, elapsed: float,
-        fmt_hits: int, fmt_misses: int, columns: int,
-    ) -> None:
-        """Apply one finished package's counters (any backend)."""
-        self.rows.inc(rows)
-        self.bytes.inc(chunk_len)
+    def record_package(self, rows: int, result: PackageResult) -> None:
+        """One finished package's own counters (its rows and bytes are
+        credited with every other kind of output, by the accounting)."""
         self.packages.inc()
-        if fmt_hits:
-            self.fmt_hits.inc(fmt_hits)
-        if fmt_misses:
-            self.fmt_misses.inc(fmt_misses)
-        values = rows * columns
+        if result.fmt_hits:
+            self.fmt_hits.inc(result.fmt_hits)
+        if result.fmt_misses:
+            self.fmt_misses.inc(result.fmt_misses)
+        values = rows * self.columns
         if values:
-            self.latency.observe(elapsed / values * 1e9)
+            self.latency.observe(result.seconds / values * 1e9)
+
+
+class RunAccounting:
+    """What one run produced, counted in one place.
+
+    Every runtime reports the same three events — a finished
+    :meth:`package`, a header/footer :meth:`frame`, a :meth:`resumed`
+    durable prefix — and each is credited to the per-table rollup behind
+    the :class:`RunReport`, the table's metric instruments and the
+    progress monitor together, so the three cannot disagree. Sizes are
+    encoded bytes throughout.
+    """
+
+    def __init__(self, engine, names, progress: ProgressMonitor | None = None):
+        registry = active_metrics()
+        self._lock = threading.Lock()
+        self._progress = progress
+        self._rollup = {name: [0, 0, 0.0] for name in names}
+        self._instruments = {} if registry is None else {
+            name: TableInstruments(
+                registry, name, len(engine.bound_table(name).column_names)
+            )
+            for name in names
+        }
+        self.resumed_packages = 0
+
+    def _credit(self, table: str, rows: int, nbytes: int, seconds: float = 0.0):
+        with self._lock:
+            rollup = self._rollup[table]
+            rollup[0] += rows
+            rollup[1] += nbytes
+            rollup[2] += seconds
+        instrument = self._instruments.get(table)
+        if instrument is not None:
+            if rows:
+                instrument.rows.inc(rows)
+            if nbytes:
+                instrument.bytes.inc(nbytes)
+        if self._progress is not None:
+            self._progress.add(table, rows, nbytes)
+        return instrument
+
+    def package(self, table: str, rows: int, result: PackageResult) -> None:
+        """A work package finished, on any executor."""
+        instrument = self._credit(table, rows, result.nbytes, result.seconds)
+        if instrument is not None:
+            instrument.record_package(rows, result)
+
+    def frame(self, table: str, nbytes: int) -> None:
+        """Header or footer bytes: they belong to their table, so that
+        table reports sum to the run total."""
+        self._credit(table, 0, nbytes)
+
+    def resumed(self, table: str, rows: int, nbytes: int, packages: int) -> None:
+        """The durable part of *table* a resumed run skips (header
+        included): not regenerated, but the report, the metrics and the
+        progress line still describe the complete data set."""
+        self.resumed_packages += packages
+        instrument = self._credit(table, rows, nbytes)
+        if instrument is not None and packages:
+            active_metrics().counter(
+                "resume_packages_skipped_total",
+                "checkpointed packages skipped by a resumed run",
+            ).inc(packages, table=table)
+
+    def table(self, name: str) -> tuple[int, int]:
+        """``(rows, bytes)`` credited to one table so far."""
+        with self._lock:
+            rows, nbytes, _ = self._rollup[name]
+        return rows, nbytes
+
+    def report(
+        self, seconds: float, workers: int, backend: str, **counters
+    ) -> RunReport:
+        """The run's report; *counters* are the recovery and cluster
+        fields only the caller's dispatch policy knows."""
+        tables = tuple(
+            TableReport(name, *rollup) for name, rollup in self._rollup.items()
+        )
+        profiler = active_profiler()
+        return RunReport(
+            sum(table.rows for table in tables),
+            sum(table.bytes_written for table in tables),
+            seconds, workers, tables, backend,
+            resumed_packages=self.resumed_packages,
+            profile=() if profiler is None else tuple(profiler.stage_attribution()),
+            **counters,
+        )
 
 
 def _pool_worker(ident, tasks, results, telemetry, engine, output, faults):
     """Worker-process body: generate and format packages locally.
 
     Receives ``(WorkPackage, SpanContext)`` items until the ``None``
-    sentinel; each result carries the formatted chunk plus this
-    package's spans and metric deltas (see :mod:`repro.scheduler.executor`
+    sentinel; each result is the package's
+    :class:`~repro.scheduler.executor.PackageResult` plus its spans and
+    metric deltas (see :mod:`repro.scheduler.executor`
     for the bootstrap and wire protocol). ``faults`` is the test
     harness's scripted crash plan (``kill-worker-at-package-N``).
     """
@@ -236,19 +347,9 @@ def _pool_worker(ident, tasks, results, telemetry, engine, output, faults):
             package.table, package.sequence
         ):
             die(results, faults.kill_exit_code)
-        started = time.perf_counter()
-        with span(
-            "scheduler.package", table=package.table,
-            sequence=package.sequence, rows=package.rows,
-            attempt=span_ctx.attempt,
-        ) as package_span:
-            chunk, writer = format_package(engine, output, package)
-            package_span.set(bytes=len(chunk))
-        elapsed = time.perf_counter() - started
-        formatter = writer.formatter
+        result = run_package(engine, output, package, attempt=span_ctx.attempt)
         results.put((
-            "package", ident, (package.table, package.sequence),
-            (chunk, elapsed, formatter.cache_hits, formatter.cache_misses),
+            "package", ident, (package.table, package.sequence), result,
             telemetry.export(),
         ))
 
@@ -274,8 +375,9 @@ class _ProcessPool(ExecutorPool):
     role = "generation worker"
 
     def __init__(
-        self, scheduler: "Scheduler", packages, muxes, stats, instruments,
-        window: InFlightWindow, run_span_id: int | None,
+        self, scheduler: "Scheduler", packages, muxes,
+        accounting: RunAccounting, window: InFlightWindow,
+        run_span_id: int | None,
     ) -> None:
         super().__init__(
             _pool_worker,
@@ -283,16 +385,10 @@ class _ProcessPool(ExecutorPool):
             parent_span_id=run_span_id, faults=scheduler.faults,
         )
         self.retry = scheduler.retry
-        self.progress = scheduler.progress
         self.packages = packages
         self.muxes = muxes
-        self.stats = stats
-        self.instruments = instruments
+        self.accounting = accounting
         self.window = window
-        self.columns = {
-            name: len(scheduler.engine.bound_table(name).column_names)
-            for name in muxes
-        }
         self.span_ctx = SpanContext(parent_id=run_span_id)
         self.max_restarts = (
             0 if self.retry is None
@@ -320,21 +416,8 @@ class _ProcessPool(ExecutorPool):
 
     def complete(self, slot, item, result) -> None:
         package, _ = item
-        chunk, elapsed, hits, misses = result
-        table = package.table
-        self.muxes[table].submit(package.sequence, chunk)
-        table_stats = self.stats[table]
-        table_stats.rows += package.rows
-        table_stats.bytes += len(chunk)
-        table_stats.seconds += elapsed
-        instrument = self.instruments.get(table)
-        if instrument is not None:
-            instrument.record_package(
-                package.rows, len(chunk), elapsed, hits, misses,
-                self.columns[table],
-            )
-        if self.progress is not None:
-            self.progress.add(table, package.rows, len(chunk))
+        self.muxes[package.table].submit(package.sequence, result.chunk)
+        self.accounting.package(package.table, package.rows, result)
         self.completed += 1
 
     def recover(self, slot, lost) -> None:
@@ -445,23 +528,12 @@ class Scheduler:
         muxes: dict[str, OrderedSinkMux] = {}
         footers: list[tuple[str, Sink, str]] = []
 
-        registry = active_metrics()
-        stats: dict[str, _TableStats] = {}
-        instruments: dict[str, TableInstruments] = {}
-        stats_lock = threading.Lock()
+        accounting = RunAccounting(engine, names, self.progress)
         window = InFlightWindow(self.workers + self.inflight_extra)
         self.last_window = window
 
         manifest, journal = self._resilience_setup(names, row_ranges)
         requeued = restarts = 0
-        resumed_packages = 0
-        durable_bytes = 0
-        skip_counter = None
-        if registry is not None and manifest is not None:
-            skip_counter = registry.counter(
-                "resume_packages_skipped_total",
-                "checkpointed packages skipped by a resumed run",
-            )
 
         try:
             with span(
@@ -477,9 +549,6 @@ class Scheduler:
                         stop = min(stop, size)
                     share = max(stop - start, 0)
                     total_rows += share
-                    stats[name] = _TableStats()
-                    if registry is not None:
-                        instruments[name] = TableInstruments(registry, name)
 
                     state = (
                         manifest.tables.get(name) if manifest is not None else None
@@ -487,21 +556,40 @@ class Scheduler:
                     if state is not None and state.done:
                         # The whole table (footer included) is durable:
                         # skip it without touching the output file.
-                        stats[name].rows = state.done_rows
-                        stats[name].bytes = state.done_bytes
-                        durable_bytes += state.done_bytes
-                        skipped = len(state.durable_prefix())
-                        resumed_packages += skipped
-                        if skip_counter is not None and skipped:
-                            skip_counter.inc(skipped, table=name)
+                        accounting.resumed(
+                            name, state.done_rows, state.done_bytes,
+                            len(state.durable_prefix()),
+                        )
                         continue
 
                     all_packages = partition_rows(
                         name, share, self.package_size, offset=start
                     )
                     prefix = self._validate_prefix(name, state, all_packages)
-                    sink = self._open_sink(name, state, prefix)
-                    sinks.append(sink)
+                    header, footer = table_frame(self.output, engine, name)
+                    if state is None or state.header_bytes is None:
+                        # Fresh table, or a resumed one that crashed before
+                        # its header became durable: start from the top.
+                        sink = self.output.new_sink(name)
+                        sinks.append(sink)
+                        if header:
+                            sink.write(header)
+                            accounting.frame(name, encoded_size(header))
+                        if journal is not None:
+                            journal.table_start(name, encoded_size(header), sink)
+                    else:
+                        # Header and prefix are durable on disk: reopen
+                        # behind them and count them from the manifest.
+                        durable = state.header_bytes + sum(r.bytes for r in prefix)
+                        sink = self.output.new_sink(
+                            name, resume_at=durable, resume_packages=len(prefix)
+                        )
+                        sinks.append(sink)
+                        accounting.resumed(
+                            name, sum(r.rows for r in prefix), durable, len(prefix)
+                        )
+                    if footer:
+                        footers.append((name, sink, footer))
 
                     on_flush = None
                     if journal is not None:
@@ -522,49 +610,11 @@ class Scheduler:
                         retry=self.retry,
                     )
                     muxes[name] = mux
-
-                    columns = engine.bound_table(name).column_names
-                    probe_writer = self.output.new_writer(name, columns)
-                    header = probe_writer.header()
-                    if state is None or state.header_bytes is None:
-                        if header:
-                            # Header/footer bytes belong to the table, so
-                            # that table reports sum to the run total.
-                            sink.write(header)
-                            self._count_frame_bytes(
-                                name, len(header), stats, instruments
-                            )
-                        if journal is not None:
-                            journal.table_start(
-                                name,
-                                len(header.encode("utf-8")) if header else 0,
-                                sink,
-                            )
-                    elif state.header_bytes:
-                        # Header already durable on disk; count it from
-                        # the manifest instead of rewriting it.
-                        self._count_frame_bytes(
-                            name, state.header_bytes, stats, instruments
-                        )
-                    footer = probe_writer.footer()
-                    if footer:
-                        footers.append((name, sink, footer))
-
-                    if prefix:
-                        prefix_rows = sum(r.rows for r in prefix)
-                        prefix_bytes = sum(r.bytes for r in prefix)
-                        stats[name].rows += prefix_rows
-                        stats[name].bytes += prefix_bytes
-                        durable_bytes += (state.header_bytes or 0) + prefix_bytes
-                        resumed_packages += len(prefix)
-                        if skip_counter is not None:
-                            skip_counter.inc(len(prefix), table=name)
-
                     for package in all_packages[len(prefix):]:
                         packages.append((package, mux))
                 run_span.set(
                     tables=len(names), packages=len(packages), rows=total_rows,
-                    resumed_packages=resumed_packages,
+                    resumed_packages=accounting.resumed_packages,
                 )
                 run_span_id = getattr(run_span, "span_id", None)
 
@@ -573,39 +623,27 @@ class Scheduler:
                     pass
                 elif self.backend == "process":
                     pool = _ProcessPool(
-                        self, packages, muxes, stats, instruments, window,
-                        run_span_id,
+                        self, packages, muxes, accounting, window, run_span_id
                     )
                     pool.drive()
                     requeued, restarts = pool.requeued, pool.restarts
                 elif self.workers == 1:
                     for package, mux in packages:
-                        self._generate_package(
-                            package, mux, stats[package.table], stats_lock,
-                            instruments.get(package.table),
-                        )
+                        self._generate_package(package, mux, accounting)
                 else:
-                    self._run_thread_pool(
-                        packages, stats, stats_lock, instruments, window,
-                        run_span_id,
-                    )
+                    self._run_thread_pool(packages, accounting, window, run_span_id)
                 with span("scheduler.finish"):
                     for name in muxes:
                         muxes[name].finish()
                     for name, sink, footer in footers:
                         sink.write(footer)
-                        self._count_frame_bytes(name, len(footer), stats, instruments)
+                        accounting.frame(name, encoded_size(footer))
                     if journal is not None:
                         for name in muxes:
-                            journal.table_done(
-                                name, stats[name].rows, stats[name].bytes
-                            )
+                            journal.table_done(name, *accounting.table(name))
                         journal.run_done()
                 elapsed = time.perf_counter() - started
 
-                bytes_written = durable_bytes + sum(
-                    sink.bytes_written for sink in sinks
-                )
                 for sink in sinks:
                     sink.close()
         except BaseException as exc:
@@ -619,6 +657,7 @@ class Scheduler:
                 journal.close()
 
         retries = sum(mux.retries for mux in muxes.values())
+        registry = active_metrics()
         if registry is not None:
             flush_seconds = registry.counter(
                 "sink_write_seconds_total", "seconds spent writing chunks to sinks"
@@ -647,18 +686,9 @@ class Scheduler:
                     "in-flight packages requeued after a worker crash",
                 ).inc(requeued)
 
-        table_reports = tuple(
-            TableReport(name, stats[name].rows, stats[name].bytes, stats[name].seconds)
-            for name in names
-        )
-        profiler = active_profiler()
-        profile = (
-            tuple(profiler.stage_attribution()) if profiler is not None else ()
-        )
-        return RunReport(
-            total_rows, bytes_written, elapsed, self.workers, table_reports,
-            self.backend, retries, requeued, restarts,
-            resumed_packages, profile,
+        return accounting.report(
+            elapsed, self.workers, self.backend, retries=retries,
+            requeued_packages=requeued, worker_restarts=restarts,
         )
 
     # -- resilience ----------------------------------------------------------
@@ -739,18 +769,6 @@ class Scheduler:
                 )
         return prefix
 
-    def _open_sink(self, name, state, prefix) -> Sink:
-        """A sink for one table — fresh, or positioned at the durable
-        prefix when resuming."""
-        if state is None or (state.header_bytes is None and not prefix):
-            # Fresh table, or a resumed table that crashed before its
-            # header became durable: regenerate from the top.
-            return self.output.new_sink(name)
-        resume_at = (state.header_bytes or 0) + sum(r.bytes for r in prefix)
-        return self.output.new_sink(
-            name, resume_at=resume_at, resume_packages=len(prefix)
-        )
-
     def _emergency_teardown(self, sinks, journal, exc: BaseException) -> None:
         """Best-effort fsync-and-close after SIGINT or a crash."""
         for sink in sinks:
@@ -776,27 +794,12 @@ class Scheduler:
             except Exception:  # fault-ok: teardown must not mask the original failure
                 pass
 
-    @staticmethod
-    def _count_frame_bytes(
-        name: str,
-        count: int,
-        stats: dict[str, _TableStats],
-        instruments: dict[str, TableInstruments],
-    ) -> None:
-        """Attribute header/footer bytes to their table's rollup."""
-        stats[name].bytes += count
-        instrument = instruments.get(name)
-        if instrument is not None:
-            instrument.bytes.inc(count)
-
     # -- thread backend ------------------------------------------------------
 
     def _run_thread_pool(
         self,
         packages: list[tuple[WorkPackage, OrderedSinkMux]],
-        stats: dict[str, _TableStats],
-        stats_lock: threading.Lock,
-        instruments: dict[str, TableInstruments],
+        accounting: RunAccounting,
         window: InFlightWindow,
         run_span_id: int | None,
     ) -> None:
@@ -808,12 +811,9 @@ class Scheduler:
         instead of waiting for slots that will never free.
         """
 
-        def body(package: WorkPackage, mux: OrderedSinkMux, instrument) -> None:
+        def body(package: WorkPackage, mux: OrderedSinkMux) -> None:
             try:
-                self._generate_package(
-                    package, mux, stats[package.table], stats_lock,
-                    instrument, run_span_id,
-                )
+                self._generate_package(package, mux, accounting, run_span_id)
             except BaseException:
                 window.abort()
                 raise
@@ -823,9 +823,7 @@ class Scheduler:
             for package, mux in packages:
                 if not window.acquire():
                     break  # a worker failed; its future re-raises below
-                futures.append(
-                    pool.submit(body, package, mux, instruments.get(package.table))
-                )
+                futures.append(pool.submit(body, package, mux))
         for future in futures:
             future.result()  # re-raise worker exceptions
 
@@ -833,33 +831,17 @@ class Scheduler:
         self,
         package: WorkPackage,
         mux: OrderedSinkMux,
-        stats: _TableStats,
-        stats_lock: threading.Lock,
-        instruments: TableInstruments | None = None,
+        accounting: RunAccounting,
         parent_span_id: int | None = None,
     ) -> None:
-        """Worker body: generate, format, submit in row order."""
-        engine = self.engine
-        started = time.perf_counter()
-        with span("scheduler.package", parent_span_id, table=package.table,
-                  sequence=package.sequence, rows=package.rows) as package_span:
-            chunk, writer = format_package(engine, self.output, package)
-            package_span.set(bytes=len(chunk))
-            mux.submit(package.sequence, chunk)
-        elapsed = time.perf_counter() - started
-        with stats_lock:
-            stats.rows += package.rows
-            stats.bytes += len(chunk)
-            stats.seconds += elapsed
-        if instruments is not None:
-            formatter = writer.formatter
-            instruments.record_package(
-                package.rows, len(chunk), elapsed,
-                formatter.cache_hits, formatter.cache_misses,
-                len(writer.columns),
-            )
-        if self.progress is not None:
-            self.progress.add(package.table, package.rows, len(chunk))
+        """In-process worker: run the package, submit it in row order."""
+        result = run_package(
+            self.engine, self.output, package, attempt=1,
+            parent_span_id=parent_span_id,
+            deliver=lambda chunk: mux.submit(package.sequence, chunk),
+        )
+        accounting.package(package.table, package.rows, result)
+
 
 def generate(
     engine: GenerationEngine,

@@ -1,18 +1,22 @@
 """The public API surface.
 
-3.0 leaves one generate→format path: ``Generator`` has two generation
-methods (``generate``, ``generate_block``) and ``OutputConfig`` has no
-``columnar`` selector. 2.0 finished the 1.1 deprecation cycle:
-scheduler configuration is keyword-only (the positional shim is gone —
-positionals now raise ``TypeError``), ``repro.metrics`` no longer exists
-(timing helpers live in ``repro.obs``), and the ``Dataset`` facade plus
-the format registry are promoted to the top-level package.
+5.0 leaves one package body, one accounting and one report under every
+runtime (``ClusterReport`` is gone). 3.0 leaves one generate→format
+path: ``Generator`` has two generation methods (``generate``,
+``generate_block``) and ``OutputConfig`` has no ``columnar`` selector.
+2.0 finished the 1.1 deprecation cycle: scheduler configuration is
+keyword-only (the positional shim is gone — positionals now raise
+``TypeError``), ``repro.metrics`` no longer exists (timing helpers live
+in ``repro.obs``), and the ``Dataset`` facade plus the format registry
+are promoted to the top-level package.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
+import pathlib
 import sys
 
 import pytest
@@ -70,8 +74,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_4(self):
-        assert repro.__version__.startswith("4.")
+    def test_version_is_5(self):
+        assert repro.__version__.startswith("5.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -134,11 +138,81 @@ class TestOneMultiNodeRuntime:
             importlib.import_module("repro.scheduler.meta")
 
     def test_cluster_scheduler_has_no_steal_protocol_knobs(self):
-        import inspect
-
         parameters = inspect.signature(repro.ClusterScheduler.__init__).parameters
         assert "min_steal_packages" not in parameters
         assert "keep_parts" not in parameters
         assert set(inspect.signature(repro.ClusterScheduler.run).parameters) == {
             "self", "nodes",
         }
+
+
+class TestOneBodyOneAccountingOneReport:
+    """Structural guard: the copies PR 17 collapsed cannot grow back."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+
+    def _occurrences(self, needle: str, directory: str) -> list[str]:
+        return [
+            f"{path.name}:{number}"
+            for path in sorted((self.SRC / directory).rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if needle in line
+        ]
+
+    def test_cluster_report_is_gone(self):
+        import repro.scheduler
+
+        assert "ClusterReport" not in repro.__all__
+        assert not hasattr(repro, "ClusterReport")
+        assert not hasattr(repro.scheduler, "ClusterReport")
+        assert repro.scheduler.NodeReport is not None
+
+    def test_run_report_carries_the_cluster_rollup(self):
+        report = repro.RunReport(rows=1, bytes_written=2, seconds=0.5, workers=1)
+        assert (
+            report.nodes, report.steals, report.stolen_rows,
+            report.node_failures, report.reassigned_ranges,
+        ) == ((), 0, 0, 0, 0)
+        assert inspect.signature(repro.ClusterScheduler.run).return_annotation in (
+            repro.RunReport, "RunReport",
+        )
+
+    def test_one_package_body_under_the_scheduler(self):
+        assert len(self._occurrences("format_package(", "scheduler")) == 1
+        assert len(self._occurrences('"scheduler.package"', "scheduler")) == 1
+
+    def test_one_accounting_call_site(self):
+        assert len(self._occurrences("instrument.record_package(", "")) == 1
+        assert len(self._occurrences("progress.add(", "")) == 1
+
+    def test_one_header_footer_probe(self):
+        from repro.output.formats import table_frame
+
+        lines, first = inspect.getsourcelines(table_frame)
+        inside = {f"formats.py:{first + offset}" for offset in range(len(lines))}
+        probes = self._occurrences(".header()", "") + self._occurrences(
+            ".footer()", ""
+        )
+        assert len(probes) == 2 and set(probes) <= inside
+
+    def test_constructors_gained_no_parameter(self):
+        def keywords(function):
+            return list(inspect.signature(function).parameters)[1:]
+
+        assert keywords(repro.Scheduler.__init__) == [
+            "engine", "output", "workers", "package_size", "progress",
+            "backend", "inflight_extra", "checkpoint", "resume_from",
+            "retry", "faults",
+        ]
+        assert keywords(repro.ClusterScheduler.__init__) == [
+            "schema", "artifacts", "output", "package_size", "checkpoint",
+            "steal", "faults", "max_node_failures",
+        ]
+
+    @pytest.mark.parametrize("name", [
+        "ClusterReport", "frame_bytes", "makespan", "_TableStats",
+        "_count_frame_bytes", "stats_lock", "durable_bytes",
+        "_output_extension", "maybe_kill_worker",
+    ])
+    def test_deleted_names_stay_deleted(self, name):
+        assert not self._occurrences(name, "")

@@ -213,7 +213,7 @@ class TestWorkStealing:
         assert static.steals == 0
         _assert_identical(schema, single, static_out)
         # the whole point: draining the slow node's tail beats waiting
-        assert stolen.makespan < static.makespan
+        assert stolen.seconds < static.seconds
 
     def test_steal_counters_are_consistent(self):
         report = ClusterScheduler(
@@ -469,7 +469,7 @@ class TestDistributedMeta:
         single = _single_node(tmp_path, schema)
         output = _file_output(tmp_path / "cluster")
         report = ClusterScheduler(schema, output=output, package_size=25).run(2)
-        assert report.makespan > 0 and len(report.nodes) == 2
+        assert report.seconds > 0 and len(report.nodes) == 2
         _assert_identical(schema, single, output)
 
     def test_tree_shape_parity_across_execution_paths(self):

@@ -9,7 +9,6 @@ from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
 from repro.generators.base import GenerationContext
 from repro.prng.xorshift import XorShift64Star
-from repro.scheduler import ClusterReport, NodeReport
 from repro.scheduler.scheduler import RunReport
 from tests.conftest import demo_schema
 
@@ -45,20 +44,6 @@ class TestReports:
         report = RunReport(rows=10, bytes_written=10, seconds=0.0, workers=1)
         assert report.rows_per_second == 0.0
         assert report.mb_per_second == 0.0
-
-    def test_cluster_report_aggregation(self):
-        cluster = ClusterReport([
-            NodeReport(0, 100, 1024, 1.0),
-            NodeReport(1, 150, 2048, 2.0),
-        ])
-        assert cluster.rows == 250
-        assert cluster.bytes_written == 3072
-        assert cluster.seconds == 2.0  # makespan = slowest node
-
-    def test_cluster_report_empty(self):
-        cluster = ClusterReport([])
-        assert cluster.seconds == 0.0
-        assert cluster.mb_per_second == 0.0
 
 
 class TestDdlDialects:

@@ -31,7 +31,7 @@ from repro.resilience import (
     RunManifest,
     model_fingerprint,
 )
-from repro.scheduler import ClusterScheduler, Scheduler, generate
+from repro.scheduler import ClusterScheduler, ProgressMonitor, Scheduler, generate
 from tests.conftest import demo_schema
 
 TABLES = ("customer", "orders")
@@ -207,8 +207,12 @@ class TestManifest:
 # -- crash → resume byte-identity --------------------------------------------
 
 
-def _crash_then_resume(tmp_path, *, fmt, backend, workers, crash_after):
-    """Crash a run partway, resume it, return (reference, resumed) bytes."""
+def _crash_then_resume(
+    tmp_path, *, fmt, backend, workers, crash_after, flaky=False
+):
+    """Crash a run partway, resume it — through a flaky sink and a retry
+    policy when *flaky* — and return ``(reference bytes, resumed bytes,
+    report, progress monitor of the resumed leg)``."""
     ref_dir = tmp_path / "ref"
     Scheduler(
         _engine(), _file_config(ref_dir, fmt), package_size=25,
@@ -225,27 +229,48 @@ def _crash_then_resume(tmp_path, *, fmt, backend, workers, crash_after):
             backend=backend, checkpoint=ckpt,
         ).run()
 
+    output, retry = _file_config(crash_dir, fmt), None
+    if flaky:
+        output = FaultInjectingOutput(output, fail_every=3)
+        retry = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0,
+                            sleep=lambda _: None)
+    progress = ProgressMonitor(240, {"customer": 60, "orders": 180})
     report = Scheduler(
-        _engine(), _file_config(crash_dir, fmt), package_size=25,
-        workers=workers, backend=backend, checkpoint=ckpt, resume_from=ckpt,
+        _engine(), output, package_size=25, workers=workers, backend=backend,
+        checkpoint=ckpt, resume_from=ckpt, retry=retry, progress=progress,
     ).run()
-    return _read_tables(ref_dir, fmt), _read_tables(crash_dir, fmt), report
+    return (
+        _read_tables(ref_dir, fmt), _read_tables(crash_dir, fmt), report, progress
+    )
 
 
 class TestCrashResume:
     @pytest.mark.parametrize("fmt", ["csv", "json", "sql"])
-    @pytest.mark.parametrize("backend,workers", [("thread", 2), ("process", 2)])
-    def test_resumed_run_is_byte_identical(self, tmp_path, fmt, backend, workers):
-        reference, resumed, report = _crash_then_resume(
-            tmp_path, fmt=fmt, backend=backend, workers=workers, crash_after=4
+    @pytest.mark.parametrize(
+        "backend,workers,flaky",
+        [("thread", 2, False), ("process", 2, False), ("thread", 2, True)],
+        ids=["thread-2", "process-2", "thread-2-flaky"],
+    )
+    def test_resumed_run_is_byte_identical(
+        self, tmp_path, fmt, backend, workers, flaky
+    ):
+        reference, resumed, report, progress = _crash_then_resume(
+            tmp_path, fmt=fmt, backend=backend, workers=workers, crash_after=4,
+            flaky=flaky,
         )
         assert resumed == reference
         assert report.resumed_packages > 0
-        # The report still describes the complete data set.
+        assert (report.retries > 0) == flaky
+        # The report still describes the complete data set, in bytes on
+        # disk, and so does the progress line: a resumed run ends at 100%.
         assert report.rows == 240
+        assert report.bytes_written == sum(map(len, resumed.values()))
+        snapshot = progress.snapshot()
+        assert snapshot.rows_done == snapshot.rows_total == 240
+        assert snapshot.bytes_written == report.bytes_written
 
     def test_resume_skips_durable_packages(self, tmp_path):
-        _, _, report = _crash_then_resume(
+        _, _, report, _ = _crash_then_resume(
             tmp_path, fmt="csv", backend="thread", workers=1, crash_after=4
         )
         # crash_after counts every sink write: 2 table headers at setup,
@@ -282,12 +307,13 @@ class TestCrashResume:
             _engine(), _file_config(out_dir), package_size=25, checkpoint=ckpt,
         ).run()
         before = _read_tables(out_dir)
+        progress = ProgressMonitor(240)
         again = Scheduler(
             _engine(), _file_config(out_dir), package_size=25,
-            checkpoint=ckpt, resume_from=ckpt,
+            checkpoint=ckpt, resume_from=ckpt, progress=progress,
         ).run()
         assert _read_tables(out_dir) == before
-        assert again.rows == first.rows
+        assert again.rows == first.rows == progress.snapshot().rows_done
         assert again.bytes_written == first.bytes_written
         # Every package was durable; nothing regenerated.
         assert again.resumed_packages == 3 + 8  # 60/25 + 180/25 packages

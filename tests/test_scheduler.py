@@ -3,14 +3,18 @@ scheduler — the parallel-equals-serial guarantees of paper §2/§4."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.engine import GenerationEngine
 from repro.exceptions import SchedulingError
 from repro.output.config import OutputConfig
 from repro.scheduler import ClusterScheduler, node_ranges, run_node
+from repro.scheduler.executor import PackageResult
 from repro.scheduler.progress import ProgressMonitor
-from repro.scheduler.scheduler import Scheduler, generate
+from repro.scheduler.scheduler import RunAccounting, Scheduler, generate
 from repro.scheduler.work import WorkPackage, node_share, partition_rows, plan_node
 from tests.conftest import demo_schema
 
@@ -197,3 +201,35 @@ class TestProgressMonitor:
     def test_zero_total(self):
         progress = ProgressMonitor(0)
         assert progress.snapshot().fraction == 1.0
+
+
+class TestRunAccounting:
+    def test_concurrent_packages_lose_no_update(self):
+        """Thread workers share one accounting: eight of them crediting
+        packages under a tiny switch interval must not drop a count."""
+        progress = ProgressMonitor(8 * 500)
+        accounting = RunAccounting(
+            GenerationEngine(demo_schema()), ["customer"], progress
+        )
+        result = PackageResult(None, 3, 0.5, 0, 0)
+
+        def work():
+            for _ in range(500):
+                accounting.package("customer", 1, result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert accounting.table("customer") == (4000, 12000)
+        report = accounting.report(1.0, 8, "thread")
+        assert (report.rows, report.bytes_written) == (4000, 12000)
+        assert report.table("customer").seconds == pytest.approx(2000.0)
+        assert progress.snapshot().rows_done == 4000

@@ -117,11 +117,16 @@ class TestErrorMapping:
 
     def test_error_counter_increments(self, server):
         counter = server.registry.get("serve_requests_total")
-        before = counter.value(route="slice", status="400")
+        # metrics land in the handler's finally block, which may run a
+        # beat after the client has read the response — the previous
+        # test's last request included, so let the count settle first.
+        before = None
+        while before != counter.value(route="slice", status="400"):
+            before = counter.value(route="slice", status="400")
+            time.sleep(0.1)
         with pytest.raises(urllib.error.HTTPError):
             fetch(server, "/table/customer/rows/0-999")
-        # metrics land in the handler's finally block, which may run a
-        # beat after the client has read the response — poll briefly.
+        # ... and poll briefly for this test's own request.
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
             if counter.value(route="slice", status="400") == before + 1:
