@@ -65,7 +65,6 @@ from repro.obs.registry import (
     disable_metrics,
     enable_metrics,
 )
-from repro.obs.serve import ObsServer
 from repro.obs.stitch import (
     SpanContext,
     WorkerTelemetry,
@@ -123,6 +122,17 @@ def state() -> tuple[int, Tracer | None, MetricsRegistry | None, SamplingProfile
     returned references."""
     with _state_lock:
         return _generation, active_tracer(), active_metrics(), active_profiler()
+
+
+def __getattr__(name: str):
+    """``obs.ObsServer`` resolves on first use: importing the web server
+    (``http.server`` → ``email``, ``html``, ``socketserver``) is the cost
+    of ``--obs-port``, not of every batch run."""
+    if name == "ObsServer":
+        from repro.obs.serve import ObsServer
+
+        return ObsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

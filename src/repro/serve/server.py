@@ -1,12 +1,13 @@
-"""The asyncio HTTP data server behind ``dbsynth serve``.
+"""The HTTP data server behind ``dbsynth serve``.
 
-Stdlib-only: an :func:`asyncio.start_server` loop with hand-rolled
-HTTP/1.1 GET handling. Each slice response streams with chunked
-transfer encoding, one work-package chunk at a time, produced by
-:meth:`repro.api.Dataset.stream` on an executor thread so generation
-never blocks the event loop. Responses close the connection when done
-(``Connection: close``) — the server optimizes for correctness and
-determinism, not keep-alive throughput.
+A :class:`DataServer` is the stdlib threading server of
+:mod:`repro.obs.serve` (the same base as the ``--obs-port`` endpoint)
+with the routes below: HTTP/1.1 with persistent connections, one thread
+per connection. Each slice response streams with chunked transfer
+encoding, one work-package chunk at a time; the connection's thread
+iterates :meth:`repro.api.Dataset.stream` itself, holding one of
+``workers`` generation slots only while a chunk is computed — never
+while it is written, so a slow reader cannot starve the others.
 
 Endpoints:
 
@@ -18,47 +19,169 @@ Endpoints:
   same range of a batch-generated file.
 * ``GET /metrics`` — the metrics registry in Prometheus text format.
 
+What a client can see besides 200: 400 (bad range, unknown format,
+unaligned Arrow bounds, malformed request), 404 (no such route or
+table), 405 (any method but GET), 414/431 (request line or headers over
+the stdlib limits), 500 (a bug — the traceback is on the server's
+stderr). All carry a JSON ``{"error": ...}`` body. A generation failure
+*after* the 200 status line cannot be reported in-band: the server cuts
+the connection without the terminating zero-length chunk, so a
+truncated body is always detectable.
+
 Request telemetry lands in the obs registry (``serve_requests_total``,
 ``serve_request_seconds``, ``serve_bytes_total``) and each request runs
-under a ``serve.request`` span when tracing is enabled.
+under a ``serve.request`` span when tracing is enabled. A client that
+goes away mid-response is counted as status 499.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.exceptions import ReproError
-from repro.obs import render_prometheus, span
 from repro.obs.registry import MetricsRegistry, active_metrics
+from repro.obs.serve import HttpService, ServiceHandler
+from repro.obs.trace import span
 from repro.output.formats import format_spec, known_formats
 
 #: request latency buckets (seconds) — sub-ms cache hits to slow scans.
 LATENCY_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 
-_SENTINEL = object()
+
+class _NotFound(ReproError):
+    """No such route or table; every other request error is a 400."""
+
+    status = 404
 
 
-class _HttpError(Exception):
-    """An error that maps to one HTTP status with a JSON body."""
+class _Handler(ServiceHandler):
+    server_version = "dbsynth-serve"
 
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
+    def send_response(self, code, message=None) -> None:
+        self.status = int(code)  # None until a status line is out
+        super().send_response(code, message)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        # Reached from the stdlib parser, before there is a route.
+        super().send_error(code, message, explain)
+        self.server.service.requests.inc(route="unknown", status=str(self.status))
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server contract
+        service = self.server.service
+        started = time.perf_counter()
+        url = urlsplit(self.path)
+        route, self.status = "unknown", None
+        try:
+            try:
+                route, handler = self._route(url.path)
+                with span("serve.request", route=route, path=url.path):
+                    handler(url.path, dict(parse_qsl(url.query)))
+            except ReproError as exc:
+                if self.status is not None:
+                    raise  # mid-stream: a second response would corrupt the body
+                self.send_json(getattr(exc, "status", 400), {"error": str(exc)})
+        except (ConnectionError, TimeoutError):
+            self.status = 499  # client went away or stopped reading
+            self.close_connection = True
+        except Exception:
+            # A bug, or generation failing after the 200: answer 500 if
+            # nothing is out yet, else cut the body short (no terminating
+            # chunk); either way the server's error log gets the traceback.
+            self.close_connection = True
+            if self.status is None:
+                self.send_json(500, {"error": "internal server error"})
+            self.status = 500
+            raise
+        finally:
+            service.requests.inc(route=route, status=str(self.status))
+            service.latency.observe(time.perf_counter() - started, route=route)
+
+    def _route(self, path: str):
+        if path == "/healthz":
+            return "healthz", self._healthz
+        if path == "/tables":
+            return "tables", self._tables
+        if path == "/metrics":
+            return "metrics", self._metrics
+        if path.startswith("/table/"):
+            return "slice", self._slice
+        raise _NotFound(f"no route for {path}")
+
+    def _healthz(self, path: str, query: dict) -> None:
+        dataset = self.server.service.dataset
+        self.send_json(200, {"status": "ok", "fingerprint": dataset.fingerprint})
+
+    def _tables(self, path: str, query: dict) -> None:
+        dataset = self.server.service.dataset
+        self.send_json(200, {
+            "fingerprint": dataset.fingerprint,
+            "package_size": dataset.package_size,
+            "formats": list(known_formats()),
+            "tables": {
+                name: {"rows": size, "columns": dataset.columns(name)}
+                for name, size in sorted(dataset.tables.items())
+            },
+        })
+
+    def _metrics(self, path: str, query: dict) -> None:
+        self.send_metrics(self.server.service.registry)
+
+    def _slice(self, path: str, query: dict) -> None:
+        # /table/<name>/rows/<start>-<stop>
+        service = self.server.service
+        dataset = service.dataset
+        parts = path.strip("/").split("/")
+        if len(parts) != 4 or parts[0] != "table" or parts[2] != "rows":
+            raise _NotFound("slice path is /table/<name>/rows/<start>-<stop>")
+        table = parts[1]
+        if table not in dataset.tables:
+            known = ", ".join(sorted(dataset.tables))
+            raise _NotFound(f"no such table {table!r}; tables: {known}")
+        try:
+            start_text, _, stop_text = parts[3].partition("-")
+            start, stop = int(start_text), int(stop_text)
+        except ValueError:
+            raise ReproError(
+                f"bad row range {parts[3]!r}; expected <start>-<stop>"
+            ) from None
+        spec = format_spec(query.get("format", "csv"))  # unknown -> the registry's error
+        chunks = dataset.stream(table, start, stop, format=spec.name)
+
+        def next_chunk() -> bytes | None:
+            with service.slots:
+                return next(chunks, None)
+
+        # Produce the first chunk before the status line so validation
+        # errors (range, alignment, missing pyarrow) still map to 400.
+        chunk = next_chunk()
+        self.send_response(200)
+        self.send_header("Content-Type", spec.mime_type)
+        self.send_header("Transfer-Encoding", "chunked")
+        self.send_header("X-Dbsynth-Fingerprint", dataset.fingerprint)
+        self.end_headers()
+        sent = 0
+        while chunk is not None:
+            self.wfile.write(b"%x\r\n%b\r\n" % (len(chunk), chunk))
+            self.wfile.flush()
+            sent += len(chunk)
+            chunk = next_chunk()
+        self.wfile.write(b"0\r\n\r\n")
+        service.bytes.inc(sent, format=spec.name)
 
 
-class DataServer:
+class DataServer(HttpService):
     """Serves one :class:`~repro.api.Dataset` over loopback HTTP.
 
-    ``start()`` runs the event loop on a daemon thread and returns once
-    the socket is bound (tests, benchmarks); ``serve_forever()`` runs
-    it on the calling thread (the CLI). ``port=0`` binds an ephemeral
-    port; read :attr:`url` after start.
+    ``start()`` serves from a daemon thread and returns once the socket
+    is bound (tests, benchmarks, the CLI, which then ``join()``s);
+    ``port=0`` binds an ephemeral port; read :attr:`url` after start.
+    At most ``workers`` requests generate at the same time.
     """
+
+    name = "serve"
+    handler = _Handler
 
     def __init__(
         self,
@@ -69,266 +192,16 @@ class DataServer:
         workers: int = 4,
         registry: MetricsRegistry | None = None,
     ) -> None:
+        super().__init__(host, port)
         self.dataset = dataset
-        self.host = host
-        self.requested_port = port
-        self.port: int | None = None
         self.registry = registry or active_metrics() or MetricsRegistry()
-        self._requests = self.registry.counter(
+        self.requests = self.registry.counter(
             "serve_requests_total", "HTTP requests served, by route and status"
         )
-        self._latency = self.registry.histogram(
+        self.latency = self.registry.histogram(
             "serve_request_seconds", LATENCY_BUCKETS, "request wall time"
         )
-        self._bytes = self.registry.counter(
+        self.bytes = self.registry.counter(
             "serve_bytes_total", "response body bytes streamed, by format"
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="dbsynth-serve"
-        )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def url(self) -> str:
-        if self.port is None:
-            raise ReproError("server is not started")
-        return f"http://{self.host}:{self.port}"
-
-    async def _bind(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.requested_port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    def serve_forever(self) -> None:
-        """Bind and serve on the calling thread until cancelled."""
-        asyncio.run(self._serve_main())
-
-    async def _serve_main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        await self._bind()
-        self._ready.set()
-        try:
-            async with self._server:
-                await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._executor.shutdown(wait=False)
-
-    def start(self) -> "DataServer":
-        """Serve from a background daemon thread; returns once bound."""
-
-        def run() -> None:
-            try:
-                self.serve_forever()
-            except BaseException as exc:  # pragma: no cover - startup races
-                self._startup_error = exc
-                self._ready.set()
-
-        self._thread = threading.Thread(
-            target=run, name="dbsynth-serve", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=10)
-        if self._startup_error is not None:
-            raise ReproError(
-                f"serve failed to start: {self._startup_error}"
-            ) from self._startup_error
-        if self.port is None:
-            raise ReproError("serve failed to bind within 10 s")
-        return self
-
-    def join(self) -> None:
-        """Block until the background server thread exits (the CLI's
-        foreground wait; interruptible by Ctrl-C)."""
-        if self._thread is not None:
-            self._thread.join()
-
-    def stop(self) -> None:
-        """Stop the background server and join its thread.
-
-        Closing the server cancels ``serve_forever()``; ``asyncio.run``
-        then cancels any in-flight connection tasks and closes the loop.
-        """
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None:
-            try:
-                loop.call_soon_threadsafe(server.close)
-            except RuntimeError:  # fault-ok: loop already closed
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
-
-    # -- request handling --------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        started = time.perf_counter()
-        route, status, fmt, body_bytes = "unknown", 500, "", 0
-        try:
-            request = await asyncio.wait_for(reader.readline(), timeout=30)
-            if not request:
-                return
-            while True:  # drain headers; GET requests carry no body
-                line = await asyncio.wait_for(reader.readline(), timeout=30)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            try:
-                method, target, _version = request.decode("latin-1").split()
-            except ValueError:
-                status = 400
-                await self._send_error(writer, 400, "malformed request line")
-                return
-            url = urlsplit(target)
-            query = dict(parse_qsl(url.query))
-            fmt = query.get("format", "csv")
-            try:
-                if method != "GET":
-                    route = "method"
-                    raise _HttpError(405, f"method {method} not allowed")
-                route, handler = self._route(url.path)
-                with span("serve.request", route=route, path=url.path):
-                    status, body_bytes = await handler(writer, url.path, query)
-            except _HttpError as exc:
-                status = exc.status
-                await self._send_error(writer, exc.status, str(exc))
-            except ReproError as exc:
-                status = 400
-                await self._send_error(writer, 400, str(exc))
-        except (ConnectionError, asyncio.TimeoutError):
-            status = 499
-        finally:
-            elapsed = time.perf_counter() - started
-            self._requests.inc(route=route, status=str(status))
-            self._latency.observe(elapsed, route=route)
-            if body_bytes:
-                self._bytes.inc(body_bytes, format=fmt)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    def _route(self, path: str):
-        if path == "/healthz":
-            return "healthz", self._handle_healthz
-        if path == "/tables":
-            return "tables", self._handle_tables
-        if path == "/metrics":
-            return "metrics", self._handle_metrics
-        if path.startswith("/table/"):
-            return "slice", self._handle_slice
-        raise _HttpError(404, f"no route for {path}")
-
-    async def _handle_healthz(self, writer, path, query):
-        return await self._send_json(writer, 200, {
-            "status": "ok",
-            "fingerprint": self.dataset.fingerprint,
-        })
-
-    async def _handle_tables(self, writer, path, query):
-        return await self._send_json(writer, 200, {
-            "fingerprint": self.dataset.fingerprint,
-            "package_size": self.dataset.package_size,
-            "formats": list(known_formats()),
-            "tables": {
-                name: {
-                    "rows": size,
-                    "columns": self.dataset.columns(name),
-                }
-                for name, size in sorted(self.dataset.tables.items())
-            },
-        })
-
-    async def _handle_metrics(self, writer, path, query):
-        text = render_prometheus(self.registry).encode("utf-8")
-        return await self._send_body(
-            writer, 200, text, "text/plain; version=0.0.4; charset=utf-8"
-        )
-
-    async def _handle_slice(self, writer, path, query):
-        # /table/<name>/rows/<start>-<stop>
-        parts = path.strip("/").split("/")
-        if len(parts) != 4 or parts[0] != "table" or parts[2] != "rows":
-            raise _HttpError(
-                404, "slice path is /table/<name>/rows/<start>-<stop>"
-            )
-        table = parts[1]
-        if table not in self.dataset.tables:
-            raise _HttpError(
-                404,
-                f"no such table {table!r}; "
-                f"tables: {', '.join(sorted(self.dataset.tables))}",
-            )
-        try:
-            start_text, _, stop_text = parts[3].partition("-")
-            start, stop = int(start_text), int(stop_text)
-        except ValueError:
-            raise _HttpError(
-                400, f"bad row range {parts[3]!r}; expected <start>-<stop>"
-            ) from None
-        fmt = query.get("format", "csv")
-        spec = format_spec(fmt)  # unknown format -> the registry's error
-        loop = asyncio.get_running_loop()
-        chunks = self.dataset.stream(table, start, stop, format=fmt)
-
-        def next_chunk():
-            try:
-                return next(chunks)
-            except StopIteration:
-                return _SENTINEL
-
-        # Produce the first chunk before sending headers so validation
-        # errors (range, alignment, missing pyarrow) still map to 400.
-        first = await loop.run_in_executor(self._executor, next_chunk)
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            + f"Content-Type: {spec.mime_type}\r\n".encode("latin-1")
-            + b"Transfer-Encoding: chunked\r\n"
-            + f"X-Dbsynth-Fingerprint: {self.dataset.fingerprint}\r\n".encode("latin-1")
-            + b"Connection: close\r\n\r\n"
-        )
-        sent = 0
-        chunk = first
-        while chunk is not _SENTINEL:
-            writer.write(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
-            sent += len(chunk)
-            await writer.drain()
-            chunk = await loop.run_in_executor(self._executor, next_chunk)
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-        return 200, sent
-
-    # -- response helpers --------------------------------------------------
-
-    async def _send_body(self, writer, status, body: bytes, content_type: str):
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 500: "Internal Server Error"}
-        writer.write(
-            f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n".encode("latin-1")
-            + body
-        )
-        await writer.drain()
-        return status, len(body)
-
-    async def _send_json(self, writer, status, payload: dict):
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return await self._send_body(
-            writer, status, body, "application/json; charset=utf-8"
-        )
-
-    async def _send_error(self, writer, status, message: str) -> None:
-        try:
-            await self._send_json(writer, status, {"error": message})
-        except (ConnectionError, OSError):  # fault-ok: client went away
-            pass
+        self.slots = threading.BoundedSemaphore(max(1, workers))

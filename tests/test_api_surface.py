@@ -1,6 +1,7 @@
 """The public API surface.
 
-5.0 leaves one package body, one accounting and one report under every
+5.1 leaves one HTTP server — the stdlib's — under ``dbsynth serve`` and
+``--obs-port``, loaded only by the commands that serve. 5.0 leaves one package body, one accounting and one report under every
 runtime (``ClusterReport`` is gone). 3.0 leaves one generate→format
 path: ``Generator`` has two generation methods (``generate``,
 ``generate_block``) and ``OutputConfig`` has no ``columnar`` selector.
@@ -13,10 +14,13 @@ are promoted to the top-level package.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -216,3 +220,86 @@ class TestOneBodyOneAccountingOneReport:
     ])
     def test_deleted_names_stay_deleted(self, name):
         assert not self._occurrences(name, "")
+
+
+class TestOneHttpServer:
+    """Structural guard: the hand-rolled asyncio HTTP/1.1 server PR 19
+    replaced with the stdlib's cannot be forked back in."""
+
+    SRC = TestOneBodyOneAccountingOneReport.SRC
+    _occurrences = TestOneBodyOneAccountingOneReport._occurrences
+
+    def _importers(self, module: str) -> set[str]:
+        """Files under ``src/repro`` importing *module* (or a submodule)."""
+        found = set()
+        for path in sorted(self.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n == module or n.startswith(module + ".") for n in names):
+                    found.add(path.relative_to(self.SRC).as_posix())
+        return found
+
+    def test_nothing_imports_asyncio(self):
+        assert self._importers("asyncio") == set()
+
+    def test_one_module_imports_http_server(self):
+        assert self._importers("http.server") == {"obs/serve.py"}
+        assert self._importers("socketserver") == set()
+
+    def test_serve_package_writes_no_wire_protocol_of_its_own(self):
+        assert not self._occurrences("Connection: close", "serve")
+        # ... and has no Prometheus route of its own: /metrics renders
+        # through ServiceHandler.send_metrics on both servers
+        assert not self._occurrences("render_prometheus", "serve")
+        assert not self._occurrences("version=0.0.4", "serve")
+        assert len(self._occurrences("send_metrics(", "serve")) == 1
+
+    def test_batch_cli_loads_no_web_server(self):
+        probe = (
+            "import sys; from repro.cli.main import main; "
+            "print(sorted({'http.server', 'email', 'html', 'socketserver', "
+            "'asyncio', 'repro.serve', 'repro.obs.serve'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(self.SRC.parent))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, timeout=60,
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
+
+    def test_obs_server_still_resolves_lazily(self):
+        from repro import obs
+        from repro.obs.serve import ObsServer
+
+        assert obs.ObsServer is ObsServer
+        assert "ObsServer" in obs.__all__
+        with pytest.raises(AttributeError):
+            obs.NoSuchThing
+
+    def test_server_constructors_gained_no_parameter(self):
+        from repro.obs.serve import ObsServer
+        from repro.serve import DataServer
+
+        def signature(cls):
+            return [
+                (p.name, p.kind.name, p.default)
+                for p in inspect.signature(cls.__init__).parameters.values()
+            ][1:]
+
+        assert signature(DataServer) == [
+            ("dataset", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+            ("host", "KEYWORD_ONLY", "127.0.0.1"),
+            ("port", "KEYWORD_ONLY", 0),
+            ("workers", "KEYWORD_ONLY", 4),
+            ("registry", "KEYWORD_ONLY", None),
+        ]
+        assert signature(ObsServer) == [
+            ("port", "POSITIONAL_OR_KEYWORD", 0),
+            ("host", "POSITIONAL_OR_KEYWORD", "127.0.0.1"),
+            ("progress", "POSITIONAL_OR_KEYWORD", None),
+        ]

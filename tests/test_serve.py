@@ -3,12 +3,19 @@
 The headline guarantee: N concurrent clients requesting overlapping
 slices all receive payloads byte-identical to a cold single-shot batch
 run of the same model — the server computes, never caches or shares
-response state, so concurrency cannot perturb bytes.
+response state, so concurrency cannot perturb bytes. The rest pins what
+the stdlib server underneath must keep doing: persistent connections
+that never desynchronise, typed JSON errors for every hostile request,
+bounded metric labels, no thread left behind by a client that leaves.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import random
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -18,6 +25,7 @@ import pytest
 
 from repro.api import Dataset, clear_engine_cache
 from repro.engine import GenerationEngine
+from repro.exceptions import GenerationError
 from repro.obs.registry import MetricsRegistry
 from repro.output.config import OutputConfig
 from repro.scheduler import generate
@@ -54,9 +62,67 @@ def cold_batch():
     return outputs
 
 
+@pytest.fixture(scope="module")
+def big_server():
+    """A 6000-row table behind ONE generation slot: multi-chunk
+    responses, and any slot held across a write starves everyone."""
+    dataset = Dataset(demo_schema(orders=6000), package_size=256)
+    server = DataServer(dataset, workers=1, registry=MetricsRegistry()).start()
+    yield server
+    server.stop()
+
+
 def fetch(server, path):
     with urllib.request.urlopen(server.url + path, timeout=30) as response:
         return response.status, dict(response.headers), response.read()
+
+
+def wait_for(condition, timeout=5.0):
+    """Poll *condition* until true: the server accounts for a request
+    (and retires a connection's thread) a beat after the client is done."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def logged_on_stderr(capfd, text):
+    """True once the server's error log (stderr) carries *text*."""
+    logged = ""
+
+    def seen():
+        nonlocal logged
+        logged += capfd.readouterr().err
+        return text in logged
+
+    return wait_for(seen)
+
+
+def leaked_threads(before):
+    """Threads alive now that were not in *before* (compared by identity,
+    so an earlier test's connection thread still winding down cannot make
+    a plain ``active_count()`` comparison pass or fail by accident)."""
+    return [thread for thread in threading.enumerate() if thread not in before]
+
+
+def raw_exchange(server, payload, *, read=True):
+    """Send raw bytes, return everything the server answers until it
+    closes the connection (``b""`` for a close without a reply)."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        try:
+            sock.sendall(payload)
+        except ConnectionError:
+            pass  # refused mid-upload: the reply, if any, is still readable
+        reply = b""
+        while read:
+            try:
+                data = sock.recv(65536)
+            except ConnectionError:
+                break
+            if not data:
+                break
+            reply += data
+        return reply
 
 
 class TestEndpoints:
@@ -196,3 +262,239 @@ class TestConcurrentDeterminism:
             for _ in range(8)
         }
         assert len(payloads) == 1
+
+
+class TestBoundedMetricLabels:
+    def test_junk_format_values_create_no_series(self, server):
+        """``?format=`` is client text: only a resolved format name may
+        become a label, and only on the route that has a format."""
+        fetch(server, "/healthz")
+        fetch(server, "/tables")
+        fetch(server, "/table/customer/rows/0-5?format=CSV")  # resolves to csv
+        with pytest.raises(urllib.error.HTTPError):
+            fetch(server, "/table/customer/rows/0-5?format=bogus")
+        metrics = [
+            server.registry.get(name) for name in
+            ("serve_requests_total", "serve_request_seconds", "serve_bytes_total")
+        ]
+
+        def label_sets():
+            return [sorted(metric.label_sets()) for metric in metrics]
+
+        before = label_sets()
+        assert (("format", "csv"),) in before[2]
+        assert all(dict(key)["format"] in ("csv", "json", "arrow") for key in before[2])
+        for index in range(50):
+            fetch(server, f"/healthz?format=junk{index}")
+            fetch(server, f"/tables?format=junk{index}")
+            with pytest.raises(urllib.error.HTTPError) as info:
+                fetch(server, f"/table/customer/rows/0-5?format=junk{index}")
+            assert info.value.code == 400
+        assert label_sets() == before
+        assert "junk" not in fetch(server, "/metrics")[2].decode("utf-8")
+
+
+class TestHostileRequests:
+    """Every rejection is a typed, counted JSON error or a clean close;
+    nothing is swallowed, nothing takes the server down."""
+
+    CASES = [
+        # (name, raw request, fragment of the reply, counted as)
+        ("200 KB header line",
+         b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 200_000 + b"\r\n\r\n",
+         b" 431 ", ("unknown", "431")),
+        ("20 000 headers",
+         b"GET /healthz HTTP/1.1\r\n"
+         + b"".join(b"X-%d: v\r\n" % n for n in range(20_000)) + b"\r\n",
+         b" 431 ", ("unknown", "431")),
+        ("70 KB URI",
+         b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+         b" 414 ", ("unknown", "414")),
+        ("not HTTP at all", b"GARBAGE\r\n",
+         b"Bad request syntax", ("unknown", "400")),
+        ("unknown method", b"PATCH /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+         b" 405 ", ("unknown", "405")),
+        ("known non-GET method", b"POST /tables HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+         b" 405 ", ("unknown", "405")),
+        ("invalid UTF-8 table name",
+         b"GET /table/\xff\xfe/rows/0-5 HTTP/1.1\r\nConnection: close\r\n\r\n",
+         b" 404 ", ("slice", "404")),
+        ("cut mid-header, then closed", b"GET /healthz HTTP/1.1\r\nX-Par", None, None),
+    ]
+
+    @pytest.mark.parametrize("name,request_bytes,fragment,counted", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_rejection_is_typed_and_counted(
+        self, server, capfd, name, request_bytes, fragment, counted
+    ):
+        counter = server.registry.get("serve_requests_total")
+        labels = dict(zip(("route", "status"), counted)) if counted else None
+        before = counter.value(**labels) if labels else None
+        reply = raw_exchange(server, request_bytes, read=fragment is not None)
+        if fragment is not None:
+            assert fragment in reply
+            body = reply.rpartition(b"\r\n\r\n")[2]
+            assert isinstance(json.loads(body)["error"], str)
+            assert wait_for(lambda: counter.value(**labels) == before + 1)
+        assert fetch(server, "/healthz")[0] == 200
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_bug_in_a_handler_is_a_500_and_reaches_the_error_log(
+        self, server, capfd, monkeypatch
+    ):
+        from repro.serve.server import _Handler
+
+        def broken(self, path, query):
+            raise RuntimeError("boom in handler")
+
+        monkeypatch.setattr(_Handler, "_tables", broken)
+        reply = raw_exchange(server, b"GET /tables HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 500 ")
+        assert json.loads(reply.rpartition(b"\r\n\r\n")[2]) == {
+            "error": "internal server error"
+        }
+        counter = server.registry.get("serve_requests_total")
+        assert counter.value(route="tables", status="500") == 1
+        assert logged_on_stderr(capfd, "RuntimeError: boom in handler")
+        assert fetch(server, "/healthz")[0] == 200
+
+    def test_generation_failure_after_the_status_line_truncates_the_body(
+        self, server, capfd, monkeypatch
+    ):
+        """The 200 is out, so the failure cannot be reported in-band:
+        the connection is cut *without* the terminating chunk."""
+
+        def failing_stream(table, start, stop, *, format):
+            yield b"1|first chunk\n"
+            raise GenerationError("row 7 cannot be generated")
+
+        monkeypatch.setattr(server.dataset, "stream", failing_stream)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request("GET", "/table/orders/rows/0-100")
+            response = conn.getresponse()
+            assert response.status == 200
+            with pytest.raises(http.client.IncompleteRead) as info:
+                response.read()
+            assert info.value.partial == b"1|first chunk\n"
+        finally:
+            conn.close()
+        counter = server.registry.get("serve_requests_total")
+        assert wait_for(lambda: counter.value(route="slice", status="500") == 1)
+        assert logged_on_stderr(capfd, "row 7 cannot be generated")
+
+
+class TestPersistentConnections:
+    def test_forty_mixed_requests_share_one_connection(self, big_server):
+        dataset = big_server.dataset
+        rng = random.Random(19)
+
+        def slices(count):
+            for _ in range(count):
+                length = rng.choice((1, 7, 256, 1000, 4096))
+                start = rng.randrange(0, 6000 - length + 1)
+                yield "orders", start, start + length, rng.choice(("csv", "json"))
+
+        plan = [("/healthz", 200), ("/tables", 200), ("/metrics", 200)]
+        plan += list(slices(15))
+        plan += [("/table/orders/rows/9-4", 400), ("/table/nope/rows/0-5", 404)]
+        plan += list(slices(20))
+        assert len(plan) == 40
+
+        conn = http.client.HTTPConnection("127.0.0.1", big_server.port, timeout=30)
+        conn.connect()
+        first_socket = conn.sock
+        try:
+            for item in plan:
+                if len(item) == 2:
+                    path, expected_status = item
+                else:
+                    table, start, stop, fmt = item
+                    path = f"/table/{table}/rows/{start}-{stop}?format={fmt}"
+                    expected_status = 200
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                assert response.status == expected_status, path
+                # neither side hung up: still the first TCP connection
+                assert not response.will_close and conn.sock is first_socket, path
+                if len(item) == 4:
+                    assert response.getheader("Transfer-Encoding") == "chunked"
+                    assert body == dataset.slice(table, start, stop, format=fmt), path
+                else:
+                    assert int(response.getheader("Content-Length")) == len(body)
+                    if expected_status != 200:
+                        assert "error" in json.loads(body)
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+        b"GET /table/orders/rows/0-3 HTTP/1.1\r\nConnection: close\r\n\r\n",
+    ], ids=["connection-close", "http-1.0", "chunked-connection-close"])
+    def test_one_shot_clients_are_closed_after_one_response(
+        self, big_server, request_bytes
+    ):
+        # raw_exchange returns only once the *server* has closed
+        reply = raw_exchange(big_server, request_bytes)
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+
+class TestSlowAndVanishingClients:
+    def test_stalled_reader_holds_no_slot_and_leaves_no_thread(self, big_server):
+        """workers=1: a client that stops reading mid-response must not
+        block anyone else (the slot is released between chunks), is
+        counted 499 once it vanishes, and its thread ends with it."""
+        dataset = big_server.dataset
+        threads_before = set(threading.enumerate())
+        # its own server: the listening socket's send buffer is shrunk
+        # (accepted sockets inherit it) and the client's receive buffer
+        # too, so the ~400 KB response cannot hide in the kernel — the
+        # connection's thread really blocks in send.
+        with DataServer(dataset, workers=1, registry=MetricsRegistry()) as server:
+            counter = server.registry.get("serve_requests_total")
+            server._server.socket.setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            stalled = socket.socket()
+            try:
+                stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                stalled.settimeout(10)
+                stalled.connect(("127.0.0.1", server.port))
+                stalled.sendall(
+                    b"GET /table/orders/rows/0-4096?format=json HTTP/1.1\r\n\r\n"
+                )
+                assert stalled.recv(12) == b"HTTP/1.1 200"  # ... and reads no more
+                time.sleep(0.3)
+                _, _, body = fetch(server, "/table/orders/rows/100-356?format=csv")
+                assert body == dataset.slice("orders", 100, 356, format="csv")
+                # the stalled response is still in flight — neither
+                # swallowed whole by the buffers (a 200) nor given up on
+                assert wait_for(lambda: counter.value(route="slice", status="200") == 1)
+                assert sorted(counter.label_sets()) == [
+                    (("route", "slice"), ("status", "200"))
+                ]
+            finally:
+                stalled.close()  # unread data pending: the server sees a reset
+            assert wait_for(lambda: counter.value(route="slice", status="499") == 1)
+        assert wait_for(lambda: not leaked_threads(threads_before))
+
+    def test_stop_returns_promptly_with_an_idle_connection_open(self):
+        dataset = Dataset(demo_schema(), package_size=PACKAGE_SIZE)
+        threads_before = set(threading.enumerate())
+        server = DataServer(dataset, registry=MetricsRegistry()).start()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            assert conn.sock is not None  # idle, persistent, open
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 2
+            with pytest.raises(OSError):  # nothing is listening any more
+                socket.create_connection(conn.sock.getpeername(), timeout=2).close()
+        finally:
+            conn.close()
+        assert wait_for(lambda: not leaked_threads(threads_before))
