@@ -24,13 +24,11 @@ class TeeSink(Sink):
     """Duplicates the stream into several downstream sinks."""
 
     def __init__(self, *sinks: Sink) -> None:
-        super().__init__()
         self._sinks = sinks
 
     def write(self, chunk: str) -> None:
         for sink in self._sinks:
             sink.write(chunk)
-        self.bytes_written += len(chunk)
 
     def close(self) -> None:
         for sink in self._sinks:

@@ -28,7 +28,6 @@ _TEXT_OPTIONS = {
     "nullToken": "null_token",
     "dateFormat": "date_format",
     "timestampFormat": "timestamp_format",
-    "extension": "extension",
 }
 
 

@@ -24,8 +24,13 @@ def dictionary_artifact_name(table: str, column: str) -> str:
 class DictionaryBuilder:
     """Builds frequency-weighted dictionaries for categorical columns."""
 
-    def __init__(self, adapter: DatabaseAdapter, config: SampleConfig | None = None):
-        self.sampler = ColumnSampler(adapter)
+    def __init__(
+        self,
+        adapter: DatabaseAdapter,
+        config: SampleConfig | None = None,
+        seed: int = 0,
+    ):
+        self.sampler = ColumnSampler(adapter, seed)
         self.config = config or SampleConfig()
 
     def build(

@@ -44,8 +44,9 @@ class MarkovBuilder:
         adapter: DatabaseAdapter,
         config: SampleConfig | None = None,
         order: int = 1,
+        seed: int = 0,
     ) -> None:
-        self.sampler = ColumnSampler(adapter)
+        self.sampler = ColumnSampler(adapter, seed)
         self.config = config or SampleConfig()
         self.order = order
 

@@ -98,10 +98,13 @@ class ModelBuilder:
         self.options = options or BuildOptions()
         self.rules = rules or RuleEngine()
         self._dictionary_builder = DictionaryBuilder(
-            adapter, self.options.sample_config
+            adapter, self.options.sample_config, self.options.seed
         )
         self._markov_builder = MarkovBuilder(
-            adapter, self.options.sample_config, self.options.markov_order
+            adapter,
+            self.options.sample_config,
+            self.options.markov_order,
+            self.options.seed,
         )
 
     def build(

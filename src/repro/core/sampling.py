@@ -48,8 +48,9 @@ class SampleConfig:
 class ColumnSampler:
     """Samples text columns, timing the work into the extraction."""
 
-    def __init__(self, adapter: DatabaseAdapter) -> None:
+    def __init__(self, adapter: DatabaseAdapter, seed: int = 0) -> None:
         self.adapter = adapter
+        self.seed = seed
 
     def sample(
         self,
@@ -67,6 +68,7 @@ class ColumnSampler:
                 fraction=config.fraction,
                 limit=config.max_values,
                 strategy=config.strategy,
+                seed=self.seed,
             )
             if len(values) < config.min_values:
                 # Fraction too small for this table: top up with a first-N

@@ -94,12 +94,15 @@ class DatabaseAdapter(abc.ABC):
         fraction: float = 1.0,
         limit: int | None = None,
         strategy: str = "bernoulli",
+        seed: int = 0,
     ) -> list[object]:
         """Sample non-NULL values of a column.
 
         ``strategy`` is ``"bernoulli"`` (random per-row), ``"first"``
         (first-N scan), or ``"systematic"`` (every k-th row) — the
-        configurable sampling strategies of paper §3.
+        configurable sampling strategies of paper §3. Every strategy is
+        repeatable: the bernoulli draw is a hash of ``seed`` and the row,
+        so one source and one seed give one sample.
         """
 
     # -- execution -----------------------------------------------------------

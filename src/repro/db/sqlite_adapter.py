@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from repro.exceptions import AdapterError
 from repro.db.adapter import ColumnInfo, DatabaseAdapter, ForeignKeyInfo
+from repro.prng.xorshift import mix64
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -142,18 +143,35 @@ class SQLiteAdapter(DatabaseAdapter):
         fraction: float = 1.0,
         limit: int | None = None,
         strategy: str = "bernoulli",
+        seed: int = 0,
     ) -> list[object]:
         if not 0.0 < fraction <= 1.0:
             raise AdapterError(f"sample fraction {fraction} outside (0, 1]")
         col = _ident(column)
         tbl = _ident(table)
         where = f"{col} IS NOT NULL"
-        if strategy == "bernoulli":
-            if fraction < 1.0:
-                # abs(random()) is uniform over [0, 2**63); scale the
-                # fraction into that range for a per-row Bernoulli test.
-                threshold = int(fraction * (2**63 - 1))
-                where += f" AND abs(random()) <= {threshold}"
+        # Rows numbered in scan order: the row address both sampled
+        # strategies select on (``rowid`` would not exist on WITHOUT
+        # ROWID tables).
+        numbered = (
+            f"(SELECT {col}, ROW_NUMBER() OVER () AS rn "
+            f"FROM {tbl} WHERE {where})"
+        )
+        if strategy == "bernoulli" and fraction < 1.0:
+            # The per-row Bernoulli draw is a hash of (seed, row), the
+            # paper's PRNG-as-hash idea, so the same source and seed give
+            # the same sample — SQLite's random() cannot be seeded. The
+            # hash is folded to [0, 2**63) because SQLite integers are
+            # signed; the fraction scales into that range.
+            self._conn.create_function(
+                "sample_hash", 1, lambda row: mix64(seed ^ row) >> 1
+            )
+            threshold = int(fraction * (2**63 - 1))
+            sql = (
+                f"SELECT {col} FROM {numbered} "
+                f"WHERE sample_hash(rn) <= {threshold}"
+            )
+        elif strategy == "bernoulli":
             sql = f"SELECT {col} FROM {tbl} WHERE {where}"
         elif strategy == "first":
             count = self.row_count(table)
@@ -161,10 +179,7 @@ class SQLiteAdapter(DatabaseAdapter):
             sql = f"SELECT {col} FROM {tbl} WHERE {where} LIMIT {take}"
         elif strategy == "systematic":
             step = max(int(round(1.0 / fraction)), 1)
-            sql = (
-                f"SELECT {col} FROM (SELECT {col}, ROW_NUMBER() OVER () AS rn "
-                f"FROM {tbl} WHERE {where}) WHERE rn % {step} = 0"
-            )
+            sql = f"SELECT {col} FROM {numbered} WHERE rn % {step} = 0"
         else:
             raise AdapterError(f"unknown sampling strategy {strategy!r}")
         if limit is not None:

@@ -35,10 +35,6 @@ class GenerationError(ReproError):
     """A field value could not be generated at run time."""
 
 
-class ReferenceError_(GenerationError):
-    """A reference generator points at a missing table, field, or row."""
-
-
 class ExtractionError(ReproError):
     """DBSynth could not extract metadata or samples from a source DB."""
 

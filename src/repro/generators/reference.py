@@ -17,7 +17,6 @@ from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
-from repro.model.schema import GeneratorSpec
 from repro.prng import blocks
 
 
@@ -122,10 +121,3 @@ class DefaultReferenceGenerator(Generator):
     @property
     def target(self) -> tuple[str, str]:
         return (self._table_name, self._field_name)
-
-
-def reference_spec(table: str, field: str, **params: object) -> GeneratorSpec:
-    """Convenience builder for reference specs used by suite models."""
-    merged: dict[str, object] = {"table": table, "field": field}
-    merged.update(params)
-    return GeneratorSpec("DefaultReferenceGenerator", merged)

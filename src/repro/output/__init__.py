@@ -3,13 +3,12 @@ and sinks."""
 
 from repro.output.formats import (
     FormatSpec,
-    binary_formats,
     format_package,
     format_spec,
     known_formats,
     register_format,
 )
-from repro.output.rows import ValueFormatter, format_row
+from repro.output.rows import ValueFormatter
 from repro.output.sinks import (
     CallbackSink,
     FileSink,
@@ -27,18 +26,15 @@ from repro.output.writers import (
     RowWriter,
     SqlWriter,
     XmlWriter,
-    writer_for,
 )
 
 __all__ = [
     "FormatSpec",
-    "binary_formats",
     "format_package",
     "format_spec",
     "known_formats",
     "register_format",
     "ValueFormatter",
-    "format_row",
     "CallbackSink",
     "FileSink",
     "GzipFileSink",
@@ -53,5 +49,4 @@ __all__ = [
     "RowWriter",
     "SqlWriter",
     "XmlWriter",
-    "writer_for",
 ]

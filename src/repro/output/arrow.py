@@ -178,7 +178,6 @@ class ParquetSink(Sink):
     """
 
     def __init__(self, path: str, resume_packages: int | None = None) -> None:
-        super().__init__()
         pa = require_pyarrow("parquet output")
         import pyarrow.parquet as pq
 
@@ -239,7 +238,6 @@ class ParquetSink(Sink):
         if self._writer is None:
             self._writer = self._pq.ParquetWriter(self.path, table.schema)
         self._writer.write_table(table)
-        self.bytes_written += len(chunk)
 
     def flush(self) -> None:
         # Row groups only become durable when the footer is written —

@@ -48,7 +48,6 @@ class OutputConfig:
     date_format: str = "%Y-%m-%d"
     timestamp_format: str = "%Y-%m-%d %H:%M:%S"
     float_places: int | None = None
-    extension: str = ""
     _memory_sinks: dict[str, MemorySink] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -89,7 +88,7 @@ class OutputConfig:
         return writer.supports_columns
 
     def table_path(self, table: str) -> str:
-        extension = self.extension or format_spec(self.format).extension
+        extension = format_spec(self.format).extension
         return os.path.join(self.directory, table + extension)
 
     def new_sink(

@@ -138,11 +138,6 @@ def known_formats() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def binary_formats() -> tuple[str, ...]:
-    """The registered formats whose chunks are ``bytes``."""
-    return tuple(sorted(name for name, s in _REGISTRY.items() if s.binary))
-
-
 register_format(FormatSpec(
     "csv", "text/csv; charset=utf-8", ".tbl",
     lambda: CsvWriter, options=_csv_options,

@@ -79,9 +79,3 @@ class ValueFormatter:
     @property
     def cache_size(self) -> int:
         return len(self._cache)
-
-
-def format_row(values: list[object], formatter: ValueFormatter) -> list[str]:
-    """Format every value of a row (helper for the writers)."""
-    fmt = formatter.format
-    return [fmt(v) for v in values]

@@ -18,14 +18,18 @@ from typing import Callable
 
 from repro.exceptions import OutputError
 from repro.obs import span
+from repro.output.formats import encoded_size
+
+_FILE_BUFFER = 1 << 20
+_GZIP_LEVEL = 6
 
 
 class Sink(abc.ABC):
-    """A byte-counting text sink. Thread safety is the caller's job —
-    each work package writes through the ordered mux, not directly."""
-
-    def __init__(self) -> None:
-        self.bytes_written = 0
+    """Receives formatted chunks in order. Thread safety is the caller's
+    job — each work package writes through the ordered mux, not
+    directly. Sinks do not count what they receive: the run's byte
+    totals come from :class:`~repro.scheduler.scheduler.RunAccounting`,
+    which measures encoded bytes."""
 
     @abc.abstractmethod
     def write(self, chunk: str) -> None:
@@ -57,11 +61,11 @@ class Sink(abc.ABC):
 
 
 class NullSink(Sink):
-    """Discards output but counts bytes — the ``/dev/null`` substitute
-    used to measure CPU-bound generation throughput (paper Figures 4-6)."""
+    """Discards output — the ``/dev/null`` substitute used to measure
+    CPU-bound generation throughput (paper Figures 4-6)."""
 
     def write(self, chunk: str) -> None:
-        self.bytes_written += len(chunk)
+        """Drop the chunk."""
 
 
 class FileSink(Sink):
@@ -81,11 +85,9 @@ class FileSink(Sink):
     def __init__(
         self,
         path: str,
-        buffer_size: int = 1 << 20,
         resume_at: int | None = None,
         binary: bool = False,
     ) -> None:
-        super().__init__()
         self.path = path
         mode = "a" if resume_at is not None else "w"
         try:
@@ -94,13 +96,13 @@ class FileSink(Sink):
             if resume_at is not None:
                 self._truncate_to(path, resume_at)
             if binary:
-                self._handle = open(path, mode + "b", buffering=buffer_size)
+                self._handle = open(path, mode + "b", buffering=_FILE_BUFFER)
             else:
                 self._handle: io.TextIOWrapper | None = open(
                     path,
                     mode,
                     encoding="utf-8",
-                    buffering=buffer_size,
+                    buffering=_FILE_BUFFER,
                 )
         except OSError as exc:
             raise OutputError(f"cannot open {path!r}: {exc}") from exc
@@ -125,7 +127,6 @@ class FileSink(Sink):
         if self._handle is None:
             raise OutputError(f"sink for {self.path!r} already closed")
         self._handle.write(chunk)
-        self.bytes_written += len(chunk)
 
     def flush(self) -> None:
         if self._handle is not None:
@@ -145,13 +146,12 @@ class FileSink(Sink):
 class GzipFileSink(Sink):
     """Writes gzip-compressed output (big data sets ship compressed).
 
-    ``bytes_written`` counts *uncompressed* text so throughput numbers
-    stay comparable across sinks; the on-disk size is available via
+    Run reports count the *uncompressed* encoded text so throughput
+    numbers stay comparable across sinks; the on-disk size is that of
     :attr:`path` after :meth:`close`.
     """
 
-    def __init__(self, path: str, level: int = 6) -> None:
-        super().__init__()
+    def __init__(self, path: str) -> None:
         import gzip
 
         self.path = path
@@ -159,7 +159,7 @@ class GzipFileSink(Sink):
             directory = os.path.dirname(os.path.abspath(path))
             os.makedirs(directory, exist_ok=True)
             self._handle = gzip.open(path, "wt", encoding="utf-8",
-                                     compresslevel=level)
+                                     compresslevel=_GZIP_LEVEL)
         except OSError as exc:
             raise OutputError(f"cannot open {path!r}: {exc}") from exc
 
@@ -167,7 +167,6 @@ class GzipFileSink(Sink):
         if self._handle is None:
             raise OutputError(f"sink for {self.path!r} already closed")
         self._handle.write(chunk)
-        self.bytes_written += len(chunk)
 
     def flush(self) -> None:
         if self._handle is not None:
@@ -188,12 +187,10 @@ class MemorySink(Sink):
     """
 
     def __init__(self) -> None:
-        super().__init__()
         self._parts: list = []
 
     def write(self, chunk) -> None:
         self._parts.append(chunk)
-        self.bytes_written += len(chunk)
 
     def getvalue(self):
         parts = self._parts
@@ -206,12 +203,10 @@ class CallbackSink(Sink):
     """Forwards chunks to a callable — the streaming-system hookup."""
 
     def __init__(self, callback: Callable[[str], None]) -> None:
-        super().__init__()
         self._callback = callback
 
     def write(self, chunk: str) -> None:
         self._callback(chunk)
-        self.bytes_written += len(chunk)
 
 
 class SQLiteSink(Sink):
@@ -225,7 +220,6 @@ class SQLiteSink(Sink):
     """
 
     def __init__(self, database: str) -> None:
-        super().__init__()
         try:
             self._conn: sqlite3.Connection | None = sqlite3.connect(
                 database, check_same_thread=False
@@ -242,9 +236,6 @@ class SQLiteSink(Sink):
                 self._conn.executescript(chunk)
             except sqlite3.Error as exc:
                 raise OutputError(f"SQL load failed: {exc}") from exc
-            # Inside the lock: several muxes may share one database sink,
-            # and a bare ``+=`` from concurrent writers drops increments.
-            self.bytes_written += len(chunk)
 
     def flush(self) -> None:
         with self._lock:
@@ -410,7 +401,7 @@ class OrderedSinkMux:
                         self._write(pending)
                         if self._on_flush is not None:
                             self._on_flush(self._next, pending)
-                        written += len(pending)
+                        written += encoded_size(pending)
                         self._next += 1
                         flushed += 1
                     write_span.set(chunks=flushed, bytes=written)

@@ -227,15 +227,3 @@ class SqlWriter(RowWriter):
         return (
             f"INSERT INTO {self.table} ({columns}) VALUES ({', '.join(rendered)});\n"
         )
-
-
-def writer_for(format_name: str) -> type[RowWriter]:
-    """Look up a writer class by its format name.
-
-    Thin alias over the format registry
-    (:func:`repro.output.formats.format_spec`) — the registry is the
-    single source of truth for accepted format names.
-    """
-    from repro.output.formats import format_spec
-
-    return format_spec(format_name).writer_class()

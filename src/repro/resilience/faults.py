@@ -123,7 +123,6 @@ class FlakySink(Sink):
     """
 
     def __init__(self, inner: Sink, fail_every: int) -> None:
-        super().__init__()
         self.inner = inner
         self.fail_every = max(int(fail_every), 1)
         self._calls = 0
@@ -135,7 +134,6 @@ class FlakySink(Sink):
                 f"injected transient failure on write {self._calls}"
             )
         self.inner.write(chunk)
-        self.bytes_written = self.inner.bytes_written
 
     def flush(self) -> None:
         self.inner.flush()
@@ -163,7 +161,6 @@ class CrashingSink(Sink):
         counter: list[int],
         exception: type[BaseException] = InjectedCrash,
     ) -> None:
-        super().__init__()
         self.inner = inner
         self.crash_after = int(crash_after)
         self._counter = counter
@@ -176,7 +173,6 @@ class CrashingSink(Sink):
             )
         self._counter[0] += 1
         self.inner.write(chunk)
-        self.bytes_written = self.inner.bytes_written
 
     def flush(self) -> None:
         self.inner.flush()

@@ -21,7 +21,6 @@ from repro.scheduler.work import (
     WorkPackage,
     node_share,
     partition_rows,
-    plan_node,
     plan_shards,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "WorkPackage",
     "node_share",
     "partition_rows",
-    "plan_node",
     "plan_shards",
 ]

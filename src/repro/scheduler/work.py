@@ -72,24 +72,6 @@ def node_share(size: int, nodes: int, node: int) -> tuple[int, int]:
     return start, stop
 
 
-def plan_node(
-    sizes: dict[str, int],
-    nodes: int,
-    node: int,
-    package_size: int = DEFAULT_PACKAGE_SIZE,
-) -> list[WorkPackage]:
-    """All work packages one node generates, across all tables."""
-    packages: list[WorkPackage] = []
-    for table, size in sizes.items():
-        start, stop = node_share(size, nodes, node)
-        share = stop - start
-        if share <= 0:
-            continue
-        offset_packages = partition_rows(table, share, package_size, offset=start)
-        packages.extend(offset_packages)
-    return packages
-
-
 def plan_shards(
     sizes: dict[str, int], nodes: int
 ) -> list[list[tuple[str, int, int]]]:

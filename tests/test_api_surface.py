@@ -1,5 +1,7 @@
 """The public API surface.
 
+5.2 deletes what 3.0-5.1 orphaned: the per-sink ``bytes_written``
+counter, three output options nothing set, six names nothing called.
 5.1 leaves one HTTP server — the stdlib's — under ``dbsynth serve`` and
 ``--obs-port``, loaded only by the commands that serve. 5.0 leaves one package body, one accounting and one report under every
 runtime (``ClusterReport`` is gone). 3.0 leaves one generate→format
@@ -217,9 +219,53 @@ class TestOneBodyOneAccountingOneReport:
         "ClusterReport", "frame_bytes", "makespan", "_TableStats",
         "_count_frame_bytes", "stats_lock", "durable_bytes",
         "_output_extension", "maybe_kill_worker",
+        # orphans of PRs 11-19: no caller under src/ at the time they went
+        "format_row", "binary_formats", "reference_spec", "ReferenceError_",
+        "plan_node", "writer_for",
     ])
     def test_deleted_names_stay_deleted(self, name):
         assert not self._occurrences(name, "")
+
+
+class TestSinksCountNothingAndTakeNoTuning:
+    """Structural guard: the per-sink counter nothing read (it counted
+    characters) and the three options nothing set cannot grow back."""
+
+    def test_no_sink_class_defines_bytes_written(self):
+        import repro.output.arrow  # noqa: F401 - defines ParquetSink
+        import repro.resilience.faults  # noqa: F401 - the fault wrappers
+        from repro.output.sinks import Sink
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        sinks = [
+            cls for cls in subclasses(Sink) if cls.__module__.startswith("repro.")
+        ]
+        assert len(sinks) >= 9
+        for cls in [Sink, *sinks]:
+            assert "bytes_written" not in inspect.getsource(cls), cls
+
+    def test_sink_constructors_lost_their_tuning_parameters(self):
+        from repro.output.sinks import FileSink, GzipFileSink
+
+        def parameters(cls):
+            return list(inspect.signature(cls.__init__).parameters)[1:]
+
+        assert parameters(FileSink) == ["path", "resume_at", "binary"]
+        assert parameters(GzipFileSink) == ["path"]
+
+    def test_output_config_has_no_extension_field(self):
+        from repro.config import format_xml
+
+        names = {field.name for field in dataclasses.fields(OutputConfig)}
+        assert "extension" not in names
+        with pytest.raises(repro.ConfigError, match="<extension>"):
+            format_xml.loads(
+                '<output kind="file"><extension>.dat</extension></output>'
+            )
 
 
 class TestOneHttpServer:

@@ -7,6 +7,8 @@ import os
 import pytest
 
 from repro.cli.main import main
+from repro.core.sampling import SampleConfig
+from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.suites.imdb import build_imdb_database
 
 
@@ -48,6 +50,38 @@ class TestExtract:
         out = capsys.readouterr().out
         assert "timings:" in out
         assert "min/max" in out
+
+    def test_default_extract_is_reproducible(self, tmp_path, monkeypatch):
+        # The source must be large enough that the default 1% bernoulli
+        # sample is *kept*: below SampleConfig.min_values the sampler falls
+        # back to the deterministic first-N scan, which hid an unseeded
+        # draw from every small-schema test.
+        source = str(tmp_path / "big.db")
+        build_imdb_database(
+            source, movies=10000, people=8000, cast_per_movie=1,
+            ratings_per_movie=3, seed=13,
+        ).close()
+        kept = []
+        sample_column = SQLiteAdapter.sample_column
+
+        def spy(self, *args, **kwargs):
+            values = sample_column(self, *args, **kwargs)
+            if kwargs.get("strategy") == "bernoulli":
+                kept.append(len(values))
+            return values
+
+        monkeypatch.setattr(SQLiteAdapter, "sample_column", spy)
+        trees = []
+        for run in ("a", "b"):
+            directory = tmp_path / run
+            assert main(["extract", source, "-o", str(directory)]) == 0
+            trees.append({
+                str(path.relative_to(directory)): path.read_bytes()
+                for path in sorted(directory.rglob("*")) if path.is_file()
+            })
+        assert kept and min(kept) >= SampleConfig().min_values
+        assert len(trees[0]) > 3  # model, DDL and the sampled artifacts
+        assert trees[0] == trees[1]
 
 
 class TestPreview:

@@ -127,6 +127,21 @@ class TestSampling:
         )
         assert len(values) == 2
 
+    def test_bernoulli_draw_is_a_function_of_seed_and_row(self, adapter):
+        # WITHOUT ROWID: the draw hashes the scan-order row number, not
+        # ``rowid``, which such a table does not have.
+        adapter.execute_script(
+            "CREATE TABLE big (k INTEGER PRIMARY KEY, v TEXT) WITHOUT ROWID"
+        )
+        adapter.insert_rows("big", ["k", "v"], ((k, f"v{k}") for k in range(4000)))
+
+        def sample(seed):
+            return adapter.sample_column("big", "v", fraction=0.1, seed=seed)
+
+        assert sample(7) == sample(7)
+        assert sample(7) != sample(8)
+        assert 300 < len(sample(7)) < 500
+
     def test_bernoulli_fraction_bounds(self, adapter):
         with pytest.raises(AdapterError):
             adapter.sample_column("emp", "name", fraction=0.0)

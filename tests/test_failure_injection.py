@@ -32,7 +32,6 @@ class FailingSink(Sink):
     """Raises on the nth write."""
 
     def __init__(self, fail_at: int = 2) -> None:
-        super().__init__()
         self._writes = 0
         self._fail_at = fail_at
 
@@ -40,7 +39,6 @@ class FailingSink(Sink):
         self._writes += 1
         if self._writes >= self._fail_at:
             raise OutputError("synthetic sink failure")
-        self.bytes_written += len(chunk)
 
 
 class TestGeneratorFailures:

@@ -15,7 +15,7 @@ from repro.scheduler import ClusterScheduler, node_ranges, run_node
 from repro.scheduler.executor import PackageResult
 from repro.scheduler.progress import ProgressMonitor
 from repro.scheduler.scheduler import RunAccounting, Scheduler, generate
-from repro.scheduler.work import WorkPackage, node_share, partition_rows, plan_node
+from repro.scheduler.work import WorkPackage, node_share, partition_rows
 from tests.conftest import demo_schema
 
 
@@ -77,11 +77,6 @@ class TestNodeShare:
             node_share(10, 0, 0)
         with pytest.raises(SchedulingError):
             node_share(10, 3, 3)
-
-    def test_plan_node_covers_tables(self):
-        packages = plan_node({"a": 10, "b": 7}, 2, 0, package_size=3)
-        tables = {p.table for p in packages}
-        assert tables == {"a", "b"}
 
 
 class TestScheduler:

@@ -232,7 +232,7 @@ class TestExecutorParity:
             tracer, registry = obs.enable_tracing(), obs.enable_metrics()
             try:
                 report = _run_executor(runtime, output)
-                totals = obs.table_totals(tracer.drain())
+                spans = tracer.drain()
             finally:
                 obs.reset()
             files = {
@@ -240,6 +240,7 @@ class TestExecutorParity:
                 for name in engine.sizes
             }
             assert report.bytes_written == sum(files.values()), runtime
+            totals = obs.table_totals(spans)
             rows = registry.get("rows_generated_total")
             nbytes = registry.get("bytes_written_total")
             for table in report.tables:
@@ -251,6 +252,13 @@ class TestExecutorParity:
                 assert totals.get(table.name, (0, 0)) == (
                     table.rows, table.bytes_written - frame
                 ), runtime
+                if runtime != "cluster":  # nodes write part files, not a mux
+                    flushed = sum(
+                        span.attrs["bytes"] for span in spans
+                        if span.name == "sink.write"
+                        and span.attrs["table"] == table.name
+                    )
+                    assert flushed == table.bytes_written - frame, runtime
             # the date column goes through the formatter's memo cache on
             # every runtime (vectorized csv formats each distinct day once)
             misses = registry.get("formatter_cache_misses_total")

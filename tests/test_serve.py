@@ -244,6 +244,12 @@ class TestConcurrentDeterminism:
                 expected = "".join(lines[start:stop]).encode("utf-8")
                 requests.append((fmt, start, stop, expected))
         requests = requests * 6  # 120 overlapping in-flight fetches
+        counter = server.registry.get("serve_requests_total")
+
+        def served():
+            return counter.value(route="slice", status="200")
+
+        counted = served()
 
         def hit(item):
             fmt, start, stop, expected = item
@@ -255,6 +261,12 @@ class TestConcurrentDeterminism:
         with ThreadPoolExecutor(max_workers=16) as pool:
             results = list(pool.map(hit, requests))
         assert all(results)
+        # Every successful request is counted; the handler counts in its
+        # finally block, which may run a beat after the body is read.
+        deadline = time.monotonic() + 5
+        while served() < counted + len(requests) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert served() >= counted + len(requests)
 
     def test_repeated_fetch_is_stable(self, server):
         payloads = {

@@ -12,10 +12,6 @@ JSON ledger (``BENCH_core.json`` by default):
   high-volume generator classes (id, long uniform, dictionary);
 * ``columnar_mb_per_s`` — columnar CSV throughput on a typed-column
   schema, thread backend (the vectorized block-formatter fast path);
-* ``serve_rps`` / ``serve_p99_ms`` — the ``dbsynth serve`` load driver
-  (``benchmarks/bench_serve.py``): concurrent mixed-format range
-  requests against a TPC-H data server, requests/second and p99 request
-  latency (every response digest-checked against a cold batch run);
 * ``cluster_rows_per_s`` — distributed cluster throughput: a 3-node
   TPC-H run on the real process-per-node runtime (work stealing on,
   null sink), total rows over the cluster makespan.
@@ -59,8 +55,6 @@ METRICS = {
     "process_mb_per_s": "up",
     "batch_ns_per_value": "down",
     "columnar_mb_per_s": "up",
-    "serve_rps": "up",
-    "serve_p99_ms": "down",
     "cluster_rows_per_s": "up",
 }
 
@@ -215,29 +209,12 @@ def measure_cluster_rows_per_s(
     return best
 
 
-def measure_serve(smoke: bool, rounds: int) -> dict[str, float]:
-    """The serve load driver's rps/p99 (see benchmarks/bench_serve.py)."""
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(__file__), "..", "benchmarks")
-    )
-    try:
-        import bench_serve
-    finally:
-        sys.path.pop(0)
-    return bench_serve.measure_serve(
-        scale_factor=0.002 if smoke else 0.01,
-        request_count=120 if smoke else 400,
-        concurrency=min(16, 2 * multiprocessing.cpu_count()),
-        rounds=rounds,
-    )
-
-
 def run_measurements(smoke: bool) -> dict[str, float]:
     scale_factor = 0.002 if smoke else 0.01
     rounds = 2 if smoke else 3
     rows = 4096 if smoke else 16384
     workers = min(2 if smoke else 4, multiprocessing.cpu_count())
-    results = {
+    return {
         "thread_mb_per_s": round(
             measure_backend_mb_per_s("thread", scale_factor, workers, rounds), 3
         ),
@@ -254,8 +231,6 @@ def run_measurements(smoke: bool) -> dict[str, float]:
             measure_cluster_rows_per_s(scale_factor, nodes=3, rounds=rounds), 1
         ),
     }
-    results.update(measure_serve(smoke, rounds))
-    return results
 
 
 # -- ledger -------------------------------------------------------------------
