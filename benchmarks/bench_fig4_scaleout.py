@@ -19,19 +19,15 @@ panel), and every node generates a disjoint, exact share of the data.
 A second, truly parallel series runs the cluster runtime (one OS
 process per node, parent-side dispatch and work stealing) so the
 coordination overhead it adds over the composed estimate is measured,
-not assumed. Run as a script with ``--smoke`` for the CI cluster
-canary: 3-node distributed TPC-H digest-checked against a single-node
-golden run, a kill-one-node resume leg, and a steal-vs-static makespan
-comparison on an induced slow node.
+not assumed: up to the host's core count it is a real speed-up, past it
+the nodes share cores and the number to read is how little is lost.
+(Byte-identity of the merged output, dead-node recovery and stealing
+are tier-1's: ``tests/test_cluster.py``.)
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
-import os
-import shutil
-import tempfile
 
 import pytest
 
@@ -39,8 +35,9 @@ from repro.output.config import OutputConfig
 from repro.scheduler import ClusterScheduler
 from repro.suites.bigbench import bigbench_artifacts, bigbench_schema
 
-from conftest import bench_sf, record, simulated_cluster
+from conftest import assert_near_linear, bench_sf, record, simulated_cluster
 
+SERIES = "Figure 4 (BigBench scale-out): nodes | cluster MB/s | makespan s"
 _CPUS = multiprocessing.cpu_count()
 NODE_COUNTS = [1, 2, 4, 8, 16, 24]
 DISTRIBUTED_NODE_COUNTS = sorted({1, 2, 4} | {n for n in (8,) if n <= _CPUS})
@@ -59,41 +56,36 @@ def schema():
 @pytest.mark.parametrize("nodes", NODE_COUNTS)
 def test_scaleout_simulated_cluster(benchmark, schema, nodes):
     """Per-node shares run in isolation; makespan = max(node durations)
-    over each node's best of three repetitions."""
+    over each node's best of five repetitions."""
     result = benchmark.pedantic(
         simulated_cluster, args=(schema, bigbench_artifacts(), nodes),
         rounds=1, iterations=1,
     )
     _simulated[nodes] = result.mb_per_second
-    benchmark.extra_info["nodes"] = nodes
-    benchmark.extra_info["cluster_mb_per_s"] = round(result.mb_per_second, 2)
-    record(
-        "Figure 4 (BigBench scale-out): nodes | cluster MB/s | makespan s",
-        (nodes, round(result.mb_per_second, 2), round(result.seconds, 3)),
-    )
+    record(SERIES, (
+        f"{nodes} (simulated)", round(result.mb_per_second, 2), round(result.seconds, 3),
+    ))
     assert result.rows == sum(schema.sizes().values())
 
 
 @pytest.mark.parametrize("nodes", DISTRIBUTED_NODE_COUNTS)
 def test_scaleout_distributed_cluster(benchmark, schema, nodes):
     """The cluster runtime — the truly parallel series: one OS process
-    per node, parent-side dispatch, stealing enabled. On a host with
-    fewer cores than nodes this measures the coordination overhead, not
-    parallel speedup — the interesting number is how close it stays to
-    the simulated series."""
+    per node, parent-side dispatch, stealing enabled; best of three
+    runs. Past the host's core count this measures the coordination
+    overhead, not parallel speedup."""
     scheduler = ClusterScheduler(
         schema, bigbench_artifacts(), output=OutputConfig(kind="null")
     )
     result = benchmark.pedantic(
-        scheduler.run, args=(nodes,), rounds=2, iterations=1, warmup_rounds=0,
+        scheduler.run, args=(nodes,), rounds=3, iterations=1, warmup_rounds=0,
     )
-    benchmark.extra_info["nodes"] = nodes
-    benchmark.extra_info["steals"] = result.steals
-    record(
-        "Figure 4 (BigBench scale-out): nodes | cluster MB/s | makespan s",
-        (f"{nodes} (distributed)", round(result.mb_per_second, 2),
-         round(result.seconds, 3)),
-    )
+    seconds = benchmark.stats.stats.min
+    record(SERIES, (
+        f"{nodes} (cluster runtime)",
+        round(result.bytes_written / 1048576 / seconds, 2), round(seconds, 3),
+        f"{result.steals} steals",
+    ))
     assert result.rows == sum(schema.sizes().values())
 
 
@@ -103,187 +95,10 @@ def test_scaling_is_near_linear(benchmark):
         pytest.skip("run after the parametrized measurements")
 
     def check():
-        base = _simulated[1]
-        for nodes in NODE_COUNTS[1:]:
-            speedup = _simulated[nodes] / base
-            # Linear within a generous efficiency band (fixed per-node
-            # setup plus makespan jitter eat into ideality at high node
-            # counts on makespans of tens of milliseconds; the paper's
-            # hour-long runs amortize both away).
-            floor = 0.55 if nodes <= 8 else 0.35
-            assert speedup >= floor * nodes, (
-                f"{nodes} nodes: speedup {speedup:.2f}, expected ~{nodes}"
-            )
-            # And never super-linear beyond noise.
-            assert speedup <= 1.4 * nodes
-        record(
-            "Figure 4 (BigBench scale-out): nodes | cluster MB/s | makespan s",
-            ("speedup@24-node-sim",
-             round(_simulated[24] / base, 1), "x over 1 node"),
-        )
+        assert_near_linear(_simulated)
+        record(SERIES, (
+            "speedup@24-node-sim",
+            round(_simulated[24] / _simulated[1], 1), "x over 1 node",
+        ))
 
     benchmark.pedantic(check, rounds=1, iterations=1)
-
-
-# -- script mode: CI cluster smoke canary -------------------------------------
-
-
-def _digests(directory: str) -> dict[str, str]:
-    out = {}
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
-        if os.path.isfile(path):
-            with open(path, "rb") as handle:
-                out[name] = hashlib.sha256(handle.read()).hexdigest()
-    return out
-
-
-def _smoke(artifacts_dir: str | None) -> int:
-    """The cluster half of CI's runtime-smoke job.
-
-    1. Golden: single-node TPC-H generation (the reference bytes).
-    2. 3-node distributed run — per-table digests must equal the golden.
-    3. Kill-one-node leg — a node dies mid-shard (scripted fault), the
-       parent truncates its parts to the durable prefix and reassigns;
-       digests must still equal the golden.
-    4. Imbalance leg — one node is slowed; the stealing run must record
-       steals and beat the static (no-steal) run's makespan.
-
-    ``artifacts_dir`` (the CI upload directory) receives the per-node
-    ``node<i>/`` checkpoint manifests of the kill leg and a stitched
-    trace of the whole canary, for post-mortem when an assertion fails.
-    """
-    import sys
-
-    sys.path.insert(
-        0, os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-    from repro import obs
-    from repro.engine import GenerationEngine
-    from repro.resilience import FaultPlan
-    from repro.scheduler import generate, node_share
-    from repro.suites.tpch import tpch_artifacts, tpch_schema
-
-    schema = tpch_schema(0.001)
-    artifacts = tpch_artifacts()
-    base = tempfile.mkdtemp(prefix="cluster-smoke-")
-    tracer = obs.enable_tracing()
-    failures = 0
-    try:
-        golden_dir = os.path.join(base, "golden")
-        generate(
-            GenerationEngine(schema, artifacts),
-            OutputConfig(kind="file", format="csv", directory=golden_dir),
-            package_size=500,
-        )
-        golden = _digests(golden_dir)
-
-        cluster_dir = os.path.join(base, "cluster")
-        report = ClusterScheduler(
-            schema, artifacts,
-            output=OutputConfig(kind="file", format="csv",
-                                directory=cluster_dir),
-            package_size=500,
-        ).run(3)
-        if _digests(cluster_dir) != golden:
-            print("smoke cluster: FAIL — 3-node digests differ from golden")
-            failures += 1
-        else:
-            print(
-                f"smoke cluster: 3-node run byte-identical "
-                f"({report.rows} rows, {report.steals} steals)"
-            )
-
-        # kill-one-node leg: node 1 dies entering the second package of
-        # its lineitem shard, after one package is durable.
-        kill_dir = os.path.join(base, "killed")
-        ckpt_dir = (
-            os.path.join(artifacts_dir, "checkpoints")
-            if artifacts_dir else os.path.join(base, "ckpt")
-        )
-        latch = os.path.join(base, "latch")
-        os.makedirs(latch)
-        start, _stop = node_share(schema.sizes()["lineitem"], 3, 1)
-        killed = ClusterScheduler(
-            schema, artifacts,
-            output=OutputConfig(kind="file", format="csv",
-                                directory=kill_dir),
-            package_size=500, checkpoint=ckpt_dir,
-            faults=FaultPlan(kill_node_at=("lineitem", start + 500),
-                             latch_dir=latch),
-        ).run(3)
-        if killed.node_failures != 1:
-            print(
-                f"smoke kill: FAIL — expected 1 node failure, "
-                f"saw {killed.node_failures}"
-            )
-            failures += 1
-        if _digests(kill_dir) != golden:
-            print("smoke kill: FAIL — post-recovery digests differ from golden")
-            failures += 1
-        if not failures:
-            print(
-                f"smoke kill: dead node recovered byte-identically "
-                f"({killed.reassigned_ranges} ranges reassigned)"
-            )
-
-        # imbalance leg: slow node 0, stealing on vs off.
-        slow = FaultPlan(slow_nodes={0: 0.01})
-        stolen = ClusterScheduler(
-            schema, artifacts, output=OutputConfig(kind="null"),
-            package_size=200, faults=slow,
-        ).run(3)
-        static = ClusterScheduler(
-            schema, artifacts, output=OutputConfig(kind="null"),
-            package_size=200, faults=slow, steal=False,
-        ).run(3)
-        if stolen.steals < 1:
-            print("smoke steal: FAIL — no steals on an imbalanced cluster")
-            failures += 1
-        elif stolen.seconds >= static.seconds:
-            print(
-                f"smoke steal: FAIL — stealing makespan {stolen.seconds:.2f}s "
-                f"did not beat static {static.seconds:.2f}s"
-            )
-            failures += 1
-        else:
-            print(
-                f"smoke steal: {stolen.steals} steals, makespan "
-                f"{stolen.seconds:.2f}s vs static {static.seconds:.2f}s"
-            )
-    finally:
-        if artifacts_dir:
-            os.makedirs(artifacts_dir, exist_ok=True)
-            obs.write_trace_jsonl(
-                tracer, os.path.join(artifacts_dir, "cluster-smoke-trace.jsonl")
-            )
-        obs.reset()
-        shutil.rmtree(base, ignore_errors=True)
-    if failures == 0:
-        print("smoke ok: distributed cluster byte-identical, elastic, recoverable")
-    return 1 if failures else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="run the correctness-only distributed cluster canary and exit",
-    )
-    parser.add_argument(
-        "--artifacts", metavar="DIR", default=None,
-        help="directory for post-mortem artifacts (node checkpoint "
-        "manifests, stitched trace); uploaded by CI on failure",
-    )
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("benchmark series run under pytest; use --smoke for script mode")
-    return _smoke(args.artifacts)
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -5,28 +5,25 @@ cores (16) and further increases with the number of hardware threads
 (32), but not as significantly"; and scheduling exactly as many workers
 as cores is not optimal because of internal scheduling and I/O threads.
 
-Substrate caveat: the paper's workers are JVM threads; CPython threads
-share the GIL, so thread workers cannot speed up CPU-bound generation
-regardless of core count. Three series are therefore reported:
+Substrate: the paper's workers are JVM threads; CPython threads share
+the GIL. Three series, and which is which:
 
-* *threads (measured)* — the real thread scheduler, which documents the
-  GIL plateau honestly;
-* *processes (measured)* — the process-pool backend
-  (``backend="process"``), whose workers run free of the GIL; on an
-  N-core host this is the series that actually rises with workers;
-* *workers (simulated)* — the shared-nothing simulation (disjoint worker
-  shares run in isolation, makespan = max share duration), which is what
-  a pool achieves when worker count ≤ core count and reproduces the
-  figure's rise-then-plateau shape even on a single-core host.
+* *processes (measured)* — ``backend="process"``: the real series. It
+  rises with workers up to the host's core count;
+* *threads (measured)* — flat by construction: generation is Python
+  bytecode under the GIL, so the thread pool documents the substrate
+  limit, it does not scale;
+* *workers (simulated)* — an estimator, not a run: disjoint worker
+  shares timed in isolation, makespan = max share duration. It is what a
+  pool achieves while workers <= cores and reproduces the figure's rise
+  on a host with fewer cores than the paper's 16.
 
-Reproduction targets: simulated worker scaling is near-linear; measured
-thread scaling stays within a flat band (the documented substrate
-limit); measured process scaling tracks the core count; all runs
-produce identical, complete data.
-
-Run as a script with ``--smoke`` for the CI regression canary: a tiny
-scale factor through both backends, asserting identical output bytes
-and complete row counts (no timing assertions — CI hosts vary).
+Reproduction targets: simulated worker scaling is near-linear
+(asserted); the measured process series gains from a second core
+(printed, not asserted: on a shared 2-core host the second core is not
+always free, and then two processes run no faster than one); all runs
+produce complete data. (Byte-identity across backends is tier-1's:
+``tests/test_scheduler_backends.py::TestBackendEquivalence``.)
 """
 
 from __future__ import annotations
@@ -40,13 +37,17 @@ from repro.output.config import OutputConfig
 from repro.scheduler import generate
 from repro.suites.tpch import tpch_artifacts, tpch_schema
 
-from conftest import bench_sf, record, simulated_cluster
+from conftest import assert_near_linear, bench_sf, record, simulated_cluster
 
-_CPUS = multiprocessing.cpu_count()
-THREAD_COUNTS = sorted({1, 2, 4, 8, max(_CPUS, 1), 2 * max(_CPUS, 1)})
-PROCESS_COUNTS = sorted({1, 2, 4, max(_CPUS, 1)})
+SERIES = "Figure 5 (TPC-H scale-up): workers | MB/s"
+_CPUS = max(multiprocessing.cpu_count(), 1)
+MEASURED = (
+    [("process", workers) for workers in sorted({1, 2, 4, _CPUS})]
+    + [("thread", workers) for workers in sorted({1, 2, 4, 8, _CPUS, 2 * _CPUS})]
+)
 SIMULATED_WORKERS = [1, 2, 4, 8, 16, 32]
 
+_measured: dict[tuple[str, int], float] = {}
 _simulated: dict[int, float] = {}
 
 
@@ -55,154 +56,47 @@ def schema():
     return tpch_schema(bench_sf(0.003))
 
 
-@pytest.mark.parametrize("workers", THREAD_COUNTS)
-def test_scaleup_threads_measured(benchmark, schema, workers):
+@pytest.mark.parametrize("backend,workers", MEASURED)
+def test_scaleup_measured(benchmark, schema, backend, workers):
     def run():
         engine = GenerationEngine(schema, tpch_artifacts())
         return generate(
-            engine, OutputConfig(kind="null"), workers=workers, package_size=2000
+            engine, OutputConfig(kind="null"), workers=workers,
+            package_size=2000, backend=backend,
         )
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["backend"] = "thread"
-    benchmark.extra_info["mb_per_s"] = round(result.mb_per_second, 2)
-    record(
-        "Figure 5 (TPC-H scale-up): workers | MB/s",
-        (f"{workers} threads (measured)", round(result.mb_per_second, 2)),
-    )
+    result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     assert result.rows == sum(schema.sizes().values())
-
-
-@pytest.mark.parametrize("workers", PROCESS_COUNTS)
-def test_scaleup_processes_measured(benchmark, schema, workers):
-    """The process-pool backend — the GIL-free measured series."""
-
-    def run():
-        engine = GenerationEngine(schema, tpch_artifacts())
-        return generate(
-            engine,
-            OutputConfig(kind="null"),
-            workers=workers,
-            package_size=2000,
-            backend="process",
-        )
-
-    result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["backend"] = "process"
-    benchmark.extra_info["mb_per_s"] = round(result.mb_per_second, 2)
-    record(
-        "Figure 5 (TPC-H scale-up): workers | MB/s",
-        (f"{workers} processes (measured)", round(result.mb_per_second, 2)),
-    )
-    assert result.rows == sum(schema.sizes().values())
+    mb_per_s = result.bytes_written / 1048576 / benchmark.stats.stats.min
+    _measured[backend, workers] = mb_per_s
+    record(SERIES, (f"{workers} {backend} workers (measured)", round(mb_per_s, 2)))
 
 
 @pytest.mark.parametrize("workers", SIMULATED_WORKERS)
-def test_scaleup_workers_simulated(benchmark, schema, workers):
-    """Shared-nothing worker simulation (see module docstring)."""
+def test_scaleup_workers_simulated(benchmark, workers):
+    """The estimator (see module docstring), on a model twice the
+    measured series': a 1/32 share of the smaller one is ~6 ms of work
+    under ~8 ms of per-share set-up, which caps the speed-up near 13x
+    whatever the scheduler does."""
     result = benchmark.pedantic(
-        simulated_cluster, args=(schema, tpch_artifacts(), workers),
+        simulated_cluster,
+        args=(tpch_schema(bench_sf(0.006)), tpch_artifacts(), workers),
         rounds=1, iterations=1,
     )
     _simulated[workers] = result.mb_per_second
-    record(
-        "Figure 5 (TPC-H scale-up): workers | MB/s",
-        (f"{workers} workers (simulated)", round(result.mb_per_second, 2)),
-    )
+    record(SERIES, (f"{workers} workers (simulated)", round(result.mb_per_second, 2)))
 
 
-def test_simulated_scaleup_shape(benchmark):
-    if len(_simulated) < len(SIMULATED_WORKERS):
+def test_scaleup_shape(benchmark):
+    if len(_simulated) < len(SIMULATED_WORKERS) or len(_measured) < len(MEASURED):
         pytest.skip("run after the parametrized measurements")
 
     def check():
-        base = _simulated[1]
-        for workers in SIMULATED_WORKERS[1:]:
-            speedup = _simulated[workers] / base
-            floor = 0.55 if workers <= 8 else 0.35
-            assert speedup >= floor * workers, (
-                f"{workers} workers: speedup {speedup:.2f}"
-            )
-        record(
-            "Figure 5 (TPC-H scale-up): workers | MB/s",
-            ("speedup@32-worker-sim",
-             round(_simulated[32] / base, 1), "x over 1 worker"),
-        )
+        record(SERIES, (
+            "speedup", f"simulated x{_simulated[32] / _simulated[1]:.1f} at 32,",
+            f"processes x{_measured['process', 2] / _measured['process', 1]:.2f} at 2,",
+            f"threads x{_measured['thread', 2] / _measured['thread', 1]:.2f} at 2",
+        ))
+        assert_near_linear(_simulated)
 
     benchmark.pedantic(check, rounds=1, iterations=1)
-
-
-# -- script mode: CI smoke canary --------------------------------------------
-
-
-def _smoke(scale_factor: float, workers: tuple[int, ...]) -> int:
-    """Tiny run of both backends: identical bytes, complete rows, timings.
-
-    Returns a process exit code; prints one line per (backend, workers)
-    cell plus the equivalence verdict. Timings are informational only —
-    CI machines (and this repo's single-core reference host) cannot
-    guarantee a speedup, but a silent correctness regression in either
-    backend fails loudly here.
-    """
-    schema = tpch_schema(scale_factor)
-    expected_rows = sum(schema.sizes().values())
-    failures = 0
-
-    for backend in ("thread", "process"):
-        for count in workers:
-            engine = GenerationEngine(schema, tpch_artifacts())
-            report = generate(
-                engine,
-                OutputConfig(kind="null"),
-                workers=count,
-                package_size=1000,
-                backend=backend,
-            )
-            ok = report.rows == expected_rows
-            failures += 0 if ok else 1
-            print(
-                f"smoke {backend:>7} workers={count}: "
-                f"{report.rows:>7,} rows ({report.rows_per_second:>10,.0f} rows/s) "
-                f"{'ok' if ok else 'INCOMPLETE'}"
-            )
-
-    reference = OutputConfig(kind="memory")
-    generate(GenerationEngine(schema, tpch_artifacts()), reference, workers=1)
-    candidate = OutputConfig(kind="memory")
-    generate(
-        GenerationEngine(schema, tpch_artifacts()), candidate,
-        workers=max(workers), package_size=1000, backend="process",
-    )
-    for table in schema.sizes():
-        if reference.memory_output(table) != candidate.memory_output(table):
-            print(f"smoke FAIL: process output differs from serial for {table!r}")
-            failures += 1
-    if failures == 0:
-        print("smoke ok: both backends complete and byte-identical")
-    return 1 if failures else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="run the tiny both-backends regression canary and exit",
-    )
-    parser.add_argument("--sf", type=float, default=0.001,
-                        help="smoke scale factor (default 0.001)")
-    parser.add_argument("--workers", type=int, nargs="+", default=[1, 4],
-                        help="smoke worker counts (default: 1 4)")
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("benchmark series run under pytest; use --smoke for script mode")
-    return _smoke(args.sf, tuple(args.workers))
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -1,22 +1,22 @@
-"""§4 claim — recomputation vs re-reading for dependency resolution.
+"""§2 claim — recomputation vs re-reading for dependency resolution.
 
-Paper: "While generating complex values might cost up to 2000 ns, doing
-a single random read will cost ca. 10 ms on disk, which means the
-computational approach is 5000 times faster than an approach that reads
-previously generated data to solve dependencies."
+Paper (the claim is §2's, the numbers §4's): "While generating complex
+values might cost up to 2000 ns, doing a single random read will cost
+ca. 10 ms on disk, which means the computational approach is 5000 times
+faster than an approach that reads previously generated data to solve
+dependencies."
 
 Here: resolving a foreign key by (a) PDGF-style recomputation of the
-referenced cell, vs (b) reading the previously generated value back
-from a SQLite table by random key (the "tracking references" strategy of
-Bruno et al., paper §6). Reproduction target: recomputation beats
-read-back by a large factor (SQLite-on-page-cache softens the paper's
-10 ms spinning-disk read, so the exact 5000x is hardware-bound; the
-ordering and a >=5x gap are asserted, the measured factor is reported).
+referenced cell — the scalar ``compute_value`` a dependency takes — vs
+(b) reading the previously generated value back from a SQLite table by
+random key (the "tracking references" strategy of Bruno et al., paper
+§6). The read-back comparator sits on SQLite's page cache, the most
+favourable case possible for it, which compresses the paper's 10 ms
+spinning-disk gap enormously: the *ordering* is the reproduction target
+(asserted > 1.2x), the measured factor is reported.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.loader import DataLoader
 from repro.core.translator import SchemaTranslator
@@ -25,11 +25,11 @@ from repro.engine import GenerationEngine
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.prng.xorshift import XorShift64Star
 
-from conftest import record
+from conftest import interleaved_min, record
 
+SERIES = "§2 claim (recompute vs read-back): strategy | ns/dependency"
 ROWS = 5000
-
-_results: dict[str, float] = {}
+BATCH = 1000
 
 
 def _schema() -> Schema:
@@ -43,61 +43,33 @@ def _schema() -> Schema:
     return schema
 
 
-def test_recompute_reference(benchmark):
-    engine = GenerationEngine(_schema())
-    rng = XorShift64Star(1)
-
-    def batch():
-        compute = engine.compute_value
-        for _ in range(1000):
-            compute("parent", "p_value", rng.next_long(ROWS))
-
-    benchmark.pedantic(batch, rounds=5, iterations=1, warmup_rounds=1)
-    per_value_ns = benchmark.stats.stats.mean * 1e9 / 1000
-    _results["recompute"] = per_value_ns
-    record(
-        "§4 recompute vs read-back: strategy | ns/dependency",
-        ("recompute (PDGF)", round(per_value_ns)),
-    )
-
-
-def test_readback_reference(benchmark, tmp_path):
+def test_recompute_beats_readback(benchmark, tmp_path):
     schema = _schema()
+    engine = GenerationEngine(schema)
     adapter = SQLiteAdapter(str(tmp_path / "readback.db"))
     SchemaTranslator().apply(schema, adapter)
-    DataLoader(adapter).load(GenerationEngine(schema))
+    DataLoader(adapter).load(engine)
     rng = XorShift64Star(1)
 
-    def batch():
-        execute = adapter.execute
-        for _ in range(1000):
-            key = rng.next_long(ROWS) + 1
-            execute("SELECT p_value FROM parent WHERE p_id = ?", (key,))
+    def recompute():
+        compute_value = engine.compute_value
+        for _ in range(BATCH):
+            compute_value("parent", "p_value", rng.next_long(ROWS))  # hot-loop-ok: the scalar recompute is what §2 prices
 
-    benchmark.pedantic(batch, rounds=5, iterations=1, warmup_rounds=1)
-    per_value_ns = benchmark.stats.stats.mean * 1e9 / 1000
-    _results["readback"] = per_value_ns
-    record(
-        "§4 recompute vs read-back: strategy | ns/dependency",
-        ("read back (tracking)", round(per_value_ns)),
+    def readback():
+        execute = adapter.execute
+        for _ in range(BATCH):
+            execute("SELECT p_value FROM parent WHERE p_id = ?", (rng.next_long(ROWS) + 1,))
+
+    # Alternating batches, best of 25 each: a busy spell on a shared
+    # host hits both strategies, not one.
+    best = benchmark.pedantic(
+        interleaved_min, args=({"recompute": recompute, "readback": readback},),
+        rounds=1, iterations=1,
     )
     adapter.close()
-
-
-def test_recompute_wins(benchmark):
-    if len(_results) < 2:
-        pytest.skip("run after the measurements")
-
-    def check():
-        factor = _results["readback"] / _results["recompute"]
-        record(
-            "§4 recompute vs read-back: strategy | ns/dependency",
-            ("speedup factor", round(factor, 1)),
-        )
-        # The paper's 5000x assumed ~10 ms spinning-disk random reads;
-        # our read-back comparator sits on SQLite's page cache, which
-        # compresses the gap enormously. The reproduced property is the
-        # *ordering*: recomputation beats even a fully-cached read-back.
-        assert factor > 1.2, _results
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    recompute_ns, readback_ns = (best[name] * 1e9 / BATCH for name in ("recompute", "readback"))
+    record(SERIES, ("recompute (PDGF)", round(recompute_ns)))
+    record(SERIES, ("read back (tracking)", round(readback_ns)))
+    record(SERIES, ("speedup factor", round(readback_ns / recompute_ns, 2)))
+    assert readback_ns > 1.2 * recompute_ns

@@ -7,12 +7,15 @@ table sizes 1.3 s, NULL probabilities 600 ms, all min/max constraints
 
 Here: TPC-H loaded into SQLite at a laptop SF; each phase timed
 separately and the sampling fraction swept over ~3 orders of magnitude.
-Reproduction targets: schema << sizes-class phases << min/max << full
-sampling; sampling cost grows with the fraction; the whole basic
-extraction stays interactive (well under a second at bench scale).
+Reproduction targets: the catalog-only phases << the full-scan phases
+(NULL probabilities, min/max); sampling cost grows with the fraction;
+the whole basic extraction stays interactive (well under a second at
+bench scale).
 """
 
 from __future__ import annotations
+
+import statistics
 
 import pytest
 
@@ -103,26 +106,45 @@ def test_phase_min_max(benchmark, tpch_db):
     )
 
 
-@pytest.mark.parametrize("fraction", SAMPLE_FRACTIONS)
-def test_phase_markov_sampling(benchmark, tpch_db, fraction):
+def test_markov_sampling_sweep(benchmark, tpch_db):
     """The paper's sampling sweep: 0.001% → 100% spans 800 ms → 200 s.
-    Bench scale compresses the absolute times; the monotone growth with
-    the sampled fraction is the target."""
+    Bench scale compresses the absolute times; the growth with the
+    sampled fraction is the target — sampling must cost less the less it
+    samples, or it buys nothing.
+
+    Seven rounds that visit the four fractions in turn, so a busy spell
+    on a shared host hits all of them; reported as median [min .. max],
+    asserted on the least disturbed (min) reading. Fractions below 10%
+    differ by less than a round's spread (the scan dominates; min .. max
+    of one fraction spans 30-40% on a busy host), so a step may fall
+    short by 30%; the sweep as a whole must rise at least 1.5x (measured
+    1.9-2.6x; the paper's 250x needs its 1000x larger table). The
+    inverted sweep this replaced (22 / 33 / 22 / 8.6 ms) fails both."""
     extracted = SchemaExtractor(tpch_db).extract()
-    builder = MarkovBuilder(
-        tpch_db, SampleConfig(fraction=fraction, min_values=5)
-    )
+    builders = {
+        fraction: MarkovBuilder(tpch_db, SampleConfig(fraction=fraction, min_values=5))
+        for fraction in SAMPLE_FRACTIONS
+    }
+    rounds: dict[float, list[float]] = {fraction: [] for fraction in SAMPLE_FRACTIONS}
 
-    def run():
-        extracted.timings.sampling_seconds = 0.0
-        builder.build(extracted, "lineitem", "l_comment", ArtifactStore())
-        return extracted.timings.sampling_seconds
+    def sweep():
+        for fraction, builder in builders.items():
+            extracted.timings.sampling_seconds = 0.0
+            builder.build(extracted, "lineitem", "l_comment", ArtifactStore())
+            rounds[fraction].append(extracted.timings.sampling_seconds * 1000)
 
-    sampling_seconds = benchmark.pedantic(run, rounds=3, iterations=1)
-    record(
-        "Table 1 (extraction phases): phase | ms",
-        (f"Markov sampling ({fraction:.1%})", round(sampling_seconds * 1000, 2)),
-    )
+    benchmark.pedantic(sweep, rounds=7, iterations=1, warmup_rounds=1)
+    for fraction, samples in rounds.items():
+        del samples[0]  # the warm-up round
+        record(
+            "Table 1 (extraction phases): phase | ms",
+            (f"Markov sampling ({fraction:.1%})", round(statistics.median(samples), 2),
+             f"[{min(samples):.2f} .. {max(samples):.2f}] over {len(samples)} rounds"),
+        )
+    costs = [min(samples) for samples in rounds.values()]
+    for smaller, larger in zip(costs, costs[1:]):
+        assert larger >= 0.7 * smaller, costs
+    assert costs[-1] >= 1.5 * costs[0], costs
 
 
 def test_full_extraction_is_interactive(benchmark, tpch_db):

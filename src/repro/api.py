@@ -42,6 +42,7 @@ from repro.output.config import OutputConfig
 from repro.output.formats import format_package, format_spec, table_frame
 from repro.resilience.checkpoint import schema_fingerprint
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage
+from repro.suites import suite_model
 
 # -- the bound-engine cache --------------------------------------------------
 
@@ -197,24 +198,8 @@ class Dataset:
         package_size: int = DEFAULT_PACKAGE_SIZE,
     ) -> "Dataset":
         """A dataset over a built-in suite model (tpch, ssb, bigbench)."""
-        if name == "tpch":
-            from repro.suites.tpch import tpch_artifacts, tpch_schema
-
-            schema, artifacts = tpch_schema(scale_factor), tpch_artifacts()
-        elif name == "ssb":
-            from repro.suites.ssb import ssb_schema
-
-            schema, artifacts = ssb_schema(scale_factor), ArtifactStore()
-        elif name == "bigbench":
-            from repro.suites.bigbench import bigbench_artifacts, bigbench_schema
-
-            schema, artifacts = bigbench_schema(scale_factor), bigbench_artifacts()
-        else:
-            raise GenerationError(
-                f"unknown suite {name!r} (expected tpch, ssb, or bigbench)"
-            )
         return cls(
-            schema, artifacts, update=update, package_size=package_size
+            *suite_model(name, scale_factor), update=update, package_size=package_size
         )
 
     # -- introspection ----------------------------------------------------

@@ -28,42 +28,24 @@ import argparse
 import sys
 
 from repro import __version__, obs
-from repro.config import apply_overrides, schema_xml
+from repro.config import apply_overrides
 from repro.core import DBSynthProject, SampleConfig
 from repro.core.model_builder import BuildOptions
-from repro.core.project import ProjectPaths
 from repro.db import SQLiteAdapter
 from repro.db.ddl import create_schema_sql
 from repro.engine import GenerationEngine
 from repro.exceptions import ReproError
-from repro.generators.base import ArtifactStore
 from repro.output.config import OutputConfig
 from repro.output.formats import known_formats
 from repro.scheduler import ProgressMonitor, generate
+from repro.suites import SUITE_NAMES, suite_model
 from repro.update import UpdateBlackBox
-
-
-def _suite_engine(name: str, scale_factor: float) -> GenerationEngine:
-    if name == "tpch":
-        from repro.suites.tpch import tpch_engine
-
-        return tpch_engine(scale_factor)
-    if name == "ssb":
-        from repro.suites.ssb import ssb_engine
-
-        return ssb_engine(scale_factor)
-    if name == "bigbench":
-        from repro.suites.bigbench import bigbench_engine
-
-        return bigbench_engine(scale_factor)
-    raise ReproError(f"unknown suite {name!r} (expected tpch, ssb, or bigbench)")
 
 
 def _load_engine(args: argparse.Namespace) -> GenerationEngine:
     """Engine from --suite or --model, with -p overrides applied."""
     if args.suite:
-        engine = _suite_engine(args.suite, args.scale_factor)
-        schema, artifacts = engine.schema, engine.artifacts
+        schema, artifacts = suite_model(args.suite, args.scale_factor)
     else:
         if not args.model:
             raise ReproError("either --suite or --model is required")
@@ -154,7 +136,7 @@ def _telemetry_end(
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help="saved project directory (from extract)")
     parser.add_argument(
-        "--suite", choices=("tpch", "ssb", "bigbench"), help="built-in suite model"
+        "--suite", choices=SUITE_NAMES, help="built-in suite model"
     )
     parser.add_argument(
         "--scale-factor", "--sf", type=float, default=1.0, dest="scale_factor"
@@ -406,7 +388,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     if args.suite:
-        schema = _suite_engine(args.suite, args.scale_factor).schema
+        schema, _ = suite_model(args.suite, args.scale_factor)
     else:
         schema, _ = DBSynthProject.load_saved(args.model)
     print(create_schema_sql(schema, args.dialect))
@@ -575,11 +557,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _sample_generator_latency(engine, table: str, rows: int = 200):
-    """Per-column generator latency via the recompute primitive.
+    """Per-column latency of the scalar recompute primitive.
 
-    The paper's Figures 7-9 methodology (warmup + repeated batches),
-    applied per generator: each sample recomputes one cell through
-    ``BoundTable.generate_value`` with rows cycling over the table.
+    Each sample recomputes one cell through ``BoundTable.generate_value``
+    (warmup + repeated batches, rows cycling over the table). That is
+    the price a reference or formula pays per dependency; a run
+    generates whole blocks (``generate_columns``), which costs one to
+    two orders of magnitude less per value and is what
+    ``bench/run.py --trace 1`` reports.
     """
     from repro.obs import per_value_latency
 
@@ -843,7 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--table", help="restrict to one table")
     stats.add_argument(
         "--latency", action="store_true",
-        help="sample per-generator value latency (Figures 7-9 methodology)",
+        help="time one scalar recompute (generate_value) per column: what a "
+        "reference or formula pays per dependency, not the block path a "
+        "run takes (for that: bench/run.py --trace 1)",
     )
     stats.add_argument(
         "--latency-rows", type=int, default=200,

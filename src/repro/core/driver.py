@@ -129,9 +129,6 @@ class BenchmarkDriver:
             first_row=tuple(rows[0]) if rows else None,
         )
 
-    # Pre-2.1 name, kept for callers that reached into the underscore API.
-    _run_sql = run_sql
-
     def run_template(
         self, template: QueryTemplate, count: int = 1
     ) -> list[QueryExecution]:

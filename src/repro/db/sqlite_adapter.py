@@ -20,6 +20,22 @@ from repro.prng.xorshift import mix64
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def sample_hash_sql(seed: int) -> str:
+    """SQL for a 31-bit hash of (*seed*, ``rn``): multiply-add, square
+    (the non-linear step — without it consecutive rows give an evenly
+    spaced, not a Bernoulli, sample), multiply, keeping middle bits.
+    SQLite silently turns an overflowing integer product into REAL, so
+    every factor is masked to 31 bits and every product stays below
+    2**62; the seed is folded to two 31-bit constants here, not in SQL."""
+    mixed = mix64(seed)
+    mask = 0x7FFFFFFF
+    row = f"(((rn & {mask}) * 1103515245 + {mixed & mask}) & {mask})"
+    return (
+        f"(((({row} * {row} >> 16) + {mixed >> 33}) & {mask})"
+        f" * 1664525163 >> 15 & {mask})"
+    )
+
+
 def _ident(name: str) -> str:
     """Validate an identifier before splicing it into SQL. Catalog names
     come from the database itself, but validating here keeps adapter
@@ -160,16 +176,21 @@ class SQLiteAdapter(DatabaseAdapter):
         if strategy == "bernoulli" and fraction < 1.0:
             # The per-row Bernoulli draw is a hash of (seed, row), the
             # paper's PRNG-as-hash idea, so the same source and seed give
-            # the same sample — SQLite's random() cannot be seeded. The
-            # hash is folded to [0, 2**63) because SQLite integers are
-            # signed; the fraction scales into that range.
-            self._conn.create_function(
-                "sample_hash", 1, lambda row: mix64(seed ^ row) >> 1
-            )
-            threshold = int(fraction * (2**63 - 1))
+            # the same sample — SQLite's random() cannot be seeded. It
+            # has to cost less than reading the column, or sampling buys
+            # nothing: the hash is computed in SQL (a Python callback per
+            # row costs more than the scan) and the row is addressed by
+            # ``rowid`` where the table has one (the window function
+            # alone costs more than the scan).
+            try:
+                self._conn.execute(f"SELECT rowid FROM {tbl} LIMIT 0")
+            except sqlite3.OperationalError:
+                rows = numbered  # a WITHOUT ROWID table
+            else:
+                rows = f"(SELECT {col}, rowid AS rn FROM {tbl} WHERE {where})"
             sql = (
-                f"SELECT {col} FROM {numbered} "
-                f"WHERE sample_hash(rn) <= {threshold}"
+                f"SELECT {col} FROM {rows} "
+                f"WHERE {sample_hash_sql(seed)} < {int(fraction * 2**31)}"
             )
         elif strategy == "bernoulli":
             sql = f"SELECT {col} FROM {tbl} WHERE {where}"

@@ -4,9 +4,6 @@ The paper's evaluation reports two kinds of numbers: throughput (MB/s,
 Figures 4-6) and per-value latency in nanoseconds (Figures 7-9). These
 helpers keep the methodology in one place: wall-clock timers, repeated
 per-value micro-timing with warmup, and simple summary statistics.
-
-Historically this module lived at :mod:`repro.metrics`; that import path
-still works but emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations

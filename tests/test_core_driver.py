@@ -94,7 +94,7 @@ class TestRunQuery:
     def test_sql_error_captured_not_raised(self, demo_setup):
         schema, adapter = demo_setup
         driver = BenchmarkDriver(schema, adapter)
-        execution = driver._run_sql("bad", "SELECT * FROM nowhere")
+        execution = driver.run_sql("bad", "SELECT * FROM nowhere")
         assert not execution.succeeded
         assert "nowhere" in (execution.error or "")
 

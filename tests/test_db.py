@@ -6,10 +6,9 @@ import pytest
 
 from repro.db.adapter import ColumnInfo
 from repro.db.ddl import create_schema_sql, create_table_sql, render_type
-from repro.db.sqlite_adapter import SQLiteAdapter
+from repro.db.sqlite_adapter import SQLiteAdapter, sample_hash_sql
 from repro.exceptions import AdapterError, ModelError
 from repro.model.datatypes import parse_type
-from tests.conftest import demo_schema
 
 
 @pytest.fixture
@@ -141,6 +140,16 @@ class TestSampling:
         assert sample(7) == sample(7)
         assert sample(7) != sample(8)
         assert 300 < len(sample(7)) < 500
+        # SQLite turns an overflowing integer product into REAL without
+        # an error; a seed at the edge of its signed 64 bits must still
+        # hash, and so select, in integers.
+        for seed in (2**63 - 1, 2**63, 2**64 - 1):
+            types = adapter.execute(
+                f"SELECT DISTINCT typeof({sample_hash_sql(seed)}) FROM "
+                "(SELECT ROW_NUMBER() OVER () AS rn FROM big)"
+            )
+            assert types == [("integer",)]
+            assert 300 < len(sample(seed)) < 500
 
     def test_bernoulli_fraction_bounds(self, adapter):
         with pytest.raises(AdapterError):

@@ -83,6 +83,17 @@ class TestReferentialIntegrity:
         for (ref,) in engine.iter_rows("child"):
             assert ref in parent_values
 
+    def test_fast_path_equals_full_recompute(self):
+        # References to an IdGenerator key compute ``base + row * step``
+        # inline; the same dense keys from a RowFormulaGenerator are not
+        # recognized and take the engine callback. Same child rows.
+        slow = _two_table_schema(parent_key=GeneratorSpec(
+            "RowFormulaGenerator", {"formula": "row + 1"}
+        ))
+        assert list(GenerationEngine(slow).iter_rows("child")) == list(
+            GenerationEngine(_two_table_schema()).iter_rows("child")
+        )
+
     def test_recomputed_value_matches_actual_row(self):
         engine = GenerationEngine(_two_table_schema())
         for row in range(40):

@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output paths: hot loops and swallowed errors.
 
-Four checks, one AST walk:
+Five checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -44,8 +44,19 @@ test — the bytes stay identical, only the throughput regresses. Any
 waiver naming why the scalar fallback is deliberate (charset clash,
 per-unique date rendering, Arrow type fallback).
 
-Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``, and the
-span-recording obs modules.
+**Oracle-timing check.** The paper-artefact scripts under
+``benchmarks/`` measure the path the system runs (``generate_columns``
+→ ``write_block``). The scalar calls — the two above plus
+``generate_value`` and ``compute_value`` — are the recompute primitive
+and the test oracle: 100-1000x the per-value cost, so a figure timed
+through them reports a system nobody runs (EXPERIMENTS.md printed
+Figures 7-9 that way for twenty PRs). The same ``# hot-loop-ok:
+<reason>`` waiver marks the two series that measure the scalar path on
+purpose: Figure 6's like-for-like oracle and the §2 recompute claim.
+
+Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``, the
+span-recording obs modules, and (oracle-timing check only)
+``benchmarks/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -59,6 +70,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 CHECKED_DIRS = ("src/repro/scheduler", "src/repro/output")
 BANNED_CALLS = ("generate_row", "write_row")
+BENCHMARK_DIR = "benchmarks"
+BANNED_BENCHMARK_CALLS = BANNED_CALLS + ("generate_value", "compute_value")
 WAIVER = "hot-loop-ok"
 FAULT_WAIVER = "fault-ok"
 BROAD_EXCEPTIONS = ("Exception", "BaseException")
@@ -110,7 +123,8 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 
 
 def check_file(
-    path: Path, span_hot: bool = False, columnar_hot: bool = False
+    path: Path, span_hot: bool = False, columnar_hot: bool = False,
+    benchmark: bool = False,
 ) -> list[str]:
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
@@ -138,7 +152,7 @@ def check_file(
                         f"fallback with '# {COLUMNAR_WAIVER}: <reason>'"
                     )
                 continue
-            if name not in BANNED_CALLS:
+            if name not in (BANNED_BENCHMARK_CALLS if benchmark else BANNED_CALLS):
                 continue
             line = lines[node.lineno - 1]
             if WAIVER in line:
@@ -146,9 +160,9 @@ def check_file(
             violations.append(
                 f"{path.relative_to(REPO)}:{node.lineno}: per-row call "
                 f"{name}() in a batch hot-loop file; use the block API "
-                f"(generate_rows/write_rows) or waive with '# {WAIVER}: <reason>'"
+                f"(generate_columns/write_block) or waive with '# {WAIVER}: <reason>'"
             )
-        elif isinstance(node, ast.ExceptHandler):
+        elif isinstance(node, ast.ExceptHandler) and not benchmark:
             if not _is_broad_handler(node):
                 continue
             if _reraises(node):
@@ -178,6 +192,9 @@ def main() -> int:
     for rel in SPAN_HOT_FILES:
         checked += 1
         violations.extend(check_file(REPO / rel, span_hot=True))
+    for path in sorted((REPO / BENCHMARK_DIR).glob("*.py")):
+        checked += 1
+        violations.extend(check_file(path, benchmark=True))
     for message in violations:
         print(message)
     print(

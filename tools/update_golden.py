@@ -4,10 +4,14 @@ PDGF's repeatability claim — same model, same seed ⇒ same bytes, on any
 machine, any worker count, any Python — is only credible if CI measures
 it. This tool generates small slices of the three built-in suites
 (TPC-H, SSB, BigBench) through the memory sink and records one SHA-256
-per table in ``tests/golden/manifest.json``. The determinism gate runs
-``--check`` on every CI platform: a digest drift means generation became
-platform- or version-dependent (or an intentional generator change that
-must be acknowledged by re-running this tool and committing the diff).
+per table in ``tests/golden/manifest.json``; and it pins DBSynth's half
+of the claim — same source, same seed ⇒ same *model* — by extracting a
+model from a seeded IMDb-like source and recording one SHA-256 per saved
+project file plus one per table of a slice generated from it. The
+determinism gate runs ``--check`` on every CI platform: a digest drift
+means generation or extraction became platform- or version-dependent
+(or an intentional change that must be acknowledged by re-running this
+tool and committing the diff).
 
 Usage:
     python tools/update_golden.py          # rewrite the manifest
@@ -20,6 +24,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -33,47 +38,98 @@ SUITES = (("tpch", 0.001), ("ssb", 0.001), ("bigbench", 0.001))
 
 PACKAGE_SIZE = 1000
 
-
-def _suite_engine(name: str, scale_factor: float):
-    if name == "tpch":
-        from repro.suites.tpch import tpch_engine
-
-        return tpch_engine(scale_factor)
-    if name == "ssb":
-        from repro.suites.ssb import ssb_engine
-
-        return ssb_engine(scale_factor)
-    from repro.suites.bigbench import bigbench_engine
-
-    return bigbench_engine(scale_factor)
+#: The extraction source: big enough that the default 1% bernoulli sample
+#: of every text column stays above ``SampleConfig.min_values`` — a smaller
+#: source falls back to the first-N scan and would pin nothing about the
+#: seeded draw.
+IMDB_SOURCE = {
+    "movies": 10000, "people": 8000, "cast_per_movie": 1,
+    "ratings_per_movie": 3, "seed": 13,
+}
+SLICE_ROWS = 500
 
 
-def compute_digests() -> dict:
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def suite_digests() -> dict:
+    from repro.engine import GenerationEngine
     from repro.output.config import OutputConfig
     from repro.scheduler import Scheduler
+    from repro.suites import suite_model
 
     suites = {}
     for name, scale_factor in SUITES:
-        engine = _suite_engine(name, scale_factor)
+        engine = GenerationEngine(*suite_model(name, scale_factor))
         output = OutputConfig(kind="memory", format="csv")
         report = Scheduler(engine, output, package_size=PACKAGE_SIZE).run()
-        tables = {}
-        for table in sorted(engine.sizes):
-            text = output.memory_output(table)
-            tables[table] = {
-                "rows": engine.sizes[table],
-                "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            }
         suites[name] = {
             "scale_factor": scale_factor,
             "rows": report.rows,
-            "tables": tables,
+            "tables": {
+                table: {
+                    "rows": engine.sizes[table],
+                    "sha256": _sha256(output.memory_output(table).encode("utf-8")),
+                }
+                for table in sorted(engine.sizes)
+            },
         }
+    return suites
+
+
+def extracted_digests() -> dict:
+    """Default ``dbsynth extract`` over the seeded IMDb-like source: the
+    saved project, file by file, and a CSV slice of every table of the
+    model loaded back from it."""
+    from repro.api import Dataset
+    from repro.core import DBSynthProject
+    from repro.suites.imdb import build_imdb_database
+
+    with tempfile.TemporaryDirectory(prefix="golden-imdb-") as work:
+        source = build_imdb_database(str(Path(work) / "source.db"), **IMDB_SOURCE)
+        try:
+            project = DBSynthProject(name="dbsynth_model", source=source)
+            project.profile()
+            project.build_model()
+        finally:
+            source.close()
+        saved = Path(work) / "project"
+        project.save(str(saved))
+        files = {
+            str(path.relative_to(saved)): _sha256(path.read_bytes())
+            for path in sorted(saved.rglob("*")) if path.is_file()
+        }
+        dataset = Dataset(*DBSynthProject.load_saved(str(saved)))
+    tables = {}
+    for table, rows in sorted(dataset.tables.items()):
+        rows = min(rows, SLICE_ROWS)
+        body = dataset.slice(table, 0, rows, format="csv")
+        tables[table] = {"rows": rows, "sha256": _sha256(body)}
+    return {"source": IMDB_SOURCE, "files": files, "tables": tables}
+
+
+def compute_digests() -> dict:
     return {
         "format": "csv",
         "package_size": PACKAGE_SIZE,
-        "suites": suites,
+        "suites": suite_digests(),
+        "extracted": {"imdb": extracted_digests()},
     }
+
+
+def pinned(manifest: dict) -> dict[str, object]:
+    """Every pinned fact of a manifest under one label each."""
+    flat: dict[str, object] = {}
+    for suite, record in manifest["suites"].items():
+        for table, entry in record["tables"].items():
+            flat[f"{suite}.{table}"] = (entry["rows"], entry["sha256"])
+    for name, record in manifest["extracted"].items():
+        for path, digest in record["files"].items():
+            flat[f"{name}-extracted/{path}"] = digest
+        for table, entry in record["tables"].items():
+            flat[f"{name}-extracted.{table}"] = (entry["rows"], entry["sha256"])
+    return flat
 
 
 def main() -> int:
@@ -99,29 +155,14 @@ def main() -> int:
         print(f"no golden manifest at {GOLDEN_PATH}; run without --check first")
         return 1
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    drifts = []
-    for suite, expected in golden["suites"].items():
-        actual = current["suites"].get(suite)
-        if actual is None:
-            drifts.append(f"{suite}: suite missing from current build")
-            continue
-        for table, record in expected["tables"].items():
-            got = actual["tables"].get(table)
-            if got is None:
-                drifts.append(f"{suite}.{table}: table missing")
-            elif got["sha256"] != record["sha256"]:
-                drifts.append(
-                    f"{suite}.{table}: sha256 drift "
-                    f"(expected {record['sha256'][:12]}…, "
-                    f"got {got['sha256'][:12]}…)"
-                )
-            elif got["rows"] != record["rows"]:
-                drifts.append(
-                    f"{suite}.{table}: row count drift "
-                    f"({record['rows']} -> {got['rows']})"
-                )
+    actual = pinned(current)
+    drifts = [
+        f"{label}: expected {expected}, got {actual.get(label, 'nothing')}"
+        for label, expected in pinned(golden).items()
+        if actual.get(label) != expected
+    ]
     if drifts:
-        print("determinism gate FAILED — generated bytes drifted:")
+        print("determinism gate FAILED — pinned bytes drifted:")
         for drift in drifts:
             print(f"  {drift}")
         print(
@@ -129,8 +170,7 @@ def main() -> int:
             "'python tools/update_golden.py' and commit the manifest"
         )
         return 1
-    tables = sum(len(s["tables"]) for s in golden["suites"].values())
-    print(f"determinism gate passed: {tables} table digests match")
+    print(f"determinism gate passed: {len(pinned(golden))} digests match")
     return 0
 
 
