@@ -212,8 +212,6 @@ def _cmd_preview(args: argparse.Namespace) -> int:
 #: sequentially in one process, and recover in-run rather than across runs.
 _SINGLE_NODE_ONLY_FLAGS = (
     ("--workers", "workers", 1),
-    ("--backend", "backend", "thread"),
-    ("--inflight-extra", "inflight_extra", 2),
     ("--max-attempts", "max_attempts", 1),
     ("--resume", "resume", False),
 )
@@ -244,7 +242,9 @@ def _generate_cluster(args: argparse.Namespace, engine, output):
 def _print_report(report, quiet: bool) -> None:
     """The run summary, one shape for every runtime."""
     cluster = report.backend == "cluster"
-    pool = "distributed nodes" if cluster else f"{report.backend} workers"
+    pool = {"cluster": "distributed nodes", "inline": "inline worker"}.get(
+        report.backend, "process workers"
+    )
     print(
         f"{report.rows:,} rows, {report.bytes_written / 1048576:.2f} MiB "
         f"in {report.seconds:.2f} s ({report.mb_per_second:.2f} MB/s, "
@@ -330,17 +330,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             from repro.resilience import RetryPolicy
 
             retry = RetryPolicy(
-                max_attempts=args.max_attempts,
-                base_delay=args.retry_backoff,
-                seed=int(engine.schema.seed),
+                max_attempts=args.max_attempts, seed=int(engine.schema.seed)
             )
         report = generate(
             engine,
             output,
             workers=args.workers,
             progress=progress,
-            backend=args.backend,
-            inflight_extra=args.inflight_extra,
             checkpoint=args.checkpoint,
             resume_from=args.checkpoint if args.resume else None,
             retry=retry,
@@ -648,7 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--database", help="target database for --kind sqlite")
     gen.add_argument("--delimiter", default="|")
     gen.add_argument("--header", action="store_true")
-    gen.add_argument("-w", "--workers", type=int, default=1)
+    gen.add_argument(
+        "-w", "--workers", type=int, default=1, metavar="N",
+        help="generate on N worker processes (default 1: inline, no pool)",
+    )
     gen.add_argument(
         "--nodes",
         type=int,
@@ -672,21 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable elastic work stealing in multi-node runs",
     )
     gen.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool kind: threads (default; GIL-bound for CPU work) "
-        "or processes (true multicore scale-up)",
-    )
-    gen.add_argument(
-        "--inflight-extra",
-        type=int,
-        default=2,
-        metavar="K",
-        help="bounded delivery window is workers+K undelivered packages "
-        "(backpressure; default 2)",
-    )
-    gen.add_argument(
         "--checkpoint",
         metavar="DIR",
         help="journal completed work packages to DIR/manifest.jsonl so an "
@@ -705,13 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="retry transient sink failures and worker crashes up to N "
         "attempts with exponential backoff (default 1 = no retries)",
-    )
-    gen.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="base delay of the exponential retry backoff (default 0.05)",
     )
     gen.add_argument("-q", "--quiet", action="store_true")
     _add_telemetry_args(gen)

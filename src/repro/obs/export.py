@@ -261,8 +261,8 @@ def table_totals(records: list[SpanRecord]) -> dict[str, tuple[int, int]]:
     spans.
 
     These are package-stream totals (header/footer framing bytes are
-    written outside the package stream), so thread- and process-backend
-    traces of the same run report identical numbers.
+    written outside the package stream), so inline and pooled traces of
+    the same run report identical numbers.
     """
     totals: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     for record in records:

@@ -236,8 +236,8 @@ def active_tracer() -> Tracer | None:
 def span(name: str, parent_id: int | None = None, **attrs: object):
     """A tracing span if enabled, else the shared no-op (zero overhead).
 
-    ``parent_id`` overrides the thread-local parent — used when work
-    crosses a thread boundary (scheduler → pool worker).
+    ``parent_id`` overrides the thread-local parent, for work that
+    crosses a thread boundary.
     """
     tracer = _tracer
     if tracer is None:

@@ -255,17 +255,13 @@ class SQLiteSink(Sink):
 class InFlightWindow:
     """Bounds the number of dispatched-but-unflushed work packages.
 
-    The scheduler acquires one slot per package *before* dispatching it
-    to a worker; the ordered mux releases the slot when the package's
-    chunk reaches its sink. With ``limit = workers + k`` this caps the
-    memory held in finished-but-undelivered chunks (backpressure),
-    replacing the old submit-everything-upfront dispatch whose pending
-    buffers could grow with the whole table.
-
-    ``abort`` wakes blocked acquirers after a worker failure so the
-    dispatcher can stop instead of deadlocking on slots a dead package
-    will never release. ``max_in_flight`` is the observed high-water
-    mark (test/benchmark introspection).
+    The pool's dispatcher takes one slot per package *before* handing it
+    to a worker (:meth:`try_acquire`; with none free it collects results
+    instead of blocking); the ordered mux releases the slot when the
+    package's chunk reaches its sink. With ``limit = workers + k`` this
+    caps the memory held in finished-but-undelivered chunks
+    (backpressure). ``max_in_flight`` is the observed high-water mark
+    (test/benchmark introspection).
     """
 
     def __init__(self, limit: int) -> None:
@@ -274,46 +270,26 @@ class InFlightWindow:
         self.limit = limit
         self.max_in_flight = 0
         self._available = limit
-        self._aborted = False
-        self._cond = threading.Condition()
-
-    def _take_locked(self) -> None:
-        self._available -= 1
-        in_flight = self.limit - self._available
-        if in_flight > self.max_in_flight:
-            self.max_in_flight = in_flight
-
-    def acquire(self) -> bool:
-        """Block until a slot is free; False if the window was aborted."""
-        with self._cond:
-            while self._available <= 0 and not self._aborted:
-                self._cond.wait()
-            if self._aborted:
-                return False
-            self._take_locked()
-            return True
+        self._lock = threading.Lock()
 
     def try_acquire(self) -> bool:
         """Take a slot if one is free right now (non-blocking)."""
-        with self._cond:
-            if self._aborted or self._available <= 0:
+        with self._lock:
+            if self._available <= 0:
                 return False
-            self._take_locked()
+            self._available -= 1
+            self.max_in_flight = max(
+                self.max_in_flight, self.limit - self._available
+            )
             return True
 
     def release(self, count: int = 1) -> None:
-        with self._cond:
+        with self._lock:
             self._available = min(self._available + count, self.limit)
-            self._cond.notify_all()
-
-    def abort(self) -> None:
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
 
     @property
     def in_flight(self) -> int:
-        with self._cond:
+        with self._lock:
             return self.limit - self._available
 
 

@@ -3,8 +3,8 @@
 PDGF "can write data in various formats (e.g., CSV, JSON, XML, and SQL)"
 (paper §1). A writer turns one row (a list of Python values) into output
 text; sinks decide where the text goes. Writers are stateless apart from
-their :class:`~repro.output.rows.ValueFormatter`, so each worker thread
-owns a private writer instance.
+their :class:`~repro.output.rows.ValueFormatter`, so each worker owns a
+private writer instance.
 """
 
 from __future__ import annotations

@@ -95,10 +95,9 @@ def model_fingerprint(
     Covers the model (seed, update epoch, per-table sizes, field names,
     types, and generator spec trees), the format-affecting output
     options, the package size (partition boundaries), the table list,
-    and any row-range restriction. Deliberately excludes worker count,
-    backend, and in-flight window — those change scheduling, never
-    bytes, so a checkpoint written with ``--backend process -w 4`` can
-    be resumed with one thread worker.
+    and any row-range restriction. Deliberately excludes the worker
+    count — it changes scheduling, never bytes, so a checkpoint written
+    with ``-w 4`` can be resumed with ``-w 1``.
     """
     tables_desc = []
     for name in tables:
@@ -282,10 +281,12 @@ class CheckpointWriter:
     """Appends journal records as packages become durable.
 
     One writer per run; the per-table muxes call :meth:`record_package`
-    from their flush loops (under their own locks, possibly from many
-    worker threads), so appends are serialized by an internal lock. The
-    sink is flushed before the record is journaled: a journaled package
-    is durable up to the OS — and up to the disk when ``fsync`` is on.
+    from their flush loops (under their own, per-table locks), so
+    appends are serialized by an internal lock. The sink is flushed
+    before the record is journaled: a journaled package is durable up to
+    the OS — and up to the disk when ``fsync`` is on. ``backend`` is the
+    run's derived runtime label (``"inline"`` / ``"process"`` /
+    ``"cluster"``), informational: resume never reads it.
     """
 
     def __init__(
@@ -296,7 +297,7 @@ class CheckpointWriter:
         seed: int,
         package_size: int,
         tables: dict[str, int],
-        backend: str = "thread",
+        backend: str,
         append: bool = False,
         fsync: bool = False,
     ) -> None:

@@ -1,4 +1,4 @@
-"""Scheduling: work packages, the single-node thread/process scheduler,
+"""Scheduling: work packages, the single-node inline/process scheduler,
 and the multi-node cluster runtime — three dispatch policies over one
 package body, one accounting and one :class:`RunReport`
 (:mod:`repro.scheduler.executor`, :mod:`repro.scheduler.scheduler`)."""
@@ -6,7 +6,6 @@ package body, one accounting and one :class:`RunReport`
 from repro.scheduler.cluster import ClusterScheduler
 from repro.scheduler.progress import ProgressMonitor, ProgressSnapshot
 from repro.scheduler.scheduler import (
-    BACKENDS,
     DEFAULT_INFLIGHT_EXTRA,
     NodeReport,
     RunReport,
@@ -25,7 +24,6 @@ from repro.scheduler.work import (
 )
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_INFLIGHT_EXTRA",
     "ClusterScheduler",
     "NodeReport",

@@ -2,7 +2,7 @@
 the process pool and the cluster share.
 
 :func:`run_package` is the worker loop's one body — generate a work
-package, format it, measure it — called by the in-process worker, the
+package, format it, measure it — called by the inline worker, the
 pool worker and the cluster node alike; they differ only in where the
 chunk goes next.
 
@@ -43,8 +43,8 @@ import traceback
 from queue import Empty
 from typing import NamedTuple
 
-from repro import obs
-from repro.exceptions import SchedulingError
+from repro import exceptions, obs
+from repro.exceptions import ReproError, SchedulingError
 from repro.obs import (
     WorkerTelemetry,
     active_metrics,
@@ -81,22 +81,21 @@ class PackageResult(NamedTuple):
 
 
 def run_package(
-    engine, output, package, *, attempt: int, parent_span_id: int | None = None,
-    first: bool | None = None, deliver=None, **span_attrs,
+    engine, output, package, *, attempt: int, first: bool | None = None,
+    deliver=None, **span_attrs,
 ) -> PackageResult:
     """Generate and format *package* under its ``scheduler.package``
     span — the one worker body of every runtime.
 
     ``attempt`` is 1 unless a crashed executor's package is being
-    redone; ``parent_span_id`` names the run span when the caller's
-    thread has none open; ``first`` is :func:`format_package`'s.
-    ``deliver(chunk)``, when given, runs inside the span but outside the
-    timer: the in-process worker submits to its mux there, so the
+    redone; ``first`` is :func:`format_package`'s. ``deliver(chunk)``,
+    when given, runs inside the span but outside the timer: the inline
+    worker submits to its mux there, so the
     ``sink.write`` spans stay children of the package that flushed them.
     """
     started = time.perf_counter()
     with span(
-        "scheduler.package", parent_span_id, table=package.table,
+        "scheduler.package", table=package.table,
         sequence=package.sequence, rows=package.rows, attempt=attempt,
         **span_attrs,
     ) as package_span:
@@ -315,9 +314,12 @@ class ExecutorPool:
         kind, ident = message[0], message[1]
         if kind == "error":
             _, _, name, text, trace = message
-            raise SchedulingError(
-                f"{self.role} {ident} failed: {name}: {text}\n{trace}"
-            )
+            # a ReproError keeps its class across the process boundary, so
+            # ``except GenerationError`` means the same for any worker count
+            error = getattr(exceptions, name, None)
+            if not (isinstance(error, type) and issubclass(error, ReproError)):
+                error = SchedulingError
+            raise error(f"{self.role} {ident} failed: {name}: {text}\n{trace}")
         slot = self.slots[ident]
         # Merged even when the result below turns out to be a duplicate:
         # the redo work really happened and the trace should show it.

@@ -1,4 +1,4 @@
-"""Single-node scheduler: work packages over a thread or process pool.
+"""Single-node scheduler: work packages inline or over a process pool.
 
 "The scheduler assigns work packages to the workers. ... Whenever a work
 package is generated, it is sent to the output system, where it can be
@@ -6,35 +6,33 @@ formatted and sorted" (paper §2). Workers format their package into a
 private buffer (own writer, own formatter cache) and hand the finished
 chunk to the ordered mux, which restores row order per table.
 
-Two execution backends share one dispatch discipline:
+The worker count is the only thing a caller says:
 
-* ``backend="thread"`` — workers are threads in this process. CPython's
-  GIL serializes CPU-bound generation, so threads document the paper's
-  Figure 5 shape but cannot reproduce its speedup.
-* ``backend="process"`` — workers are executor processes
+* ``workers == 1`` — packages run inline, one after the other, in the
+  calling thread (``RunReport.backend == "inline"``).
+* ``workers > 1`` — workers are executor processes
   (:mod:`repro.scheduler.executor`, the core shared with cluster nodes);
   finished chunks stream back to the parent, which writes them to the
-  sinks in order. Seed-addressed generation makes this safe: any row is
-  recomputable in any process with identical bytes.
+  sinks in order (``"process"``). Seed-addressed generation makes this
+  safe: any row is recomputable in any process with identical bytes.
 
-Both backends dispatch through a bounded :class:`InFlightWindow`
-(``workers + inflight_extra`` slots): a package is only handed to a
-worker once a slot is free, and a slot is only freed when the package's
-chunk reaches its sink. That caps the memory held in
-finished-but-undelivered chunks regardless of table size, replacing the
-old submit-everything-upfront futures list.
+The pool dispatches through a bounded :class:`InFlightWindow`
+(``workers + DEFAULT_INFLIGHT_EXTRA`` slots): a package is only handed
+to a worker once a slot is free, and a slot is only freed when the
+package's chunk reaches its sink. That caps the memory held in
+finished-but-undelivered chunks regardless of table size.
 
 Whatever dispatched it, a package runs through one body
 (:func:`~repro.scheduler.executor.run_package`: the ``scheduler.package``
 span with its ``package.generate``/``package.format`` children) and is
 counted in one place (:class:`RunAccounting`, which feeds the
 :class:`RunReport`, the per-table metrics and the progress monitor
-together — also for the cluster runtime). The process backend is no
+together — also for the cluster runtime). The process pool is no
 telemetry black hole: each dispatched package carries a
 :class:`~repro.obs.stitch.SpanContext`, workers run their own collectors
 and ship span buffers plus metric deltas back on the existing result
 queues, and the parent stitches them under the run span — one coherent
-trace whichever backend ran, covering respawned workers (their spans
+trace whichever runtime ran, covering respawned workers (their spans
 carry ``attempt=2+``).
 
 :func:`run_node` / :func:`node_ranges` are the coordinator-free way to
@@ -48,7 +46,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.engine import GenerationEngine
@@ -91,8 +88,6 @@ _VALUE_LATENCY_BUCKETS_NS = (
 #: ``workers + k`` delivery window) — enough to keep workers busy while
 #: the parent flushes, small enough to bound buffered chunks.
 DEFAULT_INFLIGHT_EXTRA = 2
-
-BACKENDS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -150,12 +145,14 @@ class RunReport:
 
     The resilience fields report recovery work: ``retries`` counts sink
     writes that succeeded after transient failures, ``requeued_packages``
-    and ``worker_restarts`` count process-backend crash recovery, and
+    and ``worker_restarts`` count worker-process crash recovery, and
     ``resumed_packages`` counts checkpointed packages a resumed run
     skipped instead of regenerating (their rows/bytes are included in
     the totals — the report describes the complete data set).
 
-    A cluster run (``backend="cluster"``) adds the per-node rollup
+    ``backend`` is derived, never chosen: ``"inline"`` for one worker,
+    ``"process"`` for a pool, ``"cluster"`` for a multi-node run. A
+    cluster run adds the per-node rollup
     ``nodes`` and the elastic-scheduling counters: ``steals`` /
     ``stolen_rows`` for work-stealing moves, ``node_failures`` /
     ``reassigned_ranges`` for dead-node recovery.
@@ -171,7 +168,7 @@ class RunReport:
     seconds: float
     workers: int
     tables: tuple[TableReport, ...] = field(default=())
-    backend: str = "thread"
+    backend: str = "inline"
     retries: int = 0
     requeued_packages: int = 0
     worker_restarts: int = 0
@@ -355,14 +352,16 @@ def _pool_worker(ident, tasks, results, telemetry, engine, output, faults):
 
 
 class _ProcessPool(ExecutorPool):
-    """The process backend: packages stream through worker processes in
-    sequence order, the parent flushes finished chunks in order.
+    """The ``workers > 1`` runtime: packages stream through worker
+    processes in sequence order, the parent flushes finished chunks in
+    order.
 
     The parent is the only writer: it dispatches a package whenever the
     delivery window has a free slot and feeds returned chunks to the
     per-table muxes (which release window slots as chunks hit the
     sinks). Because dispatch follows sequence order, at most ``workers +
-    inflight_extra`` chunks are ever buffered, however large the run.
+    DEFAULT_INFLIGHT_EXTRA`` chunks are ever buffered, however large the
+    run.
 
     When a worker dies and a :class:`~repro.resilience.RetryPolicy` is
     attached, the packages it held are requeued to a freshly spawned
@@ -454,12 +453,14 @@ class _ProcessPool(ExecutorPool):
 class Scheduler:
     """Generates every table of an engine's model onto sinks.
 
-    ``workers`` is the pool size; the paper's Figure 5 sweeps it.
-    ``backend`` selects threads (default) or processes; both produce
-    byte-identical output. ``inflight_extra`` sizes the bounded delivery
-    window at ``workers + inflight_extra`` packages. One sink (and one
-    mux) exists per table; header/footer are written outside the package
-    stream so parallel workers never touch them.
+    ``workers`` is all a caller chooses (the paper's Figure 5 sweeps
+    it): one runs the packages inline, more run them on that many
+    executor processes behind a delivery window of ``workers +
+    DEFAULT_INFLIGHT_EXTRA`` packages; the bytes are identical either
+    way. The ``backend`` attribute is the derived ``"inline"`` /
+    ``"process"`` label. One sink (and one mux) exists per table;
+    header/footer are written outside the package stream so parallel
+    workers never touch them.
 
     After :meth:`run`, ``last_window`` exposes the run's
     :class:`InFlightWindow` (its ``max_in_flight`` high-water mark is
@@ -474,8 +475,7 @@ class Scheduler:
         workers: int = 1,
         package_size: int = DEFAULT_PACKAGE_SIZE,
         progress: ProgressMonitor | None = None,
-        backend: str = "thread",
-        inflight_extra: int = DEFAULT_INFLIGHT_EXTRA,
+        backend: str | None = None,
         checkpoint: str | None = None,
         resume_from: str | None = None,
         retry: RetryPolicy | None = None,
@@ -485,21 +485,16 @@ class Scheduler:
 
         if workers < 1:
             raise SchedulingError(f"workers must be >= 1, got {workers}")
-        if backend not in BACKENDS:
-            raise SchedulingError(
-                f"unknown backend {backend!r} (expected one of {BACKENDS})"
-            )
-        if inflight_extra < 1:
-            raise SchedulingError(
-                f"inflight_extra must be >= 1, got {inflight_extra}"
-            )
+        # Residue: frozen bench/layers.py:395 still passes backend="process";
+        # the keyword (here and in ``generate``) goes with ROADMAP 1d.
+        if backend not in (None, "process"):
+            raise SchedulingError(f"backend={backend!r} is gone: -w N means processes")
         self.engine = engine
         self.output = output
         self.workers = workers
         self.package_size = package_size
         self.progress = progress
-        self.backend = backend
-        self.inflight_extra = inflight_extra
+        self.backend = "inline" if workers == 1 else "process"
         self.checkpoint = checkpoint
         self.resume_from = resume_from
         self.retry = retry
@@ -529,7 +524,7 @@ class Scheduler:
         footers: list[tuple[str, Sink, str]] = []
 
         accounting = RunAccounting(engine, names, self.progress)
-        window = InFlightWindow(self.workers + self.inflight_extra)
+        window = InFlightWindow(self.workers + DEFAULT_INFLIGHT_EXTRA)
         self.last_window = window
 
         manifest, journal = self._resilience_setup(names, row_ranges)
@@ -621,17 +616,15 @@ class Scheduler:
                 started = time.perf_counter()
                 if not packages:
                     pass
-                elif self.backend == "process":
+                elif self.workers == 1:
+                    for package, mux in packages:
+                        self._generate_package(package, mux, accounting)
+                else:
                     pool = _ProcessPool(
                         self, packages, muxes, accounting, window, run_span_id
                     )
                     pool.drive()
                     requeued, restarts = pool.requeued, pool.restarts
-                elif self.workers == 1:
-                    for package, mux in packages:
-                        self._generate_package(package, mux, accounting)
-                else:
-                    self._run_thread_pool(packages, accounting, window, run_span_id)
                 with span("scheduler.finish"):
                     for name in muxes:
                         muxes[name].finish()
@@ -794,50 +787,17 @@ class Scheduler:
             except Exception:  # fault-ok: teardown must not mask the original failure
                 pass
 
-    # -- thread backend ------------------------------------------------------
-
-    def _run_thread_pool(
-        self,
-        packages: list[tuple[WorkPackage, OrderedSinkMux]],
-        accounting: RunAccounting,
-        window: InFlightWindow,
-        run_span_id: int | None,
-    ) -> None:
-        """Dispatch packages to a thread pool through the bounded window.
-
-        The dispatcher acquires one window slot per package before
-        submitting it; the mux releases slots as chunks reach the sink.
-        A failing worker aborts the window so the dispatcher stops
-        instead of waiting for slots that will never free.
-        """
-
-        def body(package: WorkPackage, mux: OrderedSinkMux) -> None:
-            try:
-                self._generate_package(package, mux, accounting, run_span_id)
-            except BaseException:
-                window.abort()
-                raise
-
-        futures = []
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for package, mux in packages:
-                if not window.acquire():
-                    break  # a worker failed; its future re-raises below
-                futures.append(pool.submit(body, package, mux))
-        for future in futures:
-            future.result()  # re-raise worker exceptions
+    # -- inline run ----------------------------------------------------------
 
     def _generate_package(
         self,
         package: WorkPackage,
         mux: OrderedSinkMux,
         accounting: RunAccounting,
-        parent_span_id: int | None = None,
     ) -> None:
-        """In-process worker: run the package, submit it in row order."""
+        """Inline worker: run the package, submit it in row order."""
         result = run_package(
             self.engine, self.output, package, attempt=1,
-            parent_span_id=parent_span_id,
             deliver=lambda chunk: mux.submit(package.sequence, chunk),
         )
         accounting.package(package.table, package.rows, result)
@@ -851,8 +811,7 @@ def generate(
     package_size: int = DEFAULT_PACKAGE_SIZE,
     tables: list[str] | None = None,
     progress: ProgressMonitor | None = None,
-    backend: str = "thread",
-    inflight_extra: int = DEFAULT_INFLIGHT_EXTRA,
+    backend: str | None = None,
     checkpoint: str | None = None,
     resume_from: str | None = None,
     retry: RetryPolicy | None = None,
@@ -865,8 +824,7 @@ def generate(
     return Scheduler(
         engine, output or OutputConfig(),
         workers=workers, package_size=package_size, progress=progress,
-        backend=backend, inflight_extra=inflight_extra,
-        checkpoint=checkpoint, resume_from=resume_from, retry=retry,
+        backend=backend, checkpoint=checkpoint, resume_from=resume_from, retry=retry,
     ).run(tables)
 
 

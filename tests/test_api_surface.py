@@ -1,5 +1,7 @@
 """The public API surface.
 
+6.0 leaves the worker count as the only thing a caller says: no thread
+pool, no ``--backend``, no blocking half of the delivery window.
 5.3 leaves one script per paper artefact under ``benchmarks/``, each
 named by EXPERIMENTS.md and DESIGN §4 and none timing the scalar oracle.
 5.2 deletes what 3.0-5.1 orphaned: the per-sink ``bytes_written``
@@ -51,7 +53,6 @@ class TestSchedulerKeywordOnly:
     def test_keyword_form_works(self, engine):
         scheduler = Scheduler(
             engine, OutputConfig(kind="null"), workers=2, package_size=50,
-            backend="thread", inflight_extra=3,
         )
         assert scheduler.workers == 2
         report = scheduler.run()
@@ -83,8 +84,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_5(self):
-        assert repro.__version__.startswith("5.")
+    def test_version_is_6(self):
+        assert repro.__version__.startswith("6.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -210,8 +211,11 @@ class TestOneBodyOneAccountingOneReport:
 
         assert keywords(repro.Scheduler.__init__) == [
             "engine", "output", "workers", "package_size", "progress",
-            "backend", "inflight_extra", "checkpoint", "resume_from",
-            "retry", "faults",
+            "backend", "checkpoint", "resume_from", "retry", "faults",
+        ]
+        assert list(inspect.signature(repro.generate).parameters) == [
+            "engine", "output", "workers", "package_size", "tables", "progress",
+            "backend", "checkpoint", "resume_from", "retry",
         ]
         assert keywords(repro.ClusterScheduler.__init__) == [
             "schema", "artifacts", "output", "package_size", "checkpoint",
@@ -225,6 +229,9 @@ class TestOneBodyOneAccountingOneReport:
         # orphans of PRs 11-19: no caller under src/ at the time they went
         "format_row", "binary_formats", "reference_spec", "ReferenceError_",
         "plan_node", "writer_for",
+        # 6.0: -w N means processes
+        "ThreadPoolExecutor", "_run_thread_pool", "BACKENDS", "inflight_extra",
+        "retry_backoff",
     ])
     def test_deleted_names_stay_deleted(self, name):
         assert not self._occurrences(name, "")
@@ -352,6 +359,45 @@ class TestOneHttpServer:
             ("host", "POSITIONAL_OR_KEYWORD", "127.0.0.1"),
             ("progress", "POSITIONAL_OR_KEYWORD", None),
         ]
+
+
+class TestWorkersMeanProcesses:
+    """Structural guard: the thread pool, the switch that chose it and
+    the blocking half of the delivery window cannot grow back."""
+
+    SRC = TestOneHttpServer.SRC
+    _importers = TestOneHttpServer._importers
+
+    def test_no_thread_pool_under_scheduler_or_output(self):
+        assert not {
+            path for path in self._importers("concurrent.futures")
+            if path.startswith(("scheduler/", "output/"))
+        }
+
+    def test_generate_lost_three_flags(self):
+        from repro.cli.main import build_parser
+
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action.choices, dict)
+        )
+        flags = {
+            flag for action in commands.choices["generate"]._actions
+            for flag in action.option_strings
+        }
+        assert "--workers" in flags
+        assert not flags & {"--backend", "--inflight-extra", "--retry-backoff"}
+
+    def test_window_only_polls(self):
+        from repro.output.sinks import InFlightWindow
+
+        assert not hasattr(InFlightWindow, "acquire")
+        assert not hasattr(InFlightWindow, "abort")
+        assert "Condition" not in inspect.getsource(InFlightWindow)
+
+    def test_thread_backend_raises(self, engine):
+        with pytest.raises(repro.SchedulingError, match="-w N"):
+            generate(engine, OutputConfig(kind="null"), backend="thread")
 
 
 class TestOneScriptPerPaperArtefact:

@@ -8,7 +8,7 @@ schema covers every registered generator (a coverage assertion fails
 when a new generator is registered without being added here), one
 oracle compares the block formatter against the reference
 ``write_rows``/``write_row`` formatters over it, and the benchmark
-suites are compared writer-for-writer on both scheduler backends.
+suites are compared writer-for-writer inline and on the process pool.
 """
 
 from __future__ import annotations
@@ -405,14 +405,15 @@ def _suite_rows(name: str) -> tuple[GenerationEngine, dict[str, list]]:
 class TestSuiteByteIdentity:
     @pytest.mark.parametrize("suite", sorted(SUITES))
     @pytest.mark.parametrize("fmt", ["csv", "json", "sql"])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_batch_output_matches_rowwise(self, suite, fmt, backend):
         engine, reference_rows = _suite_rows(suite)
         config = OutputConfig(kind="memory", format=fmt)
         scheduler = Scheduler(
-            engine, config, workers=2, package_size=512, backend=backend
+            engine, config, workers={"inline": 1, "process": 2}[backend],
+            package_size=512,
         )
-        scheduler.run()
+        assert scheduler.run().backend == backend
         for table, rows in reference_rows.items():
             writer = config.new_writer(
                 table, engine.bound_table(table).column_names

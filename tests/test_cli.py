@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import filecmp
 import os
 
 import pytest
@@ -121,17 +122,20 @@ class TestGenerate:
                      "--kind", "null", "-q", "-w", "2"]) == 0
         assert "MB/s" in capsys.readouterr().out
 
-    def test_generate_process_backend(self, capsys):
-        assert main(["generate", "--suite", "tpch", "--sf", "0.0005",
-                     "--kind", "null", "-q", "-w", "2",
-                     "--backend", "process", "--inflight-extra", "3"]) == 0
+    def test_generate_process_backend(self, tmp_path, capsys):
+        """``-w N`` means N processes: same files as ``-w 1``, and the
+        summary line says which runtime ran."""
+        for workers in ("1", "2"):
+            assert main(["generate", "--suite", "tpch", "--sf", "0.001",
+                         "-d", str(tmp_path / workers), "-q", "-w", workers]) == 0
         out = capsys.readouterr().out
-        assert "process workers" in out
-
-    def test_generate_backend_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["generate", "--suite", "tpch", "--kind", "null",
-                  "--backend", "fiber"])
+        assert "1 inline worker)" in out and "2 process workers)" in out
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert len(names) == 8 and names == sorted(os.listdir(tmp_path / "2"))
+        for name in names:
+            assert filecmp.cmp(
+                tmp_path / "1" / name, tmp_path / "2" / name, shallow=False
+            ), name
 
     def test_generate_sqlite(self, project_dir, tmp_path):
         db_path = str(tmp_path / "target.db")

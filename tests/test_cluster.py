@@ -537,9 +537,8 @@ class TestClusterCLI:
         (["--nodes", "2", "--resume", "--checkpoint", "ckpt"], "--resume"),
         (["--distributed", "--resume", "--checkpoint", "ckpt"], "--resume"),
         (["--nodes", "2", "--workers", "4"], "--workers"),
-        (["--nodes", "2", "--backend", "process"], "--backend"),
+        (["--distributed", "--workers", "2"], "--workers"),
         (["--nodes", "2", "--max-attempts", "3"], "--max-attempts"),
-        (["--nodes", "2", "--inflight-extra", "5"], "--inflight-extra"),
     ])
     def test_unhonoured_flag_combinations_are_rejected(
         self, flags, named, capsys

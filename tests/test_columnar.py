@@ -284,12 +284,9 @@ class TestCsvQuoting:
 # -- scheduler integration ----------------------------------------------------
 
 
-def _run_memory(schema_engine, *, backend="thread", workers=1, fmt="csv"):
+def _run_memory(schema_engine, *, workers=1, fmt="csv"):
     output = OutputConfig(kind="memory", format=fmt)
-    Scheduler(
-        schema_engine, output, package_size=64, workers=workers,
-        backend=backend,
-    ).run()
+    Scheduler(schema_engine, output, package_size=64, workers=workers).run()
     return {
         table: output.memory_output(table)
         for table in schema_engine.schema.sizes()
@@ -297,14 +294,10 @@ def _run_memory(schema_engine, *, backend="thread", workers=1, fmt="csv"):
 
 
 class TestSchedulerColumnar:
-    def test_thread_process_columnar_identical(self):
-        threads = _run_memory(
-            GenerationEngine(columnar_schema()), backend="thread", workers=2
-        )
-        processes = _run_memory(
-            GenerationEngine(columnar_schema()), backend="process", workers=2
-        )
-        assert threads == processes
+    def test_inline_process_columnar_identical(self):
+        inline = _run_memory(GenerationEngine(columnar_schema()), workers=1)
+        processes = _run_memory(GenerationEngine(columnar_schema()), workers=2)
+        assert inline == processes
 
     def test_crash_resume_columnar_byte_identical(self, tmp_path):
         ref_dir = tmp_path / "ref"
@@ -402,16 +395,14 @@ class TestArrowEndToEnd:
         assert self._as_python(table) == self._expected_rows()
 
     def test_arrow_stream_multiworker_identical(self, tmp_path):
-        for sub, workers, backend in (
-            ("a", 1, "thread"), ("b", 3, "thread"), ("c", 2, "process"),
-        ):
+        for sub, workers in (("a", 1), ("b", 3), ("c", 2)):
             directory = tmp_path / sub
             output = OutputConfig(
                 kind="file", format="arrow", directory=str(directory)
             )
             Scheduler(
                 GenerationEngine(columnar_schema()), output,
-                package_size=64, workers=workers, backend=backend,
+                package_size=64, workers=workers,
             ).run()
         assert (tmp_path / "a" / "t.arrow").read_bytes() == (
             tmp_path / "b" / "t.arrow"

@@ -55,7 +55,7 @@ class TestGeneratorFailures:
         with pytest.raises(GenerationError, match="synthetic failure"):
             list(engine.iter_rows("t"))
 
-    def test_failure_propagates_from_worker_threads(self):
+    def test_failure_propagates_from_worker_processes(self):
         engine = GenerationEngine(self._schema(after=10))
         scheduler = Scheduler(engine, OutputConfig(kind="null"), workers=4,
                               package_size=5)

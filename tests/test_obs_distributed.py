@@ -128,7 +128,7 @@ class TestProcessBackendStitching:
         tracer = obs.enable_tracing()
         Scheduler(
             _engine(), OutputConfig(kind="null"), workers=2,
-            package_size=20, backend="process",
+            package_size=20,
         ).run()
         records = tracer.drain()
         run = next(r for r in records if r.name == "scheduler.run")
@@ -141,25 +141,25 @@ class TestProcessBackendStitching:
         package_ids = {r.span_id for r in packages}
         assert all(r.parent_id in package_ids for r in generate)
 
-    def test_per_table_totals_match_thread_backend(self):
-        def run_with(backend: str):
+    def test_per_table_totals_match_inline_run(self):
+        def run_with(workers: int):
             tracer = obs.enable_tracing()
             Scheduler(
-                _engine(), OutputConfig(kind="null"), workers=2,
-                package_size=25, backend=backend,
+                _engine(), OutputConfig(kind="null"), workers=workers,
+                package_size=25,
             ).run()
             totals = table_totals(tracer.drain())
             obs.reset()
             return totals
 
-        assert run_with("process") == run_with("thread")
+        assert run_with(2) == run_with(1)
 
-    def test_deterministic_counters_equal_thread_backend(self):
-        def run_with(backend: str):
+    def test_deterministic_counters_equal_inline_run(self):
+        def run_with(workers: int):
             registry = obs.enable_metrics()
             Scheduler(
-                _engine(), OutputConfig(kind="null"), workers=2,
-                package_size=25, backend=backend,
+                _engine(), OutputConfig(kind="null"), workers=workers,
+                package_size=25,
             ).run()
             values = {
                 name: _counter_values(registry, name)
@@ -168,12 +168,12 @@ class TestProcessBackendStitching:
             obs.reset()
             return values
 
-        assert run_with("process") == run_with("thread")
+        assert run_with(2) == run_with(1)
 
     def test_telemetry_off_ships_no_payloads(self):
         report = Scheduler(
             _engine(), OutputConfig(kind="null"), workers=2,
-            package_size=25, backend="process",
+            package_size=25,
         ).run()
         assert report.rows == 240
         assert obs.active_tracer() is None
@@ -189,7 +189,7 @@ class TestKillRespawnTrace:
             _engine(),
             OutputConfig(kind="file", format="csv",
                          directory=str(tmp_path / "out")),
-            workers=2, package_size=25, backend="process",
+            workers=2, package_size=25,
             retry=RetryPolicy(max_attempts=3, base_delay=0.01),
             faults=plan,
         ).run()
@@ -216,7 +216,7 @@ class TestKillRespawnTrace:
             _engine(),
             OutputConfig(kind="file", format="csv",
                          directory=str(tmp_path / "out")),
-            workers=2, package_size=25, backend="process",
+            workers=2, package_size=25,
             retry=RetryPolicy(max_attempts=3, base_delay=0.01),
             faults=plan,
         ).run()
@@ -273,7 +273,7 @@ class TestEmergencyTracePreservation:
                 _engine(),
                 OutputConfig(kind="file", format="csv",
                              directory=str(tmp_path / "out")),
-                workers=2, package_size=25, backend="process",
+                workers=2, package_size=25,
                 checkpoint=str(ckpt), faults=plan,
             ).run()
         partial = ckpt / "trace.partial.jsonl"

@@ -53,7 +53,9 @@ class TestSchedulerTelemetry:
         assert packages.value(table="orders") == 4
 
     def test_span_tree_nests_run_package_sink(self):
-        tracer, _, _ = self._run(4)
+        # inline: the package that flushes a chunk is open in this thread
+        # (the pool's tree is test_obs_distributed's: its parent writes)
+        tracer, _, _ = self._run(1)
         spans = tracer.spans()
         by_id = {s.span_id: s for s in spans}
         runs = [s for s in spans if s.name == "scheduler.run"]

@@ -152,7 +152,7 @@ class TestRunReportProfile:
         profiler = obs.enable_profiling(hz=400)
         report = Scheduler(
             GenerationEngine(demo_schema()), OutputConfig(kind="null"),
-            workers=2, package_size=10, backend="process",
+            workers=2, package_size=10,
         ).run()
         assert report.rows == 240
         # parent + two workers sampled; merged counts land in one place

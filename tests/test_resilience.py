@@ -1,6 +1,6 @@
 """Fault tolerance: retry policy, checkpoint manifests, crash→resume.
 
-The acceptance bar is byte-identity: for every (backend, sink) pairing,
+The acceptance bar is byte-identity: for every (runtime, sink) pairing,
 a run that crashes partway and is resumed from its checkpoint must leave
 *exactly* the bytes an uninterrupted run produces. PDGF's determinism
 makes that provable — generation is a pure function of the seed
@@ -175,7 +175,7 @@ class TestManifest:
         assert base != model_fingerprint(_engine(), output, 50, list(TABLES))
         tabbed = OutputConfig(kind="memory", delimiter="\t")
         assert base != model_fingerprint(_engine(), tabbed, 25, list(TABLES))
-        # Worker count / backend never affect bytes — not fingerprinted.
+        # The worker count never affects bytes — not fingerprinted.
 
     def test_resume_with_changed_model_refused(self, tmp_path):
         directory = str(tmp_path / "ckpt")
@@ -208,7 +208,7 @@ class TestManifest:
 
 
 def _crash_then_resume(
-    tmp_path, *, fmt, backend, workers, crash_after, flaky=False
+    tmp_path, *, fmt, workers, crash_after, flaky=False
 ):
     """Crash a run partway, resume it — through a flaky sink and a retry
     policy when *flaky* — and return ``(reference bytes, resumed bytes,
@@ -226,7 +226,7 @@ def _crash_then_resume(
     with pytest.raises(InjectedCrash):
         Scheduler(
             _engine(), faulty, package_size=25, workers=workers,
-            backend=backend, checkpoint=ckpt,
+            checkpoint=ckpt,
         ).run()
 
     output, retry = _file_config(crash_dir, fmt), None
@@ -236,7 +236,7 @@ def _crash_then_resume(
                             sleep=lambda _: None)
     progress = ProgressMonitor(240, {"customer": 60, "orders": 180})
     report = Scheduler(
-        _engine(), output, package_size=25, workers=workers, backend=backend,
+        _engine(), output, package_size=25, workers=workers,
         checkpoint=ckpt, resume_from=ckpt, retry=retry, progress=progress,
     ).run()
     return (
@@ -248,16 +248,16 @@ class TestCrashResume:
     @pytest.mark.parametrize("fmt", ["csv", "json", "sql"])
     @pytest.mark.parametrize(
         "backend,workers,flaky",
-        [("thread", 2, False), ("process", 2, False), ("thread", 2, True)],
-        ids=["thread-2", "process-2", "thread-2-flaky"],
+        [("inline", 1, False), ("process", 2, False), ("inline", 1, True)],
+        ids=["inline-1", "process-2", "inline-1-flaky"],
     )
     def test_resumed_run_is_byte_identical(
         self, tmp_path, fmt, backend, workers, flaky
     ):
         reference, resumed, report, progress = _crash_then_resume(
-            tmp_path, fmt=fmt, backend=backend, workers=workers, crash_after=4,
-            flaky=flaky,
+            tmp_path, fmt=fmt, workers=workers, crash_after=4, flaky=flaky,
         )
+        assert report.backend == backend
         assert resumed == reference
         assert report.resumed_packages > 0
         assert (report.retries > 0) == flaky
@@ -271,7 +271,7 @@ class TestCrashResume:
 
     def test_resume_skips_durable_packages(self, tmp_path):
         _, _, report, _ = _crash_then_resume(
-            tmp_path, fmt="csv", backend="thread", workers=1, crash_after=4
+            tmp_path, fmt="csv", workers=1, crash_after=4
         )
         # crash_after counts every sink write: 2 table headers at setup,
         # then 2 customer packages, before the 5th write raises.
@@ -291,12 +291,12 @@ class TestCrashResume:
         with pytest.raises(SchedulingError, match="worker process died"):
             Scheduler(
                 _engine(), _file_config(crash_dir), package_size=25,
-                workers=2, backend="process", checkpoint=ckpt, faults=plan,
+                workers=2, checkpoint=ckpt, faults=plan,
             ).run()
 
         Scheduler(
             _engine(), _file_config(crash_dir), package_size=25,
-            workers=2, backend="process", checkpoint=ckpt, resume_from=ckpt,
+            workers=2, checkpoint=ckpt, resume_from=ckpt,
         ).run()
         assert _read_tables(crash_dir) == _read_tables(ref_dir)
 
@@ -319,8 +319,9 @@ class TestCrashResume:
         assert again.resumed_packages == 3 + 8  # 60/25 + 180/25 packages
 
     def test_checkpoint_under_four_workers_resumed_with_one(self, tmp_path):
-        """Worker count and backend are scheduling choices, not model
-        inputs: a process/4-worker checkpoint resumes on thread/1."""
+        """The worker count is a scheduling choice, not a model input: a
+        4-process checkpoint resumes inline — and so does one written
+        before 6.0, whose header still says ``"backend": "thread"``."""
         ref_dir = tmp_path / "ref"
         Scheduler(_engine(), _file_config(ref_dir), package_size=25).run()
 
@@ -332,12 +333,20 @@ class TestCrashResume:
         with pytest.raises(InjectedCrash):
             Scheduler(
                 _engine(), faulty, package_size=25, workers=4,
-                backend="process", checkpoint=ckpt,
+                checkpoint=ckpt,
             ).run()
-        Scheduler(
+        manifest = os.path.join(ckpt, "manifest.jsonl")
+        with open(manifest, encoding="utf-8") as handle:
+            header, *records = handle.read().splitlines(keepends=True)
+        assert json.loads(header)["backend"] == "process"
+        with open(manifest, "w", encoding="utf-8") as handle:
+            handle.write(header.replace('"process"', '"thread"'))
+            handle.writelines(records)
+        report = Scheduler(
             _engine(), _file_config(crash_dir), package_size=25,
-            workers=1, backend="thread", checkpoint=ckpt, resume_from=ckpt,
+            workers=1, checkpoint=ckpt, resume_from=ckpt,
         ).run()
+        assert report.resumed_packages > 0
         assert _read_tables(crash_dir) == _read_tables(ref_dir)
 
     def test_truncated_output_file_refused(self, tmp_path):
@@ -439,7 +448,7 @@ class TestLiveRetries:
         )
         report = Scheduler(
             _engine(), _file_config(kill_dir), package_size=25,
-            workers=2, backend="process", faults=plan,
+            workers=2, faults=plan,
             retry=RetryPolicy(max_attempts=3, base_delay=0.01),
         ).run()
         assert report.worker_restarts == 1
