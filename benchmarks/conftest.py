@@ -83,8 +83,12 @@ class BlockCost(NamedTuple):
     #: the generator alone — ``table`` minus ``row_hash`` and ``seed_block``,
     #: the quantity ``bench/`` reports as ``generators.<Class>.ns_per_value``
     generate: float
-    #: ``CsvWriter.write_block`` on the generated block
+    #: ``CsvWriter.write_block`` on the generated block by the table's
+    #: long-lived writer — every later package of a run
     format: float
+    #: the same by a fresh writer, whose render cache is empty — the
+    #: first package of a run
+    format_cold: float
 
 
 def interleaved_min(calls: dict[str, Callable[[], object]], rounds: int = 25) -> dict[str, float]:
@@ -131,12 +135,17 @@ def block_ns_per_value(configs: dict[str, tuple]) -> dict[str, BlockCost]:
             bound.generate_columns(0, BLOCK_ROWS, engine.new_context("t"))
         )
         calls[f"format {name}"] = lambda writer=writer, block=block: writer.write_block(block)
+        calls[f"format cold {name}"] = (
+            lambda bound=bound, block=block:
+            OutputConfig(format="csv").new_writer("t", bound.column_names).write_block(block)
+        )
     interleaved_min(calls, rounds=2)  # warm-up
     ns = {name: best * 1e9 / BLOCK_ROWS for name, best in interleaved_min(calls).items()}
     prng = ns["prng.row_hash"] + ns["prng.seed_block"]
     return {
         name: BlockCost(
-            ns[f"generate {name}"], ns[f"generate {name}"] - prng, ns[f"format {name}"]
+            ns[f"generate {name}"], ns[f"generate {name}"] - prng,
+            ns[f"format {name}"], ns[f"format cold {name}"],
         )
         for name in configs
     }

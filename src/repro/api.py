@@ -283,7 +283,7 @@ class Dataset:
         if start == 0 and header:
             yield header.encode("utf-8") if not spec.binary else header
         for package in self._covering_packages(table, start, stop, spec):
-            chunk, _ = format_package(self.engine, output, package)
+            chunk, _, _ = format_package(self.engine, output, package)
             if chunk:
                 yield chunk.encode("utf-8") if not spec.binary else chunk
         if stop == self.engine.sizes[table] and footer:

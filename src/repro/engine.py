@@ -45,7 +45,7 @@ class BoundTable:
     ``Generator.generate``) the block output must stay byte-identical to.
     """
 
-    __slots__ = ("table", "column_names", "_generators", "_seeders")
+    __slots__ = ("table", "column_names", "_generators", "_seeders", "writers")
 
     def __init__(
         self,
@@ -56,6 +56,9 @@ class BoundTable:
     ) -> None:
         self.table = table
         self.column_names = [f.name for f in table.fields]
+        #: output writers kept with the table (``output.formats``), so
+        #: rendered text outlives the work package that rendered it
+        self.writers: dict = {}
         self._generators = [
             build_bound(field.generator, ctx)
             for field, ctx in zip(table.fields, bind_contexts)

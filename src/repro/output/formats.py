@@ -30,6 +30,7 @@ the header and footer around the packages.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 from repro.exceptions import OutputError
@@ -163,6 +164,38 @@ register_format(FormatSpec(
 ))
 
 
+#: writers kept per bound table — one per set of format options in use.
+#: A run has one; a server a few (``?format=`` times the slice options).
+_WRITERS_PER_TABLE = 8
+
+_writers_lock = threading.Lock()
+
+
+def _bound_writer(bound, output) -> RowWriter:
+    """The writer of *output*'s format and options for one bound table,
+    kept on the table so its rendered text (the formatter memo, the
+    column formatter's day map — both bounded by ``cache_limit``)
+    outlives the package: lazy formatting then holds across the packages
+    of a run, of a pool worker or cluster node, and across serve
+    requests on a cached engine. The oldest writer goes when a table has
+    seen more than ``_WRITERS_PER_TABLE`` option sets.
+    """
+    key = (
+        type(output), output.format, output.delimiter, output.include_header,
+        output.null_token, output.date_format, output.timestamp_format,
+        output.float_places,
+    )
+    writers = bound.writers
+    writer = writers.get(key)
+    if writer is None:
+        writer = output.new_writer(bound.table.name, bound.column_names)
+        with _writers_lock:  # serve threads share the engine
+            while len(writers) >= _WRITERS_PER_TABLE:
+                del writers[next(iter(writers))]
+            writers[key] = writer
+    return writer
+
+
 def format_package(engine, output, package, *, first: bool | None = None):
     """Generate and format one work package — the shared worker body.
 
@@ -174,19 +207,22 @@ def format_package(engine, output, package, *, first: bool | None = None):
     emit stream framing (the Arrow schema message) exactly once, in the
     first package's chunk.
 
-    Returns ``(chunk, writer)``; callers read formatter cache stats off
-    the writer.
+    Returns ``(chunk, hits, misses)``: the formatter memo-cache lookups
+    this package made, as deltas off the table's long-lived writer
+    (:func:`_bound_writer`).
     """
     if first is None:
         first = package.sequence == 0
     bound = engine.bound_table(package.table)
-    writer = output.new_writer(package.table, bound.column_names)
+    writer = _bound_writer(bound, output)
+    formatter = writer.formatter
+    hits, misses = formatter.cache_hits, formatter.cache_misses
     ctx = engine.new_context(package.table)
     with span("package.generate", table=package.table):
         block = bound.generate_columns(package.start, package.stop, ctx)
     with span("package.format", table=package.table):
         chunk = writer.write_block(block, first=first)
-    return chunk, writer
+    return chunk, formatter.cache_hits - hits, formatter.cache_misses - misses
 
 
 def table_frame(output, engine, table: str):
@@ -194,8 +230,8 @@ def table_frame(output, engine, table: str):
     package stream, empty when the format has none. The one place a
     probe writer is asked for them, so the batch schedulers, the cluster
     merge and ``Dataset.stream`` cannot frame a table differently."""
-    probe = output.new_writer(table, engine.bound_table(table).column_names)
-    return probe.header(), probe.footer()
+    writer = _bound_writer(engine.bound_table(table), output)
+    return writer.header(), writer.footer()
 
 
 def encoded_size(chunk) -> int:

@@ -1,20 +1,32 @@
 """Row writers: CSV, JSON, XML, and SQL output formats.
 
 PDGF "can write data in various formats (e.g., CSV, JSON, XML, and SQL)"
-(paper §1). A writer turns one row (a list of Python values) into output
-text; sinks decide where the text goes. Writers are stateless apart from
-their :class:`~repro.output.rows.ValueFormatter`, so each worker owns a
-private writer instance.
+(paper §1). A writer turns a block of one table's values into output
+text; sinks decide where the text goes. ``write_row`` is the scalar
+oracle of each format; CSV, JSON and SQL format whole column blocks
+through :mod:`repro.output.columnar`. A writer's only state is rendered
+text — its :class:`~repro.output.rows.ValueFormatter` memo and the
+column formatter's day map — so it is kept for as long as its bound
+table (:func:`repro.output.formats.format_package`), one per process.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import json
 import math
+from json.encoder import encode_basestring
 
 from repro.exceptions import OutputError
-from repro.output.columnar import csv_escape, format_csv_block
+from repro.output.columnar import (
+    _CsvTexts,
+    _format_block,
+    _JsonTexts,
+    _SqlTexts,
+    csv_escape,
+    format_csv_block,
+)
 from repro.output.rows import ValueFormatter
 
 
@@ -106,6 +118,10 @@ class CsvWriter(RowWriter):
         #: write_rows, and the vectorized block formatter
         self.specials = frozenset(delimiter) | {'"'} | frozenset(terminator)
 
+    @functools.cached_property
+    def _texts(self) -> _CsvTexts:
+        return _CsvTexts(self.formatter, self.specials)
+
     def header(self) -> str:
         if not self.include_header:
             return ""
@@ -151,6 +167,25 @@ class JsonWriter(RowWriter):
     """
 
     format_name = "json"
+    supports_columns = True
+
+    @functools.cached_property
+    def _texts(self) -> _JsonTexts:
+        return _JsonTexts(self.formatter)
+
+    def write_block(self, block, first: bool = False) -> str:
+        # write_row builds a dict: a repeated column name collapses
+        # there, and a row shorter than the column list drops keys.
+        names = self.columns
+        if (
+            type(self).write_row is not JsonWriter.write_row
+            or len(block.columns) != len(names)
+            or len(set(names)) != len(names)
+        ):
+            return super().write_block(block, first)
+        keys = [encode_basestring(name) + ":" for name in names]
+        lead, separators = "{" + "".join(keys[:1]), ["," + key for key in keys[1:]]
+        return _format_block(block, self._texts, lead, separators, "}\n")
 
     def write_row(self, values: list[object]) -> str:
         obj: dict[str, object] = {}
@@ -203,6 +238,18 @@ class SqlWriter(RowWriter):
     by the caller (one row per statement here keeps writers stateless)."""
 
     format_name = "sql"
+    supports_columns = True
+
+    @functools.cached_property
+    def _texts(self) -> _SqlTexts:
+        return _SqlTexts(self.formatter)
+
+    def write_block(self, block, first: bool = False) -> str:
+        if type(self).write_row is not SqlWriter.write_row:
+            return super().write_block(block, first)
+        lead = f"INSERT INTO {self.table} ({', '.join(self.columns)}) VALUES ("
+        separators = [", "] * (len(block.columns) - 1)
+        return _format_block(block, self._texts, lead, separators, ");\n")
 
     def write_row(self, values: list[object]) -> str:
         rendered = []

@@ -69,9 +69,10 @@ STALL_SECONDS = 60.0
 
 class PackageResult(NamedTuple):
     """One generated work package: the formatted ``chunk``, its encoded
-    size ``nbytes``, the generate+format ``seconds`` and the formatter's
-    memo-cache counts. Picklable — it is also the executors' result
-    message (a cluster node sends it with ``chunk=None``)."""
+    size ``nbytes``, the generate+format ``seconds`` and the formatter
+    memo-cache lookups this package made. Picklable — it is also the
+    executors' result message (a cluster node sends it with
+    ``chunk=None``)."""
 
     chunk: str | bytes | None
     nbytes: int
@@ -99,16 +100,15 @@ def run_package(
         sequence=package.sequence, rows=package.rows, attempt=attempt,
         **span_attrs,
     ) as package_span:
-        chunk, writer = format_package(engine, output, package, first=first)
+        chunk, fmt_hits, fmt_misses = format_package(
+            engine, output, package, first=first
+        )
         nbytes = encoded_size(chunk)
         seconds = time.perf_counter() - started
         package_span.set(bytes=nbytes)
         if deliver is not None:
             deliver(chunk)
-    formatter = writer.formatter
-    return PackageResult(
-        chunk, nbytes, seconds, formatter.cache_hits, formatter.cache_misses
-    )
+    return PackageResult(chunk, nbytes, seconds, fmt_hits, fmt_misses)
 
 
 def mp_context():

@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output paths: hot loops and swallowed errors.
 
-Five checks, one AST walk:
+Six checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -42,7 +42,16 @@ them back to value-at-a-time cost without failing any correctness
 test — the bytes stay identical, only the throughput regresses. Any
 ``format()`` call in those files must carry a ``# columnar-ok: <reason>``
 waiver naming why the scalar fallback is deliberate (charset clash,
-per-unique date rendering, Arrow type fallback).
+per-unique date rendering, Arrow type fallback). The CSV, JSON and SQL
+block formatters all live in :mod:`repro.output.columnar`.
+
+**Column-writer check.** ``RowWriter.write_block`` is the one place a
+block is transposed back to rows (``block.to_rows()``) — the default the
+row-only formats inherit. A writer that *overrides* ``write_block`` does
+so to format columns; a ``to_rows()`` call inside the override puts the
+transpose and the per-row loop back without failing a test (it may still
+delegate to ``super().write_block`` for input it cannot format by
+column). No waiver: there is no reason to override and then transpose.
 
 **Oracle-timing check.** The paper-artefact scripts under
 ``benchmarks/`` measure the path the system runs (``generate_columns``
@@ -92,6 +101,9 @@ COLUMNAR_HOT_FILES = (
 BANNED_COLUMNAR_CALLS = ("format",)
 COLUMNAR_WAIVER = "columnar-ok"
 
+#: the class whose ``write_block`` is the row-path default
+ROW_PATH_CLASS = "RowWriter"
+
 
 def _call_name(node: ast.Call) -> str | None:
     func = node.func
@@ -122,14 +134,35 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     return any(isinstance(node, ast.Raise) for node in ast.walk(handler))
 
 
+def _transposing_overrides(tree: ast.AST, path: Path) -> list[str]:
+    """``to_rows()`` calls inside a ``write_block`` override."""
+    violations = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name == ROW_PATH_CLASS:
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name != "write_block":
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Call) and _call_name(node) == "to_rows":
+                    violations.append(
+                        f"{path.relative_to(REPO)}:{node.lineno}: "
+                        f"{cls.name}.write_block overrides the row-path "
+                        "default and then transposes with to_rows(); format "
+                        "the columns, or delegate to super().write_block"
+                    )
+    return violations
+
+
 def check_file(
     path: Path, span_hot: bool = False, columnar_hot: bool = False,
     benchmark: bool = False,
 ) -> list[str]:
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
-    violations = []
-    for node in ast.walk(ast.parse(source, filename=str(path))):
+    tree = ast.parse(source, filename=str(path))
+    violations = [] if benchmark or span_hot else _transposing_overrides(tree, path)
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             name = _call_name(node)
             if span_hot and name in BANNED_IO_CALLS:
