@@ -12,7 +12,7 @@ the library exposes the same workflows as CLI verbs:
 * ``translate`` — print the target-database DDL for a model.
 * ``verify``    — compare source vs. synthesized databases with SQL.
 * ``update``    — print an update-epoch change batch summary.
-* ``stats``     — summarize a trace log or sample per-generator latency.
+* ``stats``     — summarize a trace log or list a model's generators.
 
 Built-in suite models (``--suite tpch|ssb|bigbench``) correspond to the
 demo's "default projects" (Figure 10).
@@ -42,8 +42,9 @@ from repro.suites import SUITE_NAMES, suite_model
 from repro.update import UpdateBlackBox
 
 
-def _load_engine(args: argparse.Namespace) -> GenerationEngine:
-    """Engine from --suite or --model, with -p overrides applied."""
+def _load_model(args: argparse.Namespace):
+    """``(schema, artifacts)`` from --suite or --model, with -p overrides
+    applied."""
     if args.suite:
         schema, artifacts = suite_model(args.suite, args.scale_factor)
     else:
@@ -53,7 +54,11 @@ def _load_engine(args: argparse.Namespace) -> GenerationEngine:
         schema.properties.override("SF", args.scale_factor)
     if args.property:
         apply_overrides(schema.properties, args.property)
-    return GenerationEngine(schema, artifacts)
+    return schema, artifacts
+
+
+def _load_engine(args: argparse.Namespace) -> GenerationEngine:
+    return GenerationEngine(*_load_model(args))
 
 
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
@@ -191,18 +196,14 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_preview(args: argparse.Namespace) -> int:
-    from repro.api import Dataset
-    from repro.output.rows import ValueFormatter
-
-    dataset = Dataset.from_engine(_load_engine(args))
-    formatter = ValueFormatter(null_token="NULL")
-    tables = [args.table] if args.table else list(dataset.tables)
+    engine = _load_engine(args)
+    tables = [args.table] if args.table else list(engine.sizes)
     for table in tables:
-        size = dataset.tables[table]
-        print(f"-- {table} ({size} rows)")
-        print(" | ".join(dataset.columns(table)))
-        for row in dataset.slice(table, 0, min(args.rows, size)):
-            print(" | ".join(formatter.format(value) for value in row))
+        columns = engine.bound_table(table).column_names
+        print(f"-- {table} ({engine.sizes[table]} rows)")
+        print(" | ".join(columns))
+        for row in engine.preview(table, args.rows):
+            print(" | ".join(row))
         print()
     return 0
 
@@ -217,7 +218,7 @@ _SINGLE_NODE_ONLY_FLAGS = (
 )
 
 
-def _generate_cluster(args: argparse.Namespace, engine, output):
+def _generate_cluster(args: argparse.Namespace, schema, artifacts, output):
     """Multi-node generation on the cluster runtime: one process per
     node, parent-side work stealing, per-node parts merged into files
     byte-identical to a single-node run."""
@@ -231,8 +232,8 @@ def _generate_cluster(args: argparse.Namespace, engine, output):
                 "and dead shards are reassigned live, not resumed across runs"
             )
     return ClusterScheduler(
-        engine.schema,
-        engine.artifacts,
+        schema,
+        artifacts,
         output=output,
         checkpoint=args.checkpoint,
         steal=not args.no_steal,
@@ -293,7 +294,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ReproError("--resume requires --checkpoint DIR")
     tracer, registry, profiler, server = _telemetry_begin(args)
     try:
-        engine = _load_engine(args)
+        model = _load_model(args)
         output = OutputConfig(
             kind=args.kind,
             format=args.format,
@@ -303,8 +304,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             include_header=args.header,
         )
         if args.distributed or args.nodes > 1:
-            _print_report(_generate_cluster(args, engine, output), args.quiet)
+            # the cluster runtime binds the model itself, once for all nodes
+            _print_report(_generate_cluster(args, *model, output), args.quiet)
             return 0
+        engine = GenerationEngine(*model)
         if args.kind == "sqlite":
             # The SQL stream needs the target schema in place first.
             with SQLiteAdapter(output.database) as target:
@@ -426,13 +429,11 @@ def _workload_spec(args: argparse.Namespace, engine: GenerationEngine):
 def _cmd_workload(args: argparse.Namespace) -> int:
     """Synthesize, dump, or replay a deterministic query workload.
 
-    Without ``--dump``/``--replay`` this runs the classic template +
-    predicted-query pass (the pre-2.1 behavior). ``--dump`` writes the
-    scheduled stream as JSONL (byte-reproducible for a given model seed);
-    ``--replay`` executes a stream against ``--database``, pacing by the
-    seed-derived arrival timestamps compressed by ``--max-speedup``.
+    ``--dump`` writes the scheduled stream as JSONL (byte-reproducible
+    for a given model seed); ``--replay`` executes a stream against
+    ``--database``, pacing by the seed-derived arrival timestamps
+    compressed by ``--max-speedup``.
     """
-    from repro.core.driver import BenchmarkDriver
     from repro.workload import (
         CdcInterleave,
         WorkloadReplayer,
@@ -440,25 +441,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         read_jsonl,
     )
 
-    engine = _load_engine(args)
     if not args.dump and not args.replay:
-        if args.suite and args.suite != "tpch":
-            raise ReproError(
-                "the built-in driver pass targets --suite tpch; use "
-                "--dump/--replay for synthesized streams over any model"
-            )
-        if not args.database:
-            raise ReproError("--database is required to run a workload")
-        from repro.suites.tpch.workload import DEFAULT_TEMPLATES, PREDICTED_QUERIES
-
-        with SQLiteAdapter(args.database) as target:
-            driver = BenchmarkDriver(engine.schema, target, engine.artifacts)
-            templates = [(t, args.count) for t, _default in DEFAULT_TEMPLATES]
-            report = driver.run_workload(templates, PREDICTED_QUERIES)
-        for line in report.summary_lines():
-            print(line)
-        return 0 if report.failed == 0 else 1
-
+        raise ReproError("workload needs --dump FILE and/or --replay")
+    engine = _load_engine(args)
     spec = _workload_spec(args, engine)
     stream = WorkloadStream(engine.schema, spec, engine.artifacts)
     if args.dump:
@@ -501,7 +486,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    """Summarize telemetry or sample per-generator latency of a model."""
+    """Summarize a trace log, or list a model's generators."""
     if args.trace_file:
         records = obs.read_trace_jsonl(args.trace_file)
         if not records:
@@ -537,51 +522,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         bound = engine.bound_table(name)
         print(f"-- {name}: {engine.sizes[name]:,} rows, "
               f"{len(bound.column_names)} columns")
-        if not args.latency:
-            for column, generator in zip(bound.column_names, bound.generators):
-                print(f"  {column:<24} {type(generator).__name__}")
-            continue
-        stats = _sample_generator_latency(
-            engine, name, rows=args.latency_rows
-        )
-        for column, generator, latency in stats:
-            print(
-                f"  {column:<24} {generator:<28} {latency.mean_ns:>10,.0f} ns "
-                f"(median {latency.median_ns:,.0f})"
-            )
+        for column, generator in zip(bound.column_names, bound.generators):
+            print(f"  {column:<24} {type(generator).__name__}")
     return 0
-
-
-def _sample_generator_latency(engine, table: str, rows: int = 200):
-    """Per-column latency of the scalar recompute primitive.
-
-    Each sample recomputes one cell through ``BoundTable.generate_value``
-    (warmup + repeated batches, rows cycling over the table). That is
-    the price a reference or formula pays per dependency; a run
-    generates whole blocks (``generate_columns``), which costs one to
-    two orders of magnitude less per value and is what
-    ``bench/run.py --trace 1`` reports.
-    """
-    from repro.obs import per_value_latency
-
-    bound = engine.bound_table(table)
-    ctx = engine.new_context(table)
-    size = engine.sizes[table]
-    results = []
-    for index, column in enumerate(bound.column_names):
-        state = {"row": 0}
-
-        def call(index=index, state=state):
-            row = state["row"]
-            state["row"] = row + 1 if row + 1 < size else 0
-            bound.generate_value(index, row, ctx)
-
-        latency = per_value_latency(
-            call, batch=max(rows, 1), repeats=3, warmup=min(50, rows)
-        )
-        generator = type(bound.generators[index]).__name__
-        results.append((column, generator, latency))
-    return results
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
@@ -734,8 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(workload)
     workload.add_argument("--database",
                           help="target SQLite database to query")
-    workload.add_argument("--count", type=int, default=2,
-                          help="instances per query template (classic driver pass)")
     workload.add_argument(
         "--queries", type=int, default=50, metavar="N",
         help="scheduled queries in a synthesized stream (default 50)",
@@ -803,16 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         "aggregate rows (worker and cluster-node spans included)",
     )
     stats.add_argument("--table", help="restrict to one table")
-    stats.add_argument(
-        "--latency", action="store_true",
-        help="time one scalar recompute (generate_value) per column: what a "
-        "reference or formula pays per dependency, not the block path a "
-        "run takes (for that: bench/run.py --trace 1)",
-    )
-    stats.add_argument(
-        "--latency-rows", type=int, default=200,
-        help="rows per latency sample batch (default 200)",
-    )
     stats.set_defaults(func=_cmd_stats)
 
     update = commands.add_parser("update", help="inspect update epochs")

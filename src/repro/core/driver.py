@@ -3,12 +3,11 @@
 The paper's conclusion (§7) promises to "automate the complete
 benchmarking process ... generate the queries consistently using PDGF
 and build additional driver and analysis modules". This module is that
-driver: it takes a model, a deterministic query workload (templates
-instantiated through :class:`~repro.core.queries.QueryParameterGenerator`
-and/or structured :class:`~repro.core.queries.Query` objects), runs it
-against a target database, times every query, and — where the virtual
-executor can predict the result — grades the measured answers against
-the model's predictions.
+driver: it runs one SQL text or structured
+:class:`~repro.core.queries.Query` against a target database, times it,
+and — where the virtual executor can predict the result — grades the
+measured answer against the model's prediction. Which queries run, and
+when, is the seeded stream's business (:mod:`repro.workload`).
 """
 
 from __future__ import annotations
@@ -16,13 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.queries import (
-    PredictedValue,
-    Query,
-    QueryParameterGenerator,
-    QueryTemplate,
-    VirtualExecutor,
-)
+from repro.core.queries import PredictedValue, Query, VirtualExecutor
 from repro.db.adapter import DatabaseAdapter
 from repro.exceptions import GenerationError
 from repro.generators.base import ArtifactStore
@@ -94,7 +87,7 @@ class DriverReport:
 
 
 class BenchmarkDriver:
-    """Runs deterministic query workloads against a target database."""
+    """Runs and grades queries against a target database."""
 
     def __init__(
         self,
@@ -105,7 +98,6 @@ class BenchmarkDriver:
         self.schema = schema
         self.adapter = adapter
         self.artifacts = artifacts or ArtifactStore()
-        self._parameters = QueryParameterGenerator(schema, self.artifacts)
         self._executor = VirtualExecutor(schema, self.artifacts)
 
     # -- execution ---------------------------------------------------------------
@@ -128,16 +120,6 @@ class BenchmarkDriver:
             name, sql, seconds, len(rows),
             first_row=tuple(rows[0]) if rows else None,
         )
-
-    def run_template(
-        self, template: QueryTemplate, count: int = 1
-    ) -> list[QueryExecution]:
-        """Run *count* deterministic instances of a template."""
-        executions = []
-        for index in range(count):
-            sql = self._parameters.instantiate(template, index)
-            executions.append(self.run_sql(f"{template.name}#{index}", sql))
-        return executions
 
     def run_query(self, name: str, query: Query) -> QueryExecution:
         """Run a structured query and grade it against the model."""
@@ -168,17 +150,3 @@ class BenchmarkDriver:
             if not ok:
                 execution.prediction_ok = False
         return execution
-
-    def run_workload(
-        self,
-        templates: list[tuple[QueryTemplate, int]] | None = None,
-        queries: list[tuple[str, Query]] | None = None,
-    ) -> DriverReport:
-        """Run a whole workload: templates (with instance counts) plus
-        structured, prediction-checked queries."""
-        report = DriverReport()
-        for template, count in templates or []:
-            report.executions.extend(self.run_template(template, count))
-        for name, query in queries or []:
-            report.executions.append(self.run_query(name, query))
-        return report

@@ -25,7 +25,6 @@ class FidelityQuery:
     name: str
     sql: str
     tolerance: float = 0.15
-    kind: str = "scalar"  # "scalar" or "set"
     # Absolute slack for small-count comparisons (e.g. NULL counts on
     # small tables, where one row is a large relative error).
     absolute_slack: float = 0.0

@@ -203,11 +203,10 @@ class GenerationEngine:
         """Pickle as (schema, artifacts, update) and rebuild on load.
 
         Bound generators hold thread-locals and closure state that must
-        not cross process boundaries; reconstructing from the model is
-        how every cluster node boots and — because generation is
-        seed-addressed — yields a byte-identical engine. This is what
-        lets the process-pool scheduler backend ship the engine to
-        worker processes.
+        not cross process boundaries; reconstructing from the model
+        yields — because generation is seed-addressed — a byte-identical
+        engine. This is how pool workers and cluster nodes get theirs
+        where processes are spawned (a forked one inherits the parent's).
         """
         return (GenerationEngine, (self.schema, self.artifacts, self.update))
 

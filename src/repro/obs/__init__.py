@@ -71,14 +71,7 @@ from repro.obs.stitch import (
     span_payload,
     stitch_spans,
 )
-from repro.obs.timing import (
-    LatencyStats,
-    Timer,
-    per_value_latency,
-    speedup_series,
-    throughput_mb_per_s,
-    time_call,
-)
+from repro.obs.timing import throughput_mb_per_s
 from repro.obs.trace import (
     SpanRecord,
     Stopwatch,
@@ -140,7 +133,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LatencyStats",
     "MetricsRegistry",
     "ObsServer",
     "SamplingProfiler",
@@ -149,7 +141,6 @@ __all__ = [
     "SpanRecord",
     "StageProfile",
     "Stopwatch",
-    "Timer",
     "Tracer",
     "WorkerTelemetry",
     "active_metrics",
@@ -164,7 +155,6 @@ __all__ = [
     "enable_profiling",
     "enable_tracing",
     "generation",
-    "per_value_latency",
     "read_trace_jsonl",
     "render_prometheus",
     "render_span_tree",
@@ -172,13 +162,11 @@ __all__ = [
     "span",
     "span_jsonl_lines",
     "span_payload",
-    "speedup_series",
     "state",
     "stitch_spans",
     "summary_lines",
     "table_totals",
     "throughput_mb_per_s",
-    "time_call",
     "timed",
     "trace_lines",
     "write_metrics_text",

@@ -62,10 +62,8 @@ class RowWriter(abc.ABC):
         """Text for a block of rows — what the default
         :meth:`write_block` formats through.
 
-        Must be the concatenation of :meth:`write_row` over *rows* (the
-        default implementation is exactly that), so block formatting can
-        never change output bytes. Writers override it to amortize
-        per-row overhead.
+        The concatenation of :meth:`write_row` over *rows* — the one
+        row loop, for every format.
         """
         write_row = self.write_row
         return "".join(write_row(row) for row in rows)  # hot-loop-ok: contract fallback
@@ -114,8 +112,8 @@ class CsvWriter(RowWriter):
         self.delimiter = delimiter
         self.include_header = include_header
         self.terminator = terminator
-        #: characters that force quoting — shared by write_row,
-        #: write_rows, and the vectorized block formatter
+        #: characters that force quoting — shared by write_row and the
+        #: vectorized block formatter
         self.specials = frozenset(delimiter) | {'"'} | frozenset(terminator)
 
     @functools.cached_property
@@ -132,22 +130,6 @@ class CsvWriter(RowWriter):
         specials = self.specials
         parts = [csv_escape(fmt(value), specials) for value in values]
         return self.delimiter.join(parts) + self.terminator
-
-    def write_rows(self, rows: list[list[object]]) -> str:
-        # Inline the row loop only when write_row is not overridden, so
-        # subclasses customizing per-row formatting keep their behavior.
-        if type(self).write_row is not CsvWriter.write_row:
-            return super().write_rows(rows)
-        fmt = self.formatter.format
-        specials = self.specials
-        join = self.delimiter.join
-        terminator = self.terminator
-        chunks: list[str] = []
-        append = chunks.append
-        for values in rows:
-            append(join(csv_escape(fmt(value), specials) for value in values))
-            append(terminator)
-        return "".join(chunks)
 
     def write_block(self, block, first: bool = False) -> str:
         # The vectorized formatter reproduces write_row's bytes exactly;

@@ -47,7 +47,6 @@ import os
 import shutil
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.engine import GenerationEngine
@@ -298,19 +297,6 @@ class ShardLedger:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _NodeConfig:
-    """Everything a node process needs, picklable at spawn."""
-
-    nodes: int
-    schema: Schema
-    artifacts: ArtifactStore | None
-    output: OutputConfig
-    package_size: int
-    checkpoint: str | None
-    faults: FaultPlan | None
-
-
 class _OpenPart(_Part):
     """Node side of a part: its sink and its ``node.assignment`` span."""
 
@@ -333,32 +319,34 @@ class _OpenPart(_Part):
         self._span.__exit__(None, None, None)
 
 
-def _cluster_node(node, tasks, results, telemetry, config: _NodeConfig):
-    """Process body of one cluster node (see the module docstring)."""
-    engine = GenerationEngine(config.schema, config.artifacts)
-    output = config.output
-    faults = config.faults
+def _cluster_node(
+    node, tasks, results, telemetry,
+    engine, nodes, output, package_size, checkpoint, faults,
+):
+    """Process body of one cluster node (see the module docstring).
+
+    *engine* is the parent's bound engine, as in the pool worker:
+    inherited under fork, rebuilt from its model under spawn.
+    """
     delay = faults.node_delay(node) if faults is not None else 0.0
     journal = None
-    if config.checkpoint is not None:
+    if checkpoint is not None:
         # The fingerprint covers the cluster-wide model + output config,
         # not this node's (mutable, steal-dependent) range set, so every
         # node journal in a run carries the same identity.
         tables = [table.name for table in engine.schema.tables]
         journal = CheckpointWriter(
-            node_checkpoint_dir(config.checkpoint, node),
-            fingerprint=model_fingerprint(
-                engine, output, config.package_size, tables
-            ),
+            node_checkpoint_dir(checkpoint, node),
+            fingerprint=model_fingerprint(engine, output, package_size, tables),
             seed=engine.schema.seed,
-            package_size=config.package_size,
+            package_size=package_size,
             tables=dict(engine.sizes),
             backend="cluster",
         )
     sequences: dict[str, int] = {}
     part: _OpenPart | None = None
     started = time.perf_counter()
-    with span("meta.node", node=node, nodes=config.nodes):
+    with span("meta.node", node=node, nodes=nodes):
         while (extent := tasks.get()) is not None:
             table, start, stop = extent[:3]
             if faults is not None and faults.should_kill_node(table, start):
@@ -495,15 +483,13 @@ class _ClusterRun(ExecutorPool):
         if output.kind == "file":
             self.part_dir = os.path.join(output.directory, PARTS_DIRNAME)
             os.makedirs(self.part_dir, exist_ok=True)
+        self.engine = GenerationEngine(scheduler.schema, scheduler.artifacts)
         super().__init__(
             _cluster_node,
-            (_NodeConfig(
-                nodes, scheduler.schema, scheduler.artifacts, output,
-                scheduler.package_size, scheduler.checkpoint, scheduler.faults,
-            ),),
+            (self.engine, nodes, output, scheduler.package_size,
+             scheduler.checkpoint, scheduler.faults),
             parent_span_id=meta_span_id, faults=scheduler.faults, tag="node",
         )
-        self.engine = GenerationEngine(scheduler.schema, scheduler.artifacts)
         self.steal = scheduler.steal
         self.failure_limit = scheduler.max_node_failures
         if self.failure_limit is None:

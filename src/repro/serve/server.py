@@ -36,6 +36,7 @@ goes away mid-response is counted as status 499.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from urllib.parse import parse_qsl, urlsplit
@@ -48,6 +49,11 @@ from repro.output.formats import format_spec, known_formats
 
 #: request latency buckets (seconds) — sub-ms cache hits to slow scans.
 LATENCY_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
+
+#: ``<start>-<stop>`` in ASCII decimal digits, the one spelling of a
+#: range: ``int()`` would also take a sign, ``_``, spaces and other
+#: scripts' digits. 18 digits hold any row count.
+_ROW_RANGE = re.compile(r"([0-9]{1,18})-([0-9]{1,18})")
 
 
 class _NotFound(ReproError):
@@ -139,13 +145,12 @@ class _Handler(ServiceHandler):
         if table not in dataset.tables:
             known = ", ".join(sorted(dataset.tables))
             raise _NotFound(f"no such table {table!r}; tables: {known}")
-        try:
-            start_text, _, stop_text = parts[3].partition("-")
-            start, stop = int(start_text), int(stop_text)
-        except ValueError:
+        match = _ROW_RANGE.fullmatch(parts[3])
+        if match is None:
             raise ReproError(
                 f"bad row range {parts[3]!r}; expected <start>-<stop>"
-            ) from None
+            )
+        start, stop = map(int, match.groups())
         spec = format_spec(query.get("format", "csv"))  # unknown -> the registry's error
         chunks = dataset.stream(table, start, stop, format=spec.name)
 

@@ -3,13 +3,11 @@
 from repro.suites.bigbench.schema import (
     BASE_CARDINALITIES,
     bigbench_artifacts,
-    bigbench_engine,
     bigbench_schema,
 )
 
 __all__ = [
     "BASE_CARDINALITIES",
     "bigbench_artifacts",
-    "bigbench_engine",
     "bigbench_schema",
 ]

@@ -12,7 +12,6 @@ BigBench workload representative.
 
 from __future__ import annotations
 
-from repro.engine import GenerationEngine
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.prng.xorshift import XorShift64Star
@@ -146,7 +145,3 @@ def bigbench_artifacts(seed: int = 777, sentences: int = 500) -> ArtifactStore:
     chain.train_all(comment_sentences(XorShift64Star(seed), count=sentences))
     store.put(REVIEW_MODEL, chain)
     return store
-
-
-def bigbench_engine(scale_factor: float = 1.0, seed: int = 5000_2013) -> GenerationEngine:
-    return GenerationEngine(bigbench_schema(scale_factor, seed), bigbench_artifacts())

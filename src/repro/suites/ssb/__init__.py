@@ -1,5 +1,5 @@
 """Star Schema Benchmark suite (with optional skew, per paper ref [19])."""
 
-from repro.suites.ssb.schema import BASE_CARDINALITIES, ssb_engine, ssb_schema
+from repro.suites.ssb.schema import BASE_CARDINALITIES, ssb_schema
 
-__all__ = ["BASE_CARDINALITIES", "ssb_engine", "ssb_schema"]
+__all__ = ["BASE_CARDINALITIES", "ssb_schema"]

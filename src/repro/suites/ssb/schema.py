@@ -9,8 +9,6 @@ uniform to Zipf-distributed — the knob the skew variations paper turns.
 
 from __future__ import annotations
 
-from repro.engine import GenerationEngine
-from repro.generators.base import ArtifactStore
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.suites.tpch import data as tpch_data
 
@@ -140,9 +138,3 @@ def ssb_schema(
         )),
     ]))
     return schema
-
-
-def ssb_engine(
-    scale_factor: float = 1.0, skew: float = 0.0, seed: int = 987654321
-) -> GenerationEngine:
-    return GenerationEngine(ssb_schema(scale_factor, skew, seed), ArtifactStore())

@@ -3,7 +3,7 @@
 from repro.suites.tpch.data import BASE_CARDINALITIES, scaled_size
 from repro.suites.tpch.dbgen import DbgenBaseline
 from repro.suites.tpch.queries import ALL_QUERIES
-from repro.suites.tpch.schema import tpch_artifacts, tpch_engine, tpch_schema
+from repro.suites.tpch.schema import tpch_artifacts, tpch_schema
 
 __all__ = [
     "BASE_CARDINALITIES",
@@ -11,6 +11,5 @@ __all__ = [
     "DbgenBaseline",
     "ALL_QUERIES",
     "tpch_artifacts",
-    "tpch_engine",
     "tpch_schema",
 ]

@@ -16,7 +16,6 @@ suite-registered plugin generator.
 
 from __future__ import annotations
 
-from repro.engine import GenerationEngine
 from repro.generators.base import (
     ArtifactStore,
     BindContext,
@@ -122,13 +121,6 @@ def tpch_artifacts(seed: int = 20150531, sentences: int = 400) -> ArtifactStore:
     chain.train_all(comment_sentences(XorShift64Star(seed), count=sentences))
     store.put(COMMENT_MODEL, chain)
     return store
-
-
-def tpch_engine(
-    scale_factor: float = 1.0, seed: int = 12456789
-) -> GenerationEngine:
-    """Convenience: engine with schema + artifacts wired together."""
-    return GenerationEngine(tpch_schema(scale_factor, seed), tpch_artifacts())
 
 
 # -- table definitions -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The default TPC-H query workload for the benchmark driver.
+"""The default TPC-H query workload.
 
 Parameterized templates in the spirit of the TPC-H substitution
 parameters (clause 2.4: each query has randomized predicates), plus
@@ -59,11 +59,6 @@ SHIPPING_PRIORITY = QueryTemplate(
     ],
 )
 
-DEFAULT_TEMPLATES: list[tuple[QueryTemplate, int]] = [
-    (PRICING_SUMMARY, 2),
-    (FORECAST_REVENUE, 3),
-    (SHIPPING_PRIORITY, 2),
-]
 
 def tpch_workload_spec(
     count: int = 50,

@@ -1,5 +1,8 @@
 """The public API surface.
 
+6.2 leaves no second way off the hot path: one workload pass (the seeded
+stream), no oracle self-timing in the program, one stopwatch, one CSV
+row loop, one model bind per cluster run, one preview.
 6.0 leaves the worker count as the only thing a caller says: no thread
 pool, no ``--backend``, no blocking half of the delivery window.
 5.3 leaves one script per paper artefact under ``benchmarks/``, each
@@ -45,6 +48,20 @@ def engine() -> GenerationEngine:
     return GenerationEngine(demo_schema())
 
 
+def _long_options(command: str) -> set[str]:
+    """Every ``--option`` of one ``dbsynth`` sub-command's parser."""
+    from repro.cli.main import build_parser
+
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action.choices, dict)
+    )
+    return {
+        flag for action in commands.choices[command]._actions
+        for flag in action.option_strings if flag.startswith("--")
+    }
+
+
 class TestSchedulerKeywordOnly:
     def test_positional_config_raises(self, engine):
         with pytest.raises(TypeError):
@@ -76,11 +93,10 @@ class TestMetricsModuleRemoved:
             importlib.import_module("repro.metrics")
 
     def test_timing_helpers_live_in_obs(self):
-        from repro.obs import Timer, per_value_latency, throughput_mb_per_s
+        from repro.obs import Stopwatch, throughput_mb_per_s, timed
 
         assert callable(throughput_mb_per_s)
-        assert callable(per_value_latency)
-        assert Timer is not None
+        assert isinstance(timed("anything"), Stopwatch)  # tracing is off
 
 
 class TestTopLevelSurface:
@@ -375,16 +391,7 @@ class TestWorkersMeanProcesses:
         }
 
     def test_generate_lost_three_flags(self):
-        from repro.cli.main import build_parser
-
-        commands = next(
-            action for action in build_parser()._actions
-            if isinstance(action.choices, dict)
-        )
-        flags = {
-            flag for action in commands.choices["generate"]._actions
-            for flag in action.option_strings
-        }
+        flags = _long_options("generate")
         assert "--workers" in flags
         assert not flags & {"--backend", "--inflight-extra", "--retry-backoff"}
 
@@ -398,6 +405,108 @@ class TestWorkersMeanProcesses:
     def test_thread_backend_raises(self, engine):
         with pytest.raises(repro.SchedulingError, match="-w N"):
             generate(engine, OutputConfig(kind="null"), backend="thread")
+
+
+class TestNoSecondWayOffTheHotPath:
+    """Structural guard: the old sides PR 26 deleted — the classic
+    workload pass, the program timing its own scalar oracle, two spare
+    stopwatches, a second CSV row loop, a model bind per cluster node,
+    the ``<suite>_engine`` trio, a second preview — cannot grow back."""
+
+    SRC = TestOneBodyOneAccountingOneReport.SRC
+    _occurrences = TestOneBodyOneAccountingOneReport._occurrences
+
+    #: every long option of the three parsers this PR touched: they lost
+    #: ``workload --count``, ``stats --latency`` and ``stats
+    #: --latency-rows``, and a new one has to be added here on purpose
+    MODEL = {"--model", "--suite", "--scale-factor", "--sf", "--property"}
+    TELEMETRY = {"--trace", "--metrics", "--summary", "--obs-port", "--profile"}
+    OPTIONS = {
+        "generate": MODEL | TELEMETRY | {
+            "--kind", "--format", "--directory", "--database", "--delimiter",
+            "--header", "--workers", "--nodes", "--distributed", "--no-steal",
+            "--checkpoint", "--resume", "--max-attempts", "--quiet",
+        },
+        "workload": MODEL | TELEMETRY | {
+            "--database", "--queries", "--arrival", "--rate", "--period",
+            "--amplitude", "--repetition", "--dump", "--replay", "--stream",
+            "--max-speedup", "--cdc-epochs",
+        },
+        "stats": MODEL | {"--trace", "--tree", "--table"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_parsers_lost_three_options_and_gained_none(self, command):
+        assert _long_options(command) - {"--help"} == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("name", [
+        "run_workload", "run_template", "DEFAULT_TEMPLATES",
+        "per_value_latency", "LatencyStats", "speedup_series", "time_call",
+        "_sample_generator_latency", "latency_rows",
+        "_NodeConfig", "tpch_engine", "ssb_engine", "bigbench_engine",
+    ])
+    def test_deleted_names_stay_deleted(self, name):
+        assert not self._occurrences(name, "")
+
+    def test_obs_keeps_one_stopwatch(self):
+        from repro import obs
+        from repro.obs import timing
+
+        assert not {"Timer", "LatencyStats", "time_call"} & set(obs.__all__)
+        assert not hasattr(obs, "Timer")
+        assert {"timed", "Stopwatch", "throughput_mb_per_s"} <= set(obs.__all__)
+        assert [
+            name for name, value in vars(timing).items()
+            if inspect.isfunction(value) or inspect.isclass(value)
+        ] == ["throughput_mb_per_s"]
+
+    def test_one_row_loop_under_every_writer(self):
+        import repro.output.writers as writers
+
+        overriding = [
+            cls.__name__ for cls in vars(writers).values()
+            if inspect.isclass(cls) and issubclass(cls, writers.RowWriter)
+            and cls is not writers.RowWriter and "write_rows" in vars(cls)
+        ]
+        assert overriding == []
+
+    def test_cli_preview_is_the_engine_preview(self):
+        cli = importlib.import_module("repro.cli.main")
+        assert "engine.preview(" in inspect.getsource(cli._cmd_preview)
+        assert not self._occurrences("ValueFormatter", "cli")
+
+    def test_fidelity_query_lost_its_unread_field(self):
+        from repro.core.fidelity import FidelityQuery
+
+        names = [field.name for field in dataclasses.fields(FidelityQuery)]
+        assert names == ["name", "sql", "tolerance", "absolute_slack"]
+
+    def test_cluster_run_binds_the_model_once_per_process(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``generate --nodes 2``: the parent binds once, and the nodes
+        it forks inherit that engine as pool workers do (a patched
+        ``__init__`` is inherited too, so a node that bound would log)."""
+        from repro.cli.main import main
+        from repro.scheduler.executor import mp_context
+
+        if mp_context().get_start_method() != "fork":
+            pytest.skip("spawned nodes rebuild the engine from its model")
+        log = tmp_path / "binds"
+        bind = GenerationEngine.__init__
+
+        def logged_bind(self, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            bind(self, *args, **kwargs)
+
+        monkeypatch.setattr(GenerationEngine, "__init__", logged_bind)
+        assert main([
+            "generate", "--suite", "tpch", "--sf", "0.001", "--kind", "null",
+            "--nodes", "2", "-q",
+        ]) == 0
+        assert "2 distributed nodes" in capsys.readouterr().out
+        assert log.read_text().split() == [str(os.getpid())]
 
 
 class TestOneScriptPerPaperArtefact:

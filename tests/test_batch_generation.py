@@ -27,9 +27,8 @@ from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.config import OutputConfig
 from repro.scheduler import Scheduler
 from repro.scheduler import node_ranges
-from repro.suites.bigbench import bigbench_engine
-from repro.suites.ssb import ssb_engine
-from repro.suites.tpch import tpch_engine  # also registers TpchPsSuppkeyGenerator
+from repro.suites import SUITE_NAMES, suite_model
+import repro.suites.tpch  # noqa: F401 - registers TpchPsSuppkeyGenerator
 from repro.text.markov import train_chain
 
 #: above the generators' small-block constant, so whole-table blocks
@@ -381,19 +380,13 @@ class TestEnginePickleMidRun:
         assert restored.generate_rows("supplier") == engine.generate_rows("supplier")
 
 
-SUITES = {
-    "tpch": lambda: tpch_engine(scale_factor=0.001),
-    "ssb": lambda: ssb_engine(scale_factor=0.001),
-    "bigbench": lambda: bigbench_engine(scale_factor=0.001),
-}
-
 _suite_cache: dict[str, tuple[GenerationEngine, dict[str, list]]] = {}
 
 
 def _suite_rows(name: str) -> tuple[GenerationEngine, dict[str, list]]:
     """Engine plus per-row reference rows for every table (cached)."""
     if name not in _suite_cache:
-        engine = SUITES[name]()
+        engine = GenerationEngine(*suite_model(name, 0.001))
         rows = {
             table.name: _rowwise(engine, table.name, 0, engine.sizes[table.name])
             for table in engine.schema.tables
@@ -403,7 +396,7 @@ def _suite_rows(name: str) -> tuple[GenerationEngine, dict[str, list]]:
 
 
 class TestSuiteByteIdentity:
-    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("suite", sorted(SUITE_NAMES))
     @pytest.mark.parametrize("fmt", ["csv", "json", "sql"])
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_batch_output_matches_rowwise(self, suite, fmt, backend):

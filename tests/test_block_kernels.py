@@ -26,7 +26,7 @@ from repro.exceptions import FormulaError, GenerationError, ModelError
 from repro.generators.base import ArtifactStore, _KERNEL_MIN_ROWS
 from repro.model.formula import compile_formula
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
-from repro.suites.tpch import tpch_engine
+from repro.suites import suite_model
 from repro.suites.tpch.schema import COMMENT_MODEL
 from repro.text.markov import MarkovChain, train_chain
 
@@ -184,7 +184,7 @@ class TestMarkovKernel:
             generator.generate_block(ctx, 0, ROWS)
 
     def test_charset_covers_every_text(self):
-        engine = tpch_engine(0.01)
+        engine = GenerationEngine(*suite_model("tpch", 0.01))
         block = engine.generate_columns("orders", 0, 2000)
         column = block.columns[block.names.index("o_comment")]
         assert column.kind == "str" and " " in column.charset
@@ -248,7 +248,7 @@ class TestChainTablesCache:
 
     def test_token_ids_use_the_narrowest_dtype(self):
         assert train_chain(MIXED).block_tables().token_dtype == np.uint8
-        tables = tpch_engine(0.001).artifacts.get(COMMENT_MODEL).block_tables()
+        tables = GenerationEngine(*suite_model("tpch", 0.001)).artifacts.get(COMMENT_MODEL).block_tables()
         assert tables.token_dtype == np.uint16
         tokens, _, _ = tables.sample(np.arange(1, 10_001, dtype=np.uint64), 3, 14)
         assert tokens.nbytes <= 10_000 * 15 * 2
@@ -470,7 +470,7 @@ def test_tpch_object_value_share_stays_low():
     per-value fallback of generation *and* formatting): 0.3998 before the
     Markov/formula/reference kernels, 0.0454 with them. A kernel that
     silently falls back fails here, not only in the benchmark."""
-    engine = tpch_engine(0.02)
+    engine = GenerationEngine(*suite_model("tpch", 0.02))
     values = object_values = 0
     for table, size in engine.sizes.items():
         block = engine.generate_columns(table, 0, min(size, 10_000))

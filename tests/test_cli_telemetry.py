@@ -36,6 +36,27 @@ class TestGenerateTelemetryFlags:
         assert "scheduler.package" in names
         assert "sink.write" in names
 
+    def test_pooled_run_writes_one_stitched_multi_process_trace(
+        self, tmp_path, capsys
+    ):
+        """The CLI leg of TestProcessBackendStitching: the file a user
+        gets from ``-w 2 --trace`` holds both workers' spans, nested
+        run > package > generate, and ``stats --tree`` renders it."""
+        trace = str(tmp_path / "trace.jsonl")
+        assert _generate(tmp_path, "-w", "2", "--trace", trace) == 0
+        records = obs.read_trace_jsonl(trace)
+        by_id = {record.span_id: record for record in records}
+        assert len({r.attrs["pid"] for r in records if "pid" in r.attrs}) > 1
+        generated = [r for r in records if r.name == "package.generate"]
+        assert len(generated) == 8  # one package per TPC-H table at this size
+        for record in generated:
+            package = by_id[record.parent_id]
+            assert package.name == "scheduler.package"
+            assert by_id[package.parent_id].name == "scheduler.run"
+        capsys.readouterr()
+        assert main(["stats", "--trace", trace, "--tree"]) == 0
+        assert "package.generate" in capsys.readouterr().out
+
     def test_metrics_dump_matches_report(self, tmp_path, capsys):
         metrics = str(tmp_path / "metrics.prom")
         assert _generate(tmp_path, "--metrics", metrics) == 0
@@ -86,15 +107,6 @@ class TestStatsSubcommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "-- region: 5 rows" in out
-        assert "IdGenerator" in out
-
-    def test_latency_sampling(self, capsys):
-        assert main([
-            "stats", "--suite", "tpch", "--sf", "0.001", "--table", "region",
-            "--latency", "--latency-rows", "20",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "ns" in out
         assert "IdGenerator" in out
 
     def test_requires_model_suite_or_trace(self, capsys):

@@ -6,19 +6,12 @@ import pytest
 
 from repro.core.driver import BenchmarkDriver, DriverReport, QueryExecution
 from repro.core.loader import DataLoader
-from repro.core.queries import (
-    Aggregate,
-    Op,
-    ParameterSpec,
-    Predicate,
-    Query,
-    QueryTemplate,
-)
+from repro.core.queries import Aggregate, Op, Predicate, Query
 from repro.core.translator import SchemaTranslator
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.suites.tpch import tpch_artifacts, tpch_schema
-from repro.suites.tpch.workload import DEFAULT_TEMPLATES, PREDICTED_QUERIES
+from repro.suites.tpch.workload import PREDICTED_QUERIES
 from tests.conftest import demo_schema
 
 
@@ -99,36 +92,15 @@ class TestRunQuery:
         assert "nowhere" in (execution.error or "")
 
 
-class TestRunTemplate:
-    TEMPLATE = QueryTemplate(
-        "probe",
-        "SELECT COUNT(*) FROM orders WHERE o_quantity < :q",
-        [ParameterSpec("q", "orders", "o_quantity", "numeric")],
-    )
-
-    def test_instances_run_and_differ(self, demo_setup):
-        schema, adapter = demo_setup
-        driver = BenchmarkDriver(schema, adapter)
-        executions = driver.run_template(self.TEMPLATE, 4)
-        assert len(executions) == 4
-        assert all(e.succeeded for e in executions)
-        assert len({e.sql for e in executions}) > 1
-
-    def test_repeatable(self, demo_setup):
-        schema, adapter = demo_setup
-        a = BenchmarkDriver(schema, adapter).run_template(self.TEMPLATE, 3)
-        b = BenchmarkDriver(schema, adapter).run_template(self.TEMPLATE, 3)
-        assert [e.sql for e in a] == [e.sql for e in b]
-
-
 class TestDriverReport:
     def test_summary_counts(self, demo_setup):
         schema, adapter = demo_setup
         driver = BenchmarkDriver(schema, adapter)
-        report = driver.run_workload(
-            templates=[(self_template(), 2)],
-            queries=[("count", Query("customer", [Aggregate("count")]))],
-        )
+        report = DriverReport([
+            driver.run_sql("probe#0", "SELECT COUNT(*) FROM orders"),
+            driver.run_sql("probe#1", "SELECT COUNT(*) FROM customer"),
+            driver.run_query("count", Query("customer", [Aggregate("count")])),
+        ])
         assert len(report.executions) == 3
         assert report.failed == 0
         assert report.predictions_checked == 1
@@ -145,10 +117,6 @@ class TestDriverReport:
         assert report.succeeded == 1
 
 
-def self_template() -> QueryTemplate:
-    return TestRunTemplate.TEMPLATE
-
-
 class TestTpchWorkload:
     @pytest.fixture(scope="class")
     def tpch_setup(self):
@@ -163,22 +131,9 @@ class TestTpchWorkload:
     def test_default_workload_runs_clean(self, tpch_setup):
         schema, artifacts, adapter = tpch_setup
         driver = BenchmarkDriver(schema, adapter, artifacts)
-        report = driver.run_workload(DEFAULT_TEMPLATES, PREDICTED_QUERIES)
+        report = DriverReport([
+            driver.run_query(name, query) for name, query in PREDICTED_QUERIES
+        ])
         assert report.failed == 0, "\n".join(report.summary_lines())
         assert report.predictions_checked == len(PREDICTED_QUERIES)
         assert report.predictions_passed >= report.predictions_checked - 1
-
-    def test_workload_cli(self, tpch_setup, tmp_path, capsys):
-        schema, artifacts, _adapter = tpch_setup
-        db_path = str(tmp_path / "wl.db")
-        with SQLiteAdapter(db_path) as target:
-            SchemaTranslator().apply(schema, target)
-            DataLoader(target).load(GenerationEngine(schema, artifacts))
-        from repro.cli.main import main
-
-        code = main(["workload", "--suite", "tpch", "--sf", "0.001",
-                     "--database", db_path, "--count", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "pricing_summary#0" in out
-        assert "predictions" in out

@@ -32,7 +32,7 @@ from repro.output.config import OutputConfig
 from repro.output.formats import _WRITERS_PER_TABLE, format_package
 from repro.output.rows import ValueFormatter
 from repro.output.writers import CsvWriter, JsonWriter, SqlWriter
-from repro.scheduler.work import partition_rows
+from repro.scheduler.work import WorkPackage, partition_rows
 
 FORMATS = ("csv", "json", "sql")
 WRITERS = {"csv": CsvWriter, "json": JsonWriter, "sql": SqlWriter}
@@ -376,7 +376,56 @@ class TestGeneratedTable:
 # -- what lives across packages, and what bounds it -------------------------------
 
 
+class _TightCacheOutput(OutputConfig):
+    """Formatters that stop memoising after three texts, fewer than the
+    model has days (``_bound_writer`` keys on the config's type, so these
+    get writers of their own)."""
+
+    def new_formatter(self) -> ValueFormatter:
+        formatter = super().new_formatter()
+        formatter._cache_limit = 3
+        return formatter
+
+
+#: package sizes on both sides of the small-block threshold and of the
+#: int-table switch for ``qty`` (span 43: a table at 200 rows, not at 50)
+_PACKAGE_ROWS = (1, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, 50, 200)
+
+
+@pytest.fixture(scope="module")
+def warm_and_cold():
+    return GenerationEngine(_schema(400)), GenerationEngine(_schema(400))
+
+
 class TestRenderCacheLifetime:
+    @_settings
+    @given(
+        fmt=st.sampled_from(FORMATS),
+        config=st.sampled_from((OutputConfig, _TightCacheOutput)),
+        places=st.sampled_from((None, 2)),
+        cuts=st.lists(
+            st.tuples(st.integers(0, 399), st.sampled_from(_PACKAGE_ROWS)),
+            min_size=2, max_size=6,
+        ),
+    )
+    def test_writer_that_rendered_other_packages_equals_a_cold_one(
+        self, warm_and_cold, fmt, config, places, cuts
+    ):
+        """The long-lived writer's state (formatter memo, day map, full
+        or not) is rendered text only: whatever packages it has seen, in
+        whatever order, the next one gets a cold writer's bytes."""
+        warm, cold = warm_and_cold
+        output = config(format=fmt, float_places=places, null_token="NULL")
+        warm.bound_table("t").writers.clear()
+        for sequence, (start, rows) in enumerate(cuts):
+            package = WorkPackage("t", start, min(start + rows, 400), sequence)
+            cold.bound_table("t").writers.clear()
+            assert (
+                format_package(warm, output, package)[0]
+                == format_package(cold, output, package)[0]
+            )
+        assert len(warm.bound_table("t").writers) == 1
+
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_second_package_renders_no_day_the_first_rendered(self, fmt):
         engine = GenerationEngine(_schema(400))

@@ -14,7 +14,8 @@ from repro.engine import GenerationEngine
 from repro.output.config import OutputConfig
 from repro.scheduler import ClusterScheduler, generate
 from repro.suites.imdb import build_imdb_database
-from repro.suites.tpch import ALL_QUERIES, tpch_engine
+from repro.suites import suite_model
+from repro.suites.tpch import ALL_QUERIES
 from repro.update import UpdateBlackBox
 
 
@@ -91,7 +92,7 @@ class TestFullSynthesisWorkflow:
 
 class TestTpchRoundTrip:
     def test_xml_save_load_generate(self, tmp_path):
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         path = str(tmp_path / "tpch.xml")
         schema_xml.dump(engine.schema, path)
         reloaded = schema_xml.load(path)
@@ -105,7 +106,7 @@ class TestTpchRoundTrip:
         # exactly (ordering-independent aggregates).
         results = []
         for workers in (1, 4):
-            engine = tpch_engine(0.0005)
+            engine = GenerationEngine(*suite_model("tpch", 0.0005))
             target = SQLiteAdapter(":memory:")
             SchemaTranslator().apply(engine.schema, target)
             # Generate through the scheduler into SQL, then load.

@@ -1,48 +1,8 @@
-"""Tests for the measurement utilities (repro.obs.timing)."""
+"""Tests for the throughput helper (repro.obs.timing)."""
 
 from __future__ import annotations
 
-import time
-
-from repro.obs import (
-    LatencyStats,
-    Timer,
-    per_value_latency,
-    speedup_series,
-    throughput_mb_per_s,
-    time_call,
-)
-
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.seconds >= 0.009
-
-    def test_time_call(self):
-        assert time_call(lambda: time.sleep(0.01)) >= 0.009
-
-
-class TestPerValueLatency:
-    def test_reports_reasonable_numbers(self):
-        stats = per_value_latency(lambda: 1 + 1, batch=1000, repeats=3, warmup=100)
-        assert stats.iterations == 3000
-        assert 0 < stats.mean_ns < 100_000
-        assert stats.median_ns > 0
-
-    def test_slower_function_measures_higher(self):
-        fast = per_value_latency(lambda: None, batch=2000, repeats=3, warmup=10)
-
-        def slow():
-            return sum(range(100))
-
-        slow_stats = per_value_latency(slow, batch=2000, repeats=3, warmup=10)
-        assert slow_stats.mean_ns > fast.mean_ns
-
-    def test_stats_repr(self):
-        stats = LatencyStats(123.4, 120.0, 5.0, 100)
-        assert "ns" in str(stats)
+from repro.obs import throughput_mb_per_s
 
 
 class TestThroughput:
@@ -52,14 +12,3 @@ class TestThroughput:
 
     def test_zero_seconds(self):
         assert throughput_mb_per_s(100, 0.0) == 0.0
-
-
-class TestSpeedupSeries:
-    def test_relative_to_first(self):
-        assert speedup_series([10.0, 5.0, 2.5]) == [1.0, 2.0, 4.0]
-
-    def test_empty(self):
-        assert speedup_series([]) == []
-
-    def test_zero_baseline(self):
-        assert speedup_series([0.0, 1.0]) == [0.0, 0.0]

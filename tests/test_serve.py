@@ -13,8 +13,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import pathlib
 import random
+import re
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -23,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro
 from repro.api import Dataset, clear_engine_cache
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
@@ -331,6 +337,17 @@ class TestHostileRequests:
         ("invalid UTF-8 table name",
          b"GET /table/\xff\xfe/rows/0-5 HTTP/1.1\r\nConnection: close\r\n\r\n",
          b" 404 ", ("slice", "404")),
+        # a row range has one spelling: int() alone would also answer
+        # these with the bytes of /rows/0-2
+        ("signed row range",
+         b"GET /table/orders/rows/+0-2 HTTP/1.1\r\nConnection: close\r\n\r\n",
+         b" 400 ", ("slice", "400")),
+        ("underscored row range",
+         b"GET /table/orders/rows/0_0-0_2 HTTP/1.1\r\nConnection: close\r\n\r\n",
+         b" 400 ", ("slice", "400")),
+        ("non-ASCII digit in row range",  # superscript two: isdigit() alone says yes
+         b"GET /table/orders/rows/0-\xb2 HTTP/1.1\r\nConnection: close\r\n\r\n",
+         b" 400 ", ("slice", "400")),
         ("cut mid-header, then closed", b"GET /healthz HTTP/1.1\r\nX-Par", None, None),
     ]
 
@@ -510,3 +527,52 @@ class TestSlowAndVanishingClients:
         finally:
             conn.close()
         assert wait_for(lambda: not leaked_threads(threads_before))
+
+
+class TestRealCommand:
+    def test_fifty_ranges_on_one_connection_equal_the_batch_file(self, tmp_path):
+        """Through ``dbsynth serve`` itself, in its own process: a table
+        read as 50 adjacent ranges over one persistent connection is the
+        file ``dbsynth generate`` writes, and the server's own /metrics
+        counted exactly those requests."""
+        model = ["--suite", "tpch", "--sf", "0.001"]
+        command = [sys.executable, "-m", "repro.cli.main"]
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        subprocess.run(
+            [*command, "generate", *model, "-d", str(tmp_path), "-q"],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        server = subprocess.Popen(
+            [*command, "serve", *model, "--port", "0"],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            for line in server.stderr:
+                match = re.search(r"serving \d+ tables at http://([\d.]+):(\d+)", line)
+                if match:
+                    break
+            else:
+                pytest.fail("dbsynth serve did not start")
+            conn = http.client.HTTPConnection(match[1], int(match[2]), timeout=60)
+            conn.connect()
+            first_socket = conn.sock
+
+            def get(path):
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                assert response.status == 200 and conn.sock is first_socket, path
+                return body
+
+            served = b"".join(  # orders has 1500 rows at SF 0.001
+                get(f"/table/orders/rows/{start}-{start + 30}?format=csv")
+                for start in range(0, 1500, 30)
+            )
+            counted = 'serve_requests_total{route="slice",status="200"} 50\n'
+            assert counted in get("/metrics").decode()
+            conn.close()
+        finally:
+            server.terminate()
+            server.wait(timeout=10)
+            server.stderr.close()
+        assert served == (tmp_path / "orders.tbl").read_bytes()

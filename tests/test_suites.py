@@ -12,15 +12,15 @@ from repro.model.validation import ensure_valid
 from repro.output.config import OutputConfig
 from repro.output.sinks import MemorySink, NullSink
 from repro.scheduler import generate
-from repro.suites.bigbench import bigbench_engine, bigbench_schema
+from repro.suites import suite_model
+from repro.suites.bigbench import bigbench_schema
 from repro.suites.imdb import build_imdb_database
-from repro.suites.ssb import ssb_engine, ssb_schema
+from repro.suites.ssb import ssb_schema
 from repro.suites.tpch import (
     ALL_QUERIES,
     BASE_CARDINALITIES,
     DbgenBaseline,
     scaled_size,
-    tpch_engine,
     tpch_schema,
 )
 
@@ -41,7 +41,7 @@ class TestTpchSchema:
         assert schema.table_size("customer") == 1_500_000
 
     def test_nations_and_regions_are_spec_values(self):
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         regions = [row[1] for row in engine.iter_rows("region")]
         assert regions == ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
         nations = list(engine.iter_rows("nation"))
@@ -52,40 +52,40 @@ class TestTpchSchema:
         assert all(row[2] in region_keys for row in nations)
 
     def test_partsupp_structure(self):
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         rows = list(engine.iter_rows("partsupp", 0, 8))
         # 4 suppliers per part, distinct suppliers within a part.
         assert [r[0] for r in rows] == [1, 1, 1, 1, 2, 2, 2, 2]
         assert len({r[1] for r in rows[:4]}) == 4
 
     def test_partsupp_suppkey_in_range(self):
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         suppliers = engine.sizes["supplier"]
         for row in engine.iter_rows("partsupp"):
             assert 1 <= row[1] <= suppliers
 
     def test_lineitem_order_linkage(self):
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         rows = list(engine.iter_rows("lineitem", 0, 8))
         assert [r[0] for r in rows] == [1, 1, 1, 1, 2, 2, 2, 2]
         assert [r[3] for r in rows] == [1, 2, 3, 4, 1, 2, 3, 4]
 
     def test_retailprice_formula(self):
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         for row in engine.iter_rows("part", 0, 20):
             partkey, retail = row[0], row[7]
             expected = (90000 + ((partkey // 10) % 20001) + 100 * (partkey % 1000)) / 100
             assert retail == pytest.approx(round(expected, 2))
 
     def test_extendedprice_correlates_with_quantity(self):
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         for row in engine.iter_rows("lineitem", 0, 50):
             quantity, price = row[4], row[5]
             assert price > 0
             assert price >= quantity * 8.99  # 900/100 floor per unit
 
     def test_foreign_keys_valid(self):
-        engine = tpch_engine(0.0005)
+        engine = GenerationEngine(*suite_model("tpch", 0.0005))
         customers = engine.sizes["customer"]
         parts = engine.sizes["part"]
         for row in engine.iter_rows("orders"):
@@ -94,20 +94,20 @@ class TestTpchSchema:
             assert 1 <= row[1] <= parts
 
     def test_comment_lengths_respect_columns(self):
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         for row in engine.iter_rows("part", 0, 100):
             assert len(row[8]) <= 23
 
     def test_deterministic(self):
         a = OutputConfig(kind="memory")
-        generate(tpch_engine(0.0005), a, workers=2, package_size=64)
+        generate(GenerationEngine(*suite_model("tpch", 0.0005)), a, workers=2, package_size=64)
         b = OutputConfig(kind="memory")
-        generate(tpch_engine(0.0005), b, workers=1)
+        generate(GenerationEngine(*suite_model("tpch", 0.0005)), b, workers=1)
         for table in BASE_CARDINALITIES:
             assert a.memory_output(table) == b.memory_output(table)
 
     def test_loads_into_sqlite_and_answers_queries(self):
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         target = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(engine.schema, target)
         DataLoader(target).load(engine)
@@ -132,7 +132,7 @@ class TestDbgenBaseline:
 
     def test_same_schema_shape_as_pdgf(self):
         baseline = DbgenBaseline(0.001)
-        engine = tpch_engine(0.001)
+        engine = GenerationEngine(*suite_model("tpch", 0.001))
         for table in baseline.TABLES:
             sink = MemorySink()
             baseline.generate_table(table, sink)
@@ -178,12 +178,12 @@ class TestSsb:
         ensure_valid(ssb_schema(0.01))
 
     def test_generates(self):
-        engine = ssb_engine(0.001)
+        engine = GenerationEngine(*suite_model("ssb", 0.001))
         rows = list(engine.iter_rows("lineorder", 0, 20))
         assert len(rows) == 20
 
     def test_revenue_formula(self):
-        engine = ssb_engine(0.001)
+        engine = GenerationEngine(*suite_model("ssb", 0.001))
         columns = engine.bound_table("lineorder").column_names
         price_index = columns.index("lo_extendedprice")
         discount_index = columns.index("lo_discount")
@@ -193,8 +193,8 @@ class TestSsb:
             assert row[revenue_index] == pytest.approx(expected)
 
     def test_skewed_references_concentrate(self):
-        uniform_engine = ssb_engine(0.001, skew=0.0)
-        skewed_engine = ssb_engine(0.001, skew=1.2)
+        uniform_engine = GenerationEngine(ssb_schema(0.001, skew=0.0))
+        skewed_engine = GenerationEngine(ssb_schema(0.001, skew=1.2))
         columns = uniform_engine.bound_table("lineorder").column_names
         cust_index = columns.index("lo_custkey")
 
@@ -214,7 +214,7 @@ class TestBigBench:
         ensure_valid(bigbench_schema(0.01))
 
     def test_reviews_reference_structured_entities(self):
-        engine = bigbench_engine(0.001)
+        engine = GenerationEngine(*suite_model("bigbench", 0.001))
         customers = engine.sizes["customer"]
         items = engine.sizes["item"]
         for row in engine.iter_rows("product_reviews"):
@@ -224,13 +224,13 @@ class TestBigBench:
             assert isinstance(row[4], str) and row[4]
 
     def test_clickstream_anonymous_sessions(self):
-        engine = bigbench_engine(0.001)
+        engine = GenerationEngine(*suite_model("bigbench", 0.001))
         users = [row[2] for row in engine.iter_rows("web_clickstreams", 0, 2000)]
         anonymous = sum(1 for u in users if u is None)
         assert 0.2 < anonymous / len(users) < 0.4
 
     def test_net_paid_formula(self):
-        engine = bigbench_engine(0.001)
+        engine = GenerationEngine(*suite_model("bigbench", 0.001))
         for row in engine.iter_rows("store_sales", 0, 50):
             quantity, price, net = row[4], row[5], row[6]
             assert net == pytest.approx(round(quantity * price, 2))

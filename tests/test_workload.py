@@ -355,6 +355,16 @@ class TestWorkloadCli:
 
         return main(argv)
 
+    def test_neither_dump_nor_replay_is_an_error(self, capsys):
+        # the pre-2.1 template pass that used to run here is gone: the
+        # seeded stream is the one way to drive a database
+        code = self.run([
+            "workload", "--suite", "tpch", "--sf", "0.001", "--database", "any.db",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--dump" in err and "--replay" in err
+
     def test_dump_is_byte_reproducible(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
