@@ -79,7 +79,7 @@ from repro.scheduler import (
 )
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE
 
-__version__ = "6.2.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "Dataset",

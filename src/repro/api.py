@@ -39,7 +39,7 @@ from repro.exceptions import GenerationError, OutputError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Schema
 from repro.output.config import OutputConfig
-from repro.output.formats import format_package, format_spec, table_frame
+from repro.output.formats import BYTE_OPTIONS, format_package, format_spec, table_frame
 from repro.resilience.checkpoint import schema_fingerprint
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage
 from repro.suites import suite_model
@@ -114,16 +114,10 @@ def clear_engine_cache() -> None:
 
 # -- the Dataset facade ------------------------------------------------------
 
-#: OutputConfig knobs a slice may override (everything format-affecting;
-#: sink routing is meaningless for slices, which never touch a sink).
-SLICE_OPTIONS = (
-    "delimiter",
-    "include_header",
-    "null_token",
-    "date_format",
-    "timestamp_format",
-    "float_places",
-)
+#: OutputConfig knobs a slice may override (everything format-affecting
+#: but ``format`` itself, which has its own argument; sink routing is
+#: meaningless for slices, which never touch a sink).
+SLICE_OPTIONS = BYTE_OPTIONS[1:]
 
 
 class Dataset:

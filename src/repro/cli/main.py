@@ -37,7 +37,7 @@ from repro.engine import GenerationEngine
 from repro.exceptions import ReproError
 from repro.output.config import OutputConfig
 from repro.output.formats import known_formats
-from repro.scheduler import ProgressMonitor, generate
+from repro.scheduler import ClusterScheduler, ProgressMonitor, generate
 from repro.suites import SUITE_NAMES, suite_model
 from repro.update import UpdateBlackBox
 
@@ -210,34 +210,11 @@ def _cmd_preview(args: argparse.Namespace) -> int:
 
 #: ``generate`` flags the cluster runtime does not honour, with the
 #: argparse default that means "not set": nodes generate their shard
-#: sequentially in one process, and recover in-run rather than across runs.
+#: sequentially in one process, and a dead node's work is reassigned live.
 _SINGLE_NODE_ONLY_FLAGS = (
     ("--workers", "workers", 1),
     ("--max-attempts", "max_attempts", 1),
-    ("--resume", "resume", False),
 )
-
-
-def _generate_cluster(args: argparse.Namespace, schema, artifacts, output):
-    """Multi-node generation on the cluster runtime: one process per
-    node, parent-side work stealing, per-node parts merged into files
-    byte-identical to a single-node run."""
-    from repro.scheduler import ClusterScheduler
-
-    for flag, attribute, default in _SINGLE_NODE_ONLY_FLAGS:
-        if getattr(args, attribute) != default:
-            raise ReproError(
-                f"{flag} does not apply to a multi-node run (--nodes/"
-                "--distributed): each node generates its shard sequentially "
-                "and dead shards are reassigned live, not resumed across runs"
-            )
-    return ClusterScheduler(
-        schema,
-        artifacts,
-        output=output,
-        checkpoint=args.checkpoint,
-        steal=not args.no_steal,
-    ).run(args.nodes)
 
 
 def _print_report(report, quiet: bool) -> None:
@@ -292,9 +269,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ReproError(f"--nodes must be >= 1, got {args.nodes}")
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint DIR")
+    cluster = args.distributed or args.nodes > 1
+    if cluster:
+        for flag, attribute, default in _SINGLE_NODE_ONLY_FLAGS:
+            if getattr(args, attribute) != default:
+                raise ReproError(
+                    f"{flag} does not apply to a multi-node run (--nodes/"
+                    "--distributed): each node generates its shard "
+                    "sequentially and dead shards are reassigned live"
+                )
     tracer, registry, profiler, server = _telemetry_begin(args)
     try:
-        model = _load_model(args)
+        schema, artifacts = _load_model(args)
         output = OutputConfig(
             kind=args.kind,
             format=args.format,
@@ -303,15 +289,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             delimiter=args.delimiter,
             include_header=args.header,
         )
-        if args.distributed or args.nodes > 1:
-            # the cluster runtime binds the model itself, once for all nodes
-            _print_report(_generate_cluster(args, *model, output), args.quiet)
-            return 0
-        engine = GenerationEngine(*model)
-        if args.kind == "sqlite":
-            # The SQL stream needs the target schema in place first.
-            with SQLiteAdapter(output.database) as target:
-                target.execute_script(create_schema_sql(engine.schema, "sqlite"))
 
         def print_progress(snapshot) -> None:
             print(
@@ -321,29 +298,42 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
+        sizes = schema.sizes()
         progress = ProgressMonitor(
-            engine.total_rows(),
-            engine.sizes,
+            sum(sizes.values()),
+            sizes,
             callback=print_progress if not args.quiet else None,
         )
         if server is not None:
             server.attach_progress(progress)
-        retry = None
-        if args.max_attempts > 1:
-            from repro.resilience import RetryPolicy
+        shared = {
+            "progress": progress,
+            "checkpoint": args.checkpoint,
+            "resume_from": args.checkpoint if args.resume else None,
+        }
+        if cluster:
+            # one process per node, parent-side work stealing, per-node
+            # parts merged into files byte-identical to a single-node run;
+            # the cluster runtime binds the model itself, once for all nodes
+            report = ClusterScheduler(
+                schema, artifacts, output=output, **shared
+            ).run(args.nodes)
+        else:
+            engine = GenerationEngine(schema, artifacts)
+            if args.kind == "sqlite":
+                # The SQL stream needs the target schema in place first.
+                with SQLiteAdapter(output.database) as target:
+                    target.execute_script(create_schema_sql(engine.schema, "sqlite"))
+            retry = None
+            if args.max_attempts > 1:
+                from repro.resilience import RetryPolicy
 
-            retry = RetryPolicy(
-                max_attempts=args.max_attempts, seed=int(engine.schema.seed)
+                retry = RetryPolicy(
+                    max_attempts=args.max_attempts, seed=int(engine.schema.seed)
+                )
+            report = generate(
+                engine, output, workers=args.workers, retry=retry, **shared
             )
-        report = generate(
-            engine,
-            output,
-            workers=args.workers,
-            progress=progress,
-            checkpoint=args.checkpoint,
-            resume_from=args.checkpoint if args.resume else None,
-            retry=retry,
-        )
         if not args.quiet:
             print(file=sys.stderr)
         _print_report(report, args.quiet)
@@ -609,21 +599,16 @@ def build_parser() -> argparse.ArgumentParser:
         "always does)",
     )
     gen.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="disable elastic work stealing in multi-node runs",
-    )
-    gen.add_argument(
         "--checkpoint",
         metavar="DIR",
-        help="journal completed work packages to DIR/manifest.jsonl so an "
-        "interrupted run can be resumed",
+        help="journal each output file's durable watermark to "
+        "DIR/manifest.jsonl so an interrupted run can be resumed",
     )
     gen.add_argument(
         "--resume",
         action="store_true",
-        help="resume from the --checkpoint manifest: skip durable packages "
-        "and regenerate only the missing tail (byte-identical)",
+        help="resume from the --checkpoint manifest, on any runtime: skip "
+        "what it vouches for and regenerate only the rest (byte-identical)",
     )
     gen.add_argument(
         "--max-attempts",

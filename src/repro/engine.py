@@ -10,6 +10,7 @@ schedulers for parallel runs.
 
 from __future__ import annotations
 
+import importlib
 import threading
 
 from repro import columnar
@@ -19,7 +20,7 @@ from repro.generators.base import (
     BindContext,
     GenerationContext,
 )
-from repro.generators.registry import build_bound
+from repro.generators.registry import build_bound, plugin_modules
 from repro.model.schema import Schema, Table
 from repro.model.validation import ensure_valid
 from repro.obs import active_metrics
@@ -207,8 +208,15 @@ class GenerationEngine:
         yields — because generation is seed-addressed — a byte-identical
         engine. This is how pool workers and cluster nodes get theirs
         where processes are spawned (a forked one inherits the parent's).
+        A spawned process has imported nothing, so the pickle names the
+        modules that register the model's non-built-in generators.
         """
-        return (GenerationEngine, (self.schema, self.artifacts, self.update))
+        plugins = set().union(*(
+            plugin_modules(field.generator)
+            for table in self.schema.tables for field in table.fields
+        ))
+        model = (self.schema, self.artifacts, self.update)
+        return _rebuild_engine, (sorted(plugins), *model)
 
     # -- contexts ----------------------------------------------------------
 
@@ -376,6 +384,13 @@ class GenerationEngine:
 
     def total_rows(self) -> int:
         return sum(self.sizes.values())
+
+
+def _rebuild_engine(plugins, *model) -> GenerationEngine:
+    """Unpickle side of :meth:`GenerationEngine.__reduce__`."""
+    for module in plugins:
+        importlib.import_module(module)
+    return GenerationEngine(*model)
 
 
 class _ScratchState:

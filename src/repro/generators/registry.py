@@ -52,6 +52,19 @@ def build_bound(spec: GeneratorSpec, ctx: BindContext) -> Generator:
     return generator
 
 
+def plugin_modules(spec: GeneratorSpec) -> set[str]:
+    """Modules outside this package that define a generator class named
+    in *spec*'s tree — what another process has to import before it can
+    :func:`build` the tree (the built-ins load themselves)."""
+    cls = _REGISTRY.get(spec.name)
+    found = set()
+    if cls is not None and not cls.__module__.startswith(__package__ + "."):
+        found.add(cls.__module__)
+    for child in spec.children:
+        found |= plugin_modules(child)
+    return found
+
+
 _loaded = False
 
 

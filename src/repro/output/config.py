@@ -91,6 +91,15 @@ class OutputConfig:
         extension = format_spec(self.format).extension
         return os.path.join(self.directory, table + extension)
 
+    def resume_path(self, table: str) -> str | None:
+        """The file whose first ``resume_at`` bytes a resumed
+        :meth:`new_sink` keeps — plain ``file`` output. ``None`` for the
+        sinks that start over, keep their rows elsewhere, or resume by
+        row group: there are no durable bytes to check for those."""
+        if self.kind == "file" and self.format != "parquet":
+            return self.table_path(table)
+        return None
+
     def new_sink(
         self,
         table: str,

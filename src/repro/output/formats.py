@@ -170,6 +170,13 @@ _WRITERS_PER_TABLE = 8
 
 _writers_lock = threading.Lock()
 
+#: the ``OutputConfig`` options that change the formatted bytes: what
+#: keys a kept writer, and what a checkpoint fingerprints.
+BYTE_OPTIONS = (
+    "format", "delimiter", "include_header", "null_token",
+    "date_format", "timestamp_format", "float_places",
+)
+
 
 def _bound_writer(bound, output) -> RowWriter:
     """The writer of *output*'s format and options for one bound table,
@@ -180,11 +187,7 @@ def _bound_writer(bound, output) -> RowWriter:
     requests on a cached engine. The oldest writer goes when a table has
     seen more than ``_WRITERS_PER_TABLE`` option sets.
     """
-    key = (
-        type(output), output.format, output.delimiter, output.include_header,
-        output.null_token, output.date_format, output.timestamp_format,
-        output.float_places,
-    )
+    key = (type(output), *(getattr(output, name) for name in BYTE_OPTIONS))
     writers = bound.writers
     writer = writers.get(key)
     if writer is None:

@@ -9,6 +9,7 @@ are the I/O boundary the evaluation isolates by writing to ``/dev/null``
 from __future__ import annotations
 
 import abc
+import hashlib
 import io
 import os
 import sqlite3
@@ -68,6 +69,35 @@ class NullSink(Sink):
         """Drop the chunk."""
 
 
+def check_durable(
+    path: str, offset: int, tail_bytes: int = 0, sha256: str = ""
+) -> None:
+    """Refuse to resume into *path* unless it holds what a checkpoint
+    vouches for: at least *offset* bytes and — when the journal recorded
+    the last chunk's length and digest — exactly that chunk right before
+    *offset*. A file of the right length with a foreign tail (zero-filled
+    blocks after a hard kill) is as lost as a short one."""
+    if not os.path.exists(path):
+        raise OutputError(f"cannot resume into {path!r}: file does not exist")
+    size = os.path.getsize(path)
+    problem = None
+    if size < offset:
+        problem = f"file has {size} bytes but the checkpoint recorded {offset}"
+    elif sha256:
+        with open(path, "rb") as handle:
+            handle.seek(offset - tail_bytes)
+            if hashlib.sha256(handle.read(tail_bytes)).hexdigest() != sha256:
+                problem = (
+                    f"the {tail_bytes} bytes before offset {offset} are not "
+                    "the chunk the checkpoint recorded there"
+                )
+    if problem:
+        raise OutputError(
+            f"cannot resume into {path!r}: {problem} — the journal outlived "
+            "the data (unsynced buffers lost in a hard kill?)"
+        )
+
+
 class FileSink(Sink):
     """Writes to a file with a large buffer (PDGF produces sorted output
     into a single file per table).
@@ -94,7 +124,8 @@ class FileSink(Sink):
             directory = os.path.dirname(os.path.abspath(path))
             os.makedirs(directory, exist_ok=True)
             if resume_at is not None:
-                self._truncate_to(path, resume_at)
+                check_durable(path, resume_at)
+                os.truncate(path, resume_at)
             if binary:
                 self._handle = open(path, mode + "b", buffering=_FILE_BUFFER)
             else:
@@ -106,22 +137,6 @@ class FileSink(Sink):
                 )
         except OSError as exc:
             raise OutputError(f"cannot open {path!r}: {exc}") from exc
-
-    @staticmethod
-    def _truncate_to(path: str, offset: int) -> None:
-        if not os.path.exists(path):
-            raise OutputError(
-                f"cannot resume into {path!r}: file does not exist"
-            )
-        size = os.path.getsize(path)
-        if size < offset:
-            raise OutputError(
-                f"cannot resume into {path!r}: file has {size} bytes but the "
-                f"checkpoint recorded {offset} durable bytes — the journal "
-                "outlived the data (unsynced buffers lost in a hard kill?)"
-            )
-        with open(path, "rb+") as handle:
-            handle.truncate(offset)
 
     def write(self, chunk: str) -> None:
         if self._handle is None:

@@ -3,8 +3,8 @@ deterministic fault injection.
 
 Determinism is PDGF's whole premise — every cell is a pure function of
 the seed hierarchy — and this package turns that premise into
-robustness: a crashed run journals which work packages reached durable
-output (:mod:`repro.resilience.checkpoint`), transient failures are
+robustness: a crashed run journals which bytes of which file are
+durable (:mod:`repro.resilience.checkpoint`), transient failures are
 retried with bounded backoff (:mod:`repro.resilience.retry`), and the
 fault harness (:mod:`repro.resilience.faults`) scripts crashes so tests
 can assert that a killed-and-resumed run is byte-identical to an
@@ -14,9 +14,8 @@ uninterrupted one.
 from repro.resilience.checkpoint import (
     MANIFEST_NAME,
     CheckpointWriter,
-    PackageRecord,
+    Part,
     RunManifest,
-    TableState,
     chunk_digest,
     model_fingerprint,
     schema_fingerprint,
@@ -33,9 +32,8 @@ from repro.resilience.retry import DEFAULT_RETRYABLE, RetryPolicy
 __all__ = [
     "MANIFEST_NAME",
     "CheckpointWriter",
-    "PackageRecord",
+    "Part",
     "RunManifest",
-    "TableState",
     "chunk_digest",
     "model_fingerprint",
     "schema_fingerprint",

@@ -1,26 +1,29 @@
-"""Run manifests: journaling completed work packages for crash recovery.
+"""Run manifests: journaling part watermarks for crash recovery.
 
 PDGF's determinism means a crashed run needs no redo log for the *data*
 — any row is recomputable from the seed hierarchy. What recovery needs
-is only the position: which work packages already reached durable
-output. The checkpoint is therefore a tiny JSONL journal next to the
-output (one line per flushed package, with byte counts and SHA-256
-digests), written by the parent as the ordered mux flushes chunks, so
-records are per-table contiguous by construction.
+is only the position: which bytes of which file are durable. That is
+one record, the :class:`Part` watermark — rows ``[start, stop)`` of a
+table are the first ``bytes`` bytes of ``file`` — journaled as JSONL
+next to the output by the one process that learns a chunk is durable:
+the scheduler as its ordered mux flushes, the cluster parent as a node
+(which flushes before it reports) completes a package. Watermarks are
+monotone per file, so the latest record of a file is its position; the
+bytes before a file's first row are its header.
 
 Resume (:class:`RunManifest`) replays nothing. It verifies the model
 fingerprint (same model + same output format + same partitioning ⇒ same
-bytes), truncates each table file to its durable prefix, and schedules
-only the missing tail packages. The result is byte-identical to an
+bytes), truncates each file to its watermark and schedules only the
+rows no watermark covers. The result is byte-identical to an
 uninterrupted run — the paper's repeatability argument turned into
-fault tolerance.
+fault tolerance, on every runtime.
 
 Journal record types, one JSON object per line:
 
-* ``run`` / ``resume`` — fingerprint, seed, package size, table sizes.
-* ``table_start`` — header bytes written for a table.
-* ``package`` — table, sequence, row range, rows, bytes, sha256.
-* ``table_done`` — a table's footer is durable; totals for skip-on-resume.
+* ``run`` / ``resume`` — version, fingerprint, seed, package size, sizes.
+* ``part`` — file, table, start, stop, bytes; plus the last chunk's
+  ``tail_bytes`` and ``sha256`` where the journaling process held it.
+* ``table_done`` — a table's final file, footer included, is durable.
 * ``run_done`` / ``interrupted`` — terminal markers (informational).
 """
 
@@ -30,17 +33,17 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass
 
 # NOTE: this module must not import repro.scheduler — the scheduler
-# imports repro.resilience, and work packages are duck-typed here
-# (table/sequence/start/stop/rows attributes).
+# imports repro.resilience.
 from repro.exceptions import SchedulingError
+from repro.output.formats import BYTE_OPTIONS
 
 MANIFEST_NAME = "manifest.jsonl"
 
-#: manifest schema version; bumped when record shapes change.
-MANIFEST_VERSION = 1
+#: manifest schema version; bumped when record shapes change. Exactly
+#: this version is read: there is no second reader for older journals.
+MANIFEST_VERSION = 2
 
 
 def _spec_description(spec) -> dict:
@@ -50,6 +53,23 @@ def _spec_description(spec) -> dict:
         "params": {key: spec.params[key] for key in sorted(spec.params)},
         "children": [_spec_description(child) for child in spec.children],
     }
+
+
+def _table_description(table, rows: int) -> dict:
+    """What determines one table's generated values."""
+    return {
+        "name": table.name,
+        "rows": rows,
+        "fields": [
+            [f.name, str(f.dtype), _spec_description(f.generator)]
+            for f in table.fields
+        ],
+    }
+
+
+def _digest(description: dict) -> str:
+    canonical = json.dumps(description, sort_keys=True, default=repr)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def schema_fingerprint(schema, update: int = 0) -> str:
@@ -62,25 +82,16 @@ def schema_fingerprint(schema, update: int = 0) -> str:
     identical cell values, which is what lets the ``Dataset`` facade
     cache bound engines by this key.
     """
-    description = {
+    return _digest({
         "version": MANIFEST_VERSION,
         "seed": schema.seed,
         "rng": schema.rng,
         "update": update,
         "tables": [
-            {
-                "name": table.name,
-                "rows": schema.table_size(table.name),
-                "fields": [
-                    [f.name, str(f.dtype), _spec_description(f.generator)]
-                    for f in table.fields
-                ],
-            }
+            _table_description(table, schema.table_size(table.name))
             for table in schema.tables
         ],
-    }
-    canonical = json.dumps(description, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    })
 
 
 def model_fingerprint(
@@ -95,43 +106,27 @@ def model_fingerprint(
     Covers the model (seed, update epoch, per-table sizes, field names,
     types, and generator spec trees), the format-affecting output
     options, the package size (partition boundaries), the table list,
-    and any row-range restriction. Deliberately excludes the worker
-    count — it changes scheduling, never bytes, so a checkpoint written
-    with ``-w 4`` can be resumed with ``-w 1``.
+    and any row-range restriction. Deliberately excludes the worker and
+    node count — they change scheduling, never bytes, so a checkpoint
+    written with ``-w 4`` can be resumed with ``-w 1``.
     """
-    tables_desc = []
-    for name in tables:
-        table = engine.bound_table(name).table
-        ranged = None
-        if row_ranges and name in row_ranges:
-            ranged = list(row_ranges[name])
-        tables_desc.append({
-            "name": name,
-            "rows": engine.sizes[name],
-            "range": ranged,
-            "fields": [
-                [f.name, str(f.dtype), _spec_description(f.generator)]
-                for f in table.fields
-            ],
-        })
-    description = {
+    return _digest({
         "version": MANIFEST_VERSION,
         "seed": engine.schema.seed,
         "update": engine.update,
         "package_size": package_size,
-        "tables": tables_desc,
-        "output": {
-            "format": output.format,
-            "delimiter": output.delimiter,
-            "include_header": output.include_header,
-            "null_token": output.null_token,
-            "date_format": output.date_format,
-            "timestamp_format": output.timestamp_format,
-            "float_places": output.float_places,
-        },
-    }
-    canonical = json.dumps(description, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        "tables": [
+            {
+                **_table_description(
+                    engine.bound_table(name).table, engine.sizes[name]
+                ),
+                "range": list(row_ranges[name])
+                if row_ranges and name in row_ranges else None,
+            }
+            for name in tables
+        ],
+        "output": {name: getattr(output, name) for name in BYTE_OPTIONS},
+    })
 
 
 def chunk_digest(chunk) -> tuple[int, str]:
@@ -145,66 +140,62 @@ def chunk_digest(chunk) -> tuple[int, str]:
     return len(data), hashlib.sha256(data).hexdigest()
 
 
-@dataclass(frozen=True)
-class PackageRecord:
-    """One journaled work package: where it sits and what it wrote."""
+class Part:
+    """The durable-progress record: rows ``[start, stop)`` of ``table``
+    are the first ``bytes`` bytes of ``file`` (a path relative to the
+    output directory — a table's final file on one node, a part file on
+    the cluster, whose ledger grows this same object).
 
-    table: str
-    sequence: int
-    start: int
-    stop: int
-    rows: int
-    bytes: int
-    sha256: str
+    ``tail_bytes`` / ``sha256`` describe the last chunk behind the
+    watermark, recorded only by a process that held the chunk; resume
+    checks the file's tail against them.
+    """
 
+    __slots__ = ("file", "table", "start", "stop", "bytes", "tail_bytes", "sha256")
 
-class TableState:
-    """Recovered per-table position: durable prefix + completion."""
+    def __init__(
+        self, file: str, table: str, start: int, stop: int | None = None,
+        bytes: int = 0, tail_bytes: int = 0, sha256: str = "",
+    ) -> None:
+        self.file = file
+        self.table = table
+        self.start = start
+        self.stop = start if stop is None else stop
+        self.bytes = bytes
+        self.tail_bytes = tail_bytes
+        self.sha256 = sha256
 
-    __slots__ = ("name", "header_bytes", "records", "done",
-                 "done_rows", "done_bytes")
+    @property
+    def rows(self) -> int:
+        return self.stop - self.start
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.header_bytes: int | None = None
-        self.records: dict[int, PackageRecord] = {}
-        self.done = False
-        self.done_rows = 0
-        self.done_bytes = 0
+    def grow(self, stop: int, nbytes: int, sha256: str = "") -> None:
+        """One more durable chunk: rows up to *stop*, *nbytes* long."""
+        self.stop = stop
+        self.bytes += nbytes
+        self.tail_bytes = nbytes if sha256 else 0
+        self.sha256 = sha256
 
-    def durable_prefix(self) -> list[PackageRecord]:
-        """The contiguous run of packages from sequence 0.
-
-        The mux flushes in sequence order, so journal records are
-        contiguous by construction; any gap (a corrupt or hand-edited
-        manifest) ends the trustworthy prefix.
-        """
-        prefix = []
-        sequence = 0
-        while sequence in self.records:
-            prefix.append(self.records[sequence])
-            sequence += 1
-        return prefix
+    def packages(self, package_size: int) -> int:
+        """Work packages of *package_size* rows the watermark covers."""
+        return -(-self.rows // package_size)
 
 
 class RunManifest:
-    """A loaded checkpoint journal, ready to drive a resumed run."""
+    """A loaded checkpoint journal, ready to drive a resumed run:
+    ``parts`` maps each file to its latest watermark, ``done`` each
+    finished table to its ``(rows, bytes)`` totals."""
 
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
+    def __init__(self, path: str) -> None:
+        self.path = path
         self.fingerprint: str | None = None
-        self.seed: int | None = None
-        self.package_size: int | None = None
-        self.tables: dict[str, TableState] = {}
+        self.parts: dict[str, Part] = {}
+        self.done: dict[str, tuple[int, int]] = {}
         self.completed = False
-
-    @property
-    def path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
 
     @classmethod
     def load(cls, directory: str) -> "RunManifest":
-        manifest = cls(directory)
+        manifest = cls(os.path.join(directory, MANIFEST_NAME))
         path = manifest.path
         if not os.path.exists(path):
             raise SchedulingError(
@@ -220,9 +211,15 @@ class RunManifest:
                         record = json.loads(line)
                     except json.JSONDecodeError:
                         # A torn final line is the expected crash artifact:
-                        # the package it described never became durable.
+                        # the chunk it described never became durable.
                         continue
-                    manifest._apply(record, line_number)
+                    try:
+                        manifest._apply(record)
+                    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                        raise SchedulingError(
+                            f"checkpoint manifest {path!r} line {line_number}: "
+                            f"malformed record ({type(exc).__name__}: {exc})"
+                        ) from exc
         except OSError as exc:
             raise SchedulingError(
                 f"cannot read checkpoint manifest {path!r}: {exc}"
@@ -233,75 +230,53 @@ class RunManifest:
             )
         return manifest
 
-    def _table(self, name: str) -> TableState:
-        state = self.tables.get(name)
-        if state is None:
-            state = TableState(name)
-            self.tables[name] = state
-        return state
-
-    def _apply(self, record: dict, line_number: int) -> None:
+    def _apply(self, record: dict) -> None:
         kind = record.get("type")
         if kind in ("run", "resume"):
-            if self.fingerprint is None:
-                self.fingerprint = record.get("fingerprint")
-                self.seed = record.get("seed")
-                self.package_size = record.get("package_size")
-            elif record.get("fingerprint") != self.fingerprint:
+            if record.get("version") != MANIFEST_VERSION:
                 raise SchedulingError(
-                    f"manifest line {line_number}: resume header fingerprint "
-                    "does not match the original run"
+                    f"checkpoint manifest {self.path!r} is format version "
+                    f"{record.get('version')}; this release reads and writes "
+                    f"version {MANIFEST_VERSION} only — rerun without resuming"
                 )
-        elif kind == "table_start":
-            self._table(record["table"]).header_bytes = int(
-                record.get("header_bytes", 0)
+            if self.fingerprint is None:
+                self.fingerprint = record["fingerprint"]
+            elif record["fingerprint"] != self.fingerprint:
+                raise SchedulingError(
+                    f"checkpoint manifest {self.path!r}: a resume header's "
+                    "fingerprint does not match the original run"
+                )
+        elif kind == "part":
+            part = Part(
+                str(record["file"]), str(record["table"]),
+                int(record["start"]), int(record["stop"]), int(record["bytes"]),
+                int(record.get("tail_bytes", 0)), str(record.get("sha256", "")),
             )
-        elif kind == "package":
-            state = self._table(record["table"])
-            state.records[int(record["sequence"])] = PackageRecord(
-                table=record["table"],
-                sequence=int(record["sequence"]),
-                start=int(record["start"]),
-                stop=int(record["stop"]),
-                rows=int(record["rows"]),
-                bytes=int(record["bytes"]),
-                sha256=record.get("sha256", ""),
-            )
+            self.parts[part.file] = part
         elif kind == "table_done":
-            state = self._table(record["table"])
-            state.done = True
-            state.done_rows = int(record.get("rows", 0))
-            state.done_bytes = int(record.get("bytes", 0))
+            self.done[record["table"]] = int(record["rows"]), int(record["bytes"])
         elif kind == "run_done":
             self.completed = True
         # "interrupted" and unknown types are informational only.
 
 
 class CheckpointWriter:
-    """Appends journal records as packages become durable.
+    """Appends journal records as chunks become durable.
 
-    One writer per run; the per-table muxes call :meth:`record_package`
-    from their flush loops (under their own, per-table locks), so
-    appends are serialized by an internal lock. The sink is flushed
-    before the record is journaled: a journaled package is durable up to
-    the OS — and up to the disk when ``fsync`` is on. ``backend`` is the
-    run's derived runtime label (``"inline"`` / ``"process"`` /
-    ``"cluster"``), informational: resume never reads it.
+    One writer per run, in the process that owns the run's bookkeeping;
+    the per-table muxes reach :meth:`record_part` from their flush loops
+    (under their own, per-table locks), so appends are serialized by an
+    internal lock. The caller flushes the sink *before* journaling: a
+    journaled watermark is durable up to the OS — and the journal itself
+    up to the disk when ``fsync`` is on. ``backend`` is the run's derived
+    runtime label (``"inline"`` / ``"process"`` / ``"cluster"``) in the
+    *header*, informational: resume never reads it.
     """
 
     def __init__(
-        self,
-        directory: str,
-        *,
-        fingerprint: str,
-        seed: int,
-        package_size: int,
-        tables: dict[str, int],
-        backend: str,
-        append: bool = False,
-        fsync: bool = False,
+        self, directory: str, header: dict, *,
+        append: bool = False, fsync: bool = False,
     ) -> None:
-        self.directory = directory
         self.fsync = fsync
         self._lock = threading.Lock()
         try:
@@ -318,11 +293,7 @@ class CheckpointWriter:
         self._append({
             "type": "resume" if append else "run",
             "version": MANIFEST_VERSION,
-            "fingerprint": fingerprint,
-            "seed": seed,
-            "package_size": package_size,
-            "backend": backend,
-            "tables": tables,
+            **header,
         })
 
     def _append(self, record: dict) -> None:
@@ -334,33 +305,15 @@ class CheckpointWriter:
             if self.fsync:
                 os.fsync(self._handle.fileno())
 
-    def table_start(self, table: str, header_bytes: int, sink=None) -> None:
-        """Journal a table's header after making it durable.
-
-        The header is flushed before being recorded; otherwise a crash
-        between journaling and the first package flush could leave a
-        ``table_start`` line vouching for bytes that never hit the file.
-        """
-        if sink is not None:
-            sink.flush()
-        self._append({
-            "type": "table_start", "table": table, "header_bytes": header_bytes,
-        })
-
-    def record_package(self, package, chunk: str, sink) -> None:
-        """Journal one flushed package, making it durable first."""
-        sink.flush()
-        size, digest = chunk_digest(chunk)
-        self._append({
-            "type": "package",
-            "table": package.table,
-            "sequence": package.sequence,
-            "start": package.start,
-            "stop": package.stop,
-            "rows": package.rows,
-            "bytes": size,
-            "sha256": digest,
-        })
+    def record_part(self, part: Part) -> None:
+        """Journal *part*'s current watermark — the one progress record."""
+        record = {
+            "type": "part", "file": part.file, "table": part.table,
+            "start": part.start, "stop": part.stop, "bytes": part.bytes,
+        }
+        if part.sha256:
+            record.update(tail_bytes=part.tail_bytes, sha256=part.sha256)
+        self._append(record)
 
     def table_done(self, table: str, rows: int, bytes_written: int) -> None:
         self._append({
@@ -381,3 +334,50 @@ class CheckpointWriter:
                 os.fsync(self._handle.fileno())
                 self._handle.close()
                 self._handle = None
+
+
+def open_checkpoint(
+    engine,
+    output,
+    package_size: int,
+    tables: list[str],
+    backend: str,
+    *,
+    checkpoint: str | None,
+    resume_from: str | None,
+    row_ranges: dict[str, tuple[int, int]] | None = None,
+) -> tuple[RunManifest | None, CheckpointWriter | None]:
+    """Fingerprint the run, load the manifest to resume from and open
+    the journal — every runtime's resilience set-up.
+
+    Resuming verifies the model fingerprint first: a checkpoint from a
+    different model, format, or partitioning would silently splice
+    incompatible bytes, so it is refused outright.
+    """
+    if resume_from is None and checkpoint is None:
+        return None, None
+    fingerprint = model_fingerprint(engine, output, package_size, tables, row_ranges)
+    manifest = None
+    if resume_from is not None:
+        manifest = RunManifest.load(resume_from)
+        if manifest.fingerprint != fingerprint:
+            raise SchedulingError(
+                "refusing to resume: checkpoint fingerprint "
+                f"{manifest.fingerprint[:12]}… does not match this run's "
+                f"model/output/partitioning ({fingerprint[:12]}…); "
+                "resume requires the identical model, seed, scale, "
+                "output format, and package size"
+            )
+    journal = None
+    if checkpoint is not None:
+        header = {
+            "fingerprint": fingerprint, "seed": engine.schema.seed,
+            "package_size": package_size, "backend": backend,
+            "tables": {name: engine.sizes[name] for name in tables},
+        }
+        journal = CheckpointWriter(
+            checkpoint, header,
+            append=manifest is not None
+            and os.path.abspath(checkpoint) == os.path.abspath(resume_from),
+        )
+    return manifest, journal

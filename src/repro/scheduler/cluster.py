@@ -18,15 +18,20 @@ row-range bookkeeping, never data, and all of it lives in the parent:
 * when a node dies the parent truncates its part files to the reported
   durable byte offsets and moves what it still held (in-flight and
   pending) to a survivor, or to a fresh replacement process if none is
-  left — the same regenerate-the-tail recovery the single-node
-  checkpoint machinery uses, at node granularity.
+  left;
+* when the whole run dies, the next one resumes the same way: the
+  ledger's parts are the records of the checkpoint manifest
+  (:class:`~repro.resilience.checkpoint.Part`, journaled by the parent
+  as each grows), so a resumed run truncates every part file to its
+  watermark, starts with those parts done, and plans only the rows none
+  of them covers.
 
 A node is the process-pool worker with a local sink: receive a package,
 run it through the same :func:`~repro.scheduler.executor.run_package`,
 append the chunk to the open *part file* (a new part whenever the
-package does not continue the previous one), journal it into its own
-``node<i>/`` checkpoint manifest, report. The report follows the
-journal, so the parent's ledger is always a prefix of durable state.
+package does not continue the previous one), flush, report. The report
+follows the flush, so the parent's ledger — and the manifest it
+journals — is always a prefix of durable state.
 Process bootstrap, telemetry shipping, liveness and shutdown are the
 shared :mod:`repro.scheduler.executor` core; the parent counts every
 reported package in the same
@@ -56,16 +61,12 @@ from repro.model.schema import Schema
 from repro.obs import span
 from repro.output.config import OutputConfig
 from repro.output.formats import format_spec, table_frame
-from repro.output.sinks import FileSink, NullSink
-from repro.resilience.checkpoint import CheckpointWriter, model_fingerprint
+from repro.output.sinks import FileSink, NullSink, check_durable
+from repro.resilience.checkpoint import Part, RunManifest, open_checkpoint
 from repro.resilience.faults import FaultPlan
 from repro.scheduler.executor import ExecutorPool, ExecutorSlot, die, run_package
-from repro.scheduler.scheduler import (
-    NodeReport,
-    RunAccounting,
-    RunReport,
-    node_checkpoint_dir,
-)
+from repro.scheduler.progress import ProgressMonitor
+from repro.scheduler.scheduler import NodeReport, RunAccounting, RunReport
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage, plan_shards
 
 #: where nodes write their part files, under the output directory.
@@ -82,19 +83,16 @@ CLUSTER_SINK_KINDS = ("file", "null")
 NODE_LOOKAHEAD = 2
 
 
-def part_path(output: OutputConfig, table: str, start: int) -> str:
-    """Deterministic part-file path for the extent of *table* starting
-    at absolute row *start*: a table file of the parts directory, named
-    by the same rule as the final one.
+def part_file(table: str, start: int) -> str:
+    """Deterministic part-file name (relative to the output directory)
+    for the extent of *table* starting at absolute row *start*.
 
     Both sides compute it independently — node processes open the sink,
     the parent truncates and merges without asking. Keyed by start row
     so a reassigned tail (which begins at the dead node's durable
     boundary) never collides with the dead node's own part.
     """
-    return output.table_path(
-        os.path.join(PARTS_DIRNAME, f"{table}.part{start:012d}")
-    )
+    return os.path.join(PARTS_DIRNAME, f"{table}.part{start:012d}")
 
 
 # --------------------------------------------------------------------------
@@ -123,18 +121,17 @@ class Extent(NamedTuple):
         return self.table, self.start
 
 
-class _Part:
+class _Part(Part):
     """A contiguous extent one node generated: one part file, one
-    ``node.assignment`` span. Node and parent grow parts by the same
-    rule (:meth:`continues`) over the same package sequence, so the
-    parent knows every part without being told."""
+    ``node.assignment`` span, one manifest watermark. Node and parent
+    grow parts by the same rule (:meth:`continues`) over the same
+    package sequence, so the parent knows every part without being told."""
 
-    __slots__ = ("table", "start", "stop", "reason", "origin", "bytes")
+    __slots__ = ("reason", "origin")
 
     def __init__(self, first: Extent) -> None:
-        self.table, self.start, _, self.reason, self.origin = first
-        self.stop = first.start
-        self.bytes = 0
+        super().__init__(part_file(first.table, first.start), first.table, first.start)
+        self.reason, self.origin = first.reason, first.origin
 
     def continues(self, package: Extent) -> bool:
         return (package.table, package.start, package.reason, package.origin) == (
@@ -163,21 +160,36 @@ class ShardLedger:
     ranges (a deque, movable), packages *in flight* (the slot's
     ``inflight``, at most :data:`NODE_LOOKAHEAD`), and *parts* done.
 
-    Parts only grow on reported — therefore journaled and flushed —
-    packages, so truncating a dead node's part file to ``part.bytes``
-    can never cut data the ledger counts; at worst it discards
-    durable-but-unreported tail bytes, which the reassigned range
-    regenerates identically.
+    Parts only grow on reported — therefore flushed — packages, so
+    truncating a part file to ``part.bytes`` (a dead node's now, every
+    journaled part's in a resumed run) can never cut data the ledger
+    counts; at worst it discards durable-but-unreported tail bytes,
+    which the reassigned range regenerates identically. ``resumed`` are
+    the parts an earlier run's manifest vouches for: done from the start.
     """
 
-    def __init__(self, package_size: int) -> None:
+    def __init__(self, package_size: int, resumed: list[Part] = ()) -> None:
         self.package_size = package_size
+        self.resumed = resumed
         self.shards: dict[int, _Shard] = {}
         self.steals = 0
         self.stolen_rows = 0
 
     def add(self, slot: ExecutorSlot) -> None:
         self.shards[slot.ident] = _Shard(slot)
+
+    def uncovered(self, ranges) -> list[tuple[str, int, int]]:
+        """*ranges* minus the rows the resumed parts already hold."""
+        left = []
+        for table, start, stop in ranges:
+            for part in self.resumed:  # sorted by (table, start), disjoint
+                if part.table == table and part.stop > start and part.start < stop:
+                    if part.start > start:
+                        left.append((table, start, part.start))
+                    start = part.stop
+            if start < stop:
+                left.append((table, start, stop))
+        return left
 
     def assign(self, node: int, ranges, reason: str, origin: int | None) -> None:
         self.shards[node].pending.extend(
@@ -213,15 +225,17 @@ class ShardLedger:
             packages.append(extent._replace(stop=cut))
         return packages
 
-    def complete(self, node: int, package: Extent, nbytes: int) -> None:
+    def complete(self, node: int, package: Extent, nbytes: int) -> _Part:
+        """Grow *node*'s current part by a reported package; the grown
+        part is what the run journals."""
         shard = self.shards[node]
         if not shard.parts or not shard.parts[-1].continues(package):
             shard.parts.append(_Part(package))
         part = shard.parts[-1]
-        part.stop = package.stop
-        part.bytes += nbytes
+        part.grow(package.stop, nbytes)
         shard.rows += package.rows
         shard.bytes += nbytes
+        return part
 
     def steal(self, thief: int) -> None:
         """Move the tail half of the busiest other node's unfinished
@@ -268,12 +282,13 @@ class ShardLedger:
         shard.pending.clear()
         return ranges
 
-    def parts(self, table: str, size: int) -> list[_Part]:
+    def parts(self, table: str, size: int) -> list[Part]:
         """The parts of *table* in row order, verified to cover
         ``[0, size)`` exactly once."""
         parts = sorted(
-            (part for shard in self.shards.values() for part in shard.parts
-             if part.table == table),
+            (part
+             for held in (self.resumed, *(s.parts for s in self.shards.values()))
+             for part in held if part.table == table),
             key=lambda part: part.start,
         )
         position = 0
@@ -300,12 +315,13 @@ class ShardLedger:
 class _OpenPart(_Part):
     """Node side of a part: its sink and its ``node.assignment`` span."""
 
-    __slots__ = ("sink", "rows", "_span", "_handle")
+    __slots__ = ("sink", "_span", "_handle")
 
-    def __init__(self, path: str | None, first: Extent) -> None:
+    def __init__(self, output: OutputConfig, first: Extent) -> None:
         super().__init__(first)
-        self.sink = FileSink(path) if path is not None else NullSink()
-        self.rows = 0
+        self.sink = NullSink()
+        if output.kind == "file":
+            self.sink = FileSink(os.path.join(output.directory, self.file))
         attrs = {"table": first.table, "start": first.start,
                  "reason": first.reason, "attempt": 1}
         if first.origin is not None:
@@ -319,30 +335,13 @@ class _OpenPart(_Part):
         self._span.__exit__(None, None, None)
 
 
-def _cluster_node(
-    node, tasks, results, telemetry,
-    engine, nodes, output, package_size, checkpoint, faults,
-):
+def _cluster_node(node, tasks, results, telemetry, engine, nodes, output, faults):
     """Process body of one cluster node (see the module docstring).
 
     *engine* is the parent's bound engine, as in the pool worker:
     inherited under fork, rebuilt from its model under spawn.
     """
     delay = faults.node_delay(node) if faults is not None else 0.0
-    journal = None
-    if checkpoint is not None:
-        # The fingerprint covers the cluster-wide model + output config,
-        # not this node's (mutable, steal-dependent) range set, so every
-        # node journal in a run carries the same identity.
-        tables = [table.name for table in engine.schema.tables]
-        journal = CheckpointWriter(
-            node_checkpoint_dir(checkpoint, node),
-            fingerprint=model_fingerprint(engine, output, package_size, tables),
-            seed=engine.schema.seed,
-            package_size=package_size,
-            tables=dict(engine.sizes),
-            backend="cluster",
-        )
     sequences: dict[str, int] = {}
     part: _OpenPart | None = None
     started = time.perf_counter()
@@ -354,10 +353,7 @@ def _cluster_node(
             if part is None or not part.continues(extent):
                 if part is not None:
                     part.close()
-                path = None
-                if output.kind == "file":
-                    path = part_path(output, table, start)
-                part = _OpenPart(path, extent)
+                part = _OpenPart(output, extent)
             sequence = sequences.get(table, 0)
             sequences[table] = sequence + 1
             package = WorkPackage(table, start, stop, sequence)
@@ -370,24 +366,16 @@ def _cluster_node(
             part.sink.write(result.chunk)
             if delay:
                 time.sleep(delay)
-            if journal is not None:
-                # flushes the sink first: a journaled package is durable,
-                # so the report below never overstates the part file.
-                journal.record_package(package, result.chunk, part.sink)
-            else:
-                part.sink.flush()
-            part.stop = stop
-            part.rows += package.rows
-            part.bytes += result.nbytes
+            # flushed before it is reported: what the parent's ledger and
+            # manifest count never overstates the part file.
+            part.sink.flush()
+            part.grow(stop, result.nbytes)
             # the chunk stays here; dropping it now also keeps it from
             # staying alive while the next package is formatted
             result = result._replace(chunk=None)
             results.put(("package", node, (table, start), result, None))
         if part is not None:
             part.close()
-    if journal is not None:
-        journal.run_done()
-        journal.close()
     return {"seconds": time.perf_counter() - started}
 
 
@@ -400,11 +388,12 @@ class ClusterScheduler:
     """Drives a multi-node run: real node processes, elastic stealing,
     dead-node recovery, and a byte-identical merged output.
 
-    ``steal=False`` disables rebalancing (static shards only) — the
-    control the benchmarks use to show stealing beats it on an
-    imbalanced cluster. ``faults`` scripts node kills and slow nodes for
-    tests; ``max_node_failures`` caps dead-node recoveries (default
-    ``max(2, nodes)``) so a crash loop aborts instead of respawning
+    ``progress``, ``checkpoint`` and ``resume_from`` mean what they mean
+    on :class:`~repro.scheduler.scheduler.Scheduler`: the one manifest
+    in ``checkpoint`` journals every part as it grows, and
+    ``resume_from`` starts from the parts it vouches for. ``faults``
+    scripts node kills and slow nodes for tests. More than ``max(2,
+    nodes)`` dead nodes abort the run — a crash loop must not respawn
     forever.
     """
 
@@ -415,19 +404,19 @@ class ClusterScheduler:
         *,
         output: OutputConfig | None = None,
         package_size: int = DEFAULT_PACKAGE_SIZE,
+        progress: ProgressMonitor | None = None,
         checkpoint: str | None = None,
-        steal: bool = True,
+        resume_from: str | None = None,
         faults: FaultPlan | None = None,
-        max_node_failures: int | None = None,
     ) -> None:
         self.schema = schema
         self.artifacts = artifacts
         self.output = output or OutputConfig()
         self.package_size = package_size
+        self.progress = progress
         self.checkpoint = checkpoint
-        self.steal = steal
+        self.resume_from = resume_from
         self.faults = faults
-        self.max_node_failures = max_node_failures
         if self.output.kind not in CLUSTER_SINK_KINDS:
             raise SchedulingError(
                 f"distributed runs support kinds {CLUSTER_SINK_KINDS}, "
@@ -448,8 +437,18 @@ class ClusterScheduler:
         started = time.perf_counter()
         with span("meta.run", nodes=nodes) as meta_span:
             run = _ClusterRun(self, nodes, getattr(meta_span, "span_id", None))
-            run.drive()
-            run.assemble()
+            try:
+                run.drive()
+                run.assemble()
+            except BaseException as exc:
+                # SIGINT or abort: what the manifest vouches for is on
+                # disk (nodes flush before they report) — mark it and go.
+                if run.journal is not None:
+                    run.journal.interrupted(type(exc).__name__)
+                raise
+            finally:
+                if run.journal is not None:
+                    run.journal.close()
         ledger = run.ledger
         return run.accounting.report(
             time.perf_counter() - started, nodes, "cluster",
@@ -471,7 +470,8 @@ class ClusterScheduler:
 class _ClusterRun(ExecutorPool):
     """One :meth:`ClusterScheduler.run`: shard-affine dispatch through
     the look-ahead window, tail stealing for idle nodes, and dead-node
-    truncate-and-reassign — all as edits of the :class:`ShardLedger`."""
+    truncate-and-reassign — all as edits of the :class:`ShardLedger`,
+    whose parts the checkpoint journals and a resumed run starts from."""
 
     role = "cluster node"
 
@@ -484,27 +484,75 @@ class _ClusterRun(ExecutorPool):
             self.part_dir = os.path.join(output.directory, PARTS_DIRNAME)
             os.makedirs(self.part_dir, exist_ok=True)
         self.engine = GenerationEngine(scheduler.schema, scheduler.artifacts)
+        sizes = self.engine.sizes
+        manifest, self.journal = open_checkpoint(
+            self.engine, output, scheduler.package_size, list(sizes), "cluster",
+            checkpoint=scheduler.checkpoint, resume_from=scheduler.resume_from,
+        )
         super().__init__(
-            _cluster_node,
-            (self.engine, nodes, output, scheduler.package_size,
-             scheduler.checkpoint, scheduler.faults),
+            _cluster_node, (self.engine, nodes, output, scheduler.faults),
             parent_span_id=meta_span_id, faults=scheduler.faults, tag="node",
         )
-        self.steal = scheduler.steal
-        self.failure_limit = scheduler.max_node_failures
-        if self.failure_limit is None:
-            self.failure_limit = max(2, nodes)
+        self.failure_limit = max(2, nodes)
         self.failures = 0
         self.reassigned = 0
-        self.ledger = ShardLedger(scheduler.package_size)
-        self.accounting = RunAccounting(self.engine, list(self.engine.sizes))
-        for shard in plan_shards(self.engine.sizes, nodes):
-            self.ledger.assign(self._spawn_node().ident, shard, "shard", None)
+        self.accounting = RunAccounting(self.engine, list(sizes), scheduler.progress)
+        #: tables an earlier run already merged: their final file stands
+        self.merged = manifest.done if manifest is not None else {}
+        self.ledger = ShardLedger(
+            scheduler.package_size,
+            self._resume(manifest, scheduler.package_size) if manifest else (),
+        )
+        for shard in plan_shards(sizes, nodes):
+            self.ledger.assign(
+                self._spawn_node().ident, self.ledger.uncovered(shard), "shard", None
+            )
 
     def _spawn_node(self) -> ExecutorSlot:
         slot = self.spawn()
         self.ledger.add(slot)
         return slot
+
+    def _path(self, file: str) -> str:
+        return os.path.join(self.output.directory, file)
+
+    def _resume(self, manifest: RunManifest, package_size: int) -> list[Part]:
+        """The parts this run starts with: *manifest*'s, checked before
+        anything is touched (each names its own part file, lies inside
+        its table, overlaps no other, and its file still holds the
+        bytes), then cut back to their watermarks — what a dead node's
+        parts get, for every node at once. Part files the manifest does
+        not vouch for go. Returned sorted by ``(table, start)``."""
+        parts = sorted(manifest.parts.values(), key=lambda p: (p.table, p.start))
+        sizes, stops = self.engine.sizes, {}
+        for part in parts:
+            floor, size = stops.get(part.table, 0), sizes.get(part.table, -1)
+            if (
+                part.file != part_file(part.table, part.start)
+                or not floor <= part.start < part.stop <= size
+            ):
+                raise SchedulingError(
+                    f"checkpoint records {part.file!r} for rows [{part.start}, "
+                    f"{part.stop}) of table {part.table!r}: not a part file of "
+                    "this run's tables, or overlapping another — the manifest "
+                    "is corrupt or was written without --nodes"
+                )
+            stops[part.table] = part.stop
+        if self.part_dir is not None:
+            live = [part for part in parts if part.table not in self.merged]
+            for part in live:
+                check_durable(self._path(part.file), part.bytes)
+            for table, (_rows, nbytes) in self.merged.items():
+                check_durable(self.output.table_path(table), nbytes)
+            self._cut_back(live)
+            vouched = {os.path.basename(part.file) for part in parts}
+            for name in set(os.listdir(self.part_dir)) - vouched:
+                os.remove(os.path.join(self.part_dir, name))
+        for part in parts:
+            self.accounting.resumed(
+                part.table, part.rows, part.bytes, part.packages(package_size)
+            )
+        return parts
 
     # -- policy --------------------------------------------------------------
 
@@ -514,16 +562,17 @@ class _ClusterRun(ExecutorPool):
     def dispatch(self) -> None:
         ledger = self.ledger
         live = self.live()
-        if self.steal:
-            for slot in live:
-                if not slot.inflight and not ledger.shards[slot.ident].pending:
-                    ledger.steal(slot.ident)
+        for slot in live:
+            if not slot.inflight and not ledger.shards[slot.ident].pending:
+                ledger.steal(slot.ident)
         for slot in live:
             for package in ledger.fill(slot.ident):
                 self.send(slot, package.key, package)
 
     def complete(self, slot, package, result) -> None:
-        self.ledger.complete(slot.ident, package, result.nbytes)
+        part = self.ledger.complete(slot.ident, package, result.nbytes)
+        if self.journal is not None:
+            self.journal.record_part(part)
         self.accounting.package(package.table, package.rows, result)
 
     def recover(self, slot, lost) -> None:
@@ -540,29 +589,30 @@ class _ClusterRun(ExecutorPool):
             return
         self.reassigned += len(ranges)
         # no survivors: resume on a fresh replacement process (new node
-        # id, own node<i> journal) — same rows, same bytes.
+        # id) — same rows, same bytes.
         target = min(
             self.live(), key=lambda s: self.ledger.remaining(s.ident), default=None
         ) or self._spawn_node()
         self.ledger.assign(target.ident, ranges, "dead-node", slot.ident)
 
-    def _truncate_parts(self, node: int, lost: list[Extent]) -> None:
-        """Cut a dead node's part files back to what the ledger counts."""
-        parts = self.ledger.shards[node].parts
+    def _cut_back(self, parts: list[Part]) -> None:
+        """Cut part files back to what the ledger counts."""
         for part in parts:
             # reopening at an offset truncates to it, and refuses a file
             # shorter than what was reported durable
-            FileSink(
-                part_path(self.output, part.table, part.start),
-                resume_at=part.bytes,
-            ).close()
-        known = {(part.table, part.start) for part in parts}
+            FileSink(self._path(part.file), resume_at=part.bytes).close()
+
+    def _truncate_parts(self, node: int, lost: list[Extent]) -> None:
+        """A dead node's files: its parts cut back, the rest removed."""
+        parts = self.ledger.shards[node].parts
+        self._cut_back(parts)
+        known = {part.file for part in parts}
         for package in lost:
             # a part the node opened for a package it never reported: the
             # reassigned range starts at the same row and recreates it.
-            path = part_path(self.output, *package.key)
-            if package.key not in known and os.path.exists(path):
-                os.remove(path)
+            file = part_file(*package.key)
+            if file not in known and os.path.exists(self._path(file)):
+                os.remove(self._path(file))
 
     # -- output assembly -----------------------------------------------------
 
@@ -570,7 +620,9 @@ class _ClusterRun(ExecutorPool):
         """Verify the ledger covers every table exactly once and, for
         file output, assemble the final per-table files byte-identical
         to a single-node run: header, parts in row order, footer. The
-        header/footer bytes, which no node counted, are credited here."""
+        header/footer bytes, which no node counted, are credited here.
+        Parts go only after every table is merged, so a run that dies in
+        here resumes to a re-merge of the tables it had not finished."""
         with span("meta.merge", tables=len(self.engine.sizes)):
             for table, size in self.engine.sizes.items():
                 parts = self.ledger.parts(table, size)
@@ -579,21 +631,29 @@ class _ClusterRun(ExecutorPool):
                     for text in table_frame(self.output, self.engine, table)
                 )
                 self.accounting.frame(table, len(header) + len(footer))
-                if self.part_dir is None:
-                    continue
-                with open(self.output.table_path(table), "wb") as out:
-                    out.write(header)
-                    for part in parts:
-                        path = part_path(self.output, table, part.start)
-                        actual = os.path.getsize(path)
-                        if actual != part.bytes:
-                            raise SchedulingError(
-                                f"part {path!r} has {actual} bytes, ledger "
-                                f"says {part.bytes} — refusing to merge "
-                                "inconsistent parts"
-                            )
-                        with open(path, "rb") as src:
-                            shutil.copyfileobj(src, out, 1 << 20)
-                    out.write(footer)
+                if table in self.merged:
+                    continue  # an earlier run's final file stands
+                if self.part_dir is not None:
+                    self._write_table(table, parts, header, footer)
+                if self.journal is not None:
+                    self.journal.table_done(table, *self.accounting.table(table))
         if self.part_dir is not None:
             shutil.rmtree(self.part_dir, ignore_errors=True)
+        if self.journal is not None:
+            self.journal.run_done()
+
+    def _write_table(self, table, parts: list[Part], header: bytes, footer: bytes):
+        with open(self.output.table_path(table), "wb") as out:
+            out.write(header)
+            for part in parts:
+                path = self._path(part.file)
+                actual = os.path.getsize(path)
+                if actual != part.bytes:
+                    raise SchedulingError(
+                        f"part {path!r} has {actual} bytes, ledger "
+                        f"says {part.bytes} — refusing to merge "
+                        "inconsistent parts"
+                    )
+                with open(path, "rb") as src:
+                    shutil.copyfileobj(src, out, 1 << 20)
+            out.write(footer)

@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engine import GenerationEngine
+from repro.exceptions import SchedulingError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Schema
 from repro.obs import (
@@ -61,11 +62,12 @@ from repro.obs import (
 )
 from repro.output.config import OutputConfig
 from repro.output.formats import encoded_size, table_frame
-from repro.output.sinks import InFlightWindow, OrderedSinkMux, Sink
+from repro.output.sinks import InFlightWindow, OrderedSinkMux, Sink, check_durable
 from repro.resilience.checkpoint import (
-    CheckpointWriter,
+    Part,
     RunManifest,
-    model_fingerprint,
+    chunk_digest,
+    open_checkpoint,
 )
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
@@ -192,8 +194,6 @@ class RunReport:
         for report in self.tables:
             if report.name == name:
                 return report
-        from repro.exceptions import SchedulingError
-
         raise SchedulingError(f"no table {name!r} in run report")
 
 
@@ -420,8 +420,6 @@ class _ProcessPool(ExecutorPool):
         self.completed += 1
 
     def recover(self, slot, lost) -> None:
-        from repro.exceptions import SchedulingError
-
         died = (
             f"generation worker process died with exit code "
             f"{slot.process.exitcode}"
@@ -448,6 +446,18 @@ class _ProcessPool(ExecutorPool):
             )
         self.requeued += len(lost)
         self.restarts += 1
+
+
+def _journal_flushes(journal, part: Part, sink: Sink, packages: list[WorkPackage]):
+    """One table's mux ``on_flush`` hook: each chunk that reached *sink*
+    moves the table's watermark *part* and is journaled."""
+
+    def on_flush(sequence: int, chunk) -> None:
+        sink.flush()  # first: a journaled watermark is durable
+        part.grow(packages[sequence].stop, *chunk_digest(chunk))
+        journal.record_part(part)
+
+    return on_flush
 
 
 class Scheduler:
@@ -481,8 +491,6 @@ class Scheduler:
         retry: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
-        from repro.exceptions import SchedulingError
-
         if workers < 1:
             raise SchedulingError(f"workers must be >= 1, got {workers}")
         # Residue: frozen bench/layers.py:395 still passes backend="process";
@@ -510,10 +518,11 @@ class Scheduler:
         per-table ``[start, stop)`` ranges (a node's static share, see
         :func:`run_node`).
 
-        With ``checkpoint`` set, every package that reaches its sink is
-        journaled to the run manifest; with ``resume_from`` set, the
-        manifest's durable prefix is skipped and only the missing tail
-        is regenerated, byte-identical to an uninterrupted run.
+        With ``checkpoint`` set, each table file's watermark is
+        journaled to the run manifest as its packages reach the sink;
+        with ``resume_from`` set, what the manifest's watermarks cover is
+        skipped and only the missing tail is regenerated, byte-identical
+        to an uninterrupted run.
         """
         engine = self.engine
         names = tables if tables is not None else [t.name for t in engine.schema.tables]
@@ -527,7 +536,11 @@ class Scheduler:
         window = InFlightWindow(self.workers + DEFAULT_INFLIGHT_EXTRA)
         self.last_window = window
 
-        manifest, journal = self._resilience_setup(names, row_ranges)
+        manifest, journal = open_checkpoint(
+            engine, self.output, self.package_size, names, self.backend,
+            checkpoint=self.checkpoint, resume_from=self.resume_from,
+            row_ranges=row_ranges,
+        )
         requeued = restarts = 0
 
         try:
@@ -535,77 +548,62 @@ class Scheduler:
                 "scheduler.run", workers=self.workers,
                 package_size=self.package_size, backend=self.backend,
             ) as run_span:
-                total_rows = 0
-                for name in names:
-                    size = engine.sizes[name]
-                    start, stop = 0, size
-                    if row_ranges and name in row_ranges:
-                        start, stop = row_ranges[name]
-                        stop = min(stop, size)
-                    share = max(stop - start, 0)
-                    total_rows += share
-
-                    state = (
-                        manifest.tables.get(name) if manifest is not None else None
-                    )
-                    if state is not None and state.done:
-                        # The whole table (footer included) is durable:
-                        # skip it without touching the output file.
-                        accounting.resumed(
-                            name, state.done_rows, state.done_bytes,
-                            len(state.durable_prefix()),
-                        )
-                        continue
-
+                ranges = {name: (0, engine.sizes[name]) for name in names}
+                for name, (start, stop) in (row_ranges or {}).items():
+                    if name in ranges:
+                        stop = max(min(stop, engine.sizes[name]), start)
+                        ranges[name] = start, stop
+                total_rows = sum(stop - start for start, stop in ranges.values())
+                marks = self._resume_marks(manifest, ranges)
+                for name, (start, stop) in ranges.items():
+                    part = marks.get(name)
                     all_packages = partition_rows(
-                        name, share, self.package_size, offset=start
+                        name, stop - start, self.package_size, offset=start
                     )
-                    prefix = self._validate_prefix(name, state, all_packages)
                     header, footer = table_frame(self.output, engine, name)
-                    if state is None or state.header_bytes is None:
+                    if part is None:
                         # Fresh table, or a resumed one that crashed before
-                        # its header became durable: start from the top.
+                        # its header became durable: start from the top. The
+                        # first watermark is the header, no rows behind it.
                         sink = self.output.new_sink(name)
                         sinks.append(sink)
                         if header:
                             sink.write(header)
                             accounting.frame(name, encoded_size(header))
+                        part = Part(
+                            self._file(name), name, start,
+                            bytes=encoded_size(header),
+                        )
                         if journal is not None:
-                            journal.table_start(name, encoded_size(header), sink)
+                            sink.flush()
+                            journal.record_part(part)
                     else:
-                        # Header and prefix are durable on disk: reopen
-                        # behind them and count them from the manifest.
-                        durable = state.header_bytes + sum(r.bytes for r in prefix)
+                        # The watermark is durable on disk: count it from
+                        # the manifest and reopen behind it — unless the
+                        # footer is durable too, then the file stands.
+                        done = part.packages(self.package_size)
+                        accounting.resumed(name, part.rows, part.bytes, done)
+                        if name in manifest.done:
+                            accounting.frame(name, encoded_size(footer))
+                            continue
                         sink = self.output.new_sink(
-                            name, resume_at=durable, resume_packages=len(prefix)
+                            name, resume_at=part.bytes, resume_packages=done
                         )
                         sinks.append(sink)
-                        accounting.resumed(
-                            name, sum(r.rows for r in prefix), durable, len(prefix)
-                        )
                     if footer:
                         footers.append((name, sink, footer))
 
                     on_flush = None
                     if journal is not None:
-                        by_sequence = {p.sequence: p for p in all_packages}
-
-                        def on_flush(
-                            sequence, chunk,
-                            _by_sequence=by_sequence, _sink=sink,
-                            _journal=journal,
-                        ):
-                            _journal.record_package(
-                                _by_sequence[sequence], chunk, _sink
-                            )
-
+                        on_flush = _journal_flushes(journal, part, sink, all_packages)
+                    done = part.packages(self.package_size)
                     mux = OrderedSinkMux(
                         sink, name, window=window,
-                        first_sequence=len(prefix), on_flush=on_flush,
+                        first_sequence=done, on_flush=on_flush,
                         retry=self.retry,
                     )
                     muxes[name] = mux
-                    for package in all_packages[len(prefix):]:
+                    for package in all_packages[done:]:
                         packages.append((package, mux))
                 run_span.set(
                     tables=len(names), packages=len(packages), rows=total_rows,
@@ -686,81 +684,47 @@ class Scheduler:
 
     # -- resilience ----------------------------------------------------------
 
-    def _resilience_setup(
-        self,
-        names: list[str],
-        row_ranges: dict[str, tuple[int, int]] | None,
-    ) -> tuple[RunManifest | None, CheckpointWriter | None]:
-        """Load the resume manifest and open the checkpoint journal.
+    def _file(self, name: str) -> str:
+        """A table's output file as the manifest names it: relative to
+        the output directory."""
+        return os.path.basename(self.output.table_path(name))
 
-        Resuming verifies the model fingerprint first: a checkpoint from
-        a different model, format, or partitioning would silently splice
-        incompatible bytes, so it is refused outright.
-        """
-        from repro.exceptions import SchedulingError
-
-        if self.resume_from is None and self.checkpoint is None:
-            return None, None
-        fingerprint = model_fingerprint(
-            self.engine, self.output, self.package_size, names, row_ranges
-        )
-        manifest = None
-        if self.resume_from is not None:
-            manifest = RunManifest.load(self.resume_from)
-            if manifest.fingerprint != fingerprint:
+    def _resume_marks(
+        self, manifest: RunManifest | None, ranges: dict[str, tuple[int, int]]
+    ) -> dict[str, Part]:
+        """Each table's watermark, checked before any sink opens (a
+        refused resume touches no output file): it must be a prefix of
+        this run's rows that ends on one of this run's package
+        boundaries — the fingerprint guards the inputs, this guards the
+        manifest itself — and the file must still hold it."""
+        if manifest is None:
+            return {}
+        tables = {self._file(name): name for name in ranges}
+        marks = {}
+        for file, part in manifest.parts.items():
+            name = tables.get(file)
+            start, stop = ranges.get(name, (0, 0))
+            on_boundary = (
+                part.stop == stop or (part.stop - start) % self.package_size == 0
+            )
+            if (
+                name != part.table or part.start != start
+                or not start <= part.stop <= stop or not on_boundary
+            ):
                 raise SchedulingError(
-                    "refusing to resume: checkpoint fingerprint "
-                    f"{manifest.fingerprint[:12]}… does not match this run's "
-                    f"model/output/partitioning ({fingerprint[:12]}…); "
-                    "resume requires the identical model, seed, scale, "
-                    "output format, and package size"
+                    f"checkpoint watermark of {file!r} — rows [{part.start}, "
+                    f"{part.stop}) of table {part.table!r} — is not a prefix "
+                    f"of this run's rows [{start}, {stop}) ending on a "
+                    f"{self.package_size}-row package boundary; the manifest "
+                    "is corrupt or was written by another runtime (--nodes)"
                 )
-        journal = None
-        if self.checkpoint is not None:
-            appending = (
-                manifest is not None
-                and os.path.abspath(self.checkpoint)
-                == os.path.abspath(self.resume_from)
-            )
-            journal = CheckpointWriter(
-                self.checkpoint,
-                fingerprint=fingerprint,
-                seed=self.engine.schema.seed,
-                package_size=self.package_size,
-                tables={name: self.engine.sizes[name] for name in names},
-                backend=self.backend,
-                append=appending,
-            )
-        return manifest, journal
-
-    def _validate_prefix(self, name, state, all_packages):
-        """The durable prefix of one table, checked against this run's
-        partitioning (the fingerprint already guards the inputs; this
-        guards the manifest itself against truncation or editing)."""
-        from repro.exceptions import SchedulingError
-
-        if state is None:
-            return []
-        prefix = state.durable_prefix()
-        if prefix and state.header_bytes is None:
-            raise SchedulingError(
-                f"checkpoint manifest records packages for table {name!r} "
-                "but no table_start header record; manifest is corrupt"
-            )
-        if len(prefix) > len(all_packages):
-            raise SchedulingError(
-                f"checkpoint manifest records {len(prefix)} packages for "
-                f"table {name!r} but this run partitions it into "
-                f"{len(all_packages)}"
-            )
-        for record, package in zip(prefix, all_packages):
-            if (record.start, record.stop) != (package.start, package.stop):
-                raise SchedulingError(
-                    f"checkpoint package {record.sequence} of table {name!r} "
-                    f"covers rows [{record.start}, {record.stop}) but this "
-                    f"run expects [{package.start}, {package.stop})"
-                )
-        return prefix
+            path = self.output.resume_path(name)
+            if path is not None and name in manifest.done:
+                check_durable(path, manifest.done[name][1])
+            elif path is not None:
+                check_durable(path, part.bytes, part.tail_bytes, part.sha256)
+            marks[name] = part
+        return marks
 
     def _emergency_teardown(self, sinks, journal, exc: BaseException) -> None:
         """Best-effort fsync-and-close after SIGINT or a crash."""
@@ -835,15 +799,6 @@ def node_ranges(
     return {table: node_share(size, nodes, node) for table, size in sizes.items()}
 
 
-def node_checkpoint_dir(base: str | None, node: int) -> str | None:
-    """Each node journals into its own ``node<i>`` subdirectory of the
-    checkpoint base — node shares are disjoint row ranges, so their
-    manifests must not interleave."""
-    if base is None:
-        return None
-    return os.path.join(base, f"node{node}")
-
-
 def run_node(
     schema: Schema,
     nodes: int,
@@ -868,11 +823,14 @@ def run_node(
     actually died need resuming.
     """
     engine = GenerationEngine(schema, artifacts)
+    # one manifest per share: the nodes' output directories are their own
+    checkpoint, resume_from = (
+        base and os.path.join(base, f"node{node}")
+        for base in (checkpoint, resume_from)
+    )
     scheduler = Scheduler(
         engine, output or OutputConfig(),
         workers=workers, package_size=package_size,
-        checkpoint=node_checkpoint_dir(checkpoint, node),
-        resume_from=node_checkpoint_dir(resume_from, node),
-        retry=retry,
+        checkpoint=checkpoint, resume_from=resume_from, retry=retry,
     )
     return scheduler.run(row_ranges=node_ranges(engine.sizes, nodes, node))

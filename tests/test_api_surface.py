@@ -1,5 +1,8 @@
 """The public API surface.
 
+7.0 records what is durable once: the part watermark is the manifest's
+one progress record and the cluster ledger's part, journaled by one
+writer per run; ``--nodes N --resume`` works and ``--no-steal`` is gone.
 6.2 leaves no second way off the hot path: one workload pass (the seeded
 stream), no oracle self-timing in the program, one stopwatch, one CSV
 row loop, one model bind per cluster run, one preview.
@@ -100,8 +103,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_6(self):
-        assert repro.__version__.startswith("6.")
+    def test_version_is_7(self):
+        assert repro.__version__.startswith("7.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -233,9 +236,11 @@ class TestOneBodyOneAccountingOneReport:
             "engine", "output", "workers", "package_size", "tables", "progress",
             "backend", "checkpoint", "resume_from", "retry",
         ]
+        # 7.0: lost steal= / max_node_failures=; progress= and
+        # resume_from= are Scheduler's, now honoured by the third runtime
         assert keywords(repro.ClusterScheduler.__init__) == [
-            "schema", "artifacts", "output", "package_size", "checkpoint",
-            "steal", "faults", "max_node_failures",
+            "schema", "artifacts", "output", "package_size", "progress",
+            "checkpoint", "resume_from", "faults",
         ]
 
     @pytest.mark.parametrize("name", [
@@ -424,7 +429,7 @@ class TestNoSecondWayOffTheHotPath:
     OPTIONS = {
         "generate": MODEL | TELEMETRY | {
             "--kind", "--format", "--directory", "--database", "--delimiter",
-            "--header", "--workers", "--nodes", "--distributed", "--no-steal",
+            "--header", "--workers", "--nodes", "--distributed",
             "--checkpoint", "--resume", "--max-attempts", "--quiet",
         },
         "workload": MODEL | TELEMETRY | {
@@ -507,6 +512,76 @@ class TestNoSecondWayOffTheHotPath:
         ]) == 0
         assert "2 distributed nodes" in capsys.readouterr().out
         assert log.read_text().split() == [str(os.getpid())]
+
+
+class TestOneDurableProgressRecord:
+    """Structural guard: the position of a run — which bytes of which
+    file are durable — has one representation (the ``part`` watermark),
+    one writer per run (in the process that owns the bookkeeping) and
+    one reader on every runtime; the per-package records, the per-node
+    journals and the three cluster options nothing set cannot grow back."""
+
+    SRC = TestOneBodyOneAccountingOneReport.SRC
+    _occurrences = TestOneBodyOneAccountingOneReport._occurrences
+
+    def test_no_journal_inside_an_executor_process(self):
+        from repro.scheduler import cluster, executor, scheduler
+
+        for body in (
+            cluster._cluster_node, scheduler._pool_worker, executor._executor_main
+        ):
+            source = inspect.getsource(body)
+            assert "CheckpointWriter" not in source and "journal" not in source
+            assert "checkpoint" not in inspect.signature(body).parameters
+        # both parents open theirs through the one helper
+        assert not self._occurrences("CheckpointWriter(", "scheduler")
+        assert len(self._occurrences("open_checkpoint(", "scheduler")) == 2
+
+    def test_one_method_appends_progress_records(self):
+        from repro.resilience import CheckpointWriter
+
+        assert {
+            name for name, value in vars(CheckpointWriter).items()
+            if inspect.isfunction(value) and not name.startswith("_")
+        } == {"record_part", "table_done", "run_done", "interrupted", "close"}
+        assert len(self._occurrences('"type": "part"', "")) == 1
+
+    def test_record_types_are_six(self):
+        from repro.resilience import checkpoint
+
+        literals = re.findall(
+            r'"type": (?:"(\w+)" if \w+ else )?"(\w+)"',
+            inspect.getsource(checkpoint.CheckpointWriter),
+        )
+        assert {name for pair in literals for name in pair if name} == {
+            "run", "resume", "part", "table_done", "run_done", "interrupted",
+        }
+        assert checkpoint.MANIFEST_VERSION == 2
+
+    def test_the_ledger_part_is_the_manifest_record(self):
+        from repro.resilience import Part
+        from repro.scheduler.cluster import _Part
+
+        assert issubclass(_Part, Part)
+        assert Part.__slots__ == (
+            "file", "table", "start", "stop", "bytes", "tail_bytes", "sha256",
+        )
+
+    def test_generate_lost_no_steal_and_resume_applies_to_nodes(self):
+        cli = importlib.import_module("repro.cli.main")
+        assert "--no-steal" not in _long_options("generate")
+        assert [flag for flag, *_ in cli._SINGLE_NODE_ONLY_FLAGS] == [
+            "--workers", "--max-attempts",
+        ]
+
+    @pytest.mark.parametrize("name", [
+        "PackageRecord", "durable_prefix", "table_start", "header_bytes",
+        "TableState", "record_package(package", "_validate_prefix",
+        "_resilience_setup", "node_checkpoint_dir", "max_node_failures",
+        "no_steal", "steal=",
+    ])
+    def test_deleted_names_stay_deleted(self, name):
+        assert not self._occurrences(name, "")
 
 
 class TestOneScriptPerPaperArtefact:

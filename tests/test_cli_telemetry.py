@@ -57,6 +57,33 @@ class TestGenerateTelemetryFlags:
         assert main(["stats", "--trace", trace, "--tree"]) == 0
         assert "package.generate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("runtime", [[], ["-w", "2"], ["--nodes", "2"]],
+                             ids=["inline", "pool", "cluster"])
+    def test_obs_port_answers_progress_on_every_runtime(
+        self, tmp_path, monkeypatch, runtime
+    ):
+        """One monitor, built before the runtime is chosen: `/progress`
+        on `--obs-port` reads 100% at the end of a `--nodes 2` run as it
+        does for `-w 2` (asked just before the endpoint shuts down)."""
+        import urllib.request
+
+        from repro.obs.serve import ObsServer
+
+        answers = []
+        stop = ObsServer.stop
+
+        def ask_then_stop(server):
+            with urllib.request.urlopen(server.url + "/progress") as response:
+                answers.append(json.load(response))
+            stop(server)
+
+        monkeypatch.setattr(ObsServer, "stop", ask_then_stop)
+        assert _generate(tmp_path, "--obs-port", "0", *runtime) == 0
+        (progress,) = answers
+        assert progress["rows_done"] == progress["rows_total"] > 0
+        assert progress["fraction"] == 1.0
+        assert progress["tables"]["lineitem"]["rows_done"] > 0
+
     def test_metrics_dump_matches_report(self, tmp_path, capsys):
         metrics = str(tmp_path / "metrics.prom")
         assert _generate(tmp_path, "--metrics", metrics) == 0

@@ -13,6 +13,7 @@ sizes that do not divide shard boundaries.
 from __future__ import annotations
 
 import filecmp
+import json
 import os
 
 import pytest
@@ -20,11 +21,12 @@ import pytest
 from repro import obs
 from repro.cli.main import main
 from repro.engine import GenerationEngine
-from repro.exceptions import SchedulingError
+from repro.exceptions import OutputError, SchedulingError
 from repro.output.config import OutputConfig
 from repro.resilience import FaultPlan
 from repro.scheduler import (
     ClusterScheduler,
+    ProgressMonitor,
     Scheduler,
     generate,
     node_share,
@@ -175,7 +177,7 @@ class TestClusterByteIdentity:
         ClusterScheduler(schema, output=output, package_size=25).run(1)
         _assert_identical(schema, single, output)
 
-    def test_nodes_journal_into_per_node_manifests(self, tmp_path):
+    def test_parent_journals_every_part_into_one_manifest(self, tmp_path):
         checkpoint = tmp_path / "ckpt"
         ClusterScheduler(
             demo_schema(),
@@ -183,12 +185,24 @@ class TestClusterByteIdentity:
             package_size=30,
             checkpoint=str(checkpoint),
         ).run(3)
-        for node in range(3):
-            manifest = checkpoint / f"node{node}" / "manifest.jsonl"
-            assert manifest.exists()
-            text = manifest.read_text()
-            assert '"cluster"' in text
-            assert '"run_done"' in text
+        # the ledger's parts are the manifest's records: one journal, in
+        # the parent, and no node<i>/ directory next to it
+        assert os.listdir(checkpoint) == ["manifest.jsonl"]
+        records = [
+            json.loads(line)
+            for line in (checkpoint / "manifest.jsonl").read_text().splitlines()
+        ]
+        assert records[0]["backend"] == "cluster"
+        assert records[-1] == {"type": "run_done"}
+        parts = {r["file"]: r for r in records if r["type"] == "part"}
+        assert all(
+            file == os.path.join(".dbsynth-parts", f"{r['table']}.part{r['start']:012d}")
+            for file, r in parts.items()
+        )
+        assert sum(r["stop"] - r["start"] for r in parts.values()) == 240
+        assert {r["table"] for r in records if r["type"] == "table_done"} == {
+            "customer", "orders",
+        }
 
 
 class TestWorkStealing:
@@ -204,16 +218,6 @@ class TestWorkStealing:
         assert stolen.steals > 0
         assert stolen.stolen_rows > 0
         _assert_identical(schema, single, stolen_out)
-
-        static_out = _file_output(tmp_path / "static")
-        static = ClusterScheduler(
-            schema, output=static_out, package_size=10, faults=slow,
-            steal=False,
-        ).run(3)
-        assert static.steals == 0
-        _assert_identical(schema, single, static_out)
-        # the whole point: draining the slow node's tail beats waiting
-        assert stolen.seconds < static.seconds
 
     def test_steal_counters_are_consistent(self):
         report = ClusterScheduler(
@@ -296,13 +300,259 @@ class TestDeadNodeRecovery:
 
     def test_failure_cap_stops_crash_loops(self, tmp_path):
         # no latch: every process that reaches the package dies, so the
-        # respawn dies too and the cap must abort the run.
+        # respawn dies too and the cap — max(2, nodes) — must abort the run.
         faults = FaultPlan(kill_node_at=("customer", 0))
-        with pytest.raises(SchedulingError, match="node failures exceed"):
+        with pytest.raises(SchedulingError, match="3 node failures exceed"):
             ClusterScheduler(
                 demo_schema(), output=_file_output(tmp_path / "out"),
-                package_size=10, faults=faults, max_node_failures=1,
+                package_size=10, faults=faults,
             ).run(1)
+
+
+def _manifest_records(checkpoint) -> list[dict]:
+    with open(os.path.join(checkpoint, "manifest.jsonl"), encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _vouched_packages(checkpoint, package_size: int) -> int:
+    """Packages behind the manifest's watermarks, read from the raw
+    journal: the latest ``part`` record of each file."""
+    latest = {
+        r["file"]: r for r in _manifest_records(checkpoint) if r["type"] == "part"
+    }
+    return sum(
+        -(-(r["stop"] - r["start"]) // package_size) for r in latest.values()
+    )
+
+
+def _snapshot(directory) -> dict[str, bytes]:
+    return {
+        os.path.relpath(os.path.join(root, name), directory):
+            open(os.path.join(root, name), "rb").read()
+        for root, _dirs, names in os.walk(directory) for name in names
+    }
+
+
+class TestClusterResume:
+    """A cluster run that died — crash loop at the failure cap, SIGINT,
+    a crash inside the merge — resumes from the one parent manifest: the
+    journaled parts are done, only the rows none covers are planned."""
+
+    PACKAGE = 20
+    #: every package start of every table under 3 nodes (shards of 20
+    #: customer and 60 orders rows)
+    POINTS = [("customer", row) for row in range(0, 60, 20)] + [
+        ("orders", row) for row in range(0, 180, 20)
+    ]
+
+    @staticmethod
+    def _abort(tmp_path, fmt, kill_at, package_size, monkeypatch, nodes=3):
+        """Run until the un-latched kill exhausts the failure cap."""
+        from repro.scheduler import executor
+
+        monkeypatch.setattr(executor, "POLL_SECONDS", 0.02)  # reap fast
+        output = OutputConfig(
+            kind="file", format=fmt, directory=str(tmp_path / "cluster"),
+            include_header=True,
+        )
+        checkpoint = str(tmp_path / "ckpt")
+        with pytest.raises(SchedulingError, match="node failures exceed"):
+            ClusterScheduler(
+                demo_schema(), output=output, package_size=package_size,
+                checkpoint=checkpoint,
+                faults=FaultPlan(slow_nodes={0: 0.01}, kill_node_at=kill_at),
+            ).run(nodes)
+        return output, checkpoint
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "sql", "xml"])
+    @pytest.mark.parametrize(
+        "kill_at", POINTS, ids=[f"{table}-{row}" for table, row in POINTS]
+    )
+    def test_abort_sweep_resumes_to_single_node_bytes(
+        self, tmp_path, monkeypatch, fmt, kill_at
+    ):
+        schema = demo_schema()
+        reference = OutputConfig(
+            kind="file", format=fmt, directory=str(tmp_path / "single"),
+            include_header=True,
+        )
+        single = generate(
+            GenerationEngine(schema), reference, package_size=self.PACKAGE
+        )
+        output, checkpoint = self._abort(
+            tmp_path, fmt, kill_at, self.PACKAGE, monkeypatch
+        )
+        assert _manifest_records(checkpoint)[-1] == {
+            "type": "interrupted", "reason": "SchedulingError",
+        }
+        assert os.listdir(tmp_path / "cluster") == [".dbsynth-parts"]
+        vouched = _vouched_packages(checkpoint, self.PACKAGE)
+        if kill_at != self.POINTS[0]:
+            assert vouched > 0
+
+        progress = ProgressMonitor(240, {"customer": 60, "orders": 180})
+        report = ClusterScheduler(
+            schema, output=output, package_size=self.PACKAGE,
+            checkpoint=checkpoint, resume_from=checkpoint, progress=progress,
+        ).run(3)
+        _assert_identical(schema, reference, output)
+        assert report.resumed_packages == vouched
+        assert report.node_failures == 0
+        assert (report.rows, report.bytes_written) == (240, single.bytes_written)
+        # a resumed cluster run ends at 100% like a resumed single-node one
+        snapshot = progress.snapshot()
+        assert snapshot.rows_done == snapshot.rows_total == 240
+        assert snapshot.bytes_written == report.bytes_written
+        assert not os.path.exists(tmp_path / "cluster" / ".dbsynth-parts")
+        assert _manifest_records(checkpoint)[-1] == {"type": "run_done"}
+
+    def test_resume_with_another_node_count_and_again_after_it_finished(
+        self, tmp_path, monkeypatch
+    ):
+        schema = demo_schema()
+        output, checkpoint = self._abort(
+            tmp_path, "csv", ("orders", 90), 10, monkeypatch
+        )
+        headerless = _file_output(tmp_path / "cluster")  # another fingerprint
+        with pytest.raises(SchedulingError, match="refusing to resume"):
+            ClusterScheduler(
+                schema, output=headerless, package_size=10, resume_from=checkpoint
+            ).run(2)
+        first = ClusterScheduler(
+            schema, output=output, package_size=10,
+            checkpoint=checkpoint, resume_from=checkpoint,
+        ).run(2)
+        assert 0 < first.resumed_packages < 24
+        merged = _snapshot(tmp_path / "cluster")
+        # the finished run's manifest resumes to a no-op: nothing planned,
+        # no part file expected back, the merged files left alone
+        again = ClusterScheduler(
+            schema, output=output, package_size=10,
+            checkpoint=checkpoint, resume_from=checkpoint,
+        ).run(5)
+        assert again.resumed_packages >= 24 and again.rows == 240
+        assert sum(node.rows for node in again.nodes) == 0
+        assert _snapshot(tmp_path / "cluster") == merged
+        assert again.bytes_written == first.bytes_written
+
+    def test_crash_inside_the_merge_resumes_to_a_re_merge(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.scheduler import cluster
+
+        schema = demo_schema()
+        single = _single_node(tmp_path, schema, package_size=10)
+        output = _file_output(tmp_path / "cluster")
+        checkpoint = str(tmp_path / "ckpt")
+        write_table = cluster._ClusterRun._write_table
+
+        def dies_on_orders(self, table, *args):
+            if table == "orders":
+                raise KeyboardInterrupt
+            write_table(self, table, *args)
+
+        monkeypatch.setattr(cluster._ClusterRun, "_write_table", dies_on_orders)
+        with pytest.raises(KeyboardInterrupt):
+            ClusterScheduler(
+                schema, output=output, package_size=10, checkpoint=checkpoint
+            ).run(3)
+        monkeypatch.undo()
+        # parts go only after every table is merged
+        assert os.path.isdir(tmp_path / "cluster" / ".dbsynth-parts")
+        customer = open(output.table_path("customer"), "rb").read()
+        report = ClusterScheduler(
+            schema, output=output, package_size=10,
+            checkpoint=checkpoint, resume_from=checkpoint,
+        ).run(3)
+        assert sum(node.rows for node in report.nodes) == 0  # nothing regenerated
+        assert open(output.table_path("customer"), "rb").read() == customer
+        _assert_identical(schema, single, output)
+        assert not os.path.exists(tmp_path / "cluster" / ".dbsynth-parts")
+
+    @pytest.mark.parametrize("damage, error, match", [
+        ("short-part", OutputError, "journal outlived the data"),
+        ("missing-part", OutputError, "does not exist"),
+        ("overlap", SchedulingError, "overlapping another"),
+        ("foreign-file", SchedulingError, "not a part file"),
+        ("version", SchedulingError, "format version 1"),
+    ])
+    def test_manifest_that_does_not_hold_is_refused_untouched(
+        self, tmp_path, monkeypatch, damage, error, match
+    ):
+        output, checkpoint = self._abort(
+            tmp_path, "csv", ("orders", 100), 20, monkeypatch
+        )
+        records = _manifest_records(checkpoint)
+        victim = next(r for r in reversed(records) if r["type"] == "part")
+        path = os.path.join(output.directory, victim["file"])
+        if damage == "short-part":
+            with open(path, "rb+") as handle:
+                handle.truncate(victim["bytes"] - 1)
+        elif damage == "missing-part":
+            os.remove(path)
+        elif damage == "overlap":
+            records.append({**victim, "file": os.path.join(
+                ".dbsynth-parts", f"{victim['table']}.part{victim['stop'] - 1:012d}"
+            ), "start": victim["stop"] - 1, "stop": victim["stop"] + 1})
+        elif damage == "foreign-file":
+            records.append({**victim, "file": "orders.tbl"})
+        else:
+            records[0]["version"] = 1
+        with open(os.path.join(checkpoint, "manifest.jsonl"), "w") as handle:
+            handle.writelines(json.dumps(record) + "\n" for record in records)
+        before = _snapshot(output.directory)
+        with pytest.raises(error, match=match):
+            ClusterScheduler(
+                demo_schema(), output=output, package_size=20,
+                resume_from=checkpoint,
+            ).run(3)
+        assert _snapshot(output.directory) == before
+
+    def test_sigint_to_the_parent_then_resume_through_the_cli(self, tmp_path):
+        """`dbsynth generate --nodes 2 --checkpoint` interrupted by
+        SIGINT, then the same command with `--resume`: exit 0, the
+        `resumed:` line, and the `-w 1` bytes."""
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        base = [sys.executable, "-m", "repro.cli.main", "generate", "--suite",
+                "tpch", "--sf", "0.02", "-q"]
+        checkpoint = tmp_path / "ck"
+        command = base + ["-d", str(tmp_path / "out"), "--nodes", "2",
+                          "--checkpoint", str(checkpoint)]
+        process = subprocess.Popen(
+            command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        manifest = checkpoint / "manifest.jsonl"
+        deadline = time.monotonic() + 60
+        while process.poll() is None and time.monotonic() < deadline:
+            if manifest.exists() and manifest.read_text().count('"lineitem"') > 2:
+                process.send_signal(signal.SIGINT)  # mid-lineitem, parts on disk
+                break
+            time.sleep(0.005)
+        process.communicate(timeout=60)
+        if process.returncode == 0:
+            pytest.skip("the run finished before the signal landed")
+        records = _manifest_records(checkpoint)
+        assert records[-1] == {"type": "interrupted", "reason": "KeyboardInterrupt"}
+        assert os.listdir(checkpoint) == ["manifest.jsonl"]
+
+        resumed = subprocess.run(
+            command + ["--resume"], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert "checkpointed packages skipped" in resumed.stdout
+        assert "resumed:" in resumed.stdout
+        subprocess.run(
+            base + ["-d", str(tmp_path / "ref"), "-w", "1"], env=env, check=True,
+            capture_output=True, timeout=120,
+        )
+        assert _snapshot(tmp_path / "out") == _snapshot(tmp_path / "ref")
 
 
 class TestStealAndDeathTogether:
@@ -455,13 +705,6 @@ class TestValidation:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_meta_rejects_cross_run_resume(self, tmp_path, capsys):
-        code = main(_CLI_NULL + [
-            "--nodes", "2", "--checkpoint", str(tmp_path), "--resume",
-        ])
-        assert code == 2
-        assert "--resume" in capsys.readouterr().err
-
 
 class TestDistributedMeta:
     def test_distributed_run_matches_single_node(self, tmp_path):
@@ -533,9 +776,12 @@ class TestClusterCLI:
     @pytest.mark.parametrize("flags, named", [
         (["--nodes", "0"], "--nodes"),
         (["--nodes", "-2"], "--nodes"),
-        (["--nodes", "2", "--resume"], "--resume"),
-        (["--nodes", "2", "--resume", "--checkpoint", "ckpt"], "--resume"),
-        (["--distributed", "--resume", "--checkpoint", "ckpt"], "--resume"),
+        (["--nodes", "2", "--resume"], "--resume"),  # needs --checkpoint
+        # --resume itself applies to a cluster run since 7.0; what is
+        # refused next to it is still refused
+        (["--nodes", "2", "--resume", "--checkpoint", "ck", "-w", "2"], "--workers"),
+        (["--distributed", "--resume", "--checkpoint", "ck", "--max-attempts", "2"],
+         "--max-attempts"),
         (["--nodes", "2", "--workers", "4"], "--workers"),
         (["--distributed", "--workers", "2"], "--workers"),
         (["--nodes", "2", "--max-attempts", "3"], "--max-attempts"),

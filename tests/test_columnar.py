@@ -447,13 +447,17 @@ class TestArrowEndToEnd:
                 GenerationEngine(columnar_schema()), faulty,
                 package_size=64, checkpoint=ckpt,
             ).run()
+        # row groups to keep = the watermark's rows over the package size
+        from repro.resilience import RunManifest
+
+        vouched = RunManifest.load(ckpt).parts["t.parquet"].packages(64)
         report = Scheduler(
             GenerationEngine(columnar_schema()),
             OutputConfig(kind="file", format="parquet",
                          directory=str(crash_dir)),
             package_size=64, checkpoint=ckpt, resume_from=ckpt,
         ).run()
-        assert report.resumed_packages > 0
+        assert report.resumed_packages == vouched > 0
         reference = pq.read_table(str(ref_dir / "t.parquet"))
         resumed = pq.read_table(str(crash_dir / "t.parquet"))
         assert resumed.equals(reference)

@@ -31,7 +31,14 @@ from repro.resilience import (
     RunManifest,
     model_fingerprint,
 )
-from repro.scheduler import ClusterScheduler, ProgressMonitor, Scheduler, generate
+from repro.scheduler import (
+    ClusterScheduler,
+    ProgressMonitor,
+    Scheduler,
+    generate,
+    node_share,
+    run_node,
+)
 from tests.conftest import demo_schema
 
 TABLES = ("customer", "orders")
@@ -143,12 +150,13 @@ class TestManifest:
         manifest = RunManifest.load(directory)
         assert manifest.fingerprint == fingerprint
         assert manifest.completed
-        assert set(manifest.tables) == set(TABLES)
-        orders = manifest.tables["orders"]
-        assert orders.done
-        prefix = orders.durable_prefix()
-        assert len(prefix) == 8  # 180 rows / 25-row packages
-        assert sum(r.rows for r in prefix) == 180
+        assert set(manifest.done) == set(TABLES)
+        # one watermark per output file, the latest record of it
+        assert set(manifest.parts) == {"customer.tbl", "orders.tbl"}
+        orders = manifest.parts["orders.tbl"]
+        assert (orders.table, orders.start, orders.stop) == ("orders", 0, 180)
+        assert orders.packages(25) == 8  # 180 rows / 25-row packages
+        assert manifest.done["orders"] == (180, orders.bytes)  # no footer in csv
         assert report.resumed_packages == 0
 
     def test_manifest_tolerates_torn_final_line(self, tmp_path):
@@ -159,9 +167,9 @@ class TestManifest:
         ).run()
         path = os.path.join(directory, MANIFEST_NAME)
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"type": "package", "table": "orde')  # torn write
+            handle.write('{"type": "part", "table": "orde')  # torn write
         manifest = RunManifest.load(directory)  # must not raise
-        assert manifest.tables["orders"].done
+        assert "orders" in manifest.done
 
     def test_load_missing_manifest_refused(self, tmp_path):
         with pytest.raises(SchedulingError, match="nothing to resume"):
@@ -320,8 +328,8 @@ class TestCrashResume:
 
     def test_checkpoint_under_four_workers_resumed_with_one(self, tmp_path):
         """The worker count is a scheduling choice, not a model input: a
-        4-process checkpoint resumes inline — and so does one written
-        before 6.0, whose header still says ``"backend": "thread"``."""
+        4-process checkpoint resumes inline (the header's ``backend`` is
+        a label nothing reads back)."""
         ref_dir = tmp_path / "ref"
         Scheduler(_engine(), _file_config(ref_dir), package_size=25).run()
 
@@ -335,13 +343,8 @@ class TestCrashResume:
                 _engine(), faulty, package_size=25, workers=4,
                 checkpoint=ckpt,
             ).run()
-        manifest = os.path.join(ckpt, "manifest.jsonl")
-        with open(manifest, encoding="utf-8") as handle:
-            header, *records = handle.read().splitlines(keepends=True)
-        assert json.loads(header)["backend"] == "process"
-        with open(manifest, "w", encoding="utf-8") as handle:
-            handle.write(header.replace('"process"', '"thread"'))
-            handle.writelines(records)
+        with open(os.path.join(ckpt, MANIFEST_NAME), encoding="utf-8") as handle:
+            assert json.loads(handle.readline())["backend"] == "process"
         report = Scheduler(
             _engine(), _file_config(crash_dir), package_size=25,
             workers=1, checkpoint=ckpt, resume_from=ckpt,
@@ -379,18 +382,12 @@ class TestCrashResume:
             Scheduler(
                 _engine(), faulty, package_size=25, checkpoint=ckpt,
             ).run()
-        # The journaled packages survived the interrupt on disk...
+        # The journaled watermarks (header included) survived the
+        # interrupt on disk...
         manifest = RunManifest.load(ckpt)
-        durable = sum(
-            r.bytes for s in manifest.tables.values()
-            for r in s.durable_prefix()
-        )
-        on_disk = sum(
-            (out_dir / f"{t}.tbl").stat().st_size
-            for t in TABLES if (out_dir / f"{t}.tbl").exists()
-        )
-        headers = sum(s.header_bytes or 0 for s in manifest.tables.values())
-        assert on_disk >= durable + headers
+        assert manifest.parts["customer.tbl"].stop == 50
+        for file, part in manifest.parts.items():
+            assert (out_dir / file).stat().st_size >= part.bytes
         # ...and the manifest records the interruption.
         lines = [
             json.loads(line)
@@ -411,6 +408,224 @@ class TestCrashResume:
         config = OutputConfig(kind="gzip", directory=str(tmp_path))
         with pytest.raises(OutputError, match="cannot resume gzip"):
             config.new_sink("customer", resume_at=100)
+
+
+# -- watermark edge cases ------------------------------------------------------
+
+
+def _crash(tmp_path, after: int, fmt: str = "csv", **scheduler) -> str:
+    """Crash a checkpointed run into ``tmp_path/out`` after *after* sink
+    writes (headers count); returns the checkpoint directory."""
+    ckpt = str(tmp_path / "ckpt")
+    faulty = FaultInjectingOutput(
+        _file_config(tmp_path / "out", fmt), crash_after_writes=after
+    )
+    with pytest.raises(InjectedCrash):
+        Scheduler(
+            _engine(), faulty, package_size=25, checkpoint=ckpt, **scheduler
+        ).run()
+    return ckpt
+
+
+def _resume(tmp_path, ckpt: str, fmt: str = "csv", **scheduler):
+    return Scheduler(
+        _engine(), _file_config(tmp_path / "out", fmt), package_size=25,
+        checkpoint=ckpt, resume_from=ckpt, **scheduler,
+    ).run()
+
+
+def _reference(tmp_path, fmt: str = "csv") -> dict[str, bytes]:
+    Scheduler(_engine(), _file_config(tmp_path / "ref", fmt), package_size=25).run()
+    return _read_tables(tmp_path / "ref", fmt)
+
+
+def _records(ckpt: str) -> list[dict]:
+    with open(os.path.join(ckpt, MANIFEST_NAME), encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _rewrite(ckpt: str, records: list[dict]) -> None:
+    with open(os.path.join(ckpt, MANIFEST_NAME), "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(record) + "\n" for record in records)
+
+
+class TestWatermarkEdgeCases:
+    """The single-node resume rule — a watermark is a prefix of this
+    run's rows ending on one of its package boundaries — at its edges."""
+
+    def test_record_types_are_the_documented_set(self, tmp_path):
+        ckpt = _crash(tmp_path, after=4)
+        _resume(tmp_path, ckpt)
+        assert {record["type"] for record in _records(ckpt)} == {
+            "run", "resume", "part", "table_done", "run_done", "interrupted",
+        }
+
+    def test_crash_before_a_header_is_durable(self, tmp_path):
+        # the one successful write is customer's header; orders never
+        # got a watermark and starts from the top.
+        ckpt = _crash(tmp_path, after=1)
+        assert set(RunManifest.load(ckpt).parts) == {"customer.tbl"}
+        report = _resume(tmp_path, ckpt)
+        assert report.resumed_packages == 0
+        assert _read_tables(tmp_path / "out") == _reference(tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["xml", "sql"])
+    def test_crash_between_footer_and_run_done(self, tmp_path, fmt):
+        # every byte is on disk but the journal lost its last two lines:
+        # customer is table_done and is skipped; orders' watermark has no
+        # table_done, so its footer is cut off and written again.
+        ckpt = str(tmp_path / "ckpt")
+        Scheduler(
+            _engine(), _file_config(tmp_path / "out", fmt), package_size=25,
+            checkpoint=ckpt,
+        ).run()
+        records = _records(ckpt)
+        assert [r["type"] for r in records[-3:]] == [
+            "table_done", "table_done", "run_done",
+        ]
+        assert records[-2]["table"] == "orders"
+        _rewrite(ckpt, records[:-2])
+        report = _resume(tmp_path, ckpt, fmt)
+        assert report.resumed_packages == 3 + 8
+        assert _read_tables(tmp_path / "out", fmt) == _reference(tmp_path, fmt)
+        assert RunManifest.load(ckpt).completed
+
+    def test_zero_row_table(self, tmp_path):
+        engine = GenerationEngine(demo_schema(orders=0))
+        ckpt = str(tmp_path / "ckpt")
+        faulty = FaultInjectingOutput(
+            _file_config(tmp_path / "out"), crash_after_writes=3
+        )
+        with pytest.raises(InjectedCrash):
+            Scheduler(engine, faulty, package_size=25, checkpoint=ckpt).run()
+        orders = RunManifest.load(ckpt).parts["orders.tbl"]
+        assert (orders.start, orders.stop, orders.tail_bytes) == (0, 0, 0)
+        assert orders.bytes > 0  # the header line is the whole watermark
+        Scheduler(
+            engine, _file_config(tmp_path / "out"), package_size=25,
+            checkpoint=ckpt, resume_from=ckpt,
+        ).run()
+        Scheduler(engine, _file_config(tmp_path / "ref"), package_size=25).run()
+        assert _read_tables(tmp_path / "out") == _read_tables(tmp_path / "ref")
+
+    def test_run_node_share_that_does_not_start_at_row_zero(self, tmp_path):
+        schema, base = demo_schema(), str(tmp_path / "ckpt")
+        run_node(schema, 3, 1, _file_config(tmp_path / "ref"), package_size=25)
+        faulty = FaultInjectingOutput(
+            _file_config(tmp_path / "out"), crash_after_writes=4
+        )
+        with pytest.raises(InjectedCrash):
+            run_node(schema, 3, 1, faulty, package_size=25, checkpoint=base)
+        # the share journals into its own node<i>/ directory
+        orders = RunManifest.load(os.path.join(base, "node1")).parts["orders.tbl"]
+        assert orders.start == node_share(180, 3, 1)[0] == 60
+        assert orders.stop == 60 + 25
+        report = run_node(
+            schema, 3, 1, _file_config(tmp_path / "out"), package_size=25,
+            checkpoint=base, resume_from=base,
+        )
+        assert report.resumed_packages == 1 + 1
+        assert _read_tables(tmp_path / "out") == _read_tables(tmp_path / "ref")
+
+    def test_torn_final_line(self, tmp_path):
+        ckpt = _crash(tmp_path, after=5)
+        with open(os.path.join(ckpt, MANIFEST_NAME), "a", encoding="utf-8") as handle:
+            handle.write('{"type": "part", "file": "orders.tbl", "sto')
+        report = _resume(tmp_path, ckpt)
+        assert report.resumed_packages == 3
+        assert _read_tables(tmp_path / "out") == _reference(tmp_path)
+
+    def test_resume_packages_are_derived_from_the_watermark(self, tmp_path):
+        """What the parquet sink resumes by (row groups, one per package)
+        is the watermark's rows over the package size — no counter of its
+        own in the journal."""
+        ckpt = _crash(tmp_path, after=5)  # 2 headers + 3 customer packages
+        seen = {}
+
+        class Recording(FaultInjectingOutput):
+            def new_sink(self, table, **resume):
+                seen[table] = resume
+                return super().new_sink(table, **resume)
+
+        Scheduler(
+            _engine(), Recording(_file_config(tmp_path / "out")),
+            package_size=25, resume_from=ckpt,
+        ).run()
+        customer = RunManifest.load(ckpt).parts["customer.tbl"]
+        assert (customer.stop, customer.packages(25)) == (60, 3)
+        assert seen["customer"] == {
+            "resume_at": customer.bytes, "resume_packages": 3,
+        }
+        assert seen["orders"]["resume_packages"] == 0
+
+
+class TestRefusedResume:
+    """A manifest that does not hold is refused with a typed error
+    before any sink opens: no output file is touched."""
+
+    @staticmethod
+    def _refused(tmp_path, ckpt, error, match):
+        before = _read_tables(tmp_path / "out")
+        with pytest.raises(error, match=match):
+            _resume(tmp_path, ckpt)
+        assert _read_tables(tmp_path / "out") == before
+
+    def test_watermark_off_a_package_boundary(self, tmp_path):
+        ckpt = _crash(tmp_path, after=5)
+        records = _records(ckpt)
+        last = max(i for i, r in enumerate(records) if r.get("file") == "customer.tbl")
+        records[last]["stop"] -= 3
+        _rewrite(ckpt, records)
+        self._refused(tmp_path, ckpt, SchedulingError, "package boundary")
+
+    def test_watermark_of_another_range(self, tmp_path):
+        ckpt = _crash(tmp_path, after=5)
+        records = _records(ckpt)
+        for record in records:
+            if record.get("file") == "customer.tbl":
+                record["start"] = 25
+        _rewrite(ckpt, records)
+        self._refused(tmp_path, ckpt, SchedulingError, "not a prefix")
+
+    def test_version_1_manifest(self, tmp_path):
+        ckpt = _crash(tmp_path, after=5)
+        records = _records(ckpt)
+        records[0]["version"] = 1
+        _rewrite(ckpt, records)
+        self._refused(tmp_path, ckpt, SchedulingError, "format version 1")
+
+    def test_tail_that_is_not_the_journaled_chunk(self, tmp_path):
+        # a hard kill can leave a file of the right length whose last
+        # blocks never hit the disk: zero-fill the journaled tail in place.
+        ckpt = _crash(tmp_path, after=5)
+        customer = RunManifest.load(ckpt).parts["customer.tbl"]
+        assert customer.tail_bytes > 0 and len(customer.sha256) == 64
+        victim = tmp_path / "out" / "customer.tbl"
+        data = bytearray(victim.read_bytes())
+        data[customer.bytes - 40:customer.bytes] = bytes(40)
+        victim.write_bytes(bytes(data))
+        self._refused(tmp_path, ckpt, OutputError, "journal outlived the data")
+
+    def test_short_file_of_a_finished_table(self, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        Scheduler(
+            _engine(), _file_config(tmp_path / "out"), package_size=25,
+            checkpoint=ckpt,
+        ).run()
+        victim = tmp_path / "out" / "orders.tbl"
+        victim.write_bytes(victim.read_bytes()[:-1])
+        self._refused(tmp_path, ckpt, OutputError, "journal outlived the data")
+
+    def test_cluster_manifest_on_a_single_node(self, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        with pytest.raises(SchedulingError, match="node failures"):
+            ClusterScheduler(
+                demo_schema(), output=_file_config(tmp_path / "out"),
+                package_size=25, checkpoint=ckpt,
+                faults=FaultPlan(kill_node_at=("orders", 25)),
+            ).run(1)
+        with pytest.raises(SchedulingError, match="another runtime"):
+            _resume(tmp_path, ckpt)
 
 
 # -- retries during a live run -----------------------------------------------
@@ -554,12 +769,13 @@ class TestPlumbing:
         assert report.rows == 240
         assert RunManifest.load(ckpt).completed
 
-    def test_meta_scheduler_per_node_checkpoints(self, tmp_path):
+    def test_cluster_checkpoint_is_one_parent_manifest(self, tmp_path):
         ckpt = str(tmp_path / "ckpt")
         ClusterScheduler(
             demo_schema(), output=OutputConfig(kind="null"),
             package_size=25, checkpoint=ckpt,
         ).run(nodes=2)
-        for node in range(2):
-            manifest = RunManifest.load(os.path.join(ckpt, f"node{node}"))
-            assert manifest.completed
+        assert os.listdir(ckpt) == [MANIFEST_NAME]  # no node<i>/ journals
+        manifest = RunManifest.load(ckpt)
+        assert manifest.completed and set(manifest.done) == set(TABLES)
+        assert sum(part.rows for part in manifest.parts.values()) == 240

@@ -133,6 +133,47 @@ class TestEnginePicklability:
         assert clone.update == 3
 
 
+class TestSpawnedExecutors:
+    """Under the *spawn* start method an executor rebuilds the engine in
+    a process that has imported nothing: the engine's pickle has to name
+    the modules that register the model's plug-in generators (TPC-H's
+    ``TpchPsSuppkeyGenerator``), or the rebuild does not know them."""
+
+    def test_pickle_names_the_plugin_modules(self):
+        from repro.suites import suite_model
+
+        rebuild, (plugins, *_model) = GenerationEngine(
+            *suite_model("tpch", 0.001)
+        ).__reduce__()
+        assert plugins == ["repro.suites.tpch.schema"]
+        assert GenerationEngine(demo_schema()).__reduce__()[1][0] == []
+
+    def test_tpch_bytes_match_inline_under_a_spawn_context(
+        self, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.scheduler import executor
+        from repro.suites import suite_model
+
+        monkeypatch.setattr(
+            executor, "mp_context", lambda: multiprocessing.get_context("spawn")
+        )
+
+        def output(name):
+            return OutputConfig(kind="file", directory=str(tmp_path / name))
+
+        model = suite_model("tpch", 0.001)
+        generate(GenerationEngine(*model), output("inline"))
+        pooled = generate(GenerationEngine(*model), output("w2"), workers=2)
+        cluster = ClusterScheduler(*model, output=output("n2")).run(2)
+        assert (pooled.backend, cluster.backend) == ("process", "cluster")
+        for name in sorted(os.listdir(tmp_path / "inline")):
+            reference = (tmp_path / "inline" / name).read_bytes()
+            assert (tmp_path / "w2" / name).read_bytes() == reference, name
+            assert (tmp_path / "n2" / name).read_bytes() == reference, name
+
+
 class TestBoundedWindow:
     def test_peak_buffered_packages_within_window(self, monkeypatch):
         """Acceptance: buffered, not-yet-flushed packages never exceed
@@ -360,6 +401,19 @@ class TestFailurePropagation:
         with pytest.raises(OutputError, match="disk full"):
             generate(GenerationEngine(demo_schema()), config, workers=workers,
                      package_size=20)
+
+
+class TestClusterProgress:
+    def test_cluster_run_feeds_the_monitor_it_is_given(self):
+        monitor = ProgressMonitor(240, {"customer": 60, "orders": 180})
+        report = ClusterScheduler(
+            demo_schema(), output=OutputConfig(kind="null"), package_size=25,
+            progress=monitor,
+        ).run(2)
+        snapshot = monitor.snapshot()
+        assert snapshot.rows_done == snapshot.rows_total == report.rows == 240
+        assert snapshot.bytes_written == report.bytes_written
+        assert monitor.table_progress() == {"customer": (60, 60), "orders": (180, 180)}
 
 
 class TestClusterMakespan:
