@@ -51,8 +51,8 @@ ENGINE_CACHE_SIZE = 8
 
 _cache_lock = threading.Lock()
 _engine_cache: "OrderedDict[str, GenerationEngine]" = OrderedDict()
-_cache_hits = 0
-_cache_misses = 0
+_engine_hits = 0
+_engine_misses = 0
 
 
 def bound_engine(
@@ -67,15 +67,15 @@ def bound_engine(
     between schemas built independently. Misses bind outside the lock;
     a racing duplicate bind keeps the first engine inserted.
     """
-    global _cache_hits, _cache_misses
+    global _engine_hits, _engine_misses
     key = schema_fingerprint(schema, update)
     with _cache_lock:
         engine = _engine_cache.get(key)
         if engine is not None:
             _engine_cache.move_to_end(key)
-            _cache_hits += 1
+            _engine_hits += 1
             return engine
-        _cache_misses += 1
+        _engine_misses += 1
     engine = GenerationEngine(schema, artifacts, update)
     return _cache_engine(key, engine)
 
@@ -96,8 +96,8 @@ def engine_cache_info() -> dict:
     """``{hits, misses, size, maxsize}`` of the bound-engine cache."""
     with _cache_lock:
         return {
-            "hits": _cache_hits,
-            "misses": _cache_misses,
+            "hits": _engine_hits,
+            "misses": _engine_misses,
             "size": len(_engine_cache),
             "maxsize": ENGINE_CACHE_SIZE,
         }
@@ -105,11 +105,11 @@ def engine_cache_info() -> dict:
 
 def clear_engine_cache() -> None:
     """Drop every cached engine and reset the hit/miss counters."""
-    global _cache_hits, _cache_misses
+    global _engine_hits, _engine_misses
     with _cache_lock:
         _engine_cache.clear()
-        _cache_hits = 0
-        _cache_misses = 0
+        _engine_hits = 0
+        _engine_misses = 0
 
 
 # -- the Dataset facade ------------------------------------------------------
@@ -277,7 +277,7 @@ class Dataset:
         if start == 0 and header:
             yield header.encode("utf-8") if not spec.binary else header
         for package in self._covering_packages(table, start, stop, spec):
-            chunk, _, _ = format_package(self.engine, output, package)
+            chunk = format_package(self.engine, output, package)
             if chunk:
                 yield chunk.encode("utf-8") if not spec.binary else chunk
         if stop == self.engine.sizes[table] and footer:

@@ -4,8 +4,9 @@
 statements generated by PDGF or a bulk load option, if featured by the
 target database" (paper §3). Both paths are implemented: ``bulk=True``
 streams parameterized batches through the adapter's ``insert_rows``
-(executemany); ``bulk=False`` renders literal INSERT statements with the
-SQL writer and executes them as scripts.
+(executemany); ``bulk=False`` renders literal INSERT statements through
+:func:`~repro.output.formats.format_package` — the SQL column formatter
+every ``--format sql`` run uses — and executes each chunk as a script.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 from repro.db.adapter import DatabaseAdapter
 from repro.engine import GenerationEngine
 from repro.model.validation import topological_load_order
-from repro.output.rows import ValueFormatter
-from repro.output.writers import SqlWriter
+from repro.output.config import OutputConfig
+from repro.output.formats import format_package
+from repro.scheduler.work import partition_rows
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,9 @@ class DataLoader:
         return loaded
 
     def _load_sql(self, engine: GenerationEngine, table: str) -> int:
-        columns = engine.bound_table(table).column_names
-        writer = SqlWriter(table, columns, ValueFormatter())
-        loaded = 0
-        statements: list[str] = []
-        for values in engine.iter_rows(table):
-            statements.append(writer.write_row(values))
-            loaded += 1
-            if len(statements) >= self.batch_size:
-                self.adapter.execute_script("".join(statements))
-                statements.clear()
-        if statements:
-            self.adapter.execute_script("".join(statements))
-        return loaded
+        """One ``batch_size``-row chunk of INSERT statements per script."""
+        output = OutputConfig(format="sql")
+        size = engine.sizes[table]
+        for package in partition_rows(table, size, self.batch_size):
+            self.adapter.execute_script(format_package(engine, output, package))
+        return size

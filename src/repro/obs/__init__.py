@@ -66,7 +66,6 @@ from repro.obs.registry import (
     enable_metrics,
 )
 from repro.obs.stitch import (
-    SpanContext,
     WorkerTelemetry,
     span_payload,
     stitch_spans,
@@ -137,7 +136,6 @@ __all__ = [
     "ObsServer",
     "SamplingProfiler",
     "SpanAggregate",
-    "SpanContext",
     "SpanRecord",
     "StageProfile",
     "Stopwatch",

@@ -5,17 +5,16 @@ separate interpreters, so without help their telemetry is invisible —
 each forked worker inherits a *copy* of the parent's tracer and records
 into the void. This module closes that gap:
 
-* a :class:`SpanContext` travels with each dispatched work package and
-  names the logical parent span (the scheduler's ``scheduler.run``
-  span) plus the dispatch attempt, so spans of a requeued package after
-  a worker crash carry ``attempt=2``;
+* each dispatched work package carries its dispatch attempt, so spans
+  of a requeued package after a worker crash carry ``attempt=2``;
 * workers serialize their finished spans with :func:`span_payload`
   (plain dicts — picklable over the existing result queues) and their
   metric deltas with :meth:`MetricsRegistry.export_deltas`;
 * the parent grafts both into its own collectors with
   :func:`stitch_spans` / :meth:`MetricsRegistry.merge_deltas`,
   remapping span ids into its id space, re-anchoring worker clocks onto
-  its epoch, and linking worker root spans under the given parent.
+  its epoch, and linking worker root spans under the given parent (the
+  scheduler's ``scheduler.run`` span, the cluster's ``meta.run``).
 
 The result is one coherent trace for any backend: ``dbsynth stats
 --tree`` renders parent scheduler spans and all worker-side
@@ -36,23 +35,6 @@ SPAN_PAYLOAD_VERSION = 1
 
 #: default sampling rate of the worker-side profiler, Hz.
 DEFAULT_PROFILE_HZ = 100.0
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """Cross-process parentage carried with each dispatched package.
-
-    ``parent_id`` is a span id in the *parent* process's tracer;
-    ``attempt`` counts dispatches of this package (2+ after a worker
-    crash requeued it).
-    """
-
-    parent_id: int | None = None
-    attempt: int = 1
-
-    def retry(self) -> "SpanContext":
-        """The context of the next dispatch attempt of this package."""
-        return SpanContext(self.parent_id, self.attempt + 1)
 
 
 @dataclass(frozen=True)
@@ -123,15 +105,21 @@ def stitch_spans(
     payload: dict | None,
     parent_id: int | None = None,
     extra_attrs: dict[str, object] | None = None,
+    open_ids: dict[int, int] | None = None,
 ) -> int:
     """Graft a worker payload into *tracer*; returns spans adopted.
 
     Worker-local span ids are remapped onto fresh ids from *tracer* (so
     stitched traces never collide), internal parent links are preserved,
     and payload *root* spans (no parent in the payload) are linked under
-    ``parent_id`` — the :class:`SpanContext` parentage. Span start
+    ``parent_id``, a span of *tracer*. Span start
     offsets are shifted by the wall-clock epoch difference so the
     stitched trace shares one timeline.
+
+    ``open_ids`` carries parentage across the payloads of one worker: a
+    span whose parent is still open there (not shipped yet) is linked to
+    the id that parent takes when a later payload brings it. Kept by the
+    caller per worker process; it holds only the spans still open.
     """
     if payload is None:
         return 0
@@ -140,10 +128,22 @@ def stitch_spans(
         return 0
     offset = float(payload.get("epoch_wall", tracer.epoch_wall)) - tracer.epoch_wall
     pid = payload.get("pid")
-    id_map = {span["span_id"]: tracer.allocate_id() for span in spans}
+    reserved = {} if open_ids is None else open_ids
+    id_map = {
+        span["span_id"]: reserved.pop(span["span_id"], None) or tracer.allocate_id()
+        for span in spans
+    }
     for span in spans:
         local_parent = span.get("parent_id")
-        mapped_parent = id_map.get(local_parent) if local_parent is not None else None
+        if local_parent in id_map:
+            mapped_parent = id_map[local_parent]
+        elif local_parent is not None and open_ids is not None:
+            # still open in the worker: reserve the id it will arrive under
+            if local_parent not in open_ids:
+                open_ids[local_parent] = tracer.allocate_id()
+            mapped_parent = open_ids[local_parent]
+        else:
+            mapped_parent = parent_id
         attrs = dict(span.get("attrs") or {})
         if pid is not None:
             attrs.setdefault("pid", pid)
@@ -152,7 +152,7 @@ def stitch_spans(
         tracer.adopt(
             SpanRecord(
                 span_id=id_map[span["span_id"]],
-                parent_id=mapped_parent if mapped_parent is not None else parent_id,
+                parent_id=mapped_parent,
                 name=str(span["name"]),
                 thread_id=int(span.get("thread_id", 0)),
                 start=float(span["start"]) + offset,

@@ -10,7 +10,8 @@ distinct day of the whole run, a dictionary column escapes each entry
 once. This module is that sink-side half of the columnar pipeline — it
 consumes the :class:`~repro.columnar.ColumnBlock` the engine produced
 and emits exactly the bytes the writer's ``write_rows`` would have
-produced from the transposed rows.
+produced from the transposed rows. Every built-in text format formats
+here; ``write_rows`` is left as the oracle the tests compare against.
 
 Byte-identity is the contract, not a goal. A kernel leaves the
 per-value loop only after it has *proven*, from what it can observe in
@@ -19,10 +20,13 @@ test for tables, the scaled-integer identity for floats. A column that
 fails its proof falls back to the per-value call the row path makes —
 correct first, fast where provable, never approximate.
 
-:class:`_ColumnTexts` holds the kernels; its three subclasses are the
-per-format literal policies (how CSV, JSON and SQL spell NULL, booleans,
-numbers and text). A writer owns one for its lifetime, and with it the
-rendered-text cache that makes lazy formatting hold across packages.
+:class:`_ColumnTexts` holds the kernels; its four subclasses are the
+per-format literal policies (how CSV, JSON, SQL and XML spell NULL,
+booleans, numbers and text). A writer owns its policies for its
+lifetime, and with them the day map that makes lazy formatting hold
+across packages. The kernels' tables and the day map are the one render
+cache: the :class:`~repro.output.rows.ValueFormatter` underneath keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +56,14 @@ _MAX_TABLE_DIGITS = 4
 #: scaled values below this are exact in float64 *and* at most 15
 #: significant digits, which is what makes a decimal text round-trip.
 _SCALED_LIMIT = 1e15
+#: days a writer's day map keeps; past it a day is rendered per lookup
+#: (a run's date columns span a few thousand days)
+_DAY_TEXTS_LIMIT = 65_536
+
+
+def xml_escape(text: str) -> str:
+    """*text* with ``&``, ``<`` and ``>`` as entity references."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def csv_escape(text: str, specials: frozenset) -> str:
@@ -138,23 +150,22 @@ def _decimal_texts(values, digits: int, trim: bool) -> list[str] | None:
 
 
 class _DayTexts(dict):
-    """Date ordinal → rendered text, filled on first lookup: a hit is
-    one C-level ``dict`` read, a miss formats the day through the
-    :class:`ValueFormatter` (whose counters see it) and keeps the text
-    while the map is below the formatter's ``cache_limit``."""
+    """Date ordinal → rendered text literal, filled on first lookup: a
+    hit is one C-level ``dict`` read, a miss formats the day through the
+    :class:`~repro.output.rows.ValueFormatter` and keeps the text while
+    the map holds fewer than ``_DAY_TEXTS_LIMIT`` days."""
 
     def __init__(self, texts: "_ColumnTexts") -> None:
         self._texts = texts
 
     def __missing__(self, ordinal: int) -> str:
         texts = self._texts
-        formatter = texts.formatter
         text = texts.text(
-            formatter.format(  # columnar-ok: once per distinct day of the writer's life
+            texts.formatter.format(  # columnar-ok: once per distinct day of the writer's life
                 datetime.date.fromordinal(ordinal)
             )
         )
-        if len(self) < formatter._cache_limit:
+        if len(self) < _DAY_TEXTS_LIMIT:
             self[ordinal] = text
         return text
 
@@ -171,6 +182,8 @@ class _ColumnTexts:
 
     ``days`` is the rendered text of every day the writer has formatted:
     it lives as long as the writer and is bounded (:class:`_DayTexts`).
+    Date columns of any length read it, and so do dates in object
+    columns.
     """
 
     def __init__(
@@ -222,6 +235,8 @@ class _ColumnTexts:
             ):
                 return self.nonfinite
             return self.number(value)
+        if type(value) is datetime.date:
+            return self.days[value.toordinal()]
         return self.text(self.formatter.format(value))  # columnar-ok: object fallback
 
     # -- the kernels ----------------------------------------------------------
@@ -236,6 +251,14 @@ class _ColumnTexts:
             texts = self.strings(column)
         elif kind == "dict":
             texts = self._dict_texts(column)
+        elif kind == "date":
+            # Any length reads the day map; a long block looks up each
+            # distinct day once.
+            render = self.days.__getitem__
+            if len(data) < _KERNEL_MIN_ROWS or (
+                texts := _distinct_texts(data, render)
+            ) is None:
+                texts = list(map(render, data.tolist()))
         elif len(data) < _KERNEL_MIN_ROWS:
             # Too few rows to pay for array set-up (1-row serve reads);
             # to_pylist has already put None where the mask is set.
@@ -244,11 +267,9 @@ class _ColumnTexts:
             texts = self.numbers(_int_texts(data), _INT_CHARS)
         elif kind == "float":
             texts = self.numbers(self._float_texts(data), _FLOAT_CHARS)
-        elif kind == "bool":
+        else:
             tokens = _np.array([self.false, self.true], dtype=object)
             texts = tokens[data.astype(_np.intp)].tolist()
-        else:
-            texts = self._date_texts(data)
         nulls = column.nulls
         if nulls is not None:
             null = self.null
@@ -284,17 +305,6 @@ class _ColumnTexts:
                     texts[offset] = self.nonfinite
         return texts
 
-    def _date_texts(self, ordinals) -> list[str]:
-        formatter = self.formatter
-        lookups = formatter.cache_hits + formatter.cache_misses
-        render = self.days.__getitem__
-        texts = _distinct_texts(ordinals, render) or list(map(render, ordinals.tolist()))
-        # Every row is one memo lookup; those the day map answered
-        # without reaching the formatter are its hits.
-        reached = formatter.cache_hits + formatter.cache_misses - lookups
-        formatter.cache_hits += len(ordinals) - reached
-        return texts
-
 
 class _CsvTexts(_ColumnTexts):
     """CSV: every value is the formatter's text, quoted when it holds a
@@ -316,6 +326,8 @@ class _CsvTexts(_ColumnTexts):
     def literal(self, value) -> str:
         # write_row's own expression (a string is its own text).
         if not isinstance(value, str):
+            if type(value) is datetime.date:
+                return self.days[value.toordinal()]
             value = self.formatter.format(value)  # columnar-ok: object fallback
         return csv_escape(value, self.specials)
 
@@ -364,17 +376,41 @@ class _SqlTexts(_ColumnTexts):
         return "'" + text.replace("'", "''") + "'"
 
 
-def _format_block(block, texts: _ColumnTexts, lead: str, separators: list[str], tail: str) -> str:
-    """The text of a whole column block: per row ``lead``, the column
-    texts with ``separators[i]`` between column *i* and *i + 1*, then
-    ``tail`` — byte-identical to the writer's ``write_rows`` over
-    ``block.to_rows()``."""
-    count = block.count
+class _XmlTexts(_ColumnTexts):
+    """XML, one column's elements: ``<name>``, the formatter's text with
+    ``&<>`` escaped, ``</name>`` — and ``<name/>`` for NULL. The tag is
+    part of every text, so a writer holds one policy per column."""
+
+    def __init__(self, formatter, name: str) -> None:
+        self.open, self.close = f"<{name}>", f"</{name}>"
+        super().__init__(
+            formatter, f"<{name}/>", self.text("true"), self.text("false"),
+            places=formatter.float_places,
+        )
+
+    def text(self, text: str) -> str:
+        return self.open + xml_escape(text) + self.close
+
+    def number(self, value) -> str:
+        return self.open + self.formatter.format(value) + self.close  # columnar-ok: object fallback
+
+    def numbers(self, texts, charset):
+        # no number charset holds a character XML escapes
+        open_, close = self.open, self.close
+        return [open_ + text + close for text in texts]
+
+
+def _format_block(
+    count: int, columns: list[list[str]], lead: str, separators: list[str], tail: str
+) -> str:
+    """The text of a whole column block from its *count*-long column
+    texts: per row ``lead``, the column texts with ``separators[i]``
+    between column *i* and *i + 1*, then ``tail`` — byte-identical to
+    the writer's ``write_rows`` over ``block.to_rows()``."""
     if count == 0:
         return ""
-    if not block.columns:
+    if not columns:
         return (lead + tail) * count
-    columns = list(map(texts.column, block.columns))
     if len(set(separators)) <= 1:
         # One separator: two C-level joins, the row frame folded into the outer.
         join = (separators[0] if separators else "").join
@@ -388,5 +424,6 @@ def _format_block(block, texts: _ColumnTexts, lead: str, separators: list[str], 
 def format_csv_block(block, writer) -> str:
     """The CSV text of a whole column block — byte-identical to
     ``writer.write_rows(block.to_rows())``."""
-    separators = [writer.delimiter] * (len(block.columns) - 1)
-    return _format_block(block, writer._texts, "", separators, writer.terminator)
+    columns = list(map(writer._texts.column, block.columns))
+    separators = [writer.delimiter] * (len(columns) - 1)
+    return _format_block(block.count, columns, "", separators, writer.terminator)

@@ -180,9 +180,9 @@ BYTE_OPTIONS = (
 
 def _bound_writer(bound, output) -> RowWriter:
     """The writer of *output*'s format and options for one bound table,
-    kept on the table so its rendered text (the formatter memo, the
-    column formatter's day map — both bounded by ``cache_limit``)
-    outlives the package: lazy formatting then holds across the packages
+    kept on the table so its rendered text (the column formatter's day
+    map, bounded by ``_DAY_TEXTS_LIMIT``) outlives the package: lazy
+    formatting then holds across the packages
     of a run, of a pool worker or cluster node, and across serve
     requests on a cached engine. The oldest writer goes when a table has
     seen more than ``_WRITERS_PER_TABLE`` option sets.
@@ -210,22 +210,17 @@ def format_package(engine, output, package, *, first: bool | None = None):
     emit stream framing (the Arrow schema message) exactly once, in the
     first package's chunk.
 
-    Returns ``(chunk, hits, misses)``: the formatter memo-cache lookups
-    this package made, as deltas off the table's long-lived writer
-    (:func:`_bound_writer`).
+    Returns the chunk: ``str`` for text formats, ``bytes`` for binary.
     """
     if first is None:
         first = package.sequence == 0
     bound = engine.bound_table(package.table)
     writer = _bound_writer(bound, output)
-    formatter = writer.formatter
-    hits, misses = formatter.cache_hits, formatter.cache_misses
     ctx = engine.new_context(package.table)
     with span("package.generate", table=package.table):
         block = bound.generate_columns(package.start, package.stop, ctx)
     with span("package.format", table=package.table):
-        chunk = writer.write_block(block, first=first)
-    return chunk, formatter.cache_hits - hits, formatter.cache_misses - misses
+        return writer.write_block(block, first=first)
 
 
 def table_frame(output, engine, table: str):

@@ -3,11 +3,11 @@
 PDGF "can write data in various formats (e.g., CSV, JSON, XML, and SQL)"
 (paper §1). A writer turns a block of one table's values into output
 text; sinks decide where the text goes. ``write_row`` is the scalar
-oracle of each format; CSV, JSON and SQL format whole column blocks
+oracle of each format; every format formats whole column blocks
 through :mod:`repro.output.columnar`. A writer's only state is rendered
-text — its :class:`~repro.output.rows.ValueFormatter` memo and the
-column formatter's day map — so it is kept for as long as its bound
-table (:func:`repro.output.formats.format_package`), one per process.
+text — its column formatter's render tables — so it is kept for as long
+as its bound table (:func:`repro.output.formats.format_package`), one
+per process.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from repro.output.columnar import (
     _format_block,
     _JsonTexts,
     _SqlTexts,
+    _XmlTexts,
     csv_escape,
     format_csv_block,
+    xml_escape,
 )
 from repro.output.rows import ValueFormatter
 
@@ -63,7 +65,8 @@ class RowWriter(abc.ABC):
         :meth:`write_block` formats through.
 
         The concatenation of :meth:`write_row` over *rows* — the one
-        row loop, for every format.
+        row loop, for every format, and the oracle the column
+        formatters are tested against.
         """
         write_row = self.write_row
         return "".join(write_row(row) for row in rows)  # hot-loop-ok: contract fallback
@@ -73,8 +76,9 @@ class RowWriter(abc.ABC):
         one method every run formats through.
 
         Must produce exactly the bytes :meth:`write_rows` would for the
-        transposed block (the default does just that); array-level
-        overrides are tested against it. *first* is True for the run's
+        transposed block (the default, for writers that define only
+        ``write_row``, does just that); the built-in formats override it
+        at column level and are tested against it. *first* is True for the run's
         first package — binary writers use it to emit stream framing
         (e.g. the Arrow schema) exactly once.
         """
@@ -132,10 +136,6 @@ class CsvWriter(RowWriter):
         return self.delimiter.join(parts) + self.terminator
 
     def write_block(self, block, first: bool = False) -> str:
-        # The vectorized formatter reproduces write_row's bytes exactly;
-        # subclasses customizing per-row formatting keep theirs.
-        if type(self).write_row is not CsvWriter.write_row:
-            return super().write_block(block, first)
         return format_csv_block(block, self)
 
 
@@ -156,18 +156,13 @@ class JsonWriter(RowWriter):
         return _JsonTexts(self.formatter)
 
     def write_block(self, block, first: bool = False) -> str:
-        # write_row builds a dict: a repeated column name collapses
-        # there, and a row shorter than the column list drops keys.
-        names = self.columns
-        if (
-            type(self).write_row is not JsonWriter.write_row
-            or len(block.columns) != len(names)
-            or len(set(names)) != len(names)
-        ):
-            return super().write_block(block, first)
-        keys = [encode_basestring(name) + ":" for name in names]
+        # write_row builds a dict: a repeated column name keeps its first
+        # position and its last value, and a short row drops keys.
+        picks = dict(zip(self.columns, block.columns))
+        keys = [encode_basestring(name) + ":" for name in picks]
         lead, separators = "{" + "".join(keys[:1]), ["," + key for key in keys[1:]]
-        return _format_block(block, self._texts, lead, separators, "}\n")
+        columns = list(map(self._texts.column, picks.values()))
+        return _format_block(block.count, columns, lead, separators, "}\n")
 
     def write_row(self, values: list[object]) -> str:
         obj: dict[str, object] = {}
@@ -189,17 +184,23 @@ class XmlWriter(RowWriter):
     """``<row>`` elements wrapped in a ``<table name=...>`` document."""
 
     format_name = "xml"
+    supports_columns = True
+
+    @functools.cached_property
+    def _texts(self) -> list[_XmlTexts]:
+        return [_XmlTexts(self.formatter, name) for name in self.columns]
 
     def header(self) -> str:
         return f'<?xml version="1.0" encoding="UTF-8"?>\n<table name="{self.table}">\n'
 
-    @staticmethod
-    def _escape(text: str) -> str:
-        return (
-            text.replace("&", "&amp;")
-            .replace("<", "&lt;")
-            .replace(">", "&gt;")
-        )
+    def write_block(self, block, first: bool = False) -> str:
+        # A row is its columns' elements, side by side: the texts carry
+        # the tags, so every separator is empty.
+        columns = [
+            texts.column(column) for texts, column in zip(self._texts, block.columns)
+        ]
+        separators = [""] * (len(columns) - 1)
+        return _format_block(block.count, columns, "  <row>", separators, "</row>\n")
 
     def write_row(self, values: list[object]) -> str:
         parts = ["  <row>"]
@@ -207,7 +208,7 @@ class XmlWriter(RowWriter):
             if value is None:
                 parts.append(f"<{name}/>")
             else:
-                parts.append(f"<{name}>{self._escape(self.formatter.format(value))}</{name}>")
+                parts.append(f"<{name}>{xml_escape(self.formatter.format(value))}</{name}>")
         parts.append("</row>\n")
         return "".join(parts)
 
@@ -227,11 +228,10 @@ class SqlWriter(RowWriter):
         return _SqlTexts(self.formatter)
 
     def write_block(self, block, first: bool = False) -> str:
-        if type(self).write_row is not SqlWriter.write_row:
-            return super().write_block(block, first)
         lead = f"INSERT INTO {self.table} ({', '.join(self.columns)}) VALUES ("
-        separators = [", "] * (len(block.columns) - 1)
-        return _format_block(block, self._texts, lead, separators, ");\n")
+        columns = list(map(self._texts.column, block.columns))
+        separators = [", "] * (len(columns) - 1)
+        return _format_block(block.count, columns, lead, separators, ");\n")
 
     def write_row(self, values: list[object]) -> str:
         rendered = []

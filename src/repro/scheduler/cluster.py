@@ -66,7 +66,9 @@ from repro.resilience.checkpoint import Part, RunManifest, open_checkpoint
 from repro.resilience.faults import FaultPlan
 from repro.scheduler.executor import ExecutorPool, ExecutorSlot, die, run_package
 from repro.scheduler.progress import ProgressMonitor
-from repro.scheduler.scheduler import NodeReport, RunAccounting, RunReport
+from repro.scheduler.scheduler import (
+    NodeReport, RunAccounting, RunReport, emergency_teardown,
+)
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage, plan_shards
 
 #: where nodes write their part files, under the output directory.
@@ -373,7 +375,7 @@ def _cluster_node(node, tasks, results, telemetry, engine, nodes, output, faults
             # the chunk stays here; dropping it now also keeps it from
             # staying alive while the next package is formatted
             result = result._replace(chunk=None)
-            results.put(("package", node, (table, start), result, None))
+            results.put(("package", node, (table, start), result, telemetry.export()))
         if part is not None:
             part.close()
     return {"seconds": time.perf_counter() - started}
@@ -441,10 +443,9 @@ class ClusterScheduler:
                 run.drive()
                 run.assemble()
             except BaseException as exc:
-                # SIGINT or abort: what the manifest vouches for is on
-                # disk (nodes flush before they report) — mark it and go.
-                if run.journal is not None:
-                    run.journal.interrupted(type(exc).__name__)
+                # What the manifest vouches for is on disk already (nodes
+                # flush before they report): mark it, keep the trace.
+                emergency_teardown(exc, run.journal, self.checkpoint)
                 raise
             finally:
                 if run.journal is not None:

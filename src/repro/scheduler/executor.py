@@ -71,16 +71,13 @@ STALL_SECONDS = 60.0
 
 class PackageResult(NamedTuple):
     """One generated work package: the formatted ``chunk``, its encoded
-    size ``nbytes``, the generate+format ``seconds`` and the formatter
-    memo-cache lookups this package made. Picklable — it is also the
-    executors' result message (a cluster node sends it with
+    size ``nbytes`` and the generate+format ``seconds``. Picklable — it
+    is also the executors' result message (a cluster node sends it with
     ``chunk=None``)."""
 
     chunk: str | bytes | None
     nbytes: int
     seconds: float
-    fmt_hits: int
-    fmt_misses: int
 
 
 def run_package(
@@ -102,15 +99,13 @@ def run_package(
         sequence=package.sequence, rows=package.rows, attempt=attempt,
         **span_attrs,
     ) as package_span:
-        chunk, fmt_hits, fmt_misses = format_package(
-            engine, output, package, first=first
-        )
+        chunk = format_package(engine, output, package, first=first)
         nbytes = encoded_size(chunk)
         seconds = time.perf_counter() - started
         package_span.set(bytes=nbytes)
         if deliver is not None:
             deliver(chunk)
-    return PackageResult(chunk, nbytes, seconds, fmt_hits, fmt_misses)
+    return PackageResult(chunk, nbytes, seconds)
 
 
 def mp_context():
@@ -191,11 +186,13 @@ class ExecutorSlot:
 
     ``inflight`` maps package key → dispatched item for everything sent
     that has not come back; ``report``/``telemetry`` hold the final
-    ``done`` message; ``failed`` marks a process that died without one.
+    ``done`` message; ``failed`` marks a process that died without one;
+    ``open_spans`` links the spans it ships to parents it has not shipped
+    yet (:func:`~repro.obs.stitch.stitch_spans`).
     """
 
     __slots__ = ("ident", "process", "queue", "inflight", "done", "report",
-                 "telemetry", "failed")
+                 "telemetry", "failed", "open_spans")
 
     def __init__(self, ident: int, queue=None) -> None:
         self.ident = ident
@@ -206,6 +203,7 @@ class ExecutorSlot:
         self.report = None
         self.telemetry: dict | None = None
         self.failed = False
+        self.open_spans: dict[int, int] = {}
 
 
 class ExecutorPool:
@@ -337,7 +335,7 @@ class ExecutorPool:
         slot = self.slots[ident]
         # Merged even when the result below turns out to be a duplicate:
         # the redo work really happened and the trace should show it.
-        self._merge(message[-1], ident)
+        self._merge(message[-1], slot)
         if kind == "done":
             slot.done, slot.report, slot.telemetry = True, message[2], message[3]
             return True
@@ -349,7 +347,7 @@ class ExecutorPool:
         # work was handed on, and the redo produces identical bytes.
         return True
 
-    def _merge(self, payload: dict | None, ident: int) -> None:
+    def _merge(self, payload: dict | None, slot: ExecutorSlot) -> None:
         if not payload:
             return
         tracer, registry, profiler = (
@@ -358,7 +356,8 @@ class ExecutorPool:
         if tracer is not None:
             stitch_spans(
                 tracer, payload.get("spans"), parent_id=self._parent_span_id,
-                extra_attrs={self._tag: ident} if self._tag else None,
+                extra_attrs={self._tag: slot.ident} if self._tag else None,
+                open_ids=slot.open_spans,
             )
         if registry is not None:
             registry.merge_deltas(payload.get("metrics"))

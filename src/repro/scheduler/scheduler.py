@@ -28,12 +28,11 @@ span with its ``package.generate``/``package.format`` children) and is
 counted in one place (:class:`RunAccounting`, which feeds the
 :class:`RunReport`, the per-table metrics and the progress monitor
 together — also for the cluster runtime). The process pool is no
-telemetry black hole: each dispatched package carries a
-:class:`~repro.obs.stitch.SpanContext`, workers run their own collectors
-and ship span buffers plus metric deltas back on the existing result
-queues, and the parent stitches them under the run span — one coherent
-trace whichever runtime ran, covering respawned workers (their spans
-carry ``attempt=2+``).
+telemetry black hole: each dispatched package carries its attempt
+number, workers run their own collectors and ship span buffers plus
+metric deltas back on the existing result queues, and the parent
+stitches them under the run span — one coherent trace whichever runtime
+ran, covering respawned workers (their spans carry ``attempt=2+``).
 
 :func:`run_node` / :func:`node_ranges` are the coordinator-free way to
 scale out: every machine runs its static share of every table as an
@@ -53,7 +52,6 @@ from repro.exceptions import SchedulingError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Schema
 from repro.obs import (
-    SpanContext,
     active_metrics,
     active_profiler,
     active_tracer,
@@ -119,9 +117,9 @@ class TableReport:
 class NodeReport:
     """Result of one node's part of a multi-node run.
 
-    ``telemetry`` is the node's final exported collectors (span payload,
-    metric deltas, folded profile counts) when the parent had collectors
-    active, else ``None``. ``steals_taken``/``steals_yielded`` count the
+    ``telemetry`` is the node's final export (the spans and metric
+    deltas it had not shipped with a package result, folded profile
+    counts) when the parent had collectors active, else ``None``. ``steals_taken``/``steals_yielded`` count the
     ranges this node received from, or gave up to, another node.
     """
 
@@ -198,9 +196,7 @@ class RunReport:
 class TableInstruments:
     """Metrics pre-bound to one table's label set (hot-path increments)."""
 
-    __slots__ = (
-        "columns", "rows", "bytes", "packages", "fmt_hits", "fmt_misses", "latency",
-    )
+    __slots__ = ("columns", "rows", "bytes", "packages", "latency")
 
     def __init__(self, registry, table: str, columns: int) -> None:
         self.columns = columns
@@ -213,12 +209,6 @@ class TableInstruments:
         self.packages = registry.counter(
             "packages_completed_total", "work packages finished, per table"
         ).labels(table=table)
-        self.fmt_hits = registry.counter(
-            "formatter_cache_hits_total", "value formatter memo cache hits"
-        ).labels(table=table)
-        self.fmt_misses = registry.counter(
-            "formatter_cache_misses_total", "value formatter memo cache misses"
-        ).labels(table=table)
         self.latency = registry.histogram(
             "value_latency_ns",
             _VALUE_LATENCY_BUCKETS_NS,
@@ -229,10 +219,6 @@ class TableInstruments:
         """One finished package's own counters (its rows and bytes are
         credited with every other kind of output, by the accounting)."""
         self.packages.inc()
-        if result.fmt_hits:
-            self.fmt_hits.inc(result.fmt_hits)
-        if result.fmt_misses:
-            self.fmt_misses.inc(result.fmt_misses)
         values = rows * self.columns
         if values:
             self.latency.observe(result.seconds / values * 1e9)
@@ -329,7 +315,7 @@ class RunAccounting:
 def _pool_worker(ident, tasks, results, telemetry, engine, output, faults):
     """Worker-process body: generate and format packages locally.
 
-    Receives ``(WorkPackage, SpanContext)`` items until the ``None``
+    Receives ``(WorkPackage, attempt)`` items until the ``None``
     sentinel; each result is the package's
     :class:`~repro.scheduler.executor.PackageResult` plus its spans and
     metric deltas (see :mod:`repro.scheduler.executor`
@@ -337,10 +323,10 @@ def _pool_worker(ident, tasks, results, telemetry, engine, output, faults):
     harness's scripted crash plan (``kill_at``, as on a cluster node).
     """
     while (item := tasks.get()) is not None:
-        package, span_ctx = item
+        package, attempt = item
         if faults is not None and faults.should_kill(package.table, package.start):
             die(results, faults.kill_exit_code)
-        result = run_package(engine, output, package, attempt=span_ctx.attempt)
+        result = run_package(engine, output, package, attempt=attempt)
         results.put((
             "package", ident, (package.table, package.sequence), result,
             telemetry.export(),
@@ -361,8 +347,8 @@ class _ProcessPool(ExecutorPool):
 
     When a worker dies, the packages it held are requeued to a freshly
     spawned replacement (generation is seed-addressed, so a redo is
-    byte-identical); their span context advances one attempt so the
-    redo's spans are identifiable in the stitched trace. The crash-loop
+    byte-identical) with their attempt number one higher, so the redo's
+    spans are identifiable in the stitched trace. The crash-loop
     cap is :class:`~repro.scheduler.executor.ExecutorPool`'s.
     """
 
@@ -382,7 +368,6 @@ class _ProcessPool(ExecutorPool):
         self.muxes = muxes
         self.accounting = accounting
         self.window = window
-        self.span_ctx = SpanContext(parent_id=run_span_id)
         self.cursor = 0
         self.completed = 0
         self.requeued = 0
@@ -397,9 +382,7 @@ class _ProcessPool(ExecutorPool):
         while self.cursor < len(self.packages) and self.window.try_acquire():
             package, _ = self.packages[self.cursor]
             slot = min(live, key=lambda candidate: len(candidate.inflight))
-            self.send(
-                slot, (package.table, package.sequence), (package, self.span_ctx)
-            )
+            self.send(slot, (package.table, package.sequence), (package, 1))
             self.cursor += 1
 
     def complete(self, slot, item, result) -> None:
@@ -412,12 +395,39 @@ class _ProcessPool(ExecutorPool):
         # The dead worker's queue may still hold undelivered items;
         # abandon it wholesale — ``lost`` is authoritative.
         replacement = self.spawn()
-        for package, span_ctx in lost:
+        for package, attempt in lost:
             self.send(
-                replacement, (package.table, package.sequence),
-                (package, span_ctx.retry()),
+                replacement, (package.table, package.sequence), (package, attempt + 1)
             )
         self.requeued += len(lost)
+
+
+def emergency_teardown(
+    exc: BaseException, journal, checkpoint: str | None, sinks=()
+) -> None:
+    """Best-effort teardown after SIGINT or a crash, on every runtime:
+    fsync-and-close the parent's *sinks* so the last journaled watermark
+    is trustworthy, mark the manifest interrupted, and keep the trace
+    gathered so far next to it (``trace.partial.jsonl``)."""
+    for sink in sinks:
+        try:
+            sink.sync()
+            sink.close()
+        except Exception:  # fault-ok: teardown must not mask the original failure
+            pass
+    if journal is not None:
+        journal.interrupted(type(exc).__name__)
+    # The trace writer may itself be interrupted, which is why the trace
+    # readers tolerate torn final lines — the durable prefix is still
+    # analyzable.
+    tracer = active_tracer()
+    if tracer is not None and checkpoint is not None:
+        from repro.obs import write_trace_jsonl
+
+        try:
+            write_trace_jsonl(tracer, os.path.join(checkpoint, "trace.partial.jsonl"))
+        except Exception:  # fault-ok: teardown must not mask the original failure
+            pass
 
 
 def _journal_flushes(journal, part: Part, sink: Sink, packages: list[WorkPackage]):
@@ -607,10 +617,7 @@ class Scheduler:
                 for sink in sinks:
                     sink.close()
         except BaseException as exc:
-            # SIGINT/crash mid-run: make what was generated durable so
-            # the checkpoint's last journaled package is trustworthy —
-            # fsync-and-close every sink, then mark the manifest.
-            self._emergency_teardown(sinks, journal, exc)
+            emergency_teardown(exc, journal, self.checkpoint, sinks)
             raise
         finally:
             if journal is not None:
@@ -687,31 +694,6 @@ class Scheduler:
                 check_durable(path, part.bytes, part.tail_bytes, part.sha256)
             marks[name] = part
         return marks
-
-    def _emergency_teardown(self, sinks, journal, exc: BaseException) -> None:
-        """Best-effort fsync-and-close after SIGINT or a crash."""
-        for sink in sinks:
-            try:
-                sink.sync()
-                sink.close()
-            except Exception:  # fault-ok: teardown must not mask the original failure
-                pass
-        if journal is not None:
-            journal.interrupted(type(exc).__name__)
-        # Preserve whatever trace the run accumulated: write the spans
-        # recorded so far next to the manifest. The writer may itself be
-        # interrupted, which is why the trace readers tolerate torn
-        # final lines — the durable prefix is still analyzable.
-        tracer = active_tracer()
-        if tracer is not None and self.checkpoint is not None:
-            from repro.obs import write_trace_jsonl
-
-            try:
-                write_trace_jsonl(
-                    tracer, os.path.join(self.checkpoint, "trace.partial.jsonl")
-                )
-            except Exception:  # fault-ok: teardown must not mask the original failure
-                pass
 
     # -- inline run ----------------------------------------------------------
 

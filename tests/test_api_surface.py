@@ -1,5 +1,11 @@
 """The public API surface.
 
+9.0 has one formatter per format and one render cache: XML and the SQL
+loader format column blocks, ``ValueFormatter`` is a pure function (no
+memo, no ``cache_limit=``, no hit counters), ``format_package`` returns
+the chunk alone, ``PackageResult`` and the metrics lost the formatter
+counters, and ``repro.obs.SpanContext`` is gone (a package carries its
+attempt number).
 8.0 handles a failure one way: a sink write is attempted once and a
 failed one is a typed ``OutputError`` that ``--resume`` finishes
 (``RetryPolicy``, ``TransientError``, ``--max-attempts`` are gone); a
@@ -108,8 +114,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_8(self):
-        assert repro.__version__.startswith("8.")
+    def test_version_is_9(self):
+        assert repro.__version__.startswith("9.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -670,6 +676,84 @@ class TestOneFailurePolicy:
         "max_attempts", "max_restarts", "failure_limit", "fail_every",
         "kill_worker_at", "kill_node_at", "sink_write_retries_total",
         "_SINGLE_NODE_ONLY_FLAGS",
+    ])
+    def test_deleted_names_stay_deleted(self, name):
+        assert not self._occurrences(name, "")
+
+
+class TestOneFormatterOneRenderCache:
+    """Structural guard: every built-in text format formats column
+    blocks, and the writer's render tables are the one lazy-formatting
+    cache — the formatter memo, its hit counters and the row-loop
+    fallbacks cannot grow back."""
+
+    SRC = TestOneBodyOneAccountingOneReport.SRC
+    _occurrences = TestOneBodyOneAccountingOneReport._occurrences
+
+    def test_value_formatter_is_a_pure_function(self):
+        from repro.output.rows import ValueFormatter
+
+        gone = {"cache_limit", "cache_hits", "cache_misses", "cache_size"}
+        assert not gone & set(inspect.signature(ValueFormatter).parameters)
+        formatter = ValueFormatter()
+        assert not any(hasattr(formatter, name) for name in gone)
+        assert set(vars(formatter)) == {
+            "null_token", "date_format", "timestamp_format", "float_places",
+        }
+
+    def test_format_package_returns_the_chunk(self, engine):
+        from repro.output.formats import format_package
+        from repro.scheduler.work import WorkPackage
+
+        package = WorkPackage("orders", 0, 20, 0)
+        for fmt in ("csv", "json", "sql", "xml"):
+            chunk = format_package(engine, OutputConfig(format=fmt), package)
+            assert isinstance(chunk, str) and chunk.count("\n") == 20, fmt
+
+    def test_package_result_has_no_formatter_counters(self):
+        from repro.scheduler.executor import PackageResult
+
+        assert PackageResult._fields == ("chunk", "nbytes", "seconds")
+
+    def test_a_metered_run_registers_no_formatter_cache_metric(self, engine):
+        from repro import obs
+
+        registry = obs.enable_metrics()
+        try:
+            generate(engine, OutputConfig(kind="null", format="xml"))
+        finally:
+            obs.reset()
+        names = {metric.name for metric in registry.metrics()}
+        assert "rows_generated_total" in names
+        assert not [name for name in names if name.startswith("formatter_cache")]
+
+    def test_obs_has_no_span_context(self):
+        from repro import obs
+
+        assert "SpanContext" not in obs.__all__ and not hasattr(obs, "SpanContext")
+
+    def test_every_text_writer_formats_columns(self):
+        import repro.output.writers as writers
+
+        source = (self.SRC / "output" / "writers.py").read_text()
+        assert "write_row is not" not in source
+        for cls in (writers.CsvWriter, writers.JsonWriter, writers.SqlWriter,
+                    writers.XmlWriter):
+            assert "write_block" in vars(cls) and cls.supports_columns
+        # the one per-row call left is the oracle composition
+        calls = [
+            path.name
+            for path in sorted(self.SRC.rglob("*.py"))
+            for line in path.read_text().splitlines()
+            if "write_row(" in line and "def write_row(" not in line
+        ]
+        assert calls == ["writers.py"]
+        assert "write_row(row)" in inspect.getsource(writers.RowWriter.write_rows)
+
+    @pytest.mark.parametrize("name", [
+        "cache_limit", "cache_hits", "cache_misses", "cache_size",
+        "_format_cached", "fmt_hits", "fmt_misses", "formatter_cache",
+        "SpanContext",
     ])
     def test_deleted_names_stay_deleted(self, name):
         assert not self._occurrences(name, "")

@@ -60,6 +60,28 @@ class TestDataLoader:
         assert bulk_rows == sql_rows
         other.close()
 
+    def test_sql_load_of_tpch_equals_bulk_load(self):
+        """The SQL path executes the column formatter's chunks; every
+        table of the suite reads back as the parameterized load's rows."""
+        from repro.suites import suite_model
+
+        schema, artifacts = suite_model("tpch", 0.001)
+        dumps = []
+        for bulk in (True, False):
+            adapter = SQLiteAdapter(":memory:")
+            SchemaTranslator().apply(schema, adapter)
+            report = DataLoader(adapter, batch_size=500).load(
+                GenerationEngine(schema, artifacts), bulk=bulk
+            )
+            dumps.append({
+                table: adapter.execute(f"SELECT * FROM {table} ORDER BY rowid")
+                for table in report.rows_by_table
+            })
+            adapter.close()
+        bulk_dump, sql_dump = dumps
+        assert sum(map(len, sql_dump.values())) == sum(schema.sizes().values()) > 8000
+        assert sql_dump == bulk_dump
+
     def test_load_respects_referential_order(self, engine, target):
         # Foreign keys are enforced during the load when enabled.
         target.execute_script("PRAGMA foreign_keys = ON;")

@@ -1,4 +1,5 @@
-"""The column text kernels against their oracles, for CSV, JSON and SQL.
+"""The column text kernels against their oracles, for CSV, JSON, SQL and
+XML.
 
 ``output/columnar.py`` leaves the per-value loop only where it can prove
 the bytes stay the same (DESIGN §3.1). These properties are that proof's
@@ -7,8 +8,8 @@ text, the day map, the dictionary take, the constant-separator
 interleave — must equal ``write_rows(block.to_rows())`` per block and
 the writer's own ``write_row`` spelling per value, on inputs chosen to
 sit on both sides of every rule (span, exactness, block size) and to
-break naive quoting. The cache tests pin what lives across packages and
-what bounds it.
+break naive quoting. The cache tests pin what lives across packages, what
+bounds it, and that each distinct day is rendered once per writer.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import datetime
 import decimal
 import math
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,15 +30,16 @@ from repro.api import Dataset
 from repro.engine import GenerationEngine
 from repro.generators.base import _KERNEL_MIN_ROWS
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
+from repro.output import columnar as column_texts
 from repro.output.columnar import csv_escape
 from repro.output.config import OutputConfig
-from repro.output.formats import _WRITERS_PER_TABLE, format_package
+from repro.output.formats import _WRITERS_PER_TABLE, _bound_writer, format_package
 from repro.output.rows import ValueFormatter
-from repro.output.writers import CsvWriter, JsonWriter, SqlWriter
+from repro.output.writers import CsvWriter, JsonWriter, SqlWriter, XmlWriter
 from repro.scheduler.work import WorkPackage, partition_rows
 
-FORMATS = ("csv", "json", "sql")
-WRITERS = {"csv": CsvWriter, "json": JsonWriter, "sql": SqlWriter}
+FORMATS = ("csv", "json", "sql", "xml")
+WRITERS = {"csv": CsvWriter, "json": JsonWriter, "sql": SqlWriter, "xml": XmlWriter}
 #: both sides of the small-block threshold, and the empty block
 SIZES = (0, 1, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, _KERNEL_MIN_ROWS + 1, 200)
 
@@ -47,7 +51,7 @@ _settings = settings(
 DELIMITERS = ("|", ",", "\t", "1", "-", ".", "e", "t", "n", "'", "0")
 HOSTILE_TEXT = st.text(
     alphabet=st.one_of(
-        st.sampled_from("|,\"'\\\n\r\t\x00\x1f\x7f{}:%1-.e "),
+        st.sampled_from("|,\"'\\\n\r\t\x00\x1f\x7f{}:%1-.e &<>/"),
         st.characters(blacklist_categories=("Cs",)),
     ),
     max_size=12,
@@ -78,6 +82,12 @@ def _check(block, fmt: str, delimiter: str = "|", **formatter_options) -> None:
         assert list(texts) == [
             csv_escape(oracle.formatter.format(row[0]), specials) for row in rows
         ]
+
+
+def _days(writer, column: int = 0):
+    """The day map of one column's policy (XML keeps one per column)."""
+    texts = writer._texts
+    return (texts[column] if isinstance(texts, list) else texts).days
 
 
 def _check_formats(block, delimiter: str = "|", **formatter_options) -> None:
@@ -232,32 +242,36 @@ class TestDateKernel:
         )
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("size", [5, 64])
-    def test_counts_like_the_scalar_memo(self, fmt, size):
-        """Each row is one memo lookup on either side of the block
-        threshold: a new day a miss, a repeated one a hit."""
-        ordinals = np.array([728_000 + index % 7 for index in range(size)])
-        block = _block(columnar.DateColumn(ordinals))
-        writer, oracle = _writer(fmt, block.names), _writer(fmt, block.names)
-        assert writer.write_block(block) == oracle.write_rows(block.to_rows())
-        for formatter in (writer.formatter, oracle.formatter):
-            assert (formatter.cache_misses, formatter.cache_hits) == (
-                min(size, 7), size - min(size, 7)
-            )
-        writer.write_block(block)
-        assert writer.formatter.cache_misses == min(size, 7)
+    def test_each_day_is_rendered_once_per_writer(self, fmt):
+        """Date blocks on both sides of the block threshold and dates
+        inside object columns all read the day map: the formatter sees
+        each distinct day once, so 1-row serve reads stay hits."""
+        days = [datetime.date.fromordinal(728_000 + index % 7) for index in range(64)]
+        ordinals = np.array([day.toordinal() for day in days])
+        writer, oracle = _writer(fmt, ["c0"]), _writer(fmt, ["c0"])
+        rendered = []
+        render = writer.formatter.format
+        writer.formatter.format = lambda value: rendered.append(value) or render(value)
+        blocks = [
+            _block(columnar.DateColumn(ordinals[:size]))
+            for size in (1, 5, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, 64)
+        ] + [_block(columnar.ObjectColumn(days[:size])) for size in (1, 64)]
+        for block in blocks:
+            assert writer.write_block(block) == oracle.write_rows(block.to_rows())
+        assert sorted(rendered) == sorted(set(days))
+        assert len(_days(writer)) == 7
 
     def test_day_map_stops_growing_at_cache_limit(self):
         ordinals = np.arange(728_000, 728_050).repeat(2)
         block = _block(columnar.DateColumn(ordinals))
-        for fmt in FORMATS:
-            writer = _writer(fmt, block.names, cache_limit=4)
-            oracle = _writer(fmt, block.names, cache_limit=4)
-            expected = oracle.write_rows(block.to_rows())
-            for _ in range(3):
-                assert writer.write_block(block) == expected
-            assert len(writer._texts.days) == 4
-            assert writer.formatter.cache_size == 4
+        with mock.patch.object(column_texts, "_DAY_TEXTS_LIMIT", 4):
+            for fmt in FORMATS:
+                writer = _writer(fmt, block.names)
+                oracle = _writer(fmt, block.names)
+                expected = oracle.write_rows(block.to_rows())
+                for _ in range(3):
+                    assert writer.write_block(block) == expected
+                assert len(_days(writer)) == 4
 
 
 # -- text: strings, dictionaries, objects, key names -------------------------------
@@ -326,7 +340,7 @@ class TestTextKinds:
             decimal.Decimal("1.50"), b"\x00\xff", datetime.datetime(2020, 1, 2, 3, 4),
             np.float64(1.5), True, 2**80, None, math.nan,
         ]
-        for fmt in ("json", "sql"):
+        for fmt in ("json", "sql", "xml"):
             _check(_block(columnar.ObjectColumn(list(values))), fmt)
 
 
@@ -376,17 +390,6 @@ class TestGeneratedTable:
 # -- what lives across packages, and what bounds it -------------------------------
 
 
-class _TightCacheOutput(OutputConfig):
-    """Formatters that stop memoising after three texts, fewer than the
-    model has days (``_bound_writer`` keys on the config's type, so these
-    get writers of their own)."""
-
-    def new_formatter(self) -> ValueFormatter:
-        formatter = super().new_formatter()
-        formatter._cache_limit = 3
-        return formatter
-
-
 #: package sizes on both sides of the small-block threshold and of the
 #: int-table switch for ``qty`` (span 43: a table at 200 rows, not at 50)
 _PACKAGE_ROWS = (1, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, 50, 200)
@@ -401,7 +404,8 @@ class TestRenderCacheLifetime:
     @_settings
     @given(
         fmt=st.sampled_from(FORMATS),
-        config=st.sampled_from((OutputConfig, _TightCacheOutput)),
+        # the shipped bound, and one below the model's five days
+        limit=st.sampled_from((column_texts._DAY_TEXTS_LIMIT, 3)),
         places=st.sampled_from((None, 2)),
         cuts=st.lists(
             st.tuples(st.integers(0, 399), st.sampled_from(_PACKAGE_ROWS)),
@@ -409,37 +413,43 @@ class TestRenderCacheLifetime:
         ),
     )
     def test_writer_that_rendered_other_packages_equals_a_cold_one(
-        self, warm_and_cold, fmt, config, places, cuts
+        self, warm_and_cold, fmt, limit, places, cuts
     ):
-        """The long-lived writer's state (formatter memo, day map, full
-        or not) is rendered text only: whatever packages it has seen, in
-        whatever order, the next one gets a cold writer's bytes."""
+        """The long-lived writer's state (the day map, full or not) is
+        rendered text only: whatever packages it has seen, in whatever
+        order, the next one gets a cold writer's bytes."""
         warm, cold = warm_and_cold
-        output = config(format=fmt, float_places=places, null_token="NULL")
+        output = OutputConfig(format=fmt, float_places=places, null_token="NULL")
         warm.bound_table("t").writers.clear()
-        for sequence, (start, rows) in enumerate(cuts):
-            package = WorkPackage("t", start, min(start + rows, 400), sequence)
-            cold.bound_table("t").writers.clear()
-            assert (
-                format_package(warm, output, package)[0]
-                == format_package(cold, output, package)[0]
-            )
+        with mock.patch.object(column_texts, "_DAY_TEXTS_LIMIT", limit):
+            for sequence, (start, rows) in enumerate(cuts):
+                package = WorkPackage("t", start, min(start + rows, 400), sequence)
+                cold.bound_table("t").writers.clear()
+                assert format_package(warm, output, package) == format_package(
+                    cold, output, package
+                )
         assert len(warm.bound_table("t").writers) == 1
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_second_package_renders_no_day_the_first_rendered(self, fmt):
         engine = GenerationEngine(_schema(400))
+
+        def day_map(output):
+            return _days(_bound_writer(engine.bound_table("t"), output), column=5)
+
         output = OutputConfig(format=fmt)
         first, second = partition_rows("t", 400, 200)
-        _, hits, misses = format_package(engine, output, first)
-        assert (hits, misses) == (195, 5)  # five days in the model
-        _, hits, misses = format_package(engine, output, second)
-        assert (hits, misses) == (200, 0)  # per-package deltas, all warm
-        # another option set is another writer with a cold map
-        _, _, misses = format_package(
-            engine, OutputConfig(format=fmt, date_format="%d.%m.%Y"), second
-        )
-        assert misses == 5
+        format_package(engine, output, first)
+        days = day_map(output)
+        rendered = dict(days)
+        assert len(rendered) == 5  # five days in the model
+        format_package(engine, output, second)
+        assert day_map(output) is days
+        assert days == rendered and all(days[day] is rendered[day] for day in days)
+        # another option set is another writer with a map of its own
+        other = OutputConfig(format=fmt, date_format="%d.%m.%Y")
+        format_package(engine, other, second)
+        assert day_map(other) is not days and len(day_map(other)) == 5
 
     def test_writers_per_table_are_bounded(self):
         dataset = Dataset(_schema(40))

@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.engine import GenerationEngine
-from repro.obs import SpanContext, span_payload, stitch_spans, table_totals
+from repro.obs import span_payload, stitch_spans, table_totals
 from repro.obs.trace import Tracer
 from repro.output.config import OutputConfig
 from repro.resilience import FaultPlan
@@ -49,20 +49,6 @@ def _counter_values(registry, name: str) -> dict[tuple, float]:
     return {
         key: metric.value(**dict(key)) for key in metric.label_sets()
     }
-
-
-class TestSpanContext:
-    def test_retry_advances_attempt_and_keeps_parent(self):
-        ctx = SpanContext(parent_id=7)
-        redo = ctx.retry()
-        assert (redo.parent_id, redo.attempt) == (7, 2)
-        assert redo.retry().attempt == 3
-        assert ctx.attempt == 1  # frozen original untouched
-
-    def test_defaults(self):
-        ctx = SpanContext()
-        assert ctx.parent_id is None
-        assert ctx.attempt == 1
 
 
 class TestStitchSpans:
@@ -252,26 +238,35 @@ class TestMetaSchedulerStitching:
 
 
 class TestEmergencyTracePreservation:
-    def test_partial_trace_written_on_crash(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("runtime", ["-w 2", "--nodes 3"])
+    def test_partial_trace_written_on_crash(self, tmp_path, monkeypatch, runtime):
         """An un-latched kill is a crash loop: the run stops at the cap
-        and the trace gathered so far is kept next to the checkpoint."""
+        and, on either runtime, the manifest is marked interrupted and
+        the trace gathered so far is kept next to it."""
         from repro.exceptions import SchedulingError
         from repro.scheduler import executor
 
         monkeypatch.setattr(executor, "POLL_SECONDS", 0.02)  # reap fast
         tracer = obs.enable_tracing()
         ckpt = tmp_path / "ckpt"
+        output = OutputConfig(kind="file", format="csv",
+                              directory=str(tmp_path / "out"))
         plan = FaultPlan(kill_at=("orders", 50))
-        with pytest.raises(SchedulingError, match="crash loop"):
-            Scheduler(
-                _engine(),
-                OutputConfig(kind="file", format="csv",
-                             directory=str(tmp_path / "out")),
-                workers=2, package_size=25,
+        if runtime == "-w 2":
+            run = Scheduler(
+                _engine(), output, workers=2, package_size=25,
                 checkpoint=str(ckpt), faults=plan,
-            ).run()
-        partial = ckpt / "trace.partial.jsonl"
-        assert partial.exists()
-        records = obs.read_trace_jsonl(str(partial))
+            ).run
+        else:
+            scheduler = ClusterScheduler(
+                demo_schema(), output=output, package_size=25,
+                checkpoint=str(ckpt), faults=plan,
+            )
+            run = lambda: scheduler.run(3)  # noqa: E731
+        with pytest.raises(SchedulingError, match="crash loop"):
+            run()
+        manifest = (ckpt / "manifest.jsonl").read_text().splitlines()
+        assert '"type": "interrupted"' in manifest[-1]
+        records = obs.read_trace_jsonl(str(ckpt / "trace.partial.jsonl"))
         assert any(r.name == "scheduler.package" for r in records)
         assert tracer is obs.active_tracer()

@@ -182,30 +182,6 @@ class TestEngineTelemetry:
         assert second.counter("engine_recomputes_total").total() == 1
 
 
-class TestFormatterCacheTelemetry:
-    def test_cache_hit_miss_counters(self):
-        import datetime
-
-        from repro.output.rows import ValueFormatter
-
-        formatter = ValueFormatter()
-        day = datetime.date(2014, 11, 30)
-        formatter.format(day)
-        formatter.format(day)
-        formatter.format(datetime.date(2015, 1, 1))
-        assert formatter.cache_misses == 2
-        assert formatter.cache_hits == 1
-
-    def test_plain_types_bypass_cache_counters(self):
-        from repro.output.rows import ValueFormatter
-
-        formatter = ValueFormatter()
-        formatter.format(7)
-        formatter.format("text")
-        assert formatter.cache_hits == 0
-        assert formatter.cache_misses == 0
-
-
 class TestMuxTelemetry:
     def test_mux_accumulates_write_stats(self):
         from repro.output.sinks import MemorySink, OrderedSinkMux

@@ -69,20 +69,6 @@ class TestValueFormatter:
     def test_bytes_hex(self):
         assert ValueFormatter().format(b"\x01\x02") == "0102"
 
-    def test_lazy_cache_hit(self):
-        fmt = ValueFormatter()
-        day = datetime.date(2020, 1, 1)
-        fmt.format(day)
-        assert fmt.cache_size == 1
-        fmt.format(day)
-        assert fmt.cache_size == 1
-
-    def test_cache_limit_respected(self):
-        fmt = ValueFormatter(cache_limit=3)
-        for ordinal in range(10):
-            fmt.format(datetime.date.fromordinal(730000 + ordinal))
-        assert fmt.cache_size == 3
-
 
 class TestCsvWriter:
     def test_row(self):

@@ -206,7 +206,7 @@ class TestRunAccounting:
         accounting = RunAccounting(
             GenerationEngine(demo_schema()), ["customer"], progress
         )
-        result = PackageResult(None, 3, 0.5, 0, 0)
+        result = PackageResult(None, 3, 0.5)
 
         def work():
             for _ in range(500):

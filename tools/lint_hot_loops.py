@@ -46,12 +46,13 @@ per-unique date rendering, Arrow type fallback). The CSV, JSON and SQL
 block formatters all live in :mod:`repro.output.columnar`.
 
 **Column-writer check.** ``RowWriter.write_block`` is the one place a
-block is transposed back to rows (``block.to_rows()``) — the default the
-row-only formats inherit. A writer that *overrides* ``write_block`` does
-so to format columns; a ``to_rows()`` call inside the override puts the
-transpose and the per-row loop back without failing a test (it may still
-delegate to ``super().write_block`` for input it cannot format by
-column). No waiver: there is no reason to override and then transpose.
+block is transposed back to rows (``block.to_rows()``) — the default a
+writer that defines only ``write_row`` inherits. Every built-in writer
+*overrides* ``write_block`` to format columns; a ``to_rows()`` or
+``write_rows()`` call inside the override, or a fall-back to
+``super().write_block``, puts the transpose and the per-row loop back
+without failing a test — the bytes stay identical, only the throughput
+regresses. No waiver: a built-in format formats every block by column.
 
 **Oracle-timing check.** The paper-artefact scripts under
 ``benchmarks/`` measure the path the system runs (``generate_columns``
@@ -63,9 +64,9 @@ Figures 7-9 that way for twenty PRs). The same ``# hot-loop-ok:
 <reason>`` waiver marks the two series that measure the scalar path on
 purpose: Figure 6's like-for-like oracle and the §2 recompute claim.
 
-Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``, the
-span-recording obs modules, and (oracle-timing check only)
-``benchmarks/``.
+Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
+``src/repro/core/loader.py``, the span-recording obs modules, and
+(oracle-timing check only) ``benchmarks/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -77,7 +78,8 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-CHECKED_DIRS = ("src/repro/scheduler", "src/repro/output")
+#: directories (every ``.py`` under them) and single files
+CHECKED_PATHS = ("src/repro/scheduler", "src/repro/output", "src/repro/core/loader.py")
 BANNED_CALLS = ("generate_row", "write_row")
 BENCHMARK_DIR = "benchmarks"
 BANNED_BENCHMARK_CALLS = BANNED_CALLS + ("generate_value", "compute_value")
@@ -103,6 +105,8 @@ COLUMNAR_WAIVER = "columnar-ok"
 
 #: the class whose ``write_block`` is the row-path default
 ROW_PATH_CLASS = "RowWriter"
+#: calls that put the row path back inside a ``write_block`` override
+ROW_PATH_CALLS = ("to_rows", "write_rows")
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -134,8 +138,17 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     return any(isinstance(node, ast.Raise) for node in ast.walk(handler))
 
 
+def _is_super_write_block(node: ast.Call) -> bool:
+    """``super().write_block(...)``."""
+    func = node.func
+    return (
+        isinstance(func, ast.Attribute) and func.attr == "write_block"
+        and isinstance(func.value, ast.Call) and _call_name(func.value) == "super"
+    )
+
+
 def _transposing_overrides(tree: ast.AST, path: Path) -> list[str]:
-    """``to_rows()`` calls inside a ``write_block`` override."""
+    """Row-path calls inside a ``write_block`` override."""
     violations = []
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef) or cls.name == ROW_PATH_CLASS:
@@ -144,13 +157,19 @@ def _transposing_overrides(tree: ast.AST, path: Path) -> list[str]:
             if not isinstance(method, ast.FunctionDef) or method.name != "write_block":
                 continue
             for node in ast.walk(method):
-                if isinstance(node, ast.Call) and _call_name(node) == "to_rows":
-                    violations.append(
-                        f"{path.relative_to(REPO)}:{node.lineno}: "
-                        f"{cls.name}.write_block overrides the row-path "
-                        "default and then transposes with to_rows(); format "
-                        "the columns, or delegate to super().write_block"
-                    )
+                if not isinstance(node, ast.Call):
+                    continue
+                if _is_super_write_block(node):
+                    call = "super().write_block"
+                elif _call_name(node) in ROW_PATH_CALLS:
+                    call = _call_name(node)
+                else:
+                    continue
+                violations.append(
+                    f"{path.relative_to(REPO)}:{node.lineno}: "
+                    f"{cls.name}.write_block overrides the row-path default "
+                    f"and then calls {call}(); format the columns"
+                )
     return violations
 
 
@@ -216,8 +235,9 @@ def main() -> int:
     violations: list[str] = []
     checked = 0
     columnar_hot = {REPO / rel for rel in COLUMNAR_HOT_FILES}
-    for rel in CHECKED_DIRS:
-        for path in sorted((REPO / rel).rglob("*.py")):
+    for rel in CHECKED_PATHS:
+        root = REPO / rel
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
             checked += 1
             violations.extend(
                 check_file(path, columnar_hot=path in columnar_hot)
