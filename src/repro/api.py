@@ -41,7 +41,7 @@ from repro.model.schema import Schema
 from repro.output.config import OutputConfig
 from repro.output.formats import BYTE_OPTIONS, format_package, format_spec, table_frame
 from repro.resilience.checkpoint import schema_fingerprint
-from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage
+from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage, cut_packages
 from repro.suites import suite_model
 
 # -- the bound-engine cache --------------------------------------------------
@@ -327,12 +327,13 @@ class Dataset:
     ) -> list[WorkPackage]:
         """The batch run's packages covering ``[start, stop)``, clipped.
 
-        Sequences are the batch run's — package ``i`` always covers
-        ``[i*package_size, ...)`` — so ``sequence == 0`` (and with it
-        binary stream framing) means the same thing here as in a full
-        run. Text packages are clipped to the requested range; columnar
-        binary formats refuse unaligned bounds instead, because a
-        record batch cannot be trimmed by rows after encoding.
+        They come from the scheduler's one cutter, so sequences are the
+        batch run's — package ``i`` always covers ``[i*package_size,
+        ...)`` — and ``sequence == 0`` (and with it binary stream
+        framing) means the same thing here as in a full run. Text
+        packages are clipped to the requested range; columnar binary
+        formats refuse unaligned bounds instead, because a record batch
+        cannot be trimmed by rows after encoding.
         """
         ps = self.package_size
         size = self.engine.sizes[table]
@@ -344,16 +345,4 @@ class Dataset:
                 f"(multiples of {ps}, or the table size {size}); "
                 f"got [{start}, {stop})"
             )
-        packages = []
-        sequence = start // ps
-        while sequence * ps < stop:
-            package_start = sequence * ps
-            package_stop = min(package_start + ps, size)
-            packages.append(WorkPackage(
-                table,
-                max(package_start, start),
-                min(package_stop, stop),
-                sequence,
-            ))
-            sequence += 1
-        return packages
+        return cut_packages(table, start, stop, ps)

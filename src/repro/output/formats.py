@@ -206,9 +206,11 @@ def format_package(engine, output, package, *, first: bool | None = None):
     produce chunks through this one path, so the same ``(model, output
     config, package)`` triple yields the same bytes wherever it is
     computed.
-    ``first`` defaults to ``package.sequence == 0`` — binary writers
-    emit stream framing (the Arrow schema message) exactly once, in the
-    first package's chunk.
+    ``first`` — this package opens its output — defaults to
+    ``package.sequence == 0``, the table's first package; a scheduler
+    run over a row range passes it for the range's first row. Binary
+    writers emit stream framing (the Arrow schema message) exactly once,
+    in that package's chunk.
 
     Returns the chunk: ``str`` for text formats, ``bytes`` for binary.
     """

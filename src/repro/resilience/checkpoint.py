@@ -179,10 +179,6 @@ class Part:
         self.tail_bytes = nbytes if sha256 else 0
         self.sha256 = sha256
 
-    def packages(self, package_size: int) -> int:
-        """Work packages of *package_size* rows the watermark covers."""
-        return -(-self.rows // package_size)
-
 
 def _no_constant(name: str):
     raise ValueError(f"{name} is not a manifest value")

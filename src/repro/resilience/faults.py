@@ -45,13 +45,14 @@ class FaultPlan:
     ``kill_at=(table, start_row)`` makes the executor — pool worker or
     cluster node — that picks up the package beginning at that absolute
     row die via ``os._exit(kill_exit_code)`` before producing a result.
-    Keyed by start row rather than sequence number because a stolen or
-    reassigned range re-numbers its packages but keeps absolute row
-    positions. ``latch_dir`` arms the fault exactly once across all
-    executors and their replacements — the first to reach the package
-    dies, the redo succeeds. Without it every executor that reaches the
-    package dies: a crash loop, which the executor pool's failure cap
-    must stop.
+    Every runtime cuts packages on one grid (package ``k`` starts at row
+    ``k·P``, or where a shard or stolen range starts), so a grid start
+    names the same package — sequence ``start // P`` — on ``-w N`` and
+    ``--nodes N`` alike. ``latch_dir`` arms the fault exactly once
+    across all executors and their replacements — the first to reach
+    the package dies, the redo succeeds. Without it every executor that
+    reaches the package dies: a crash loop, which the executor pool's
+    failure cap must stop.
 
     ``slow_nodes={node: seconds}`` injects a deterministic per-package
     sleep on cluster nodes so tests can script an unbalanced cluster and

@@ -1,6 +1,7 @@
 """Scheduling: work packages, the single-node inline/process scheduler,
-and the multi-node cluster runtime — three dispatch policies over one
-package body, one accounting and one :class:`RunReport`
+and the multi-node cluster runtime — one package grid and one ledger
+(:mod:`repro.scheduler.work`) dispatching to one package body, one
+accounting and one :class:`RunReport`
 (:mod:`repro.scheduler.executor`, :mod:`repro.scheduler.scheduler`)."""
 
 from repro.scheduler.cluster import ClusterScheduler

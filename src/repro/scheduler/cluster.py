@@ -2,23 +2,25 @@
 
 This is the paper's §2 meta scheduler. Nodes need no communication —
 every row derives from the seed hierarchy — so the runtime moves only
-row-range bookkeeping, never data, and all of it lives in the parent:
+row-range bookkeeping, never data, and all of it lives in the parent's
+:class:`~repro.scheduler.work.ShardLedger`, the ledger every runtime
+dispatches from:
 
 * each node starts with a shard (contiguous ``[start, stop)`` per table
   from the seed-pure :func:`~repro.scheduler.work.plan_shards` split),
-  kept by the parent as a deque of pending ranges in the
-  :class:`ShardLedger`;
-* the parent feeds every node work packages cut from the front of its
-  deque through a small fixed look-ahead window
+  kept by the parent as a deque of pending ranges;
+* the parent feeds every node work packages cut on the package grid
+  from the front of its deque through a small fixed look-ahead window
   (:data:`NODE_LOOKAHEAD`), so a node is never idle across the dispatch
   round trip and everything beyond the window stays movable;
 * when a node runs dry the parent *steals*: the tail half of the
-  busiest node's pending packages moves to the idle node's deque — a
-  ledger edit, redo-free because nothing pending was ever sent anywhere;
+  busiest node's pending packages, split at a package edge, moves to the
+  idle node's deque — a ledger edit, redo-free because nothing pending
+  was ever sent anywhere;
 * when a node dies the parent truncates its part files to the reported
-  durable byte offsets and moves what it still held (in-flight and
-  pending) to a survivor, or to a fresh replacement process if none is
-  left;
+  durable byte offsets and moves what it still held (in-flight packages
+  one attempt higher, and pending ranges) to a survivor, or to a fresh
+  replacement process if none is left;
 * when the whole run dies, the next one resumes the same way: the
   ledger's parts are the records of the checkpoint manifest
   (:class:`~repro.resilience.checkpoint.Part`, journaled by the parent
@@ -39,11 +41,13 @@ reported package in the same
 uses and returns the same :class:`~repro.scheduler.scheduler.RunReport`.
 
 The parent merges parts in row order (header + parts + footer) into the
-exact bytes a single-node run writes. Text chunks depend only on their
-absolute row range — every text writer is strictly per-row — which is
-why stolen ranges can re-anchor package boundaries without changing a
-byte. The package-framed binary formats (Arrow/Parquet) cannot be split
-at stolen boundaries and are refused up front.
+exact bytes a single-node run writes. Packages are the single-node
+run's packages — package ``k`` is rows ``[k·P, (k+1)·P)``, cut short
+only where a shard or a stolen range ends — and text chunks depend only
+on their absolute row range (every text writer is strictly per-row), so
+a shard edge inside a package does not change a byte. The
+package-framed binary formats (Arrow/Parquet) cannot be split there and
+are refused up front.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ from __future__ import annotations
 import os
 import shutil
 import time
-from collections import deque
-from typing import NamedTuple
 
 from repro.engine import GenerationEngine
 from repro.exceptions import SchedulingError
@@ -64,15 +66,15 @@ from repro.output.formats import format_spec, table_frame
 from repro.output.sinks import FileSink, NullSink, check_durable
 from repro.resilience.checkpoint import Part, RunManifest, open_checkpoint
 from repro.resilience.faults import FaultPlan
-from repro.scheduler.executor import ExecutorPool, ExecutorSlot, die, run_package
+from repro.scheduler.executor import ExecutorPool, die, run_package
 from repro.scheduler.progress import ProgressMonitor
 from repro.scheduler.scheduler import (
     NodeReport, RunAccounting, RunReport, emergency_teardown,
 )
-from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage, plan_shards
-
-#: where nodes write their part files, under the output directory.
-PARTS_DIRNAME = ".dbsynth-parts"
+from repro.scheduler.work import (
+    DEFAULT_PACKAGE_SIZE, PARTS_DIRNAME, ShardLedger, WorkPackage, _Part,
+    package_count, part_file, plan_shards,
+)
 
 #: sink kinds a cluster run supports. Parts must live in a shared
 #: filesystem namespace the parent can truncate and merge (``file``) or
@@ -85,230 +87,6 @@ CLUSTER_SINK_KINDS = ("file", "null")
 NODE_LOOKAHEAD = 2
 
 
-def part_file(table: str, start: int) -> str:
-    """Deterministic part-file name (relative to the output directory)
-    for the extent of *table* starting at absolute row *start*.
-
-    Both sides compute it independently — node processes open the sink,
-    the parent truncates and merges without asking. Keyed by start row
-    so a reassigned tail (which begins at the dead node's durable
-    boundary) never collides with the dead node's own part.
-    """
-    return os.path.join(PARTS_DIRNAME, f"{table}.part{start:012d}")
-
-
-# --------------------------------------------------------------------------
-# the ledger
-# --------------------------------------------------------------------------
-
-
-class Extent(NamedTuple):
-    """Rows ``[start, stop)`` of one table as a node holds them — a
-    pending range or a dispatched package — with why it holds them
-    (``"shard"``, ``"steal"``, ``"dead-node"``) and which node they came
-    from. This tuple is also the parent → node message."""
-
-    table: str
-    start: int
-    stop: int
-    reason: str
-    origin: int | None
-
-    @property
-    def rows(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def key(self) -> tuple[str, int]:
-        return self.table, self.start
-
-
-class _Part(Part):
-    """A contiguous extent one node generated: one part file, one
-    ``node.assignment`` span, one manifest watermark. Node and parent
-    grow parts by the same rule (:meth:`continues`) over the same
-    package sequence, so the parent knows every part without being told."""
-
-    __slots__ = ("reason", "origin")
-
-    def __init__(self, first: Extent) -> None:
-        super().__init__(part_file(first.table, first.start), first.table, first.start)
-        self.reason, self.origin = first.reason, first.origin
-
-    def continues(self, package: Extent) -> bool:
-        return (package.table, package.start, package.reason, package.origin) == (
-            self.table, self.stop, self.reason, self.origin
-        )
-
-
-class _Shard:
-    """One node's row of the ledger."""
-
-    __slots__ = ("slot", "pending", "parts", "rows", "bytes",
-                 "steals_taken", "steals_yielded")
-
-    def __init__(self, slot: ExecutorSlot) -> None:
-        self.slot = slot
-        self.pending: deque[Extent] = deque()
-        self.parts: list[_Part] = []
-        self.rows = 0
-        self.bytes = 0
-        self.steals_taken = 0
-        self.steals_yielded = 0
-
-
-class ShardLedger:
-    """Which node owns which rows, in three states per node: *pending*
-    ranges (a deque, movable), packages *in flight* (the slot's
-    ``inflight``, at most :data:`NODE_LOOKAHEAD`), and *parts* done.
-
-    Parts only grow on reported — therefore flushed — packages, so
-    truncating a part file to ``part.bytes`` (a dead node's now, every
-    journaled part's in a resumed run) can never cut data the ledger
-    counts; at worst it discards durable-but-unreported tail bytes,
-    which the reassigned range regenerates identically. ``resumed`` are
-    the parts an earlier run's manifest vouches for: done from the start.
-    """
-
-    def __init__(self, package_size: int, resumed: list[Part] = ()) -> None:
-        self.package_size = package_size
-        self.resumed = resumed
-        self.shards: dict[int, _Shard] = {}
-        self.steals = 0
-        self.stolen_rows = 0
-
-    def add(self, slot: ExecutorSlot) -> None:
-        self.shards[slot.ident] = _Shard(slot)
-
-    def uncovered(self, ranges) -> list[tuple[str, int, int]]:
-        """*ranges* minus the rows the resumed parts already hold."""
-        left = []
-        for table, start, stop in ranges:
-            for part in self.resumed:  # sorted by (table, start), disjoint
-                if part.table == table and part.stop > start and part.start < stop:
-                    if part.start > start:
-                        left.append((table, start, part.start))
-                    start = part.stop
-            if start < stop:
-                left.append((table, start, stop))
-        return left
-
-    def assign(self, node: int, ranges, reason: str, origin: int | None) -> None:
-        self.shards[node].pending.extend(
-            Extent(table, start, stop, reason, origin)
-            for table, start, stop in ranges
-        )
-
-    def _packages(self, extent: Extent) -> int:
-        return -(-extent.rows // self.package_size)
-
-    def remaining(self, node: int) -> int:
-        """Packages *node* has not finished: in flight plus pending."""
-        shard = self.shards[node]
-        return len(shard.slot.inflight) + sum(map(self._packages, shard.pending))
-
-    @property
-    def done(self) -> bool:
-        return not any(
-            shard.pending or shard.slot.inflight for shard in self.shards.values()
-        )
-
-    def fill(self, node: int) -> list[Extent]:
-        """Cut the packages that top *node*'s look-ahead window up off
-        the front of its pending deque; the caller sends them."""
-        shard = self.shards[node]
-        packages: list[Extent] = []
-        room = NODE_LOOKAHEAD - len(shard.slot.inflight)
-        while shard.pending and len(packages) < room:
-            extent = shard.pending.popleft()
-            cut = min(extent.start + self.package_size, extent.stop)
-            if cut < extent.stop:
-                shard.pending.appendleft(extent._replace(start=cut))
-            packages.append(extent._replace(stop=cut))
-        return packages
-
-    def complete(self, node: int, package: Extent, nbytes: int) -> _Part:
-        """Grow *node*'s current part by a reported package; the grown
-        part is what the run journals."""
-        shard = self.shards[node]
-        if not shard.parts or not shard.parts[-1].continues(package):
-            shard.parts.append(_Part(package))
-        part = shard.parts[-1]
-        part.grow(package.stop, nbytes)
-        shard.rows += package.rows
-        shard.bytes += nbytes
-        return part
-
-    def steal(self, thief: int) -> None:
-        """Move the tail half of the busiest other node's unfinished
-        packages to *thief* — pending ones only, newest ranges first
-        (the work the victim is furthest from reaching)."""
-        victim = max(
-            (node for node in self.shards if node != thief),
-            key=self.remaining, default=None,
-        )
-        if victim is None:
-            return
-        source = self.shards[victim]
-        want = self.remaining(victim) // 2
-        taken: list[tuple[str, int, int]] = []
-        while want > 0 and source.pending:
-            extent = source.pending.pop()
-            count = self._packages(extent)
-            keep = max(count - want, 0)
-            split = extent.start + keep * self.package_size
-            if keep:
-                source.pending.append(extent._replace(stop=split))
-            taken.append((extent.table, split, extent.stop))
-            want -= count - keep
-        if not taken:
-            return
-        taken.reverse()
-        self.assign(thief, taken, "steal", victim)
-        self.shards[thief].steals_taken += len(taken)
-        source.steals_yielded += len(taken)
-        self.steals += len(taken)
-        self.stolen_rows += sum(stop - start for _, start, stop in taken)
-
-    def fail(self, node: int, lost: list[Extent]) -> list[tuple[str, int, int]]:
-        """Take everything dead *node* held that is not durable — the
-        *lost* in-flight packages, then its pending deque — out of its
-        shard, as coalesced ranges ready to :meth:`assign` elsewhere."""
-        shard = self.shards[node]
-        ranges: list[tuple[str, int, int]] = []
-        for table, start, stop, *_ in [*lost, *shard.pending]:
-            if ranges and ranges[-1][0] == table and ranges[-1][2] == start:
-                ranges[-1] = (table, ranges[-1][1], stop)
-            else:
-                ranges.append((table, start, stop))
-        shard.pending.clear()
-        return ranges
-
-    def parts(self, table: str, size: int) -> list[Part]:
-        """The parts of *table* in row order, verified to cover
-        ``[0, size)`` exactly once."""
-        parts = sorted(
-            (part
-             for held in (self.resumed, *(s.parts for s in self.shards.values()))
-             for part in held if part.table == table),
-            key=lambda part: part.start,
-        )
-        position = 0
-        for part in parts:
-            if part.start != position:
-                raise SchedulingError(
-                    f"table {table!r}: parts are not contiguous at row "
-                    f"{position} (next part starts at {part.start}) — "
-                    "a range was lost or generated twice"
-                )
-            position = part.stop
-        if position != size:
-            raise SchedulingError(
-                f"table {table!r}: parts cover {position} of {size} rows"
-            )
-        return parts
-
-
 # --------------------------------------------------------------------------
 # node side
 # --------------------------------------------------------------------------
@@ -319,13 +97,13 @@ class _OpenPart(_Part):
 
     __slots__ = ("sink", "_span", "_handle")
 
-    def __init__(self, output: OutputConfig, first: Extent) -> None:
+    def __init__(self, output: OutputConfig, first: WorkPackage) -> None:
         super().__init__(first)
         self.sink = NullSink()
         if output.kind == "file":
             self.sink = FileSink(os.path.join(output.directory, self.file))
         attrs = {"table": first.table, "start": first.start,
-                 "reason": first.reason, "attempt": 1}
+                 "reason": first.reason, "attempt": first.attempt}
         if first.origin is not None:
             attrs["origin"] = first.origin
         self._span = span("node.assignment", **attrs)
@@ -344,26 +122,22 @@ def _cluster_node(node, tasks, results, telemetry, engine, nodes, output, faults
     inherited under fork, rebuilt from its model under spawn.
     """
     delay = faults.node_delay(node) if faults is not None else 0.0
-    sequences: dict[str, int] = {}
     part: _OpenPart | None = None
     started = time.perf_counter()
     with span("meta.node", node=node, nodes=nodes):
-        while (extent := tasks.get()) is not None:
-            table, start, stop = extent[:3]
-            if faults is not None and faults.should_kill(table, start):
+        while (package := tasks.get()) is not None:
+            if faults is not None and faults.should_kill(package.table, package.start):
                 die(results, faults.kill_exit_code)
-            if part is None or not part.continues(extent):
+            if part is None or not part.continues(package):
                 if part is not None:
                     part.close()
-                part = _OpenPart(output, extent)
-            sequence = sequences.get(table, 0)
-            sequences[table] = sequence + 1
-            package = WorkPackage(table, start, stop, sequence)
+                part = _OpenPart(output, package)
             # first= keys binary stream framing off absolute position;
             # text formats ignore it, but keeping the single-node rule
             # (exactly one "first" chunk, at row 0) costs nothing.
             result = run_package(
-                engine, output, package, attempt=1, first=start == 0, start=start
+                engine, output, package, first=package.start == 0,
+                start=package.start,
             )
             part.sink.write(result.chunk)
             if delay:
@@ -371,11 +145,11 @@ def _cluster_node(node, tasks, results, telemetry, engine, nodes, output, faults
             # flushed before it is reported: what the parent's ledger and
             # manifest count never overstates the part file.
             part.sink.flush()
-            part.grow(stop, result.nbytes)
+            part.grow(package.stop, result.nbytes)
             # the chunk stays here; dropping it now also keeps it from
             # staying alive while the next package is formatted
             result = result._replace(chunk=None)
-            results.put(("package", node, (table, start), result, telemetry.export()))
+            results.put(("package", node, package.key, result, telemetry.export()))
         if part is not None:
             part.close()
     return {"seconds": time.perf_counter() - started}
@@ -455,9 +229,10 @@ class ClusterScheduler:
             time.perf_counter() - started, nodes, "cluster",
             nodes=tuple(
                 NodeReport(
-                    node, shard.rows, shard.bytes,
-                    (shard.slot.report or {}).get("seconds", 0.0),
-                    shard.slot.telemetry,
+                    node, sum(part.rows for part in shard.parts),
+                    sum(part.bytes for part in shard.parts),
+                    (run.slots[node].report or {}).get("seconds", 0.0),
+                    run.slots[node].telemetry,
                     steals_taken=shard.steals_taken,
                     steals_yielded=shard.steals_yielded,
                 )
@@ -504,13 +279,8 @@ class _ClusterRun(ExecutorPool):
         )
         for shard in plan_shards(sizes, nodes):
             self.ledger.assign(
-                self._spawn_node().ident, self.ledger.uncovered(shard), "shard", None
+                self.spawn().ident, self.ledger.uncovered(shard), "shard", None
             )
-
-    def _spawn_node(self) -> ExecutorSlot:
-        slot = self.spawn()
-        self.ledger.add(slot)
-        return slot
 
     def _path(self, file: str) -> str:
         return os.path.join(self.output.directory, file)
@@ -549,7 +319,8 @@ class _ClusterRun(ExecutorPool):
                 os.remove(os.path.join(self.part_dir, name))
         for part in parts:
             self.accounting.resumed(
-                part.table, part.rows, part.bytes, part.packages(package_size)
+                part.table, part.rows, part.bytes,
+                package_count(part.start, part.stop, package_size),
             )
         return parts
 
@@ -562,14 +333,14 @@ class _ClusterRun(ExecutorPool):
         ledger = self.ledger
         live = self.live()
         for slot in live:
-            if not slot.inflight and not ledger.shards[slot.ident].pending:
+            if not ledger.remaining(slot.ident):
                 ledger.steal(slot.ident)
         for slot in live:
-            for package in ledger.fill(slot.ident):
-                self.send(slot, package.key, package)
+            for package in ledger.fill(slot.ident, NODE_LOOKAHEAD - len(slot.inflight)):
+                self.send(slot, package)
 
     def complete(self, slot, package, result) -> None:
-        part = self.ledger.complete(slot.ident, package, result.nbytes)
+        part = self.ledger.complete_part(slot.ident, package, result.nbytes)
         if self.journal is not None:
             self.journal.record_part(part)
         self.accounting.package(package.table, package.rows, result)
@@ -585,7 +356,7 @@ class _ClusterRun(ExecutorPool):
         # id) — same rows, same bytes.
         target = min(
             self.live(), key=lambda s: self.ledger.remaining(s.ident), default=None
-        ) or self._spawn_node()
+        ) or self.spawn()
         self.ledger.assign(target.ident, ranges, "dead-node", slot.ident)
 
     def _cut_back(self, parts: list[Part]) -> None:
@@ -595,7 +366,7 @@ class _ClusterRun(ExecutorPool):
             # shorter than what was reported durable
             FileSink(self._path(part.file), resume_at=part.bytes).close()
 
-    def _truncate_parts(self, node: int, lost: list[Extent]) -> None:
+    def _truncate_parts(self, node: int, lost: list[WorkPackage]) -> None:
         """A dead node's files: its parts cut back, the rest removed."""
         parts = self.ledger.shards[node].parts
         self._cut_back(parts)

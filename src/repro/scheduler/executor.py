@@ -27,10 +27,13 @@ not depend on *which* package goes *where*:
 * the scripted-kill discipline (:func:`die`) and the
   sentinel → drain → join → terminate → queue-close shutdown.
 
-Dispatch *policy* is the subclass's: the process pool feeds an ordered
-bounded window, the cluster feeds per-node shards and steals tails.
+Dispatch *policy* is the subclass's, and both take their packages from
+a :class:`~repro.scheduler.work.ShardLedger`: the process pool cuts one
+shared shard through its ordered bounded window, the cluster feeds
+per-node shards and steals tails.
 
-Wire protocol. Parent → child: a package item, or ``None`` to stop.
+Wire protocol. Parent → child: a :class:`~repro.scheduler.work.WorkPackage`,
+or ``None`` to stop.
 Child → parent: ``("package", id, key, result, telemetry)``,
 ``("done", id, report, telemetry)``, ``("error", id, type, text,
 traceback)``.
@@ -81,14 +84,14 @@ class PackageResult(NamedTuple):
 
 
 def run_package(
-    engine, output, package, *, attempt: int, first: bool | None = None,
-    deliver=None, **span_attrs,
+    engine, output, package, *, first: bool, deliver=None, **span_attrs,
 ) -> PackageResult:
     """Generate and format *package* under its ``scheduler.package``
     span — the one worker body of every runtime.
 
-    ``attempt`` is 1 unless a crashed executor's package is being
-    redone; ``first`` is :func:`format_package`'s. ``deliver(chunk)``,
+    The span carries the package's ``attempt`` (1 unless a crashed
+    executor's package is being redone); ``first`` — this package opens
+    its output — is :func:`format_package`'s. ``deliver(chunk)``,
     when given, runs inside the span but outside the timer: the inline
     worker submits to its mux there, so the
     ``sink.write`` spans stay children of the package that flushed them.
@@ -96,7 +99,7 @@ def run_package(
     started = time.perf_counter()
     with span(
         "scheduler.package", table=package.table,
-        sequence=package.sequence, rows=package.rows, attempt=attempt,
+        sequence=package.sequence, rows=package.rows, attempt=package.attempt,
         **span_attrs,
     ) as package_span:
         chunk = format_package(engine, output, package, first=first)
@@ -184,7 +187,7 @@ def _executor_main(body, ident, telemetry, tasks, results, args) -> None:
 class ExecutorSlot:
     """Parent-side handle of one executor process.
 
-    ``inflight`` maps package key → dispatched item for everything sent
+    ``inflight`` maps package key → package for everything sent
     that has not come back; ``report``/``telemetry`` hold the final
     ``done`` message; ``failed`` marks a process that died without one;
     ``open_spans`` links the spans it ships to parents it has not shipped
@@ -209,11 +212,14 @@ class ExecutorSlot:
 class ExecutorPool:
     """Runs executor processes until the subclass's work is finished.
 
-    Subclasses supply the policy: :meth:`finished`, :meth:`dispatch`
-    (hand out packages with :meth:`send`), :meth:`complete` (one owed
-    result arrived) and :meth:`recover` (an executor died; *lost* is
-    what it still held — recovery checks no limit, :meth:`_reap` holds
-    the only one). ``failures`` counts the dead executors. ``tag`` names
+    Subclasses supply the policy over their
+    :class:`~repro.scheduler.work.ShardLedger`: :meth:`finished` (the
+    ledger is done), :meth:`dispatch` (send what ``ledger.fill`` cuts
+    with :meth:`send`), :meth:`complete` (one owed result arrived) and
+    :meth:`recover` (an executor died; *lost* are the packages it still
+    held, which go back to the ledger one attempt higher — recovery
+    checks no limit, :meth:`_reap` holds the only one). ``failures``
+    counts the dead executors. ``tag`` names
     the span attribute that marks every stitched span with its executor
     id (``"node"``).
     """
@@ -269,9 +275,9 @@ class ExecutorPool:
     def live(self) -> list[ExecutorSlot]:
         return [slot for slot in self.slots.values() if not slot.failed]
 
-    def send(self, slot: ExecutorSlot, key, item) -> None:
-        slot.inflight[key] = item
-        slot.queue.put(item)
+    def send(self, slot: ExecutorSlot, package) -> None:
+        slot.inflight[package.key] = package
+        slot.queue.put(package)
 
     def drive(self) -> None:
         """Dispatch and collect until :meth:`finished`, then stop every

@@ -3,20 +3,25 @@
 "The scheduler assigns work packages to the workers. ... Whenever a work
 package is generated, it is sent to the output system, where it can be
 formatted and sorted" (paper §2). Workers format their package into a
-private buffer (own writer, own formatter cache) and hand the finished
-chunk to the ordered mux, which restores row order per table.
+private buffer (own writer) and hand the finished chunk to the ordered
+mux, which restores row order per table.
 
-The worker count is the only thing a caller says:
+Packages come from one :class:`~repro.scheduler.work.ShardLedger` shard
+holding the run's row ranges minus what a resumed checkpoint already
+vouches for, cut on the package grid (package ``k`` is rows
+``[k·P, (k+1)·P)``, its sequence ``k``). The worker count is the only
+thing a caller says:
 
-* ``workers == 1`` — packages run inline, one after the other, in the
-  calling thread (``RunReport.backend == "inline"``).
-* ``workers > 1`` — workers are executor processes
-  (:mod:`repro.scheduler.executor`, the core shared with cluster nodes);
-  finished chunks stream back to the parent, which writes them to the
-  sinks in order (``"process"``). Seed-addressed generation makes this
-  safe: any row is recomputable in any process with identical bytes.
+* ``workers == 1`` — the shard is drained inline, one package after the
+  other, in the calling thread (``RunReport.backend == "inline"``).
+* ``workers > 1`` — that many executor processes
+  (:mod:`repro.scheduler.executor`, the core shared with cluster nodes)
+  share the shard; finished chunks stream back to the parent, which
+  writes them to the sinks in order (``"process"``). Seed-addressed
+  generation makes this safe: any row is recomputable in any process
+  with identical bytes.
 
-The pool dispatches through a bounded :class:`InFlightWindow`
+The pool cuts packages through a bounded :class:`InFlightWindow`
 (``workers + DEFAULT_INFLIGHT_EXTRA`` slots): a package is only handed
 to a worker once a slot is free, and a slot is only freed when the
 package's chunk reaches its sink. That caps the memory held in
@@ -71,10 +76,7 @@ from repro.resilience.faults import FaultPlan
 from repro.scheduler.executor import ExecutorPool, PackageResult, die, run_package
 from repro.scheduler.progress import ProgressMonitor
 from repro.scheduler.work import (
-    DEFAULT_PACKAGE_SIZE,
-    WorkPackage,
-    node_share,
-    partition_rows,
+    DEFAULT_PACKAGE_SIZE, ShardLedger, node_share, package_count, package_end,
 )
 
 #: per-value latency histogram bounds, ns (Figures 7-9 run 100-10000 ns)
@@ -144,7 +146,7 @@ class RunReport:
 
     The resilience fields report recovery work: ``worker_restarts``
     (dead pool workers replaced), ``requeued_packages`` (what they
-    held, regenerated on the replacements) and ``resumed_packages``
+    held, redone before any later package) and ``resumed_packages``
     (checkpointed packages a resumed run skipped instead of
     regenerating; their rows/bytes are included in the totals — the
     report describes the complete data set).
@@ -312,93 +314,90 @@ class RunAccounting:
         )
 
 
-def _pool_worker(ident, tasks, results, telemetry, engine, output, faults):
+def _pool_worker(ident, tasks, results, telemetry, engine, output, faults, ranges):
     """Worker-process body: generate and format packages locally.
 
-    Receives ``(WorkPackage, attempt)`` items until the ``None``
-    sentinel; each result is the package's
+    Receives :class:`~repro.scheduler.work.WorkPackage` items until the
+    ``None`` sentinel; each result is the package's
     :class:`~repro.scheduler.executor.PackageResult` plus its spans and
     metric deltas (see :mod:`repro.scheduler.executor`
     for the bootstrap and wire protocol). ``faults`` is the test
-    harness's scripted crash plan (``kill_at``, as on a cluster node).
+    harness's scripted crash plan (``kill_at``, as on a cluster node);
+    ``ranges`` are the run's per-table ``[start, stop)``.
     """
-    while (item := tasks.get()) is not None:
-        package, attempt = item
+    while (package := tasks.get()) is not None:
         if faults is not None and faults.should_kill(package.table, package.start):
             die(results, faults.kill_exit_code)
-        result = run_package(engine, output, package, attempt=attempt)
-        results.put((
-            "package", ident, (package.table, package.sequence), result,
-            telemetry.export(),
-        ))
+        result = run_package(
+            engine, output, package, first=package.start == ranges[package.table][0]
+        )
+        results.put(("package", ident, package.key, result, telemetry.export()))
 
 
 class _ProcessPool(ExecutorPool):
-    """The ``workers > 1`` runtime: packages stream through worker
-    processes in sequence order, the parent flushes finished chunks in
+    """The ``workers > 1`` runtime: N worker processes share one ledger
+    shard, cut in sequence order; the parent flushes finished chunks in
     order.
 
-    The parent is the only writer: it dispatches a package whenever the
+    The parent is the only writer: it cuts a package whenever the
     delivery window has a free slot and feeds returned chunks to the
     per-table muxes (which release window slots as chunks hit the
-    sinks). Because dispatch follows sequence order, at most ``workers +
-    DEFAULT_INFLIGHT_EXTRA`` chunks are ever buffered, however large the
-    run.
+    sinks). Because packages are cut in sequence order, at most
+    ``workers + DEFAULT_INFLIGHT_EXTRA`` chunks are ever buffered,
+    however large the run.
 
-    When a worker dies, the packages it held are requeued to a freshly
-    spawned replacement (generation is seed-addressed, so a redo is
-    byte-identical) with their attempt number one higher, so the redo's
-    spans are identifiable in the stitched trace. The crash-loop
-    cap is :class:`~repro.scheduler.executor.ExecutorPool`'s.
+    When a worker dies a replacement is spawned, and the packages the
+    dead one held go back to the *front* of the shard one attempt higher
+    (generation is seed-addressed, so a redo is byte-identical and its
+    spans are identifiable in the stitched trace): were they queued
+    behind later packages, the window would fill with successors that
+    cannot flush. A redo takes no second window slot: the lost package
+    never reached its mux, so its slot is handed back, and the redo —
+    first in line — takes it again. The crash-loop cap is
+    :class:`~repro.scheduler.executor.ExecutorPool`'s.
     """
 
     role = "generation worker"
 
     def __init__(
-        self, scheduler: "Scheduler", packages, muxes,
-        accounting: RunAccounting, window: InFlightWindow,
+        self, scheduler: "Scheduler", ledger: ShardLedger, muxes,
+        accounting: RunAccounting, window: InFlightWindow, ranges,
         run_span_id: int | None,
     ) -> None:
         super().__init__(
             _pool_worker,
-            (scheduler.engine, scheduler.output, scheduler.faults),
+            (scheduler.engine, scheduler.output, scheduler.faults, ranges),
             parent_span_id=run_span_id, faults=scheduler.faults,
         )
-        self.packages = packages
+        self.ledger = ledger
         self.muxes = muxes
         self.accounting = accounting
         self.window = window
-        self.cursor = 0
-        self.completed = 0
         self.requeued = 0
-        for _ in range(min(scheduler.workers, len(packages))):
+        for _ in range(min(scheduler.workers, ledger.remaining(0))):
             self.spawn()
 
     def finished(self) -> bool:
-        return self.completed == len(self.packages)
+        return self.ledger.done
 
     def dispatch(self) -> None:
         live = self.live()
-        while self.cursor < len(self.packages) and self.window.try_acquire():
-            package, _ = self.packages[self.cursor]
+        for package in self.ledger.fill(0, self.window.limit - self.window.in_flight):
+            self.window.try_acquire()
             slot = min(live, key=lambda candidate: len(candidate.inflight))
-            self.send(slot, (package.table, package.sequence), (package, 1))
-            self.cursor += 1
+            self.send(slot, package)
 
-    def complete(self, slot, item, result) -> None:
-        package, _ = item
+    def complete(self, slot, package, result) -> None:
+        self.ledger.complete(0)
         self.muxes[package.table].submit(package.sequence, result.chunk)
         self.accounting.package(package.table, package.rows, result)
-        self.completed += 1
 
     def recover(self, slot, lost) -> None:
         # The dead worker's queue may still hold undelivered items;
         # abandon it wholesale — ``lost`` is authoritative.
-        replacement = self.spawn()
-        for package, attempt in lost:
-            self.send(
-                replacement, (package.table, package.sequence), (package, attempt + 1)
-            )
+        self.spawn()
+        self.window.release(len(lost))
+        self.ledger.requeue(0, lost)
         self.requeued += len(lost)
 
 
@@ -430,13 +429,14 @@ def emergency_teardown(
             pass
 
 
-def _journal_flushes(journal, part: Part, sink: Sink, packages: list[WorkPackage]):
+def _journal_flushes(journal, part: Part, sink: Sink, package_size: int, stop: int):
     """One table's mux ``on_flush`` hook: each chunk that reached *sink*
+    — the package after the watermark, since the mux flushes in order —
     moves the table's watermark *part* and is journaled."""
 
-    def on_flush(sequence: int, chunk) -> None:
+    def on_flush(_sequence: int, chunk) -> None:
         sink.flush()  # first: a journaled watermark is durable
-        part.grow(packages[sequence].stop, *chunk_digest(chunk))
+        part.grow(package_end(part.stop, stop, package_size), *chunk_digest(chunk))
         journal.record_part(part)
 
     return on_flush
@@ -506,8 +506,6 @@ class Scheduler:
         """
         engine = self.engine
         names = tables if tables is not None else [t.name for t in engine.schema.tables]
-
-        packages: list[tuple[WorkPackage, OrderedSinkMux]] = []
         sinks: list[Sink] = []
         muxes: dict[str, OrderedSinkMux] = {}
         footers: list[tuple[str, Sink, str]] = []
@@ -537,9 +535,6 @@ class Scheduler:
                 marks = self._resume_marks(manifest, ranges)
                 for name, (start, stop) in ranges.items():
                     part = marks.get(name)
-                    all_packages = partition_rows(
-                        name, stop - start, self.package_size, offset=start
-                    )
                     header, footer = table_frame(self.output, engine, name)
                     if part is None:
                         # Fresh table, or a resumed one that crashed before
@@ -561,7 +556,7 @@ class Scheduler:
                         # The watermark is durable on disk: count it from
                         # the manifest and reopen behind it — unless the
                         # footer is durable too, then the file stands.
-                        done = part.packages(self.package_size)
+                        done = package_count(start, part.stop, self.package_size)
                         accounting.resumed(name, part.rows, part.bytes, done)
                         if name in manifest.done:
                             accounting.frame(name, encoded_size(footer))
@@ -575,30 +570,33 @@ class Scheduler:
 
                     on_flush = None
                     if journal is not None:
-                        on_flush = _journal_flushes(journal, part, sink, all_packages)
-                    done = part.packages(self.package_size)
-                    mux = OrderedSinkMux(
+                        on_flush = _journal_flushes(
+                            journal, part, sink, self.package_size, stop
+                        )
+                    # the next package starts at the watermark: sequence
+                    # ``row // P`` on the grid
+                    muxes[name] = OrderedSinkMux(
                         sink, name, window=window,
-                        first_sequence=done, on_flush=on_flush,
+                        first_sequence=part.stop // self.package_size,
+                        on_flush=on_flush,
                     )
-                    muxes[name] = mux
-                    for package in all_packages[done:]:
-                        packages.append((package, mux))
+                ledger = ShardLedger(self.package_size, list(marks.values()))
+                ledger.assign(
+                    0, ledger.uncovered((name, *ranges[name]) for name in muxes),
+                    "shard", None,
+                )
                 run_span.set(
-                    tables=len(names), packages=len(packages), rows=total_rows,
-                    resumed_packages=accounting.resumed_packages,
+                    tables=len(names), packages=ledger.remaining(0),
+                    rows=total_rows, resumed_packages=accounting.resumed_packages,
                 )
                 run_span_id = getattr(run_span, "span_id", None)
 
                 started = time.perf_counter()
-                if not packages:
-                    pass
-                elif self.workers == 1:
-                    for package, mux in packages:
-                        self._generate_package(package, mux, accounting)
+                if self.workers == 1:
+                    self._run_inline(ledger, muxes, accounting, ranges)
                 else:
                     pool = _ProcessPool(
-                        self, packages, muxes, accounting, window, run_span_id
+                        self, ledger, muxes, accounting, window, ranges, run_span_id
                     )
                     pool.drive()
                     requeued, restarts = pool.requeued, pool.failures
@@ -673,8 +671,9 @@ class Scheduler:
         for file, part in manifest.parts.items():
             name = tables.get(file)
             start, stop = ranges.get(name, (0, 0))
-            on_boundary = (
-                part.stop == stop or (part.stop - start) % self.package_size == 0
+            # no rows yet, or the package holding its last row ends there
+            on_boundary = part.stop in (
+                start, package_end(part.stop - 1, stop, self.package_size)
             )
             if (
                 name != part.table or part.start != start
@@ -697,18 +696,19 @@ class Scheduler:
 
     # -- inline run ----------------------------------------------------------
 
-    def _generate_package(
-        self,
-        package: WorkPackage,
-        mux: OrderedSinkMux,
-        accounting: RunAccounting,
-    ) -> None:
-        """Inline worker: run the package, submit it in row order."""
-        result = run_package(
-            self.engine, self.output, package, attempt=1,
-            deliver=lambda chunk: mux.submit(package.sequence, chunk),
-        )
-        accounting.package(package.table, package.rows, result)
+    def _run_inline(self, ledger: ShardLedger, muxes, accounting, ranges) -> None:
+        """Drain the ledger's one shard a package at a time, each
+        submitted in row order."""
+        while packages := ledger.fill(0, 1):
+            (package,) = packages
+            mux = muxes[package.table]
+            result = run_package(
+                self.engine, self.output, package,
+                first=package.start == ranges[package.table][0],
+                deliver=lambda chunk: mux.submit(package.sequence, chunk),
+            )
+            ledger.complete(0)
+            accounting.package(package.table, package.rows, result)
 
 
 def generate(

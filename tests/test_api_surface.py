@@ -1,5 +1,9 @@
 """The public API surface.
 
+10.0 has one package grid and one dispatcher: package ``k`` is rows
+``[k·P, (k+1)·P)`` on every runtime, ``partition_rows`` lost ``offset=``,
+and inline, ``-w N`` and ``--nodes N`` all take their packages from
+``repro.scheduler.work.ShardLedger``.
 9.0 has one formatter per format and one render cache: XML and the SQL
 loader format column blocks, ``ValueFormatter`` is a pure function (no
 memo, no ``cache_limit=``, no hit counters), ``format_package`` returns
@@ -114,8 +118,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_9(self):
-        assert repro.__version__.startswith("9.")
+    def test_version_is_10(self):
+        assert repro.__version__.startswith("10.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -757,3 +761,50 @@ class TestOneFormatterOneRenderCache:
     ])
     def test_deleted_names_stay_deleted(self, name):
         assert not self._occurrences(name, "")
+
+
+class TestOnePackageGridOneDispatcher:
+    """Structural guard: a package boundary is decided in one place (the
+    grid of ``repro.scheduler.work``) and every batch runtime takes its
+    packages from one ledger — the package list, its cursor and the
+    node's own sequence counter cannot grow back."""
+
+    SRC = TestOneBodyOneAccountingOneReport.SRC
+
+    def test_partition_rows_has_no_offset(self):
+        from repro.scheduler import partition_rows
+
+        assert list(inspect.signature(partition_rows).parameters) == [
+            "table", "size", "package_size",
+        ]
+
+    def test_the_pool_keeps_no_package_list(self):
+        from repro.scheduler.scheduler import _ProcessPool
+
+        source = inspect.getsource(_ProcessPool)
+        for attribute in ("packages", "cursor", "completed"):
+            assert f"self.{attribute} " not in source, attribute
+        assert "self.ledger" in source
+
+    def test_the_ledger_lives_with_the_grid(self):
+        from repro.scheduler import cluster
+        from repro.scheduler.work import ShardLedger, WorkPackage, cut_packages
+
+        assert ShardLedger.__module__ == "repro.scheduler.work"
+        assert cluster.ShardLedger is ShardLedger
+        assert "room" in inspect.signature(ShardLedger.fill).parameters
+        assert "NODE_LOOKAHEAD" not in inspect.getsource(ShardLedger)
+        assert cut_packages("t", 30, 60, 25) == [
+            WorkPackage("t", 30, 50, 1), WorkPackage("t", 50, 60, 2),
+        ]
+
+    def test_runtimes_neither_cut_nor_number_packages(self):
+        for name in ("scheduler.py", "cluster.py"):
+            source = (self.SRC / "scheduler" / name).read_text()
+            assert not re.search(r"partition_rows|WorkPackage\(|cursor", source), name
+        assert "sequences" not in (self.SRC / "scheduler" / "cluster.py").read_text()
+
+    def test_one_package_count(self):
+        from repro.resilience.checkpoint import Part
+
+        assert not hasattr(Part, "packages")

@@ -30,11 +30,11 @@ from repro.scheduler import (
     Scheduler,
     generate,
     node_share,
-    partition_rows,
     plan_shards,
 )
-from repro.scheduler.cluster import NODE_LOOKAHEAD, ShardLedger
+from repro.scheduler.cluster import NODE_LOOKAHEAD
 from repro.scheduler.executor import ExecutorSlot
+from repro.scheduler.work import ShardLedger, cut_packages, package_count
 from tests.conftest import demo_schema
 
 
@@ -99,14 +99,16 @@ class TestShardPlanning:
     def test_non_dividing_package_size_covers_share_exactly(self):
         # package size 7 divides neither the 100-row table nor the
         # 33/33/34 shard boundaries; the packages must still tile each
-        # shard exactly.
+        # shard exactly, every edge inside it on the table's grid.
         for node in range(3):
             start, stop = node_share(100, 3, node)
-            packages = partition_rows("t", stop - start, 7, offset=start)
+            packages = cut_packages("t", start, stop, 7)
             position = start
             for package in packages:
                 assert package.start == position
+                assert package.sequence == package.start // 7
                 position = package.stop
+                assert position % 7 == 0 or position == stop
             assert position == stop
 
     def test_multi_table_shards_cover_all_tables(self):
@@ -321,7 +323,7 @@ def _vouched_packages(checkpoint, package_size: int) -> int:
         r["file"]: r for r in _manifest_records(checkpoint) if r["type"] == "part"
     }
     return sum(
-        -(-(r["stop"] - r["start"]) // package_size) for r in latest.values()
+        package_count(r["start"], r["stop"], package_size) for r in latest.values()
     )
 
 
@@ -615,16 +617,18 @@ class TestShardLedger:
         ledger = ShardLedger(package_size=10)
         slots = [ExecutorSlot(node) for node in range(3)]
         for slot, shard in zip(slots, plan_shards(sizes, 3)):
-            ledger.add(slot)
             ledger.assign(slot.ident, shard, "shard", None)
         deaths = 2
         while not ledger.done:
             live = [slot for slot in slots if not slot.failed]
             for slot in live:
-                idle = not slot.inflight and not ledger.shards[slot.ident].pending
-                if steal and idle:
+                if steal and not ledger.remaining(slot.ident):
                     ledger.steal(slot.ident)
-                for package in ledger.fill(slot.ident):
+                room = NODE_LOOKAHEAD - len(slot.inflight)
+                for package in ledger.fill(slot.ident, room):
+                    # a package never crosses a line of the table's grid
+                    k = package.sequence
+                    assert k * 10 <= package.start < package.stop <= (k + 1) * 10
                     slot.inflight[package.key] = package
                 assert len(slot.inflight) <= NODE_LOOKAHEAD
             busy = [slot for slot in live if slot.inflight]
@@ -643,29 +647,87 @@ class TestShardLedger:
                 continue
             key = next(iter(slot.inflight))  # a node works in dispatch order
             package = slot.inflight.pop(key)
-            ledger.complete(slot.ident, package, nbytes=package.rows)
+            ledger.complete_part(slot.ident, package, nbytes=package.rows)
         for table, size in sizes.items():
             parts = ledger.parts(table, size)  # raises on a gap or overlap
             assert sum(part.bytes for part in parts) == size
-        assert sum(shard.rows for shard in ledger.shards.values()) == sum(
-            sizes.values()
-        )
+        assert sum(
+            part.rows for shard in ledger.shards.values() for part in shard.parts
+        ) == sum(sizes.values())
         taken = sum(shard.steals_taken for shard in ledger.shards.values())
         yielded = sum(shard.steals_yielded for shard in ledger.shards.values())
         assert taken == yielded == ledger.steals
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_shard_shared_by_n_executors(self, seed):
+        """The process pool's shape: one shard, N executors, a delivery
+        window whose slots a package holds until its table's mux flushes
+        it in sequence order, and random executor deaths whose packages
+        go back to the front one attempt higher — their slots handed back
+        for the redo, which must come before anything later."""
+        import random
+
+        rng = random.Random(seed)
+        ranges = [("a", 13, 95), ("b", 0, 7), ("d", 5, 31)]  # off-grid starts
+        ledger = ShardLedger(package_size=10)
+        ledger.assign(0, ranges, "shard", None)
+        executors = [ExecutorSlot(ident) for ident in range(3)]
+        free = limit = len(executors) + 2  # the window
+        flushed = {table: start // 10 for table, start, _ in ranges}  # next sequence
+        finished: dict[str, set[int]] = {table: set() for table, *_ in ranges}
+        completions: list[tuple[str, int]] = []
+        redo: list = []  # (key, attempt) of the next packages cut
+        deaths = 2
+        while not ledger.done:
+            room = free
+            packages = ledger.fill(0, room)
+            assert len(packages) <= room
+            for package in packages:
+                if redo:
+                    assert (package.key, package.attempt) == redo.pop(0)
+                free -= 1
+                live = [e for e in executors if not e.failed]
+                target = min(live, key=lambda e: len(e.inflight))
+                target.inflight[package.key] = package
+            assert not redo, "a requeued package waited behind a later one"
+            busy = [e for e in executors if e.inflight and not e.failed]
+            assert busy, "dispatch deadlocked"
+            executor = rng.choice(busy)
+            if deaths and rng.random() < 0.15:
+                deaths -= 1
+                executor.failed = True
+                lost = list(executor.inflight.values())
+                executor.inflight.clear()
+                ledger.requeue(0, lost)
+                free += len(lost)  # they never reached a mux
+                redo = [(package.key, package.attempt + 1) for package in lost]
+                executors.append(ExecutorSlot(len(executors)))
+                continue
+            package = executor.inflight.pop(next(iter(executor.inflight)))
+            ledger.complete(0)
+            completions.append(package.key)
+            finished[package.table].add(package.sequence)
+            while flushed[package.table] in finished[package.table]:
+                flushed[package.table] += 1
+                free += 1
+            assert 0 <= free <= limit
+        grid = [
+            package.key for table, start, stop in ranges
+            for package in cut_packages(table, start, stop, 10)
+        ]
+        assert sorted(completions) == sorted(grid)  # each exactly once
+        assert free == limit
+        assert ledger.done and not ledger.shards[0].pending
+
     def test_steal_takes_the_tail_half_of_pending_packages(self):
         ledger = ShardLedger(package_size=10)
-        victim, thief = ExecutorSlot(0), ExecutorSlot(1)
-        ledger.add(victim)
-        ledger.add(thief)
         ledger.assign(0, [("t", 0, 95)], "shard", None)  # 10 packages
-        for package in ledger.fill(0):
-            victim.inflight[package.key] = package
+        ledger.assign(1, [], "shard", None)
+        assert len(ledger.fill(0, NODE_LOOKAHEAD)) == 2
         ledger.steal(1)
-        # 10 unfinished // 2 = 5 packages, re-anchored at a package edge
-        assert list(ledger.shards[1].pending) == [("t", 50, 95, "steal", 0)]
-        assert list(ledger.shards[0].pending) == [("t", 20, 50, "shard", None)]
+        # 10 unfinished // 2 = 5 packages, split at a package edge
+        assert list(ledger.shards[1].pending) == [("t", 50, 95, "steal", 0, 1)]
+        assert list(ledger.shards[0].pending) == [("t", 20, 50, "shard", None, 1)]
         assert (ledger.steals, ledger.stolen_rows) == (1, 45)
         # nothing in flight ever moves: a victim down to its window keeps it
         ledger.shards[0].pending.clear()

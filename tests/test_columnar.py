@@ -449,8 +449,10 @@ class TestArrowEndToEnd:
             ).run()
         # row groups to keep = the watermark's rows over the package size
         from repro.resilience import RunManifest
+        from repro.scheduler.work import package_count
 
-        vouched = RunManifest.load(ckpt).parts["t.parquet"].packages(64)
+        part = RunManifest.load(ckpt).parts["t.parquet"]
+        vouched = package_count(part.start, part.stop, 64)
         report = Scheduler(
             GenerationEngine(columnar_schema()),
             OutputConfig(kind="file", format="parquet",

@@ -166,25 +166,42 @@ class TestProcessBackendStitching:
 
 
 class TestKillRespawnTrace:
-    def test_requeued_package_spans_carry_attempt_two(self, tmp_path):
+    @pytest.mark.parametrize("runtime", ["-w 2", "--nodes 2"])
+    def test_requeued_package_spans_carry_attempt_two(self, tmp_path, runtime):
+        """A redone package is attempt 2 on every runtime."""
         tracer = obs.enable_tracing()
         plan = FaultPlan(kill_at=("orders", 50), latch_dir=str(tmp_path / "latch"))
-        report = Scheduler(
-            _engine(),
-            OutputConfig(kind="file", format="csv",
-                         directory=str(tmp_path / "out")),
-            workers=2, package_size=25, faults=plan,
-        ).run()
-        assert report.worker_restarts == 1
+        output = OutputConfig(
+            kind="file", format="csv", directory=str(tmp_path / "out")
+        )
+        if runtime == "-w 2":
+            report = Scheduler(
+                _engine(), output, workers=2, package_size=25, faults=plan,
+            ).run()
+            assert report.worker_restarts == 1
+        else:
+            report = ClusterScheduler(
+                demo_schema(seed=42), output=output, package_size=25, faults=plan,
+            ).run(2)
+            assert report.node_failures == 1
         records = tracer.drain()
         redo = [
             r for r in records
             if r.name == "scheduler.package" and r.attrs.get("attempt") == 2
         ]
         assert redo, "respawned worker's redo spans missing from trace"
-        assert any(r.attrs.get("table") == "orders" for r in redo)
-        run = next(r for r in records if r.name == "scheduler.run")
-        assert all(r.parent_id == run.span_id for r in redo)
+        assert ("orders", 2) in {
+            (r.attrs["table"], r.attrs["sequence"]) for r in redo
+        }
+        by_id = {r.span_id: r for r in records}
+        if runtime == "-w 2":
+            run = next(r for r in records if r.name == "scheduler.run")
+            assert all(r.parent_id == run.span_id for r in redo)
+        else:
+            # the survivor took the dead node's packages over
+            assert all(
+                by_id[r.parent_id].attrs["reason"] == "dead-node" for r in redo
+            )
 
     def test_trace_totals_unaffected_by_requeue(self, tmp_path):
         """Redo spans appear, but per-table totals count completed

@@ -24,7 +24,12 @@ from repro.prng.xorshift import (
     mix64,
 )
 from repro.scheduler import generate
-from repro.scheduler.work import node_share, partition_rows
+from repro.scheduler.work import (
+    cut_packages,
+    node_share,
+    package_count,
+    partition_rows,
+)
 from repro.text.dictionary import WeightedDictionary
 from repro.text.markov import MarkovChain, train_chain
 from repro.text.tokenizer import words
@@ -71,6 +76,32 @@ class TestPartitioningProperties:
             covered.extend(range(package.start, package.stop))
         assert covered == list(range(size))
         assert [p.sequence for p in packages] == list(range(len(packages)))
+
+    @settings(deadline=None)  # the first example binds the engine
+    @given(st.integers(min_value=0, max_value=500),
+           st.integers(min_value=0, max_value=500),
+           st.integers(min_value=1, max_value=60))
+    def test_one_cutter(self, a, b, package_size):
+        """Package k is rows [k*P, (k+1)*P) clipped to the range, with
+        sequence k — for a served slice exactly as for a batch run."""
+        from repro.api import Dataset
+        from repro.output.formats import format_spec
+
+        start, stop = min(a, b), max(a, b)
+        packages = cut_packages("t", start, stop, package_size)
+        expected = [
+            (max(k * package_size, start), min((k + 1) * package_size, stop), k)
+            for k in range(start // package_size, -(-stop // package_size))
+        ] if stop > start else []
+        assert [(p.start, p.stop, p.sequence) for p in packages] == expected
+        assert package_count(start, stop, package_size) == len(packages)
+        dataset = Dataset(_tiny_schema(7, 500), package_size=package_size)
+        assert dataset._covering_packages(
+            "t", start, stop, format_spec("csv")
+        ) == packages
+        assert partition_rows("t", stop, package_size) == cut_packages(
+            "t", 0, stop, package_size
+        )
 
     @given(st.integers(min_value=0, max_value=100_000),
            st.integers(min_value=1, max_value=64))

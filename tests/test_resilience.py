@@ -41,6 +41,7 @@ from repro.scheduler import (
     node_share,
     run_node,
 )
+from repro.scheduler.work import package_count
 from tests.conftest import demo_schema
 
 TABLES = ("customer", "orders")
@@ -83,7 +84,8 @@ class TestManifest:
         assert set(manifest.parts) == {"customer.tbl", "orders.tbl"}
         orders = manifest.parts["orders.tbl"]
         assert (orders.table, orders.start, orders.stop) == ("orders", 0, 180)
-        assert orders.packages(25) == 8  # 180 rows / 25-row packages
+        # 180 rows / 25-row packages
+        assert package_count(orders.start, orders.stop, 25) == 8
         assert manifest.done["orders"] == (180, orders.bytes)  # no footer in csv
         assert report.resumed_packages == 0
 
@@ -426,20 +428,22 @@ class TestWatermarkEdgeCases:
     def test_run_node_share_that_does_not_start_at_row_zero(self, tmp_path):
         schema, base = demo_schema(), str(tmp_path / "ckpt")
         run_node(schema, 3, 1, _file_config(tmp_path / "ref"), package_size=25)
+        # 2 headers, customer [20, 25) + [25, 40), orders [60, 75): the
+        # share's packages end on the table's grid, not 25 rows past 60
         faulty = FaultInjectingOutput(
-            _file_config(tmp_path / "out"), crash_after_writes=4
+            _file_config(tmp_path / "out"), crash_after_writes=5
         )
         with pytest.raises(InjectedCrash):
             run_node(schema, 3, 1, faulty, package_size=25, checkpoint=base)
         # the share journals into its own node<i>/ directory
         orders = RunManifest.load(os.path.join(base, "node1")).parts["orders.tbl"]
         assert orders.start == node_share(180, 3, 1)[0] == 60
-        assert orders.stop == 60 + 25
+        assert orders.stop == 75
         report = run_node(
             schema, 3, 1, _file_config(tmp_path / "out"), package_size=25,
             checkpoint=base, resume_from=base,
         )
-        assert report.resumed_packages == 1 + 1
+        assert report.resumed_packages == 2 + 1
         assert _read_tables(tmp_path / "out") == _read_tables(tmp_path / "ref")
 
     def test_torn_final_line(self, tmp_path):
@@ -467,7 +471,7 @@ class TestWatermarkEdgeCases:
             package_size=25, resume_from=ckpt,
         ).run()
         customer = RunManifest.load(ckpt).parts["customer.tbl"]
-        assert (customer.stop, customer.packages(25)) == (60, 3)
+        assert (customer.stop, package_count(0, customer.stop, 25)) == (60, 3)
         assert seen["customer"] == {
             "resume_at": customer.bytes, "resume_packages": 3,
         }

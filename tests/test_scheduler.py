@@ -15,7 +15,13 @@ from repro.scheduler import ClusterScheduler, node_ranges, run_node
 from repro.scheduler.executor import PackageResult
 from repro.scheduler.progress import ProgressMonitor
 from repro.scheduler.scheduler import RunAccounting, Scheduler, generate
-from repro.scheduler.work import WorkPackage, node_share, partition_rows
+from repro.scheduler.work import (
+    WorkPackage,
+    cut_packages,
+    node_share,
+    package_count,
+    partition_rows,
+)
 from tests.conftest import demo_schema
 
 
@@ -38,10 +44,14 @@ class TestPartitionRows:
     def test_empty_table(self):
         assert partition_rows("t", 0, 10) == []
 
-    def test_offset(self):
-        packages = partition_rows("t", 10, 4, offset=100)
-        assert packages[0].start == 100
-        assert packages[-1].stop == 110
+    def test_off_grid_range_is_cut_on_the_grid(self):
+        # a range that starts off the grid keeps the table's package
+        # edges and numbers: package k is rows [k*4, (k+1)*4), clipped
+        packages = cut_packages("t", 102, 113, 4)
+        assert [(p.start, p.stop, p.sequence) for p in packages] == [
+            (102, 104, 25), (104, 108, 26), (108, 112, 27), (112, 113, 28),
+        ]
+        assert package_count(102, 113, 4) == len(packages)
 
     def test_bad_inputs(self):
         with pytest.raises(SchedulingError):

@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output paths: hot loops and swallowed errors.
 
-Six checks, one AST walk:
+Seven checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -64,9 +64,21 @@ Figures 7-9 that way for twenty PRs). The same ``# hot-loop-ok:
 <reason>`` waiver marks the two series that measure the scalar path on
 purpose: Figure 6's like-for-like oracle and the §2 recompute claim.
 
+**One-cutter check.** Where a work package ends is one rule — the
+package grid of :mod:`repro.scheduler.work`: package ``k`` is rows
+``[k·P, (k+1)·P)``, clipped to the range being cut. A ``WorkPackage(...)``
+built anywhere else is a second cutter: it can number or end packages
+differently (a node counting its own sequences, a serve path cutting
+from the slice start) and make "the package at row N" mean a different
+package on another runtime, without changing a byte of text output. So
+``WorkPackage`` is constructed only in ``src/repro/scheduler/work.py``;
+everything else takes packages from ``cut_packages`` /
+``partition_rows`` / ``ShardLedger.fill``. No waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
-``src/repro/core/loader.py``, the span-recording obs modules, and
-(oracle-timing check only) ``benchmarks/``.
+``src/repro/core/loader.py``, the span-recording obs modules,
+(oracle-timing check only) ``benchmarks/``, and (one-cutter check
+only) every module under ``src/repro/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -102,6 +114,11 @@ COLUMNAR_HOT_FILES = (
 )
 BANNED_COLUMNAR_CALLS = ("format",)
 COLUMNAR_WAIVER = "columnar-ok"
+
+#: the one module that may construct work packages, and what it builds
+CUTTER_SCOPE = "src/repro"
+CUTTER_FILE = "src/repro/scheduler/work.py"
+CUTTER_CLASS = "WorkPackage"
 
 #: the class whose ``write_block`` is the row-path default
 ROW_PATH_CLASS = "RowWriter"
@@ -173,6 +190,18 @@ def _transposing_overrides(tree: ast.AST, path: Path) -> list[str]:
     return violations
 
 
+def second_cutters(path: Path) -> list[str]:
+    """``WorkPackage(...)`` constructions outside the cutter module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.relative_to(REPO)}:{node.lineno}: {CUTTER_CLASS}(...) built "
+        f"outside {CUTTER_FILE}; take packages from its cutter "
+        "(cut_packages / partition_rows / ShardLedger.fill)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _call_name(node) == CUTTER_CLASS
+    ]
+
+
 def check_file(
     path: Path, span_hot: bool = False, columnar_hot: bool = False,
     benchmark: bool = False,
@@ -233,25 +262,30 @@ def check_file(
 
 def main() -> int:
     violations: list[str] = []
-    checked = 0
+    checked: set[Path] = set()
     columnar_hot = {REPO / rel for rel in COLUMNAR_HOT_FILES}
     for rel in CHECKED_PATHS:
         root = REPO / rel
         for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
-            checked += 1
+            checked.add(path)
             violations.extend(
                 check_file(path, columnar_hot=path in columnar_hot)
             )
     for rel in SPAN_HOT_FILES:
-        checked += 1
+        checked.add(REPO / rel)
         violations.extend(check_file(REPO / rel, span_hot=True))
     for path in sorted((REPO / BENCHMARK_DIR).glob("*.py")):
-        checked += 1
+        checked.add(path)
         violations.extend(check_file(path, benchmark=True))
+    for path in sorted((REPO / CUTTER_SCOPE).rglob("*.py")):
+        if path != REPO / CUTTER_FILE:
+            checked.add(path)
+            violations.extend(second_cutters(path))
     for message in violations:
         print(message)
     print(
-        f"hot-loop lint: {checked} files checked, {len(violations)} violation(s)"
+        f"hot-loop lint: {len(checked)} files checked, "
+        f"{len(violations)} violation(s)"
     )
     return 1 if violations else 0
 
