@@ -35,13 +35,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 #: Blocks shorter than this keep the per-row loop in the generators whose
-#: array kernels have a fixed cost (MarkovChain, Formula, RowFormula), so
-#: 1-row serve reads and previews pay nothing for them and never build
-#: the Markov chain tables. Measured on the TPC-H model (per block, loop
-#: vs kernel): ``o_comment`` 16 rows 95 vs 165 us, 32 rows 189 vs 185 us,
+#: array kernels have a fixed cost (MarkovChain, Formula, RowFormula and
+#: the drawn templates of ``strings.DrawTemplateGenerator``), so 1-row
+#: serve reads and previews pay nothing for them and never build the
+#: Markov chain tables. Measured on the TPC-H model (per block, loop vs
+#: kernel): ``o_comment`` 16 rows 95 vs 165 us, 32 rows 189 vs 185 us,
 #: 64 rows 343 vs 268 us, 256 rows 1526 vs 448 us; the two formula
-#: kernels cost 7-15 us flat and break even at 8 rows; the Markov
-#: break-even decides.
+#: kernels cost 7-15 us flat and break even at 8 rows; a template pays
+#: one array step per table and breaks even at 8-16 rows (Phone, 11
+#: tables, per value: 1 row 6.2 vs 52 us, 8 rows 5.7 vs 6.8 us, 32 rows
+#: 4.6 vs 2.3 us; 2-core Xeon); the Markov break-even decides.
 _KERNEL_MIN_ROWS = 32
 
 

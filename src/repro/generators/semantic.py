@@ -2,15 +2,18 @@
 
 These are PDGF's "predefined generators for URLs, addresses, etc."
 (paper §3) that DBSynth's rule engine assigns when a column name matches
-a known semantic domain and the database cannot be sampled.
+a known semantic domain and the database cannot be sampled. All but
+``TextGenerator`` are drawn templates: they declare their literals and
+tables, and :class:`~repro.generators.strings.DrawTemplateGenerator`
+generates them.
 """
 
 from __future__ import annotations
 
-import string
-
+from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
+from repro.generators.strings import DrawTemplateGenerator, pattern_parts
 from repro.text import corpus
 
 
@@ -18,101 +21,78 @@ def _pick(rng, values: list[str]) -> str:
     return values[rng.next_long(len(values))]
 
 
+_NAME_STYLES = {"full": [corpus.FIRST_NAMES, " ", corpus.LAST_NAMES],
+                "first": [corpus.FIRST_NAMES], "last": [corpus.LAST_NAMES]}
+
+
 @register("PersonNameGenerator")
-class PersonNameGenerator(Generator):
+class PersonNameGenerator(DrawTemplateGenerator):
     """``First Last`` names from the built-in name dictionaries.
 
     ``style`` may be ``full`` (default), ``first``, or ``last``.
     """
 
-    def bind(self, ctx: BindContext) -> None:
-        self._style = str(self.spec.params.get("style", "full"))
-
-    def generate(self, ctx: GenerationContext) -> str:
-        rng = ctx.rng
-        if self._style == "first":
-            return _pick(rng, corpus.FIRST_NAMES)
-        if self._style == "last":
-            return _pick(rng, corpus.LAST_NAMES)
-        return f"{_pick(rng, corpus.FIRST_NAMES)} {_pick(rng, corpus.LAST_NAMES)}"
+    def parts(self) -> list:
+        style = str(self.spec.params.get("style", "full"))
+        if style not in _NAME_STYLES:
+            raise ModelError(f"PersonNameGenerator: style {style!r} is not full, first or last")
+        return _NAME_STYLES[style]
 
 
 @register("CompanyNameGenerator")
-class CompanyNameGenerator(Generator):
+class CompanyNameGenerator(DrawTemplateGenerator):
     """Two-word company names with a legal-form suffix."""
 
-    def generate(self, ctx: GenerationContext) -> str:
-        rng = ctx.rng
-        first = _pick(rng, corpus.COMPANY_WORDS)
-        second = _pick(rng, corpus.LAST_NAMES)
-        suffix = _pick(rng, corpus.COMPANY_SUFFIXES)
-        return f"{first} {second} {suffix}"
+    def parts(self) -> list:
+        return [corpus.COMPANY_WORDS, " ", corpus.LAST_NAMES, " ", corpus.COMPANY_SUFFIXES]
 
 
 @register("AddressGenerator")
-class AddressGenerator(Generator):
+class AddressGenerator(DrawTemplateGenerator):
     """``<number> <street> <suffix>, <city>`` street addresses."""
 
-    def generate(self, ctx: GenerationContext) -> str:
-        rng = ctx.rng
-        number = 1 + rng.next_long(9999)
-        street = _pick(rng, corpus.STREET_NAMES)
-        suffix = _pick(rng, corpus.STREET_SUFFIXES)
-        city = _pick(rng, corpus.CITIES)
-        return f"{number} {street} {suffix}, {city}"
+    def parts(self) -> list:
+        streets, suffixes = corpus.STREET_NAMES, corpus.STREET_SUFFIXES
+        return [range(1, 10000), " ", streets, " ", suffixes, ", ", corpus.CITIES]
 
 
 @register("CityGenerator")
-class CityGenerator(Generator):
-    def generate(self, ctx: GenerationContext) -> str:
-        return _pick(ctx.rng, corpus.CITIES)
+class CityGenerator(DrawTemplateGenerator):
+    def parts(self) -> list:
+        return [corpus.CITIES]
 
 
 @register("CountryGenerator")
-class CountryGenerator(Generator):
-    def generate(self, ctx: GenerationContext) -> str:
-        return _pick(ctx.rng, corpus.COUNTRIES)
+class CountryGenerator(DrawTemplateGenerator):
+    def parts(self) -> list:
+        return [corpus.COUNTRIES]
 
 
 @register("EmailGenerator")
-class EmailGenerator(Generator):
+class EmailGenerator(DrawTemplateGenerator):
     """``first.last<n>@domain`` addresses over the built-in domains."""
 
-    def generate(self, ctx: GenerationContext) -> str:
-        rng = ctx.rng
-        first = _pick(rng, corpus.FIRST_NAMES).lower()
-        last = _pick(rng, corpus.LAST_NAMES).lower()
-        number = rng.next_long(1000)
-        domain = _pick(rng, corpus.EMAIL_DOMAINS)
-        return f"{first}.{last}{number}@{domain}"
+    def parts(self) -> list:
+        first = [name.lower() for name in corpus.FIRST_NAMES]
+        last = [name.lower() for name in corpus.LAST_NAMES]
+        return [first, ".", last, range(1000), "@", corpus.EMAIL_DOMAINS]
 
 
 @register("PhoneGenerator")
-class PhoneGenerator(Generator):
+class PhoneGenerator(DrawTemplateGenerator):
     """TPC-H style phone numbers: ``CC-AAA-LLL-NNNN``."""
 
-    def generate(self, ctx: GenerationContext) -> str:
-        rng = ctx.rng
-        country = 10 + rng.next_long(25)
-        digits = string.digits
-        area = "".join(digits[rng.next_long(10)] for _ in range(3))
-        local1 = "".join(digits[rng.next_long(10)] for _ in range(3))
-        local2 = "".join(digits[rng.next_long(10)] for _ in range(4))
-        return f"{country}-{area}-{local1}-{local2}"
+    def parts(self) -> list:
+        return [range(10, 35), *pattern_parts("-###-###-####")]
 
 
 @register("UrlGenerator")
-class UrlGenerator(Generator):
+class UrlGenerator(DrawTemplateGenerator):
     """``scheme://word-word.tld/word`` URLs from built-in word lists."""
 
-    def generate(self, ctx: GenerationContext) -> str:
-        rng = ctx.rng
-        scheme = _pick(rng, corpus.URL_SCHEMES)
-        host1 = _pick(rng, corpus.URL_HOST_WORDS)
-        host2 = _pick(rng, corpus.URL_HOST_WORDS)
-        tld = _pick(rng, corpus.TOP_LEVEL_DOMAINS)
-        path = _pick(rng, corpus.URL_HOST_WORDS)
-        return f"{scheme}://{host1}-{host2}.{tld}/{path}"
+    def parts(self) -> list:
+        words, tlds = corpus.URL_HOST_WORDS, corpus.TOP_LEVEL_DOMAINS
+        return [corpus.URL_SCHEMES, "://", words, "-", words, ".", tlds, "/", words]
 
 
 @register("TextGenerator")
@@ -127,6 +107,8 @@ class TextGenerator(Generator):
     def bind(self, ctx: BindContext) -> None:
         self._min = int(ctx.resolve_numeric(self.spec.params.get("min"), 3))
         self._max = int(ctx.resolve_numeric(self.spec.params.get("max"), 12))
+        if self._min < 0 or self._max < self._min:
+            raise ModelError(f"TextGenerator: bad word range [{self._min}, {self._max}]")
         max_chars = self.spec.params.get("max_chars")
         if max_chars is None and ctx.field.dtype.length:
             max_chars = ctx.field.dtype.length

@@ -1,18 +1,21 @@
-"""String generators: random characters and pattern-based strings.
+"""String generators: random characters and drawn templates.
 
 The random string generator is DBSynth's last-resort fallback (paper §3:
-"In case nothing is found a random string is generated"). The pattern
-generator covers formatted identifiers like phone numbers
-(``##-###-###-####``) and product codes.
+"In case nothing is found a random string is generated").
+:class:`DrawTemplateGenerator` is the one body of every string built from
+literals and table picks: the pattern generator here (formatted
+identifiers like phone numbers, ``##-###-###-####``, and product codes)
+and the semantic generators of :mod:`repro.generators.semantic`.
 """
 
 from __future__ import annotations
 
+import abc
 import string
 
 from repro import columnar
 from repro.exceptions import ModelError
-from repro.generators.base import BindContext, GenerationContext, Generator
+from repro.generators.base import BindContext, GenerationContext, Generator, _KERNEL_MIN_ROWS
 from repro.generators.registry import register
 from repro.prng import blocks
 
@@ -96,74 +99,72 @@ class RandomStringGenerator(Generator):
         return columnar.StrColumn(strings, self._charset)
 
 
+class DrawTemplateGenerator(Generator):
+    """A string of parts drawn in order from the cell's stream: each part
+    is a literal ``str`` or a table — a sequence of strings, or a
+    ``range`` of numbers — that one ``next_long(len(table))`` draw picks
+    from.
+
+    A subclass only declares its :meth:`parts`; this class holds the one
+    scalar oracle and the one block kernel for all of them.
+    """
+
+    @abc.abstractmethod
+    def parts(self) -> list:
+        """The literals and tables of every value, in draw order."""
+
+    def bind(self, ctx: BindContext) -> None:
+        parts = self.parts()
+        self._tables = [part for part in parts if not isinstance(part, str)]
+        # One %-format: literals with "%" doubled, "%s" renders each pick.
+        self._format = "".join(
+            part.replace("%", "%%") if isinstance(part, str) else "%s" for part in parts
+        )
+        # Every character a value can hold, so CSV can skip quote scanning.
+        self._charset = frozenset("".join("".join(map(str, part)) for part in parts))
+
+    def generate(self, ctx: GenerationContext) -> str:
+        next_long = ctx.rng.next_long
+        picks = []
+        for table in self._tables:
+            picks.append(table[next_long(len(table))])
+        return self._format % tuple(picks)
+
+    def generate_block(self, ctx: GenerationContext, start: int, count: int) -> columnar.StrColumn:
+        if ctx.seed_block is None or count < _KERNEL_MIN_ROWS:
+            strings = super().generate_block(ctx, start, count).data
+        else:
+            # One vectorized step per table, in part order — the same draw
+            # sequence ``generate`` makes for every row.
+            states = blocks.column_states(ctx.seed_block)
+            picks = []
+            for table in self._tables:
+                states, outs = blocks.xorshift_step(states)
+                picks.append(map(table.__getitem__, blocks.bounded(outs, len(table))))
+            strings = list(map(self._format.__mod__, zip(*picks) if picks else [()] * count))
+        return columnar.StrColumn(strings, self._charset)
+
+
+_WILDCARDS = {"#": tuple(string.digits), "@": tuple(string.ascii_lowercase),
+              "^": tuple(string.ascii_uppercase)}
+
+
+def pattern_parts(pattern: str) -> list:
+    """A pattern's parts: ``#`` → digit, ``@`` → lowercase letter, ``^`` →
+    uppercase letter, anything else literal."""
+    return [_WILDCARDS.get(ch, ch) for ch in pattern]
+
+
 @register("PatternStringGenerator")
-class PatternStringGenerator(Generator):
-    """Strings from a template: ``#`` → digit, ``@`` → lowercase letter,
-    ``^`` → uppercase letter, anything else literal.
+class PatternStringGenerator(DrawTemplateGenerator):
+    """Strings from a :func:`pattern_parts` template.
 
     Example: ``pattern="##-###-###-####"`` generates phone numbers in the
     TPC-H phone format.
     """
 
-    def bind(self, ctx: BindContext) -> None:
+    def parts(self) -> list:
         pattern = self.spec.params.get("pattern")
         if not pattern:
             raise ModelError("PatternStringGenerator requires a pattern parameter")
-        self._pattern = str(pattern)
-        charset: set[str] = set()
-        for ch in self._pattern:
-            if ch == "#":
-                charset.update(string.digits)
-            elif ch == "@":
-                charset.update(string.ascii_lowercase)
-            elif ch == "^":
-                charset.update(string.ascii_uppercase)
-            else:
-                charset.add(ch)
-        self._charset = frozenset(charset)
-
-    def generate(self, ctx: GenerationContext) -> str:
-        rng = ctx.rng
-        out: list[str] = []
-        for ch in self._pattern:
-            if ch == "#":
-                out.append(string.digits[rng.next_long(10)])
-            elif ch == "@":
-                out.append(string.ascii_lowercase[rng.next_long(26)])
-            elif ch == "^":
-                out.append(string.ascii_uppercase[rng.next_long(26)])
-            else:
-                out.append(ch)
-        return "".join(out)
-
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.StrColumn:
-        states = blocks.column_states(ctx.seed_block)
-        # One vectorized step per wildcard position, in pattern order —
-        # the same draw sequence ``generate`` makes for every row.
-        pieces: list[object] = []
-        for ch in self._pattern:
-            if ch == "#":
-                alphabet, bound = string.digits, 10
-            elif ch == "@":
-                alphabet, bound = string.ascii_lowercase, 26
-            elif ch == "^":
-                alphabet, bound = string.ascii_uppercase, 26
-            else:
-                pieces.append(ch)
-                continue
-            states, outs = blocks.xorshift_step(states)
-            pieces.append(
-                [alphabet[value] for value in blocks.bounded(outs, bound)]
-            )
-        return columnar.StrColumn(
-            [
-                "".join(
-                    piece if isinstance(piece, str) else piece[offset]
-                    for piece in pieces
-                )
-                for offset in range(count)
-            ],
-            self._charset,
-        )
+        return pattern_parts(str(pattern))

@@ -23,6 +23,7 @@ from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
 from repro.generators.base import ArtifactStore, _KERNEL_MIN_ROWS
 from repro.generators.registry import _REGISTRY, known_generators
+from repro.generators.strings import DrawTemplateGenerator
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.config import OutputConfig
 from repro.scheduler import Scheduler
@@ -348,6 +349,23 @@ class TestKitchenSinkEquivalence:
         }
         assert {name: kinds[name] for name in expected} == expected
         assert block.columns[block.names.index("w_markov_null1")].nulls.any()
+
+    @pytest.mark.parametrize("cut", BLOCK_CUTS, ids=lambda cut: f"{cut[0]}-{cut[1]}")
+    def test_drawn_templates_are_str_columns_at_every_cut(self, sink_engine, cut):
+        # one column kind on both sides of the small-block rule
+        kinds = {}
+        for table, size in sink_engine.sizes.items():
+            start, stop = min(cut[0], size - 1), min(cut[1], size)
+            bound = sink_engine.bound_table(table)
+            block = sink_engine.generate_columns(table, start, stop)
+            for generator, column in zip(bound.generators, block.columns):
+                if isinstance(generator, DrawTemplateGenerator):
+                    kinds[generator.spec_name] = type(column)
+        assert kinds == dict.fromkeys([
+            "PersonNameGenerator", "CompanyNameGenerator", "AddressGenerator",
+            "CityGenerator", "CountryGenerator", "EmailGenerator", "PhoneGenerator",
+            "UrlGenerator", "PatternStringGenerator",
+        ], columnar.StrColumn)
 
     def test_wrong_block_length_raises(self, sink_engine):
         bound = sink_engine.bound_table("supplier")

@@ -6,9 +6,11 @@ import re
 
 import pytest
 
+from repro.cli.main import main
+from repro.config import schema_xml
 from repro.exceptions import ModelError
 from repro.generators.base import ArtifactStore
-from repro.model.schema import GeneratorSpec
+from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.text import corpus
 from repro.text.markov import train_chain
 from repro.text.tokenizer import words
@@ -153,6 +155,23 @@ class TestSemanticGenerators:
         spec = GeneratorSpec("TextGenerator", {"min": 10, "max": 20})
         for value in field_values(spec, rows=50, type_text="VARCHAR(40)"):
             assert len(value) <= 40
+
+    def test_unknown_person_name_style_is_a_model_error(self):
+        spec = GeneratorSpec("PersonNameGenerator", {"style": "nickname"})
+        with pytest.raises(ModelError, match="'nickname' is not full, first or last"):
+            single_field_engine(spec, type_text="TEXT")
+
+    @pytest.mark.parametrize("bounds", [{"min": 9, "max": 3}, {"min": -2, "max": 4}])
+    def test_bad_text_word_range_exits_2_from_the_cli(self, bounds, tmp_path, capsys):
+        schema = Schema("bad", seed=1)
+        schema.add_table(Table("t", "5", [
+            Field.of("f", "TEXT", GeneratorSpec("TextGenerator", bounds)),
+        ]))
+        schema_xml.dump(schema, str(tmp_path / "model.xml"))
+        assert main(["preview", "--model", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: TextGenerator: bad word range" in err
+        assert "Traceback" not in err
 
     def test_all_semantic_generators_deterministic(self):
         for name in ("PersonNameGenerator", "CompanyNameGenerator",

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import GenerationEngine
+from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.config import OutputConfig
 from repro.scheduler import Scheduler
 from repro.suites import suite_model
@@ -86,6 +87,73 @@ def test_extracted_model_matches_golden_digests():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.extracted_digests() == _golden()["extracted"]["imdb"]
+
+
+#: The fixed-draw string generators, one field each. Url, CompanyName and
+#: PatternString are in no suite, so these digests are their only byte pin.
+FIXED_DRAW_FIELDS = {
+    "name_full": GeneratorSpec("PersonNameGenerator"),
+    "name_first": GeneratorSpec("PersonNameGenerator", {"style": "first"}),
+    "name_last": GeneratorSpec("PersonNameGenerator", {"style": "last"}),
+    "company": GeneratorSpec("CompanyNameGenerator"),
+    "address": GeneratorSpec("AddressGenerator"),
+    "city": GeneratorSpec("CityGenerator"),
+    "country": GeneratorSpec("CountryGenerator"),
+    "email": GeneratorSpec("EmailGenerator"),
+    "phone": GeneratorSpec("PhoneGenerator"),
+    "url": GeneratorSpec("UrlGenerator"),
+    "pattern": GeneratorSpec("PatternStringGenerator", {"pattern": "^@-##,# 5% {x}"}),
+    "pattern_literal": GeneratorSpec("PatternStringGenerator", {"pattern": "N/A 100%"}),
+}
+FIXED_DRAW_ROWS = 4096
+#: block edges: blocks of 1, 31, 31, 1, 936 and 3096 rows, both sides of
+#: the small-block rule
+FIXED_DRAW_EDGES = (0, 1, 32, 63, 64, 1000, FIXED_DRAW_ROWS)
+#: SHA-256 of the 4 096 values joined by newlines
+FIXED_DRAW_DIGESTS = {
+    "name_full": "69ec5dc1c78108377bd10a068ec6fdc0da1ab2a75a8dceef00a6251d82c6e214",
+    "name_first": "b9cd43fb568689c83a1ee2436d928a71634db5a2d7457c446cf5d1b501c614f2",
+    "name_last": "3e51d88e600aae12ee07549189167857c0616a144dc79b93108302632993d9d4",
+    "company": "f558ac4c36b9568e476131da9555982ed95ea23d4d3571fab7d63b079b9d7698",
+    "address": "5b9c6babd136cec57684aaf8ebc89ecd42764ff570635423ff2d0802c357ea35",
+    "city": "3db0860cbf6c1e4489ca61a1eace709dcf5a7fcf067da787fa49d7ec2380ba36",
+    "country": "ab5457663df81f95d9d2502ad317698b9cd6b2f8ca3afacd8da8c017d26392c5",
+    "email": "4323c400138f850e7e4b2b85d562323d9c220a3fa7f4f7a1a84d6941427415a1",
+    "phone": "405f2ece3ff2bb668d549016423908e2d4ba58532764ff86a76c5df0058f8024",
+    "url": "3c2d2fd67e90be26328f9b1ec7ba90724ac50a54754781810235e66792cbc380",
+    "pattern": "787e0d32268d1170d78910dca05b75ebdb01d1bb55357d7b4cef7a53b8a6cd98",
+    "pattern_literal": "5e9973a6dcd67951a9513560e132574f450dbc900785c93920f42d0e12def2ad",
+}
+
+
+def _value_digest(values: list) -> str:
+    return hashlib.sha256("\n".join(values).encode("utf-8")).hexdigest()
+
+
+def test_fixed_draw_generators_match_pinned_digests():
+    """The scalar oracle, one whole block and a run of blocks cut on both
+    sides of the small-block rule all hash to the pinned digest."""
+    schema = Schema("fixed_draw", seed=20150531)
+    schema.add_table(Table("t", str(FIXED_DRAW_ROWS), [
+        Field.of(name, "VARCHAR(80)", spec) for name, spec in FIXED_DRAW_FIELDS.items()
+    ]))
+    engine = GenerationEngine(schema)
+    bound = engine.bound_table("t")
+    ctx = engine.new_context("t")
+    rows = [bound.generate_row(row, ctx) for row in range(FIXED_DRAW_ROWS)]
+    whole = engine.generate_columns("t", 0, FIXED_DRAW_ROWS)
+    pieces = [
+        engine.generate_columns("t", start, stop)
+        for start, stop in zip(FIXED_DRAW_EDGES, FIXED_DRAW_EDGES[1:])
+    ]
+    for index, name in enumerate(FIXED_DRAW_FIELDS):
+        cut = [value for block in pieces for value in block.columns[index].to_pylist()]
+        digests = {
+            "scalar": _value_digest([row[index] for row in rows]),
+            "block": _value_digest(whole.columns[index].to_pylist()),
+            "cut blocks": _value_digest(cut),
+        }
+        assert digests == dict.fromkeys(digests, FIXED_DRAW_DIGESTS[name]), name
 
 
 @pytest.mark.parametrize("suite", ["tpch", "bigbench"])

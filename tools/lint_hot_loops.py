@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output paths: hot loops and swallowed errors.
 
-Seven checks, one AST walk:
+Eight checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -75,10 +75,19 @@ package on another runtime, without changing a byte of text output. So
 everything else takes packages from ``cut_packages`` /
 ``partition_rows`` / ``ShardLedger.fill``. No waiver.
 
+**One-template check.** A string of literals and table picks is one
+program: :class:`~repro.generators.strings.DrawTemplateGenerator` holds
+its only scalar ``generate`` (the oracle) and its only block kernel, and
+its subclasses only declare ``parts``. A ``generate`` or
+``generate_block`` defined in a subclass — directly or through another
+subclass — is a second body that the template's oracle tests do not
+cover by construction, and a kernel that drifts from it changes bytes
+only where no test looks. No waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/core/loader.py``, the span-recording obs modules,
-(oracle-timing check only) ``benchmarks/``, and (one-cutter check
-only) every module under ``src/repro/``.
+(oracle-timing check only) ``benchmarks/``, and (one-cutter and
+one-template checks only) every module under ``src/repro/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -120,19 +129,27 @@ CUTTER_SCOPE = "src/repro"
 CUTTER_FILE = "src/repro/scheduler/work.py"
 CUTTER_CLASS = "WorkPackage"
 
+#: the one body of the drawn-string generators, and what it alone defines
+TEMPLATE_CLASS = "DrawTemplateGenerator"
+TEMPLATE_METHODS = ("generate", "generate_block")
+
 #: the class whose ``write_block`` is the row-path default
 ROW_PATH_CLASS = "RowWriter"
 #: calls that put the row path back inside a ``write_block`` override
 ROW_PATH_CALLS = ("to_rows", "write_rows")
 
 
-def _call_name(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
+def _name(node: ast.expr) -> str | None:
+    """``name`` or the tail of ``a.b.name``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
     return None
+
+
+def _call_name(node: ast.Call) -> str | None:
+    return _name(node.func)
 
 
 def _is_broad_handler(handler: ast.ExceptHandler) -> bool:
@@ -199,6 +216,36 @@ def second_cutters(path: Path) -> list[str]:
         "(cut_packages / partition_rows / ShardLedger.fill)"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _call_name(node) == CUTTER_CLASS
+    ]
+
+
+def template_overrides(paths: list[Path]) -> list[str]:
+    """``generate`` / ``generate_block`` defined in a (transitive)
+    subclass of the template base, across *paths*."""
+    classes = [
+        (path, node)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+    ]
+    subclasses = {TEMPLATE_CLASS}
+    while True:
+        found = {
+            cls.name for _, cls in classes
+            if cls.name not in subclasses
+            and any(_name(base) in subclasses for base in cls.bases)
+        }
+        if not found:
+            break
+        subclasses |= found
+    return [
+        f"{path.relative_to(REPO)}:{method.lineno}: {cls.name}.{method.name} "
+        f"overrides {TEMPLATE_CLASS}'s one body; declare parts() instead"
+        for path, cls in classes
+        if cls.name != TEMPLATE_CLASS and cls.name in subclasses
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and method.name in TEMPLATE_METHODS
     ]
 
 
@@ -277,10 +324,13 @@ def main() -> int:
     for path in sorted((REPO / BENCHMARK_DIR).glob("*.py")):
         checked.add(path)
         violations.extend(check_file(path, benchmark=True))
-    for path in sorted((REPO / CUTTER_SCOPE).rglob("*.py")):
+    scope = sorted((REPO / CUTTER_SCOPE).rglob("*.py"))
+    for path in scope:
         if path != REPO / CUTTER_FILE:
             checked.add(path)
             violations.extend(second_cutters(path))
+    checked.update(scope)
+    violations.extend(template_overrides(scope))
     for message in violations:
         print(message)
     print(
