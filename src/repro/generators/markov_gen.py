@@ -43,12 +43,15 @@ class MarkovChainGenerator(Generator):
         self._max = int(ctx.resolve_numeric(self.spec.params.get("max"), 10))
         if self._min < 1 or self._max < self._min:
             raise ModelError(f"bad word bounds [{self._min}, {self._max}]")
+        # an absent parameter falls back to the column width; a given one
+        # means the same from Python (0) and from model.xml ("0")
         max_chars = self.spec.params.get("max_chars")
-        if max_chars is None and ctx.field.dtype.length:
-            max_chars = ctx.field.dtype.length
-        self._max_chars = int(max_chars) if max_chars else None
-        if self._max_chars is not None and self._max_chars < 0:
-            raise ModelError(f"max_chars must not be negative, got {self._max_chars}")
+        if max_chars is None:
+            self._max_chars = ctx.field.dtype.length or None
+        else:
+            self._max_chars = int(ctx.resolve_numeric(max_chars, 0))
+            if self._max_chars < 1:
+                raise ModelError(f"max_chars must be at least 1, got {self._max_chars}")
 
     def generate(self, ctx: GenerationContext) -> str:
         text = self._chain.generate(ctx.rng, self._min, self._max)

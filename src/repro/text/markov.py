@@ -15,6 +15,7 @@ models ship alongside the schema XML like PDGF's ``markov/*.bin`` files.
 
 from __future__ import annotations
 
+import bisect
 import json
 import threading
 from collections import Counter, defaultdict
@@ -36,6 +37,14 @@ _MAX_ATTEMPTS = 20
 #: serializes the one-time :class:`ChainTables` build of any chain (a
 #: per-chain lock would have to be dropped from every pickle)
 _TABLES_LOCK = threading.Lock()
+
+#: a draw is u = (output >> 11) * 2**-53: ``_SCALE`` puts a CDF entry on
+#: the same 53-bit grid, and no output is above ``_NEVER``
+_SCALE = float(1 << 53)
+_NEVER = (1 << 64) - 1
+#: added to a row's write slot when its text ends, so one compare with
+#: the row's limit finds every ended row (far above any row width)
+_ENDED = 1 << 32
 
 
 class MarkovChain:
@@ -220,15 +229,21 @@ class MarkovChain:
 
     @classmethod
     def loads(cls, text: str) -> "MarkovChain":
+        """A chain from :meth:`dumps` text. Every state must be a list of
+        exactly ``order`` string tokens and every count a positive
+        integer; anything else is a :class:`ModelError`, never a crash
+        later in sampling."""
         try:
             payload = json.loads(text)
-            chain = cls(order=int(payload["order"]))
+            chain = cls(order=_positive(payload["order"], "order"))
             for state, count in payload["starts"]:
-                chain._starts[tuple(state)] = int(count)
+                chain._starts[_state(state, chain.order)] = _positive(count, "count")
             for state, items in payload["transitions"]:
-                counter = chain._transitions[tuple(state)]
+                counter = chain._transitions[_state(state, chain.order)]
                 for token, count in items:
-                    counter[token] = int(count)
+                    if not isinstance(token, str):
+                        raise ValueError(f"token {token!r} is not a string")
+                    counter[token] = _positive(count, "count")
         except (ValueError, KeyError, TypeError) as exc:
             raise ModelError(f"bad Markov chain serialization: {exc}") from exc
         return chain
@@ -243,24 +258,54 @@ class MarkovChain:
             return cls.loads(handle.read())
 
 
+def _state(value: object, order: int) -> tuple[str, ...]:
+    """A serialized state: a list of exactly *order* string tokens."""
+    if not (
+        isinstance(value, list)
+        and len(value) == order
+        and all(isinstance(token, str) for token in value)
+    ):
+        raise ValueError(f"state {value!r} is not a list of {order} string tokens")
+    return tuple(value)
+
+
+def _positive(value: object, what: str) -> int:
+    """A serialized order or count: an ``int`` in [1, 2**63). No observed
+    count comes near the bound; one past float range would crash the
+    sampler's weights."""
+    if type(value) is not int or not 1 <= value < 1 << 63:
+        raise ValueError(f"{what} {value!r} is not a positive 64-bit integer")
+    return value
+
+
 class ChainTables:
     """A trained chain as flat arrays: :meth:`MarkovChain.generate` for a
     whole row block at a time, one PRNG draw per row per step.
 
     Every sampler of the chain becomes one *segment* of a flat choice
     list — one segment per state that has transitions, plus the start
-    sampler as the pseudo-state ``start`` — holding the
-    :class:`Categorical`'s own values in its own order. A choice carries
-    the token ids it appends (none for END, up to ``order`` for a start
-    state), the state it leads to, and whether the text ends there: END
-    was drawn, or the next state has no transitions, which the scalar
-    loop turns into END *without* a draw.
+    sampler as the last segment — holding the :class:`Categorical`'s own
+    values in its own order. A choice carries the token ids it appends
+    (none for END, up to ``order`` for a start state), the segment it
+    leads to, and whether the text ends there: END was drawn, or the next
+    state has no transitions, which the scalar loop turns into END
+    *without* a draw. A choice that ends the text leads to the start
+    segment, where a retry begins.
 
-    The lookup is ``bisect_left`` on the same CDF floats, in two exact
-    steps: ``rank`` = how many of the chain's distinct CDF values are
-    below the draw, then ``searchsorted`` over ``segment * stride +
-    rank-of-cdf`` integer keys — a CDF entry is below the draw exactly
-    when its rank is below the draw's.
+    The lookup is ``bisect_left`` on the same CDF floats through a guide
+    table per segment (Chen & Asau's indexed search). A segment of ``n``
+    choices gets ``G = 2**g`` buckets, the smallest power of two >=
+    ``max(n, 2)`` (two for a single choice, so the shift below stays
+    under 64), and bucket ``b`` holds the first choice whose CDF entry is
+    >= ``b / G``; the guide has at most 2 × choices entries. A draw is
+    ``u = k * 2**-53`` with ``k = output >> 11``, and its bucket ``output
+    >> (64 - g)`` is integer arithmetic, so ``b / G <= u`` exactly and
+    the guide entry is never past the answer. From there the scan steps
+    forward while the entry is below ``u`` and stops at the first one
+    that is not: ``bisect_left``'s answer. The segment's last entry is
+    pinned to 1.0 > ``u``, so the scan never leaves it. A scan is short:
+    on the TPC-H comment chain, 3 draws in 4 need no step and 1 in 300
+    needs two.
     """
 
     def __init__(self, chain: MarkovChain) -> None:
@@ -278,43 +323,67 @@ class ChainTables:
         pad = len(vocabulary)
         states = [state for state, counter in chain._transitions.items() if counter]
         state_id = {state: index for index, state in enumerate(states)}
-        dead = len(states)
+        samplers = [chain._transition_categorical(state) for state in states]
+        samplers.append(chain._start_categorical())
+        start = len(states)
         self.order = order
-        self.start = dead + 1
 
-        # (segment, cdf entry, appended token ids, next state id) per choice
-        choices: list[tuple[int, float, list[int], int]] = []
-        for state in states:
-            sampler = chain._transition_categorical(state)
-            for token, cdf in zip(sampler.values, sampler.cdf):
-                if token == END:
-                    choices.append((state_id[state], cdf, [], dead))
+        # per segment: where its guide begins, and the shift that takes a
+        # raw output to its bucket; per choice: CDF entry, appended token
+        # ids, next segment
+        guide: list[int] = []
+        segment_at: list[int] = []
+        segment_shift: list[int] = []
+        cdf: list[float] = []
+        tokens: list[list[int]] = []
+        following: list[int] = []
+        for segment, sampler in enumerate(samplers):
+            bits = max(1, (len(sampler) - 1).bit_length())
+            segment_at.append(len(guide))
+            segment_shift.append(64 - bits)
+            guide.extend(
+                len(cdf) + bisect.bisect_left(sampler.cdf, bucket / (1 << bits))
+                for bucket in range(1 << bits)
+            )
+            cdf.extend(sampler.cdf)
+            for value in sampler.values:
+                if segment == start:
+                    tokens.append([token_id[token] for token in value if token != END])
+                    following.append(state_id.get(value, start))
+                elif value == END:
+                    tokens.append([])
+                    following.append(start)
                 else:
-                    following = state_id.get(state[1:] + (token,), dead)
-                    choices.append((state_id[state], cdf, [token_id[token]], following))
-        sampler = chain._start_categorical()
-        for state, cdf in zip(sampler.values, sampler.cdf):
-            emitted = [token_id[token] for token in state if token != END]
-            choices.append((self.start, cdf, emitted, state_id.get(state, dead)))
-        segments, cdf, tokens, following = zip(*choices)
+                    tokens.append([token_id[value]])
+                    following.append(
+                        state_id.get(states[segment][1:] + (value,), start)
+                    )
 
         #: narrowest id type, so a 10 000-row token matrix stays small
         self.token_dtype = _np.min_scalar_type(pad)
         self.pad = pad
-        self.choice_count = _np.array([len(t) for t in tokens], dtype=_np.int64)
-        self.choice_tokens = _np.full((len(tokens), order), pad, dtype=self.token_dtype)
+        #: row ``j``: the ``j``-th token id each choice appends (pad if none)
+        self.choice_tokens = _np.full((order, len(tokens)), pad, dtype=self.token_dtype)
         for index, emitted in enumerate(tokens):
-            self.choice_tokens[index, : len(emitted)] = emitted
-        self.choice_next = _np.array(following, dtype=_np.int64)
-        self.choice_ends = self.choice_next == dead
-
-        flat_cdf = _np.array(cdf, dtype=_np.float64)
-        # (not np.unique: it imports numpy.ma on first use, 2 MB of RSS)
-        self.cdf_values = _np.array(sorted(set(cdf)), dtype=_np.float64)
-        self.stride = len(self.cdf_values) + 1
-        self.keys = (
-            _np.array(segments, dtype=_np.int64) * self.stride
-            + _np.searchsorted(self.cdf_values, flat_cdf)
+            self.choice_tokens[: len(emitted), index] = emitted
+        #: how far a choice moves its row's write slot: the tokens it
+        #: appends, plus ``_ENDED`` when the text ends there
+        self.choice_advance = _np.array(
+            [len(t) + _ENDED * (n == start) for t, n in zip(tokens, following)],
+            dtype=_np.int64,
+        )
+        self.guide = _np.array(guide, dtype=_np.intp)
+        self.segment_at = _np.array(segment_at, dtype=_np.uint64)
+        self.segment_shift = _np.array(segment_shift, dtype=_np.uint64)
+        #: the next segment's guide offset and shift, per choice
+        self.next_at = self.segment_at[following]
+        self.next_shift = self.segment_shift[following]
+        #: ``cdf < u`` as one integer compare on the raw output: with
+        #: ``F = floor(cdf * 2**53)``, ``cdf < k * 2**-53`` iff ``F < k``
+        #: iff ``F << 11 | 0x7FF < output``; 1.0 is never below a draw
+        self.below = _np.array(
+            [int(c * _SCALE) << 11 | 0x7FF if c < 1.0 else _NEVER for c in cdf],
+            dtype=_np.uint64,
         )
 
         # join tables: a word as the piece that opens a row ("\n" + word,
@@ -332,6 +401,19 @@ class ChainTables:
         )
         #: every character a generated text can contain
         self.charset = frozenset("".join(vocabulary) + " ")
+
+    def choose(self, outputs, at, shift):
+        """The choice each raw xorshift64* output in *outputs* draws from
+        its row's segment (guide offset *at*, bucket shift *shift*, both
+        ``uint64`` arrays): the guide entry, then the scan over the
+        shrinking set of rows whose entry is still below the draw."""
+        below = self.below
+        choice = self.guide[(outputs >> shift) + at]
+        behind = _np.flatnonzero(below[choice] < outputs)
+        while len(behind):
+            choice[behind] += 1
+            behind = behind[below[choice[behind]] < outputs[behind]]
+        return choice
 
     def sample(self, states, min_words: int, max_words: int):
         """Generate one text per PRNG state in *states* (a ``uint64``
@@ -352,31 +434,33 @@ class ChainTables:
         counts = _np.zeros(count, dtype=_np.int64)
         exhausted: list[int] = []
 
-        # per still-active row: block offset, PRNG state, chain state,
-        # words so far, attempts used
+        # per still-active row: block offset, PRNG state, next free slot
+        # of ``flat``, the slot at which it holds max_words, its segment's
+        # guide offset and bucket shift, attempts used
         rows = _np.arange(count, dtype=_np.int64)
         rng = states
-        state = _np.full(count, self.start, dtype=_np.int64)
-        length = _np.zeros(count, dtype=_np.int64)
+        slot = rows * width
+        limit = slot + max_words
+        at = _np.full(count, self.segment_at[-1], dtype=_np.uint64)
+        shift = _np.full(count, self.segment_shift[-1], dtype=_np.uint64)
         attempts = _np.zeros(count, dtype=_np.int64)
-        cdf_values, keys, stride = self.cdf_values, self.keys, self.stride
+        appended = self.choice_tokens
         while len(rows):
             rng, outputs = blocks.xorshift_step(rng)
-            rank = _np.searchsorted(cdf_values, blocks.to_doubles(outputs))
-            choice = _np.searchsorted(keys, state * stride + rank)
-            # an END choice writes the pad id into the free next slot
-            slot = rows * width + length
-            flat[slot] = self.choice_tokens[choice, 0]
-            emitted = self.choice_count[choice]
+            choice = self.choose(outputs, at, shift)
+            # every choice writes ``order`` cells from the free slot: its
+            # tokens, then pad ids (all pads for END), which the row's
+            # later words overwrite; an active row holds fewer than
+            # max_words words, so the cells stay inside its row
+            flat[slot] = appended[0][choice]
             for extra in range(1, self.order):
-                more = emitted > extra
-                if more.any():
-                    flat[slot[more] + extra] = self.choice_tokens[choice[more], extra]
-            length = length + emitted
-            state = self.choice_next[choice]
-            ended = self.choice_ends[choice] | (length >= max_words)
+                flat[slot + extra] = appended[extra][choice]
+            slot += self.choice_advance[choice]
+            at, shift = self.next_at[choice], self.next_shift[choice]
+            ended = slot >= limit
             if not ended.any():
                 continue
+            length = (slot - limit + max_words) % _ENDED
             done = ended & (length >= min_words)
             counts[rows[done]] = _np.minimum(length[done], max_words)
             retry = ended & ~done
@@ -385,11 +469,10 @@ class ChainTables:
                 spent = retry & (attempts >= _MAX_ATTEMPTS)
                 exhausted.extend(rows[spent].tolist())
                 retry &= ~spent
-                state[retry] = self.start
-                length[retry] = 0
+                slot[retry] = limit[retry] - max_words
             active = ~ended | retry
-            rows, rng, state = rows[active], rng[active], state[active]
-            length, attempts = length[active], attempts[active]
+            rows, rng, slot, limit = rows[active], rng[active], slot[active], limit[active]
+            at, shift, attempts = at[active], shift[active], attempts[active]
         return tokens, counts, exhausted
 
     def join(self, tokens, counts, max_chars: int | None) -> list[str]:

@@ -6,11 +6,13 @@ covers every generator; here each kernel meets the cases its shortcuts
 could get wrong — chains with dead ends, padded start states and
 unreachable minimum lengths, formulas that must decline array evaluation,
 decimal rounding at exact ties — plus the cache discipline of the shared
-chain tables and the ratchet that keeps TPC-H off the object fallback.
+chain tables, their guide-table lookup against ``bisect_left``, and the
+ratchet that keeps TPC-H off the object fallback.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import pickle
@@ -19,6 +21,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import columnar
 from repro.engine import GenerationEngine
@@ -252,6 +256,82 @@ class TestChainTablesCache:
         assert tables.token_dtype == np.uint16
         tokens, _, _ = tables.sample(np.arange(1, 10_001, dtype=np.uint64), 3, 14)
         assert tokens.nbytes <= 10_000 * 15 * 2
+
+    def test_one_guide_table_at_most_twice_the_choices(self):
+        tables = GenerationEngine(*suite_model("tpch", 0.001)).artifacts.get(COMMENT_MODEL).block_tables()
+        choices = len(tables.below)
+        assert choices > 1000 and len(tables.guide) <= 2 * choices
+        # the global rank/key lookup is gone, not kept beside the guide
+        assert not {"keys", "cdf_values", "stride"} & set(vars(tables))
+
+
+#: segment sizes on both sides of the guide's power-of-two bucket counts
+GUIDE_SIZES = (1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65)
+
+
+@st.composite
+def _segment_weights(draw):
+    """One segment's counts: equal (dyadic CDF entries that sit exactly on
+    bucket edges when the size is a power of two), one of them 10**9
+    against the rest at 1 or the reverse, or arbitrary."""
+    size = draw(st.sampled_from(GUIDE_SIZES))
+    kind = draw(st.sampled_from(("equal", "heavy", "light", "any")))
+    if kind == "any":
+        return draw(st.lists(st.integers(1, 10**9), min_size=size, max_size=size))
+    odd = draw(st.integers(0, size - 1))
+    common, single = {"equal": (1, 1), "heavy": (1, 10**9), "light": (10**9, 1)}[kind]
+    return [single if index == odd else common for index in range(size)]
+
+
+def _edge_draws(cdf, buckets: int) -> list[int]:
+    """The 53-bit draws ``k`` where a guide lookup can go wrong: 0 and
+    2**53 - 1, both sides of every bucket edge, and every CDF entry's
+    own grid point with its neighbours."""
+    shift = 53 - (buckets.bit_length() - 1)
+    draws = {0, (1 << 53) - 1}
+    for bucket in range(1, buckets):
+        draws |= {(bucket << shift) - 1, bucket << shift}
+    for entry in cdf:
+        point = math.ceil(entry * 2**53)
+        draws |= {point - 1, point, point + 1}
+    return sorted(k for k in draws if 0 <= k < 1 << 53)
+
+
+class TestGuideLookup:
+    @settings(max_examples=80, deadline=None)
+    @given(segments=st.lists(_segment_weights(), min_size=2, max_size=4))
+    @example(segments=[[1, 1, 1, 1], [1] * 8])
+    @example(segments=[[10**9] + [1] * 64, [1] * 65])
+    def test_guide_lookup_is_bisect_left_per_segment(self, segments):
+        start, *states = segments
+        chain = _chain_from_json(
+            1,
+            [[[f"w{j}"], weight] for j, weight in enumerate(start)],
+            [
+                [[f"s{i}"], [[f"w{j}", weight] for j, weight in enumerate(weights)]]
+                for i, weights in enumerate(states)
+            ],
+        )
+        tables = chain.block_tables()
+        # ChainTables' segment order: the states with transitions, then start
+        samplers = [chain._transition_categorical((f"s{i}",)) for i in range(len(states))]
+        samplers.append(chain._start_categorical())
+        assert len(tables.guide) <= 2 * len(tables.below)
+        for segment, sampler in enumerate(samplers):
+            at, shift = tables.segment_at[segment], tables.segment_shift[segment]
+            buckets = 1 << (64 - int(shift))
+            assert len(sampler) <= buckets <= max(2, 2 * len(sampler) - 1)
+            first = int(tables.guide[at])  # bucket 0 holds the segment's first choice
+            draws = _edge_draws(sampler.cdf, buckets)
+            expected = [first + bisect.bisect_left(sampler.cdf, k * 2.0**-53) for k in draws]
+            for low in (0, 0x7FF):  # the 11 bits the double drops
+                outputs = (np.array(draws, dtype=np.uint64) << np.uint64(11)) | np.uint64(low)
+                got = tables.choose(
+                    outputs,
+                    np.full(len(draws), at, dtype=np.uint64),
+                    np.full(len(draws), shift, dtype=np.uint64),
+                )
+                assert got.tolist() == expected
 
 
 # -- formulas ----------------------------------------------------------------

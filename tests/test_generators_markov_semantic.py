@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 
 from repro.cli.main import main
 from repro.config import schema_xml
+from repro.engine import GenerationEngine
 from repro.exceptions import ModelError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
@@ -88,6 +90,56 @@ class TestMarkovChainGenerator:
         )
         with pytest.raises(ModelError):
             single_field_engine(spec, type_text="TEXT", artifacts=_artifacts())
+
+    @staticmethod
+    def _save_project(directory, params) -> Schema:
+        schema = Schema("markov", seed=1)
+        schema.add_table(Table("t", "200", [
+            Field.of("f", "TEXT", GeneratorSpec(
+                "MarkovChainGenerator", {"model": "markov:test", **params}
+            )),
+        ]))
+        schema_xml.dump(schema, str(directory / "model.xml"))
+        _artifacts().save_dir(str(directory / "artifacts"))
+        return schema
+
+    @pytest.mark.parametrize("tamper", [
+        lambda payload: payload["transitions"][0][1][0].__setitem__(1, -3),
+        lambda payload: payload["starts"][0].__setitem__(0, ["clerks", "file"]),
+    ], ids=["negative-count", "start-longer-than-order"])
+    def test_hostile_chain_exits_2_from_the_cli(self, tamper, tmp_path, capsys):
+        self._save_project(tmp_path, {"min": 2, "max": 6})
+        path = tmp_path / "artifacts" / "markov:test"
+        payload = json.loads(path.read_text())
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        assert main(["generate", "--model", str(tmp_path), "--kind", "null", "-q"]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad Markov chain serialization" in err
+        assert "Traceback" not in err
+
+    def test_zero_max_chars_is_rejected_built_and_loaded(self, tmp_path, capsys):
+        # 0 once meant "no clip" from Python and "clip to nothing" from
+        # model.xml; both now fail at bind with the same message
+        schema = self._save_project(tmp_path, {"max_chars": 0})
+        loaded = schema_xml.load(str(tmp_path / "model.xml"))
+        assert loaded.table_by_name("t").fields[0].generator.params["max_chars"] == "0"
+        for model in (schema, loaded):
+            with pytest.raises(ModelError, match="max_chars must be at least 1, got 0"):
+                GenerationEngine(model, _artifacts())
+        assert main(["preview", "--model", str(tmp_path)]) == 2
+        assert "error: max_chars must be at least 1" in capsys.readouterr().err
+
+    def test_max_chars_is_the_same_built_and_loaded(self, tmp_path):
+        schema = self._save_project(tmp_path, {"min": 5, "max": 12, "max_chars": 9})
+        loaded = schema_xml.load(str(tmp_path / "model.xml"))
+        built, restored = (
+            GenerationEngine(model, _artifacts()).generate_rows("t", 0, 200)
+            for model in (schema, loaded)
+        )
+        assert built == restored
+        # five words or more never fit in 9 characters: every text is clipped
+        assert all(0 < len(value) <= 9 for (value,) in built)
 
 
 class TestSemanticGenerators:

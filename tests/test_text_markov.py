@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.exceptions import ModelError
@@ -164,6 +166,31 @@ class TestSerialization:
             MarkovChain.loads("not json at all")
         with pytest.raises(ModelError):
             MarkovChain.loads('{"order": 1}')
+
+    @pytest.mark.parametrize("payload", [
+        {"transitions": [[["a"], [["b", -3]]]]},
+        {"transitions": [[["a"], [["b", 0]]]]},
+        {"starts": [[["a"], 0]]},
+        {"starts": [[["a"], 1.5]]},
+        {"starts": [[["a"], True]]},
+        {"starts": [[["a"], "2"]]},
+        {"starts": [[["a"], 2**63]]},
+        {"starts": [[["a", "b"], 1]]},  # longer than order
+        {"starts": [[[], 1]]},
+        {"starts": [["a", 1]]},  # a bare string, not a list
+        {"starts": [[[7], 1]]},  # a non-string token
+        {"transitions": [[["a", "b"], [["c", 1]]]]},
+        {"transitions": [[["a"], [[None, 1]]]]},
+        {"order": 0},
+        {"order": "1"},
+    ], ids=repr)
+    def test_hostile_payload_is_a_model_error(self, payload):
+        text = json.dumps({
+            "order": 1, "starts": [[["a"], 2]], "transitions": [[["a"], [["b", 1]]]],
+            **payload,
+        })
+        with pytest.raises(ModelError, match="bad Markov chain serialization"):
+            MarkovChain.loads(text)
 
 
 class TestPaperScale:

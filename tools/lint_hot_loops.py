@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output paths: hot loops and swallowed errors.
 
-Eight checks, one AST walk:
+Nine checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -84,10 +84,19 @@ subclass — is a second body that the template's oracle tests do not
 cover by construction, and a kernel that drifts from it changes bytes
 only where no test looks. No waiver.
 
+**One-lookup check.** A Markov draw finds its choice through the
+chain's guide table (:class:`~repro.text.markov.ChainTables`): one
+gather into the row's own segment and a short scan. A ``searchsorted``
+call in :mod:`repro.text.markov` is a global search over every choice
+creeping back: the bytes stay identical and no test fails, only the
+throughput falls (two such calls were 60% of a row-step's cost). No
+waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/core/loader.py``, the span-recording obs modules,
-(oracle-timing check only) ``benchmarks/``, and (one-cutter and
-one-template checks only) every module under ``src/repro/``.
+(oracle-timing check only) ``benchmarks/``, (one-cutter and
+one-template checks only) every module under ``src/repro/``, and
+(one-lookup check only) ``src/repro/text/markov.py``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -132,6 +141,10 @@ CUTTER_CLASS = "WorkPackage"
 #: the one body of the drawn-string generators, and what it alone defines
 TEMPLATE_CLASS = "DrawTemplateGenerator"
 TEMPLATE_METHODS = ("generate", "generate_block")
+
+#: the module whose draws go through the guide table, and the search it bans
+LOOKUP_FILE = "src/repro/text/markov.py"
+LOOKUP_CALL = "searchsorted"
 
 #: the class whose ``write_block`` is the row-path default
 ROW_PATH_CLASS = "RowWriter"
@@ -249,6 +262,18 @@ def template_overrides(paths: list[Path]) -> list[str]:
     ]
 
 
+def global_searches(path: Path) -> list[str]:
+    """``searchsorted`` calls (function or method) in *path*."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.relative_to(REPO)}:{node.lineno}: {LOOKUP_CALL}() in the "
+        "Markov sampler; look the choice up in its segment's guide table "
+        "(ChainTables.choose)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _call_name(node) == LOOKUP_CALL
+    ]
+
+
 def check_file(
     path: Path, span_hot: bool = False, columnar_hot: bool = False,
     benchmark: bool = False,
@@ -331,6 +356,7 @@ def main() -> int:
             violations.extend(second_cutters(path))
     checked.update(scope)
     violations.extend(template_overrides(scope))
+    violations.extend(global_searches(REPO / LOOKUP_FILE))
     for message in violations:
         print(message)
     print(
