@@ -24,8 +24,10 @@ import abc
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, TYPE_CHECKING
 
+import numpy as np
+
 from repro import columnar
-from repro.exceptions import GenerationError
+from repro.exceptions import GenerationError, ModelError
 from repro.prng.xorshift import XorShift64Star
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,8 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 #: Blocks shorter than this keep the per-row loop in the generators whose
-#: array kernels have a fixed cost (MarkovChain, Formula, RowFormula and
-#: the drawn templates of ``strings.DrawTemplateGenerator``), so 1-row
+#: array kernels have a fixed cost (MarkovChain, Formula, RowFormula, the
+#: drawn templates of ``strings.DrawTemplateGenerator`` and Sequential;
+#: ``conditional.ChoiceGenerator`` has no cut of its own), so 1-row
 #: serve reads and previews pay nothing for them and never build the
 #: Markov chain tables. Measured on the TPC-H model (per block, loop vs
 #: guide-table kernel): ``o_comment`` 16 rows 108 vs 162 us, 24 rows 147
@@ -59,6 +62,30 @@ def as_bool(value: object, default: bool = False) -> bool:
     if isinstance(value, bool):
         return value
     return str(value).strip().lower() not in ("", "false", "0", "no")
+
+
+def max_chars(ctx: "BindContext", value: object) -> int | None:
+    """A text generator's ``max_chars``: absent means the column width
+    (no clip for an unsized column); a given value, a Python number or
+    model.xml text alike, goes through ``resolve_numeric`` and must be at
+    least 1."""
+    if value is None:
+        return ctx.field.dtype.length or None
+    limit = int(ctx.resolve_numeric(value, 0))
+    if limit < 1:
+        raise ModelError(f"max_chars must be at least 1, got {limit}")
+    return limit
+
+
+def clip_words(text: str, limit: int | None) -> str:
+    """*text* cut to *limit* characters and then back to the last word
+    boundary before the cut, so clipped text stays words (a first word
+    longer than *limit* is itself cut)."""
+    if limit is None or len(text) <= limit:
+        return text
+    clipped = text[:limit]
+    space = clipped.rfind(" ")
+    return clipped[:space] if space > 0 else clipped
 
 
 class ArtifactStore:
@@ -231,35 +258,37 @@ class Generator(abc.ABC):
     ) -> columnar.Column:
         """The column for rows ``[start, start + count)``.
 
-        The caller sets ``ctx.seed_block`` to the block's per-row cell
-        seeds (``reseed_mixed`` inputs, one per row); the result is a
-        :class:`repro.columnar.Column` of exactly *count* values whose
-        ``to_pylist()`` equals calling :meth:`generate` once per row
-        with the same seeds — the engine relies on that to keep every
-        output format byte-identical to the scalar oracle.
+        ``ctx.seed_block`` holds each row's PRNG stream, as ``ctx.rng``
+        holds one row's: the result is a :class:`repro.columnar.Column`
+        of exactly *count* values whose ``to_pylist()`` equals calling
+        :meth:`generate` once per row on those streams, and the block
+        is left with each row's state where ``generate`` leaves
+        ``ctx.rng``. The engine relies on the first to keep every output
+        format byte-identical to the scalar oracle; a meta generator
+        relies on the second to run its children's kernels in turn.
 
         The default *is* that per-row loop, wrapped in an
         :class:`~repro.columnar.ObjectColumn`, so every generator is
         block-correct for free. High-volume generators override it with
-        vectorized kernels (see :mod:`repro.prng.blocks`) and typed
-        columns the output layer formats at array level. Overrides may
-        consult ``ctx.batch_columns`` for completed sibling columns and
-        must leave ``ctx.seed_block`` as they found it.
+        vectorized kernels that draw through the block (see
+        :class:`repro.prng.blocks.SeedBlock`) and return typed columns
+        the output layer formats at array level. Overrides may consult
+        ``ctx.batch_columns`` for completed sibling columns.
         """
         seeds = ctx.seed_block
         if seeds is None:
             raise GenerationError(
                 f"{type(self).__name__}.generate_block needs ctx.seed_block"
             )
-        seed_ints = seeds.ints
-        reseed = ctx.rng.reseed_mixed
+        rng = ctx.rng
         generate = self.generate
-        values: list = []
-        append = values.append
-        for offset in range(count):
+        values, ends = [], []
+        for offset, state in enumerate(seeds.ints):
             ctx.row = start + offset
-            reseed(seed_ints[offset])
-            append(generate(ctx))
+            rng.reseed_mixed(state)
+            values.append(generate(ctx))
+            ends.append(rng.state)
+        seeds.array = np.array(ends, dtype=np.uint64)
         return columnar.ObjectColumn(values)
 
     def describe(self) -> str:

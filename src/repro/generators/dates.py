@@ -15,7 +15,6 @@ from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
-from repro.prng import blocks
 
 _EPOCH = datetime.date(1970, 1, 1)
 
@@ -55,11 +54,12 @@ class DateGenerator(Generator):
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
     ) -> columnar.DateColumn:
-        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         # Absolute ordinals (always inside int64); the generator-lifetime
         # memo makes repeated days convert once per distinct day, not
         # once per row.
-        drawn = columnar.int_column_from_u64(outs, self._span, self._min_ordinal)
+        drawn = columnar.int_column_from_u64(
+            ctx.seed_block.next_u64(), self._span, self._min_ordinal
+        )
         return columnar.DateColumn(drawn.data, self._ordinal_cache)
 
 
@@ -105,10 +105,9 @@ class TimestampGenerator(Generator):
     ) -> columnar.ObjectColumn:
         # Offsets rarely repeat (second resolution), so no memo — the
         # win is the vectorized draw plus skipped per-row reseeds.
-        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         minimum = self._min
         second = datetime.timedelta(seconds=1)
         return columnar.ObjectColumn([
             minimum + offset * second
-            for offset in blocks.bounded(outs, self._span)
+            for offset in ctx.seed_block.next_long(self._span).tolist()
         ])

@@ -17,7 +17,6 @@ from repro import columnar
 from repro.exceptions import GenerationError, ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
-from repro.prng import blocks
 from repro.text.dictionary import WeightedDictionary
 
 
@@ -99,19 +98,15 @@ class DictListGenerator(Generator):
             if self._as_int:
                 return self._int_column(indices.tolist())
             return columnar.DictColumn(indices, values)
-        states, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
-        indices = self._dictionary.sample_index_block(blocks.to_doubles(outs))
+        indices = self._dictionary.sample_index_block(ctx.seed_block.next_double())
         # Integer dictionaries and suffixed values stay object columns —
         # their per-value text is not a plain entry lookup.
         if self._as_int:
             return self._int_column(indices)
         if not self._unique_suffix:
             return columnar.DictColumn(np.asarray(indices, dtype=np.int64), values)
-        # Second draw per row, continuing each cell's stream exactly as
-        # ``generate``'s next_long(domain) does.
         domain = self._domain or max(len(self._dictionary) * 10, 1000)
-        _, outs = blocks.xorshift_step(states)
-        suffixes = blocks.bounded(outs, domain)
+        suffixes = ctx.seed_block.next_long(domain).tolist()
         return columnar.ObjectColumn([
             f"{values[index]}#{suffix}"
             for index, suffix in zip(indices, suffixes)

@@ -14,9 +14,10 @@ from repro.generators.base import (
     GenerationContext,
     Generator,
     _KERNEL_MIN_ROWS,
+    clip_words,
+    max_chars,
 )
 from repro.generators.registry import register
-from repro.prng import blocks
 from repro.text.markov import MarkovChain
 
 
@@ -43,24 +44,10 @@ class MarkovChainGenerator(Generator):
         self._max = int(ctx.resolve_numeric(self.spec.params.get("max"), 10))
         if self._min < 1 or self._max < self._min:
             raise ModelError(f"bad word bounds [{self._min}, {self._max}]")
-        # an absent parameter falls back to the column width; a given one
-        # means the same from Python (0) and from model.xml ("0")
-        max_chars = self.spec.params.get("max_chars")
-        if max_chars is None:
-            self._max_chars = ctx.field.dtype.length or None
-        else:
-            self._max_chars = int(ctx.resolve_numeric(max_chars, 0))
-            if self._max_chars < 1:
-                raise ModelError(f"max_chars must be at least 1, got {self._max_chars}")
+        self._max_chars = max_chars(ctx, self.spec.params.get("max_chars"))
 
     def generate(self, ctx: GenerationContext) -> str:
-        text = self._chain.generate(ctx.rng, self._min, self._max)
-        if self._max_chars is not None and len(text) > self._max_chars:
-            clipped = text[: self._max_chars]
-            # Cut at the last word boundary so clipped text stays words.
-            space = clipped.rfind(" ")
-            text = clipped[:space] if space > 0 else clipped
-        return text
+        return clip_words(self._chain.generate(ctx.rng, self._min, self._max), self._max_chars)
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
@@ -74,16 +61,16 @@ class MarkovChainGenerator(Generator):
         tables = self._chain.block_tables()
         if not tables.plain:
             return super().generate_block(ctx, start, count)
-        tokens, counts, exhausted = tables.sample(
-            blocks.column_states(seeds), self._min, self._max
-        )
+        initial = seeds.array
+        tokens, counts, exhausted, seeds.array = tables.sample(initial, self._min, self._max)
         texts = tables.join(tokens, counts, self._max_chars)
         # rows no attempt could bring to ``min`` words: the scalar path
         # keeps the longest of its attempts
         for offset in exhausted:
             ctx.row = start + offset
-            ctx.rng.reseed_mixed(int(seeds.array[offset]))
+            ctx.rng.reseed_mixed(int(initial[offset]))
             texts[offset] = self.generate(ctx)
+            seeds.array[offset] = ctx.rng.state
         return columnar.StrColumn(texts, tables.charset)
 
     @property

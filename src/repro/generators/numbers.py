@@ -7,16 +7,18 @@ uniform when the source histogram was skewed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
-from repro.prng import blocks
 from repro.prng.distributions import Zipf, normal
 
 
 class _BoundedNumberGenerator(Generator):
-    """Shared bound handling for the integer generators."""
+    """Shared bound handling, scalar oracle and kernel of the integer
+    generators."""
 
     default_min = 0
     default_max = 2**31 - 1
@@ -38,7 +40,7 @@ class _BoundedNumberGenerator(Generator):
         elif distribution != "uniform":
             raise ModelError(f"unknown distribution {distribution!r}")
 
-    def _draw(self, ctx: GenerationContext) -> int:
+    def generate(self, ctx: GenerationContext) -> int:
         if self._zipf is not None:
             rank = self._zipf.sample(ctx.rng) - 1
             return self._min + rank % self._span
@@ -47,18 +49,18 @@ class _BoundedNumberGenerator(Generator):
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
     ) -> columnar.Column:
-        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         minimum = self._min
         span = self._span
         if self._zipf is not None:
-            ranks = self._zipf.sample_block(blocks.to_doubles(outs))
+            ranks = self._zipf.sample_block(ctx.seed_block.next_double())
             return columnar.ObjectColumn(
                 [minimum + (rank - 1) % span for rank in ranks]
             )
+        outs = ctx.seed_block.next_u64()
         column = columnar.int_column_from_u64(outs, span, minimum)
         if column is None:
             return columnar.ObjectColumn(
-                [minimum + v for v in blocks.bounded(outs, span)]
+                [minimum + v for v in (outs % np.uint64(span)).tolist()]
             )
         return column
 
@@ -69,16 +71,10 @@ class LongGenerator(_BoundedNumberGenerator):
 
     default_max = 2**63 - 1
 
-    def generate(self, ctx: GenerationContext) -> int:
-        return self._draw(ctx)
-
 
 @register("IntGenerator")
 class IntGenerator(_BoundedNumberGenerator):
     """Uniform (or zipf) 32-bit integers in ``[min, max]``."""
-
-    def generate(self, ctx: GenerationContext) -> int:
-        return self._draw(ctx)
 
 
 @register("DoubleGenerator")
@@ -125,10 +121,9 @@ class DoubleGenerator(Generator):
     ) -> columnar.Column:
         if self._distribution != "uniform":
             return super().generate_block(ctx, start, count)
-        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         # Same IEEE-754 expression as ``generate`` (min + u * span),
         # evaluated elementwise — bit-identical doubles.
-        values = self._min + blocks.to_doubles(outs) * (self._max - self._min)
+        values = self._min + ctx.seed_block.next_double() * (self._max - self._min)
         if self._places is not None:
             values = columnar.round_places(values, self._places)
         return columnar.FloatColumn(values)
@@ -151,5 +146,4 @@ class BooleanGenerator(Generator):
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
     ) -> columnar.BoolColumn:
-        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
-        return columnar.BoolColumn(blocks.to_doubles(outs) < self._p_true)
+        return columnar.BoolColumn(ctx.seed_block.next_double() < self._p_true)

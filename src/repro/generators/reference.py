@@ -17,7 +17,6 @@ from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
-from repro.prng import blocks
 
 
 @register("DefaultReferenceGenerator")
@@ -90,13 +89,12 @@ class DefaultReferenceGenerator(Generator):
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
     ) -> columnar.Column:
-        _, outs = blocks.xorshift_step(blocks.column_states(ctx.seed_block))
         size = self._target_size
         if self._zipf is not None:
             # ranks stop at min(size, 10 000): ``% size`` is the identity
-            rows = self._zipf.rank_block(blocks.to_doubles(outs)) - 1
+            rows = self._zipf.rank_block(ctx.seed_block.next_double()) - 1
         else:
-            rows = outs % np.uint64(size)
+            rows = ctx.seed_block.next_long(size)
         if self._id_fastpath is not None:
             base, step = self._id_fastpath
             extremes = (base, step, base + (size - 1) * step)

@@ -45,6 +45,13 @@ def build(spec: GeneratorSpec) -> Generator:
     return cls(spec)
 
 
+def build_children(spec: GeneratorSpec) -> list[Generator]:
+    """The sub-generator trees of a meta generator's *spec*, at least one."""
+    if not spec.children:
+        raise ModelError(f"{spec.name} needs at least one child")
+    return [build(child) for child in spec.children]
+
+
 def build_bound(spec: GeneratorSpec, ctx: BindContext) -> Generator:
     """Instantiate and bind a generator tree in one step."""
     generator = build(spec)

@@ -11,7 +11,7 @@ generates them.
 from __future__ import annotations
 
 from repro.exceptions import ModelError
-from repro.generators.base import BindContext, GenerationContext, Generator
+from repro.generators.base import BindContext, GenerationContext, Generator, clip_words, max_chars
 from repro.generators.registry import register
 from repro.generators.strings import DrawTemplateGenerator, pattern_parts
 from repro.text import corpus
@@ -109,10 +109,7 @@ class TextGenerator(Generator):
         self._max = int(ctx.resolve_numeric(self.spec.params.get("max"), 12))
         if self._min < 0 or self._max < self._min:
             raise ModelError(f"TextGenerator: bad word range [{self._min}, {self._max}]")
-        max_chars = self.spec.params.get("max_chars")
-        if max_chars is None and ctx.field.dtype.length:
-            max_chars = ctx.field.dtype.length
-        self._max_chars = int(max_chars) if max_chars else None
+        self._max_chars = max_chars(ctx, self.spec.params.get("max_chars"))
 
     def generate(self, ctx: GenerationContext) -> str:
         rng = ctx.rng
@@ -125,9 +122,4 @@ class TextGenerator(Generator):
             words.extend(_pick(rng, corpus.ADJECTIVES).split())
             words.extend(_pick(rng, corpus.NOUNS).split())
             words.extend(_pick(rng, corpus.VERBS).split())
-        text = " ".join(words[:count])
-        if self._max_chars is not None and len(text) > self._max_chars:
-            clipped = text[: self._max_chars]
-            space = clipped.rfind(" ")
-            text = clipped[:space] if space > 0 else clipped
-        return text
+        return clip_words(" ".join(words[:count]), self._max_chars)

@@ -8,8 +8,9 @@ Figure 9 benchmarks exactly this shape ("Sequential (2 double + long)").
 
 from __future__ import annotations
 
-from repro.generators.base import BindContext, GenerationContext, Generator
-from repro.generators.registry import build, register
+from repro import columnar
+from repro.generators.base import BindContext, GenerationContext, Generator, _KERNEL_MIN_ROWS
+from repro.generators.registry import build_children, register
 
 
 @register("SequentialGenerator")
@@ -22,11 +23,7 @@ class SequentialGenerator(Generator):
 
     def __init__(self, spec) -> None:
         super().__init__(spec)
-        if not spec.children:
-            from repro.exceptions import ModelError
-
-            raise ModelError("SequentialGenerator needs at least one child")
-        self._children = [build(child) for child in spec.children]
+        self._children = build_children(spec)
 
     def bind(self, ctx: BindContext) -> None:
         self._separator = str(self.spec.params.get("separator", ""))
@@ -41,6 +38,14 @@ class SequentialGenerator(Generator):
             return self._template.format(*values)
         return self._separator.join("" if v is None else str(v) for v in values)
 
-    @property
-    def children(self) -> list[Generator]:
-        return list(self._children)
+    def generate_block(self, ctx: GenerationContext, start: int, count: int) -> columnar.Column:
+        """The children's kernels in order on the advancing seed block —
+        each starts where the one before left every row's stream, as in
+        ``generate`` — then one join per row."""
+        if ctx.seed_block is None or count < _KERNEL_MIN_ROWS:
+            return columnar.StrColumn(super().generate_block(ctx, start, count).data)
+        columns = [child.generate_block(ctx, start, count).to_pylist() for child in self._children]
+        if self._template is not None:
+            return columnar.StrColumn(list(map(self._template.format, *columns)))
+        texts = [["" if v is None else str(v) for v in column] for column in columns]
+        return columnar.StrColumn(list(map(self._separator.join, zip(*texts))))

@@ -7,9 +7,16 @@ the pure per-value system overhead of the generation pipeline.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import columnar
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
+
+#: the typed column of a constant of exactly this type (an ``int`` only
+#: inside int64); a ``str`` is a one-entry dictionary column
+_TYPED = {bool: (columnar.BoolColumn, np.bool_), int: (columnar.IntColumn, np.int64),
+          float: (columnar.FloatColumn, np.float64)}
 
 
 @register("StaticValueGenerator")
@@ -31,5 +38,11 @@ class StaticValueGenerator(Generator):
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.ObjectColumn:
-        return columnar.ObjectColumn([self._value] * count)
+    ) -> columnar.Column:
+        value = self._value
+        if type(value) is str:
+            return columnar.DictColumn(np.zeros(count, dtype=np.int64), [value])
+        column, dtype = _TYPED.get(type(value), (None, None))
+        if column is None or (dtype is np.int64 and not columnar.INT64_MIN <= value <= columnar.INT64_MAX):
+            return columnar.ObjectColumn([value] * count)
+        return column(np.full(count, value, dtype=dtype))

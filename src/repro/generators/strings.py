@@ -13,11 +13,12 @@ from __future__ import annotations
 import abc
 import string
 
+import numpy as np
+
 from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator, _KERNEL_MIN_ROWS
 from repro.generators.registry import register
-from repro.prng import blocks
 
 _DEFAULT_ALPHABET = string.ascii_lowercase
 _ALPHABETS = {
@@ -61,39 +62,22 @@ class RandomStringGenerator(Generator):
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
     ) -> columnar.StrColumn:
-        states = blocks.column_states(ctx.seed_block)
+        seeds = ctx.seed_block
+        lengths = np.full(count, self._min, dtype=np.int64)
         if self._max > self._min:
-            states, outs = blocks.xorshift_step(states)
-            minimum = self._min
-            lengths = [
-                minimum + offset
-                for offset in blocks.bounded(outs, self._max - self._min + 1)
-            ]
-            max_len = max(lengths)
-        else:
-            lengths = None
-            max_len = self._min
-        alphabet = self._alphabet
-        alpha_len = self._alpha_len
+            lengths += seeds.next_long(self._max - self._min + 1).astype(np.int64)
         # One vectorized step per character position; each row reads its
-        # first ``length`` draws — exactly the draws ``generate`` makes,
-        # rows with shorter strings simply leave the rest unused.
+        # first ``length`` draws — exactly the draws ``generate`` makes —
+        # and its stream stops at the last of them.
+        ends = seeds.array
         char_columns: list[list[str]] = []
-        for _ in range(max_len):
-            states, outs = blocks.xorshift_step(states)
-            char_columns.append(
-                [alphabet[value] for value in blocks.bounded(outs, alpha_len)]
-            )
-        if lengths is None:
-            strings = [
-                "".join(column[offset] for column in char_columns)
-                for offset in range(count)
-            ]
-        else:
-            strings = [
-                "".join(char_columns[pos][offset] for pos in range(length))
-                for offset, length in enumerate(lengths)
-            ]
+        for position in range(1, int(lengths.max(initial=0)) + 1):
+            char_columns.append(list(map(self._alphabet.__getitem__,
+                                         seeds.next_long(self._alpha_len).tolist())))
+            ends = np.where(lengths == position, seeds.array, ends)
+        seeds.array = ends
+        rows = zip(*char_columns) if char_columns else [()] * count
+        strings = ["".join(chars[:length]) for chars, length in zip(rows, lengths.tolist())]
         # The alphabet is the whole emittable charset — tagging it lets
         # the CSV formatter skip quote scanning for the entire column.
         return columnar.StrColumn(strings, self._charset)
@@ -125,10 +109,7 @@ class DrawTemplateGenerator(Generator):
 
     def generate(self, ctx: GenerationContext) -> str:
         next_long = ctx.rng.next_long
-        picks = []
-        for table in self._tables:
-            picks.append(table[next_long(len(table))])
-        return self._format % tuple(picks)
+        return self._format % tuple(table[next_long(len(table))] for table in self._tables)
 
     def generate_block(self, ctx: GenerationContext, start: int, count: int) -> columnar.StrColumn:
         if ctx.seed_block is None or count < _KERNEL_MIN_ROWS:
@@ -136,11 +117,8 @@ class DrawTemplateGenerator(Generator):
         else:
             # One vectorized step per table, in part order — the same draw
             # sequence ``generate`` makes for every row.
-            states = blocks.column_states(ctx.seed_block)
-            picks = []
-            for table in self._tables:
-                states, outs = blocks.xorshift_step(states)
-                picks.append(map(table.__getitem__, blocks.bounded(outs, len(table))))
+            next_long = ctx.seed_block.next_long
+            picks = [map(table.__getitem__, next_long(len(table)).tolist()) for table in self._tables]
             strings = list(map(self._format.__mod__, zip(*picks) if picks else [()] * count))
         return columnar.StrColumn(strings, self._charset)
 

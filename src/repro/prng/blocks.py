@@ -40,27 +40,42 @@ _DOUBLE_SCALE = 1.0 / (1 << 53)
 
 
 class SeedBlock:
-    """Per-row cell seeds for one column over a contiguous row block.
+    """One column's PRNG streams over a contiguous row block: ``array``
+    holds row ``r``'s live xorshift64* state, a numpy ``uint64`` array.
 
-    Wraps a numpy ``uint64`` array; ``ints`` yields Python ints so the
-    per-row loop never leaks numpy scalars into PRNG state.
+    Built from the per-row cell seeds, it applies ``reseed_mixed``'s zero
+    → gamma once, so ``array[r]`` is the state ``ctx.rng`` holds after
+    reseeding row ``r``. The draws advance every row's state in place —
+    a kernel reads line for line like its ``generate`` — and a kernel
+    leaves each row's state where ``generate`` leaves ``ctx.rng``.
     """
 
-    __slots__ = ("array", "_ints")
+    __slots__ = ("array",)
 
-    def __init__(self, array) -> None:
-        self.array = array
-        self._ints: list[int] | None = None
+    def __init__(self, seeds) -> None:
+        self.array = _np.where(seeds == 0, _GAMMA, seeds)
 
     @property
     def ints(self) -> list[int]:
-        """The seeds as Python ints (lazily materialized from the array)."""
-        if self._ints is None:
-            self._ints = self.array.tolist()
-        return self._ints
+        """The states as Python ints, so the per-row loop never leaks
+        numpy scalars into PRNG state."""
+        return self.array.tolist()
 
     def __len__(self) -> int:
         return len(self.array)
+
+    def next_u64(self):
+        """:meth:`XorShift64Star.next_u64` on every row: the outputs."""
+        self.array, outputs = xorshift_step(self.array)
+        return outputs
+
+    def next_double(self):
+        """``next_double`` on every row, as a float64 array."""
+        return to_doubles(self.next_u64())
+
+    def next_long(self, bound: int):
+        """``next_long(bound)`` on every row, as a uint64 array."""
+        return self.next_u64() % _np.uint64(bound)
 
 
 def row_hash_block(start: int, count: int):
@@ -85,13 +100,9 @@ def seed_block_from_hashes(update_seed: int, row_hashes) -> SeedBlock:
 
 
 def column_states(seed_block: SeedBlock):
-    """Initial xorshift64* states for a column block.
-
-    Mirrors ``reseed_mixed``: an (astronomically unlikely) zero seed
-    maps to the SplitMix gamma so the state is never zero.
-    """
-    array = seed_block.array
-    return _np.where(array == 0, _GAMMA, array)
+    """The block's current states as an array (``bench/layers.py`` times
+    the PRNG layer through it; generators draw through the block)."""
+    return seed_block.array
 
 
 def xorshift_step(states):
@@ -110,11 +121,6 @@ def xorshift_step(states):
 def to_doubles(outputs):
     """Map u64 outputs to doubles in [0, 1) (``next_double`` semantics)."""
     return (outputs >> _U11).astype(_np.float64) * _DOUBLE_SCALE
-
-
-def bounded(outputs, bound: int):
-    """``next_long(bound)`` over an output block, as Python ints."""
-    return (outputs % _np.uint64(bound)).tolist()
 
 
 def _splitmix_output(state):

@@ -100,6 +100,12 @@ class XorShift64Star:
         variant used by the engine's per-cell reseeding."""
         self._state = (seed & MASK64) or _SPLITMIX_GAMMA
 
+    @property
+    def state(self) -> int:
+        """The live state: where the stream stands (``reseed_mixed`` of
+        it continues the stream unchanged)."""
+        return self._state
+
     def next_u64(self) -> int:
         """Return the next 64-bit unsigned integer."""
         x = self._state

@@ -16,6 +16,9 @@ suite-registered plugin generator.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro import columnar
 from repro.generators.base import (
     ArtifactStore,
     BindContext,
@@ -54,8 +57,17 @@ class TpchPsSuppkeyGenerator(Generator):
         )
 
     def generate(self, ctx: GenerationContext) -> int:
-        part = ctx.row // D.SUPPLIERS_PER_PART + 1
-        slot = ctx.row % D.SUPPLIERS_PER_PART
+        return self._suppkey(ctx.row)
+
+    def generate_block(
+        self, ctx: GenerationContext, start: int, count: int
+    ) -> columnar.IntColumn:
+        """The same arithmetic over the block's rows; no draws."""
+        return columnar.IntColumn(self._suppkey(np.arange(start, start + count, dtype=np.int64)))
+
+    def _suppkey(self, row):
+        part = row // D.SUPPLIERS_PER_PART + 1
+        slot = row % D.SUPPLIERS_PER_PART
         s = self._suppliers
         return (part + (slot * s) // D.SUPPLIERS_PER_PART) % s + 1
 

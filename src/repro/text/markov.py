@@ -419,12 +419,14 @@ class ChainTables:
         """Generate one text per PRNG state in *states* (a ``uint64``
         array, one live xorshift64* state per row).
 
-        Returns ``(tokens, counts, exhausted)``: a token-id matrix whose
-        row ``r`` holds that row's text in its first ``counts[r]``
-        columns (later columns are unspecified), and the offsets of rows
+        Returns ``(tokens, counts, exhausted, ends)``: a token-id matrix
+        whose row ``r`` holds that row's text in its first ``counts[r]``
+        columns (later columns are unspecified), the offsets of rows
         that were still shorter than *min_words* after the last retry —
         the caller recomputes those few through the scalar path, which
-        keeps the longest attempt.
+        keeps the longest attempt — and each row's PRNG state after its
+        last draw, where :meth:`MarkovChain.generate` leaves the stream
+        (an exhausted row's entry is unspecified).
         """
         count = len(states)
         # a start state appends up to ``order`` tokens to an empty text
@@ -432,6 +434,7 @@ class ChainTables:
         tokens = _np.full((count, width), self.pad, dtype=self.token_dtype)
         flat = tokens.reshape(-1)
         counts = _np.zeros(count, dtype=_np.int64)
+        ends = states.copy()
         exhausted: list[int] = []
 
         # per still-active row: block offset, PRNG state, next free slot
@@ -463,6 +466,7 @@ class ChainTables:
             length = (slot - limit + max_words) % _ENDED
             done = ended & (length >= min_words)
             counts[rows[done]] = _np.minimum(length[done], max_words)
+            ends[rows[done]] = rng[done]
             retry = ended & ~done
             if retry.any():
                 attempts = attempts + retry
@@ -473,7 +477,7 @@ class ChainTables:
             active = ~ended | retry
             rows, rng, slot, limit = rows[active], rng[active], slot[active], limit[active]
             at, shift, attempts = at[active], shift[active], attempts[active]
-        return tokens, counts, exhausted
+        return tokens, counts, exhausted, ends
 
     def join(self, tokens, counts, max_chars: int | None) -> list[str]:
         """The texts of a :meth:`sample` result, words joined by single

@@ -225,6 +225,41 @@ class TestSemanticGenerators:
         assert "error: TextGenerator: bad word range" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def _text_project(directory, params) -> Schema:
+        schema = Schema("text", seed=1)
+        schema.add_table(Table("t", "200", [
+            Field.of("f", "TEXT", GeneratorSpec("TextGenerator", {"min": 6, "max": 12, **params})),
+        ]))
+        schema_xml.dump(schema, str(directory / "model.xml"))
+        return schema
+
+    @pytest.mark.parametrize("max_chars", [0, -4])
+    def test_text_max_chars_below_one_is_rejected_built_and_loaded(
+        self, max_chars, tmp_path, capsys
+    ):
+        # 0 once meant "no clip" from Python and clipped every text to ""
+        # from model.xml; both now fail at bind, as for the Markov chain
+        schema = self._text_project(tmp_path, {"max_chars": max_chars})
+        loaded = schema_xml.load(str(tmp_path / "model.xml"))
+        assert loaded.table_by_name("t").fields[0].generator.params["max_chars"] == str(max_chars)
+        for model in (schema, loaded):
+            with pytest.raises(ModelError, match=f"max_chars must be at least 1, got {max_chars}"):
+                GenerationEngine(model)
+        assert main(["preview", "--model", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: max_chars must be at least 1" in err and "Traceback" not in err
+
+    def test_text_max_chars_is_the_same_built_and_loaded(self, tmp_path):
+        schema = self._text_project(tmp_path, {"max_chars": 11})
+        loaded = schema_xml.load(str(tmp_path / "model.xml"))
+        built, restored = (
+            GenerationEngine(model).generate_rows("t", 0, 200) for model in (schema, loaded)
+        )
+        assert built == restored
+        # six corpus words never fit in 11 characters: every text is clipped
+        assert all(0 < len(value) <= 11 for (value,) in built)
+
     def test_all_semantic_generators_deterministic(self):
         for name in ("PersonNameGenerator", "CompanyNameGenerator",
                      "AddressGenerator", "CityGenerator", "CountryGenerator",

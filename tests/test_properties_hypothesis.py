@@ -12,7 +12,9 @@ import math
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.suites.tpch.schema  # noqa: F401  (registers TpchPsSuppkeyGenerator)
 from repro.engine import GenerationEngine
+from repro.generators.base import ArtifactStore
 from repro.model import formula as formula_mod
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.config import OutputConfig
@@ -281,6 +283,181 @@ class TestNullProbabilityProperty:
             for k in range(401)
         ]
         assert min(sum(mass[: nulls + 1]), sum(mass[nulls:])) > 5e-10
+
+
+def _g(name: str, children=(), **params) -> GeneratorSpec:
+    return GeneratorSpec(name, params, list(children))
+
+
+#: one or more specs per registered leaf generator, each valid in the
+#: ``t.f`` column of :func:`_meta_schema` (its siblings ``k``, ``n`` and
+#: ``v`` come first; ``parent`` and ``supplier`` are reference targets)
+_LEAVES = [
+    _g("IdGenerator", base=5, step=3),
+    _g("RowFormulaGenerator", formula="row // 3 + 1"),
+    _g("StaticValueGenerator", constant=7),
+    _g("StaticValueGenerator", constant=2**70),
+    _g("StaticValueGenerator", constant=True),
+    _g("StaticValueGenerator", constant=2.5),
+    _g("StaticValueGenerator", constant="x|y"),
+    _g("StaticValueGenerator"),
+    _g("LongGenerator", min=-5, max=10**12),
+    _g("IntGenerator", min=1, max=60, distribution="zipf", exponent=0.9),
+    _g("DoubleGenerator", min=-3.0, max=3.0, places=2),
+    _g("DoubleGenerator", distribution="normal", mean=1.0, stddev=2.0),
+    _g("BooleanGenerator", true_probability=0.4),
+    _g("DateGenerator", min="1995-03-01", max="1995-04-30"),
+    _g("TimestampGenerator", min="1995-01-01", max="1995-01-02"),
+    _g("HistogramGenerator", bounds=[0, 10, 100], weights=[3, 1], as_int=True),
+    _g("DictListGenerator", values=["ab", "cd", "ef"], weights=[1, 2, 3]),
+    _g("DictListGenerator", values=["ab", "cd"], unique_suffix=True),
+    _g("DictListGenerator", values=["3", "4"], as_int=True),
+    _g("DictListGenerator", values=["p", "q", "r"], by_row=True),
+    _g("DefaultReferenceGenerator", table="parent", field="id"),
+    _g("DefaultReferenceGenerator", table="parent", field="id", distribution="zipf"),
+    _g("DefaultReferenceGenerator", table="parent", field="name"),
+    _g("FormulaGenerator", formula="[n] * 2 + 1"),
+    _g("MarkovChainGenerator", model="markov:m", min=2, max=7),
+    _g("RandomStringGenerator", min=0, max=6, alphabet="hex"),
+    _g("RandomStringGenerator", min=3, max=3),
+    _g("PatternStringGenerator", pattern="^#-@@"),
+    _g("PersonNameGenerator"),
+    _g("CompanyNameGenerator"),
+    _g("AddressGenerator"),
+    _g("CityGenerator"),
+    _g("CountryGenerator"),
+    _g("EmailGenerator"),
+    _g("PhoneGenerator"),
+    _g("UrlGenerator"),
+    _g("TextGenerator", min=1, max=6),
+    _g("TpchPsSuppkeyGenerator"),
+]
+_META = ("NullGenerator", "SequentialGenerator", "ProbabilityGenerator", "SwitchGenerator")
+
+_META_CHAIN = train_chain([
+    "the quick brown fox jumps over the lazy dog",
+    "pack my box with five dozen jugs",
+    "quick",
+    "the end",
+])
+
+
+def _meta_node(children):
+    """Null / Sequential / Probability / Switch over drawn *children*."""
+    child = children.map(lambda spec: [spec])
+    some = st.lists(children, min_size=1, max_size=3)
+    return st.one_of(
+        st.tuples(st.sampled_from([0.0, 0.3, 1.0]), child).map(
+            lambda a: _g("NullGenerator", a[1], probability=a[0])),
+        st.tuples(st.sampled_from([{"separator": "|"}, {"template": "<{0}>"}]), some).map(
+            lambda a: _g("SequentialGenerator", a[1], **a[0])),
+        some.map(lambda kids: _g(
+            "ProbabilityGenerator", kids, weights=[1.0 + i for i in range(len(kids))])),
+        # on the boolean sibling ``k``: one or two cases, with or without a default
+        st.tuples(st.integers(1, 2), st.booleans(), some).map(lambda a: _g(
+            "SwitchGenerator", (a[2] * 3)[: a[0] + a[1]], field="k",
+            cases=["True", "False"][: a[0]])),
+        # the non-chosen child raises: ``v`` is numeric only where k is True
+        child.map(lambda kid: _g(
+            "SwitchGenerator", [_g("FormulaGenerator", formula="[v] + 1")] + kid,
+            field="k", cases=["True"])),
+    )
+
+
+def _stack(depth: int):
+    """A meta generator at the root, stacked up to *depth* levels deep
+    over every leaf."""
+    if depth == 1:
+        return _meta_node(st.sampled_from(_LEAVES))
+    return _meta_node(st.one_of(st.sampled_from(_LEAVES), _stack(depth - 1)))
+
+
+def _meta_schema(spec: GeneratorSpec, seed: int, rows: int) -> Schema:
+    schema = Schema("meta", seed=seed)
+    schema.add_table(Table("supplier", "40", [
+        Field.of("s_id", "BIGINT", _g("IdGenerator"), primary=True),
+    ]))
+    schema.add_table(Table("parent", "30", [
+        Field.of("id", "BIGINT", _g("IdGenerator", base=7, step=3), primary=True),
+        Field.of("name", "TEXT", _g("CityGenerator")),
+    ]))
+    schema.add_table(Table("t", str(rows), [
+        Field.of("k", "BOOLEAN", _g("BooleanGenerator")),
+        Field.of("n", "INTEGER", _g("IntGenerator", min=0, max=50)),
+        Field.of("v", "TEXT", _g("SwitchGenerator", [
+            _g("IntGenerator", min=0, max=9), _g("StaticValueGenerator", constant="x"),
+        ], field="k", cases=["True"])),
+        Field.of("f", "VARCHAR(40)", spec),
+    ]))
+    return schema
+
+
+def _scalar_cells(engine: GenerationEngine, rows: int):
+    """Per row: ``t.f`` by ``generate`` and the stream's state after it."""
+    from repro.prng.seeding import ColumnSeeder
+
+    bound = engine.bound_table("t")
+    generator = bound.generators[-1]
+    seeder = ColumnSeeder(engine.hierarchy, "t", "f")
+    ctx = engine.new_context("t")
+    values, ends = [], []
+    for row in range(rows):
+        earlier = bound.generate_row(row, ctx)[:-1]
+        ctx.row, ctx.row_values = row, earlier
+        ctx.rng.reseed_mixed(seeder.seed_for_row(row))
+        values.append(generator.generate(ctx))
+        ends.append(ctx.rng.state)
+    return values, ends
+
+
+def _block_cells(engine: GenerationEngine, start: int, stop: int):
+    """``t.f`` over rows ``[start, stop)`` by ``generate_block`` (as
+    ``generate_columns`` runs it) and the seed block it leaves."""
+    from repro.prng import blocks
+    from repro.prng.seeding import ColumnSeeder
+
+    bound = engine.bound_table("t")
+    ctx = engine.new_context("t")
+    hashes = blocks.row_hash_block(start, stop - start)
+    ctx.batch_start, ctx.batch_columns = start, []
+    for name, generator in zip(bound.column_names, bound.generators):
+        ctx.seed_block = ColumnSeeder(engine.hierarchy, "t", name).seed_block_from_hashes(hashes)
+        ctx.batch_columns.append(generator.generate_block(ctx, start, stop - start))
+    return ctx.batch_columns[-1].to_pylist(), ctx.seed_block.array.tolist()
+
+
+class TestMetaStackOracle:
+    """Every leaf under every stacking of the meta generators: a block is
+    its rows' scalar values, and it leaves each row's stream where the
+    scalar ``generate`` leaves it — the contract a meta generator's
+    kernel builds on when it runs its children's kernels in turn."""
+
+    def test_every_registered_generator_is_a_leaf_or_a_meta(self):
+        from repro.generators.registry import _REGISTRY, known_generators
+
+        library = {
+            name for name in known_generators()
+            if _REGISTRY[name].__module__.startswith("repro.")
+        }
+        assert library <= {spec.name for spec in _LEAVES} | set(_META)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_stack(3), st.integers(min_value=0, max_value=2**32),
+           st.integers(min_value=66, max_value=130))
+    def test_blocks_equal_rows_and_leave_their_streams(self, spec, seed, rows):
+        artifacts = ArtifactStore()
+        artifacts.put("markov:m", _META_CHAIN)
+        engine = GenerationEngine(_meta_schema(spec, seed, rows), artifacts)
+        values, ends = _scalar_cells(engine, rows)
+        odd = next(size for size in range(50, rows) if rows % size)
+        for size in (1, 31, 32, 33, odd):
+            got_values, got_ends = [], []
+            for start in range(0, rows, size):
+                block_values, block_ends = _block_cells(engine, start, min(start + size, rows))
+                got_values += block_values
+                got_ends += block_ends
+            assert [(type(v), v) for v in got_values] == [(type(v), v) for v in values], size
+            assert got_ends == ends, size
 
 
 class TestQueryPredictionProperties:

@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output paths: hot loops and swallowed errors.
 
-Nine checks, one AST walk:
+Ten checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -78,11 +78,23 @@ everything else takes packages from ``cut_packages`` /
 **One-template check.** A string of literals and table picks is one
 program: :class:`~repro.generators.strings.DrawTemplateGenerator` holds
 its only scalar ``generate`` (the oracle) and its only block kernel, and
-its subclasses only declare ``parts``. A ``generate`` or
-``generate_block`` defined in a subclass — directly or through another
-subclass — is a second body that the template's oracle tests do not
-cover by construction, and a kernel that drifts from it changes bytes
-only where no test looks. No waiver.
+its subclasses only declare ``parts``. Choosing a child per row (or
+NULL) is another: :class:`~repro.generators.conditional.ChoiceGenerator`
+holds the one ``generate`` and ``generate_block`` of Null, Probability
+and Switch, which only declare ``choose`` / ``choose_block``. A
+``generate`` or ``generate_block`` defined in a subclass of either —
+directly or through another subclass — is a second body that the
+template's oracle tests do not cover by construction, and a kernel that
+drifts from it changes bytes only where no test looks. No waiver.
+
+**One-draw check.** A kernel draws through the block's
+:class:`~repro.prng.blocks.SeedBlock` (``next_u64`` / ``next_double`` /
+``next_long``), which advances each row's stream in place and so leaves
+it where ``generate`` leaves ``ctx.rng`` — the contract a meta
+generator's kernel builds on. ``xorshift_step`` or ``column_states``
+outside :mod:`repro.prng.blocks` (and the Markov sampler, which steps a
+shrinking set of active rows) is a second way to draw: it steps a copy,
+and the block's states stay behind. No waiver.
 
 **One-lookup check.** A Markov draw finds its choice through the
 chain's guide table (:class:`~repro.text.markov.ChainTables`): one
@@ -94,8 +106,8 @@ waiver.
 
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/core/loader.py``, the span-recording obs modules,
-(oracle-timing check only) ``benchmarks/``, (one-cutter and
-one-template checks only) every module under ``src/repro/``, and
+(oracle-timing check only) ``benchmarks/``, (one-cutter, one-template
+and one-draw checks only) every module under ``src/repro/``, and
 (one-lookup check only) ``src/repro/text/markov.py``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
@@ -138,9 +150,14 @@ CUTTER_SCOPE = "src/repro"
 CUTTER_FILE = "src/repro/scheduler/work.py"
 CUTTER_CLASS = "WorkPackage"
 
-#: the one body of the drawn-string generators, and what it alone defines
-TEMPLATE_CLASS = "DrawTemplateGenerator"
+#: the template bases that hold their subclasses' one body, and what
+#: only they define
+TEMPLATE_CLASSES = ("DrawTemplateGenerator", "ChoiceGenerator")
 TEMPLATE_METHODS = ("generate", "generate_block")
+
+#: the raw block steps, and the only modules that may use them
+DRAW_NAMES = ("xorshift_step", "column_states")
+DRAW_FILES = ("src/repro/prng/blocks.py", "src/repro/text/markov.py")
 
 #: the module whose draws go through the guide table, and the search it bans
 LOOKUP_FILE = "src/repro/text/markov.py"
@@ -234,31 +251,51 @@ def second_cutters(path: Path) -> list[str]:
 
 def template_overrides(paths: list[Path]) -> list[str]:
     """``generate`` / ``generate_block`` defined in a (transitive)
-    subclass of the template base, across *paths*."""
+    subclass of a template base, across *paths*."""
     classes = [
         (path, node)
         for path in paths
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.ClassDef)
     ]
-    subclasses = {TEMPLATE_CLASS}
-    while True:
-        found = {
-            cls.name for _, cls in classes
-            if cls.name not in subclasses
-            and any(_name(base) in subclasses for base in cls.bases)
-        }
-        if not found:
-            break
-        subclasses |= found
+    violations = []
+    for template in TEMPLATE_CLASSES:
+        subclasses = {template}
+        while True:
+            found = {
+                cls.name for _, cls in classes
+                if cls.name not in subclasses
+                and any(_name(base) in subclasses for base in cls.bases)
+            }
+            if not found:
+                break
+            subclasses |= found
+        violations += [
+            f"{path.relative_to(REPO)}:{method.lineno}: {cls.name}.{method.name} "
+            f"overrides {template}'s one body; declare its abstract methods instead"
+            for path, cls in classes
+            if cls.name != template and cls.name in subclasses
+            for method in cls.body
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and method.name in TEMPLATE_METHODS
+        ]
+    return violations
+
+
+def raw_draws(path: Path) -> list[str]:
+    """Uses of the raw block steps (called, imported or passed on) in
+    *path*."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [
-        f"{path.relative_to(REPO)}:{method.lineno}: {cls.name}.{method.name} "
-        f"overrides {TEMPLATE_CLASS}'s one body; declare parts() instead"
-        for path, cls in classes
-        if cls.name != TEMPLATE_CLASS and cls.name in subclasses
-        for method in cls.body
-        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and method.name in TEMPLATE_METHODS
+        f"{path.relative_to(REPO)}:{node.lineno}: {name} outside "
+        f"{' and '.join(DRAW_FILES)}; draw through the SeedBlock "
+        "(next_u64 / next_double / next_long)"
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [_name(node)]
+        )
+        if name in DRAW_NAMES
     ]
 
 
@@ -356,6 +393,10 @@ def main() -> int:
             violations.extend(second_cutters(path))
     checked.update(scope)
     violations.extend(template_overrides(scope))
+    draw_files = {REPO / rel for rel in DRAW_FILES}
+    for path in scope:
+        if path not in draw_files:
+            violations.extend(raw_draws(path))
     violations.extend(global_searches(REPO / LOOKUP_FILE))
     for message in violations:
         print(message)
