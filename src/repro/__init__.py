@@ -78,7 +78,7 @@ from repro.scheduler import (
 )
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "Dataset",

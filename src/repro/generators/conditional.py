@@ -110,17 +110,14 @@ class ProbabilityGenerator(ChoiceGenerator):
             raise ModelError(
                 f"{len(self._children)} children but {len(weights)} weights"  # type: ignore[arg-type]
             )
-        self._chooser = Categorical(
-            list(range(len(self._children))),
-            [float(w) for w in weights] if weights is not None else None,  # type: ignore[union-attr]
-        )
+        self._chooser = Categorical(range(len(self._children)), weights)  # type: ignore[arg-type]
         super().bind(ctx)
 
     def choose(self, ctx: GenerationContext) -> int:
         return self._chooser.sample_index(ctx.rng)
 
     def choose_block(self, ctx: GenerationContext, start: int, count: int):
-        return np.array(self._chooser.sample_index_block(ctx.seed_block.next_double()))
+        return self._chooser.index_block(ctx.seed_block)
 
 
 @register("SwitchGenerator")

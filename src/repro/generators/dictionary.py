@@ -70,8 +70,9 @@ class DictListGenerator(Generator):
         self._values = self._dictionary.values()
         # int conversions are memoized on first block use rather than at
         # bind so non-numeric dictionaries fail at generation time, as
-        # ``generate`` does.
-        self._int_values: list[int] | None = None
+        # ``generate`` does: an int64 array when every entry fits, else
+        # a list of Python ints.
+        self._int_values: np.ndarray | list[int] | None = None
 
     def generate(self, ctx: GenerationContext) -> object:
         if self._by_row:
@@ -95,28 +96,31 @@ class DictListGenerator(Generator):
         values = self._values
         if self._by_row:
             indices = np.arange(start, start + count, dtype=np.int64) % len(values)
-            if self._as_int:
-                return self._int_column(indices.tolist())
-            return columnar.DictColumn(indices, values)
-        indices = self._dictionary.sample_index_block(ctx.seed_block.next_double())
-        # Integer dictionaries and suffixed values stay object columns —
-        # their per-value text is not a plain entry lookup.
+        else:
+            indices = self._dictionary.index_block(ctx.seed_block)
         if self._as_int:
             return self._int_column(indices)
-        if not self._unique_suffix:
-            return columnar.DictColumn(np.asarray(indices, dtype=np.int64), values)
+        if self._by_row or not self._unique_suffix:
+            return columnar.DictColumn(indices, values)
+        # suffixed values stay an object column: their text is not a plain
+        # entry lookup
         domain = self._domain or max(len(self._dictionary) * 10, 1000)
         suffixes = ctx.seed_block.next_long(domain).tolist()
         return columnar.ObjectColumn([
             f"{values[index]}#{suffix}"
-            for index, suffix in zip(indices, suffixes)
+            for index, suffix in zip(indices.tolist(), suffixes)
         ])
 
-    def _int_column(self, indices: list[int]) -> columnar.ObjectColumn:
+    def _int_column(self, indices) -> columnar.Column:
         ints = self._int_values
         if ints is None:
-            ints = self._int_values = [int(value) for value in self._values]
-        return columnar.ObjectColumn([ints[index] for index in indices])
+            ints = [int(value) for value in self._values]
+            if all(columnar.INT64_MIN <= value <= columnar.INT64_MAX for value in ints):
+                ints = np.array(ints, dtype=np.int64)
+            self._int_values = ints
+        if isinstance(ints, np.ndarray):
+            return columnar.IntColumn(ints[indices])
+        return columnar.ObjectColumn([ints[index] for index in indices.tolist()])
 
     @property
     def dictionary(self) -> WeightedDictionary:

@@ -42,9 +42,7 @@ class HistogramGenerator(Generator):
             raise ModelError(
                 f"{count} buckets need {count} weights, got {len(weights)}"  # type: ignore[arg-type]
             )
-        self._chooser = Categorical(
-            list(range(count)), [float(w) for w in weights]  # type: ignore[union-attr]
-        )
+        self._chooser = Categorical(range(count), weights)  # type: ignore[arg-type]
         self._as_int = as_bool(self.spec.params.get("as_int"))
 
     def generate(self, ctx: GenerationContext) -> float | int:

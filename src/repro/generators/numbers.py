@@ -35,28 +35,26 @@ class _BoundedNumberGenerator(Generator):
         self._zipf: Zipf | None = None
         if distribution == "zipf":
             exponent = ctx.resolve_numeric(self.spec.params.get("exponent"), 1.0)
-            # Cap the CDF size; ranks map onto the range by modulo.
+            # Cap the CDF size: only the first 10 000 values are drawn.
             self._zipf = Zipf(min(self._span, 10_000), exponent)
         elif distribution != "uniform":
             raise ModelError(f"unknown distribution {distribution!r}")
 
     def generate(self, ctx: GenerationContext) -> int:
         if self._zipf is not None:
-            rank = self._zipf.sample(ctx.rng) - 1
-            return self._min + rank % self._span
+            # ranks stop at min(span, 10 000): rank - 1 is in the range
+            return self._min + self._zipf.sample_index(ctx.rng)
         return self._min + ctx.rng.next_long(self._span)
 
     def generate_block(
         self, ctx: GenerationContext, start: int, count: int
     ) -> columnar.Column:
         minimum = self._min
-        span = self._span
         if self._zipf is not None:
-            ranks = self._zipf.sample_block(ctx.seed_block.next_double())
-            return columnar.ObjectColumn(
-                [minimum + (rank - 1) % span for rank in ranks]
-            )
-        outs = ctx.seed_block.next_u64()
+            outs = self._zipf.index_block(ctx.seed_block).astype(np.uint64)
+            span = len(self._zipf)
+        else:
+            outs, span = ctx.seed_block.next_u64(), self._span
         column = columnar.int_column_from_u64(outs, span, minimum)
         if column is None:
             return columnar.ObjectColumn(

@@ -17,6 +17,7 @@ from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
+from repro.prng.distributions import Zipf
 
 
 @register("DefaultReferenceGenerator")
@@ -65,8 +66,6 @@ class DefaultReferenceGenerator(Generator):
         distribution = str(self.spec.params.get("distribution", "uniform"))
         self._zipf = None
         if distribution == "zipf":
-            from repro.prng.distributions import Zipf
-
             exponent = ctx.resolve_numeric(self.spec.params.get("exponent"), 1.0)
             self._zipf = Zipf(min(self._target_size, 10_000), exponent)
         elif distribution != "uniform":
@@ -74,9 +73,8 @@ class DefaultReferenceGenerator(Generator):
 
     def _pick_row(self, ctx: GenerationContext) -> int:
         if self._zipf is not None:
-            # Spread the capped zipf ranks across the full key space.
-            rank = self._zipf.sample(ctx.rng) - 1
-            return rank % self._target_size
+            # ranks stop at min(size, 10 000): rank - 1 is a row
+            return self._zipf.sample_index(ctx.rng)
         return ctx.rng.next_long(self._target_size)
 
     def generate(self, ctx: GenerationContext) -> object:
@@ -91,8 +89,7 @@ class DefaultReferenceGenerator(Generator):
     ) -> columnar.Column:
         size = self._target_size
         if self._zipf is not None:
-            # ranks stop at min(size, 10 000): ``% size`` is the identity
-            rows = self._zipf.rank_block(ctx.seed_block.next_double()) - 1
+            rows = self._zipf.index_block(ctx.seed_block)
         else:
             rows = ctx.seed_block.next_long(size)
         if self._id_fastpath is not None:

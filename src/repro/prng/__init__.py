@@ -16,15 +16,7 @@ from repro.prng.xorshift import (
     splitmix64,
 )
 from repro.prng.seeding import ColumnSeeder, SeedHierarchy
-from repro.prng.distributions import (
-    Categorical,
-    Zipf,
-    exponential,
-    normal,
-    pareto,
-    uniform,
-    uniform_int,
-)
+from repro.prng.distributions import Categorical, Zipf, normal
 
 __all__ = [
     "MASK64",
@@ -39,9 +31,5 @@ __all__ = [
     "SeedHierarchy",
     "Categorical",
     "Zipf",
-    "exponential",
     "normal",
-    "pareto",
-    "uniform",
-    "uniform_int",
 ]

@@ -81,9 +81,9 @@ class WeightedDictionary:
         """Draw one value according to the stored weights."""
         return self._categorical.sample(rng)  # type: ignore[return-value]
 
-    def sample_index_block(self, us) -> list[int]:
-        """Entry indices for a block of uniform doubles (batch sampling)."""
-        return self._categorical.sample_index_block(us)
+    def index_block(self, seeds):
+        """Entry indices for every row of a seed block (batch sampling)."""
+        return self._categorical.index_block(seeds)
 
     def pick(self, index: int) -> str:
         """Positional access used for scale-out domain extension."""

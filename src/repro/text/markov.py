@@ -15,7 +15,6 @@ models ship alongside the schema XML like PDGF's ``markov/*.bin`` files.
 
 from __future__ import annotations
 
-import bisect
 import json
 import threading
 from collections import Counter, defaultdict
@@ -25,7 +24,7 @@ import numpy as _np
 
 from repro.exceptions import ModelError
 from repro.prng import blocks
-from repro.prng.distributions import Categorical, RandomSource
+from repro.prng.distributions import Categorical, RandomSource, guide_table, lookup
 from repro.text.tokenizer import words as tokenize
 
 END = "\x00END"  # sentinel token marking end-of-text transitions
@@ -38,10 +37,6 @@ _MAX_ATTEMPTS = 20
 #: per-chain lock would have to be dropped from every pickle)
 _TABLES_LOCK = threading.Lock()
 
-#: a draw is u = (output >> 11) * 2**-53: ``_SCALE`` puts a CDF entry on
-#: the same 53-bit grid, and no output is above ``_NEVER``
-_SCALE = float(1 << 53)
-_NEVER = (1 << 64) - 1
 #: added to a row's write slot when its text ends, so one compare with
 #: the row's limit finds every ended row (far above any row width)
 _ENDED = 1 << 32
@@ -292,20 +287,12 @@ class ChainTables:
     *without* a draw. A choice that ends the text leads to the start
     segment, where a retry begins.
 
-    The lookup is ``bisect_left`` on the same CDF floats through a guide
-    table per segment (Chen & Asau's indexed search). A segment of ``n``
-    choices gets ``G = 2**g`` buckets, the smallest power of two >=
-    ``max(n, 2)`` (two for a single choice, so the shift below stays
-    under 64), and bucket ``b`` holds the first choice whose CDF entry is
-    >= ``b / G``; the guide has at most 2 × choices entries. A draw is
-    ``u = k * 2**-53`` with ``k = output >> 11``, and its bucket ``output
-    >> (64 - g)`` is integer arithmetic, so ``b / G <= u`` exactly and
-    the guide entry is never past the answer. From there the scan steps
-    forward while the entry is below ``u`` and stops at the first one
-    that is not: ``bisect_left``'s answer. The segment's last entry is
-    pinned to 1.0 > ``u``, so the scan never leaves it. A scan is short:
-    on the TPC-H comment chain, 3 draws in 4 need no step and 1 in 300
-    needs two.
+    Each segment's :func:`~repro.prng.distributions.guide_table` is built
+    from the sampler's own CDF and concatenated, so a draw is the
+    sampler's ``bisect_left`` through the shared
+    :func:`~repro.prng.distributions.lookup`: the guide has at most 2 ×
+    choices entries, and on the TPC-H comment chain 3 draws in 4 need no
+    scan step and 1 in 300 needs two.
     """
 
     def __init__(self, chain: MarkovChain) -> None:
@@ -329,23 +316,20 @@ class ChainTables:
         self.order = order
 
         # per segment: where its guide begins, and the shift that takes a
-        # raw output to its bucket; per choice: CDF entry, appended token
+        # raw output to its bucket; per choice: threshold, appended token
         # ids, next segment
         guide: list[int] = []
         segment_at: list[int] = []
         segment_shift: list[int] = []
-        cdf: list[float] = []
+        below: list[int] = []
         tokens: list[list[int]] = []
         following: list[int] = []
         for segment, sampler in enumerate(samplers):
-            bits = max(1, (len(sampler) - 1).bit_length())
+            own_guide, own_below, shift = guide_table(sampler.cdf)
             segment_at.append(len(guide))
-            segment_shift.append(64 - bits)
-            guide.extend(
-                len(cdf) + bisect.bisect_left(sampler.cdf, bucket / (1 << bits))
-                for bucket in range(1 << bits)
-            )
-            cdf.extend(sampler.cdf)
+            segment_shift.append(shift)
+            guide.extend(len(below) + entry for entry in own_guide)
+            below.extend(own_below)
             for value in sampler.values:
                 if segment == start:
                     tokens.append([token_id[token] for token in value if token != END])
@@ -373,18 +357,12 @@ class ChainTables:
             dtype=_np.int64,
         )
         self.guide = _np.array(guide, dtype=_np.intp)
+        self.below = _np.array(below, dtype=_np.uint64)
         self.segment_at = _np.array(segment_at, dtype=_np.uint64)
         self.segment_shift = _np.array(segment_shift, dtype=_np.uint64)
         #: the next segment's guide offset and shift, per choice
         self.next_at = self.segment_at[following]
         self.next_shift = self.segment_shift[following]
-        #: ``cdf < u`` as one integer compare on the raw output: with
-        #: ``F = floor(cdf * 2**53)``, ``cdf < k * 2**-53`` iff ``F < k``
-        #: iff ``F << 11 | 0x7FF < output``; 1.0 is never below a draw
-        self.below = _np.array(
-            [int(c * _SCALE) << 11 | 0x7FF if c < 1.0 else _NEVER for c in cdf],
-            dtype=_np.uint64,
-        )
 
         # join tables: a word as the piece that opens a row ("\n" + word,
         # the pad id opening an empty one) and as a piece that follows
@@ -401,19 +379,6 @@ class ChainTables:
         )
         #: every character a generated text can contain
         self.charset = frozenset("".join(vocabulary) + " ")
-
-    def choose(self, outputs, at, shift):
-        """The choice each raw xorshift64* output in *outputs* draws from
-        its row's segment (guide offset *at*, bucket shift *shift*, both
-        ``uint64`` arrays): the guide entry, then the scan over the
-        shrinking set of rows whose entry is still below the draw."""
-        below = self.below
-        choice = self.guide[(outputs >> shift) + at]
-        behind = _np.flatnonzero(below[choice] < outputs)
-        while len(behind):
-            choice[behind] += 1
-            behind = behind[below[choice[behind]] < outputs[behind]]
-        return choice
 
     def sample(self, states, min_words: int, max_words: int):
         """Generate one text per PRNG state in *states* (a ``uint64``
@@ -450,7 +415,7 @@ class ChainTables:
         appended = self.choice_tokens
         while len(rows):
             rng, outputs = blocks.xorshift_step(rng)
-            choice = self.choose(outputs, at, shift)
+            choice = lookup(self.guide, self.below, outputs, at, shift)
             # every choice writes ``order`` cells from the free slot: its
             # tokens, then pad ids (all pads for END), which the row's
             # later words overwrite; an active row holds fewer than

@@ -118,8 +118,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_10(self):
-        assert repro.__version__.startswith("10.")
+    def test_version_is_11(self):
+        assert repro.__version__.startswith("11.")
 
     def test_dataset_promoted(self):
         for name in (

@@ -346,6 +346,7 @@ class TestKitchenSinkEquivalence:
             "w_markov": "str", "w_markov_clip": "str", "w_markov_null0": "str",
             "w_markov_null1": "str", "w_markov_null2": "object",
             "w_ref": "int", "w_ref_zipf_id": "int", "w_ref_zipf": "object",
+            "w_zipf": "int",
         }
         assert {name: kinds[name] for name in expected} == expected
         assert block.columns[block.names.index("w_markov_null1")].nulls.any()

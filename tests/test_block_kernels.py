@@ -6,7 +6,8 @@ covers every generator; here each kernel meets the cases its shortcuts
 could get wrong — chains with dead ends, padded start states and
 unreachable minimum lengths, formulas that must decline array evaluation,
 decimal rounding at exact ties — plus the cache discipline of the shared
-chain tables, their guide-table lookup against ``bisect_left``, and the
+chain tables, the one weighted draw (``Categorical.index_block`` and the
+chains' concatenated guide tables) against ``bisect_left``, and the
 ratchet that keeps TPC-H off the object fallback.
 """
 
@@ -30,6 +31,9 @@ from repro.exceptions import FormulaError, GenerationError, ModelError
 from repro.generators.base import ArtifactStore, Generator, _KERNEL_MIN_ROWS
 from repro.model.formula import compile_formula
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
+from repro.prng import blocks
+from repro.prng.distributions import Categorical, guide_table, lookup
+from repro.prng.xorshift import _XORSHIFT64STAR_MUL, MASK64, XorShift64Star
 from repro.suites import suite_model
 from repro.suites.tpch.schema import COMMENT_MODEL
 from repro.text.markov import MarkovChain, train_chain
@@ -326,12 +330,117 @@ class TestGuideLookup:
             expected = [first + bisect.bisect_left(sampler.cdf, k * 2.0**-53) for k in draws]
             for low in (0, 0x7FF):  # the 11 bits the double drops
                 outputs = (np.array(draws, dtype=np.uint64) << np.uint64(11)) | np.uint64(low)
-                got = tables.choose(
+                got = lookup(
+                    tables.guide,
+                    tables.below,
                     outputs,
                     np.full(len(draws), at, dtype=np.uint64),
                     np.full(len(draws), shift, dtype=np.uint64),
                 )
                 assert got.tolist() == expected
+
+
+def _undo_xorshift(x: int, shift: int, left: bool) -> int:
+    """Invert ``x ^= x >> shift`` (``<<`` if *left*) on 64 bits."""
+    y = x
+    for _ in range(64 // shift + 1):
+        y = x ^ ((y << shift) & MASK64 if left else y >> shift)
+    return y
+
+
+def _state_before(output: int) -> int:
+    """The xorshift64* state whose next output is *output*."""
+    x = output * pow(_XORSHIFT64STAR_MUL, -1, 1 << 64) & MASK64
+    x = _undo_xorshift(x, 27, left=False)
+    x = _undo_xorshift(x, 25, left=True)
+    return _undo_xorshift(x, 12, left=False)
+
+
+#: decimal weights: fractions of their sum do not add up exactly, and
+#: ``OVERSHOOT``'s running sum reaches 1.0000000000000002 before its last
+#: (zero) entry, which ``Categorical`` pins back to 1.0
+DECIMALS = (0.05, 0.1, 0.15, 0.2, 0.3, 1 / 3, 0.6, 0.7)
+OVERSHOOT = [0.05, 0.05, 0.15, 0.7, 0.2, 0.0]
+
+
+@st.composite
+def _weights(draw):
+    """Categorical weights: the guide segments' shapes, those with zero
+    weights spliced in (leading, inside, trailing), and decimal floats
+    ending in a zero weight."""
+    kind = draw(st.sampled_from(("segment", "zeros", "decimal")))
+    if kind == "decimal":
+        return draw(st.lists(st.sampled_from(DECIMALS), min_size=1, max_size=9)) + [0.0]
+    weights = draw(_segment_weights())
+    if kind == "zeros":
+        for at in draw(st.lists(st.integers(0, len(weights)), min_size=1, max_size=4)):
+            weights.insert(at, 0)
+    return weights
+
+
+class TestIndexBlock:
+    def test_overshoot_example_runs_above_one(self):
+        assert max(Categorical(range(6), OVERSHOOT).cdf[:-1]) > 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights=_weights())
+    @example(weights=[1])
+    @example(weights=[0, 0, 1, 2])
+    @example(weights=[1, 0, 0, 3])
+    @example(weights=[2, 1, 0, 0])
+    @example(weights=[1] * 16)
+    @example(weights=[10**9] + [1] * 16)
+    @example(weights=OVERSHOOT)
+    def test_index_block_is_bisect_left(self, weights):
+        choice = Categorical(range(len(weights)), weights)
+        buckets = 1 << (64 - guide_table(choice.cdf)[2])
+        # both ends of every dropped 11-bit tail; output 0 has no state
+        # (xorshift64* never reaches state 0)
+        outputs = [
+            k << 11 | low for k in _edge_draws(choice.cdf, buckets) for low in (0, 0x7FF)
+        ][1:]
+        states = [_state_before(output) for output in outputs]
+        seeds = blocks.SeedBlock(np.array(states, dtype=np.uint64))
+        got = choice.index_block(seeds)
+        expected, ends = [], []
+        for state in states:
+            rng = XorShift64Star()
+            rng.reseed_mixed(state)
+            expected.append(choice.sample_index(rng))
+            ends.append(rng.state)
+        assert got.tolist() == expected
+        assert seeds.array.tolist() == ends  # one draw per row
+
+    def test_scalar_draws_build_no_table(self, rng):
+        choice = Categorical("abc", [1, 2, 3])
+        choice.sample(rng)
+        assert choice._table is None
+        choice.index_block(blocks.SeedBlock(np.arange(1, 9, dtype=np.uint64)))
+        assert choice._table is not None
+
+    def test_first_block_use_under_racing_threads(self):
+        weights = [(i * 7919) % 101 for i in range(300)]
+        choice = Categorical(range(300), weights)
+        seeds = np.arange(1, 2001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        expected = Categorical(range(300), weights).index_block(blocks.SeedBlock(seeds))
+        seen, barrier = [], threading.Barrier(8)
+
+        def draw():
+            barrier.wait(timeout=10)
+            seen.append(choice.index_block(blocks.SeedBlock(seeds)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 8 and all(got.tolist() == expected.tolist() for got in seen)
 
 
 # -- formulas ----------------------------------------------------------------
@@ -542,6 +651,35 @@ class TestTypedReferenceKeys:
         assert max(engine.generate_columns("t").columns[0].data) > 2**63
 
 
+class TestTypedInts:
+    @pytest.mark.parametrize("bounds, kind", [
+        ({"min": -40, "max": 10**6}, "int"),
+        ({"min": 5, "max": 20}, "int"),  # fewer values than the rank cap
+        ({"min": 2**63, "max": 2**63 + 10**6}, "object"),  # past int64
+    ])
+    @pytest.mark.parametrize("generator", ["LongGenerator", "IntGenerator"])
+    def test_zipf_ints(self, generator, bounds, kind):
+        spec = GeneratorSpec(generator, {**bounds, "distribution": "zipf", "exponent": 1.2})
+        _assert_block_is_scalar(_engine([Field.of("f", "BIGINT", spec)]), kinds=[kind])
+
+    @pytest.mark.parametrize("by_row", [False, True])
+    @pytest.mark.parametrize("values, kind", [
+        (["7", "-3", " 12", str(2**63 - 1)], "int"),
+        (["1", str(2**63)], "object"),  # one entry past int64
+    ])
+    def test_integer_dictionaries(self, values, kind, by_row):
+        spec = GeneratorSpec(
+            "DictListGenerator", {"values": values, "as_int": True, "by_row": by_row}
+        )
+        _assert_block_is_scalar(_engine([Field.of("f", "BIGINT", spec)]), kinds=[kind])
+
+    def test_non_numeric_entry_fails_at_generation(self):
+        spec = GeneratorSpec("DictListGenerator", {"values": ["1", "x"], "as_int": True})
+        engine = _engine([Field.of("f", "BIGINT", spec)])  # binds
+        with pytest.raises(ValueError, match="invalid literal"):
+            engine.generate_columns("t", 0, ROWS)
+
+
 class TestChoiceColumnKind:
     """A choice template's column kind depends on neither the block size
     nor the draws: Arrow types a column from its first chunk. (An
@@ -607,10 +745,10 @@ def test_tpch_object_value_share_stays_low():
     per-value fallback of generation *and* formatting): 0.3998 before the
     Markov/formula/reference kernels, 0.0453 with them, 0.0426 with the
     drawn templates, 0.000024 with the Sequential, static and
-    partsupp-supplier kernels (left: ``r_comment`` and ``n_comment``,
-    Markov text on 5- and 25-row tables, below ``_KERNEL_MIN_ROWS``, and
-    ``n_regionkey``'s integer dictionary). A kernel that silently falls back fails here, not only
-    in the benchmark."""
+    partsupp-supplier kernels, 0.000013 with integer dictionaries as
+    int64 (left: ``r_comment`` and ``n_comment``, Markov text on 5- and
+    25-row tables, below ``_KERNEL_MIN_ROWS``). A kernel that silently
+    falls back fails here, not only in the benchmark."""
     engine = GenerationEngine(*suite_model("tpch", 0.02))
     values = object_values = 0
     for table, size in engine.sizes.items():
@@ -618,4 +756,4 @@ def test_tpch_object_value_share_stays_low():
         for column in block.columns:
             values += size
             object_values += size * isinstance(column, columnar.ObjectColumn)
-    assert object_values / values <= 0.0001
+    assert object_values / values <= 0.00002

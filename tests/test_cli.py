@@ -216,6 +216,19 @@ class TestErrors:
         assert main(["preview", "--model", "/nonexistent/dir"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_weight_is_a_model_error(self, tmp_path, capsys):
+        (tmp_path / "model.xml").write_text(
+            '<schema name="bad"><table name="t"><size>10</size>'
+            '<field name="f" type="BIGINT"><gen_ProbabilityGenerator>'
+            "<weight>1</weight><weight>-1</weight>"
+            "<gen_StaticValueGenerator><constant>1</constant></gen_StaticValueGenerator>"
+            "<gen_StaticValueGenerator><constant>2</constant></gen_StaticValueGenerator>"
+            "</gen_ProbabilityGenerator></field></table></schema>"
+        )
+        code = main(["generate", "--model", str(tmp_path), "--kind", "null", "-q"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: weights must be finite and non-negative")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

@@ -6,44 +6,12 @@ import math
 
 import pytest
 
-from repro.prng.distributions import (
-    Categorical,
-    Zipf,
-    exponential,
-    normal,
-    pareto,
-    uniform,
-    uniform_int,
-)
+from repro.engine import GenerationEngine
+from repro.exceptions import ModelError
+from repro.model.schema import Field, GeneratorSpec, Schema, Table
+from repro.prng.distributions import Categorical, Zipf, normal
 from repro.prng.xorshift import XorShift64Star
-
-
-class TestUniform:
-    def test_within_range(self, rng):
-        for _ in range(1000):
-            assert 2.0 <= uniform(rng, 2.0, 5.0) < 5.0
-
-    def test_rejects_empty_range(self, rng):
-        with pytest.raises(ValueError):
-            uniform(rng, 5.0, 2.0)
-
-    def test_mean(self, rng):
-        n = 20_000
-        mean = sum(uniform(rng, 0.0, 10.0) for _ in range(n)) / n
-        assert abs(mean - 5.0) < 0.1
-
-
-class TestUniformInt:
-    def test_inclusive_bounds(self, rng):
-        seen = {uniform_int(rng, 1, 3) for _ in range(300)}
-        assert seen == {1, 2, 3}
-
-    def test_single_point_range(self, rng):
-        assert uniform_int(rng, 7, 7) == 7
-
-    def test_rejects_empty(self, rng):
-        with pytest.raises(ValueError):
-            uniform_int(rng, 3, 2)
+from repro.text.dictionary import WeightedDictionary
 
 
 class TestNormal:
@@ -61,21 +29,6 @@ class TestNormal:
 
     def test_zero_stddev_is_constant(self, rng):
         assert normal(rng, 3.0, 0.0) == pytest.approx(3.0)
-
-
-class TestExponential:
-    def test_positive(self, rng):
-        for _ in range(1000):
-            assert exponential(rng, 2.0) >= 0.0
-
-    def test_mean_is_inverse_rate(self, rng):
-        n = 30_000
-        mean = sum(exponential(rng, 4.0) for _ in range(n)) / n
-        assert abs(mean - 0.25) < 0.01
-
-    def test_rejects_nonpositive_rate(self, rng):
-        with pytest.raises(ValueError):
-            exponential(rng, 0.0)
 
 
 class TestZipf:
@@ -101,19 +54,10 @@ class TestZipf:
             assert abs(counts[k] / n - 0.25) < 0.02
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             Zipf(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             Zipf(10, -1.0)
-
-
-class TestPareto:
-    def test_at_least_scale(self, rng):
-        assert all(pareto(rng, 2.0, 3.0) >= 3.0 for _ in range(1000))
-
-    def test_rejects_bad_parameters(self, rng):
-        with pytest.raises(ValueError):
-            pareto(rng, 0.0)
 
 
 class TestCategorical:
@@ -137,19 +81,19 @@ class TestCategorical:
         assert cat.sample_index(rng) == 0
 
     def test_rejects_empty_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             Categorical([])
 
     def test_rejects_mismatched_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             Categorical(["a"], [0.5, 0.5])
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             Categorical(["a", "b"], [1.0, -0.5])
 
     def test_rejects_all_zero_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             Categorical(["a", "b"], [0.0, 0.0])
 
     def test_deterministic_for_same_stream(self):
@@ -157,3 +101,53 @@ class TestCategorical:
         a = XorShift64Star(5)
         b = XorShift64Star(5)
         assert [cat.sample(a) for _ in range(30)] == [cat.sample(b) for _ in range(30)]
+
+
+def _children(count):
+    return [GeneratorSpec("StaticValueGenerator", {"constant": i}) for i in range(count)]
+
+
+def _zipf(name, **params):
+    return GeneratorSpec(name, {"distribution": "zipf", "exponent": -0.5, **params})
+
+
+#: every model input that builds a weighted draw from bad weights
+BAD_WEIGHTS = {
+    "probability-negative": GeneratorSpec(
+        "ProbabilityGenerator", {"weights": ["1", "-1"]}, _children(2)
+    ),
+    "probability-all-zero": GeneratorSpec(
+        "ProbabilityGenerator", {"weights": ["0", "0"]}, _children(2)
+    ),
+    "histogram-negative": GeneratorSpec(
+        "HistogramGenerator", {"bounds": [0, 1, 2], "weights": [2, -1]}
+    ),
+    "histogram-all-zero": GeneratorSpec(
+        "HistogramGenerator", {"bounds": [0, 1, 2], "weights": [0, 0]}
+    ),
+    "dictlist-negative": GeneratorSpec(
+        "DictListGenerator", {"values": ["a", "b"], "weights": [-1, 3]}
+    ),
+    "dictlist-all-zero": GeneratorSpec(
+        "DictListGenerator", {"values": ["a", "b"], "weights": [0, 0]}
+    ),
+    "long-zipf-exponent": _zipf("LongGenerator", min=1, max=100),
+    "int-zipf-exponent": _zipf("IntGenerator", min=1, max=100),
+    "reference-zipf-exponent": _zipf("DefaultReferenceGenerator", table="parent", field="id"),
+}
+
+
+class TestBadWeightsAreModelErrors:
+    @pytest.mark.parametrize("spec", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS.keys())
+    def test_at_bind(self, spec):
+        schema = Schema("bad", seed=1)
+        schema.add_table(Table("parent", "10", [
+            Field.of("id", "BIGINT", GeneratorSpec("IdGenerator"), primary=True),
+        ]))
+        schema.add_table(Table("t", "10", [Field.of("f", "BIGINT", spec)]))
+        with pytest.raises(ModelError, match="non-negative|all be zero"):
+            GenerationEngine(schema)
+
+    def test_dictionary_file_with_a_negative_weight(self):
+        with pytest.raises(ModelError, match="non-negative"):
+            WeightedDictionary.loads('{"v": "a", "w": 1.0}\n{"v": "b", "w": -1.0}\n')

@@ -96,19 +96,21 @@ outside :mod:`repro.prng.blocks` (and the Markov sampler, which steps a
 shrinking set of active rows) is a second way to draw: it steps a copy,
 and the block's states stay behind. No waiver.
 
-**One-lookup check.** A Markov draw finds its choice through the
-chain's guide table (:class:`~repro.text.markov.ChainTables`): one
-gather into the row's own segment and a short scan. A ``searchsorted``
-call in :mod:`repro.text.markov` is a global search over every choice
-creeping back: the bytes stay identical and no test fails, only the
-throughput falls (two such calls were 60% of a row-step's cost). No
-waiver.
+**One-lookup check.** A weighted draw — a dictionary, Probability or
+Histogram pick, a Zipf rank, a Markov state's next token — finds its
+choice through a guide table (:func:`repro.prng.distributions.lookup`):
+one gather into the row's own table and a short scan, ``bisect_left``
+exactly. A ``searchsorted`` call anywhere under ``src/repro/`` is a
+second inverse-CDF lookup creeping back: the bytes stay identical and
+no test fails, only the throughput falls and the exactness argument
+has a second place to break (two such calls were 60% of a Markov
+row-step's cost). No waiver.
 
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/core/loader.py``, the span-recording obs modules,
-(oracle-timing check only) ``benchmarks/``, (one-cutter, one-template
-and one-draw checks only) every module under ``src/repro/``, and
-(one-lookup check only) ``src/repro/text/markov.py``.
+(oracle-timing check only) ``benchmarks/``, (one-cutter, one-template,
+one-draw and one-lookup checks only) every module under
+``src/repro/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -159,8 +161,7 @@ TEMPLATE_METHODS = ("generate", "generate_block")
 DRAW_NAMES = ("xorshift_step", "column_states")
 DRAW_FILES = ("src/repro/prng/blocks.py", "src/repro/text/markov.py")
 
-#: the module whose draws go through the guide table, and the search it bans
-LOOKUP_FILE = "src/repro/text/markov.py"
+#: the search every weighted draw leaves to the guide-table lookup
 LOOKUP_CALL = "searchsorted"
 
 #: the class whose ``write_block`` is the row-path default
@@ -303,9 +304,9 @@ def global_searches(path: Path) -> list[str]:
     """``searchsorted`` calls (function or method) in *path*."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [
-        f"{path.relative_to(REPO)}:{node.lineno}: {LOOKUP_CALL}() in the "
-        "Markov sampler; look the choice up in its segment's guide table "
-        "(ChainTables.choose)"
+        f"{path.relative_to(REPO)}:{node.lineno}: {LOOKUP_CALL}() is a second "
+        "inverse-CDF lookup; draw through Categorical.index_block or "
+        "repro.prng.distributions.lookup"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _call_name(node) == LOOKUP_CALL
     ]
@@ -397,7 +398,7 @@ def main() -> int:
     for path in scope:
         if path not in draw_files:
             violations.extend(raw_draws(path))
-    violations.extend(global_searches(REPO / LOOKUP_FILE))
+        violations.extend(global_searches(path))
     for message in violations:
         print(message)
     print(
