@@ -41,42 +41,54 @@ Both views compute every cell from the same seed hierarchy, so a served
 slice is byte-identical to the matching range of a batch-generated file.
 """
 
-from repro.api import Dataset, bound_engine, clear_engine_cache, engine_cache_info
-from repro.engine import DEFAULT_GENERATION_BLOCK, BoundTable, GenerationEngine
-from repro.exceptions import (
-    AdapterError,
-    ConfigError,
-    ExtractionError,
-    FormulaError,
-    GenerationError,
-    ModelError,
-    OutputError,
-    PropertyError,
-    ReproError,
-    SchedulingError,
-)
-from repro.generators import ArtifactStore
-from repro.generators.base import BindContext, GenerationContext, Generator
-from repro.model import Field, GeneratorSpec, PropertySet, Schema, Table
-from repro.output.config import OutputConfig
-from repro.output.formats import (
-    FormatSpec,
-    format_spec,
-    known_formats,
-    register_format,
-)
-from repro import obs
-from repro import resilience
-from repro.resilience import RunManifest
-from repro.scheduler import (
-    ClusterScheduler,
-    ProgressMonitor,
-    RunReport,
-    Scheduler,
-    TableReport,
-    generate,
-)
-from repro.scheduler.work import DEFAULT_PACKAGE_SIZE
+from repro._lazy import lazy_names
+
+#: Every public name and the module that defines it, resolved on first
+#: use: ``import repro`` — and every ``repro.*`` import, which runs this
+#: file first — pays only for what the caller touches.
+__getattr__, __dir__ = lazy_names(__name__, {
+    "Dataset": "repro.api",
+    "bound_engine": "repro.api",
+    "clear_engine_cache": "repro.api",
+    "engine_cache_info": "repro.api",
+    "FormatSpec": "repro.output.formats",
+    "format_spec": "repro.output.formats",
+    "known_formats": "repro.output.formats",
+    "register_format": "repro.output.formats",
+    "BoundTable": "repro.engine",
+    "DEFAULT_GENERATION_BLOCK": "repro.engine",
+    "DEFAULT_PACKAGE_SIZE": "repro.scheduler.work",
+    "GenerationEngine": "repro.engine",
+    "BindContext": "repro.generators.base",
+    "GenerationContext": "repro.generators.base",
+    "Generator": "repro.generators.base",
+    "AdapterError": "repro.exceptions",
+    "ConfigError": "repro.exceptions",
+    "ExtractionError": "repro.exceptions",
+    "FormulaError": "repro.exceptions",
+    "GenerationError": "repro.exceptions",
+    "ModelError": "repro.exceptions",
+    "OutputError": "repro.exceptions",
+    "PropertyError": "repro.exceptions",
+    "ReproError": "repro.exceptions",
+    "SchedulingError": "repro.exceptions",
+    "ArtifactStore": "repro.generators.base",
+    "Field": "repro.model.schema",
+    "GeneratorSpec": "repro.model.schema",
+    "PropertySet": "repro.model.properties",
+    "Schema": "repro.model.schema",
+    "Table": "repro.model.schema",
+    "OutputConfig": "repro.output.config",
+    "ClusterScheduler": "repro.scheduler.cluster",
+    "ProgressMonitor": "repro.scheduler.progress",
+    "RunReport": "repro.scheduler.scheduler",
+    "Scheduler": "repro.scheduler.scheduler",
+    "TableReport": "repro.scheduler.scheduler",
+    "generate": "repro.scheduler.scheduler",
+    "obs": "repro.obs",
+    "resilience": "repro.resilience",
+    "RunManifest": "repro.resilience.checkpoint",
+})
 
 __version__ = "11.0.0"
 

@@ -173,9 +173,9 @@ class Dataset:
         package_size: int = DEFAULT_PACKAGE_SIZE,
     ) -> "Dataset":
         """A dataset over a saved project directory (from ``extract``)."""
-        from repro.core import DBSynthProject
+        from repro.config.saved_model import load_saved
 
-        schema, artifacts = DBSynthProject.load_saved(directory)
+        schema, artifacts = load_saved(directory)
         if scale_factor is not None:
             schema.properties.override("SF", scale_factor)
         return cls(

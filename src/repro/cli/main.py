@@ -20,6 +20,11 @@ demo's "default projects" (Figure 10).
 ``extract`` and ``generate`` accept ``--trace FILE`` (JSONL span log)
 and ``--metrics FILE`` (Prometheus text dump); ``--summary`` prints the
 human-readable telemetry digest after the run.
+
+Start-up is part of every command's latency, so the module top imports
+only what :func:`build_parser` and ``preview`` need; each other
+sub-command imports its own heavy packages (extraction, databases,
+schedulers, the update black box) in its body.
 """
 
 from __future__ import annotations
@@ -29,17 +34,10 @@ import sys
 
 from repro import __version__, obs
 from repro.config import apply_overrides
-from repro.core import DBSynthProject, SampleConfig
-from repro.core.model_builder import BuildOptions
-from repro.db import SQLiteAdapter
-from repro.db.ddl import create_schema_sql
 from repro.engine import GenerationEngine
 from repro.exceptions import ReproError
-from repro.output.config import OutputConfig
 from repro.output.formats import known_formats
-from repro.scheduler import ClusterScheduler, ProgressMonitor, generate
 from repro.suites import SUITE_NAMES, suite_model
-from repro.update import UpdateBlackBox
 
 
 def _load_model(args: argparse.Namespace):
@@ -50,7 +48,9 @@ def _load_model(args: argparse.Namespace):
     else:
         if not args.model:
             raise ReproError("either --suite or --model is required")
-        schema, artifacts = DBSynthProject.load_saved(args.model)
+        from repro.config.saved_model import load_saved
+
+        schema, artifacts = load_saved(args.model)
         schema.properties.override("SF", args.scale_factor)
     if args.property:
         apply_overrides(schema.properties, args.property)
@@ -156,6 +156,10 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    from repro.core import DBSynthProject, SampleConfig
+    from repro.core.model_builder import BuildOptions
+    from repro.db import SQLiteAdapter
+
     source = SQLiteAdapter(args.source)
     options = BuildOptions(
         sample_data=not args.no_sample,
@@ -254,6 +258,9 @@ def _print_report(report, quiet: bool) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.output.config import OutputConfig
+    from repro.scheduler import ProgressMonitor, generate
+
     if args.nodes < 1:
         raise ReproError(f"--nodes must be >= 1, got {args.nodes}")
     if args.resume and not args.checkpoint:
@@ -299,6 +306,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "resume_from": args.checkpoint if args.resume else None,
         }
         if cluster:
+            from repro.scheduler.cluster import ClusterScheduler
+
             # one process per node, parent-side work stealing, per-node
             # parts merged into files byte-identical to a single-node run;
             # the cluster runtime binds the model itself, once for all nodes
@@ -308,6 +317,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         else:
             engine = GenerationEngine(schema, artifacts)
             if args.kind == "sqlite":
+                from repro.db import SQLiteAdapter, create_schema_sql
+
                 # The SQL stream needs the target schema in place first.
                 with SQLiteAdapter(output.database) as target:
                     target.execute_script(create_schema_sql(engine.schema, "sqlite"))
@@ -354,18 +365,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    from repro.config.saved_model import load_saved
+    from repro.db import create_schema_sql
+
     if args.suite:
         schema, _ = suite_model(args.suite, args.scale_factor)
     else:
-        schema, _ = DBSynthProject.load_saved(args.model)
+        schema, _ = load_saved(args.model)
     print(create_schema_sql(schema, args.dialect))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.config.saved_model import load_saved
     from repro.core.fidelity import FidelityChecker, default_queries
+    from repro.db import SQLiteAdapter
 
-    schema, _ = DBSynthProject.load_saved(args.model)
+    schema, _ = load_saved(args.model)
     with SQLiteAdapter(args.source) as source, SQLiteAdapter(args.target) as target:
         report = FidelityChecker(source, target).run(default_queries(schema))
     for line in report.summary_lines():
@@ -402,6 +418,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     ``--database``, pacing by the seed-derived arrival timestamps
     compressed by ``--max-speedup``.
     """
+    from repro.db import SQLiteAdapter
+    from repro.update import UpdateBlackBox
     from repro.workload import (
         CdcInterleave,
         WorkloadReplayer,
@@ -496,6 +514,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
+    from repro.update import UpdateBlackBox
+
     engine = _load_engine(args)
     blackbox = UpdateBlackBox(engine.schema, engine.artifacts)
     tables = [args.table] if args.table else list(engine.sizes)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.config import schema_xml
+from repro.config import saved_model, schema_xml
+from repro.config.saved_model import ProjectPaths
 from repro.core.extraction import ExtractedSchema, SchemaExtractor
 from repro.core.fidelity import FidelityChecker, FidelityReport, default_queries
 from repro.core.loader import DataLoader, LoadReport
@@ -22,27 +23,6 @@ from repro.core.profiling import DataProfiler, ProfileOptions, SchemaProfile
 from repro.core.translator import SchemaTranslator
 from repro.db.adapter import DatabaseAdapter
 from repro.engine import GenerationEngine
-from repro.exceptions import ExtractionError
-from repro.generators.base import ArtifactStore
-
-
-@dataclass
-class ProjectPaths:
-    """Where a project persists its artifacts on disk."""
-
-    root: str
-
-    @property
-    def model_xml(self) -> str:
-        return os.path.join(self.root, "model.xml")
-
-    @property
-    def artifact_dir(self) -> str:
-        return os.path.join(self.root, "artifacts")
-
-    @property
-    def ddl_sql(self) -> str:
-        return os.path.join(self.root, "schema.sql")
 
 
 @dataclass
@@ -116,21 +96,9 @@ class DBSynthProject:
             handle.write(SchemaTranslator().to_sql(result.schema))
         return paths
 
-    @staticmethod
-    def load_saved(directory: str) -> tuple["Schema", ArtifactStore]:
-        """Reload a saved project's model and artifacts."""
-        from repro.model.schema import Schema  # local alias for the hint
-
-        paths = ProjectPaths(directory)
-        if not os.path.exists(paths.model_xml):
-            raise ExtractionError(f"no saved model at {paths.model_xml}")
-        schema = schema_xml.load(paths.model_xml)
-        artifacts = (
-            ArtifactStore.load_dir(paths.artifact_dir)
-            if os.path.isdir(paths.artifact_dir)
-            else ArtifactStore()
-        )
-        return schema, artifacts
+    #: Reload a saved project's model and artifacts (the light reader in
+    #: :mod:`repro.config.saved_model`, which needs none of this module).
+    load_saved = staticmethod(saved_model.load_saved)
 
     def engine(self, scale_factor: float | None = None) -> GenerationEngine:
         """Step 4: a generation engine over the built model."""

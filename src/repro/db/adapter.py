@@ -113,7 +113,8 @@ class DatabaseAdapter(abc.ABC):
 
     @abc.abstractmethod
     def execute_script(self, sql: str) -> None:
-        """Run one or more statements (DDL, bulk SQL loads)."""
+        """Run one or more statements (DDL, bulk SQL loads) as one
+        transaction: all of them, or none when one fails."""
 
     def execute_dml(self, sql: str, parameters: Sequence[object] = ()) -> int:
         """Run one UPDATE/DELETE/INSERT statement and return the number

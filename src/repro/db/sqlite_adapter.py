@@ -36,6 +36,21 @@ def sample_hash_sql(seed: int) -> str:
     )
 
 
+def execute_atomic(conn: sqlite3.Connection, script: str) -> None:
+    """Run *script* as one transaction: all of its statements or, when one
+    fails, none of them (rolled back before the error propagates). In
+    autocommit, ``executescript`` would commit after every statement —
+    one fsync per INSERT when loading."""
+    try:
+        # the newline ends a trailing ``--`` comment, the ``;`` an
+        # unterminated last statement
+        conn.executescript(f"BEGIN;\n{script}\n;\nCOMMIT;")
+    except sqlite3.Error:
+        if conn.in_transaction:
+            conn.rollback()
+        raise
+
+
 def _ident(name: str) -> str:
     """Validate an identifier before splicing it into SQL. Catalog names
     come from the database itself, but validating here keeps adapter
@@ -217,9 +232,10 @@ class SQLiteAdapter(DatabaseAdapter):
             raise AdapterError(f"query failed ({exc}): {sql[:120]}") from exc
 
     def execute_script(self, sql: str) -> None:
+        # SQLite ignores PRAGMA foreign_keys and refuses VACUUM / ATTACH
+        # inside a transaction: run those through :meth:`execute`
         try:
-            self._conn.executescript(sql)
-            self._conn.commit()
+            execute_atomic(self._conn, sql)
         except sqlite3.Error as exc:
             raise AdapterError(f"script failed: {exc}") from exc
 

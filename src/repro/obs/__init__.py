@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import threading
 
+from repro._lazy import lazy_names
 from repro.obs.export import (
     HISTOGRAM_QUANTILES,
     SpanAggregate,
@@ -116,15 +117,10 @@ def state() -> tuple[int, Tracer | None, MetricsRegistry | None, SamplingProfile
         return _generation, active_tracer(), active_metrics(), active_profiler()
 
 
-def __getattr__(name: str):
-    """``obs.ObsServer`` resolves on first use: importing the web server
-    (``http.server`` → ``email``, ``html``, ``socketserver``) is the cost
-    of ``--obs-port``, not of every batch run."""
-    if name == "ObsServer":
-        from repro.obs.serve import ObsServer
-
-        return ObsServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: ``obs.ObsServer`` resolves on first use: importing the web server
+#: (``http.server`` → ``email``, ``html``, ``socketserver``) is the cost
+#: of ``--obs-port``, not of every batch run.
+__getattr__, __dir__ = lazy_names(__name__, {"ObsServer": "repro.obs.serve"})
 
 
 __all__ = [

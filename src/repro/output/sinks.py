@@ -12,7 +12,6 @@ import abc
 import hashlib
 import io
 import os
-import sqlite3
 import threading
 import time
 from typing import Callable
@@ -233,12 +232,14 @@ class SQLiteSink(Sink):
 
     Pair with :class:`~repro.output.writers.SqlWriter`; this is the
     "load into the target database using SQL statements generated by
-    PDGF" path (paper §3). Statements are executed per chunk and
-    committed on close; sqlite connections are thread-bound, so the sink
-    serializes execution with a lock.
+    PDGF" path (paper §3). Each chunk is one transaction: it loads whole
+    or, when a statement fails, not at all. sqlite connections are
+    thread-bound, so the sink serializes execution with a lock.
     """
 
     def __init__(self, database: str) -> None:
+        import sqlite3  # the cost of --kind sqlite, not of every run
+
         try:
             self._conn: sqlite3.Connection | None = sqlite3.connect(
                 database, check_same_thread=False
@@ -248,11 +249,15 @@ class SQLiteSink(Sink):
         self._lock = threading.Lock()
 
     def write(self, chunk: str) -> None:
+        import sqlite3
+
+        from repro.db.sqlite_adapter import execute_atomic
+
         with self._lock:
             if self._conn is None:
                 raise OutputError("SQLite sink already closed")
             try:
-                self._conn.executescript(chunk)
+                execute_atomic(self._conn, chunk)
             except sqlite3.Error as exc:
                 raise OutputError(f"SQL load failed: {exc}") from exc
 

@@ -4,7 +4,7 @@ and the multi-node cluster runtime — one package grid and one ledger
 accounting and one :class:`RunReport`
 (:mod:`repro.scheduler.executor`, :mod:`repro.scheduler.scheduler`)."""
 
-from repro.scheduler.cluster import ClusterScheduler
+from repro._lazy import lazy_names
 from repro.scheduler.progress import ProgressMonitor, ProgressSnapshot
 from repro.scheduler.scheduler import (
     DEFAULT_INFLIGHT_EXTRA,
@@ -42,3 +42,9 @@ __all__ = [
     "partition_rows",
     "plan_shards",
 ]
+
+
+#: the multi-node runtime is the cost of ``--nodes``, not of every run
+__getattr__, __dir__ = lazy_names(
+    __name__, {"ClusterScheduler": "repro.scheduler.cluster"}
+)

@@ -1,8 +1,7 @@
 """TPC-H suite: PDGF model, DBGen-style baseline, validation queries."""
 
+from repro._lazy import lazy_names
 from repro.suites.tpch.data import BASE_CARDINALITIES, scaled_size
-from repro.suites.tpch.dbgen import DbgenBaseline
-from repro.suites.tpch.queries import ALL_QUERIES
 from repro.suites.tpch.schema import tpch_artifacts, tpch_schema
 
 __all__ = [
@@ -13,3 +12,10 @@ __all__ = [
     "tpch_artifacts",
     "tpch_schema",
 ]
+
+#: the DBGen baseline pulls in the output sinks and the text corpus,
+#: which the model itself does not need
+__getattr__, __dir__ = lazy_names(__name__, {
+    "DbgenBaseline": "repro.suites.tpch.dbgen",
+    "ALL_QUERIES": "repro.suites.tpch.queries",
+})

@@ -45,6 +45,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import pathlib
 import re
@@ -364,6 +365,45 @@ class TestOneHttpServer:
         )
         assert result.stdout.strip() == "[]"
 
+    #: Packages the short commands never run: extraction, databases, the
+    #: update black box, query workloads, the multi-node runtime, serving.
+    NOT_ON_THE_START_UP_PATH = (
+        "repro.core", "repro.db", "repro.update", "repro.workload",
+        "repro.scheduler.cluster", "repro.serve", "sqlite3",
+    )
+
+    def _loaded_by(self, argv: list[str], watched) -> list[str]:
+        """The *watched* packages (or their submodules) a fresh
+        interpreter has loaded after ``main(argv)``."""
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from repro.cli.main import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(json.loads(sys.argv[1])) == 0\n"
+            "watched = json.loads(sys.argv[2])\n"
+            "print(json.dumps(sorted(m for m in sys.modules if any("
+            "m == w or m.startswith(w + '.') for w in watched))))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(self.SRC.parent))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(argv), json.dumps(watched)],
+            env=env, timeout=120, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    def test_preview_loads_only_what_it_runs(self):
+        """The paper's "instant" preview (§4) pays for the engine and
+        the model, not for extraction, loading, updates, workloads,
+        clusters, serving — or a process pool."""
+        watched = [*self.NOT_ON_THE_START_UP_PATH, "multiprocessing"]
+        argv = ["preview", "--suite", "tpch", "-n", "1"]
+        assert self._loaded_by(argv, watched) == []
+
+    def test_single_node_generate_loads_only_what_it_runs(self):
+        argv = ["generate", "--suite", "tpch", "--sf", "0.001", "--kind", "null", "-q"]
+        assert self._loaded_by(argv, list(self.NOT_ON_THE_START_UP_PATH)) == []
+
     def test_obs_server_still_resolves_lazily(self):
         from repro import obs
         from repro.obs.serve import ObsServer
@@ -395,6 +435,84 @@ class TestOneHttpServer:
             ("host", "POSITIONAL_OR_KEYWORD", "127.0.0.1"),
             ("progress", "POSITIONAL_OR_KEYWORD", None),
         ]
+
+
+class TestLazyNamespaces:
+    """The package namespaces that resolve their public names on first
+    use are still complete: each ``__all__`` name is the object its
+    defining module holds, ``import *`` and ``dir()`` see every one,
+    and an unknown name is still an ``AttributeError`` (so the
+    ``not hasattr(repro, name)`` guards above keep their meaning).
+    Each runs in a fresh interpreter, where nothing was imported first."""
+
+    SRC = TestOneHttpServer.SRC
+    #: namespace -> the modules importing it must not load
+    LAZY = {
+        "repro": ["repro.api", "repro.engine", "repro.scheduler", "repro.output"],
+        "repro.scheduler": ["repro.scheduler.cluster"],
+        "repro.config": ["repro.config.schema_xml", "repro.config.format_xml"],
+        "repro.obs": ["repro.obs.serve"],
+        "repro.suites.tpch": ["repro.suites.tpch.dbgen", "repro.suites.tpch.queries"],
+    }
+    #: values that carry no ``__module__`` and the module defining them
+    CONSTANTS = {
+        "DEFAULT_GENERATION_BLOCK": "repro.engine",
+        "HISTOGRAM_QUANTILES": "repro.obs.export",
+        "DEFAULT_INFLIGHT_EXTRA": "repro.scheduler.scheduler",
+        "DEFAULT_PACKAGE_SIZE": "repro.scheduler.work",
+        "BASE_CARDINALITIES": "repro.suites.tpch.data",
+        "ALL_QUERIES": "repro.suites.tpch.queries",
+    }
+    PROBE = """
+import importlib, json, sys, types
+name, constants = sys.argv[1], json.loads(sys.argv[2])
+module = importlib.import_module(name)
+eager = sorted(m for m in sys.modules if m.startswith("repro"))
+wrong = []
+for public in module.__all__:
+    if public == "__version__":
+        continue
+    value = getattr(module, public)
+    if isinstance(value, types.ModuleType):
+        home, held = value.__name__, value
+    else:
+        home = constants.get(public) or value.__module__
+        held = getattr(importlib.import_module(home), public)
+    if held is not value:
+        wrong.append(public)
+star = {}
+exec(f"from {name} import *", star)
+try:
+    getattr(module, "NoSuchName")
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({
+    "eager": eager, "wrong": wrong,
+    "unstarred": sorted(set(module.__all__) - set(star)),
+    "undir": sorted(set(module.__all__) - set(dir(module))),
+    "unknown": unknown, "hasattr": hasattr(module, "NoSuchName"),
+}))
+"""
+
+    @pytest.mark.parametrize("name", sorted(LAZY))
+    def test_namespace_is_complete_and_lazy(self, name):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC.parent))
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE, name, json.dumps(self.CONSTANTS)],
+            env=env, timeout=120, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        found = json.loads(result.stdout)
+        assert not set(found["eager"]) & set(self.LAZY[name])
+        assert found["wrong"] == []
+        assert found["unstarred"] == [] and found["undir"] == []
+        assert found["unknown"] == "AttributeError" and not found["hasattr"]
+
+    def test_resolved_name_is_cached(self):
+        repro.__dict__.pop("Dataset", None)
+        first = repro.Dataset
+        assert repro.__dict__["Dataset"] is first is repro.Dataset
 
 
 class TestWorkersMeanProcesses:

@@ -186,6 +186,20 @@ class TestExecution:
         with pytest.raises(AdapterError, match="script failed"):
             adapter.execute_script("CREATE BANANA;")
 
+    def test_failed_script_leaves_none_of_its_rows(self, adapter):
+        adapter.execute_script("INSERT INTO dept VALUES (3, 'ops');")
+        with pytest.raises(AdapterError, match="script failed"):
+            adapter.execute_script(
+                "INSERT INTO dept VALUES (4, 'hr');\n"
+                "INSERT INTO dept VALUES (1, 'dupe');\n"
+                "INSERT INTO dept VALUES (5, 'legal');"
+            )
+        assert adapter.execute("SELECT dept_id FROM dept ORDER BY dept_id") == [
+            (1,), (2,), (3,)
+        ]
+        adapter.execute_script("INSERT INTO dept VALUES (6, 'it')")
+        assert adapter.row_count("dept") == 4
+
     def test_cannot_open_bad_path(self):
         with pytest.raises(AdapterError):
             SQLiteAdapter("/nonexistent-dir-xyz/db.sqlite")

@@ -213,6 +213,25 @@ class TestSinks:
             with pytest.raises(OutputError):
                 sink.write("NOT SQL AT ALL;")
 
+    def test_sqlite_sink_chunk_is_one_transaction(self, tmp_path):
+        """A chunk that fails in its middle leaves none of its rows; the
+        chunks before it stay loaded, and the sink keeps working."""
+        path = str(tmp_path / "db3.sqlite")
+        with SQLiteSink(path) as sink:
+            sink.write("CREATE TABLE t (x INTEGER PRIMARY KEY);")
+            sink.write("INSERT INTO t VALUES (1);\nINSERT INTO t VALUES (2);\n")
+            with pytest.raises(OutputError, match="SQL load failed"):
+                sink.write(
+                    "INSERT INTO t VALUES (3);\nINSERT INTO t VALUES (1);\n"
+                    "INSERT INTO t VALUES (4);\n"
+                )
+            sink.write("INSERT INTO t VALUES (5); -- trailing comment")
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT x FROM t ORDER BY x").fetchall() == [
+            (1,), (2,), (5,)
+        ]
+        conn.close()
+
 
 class TestOrderedSinkMux:
     def test_in_order_passthrough(self):
