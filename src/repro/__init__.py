@@ -46,7 +46,7 @@ from repro._lazy import lazy_names
 #: Every public name and the module that defines it, resolved on first
 #: use: ``import repro`` — and every ``repro.*`` import, which runs this
 #: file first — pays only for what the caller touches.
-__getattr__, __dir__ = lazy_names(__name__, {
+_PUBLIC = {
     "Dataset": "repro.api",
     "bound_engine": "repro.api",
     "clear_engine_cache": "repro.api",
@@ -88,51 +88,10 @@ __getattr__, __dir__ = lazy_names(__name__, {
     "obs": "repro.obs",
     "resilience": "repro.resilience",
     "RunManifest": "repro.resilience.checkpoint",
-})
+}
+
+__getattr__, __dir__ = lazy_names(__name__, _PUBLIC)
 
 __version__ = "11.0.0"
 
-__all__ = [
-    "Dataset",
-    "bound_engine",
-    "clear_engine_cache",
-    "engine_cache_info",
-    "FormatSpec",
-    "format_spec",
-    "known_formats",
-    "register_format",
-    "BoundTable",
-    "DEFAULT_GENERATION_BLOCK",
-    "DEFAULT_PACKAGE_SIZE",
-    "GenerationEngine",
-    "BindContext",
-    "GenerationContext",
-    "Generator",
-    "AdapterError",
-    "ConfigError",
-    "ExtractionError",
-    "FormulaError",
-    "GenerationError",
-    "ModelError",
-    "OutputError",
-    "PropertyError",
-    "ReproError",
-    "SchedulingError",
-    "ArtifactStore",
-    "Field",
-    "GeneratorSpec",
-    "PropertySet",
-    "Schema",
-    "Table",
-    "OutputConfig",
-    "ClusterScheduler",
-    "ProgressMonitor",
-    "RunReport",
-    "Scheduler",
-    "TableReport",
-    "generate",
-    "obs",
-    "resilience",
-    "RunManifest",
-    "__version__",
-]
+__all__ = [*_PUBLIC, "__version__"]

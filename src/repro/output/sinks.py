@@ -261,17 +261,11 @@ class SQLiteSink(Sink):
             except sqlite3.Error as exc:
                 raise OutputError(f"SQL load failed: {exc}") from exc
 
-    def flush(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.commit()
-
     def close(self) -> None:
         # Idempotent: the emergency teardown path may close a sink the
-        # normal path closes again.
+        # normal path closes again. Nothing to commit: every chunk did.
         with self._lock:
             if self._conn is not None:
-                self._conn.commit()
                 self._conn.close()
                 self._conn = None
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import queue
 import re
 import subprocess
 import sys
+import threading
 import urllib.request
 
 import pytest
@@ -132,17 +134,31 @@ def test_serve_up_to_first_healthz():
         [sys.executable, "-m", "repro.cli.main", "serve", *TPCH, "--port", "0"],
         env=ENV, stderr=subprocess.PIPE, text=True,
     )
-    try:
+    address: queue.Queue = queue.Queue()
+
+    def read_address() -> None:
+        # the server's address, or None when stderr ends without one
         for line in server.stderr:
             match = re.search(r"serving \d+ tables at (http://[\d.]+:\d+)", line)
             if match:
-                break
-        else:
+                address.put(match[1])
+                return
+        address.put(None)
+
+    reader = threading.Thread(target=read_address, daemon=True)
+    reader.start()
+    try:
+        try:
+            url = address.get(timeout=120)
+        except queue.Empty:
+            pytest.fail("dbsynth serve printed no address within 120 s")
+        if url is None:
             pytest.fail("dbsynth serve did not start")
-        with urllib.request.urlopen(f"{match[1]}/healthz", timeout=60) as response:
+        with urllib.request.urlopen(f"{url}/healthz", timeout=60) as response:
             assert response.status == 200
             assert json.loads(response.read())["status"] == "ok"
     finally:
         server.terminate()
         server.wait(timeout=10)
+        reader.join(timeout=10)
         server.stderr.close()

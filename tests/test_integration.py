@@ -50,7 +50,10 @@ class TestFullSynthesisWorkflow:
         big_engine = GenerationEngine(schema, artifacts)
         big_target = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(schema, big_target)
-        big_target.execute_script("PRAGMA foreign_keys = ON;")
+        # Outside a script: a script is one transaction, where SQLite
+        # ignores this pragma. Every foreign key is then enforced.
+        big_target.execute("PRAGMA foreign_keys = ON")
+        assert big_target.execute("PRAGMA foreign_keys") == [(1,)]
         DataLoader(big_target).load(big_engine)
         assert big_target.row_count("movies") == 450
         orphans = big_target.execute(
