@@ -17,12 +17,12 @@ Reproduction targets: cluster throughput grows ~linearly with nodes
 panel), and every node generates a disjoint, exact share of the data.
 
 A second, truly parallel series runs the cluster runtime (one OS
-process per node, parent-side dispatch and work stealing) so the
+process per node, parent-side dispatch from one package front) so the
 coordination overhead it adds over the composed estimate is measured,
 not assumed: up to the host's core count it is a real speed-up, past it
 the nodes share cores and the number to read is how little is lost.
-(Byte-identity of the merged output, dead-node recovery and stealing
-are tier-1's: ``tests/test_cluster.py``.)
+(Byte-identity of the merged output, dead-node recovery and the
+slow-node balance are tier-1's: ``tests/test_cluster.py``.)
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def test_scaleout_simulated_cluster(benchmark, schema, nodes):
 @pytest.mark.parametrize("nodes", DISTRIBUTED_NODE_COUNTS)
 def test_scaleout_distributed_cluster(benchmark, schema, nodes):
     """The cluster runtime — the truly parallel series: one OS process
-    per node, parent-side dispatch, stealing enabled; best of three
+    per node, parent-side dispatch of one package front; best of three
     runs. Past the host's core count this measures the coordination
     overhead, not parallel speedup."""
     scheduler = ClusterScheduler(
@@ -84,7 +84,7 @@ def test_scaleout_distributed_cluster(benchmark, schema, nodes):
     record(SERIES, (
         f"{nodes} (cluster runtime)",
         round(result.bytes_written / 1048576 / seconds, 2), round(seconds, 3),
-        f"{result.steals} steals",
+        f"{result.node_failures} node failures",
     ))
     assert result.rows == sum(schema.sizes().values())
 

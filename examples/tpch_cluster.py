@@ -5,8 +5,9 @@ Shows the benchmark-kit side of PDGF:
 1. generate the TPC-H data set (the paper's TPC-H-subcommittee-reviewed
    model) in CSV and JSON;
 2. run the same model on the 4-node cluster runtime (one process per
-   node, work stealing on), then show that four coordinator-free
-   ``run_node`` shares concatenate to exactly the single-node run;
+   node, each taking the next package when it is free), then show that
+   four coordinator-free ``run_node`` shares concatenate to exactly the
+   single-node run;
 3. time the DBGen-style baseline against PDGF (the paper's Figure 6).
 
 Run: ``python examples/tpch_cluster.py``
@@ -47,7 +48,7 @@ def main() -> None:
         schema, tpch_artifacts(), output=OutputConfig(kind="null")
     ).run(nodes=4)
     print(f"  cluster throughput {cluster.mb_per_second:.2f} MB/s "
-          f"(makespan {cluster.seconds:.3f}s, {cluster.steals} steals)")
+          f"(makespan {cluster.seconds:.3f}s)")
     for node in cluster.nodes:
         print(f"    node {node.node}: {node.rows:,} rows in {node.seconds:.3f}s")
     # the same RunReport a single-node run returns: per-table breakdown too

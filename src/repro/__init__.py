@@ -92,6 +92,6 @@ _PUBLIC = {
 
 __getattr__, __dir__ = lazy_names(__name__, _PUBLIC)
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [*_PUBLIC, "__version__"]

@@ -214,7 +214,6 @@ def _cmd_preview(args: argparse.Namespace) -> int:
 
 def _print_report(report, quiet: bool) -> None:
     """The run summary, one shape for every runtime."""
-    cluster = report.backend == "cluster"
     pool = {"cluster": "distributed nodes", "inline": "inline worker"}.get(
         report.backend, "process workers"
     )
@@ -223,12 +222,10 @@ def _print_report(report, quiet: bool) -> None:
         f"in {report.seconds:.2f} s ({report.mb_per_second:.2f} MB/s, "
         f"{report.workers} {pool})"
     )
-    if cluster:
-        print(f"steals: {report.steals} ({report.stolen_rows:,} rows reassigned)")
     if report.node_failures:
         print(
-            f"recovered: {report.node_failures} dead nodes, "
-            f"{report.reassigned_ranges} ranges reassigned"
+            f"recovered: {report.node_failures} dead nodes replaced, "
+            f"{report.requeued_packages} packages requeued"
         )
     if report.resumed_packages:
         print(f"resumed: {report.resumed_packages} checkpointed packages skipped")
@@ -247,14 +244,11 @@ def _print_report(report, quiet: bool) -> None:
             f"({table.seconds:.2f} s)"
         )
     for node in report.nodes:
-        line = (
+        print(
             f"  node{node.node:<4} {node.rows:>12,} rows "
             f"{node.bytes_written / 1048576:>9.2f} MiB "
             f"({node.seconds:.2f} s)"
         )
-        if node.steals_taken or node.steals_yielded:
-            line += f" steals +{node.steals_taken}/-{node.steals_yielded}"
-        print(line)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -269,8 +263,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if cluster and args.workers != 1:
         raise ReproError(
             "--workers does not apply to a multi-node run (--nodes/"
-            "--distributed): each node generates its shard "
-            "sequentially and dead shards are reassigned live"
+            "--distributed): the nodes are the executor processes"
         )
     tracer, registry, profiler, server = _telemetry_begin(args)
     try:
@@ -308,18 +301,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         if cluster:
             from repro.scheduler.cluster import ClusterScheduler
 
-            # one process per node, parent-side work stealing, per-node
-            # parts merged into files byte-identical to a single-node run;
-            # the cluster runtime binds the model itself, once for all nodes
+            # one process per node, each writing its own part files, merged
+            # into files byte-identical to a single-node run
             report = ClusterScheduler(
                 schema, artifacts, output=output, **shared
             ).run(args.nodes)
         else:
             engine = GenerationEngine(schema, artifacts)
-            if args.kind == "sqlite":
+            if args.kind == "sqlite" and not args.resume:
                 from repro.db import SQLiteAdapter, create_schema_sql
 
-                # The SQL stream needs the target schema in place first.
+                # The SQL stream needs the target schema in place first; a
+                # resumed run finds it there, with the rows already loaded.
                 with SQLiteAdapter(output.database) as target:
                     target.execute_script(create_schema_sql(engine.schema, "sqlite"))
             report = generate(engine, output, workers=args.workers, **shared)
@@ -584,17 +577,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run on N cluster nodes, one OS process each: every node "
-        "starts with a seed-derived shard of every table, idle nodes steal "
-        "from busy ones, dead nodes' work is reassigned, and the merged "
-        "files equal a single-node run byte for byte (text formats with "
-        "--kind file or null)",
+        help="run on N cluster nodes, one OS process each: like -w N, the "
+        "least-loaded node takes the next package and a dead node's "
+        "packages are redone first on a replacement, but each node writes "
+        "its own part files and the merged files equal a single-node run "
+        "byte for byte (text formats with --kind file or null)",
     )
     gen.add_argument(
         "--distributed",
         action="store_true",
-        help="use the cluster runtime even for --nodes 1 (--nodes N>1 "
-        "always does)",
+        help="write part files and merge them even for --nodes 1 "
+        "(--nodes N>1 always does)",
     )
     gen.add_argument(
         "--checkpoint",

@@ -225,11 +225,9 @@ def render_span_tree(
     def describe(record: SpanRecord) -> str:
         label = f"{record.name}  {record.duration * 1000:.1f} ms"
         detail = []
-        # "reason"/"origin" mark cluster reassignment spans: a stolen or
-        # recovered range renders as e.g. [... node=2 origin=0 reason=steal].
         for attr in (
             "table", "sequence", "start", "rows", "bytes",
-            "node", "origin", "reason", "pid", "attempt",
+            "node", "pid", "attempt",
         ):
             if attr in record.attrs:
                 detail.append(f"{attr}={record.attrs[attr]}")

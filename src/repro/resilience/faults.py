@@ -46,7 +46,7 @@ class FaultPlan:
     cluster node — that picks up the package beginning at that absolute
     row die via ``os._exit(kill_exit_code)`` before producing a result.
     Every runtime cuts packages on one grid (package ``k`` starts at row
-    ``k·P``, or where a shard or stolen range starts), so a grid start
+    ``k·P``, or where the run's range starts), so a grid start
     names the same package — sequence ``start // P`` — on ``-w N`` and
     ``--nodes N`` alike. ``latch_dir`` arms the fault exactly once
     across all executors and their replacements — the first to reach
@@ -55,8 +55,8 @@ class FaultPlan:
     failure cap must stop.
 
     ``slow_nodes={node: seconds}`` injects a deterministic per-package
-    sleep on cluster nodes so tests can script an unbalanced cluster and
-    assert the work stealer drains it.
+    sleep on those executors so tests can script an unbalanced cluster
+    and assert the least-loaded dispatch gives the slow node less work.
     """
 
     kill_at: tuple[str, int] | None = None

@@ -1,8 +1,9 @@
-"""Scheduling: work packages, the single-node inline/process scheduler,
-and the multi-node cluster runtime — one package grid and one ledger
-(:mod:`repro.scheduler.work`) dispatching to one package body, one
-accounting and one :class:`RunReport`
-(:mod:`repro.scheduler.executor`, :mod:`repro.scheduler.scheduler`)."""
+"""Scheduling: work packages, the single-node scheduler and the
+multi-node cluster front — one package grid and one ledger
+(:mod:`repro.scheduler.work`), one multi-process runtime and one package
+body (:mod:`repro.scheduler.executor`: ``-w N`` and ``--nodes N`` differ
+only in where the bytes land), one accounting and one :class:`RunReport`
+(:mod:`repro.scheduler.scheduler`)."""
 
 from repro._lazy import lazy_names
 from repro.scheduler.progress import ProgressMonitor, ProgressSnapshot
@@ -21,7 +22,6 @@ from repro.scheduler.work import (
     WorkPackage,
     node_share,
     partition_rows,
-    plan_shards,
 )
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "WorkPackage",
     "node_share",
     "partition_rows",
-    "plan_shards",
 ]
 
 

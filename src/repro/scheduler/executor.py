@@ -1,16 +1,15 @@
-"""The package body every runtime runs, and the executor-process core
-the process pool and the cluster share.
+"""The package body every runtime runs, and the one multi-process
+runtime behind ``-w N`` and ``--nodes N``.
 
 :func:`run_package` is the worker loop's one body — generate a work
-package, format it, measure it — called by the inline worker, the
-pool worker and the cluster node alike; they differ only in where the
-chunk goes next.
+package, format it, measure it — called inline and by every executor
+process alike; they differ only in where the chunk goes next.
 
-A pool worker and a cluster node are the same kind of thing — a child
-process that receives work packages on a private queue, generates them
-from the seed hierarchy, and reports on a result queue shared with its
-siblings. :class:`ExecutorPool` owns everything about that which does
-not depend on *which* package goes *where*:
+An executor is a child process that receives work packages on a private
+queue, generates them from the seed hierarchy (:func:`_execute`, the one
+executor body), and reports on a result queue shared with its siblings.
+:class:`ExecutorPool` owns everything about that which does not depend
+on *which* package goes *where*:
 
 * the child bootstrap (:class:`ChildTelemetry`: inherited collectors are
   dropped, own collectors run when the parent has any, payloads ship
@@ -27,10 +26,11 @@ not depend on *which* package goes *where*:
 * the scripted-kill discipline (:func:`die`) and the
   sentinel → drain → join → terminate → queue-close shutdown.
 
-Dispatch *policy* is the subclass's, and both take their packages from
-a :class:`~repro.scheduler.work.ShardLedger`: the process pool cuts one
-shared shard through its ordered bounded window, the cluster feeds
-per-node shards and steals tails.
+Dispatch *policy* is :class:`PackagePool`'s, its one subclass: the
+executors drain one :class:`~repro.scheduler.work.ShardLedger` in
+sequence order through one bounded window, and ``-w N`` and ``--nodes N``
+differ only in where the bytes land — the parent's ordered mux, or each
+executor's own part files that the parent merges.
 
 Wire protocol. Parent → child: a :class:`~repro.scheduler.work.WorkPackage`,
 or ``None`` to stop.
@@ -41,6 +41,7 @@ traceback)``.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
@@ -60,6 +61,8 @@ from repro.obs import (
     stitch_spans,
 )
 from repro.output.formats import encoded_size, format_package
+from repro.output.sinks import FileSink, NullSink
+from repro.scheduler.work import WorkPackage, _Part, part_file
 
 #: how long the parent waits for a result before polling liveness.
 POLL_SECONDS = 0.25
@@ -75,8 +78,8 @@ STALL_SECONDS = 60.0
 class PackageResult(NamedTuple):
     """One generated work package: the formatted ``chunk``, its encoded
     size ``nbytes`` and the generate+format ``seconds``. Picklable — it
-    is also the executors' result message (a cluster node sends it with
-    ``chunk=None``)."""
+    is also the executors' result message (an executor writing part
+    files sends it with ``chunk=None``)."""
 
     chunk: str | bytes | None
     nbytes: int
@@ -171,12 +174,74 @@ class ChildTelemetry:
         return payload or None
 
 
-def _executor_main(body, ident, telemetry, tasks, results, args) -> None:
-    """Process entry point: bootstrap, run *body*, report or forward the
-    failure — a crashing executor never kills the run silently."""
+class _OpenPart(_Part):
+    """Executor side of a part: its sink and its ``node.assignment`` span."""
+
+    __slots__ = ("sink", "_span")
+
+    def __init__(self, output, first: WorkPackage) -> None:
+        super().__init__(first)
+        self.sink = NullSink()
+        if output.kind == "file":
+            self.sink = FileSink(os.path.join(output.directory, self.file))
+        self._span = span(
+            "node.assignment", table=first.table, start=first.start,
+            attempt=first.attempt,
+        ).__enter__()
+
+    def close(self) -> None:
+        self.sink.close()
+        self._span.set(stop=self.stop, rows=self.rows, bytes=self.bytes)
+        self._span.__exit__(None, None, None)
+
+
+def _execute(ident, tasks, results, telemetry, engine, output, faults, starts, parts):
+    """The one executor body: run packages until the ``None`` sentinel.
+
+    *engine* is the parent's bound engine: inherited under fork, rebuilt
+    from its model under spawn. ``starts`` are the run's per-table first
+    rows (the package starting there opens its output). With *parts*
+    (``--nodes``) the chunk is appended to the open part file — a new
+    part whenever the package does not continue the previous one —
+    flushed, and only its size reported, so what the parent counts never
+    overstates a part file; otherwise the chunk itself goes back.
+    ``faults`` is the test harness's scripted kill and slow node.
+    """
+    delay = faults.node_delay(ident) if faults is not None else 0.0
+    part: _OpenPart | None = None
+    started = time.perf_counter()
+    with span("meta.node", node=ident) if parts else contextlib.nullcontext():
+        while (package := tasks.get()) is not None:
+            if faults is not None and faults.should_kill(package.table, package.start):
+                die(results, faults.kill_exit_code)
+            if parts and (part is None or not part.continues(package)):
+                if part is not None:
+                    part.close()
+                part = _OpenPart(output, package)
+            result = run_package(
+                engine, output, package, first=package.start == starts[package.table]
+            )
+            if delay:
+                time.sleep(delay)
+            if parts:
+                part.sink.write(result.chunk)
+                part.sink.flush()
+                part.grow(package.stop, result.nbytes)
+                # the chunk stays here; dropping it now also keeps it from
+                # staying alive while the next package is formatted
+                result = result._replace(chunk=None)
+            results.put(("package", ident, package.key, result, telemetry.export()))
+        if part is not None:
+            part.close()
+    return {"seconds": time.perf_counter() - started}
+
+
+def _executor_main(ident, telemetry, tasks, results, args) -> None:
+    """Process entry point: bootstrap, run the body, report or forward
+    the failure — a crashing executor never kills the run silently."""
     collectors = ChildTelemetry(telemetry)
     try:
-        report = body(ident, tasks, results, collectors, *args)
+        report = _execute(ident, tasks, results, collectors, *args)
         results.put(("done", ident, report, collectors.export(final=True)))
     except BaseException as exc:  # fault-ok: forwarded to the parent as an error message
         results.put((
@@ -212,25 +277,23 @@ class ExecutorSlot:
 class ExecutorPool:
     """Runs executor processes until the subclass's work is finished.
 
-    Subclasses supply the policy over their
-    :class:`~repro.scheduler.work.ShardLedger`: :meth:`finished` (the
-    ledger is done), :meth:`dispatch` (send what ``ledger.fill`` cuts
-    with :meth:`send`), :meth:`complete` (one owed result arrived) and
-    :meth:`recover` (an executor died; *lost* are the packages it still
-    held, which go back to the ledger one attempt higher — recovery
-    checks no limit, :meth:`_reap` holds the only one). ``failures``
-    counts the dead executors. ``tag`` names
-    the span attribute that marks every stitched span with its executor
-    id (``"node"``).
+    The subclass supplies the policy over its
+    :class:`~repro.scheduler.work.ShardLedger`: ``finished()`` (the
+    ledger is done), ``dispatch()`` (send what ``ledger.fill`` cuts with
+    :meth:`send`), ``complete(slot, package, result)`` (one owed result
+    arrived) and ``recover(slot, lost)`` (an executor died; *lost* are
+    the packages it still held, which go back to the ledger one attempt
+    higher — recovery checks no limit, :meth:`_reap` holds the only
+    one). ``failures`` counts the dead executors; *executors*, the
+    number started, sets the crash-loop cap. ``tag`` names the span
+    attribute that marks every stitched span with its executor id
+    (``"node"``). *args* follow the executor body's own four.
     """
 
-    role = "executor"
-
     def __init__(
-        self, body, args: tuple, *, parent_span_id: int | None,
+        self, args: tuple, executors: int, *, parent_span_id: int | None,
         faults=None, tag: str | None = None,
     ) -> None:
-        self._body = body
         self._args = args
         self._parent_span_id = parent_span_id
         self._tag = tag
@@ -240,37 +303,21 @@ class ExecutorPool:
         self._telemetry = WorkerTelemetry.from_active()
         self.slots: dict[int, ExecutorSlot] = {}
         self.failures = 0
-        self._crash_cap = 2
+        self._crash_cap = max(2, executors)
+        for _ in range(executors):
+            self.spawn()
 
-    # -- policy hooks --------------------------------------------------------
-
-    def finished(self) -> bool:
-        raise NotImplementedError
-
-    def dispatch(self) -> None:
-        raise NotImplementedError
-
-    def complete(self, slot: ExecutorSlot, item, result) -> None:
-        raise NotImplementedError
-
-    def recover(self, slot: ExecutorSlot, lost: list) -> None:
-        raise NotImplementedError
-
-    # -- mechanism -----------------------------------------------------------
-
-    def spawn(self) -> ExecutorSlot:
+    def spawn(self) -> None:
         """Start one more executor; ids count up from 0 and are never
         reused, so a replacement is distinguishable from the dead."""
         slot = ExecutorSlot(len(self.slots), self._context.Queue())
         slot.process = self._context.Process(
             target=_executor_main,
-            args=(self._body, slot.ident, self._telemetry, slot.queue,
-                  self._results, self._args),
+            args=(slot.ident, self._telemetry, slot.queue, self._results, self._args),
             daemon=True,
         )
         slot.process.start()
         self.slots[slot.ident] = slot
-        return slot
 
     def live(self) -> list[ExecutorSlot]:
         return [slot for slot in self.slots.values() if not slot.failed]
@@ -281,9 +328,7 @@ class ExecutorPool:
 
     def drive(self) -> None:
         """Dispatch and collect until :meth:`finished`, then stop every
-        executor; on any failure terminate them instead. The executors
-        spawned so far are the N of the crash-loop cap."""
-        self._crash_cap = max(2, len(self.slots))
+        executor; on any failure terminate them instead."""
         try:
             quiet_since = time.monotonic()
             while not self.finished():
@@ -298,7 +343,7 @@ class ExecutorPool:
                         key for slot in self.slots.values() for key in slot.inflight
                     )
                     raise SchedulingError(
-                        f"{self.role}s stalled: no message for "
+                        f"executors stalled: no message for "
                         f"{self._stall_limit:.0f}s with {len(owed)} results "
                         f"owed ({owed[:8]})"
                     )
@@ -337,7 +382,7 @@ class ExecutorPool:
             error = getattr(exceptions, name, None)
             if not (isinstance(error, type) and issubclass(error, ReproError)):
                 error = SchedulingError
-            raise error(f"{self.role} {ident} failed: {name}: {text}\n{trace}")
+            raise error(f"executor {ident} failed: {name}: {text}\n{trace}")
         slot = self.slots[ident]
         # Merged even when the result below turns out to be a duplicate:
         # the redo work really happened and the trace should show it.
@@ -410,3 +455,94 @@ class ExecutorPool:
                 # is accounted for, only its own telemetry/timers are lost.
                 waiting = [slot for slot in waiting if slot.process.is_alive()]
             waiting = [slot for slot in waiting if not slot.done]
+
+
+class PackagePool(ExecutorPool):
+    """The one multi-process runtime: *workers* executors drain one
+    :class:`~repro.scheduler.work.ShardLedger` in sequence order through
+    one bounded delivery *window*; the least-loaded live executor takes
+    the next package, and a package is cut only once a window slot is
+    free. That caps the chunks held anywhere, however large the run.
+
+    Where the bytes land is the only difference between ``-w N`` and
+    ``--nodes N``. With *muxes* (``-w N``) every chunk comes back to the
+    parent's per-table ordered mux, which releases the package's slot
+    when the chunk reaches its sink. Without them (``--nodes N``) each
+    executor appends its chunks to its own part files and reports only
+    their size; the slot is released on that report, the grown part
+    journaled, and the caller merges the parts when the ledger is done.
+
+    When an executor dies a replacement is spawned, and the packages the
+    dead one held go back to the *front* of the ledger one attempt higher
+    (generation is seed-addressed, so a redo is byte-identical and its
+    spans are identifiable in the stitched trace): were they queued
+    behind later packages, the window would fill with successors that
+    cannot flush. A redo takes no second window slot: the lost package
+    was never delivered, so its slot is handed back, and the redo —
+    first in line — takes it again. The dead executor's part files are
+    cut back to what it reported first. The crash-loop cap is
+    :class:`ExecutorPool`'s.
+    """
+
+    def __init__(
+        self, engine, output, workers: int, ledger, window, accounting, *,
+        starts, faults, parent_span_id: int | None, muxes=None, journal=None,
+    ) -> None:
+        parts = muxes is None
+        super().__init__(
+            (engine, output, faults, starts, parts), workers,
+            parent_span_id=parent_span_id, faults=faults,
+            tag="node" if parts else None,
+        )
+        self.ledger, self.window, self.accounting = ledger, window, accounting
+        self.muxes, self.journal = muxes, journal
+        #: where the part files live (``None``: none are kept)
+        self.directory = output.directory if parts and output.kind == "file" else None
+        self.requeued = 0
+
+    def finished(self) -> bool:
+        return self.ledger.done
+
+    def dispatch(self) -> None:
+        live = self.live()
+        for package in self.ledger.fill(self.window.limit - self.window.in_flight):
+            self.window.try_acquire()
+            self.send(min(live, key=lambda slot: len(slot.inflight)), package)
+
+    def complete(self, slot, package, result) -> None:
+        if self.muxes is not None:
+            self.ledger.complete()
+            self.muxes[package.table].submit(package.sequence, result.chunk)
+        else:
+            part = self.ledger.complete_part(slot.ident, package, result.nbytes)
+            if self.journal is not None:
+                self.journal.record_part(part)
+            self.window.release()
+        self.accounting.package(package.table, package.rows, result)
+
+    def recover(self, slot, lost) -> None:
+        # The dead executor's queue may still hold undelivered items;
+        # abandon it wholesale — ``lost`` is authoritative.
+        if self.directory is not None:
+            parts = self.ledger.parts.get(slot.ident, [])
+            cut_back(self.directory, parts)
+            known = {part.file for part in parts}
+            for package in lost:
+                # a part opened for a package never reported goes: the
+                # redo regenerates its rows
+                file = part_file(*package.key)
+                path = os.path.join(self.directory, file)
+                if file not in known and os.path.exists(path):
+                    os.remove(path)
+        self.spawn()
+        self.window.release(len(lost))
+        self.ledger.requeue(lost)
+        self.requeued += len(lost)
+
+
+def cut_back(directory: str, parts) -> None:
+    """Cut the part files under *directory* back to what *parts* count:
+    reopening at an offset truncates to it, and refuses a file shorter
+    than what was reported durable."""
+    for part in parts:
+        FileSink(os.path.join(directory, part.file), resume_at=part.bytes).close()

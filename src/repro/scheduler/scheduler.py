@@ -6,20 +6,20 @@ formatted and sorted" (paper §2). Workers format their package into a
 private buffer (own writer) and hand the finished chunk to the ordered
 mux, which restores row order per table.
 
-Packages come from one :class:`~repro.scheduler.work.ShardLedger` shard
+Packages come from one :class:`~repro.scheduler.work.ShardLedger`
 holding the run's row ranges minus what a resumed checkpoint already
 vouches for, cut on the package grid (package ``k`` is rows
 ``[k·P, (k+1)·P)``, its sequence ``k``). The worker count is the only
 thing a caller says:
 
-* ``workers == 1`` — the shard is drained inline, one package after the
-  other, in the calling thread (``RunReport.backend == "inline"``).
+* ``workers == 1`` — the ledger is drained inline, one package after
+  the other, in the calling thread (``RunReport.backend == "inline"``).
 * ``workers > 1`` — that many executor processes
-  (:mod:`repro.scheduler.executor`, the core shared with cluster nodes)
-  share the shard; finished chunks stream back to the parent, which
-  writes them to the sinks in order (``"process"``). Seed-addressed
-  generation makes this safe: any row is recomputable in any process
-  with identical bytes.
+  (:class:`~repro.scheduler.executor.PackagePool`, the runtime cluster
+  nodes run on too) drain it; finished chunks stream back to the
+  parent, which writes them to the sinks in order (``"process"``).
+  Seed-addressed generation makes this safe: any row is recomputable in
+  any process with identical bytes.
 
 The pool cuts packages through a bounded :class:`InFlightWindow`
 (``workers + DEFAULT_INFLIGHT_EXTRA`` slots): a package is only handed
@@ -73,7 +73,7 @@ from repro.resilience.checkpoint import (
     open_checkpoint,
 )
 from repro.resilience.faults import FaultPlan
-from repro.scheduler.executor import ExecutorPool, PackageResult, die, run_package
+from repro.scheduler.executor import PackagePool, PackageResult, run_package
 from repro.scheduler.progress import ProgressMonitor
 from repro.scheduler.work import (
     DEFAULT_PACKAGE_SIZE, ShardLedger, node_share, package_count, package_end,
@@ -121,8 +121,7 @@ class NodeReport:
 
     ``telemetry`` is the node's final export (the spans and metric
     deltas it had not shipped with a package result, folded profile
-    counts) when the parent had collectors active, else ``None``. ``steals_taken``/``steals_yielded`` count the
-    ranges this node received from, or gave up to, another node.
+    counts) when the parent had collectors active, else ``None``.
     """
 
     node: int
@@ -130,8 +129,6 @@ class NodeReport:
     bytes_written: int
     seconds: float
     telemetry: dict | None = None
-    steals_taken: int = 0
-    steals_yielded: int = 0
 
 
 @dataclass(frozen=True)
@@ -153,10 +150,10 @@ class RunReport:
 
     ``backend`` is derived, never chosen: ``"inline"`` for one worker,
     ``"process"`` for a pool, ``"cluster"`` for a multi-node run. A
-    cluster run adds the per-node rollup
-    ``nodes`` and the elastic-scheduling counters: ``steals`` /
-    ``stolen_rows`` for work-stealing moves, ``node_failures`` /
-    ``reassigned_ranges`` for dead-node recovery.
+    cluster run adds the per-node rollup ``nodes`` and ``node_failures``
+    (dead nodes replaced). ``steals`` is always 0: nodes share one
+    package front, so there is nothing to steal; the field stays only
+    for readers of the old report.
 
     ``profile`` is populated when a sampling profiler was active during
     the run: per-stage :class:`~repro.obs.profile.StageProfile` entries
@@ -176,9 +173,7 @@ class RunReport:
     profile: tuple = ()
     nodes: tuple[NodeReport, ...] = ()
     steals: int = 0
-    stolen_rows: int = 0
     node_failures: int = 0
-    reassigned_ranges: int = 0
 
     @property
     def rows_per_second(self) -> float:
@@ -312,93 +307,6 @@ class RunAccounting:
             profile=() if profiler is None else tuple(profiler.stage_attribution()),
             **counters,
         )
-
-
-def _pool_worker(ident, tasks, results, telemetry, engine, output, faults, ranges):
-    """Worker-process body: generate and format packages locally.
-
-    Receives :class:`~repro.scheduler.work.WorkPackage` items until the
-    ``None`` sentinel; each result is the package's
-    :class:`~repro.scheduler.executor.PackageResult` plus its spans and
-    metric deltas (see :mod:`repro.scheduler.executor`
-    for the bootstrap and wire protocol). ``faults`` is the test
-    harness's scripted crash plan (``kill_at``, as on a cluster node);
-    ``ranges`` are the run's per-table ``[start, stop)``.
-    """
-    while (package := tasks.get()) is not None:
-        if faults is not None and faults.should_kill(package.table, package.start):
-            die(results, faults.kill_exit_code)
-        result = run_package(
-            engine, output, package, first=package.start == ranges[package.table][0]
-        )
-        results.put(("package", ident, package.key, result, telemetry.export()))
-
-
-class _ProcessPool(ExecutorPool):
-    """The ``workers > 1`` runtime: N worker processes share one ledger
-    shard, cut in sequence order; the parent flushes finished chunks in
-    order.
-
-    The parent is the only writer: it cuts a package whenever the
-    delivery window has a free slot and feeds returned chunks to the
-    per-table muxes (which release window slots as chunks hit the
-    sinks). Because packages are cut in sequence order, at most
-    ``workers + DEFAULT_INFLIGHT_EXTRA`` chunks are ever buffered,
-    however large the run.
-
-    When a worker dies a replacement is spawned, and the packages the
-    dead one held go back to the *front* of the shard one attempt higher
-    (generation is seed-addressed, so a redo is byte-identical and its
-    spans are identifiable in the stitched trace): were they queued
-    behind later packages, the window would fill with successors that
-    cannot flush. A redo takes no second window slot: the lost package
-    never reached its mux, so its slot is handed back, and the redo —
-    first in line — takes it again. The crash-loop cap is
-    :class:`~repro.scheduler.executor.ExecutorPool`'s.
-    """
-
-    role = "generation worker"
-
-    def __init__(
-        self, scheduler: "Scheduler", ledger: ShardLedger, muxes,
-        accounting: RunAccounting, window: InFlightWindow, ranges,
-        run_span_id: int | None,
-    ) -> None:
-        super().__init__(
-            _pool_worker,
-            (scheduler.engine, scheduler.output, scheduler.faults, ranges),
-            parent_span_id=run_span_id, faults=scheduler.faults,
-        )
-        self.ledger = ledger
-        self.muxes = muxes
-        self.accounting = accounting
-        self.window = window
-        self.requeued = 0
-        for _ in range(min(scheduler.workers, ledger.remaining(0))):
-            self.spawn()
-
-    def finished(self) -> bool:
-        return self.ledger.done
-
-    def dispatch(self) -> None:
-        live = self.live()
-        for package in self.ledger.fill(0, self.window.limit - self.window.in_flight):
-            self.window.try_acquire()
-            slot = min(live, key=lambda candidate: len(candidate.inflight))
-            self.send(slot, package)
-
-    def complete(self, slot, package, result) -> None:
-        self.ledger.complete(0)
-        self.muxes[package.table].submit(package.sequence, result.chunk)
-        self.accounting.package(package.table, package.rows, result)
-
-    def recover(self, slot, lost) -> None:
-        # The dead worker's queue may still hold undelivered items;
-        # abandon it wholesale — ``lost`` is authoritative.
-        self.spawn()
-        self.window.release(len(lost))
-        self.ledger.requeue(0, lost)
-        self.requeued += len(lost)
 
 
 def emergency_teardown(
@@ -580,13 +488,12 @@ class Scheduler:
                         first_sequence=part.stop // self.package_size,
                         on_flush=on_flush,
                     )
-                ledger = ShardLedger(self.package_size, list(marks.values()))
-                ledger.assign(
-                    0, ledger.uncovered((name, *ranges[name]) for name in muxes),
-                    "shard", None,
+                ledger = ShardLedger(
+                    self.package_size, [(name, *ranges[name]) for name in muxes],
+                    list(marks.values()),
                 )
                 run_span.set(
-                    tables=len(names), packages=ledger.remaining(0),
+                    tables=len(names), packages=ledger.remaining,
                     rows=total_rows, resumed_packages=accounting.resumed_packages,
                 )
                 run_span_id = getattr(run_span, "span_id", None)
@@ -595,8 +502,10 @@ class Scheduler:
                 if self.workers == 1:
                     self._run_inline(ledger, muxes, accounting, ranges)
                 else:
-                    pool = _ProcessPool(
-                        self, ledger, muxes, accounting, window, ranges, run_span_id
+                    pool = PackagePool(
+                        engine, self.output, self.workers, ledger, window, accounting,
+                        starts={name: start for name, (start, _) in ranges.items()},
+                        faults=self.faults, parent_span_id=run_span_id, muxes=muxes,
                     )
                     pool.drive()
                     requeued, restarts = pool.requeued, pool.failures
@@ -697,9 +606,9 @@ class Scheduler:
     # -- inline run ----------------------------------------------------------
 
     def _run_inline(self, ledger: ShardLedger, muxes, accounting, ranges) -> None:
-        """Drain the ledger's one shard a package at a time, each
-        submitted in row order."""
-        while packages := ledger.fill(0, 1):
+        """Drain the ledger a package at a time, each submitted in row
+        order."""
+        while packages := ledger.fill(1):
             (package,) = packages
             mux = muxes[package.table]
             result = run_package(
@@ -707,7 +616,7 @@ class Scheduler:
                 first=package.start == ranges[package.table][0],
                 deliver=lambda chunk: mux.submit(package.sequence, chunk),
             )
-            ledger.complete(0)
+            ledger.complete()
             accounting.package(package.table, package.rows, result)
 
 

@@ -1,5 +1,9 @@
 """The public API surface.
 
+12.0 has one multi-process runtime: ``-w N`` and ``--nodes N`` drain one
+ledger through one executor pool and differ only in where the bytes
+land, so ``plan_shards``, the steal counters and the reassigned-range
+count are gone (``RunReport.steals`` stays, always 0).
 10.0 has one package grid and one dispatcher: package ``k`` is rows
 ``[k·P, (k+1)·P)`` on every runtime, ``partition_rows`` lost ``offset=``,
 and inline, ``-w N`` and ``--nodes N`` all take their packages from
@@ -119,8 +123,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_11(self):
-        assert repro.__version__.startswith("11.")
+    def test_version_is_12(self):
+        assert repro.__version__.startswith("12.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -214,10 +218,15 @@ class TestOneBodyOneAccountingOneReport:
 
     def test_run_report_carries_the_cluster_rollup(self):
         report = repro.RunReport(rows=1, bytes_written=2, seconds=0.5, workers=1)
-        assert (
-            report.nodes, report.steals, report.stolen_rows,
-            report.node_failures, report.reassigned_ranges,
-        ) == ((), 0, 0, 0, 0)
+        assert (report.nodes, report.steals, report.node_failures) == ((), 0, 0)
+        # 12.0: one package front, nothing to steal or reassign
+        names = {field.name for field in dataclasses.fields(repro.RunReport)}
+        assert not {"stolen_rows", "reassigned_ranges"} & names
+        from repro.scheduler import NodeReport
+
+        assert [field.name for field in dataclasses.fields(NodeReport)] == [
+            "node", "rows", "bytes_written", "seconds", "telemetry",
+        ]
         assert inspect.signature(repro.ClusterScheduler.run).return_annotation in (
             repro.RunReport, "RunReport",
         )
@@ -658,11 +667,9 @@ class TestOneDurableProgressRecord:
     _occurrences = TestOneBodyOneAccountingOneReport._occurrences
 
     def test_no_journal_inside_an_executor_process(self):
-        from repro.scheduler import cluster, executor, scheduler
+        from repro.scheduler import executor
 
-        for body in (
-            cluster._cluster_node, scheduler._pool_worker, executor._executor_main
-        ):
+        for body in (executor._execute, executor._executor_main):
             source = inspect.getsource(body)
             assert "CheckpointWriter" not in source and "journal" not in source
             assert "checkpoint" not in inspect.signature(body).parameters
@@ -693,7 +700,7 @@ class TestOneDurableProgressRecord:
 
     def test_the_ledger_part_is_the_manifest_record(self):
         from repro.resilience import Part
-        from repro.scheduler.cluster import _Part
+        from repro.scheduler.work import _Part
 
         assert issubclass(_Part, Part)
         assert Part.__slots__ == (
@@ -786,18 +793,19 @@ class TestOneFailurePolicy:
     def test_one_crash_loop_cap(self):
         (refusal,) = self._occurrences("refusing to respawn a crash loop", "")
         assert refusal.startswith("executor.py:")
-        from repro.scheduler.cluster import _ClusterRun
-        from repro.scheduler.scheduler import _ProcessPool
+        from repro.scheduler.executor import PackagePool
 
-        for pool in (_ProcessPool, _ClusterRun):
-            source = inspect.getsource(pool.recover)
-            assert "SchedulingError" not in source and "failures" not in source
+        source = inspect.getsource(PackagePool.recover)
+        assert "SchedulingError" not in source and "failures" not in source
 
     @pytest.mark.parametrize("name", [
         "RetryPolicy", "TransientError", "FlakySink", "DEFAULT_RETRYABLE",
         "max_attempts", "max_restarts", "failure_limit", "fail_every",
         "kill_worker_at", "kill_node_at", "sink_write_retries_total",
         "_SINGLE_NODE_ONLY_FLAGS",
+        # 12.0: one package front, so nothing to steal or reassign
+        "plan_shards", "NODE_LOOKAHEAD", "stolen_rows", "reassigned_ranges",
+        "steals_taken", "steals_yielded", "_pool_worker", "_ClusterRun",
     ])
     def test_deleted_names_stay_deleted(self, name):
         assert not self._occurrences(name, "")
@@ -897,9 +905,9 @@ class TestOnePackageGridOneDispatcher:
         ]
 
     def test_the_pool_keeps_no_package_list(self):
-        from repro.scheduler.scheduler import _ProcessPool
+        from repro.scheduler.executor import PackagePool
 
-        source = inspect.getsource(_ProcessPool)
+        source = inspect.getsource(PackagePool)
         for attribute in ("packages", "cursor", "completed"):
             assert f"self.{attribute} " not in source, attribute
         assert "self.ledger" in source

@@ -146,6 +146,27 @@ class TestGenerate:
         with SQLiteAdapter(db_path) as target:
             assert target.row_count("movies") == 40
 
+    def test_resume_a_finished_sqlite_load(self, tmp_path, capsys):
+        """``--resume`` finds the schema in place: it neither re-runs the
+        CREATE TABLE script nor loads a row twice."""
+        db_path = str(tmp_path / "t.db")
+        command = ["generate", "--suite", "tpch", "--sf", "0.0005", "--kind",
+                   "sqlite", "--format", "sql", "--database", db_path,
+                   "--checkpoint", str(tmp_path / "ck"), "-q"]
+        assert main(command) == 0
+
+        def counts():
+            with SQLiteAdapter(db_path) as target:
+                return {
+                    table: target.row_count(table)
+                    for table in ("region", "nation", "lineitem", "orders")
+                }
+
+        loaded = counts()
+        assert main(command + ["--resume"]) == 0, capsys.readouterr().err
+        assert "resumed:" in capsys.readouterr().out
+        assert counts() == loaded and loaded["region"] == 5
+
     def test_property_overrides(self, capsys):
         assert main(["generate", "--suite", "tpch", "--kind", "null", "-q",
                      "-p", "lineitem_size=100", "-p", "orders_size=25",

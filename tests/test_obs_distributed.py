@@ -198,10 +198,8 @@ class TestKillRespawnTrace:
             run = next(r for r in records if r.name == "scheduler.run")
             assert all(r.parent_id == run.span_id for r in redo)
         else:
-            # the survivor took the dead node's packages over
-            assert all(
-                by_id[r.parent_id].attrs["reason"] == "dead-node" for r in redo
-            )
+            # a node's packages hang under the part they were written to
+            assert all(by_id[r.parent_id].name == "node.assignment" for r in redo)
 
     def test_trace_totals_unaffected_by_requeue(self, tmp_path):
         """Redo spans appear, but per-table totals count completed

@@ -688,8 +688,8 @@ class TestPlumbing:
 
 
 class TestOneRecoveryRule:
-    """A dead executor is always recovered — a pool worker respawned, a
-    node's ranges reassigned — until more than ``max(2, N)`` have died;
+    """A dead executor is always recovered — replaced, its packages
+    redone first — until more than ``max(2, N)`` have died;
     then both runtimes stop with one message and ``--resume`` finishes."""
 
     def test_crash_loop_stops_both_runtimes_alike_and_resume_finishes(

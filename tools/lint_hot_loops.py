@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output paths: hot loops and swallowed errors.
 
-Ten checks, one AST walk:
+Eleven checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -106,10 +106,22 @@ no test fails, only the throughput falls and the exactness argument
 has a second place to break (two such calls were 60% of a Markov
 row-step's cost). No waiver.
 
+**One-runtime check.** ``-w N`` and ``--nodes N`` are one multi-process
+runtime: :class:`~repro.scheduler.executor.ExecutorPool` holds the
+process mechanism (spawn, liveness, the crash-loop cap, telemetry) and
+exactly one subclass, :class:`~repro.scheduler.executor.PackagePool`,
+holds the dispatch policy — one ledger, one delivery window, the
+least-loaded executor takes the next package — with the destination of
+the bytes as its only switch. A second subclass, direct or through
+another subclass, is a second runtime with its own dispatch and recovery
+that the shared tests need not reach: it can drift in what it redoes or
+where a package lands without changing a byte on the path the tests
+run. No waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/core/loader.py``, the span-recording obs modules,
 (oracle-timing check only) ``benchmarks/``, (one-cutter, one-template,
-one-draw and one-lookup checks only) every module under
+one-draw, one-lookup and one-runtime checks only) every module under
 ``src/repro/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
@@ -156,6 +168,9 @@ CUTTER_CLASS = "WorkPackage"
 #: only they define
 TEMPLATE_CLASSES = ("DrawTemplateGenerator", "ChoiceGenerator")
 TEMPLATE_METHODS = ("generate", "generate_block")
+
+#: the base of the one multi-process runtime, which has exactly one subclass
+RUNTIME_BASE = "ExecutorPool"
 
 #: the raw block steps, and the only modules that may use them
 DRAW_NAMES = ("xorshift_step", "column_states")
@@ -250,27 +265,37 @@ def second_cutters(path: Path) -> list[str]:
     ]
 
 
-def template_overrides(paths: list[Path]) -> list[str]:
-    """``generate`` / ``generate_block`` defined in a (transitive)
-    subclass of a template base, across *paths*."""
-    classes = [
+def _classes(paths: list[Path]) -> list[tuple[Path, ast.ClassDef]]:
+    """Every class definition across *paths*, with its file."""
+    return [
         (path, node)
         for path in paths
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.ClassDef)
     ]
+
+
+def _subclasses(classes, base: str) -> set[str]:
+    """*base* and the names of its direct and transitive subclasses."""
+    subclasses = {base}
+    while True:
+        found = {
+            cls.name for _, cls in classes
+            if cls.name not in subclasses
+            and any(_name(parent) in subclasses for parent in cls.bases)
+        }
+        if not found:
+            return subclasses
+        subclasses |= found
+
+
+def template_overrides(paths: list[Path]) -> list[str]:
+    """``generate`` / ``generate_block`` defined in a (transitive)
+    subclass of a template base, across *paths*."""
+    classes = _classes(paths)
     violations = []
     for template in TEMPLATE_CLASSES:
-        subclasses = {template}
-        while True:
-            found = {
-                cls.name for _, cls in classes
-                if cls.name not in subclasses
-                and any(_name(base) in subclasses for base in cls.bases)
-            }
-            if not found:
-                break
-            subclasses |= found
+        subclasses = _subclasses(classes, template)
         violations += [
             f"{path.relative_to(REPO)}:{method.lineno}: {cls.name}.{method.name} "
             f"overrides {template}'s one body; declare its abstract methods instead"
@@ -281,6 +306,25 @@ def template_overrides(paths: list[Path]) -> list[str]:
             and method.name in TEMPLATE_METHODS
         ]
     return violations
+
+
+def second_runtimes(paths: list[Path]) -> list[str]:
+    """Anything but exactly one (transitive) ``ExecutorPool`` subclass
+    across *paths*."""
+    classes = _classes(paths)
+    names = _subclasses(classes, RUNTIME_BASE) - {RUNTIME_BASE}
+    runtimes = [(path, cls) for path, cls in classes if cls.name in names]
+    if not runtimes:
+        return [f"{CUTTER_SCOPE}: no {RUNTIME_BASE} subclass; the multi-process "
+                "runtime needs its one dispatch policy"]
+    if len(runtimes) == 1:
+        return []
+    return [
+        f"{path.relative_to(REPO)}:{cls.lineno}: {cls.name} is one of "
+        f"{len(runtimes)} {RUNTIME_BASE} subclasses; -w N and --nodes N share "
+        "one runtime — give the one subclass a destination instead"
+        for path, cls in runtimes
+    ]
 
 
 def raw_draws(path: Path) -> list[str]:
@@ -394,6 +438,7 @@ def main() -> int:
             violations.extend(second_cutters(path))
     checked.update(scope)
     violations.extend(template_overrides(scope))
+    violations.extend(second_runtimes(scope))
     draw_files = {REPO / rel for rel in DRAW_FILES}
     for path in scope:
         if path not in draw_files:
