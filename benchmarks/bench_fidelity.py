@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import DBSynthProject
 from repro.core.fidelity import FidelityChecker, default_queries
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.core.translator import SchemaTranslator
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
@@ -60,7 +60,7 @@ def tpch_db(tmp_path_factory):
     schema = tpch_schema(bench_sf(0.002))
     adapter = SQLiteAdapter(path)
     SchemaTranslator().apply(schema, adapter)
-    DataLoader(adapter).load(GenerationEngine(schema, tpch_artifacts()))
+    load(GenerationEngine(schema, tpch_artifacts()), adapter)
     yield adapter
     adapter.close()
 

@@ -18,7 +18,7 @@ spinning-disk gap enormously: the *ordering* is the reproduction target
 
 from __future__ import annotations
 
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.core.translator import SchemaTranslator
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
@@ -48,7 +48,7 @@ def test_recompute_beats_readback(benchmark, tmp_path):
     engine = GenerationEngine(schema)
     adapter = SQLiteAdapter(str(tmp_path / "readback.db"))
     SchemaTranslator().apply(schema, adapter)
-    DataLoader(adapter).load(engine)
+    load(engine, adapter)
     rng = XorShift64Star(1)
 
     def recompute():

@@ -23,7 +23,7 @@ from repro.core.extraction import SchemaExtractor
 from repro.core.markov_builder import MarkovBuilder
 from repro.core.profiling import DataProfiler, ProfileOptions
 from repro.core.sampling import SampleConfig
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.core.translator import SchemaTranslator
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
@@ -42,7 +42,7 @@ def tpch_db(tmp_path_factory):
     schema = tpch_schema(bench_sf(0.002))
     adapter = SQLiteAdapter(path)
     SchemaTranslator().apply(schema, adapter)
-    DataLoader(adapter).load(GenerationEngine(schema, tpch_artifacts()))
+    load(GenerationEngine(schema, tpch_artifacts()), adapter)
     yield adapter
     adapter.close()
 

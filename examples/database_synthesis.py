@@ -52,12 +52,13 @@ def main() -> None:
         engine = GenerationEngine(schema, artifacts)
 
         target = SQLiteAdapter(f"{workdir}/synthetic.db")
-        from repro.core import DataLoader, SchemaTranslator
+        from repro.core import SchemaTranslator, load
 
         SchemaTranslator().apply(schema, target)
-        report = DataLoader(target).load(engine)
-        print(f"  loaded {report.total_rows:,} synthetic rows: "
-              f"{report.rows_by_table}")
+        report = load(engine, target)
+        print(f"  loaded {report.rows:,} synthetic rows: " + ", ".join(
+            f"{table.name} {table.rows}" for table in report.tables
+        ))
 
         sample = target.execute(
             "SELECT title, genre, rating, substr(plot, 1, 40) FROM movies LIMIT 3"
@@ -70,7 +71,7 @@ def main() -> None:
         schema.properties.override("SF", 1)  # compare at original scale
         compare_target = SQLiteAdapter(f"{workdir}/synthetic_sf1.db")
         SchemaTranslator().apply(schema, compare_target)
-        DataLoader(compare_target).load(GenerationEngine(schema, artifacts))
+        load(GenerationEngine(schema, artifacts), compare_target)
         fidelity = project.verify(compare_target)
         for line in fidelity.summary_lines()[:10]:
             print("  " + line)

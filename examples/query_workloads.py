@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.core import (
     Aggregate,
-    DataLoader,
     Op,
     ParameterSpec,
     Predicate,
@@ -26,6 +25,7 @@ from repro.core import (
     QueryTemplate,
     SchemaTranslator,
     VirtualExecutor,
+    load,
 )
 from repro.db import SQLiteAdapter
 from repro.engine import GenerationEngine
@@ -74,7 +74,7 @@ def main() -> None:
     print("\n== 3. verify against a real database load ==")
     target = SQLiteAdapter(":memory:")
     SchemaTranslator().apply(schema, target)
-    DataLoader(target).load(GenerationEngine(schema, artifacts))
+    load(GenerationEngine(schema, artifacts), target)
     actual = target.execute(query.to_sql())[0]
     for (key, predicted), value in zip(predictions.items(), actual):
         error = abs(predicted.value - value) / abs(value) if value else 0.0

@@ -14,7 +14,7 @@ Run: ``python examples/update_stream.py``
 
 from __future__ import annotations
 
-from repro.core import DataLoader, SchemaTranslator
+from repro.core import SchemaTranslator, load
 from repro.db import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.model import Field, GeneratorSpec, Schema, Table
@@ -40,7 +40,7 @@ def main() -> None:
     schema = build_schema()
     adapter = SQLiteAdapter(":memory:")
     SchemaTranslator().apply(schema, adapter)
-    DataLoader(adapter).load(GenerationEngine(schema))
+    load(GenerationEngine(schema), adapter)
     print(f"== base load: {adapter.row_count('product')} products ==")
 
     blackbox = UpdateBlackBox(

@@ -20,7 +20,7 @@ from repro.core.fidelity import (
     default_queries,
 )
 from repro.core.driver import BenchmarkDriver, DriverReport, QueryExecution
-from repro.core.loader import DataLoader, LoadReport
+from repro.core.loader import load
 from repro.core.model_builder import (
     BuildOptions,
     BuildResult,
@@ -58,8 +58,7 @@ __all__ = [
     "BenchmarkDriver",
     "DriverReport",
     "QueryExecution",
-    "DataLoader",
-    "LoadReport",
+    "load",
     "BuildOptions",
     "BuildResult",
     "ColumnDecision",

@@ -17,12 +17,13 @@ from repro.config import saved_model, schema_xml
 from repro.config.saved_model import ProjectPaths
 from repro.core.extraction import ExtractedSchema, SchemaExtractor
 from repro.core.fidelity import FidelityChecker, FidelityReport, default_queries
-from repro.core.loader import DataLoader, LoadReport
+from repro.core.loader import load
 from repro.core.model_builder import BuildOptions, BuildResult, ModelBuilder
 from repro.core.profiling import DataProfiler, ProfileOptions, SchemaProfile
 from repro.core.translator import SchemaTranslator
 from repro.db.adapter import DatabaseAdapter
 from repro.engine import GenerationEngine
+from repro.scheduler.scheduler import RunReport
 
 
 @dataclass
@@ -116,14 +117,13 @@ class DBSynthProject:
         target: DatabaseAdapter,
         engine: GenerationEngine | None = None,
         create_schema: bool = True,
-        bulk: bool = True,
-    ) -> LoadReport:
+    ) -> RunReport:
         """Step 5b: generate and load data into the target database."""
         if engine is None:
             engine = self.engine()
         if create_schema:
             self.create_target_schema(target)
-        return DataLoader(target).load(engine, bulk=bulk)
+        return load(engine, target)
 
     def verify(self, target: DatabaseAdapter) -> FidelityReport:
         """Step 6: original-vs-synthetic query comparison."""

@@ -3,9 +3,12 @@
 The paper's DBSynth talks JDBC to "a variety of systems" (PostgreSQL,
 MySQL, DB2). This ABC is that boundary: everything DBSynth needs from a
 source or target database — catalog introspection, statistics queries,
-sampling, DDL/DML execution. The shipped implementation is SQLite
-(:mod:`repro.db.sqlite_adapter`); adding another engine means
-implementing this interface, nothing else changes.
+sampling, DDL/DML execution, and the target side of every load: the
+SQLite sink runs each work package's SQL text through
+:meth:`DatabaseAdapter.execute_script`. The shipped implementation is
+SQLite (:mod:`repro.db.sqlite_adapter`, the only module that imports
+the driver); adding another engine means implementing this interface,
+nothing else changes.
 """
 
 from __future__ import annotations
@@ -113,8 +116,9 @@ class DatabaseAdapter(abc.ABC):
 
     @abc.abstractmethod
     def execute_script(self, sql: str) -> None:
-        """Run one or more statements (DDL, bulk SQL loads) as one
-        transaction: all of them, or none when one fails."""
+        """Run one or more statements (DDL, a load's package of INSERT
+        statements) as one transaction: all of them, or none when one
+        fails."""
 
     def execute_dml(self, sql: str, parameters: Sequence[object] = ()) -> int:
         """Run one UPDATE/DELETE/INSERT statement and return the number
@@ -131,8 +135,10 @@ class DatabaseAdapter(abc.ABC):
     def insert_rows(
         self, table: str, columns: list[str], rows: Iterable[Sequence[object]]
     ) -> int:
-        """Bulk-load rows; returns the number inserted (the 'bulk load
-        option' of paper §3)."""
+        """Insert rows with driver parameters (executemany) in one
+        transaction, rolled back when one fails; returns the number
+        inserted. For small writes — a source database, CDC inserts;
+        loads go through :meth:`execute_script`."""
 
     @abc.abstractmethod
     def close(self) -> None:

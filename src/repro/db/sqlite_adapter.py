@@ -36,21 +36,6 @@ def sample_hash_sql(seed: int) -> str:
     )
 
 
-def execute_atomic(conn: sqlite3.Connection, script: str) -> None:
-    """Run *script* as one transaction: all of its statements or, when one
-    fails, none of them (rolled back before the error propagates). In
-    autocommit, ``executescript`` would commit after every statement —
-    one fsync per INSERT when loading."""
-    try:
-        # the newline ends a trailing ``--`` comment, the ``;`` an
-        # unterminated last statement
-        conn.executescript(f"BEGIN;\n{script}\n;\nCOMMIT;")
-    except sqlite3.Error:
-        if conn.in_transaction:
-            conn.rollback()
-        raise
-
-
 def _ident(name: str) -> str:
     """Validate an identifier before splicing it into SQL. Catalog names
     come from the database itself, but validating here keeps adapter
@@ -232,11 +217,16 @@ class SQLiteAdapter(DatabaseAdapter):
             raise AdapterError(f"query failed ({exc}): {sql[:120]}") from exc
 
     def execute_script(self, sql: str) -> None:
+        # One transaction: in autocommit, ``executescript`` would commit
+        # after every statement — one fsync per INSERT when loading.
         # SQLite ignores PRAGMA foreign_keys and refuses VACUUM / ATTACH
         # inside a transaction: run those through :meth:`execute`
         try:
-            execute_atomic(self._conn, sql)
+            # the newline ends a trailing ``--`` comment, the ``;`` an
+            # unterminated last statement
+            self._conn.executescript(f"BEGIN;\n{sql}\n;\nCOMMIT;")
         except sqlite3.Error as exc:
+            self._rollback()
             raise AdapterError(f"script failed: {exc}") from exc
 
     def execute_dml(self, sql: str, parameters: Sequence[object] = ()) -> int:
@@ -258,7 +248,14 @@ class SQLiteAdapter(DatabaseAdapter):
             self._conn.commit()
             return cursor.rowcount
         except sqlite3.Error as exc:
+            self._rollback()
             raise AdapterError(f"bulk load into {table!r} failed: {exc}") from exc
+
+    def _rollback(self) -> None:
+        """Undo a failed statement's open transaction, so the next commit
+        cannot make its partial rows durable."""
+        if self._conn.in_transaction:
+            self._conn.rollback()
 
     def close(self) -> None:
         self._conn.close()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.exceptions import OutputError
 from repro.output.formats import format_spec
@@ -24,6 +25,9 @@ from repro.output.sinks import (
 )
 from repro.output.writers import RowWriter
 
+if TYPE_CHECKING:
+    from repro.db.adapter import DatabaseAdapter
+
 #: sink families — unlike formats these are a closed set owned here.
 SINK_KINDS = ("file", "gzip", "null", "memory", "sqlite")
 
@@ -36,12 +40,15 @@ class OutputConfig:
     ``format``: ``"csv"``, ``"json"``, ``"xml"``, ``"sql"``, ``"arrow"``,
     or ``"parquet"`` (the binary formats need the optional pyarrow extra).
     Format names are case-insensitive and stored in their registry form.
+    ``database`` (``kind="sqlite"``): a SQLite path, or an open
+    :class:`~repro.db.adapter.DatabaseAdapter` the run borrows and
+    leaves open.
     """
 
     kind: str = "null"
     format: str = "csv"
     directory: str = "."
-    database: str = ""
+    database: str | DatabaseAdapter = ""
     delimiter: str = "|"
     include_header: bool = False
     null_token: str = ""
@@ -125,7 +132,7 @@ class OutputConfig:
             return sink
         if self.kind == "sqlite":
             if not self.database:
-                raise OutputError("sqlite output needs a database path")
+                raise OutputError("sqlite output needs a database")
             return SQLiteSink(self.database)
         if self.kind == "gzip":
             if resume_at is not None:

@@ -3,7 +3,9 @@
 PDGF writes "to files, database systems, streaming systems, and modern
 big data storage systems" (paper §1). Sinks receive text chunks; they
 are the I/O boundary the evaluation isolates by writing to ``/dev/null``
-(here: :class:`NullSink`) so that throughput is generation-bound.
+(here: :class:`NullSink`) so that throughput is generation-bound. The
+database sink (:class:`SQLiteSink`) is the one load path: it executes
+SQL text through a :class:`~repro.db.adapter.DatabaseAdapter`.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ import io
 import os
 import threading
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.exceptions import OutputError
+from repro.exceptions import AdapterError, OutputError
 from repro.obs import span
 from repro.output.formats import encoded_size
+
+if TYPE_CHECKING:
+    from repro.db.adapter import DatabaseAdapter
 
 _FILE_BUFFER = 1 << 20
 _GZIP_LEVEL = 6
@@ -228,46 +233,48 @@ class CallbackSink(Sink):
 
 
 class SQLiteSink(Sink):
-    """Executes SQL chunks against a SQLite database.
+    """Executes SQL chunks against a database.
 
     Pair with :class:`~repro.output.writers.SqlWriter`; this is the
     "load into the target database using SQL statements generated by
-    PDGF" path (paper §3). Each chunk is one transaction: it loads whole
-    or, when a statement fails, not at all. sqlite connections are
-    thread-bound, so the sink serializes execution with a lock.
+    PDGF" path (paper §3), and the one every load takes
+    (:func:`repro.core.load`). Each chunk runs through the adapter's
+    ``execute_script``, one transaction: it loads whole or, when a
+    statement fails, not at all.
+
+    *database* is a SQLite path the sink opens and closes, or an open
+    :class:`~repro.db.adapter.DatabaseAdapter` the sink borrows and
+    never closes (how a ``:memory:`` target reaches a run). Execution is
+    serialized with a lock: a connection is not safe to share between
+    writers.
     """
 
-    def __init__(self, database: str) -> None:
-        import sqlite3  # the cost of --kind sqlite, not of every run
+    def __init__(self, database: str | DatabaseAdapter) -> None:
+        self._owned = isinstance(database, str)
+        if self._owned:
+            # the cost of --kind sqlite, not of every run
+            from repro.db.sqlite_adapter import SQLiteAdapter
 
-        try:
-            self._conn: sqlite3.Connection | None = sqlite3.connect(
-                database, check_same_thread=False
-            )
-        except sqlite3.Error as exc:
-            raise OutputError(f"cannot open database {database!r}: {exc}") from exc
+            database = SQLiteAdapter(database)
+        self._adapter = database
         self._lock = threading.Lock()
 
     def write(self, chunk: str) -> None:
-        import sqlite3
-
-        from repro.db.sqlite_adapter import execute_atomic
-
         with self._lock:
-            if self._conn is None:
+            if self._adapter is None:
                 raise OutputError("SQLite sink already closed")
             try:
-                execute_atomic(self._conn, chunk)
-            except sqlite3.Error as exc:
+                self._adapter.execute_script(chunk)
+            except AdapterError as exc:
                 raise OutputError(f"SQL load failed: {exc}") from exc
 
     def close(self) -> None:
         # Idempotent: the emergency teardown path may close a sink the
         # normal path closes again. Nothing to commit: every chunk did.
         with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
+            adapter, self._adapter = self._adapter, None
+            if adapter is not None and self._owned:
+                adapter.close()
 
 
 class InFlightWindow:

@@ -20,6 +20,7 @@ in parallel, like everything else in PDGF.
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,6 +28,7 @@ from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Schema
+from repro.output.rows import ValueFormatter
 from repro.prng.xorshift import XorShift64Star, combine64, hash_string64
 
 _KIND_INSERT = "insert"
@@ -219,13 +221,12 @@ class UpdateBlackBox:
 
 
 def _to_db(values: tuple) -> tuple:
-    """SQLite-friendly conversion of generated values."""
-    import datetime
-
-    converted = []
-    for value in values:
-        if isinstance(value, (datetime.date, datetime.datetime)):
-            converted.append(value.isoformat())
-        else:
-            converted.append(value)
-    return tuple(converted)
+    """Generated values → driver parameters. Dates and timestamps are
+    rendered as the SQL writer renders them (its default ``date_format``
+    and ``timestamp_format``), so an inserted row stores what a load
+    stores and compares with it as text."""
+    formatter = ValueFormatter()
+    return tuple(
+        formatter.format(value) if isinstance(value, datetime.date) else value
+        for value in values
+    )

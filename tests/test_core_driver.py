@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.driver import BenchmarkDriver, DriverReport, QueryExecution
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.core.queries import Aggregate, Op, Predicate, Query
 from repro.core.translator import SchemaTranslator
 from repro.db.sqlite_adapter import SQLiteAdapter
@@ -20,7 +20,7 @@ def demo_setup():
     schema = demo_schema()
     adapter = SQLiteAdapter(":memory:")
     SchemaTranslator().apply(schema, adapter)
-    DataLoader(adapter).load(GenerationEngine(schema))
+    load(GenerationEngine(schema), adapter)
     yield schema, adapter
     adapter.close()
 
@@ -124,7 +124,7 @@ class TestTpchWorkload:
         artifacts = tpch_artifacts()
         adapter = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(schema, adapter)
-        DataLoader(adapter).load(GenerationEngine(schema, artifacts))
+        load(GenerationEngine(schema, artifacts), adapter)
         yield schema, artifacts, adapter
         adapter.close()
 

@@ -1,4 +1,4 @@
-"""Tests for the DBSynth back half: translator, loader, fidelity, project."""
+"""Tests for the DBSynth back half: translator, load, fidelity, project."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.core.fidelity import (
     compare_query,
     default_queries,
 )
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.core.model_builder import build_model
 from repro.core.project import DBSynthProject
 from repro.core.translator import SchemaTranslator
@@ -35,7 +35,17 @@ class TestSchemaTranslator:
         target.close()
 
 
+def _dump(adapter, engine, table):
+    """A table's rows with each value's SQLite storage class, as text:
+    equal dumps mean equal values *and* equal types."""
+    columns = engine.bound_table(table).column_names
+    select = ", ".join(f"{c}, typeof({c})" for c in columns)
+    return repr(adapter.execute(f"SELECT {select} FROM {table} ORDER BY rowid"))
+
+
 class TestDataLoader:
+    """``repro.core.load``: a ``generate()`` run into the SQLite sink."""
+
     @pytest.fixture
     def target(self, schema):
         adapter = SQLiteAdapter(":memory:")
@@ -43,51 +53,45 @@ class TestDataLoader:
         yield adapter
         adapter.close()
 
-    def test_bulk_load_counts(self, engine, target):
-        report = DataLoader(target).load(engine)
-        assert report.rows_by_table == {"customer": 60, "orders": 180}
-        assert report.total_rows == 240
+    def test_load_counts(self, engine, target):
+        report = load(engine, target)
+        assert {t.name: t.rows for t in report.tables} == {"customer": 60, "orders": 180}
+        assert report.rows == 240
         assert target.row_count("orders") == 180
 
-    def test_sql_load_equals_bulk_load(self, schema, target):
-        DataLoader(target).load(GenerationEngine(schema), bulk=True)
-        bulk_rows = target.execute("SELECT * FROM orders ORDER BY o_id")
-
-        other = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, other)
-        DataLoader(other).load(GenerationEngine(schema), bulk=False)
-        sql_rows = other.execute("SELECT * FROM orders ORDER BY o_id")
-        assert bulk_rows == sql_rows
-        other.close()
-
-    def test_sql_load_of_tpch_equals_bulk_load(self):
-        """The SQL path executes the column formatter's chunks; every
-        table of the suite reads back as the parameterized load's rows."""
+    @pytest.mark.parametrize("suite", ["tpch", "ssb", "bigbench"])
+    def test_load_equals_parameterized_inserts(self, suite):
+        """The oracle: every table reads back — value and storage class —
+        as the driver's parameterized insert of the engine's rows, with
+        foreign keys enforced on both sides."""
+        from repro.db import create_schema_sql
+        from repro.model.validation import topological_load_order
         from repro.suites import suite_model
+        from repro.update.blackbox import _to_db
 
-        schema, artifacts = suite_model("tpch", 0.001)
-        dumps = []
-        for bulk in (True, False):
-            adapter = SQLiteAdapter(":memory:")
-            SchemaTranslator().apply(schema, adapter)
-            report = DataLoader(adapter, batch_size=500).load(
-                GenerationEngine(schema, artifacts), bulk=bulk
-            )
-            dumps.append({
-                table: adapter.execute(f"SELECT * FROM {table} ORDER BY rowid")
-                for table in report.rows_by_table
-            })
-            adapter.close()
-        bulk_dump, sql_dump = dumps
-        assert sum(map(len, sql_dump.values())) == sum(schema.sizes().values()) > 8000
-        assert sql_dump == bulk_dump
+        schema, artifacts = suite_model(suite, 0.002)
+        engine = GenerationEngine(schema, artifacts)
+        loaded, reference = SQLiteAdapter(":memory:"), SQLiteAdapter(":memory:")
+        for adapter in (loaded, reference):
+            adapter.execute_script(create_schema_sql(schema, "sqlite"))
+            adapter.execute("PRAGMA foreign_keys = ON")
+        report = load(engine, loaded)
+        for table in topological_load_order(schema):
+            columns = engine.bound_table(table).column_names
+            reference.insert_rows(table, columns, map(_to_db, engine.iter_rows(table)))
+        assert report.rows == sum(schema.sizes().values()) > 10_000
+        for table in schema.sizes():
+            assert _dump(loaded, engine, table) == _dump(reference, engine, table), table
+        assert loaded.execute("PRAGMA foreign_key_check") == []
+        loaded.close()
+        reference.close()
 
     def test_load_respects_referential_order(self, engine, target):
         # Foreign keys are enforced during the load when enabled (outside
         # a script: a script is one transaction, where SQLite ignores it).
         target.execute("PRAGMA foreign_keys = ON")
-        report = DataLoader(target).load(engine)
-        assert report.total_rows == 240
+        report = load(engine, target)
+        assert report.rows == 240
         orphan = target.execute(
             "SELECT COUNT(*) FROM orders o LEFT JOIN customer c "
             "ON o.o_cust = c.c_id WHERE c.c_id IS NULL"
@@ -95,15 +99,27 @@ class TestDataLoader:
         assert orphan == 0
 
     def test_subset_load(self, engine, target):
-        report = DataLoader(target).load(engine, tables=["customer"])
-        assert report.rows_by_table == {"customer": 60}
+        report = load(engine, target, tables=["customer"])
+        assert [(t.name, t.rows) for t in report.tables] == [("customer", 60)]
+        assert target.row_count("orders") == 0
 
-    def test_small_batch_size(self, engine, target):
-        report = DataLoader(target, batch_size=7).load(engine, tables=["customer"])
-        assert report.rows_by_table["customer"] == 60
+    def test_borrowed_adapter_stays_open(self, engine, target):
+        load(engine, target, tables=["customer"])
+        load(engine, target, tables=["orders"])
+        assert target.row_count("customer") == 60
+        target.execute_script("DELETE FROM orders;")
+        assert target.row_count("orders") == 0
+
+    def test_load_into_a_path(self, schema, engine, tmp_path):
+        path = str(tmp_path / "target.db")
+        with SQLiteAdapter(path) as adapter:
+            SchemaTranslator().apply(schema, adapter)
+        assert load(engine, path).rows == 240
+        with SQLiteAdapter(path) as adapter:
+            assert adapter.row_count("orders") == 180
 
     def test_dates_stored_as_iso_text(self, engine, target):
-        DataLoader(target).load(engine)
+        load(engine, target)
         value = target.execute("SELECT o_date FROM orders LIMIT 1")[0][0]
         assert isinstance(value, str) and value.startswith("2020-")
 
@@ -112,10 +128,10 @@ class TestFidelity:
     def test_identical_databases_pass(self, engine, schema):
         a = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(schema, a)
-        DataLoader(a).load(engine)
+        load(engine, a)
         b = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(schema, b)
-        DataLoader(b).load(GenerationEngine(schema))
+        load(GenerationEngine(schema), b)
         report = FidelityChecker(a, b).run_default(schema)
         assert report.passed
         assert report.pass_rate == 1.0
@@ -125,7 +141,7 @@ class TestFidelity:
     def test_mismatched_count_fails(self, schema):
         a = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(schema, a)
-        DataLoader(a).load(GenerationEngine(schema))
+        load(GenerationEngine(schema), a)
         b = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(schema, b)  # left empty
         report = FidelityChecker(a, b).run(
@@ -190,7 +206,7 @@ class TestFidelity:
     def test_summary_lines_format(self, schema):
         a = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(schema, a)
-        DataLoader(a).load(GenerationEngine(schema))
+        load(GenerationEngine(schema), a)
         report = FidelityChecker(a, a).run(
             [FidelityQuery("count", "SELECT COUNT(*) FROM customer")]
         )
@@ -215,7 +231,7 @@ class TestDBSynthProject:
 
         target = SQLiteAdapter(":memory:")
         report = project.load_into(target, project.engine())
-        assert report.total_rows > 0
+        assert report.rows > 0
 
         fidelity = project.verify(target)
         assert fidelity.pass_rate > 0.8

@@ -7,7 +7,7 @@ import datetime
 
 import pytest
 
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.core.queries import (
     Aggregate,
     Op,
@@ -65,7 +65,7 @@ def executor(schema):
 def database(schema):
     adapter = SQLiteAdapter(":memory:")
     SchemaTranslator().apply(schema, adapter)
-    DataLoader(adapter).load(GenerationEngine(schema))
+    load(GenerationEngine(schema), adapter)
     yield adapter
     adapter.close()
 
@@ -293,7 +293,7 @@ class TestDictionarySelectivity:
         schema = duplicate_value_schema()
         with SQLiteAdapter(":memory:") as adapter:
             SchemaTranslator().apply(schema, adapter)
-            DataLoader(adapter).load(GenerationEngine(schema))
+            load(GenerationEngine(schema), adapter)
             actual = adapter.execute(
                 "SELECT COUNT(*) FROM t WHERE d_tag = 'HOT'"
             )[0][0]

@@ -182,6 +182,19 @@ class TestExecution:
         with pytest.raises(AdapterError, match="bulk load"):
             adapter.insert_rows("dept", ["dept_id", "dept_name"], [(1, "dupe")])
 
+    def test_failed_insert_rows_leaves_none_of_its_rows(self, adapter):
+        """A batch that fails in its middle rolls back: the next commit
+        (any DML) cannot make its first rows durable."""
+        adapter.execute_script(
+            "CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT NOT NULL)"
+        )
+        with pytest.raises(AdapterError, match="bulk load"):
+            adapter.insert_rows("t", ["k", "v"], [(1, "a"), (2, "b"), (3, None)])
+        adapter.execute_dml("UPDATE dept SET dept_name = dept_name")
+        assert adapter.row_count("t") == 0
+        assert adapter.insert_rows("t", ["k", "v"], [(1, "a")]) == 1
+        assert adapter.execute("SELECT k, v FROM t") == [(1, "a")]
+
     def test_script_error(self, adapter):
         with pytest.raises(AdapterError, match="script failed"):
             adapter.execute_script("CREATE BANANA;")

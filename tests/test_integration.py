@@ -7,7 +7,7 @@ import pytest
 from repro.config import schema_xml
 from repro.core import DBSynthProject
 from repro.core.fidelity import FidelityChecker, default_queries
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.core.translator import SchemaTranslator
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
@@ -40,7 +40,7 @@ class TestFullSynthesisWorkflow:
 
         target = SQLiteAdapter(str(tmp_path / "target.db"))
         SchemaTranslator().apply(schema, target)
-        DataLoader(target).load(engine)
+        load(engine, target)
 
         report = FidelityChecker(source, target).run(default_queries(schema))
         assert report.pass_rate > 0.85, "\n".join(report.summary_lines())
@@ -54,7 +54,7 @@ class TestFullSynthesisWorkflow:
         # ignores this pragma. Every foreign key is then enforced.
         big_target.execute("PRAGMA foreign_keys = ON")
         assert big_target.execute("PRAGMA foreign_keys") == [(1,)]
-        DataLoader(big_target).load(big_engine)
+        load(big_engine, big_target)
         assert big_target.row_count("movies") == 450
         orphans = big_target.execute(
             "SELECT COUNT(*) FROM cast_members cm LEFT JOIN movies m "
@@ -130,7 +130,7 @@ class TestUpdateWorkflow:
         adapter = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(schema, adapter)
         engine = GenerationEngine(schema)
-        DataLoader(adapter).load(engine)
+        load(engine, adapter)
 
         blackbox = UpdateBlackBox(
             schema, insert_fraction=0.1, update_fraction=0.2, delete_fraction=0.05

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db.sqlite_adapter import SQLiteAdapter
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.core.translator import SchemaTranslator
 from repro.engine import GenerationEngine
 from repro.model.validation import ensure_valid
@@ -110,7 +110,7 @@ class TestTpchSchema:
         engine = GenerationEngine(*suite_model("tpch", 0.001))
         target = SQLiteAdapter(":memory:")
         SchemaTranslator().apply(engine.schema, target)
-        DataLoader(target).load(engine)
+        load(engine, target)
         for name, sql in ALL_QUERIES.items():
             rows = target.execute(sql)
             assert rows is not None, name

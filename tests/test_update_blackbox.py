@@ -6,7 +6,7 @@ import pytest
 
 from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
 from repro.update.blackbox import UpdateBlackBox, UpdateEvent
@@ -144,7 +144,7 @@ class TestApplyEpoch:
         adapter = SQLiteAdapter(":memory:")
         schema = demo_schema()
         adapter.execute_script(create_schema_sql(schema, "sqlite"))
-        DataLoader(adapter).load(GenerationEngine(schema))
+        load(GenerationEngine(schema), adapter)
         before = adapter.row_count("customer")
 
         counts = blackbox.apply_epoch(adapter, "customer", 1, "c_id")
@@ -162,6 +162,26 @@ class TestApplyEpoch:
         counts = blackbox.apply_epoch(adapter, "customer", 1, "c_id")
         assert counts == {"insert": 6, "update": 0, "delete": 0}
         assert adapter.row_count("customer") == 6
+        adapter.close()
+
+    def test_inserted_timestamps_are_stored_as_loaded_ones(self):
+        """A CDC insert renders a timestamp as the load's SQL text does,
+        so new and loaded rows order and compare as one column."""
+        from repro.suites import suite_model
+
+        schema, artifacts = suite_model("bigbench", 0.002)
+        adapter = SQLiteAdapter(":memory:")
+        adapter.execute_script(create_schema_sql(schema, "sqlite"))
+        load(GenerationEngine(schema, artifacts), adapter, tables=["web_clickstreams"])
+        box = UpdateBlackBox(schema, artifacts, insert_fraction=0.01,
+                             update_fraction=0.0, delete_fraction=0.0)
+        counts = box.apply_epoch(adapter, "web_clickstreams", 1, "wcs_click_sk")
+        assert counts["insert"] == 120
+        shapes = adapter.execute(
+            "SELECT DISTINCT length(wcs_click_time), instr(wcs_click_time, 'T') "
+            "FROM web_clickstreams"
+        )
+        assert shapes == [(19, 0)]
         adapter.close()
 
     def test_apply_is_idempotent_per_epoch_for_updates(self):

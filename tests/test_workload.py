@@ -7,7 +7,7 @@ import io
 import pytest
 
 from repro import obs
-from repro.core.loader import DataLoader
+from repro.core.loader import load
 from repro.core.queries import Aggregate, ParameterSpec, Query, QueryTemplate
 from repro.core.translator import SchemaTranslator
 from repro.db.sqlite_adapter import SQLiteAdapter
@@ -191,7 +191,7 @@ def demo_database():
     schema = demo_schema()
     adapter = SQLiteAdapter(":memory:")
     SchemaTranslator().apply(schema, adapter)
-    DataLoader(adapter).load(GenerationEngine(schema))
+    load(GenerationEngine(schema), adapter)
     yield schema, adapter
     adapter.close()
 
@@ -301,7 +301,7 @@ class TestCdcInterleave:
         schema = demo_schema()
         with SQLiteAdapter(":memory:") as adapter:
             SchemaTranslator().apply(schema, adapter)
-            DataLoader(adapter).load(GenerationEngine(schema))
+            load(GenerationEngine(schema), adapter)
             before = adapter.row_count("customer")
             blackbox = UpdateBlackBox(
                 schema, insert_fraction=0.1, update_fraction=0.1,
@@ -347,7 +347,7 @@ class TestWorkloadCli:
         path = str(tmp_path_factory.mktemp("wl") / "tpch.db")
         with SQLiteAdapter(path) as adapter:
             SchemaTranslator().apply(schema, adapter)
-            DataLoader(adapter).load(GenerationEngine(schema, artifacts))
+            load(GenerationEngine(schema, artifacts), adapter)
         return path
 
     def run(self, argv):

@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output paths: hot loops and swallowed errors.
 
-Eleven checks, one AST walk:
+Twelve checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -118,11 +118,21 @@ that the shared tests need not reach: it can drift in what it redoes or
 where a package lands without changing a byte on the path the tests
 run. No waiver.
 
-Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
-``src/repro/core/loader.py``, the span-recording obs modules,
-(oracle-timing check only) ``benchmarks/``, (one-cutter, one-template,
-one-draw, one-lookup and one-runtime checks only) every module under
-``src/repro/``.
+**One-driver check.** Every database load is a ``generate()`` run into
+the SQLite sink, and the sink, the loader and extraction all reach the
+database through :class:`~repro.db.sqlite_adapter.SQLiteAdapter`: one
+place opens connections, maps driver errors to ``AdapterError`` and
+makes a script one transaction. A ``sqlite3`` import or use anywhere
+else under ``src/repro/`` is a second driver path with its own
+connection, error mapping and commit rules (the SQLite sink once had
+all three, and a second loader converted values its own way). It also
+puts the driver back into commands that never touch a database. No
+waiver.
+
+Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``, the
+span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
+(one-cutter, one-template, one-draw, one-lookup, one-runtime and
+one-driver checks only) every module under ``src/repro/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -135,7 +145,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 #: directories (every ``.py`` under them) and single files
-CHECKED_PATHS = ("src/repro/scheduler", "src/repro/output", "src/repro/core/loader.py")
+CHECKED_PATHS = ("src/repro/scheduler", "src/repro/output")
 BANNED_CALLS = ("generate_row", "write_row")
 BENCHMARK_DIR = "benchmarks"
 BANNED_BENCHMARK_CALLS = BANNED_CALLS + ("generate_value", "compute_value")
@@ -175,6 +185,10 @@ RUNTIME_BASE = "ExecutorPool"
 #: the raw block steps, and the only modules that may use them
 DRAW_NAMES = ("xorshift_step", "column_states")
 DRAW_FILES = ("src/repro/prng/blocks.py", "src/repro/text/markov.py")
+
+#: the database driver, and the one module that may use it
+DRIVER = "sqlite3"
+DRIVER_FILE = "src/repro/db/sqlite_adapter.py"
 
 #: the search every weighted draw leaves to the guide-table lookup
 LOOKUP_CALL = "searchsorted"
@@ -356,6 +370,22 @@ def global_searches(path: Path) -> list[str]:
     ]
 
 
+def second_drivers(path: Path) -> list[str]:
+    """``sqlite3`` imported (``import``, ``from ... import``) or used by
+    name in *path*."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.relative_to(REPO)}:{node.lineno}: {DRIVER} outside "
+        f"{DRIVER_FILE}; reach the database through SQLiteAdapter"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == DRIVER)
+        or (isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == DRIVER)
+        or (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == DRIVER for alias in node.names))
+    ]
+
+
 def check_file(
     path: Path, span_hot: bool = False, columnar_hot: bool = False,
     benchmark: bool = False,
@@ -444,6 +474,8 @@ def main() -> int:
         if path not in draw_files:
             violations.extend(raw_draws(path))
         violations.extend(global_searches(path))
+        if path != REPO / DRIVER_FILE:
+            violations.extend(second_drivers(path))
     for message in violations:
         print(message)
     print(
