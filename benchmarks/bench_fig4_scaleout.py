@@ -16,13 +16,14 @@ Reproduction targets: cluster throughput grows ~linearly with nodes
 (paper's left panel), per-cluster duration shrinks ~1/nodes (right
 panel), and every node generates a disjoint, exact share of the data.
 
-A second, truly parallel series runs the cluster runtime (one OS
-process per node, parent-side dispatch from one package front) so the
-coordination overhead it adds over the composed estimate is measured,
-not assumed: up to the host's core count it is a real speed-up, past it
-the nodes share cores and the number to read is how little is lost.
-(Byte-identity of the merged output, dead-node recovery and the
-slow-node balance are tier-1's: ``tests/test_cluster.py``.)
+A second, truly parallel series runs the one multi-process runtime
+(``generate(engine, output, workers=n)``: n executor processes,
+parent-side dispatch from one package front, what ``--nodes n`` means)
+so the coordination overhead it adds over the composed estimate is
+measured, not assumed: up to the host's core count it is a real
+speed-up, past it the executors share cores and the number to read is
+how little is lost. (Byte-identity, dead-executor recovery and the
+slow-executor balance are tier-1's: ``tests/test_cluster.py``.)
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import multiprocessing
 
 import pytest
 
+from repro.engine import GenerationEngine
 from repro.output.config import OutputConfig
-from repro.scheduler import ClusterScheduler
+from repro.scheduler import generate
 from repro.suites.bigbench import bigbench_artifacts, bigbench_schema
 
 from conftest import assert_near_linear, bench_sf, record, simulated_cluster
@@ -70,21 +72,20 @@ def test_scaleout_simulated_cluster(benchmark, schema, nodes):
 
 @pytest.mark.parametrize("nodes", DISTRIBUTED_NODE_COUNTS)
 def test_scaleout_distributed_cluster(benchmark, schema, nodes):
-    """The cluster runtime — the truly parallel series: one OS process
+    """The truly parallel series: ``-w nodes`` — one executor process
     per node, parent-side dispatch of one package front; best of three
     runs. Past the host's core count this measures the coordination
     overhead, not parallel speedup."""
-    scheduler = ClusterScheduler(
-        schema, bigbench_artifacts(), output=OutputConfig(kind="null")
-    )
+    engine = GenerationEngine(schema, bigbench_artifacts())
     result = benchmark.pedantic(
-        scheduler.run, args=(nodes,), rounds=3, iterations=1, warmup_rounds=0,
+        generate, args=(engine, OutputConfig(kind="null")),
+        kwargs={"workers": nodes}, rounds=3, iterations=1, warmup_rounds=0,
     )
     seconds = benchmark.stats.stats.min
     record(SERIES, (
-        f"{nodes} (cluster runtime)",
+        f"{nodes} (-w {nodes})",
         round(result.bytes_written / 1048576 / seconds, 2), round(seconds, 3),
-        f"{result.node_failures} node failures",
+        f"{result.worker_restarts} worker restarts",
     ))
     assert result.rows == sum(schema.sizes().values())
 

@@ -43,20 +43,20 @@ def simulated_cluster(schema, artifacts, nodes: int, repetitions: int = 5):
     so each node contributes its best time across *repetitions* (five:
     with three, one busy second on a shared host spoils a share)."""
     from repro.output.config import OutputConfig
-    from repro.scheduler import NodeReport, RunReport, run_node
+    from repro.scheduler import RunReport, run_node
 
-    best: dict[int, NodeReport] = {}
+    best: dict[int, RunReport] = {}
     for _ in range(repetitions):
         for node in range(nodes):
             run = run_node(schema, nodes, node, OutputConfig(kind="null"), artifacts)
             if node not in best or run.seconds < best[node].seconds:
-                best[node] = NodeReport(node, run.rows, run.bytes_written, run.seconds)
-    shares = tuple(best.values())
+                best[node] = run
+    shares = best.values()
     return RunReport(
         rows=sum(share.rows for share in shares),
         bytes_written=sum(share.bytes_written for share in shares),
         seconds=max(share.seconds for share in shares),
-        workers=nodes, backend="cluster", nodes=shares,
+        workers=nodes,
     )
 
 

@@ -1,13 +1,14 @@
-"""TPC-H generation: formats, parallel workers, a 4-node cluster.
+"""TPC-H generation: formats, parallel workers, 4-way scale-out.
 
 Shows the benchmark-kit side of PDGF:
 
 1. generate the TPC-H data set (the paper's TPC-H-subcommittee-reviewed
    model) in CSV and JSON;
-2. run the same model on the 4-node cluster runtime (one process per
-   node, each taking the next package when it is free), then show that
-   four coordinator-free ``run_node`` shares concatenate to exactly the
-   single-node run;
+2. run the same model on 4 executor processes (``workers=4``, what
+   ``dbsynth generate --nodes 4`` means: each takes the next package
+   when it is free), then show that four coordinator-free ``run_node``
+   shares — one per machine in a real cluster — concatenate to exactly
+   the single-node run;
 3. time the DBGen-style baseline against PDGF (the paper's Figure 6).
 
 Run: ``python examples/tpch_cluster.py``
@@ -20,7 +21,7 @@ import time
 
 from repro import GenerationEngine, OutputConfig, generate
 from repro.output.sinks import CallbackSink
-from repro.scheduler import ClusterScheduler, run_node
+from repro.scheduler import run_node
 from repro.suites.tpch import DbgenBaseline, tpch_artifacts, tpch_schema
 
 SCALE_FACTOR = 0.002
@@ -43,16 +44,12 @@ def main() -> None:
         with open(json_out.table_path("nation")) as handle:
             print("  JSON sample:   ", handle.readline().strip()[:100])
 
-    print("\n== shared-nothing cluster (4 node processes) ==")
-    cluster = ClusterScheduler(
-        schema, tpch_artifacts(), output=OutputConfig(kind="null")
-    ).run(nodes=4)
-    print(f"  cluster throughput {cluster.mb_per_second:.2f} MB/s "
-          f"(makespan {cluster.seconds:.3f}s)")
-    for node in cluster.nodes:
-        print(f"    node {node.node}: {node.rows:,} rows in {node.seconds:.3f}s")
-    # the same RunReport a single-node run returns: per-table breakdown too
-    largest = max(cluster.tables, key=lambda table: table.rows)
+    print("\n== 4 executor processes (-w 4, also spelled --nodes 4) ==")
+    pooled = generate(engine, OutputConfig(kind="null"), workers=4)
+    print(f"  throughput {pooled.mb_per_second:.2f} MB/s "
+          f"(makespan {pooled.seconds:.3f}s)")
+    # the same RunReport an inline run returns: per-table breakdown too
+    largest = max(pooled.tables, key=lambda table: table.rows)
     print(f"    largest table: {largest.name}, {largest.rows:,} rows, "
           f"{largest.bytes_written / 1048576:.2f} MiB")
 

@@ -79,7 +79,7 @@ _PUBLIC = {
     "Schema": "repro.model.schema",
     "Table": "repro.model.schema",
     "OutputConfig": "repro.output.config",
-    "ClusterScheduler": "repro.scheduler.cluster",
+    "ClusterScheduler": "repro.scheduler.scheduler",
     "ProgressMonitor": "repro.scheduler.progress",
     "RunReport": "repro.scheduler.scheduler",
     "Scheduler": "repro.scheduler.scheduler",
@@ -92,6 +92,6 @@ _PUBLIC = {
 
 __getattr__, __dir__ = lazy_names(__name__, _PUBLIC)
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [*_PUBLIC, "__version__"]

@@ -214,19 +214,12 @@ def _cmd_preview(args: argparse.Namespace) -> int:
 
 def _print_report(report, quiet: bool) -> None:
     """The run summary, one shape for every runtime."""
-    pool = {"cluster": "distributed nodes", "inline": "inline worker"}.get(
-        report.backend, "process workers"
-    )
+    pool = "inline worker" if report.backend == "inline" else "process workers"
     print(
         f"{report.rows:,} rows, {report.bytes_written / 1048576:.2f} MiB "
         f"in {report.seconds:.2f} s ({report.mb_per_second:.2f} MB/s, "
         f"{report.workers} {pool})"
     )
-    if report.node_failures:
-        print(
-            f"recovered: {report.node_failures} dead nodes replaced, "
-            f"{report.requeued_packages} packages requeued"
-        )
     if report.resumed_packages:
         print(f"resumed: {report.resumed_packages} checkpointed packages skipped")
     if report.worker_restarts:
@@ -243,12 +236,6 @@ def _print_report(report, quiet: bool) -> None:
             f"{table.mb_per_second:>8.2f} MB/s "
             f"({table.seconds:.2f} s)"
         )
-    for node in report.nodes:
-        print(
-            f"  node{node.node:<4} {node.rows:>12,} rows "
-            f"{node.bytes_written / 1048576:>9.2f} MiB "
-            f"({node.seconds:.2f} s)"
-        )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -259,11 +246,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ReproError(f"--nodes must be >= 1, got {args.nodes}")
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint DIR")
-    cluster = args.distributed or args.nodes > 1
-    if cluster and args.workers != 1:
+    if (args.distributed or args.nodes > 1) and args.workers != 1:
         raise ReproError(
-            "--workers does not apply to a multi-node run (--nodes/"
-            "--distributed): the nodes are the executor processes"
+            "--workers does not apply next to --nodes/--distributed: "
+            "--nodes N means -w N, give one of them"
         )
     tracer, registry, profiler, server = _telemetry_begin(args)
     try:
@@ -293,29 +279,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
         if server is not None:
             server.attach_progress(progress)
-        shared = {
-            "progress": progress,
-            "checkpoint": args.checkpoint,
-            "resume_from": args.checkpoint if args.resume else None,
-        }
-        if cluster:
-            from repro.scheduler.cluster import ClusterScheduler
+        engine = GenerationEngine(schema, artifacts)
+        if args.kind == "sqlite" and not args.resume:
+            from repro.db import SQLiteAdapter, create_schema_sql
 
-            # one process per node, each writing its own part files, merged
-            # into files byte-identical to a single-node run
-            report = ClusterScheduler(
-                schema, artifacts, output=output, **shared
-            ).run(args.nodes)
-        else:
-            engine = GenerationEngine(schema, artifacts)
-            if args.kind == "sqlite" and not args.resume:
-                from repro.db import SQLiteAdapter, create_schema_sql
-
-                # The SQL stream needs the target schema in place first; a
-                # resumed run finds it there, with the rows already loaded.
-                with SQLiteAdapter(output.database) as target:
-                    target.execute_script(create_schema_sql(engine.schema, "sqlite"))
-            report = generate(engine, output, workers=args.workers, **shared)
+            # The SQL stream needs the target schema in place first; a
+            # resumed run finds it there, with the rows already loaded.
+            with SQLiteAdapter(output.database) as target:
+                target.execute_script(create_schema_sql(engine.schema, "sqlite"))
+        report = generate(
+            engine, output, workers=args.nodes if args.nodes > 1 else args.workers,
+            progress=progress, checkpoint=args.checkpoint,
+            resume_from=args.checkpoint if args.resume else None,
+        )
         if not args.quiet:
             print(file=sys.stderr)
         _print_report(report, args.quiet)
@@ -474,8 +450,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"{len(records)} spans, "
               f"{len({r.thread_id for r in records})} threads")
         if args.tree:
-            # The stitched view: one tree whatever backend (or cluster)
-            # produced the trace, worker/node spans included.
+            # The stitched view: one tree whatever backend produced the
+            # trace, worker spans included.
             for line in obs.render_span_tree(records):
                 print(line)
         else:
@@ -572,23 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
         "-w", "--workers", type=int, default=1, metavar="N",
         help="generate on N worker processes (default 1: inline, no pool)",
     )
-    gen.add_argument(
-        "--nodes",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run on N cluster nodes, one OS process each: like -w N, the "
-        "least-loaded node takes the next package and a dead node's "
-        "packages are redone first on a replacement, but each node writes "
-        "its own part files and the merged files equal a single-node run "
-        "byte for byte (text formats with --kind file or null)",
-    )
-    gen.add_argument(
-        "--distributed",
-        action="store_true",
-        help="write part files and merge them even for --nodes 1 "
-        "(--nodes N>1 always does)",
-    )
+    # Residue: --nodes N means -w N, and --distributed is ignored; frozen
+    # bench/workloads.py (tpch_cluster) passes both — they go with ROADMAP 1(a).
+    gen.add_argument("--nodes", type=int, default=1, help=argparse.SUPPRESS)
+    gen.add_argument("--distributed", action="store_true", help=argparse.SUPPRESS)
     gen.add_argument(
         "--checkpoint",
         metavar="DIR",
@@ -709,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--tree", action="store_true",
         help="render the trace as one stitched span tree instead of "
-        "aggregate rows (worker and cluster-node spans included)",
+        "aggregate rows (worker spans included)",
     )
     stats.add_argument("--table", help="restrict to one table")
     stats.set_defaults(func=_cmd_stats)

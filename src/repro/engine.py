@@ -206,7 +206,7 @@ class GenerationEngine:
         Bound generators hold thread-locals and closure state that must
         not cross process boundaries; reconstructing from the model
         yields — because generation is seed-addressed — a byte-identical
-        engine. This is how pool workers and cluster nodes get theirs
+        engine. This is how pool workers get theirs
         where processes are spawned (a forked one inherits the parent's).
         A spawned process has imported nothing, so the pickle names the
         modules that register the model's non-built-in generators.

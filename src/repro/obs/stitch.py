@@ -14,7 +14,7 @@ into the void. This module closes that gap:
   :func:`stitch_spans` / :meth:`MetricsRegistry.merge_deltas`,
   remapping span ids into its id space, re-anchoring worker clocks onto
   its epoch, and linking worker root spans under the given parent (the
-  scheduler's ``scheduler.run`` span, the cluster's ``meta.run``).
+  scheduler's ``scheduler.run`` span).
 
 The result is one coherent trace for any backend: ``dbsynth stats
 --tree`` renders parent scheduler spans and all worker-side

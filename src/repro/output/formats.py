@@ -183,7 +183,7 @@ def _bound_writer(bound, output) -> RowWriter:
     kept on the table so its rendered text (the column formatter's day
     map, bounded by ``_DAY_TEXTS_LIMIT``) outlives the package: lazy
     formatting then holds across the packages
-    of a run, of a pool worker or cluster node, and across serve
+    of a run, of a pool worker, and across serve
     requests on a cached engine. The oldest writer goes when a table has
     seen more than ``_WRITERS_PER_TABLE`` option sets.
     """
@@ -228,8 +228,8 @@ def format_package(engine, output, package, *, first: bool | None = None):
 def table_frame(output, engine, table: str):
     """``(header, footer)`` of one table's output — what surrounds the
     package stream, empty when the format has none. The one place a
-    probe writer is asked for them, so the batch schedulers, the cluster
-    merge and ``Dataset.stream`` cannot frame a table differently."""
+    probe writer is asked for them, so the scheduler and
+    ``Dataset.stream`` cannot frame a table differently."""
     writer = _bound_writer(engine.bound_table(table), output)
     return writer.header(), writer.footer()
 

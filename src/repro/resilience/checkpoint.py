@@ -6,10 +6,11 @@ is only the position: which bytes of which file are durable. That is
 one record, the :class:`Part` watermark — rows ``[start, stop)`` of a
 table are the first ``bytes`` bytes of ``file`` — journaled as JSONL
 next to the output by the one process that learns a chunk is durable:
-the scheduler as its ordered mux flushes, the cluster parent as a node
-(which flushes before it reports) completes a package. Watermarks are
-monotone per file, so the latest record of a file is its position; the
-bytes before a file's first row are its header.
+the scheduler, as its ordered mux flushes. Watermarks are monotone per
+file, so the latest record of a file is its position; the bytes before
+a file's first row are its header. A SQLite target is its own record:
+a resumed load reads each table's row count (the journal may lag it by
+one committed package).
 
 Resume (:class:`RunManifest`) replays nothing. It verifies the model
 fingerprint (same model + same output format + same partitioning ⇒ same
@@ -109,8 +110,8 @@ def model_fingerprint(
     Covers the model (seed, update epoch, per-table sizes, field names,
     types, and generator spec trees), the format-affecting output
     options, the package size (partition boundaries), the table list,
-    and any row-range restriction. Deliberately excludes the worker and
-    node count — they change scheduling, never bytes, so a checkpoint
+    and any row-range restriction. Deliberately excludes the worker
+    count — it changes scheduling, never bytes, so a checkpoint
     written with ``-w 4`` can be resumed with ``-w 1``.
     """
     return _digest({
@@ -146,8 +147,7 @@ def chunk_digest(chunk) -> tuple[int, str]:
 class Part:
     """The durable-progress record: rows ``[start, stop)`` of ``table``
     are the first ``bytes`` bytes of ``file`` (a path relative to the
-    output directory — a table's final file on one node, a part file on
-    the cluster, whose ledger grows this same object).
+    output directory: a table's output file).
 
     ``tail_bytes`` / ``sha256`` describe the last chunk behind the
     watermark, recorded only by a process that held the chunk; resume
@@ -302,7 +302,7 @@ class CheckpointWriter:
     internal lock. The caller flushes the sink *before* journaling: a
     journaled watermark is durable up to the OS — and the journal itself
     up to the disk when ``fsync`` is on. ``backend`` is the run's derived
-    runtime label (``"inline"`` / ``"process"`` / ``"cluster"``) in the
+    runtime label (``"inline"`` / ``"process"``) in the
     *header*, informational: resume never reads it.
     """
 

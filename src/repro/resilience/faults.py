@@ -6,7 +6,7 @@ This module scripts those failures so tests can *prove* crash → resume
 byte-identity instead of hoping for it:
 
 * :class:`FaultPlan` — picklable plan shipped to executor processes
-  (pool workers and cluster nodes alike); ``kill_at`` hard-kills
+  (every ``-w N`` executor); ``kill_at`` hard-kills
   (``os._exit``) the executor that picks up a given package — once when
   latched, every time when not.
 * :class:`CrashingSink` — wraps a sink, raising after N successful
@@ -42,21 +42,22 @@ class InjectedCrash(BaseException):
 class FaultPlan:
     """A scripted executor fault, picklable into executor processes.
 
-    ``kill_at=(table, start_row)`` makes the executor — pool worker or
-    cluster node — that picks up the package beginning at that absolute
-    row die via ``os._exit(kill_exit_code)`` before producing a result.
-    Every runtime cuts packages on one grid (package ``k`` starts at row
-    ``k·P``, or where the run's range starts), so a grid start
-    names the same package — sequence ``start // P`` — on ``-w N`` and
-    ``--nodes N`` alike. ``latch_dir`` arms the fault exactly once
+    ``kill_at=(table, start_row)`` makes the executor that picks up the
+    package beginning at that absolute row die via
+    ``os._exit(kill_exit_code)`` before producing a result. Every
+    runtime cuts packages on one grid (package ``k`` starts at row
+    ``k·P``, or where the run's range starts), so a grid start names the
+    same package — sequence ``start // P`` — whatever the worker count.
+    ``latch_dir`` arms the fault exactly once
     across all executors and their replacements — the first to reach
     the package dies, the redo succeeds. Without it every executor that
     reaches the package dies: a crash loop, which the executor pool's
     failure cap must stop.
 
     ``slow_nodes={node: seconds}`` injects a deterministic per-package
-    sleep on those executors so tests can script an unbalanced cluster
-    and assert the least-loaded dispatch gives the slow node less work.
+    sleep on those executors (by executor id) so tests can script an
+    unbalanced pool and assert the least-loaded dispatch gives the slow
+    executor less work.
     """
 
     kill_at: tuple[str, int] | None = None

@@ -1,15 +1,12 @@
-"""Scheduling: work packages, the single-node scheduler and the
-multi-node cluster front — one package grid and one ledger
-(:mod:`repro.scheduler.work`), one multi-process runtime and one package
-body (:mod:`repro.scheduler.executor`: ``-w N`` and ``--nodes N`` differ
-only in where the bytes land), one accounting and one :class:`RunReport`
-(:mod:`repro.scheduler.scheduler`)."""
+"""Scheduling: work packages and the scheduler — one package grid and
+one ledger (:mod:`repro.scheduler.work`), one multi-process runtime and
+one package body (:mod:`repro.scheduler.executor`), one accounting and
+one :class:`RunReport` (:mod:`repro.scheduler.scheduler`)."""
 
-from repro._lazy import lazy_names
 from repro.scheduler.progress import ProgressMonitor, ProgressSnapshot
 from repro.scheduler.scheduler import (
     DEFAULT_INFLIGHT_EXTRA,
-    NodeReport,
+    ClusterScheduler,
     RunReport,
     Scheduler,
     TableReport,
@@ -27,7 +24,6 @@ from repro.scheduler.work import (
 __all__ = [
     "DEFAULT_INFLIGHT_EXTRA",
     "ClusterScheduler",
-    "NodeReport",
     "node_ranges",
     "run_node",
     "ProgressMonitor",
@@ -41,9 +37,3 @@ __all__ = [
     "node_share",
     "partition_rows",
 ]
-
-
-#: the multi-node runtime is the cost of ``--nodes``, not of every run
-__getattr__, __dir__ = lazy_names(
-    __name__, {"ClusterScheduler": "repro.scheduler.cluster"}
-)

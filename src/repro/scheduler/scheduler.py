@@ -15,9 +15,9 @@ thing a caller says:
 * ``workers == 1`` — the ledger is drained inline, one package after
   the other, in the calling thread (``RunReport.backend == "inline"``).
 * ``workers > 1`` — that many executor processes
-  (:class:`~repro.scheduler.executor.PackagePool`, the runtime cluster
-  nodes run on too) drain it; finished chunks stream back to the
-  parent, which writes them to the sinks in order (``"process"``).
+  (:class:`~repro.scheduler.executor.PackagePool`, the one multi-process
+  runtime) drain it; finished chunks stream back to the parent, which
+  writes them to the sinks in order (``"process"``).
   Seed-addressed generation makes this safe: any row is recomputable in
   any process with identical bytes.
 
@@ -32,17 +32,18 @@ Whatever dispatched it, a package runs through one body
 span with its ``package.generate``/``package.format`` children) and is
 counted in one place (:class:`RunAccounting`, which feeds the
 :class:`RunReport`, the per-table metrics and the progress monitor
-together — also for the cluster runtime). The process pool is no
+together). The process pool is no
 telemetry black hole: each dispatched package carries its attempt
 number, workers run their own collectors and ship span buffers plus
 metric deltas back on the existing result queues, and the parent
-stitches them under the run span — one coherent trace whichever runtime
-ran, covering respawned workers (their spans carry ``attempt=2+``).
+stitches them under the run span, each tagged with its executor's
+``node`` id — one coherent trace whichever runtime ran, covering
+respawned workers (their spans carry ``attempt=2+``).
 
-:func:`run_node` / :func:`node_ranges` are the coordinator-free way to
-scale out: every machine runs its static share of every table as an
-ordinary ``Scheduler.run(row_ranges=...)``. The elastic multi-node
-runtime is :class:`~repro.scheduler.cluster.ClusterScheduler`.
+:func:`run_node` / :func:`node_ranges` are the way to scale out across
+machines (paper §4): every machine runs its static share of every table
+as an ordinary ``Scheduler.run(row_ranges=...)``, with no runtime
+between them.
 """
 
 from __future__ import annotations
@@ -76,7 +77,12 @@ from repro.resilience.faults import FaultPlan
 from repro.scheduler.executor import PackagePool, PackageResult, run_package
 from repro.scheduler.progress import ProgressMonitor
 from repro.scheduler.work import (
-    DEFAULT_PACKAGE_SIZE, ShardLedger, node_share, package_count, package_end,
+    DEFAULT_PACKAGE_SIZE,
+    ShardLedger,
+    cut_packages,
+    node_share,
+    package_count,
+    package_end,
 )
 
 #: per-value latency histogram bounds, ns (Figures 7-9 run 100-10000 ns)
@@ -116,44 +122,24 @@ class TableReport:
 
 
 @dataclass(frozen=True)
-class NodeReport:
-    """Result of one node's part of a multi-node run.
-
-    ``telemetry`` is the node's final export (the spans and metric
-    deltas it had not shipped with a package result, folded profile
-    counts) when the parent had collectors active, else ``None``.
-    """
-
-    node: int
-    rows: int
-    bytes_written: int
-    seconds: float
-    telemetry: dict | None = None
-
-
-@dataclass(frozen=True)
 class RunReport:
     """Outcome of a generation run, whichever runtime produced it.
 
     ``seconds`` is wall-clock from first dispatch through finish —
-    footers, journal and, on the cluster, the part merge; ``workers`` is
-    the pool size or the node count. ``bytes_written`` counts encoded
-    bytes, header/footer included, so for file output it is the size of
-    the files and the sum of ``tables``.
+    footers and journal included; ``workers`` is the pool size.
+    ``bytes_written`` counts encoded bytes, header/footer included, so
+    for file output it is the size of the files and the sum of
+    ``tables``.
 
     The resilience fields report recovery work: ``worker_restarts``
-    (dead pool workers replaced), ``requeued_packages`` (what they
-    held, redone before any later package) and ``resumed_packages``
-    (checkpointed packages a resumed run skipped instead of
-    regenerating; their rows/bytes are included in the totals — the
-    report describes the complete data set).
+    (dead executors replaced — the one death counter),
+    ``requeued_packages`` (what they held, redone before any later
+    package) and ``resumed_packages`` (checkpointed packages a resumed
+    run skipped instead of regenerating; their rows/bytes are included
+    in the totals — the report describes the complete data set).
 
     ``backend`` is derived, never chosen: ``"inline"`` for one worker,
-    ``"process"`` for a pool, ``"cluster"`` for a multi-node run. A
-    cluster run adds the per-node rollup ``nodes`` and ``node_failures``
-    (dead nodes replaced). ``steals`` is always 0: nodes share one
-    package front, so there is nothing to steal; the field stays only
-    for readers of the old report.
+    ``"process"`` for a pool.
 
     ``profile`` is populated when a sampling profiler was active during
     the run: per-stage :class:`~repro.obs.profile.StageProfile` entries
@@ -171,9 +157,9 @@ class RunReport:
     worker_restarts: int = 0
     resumed_packages: int = 0
     profile: tuple = ()
-    nodes: tuple[NodeReport, ...] = ()
+    # Residue: always 0 (one package front, nothing to steal); frozen
+    # bench/layers.py::measure_schedulers reads it — goes with ROADMAP 1(a).
     steals: int = 0
-    node_failures: int = 0
 
     @property
     def rows_per_second(self) -> float:
@@ -293,8 +279,8 @@ class RunAccounting:
     def report(
         self, seconds: float, workers: int, backend: str, **counters
     ) -> RunReport:
-        """The run's report; *counters* are the recovery and cluster
-        fields only the caller's dispatch policy knows."""
+        """The run's report; *counters* are the recovery fields only the
+        caller's dispatch policy knows."""
         tables = tuple(
             TableReport(name, *rollup) for name, rollup in self._rollup.items()
         )
@@ -312,10 +298,10 @@ class RunAccounting:
 def emergency_teardown(
     exc: BaseException, journal, checkpoint: str | None, sinks=()
 ) -> None:
-    """Best-effort teardown after SIGINT or a crash, on every runtime:
-    fsync-and-close the parent's *sinks* so the last journaled watermark
-    is trustworthy, mark the manifest interrupted, and keep the trace
-    gathered so far next to it (``trace.partial.jsonl``)."""
+    """Best-effort teardown after SIGINT or a crash: fsync-and-close the
+    parent's *sinks* so the last journaled watermark is trustworthy, mark
+    the manifest interrupted, and keep the trace gathered so far next to
+    it (``trace.partial.jsonl``)."""
     for sink in sinks:
         try:
             sink.sync()
@@ -382,8 +368,9 @@ class Scheduler:
     ) -> None:
         if workers < 1:
             raise SchedulingError(f"workers must be >= 1, got {workers}")
-        # Residue: frozen bench/layers.py:395 still passes backend="process";
-        # the keyword (here and in ``generate``) goes with ROADMAP 1d.
+        # Residue: frozen bench/layers.py::measure_schedulers passes
+        # backend="process"; the keyword (here and in ``generate``) goes
+        # with ROADMAP 1(a).
         if backend not in (None, "process"):
             raise SchedulingError(f"backend={backend!r} is gone: -w N means processes")
         self.engine = engine
@@ -441,6 +428,7 @@ class Scheduler:
                         ranges[name] = start, stop
                 total_rows = sum(stop - start for start, stop in ranges.values())
                 marks = self._resume_marks(manifest, ranges)
+                pending = []
                 for name, (start, stop) in ranges.items():
                     part = marks.get(name)
                     header, footer = table_frame(self.output, engine, name)
@@ -488,10 +476,8 @@ class Scheduler:
                         first_sequence=part.stop // self.package_size,
                         on_flush=on_flush,
                     )
-                ledger = ShardLedger(
-                    self.package_size, [(name, *ranges[name]) for name in muxes],
-                    list(marks.values()),
-                )
+                    pending.append((name, part.stop, stop))
+                ledger = ShardLedger(self.package_size, pending)
                 run_span.set(
                     tables=len(names), packages=ledger.remaining,
                     rows=total_rows, resumed_packages=accounting.resumed_packages,
@@ -503,9 +489,10 @@ class Scheduler:
                     self._run_inline(ledger, muxes, accounting, ranges)
                 else:
                     pool = PackagePool(
-                        engine, self.output, self.workers, ledger, window, accounting,
+                        engine, self.output, self.workers, ledger, window,
+                        accounting, muxes,
                         starts={name: start for name, (start, _) in ranges.items()},
-                        faults=self.faults, parent_span_id=run_span_id, muxes=muxes,
+                        faults=self.faults, parent_span_id=run_span_id,
                     )
                     pool.drive()
                     requeued, restarts = pool.requeued, pool.failures
@@ -593,7 +580,7 @@ class Scheduler:
                     f"{part.stop}) of table {part.table!r} — is not a prefix "
                     f"of this run's rows [{start}, {stop}) ending on a "
                     f"{self.package_size}-row package boundary; the manifest "
-                    "is corrupt or was written by another runtime (--nodes)"
+                    "is corrupt, or a part-file manifest of a 13.x --nodes run"
                 )
             path = self.output.resume_path(name)
             if path is not None and name in manifest.done:
@@ -601,7 +588,44 @@ class Scheduler:
             elif path is not None:
                 check_durable(path, part.bytes, part.tail_bytes, part.sha256)
             marks[name] = part
+        if self.output.kind == "sqlite":
+            self._loaded_marks(manifest, ranges, marks)
         return marks
+
+    def _loaded_marks(self, manifest, ranges, marks: dict[str, Part]) -> None:
+        """On a SQLite resume the database, not the journal, is the last
+        word: packages commit in sequence order, one transaction each,
+        *before* their watermark is journaled — so a table's row count
+        may run one package ahead of its watermark (the run died between
+        the commit and the journal line), never further, never behind.
+        Such a watermark advances over the committed package, its bytes
+        counted by running the package again (not loading it); any other
+        count is refused."""
+        database = self.output.database
+        if isinstance(database, str):
+            from repro.db import SQLiteAdapter
+
+            with SQLiteAdapter(database) as adapter:
+                counts = {name: adapter.row_count(name) for name in ranges}
+        else:
+            counts = {name: database.row_count(name) for name in ranges}
+        for name, (start, stop) in ranges.items():
+            part = marks.get(name)
+            journaled = part.rows if part is not None else 0
+            if counts[name] == journaled:
+                continue
+            ahead = package_end(part.stop, stop, self.package_size) if part else start
+            if part is None or name in manifest.done or counts[name] != ahead - start:
+                raise SchedulingError(
+                    f"table {name!r} holds {counts[name]} rows, but the "
+                    f"checkpoint vouches for {journaled}: the database was "
+                    "changed outside this run, or is not its target"
+                )
+            (package,) = cut_packages(name, part.stop, ahead, self.package_size)
+            result = run_package(
+                self.engine, self.output, package, first=part.stop == start
+            )
+            part.grow(ahead, *chunk_digest(result.chunk))
 
     # -- inline run ----------------------------------------------------------
 
@@ -642,6 +666,30 @@ def generate(
         workers=workers, package_size=package_size, progress=progress,
         backend=backend, checkpoint=checkpoint, resume_from=resume_from,
     ).run(tables)
+
+
+class ClusterScheduler:
+    """``ClusterScheduler(schema, artifacts, ...).run(n)`` is
+    ``Scheduler(engine, output, workers=n, ...).run()``: ``--nodes N``
+    is ``-w N``. Residue: frozen bench/layers.py::measure_schedulers
+    still calls it; it goes with ROADMAP 1(a)."""
+
+    def __init__(
+        self, schema: Schema, artifacts: ArtifactStore | None = None, *,
+        output: OutputConfig | None = None,
+        package_size: int = DEFAULT_PACKAGE_SIZE,
+        progress: ProgressMonitor | None = None, checkpoint: str | None = None,
+        resume_from: str | None = None, faults: FaultPlan | None = None,
+    ) -> None:
+        self.engine = GenerationEngine(schema, artifacts)
+        self.output = output or OutputConfig()
+        self.options = dict(
+            package_size=package_size, progress=progress, checkpoint=checkpoint,
+            resume_from=resume_from, faults=faults,
+        )
+
+    def run(self, nodes: int) -> RunReport:
+        return Scheduler(self.engine, self.output, workers=nodes, **self.options).run()
 
 
 def node_ranges(

@@ -19,17 +19,12 @@ seed-addressed.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 
 from repro.exceptions import SchedulingError
-from repro.resilience.checkpoint import Part
 
 DEFAULT_PACKAGE_SIZE = 10_000
-
-#: where cluster nodes write their part files, under the output directory.
-PARTS_DIRNAME = ".dbsynth-parts"
 
 
 @dataclass(frozen=True)
@@ -118,71 +113,26 @@ def node_share(size: int, nodes: int, node: int) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 
 
-def part_file(table: str, start: int) -> str:
-    """Deterministic part-file name (relative to the output directory)
-    for the extent of *table* starting at absolute row *start*.
-
-    Both sides compute it independently — executor processes open the
-    sink, the parent truncates and merges without asking. Keyed by start
-    row: every row is in one reported package, so no two parts start at
-    the same row, and a part a dead executor opened but never reported
-    is removed before its package is redone.
-    """
-    return os.path.join(PARTS_DIRNAME, f"{table}.part{start:012d}")
-
-
-class _Part(Part):
-    """A contiguous extent one executor generated: one part file, one
-    ``node.assignment`` span, one manifest watermark. Executor and parent
-    grow parts by the same rule (:meth:`continues`) over the same
-    package sequence, so the parent knows every part without being told."""
-
-    __slots__ = ()
-
-    def __init__(self, first: WorkPackage) -> None:
-        super().__init__(part_file(first.table, first.start), first.table, first.start)
-
-    def continues(self, package: WorkPackage) -> bool:
-        return (package.table, package.start) == (self.table, self.stop)
-
-
 class ShardLedger:
     """A run's rows in three states: *pending* ranges (one deque of
     ``(table, start, stop, attempt)``), packages *in flight* (cut off and
     handed to an executor, counted), and work *done*.
 
     Every batch runtime dispatches from it: inline drains it one package
-    at a time, ``-w N`` and ``--nodes N`` through the free slots of one
-    delivery window (:meth:`fill` takes that room, so the ledger holds no
-    policy of its own about how far ahead to cut). A dead executor's
-    packages go back to the front, :meth:`requeue`.
-
-    On ``--nodes`` the ledger also keeps each executor's *parts*
-    (:meth:`complete_part`). Parts only grow on reported — therefore
-    flushed — packages, so truncating a part file to ``part.bytes`` (a
-    dead executor's now, every journaled part's in a resumed run) can
-    never cut data the ledger counts; at worst it discards
-    durable-but-unreported tail bytes, which the redo regenerates
-    identically. The ledger starts with *ranges* — ``(table, start,
-    stop)`` — minus what *resumed*, the watermarks an earlier run's
-    manifest vouches for (done from the start, sorted by ``(table,
-    start)``), already covers.
+    at a time, ``-w N`` through the free slots of one delivery window
+    (:meth:`fill` takes that room, so the ledger holds no policy of its
+    own about how far ahead to cut). A dead executor's packages go back
+    to the front, :meth:`requeue`. The ledger starts with *ranges* —
+    ``(table, start, stop)``, a resumed table's starting at its
+    watermark.
     """
 
-    def __init__(self, package_size: int, ranges, resumed: list[Part] = ()) -> None:
+    def __init__(self, package_size: int, ranges) -> None:
         self.package_size = package_size
-        self.resumed = resumed
-        self.pending: deque[tuple[str, int, int, int]] = deque()
+        self.pending: deque[tuple[str, int, int, int]] = deque(
+            (table, start, stop, 1) for table, start, stop in ranges if start < stop
+        )
         self.inflight = 0
-        self.parts: dict[int, list[_Part]] = {}
-        for table, start, stop in ranges:
-            for part in resumed:  # sorted by (table, start), disjoint
-                if part.table == table and part.stop > start and part.start < stop:
-                    if part.start > start:
-                        self.pending.append((table, start, part.start, 1))
-                    start = part.stop
-            if start < stop:
-                self.pending.append((table, start, stop, 1))
 
     @property
     def remaining(self) -> int:
@@ -213,17 +163,6 @@ class ShardLedger:
         """A dispatched package was reported finished."""
         self.inflight -= 1
 
-    def complete_part(self, executor: int, package: WorkPackage, nbytes: int) -> _Part:
-        """:meth:`complete`, then grow *executor*'s current part by the
-        package; the grown part is what the run journals, and an
-        executor's parts are what it generated."""
-        self.complete()
-        parts = self.parts.setdefault(executor, [])
-        if not parts or not parts[-1].continues(package):
-            parts.append(_Part(package))
-        parts[-1].grow(package.stop, nbytes)
-        return parts[-1]
-
     def requeue(self, lost: list[WorkPackage]) -> None:
         """Put the *lost* in-flight packages of a dead executor back at
         the front, in dispatch order, one attempt higher: they are redone
@@ -232,27 +171,3 @@ class ShardLedger:
         self.pending.extendleft(
             (p.table, p.start, p.stop, p.attempt + 1) for p in reversed(lost)
         )
-
-    def table_parts(self, table: str, size: int) -> list[Part]:
-        """The parts of *table* in row order, verified to cover
-        ``[0, size)`` exactly once."""
-        parts = sorted(
-            (part
-             for held in (self.resumed, *self.parts.values())
-             for part in held if part.table == table),
-            key=lambda part: part.start,
-        )
-        position = 0
-        for part in parts:
-            if part.start != position:
-                raise SchedulingError(
-                    f"table {table!r}: parts are not contiguous at row "
-                    f"{position} (next part starts at {part.start}) — "
-                    "a range was lost or generated twice"
-                )
-            position = part.stop
-        if position != size:
-            raise SchedulingError(
-                f"table {table!r}: parts cover {position} of {size} rows"
-            )
-        return parts

@@ -61,7 +61,7 @@ class MarkovChain:
 
     def __getstate__(self) -> dict:
         # The flattened tables are a cache over the counts: never shipped
-        # to worker processes or cluster nodes, rebuilt there on first use.
+        # to worker processes, rebuilt there on first use.
         state = dict(self.__dict__)
         state["_tables"] = None
         return state

@@ -1,5 +1,10 @@
 """The public API surface.
 
+14.0 has one runtime front: ``--nodes N`` and ``ClusterScheduler(...).run(N)``
+are ``-w N`` (kept as residue for the frozen benchmark), so the part
+files, the merge, ``repro.scheduler.cluster``, ``NodeReport`` and
+``RunReport.nodes`` / ``node_failures`` are gone, and ``PackagePool`` is
+one class.
 12.0 has one multi-process runtime: ``-w N`` and ``--nodes N`` drain one
 ledger through one executor pool and differ only in where the bytes
 land, so ``plan_shards``, the steal counters and the reassigned-range
@@ -123,8 +128,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_13(self):
-        assert repro.__version__.startswith("13.")
+    def test_version_is_14(self):
+        assert repro.__version__.startswith("14.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -194,6 +199,17 @@ class TestOneMultiNodeRuntime:
             "self", "nodes",
         }
 
+    def test_the_part_file_runtime_is_gone(self):
+        from repro.scheduler import executor, scheduler
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.scheduler.cluster")
+        assert executor.PackagePool.__bases__ == (object,)
+        assert not hasattr(executor, "ExecutorPool")
+        # the residue is a name for -w N, nothing of its own
+        assert repro.ClusterScheduler is scheduler.ClusterScheduler
+        assert "Scheduler(" in inspect.getsource(scheduler.ClusterScheduler.run)
+
 
 class TestOneBodyOneAccountingOneReport:
     """Structural guard: the copies PR 17 collapsed cannot grow back."""
@@ -214,19 +230,18 @@ class TestOneBodyOneAccountingOneReport:
         assert "ClusterReport" not in repro.__all__
         assert not hasattr(repro, "ClusterReport")
         assert not hasattr(repro.scheduler, "ClusterReport")
-        assert repro.scheduler.NodeReport is not None
+        # 14.0: and the per-node rollup went with the part-file runtime
+        assert not hasattr(repro.scheduler, "NodeReport")
 
-    def test_run_report_carries_the_cluster_rollup(self):
+    def test_run_report_has_one_death_counter(self):
         report = repro.RunReport(rows=1, bytes_written=2, seconds=0.5, workers=1)
-        assert (report.nodes, report.steals, report.node_failures) == ((), 0, 0)
-        # 12.0: one package front, nothing to steal or reassign
+        assert (report.worker_restarts, report.steals) == (0, 0)
+        # 12.0: one package front, nothing to steal or reassign; 14.0: one
+        # runtime, so one death counter and no per-node rollup
         names = {field.name for field in dataclasses.fields(repro.RunReport)}
-        assert not {"stolen_rows", "reassigned_ranges"} & names
-        from repro.scheduler import NodeReport
-
-        assert [field.name for field in dataclasses.fields(NodeReport)] == [
-            "node", "rows", "bytes_written", "seconds", "telemetry",
-        ]
+        assert not {
+            "stolen_rows", "reassigned_ranges", "nodes", "node_failures",
+        } & names
         assert inspect.signature(repro.ClusterScheduler.run).return_annotation in (
             repro.RunReport, "RunReport",
         )
@@ -375,10 +390,10 @@ class TestOneHttpServer:
         assert result.stdout.strip() == "[]"
 
     #: Packages the short commands never run: extraction, databases, the
-    #: update black box, query workloads, the multi-node runtime, serving.
+    #: update black box, query workloads, serving.
     NOT_ON_THE_START_UP_PATH = (
         "repro.core", "repro.db", "repro.update", "repro.workload",
-        "repro.scheduler.cluster", "repro.serve", "sqlite3",
+        "repro.serve", "sqlite3",
     )
 
     def _loaded_by(self, argv: list[str], watched) -> list[str]:
@@ -458,7 +473,9 @@ class TestLazyNamespaces:
     #: namespace -> the modules importing it must not load
     LAZY = {
         "repro": ["repro.api", "repro.engine", "repro.scheduler", "repro.output"],
-        "repro.scheduler": ["repro.scheduler.cluster"],
+        # nothing lazy since 14.0 (ClusterScheduler is a residue class in
+        # repro.scheduler.scheduler); the namespace must still be complete
+        "repro.scheduler": [],
         "repro.config": ["repro.config.schema_xml", "repro.config.format_xml"],
         "repro.obs": ["repro.obs.serve"],
         "repro.suites.tpch": ["repro.suites.tpch.dbgen", "repro.suites.tpch.queries"],
@@ -654,7 +671,7 @@ class TestNoSecondWayOffTheHotPath:
             "generate", "--suite", "tpch", "--sf", "0.001", "--kind", "null",
             "--nodes", "2", "-q",
         ]) == 0
-        assert "2 distributed nodes" in capsys.readouterr().out
+        assert "2 process workers" in capsys.readouterr().out  # -w 2
         assert log.read_text().split() == [str(os.getpid())]
 
 
@@ -675,9 +692,9 @@ class TestOneDurableProgressRecord:
             source = inspect.getsource(body)
             assert "CheckpointWriter" not in source and "journal" not in source
             assert "checkpoint" not in inspect.signature(body).parameters
-        # both parents open theirs through the one helper
+        # the one parent opens it through the one helper
         assert not self._occurrences("CheckpointWriter(", "scheduler")
-        assert len(self._occurrences("open_checkpoint(", "scheduler")) == 2
+        assert len(self._occurrences("open_checkpoint(", "scheduler")) == 1
 
     def test_one_method_appends_progress_records(self):
         from repro.resilience import CheckpointWriter
@@ -702,9 +719,10 @@ class TestOneDurableProgressRecord:
 
     def test_the_ledger_part_is_the_manifest_record(self):
         from repro.resilience import Part
-        from repro.scheduler.work import _Part
 
-        assert issubclass(_Part, Part)
+        # 14.0: no part-file extent grows it any more; the scheduler's
+        # table watermark is the record itself
+        assert Part.__subclasses__() == []
         assert Part.__slots__ == (
             "file", "table", "start", "stop", "bytes", "tail_bytes", "sha256",
         )
@@ -781,7 +799,7 @@ class TestOneFailurePolicy:
     def test_run_report_has_no_retries(self):
         names = {field.name for field in dataclasses.fields(repro.RunReport)}
         assert "retries" not in names
-        assert {"worker_restarts", "node_failures"} <= names
+        assert "worker_restarts" in names and "node_failures" not in names
 
     def test_one_kill_key(self):
         from repro.resilience import FaultPlan
@@ -808,6 +826,9 @@ class TestOneFailurePolicy:
         # 12.0: one package front, so nothing to steal or reassign
         "plan_shards", "NODE_LOOKAHEAD", "stolen_rows", "reassigned_ranges",
         "steals_taken", "steals_yielded", "_pool_worker", "_ClusterRun",
+        # 14.0: --nodes N is -w N — no part files, no merge, no node rollup
+        "NodeReport", "node_failures", "_OpenPart", "cut_back", "part_file",
+        "PARTS_DIRNAME", "CLUSTER_SINK_KINDS",
     ])
     def test_deleted_names_stay_deleted(self, name):
         assert not self._occurrences(name, "")
@@ -915,11 +936,11 @@ class TestOnePackageGridOneDispatcher:
         assert "self.ledger" in source
 
     def test_the_ledger_lives_with_the_grid(self):
-        from repro.scheduler import cluster
+        from repro.scheduler import scheduler
         from repro.scheduler.work import ShardLedger, WorkPackage, cut_packages
 
         assert ShardLedger.__module__ == "repro.scheduler.work"
-        assert cluster.ShardLedger is ShardLedger
+        assert scheduler.ShardLedger is ShardLedger
         assert "room" in inspect.signature(ShardLedger.fill).parameters
         assert "NODE_LOOKAHEAD" not in inspect.getsource(ShardLedger)
         assert cut_packages("t", 30, 60, 25) == [
@@ -927,10 +948,10 @@ class TestOnePackageGridOneDispatcher:
         ]
 
     def test_runtimes_neither_cut_nor_number_packages(self):
-        for name in ("scheduler.py", "cluster.py"):
+        for name in ("scheduler.py", "executor.py"):
             source = (self.SRC / "scheduler" / name).read_text()
             assert not re.search(r"partition_rows|WorkPackage\(|cursor", source), name
-        assert "sequences" not in (self.SRC / "scheduler" / "cluster.py").read_text()
+        assert "sequences" not in (self.SRC / "scheduler" / "executor.py").read_text()
 
     def test_one_package_count(self):
         from repro.resilience.checkpoint import Part

@@ -84,7 +84,7 @@ def test_generate_process_workers():
 
 def test_generate_cluster_nodes(tmp_path):
     result = dbsynth("generate", *TPCH, "-d", str(tmp_path), "-q", "--nodes", "2")
-    assert "2 distributed nodes)" in result.stdout
+    assert "2 process workers)" in result.stdout  # --nodes N is -w N
     assert len(list(tmp_path.glob("*.tbl"))) == 8
 
 

@@ -1,12 +1,13 @@
-"""Distributed cluster runtime: real node processes writing part files,
-dead-node recovery, the merge.
+"""``--nodes N`` is ``-w N``: the ``ClusterScheduler`` / ``--nodes``
+alias runs the one multi-process runtime.
 
-The acceptance bar is byte-identity: whatever the cluster did — parts a
-single package long, a slow node, a node killed mid-part and its
-packages redone on a replacement — the merged per-table files must equal
-a single-node run byte for byte. The ledger is tested on its own as an
-exact cover (every row generated once, no overlap) under random
-interleavings of dispatch, completion and executor death.
+The acceptance bar is byte-identity: whatever the executors did — a slow
+one, one killed mid-table and its packages redone on a replacement, a
+run stopped at the crash-loop cap and resumed with another process
+count — the per-table files must equal an inline run byte for byte. The
+ledger is tested on its own as an exact cover (every row generated once,
+no overlap) under random interleavings of dispatch, completion and
+executor death.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -71,17 +73,19 @@ class TestClusterByteIdentity:
         output = _file_output(tmp_path / "cluster")
         report = ClusterScheduler(schema, output=output, package_size=25).run(3)
         assert report.rows == 240
-        assert report.node_failures == 0
-        assert len(report.nodes) == 3
+        assert (report.workers, report.backend) == (3, "process")
+        assert report.worker_restarts == 0
         _assert_identical(schema, single, output)
-        # part files are an implementation detail; the merge removes them
-        assert not os.path.exists(tmp_path / "cluster" / ".dbsynth-parts")
+        # no part files: every chunk reaches the table file through the mux
+        assert sorted(os.listdir(tmp_path / "cluster")) == [
+            "customer.tbl", "orders.tbl",
+        ]
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "sql", "xml"])
     def test_formats_with_headers_and_footers(self, tmp_path, fmt):
         # csv (with its header line), sql and xml have header/footer
-        # framing the merge must emit exactly once, around parts from
-        # three different nodes.
+        # framing the parent writes exactly once, around packages from
+        # three different executors.
         schema = demo_schema()
         reference = OutputConfig(
             kind="file", format=fmt, directory=str(tmp_path / "single"),
@@ -94,7 +98,7 @@ class TestClusterByteIdentity:
         )
         report = ClusterScheduler(schema, output=output, package_size=25).run(3)
         _assert_identical(schema, reference, output)
-        # the frame bytes the parent merge writes are part of the report
+        # the frame bytes the parent writes are part of the report
         on_disk = sum(
             os.path.getsize(output.table_path(t.name)) for t in schema.tables
         )
@@ -130,20 +134,18 @@ class TestClusterByteIdentity:
             package_size=30,
             checkpoint=str(checkpoint),
         ).run(3)
-        # the ledger's parts are the manifest's records: one journal, in
-        # the parent, and no node<i>/ directory next to it
+        # one journal, in the parent, and no node<i>/ directory next to
+        # it: each table file's watermark, as on -w N
         assert os.listdir(checkpoint) == ["manifest.jsonl"]
         records = [
             json.loads(line)
             for line in (checkpoint / "manifest.jsonl").read_text().splitlines()
         ]
-        assert records[0]["backend"] == "cluster"
+        assert records[0]["backend"] == "process"
         assert records[-1] == {"type": "run_done"}
         parts = {r["file"]: r for r in records if r["type"] == "part"}
-        assert all(
-            file == os.path.join(".dbsynth-parts", f"{r['table']}.part{r['start']:012d}")
-            for file, r in parts.items()
-        )
+        assert sorted(parts) == ["customer.tbl", "orders.tbl"]
+        assert all(r["start"] == 0 for r in parts.values())
         assert sum(r["stop"] - r["start"] for r in parts.values()) == 240
         assert {r["table"] for r in records if r["type"] == "table_done"} == {
             "customer", "orders",
@@ -152,18 +154,23 @@ class TestClusterByteIdentity:
 
 class TestSlowNode:
     def test_slow_node_takes_fewer_packages(self, tmp_path):
-        # the least-loaded node takes the next package, so a node that
+        # the least-loaded executor takes the next package, so one that
         # sleeps on every package holds its few while its peers drain
-        # the rest
+        # the rest — read from the ``node`` id every stitched span carries
         schema = demo_schema()
         single = _single_node(tmp_path, schema, package_size=10)
         output = _file_output(tmp_path / "slow")
+        tracer = obs.enable_tracing()
         report = ClusterScheduler(
             schema, output=output, package_size=10,
             faults=FaultPlan(slow_nodes={0: 0.02}),
         ).run(3)
-        slow, *peers = report.nodes
-        assert slow.node == 0 and all(slow.rows < peer.rows for peer in peers)
+        taken = Counter(
+            record.attrs["node"] for record in tracer.drain()
+            if record.name == "scheduler.package"
+        )
+        assert sum(taken.values()) == 24
+        assert all(taken[0] < taken[peer] for peer in (1, 2)), taken
         assert report.steals == 0
         _assert_identical(schema, single, output)
 
@@ -172,8 +179,8 @@ class TestDeadNodeRecovery:
     def test_killed_node_resumes_elsewhere_byte_identically(self, tmp_path):
         schema = demo_schema()
         single = _single_node(tmp_path, schema, package_size=10)
-        # kill whichever node enters orders row 70, with orders packages
-        # already durable in parts
+        # kill whichever executor enters orders row 70, with orders
+        # packages already flushed
         faults = FaultPlan(
             kill_at=("orders", 70), latch_dir=str(tmp_path / "latch"),
         )
@@ -182,15 +189,14 @@ class TestDeadNodeRecovery:
         report = ClusterScheduler(
             schema, output=output, package_size=10, faults=faults
         ).run(3)
-        assert report.node_failures == 1
+        assert report.worker_restarts == 1
         assert report.requeued_packages >= 1
         assert report.rows == 240
         _assert_identical(schema, single, output)
 
     def test_kill_before_any_durable_package(self, tmp_path):
-        # a node dies on the very first package it takes: its empty part
-        # file must be removed so the redo can recreate the part from the
-        # same start row.
+        # an executor dies on the very first package it takes: the redo
+        # opens the table's output behind its header.
         schema = demo_schema()
         single = _single_node(tmp_path, schema, package_size=10)
         faults = FaultPlan(
@@ -201,7 +207,7 @@ class TestDeadNodeRecovery:
         report = ClusterScheduler(
             schema, output=output, package_size=10, faults=faults
         ).run(3)
-        assert report.node_failures == 1
+        assert report.worker_restarts == 1
         _assert_identical(schema, single, output)
 
     def test_failure_cap_stops_crash_loops(self, tmp_path):
@@ -214,7 +220,7 @@ class TestDeadNodeRecovery:
             ClusterScheduler(
                 demo_schema(), output=_file_output(tmp_path / "out"),
                 package_size=10, faults=faults,
-            ).run(1)
+            ).run(2)
 
 
 def _manifest_records(checkpoint) -> list[dict]:
@@ -242,9 +248,9 @@ def _snapshot(directory) -> dict[str, bytes]:
 
 
 class TestClusterResume:
-    """A cluster run that died — crash loop at the failure cap, SIGINT,
-    a crash inside the merge — resumes from the one parent manifest: the
-    journaled parts are done, only the rows none covers are cut."""
+    """A ``--nodes`` run that died — crash loop at the failure cap,
+    SIGINT — resumes from the one parent manifest: each table file's
+    journaled watermark is done, only the rows behind it are cut."""
 
     PACKAGE = 20
     #: every package start of both tables
@@ -292,7 +298,7 @@ class TestClusterResume:
         assert _manifest_records(checkpoint)[-1] == {
             "type": "interrupted", "reason": "SchedulingError",
         }
-        assert os.listdir(tmp_path / "cluster") == [".dbsynth-parts"]
+        assert not os.path.exists(tmp_path / "cluster" / ".dbsynth-parts")
         vouched = _vouched_packages(checkpoint, self.PACKAGE)
         if kill_at != self.POINTS[0]:
             assert vouched > 0
@@ -304,13 +310,12 @@ class TestClusterResume:
         ).run(3)
         _assert_identical(schema, reference, output)
         assert report.resumed_packages == vouched
-        assert report.node_failures == 0
+        assert report.worker_restarts == 0
         assert (report.rows, report.bytes_written) == (240, single.bytes_written)
-        # a resumed cluster run ends at 100% like a resumed single-node one
+        # a resumed --nodes run ends at 100% like a resumed inline one
         snapshot = progress.snapshot()
         assert snapshot.rows_done == snapshot.rows_total == 240
         assert snapshot.bytes_written == report.bytes_written
-        assert not os.path.exists(tmp_path / "cluster" / ".dbsynth-parts")
         assert _manifest_records(checkpoint)[-1] == {"type": "run_done"}
 
     def test_resume_with_another_node_count_and_again_after_it_finished(
@@ -331,56 +336,23 @@ class TestClusterResume:
         ).run(2)
         assert 0 < first.resumed_packages < 24
         merged = _snapshot(tmp_path / "cluster")
-        # the finished run's manifest resumes to a no-op: nothing planned,
-        # no part file expected back, the merged files left alone
+        # the finished run's manifest resumes to a no-op: nothing
+        # regenerated, the finished files left alone
         again = ClusterScheduler(
             schema, output=output, package_size=10,
             checkpoint=checkpoint, resume_from=checkpoint,
         ).run(5)
-        assert again.resumed_packages >= 24 and again.rows == 240
-        assert sum(node.rows for node in again.nodes) == 0
+        assert again.resumed_packages == 24 and again.rows == 240
+        assert all(table.seconds == 0 for table in again.tables)
         assert _snapshot(tmp_path / "cluster") == merged
         assert again.bytes_written == first.bytes_written
-
-    def test_crash_inside_the_merge_resumes_to_a_re_merge(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.scheduler import cluster
-
-        schema = demo_schema()
-        single = _single_node(tmp_path, schema, package_size=10)
-        output = _file_output(tmp_path / "cluster")
-        checkpoint = str(tmp_path / "ckpt")
-        write_table = cluster.ClusterScheduler._write_table
-
-        def dies_on_orders(self, table, *args):
-            if table == "orders":
-                raise KeyboardInterrupt
-            write_table(self, table, *args)
-
-        monkeypatch.setattr(cluster.ClusterScheduler, "_write_table", dies_on_orders)
-        with pytest.raises(KeyboardInterrupt):
-            ClusterScheduler(
-                schema, output=output, package_size=10, checkpoint=checkpoint
-            ).run(3)
-        monkeypatch.undo()
-        # parts go only after every table is merged
-        assert os.path.isdir(tmp_path / "cluster" / ".dbsynth-parts")
-        customer = open(output.table_path("customer"), "rb").read()
-        report = ClusterScheduler(
-            schema, output=output, package_size=10,
-            checkpoint=checkpoint, resume_from=checkpoint,
-        ).run(3)
-        assert sum(node.rows for node in report.nodes) == 0  # nothing regenerated
-        assert open(output.table_path("customer"), "rb").read() == customer
-        _assert_identical(schema, single, output)
-        assert not os.path.exists(tmp_path / "cluster" / ".dbsynth-parts")
 
     @pytest.mark.parametrize("damage, error, match", [
         ("short-part", OutputError, "journal outlived the data"),
         ("missing-part", OutputError, "does not exist"),
-        ("overlap", SchedulingError, "overlapping another"),
-        ("foreign-file", SchedulingError, "not a part file"),
+        ("overlap", SchedulingError, "not a prefix of this run's rows"),
+        # a 13.x --nodes manifest journaled part files
+        ("foreign-file", SchedulingError, "part-file manifest"),
         ("version", SchedulingError, "format version 1"),
     ])
     def test_manifest_that_does_not_hold_is_refused_untouched(
@@ -398,11 +370,13 @@ class TestClusterResume:
         elif damage == "missing-part":
             os.remove(path)
         elif damage == "overlap":
-            records.append({**victim, "file": os.path.join(
-                ".dbsynth-parts", f"{victim['table']}.part{victim['stop'] - 1:012d}"
-            ), "start": victim["stop"] - 1, "stop": victim["stop"] + 1})
+            records.append(
+                {**victim, "start": victim["stop"] - 1, "stop": victim["stop"] + 1}
+            )
         elif damage == "foreign-file":
-            records.append({**victim, "file": "orders.tbl"})
+            records.append({**victim, "file": os.path.join(
+                ".dbsynth-parts", f"{victim['table']}.part{0:012d}"
+            )})
         else:
             records[0]["version"] = 1
         with open(os.path.join(checkpoint, "manifest.jsonl"), "w") as handle:
@@ -469,16 +443,18 @@ class TestShardLedger:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("requeue", [True, False])
     def test_every_row_is_owned_exactly_once(self, seed, requeue):
-        """The ``--nodes`` shape: one ledger, N executors behind a window
-        of ``N + 2`` slots released on each report, the least-loaded
-        executor taking the next package, each growing its own parts —
-        and, with *requeue*, executor deaths whose packages go back to
-        the front one attempt higher, redone by a replacement."""
+        """One ledger, N executors behind a window of ``N + 2`` slots
+        released on each report, the least-loaded executor taking the
+        next package — and, with *requeue*, executor deaths whose
+        packages go back to the front one attempt higher, redone by a
+        replacement. Each completed package is tallied row by row,
+        independently of the ledger: every row exactly once."""
         import random
 
         rng = random.Random(seed)
         sizes = {"a": 95, "b": 7, "c": 0, "d": 31}
         ledger = ShardLedger(10, [(table, 0, size) for table, size in sizes.items()])
+        owned = {table: [0] * size for table, size in sizes.items()}
         executors = [ExecutorSlot(ident) for ident in range(3)]
         free = limit = len(executors) + 2
         deaths = 2 if requeue else 0
@@ -503,15 +479,14 @@ class TestShardLedger:
                 continue
             # an executor works in dispatch order
             package = executor.inflight.pop(next(iter(executor.inflight)))
-            ledger.complete_part(executor.ident, package, nbytes=package.rows)
+            ledger.complete()
+            for row in range(package.start, package.stop):
+                owned[package.table][row] += 1
             free += 1
         assert free == limit
-        for table, size in sizes.items():
-            parts = ledger.table_parts(table, size)  # raises on a gap or overlap
-            assert sum(part.bytes for part in parts) == size
-        assert sum(
-            part.rows for parts in ledger.parts.values() for part in parts
-        ) == sum(sizes.values())
+        assert ledger.inflight == 0 and not ledger.pending
+        for table, tally in owned.items():
+            assert tally == [1] * sizes[table], table
 
     @pytest.mark.parametrize("seed", range(8))
     def test_one_shard_shared_by_n_executors(self, seed):
@@ -575,23 +550,6 @@ class TestShardLedger:
 
 
 class TestValidation:
-    def test_binary_formats_are_refused(self, tmp_path):
-        # build a valid config, then flip the format past __post_init__
-        # so the check runs with or without pyarrow installed
-        output = OutputConfig(kind="file", format="csv", directory=str(tmp_path))
-        object.__setattr__(output, "format", "arrow")
-        with pytest.raises(SchedulingError, match="package-framed binary"):
-            ClusterScheduler(demo_schema(), output=output)
-
-    def test_non_mergeable_sinks_are_refused(self):
-        with pytest.raises(SchedulingError, match="distributed runs support"):
-            ClusterScheduler(
-                demo_schema(),
-                output=OutputConfig(
-                    kind="sqlite", format="sql", database=":memory:"
-                ),
-            )
-
     def test_node_count_must_be_positive(self):
         with pytest.raises(SchedulingError):
             ClusterScheduler(
@@ -599,8 +557,8 @@ class TestValidation:
             ).run(0)
 
     def test_meta_rejects_workers_per_node(self, capsys):
-        # nodes generate their shard sequentially; the one surface that
-        # could ask for more workers per node is the CLI, which refuses.
+        # --nodes N and -w M both set the process count: the CLI refuses
+        # the pair rather than pick one.
         code = main(_CLI_NULL + ["--nodes", "2", "--workers", "2"])
         assert code == 2
         assert "--workers" in capsys.readouterr().err
@@ -612,13 +570,13 @@ class TestDistributedMeta:
         single = _single_node(tmp_path, schema)
         output = _file_output(tmp_path / "cluster")
         report = ClusterScheduler(schema, output=output, package_size=25).run(2)
-        assert report.seconds > 0 and len(report.nodes) == 2
+        assert report.seconds > 0 and report.workers == 2
         _assert_identical(schema, single, output)
 
     def test_tree_shape_parity_across_execution_paths(self):
         """`dbsynth stats --tree` must account for the same per-table
-        rows and bytes whatever ran — one scheduler or a cluster — and a
-        cluster trace keeps the ``meta.run → meta.node`` shape."""
+        rows and bytes whatever ran — inline or the ``--nodes`` alias —
+        and both traces have the one ``scheduler.run`` root."""
         tracer = obs.enable_tracing()
         Scheduler(
             GenerationEngine(demo_schema()), OutputConfig(kind="null"),
@@ -632,11 +590,10 @@ class TestDistributedMeta:
             demo_schema(), output=OutputConfig(kind="null"), package_size=30,
         ).run(2)
         records = tracer.drain()
-        meta_run = next(r for r in records if r.name == "meta.run")
-        nodes = [r for r in records if r.name == "meta.node"]
-        assert len(nodes) == 2
-        assert all(r.parent_id == meta_run.span_id for r in nodes)
-        assert sorted(r.attrs["node"] for r in nodes) == [0, 1]
+        (root,) = [r for r in records if r.parent_id is None]
+        assert root.name == "scheduler.run" and root.attrs["workers"] == 2
+        packages = [r for r in records if r.name == "scheduler.package"]
+        assert {r.attrs["node"] for r in packages} == {0, 1}
         assert obs.table_totals(records) == single_totals
 
 
@@ -651,8 +608,8 @@ class TestClusterCLI:
             base + ["-d", str(cluster), "--nodes", "3", "--distributed"]
         ) == 0
         out = capsys.readouterr().out
-        assert "3 distributed nodes" in out
-        assert "steals" not in out  # nodes share one package front
+        assert "3 process workers" in out  # --nodes 3 is -w 3
+        assert "steals" not in out  # one package front
         for name in os.listdir(single):
             assert filecmp.cmp(
                 single / name, cluster / name, shallow=False
@@ -660,13 +617,13 @@ class TestClusterCLI:
 
     def test_pooled_nodes_require_null_sink(self, tmp_path, capsys):
         """The pooled simulation this once guarded is gone: ``--nodes 2``
-        alone is the cluster runtime and writes real, mergeable files."""
+        alone is ``-w 2`` and writes the real files."""
         single = tmp_path / "single"
         cluster = tmp_path / "cluster"
         base = ["generate", "--suite", "tpch", "--sf", "0.0005", "-q"]
         assert main(base + ["-d", str(single)]) == 0
         assert main(base + ["-d", str(cluster), "--nodes", "2"]) == 0
-        assert "2 distributed nodes" in capsys.readouterr().out
+        assert "2 process workers" in capsys.readouterr().out
         assert sorted(os.listdir(cluster)) == sorted(os.listdir(single))
         for name in os.listdir(single):
             assert filecmp.cmp(

@@ -168,7 +168,8 @@ class TestProcessBackendStitching:
 class TestKillRespawnTrace:
     @pytest.mark.parametrize("runtime", ["-w 2", "--nodes 2"])
     def test_requeued_package_spans_carry_attempt_two(self, tmp_path, runtime):
-        """A redone package is attempt 2 on every runtime."""
+        """A redone package is attempt 2, also through the ``--nodes``
+        alias (``ClusterScheduler``), which runs the same pool."""
         tracer = obs.enable_tracing()
         plan = FaultPlan(kill_at=("orders", 50), latch_dir=str(tmp_path / "latch"))
         output = OutputConfig(
@@ -183,7 +184,7 @@ class TestKillRespawnTrace:
             report = ClusterScheduler(
                 demo_schema(seed=42), output=output, package_size=25, faults=plan,
             ).run(2)
-            assert report.node_failures == 1
+            assert report.worker_restarts == 1
         records = tracer.drain()
         redo = [
             r for r in records
@@ -193,13 +194,8 @@ class TestKillRespawnTrace:
         assert ("orders", 2) in {
             (r.attrs["table"], r.attrs["sequence"]) for r in redo
         }
-        by_id = {r.span_id: r for r in records}
-        if runtime == "-w 2":
-            run = next(r for r in records if r.name == "scheduler.run")
-            assert all(r.parent_id == run.span_id for r in redo)
-        else:
-            # a node's packages hang under the part they were written to
-            assert all(by_id[r.parent_id].name == "node.assignment" for r in redo)
+        run = next(r for r in records if r.name == "scheduler.run")
+        assert all(r.parent_id == run.span_id for r in redo)
 
     def test_trace_totals_unaffected_by_requeue(self, tmp_path):
         """Redo spans appear, but per-table totals count completed
@@ -222,34 +218,28 @@ class TestKillRespawnTrace:
             assert rows == by_table[name].rows
 
 
-class TestMetaSchedulerStitching:
-    def test_node_subtraces_under_meta_run(self, tmp_path):
+class TestExecutorStitching:
+    def test_executor_subtraces_carry_their_node(self):
+        """``scheduler.run`` is the one root: every executor's packages
+        hang under it, each span tagged with its executor's ``node`` id,
+        and the executors' metric deltas merge into the parent."""
         tracer = obs.enable_tracing()
         registry = obs.enable_metrics()
-        ClusterScheduler(
-            demo_schema(), output=OutputConfig(kind="null"), package_size=30,
-        ).run(3)
+        Scheduler(
+            _engine(), OutputConfig(kind="null"), workers=3, package_size=30,
+        ).run()
         records = tracer.drain()
-        meta_run = next(r for r in records if r.name == "meta.run")
-        nodes = [r for r in records if r.name == "meta.node"]
-        assert len(nodes) == 3
-        assert all(r.parent_id == meta_run.span_id for r in nodes)
-        assert sorted(r.attrs["node"] for r in nodes) == [0, 1, 2]
-        node_ids = {r.span_id for r in nodes}
-        # each node's work hangs under its meta.node span, one
-        # node.assignment per part it wrote
-        assignments = [r for r in records if r.name == "node.assignment"]
-        assert len(assignments) >= 3
-        assert all(r.parent_id in node_ids for r in assignments)
-        # node metric deltas merged: cluster rows total equals the model
+        (run,) = [r for r in records if r.parent_id is None]
+        assert run.name == "scheduler.run"
+        packages = [r for r in records if r.name == "scheduler.package"]
+        assert all(r.parent_id == run.span_id for r in packages)
+        # least-loaded dispatch: the first window's packages reach all three
+        assert {r.attrs["node"] for r in packages} == {0, 1, 2}
+        package_ids = {r.span_id for r in packages}
+        children = [r for r in records if r.parent_id in package_ids]
+        assert children and all("node" in r.attrs for r in children)
         rows = _counter_values(registry, "rows_generated_total")
         assert sum(rows.values()) == 240
-
-    def test_node_reports_carry_no_payload_when_disabled(self):
-        cluster = ClusterScheduler(
-            demo_schema(), output=OutputConfig(kind="null"), package_size=30,
-        ).run(2)
-        assert all(node.telemetry is None for node in cluster.nodes)
 
 
 class TestEmergencyTracePreservation:

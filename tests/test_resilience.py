@@ -537,15 +537,92 @@ class TestRefusedResume:
         self._refused(tmp_path, ckpt, OutputError, "journal outlived the data")
 
     def test_cluster_manifest_on_a_single_node(self, tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-        with pytest.raises(SchedulingError, match="executor deaths exceed"):
-            ClusterScheduler(
-                demo_schema(), output=_file_config(tmp_path / "out"),
-                package_size=25, checkpoint=ckpt,
-                faults=FaultPlan(kill_at=("orders", 25)),
-            ).run(1)
-        with pytest.raises(SchedulingError, match="another runtime"):
-            _resume(tmp_path, ckpt)
+        # a 13.x --nodes run journaled part files under .dbsynth-parts/;
+        # since 14.0 every runtime journals the table files themselves
+        ckpt = _crash(tmp_path, after=5)
+        records = _records(ckpt)
+        for record in records:
+            if record.get("file") == "orders.tbl":
+                record["file"] = os.path.join(
+                    ".dbsynth-parts", f"orders.part{record['start']:012d}"
+                )
+        _rewrite(ckpt, records)
+        self._refused(tmp_path, ckpt, SchedulingError, "part-file manifest")
+
+
+# -- a SQLite target is its own durable record --------------------------------
+
+
+def _sqlite_target(path, engine) -> OutputConfig:
+    from repro.db import SQLiteAdapter, create_schema_sql
+
+    with SQLiteAdapter(str(path)) as adapter:
+        adapter.execute_script(create_schema_sql(engine.schema, "sqlite"))
+    return OutputConfig(kind="sqlite", format="sql", database=str(path))
+
+
+def _loaded_rows(output: OutputConfig, engine) -> dict[str, list[tuple]]:
+    from repro.db import SQLiteAdapter
+
+    with SQLiteAdapter(output.database) as adapter:
+        return {
+            table: adapter.execute(f"SELECT * FROM {table} ORDER BY rowid")
+            for table in engine.sizes
+        }
+
+
+class TestSQLiteResume:
+    """Packages commit in sequence order, one transaction each, before
+    their watermark is journaled: a load that died between the two holds
+    one package more than its manifest says, and resumes from the row
+    count — not into a UNIQUE constraint on every attempt."""
+
+    @pytest.fixture
+    def interrupted(self, tmp_path, monkeypatch):
+        """A TPC-H SF 0.002 load whose parent died right after the first
+        ``orders`` package committed, before its journal line."""
+        from repro.resilience.checkpoint import CheckpointWriter
+        from repro.suites import suite_model
+
+        engine = GenerationEngine(*suite_model("tpch", 0.002))
+        output, ckpt = _sqlite_target(tmp_path / "load.db", engine), str(tmp_path / "ck")
+        record_part = CheckpointWriter.record_part
+
+        def dies_after_the_commit(self, part):
+            if part.table == "orders" and part.rows:
+                raise KeyboardInterrupt
+            record_part(self, part)
+
+        monkeypatch.setattr(CheckpointWriter, "record_part", dies_after_the_commit)
+        with pytest.raises(KeyboardInterrupt):
+            generate(engine, output, checkpoint=ckpt, package_size=1000)
+        monkeypatch.undo()
+        assert RunManifest.load(ckpt).parts["orders.sql"].rows == 0
+        assert len(_loaded_rows(output, engine)["orders"]) == 1000
+        return engine, output, ckpt
+
+    def test_parent_dies_between_commit_and_journal(self, tmp_path, interrupted):
+        engine, output, ckpt = interrupted
+        reference = _sqlite_target(tmp_path / "inline.db", engine)
+        generate(engine, reference, package_size=1000)
+        report = generate(
+            engine, output, checkpoint=ckpt, resume_from=ckpt, package_size=1000,
+        )
+        assert report.rows == sum(engine.sizes.values())
+        assert _loaded_rows(output, engine) == _loaded_rows(reference, engine)
+        # the committed package counts as resumed, and the next resume
+        # finds the finished load
+        assert RunManifest.load(ckpt).completed
+        assert report.resumed_packages >= 1
+
+    def test_a_row_count_the_journal_cannot_explain_is_refused(self, interrupted):
+        from repro.db import SQLiteAdapter
+
+        engine, output, ckpt = interrupted
+        with SQLiteAdapter(output.database) as adapter:
+            adapter.execute_script("DELETE FROM orders WHERE o_orderkey % 2 = 0;")
+        with pytest.raises(SchedulingError, match="'orders' holds 500 rows"):
+            generate(engine, output, resume_from=ckpt, package_size=1000)
 
 
 # -- live recovery: a dead worker's packages are retried on a replacement ------

@@ -173,7 +173,7 @@ class TestMetaScheduler:
         schema = demo_schema()
         cluster = ClusterScheduler(schema).run(nodes=3)
         assert cluster.rows == 240
-        assert len(cluster.nodes) == 3
+        assert (cluster.workers, cluster.backend) == (3, "process")
         assert cluster.bytes_written > 0
 
     def test_multiprocess_cluster_run(self):

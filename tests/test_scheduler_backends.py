@@ -167,7 +167,7 @@ class TestSpawnedExecutors:
         generate(GenerationEngine(*model), output("inline"))
         pooled = generate(GenerationEngine(*model), output("w2"), workers=2)
         cluster = ClusterScheduler(*model, output=output("n2")).run(2)
-        assert (pooled.backend, cluster.backend) == ("process", "cluster")
+        assert pooled.backend == cluster.backend == "process"
         for name in sorted(os.listdir(tmp_path / "inline")):
             reference = (tmp_path / "inline" / name).read_bytes()
             assert (tmp_path / "w2" / name).read_bytes() == reference, name
@@ -299,13 +299,12 @@ class TestExecutorParity:
                 assert totals.get(table.name, (0, 0)) == (
                     table.rows, table.bytes_written - frame
                 ), runtime
-                if runtime != "cluster":  # nodes write part files, not a mux
-                    flushed = sum(
-                        span.attrs["bytes"] for span in spans
-                        if span.name == "sink.write"
-                        and span.attrs["table"] == table.name
-                    )
-                    assert flushed == table.bytes_written - frame, runtime
+                flushed = sum(
+                    span.attrs["bytes"] for span in spans
+                    if span.name == "sink.write"
+                    and span.attrs["table"] == table.name
+                )
+                assert flushed == table.bytes_written - frame, runtime
             seen[runtime] = (
                 report.rows,
                 [(t.name, t.rows, t.bytes_written) for t in report.tables],
@@ -413,10 +412,67 @@ class TestClusterMakespan:
     def test_multiprocess_run_records_pool_wall_clock(self):
         cluster = ClusterScheduler(demo_schema()).run(nodes=2)
         assert cluster.seconds > 0
-        assert cluster.seconds >= max(n.seconds for n in cluster.nodes)
+        assert (cluster.workers, cluster.backend) == (2, "process")
         assert cluster.rows == 240
 
     def test_run_node_importable_from_scheduler(self):
         # the static-share entry point lives next to Scheduler since 4.0
         assert hasattr(scheduler_mod, "run_node")
         assert hasattr(scheduler_mod, "node_ranges")
+
+
+class TestNodesAreWorkers:
+    """``--nodes N`` is ``-w N`` through the CLI: the benchmark's exact
+    flags write the inline bytes, and the sinks the part-file runtime
+    refused (a SQLite load) work."""
+
+    BASE = ["generate", "--suite", "tpch", "--sf", "0.002", "-q"]
+
+    def test_bench_flags_write_the_inline_bytes(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        runs = {
+            "inline": [],
+            "w2": ["-w", "2"],
+            "bench": ["--nodes", "2", "--distributed"],
+            "n3": ["--nodes", "3"],
+        }
+        for name, flags in runs.items():
+            assert main(self.BASE + ["-d", str(tmp_path / name), *flags]) == 0
+        out = capsys.readouterr().out
+        assert "2 process workers" in out and "3 process workers" in out
+        reference = sorted(os.listdir(tmp_path / "inline"))
+        for name in runs:
+            assert sorted(os.listdir(tmp_path / name)) == reference, name
+            for file in reference:
+                assert (tmp_path / name / file).read_bytes() == (
+                    tmp_path / "inline" / file
+                ).read_bytes(), (name, file)
+
+    def test_nodes_load_into_sqlite(self, tmp_path):
+        import sqlite3
+
+        from repro.cli.main import main
+
+        def rows(path):
+            with sqlite3.connect(path) as connection:
+                tables = [name for (name,) in connection.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
+                )]
+                loaded = {
+                    table: connection.execute(
+                        f"SELECT * FROM {table} ORDER BY rowid"
+                    ).fetchall()
+                    for table in tables
+                }
+            connection.close()
+            return loaded
+
+        for name, flags in (("inline.db", []), ("nodes.db", ["--nodes", "2"])):
+            assert main(self.BASE + [
+                "--kind", "sqlite", "--format", "sql",
+                "--database", str(tmp_path / name), *flags,
+            ]) == 0
+        inline = rows(tmp_path / "inline.db")
+        assert len(inline) == 8 and sum(map(len, inline.values())) > 0
+        assert rows(tmp_path / "nodes.db") == inline

@@ -106,17 +106,19 @@ no test fails, only the throughput falls and the exactness argument
 has a second place to break (two such calls were 60% of a Markov
 row-step's cost). No waiver.
 
-**One-runtime check.** ``-w N`` and ``--nodes N`` are one multi-process
-runtime: :class:`~repro.scheduler.executor.ExecutorPool` holds the
-process mechanism (spawn, liveness, the crash-loop cap, telemetry) and
-exactly one subclass, :class:`~repro.scheduler.executor.PackagePool`,
-holds the dispatch policy — one ledger, one delivery window, the
-least-loaded executor takes the next package — with the destination of
-the bytes as its only switch. A second subclass, direct or through
-another subclass, is a second runtime with its own dispatch and recovery
-that the shared tests need not reach: it can drift in what it redoes or
-where a package lands without changing a byte on the path the tests
-run. No waiver.
+**One-runtime check.** ``-w N`` is the one multi-process runtime
+(``--nodes N`` means ``-w N``): :class:`~repro.scheduler.executor.PackagePool`
+holds the process mechanism (spawn, liveness, the crash-loop cap,
+telemetry) and the dispatch policy — one ledger, one delivery window,
+the least-loaded executor takes the next package, every chunk back to
+the parent's ordered mux. It must be the only class under
+``src/repro/`` that starts executor processes: a ``Process(...)`` call
+(``mp_context().Process``, ``multiprocessing.Process``) anywhere else,
+or a subclass of ``PackagePool``, is a second runtime with its own
+dispatch and recovery that the shared tests need not reach — it can
+drift in what it redoes or where a package lands without changing a
+byte on the path the tests run. A tree without ``PackagePool`` fails
+too. No waiver.
 
 **One-driver check.** Every database load is a ``generate()`` run into
 the SQLite sink, and the sink, the loader and extraction all reach the
@@ -179,8 +181,10 @@ CUTTER_CLASS = "WorkPackage"
 TEMPLATE_CLASSES = ("DrawTemplateGenerator", "ChoiceGenerator")
 TEMPLATE_METHODS = ("generate", "generate_block")
 
-#: the base of the one multi-process runtime, which has exactly one subclass
-RUNTIME_BASE = "ExecutorPool"
+#: the one multi-process runtime, which has no subclass, and the call
+#: only it may make
+RUNTIME_CLASS = "PackagePool"
+SPAWN_CALL = "Process"
 
 #: the raw block steps, and the only modules that may use them
 DRAW_NAMES = ("xorshift_step", "column_states")
@@ -323,22 +327,37 @@ def template_overrides(paths: list[Path]) -> list[str]:
 
 
 def second_runtimes(paths: list[Path]) -> list[str]:
-    """Anything but exactly one (transitive) ``ExecutorPool`` subclass
-    across *paths*."""
-    classes = _classes(paths)
-    names = _subclasses(classes, RUNTIME_BASE) - {RUNTIME_BASE}
-    runtimes = [(path, cls) for path, cls in classes if cls.name in names]
-    if not runtimes:
-        return [f"{CUTTER_SCOPE}: no {RUNTIME_BASE} subclass; the multi-process "
-                "runtime needs its one dispatch policy"]
-    if len(runtimes) == 1:
-        return []
-    return [
-        f"{path.relative_to(REPO)}:{cls.lineno}: {cls.name} is one of "
-        f"{len(runtimes)} {RUNTIME_BASE} subclasses; -w N and --nodes N share "
-        "one runtime — give the one subclass a destination instead"
-        for path, cls in runtimes
+    """Across *paths*: a ``Process(...)`` call outside ``PackagePool``,
+    a (transitive) subclass of it, or no ``PackagePool`` at all."""
+    trees = [
+        (path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in paths
     ]
+    classes = [
+        (path, node) for path, tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    pools = [cls for _, cls in classes if cls.name == RUNTIME_CLASS]
+    violations = [] if pools else [
+        f"{CUTTER_SCOPE}: no {RUNTIME_CLASS} class; the multi-process "
+        "runtime needs its one home"
+    ]
+    violations += [
+        f"{path.relative_to(REPO)}:{cls.lineno}: {cls.name} subclasses "
+        f"{RUNTIME_CLASS}; a second runtime — give the one pool what it "
+        "needs instead"
+        for path, cls in classes
+        if cls.name in _subclasses(classes, RUNTIME_CLASS) - {RUNTIME_CLASS}
+    ]
+    inside = {id(node) for cls in pools for node in ast.walk(cls)}
+    violations += [
+        f"{path.relative_to(REPO)}:{node.lineno}: starts a process outside "
+        f"{RUNTIME_CLASS}, the one multi-process runtime"
+        for path, tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _call_name(node) == SPAWN_CALL
+        and id(node) not in inside
+    ]
+    return violations
 
 
 def raw_draws(path: Path) -> list[str]:
