@@ -22,8 +22,8 @@ and ``--metrics FILE`` (Prometheus text dump); ``--summary`` prints the
 human-readable telemetry digest after the run.
 
 Start-up is part of every command's latency, so the module top imports
-only what :func:`build_parser` and ``preview`` need; each other
-sub-command imports its own heavy packages (extraction, databases,
+only what :func:`build_parser` needs; each sub-command imports its own
+heavy packages (the engine and output system, extraction, databases,
 schedulers, the update black box) in its body.
 """
 
@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from repro import __version__, obs
 from repro.config import apply_overrides
-from repro.engine import GenerationEngine
 from repro.exceptions import ReproError
-from repro.output.formats import known_formats
 from repro.suites import SUITE_NAMES, suite_model
+
+if TYPE_CHECKING:
+    from repro.engine import GenerationEngine
 
 
 def _load_model(args: argparse.Namespace):
@@ -58,7 +60,23 @@ def _load_model(args: argparse.Namespace):
 
 
 def _load_engine(args: argparse.Namespace) -> GenerationEngine:
+    from repro.engine import GenerationEngine
+
     return GenerationEngine(*_load_model(args))
+
+
+class _KnownFormats:
+    """``--format``'s choices: the format registry, read when a value is
+    checked or the help lists them, so building the parser loads no
+    output package (``extract`` never does)."""
+
+    def __iter__(self):
+        from repro.output.formats import known_formats
+
+        return iter(known_formats())
+
+    def __contains__(self, name: object) -> bool:
+        return name in tuple(self)
 
 
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
@@ -185,6 +203,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 f"sizes {timings.sizes_seconds * 1000:.0f} ms, "
                 f"nulls {timings.null_seconds * 1000:.0f} ms, "
                 f"min/max {timings.minmax_seconds * 1000:.0f} ms, "
+                f"distinct {timings.distinct_seconds * 1000:.0f} ms, "
                 f"sampling {timings.sampling_seconds * 1000:.0f} ms"
             )
         if args.verbose:
@@ -239,6 +258,7 @@ def _print_report(report, quiet: bool) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.engine import GenerationEngine
     from repro.output.config import OutputConfig
     from repro.scheduler import ProgressMonitor, generate
 
@@ -536,9 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument(
         "--format",
-        choices=known_formats(),
+        choices=_KnownFormats(),
         default="csv",
-        help="output format; arrow/parquet need the optional pyarrow extra",
+        metavar="FORMAT",
+        help="output format: %(choices)s; arrow/parquet need the optional "
+        "pyarrow extra",
     )
     gen.add_argument("-d", "--directory", default=".")
     gen.add_argument("--database", help="target database for --kind sqlite")

@@ -6,83 +6,54 @@ chains, rule-based generator selection, schema translation, target
 loading, and fidelity verification.
 """
 
-from repro.core.extraction import (
-    ExtractedColumn,
-    ExtractedSchema,
-    ExtractedTable,
-    PhaseTimings,
-    SchemaExtractor,
-)
-from repro.core.fidelity import (
-    FidelityChecker,
-    FidelityQuery,
-    FidelityReport,
-    default_queries,
-)
-from repro.core.driver import BenchmarkDriver, DriverReport, QueryExecution
-from repro.core.loader import load
-from repro.core.model_builder import (
-    BuildOptions,
-    BuildResult,
-    ColumnDecision,
-    ModelBuilder,
-    build_model,
-)
-from repro.core.profiling import ColumnProfile, DataProfiler, ProfileOptions, SchemaProfile
-from repro.core.queries import (
-    Aggregate,
-    Op,
-    ParameterSpec,
-    Predicate,
-    PredictedValue,
-    Query,
-    QueryParameterGenerator,
-    QueryTemplate,
-    VirtualExecutor,
-)
-from repro.core.project import DBSynthProject, ProjectPaths
-from repro.core.rules import NameRule, RuleEngine, default_rules
-from repro.core.sampling import ColumnSampler, SampleConfig
-from repro.core.translator import SchemaTranslator
+from repro._lazy import lazy_names
 
-__all__ = [
-    "ExtractedColumn",
-    "ExtractedSchema",
-    "ExtractedTable",
-    "PhaseTimings",
-    "SchemaExtractor",
-    "FidelityChecker",
-    "FidelityQuery",
-    "FidelityReport",
-    "default_queries",
-    "BenchmarkDriver",
-    "DriverReport",
-    "QueryExecution",
-    "load",
-    "BuildOptions",
-    "BuildResult",
-    "ColumnDecision",
-    "ModelBuilder",
-    "build_model",
-    "ColumnProfile",
-    "DataProfiler",
-    "ProfileOptions",
-    "SchemaProfile",
-    "Aggregate",
-    "Op",
-    "ParameterSpec",
-    "Predicate",
-    "PredictedValue",
-    "Query",
-    "QueryParameterGenerator",
-    "QueryTemplate",
-    "VirtualExecutor",
-    "DBSynthProject",
-    "ProjectPaths",
-    "NameRule",
-    "RuleEngine",
-    "default_rules",
-    "ColumnSampler",
-    "SampleConfig",
-    "SchemaTranslator",
-]
+#: Every public name and the module that defines it, resolved on first
+#: use: ``dbsynth extract`` loads extraction, not loading, fidelity
+#: queries or the benchmark driver (nor the engine and schedulers those
+#: import).
+_PUBLIC = {
+    "ExtractedColumn": "repro.core.extraction",
+    "ExtractedSchema": "repro.core.extraction",
+    "ExtractedTable": "repro.core.extraction",
+    "PhaseTimings": "repro.core.extraction",
+    "SchemaExtractor": "repro.core.extraction",
+    "FidelityChecker": "repro.core.fidelity",
+    "FidelityQuery": "repro.core.fidelity",
+    "FidelityReport": "repro.core.fidelity",
+    "default_queries": "repro.core.fidelity",
+    "BenchmarkDriver": "repro.core.driver",
+    "DriverReport": "repro.core.driver",
+    "QueryExecution": "repro.core.driver",
+    "load": "repro.core.loader",
+    "BuildOptions": "repro.core.model_builder",
+    "BuildResult": "repro.core.model_builder",
+    "ColumnDecision": "repro.core.model_builder",
+    "ModelBuilder": "repro.core.model_builder",
+    "build_model": "repro.core.model_builder",
+    "ColumnProfile": "repro.core.profiling",
+    "DataProfiler": "repro.core.profiling",
+    "ProfileOptions": "repro.core.profiling",
+    "SchemaProfile": "repro.core.profiling",
+    "Aggregate": "repro.core.queries",
+    "Op": "repro.core.queries",
+    "ParameterSpec": "repro.core.queries",
+    "Predicate": "repro.core.queries",
+    "PredictedValue": "repro.core.queries",
+    "Query": "repro.core.queries",
+    "QueryParameterGenerator": "repro.core.queries",
+    "QueryTemplate": "repro.core.queries",
+    "VirtualExecutor": "repro.core.queries",
+    "DBSynthProject": "repro.core.project",
+    "ProjectPaths": "repro.core.project",
+    "NameRule": "repro.core.rules",
+    "RuleEngine": "repro.core.rules",
+    "default_rules": "repro.core.rules",
+    "ColumnSampler": "repro.core.sampling",
+    "SampleConfig": "repro.core.sampling",
+    "SchemaTranslator": "repro.core.translator",
+}
+
+__getattr__, __dir__ = lazy_names(__name__, _PUBLIC)
+
+__all__ = list(_PUBLIC)

@@ -58,6 +58,7 @@ class PhaseTimings:
     sizes_seconds: float = 0.0
     null_seconds: float = 0.0
     minmax_seconds: float = 0.0
+    distinct_seconds: float = 0.0
     sampling_seconds: float = 0.0
 
     def total(self) -> float:
@@ -66,6 +67,7 @@ class PhaseTimings:
             + self.sizes_seconds
             + self.null_seconds
             + self.minmax_seconds
+            + self.distinct_seconds
             + self.sampling_seconds
         )
 

@@ -260,23 +260,26 @@ class ModelBuilder:
         stats: ColumnProfile | None,
         result: BuildResult,
     ) -> tuple[GeneratorSpec, str]:
-        try:
-            probe = self.adapter.sample_column(
-                table.name, column.name, fraction=1.0, limit=200, strategy="first"
-            )
-        except Exception as exc:  # adapter-level failure → fall back
-            rule_spec = self.rules.match(column.name, TypeFamily.TEXT)
-            if rule_spec is not None:
-                return rule_spec, f"sampling failed ({exc}); column-name rule"
-            return GeneratorSpec("RandomStringGenerator"), f"sampling failed ({exc})"
-        texts = [str(v) for v in probe if v is not None]
-        if not texts:
-            rule_spec = self.rules.match(column.name, TypeFamily.TEXT)
-            if rule_spec is not None:
-                return rule_spec, "empty column; column-name rule"
-            return GeneratorSpec("RandomStringGenerator"), "empty column; fallback"
+        # The column's first 200 values decide dictionary vs free text.
+        with span("model.classify", table=table.name, column=column.name) as probe_span:
+            try:
+                probe = self.adapter.sample_column(
+                    table.name, column.name, fraction=1.0, limit=200, strategy="first"
+                )
+            except Exception as exc:  # adapter-level failure → fall back
+                rule_spec = self.rules.match(column.name, TypeFamily.TEXT)
+                if rule_spec is not None:
+                    return rule_spec, f"sampling failed ({exc}); column-name rule"
+                return GeneratorSpec("RandomStringGenerator"), f"sampling failed ({exc})"
+            probe_span.set(values=len(probe))
+            texts = [str(v) for v in probe if v is not None]
+            if not texts:
+                rule_spec = self.rules.match(column.name, TypeFamily.TEXT)
+                if rule_spec is not None:
+                    return rule_spec, "empty column; column-name rule"
+                return GeneratorSpec("RandomStringGenerator"), "empty column; fallback"
+            kind = classify_values(texts)
 
-        kind = classify_values(texts)
         distinct = stats.distinct_count if stats else None
         if kind == "dictionary" and (
             distinct is None or distinct <= _DICTIONARY_MAX_DISTINCT

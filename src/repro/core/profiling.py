@@ -71,7 +71,8 @@ class DataProfiler:
         options: ProfileOptions | None = None,
     ) -> SchemaProfile:
         """Profile all columns, updating ``extracted.timings`` with the
-        NULL-probability and min/max phase durations (the §4 rows)."""
+        NULL-probability, min/max and distinct-count phase durations
+        (the §4 rows)."""
         options = options or ProfileOptions()
         profile = SchemaProfile()
 
@@ -102,7 +103,7 @@ class DataProfiler:
             extracted.timings.minmax_seconds += phase.seconds
 
         if options.distinct_counts:
-            with timed("profiling.distinct_counts"):
+            with timed("profiling.distinct_counts") as phase:
                 for table in extracted.tables:
                     for column in table.columns:
                         entry = profile.get(table.name, column.name)
@@ -110,6 +111,7 @@ class DataProfiler:
                         entry.distinct_count = self.adapter.distinct_count(
                             table.name, column.name
                         )
+            extracted.timings.distinct_seconds += phase.seconds
 
         if options.histograms:
             with timed("profiling.histograms"):

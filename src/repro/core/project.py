@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.config import saved_model, schema_xml
 from repro.config.saved_model import ProjectPaths
 from repro.core.extraction import ExtractedSchema, SchemaExtractor
-from repro.core.fidelity import FidelityChecker, FidelityReport, default_queries
-from repro.core.loader import load
 from repro.core.model_builder import BuildOptions, BuildResult, ModelBuilder
 from repro.core.profiling import DataProfiler, ProfileOptions, SchemaProfile
 from repro.core.translator import SchemaTranslator
 from repro.db.adapter import DatabaseAdapter
-from repro.engine import GenerationEngine
-from repro.scheduler.scheduler import RunReport
+
+if TYPE_CHECKING:  # the generate / load / verify steps import these when run
+    from repro.core.fidelity import FidelityReport
+    from repro.engine import GenerationEngine
+    from repro.scheduler.scheduler import RunReport
 
 
 @dataclass
@@ -103,6 +105,8 @@ class DBSynthProject:
 
     def engine(self, scale_factor: float | None = None) -> GenerationEngine:
         """Step 4: a generation engine over the built model."""
+        from repro.engine import GenerationEngine
+
         result = self._require_model()
         if scale_factor is not None:
             result.schema.properties.override("SF", scale_factor)
@@ -119,6 +123,8 @@ class DBSynthProject:
         create_schema: bool = True,
     ) -> RunReport:
         """Step 5b: generate and load data into the target database."""
+        from repro.core.loader import load
+
         if engine is None:
             engine = self.engine()
         if create_schema:
@@ -127,6 +133,8 @@ class DBSynthProject:
 
     def verify(self, target: DatabaseAdapter) -> FidelityReport:
         """Step 6: original-vs-synthetic query comparison."""
+        from repro.core.fidelity import FidelityChecker, default_queries
+
         result = self._require_model()
         checker = FidelityChecker(self.source, target)
         return checker.run(default_queries(result.schema))

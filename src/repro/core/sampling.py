@@ -24,9 +24,10 @@ class SampleConfig:
     """How to sample a text column for dictionaries / Markov chains.
 
     ``fraction`` ∈ (0, 1]; ``strategy`` per the adapter's sampling modes;
-    ``max_values`` caps memory for huge tables; ``min_values`` falls back
-    to a first-N scan when a tiny fraction of a small table would return
-    nothing.
+    ``max_values`` caps every sample (memory for huge tables);
+    ``min_values``: a sample with fewer values — a tiny fraction of a
+    small table — is replaced by the column's first ``max_values``
+    values in scan order (the whole column when that is shorter).
     """
 
     fraction: float = 0.01
@@ -71,10 +72,11 @@ class ColumnSampler:
                 seed=self.seed,
             )
             if len(values) < config.min_values:
-                # Fraction too small for this table: top up with a first-N
-                # scan so the dictionary/Markov builders always have signal.
+                # Fraction too small for this table: read the column's
+                # first max_values values instead, so the dictionary/Markov
+                # builders always have signal.
                 values = self.adapter.sample_column(
-                    table, column, fraction=1.0, limit=max(config.min_values, 1),
+                    table, column, fraction=1.0, limit=config.max_values,
                     strategy="first",
                 )
             phase.set(values=len(values))

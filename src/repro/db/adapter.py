@@ -102,10 +102,13 @@ class DatabaseAdapter(abc.ABC):
         """Sample non-NULL values of a column.
 
         ``strategy`` is ``"bernoulli"`` (random per-row), ``"first"``
-        (first-N scan), or ``"systematic"`` (every k-th row) — the
-        configurable sampling strategies of paper §3. Every strategy is
-        repeatable: the bernoulli draw is a hash of ``seed`` and the row,
-        so one source and one seed give one sample.
+        (the first ``fraction`` of the rows in scan order), or
+        ``"systematic"`` (every k-th row, k = ``round(1 / fraction)``) —
+        the configurable sampling strategies of paper §3. ``limit`` caps
+        every strategy: at most ``limit`` values come back, and the
+        first two read no further than the rows they keep. Every
+        strategy is repeatable: the bernoulli draw is a hash of ``seed``
+        and the row, so one source and one seed give one sample.
         """
 
     # -- execution -----------------------------------------------------------

@@ -9,6 +9,7 @@ unmodified.
 
 from __future__ import annotations
 
+import itertools
 import re
 import sqlite3
 from typing import Iterable, Sequence
@@ -39,10 +40,12 @@ def sample_hash_sql(seed: int) -> str:
 def _ident(name: str) -> str:
     """Validate an identifier before splicing it into SQL. Catalog names
     come from the database itself, but validating here keeps adapter
-    helpers safe for caller-supplied names too."""
+    helpers safe for caller-supplied names too. Brackets, not double
+    quotes: SQLite reads a double-quoted name that matches no column as
+    a string literal, so a missing column would sample its own name."""
     if not _IDENT_RE.match(name):
         raise AdapterError(f"invalid identifier {name!r}")
-    return f'"{name}"'
+    return f"[{name}]"
 
 
 class SQLiteAdapter(DatabaseAdapter):
@@ -163,48 +166,52 @@ class SQLiteAdapter(DatabaseAdapter):
     ) -> list[object]:
         if not 0.0 < fraction <= 1.0:
             raise AdapterError(f"sample fraction {fraction} outside (0, 1]")
+        if strategy not in ("bernoulli", "first", "systematic"):
+            raise AdapterError(f"unknown sampling strategy {strategy!r}")
+        if limit is not None and limit < 0:
+            raise AdapterError(f"sample limit {limit} is negative")
         col = _ident(column)
         tbl = _ident(table)
-        where = f"{col} IS NOT NULL"
-        # Rows numbered in scan order: the row address both sampled
-        # strategies select on (``rowid`` would not exist on WITHOUT
-        # ROWID tables).
-        numbered = (
-            f"(SELECT {col}, ROW_NUMBER() OVER () AS rn "
-            f"FROM {tbl} WHERE {where})"
-        )
-        if strategy == "bernoulli" and fraction < 1.0:
+        scan = f"SELECT {col} FROM {tbl} WHERE {col} IS NOT NULL"
+        if strategy == "systematic":
+            # Every step-th row of the scan, kept while the cursor
+            # streams: the rows a ``ROW_NUMBER() OVER ()`` window numbers
+            # step, 2·step, ..., without the window's cost, and memory
+            # grows with the sample, not the column.
+            step = max(int(round(1.0 / fraction)), 1)
+            stop = None if limit is None else step * int(limit)
+            try:
+                rows = self._conn.execute(scan)
+                return [row[0] for row in itertools.islice(rows, step - 1, stop, step)]
+            except sqlite3.Error as exc:
+                raise AdapterError(f"query failed ({exc}): {scan[:120]}") from exc
+        sql = scan
+        if strategy == "first" and fraction < 1.0:
+            share = max(int(self.row_count(table) * fraction), 1)
+            limit = share if limit is None else min(share, limit)
+        elif strategy == "bernoulli" and fraction < 1.0:
             # The per-row Bernoulli draw is a hash of (seed, row), the
             # paper's PRNG-as-hash idea, so the same source and seed give
             # the same sample — SQLite's random() cannot be seeded. It
             # has to cost less than reading the column, or sampling buys
             # nothing: the hash is computed in SQL (a Python callback per
             # row costs more than the scan) and the row is addressed by
-            # ``rowid`` where the table has one (the window function
-            # alone costs more than the scan).
+            # ``rowid`` where the table has one. Only a WITHOUT ROWID
+            # table numbers its rows in scan order with a window, which
+            # alone costs more than the scan.
             try:
                 self._conn.execute(f"SELECT rowid FROM {tbl} LIMIT 0")
             except sqlite3.OperationalError:
-                rows = numbered  # a WITHOUT ROWID table
+                rn = "ROW_NUMBER() OVER ()"
             else:
-                rows = f"(SELECT {col}, rowid AS rn FROM {tbl} WHERE {where})"
+                rn = "rowid"
             sql = (
-                f"SELECT {col} FROM {rows} "
+                f"SELECT {col} FROM (SELECT {col}, {rn} AS rn "
+                f"FROM {tbl} WHERE {col} IS NOT NULL) "
                 f"WHERE {sample_hash_sql(seed)} < {int(fraction * 2**31)}"
             )
-        elif strategy == "bernoulli":
-            sql = f"SELECT {col} FROM {tbl} WHERE {where}"
-        elif strategy == "first":
-            count = self.row_count(table)
-            take = max(int(count * fraction), 1)
-            sql = f"SELECT {col} FROM {tbl} WHERE {where} LIMIT {take}"
-        elif strategy == "systematic":
-            step = max(int(round(1.0 / fraction)), 1)
-            sql = f"SELECT {col} FROM {numbered} WHERE rn % {step} = 0"
-        else:
-            raise AdapterError(f"unknown sampling strategy {strategy!r}")
         if limit is not None:
-            sql += f" LIMIT {int(limit)}" if "LIMIT" not in sql else ""
+            sql += f" LIMIT {int(limit)}"
         return [row[0] for row in self.execute(sql)]
 
     # -- execution -----------------------------------------------------------

@@ -428,6 +428,21 @@ class TestOneHttpServer:
         argv = ["generate", "--suite", "tpch", "--sf", "0.001", "--kind", "null", "-q"]
         assert self._loaded_by(argv, list(self.NOT_ON_THE_START_UP_PATH)) == []
 
+    def test_extract_loads_only_what_it_runs(self, tmp_path):
+        """The paper's "interactive" model generation (§4) pays for
+        extraction, not for the engine, the output system, schedulers,
+        loading, query generation or the benchmark driver."""
+        from repro.suites.imdb import build_imdb_database
+
+        source = str(tmp_path / "source.db")
+        build_imdb_database(source, movies=20, people=30, seed=5).close()
+        watched = [
+            "repro.engine", "repro.scheduler", "repro.output",
+            "repro.core.queries", "repro.core.driver", "repro.core.loader",
+        ]
+        argv = ["extract", source, "-o", str(tmp_path / "model")]
+        assert self._loaded_by(argv, watched) == []
+
     def test_obs_server_still_resolves_lazily(self):
         from repro import obs
         from repro.obs.serve import ObsServer
@@ -478,6 +493,10 @@ class TestLazyNamespaces:
         "repro.scheduler": [],
         "repro.config": ["repro.config.schema_xml", "repro.config.format_xml"],
         "repro.obs": ["repro.obs.serve"],
+        "repro.core": [
+            "repro.core.loader", "repro.core.driver", "repro.core.queries",
+            "repro.core.fidelity", "repro.engine", "repro.scheduler",
+        ],
         "repro.suites.tpch": ["repro.suites.tpch.dbgen", "repro.suites.tpch.queries"],
     }
     #: values that carry no ``__module__`` and the module defining them

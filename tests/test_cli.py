@@ -51,12 +51,14 @@ class TestExtract:
         out = capsys.readouterr().out
         assert "timings:" in out
         assert "min/max" in out
+        assert "distinct" in out
 
     def test_default_extract_is_reproducible(self, tmp_path, monkeypatch):
         # The source must be large enough that the default 1% bernoulli
-        # sample is *kept*: below SampleConfig.min_values the sampler falls
-        # back to the deterministic first-N scan, which hid an unseeded
-        # draw from every small-schema test.
+        # sample is *kept*: below SampleConfig.min_values the sampler
+        # replaces it with the column's first max_values values in scan
+        # order — deterministic, which hid an unseeded draw from every
+        # small-schema test.
         source = str(tmp_path / "big.db")
         build_imdb_database(
             source, movies=10000, people=8000, cast_per_movie=1,

@@ -162,6 +162,126 @@ class TestSampling:
             adapter.sample_column("emp", "name", strategy="magic")
 
 
+STRATEGIES = ("bernoulli", "first", "systematic")
+
+
+@pytest.fixture(scope="module")
+def shapes():
+    """Tables whose scans a systematic sample must follow row for row:
+    NULLs (leading ones too), deleted rows (gaps in ``rowid``), a
+    WITHOUT ROWID table, and an index on the sampled column (scanned in
+    key order, not ``rowid`` order)."""
+    db = SQLiteAdapter(":memory:")
+    db.execute_script(
+        """
+        CREATE TABLE nulls (id INTEGER PRIMARY KEY, v TEXT);
+        CREATE TABLE gaps (id INTEGER PRIMARY KEY, v TEXT);
+        CREATE TABLE norowid (k INTEGER PRIMARY KEY, v TEXT) WITHOUT ROWID;
+        CREATE TABLE indexed (id INTEGER PRIMARY KEY, v TEXT, other TEXT);
+        CREATE INDEX indexed_v ON indexed (v);
+        """
+    )
+    scrambled = [(i * 7919) % 1000 for i in range(1000)]
+    db.insert_rows("nulls", ["id", "v"], (
+        (i, None if i < 5 or i % 7 == 0 else f"n{i}") for i in range(1000)
+    ))
+    db.insert_rows("gaps", ["id", "v"], ((i, f"g{i}") for i in range(1000)))
+    db.execute_dml("DELETE FROM gaps WHERE id % 3 = 0 OR id BETWEEN 400 AND 450")
+    db.insert_rows("norowid", ["k", "v"], (
+        (k, None if k % 5 == 0 else f"w{k}") for k in scrambled
+    ))
+    db.insert_rows("indexed", ["id", "v", "other"], (
+        (i, None if i % 11 == 0 else f"x{scrambled[i]:04d}", "o") for i in range(1000)
+    ))
+    yield db
+    db.close()
+
+
+def window_sample(adapter, table, fraction, limit):
+    """The systematic sample as one SQL query: rows numbered in scan order
+    by a window, every step-th kept — the oracle the streamed scan must
+    equal."""
+    step = max(int(round(1.0 / fraction)), 1)
+    sql = (
+        f"SELECT v FROM (SELECT v, ROW_NUMBER() OVER () AS rn FROM {table} "
+        f"WHERE v IS NOT NULL) WHERE rn % {step} = 0"
+    )
+    if limit is not None:
+        sql += f" LIMIT {limit}"
+    return [row[0] for row in adapter.execute(sql)]
+
+
+class TestSampleLimit:
+    """``limit`` caps every strategy; ``first`` used to ignore it."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("limit", [1, 7, None])
+    def test_limit_caps_every_strategy(self, shapes, strategy, fraction, limit):
+        values = shapes.sample_column(
+            "gaps", "v", fraction=fraction, limit=limit, strategy=strategy
+        )
+        uncapped = shapes.sample_column(
+            "gaps", "v", fraction=fraction, strategy=strategy
+        )
+        assert len(uncapped) > 7
+        if limit is None:
+            assert values == uncapped
+        else:
+            assert len(values) == limit
+            if strategy != "bernoulli":  # the draw need not be a prefix
+                assert values == uncapped[:limit]
+
+    def test_negative_limit_is_refused(self, shapes):
+        with pytest.raises(AdapterError, match="negative"):
+            shapes.sample_column("gaps", "v", limit=-1, strategy="systematic")
+
+    def test_sampler_keeps_max_values_under_first(self):
+        from repro.core.extraction import ExtractedSchema
+        from repro.core.sampling import ColumnSampler, SampleConfig
+
+        db = SQLiteAdapter(":memory:")
+        db.execute_script("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT);")
+        db.insert_rows("t", ["id", "v"], ((i, f"v{i}") for i in range(10_000)))
+        sampler = ColumnSampler(db)
+        # 1% of 10 000 rows is 100 values: above min_values (no top-up),
+        # and above the cap unless the cap holds
+        for k in (7, 60):
+            config = SampleConfig(strategy="first", max_values=k)
+            values = sampler.sample(ExtractedSchema(source="t"), "t", "v", config)
+            assert values == [f"v{i}" for i in range(k)]
+        db.close()
+
+
+class TestSystematicOracle:
+    """The streamed systematic sample picks the rows the window query
+    numbers step, 2·step, ... — same rows, same order."""
+
+    @pytest.mark.parametrize("table", ["nulls", "gaps", "norowid", "indexed"])
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.1, 0.013])
+    @pytest.mark.parametrize("limit", [None, 1, 7])
+    def test_stream_equals_window(self, shapes, table, fraction, limit):
+        streamed = shapes.sample_column(
+            table, "v", fraction=fraction, limit=limit, strategy="systematic"
+        )
+        assert streamed == window_sample(shapes, table, fraction, limit)
+        assert streamed and None not in streamed
+
+    def test_index_order_is_followed(self, shapes):
+        # both queries scan the covering index, so the sample is in key
+        # order, not the order the rows were inserted in
+        plan = shapes.execute(
+            "EXPLAIN QUERY PLAN SELECT v FROM indexed WHERE v IS NOT NULL"
+        )
+        assert "COVERING INDEX" in plan[0][-1]
+        values = shapes.sample_column("indexed", "v", fraction=0.1, strategy="systematic")
+        assert values == sorted(values)
+
+    def test_missing_column_raises_adapter_error(self, shapes):
+        with pytest.raises(AdapterError, match="no such column"):
+            shapes.sample_column("gaps", "ghost", strategy="systematic")
+
+
 class TestExecution:
     def test_execute_with_parameters(self, adapter):
         rows = adapter.execute("SELECT name FROM emp WHERE salary > ?", (95,))

@@ -77,16 +77,30 @@ def test_parallel_run_matches_golden_digests():
     assert _run_digests("ssb", workers=4) == expected
 
 
-def test_extracted_model_matches_golden_digests():
-    """Same source + same seed ⇒ same model: the saved project of a
-    default extraction (seeded bernoulli sample included) and the data
-    generated from it are pinned like the suites are."""
+def _golden_tool():
     spec = importlib.util.spec_from_file_location(
         "update_golden", Path(__file__).parent.parent / "tools" / "update_golden.py"
     )
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert tool.extracted_digests() == _golden()["extracted"]["imdb"]
+    return tool
+
+
+def test_extracted_model_matches_golden_digests():
+    """Same source + same seed ⇒ same model: the saved project of a
+    default extraction (seeded bernoulli sample included) and the data
+    generated from it are pinned like the suites are."""
+    assert _golden_tool().extracted_digests() == _golden()["extracted"]["imdb"]
+
+
+def test_systematic_extraction_matches_golden_digests():
+    """``--strategy systematic`` streams the scan and keeps every k-th
+    row; its model is pinned too (digests recorded before the stream
+    replaced a window query)."""
+    assert (
+        _golden_tool().extracted_digests("systematic")
+        == _golden()["extracted"]["imdb-systematic"]
+    )
 
 
 #: The fixed-draw string generators, one field each. Url, CompanyName and

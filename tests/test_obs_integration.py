@@ -125,6 +125,41 @@ class TestExtractionTelemetry:
             spans["extraction.sizes"].duration
         )
 
+    def test_distinct_counts_are_a_timed_phase(self, tmp_path):
+        path = str(tmp_path / "source.db")
+        adapter = build_imdb_database(path, movies=20, people=30, seed=3)
+        tracer = obs.enable_tracing()
+        extracted = SchemaExtractor(adapter).extract()
+        DataProfiler(adapter).profile(extracted)
+        adapter.close()
+        spans = {s.name: s for s in tracer.spans()}
+        timings = extracted.timings
+        assert timings.distinct_seconds == pytest.approx(
+            spans["profiling.distinct_counts"].duration
+        )
+        assert timings.total() == pytest.approx(
+            timings.schema_seconds + timings.sizes_seconds + timings.null_seconds
+            + timings.minmax_seconds + timings.distinct_seconds
+            + timings.sampling_seconds
+        )
+
+    def test_text_probe_reads_at_most_200_values(self, imdb_adapter):
+        # cast_members has 289 rows: the dictionary-vs-text probe must
+        # stop at 200 of them, not read the column whole
+        tracer = obs.enable_tracing()
+        result = build_model(imdb_adapter, name="m")
+        probes = {
+            (s.attrs["table"], s.attrs["column"]): s.attrs["values"]
+            for s in tracer.spans() if s.name == "model.classify"
+        }
+        sampled = {
+            (d.table, d.column) for d in result.decisions
+            if d.generator in ("DictListGenerator", "MarkovChainGenerator")
+        }
+        assert sampled and sampled <= set(probes)
+        assert all(values <= 200 for values in probes.values())
+        assert probes[("cast_members", "role")] == 200
+
     def test_timings_work_without_tracer(self, tmp_path):
         path = str(tmp_path / "source.db")
         adapter = build_imdb_database(path, movies=10, people=10, seed=3)

@@ -6,8 +6,9 @@ it. This tool generates small slices of the three built-in suites
 (TPC-H, SSB, BigBench) through the memory sink and records one SHA-256
 per table in ``tests/golden/manifest.json``; and it pins DBSynth's half
 of the claim — same source, same seed ⇒ same *model* — by extracting a
-model from a seeded IMDb-like source and recording one SHA-256 per saved
-project file plus one per table of a slice generated from it. The
+model from a seeded IMDb-like source (once with the default bernoulli
+sample, once with ``--strategy systematic``) and recording one SHA-256
+per saved project file plus one per table of a slice generated from it. The
 determinism gate runs ``--check`` on every CI platform: a digest drift
 means generation or extraction became platform- or version-dependent
 (or an intentional change that must be acknowledged by re-running this
@@ -48,6 +49,10 @@ IMDB_SOURCE = {
 }
 SLICE_ROWS = 500
 
+#: Pinned extractions: manifest name -> sampling strategy (None: the
+#: default SampleConfig).
+EXTRACTIONS = {"imdb": None, "imdb-systematic": "systematic"}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -78,18 +83,22 @@ def suite_digests() -> dict:
     return suites
 
 
-def extracted_digests() -> dict:
-    """Default ``dbsynth extract`` over the seeded IMDb-like source: the
-    saved project, file by file, and a CSV slice of every table of the
-    model loaded back from it."""
+def extracted_digests(strategy: str | None = None) -> dict:
+    """``dbsynth extract`` (``--strategy`` *strategy*, when given) over
+    the seeded IMDb-like source: the saved project, file by file, and a
+    CSV slice of every table of the model loaded back from it."""
     from repro.api import Dataset
-    from repro.core import DBSynthProject
+    from repro.core import BuildOptions, DBSynthProject, SampleConfig
     from repro.suites.imdb import build_imdb_database
 
+    sample = SampleConfig() if strategy is None else SampleConfig(strategy=strategy)
     with tempfile.TemporaryDirectory(prefix="golden-imdb-") as work:
         source = build_imdb_database(str(Path(work) / "source.db"), **IMDB_SOURCE)
         try:
-            project = DBSynthProject(name="dbsynth_model", source=source)
+            project = DBSynthProject(
+                name="dbsynth_model", source=source,
+                build_options=BuildOptions(sample_config=sample),
+            )
             project.profile()
             project.build_model()
         finally:
@@ -106,7 +115,10 @@ def extracted_digests() -> dict:
         rows = min(rows, SLICE_ROWS)
         body = dataset.slice(table, 0, rows, format="csv")
         tables[table] = {"rows": rows, "sha256": _sha256(body)}
-    return {"source": IMDB_SOURCE, "files": files, "tables": tables}
+    record = {"source": IMDB_SOURCE, "files": files, "tables": tables}
+    if strategy is not None:
+        record["strategy"] = strategy
+    return record
 
 
 def compute_digests() -> dict:
@@ -114,7 +126,9 @@ def compute_digests() -> dict:
         "format": "csv",
         "package_size": PACKAGE_SIZE,
         "suites": suite_digests(),
-        "extracted": {"imdb": extracted_digests()},
+        "extracted": {
+            name: extracted_digests(strategy) for name, strategy in EXTRACTIONS.items()
+        },
     }
 
 
