@@ -1,4 +1,4 @@
-"""Query workloads and data-free result prediction (paper §7 future work).
+"""Query workloads and exact answers from the model (paper §7 future work).
 
 The paper's conclusion promises two extensions, both implemented here:
 
@@ -6,9 +6,9 @@ The paper's conclusion promises two extensions, both implemented here:
    parameters are drawn through the same seed hierarchy as the data, so
    a benchmark's query stream is exactly as repeatable as its data;
 2. "directly execute the query without ever generating the data" —
-   the virtual executor predicts aggregate results from the model alone
-   (closed forms over the generators' distributions) and can compute
-   exact results by streaming rows without materializing anything.
+   the virtual executor answers aggregate queries from the model alone:
+   it computes only the columns a query reads, block by block, writes
+   nothing and loads nothing, and its answers equal SQL's on the data.
 
 Run: ``python examples/query_workloads.py``
 """
@@ -27,6 +27,7 @@ from repro.core import (
     VirtualExecutor,
     load,
 )
+from repro.core.driver import same_answer
 from repro.db import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.suites.tpch import tpch_artifacts, tpch_schema
@@ -56,39 +57,29 @@ def main() -> None:
     assert generator.stream(template, 3) == generator.stream(template, 3)
     print("  (re-deriving the stream yields identical queries)")
 
-    print("\n== 2. predict results without generating any data ==")
+    print("\n== 2. answer a query without a database ==")
     query = Query(
         "lineitem",
         [Aggregate("count"), Aggregate("avg", "l_quantity"),
-         Aggregate("sum", "l_quantity")],
+         Aggregate("sum", "l_extendedprice")],
         [Predicate("l_quantity", Op.LT, 24),
          Predicate("l_discount", Op.BETWEEN, 0.05, 0.07)],
     )
     executor = VirtualExecutor(schema, artifacts)
-    predictions = executor.predict(query)
+    answers = executor.execute(query)
     print(f"  {query.to_sql()}")
-    for key, predicted in predictions.items():
-        print(f"    {key:<18} predicted {predicted.value:12.2f} "
-              f"(±{predicted.tolerance:.0%})")
 
-    print("\n== 3. verify against a real database load ==")
+    print("\n== 3. the same SQL against a real database load ==")
     target = SQLiteAdapter(":memory:")
     SchemaTranslator().apply(schema, target)
     load(GenerationEngine(schema, artifacts), target)
     actual = target.execute(query.to_sql())[0]
-    for (key, predicted), value in zip(predictions.items(), actual):
-        error = abs(predicted.value - value) / abs(value) if value else 0.0
-        status = "ok" if error <= predicted.tolerance else "MISS"
-        print(f"    {key:<18} actual {value:15.2f}  error {error:6.2%} [{status}]")
+    for (key, answer), value in zip(answers.items(), actual):
+        status = "equal" if same_answer(answer, value) else "DIFFERENT"
+        print(f"    {key:<22} model {answer:15.4f}  SQL {value:15.4f}  [{status}]")
+        assert same_answer(answer, value), "the model's answer is SQL's"
 
-    print("\n== 4. exact virtual execution (streaming, no database) ==")
-    exact = executor.execute(query)
-    for key, value in exact.items():
-        print(f"    {key:<18} virtual {value:15.2f}")
-    assert exact["COUNT(*)"] == actual[0], "virtual == SQL, exactly"
-    print("    virtual COUNT matches the SQL result exactly")
-
-    print("\n== 5. a full timestamped workload, replayed ==")
+    print("\n== 4. a full timestamped workload, replayed ==")
     from repro.workload import ArrivalSpec, WorkloadReplayer, WorkloadStream
     from repro.suites.tpch.workload import tpch_workload_spec
 

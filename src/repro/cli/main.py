@@ -662,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument(
         "--replay", action="store_true",
         help="execute the stream against --database, honoring arrival "
-        "timestamps; exit code reflects failures and prediction misses",
+        "timestamps; exit code reflects failures and checks whose result "
+        "differs from the model's exact answer (graded before the stream)",
     )
     workload.add_argument(
         "--stream", metavar="FILE",

@@ -39,7 +39,6 @@ _PUBLIC = {
     "Op": "repro.core.queries",
     "ParameterSpec": "repro.core.queries",
     "Predicate": "repro.core.queries",
-    "PredictedValue": "repro.core.queries",
     "Query": "repro.core.queries",
     "QueryParameterGenerator": "repro.core.queries",
     "QueryTemplate": "repro.core.queries",

@@ -5,17 +5,19 @@ benchmarking process ... generate the queries consistently using PDGF
 and build additional driver and analysis modules". This module is that
 driver: it runs one SQL text or structured
 :class:`~repro.core.queries.Query` against a target database, times it,
-and — where the virtual executor can predict the result — grades the
-measured answer against the model's prediction. Which queries run, and
-when, is the seeded stream's business (:mod:`repro.workload`).
+and grades a structured query's result against the virtual executor's
+exact answer from the model: integers must be equal, floats agree to
+1e-9 relative. Which queries run, and when, is the seeded stream's
+business (:mod:`repro.workload`).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
-from repro.core.queries import PredictedValue, Query, VirtualExecutor
+from repro.core.queries import Query, VirtualExecutor
 from repro.db.adapter import DatabaseAdapter
 from repro.exceptions import GenerationError
 from repro.generators.base import ArtifactStore
@@ -32,9 +34,10 @@ class QueryExecution:
     rows: int
     first_row: tuple | None = None
     error: str | None = None
-    # Filled when the query was predictable from the model.
-    predictions: dict[str, PredictedValue] | None = None
-    prediction_ok: bool | None = None
+    # Filled when the query was graded: the model's exact answer, and
+    # whether the database returned it.
+    expected: dict[str, object] | None = None
+    check_ok: bool | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -60,20 +63,20 @@ class DriverReport:
         return len(self.executions) - self.succeeded
 
     @property
-    def predictions_checked(self) -> int:
-        return sum(1 for e in self.executions if e.prediction_ok is not None)
+    def checks_graded(self) -> int:
+        return sum(1 for e in self.executions if e.check_ok is not None)
 
     @property
-    def predictions_passed(self) -> int:
-        return sum(1 for e in self.executions if e.prediction_ok)
+    def checks_passed(self) -> int:
+        return sum(1 for e in self.executions if e.check_ok)
 
     def summary_lines(self) -> list[str]:
         lines = []
         for execution in self.executions:
             status = "ok " if execution.succeeded else "ERR"
             check = ""
-            if execution.prediction_ok is not None:
-                check = " pred=ok" if execution.prediction_ok else " pred=MISS"
+            if execution.check_ok is not None:
+                check = " check=ok" if execution.check_ok else " check=MISS"
             lines.append(
                 f"[{status}] {execution.name:<28} {execution.seconds * 1000:8.1f} ms "
                 f"{execution.rows:6d} rows{check}"
@@ -81,7 +84,7 @@ class DriverReport:
         lines.append(
             f"total: {len(self.executions)} queries in "
             f"{self.total_seconds:.3f} s; {self.failed} failed; "
-            f"predictions {self.predictions_passed}/{self.predictions_checked} ok"
+            f"checks {self.checks_passed}/{self.checks_graded} exact"
         )
         return lines
 
@@ -105,8 +108,8 @@ class BenchmarkDriver:
     def run_sql(self, name: str, sql: str) -> QueryExecution:
         """Time one SQL text against the target (errors become results).
 
-        The building block the workload replayer drives: no prediction
-        grading, just faithful timing and row counting.
+        The building block the workload replayer drives: no grading,
+        just faithful timing and row counting.
         """
         start = time.perf_counter()
         try:
@@ -122,31 +125,31 @@ class BenchmarkDriver:
         )
 
     def run_query(self, name: str, query: Query) -> QueryExecution:
-        """Run a structured query and grade it against the model."""
+        """Run a structured query and grade it against the model's exact
+        answer, aggregate by aggregate in SELECT-list order."""
         execution = self.run_sql(name, query.to_sql())
         if not execution.succeeded or execution.first_row is None:
             return execution
         try:
-            predictions = self._executor.predict(query)
+            expected = self._executor.execute(query)
         except GenerationError:
-            return execution  # not predictable; timing-only result
-        execution.predictions = predictions
-        execution.prediction_ok = True
-        # predict() yields one entry per aggregate in SELECT-list order
-        # (duplicate renderings disambiguated), so grading is positional:
-        # prediction i is compared against result column i.
-        for predicted, actual in zip(predictions.values(), execution.first_row):
-            if actual is None:
-                continue
-            value = float(actual)
-            if predicted.value is None:
-                continue
-            if value == 0:
-                ok = abs(predicted.value) <= max(predicted.tolerance, 1.0)
-            else:
-                ok = abs(predicted.value - value) / abs(value) <= max(
-                    predicted.tolerance, 0.12
-                )
-            if not ok:
-                execution.prediction_ok = False
+            return execution  # a query the model cannot answer: timing only
+        execution.expected = expected
+        execution.check_ok = all(
+            same_answer(answer, actual)
+            for answer, actual in zip(expected.values(), execution.first_row)
+        )
         return execution
+
+
+def same_answer(answer: object, actual: object) -> bool:
+    """Whether a database returned the model's *answer*: ``None`` for
+    ``None``, integers exactly, other numbers to 1e-9 relative, anything
+    else (dates, text) as the text the database stores."""
+    if answer is None or actual is None:
+        return answer is actual
+    if isinstance(answer, int) and isinstance(actual, int):
+        return answer == actual
+    if isinstance(answer, (int, float)) and isinstance(actual, (int, float)):
+        return math.isclose(answer, actual, rel_tol=1e-9)
+    return str(answer) == str(actual)

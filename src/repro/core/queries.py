@@ -1,4 +1,4 @@
-"""Query workload generation and model-side result prediction.
+"""Query workload generation and exact model-side query answers.
 
 Implements the paper's future-work items (§7): "we will generate the
 queries consistently using PDGF" and "include query analysis to generate
@@ -14,27 +14,33 @@ Two pieces:
   deterministically from the model (dictionary entries, date windows,
   numeric ranges) through the same seed hierarchy as the data, so query
   streams are as repeatable as the data they run against.
-* :class:`VirtualExecutor` — evaluates simple aggregate queries *against
-  the model*, either analytically (closed forms over the generators'
-  known distributions; no data is ever generated) or exactly (by
-  streaming rows through the engine without materializing them). The
-  analytic path is the "execute the query without ever generating the
-  data" capability; its outputs serve as verification results for runs
-  against a loaded database.
+* :class:`VirtualExecutor` — answers filter-aggregate queries *from the
+  model*: any cell can be computed independently (paper §1), so it
+  generates only the columns a query reads, one bounded block at a
+  time, and evaluates the query over them with numpy. The answer is
+  exact — the one SQL gives on the loaded data — and serves as the
+  verification result for runs against a database; nothing is written
+  or loaded.
 """
 
 from __future__ import annotations
 
 import datetime
 import enum
+import functools
+import math
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
+from repro import columnar
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, ModelError
 from repro.generators.base import ArtifactStore
 from repro.model.datatypes import TypeFamily
-from repro.model.schema import Field, GeneratorSpec, Schema
+from repro.model.schema import Field, Schema
 from repro.prng.xorshift import XorShift64Star, combine_name64
 from repro.text.dictionary import WeightedDictionary
 
@@ -112,7 +118,7 @@ def _aggregate_keys(aggregates: list[Aggregate]) -> list[str]:
     Two aggregates can render identical SQL (``COUNT(*)`` twice); a dict
     keyed by the rendering alone would collapse them and misalign every
     later column against the result row. Duplicates get a ``#n`` suffix
-    so predictions and results stay positional.
+    so answers and result columns stay positional.
     """
     keys: list[str] = []
     seen: dict[str, int] = {}
@@ -129,7 +135,9 @@ def _sql_literal(value: object) -> str:
         return "NULL"
     if isinstance(value, (int, float)):
         return str(value)
-    if isinstance(value, (datetime.date, datetime.datetime)):
+    if isinstance(value, datetime.datetime):
+        return f"'{value.isoformat(sep=' ')}'"  # as the SQL sink stores it
+    if isinstance(value, datetime.date):
         return f"'{value.isoformat()}'"
     text = str(value).replace("'", "''")
     return f"'{text}'"
@@ -244,17 +252,12 @@ class QueryParameterGenerator:
 
 @dataclass
 class _FieldModel:
-    """What the model knows about a field's value distribution."""
+    """The domain a field's parameters are drawn from."""
 
-    null_probability: float = 0.0
     numeric_bounds: tuple[float, float] | None = None
     is_integer: bool = False
     date_bounds: tuple[datetime.date, datetime.date] | None = None
     dictionary: WeightedDictionary | None = None
-    id_like: bool = False
-    # Rounding step of a DoubleGenerator with `places` (e.g. 0.01 for
-    # money columns); discretization widens range selectivities.
-    rounding_step: float = 0.0
 
 
 def _analyze_field(
@@ -263,7 +266,6 @@ def _analyze_field(
     model = _FieldModel()
     spec = field.generator
     if spec.name == "NullGenerator":
-        model.null_probability = float(spec.params.get("probability", 0.0))
         spec = spec.child()
 
     def resolve(value: object, default: float) -> float:
@@ -285,16 +287,12 @@ def _analyze_field(
             resolve(spec.params.get("min"), 0.0),
             resolve(spec.params.get("max"), 1.0),
         )
-        places = spec.params.get("places")
-        if places is not None:
-            model.rounding_step = 10.0 ** -int(places)
     elif spec.name == "IdGenerator":
         base = int(resolve(spec.params.get("base"), 1))
         step = int(resolve(spec.params.get("step"), 1))
         size = schema.table_size(_owning_table(schema, field))
         model.numeric_bounds = (base, base + max(size - 1, 0) * step)
         model.is_integer = True
-        model.id_like = True
     elif spec.name == "DateGenerator":
         low = spec.params.get("min", "1992-01-01")
         high = spec.params.get("max", "1998-12-31")
@@ -333,27 +331,22 @@ def _owning_table(schema: Schema, field: Field) -> str:
 
 # -- virtual execution ---------------------------------------------------------
 
+#: rows per projected block: what bounds execute's memory at any table size
+EXECUTE_BLOCK = 65_536
 
-@dataclass(frozen=True)
-class PredictedValue:
-    """One aggregate's prediction with an uncertainty band.
-
-    ``value`` is the expectation; ``tolerance`` a relative band within
-    which a faithful data set's actual result should fall (derived from
-    sampling variance at the modelled row count).
-    """
-
-    value: float | None
-    tolerance: float
+_NUMERIC = (TypeFamily.INTEGER, TypeFamily.FLOAT, TypeFamily.DECIMAL, TypeFamily.BOOLEAN)
+_AGGREGATES = ("count", "sum", "avg", "min", "max")
 
 
 class VirtualExecutor:
-    """Evaluates filter-aggregate queries against the model.
+    """Answers filter-aggregate queries from the model, exactly.
 
-    ``mode="analytic"`` computes expectations in closed form from the
-    generators' distributions — no data is generated at all.
-    ``mode="exact"`` streams the table through the engine and evaluates
-    the query on the fly (still never materializing the data set).
+    :meth:`execute` generates only the columns a query reads (and the
+    siblings those read), block by block, and evaluates the predicates
+    as numpy masks and the aggregates as reductions over them — no row
+    is materialized and no database is involved. Values compare the way
+    their column's declared SQL type family compares in a loaded
+    database, so the answer is the one SQL gives on the generated data.
     """
 
     def __init__(
@@ -364,173 +357,68 @@ class VirtualExecutor:
         self.schema = schema
         self.artifacts = artifacts or ArtifactStore()
 
-    # -- analytic path -----------------------------------------------------------
+    @functools.cached_property
+    def _engine(self) -> GenerationEngine:
+        return GenerationEngine(self.schema, self.artifacts)
 
-    def _selectivity(self, table: str, predicate: Predicate) -> float:
-        field = self.schema.table_by_name(table).field_by_name(predicate.column)
-        model = _analyze_field(self.schema, field, self.artifacts)
-        not_null = 1.0 - model.null_probability
-
-        if predicate.op is Op.IS_NULL:
-            return model.null_probability
-        if predicate.op is Op.NOT_NULL:
-            return not_null
-
-        if model.dictionary is not None:
-            return not_null * _dictionary_selectivity(model.dictionary, predicate)
-        if model.numeric_bounds is not None:
-            return not_null * _range_selectivity(
-                model.numeric_bounds[0], model.numeric_bounds[1],
-                predicate, integer=model.is_integer,
-                rounding_step=model.rounding_step,
-            )
-        if model.date_bounds is not None:
-            low, high = model.date_bounds
-            return not_null * _range_selectivity(
-                low.toordinal(), high.toordinal(),
-                _ordinalize(predicate), integer=True,
-            )
-        raise GenerationError(
-            f"cannot estimate selectivity of {predicate.to_sql()!r}: "
-            f"unsupported generator for column {predicate.column!r}"
-        )
-
-    def _column_mean(self, table: str, column: str, predicates: list[Predicate]) -> float:
-        """Expected value of a column, conditioned on range predicates on
-        the same column (other columns are independent)."""
-        field = self.schema.table_by_name(table).field_by_name(column)
-        model = _analyze_field(self.schema, field, self.artifacts)
-        if model.numeric_bounds is None:
-            raise GenerationError(f"column {column!r} is not numeric")
-        low, high = model.numeric_bounds
-        for predicate in predicates:
-            if predicate.column != column:
-                continue
-            low, high = _tighten(low, high, predicate)
-        return (low + high) / 2.0
-
-    def predict(self, query: Query) -> dict[str, PredictedValue]:
-        """Closed-form expectations for the query's aggregates.
-
-        The result holds exactly one entry per aggregate, in SELECT-list
+    def execute(self, query: Query) -> dict[str, object]:
+        """The query's answer: one entry per aggregate, in SELECT-list
         order (duplicate renderings are suffixed, see
-        :func:`_aggregate_keys`), so iterating its values is positional.
-        """
-        size = self.schema.table_size(query.table)
-        selectivity = 1.0
-        for predicate in query.predicates:
-            selectivity *= self._selectivity(query.table, predicate)
-        expected_rows = size * selectivity
-
-        # Binomial standard deviation drives the tolerance band.
-        import math
-
-        sigma = math.sqrt(max(size * selectivity * (1 - selectivity), 0.0))
-        count_tolerance = (
-            (4 * sigma / expected_rows) if expected_rows > 0 else 1.0
-        )
-        count_tolerance = min(max(count_tolerance, 0.02), 1.0)
-
-        out: dict[str, PredictedValue] = {}
-        for aggregate, key in zip(query.aggregates, _aggregate_keys(query.aggregates)):
-            if aggregate.func == "count":
-                out[key] = PredictedValue(expected_rows, count_tolerance)
-                continue
-            assert aggregate.column is not None
-            mean = self._column_mean(
-                query.table, aggregate.column, query.predicates
-            )
-            if aggregate.func == "avg":
-                out[key] = PredictedValue(mean, max(count_tolerance, 0.1))
-            elif aggregate.func == "sum":
-                out[key] = PredictedValue(
-                    expected_rows * mean, max(count_tolerance, 0.1)
-                )
-            elif aggregate.func in ("min", "max"):
-                field = self.schema.table_by_name(query.table).field_by_name(
-                    aggregate.column
-                )
-                model = _analyze_field(self.schema, field, self.artifacts)
-                if model.numeric_bounds is None:
-                    raise GenerationError(f"{aggregate.column!r} is not numeric")
-                low, high = model.numeric_bounds
-                for predicate in query.predicates:
-                    if predicate.column == aggregate.column:
-                        low, high = _tighten(low, high, predicate)
-                value = low if aggregate.func == "min" else high
-                out[key] = PredictedValue(value, 0.1)
-            else:
-                raise GenerationError(f"unsupported aggregate {aggregate.func!r}")
-        return out
-
-    # -- exact path -------------------------------------------------------------
-
-    def execute(self, query: Query) -> dict[str, float | None]:
-        """Evaluate the query by streaming generated rows (no
-        materialization, no database)."""
-        engine = GenerationEngine(self.schema, self.artifacts)
-        bound = engine.bound_table(query.table)
-        indices = {
-            column: bound.table.field_index(column)
-            for column in (
-                {p.column for p in query.predicates}
-                | {a.column for a in query.aggregates if a.column}
-            )
+        :func:`_aggregate_keys`), typed as SQL types it — ``None`` for
+        an aggregate over no values, ``int`` counts and integer sums,
+        ``float`` averages, MIN / MAX in the column's own type."""
+        table = self.schema.table_by_name(query.table)
+        families = {
+            name: table.field_by_name(name).dtype.family
+            for name in {p.column for p in query.predicates}
+            | {a.column for a in query.aggregates if a.column is not None}
         }
-        count = 0
-        sums: dict[str, float] = {}
-        mins: dict[str, float] = {}
-        maxs: dict[str, float] = {}
-        # Accumulate each column once even when several aggregates
-        # (e.g. SUM and AVG) reference it.
-        aggregate_columns = sorted(
-            {a.column for a in query.aggregates if a.column is not None}
-        )
-        for row in engine.iter_rows(query.table):
-            if not all(_matches(row[indices[p.column]], p) for p in query.predicates):
-                continue
-            count += 1
-            for column in aggregate_columns:
-                value = row[indices[column]]
-                if value is None:
-                    continue
-                number = _as_number(value)
-                sums[column] = sums.get(column, 0.0) + number
-                mins[column] = min(mins.get(column, number), number)
-                maxs[column] = max(maxs.get(column, number), number)
-
-        out: dict[str, float | None] = {}
-        for aggregate, key in zip(query.aggregates, _aggregate_keys(query.aggregates)):
-            if aggregate.func == "count":
-                out[key] = count
-            elif aggregate.func == "sum":
-                out[key] = sums.get(aggregate.column)  # type: ignore[arg-type]
-            elif aggregate.func == "avg":
-                total = sums.get(aggregate.column)  # type: ignore[arg-type]
-                out[key] = total / count if total is not None and count else None
-            elif aggregate.func == "min":
-                out[key] = mins.get(aggregate.column)  # type: ignore[arg-type]
-            elif aggregate.func == "max":
-                out[key] = maxs.get(aggregate.column)  # type: ignore[arg-type]
-        return out
-
-    def verification_result(self, query: Query) -> dict[str, PredictedValue]:
-        """Predictions packaged as verification results for a benchmark
-        run (the §7 "verification results for queries" deliverable)."""
-        return self.predict(query)
+        accumulators: dict[str, _Accumulator] = {}
+        for aggregate in query.aggregates:
+            if aggregate.func not in _AGGREGATES:
+                raise GenerationError(f"unsupported aggregate {aggregate.func!r}")
+            if aggregate.column is not None:
+                accumulators.setdefault(
+                    aggregate.column,
+                    _Accumulator(aggregate.column, families[aggregate.column]),
+                ).need(aggregate.func)
+        for predicate in query.predicates:
+            if predicate.op is Op.IN:
+                _in_values(predicate)  # its error comes before any generation
+        bound = self._engine.bound_table(query.table)
+        ctx = self._engine.new_context(query.table)
+        size = self._engine.sizes[query.table]
+        rows = 0
+        for start in range(0, size, EXECUTE_BLOCK):
+            stop = min(start + EXECUTE_BLOCK, size)
+            keys = {}
+            if families:  # COUNT(*) alone reads no column
+                block = bound.generate_columns(start, stop, ctx, fields=families)
+                keys = {
+                    name: _keys(block.columns[bound.field_index(name)], family)
+                    for name, family in families.items()
+                }
+            mask = np.ones(stop - start, dtype=bool)
+            for predicate in query.predicates:
+                column = predicate.column
+                mask &= _mask(*keys[column], predicate, families[column])
+            rows += int(np.count_nonzero(mask))
+            for name, accumulator in accumulators.items():
+                values, nulls = keys[name]
+                try:
+                    accumulator.add(values[mask & ~nulls])
+                except TypeError:
+                    raise GenerationError(
+                        f"cannot aggregate {name!r}: mixed value types"
+                    ) from None
+        return {
+            key: rows if aggregate.column is None
+            else accumulators[aggregate.column].result(aggregate.func)
+            for aggregate, key in zip(query.aggregates, _aggregate_keys(query.aggregates))
+        }
 
 
 # -- helpers -------------------------------------------------------------------
-
-
-def _as_number(value: object) -> float:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, datetime.date):
-        return float(value.toordinal())
-    raise GenerationError(f"non-numeric value {value!r} in aggregate")
 
 
 def _in_values(predicate: Predicate) -> tuple:
@@ -549,148 +437,192 @@ def _in_values(predicate: Predicate) -> tuple:
     return tuple(values)
 
 
-def _matches(value: object, predicate: Predicate) -> bool:
-    if predicate.op is Op.IS_NULL:
-        return value is None
-    if predicate.op is Op.NOT_NULL:
-        return value is not None
-    if value is None:
-        return False
-    if predicate.op is Op.IN:
-        # Elementwise comparison with EQ semantics per element.
-        return any(
-            _matches(value, Predicate(predicate.column, Op.EQ, candidate))
-            for candidate in _in_values(predicate)
-        )
-    if isinstance(predicate.value, str) or isinstance(value, str):
-        left, right = str(value), str(predicate.value)
-        right2 = str(predicate.value2) if predicate.value2 is not None else None
+def _objects(items: list) -> np.ndarray:
+    """*items* as a 1-D object array (a tuple value stays one element)."""
+    array = np.empty(len(items), dtype=object)
+    array[:] = items
+    return array
+
+
+def _number(value: object) -> object:
+    """A numeric column's value as the database holds it: text that
+    reads as a number is that number (SQLite's numeric affinity)."""
+    if isinstance(value, str):
+        for parse in (int, float):
+            try:
+                return parse(value)
+            except ValueError:
+                pass
+    return value
+
+
+def _ordinal(value: object) -> object:
+    """A date as its day ordinal (ISO text too); anything else as is."""
+    if isinstance(value, str):
+        try:
+            value = datetime.date.fromisoformat(value)
+        except ValueError:
+            return value
+    return value.toordinal() if type(value) is datetime.date else value
+
+
+def _moment(value: object) -> object:
+    """A timestamp (ISO text too); anything else as is."""
+    if isinstance(value, str):
+        try:
+            return datetime.datetime.fromisoformat(value)
+        except ValueError:
+            pass
+    return value
+
+
+def _key_of(family: TypeFamily):
+    """The per-value conversion to *family*'s comparison key."""
+    if family in _NUMERIC:
+        return _number
+    return {TypeFamily.DATE: _ordinal, TypeFamily.TIMESTAMP: _moment}.get(family, str)
+
+
+def _keys(column: columnar.Column, family: TypeFamily) -> tuple[np.ndarray, np.ndarray]:
+    """*column* as an array that compares, sums and orders the way its
+    SQL type family does in a loaded database, and its NULL mask.
+
+    Numbers stay numbers (typed arrays as they are), DATE becomes day
+    ordinals, TIMESTAMP ``datetime``, and TEXT — like every other
+    family — ``str``. Values under the mask are arbitrary.
+    """
+    nulls = column.nulls if column.nulls is not None else np.zeros(len(column), bool)
+    if (family in _NUMERIC and column.kind in ("int", "float", "bool")) or (
+        family is TypeFamily.DATE and column.kind == "date"
+    ):
+        return column.data, nulls
+    key = _key_of(family)
+    if isinstance(column, columnar.DictColumn):
+        return _objects([key(entry) for entry in column.entries])[column.data], nulls
+    values = _objects(column.to_pylist())
+    nulls = nulls | (values == None)  # noqa: E711 - elementwise
+    if not (key is str and column.kind == "str"):
+        valid = ~nulls
+        values[valid] = _objects([key(value) for value in values[valid].tolist()])
+    return values, nulls
+
+
+def _operand(value: object, family: TypeFamily, column: str) -> object:
+    """A predicate value as the key :func:`_keys` compares it with."""
+    key = _key_of(family)(value)
+    if family in _NUMERIC:
+        ok = isinstance(key, (int, float))
+    elif family is TypeFamily.DATE:
+        ok = type(key) is int
     else:
-        left = _as_number(value)
-        right = _as_number(predicate.value)
-        right2 = _as_number(predicate.value2) if predicate.value2 is not None else None
-    if isinstance(value, datetime.date) and isinstance(predicate.value, datetime.date):
-        left, right = value, predicate.value  # type: ignore[assignment]
-        right2 = predicate.value2  # type: ignore[assignment]
-    if predicate.op is Op.EQ:
-        return left == right
-    if predicate.op is Op.LT:
-        return left < right
-    if predicate.op is Op.LE:
-        return left <= right
-    if predicate.op is Op.GT:
-        return left > right
-    if predicate.op is Op.GE:
-        return left >= right
-    if predicate.op is Op.BETWEEN:
-        return right <= left <= right2  # type: ignore[operator]
-    raise GenerationError(f"unsupported operator {predicate.op}")
-
-
-def _dictionary_selectivity(
-    dictionary: WeightedDictionary, predicate: Predicate
-) -> float:
-    # Sum weights per value: a dictionary may carry the same value in
-    # several entries (merged sources), and the selectivity of EQ/IN is
-    # the total mass of the value, not the last entry's weight.
-    weights: dict[str, float] = {}
-    for entry in dictionary.entries:
-        weights[entry.value] = weights.get(entry.value, 0.0) + entry.weight
-    if predicate.op is Op.EQ:
-        return weights.get(str(predicate.value), 0.0)
-    if predicate.op is Op.IN:
-        return sum(weights.get(v, 0.0) for v in {str(v) for v in _in_values(predicate)})
-    raise GenerationError(
-        f"operator {predicate.op} not supported on dictionary columns"
-    )
-
-
-def _range_selectivity(
-    low: float,
-    high: float,
-    predicate: Predicate,
-    integer: bool,
-    rounding_step: float = 0.0,
-) -> float:
-    span = (high - low + 1) if integer else (high - low)
-    if span <= 0:
-        return 0.0
-    # A value rounded to `rounding_step` equals v when the raw draw falls
-    # within v ± step/2, so comparisons against rounded values shift by
-    # half a step. Integers use the unit-step equivalent directly.
-    half = rounding_step / 2.0
-
-    def clamp(x: float) -> float:
-        return min(max(x, low), high + (1 if integer else 0))
-
-    value = _as_number(predicate.value) if predicate.value is not None else None
-    if predicate.op is Op.EQ:
-        if integer:
-            return (1.0 / span) if low <= value <= high else 0.0  # type: ignore[operator]
-        if rounding_step > 0 and low <= value <= high:  # type: ignore[operator]
-            return min(rounding_step / span, 1.0)
-        return 0.0
-    if predicate.op in (Op.LT, Op.LE):
-        if integer:
-            upper = value + (1 if predicate.op is Op.LE else 0)  # type: ignore[operator]
-        else:
-            upper = value + (half if predicate.op is Op.LE else -half)  # type: ignore[operator]
-        return max(min((clamp(upper) - low) / span, 1.0), 0.0)
-    if predicate.op in (Op.GT, Op.GE):
-        if integer:
-            lower = value + (1 if predicate.op is Op.GT else 0)  # type: ignore[operator]
-        else:
-            lower = value + (half if predicate.op is Op.GT else -half)  # type: ignore[operator]
-        return max(min((high + (1 if integer else 0) - clamp(lower)) / span, 1.0), 0.0)
-    if predicate.op is Op.BETWEEN:
-        value2 = _as_number(predicate.value2)
-        if integer:
-            lower = clamp(value)  # type: ignore[arg-type]
-            upper = clamp(value2 + 1)
-        else:
-            lower = clamp(value - half)  # type: ignore[operator]
-            upper = clamp(value2 + half)
-        return max((upper - lower) / span, 0.0)
-    if predicate.op is Op.IN:
-        distinct = {_as_number(v) for v in _in_values(predicate)}
-        hits = sum(1 for v in distinct if low <= v <= high)
-        if integer:
-            return hits / span
-        if rounding_step > 0:
-            return min(hits * rounding_step / span, 1.0)
-        return 0.0
-    raise GenerationError(f"unsupported operator {predicate.op} on ranges")
-
-
-def _tighten(low: float, high: float, predicate: Predicate) -> tuple[float, float]:
-    if predicate.op in (Op.LT, Op.LE):
-        return low, min(high, _as_number(predicate.value))
-    if predicate.op in (Op.GT, Op.GE):
-        return max(low, _as_number(predicate.value)), high
-    if predicate.op is Op.BETWEEN:
-        return (
-            max(low, _as_number(predicate.value)),
-            min(high, _as_number(predicate.value2)),
+        ok = family is not TypeFamily.TIMESTAMP or isinstance(key, datetime.datetime)
+    if not ok:
+        raise GenerationError(
+            f"cannot compare {family.value} column {column!r} with {value!r}"
         )
-    if predicate.op is Op.EQ:
-        value = _as_number(predicate.value)
-        return value, value
-    return low, high
+    return key
 
 
-def _ordinalize(predicate: Predicate) -> Predicate:
-    """Map a date predicate onto ordinal-day space."""
+_COMPARE = {
+    Op.EQ: operator.eq,
+    Op.LT: operator.lt,
+    Op.LE: operator.le,
+    Op.GT: operator.gt,
+    Op.GE: operator.ge,
+}
 
-    def convert(value: object) -> object:
-        if isinstance(value, datetime.date):
-            return value.toordinal()
-        if isinstance(value, str):
-            return datetime.date.fromisoformat(value).toordinal()
-        return value
 
-    return Predicate(
-        predicate.column,
-        predicate.op,
-        convert(predicate.value),
-        convert(predicate.value2),
-    )
+def _mask(
+    values: np.ndarray, nulls: np.ndarray, predicate: Predicate, family: TypeFamily
+) -> np.ndarray:
+    """The rows of one block where *predicate* holds — never a NULL."""
+    if predicate.op is Op.IS_NULL:
+        return nulls
+    if predicate.op is Op.NOT_NULL:
+        return ~nulls
+    if predicate.op is Op.IN:
+        # elementwise EQ; a NULL element matches nothing
+        operands = [v for v in _in_values(predicate) if v is not None]
+    else:
+        operands = [predicate.value]
+        if predicate.op is Op.BETWEEN:
+            operands.append(predicate.value2)
+        if None in operands:  # a comparison with NULL is never true
+            return np.zeros(len(values), dtype=bool)
+    operands = [_operand(v, family, predicate.column) for v in operands]
+    valid = ~nulls
+    subset = values[valid]
+    try:
+        if predicate.op is Op.IN:
+            hits = np.zeros(len(subset), dtype=bool)
+            for operand in operands:
+                hits |= subset == operand
+        elif predicate.op is Op.BETWEEN:
+            hits = (subset >= operands[0]) & (subset <= operands[1])
+        else:
+            hits = _COMPARE[predicate.op](subset, operands[0])
+    except TypeError:
+        raise GenerationError(
+            f"cannot evaluate {predicate.to_sql()!r}: mixed value types"
+        ) from None
+    mask = np.zeros(len(values), dtype=bool)
+    mask[valid] = hits
+    return mask
+
+
+def _exact_sum(values: np.ndarray) -> int | float:
+    """One block's sum as SQL's SUM sees it: a Python ``int`` over
+    integers (no int64 wrap-around), else a correctly rounded float."""
+    items = values.tolist()
+    if values.dtype.kind in "biu" or all(isinstance(v, int) for v in items):
+        return sum(items)
+    return math.fsum(items)
+
+
+class _Accumulator:
+    """One column's COUNT, SUM and MIN / MAX over the non-NULL values
+    the predicates keep, block by block."""
+
+    def __init__(self, column: str, family: TypeFamily) -> None:
+        self.column = column
+        self.family = family
+        self.summed = self.ordered = False
+        self.count = 0
+        self.sums: list[int | float] = []  # one exact partial per block
+        self.low = self.high = None
+
+    def need(self, func: str) -> None:
+        if func in ("sum", "avg"):
+            if self.family not in _NUMERIC:
+                raise GenerationError(
+                    f"{func.upper()}({self.column}) over a "
+                    f"{self.family.value} column"
+                )
+            self.summed = True
+        elif func in ("min", "max"):
+            self.ordered = True
+
+    def add(self, values: np.ndarray) -> None:
+        self.count += len(values)
+        if self.summed:
+            self.sums.append(_exact_sum(values))
+        if self.ordered and len(values):
+            low, high = values.min(), values.max()
+            self.low = low if self.low is None else min(self.low, low)
+            self.high = high if self.high is None else max(self.high, high)
+
+    def result(self, func: str) -> object:
+        if func == "count":
+            return self.count
+        if not self.count:
+            return None
+        if func in ("min", "max"):
+            key = self.low if func == "min" else self.high
+            if self.family is TypeFamily.DATE:
+                return datetime.date.fromordinal(int(key))
+            return key.item() if isinstance(key, np.generic) else key
+        if all(isinstance(total, int) for total in self.sums):
+            total: int | float = sum(self.sums)
+        else:
+            total = math.fsum(self.sums)
+        return total if func == "sum" else total / self.count

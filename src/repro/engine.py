@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import threading
+from typing import Iterable
 
 from repro import columnar
 from repro.exceptions import GenerationError, ModelError
@@ -20,7 +21,7 @@ from repro.generators.base import (
     BindContext,
     GenerationContext,
 )
-from repro.generators.registry import build_bound, plugin_modules
+from repro.generators.registry import build_bound, plugin_modules, sibling_reads
 from repro.model.schema import Schema, Table
 from repro.model.validation import ensure_valid
 from repro.obs import active_metrics
@@ -46,7 +47,9 @@ class BoundTable:
     ``Generator.generate``) the block output must stay byte-identical to.
     """
 
-    __slots__ = ("table", "column_names", "_generators", "_seeders", "writers")
+    __slots__ = (
+        "table", "column_names", "_generators", "_seeders", "_reads", "writers",
+    )
 
     def __init__(
         self,
@@ -66,6 +69,12 @@ class BoundTable:
         ]
         self._seeders = [
             ColumnSeeder(hierarchy, table.name, field.name, update)
+            for field in table.fields
+        ]
+        #: per field, the positions of the siblings its generator tree reads
+        self._reads = [
+            [self.column_names.index(name) for name in sibling_reads(field.generator)
+             if name in self.column_names]
             for field in table.fields
         ]
 
@@ -91,7 +100,8 @@ class BoundTable:
         return values
 
     def generate_columns(
-        self, start: int, stop: int, ctx: GenerationContext
+        self, start: int, stop: int, ctx: GenerationContext,
+        fields: Iterable[str] | None = None,
     ) -> columnar.ColumnBlock:
         """Rows ``[start, stop)`` as a column block.
 
@@ -103,7 +113,15 @@ class BoundTable:
         lookups read completed columns (canonical ``column[offset]``
         values) instead of recomputing, just like ``generate_row`` reads
         the current row's earlier values.
+
+        ``fields`` projects the block: only those fields and the siblings
+        they read (:func:`~repro.generators.registry.sibling_reads`,
+        transitively) are generated; every other position holds an empty
+        placeholder column. A generated column equals the same column of
+        the full block — a sibling read the walk does not know about
+        finds an empty placeholder and is recomputed, just slower.
         """
+        wanted = None if fields is None else self._closure(fields)
         count = stop - start
         if count <= 0:
             return columnar.ColumnBlock(
@@ -116,7 +134,12 @@ class BoundTable:
         ctx.batch_start = start
         ctx.batch_columns = columns
         try:
-            for seeder, generator in zip(self._seeders, self._generators):
+            for index, (seeder, generator) in enumerate(
+                zip(self._seeders, self._generators)
+            ):
+                if wanted is not None and index not in wanted:
+                    columns.append(columnar.ObjectColumn([]))
+                    continue
                 ctx.seed_block = seeder.seed_block_from_hashes(row_hashes)
                 column = generator.generate_block(ctx, start, count)
                 if len(column) != count:
@@ -129,6 +152,17 @@ class BoundTable:
             ctx.batch_columns = None
             ctx.seed_block = None
         return columnar.ColumnBlock(list(self.column_names), columns, count)
+
+    def _closure(self, fields: Iterable[str]) -> set[int]:
+        """Positions of *fields* and of every sibling they read."""
+        wanted: set[int] = set()
+        todo = [self.field_index(name) for name in fields]
+        while todo:
+            index = todo.pop()
+            if index not in wanted:
+                wanted.add(index)
+                todo += self._reads[index]
+        return wanted
 
     def generate_rows(
         self, start: int, stop: int, ctx: GenerationContext

@@ -25,7 +25,7 @@ from repro.generators.base import (
 from repro.generators.registry import register
 from repro.model import formula as _formula
 
-_FIELD_REF_RE = re.compile(r"\[([A-Za-z_][A-Za-z0-9_]*)\]")
+FIELD_REF_RE = re.compile(r"\[([A-Za-z_][A-Za-z0-9_]*)\]")
 
 
 @register("FormulaGenerator")
@@ -40,12 +40,12 @@ class FormulaGenerator(Generator):
         raw = self.spec.params.get("formula")
         if not raw:
             raise ModelError("FormulaGenerator requires a formula parameter")
-        self._fields = list(dict.fromkeys(_FIELD_REF_RE.findall(str(raw))))
+        self._fields = list(dict.fromkeys(FIELD_REF_RE.findall(str(raw))))
         for name in self._fields:
             ctx.table.field_by_name(name)  # raises ModelError if missing
         # Rewrite [field] references into ${field} property references so
         # the shared formula evaluator can be reused.
-        self._expression = _FIELD_REF_RE.sub(r"${\1}", str(raw))
+        self._expression = FIELD_REF_RE.sub(r"${\1}", str(raw))
         self._compiled = _formula.compile_formula(self._expression)
         places = self.spec.params.get("places")
         self._places = int(places) if places is not None else None

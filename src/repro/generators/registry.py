@@ -72,6 +72,22 @@ def plugin_modules(spec: GeneratorSpec) -> set[str]:
     return found
 
 
+def sibling_reads(spec: GeneratorSpec) -> set[str]:
+    """Sibling fields *spec*'s tree reads: Formula's ``[name]``
+    references and Switch's ``field``. A plug-in that reads siblings
+    otherwise is not listed; it recomputes what it reads."""
+    from repro.generators.formula_gen import FIELD_REF_RE
+
+    found = set()
+    if spec.name == "FormulaGenerator":
+        found.update(FIELD_REF_RE.findall(str(spec.params.get("formula", ""))))
+    elif spec.name == "SwitchGenerator" and spec.params.get("field"):
+        found.add(str(spec.params["field"]))
+    for child in spec.children:
+        found |= sibling_reads(child)
+    return found
+
+
 _loaded = False
 
 

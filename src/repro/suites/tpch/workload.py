@@ -2,7 +2,7 @@
 
 Parameterized templates in the spirit of the TPC-H substitution
 parameters (clause 2.4: each query has randomized predicates), plus
-structured filter-aggregate queries the virtual executor can predict.
+structured filter-aggregate queries the virtual executor answers exactly.
 Parameters are drawn from the model through the seed hierarchy, so the
 workload is exactly as repeatable as the data (paper §7).
 """
@@ -70,7 +70,7 @@ def tpch_workload_spec(
 
     Template weights follow the classic emphasis: the cheap Q6-style
     probe dominates, the two heavier reporting queries share the rest.
-    The spec carries the predicted queries as replay-time checks.
+    The spec carries the structured queries as replay-time checks.
     """
     from repro.workload.spec import ArrivalSpec, WeightedTemplate, WorkloadSpec
 
@@ -88,7 +88,7 @@ def tpch_workload_spec(
     )
 
 
-# Structured queries the virtual executor predicts and grades.
+# Structured queries graded against the virtual executor's exact answers.
 PREDICTED_QUERIES: list[tuple[str, Query]] = [
     ("lineitem_count", Query("lineitem", [Aggregate("count")])),
     (

@@ -15,9 +15,10 @@ JSONL stream), executes them through
   epoch batches are applied at evenly spaced stream boundaries, so the
   later queries run against a database the stream itself is changing
   (the ingestion-affects-queries loop);
-* **grades checks** — the spec's structured queries run last through
-  the driver's virtual-executor grading, so a replay's exit status can
-  reflect model-vs-database prediction failures.
+* **grades checks** — the spec's structured queries run first, before
+  any event or CDC epoch, against the database the model describes; the
+  driver grades each against the virtual executor's exact answer, so a
+  replay's exit status reflects every model-vs-database mismatch.
 """
 
 from __future__ import annotations
@@ -123,16 +124,16 @@ class ReplayReport:
         return sum(1 for e in self.executions if not e.succeeded)
 
     @property
-    def prediction_failures(self) -> int:
+    def check_failures(self) -> int:
         if self.checks is None:
             return 0
-        return self.checks.predictions_checked - self.checks.predictions_passed
+        return self.checks.checks_graded - self.checks.checks_passed
 
     @property
     def ok(self) -> bool:
         """True when every query ran and every graded check passed."""
         checks_failed = 0 if self.checks is None else self.checks.failed
-        return not self.failed and not checks_failed and not self.prediction_failures
+        return not self.failed and not checks_failed and not self.check_failures
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -158,8 +159,8 @@ class ReplayReport:
         )
         if self.checks is not None:
             lines.append(
-                f"checks: {self.checks.predictions_passed}/"
-                f"{self.checks.predictions_checked} predictions ok, "
+                f"checks: {self.checks.checks_passed}/"
+                f"{self.checks.checks_graded} exact, "
                 f"{self.checks.failed} errors"
             )
         return lines
@@ -220,6 +221,13 @@ class WorkloadReplayer:
                 for e in range(1, cdc.epochs + 1)
             ]
 
+        # Checks grade the database the model describes: before the first
+        # event, so before any CDC epoch changes it.
+        for name, query in checks:
+            if report.checks is None:
+                report.checks = DriverReport()
+            report.checks.executions.append(self.driver.run_query(name, query))
+
         start = self._clock()
         next_boundary = 0
         for position, event in enumerate(events):
@@ -267,10 +275,5 @@ class WorkloadReplayer:
                 )
                 report.cdc_applied.append((epoch, table, counts))
             next_boundary += 1
-
-        for name, query in checks:
-            if report.checks is None:
-                report.checks = DriverReport()
-            report.checks.executions.append(self.driver.run_query(name, query))
         report.replay_seconds = self._clock() - start
         return report

@@ -79,9 +79,9 @@ class WorkloadSpec:
     slot-unique parameter vector. ``repetition = 0`` is an all-unique
     stream, ``repetition → 1`` approaches a pure cache-hit workload.
 
-    ``checks`` are structured, model-predictable queries executed after
-    a replayed stream and graded by the virtual executor — the §7
-    "verification results" hook, carried along with the workload.
+    ``checks`` are structured queries a replay runs before its first
+    event and grades against the virtual executor's exact answers — the
+    §7 "verification results" hook, carried along with the workload.
     """
 
     name: str
@@ -163,9 +163,12 @@ def auto_spec(
     for table in schema.tables:
         parameter = None
         for field in table.fields:
-            model = _analyze_field(schema, field, artifacts)
-            if model.id_like:
+            spec = field.generator
+            if spec.name == "NullGenerator":
+                spec = spec.child()
+            if spec.name == "IdGenerator":
                 continue
+            model = _analyze_field(schema, field, artifacts)
             if model.numeric_bounds is not None:
                 parameter = (field.name, "numeric", "<=")
             elif model.date_bounds is not None:

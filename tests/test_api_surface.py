@@ -1,5 +1,10 @@
 """The public API surface.
 
+15.0 has one query answer: ``VirtualExecutor.execute`` answers exactly
+from projected column blocks, so ``predict``, ``verification_result``,
+``PredictedValue`` and the closed forms behind them are gone, and the
+driver grades against the exact answer (``QueryExecution.expected`` /
+``check_ok``, ``DriverReport.checks_graded`` / ``checks_passed``).
 14.0 has one runtime front: ``--nodes N`` and ``ClusterScheduler(...).run(N)``
 are ``-w N`` (kept as residue for the frozen benchmark), so the part
 files, the merge, ``repro.scheduler.cluster``, ``NodeReport`` and
@@ -128,8 +133,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_14(self):
-        assert repro.__version__.startswith("14.")
+    def test_version_is_15(self):
+        assert repro.__version__.startswith("15.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -976,3 +981,33 @@ class TestOnePackageGridOneDispatcher:
         from repro.resilience.checkpoint import Part
 
         assert not hasattr(Part, "packages")
+
+
+class TestOneQueryAnswer:
+    """15.0: the model answers a query one way, exactly, from projected
+    column blocks; the closed forms, their tolerance bands and the
+    per-row walk cannot grow back."""
+
+    SRC = TestOneBodyOneAccountingOneReport.SRC
+    _occurrences = TestOneBodyOneAccountingOneReport._occurrences
+
+    @pytest.mark.parametrize("name", [
+        "def predict", "PredictedValue", "verification_result", "_selectivity",
+        "_column_mean", "_tighten", "_ordinalize", "_matches",
+        "null_probability", "rounding_step", "id_like", "prediction",
+    ])
+    def test_deleted_names_stay_deleted(self, name):
+        assert not self._occurrences(name, "core") + self._occurrences(name, "workload")
+
+    def test_execute_reads_projected_blocks(self):
+        from repro.core.queries import VirtualExecutor
+        from repro.engine import BoundTable
+
+        source = inspect.getsource(VirtualExecutor.execute)
+        assert "generate_columns(" in source and "fields=" in source
+        assert "iter_rows" not in inspect.getsource(
+            importlib.import_module("repro.core.queries")
+        )
+        assert list(inspect.signature(BoundTable.generate_columns).parameters) == [
+            "self", "start", "stop", "ctx", "fields",
+        ]

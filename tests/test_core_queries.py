@@ -1,5 +1,6 @@
 """Tests for query workload generation and virtual execution (§7
-future work: consistent query generation + verification results)."""
+future work: consistent query generation + verification results): the
+virtual executor's answer is the one SQL gives on the loaded data."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import datetime
 
 import pytest
 
+from repro.core.driver import same_answer
 from repro.core.loader import load
 from repro.core.queries import (
     Aggregate,
@@ -23,6 +25,14 @@ from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, ModelError
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
+
+
+def assert_answers_equal(answers, row) -> None:
+    """The model's answers are SQL's (see :func:`same_answer`)."""
+    answers = list(answers)
+    assert len(answers) == len(row)
+    for answer, actual in zip(answers, row):
+        assert same_answer(answer, actual), (answers, row)
 
 
 def query_schema() -> Schema:
@@ -124,15 +134,12 @@ class TestExactExecution:
     def test_matches_sql(self, executor, database, query):
         virtual = executor.execute(query)
         sql_row = database.execute(query.to_sql())[0]
-        for value, expected in zip(virtual.values(), sql_row):
-            if value is None:
-                assert expected is None
-            else:
-                assert value == pytest.approx(expected, rel=1e-9)
+        assert_answers_equal(virtual.values(), sql_row)
 
 
 class TestAnalyticPrediction:
-    """Closed-form predictions land within their own tolerance bands."""
+    """Counts, sums, averages and bounds under range, dictionary, NULL
+    and date predicates: the model's answer is SQL's, exactly."""
 
     @pytest.mark.parametrize("query", [
         Query("sales", [Aggregate("count")]),
@@ -150,46 +157,47 @@ class TestAnalyticPrediction:
               [Predicate("s_date", Op.LT, datetime.date(2023, 4, 1))]),
     ])
     def test_prediction_within_band(self, executor, database, query):
-        predictions = executor.predict(query)
+        exact = executor.execute(query)
         actual_row = database.execute(query.to_sql())[0]
-        for (key, predicted), actual in zip(predictions.items(), actual_row):
-            assert predicted.value is not None
-            if actual in (None, 0):
-                continue
-            error = abs(predicted.value - actual) / abs(actual)
-            assert error <= max(predicted.tolerance, 0.12), (
-                f"{key}: predicted {predicted.value}, actual {actual}"
-            )
+        assert_answers_equal(exact.values(), actual_row)
 
     def test_count_of_whole_table_is_exact(self, executor, schema):
-        predicted = executor.predict(Query("sales", [Aggregate("count")]))
-        assert predicted["COUNT(*)"].value == schema.table_size("sales")
+        answer = executor.execute(Query("sales", [Aggregate("count")]))
+        assert answer["COUNT(*)"] == schema.table_size("sales")
 
-    def test_min_max_track_predicate_bounds(self, executor):
-        predicted = executor.predict(Query(
+    def test_min_max_track_predicate_bounds(self, executor, database):
+        query = Query(
             "sales",
             [Aggregate("min", "s_quantity"), Aggregate("max", "s_quantity")],
             [Predicate("s_quantity", Op.BETWEEN, 10, 20)],
-        ))
-        assert predicted["MIN(s_quantity)"].value == 10
-        assert predicted["MAX(s_quantity)"].value == 20
+        )
+        answer = executor.execute(query)
+        assert (answer["MIN(s_quantity)"], answer["MAX(s_quantity)"]) == (10, 20)
+        assert tuple(answer.values()) == database.execute(query.to_sql())[0]
 
     def test_rounding_step_widens_between(self, executor, database):
-        # The l_discount-style case: BETWEEN on a 2-places column.
-        query = Query("sales", [Aggregate("count")],
-                      [Predicate("s_price", Op.EQ, 50.0)])
-        predicted = executor.predict(query)["COUNT(*)"]
-        # EQ on a rounded double has selectivity step/span = 0.01/100.
-        assert predicted.value == pytest.approx(2000 * 0.0001, rel=1e-6)
+        # The l_discount-style case: EQ / BETWEEN on a 2-places column
+        # hits exactly the rows whose rounded value is inside.
+        for predicate in (
+            Predicate("s_price", Op.EQ, 50.0),
+            Predicate("s_price", Op.BETWEEN, 0.05, 0.07),
+            Predicate("s_price", Op.LT, 12.5),
+        ):
+            query = Query("sales", [Aggregate("count")], [predicate])
+            expected = database.execute(query.to_sql())[0][0]
+            assert executor.execute(query)["COUNT(*)"] == expected
 
     def test_unsupported_column_raises(self, executor):
-        with pytest.raises(GenerationError):
-            executor.predict(Query("sales", [Aggregate("count")],
-                                   [Predicate("s_note", Op.EQ, "x")]))
-
-    def test_verification_result_alias(self, executor):
-        query = Query("sales", [Aggregate("count")])
-        assert executor.verification_result(query) == executor.predict(query)
+        # SUM and AVG need a numeric column; a number never equals text
+        for query in (
+            Query("sales", [Aggregate("sum", "s_note")]),
+            Query("sales", [Aggregate("avg", "s_date")]),
+            Query("sales", [Aggregate("count")],
+                  [Predicate("s_quantity", Op.EQ, "x")]),
+            Query("sales", [Aggregate("median", "s_quantity")]),
+        ):
+            with pytest.raises(GenerationError):
+                executor.execute(query)
 
 
 class TestQueryParameterGenerator:
@@ -272,35 +280,45 @@ def duplicate_value_schema() -> Schema:
 
 
 class TestDictionarySelectivity:
-    """EQ/IN mass must sum over duplicate dictionary entries."""
+    """A dictionary carrying the same value in several entries: EQ and
+    IN count every row that holds the value, once."""
 
-    def test_eq_sums_duplicate_entries(self):
-        executor = VirtualExecutor(duplicate_value_schema())
-        predicted = executor.predict(Query(
-            "t", [Aggregate("count")], [Predicate("d_tag", Op.EQ, "HOT")]
-        ))
-        assert predicted["COUNT(*)"].value == pytest.approx(600.0)
-
-    def test_in_counts_each_value_once(self):
-        executor = VirtualExecutor(duplicate_value_schema())
-        predicted = executor.predict(Query(
-            "t", [Aggregate("count")],
-            [Predicate("d_tag", Op.IN, ["HOT", "HOT", "COLD"])],
-        ))
-        assert predicted["COUNT(*)"].value == pytest.approx(900.0)
-
-    def test_prediction_matches_loaded_database(self):
+    @pytest.fixture(scope="class")
+    def duplicates(self):
         schema = duplicate_value_schema()
         with SQLiteAdapter(":memory:") as adapter:
             SchemaTranslator().apply(schema, adapter)
             load(GenerationEngine(schema), adapter)
-            actual = adapter.execute(
-                "SELECT COUNT(*) FROM t WHERE d_tag = 'HOT'"
-            )[0][0]
-        predicted = VirtualExecutor(schema).predict(Query(
+            yield VirtualExecutor(schema), adapter
+
+    def test_eq_sums_duplicate_entries(self, duplicates):
+        executor, adapter = duplicates
+        hot = executor.execute(Query(
             "t", [Aggregate("count")], [Predicate("d_tag", Op.EQ, "HOT")]
         ))["COUNT(*)"]
-        assert abs(predicted.value - actual) / actual <= 0.12
+        by_tag = dict(adapter.execute("SELECT d_tag, COUNT(*) FROM t GROUP BY d_tag"))
+        assert hot == by_tag["HOT"]
+        assert 500 <= hot <= 700  # both HOT entries, 0.3 + 0.3 of 1000 rows
+
+    def test_in_counts_each_value_once(self, duplicates):
+        executor, adapter = duplicates
+        both = executor.execute(Query(
+            "t", [Aggregate("count")],
+            [Predicate("d_tag", Op.IN, ["HOT", "HOT", "COLD"])],
+        ))["COUNT(*)"]
+        expected = adapter.execute(
+            "SELECT COUNT(*) FROM t WHERE d_tag IN ('HOT', 'COLD')"
+        )[0][0]
+        assert both == expected
+
+    def test_prediction_matches_loaded_database(self, duplicates):
+        executor, adapter = duplicates
+        query = Query("t", [Aggregate("count"), Aggregate("min", "d_tag"),
+                            Aggregate("max", "d_tag")],
+                      [Predicate("d_tag", Op.GE, "HOT")])
+        assert tuple(executor.execute(query).values()) == (
+            adapter.execute(query.to_sql())[0]
+        )
 
 
 class TestInPredicateSemantics:
@@ -311,13 +329,6 @@ class TestInPredicateSemantics:
             executor.execute(Query(
                 "sales", [Aggregate("count")],
                 [Predicate("s_region", Op.IN, "NORTHEAST")],
-            ))
-
-    def test_string_value_rejected_in_prediction(self, executor):
-        with pytest.raises(GenerationError, match="requires a collection"):
-            executor.predict(Query(
-                "sales", [Aggregate("count")],
-                [Predicate("s_region", Op.IN, "NORTH")],
             ))
 
     def test_scalar_value_rejected(self, executor):

@@ -7,14 +7,21 @@ reference integrity at any scale, and round-trip-stable serialization.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.suites.tpch.schema  # noqa: F401  (registers TpchPsSuppkeyGenerator)
+from repro.core.driver import same_answer
+from repro.core.loader import load
+from repro.core.queries import Aggregate, Op, Predicate, Query, VirtualExecutor
+from repro.core.translator import SchemaTranslator
+from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.generators.base import ArtifactStore
+from repro.model.datatypes import TypeFamily
 from repro.model import formula as formula_mod
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.config import OutputConfig
@@ -26,6 +33,7 @@ from repro.prng.xorshift import (
     mix64,
 )
 from repro.scheduler import generate
+from repro.suites import suite_model
 from repro.scheduler.work import (
     cut_packages,
     node_share,
@@ -460,47 +468,107 @@ class TestMetaStackOracle:
             assert got_ends == ends, size
 
 
-class TestQueryPredictionProperties:
-    """Analytic predictions track exact virtual execution for random
-    range predicates (the §7 verification-results machinery)."""
+# -- differential query oracle -------------------------------------------------
 
-    @staticmethod
-    def _schema(seed: int) -> Schema:
-        schema = Schema("qprop", seed=seed)
-        schema.add_table(Table("t", "800", [
-            Field.of("v", "INTEGER", GeneratorSpec(
-                "IntGenerator", {"min": 0, "max": 99}
-            )),
-        ]))
-        return schema
+_ORACLE_WORLDS = ("tpch", "ssb", "bigbench", "sink")
+_SUMMABLE = (TypeFamily.INTEGER, TypeFamily.FLOAT, TypeFamily.DECIMAL, TypeFamily.BOOLEAN)
 
-    @_fast
-    @given(st.integers(min_value=0, max_value=2**32),
-           st.integers(min_value=0, max_value=99),
-           st.integers(min_value=0, max_value=99))
-    def test_between_count_prediction(self, seed, a, b):
-        from repro.core.queries import Aggregate, Op, Predicate, Query, VirtualExecutor
 
-        low, high = min(a, b), max(a, b)
-        schema = self._schema(seed)
-        executor = VirtualExecutor(schema)
-        query = Query("t", [Aggregate("count")],
-                      [Predicate("v", Op.BETWEEN, low, high)])
-        predicted = executor.predict(query)["COUNT(*)"]
-        exact = executor.execute(query)["COUNT(*)"]
-        selectivity = (high - low + 1) / 100
-        sigma = (800 * selectivity * (1 - selectivity)) ** 0.5
-        assert abs(exact - predicted.value) <= 5 * sigma + 2
+@functools.lru_cache(maxsize=None)
+def _oracle_world(name: str):
+    """A world's schema, its virtual executor, the SQLite database its
+    data was loaded into, and 200 rows of each table to draw operands
+    from. The kitchen sink (``sink``) adds Switch, Probability, Boolean
+    and forward-reading Formula columns to the three suites."""
+    if name == "sink":
+        from tests.test_batch_generation import kitchen_sink_schema
 
-    @_fast
-    @given(st.integers(min_value=0, max_value=2**32),
-           st.integers(min_value=0, max_value=100))
-    def test_lt_prediction_monotone(self, seed, cut):
-        from repro.core.queries import Aggregate, Op, Predicate, Query, VirtualExecutor
+        schema, artifacts = kitchen_sink_schema()
+    else:
+        schema, artifacts = suite_model(name, 0.001)
+    engine = GenerationEngine(schema, artifacts)
+    adapter = SQLiteAdapter(":memory:")
+    SchemaTranslator().apply(schema, adapter)
+    load(engine, adapter)
+    samples = {
+        table.name: dict(zip(
+            [field.name for field in table.fields],
+            [column.to_pylist() for column in
+             engine.generate_columns(table.name, 0, 200).columns],
+        ))
+        for table in schema.tables
+    }
+    return schema, VirtualExecutor(schema, artifacts), adapter, samples
 
-        executor = VirtualExecutor(self._schema(seed))
-        query = Query("t", [Aggregate("count")], [Predicate("v", Op.LT, cut)])
-        predicted = executor.predict(query)["COUNT(*)"]
-        assert 0 <= predicted.value <= 800
-        exact = executor.execute(query)["COUNT(*)"]
-        assert abs(exact - predicted.value) <= 800 * 0.1 + 3
+
+@st.composite
+def _oracle_queries(draw):
+    """A filter-aggregate query over one table of one world: up to two
+    predicates of any operator on any column, operands drawn from the
+    column's own values (numbers sometimes nudged off them), and one to
+    three aggregates — SUM / AVG over numeric columns."""
+    world = draw(st.sampled_from(_ORACLE_WORLDS))
+    schema, _executor, _adapter, samples = _oracle_world(world)
+    table = draw(st.sampled_from(schema.tables))
+    values = samples[table.name]
+
+    def operand(field):
+        present = [v for v in values[field.name] if v is not None]
+        value = draw(st.sampled_from(present)) if present else None
+        if type(value) in (int, float) and draw(st.booleans()):
+            value += draw(st.sampled_from((-1, 1, 0.5, -0.25)))
+        return value
+
+    predicates = []
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from(table.fields))
+        op = draw(st.sampled_from(list(Op)))
+        if op in (Op.IS_NULL, Op.NOT_NULL):
+            predicates.append(Predicate(field.name, op))
+        elif op is Op.BETWEEN:
+            predicates.append(Predicate(field.name, op, operand(field), operand(field)))
+        elif op is Op.IN:
+            count = draw(st.integers(1, 3))
+            predicates.append(Predicate(field.name, op, [operand(field) for _ in range(count)]))
+        else:
+            predicates.append(Predicate(field.name, op, operand(field)))
+    summable = [f.name for f in table.fields if f.dtype.family in _SUMMABLE]
+    names = [f.name for f in table.fields]
+    aggregates = []
+    for _ in range(draw(st.integers(1, 3))):
+        func = draw(st.sampled_from(("count", "sum", "avg", "min", "max")))
+        if func == "count":
+            column = draw(st.none() | st.sampled_from(names))
+        elif func in ("sum", "avg") and summable:
+            column = draw(st.sampled_from(summable))
+        else:
+            func, column = draw(st.sampled_from(("min", "max"))), draw(st.sampled_from(names))
+        aggregates.append(Aggregate(func, column))
+    return world, Query(table.name, aggregates, predicates)
+
+
+class TestQueryOracle:
+    """The model's exact answer is SQL's over the loaded data: integers
+    exactly, floats to 1e-9 relative, dates and text as stored. One
+    assertion covers projected generation, SQL rendering and loading."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_oracle_queries())
+    @example(("tpch", Query("lineitem", [Aggregate("avg", "l_extendedprice")])))
+    @example(("tpch", Query(
+        "lineitem", [Aggregate("count"), Aggregate("avg", "l_quantity")],
+        [Predicate("l_quantity", Op.LT, 24)],
+    )))
+    @example(("sink", Query(
+        "wide", [Aggregate("count"), Aggregate("min", "w_switch")],
+        [Predicate("w_switch", Op.IN, ["yes", "n7"])],
+    )))
+    def test_execute_equals_sql(self, drawn):
+        world, query = drawn
+        _schema, executor, adapter, _samples = _oracle_world(world)
+        answer = list(executor.execute(query).values())
+        row = adapter.execute(query.to_sql())[0]
+        assert len(answer) == len(row)
+        for expected, actual in zip(answer, row):
+            assert same_answer(expected, actual), (query.to_sql(), answer, row)

@@ -225,14 +225,14 @@ class TestReplay:
         good = ("count", Query("customer", [Aggregate("count")]))
         report = replayer.replay([], checks=[good])
         assert report.checks is not None
-        assert report.prediction_failures == 0
+        assert report.check_failures == 0
         assert report.ok
 
         with SQLiteAdapter(":memory:") as sparse:
             SchemaTranslator().apply(schema, sparse)
             sparse.insert_rows("customer", ["c_id"], [(1,)])
             lying = WorkloadReplayer(schema, sparse).replay([], checks=[good])
-        assert lying.prediction_failures == 1
+        assert lying.check_failures == 1
         assert not lying.ok
 
     def test_latency_histogram_labeled_by_template(self, demo_database):
@@ -327,6 +327,32 @@ class TestCdcInterleave:
         assert inserted == 12
         assert after == before + inserted - deleted
 
+    def test_checks_grade_the_database_before_cdc(self):
+        # A check on a table the epochs mutate: graded before the first
+        # event, it sees the database the model describes and passes
+        # exactly, though the table has changed by the end of the replay.
+        schema = demo_schema()
+        checks = [("customers", Query("customer", [
+            Aggregate("count"), Aggregate("sum", "c_balance"),
+        ]))]
+        with SQLiteAdapter(":memory:") as adapter:
+            SchemaTranslator().apply(schema, adapter)
+            load(GenerationEngine(schema), adapter)
+            blackbox = UpdateBlackBox(
+                schema, insert_fraction=0.1, update_fraction=0.1,
+                delete_fraction=0.05,
+            )
+            report = WorkloadReplayer(schema, adapter).replay(
+                WorkloadStream(schema, demo_spec(count=4)).events(),
+                checks=checks,
+                cdc=CdcInterleave(blackbox, epochs=1, tables=("customer",)),
+            )
+            after = adapter.execute(checks[0][1].to_sql())[0]
+        assert report.cdc_applied
+        assert report.checks.checks_graded == report.checks.checks_passed == 1
+        assert report.check_failures == 0 and report.ok
+        assert after != report.checks.executions[0].first_row
+
     def test_explicit_keyless_table_rejected(self):
         schema = demo_schema()
         cdc = CdcInterleave(UpdateBlackBox(schema), tables=("customer",))
@@ -392,7 +418,7 @@ class TestWorkloadCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "replayed 6 queries" in out
-        assert "predictions ok" in out
+        assert "checks: 5/5 exact" in out
 
     def test_replay_with_cdc(self, tpch_db, tmp_path, capsys):
         import shutil

@@ -64,6 +64,14 @@ Figures 7-9 that way for twenty PRs). The same ``# hot-loop-ok:
 <reason>`` waiver marks the two series that measure the scalar path on
 purpose: Figure 6's like-for-like oracle and the §2 recompute claim.
 
+**Query-path check.** :class:`~repro.core.queries.VirtualExecutor`
+answers a query from projected column blocks (``generate_columns(...,
+fields=)``) with numpy masks and reductions. A per-row walk —
+``iter_rows``, ``generate_row`` or ``compute_value`` — in
+:mod:`repro.core.queries` gives the same answers 100-200x slower, so no
+correctness test would notice it coming back. The ``# hot-loop-ok:
+<reason>`` waiver applies.
+
 **One-cutter check.** Where a work package ends is one rule — the
 package grid of :mod:`repro.scheduler.work`: package ``k`` is rows
 ``[k·P, (k+1)·P)``, clipped to the range being cut. A ``WorkPackage(...)``
@@ -133,6 +141,7 @@ waiver.
 
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``, the
 span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
+(query-path check only) ``src/repro/core/queries.py``,
 (one-cutter, one-template, one-draw, one-lookup, one-runtime and
 one-driver checks only) every module under ``src/repro/``.
 
@@ -151,6 +160,9 @@ CHECKED_PATHS = ("src/repro/scheduler", "src/repro/output")
 BANNED_CALLS = ("generate_row", "write_row")
 BENCHMARK_DIR = "benchmarks"
 BANNED_BENCHMARK_CALLS = BANNED_CALLS + ("generate_value", "compute_value")
+#: the virtual executor's module, and the per-row walks it must not make
+QUERY_FILE = "src/repro/core/queries.py"
+BANNED_QUERY_CALLS = ("iter_rows", "generate_row", "compute_value")
 WAIVER = "hot-loop-ok"
 FAULT_WAIVER = "fault-ok"
 BROAD_EXCEPTIONS = ("Exception", "BaseException")
@@ -407,11 +419,16 @@ def second_drivers(path: Path) -> list[str]:
 
 def check_file(
     path: Path, span_hot: bool = False, columnar_hot: bool = False,
-    benchmark: bool = False,
+    benchmark: bool = False, banned: tuple[str, ...] | None = None,
 ) -> list[str]:
+    """The checks of one file. *banned* replaces the per-row calls it
+    looks for (and skips the other checks): the query-path check."""
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source, filename=str(path))
+    benchmark = benchmark or banned is not None
+    if banned is None:
+        banned = BANNED_BENCHMARK_CALLS if benchmark else BANNED_CALLS
     violations = [] if benchmark or span_hot else _transposing_overrides(tree, path)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -436,7 +453,7 @@ def check_file(
                         f"fallback with '# {COLUMNAR_WAIVER}: <reason>'"
                     )
                 continue
-            if name not in (BANNED_BENCHMARK_CALLS if benchmark else BANNED_CALLS):
+            if name not in banned:
                 continue
             line = lines[node.lineno - 1]
             if WAIVER in line:
@@ -480,6 +497,8 @@ def main() -> int:
     for path in sorted((REPO / BENCHMARK_DIR).glob("*.py")):
         checked.add(path)
         violations.extend(check_file(path, benchmark=True))
+    checked.add(REPO / QUERY_FILE)
+    violations.extend(check_file(REPO / QUERY_FILE, banned=BANNED_QUERY_CALLS))
     scope = sorted((REPO / CUTTER_SCOPE).rglob("*.py"))
     for path in scope:
         if path != REPO / CUTTER_FILE:
