@@ -32,6 +32,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field as dc_field
+from typing import NoReturn
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, ModelError
 from repro.generators.base import ArtifactStore
 from repro.model.datatypes import TypeFamily
-from repro.model.schema import Field, Schema
+from repro.model.schema import Field, GeneratorSpec, Schema
 from repro.prng.xorshift import XorShift64Star, combine_name64
 from repro.text.dictionary import WeightedDictionary
 
@@ -260,13 +261,17 @@ class _FieldModel:
     dictionary: WeightedDictionary | None = None
 
 
+def _base_spec(field: Field) -> GeneratorSpec:
+    """The generator that draws *field*'s values, a NULL wrapper removed."""
+    spec = field.generator
+    return spec.child() if spec.name == "NullGenerator" else spec
+
+
 def _analyze_field(
     schema: Schema, field: Field, artifacts: ArtifactStore
 ) -> _FieldModel:
     model = _FieldModel()
-    spec = field.generator
-    if spec.name == "NullGenerator":
-        spec = spec.child()
+    spec = _base_spec(field)
 
     def resolve(value: object, default: float) -> float:
         if value is None:
@@ -444,6 +449,12 @@ def _objects(items: list) -> np.ndarray:
     return array
 
 
+def _unmodelled(value: object) -> NoReturn:
+    raise GenerationError(
+        f"the stored form of {value!r} is not modelled; cannot compare it as SQL does"
+    )
+
+
 def _number(value: object) -> object:
     """A numeric column's value as the database holds it: text that
     reads as a number is that number (SQLite's numeric affinity)."""
@@ -457,30 +468,45 @@ def _number(value: object) -> object:
 
 
 def _ordinal(value: object) -> object:
-    """A date as its day ordinal (ISO text too); anything else as is."""
+    """A date (or its ISO text) as its day ordinal; anything else as is."""
     if isinstance(value, str):
         try:
-            value = datetime.date.fromisoformat(value)
+            date = datetime.date.fromisoformat(value)
         except ValueError:
             return value
+        return date.toordinal() if date.isoformat() == value else value
     return value.toordinal() if type(value) is datetime.date else value
 
 
 def _moment(value: object) -> object:
-    """A timestamp (ISO text too); anything else as is."""
+    """A timestamp (or its stored text) as ``datetime``; anything else
+    as is. The SQL sink stores whole seconds without a zone, so a finer
+    or zoned timestamp has no stored twin the model knows."""
     if isinstance(value, str):
         try:
-            return datetime.datetime.fromisoformat(value)
+            moment = datetime.datetime.fromisoformat(value)
         except ValueError:
-            pass
+            return value
+        return moment if str(moment) == value else value
+    if isinstance(value, datetime.datetime) and (value.microsecond or value.tzinfo):
+        _unmodelled(value)
     return value
+
+
+def _text(value: object) -> str:
+    """*value* as the text a TEXT column holds once loaded. SQLite
+    renders a float or a boolean in its own way, and the sink writes
+    bytes as hex; those are not modelled."""
+    if isinstance(value, (bool, float, bytes)):
+        _unmodelled(value)
+    return str(_moment(value) if isinstance(value, datetime.datetime) else value)
 
 
 def _key_of(family: TypeFamily):
     """The per-value conversion to *family*'s comparison key."""
     if family in _NUMERIC:
         return _number
-    return {TypeFamily.DATE: _ordinal, TypeFamily.TIMESTAMP: _moment}.get(family, str)
+    return {TypeFamily.DATE: _ordinal, TypeFamily.TIMESTAMP: _moment}.get(family, _text)
 
 
 def _keys(column: columnar.Column, family: TypeFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -501,19 +527,21 @@ def _keys(column: columnar.Column, family: TypeFamily) -> tuple[np.ndarray, np.n
         return _objects([key(entry) for entry in column.entries])[column.data], nulls
     values = _objects(column.to_pylist())
     nulls = nulls | (values == None)  # noqa: E711 - elementwise
-    if not (key is str and column.kind == "str"):
+    if not (key is _text and column.kind == "str"):
         valid = ~nulls
         values[valid] = _objects([key(value) for value in values[valid].tolist()])
     return values, nulls
 
 
 def _operand(value: object, family: TypeFamily, column: str) -> object:
-    """A predicate value as the key :func:`_keys` compares it with."""
+    """A predicate value as the key :func:`_keys` compares it with —
+    only a value whose SQL literal compares the same way in SQLite."""
     key = _key_of(family)(value)
     if family in _NUMERIC:
         ok = isinstance(key, (int, float))
     elif family is TypeFamily.DATE:
-        ok = type(key) is int
+        # an int literal is a number to SQLite, never a date
+        ok = type(key) is int and isinstance(value, (str, datetime.date))
     else:
         ok = family is not TypeFamily.TIMESTAMP or isinstance(key, datetime.datetime)
     if not ok:

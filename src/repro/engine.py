@@ -71,12 +71,9 @@ class BoundTable:
             ColumnSeeder(hierarchy, table.name, field.name, update)
             for field in table.fields
         ]
-        #: per field, the positions of the siblings its generator tree reads
-        self._reads = [
-            [self.column_names.index(name) for name in sibling_reads(field.generator)
-             if name in self.column_names]
-            for field in table.fields
-        ]
+        #: per field, the positions of the siblings its generator tree
+        #: reads; worked out by the first projection, never at bind
+        self._reads: list[list[int]] | None = None
 
     def generate_row(self, row: int, ctx: GenerationContext) -> list[object]:
         """All field values of one row.
@@ -155,6 +152,12 @@ class BoundTable:
 
     def _closure(self, fields: Iterable[str]) -> set[int]:
         """Positions of *fields* and of every sibling they read."""
+        if self._reads is None:
+            self._reads = [
+                [self.column_names.index(name) for name in sibling_reads(field.generator)
+                 if name in self.column_names]
+                for field in self.table.fields
+            ]
         wanted: set[int] = set()
         todo = [self.field_index(name) for name in fields]
         while todo:

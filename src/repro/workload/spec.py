@@ -155,7 +155,7 @@ def auto_spec(
     still fully seed-reproducible because every parameter flows through
     :class:`~repro.core.queries.QueryParameterGenerator`.
     """
-    from repro.core.queries import ParameterSpec, _analyze_field
+    from repro.core.queries import ParameterSpec, _analyze_field, _base_spec
     from repro.generators.base import ArtifactStore
 
     artifacts = artifacts or ArtifactStore()
@@ -163,10 +163,7 @@ def auto_spec(
     for table in schema.tables:
         parameter = None
         for field in table.fields:
-            spec = field.generator
-            if spec.name == "NullGenerator":
-                spec = spec.child()
-            if spec.name == "IdGenerator":
+            if _base_spec(field).name == "IdGenerator":
                 continue
             model = _analyze_field(schema, field, artifacts)
             if model.numeric_bounds is not None:

@@ -75,6 +75,20 @@ class TestRunQuery:
         assert execution.succeeded
         assert execution.check_ok is None
 
+    def test_a_date_compared_with_an_int_is_timed_only(self, demo_setup):
+        # SQLite compares the loaded ISO text with the number's text
+        # (every row is less); the model's day ordinals would say none,
+        # so the query is timed and not graded
+        schema, adapter = demo_setup
+        driver = BenchmarkDriver(schema, adapter)
+        execution = driver.run_query(
+            "date_vs_int", Query("orders", [Aggregate("count")],
+                                 [Predicate("o_date", Op.LT, 300_000)])
+        )
+        assert execution.succeeded
+        assert execution.first_row[0] > 0
+        assert execution.check_ok is None
+
     def test_duplicate_aggregates_graded_positionally(self, demo_setup):
         # Regression: two COUNT(*) entries render identically; keying
         # answers by SQL text alone collapsed them, shifting every

@@ -137,6 +137,44 @@ class TestExactExecution:
         assert_answers_equal(virtual.values(), sql_row)
 
 
+class TestUnmodelledComparisons:
+    """A comparison SQLite makes in a way the model does not reproduce
+    is refused with a GenerationError, so a driver leaves the query
+    timing-only instead of grading a false miss."""
+
+    def test_date_column_against_an_int(self, executor, database):
+        # a DATE column loads as TEXT, so SQLite compares '2023-…' with
+        # '300000' as text (always less); day ordinals (~738 000) are not
+        query = Query("sales", [Aggregate("count")],
+                      [Predicate("s_date", Op.LT, 300_000)])
+        assert database.execute(query.to_sql())[0] == (2000,)
+        with pytest.raises(GenerationError, match="s_date"):
+            executor.execute(query)
+
+    @pytest.mark.parametrize("value", [0.5, True, b"NORTH"])
+    def test_text_column_against_a_float_bool_or_bytes(self, executor, value):
+        with pytest.raises(GenerationError):
+            executor.execute(Query("sales", [Aggregate("count")],
+                                   [Predicate("s_region", Op.EQ, value)]))
+
+    @pytest.mark.parametrize("dtype, constant", [
+        ("VARCHAR(30)", 0.1 + 0.2),  # SQLite stores the text '0.3'
+        ("VARCHAR(30)", True),  # stored as 1
+        ("TIMESTAMP", datetime.datetime(2024, 5, 1, 8, 0, 0, 500_000)),  # stored to the second
+    ])
+    def test_value_shapes_stored_otherwise(self, dtype, constant):
+        schema = Schema("shapes", seed=5)
+        schema.add_table(Table("t", "10", [
+            Field.of("t_value", dtype, GeneratorSpec(
+                "StaticValueGenerator", {"constant": constant}
+            )),
+        ]))
+        with pytest.raises(GenerationError, match="not modelled"):
+            VirtualExecutor(schema).execute(
+                Query("t", [Aggregate("count")], [Predicate("t_value", Op.NOT_NULL)])
+            )
+
+
 class TestAnalyticPrediction:
     """Counts, sums, averages and bounds under range, dictionary, NULL
     and date predicates: the model's answer is SQL's, exactly."""
