@@ -15,7 +15,7 @@ import pytest
 from repro.core import DBSynthProject
 from repro.core.fidelity import FidelityChecker, default_queries
 from repro.core.loader import load
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.suites.imdb import build_imdb_database
@@ -59,7 +59,7 @@ def tpch_db(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("fidelity_tpch") / "tpch.db")
     schema = tpch_schema(bench_sf(0.002))
     adapter = SQLiteAdapter(path)
-    SchemaTranslator().apply(schema, adapter)
+    adapter.execute_script(create_schema_sql(schema, "sqlite"))
     load(GenerationEngine(schema, tpch_artifacts()), adapter)
     yield adapter
     adapter.close()

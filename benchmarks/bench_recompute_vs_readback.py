@@ -19,7 +19,7 @@ spinning-disk gap enormously: the *ordering* is the reproduction target
 from __future__ import annotations
 
 from repro.core.loader import load
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
@@ -47,7 +47,7 @@ def test_recompute_beats_readback(benchmark, tmp_path):
     schema = _schema()
     engine = GenerationEngine(schema)
     adapter = SQLiteAdapter(str(tmp_path / "readback.db"))
-    SchemaTranslator().apply(schema, adapter)
+    adapter.execute_script(create_schema_sql(schema, "sqlite"))
     load(engine, adapter)
     rng = XorShift64Star(1)
 

@@ -20,14 +20,13 @@ import statistics
 import pytest
 
 from repro.core.extraction import SchemaExtractor
-from repro.core.markov_builder import MarkovBuilder
-from repro.core.profiling import DataProfiler, ProfileOptions
-from repro.core.sampling import SampleConfig
+from repro.core.profiling import DataProfiler
+from repro.core.project import DBSynthProject
+from repro.core.sampling import ColumnSampler, SampleConfig
 from repro.core.loader import load
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
-from repro.generators.base import ArtifactStore
 from repro.suites.tpch import tpch_artifacts, tpch_schema
 
 from conftest import bench_sf, record
@@ -41,7 +40,7 @@ def tpch_db(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("tab1") / "tpch.db")
     schema = tpch_schema(bench_sf(0.002))
     adapter = SQLiteAdapter(path)
-    SchemaTranslator().apply(schema, adapter)
+    adapter.execute_script(create_schema_sql(schema, "sqlite"))
     load(GenerationEngine(schema, tpch_artifacts()), adapter)
     yield adapter
     adapter.close()
@@ -68,42 +67,36 @@ def test_phase_table_sizes(benchmark, tpch_db):
     )
 
 
-def test_phase_null_probabilities(benchmark, tpch_db):
+#: the profiling phases, each one's ``PhaseTimings`` field and its row
+PROFILE_PHASES = {
+    "null_seconds": "NULL probabilities",
+    "minmax_seconds": "min/max constraints",
+    "distinct_seconds": "distinct counts",
+}
+
+
+def test_phases_profiling(benchmark, tpch_db):
+    """One ``DataProfiler.profile`` call per round times every profiling
+    phase; each phase's row is its ``PhaseTimings`` field, median
+    [min .. max] over five rounds."""
     extracted = SchemaExtractor(tpch_db).extract()
+    rounds: dict[str, list[float]] = {phase: [] for phase in PROFILE_PHASES}
 
     def run():
-        extracted.timings.null_seconds = 0.0
-        DataProfiler(tpch_db).profile(
-            extracted,
-            ProfileOptions(null_probabilities=True, min_max=False,
-                           distinct_counts=False),
+        for phase in PROFILE_PHASES:
+            setattr(extracted.timings, phase, 0.0)
+        DataProfiler(tpch_db).profile(extracted)
+        for phase, samples in rounds.items():
+            samples.append(getattr(extracted.timings, phase) * 1000)
+
+    benchmark.pedantic(run, rounds=5, iterations=1)
+    for phase, samples in rounds.items():
+        record(
+            "Table 1 (extraction phases): phase | ms",
+            (PROFILE_PHASES[phase], round(statistics.median(samples), 1),
+             f"[{min(samples):.1f} .. {max(samples):.1f}] over {len(samples)} rounds"),
         )
-        return extracted.timings.null_seconds
-
-    null_seconds = benchmark(run)
-    record(
-        "Table 1 (extraction phases): phase | ms",
-        ("NULL probabilities", round(null_seconds * 1000, 1)),
-    )
-
-
-def test_phase_min_max(benchmark, tpch_db):
-    extracted = SchemaExtractor(tpch_db).extract()
-
-    def run():
-        extracted.timings.minmax_seconds = 0.0
-        DataProfiler(tpch_db).profile(
-            extracted,
-            ProfileOptions(null_probabilities=False, min_max=True,
-                           distinct_counts=False),
-        )
-        return extracted.timings.minmax_seconds
-
-    minmax_seconds = benchmark(run)
-    record(
-        "Table 1 (extraction phases): phase | ms",
-        ("min/max constraints", round(minmax_seconds * 1000, 1)),
-    )
+        assert min(samples) > 0, phase
 
 
 def test_markov_sampling_sweep(benchmark, tpch_db):
@@ -121,16 +114,17 @@ def test_markov_sampling_sweep(benchmark, tpch_db):
     1.9-2.6x; the paper's 250x needs its 1000x larger table). The
     inverted sweep this replaced (22 / 33 / 22 / 8.6 ms) fails both."""
     extracted = SchemaExtractor(tpch_db).extract()
-    builders = {
-        fraction: MarkovBuilder(tpch_db, SampleConfig(fraction=fraction, min_values=5))
+    sampler = ColumnSampler(tpch_db)
+    configs = {
+        fraction: SampleConfig(fraction=fraction, min_values=5)
         for fraction in SAMPLE_FRACTIONS
     }
     rounds: dict[float, list[float]] = {fraction: [] for fraction in SAMPLE_FRACTIONS}
 
     def sweep():
-        for fraction, builder in builders.items():
+        for fraction, config in configs.items():
             extracted.timings.sampling_seconds = 0.0
-            builder.build(extracted, "lineitem", "l_comment", ArtifactStore())
+            sampler.sample(extracted, "lineitem", "l_comment", config)
             rounds[fraction].append(extracted.timings.sampling_seconds * 1000)
 
     benchmark.pedantic(sweep, rounds=7, iterations=1, warmup_rounds=1)
@@ -149,13 +143,15 @@ def test_markov_sampling_sweep(benchmark, tpch_db):
 
 def test_full_extraction_is_interactive(benchmark, tpch_db):
     """Paper: "these results indicate an interactive response time for
-    data model generation"."""
-    from repro.core.model_builder import build_model
+    data model generation": the DBSynth project steps extract, profile
+    and build."""
 
-    benchmark.pedantic(
-        lambda: build_model(tpch_db, name="tpch_extracted"),
-        rounds=1, iterations=1,
-    )
+    def build():
+        project = DBSynthProject(name="tpch_extracted", source=tpch_db)
+        project.profile()
+        return project.build_model()
+
+    benchmark.pedantic(build, rounds=1, iterations=1)
     seconds = benchmark.stats.stats.mean
     record(
         "Table 1 (extraction phases): phase | ms",

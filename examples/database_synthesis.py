@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import tempfile
 
-from repro.core import DBSynthProject
-from repro.db import SQLiteAdapter
+from repro.core import DBSynthProject, load
+from repro.db import SQLiteAdapter, create_schema_sql
 from repro.engine import GenerationEngine
 from repro.suites.imdb import build_imdb_database
 
@@ -52,9 +52,7 @@ def main() -> None:
         engine = GenerationEngine(schema, artifacts)
 
         target = SQLiteAdapter(f"{workdir}/synthetic.db")
-        from repro.core import SchemaTranslator, load
-
-        SchemaTranslator().apply(schema, target)
+        target.execute_script(create_schema_sql(schema, "sqlite"))
         report = load(engine, target)
         print(f"  loaded {report.rows:,} synthetic rows: " + ", ".join(
             f"{table.name} {table.rows}" for table in report.tables
@@ -70,7 +68,7 @@ def main() -> None:
         print("\n== verification: same queries, original vs synthetic ==")
         schema.properties.override("SF", 1)  # compare at original scale
         compare_target = SQLiteAdapter(f"{workdir}/synthetic_sf1.db")
-        SchemaTranslator().apply(schema, compare_target)
+        compare_target.execute_script(create_schema_sql(schema, "sqlite"))
         load(GenerationEngine(schema, artifacts), compare_target)
         fidelity = project.verify(compare_target)
         for line in fidelity.summary_lines()[:10]:

@@ -23,12 +23,11 @@ from repro.core import (
     Query,
     QueryParameterGenerator,
     QueryTemplate,
-    SchemaTranslator,
     VirtualExecutor,
     load,
 )
 from repro.core.driver import same_answer
-from repro.db import SQLiteAdapter
+from repro.db import SQLiteAdapter, create_schema_sql
 from repro.engine import GenerationEngine
 from repro.suites.tpch import tpch_artifacts, tpch_schema
 
@@ -71,7 +70,7 @@ def main() -> None:
 
     print("\n== 3. the same SQL against a real database load ==")
     target = SQLiteAdapter(":memory:")
-    SchemaTranslator().apply(schema, target)
+    target.execute_script(create_schema_sql(schema, "sqlite"))
     load(GenerationEngine(schema, artifacts), target)
     actual = target.execute(query.to_sql())[0]
     for (key, answer), value in zip(answers.items(), actual):

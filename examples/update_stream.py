@@ -14,8 +14,8 @@ Run: ``python examples/update_stream.py``
 
 from __future__ import annotations
 
-from repro.core import SchemaTranslator, load
-from repro.db import SQLiteAdapter
+from repro.core import load
+from repro.db import SQLiteAdapter, create_schema_sql
 from repro.engine import GenerationEngine
 from repro.model import Field, GeneratorSpec, Schema, Table
 from repro.update import UpdateBlackBox
@@ -39,7 +39,7 @@ def build_schema() -> Schema:
 def main() -> None:
     schema = build_schema()
     adapter = SQLiteAdapter(":memory:")
-    SchemaTranslator().apply(schema, adapter)
+    adapter.execute_script(create_schema_sql(schema, "sqlite"))
     load(GenerationEngine(schema), adapter)
     print(f"== base load: {adapter.row_count('product')} products ==")
 

@@ -30,10 +30,8 @@ _PUBLIC = {
     "BuildResult": "repro.core.model_builder",
     "ColumnDecision": "repro.core.model_builder",
     "ModelBuilder": "repro.core.model_builder",
-    "build_model": "repro.core.model_builder",
     "ColumnProfile": "repro.core.profiling",
     "DataProfiler": "repro.core.profiling",
-    "ProfileOptions": "repro.core.profiling",
     "SchemaProfile": "repro.core.profiling",
     "Aggregate": "repro.core.queries",
     "Op": "repro.core.queries",
@@ -50,7 +48,6 @@ _PUBLIC = {
     "default_rules": "repro.core.rules",
     "ColumnSampler": "repro.core.sampling",
     "SampleConfig": "repro.core.sampling",
-    "SchemaTranslator": "repro.core.translator",
 }
 
 __getattr__, __dir__ = lazy_names(__name__, _PUBLIC)

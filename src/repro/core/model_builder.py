@@ -6,12 +6,13 @@ This implements paper §3's generator-choice policy:
    reference generator, independent of its type;
 2. numeric primary keys / key-named columns become ID generators;
 3. sampled text columns become dictionaries (single-word) or Markov
-   chains (free text);
+   chains (free text), trained on one :class:`ColumnSampler`'s sample;
+   TIME columns are sampled as text (there is no time-of-day generator);
 4. otherwise the data type picks a number/date/boolean generator with
    extracted min/max bounds ("all boundaries for numerical values and
    dates are stored in properties");
-5. unsampled text columns fall back to the column-name rule engine's
-   high-level generators, then to random strings;
+5. unsampled text and TIME columns fall back to the column-name rule
+   engine's high-level generators, then to random strings;
 6. columns with observed NULLs get a NULL wrapper with the extracted
    probability.
 
@@ -23,21 +24,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.dictionary_builder import DictionaryBuilder, dictionary_artifact_name
 from repro.core.extraction import ExtractedColumn, ExtractedSchema, ExtractedTable
-from repro.core.markov_builder import MarkovBuilder, markov_artifact_name
 from repro.core.profiling import ColumnProfile, SchemaProfile
 from repro.core.rules import RuleEngine
-from repro.core.sampling import SampleConfig
+from repro.core.sampling import ColumnSampler, SampleConfig
 from repro.db.adapter import DatabaseAdapter
-from repro.exceptions import ExtractionError
+from repro.exceptions import AdapterError, ExtractionError, ModelError
 from repro.generators.base import ArtifactStore
 from repro.model.datatypes import DataType, TypeFamily, parse_type
 from repro.obs import active_metrics, span
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
-from repro.text.tokenizer import classify_values
+from repro.text.dictionary import WeightedDictionary
+from repro.text.markov import MarkovChain
+from repro.text.tokenizer import classify_values, words
 
 _DICTIONARY_MAX_DISTINCT = 1000
+#: a profiled NULL fraction above this gets a NULL wrapper
+_NULL_THRESHOLD = 1e-9
 
 
 @dataclass
@@ -46,10 +49,7 @@ class BuildOptions:
 
     sample_data: bool = True
     sample_config: SampleConfig = field(default_factory=SampleConfig)
-    markov_order: int = 1
     seed: int = 123456789
-    null_threshold: float = 1e-9
-    bounds_as_properties: bool = True
     # Histogram-based numeric synthesis (RSGen-style, paper §6): when on,
     # numeric columns whose equi-depth quantiles deviate from uniform get
     # a HistogramGenerator instead of a uniform range generator.
@@ -89,23 +89,12 @@ class ModelBuilder:
     """Builds a generation model from an extracted + profiled schema."""
 
     def __init__(
-        self,
-        adapter: DatabaseAdapter,
-        options: BuildOptions | None = None,
-        rules: RuleEngine | None = None,
+        self, adapter: DatabaseAdapter, options: BuildOptions | None = None
     ) -> None:
         self.adapter = adapter
         self.options = options or BuildOptions()
-        self.rules = rules or RuleEngine()
-        self._dictionary_builder = DictionaryBuilder(
-            adapter, self.options.sample_config, self.options.seed
-        )
-        self._markov_builder = MarkovBuilder(
-            adapter,
-            self.options.sample_config,
-            self.options.markov_order,
-            self.options.seed,
-        )
+        self.rules = RuleEngine()
+        self.sampler = ColumnSampler(adapter, self.options.seed)
 
     def build(
         self,
@@ -162,7 +151,7 @@ class ModelBuilder:
         null_fraction = stats.null_fraction if stats else None
         if (
             null_fraction is not None
-            and null_fraction > self.options.null_threshold
+            and null_fraction > _NULL_THRESHOLD
             and spec.name != "StaticValueGenerator"
         ):
             spec = GeneratorSpec(
@@ -186,7 +175,7 @@ class ModelBuilder:
     def _parse_type(column: ExtractedColumn) -> DataType:
         try:
             return parse_type(column.info.type_text)
-        except Exception:
+        except ModelError:
             # Unknown catalog type: treat as free text (the most general
             # family); the decision trail records the original spelling.
             return parse_type("TEXT")
@@ -229,17 +218,18 @@ class ModelBuilder:
                 why = "primary key" if column.info.primary else "key/id column name"
                 return GeneratorSpec("IdGenerator"), why
 
-        # 4. sampled text: dictionary or Markov chain.
-        if family is TypeFamily.TEXT and self.options.sample_data:
-            return self._text_from_sample(extracted, table, column, stats, result)
+        # 4. sampled text: dictionary or Markov chain. TIME values take
+        # this path too: there is no time-of-day generator.
+        if family in (TypeFamily.TEXT, TypeFamily.TIME) and self.options.sample_data:
+            return self._text_from_sample(extracted, table, column, family, stats, result)
 
         # 5. type-driven numeric/date/boolean generators with bounds.
         if family is TypeFamily.INTEGER:
             return self._integer_generator(table, column, stats, result)
         if family in (TypeFamily.FLOAT, TypeFamily.DECIMAL):
             return self._double_generator(table, column, dtype, stats, result)
-        if family in (TypeFamily.DATE, TypeFamily.TIMESTAMP, TypeFamily.TIME):
-            return self._date_generator(column, dtype, stats)
+        if family in (TypeFamily.DATE, TypeFamily.TIMESTAMP):
+            return self._date_generator(dtype, stats)
         if family is TypeFamily.BOOLEAN:
             return GeneratorSpec("BooleanGenerator"), "boolean type"
 
@@ -257,6 +247,7 @@ class ModelBuilder:
         extracted: ExtractedSchema,
         table: ExtractedTable,
         column: ExtractedColumn,
+        family: TypeFamily,
         stats: ColumnProfile | None,
         result: BuildResult,
     ) -> tuple[GeneratorSpec, str]:
@@ -266,15 +257,15 @@ class ModelBuilder:
                 probe = self.adapter.sample_column(
                     table.name, column.name, fraction=1.0, limit=200, strategy="first"
                 )
-            except Exception as exc:  # adapter-level failure → fall back
-                rule_spec = self.rules.match(column.name, TypeFamily.TEXT)
+            except AdapterError as exc:
+                rule_spec = self.rules.match(column.name, family)
                 if rule_spec is not None:
                     return rule_spec, f"sampling failed ({exc}); column-name rule"
                 return GeneratorSpec("RandomStringGenerator"), f"sampling failed ({exc})"
             probe_span.set(values=len(probe))
             texts = [str(v) for v in probe if v is not None]
             if not texts:
-                rule_spec = self.rules.match(column.name, TypeFamily.TEXT)
+                rule_spec = self.rules.match(column.name, family)
                 if rule_spec is not None:
                     return rule_spec, "empty column; column-name rule"
                 return GeneratorSpec("RandomStringGenerator"), "empty column; fallback"
@@ -284,30 +275,55 @@ class ModelBuilder:
         if kind == "dictionary" and (
             distinct is None or distinct <= _DICTIONARY_MAX_DISTINCT
         ):
-            self._dictionary_builder.build(
-                extracted, table.name, column.name, result.artifacts
-            )
+            name = self._dictionary(extracted, table.name, column.name, result.artifacts)
             return (
-                GeneratorSpec(
-                    "DictListGenerator",
-                    {"dictionary": dictionary_artifact_name(table.name, column.name)},
-                ),
+                GeneratorSpec("DictListGenerator", {"dictionary": name}),
                 f"single-word text, {distinct if distinct is not None else '?'} distinct",
             )
-        built = self._markov_builder.build(
-            extracted, table.name, column.name, result.artifacts
-        )
+        return self._markov(extracted, table.name, column.name, result.artifacts)
+
+    def _dictionary(
+        self, extracted: ExtractedSchema, table: str, column: str, artifacts: ArtifactStore
+    ) -> str:
+        """Sample *column* into a frequency-weighted dictionary ("the
+        data extraction tool builds histograms and dictionaries of
+        text-valued data", paper §3); store it and return its name."""
+        values = self.sampler.sample(extracted, table, column, self.options.sample_config)
+        if not values:
+            raise ExtractionError(
+                f"no sampled values for {table}.{column}; cannot build dictionary"
+            )
+        name = f"dict:{table}.{column}"
+        artifacts.put(name, WeightedDictionary.from_values(values))
+        return name
+
+    def _markov(
+        self, extracted: ExtractedSchema, table: str, column: str, artifacts: ArtifactStore
+    ) -> tuple[GeneratorSpec, str]:
+        """Train a first-order Markov chain on *column*'s sampled free
+        text and store it; the generator's word-count bounds are the
+        sample's ("the parameters for the Markov model are adjusted based
+        on the original data", paper §3)."""
+        texts = self.sampler.sample(extracted, table, column, self.options.sample_config)
+        texts = [t for t in texts if t.strip()]
+        if not texts:
+            raise ExtractionError(
+                f"no sampled text for {table}.{column}; cannot build Markov model"
+            )
+        chain = MarkovChain(order=1)
+        lengths = []
+        for text in texts:
+            chain.train(text)
+            lengths.append(len(words(text)))
+        name = f"markov:{table}.{column}"
+        artifacts.put(name, chain)
         return (
             GeneratorSpec(
                 "MarkovChainGenerator",
-                {
-                    "model": markov_artifact_name(table.name, column.name),
-                    "min": built.min_words,
-                    "max": built.max_words,
-                },
+                {"model": name, "min": max(min(lengths), 1), "max": max(lengths)},
             ),
-            f"free text ({built.vocabulary_size} words, "
-            f"{built.start_states} starting states)",
+            f"free text ({len(chain.vocabulary())} words, "
+            f"{chain.num_start_states()} starting states)",
         )
 
     def _bound_params(
@@ -318,13 +334,10 @@ class ModelBuilder:
         result: BuildResult,
         default_min: object,
         default_max: object,
-        numeric: bool = True,
     ) -> dict[str, object]:
-        """min/max params, registered as model properties when numeric."""
+        """min/max params, registered as model properties."""
         min_value = stats.min_value if stats and stats.min_value is not None else default_min
         max_value = stats.max_value if stats and stats.max_value is not None else default_max
-        if not numeric or not self.options.bounds_as_properties:
-            return {"min": min_value, "max": max_value}
         properties = result.schema.properties
         min_prop = f"{table.name}_{column.name}_min"
         max_prop = f"{table.name}_{column.name}_max"
@@ -345,7 +358,7 @@ class ModelBuilder:
             edges = self.adapter.numeric_quantiles(
                 table.name, column.name, self.options.histogram_buckets
             )
-        except Exception:
+        except AdapterError:
             return None
         widths = [b - a for a, b in zip(edges, edges[1:])]
         positive = [w for w in widths if w > 0]
@@ -390,42 +403,17 @@ class ModelBuilder:
         return GeneratorSpec("DoubleGenerator", params), "floating point with bounds"
 
     def _date_generator(
-        self,
-        column: ExtractedColumn,
-        dtype: DataType,
-        stats: ColumnProfile | None,
+        self, dtype: DataType, stats: ColumnProfile | None
     ) -> tuple[GeneratorSpec, str]:
+        # A DATE bound is the date part of the stored text (a DATE
+        # column may hold "2020-01-01 10:00:00").
+        width = 19 if dtype.family is TypeFamily.TIMESTAMP else 10
         params: dict[str, object] = {}
         if stats and stats.min_value is not None:
-            params["min"] = str(stats.min_value)[:19]
+            params["min"] = str(stats.min_value)[:width]
         if stats and stats.max_value is not None:
-            params["max"] = str(stats.max_value)[:19]
+            params["max"] = str(stats.max_value)[:width]
         if dtype.family is TypeFamily.TIMESTAMP:
             return GeneratorSpec("TimestampGenerator", params), "timestamp with bounds"
         return GeneratorSpec("DateGenerator", params), "date with bounds"
 
-
-def build_model(
-    adapter: DatabaseAdapter,
-    name: str | None = None,
-    options: BuildOptions | None = None,
-    profile: bool = True,
-) -> BuildResult:
-    """One-call convenience: extract, profile, and build.
-
-    This is the whole "model creation tool" pipeline of paper Figure 3.
-    """
-    from repro.core.profiling import DataProfiler, ProfileOptions
-
-    extractor_result = None
-    from repro.core.extraction import SchemaExtractor
-
-    extractor = SchemaExtractor(adapter)
-    extractor_result = extractor.extract(include_sizes=True)
-    schema_profile = None
-    if profile:
-        schema_profile = DataProfiler(adapter).profile(
-            extractor_result, ProfileOptions()
-        )
-    builder = ModelBuilder(adapter, options)
-    return builder.build(extractor_result, schema_profile, name=name)

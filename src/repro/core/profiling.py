@@ -1,9 +1,9 @@
 """Statistical profiling of source columns.
 
-The "configurable level of additional information" of paper §3:
-min/max constraints, NULL probabilities, distinct counts, and frequency
-histograms. Profiles feed the model builder (bounds and NULL wrappers)
-and the fidelity report (original-vs-synthetic comparison).
+The "additional information" of paper §3: NULL probabilities, min/max
+constraints and distinct counts. Profiles feed the model builder
+(bounds and NULL wrappers) and the fidelity report
+(original-vs-synthetic comparison).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from repro.obs import timed
 
 @dataclass
 class ColumnProfile:
-    """Statistics of one source column (fields are None when that
-    profiling level was not requested)."""
+    """Statistics of one source column (min/max are None for a column
+    with no non-NULL value)."""
 
     table: str
     column: str
@@ -28,22 +28,10 @@ class ColumnProfile:
     min_value: object | None = None
     max_value: object | None = None
     distinct_count: int | None = None
-    histogram: list[tuple[object, int]] | None = None
 
     @property
     def is_constant(self) -> bool:
         return self.distinct_count == 1
-
-
-@dataclass
-class ProfileOptions:
-    """Which profiling levels to run."""
-
-    null_probabilities: bool = True
-    min_max: bool = True
-    distinct_counts: bool = True
-    histograms: bool = False
-    histogram_buckets: int = 20
 
 
 @dataclass
@@ -65,63 +53,36 @@ class DataProfiler:
     def __init__(self, adapter: DatabaseAdapter) -> None:
         self.adapter = adapter
 
-    def profile(
-        self,
-        extracted: ExtractedSchema,
-        options: ProfileOptions | None = None,
-    ) -> SchemaProfile:
-        """Profile all columns, updating ``extracted.timings`` with the
-        NULL-probability, min/max and distinct-count phase durations
-        (the §4 rows)."""
-        options = options or ProfileOptions()
+    def profile(self, extracted: ExtractedSchema) -> SchemaProfile:
+        """Profile all columns, adding the NULL-probability, min/max and
+        distinct-count phase durations (the §4 rows) to
+        ``extracted.timings``."""
         profile = SchemaProfile()
+        entries = [
+            ColumnProfile(table.name, column.name)
+            for table in extracted.tables
+            for column in table.columns
+        ]
+        for entry in entries:
+            profile.put(entry)
+        adapter, timings = self.adapter, extracted.timings
 
-        for table in extracted.tables:
-            for column in table.columns:
-                profile.put(ColumnProfile(table.name, column.name))
+        with timed("profiling.null_fractions") as phase:
+            for entry in entries:
+                entry.null_fraction = adapter.null_fraction(entry.table, entry.column)
+        timings.null_seconds += phase.seconds
 
-        if options.null_probabilities:
-            with timed("profiling.null_fractions") as phase:
-                for table in extracted.tables:
-                    for column in table.columns:
-                        entry = profile.get(table.name, column.name)
-                        assert entry is not None
-                        entry.null_fraction = self.adapter.null_fraction(
-                            table.name, column.name
-                        )
-            extracted.timings.null_seconds += phase.seconds
+        with timed("profiling.min_max") as phase:
+            for entry in entries:
+                entry.min_value, entry.max_value = adapter.min_max(
+                    entry.table, entry.column
+                )
+        timings.minmax_seconds += phase.seconds
 
-        if options.min_max:
-            with timed("profiling.min_max") as phase:
-                for table in extracted.tables:
-                    for column in table.columns:
-                        entry = profile.get(table.name, column.name)
-                        assert entry is not None
-                        entry.min_value, entry.max_value = self.adapter.min_max(
-                            table.name, column.name
-                        )
-            extracted.timings.minmax_seconds += phase.seconds
-
-        if options.distinct_counts:
-            with timed("profiling.distinct_counts") as phase:
-                for table in extracted.tables:
-                    for column in table.columns:
-                        entry = profile.get(table.name, column.name)
-                        assert entry is not None
-                        entry.distinct_count = self.adapter.distinct_count(
-                            table.name, column.name
-                        )
-            extracted.timings.distinct_seconds += phase.seconds
-
-        if options.histograms:
-            with timed("profiling.histograms"):
-                for table in extracted.tables:
-                    for column in table.columns:
-                        entry = profile.get(table.name, column.name)
-                        assert entry is not None
-                        entry.histogram = self.adapter.histogram(
-                            table.name, column.name, options.histogram_buckets
-                        )
+        with timed("profiling.distinct_counts") as phase:
+            for entry in entries:
+                entry.distinct_count = adapter.distinct_count(entry.table, entry.column)
+        timings.distinct_seconds += phase.seconds
         return profile
 
 

@@ -18,9 +18,9 @@ from repro.config import saved_model, schema_xml
 from repro.config.saved_model import ProjectPaths
 from repro.core.extraction import ExtractedSchema, SchemaExtractor
 from repro.core.model_builder import BuildOptions, BuildResult, ModelBuilder
-from repro.core.profiling import DataProfiler, ProfileOptions, SchemaProfile
-from repro.core.translator import SchemaTranslator
+from repro.core.profiling import DataProfiler, SchemaProfile
 from repro.db.adapter import DatabaseAdapter
+from repro.db.ddl import create_schema_sql
 
 if TYPE_CHECKING:  # the generate / load / verify steps import these when run
     from repro.core.fidelity import FidelityReport
@@ -47,7 +47,6 @@ class DBSynthProject:
     name: str
     source: DatabaseAdapter
     build_options: BuildOptions = field(default_factory=BuildOptions)
-    profile_options: ProfileOptions = field(default_factory=ProfileOptions)
 
     extracted: ExtractedSchema | None = None
     schema_profile: SchemaProfile | None = None
@@ -65,13 +64,12 @@ class DBSynthProject:
         if self.extracted is None:
             self.extract()
         assert self.extracted is not None
-        self.schema_profile = DataProfiler(self.source).profile(
-            self.extracted, self.profile_options
-        )
+        self.schema_profile = DataProfiler(self.source).profile(self.extracted)
         return self.schema_profile
 
     def build_model(self) -> BuildResult:
-        """Step 3: model construction (runs earlier steps if needed)."""
+        """Step 3: model construction (extracts first if needed; uses the
+        profile only when :meth:`profile` ran)."""
         if self.extracted is None:
             self.extract()
         assert self.extracted is not None
@@ -96,7 +94,7 @@ class DBSynthProject:
         if result.artifacts.names():
             result.artifacts.save_dir(paths.artifact_dir)
         with open(paths.ddl_sql, "w", encoding="utf-8") as handle:
-            handle.write(SchemaTranslator().to_sql(result.schema))
+            handle.write(create_schema_sql(result.schema, "sqlite"))
         return paths
 
     #: Reload a saved project's model and artifacts (the light reader in
@@ -113,8 +111,10 @@ class DBSynthProject:
         return GenerationEngine(result.schema, result.artifacts)
 
     def create_target_schema(self, target: DatabaseAdapter) -> None:
-        """Step 5a: apply DDL to the target database."""
-        SchemaTranslator().apply(self._require_model().schema, target)
+        """Step 5a: apply DDL to the target database (the paper's schema
+        translator: "the model is translated into a SQL schema, which is
+        loaded into the target database")."""
+        target.execute_script(create_schema_sql(self._require_model().schema, "sqlite"))
 
     def load_into(
         self,

@@ -85,7 +85,8 @@ class DatabaseAdapter(abc.ABC):
     ) -> list[float]:
         """``buckets + 1`` equi-depth quantile edges of a numeric column
         (min, q1, ..., max). Feeds the histogram generator (RSGen-style
-        numeric synthesis, paper §6)."""
+        numeric synthesis, paper §6). Raises :class:`AdapterError` when
+        the column holds a value that is not a number."""
 
     # -- sampling ------------------------------------------------------------
 

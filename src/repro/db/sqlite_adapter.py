@@ -145,7 +145,10 @@ class SQLiteAdapter(DatabaseAdapter):
         )
         if not rows:
             raise AdapterError(f"{table}.{column} has no non-NULL values")
-        values = [float(r[0]) for r in rows]
+        try:
+            values = [float(r[0]) for r in rows]
+        except (TypeError, ValueError) as exc:
+            raise AdapterError(f"{table}.{column} is not numeric: {exc}") from None
         edges = [values[0]]
         n = len(values)
         for k in range(1, buckets):

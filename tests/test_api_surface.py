@@ -133,8 +133,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_15(self):
-        assert repro.__version__.startswith("15.")
+    def test_version_is_16(self):
+        assert repro.__version__.startswith("16.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -634,6 +634,9 @@ class TestNoSecondWayOffTheHotPath:
         "_NodeConfig", "tpch_engine", "ssb_engine", "bigbench_engine",
         # 13.0: one loader, the generate() run into the SQLite sink
         "DataLoader", "LoadReport", "_db_value", "execute_atomic",
+        # 16.0: one DBSynth pipeline, the project steps
+        "ProfileOptions", "SchemaTranslator", "DictionaryBuilder",
+        "MarkovBuilder", "MarkovBuildResult",
     ])
     def test_deleted_names_stay_deleted(self, name):
         assert not self._occurrences(name, "")

@@ -210,12 +210,11 @@ class TestVerify:
                                                tmp_path, capsys):
         target = str(tmp_path / "empty.db")
         from repro.core.project import DBSynthProject
-        from repro.core.translator import SchemaTranslator
-        from repro.db.sqlite_adapter import SQLiteAdapter
+        from repro.db import SQLiteAdapter, create_schema_sql
 
         schema, _ = DBSynthProject.load_saved(project_dir)
         with SQLiteAdapter(target) as adapter:
-            SchemaTranslator().apply(schema, adapter)
+            adapter.execute_script(create_schema_sql(schema, "sqlite"))
         assert main(["verify", "--model", project_dir, "--source", source_db,
                      "--target", target]) == 1
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.driver import BenchmarkDriver, DriverReport, QueryExecution
 from repro.core.loader import load
 from repro.core.queries import Aggregate, Op, Predicate, Query
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.suites.tpch import tpch_artifacts, tpch_schema
@@ -19,7 +19,7 @@ from tests.conftest import demo_schema
 def demo_setup():
     schema = demo_schema()
     adapter = SQLiteAdapter(":memory:")
-    SchemaTranslator().apply(schema, adapter)
+    adapter.execute_script(create_schema_sql(schema, "sqlite"))
     load(GenerationEngine(schema), adapter)
     yield schema, adapter
     adapter.close()
@@ -41,7 +41,7 @@ class TestRunQuery:
     def test_prediction_grading_catches_wrong_data(self, demo_setup):
         schema, _adapter = demo_setup
         empty = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, empty)
+        empty.execute_script(create_schema_sql(schema, "sqlite"))
         empty.insert_rows("customer", ["c_id"], [(1,)])  # 1 row, model says 60
         driver = BenchmarkDriver(schema, empty)
         execution = driver.run_query(
@@ -151,7 +151,7 @@ class TestTpchWorkload:
         schema = tpch_schema(0.001)
         artifacts = tpch_artifacts()
         adapter = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, adapter)
+        adapter.execute_script(create_schema_sql(schema, "sqlite"))
         load(GenerationEngine(schema, artifacts), adapter)
         yield schema, artifacts, adapter
         adapter.close()

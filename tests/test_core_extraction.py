@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.extraction import SchemaExtractor
-from repro.core.profiling import DataProfiler, ProfileOptions, family_of
+from repro.core.profiling import DataProfiler, family_of
 from repro.core.sampling import ColumnSampler, SampleConfig
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.exceptions import ExtractionError
@@ -71,7 +71,7 @@ class TestDataProfiler:
     @pytest.fixture
     def profiled(self, imdb_adapter):
         extracted = SchemaExtractor(imdb_adapter).extract()
-        profile = DataProfiler(imdb_adapter).profile(extracted, ProfileOptions())
+        profile = DataProfiler(imdb_adapter).profile(extracted)
         return extracted, profile
 
     def test_null_fractions(self, profiled, imdb_adapter):
@@ -96,25 +96,7 @@ class TestDataProfiler:
         extracted, _ = profiled
         assert extracted.timings.null_seconds > 0
         assert extracted.timings.minmax_seconds > 0
-
-    def test_histograms_optional(self, imdb_adapter):
-        extracted = SchemaExtractor(imdb_adapter).extract()
-        options = ProfileOptions(histograms=True, histogram_buckets=5)
-        profile = DataProfiler(imdb_adapter).profile(extracted, options)
-        histogram = profile.get("movies", "genre").histogram
-        assert histogram is not None
-        assert len(histogram) <= 5
-
-    def test_levels_can_be_disabled(self, imdb_adapter):
-        extracted = SchemaExtractor(imdb_adapter).extract()
-        options = ProfileOptions(
-            null_probabilities=False, min_max=False, distinct_counts=False
-        )
-        profile = DataProfiler(imdb_adapter).profile(extracted, options)
-        entry = profile.get("movies", "rating")
-        assert entry.null_fraction is None
-        assert entry.min_value is None
-        assert entry.distinct_count is None
+        assert extracted.timings.distinct_seconds > 0
 
     def test_is_constant(self, imdb_adapter):
         imdb_adapter.execute_script(

@@ -5,22 +5,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dictionary_builder import DictionaryBuilder, dictionary_artifact_name
 from repro.core.extraction import SchemaExtractor
-from repro.core.markov_builder import MarkovBuilder, markov_artifact_name
-from repro.core.model_builder import BuildOptions, ModelBuilder, build_model
+from repro.core.model_builder import BuildOptions, ModelBuilder
 from repro.core.profiling import DataProfiler
+from repro.core.project import DBSynthProject
 from repro.core.sampling import SampleConfig
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
-from repro.exceptions import ExtractionError
+from repro.exceptions import AdapterError, ExtractionError
 from repro.generators.base import ArtifactStore
 from repro.model.validation import ensure_valid
 
 
+def extract_model(adapter, name=None, options=None, profile=True):
+    """The DBSynth project steps: extract, (profile,) build."""
+    project = DBSynthProject(name or "dbsynth_model", adapter, options or BuildOptions())
+    if profile:
+        project.profile()
+    return project.build_model()
+
+
 @pytest.fixture
 def built(imdb_adapter):
-    return build_model(imdb_adapter, name="imdb")
+    return extract_model(imdb_adapter, name="imdb")
 
 
 class TestGeneratorChoice:
@@ -38,7 +45,7 @@ class TestGeneratorChoice:
     def test_categorical_text_becomes_dictionary(self, built):
         decision = built.decision_for("movies", "genre")
         assert decision.generator == "DictListGenerator"
-        assert dictionary_artifact_name("movies", "genre") in built.artifacts
+        assert "dict:movies.genre" in built.artifacts
 
     def test_free_text_becomes_markov(self, built):
         field = built.schema.table_by_name("movies").field_by_name("plot")
@@ -47,7 +54,7 @@ class TestGeneratorChoice:
         # inside a NULL wrapper.
         assert spec.name == "NullGenerator"
         assert spec.child().name == "MarkovChainGenerator"
-        assert markov_artifact_name("movies", "plot") in built.artifacts
+        assert "markov:movies.plot" in built.artifacts
 
     def test_numeric_bounds_from_profile(self, built, imdb_adapter):
         schema = built.schema
@@ -109,7 +116,7 @@ class TestNoSampling:
         imdb_adapter.execute_script(
             "CREATE TABLE odd (xyzzy VARCHAR(12)); INSERT INTO odd VALUES ('abc');"
         )
-        result = build_model(
+        result = extract_model(
             imdb_adapter, options=BuildOptions(sample_data=False), profile=False
         )
         assert result.decision_for("odd", "xyzzy").generator == "RandomStringGenerator"
@@ -117,7 +124,7 @@ class TestNoSampling:
 
 class TestCatalogOnlyModel:
     def test_basic_extraction_without_profile(self, imdb_adapter):
-        result = build_model(imdb_adapter, profile=False)
+        result = extract_model(imdb_adapter, profile=False)
         ensure_valid(result.schema)
         # No NULL wrappers without profiling (no null stats available).
         spec = result.schema.table_by_name("people").field_by_name(
@@ -132,60 +139,117 @@ class TestConstantColumns:
             "CREATE TABLE k (flag INTEGER); "
             "INSERT INTO k VALUES (7), (7), (7), (7);"
         )
-        result = build_model(imdb_adapter)
+        result = extract_model(imdb_adapter)
         assert result.decision_for("k", "flag").generator == "StaticValueGenerator"
         engine = GenerationEngine(result.schema, result.artifacts)
         assert all(v[0] == 7 for v in engine.iter_rows("k"))
 
 
 class TestBuilders:
+    """The per-column dictionary and Markov steps of :class:`ModelBuilder`."""
+
+    @staticmethod
+    def builder(adapter, **sample):
+        return ModelBuilder(adapter, BuildOptions(sample_config=SampleConfig(**sample)))
+
     def test_dictionary_builder(self, imdb_adapter):
         extracted = SchemaExtractor(imdb_adapter).extract()
         artifacts = ArtifactStore()
-        dictionary = DictionaryBuilder(
-            imdb_adapter, SampleConfig(fraction=1.0)
-        ).build(extracted, "movies", "genre", artifacts)
+        name = self.builder(imdb_adapter, fraction=1.0)._dictionary(
+            extracted, "movies", "genre", artifacts
+        )
         source_genres = {
             row[0] for row in imdb_adapter.execute("SELECT DISTINCT genre FROM movies")
         }
-        assert set(dictionary.values()) == source_genres
-        assert dictionary_artifact_name("movies", "genre") in artifacts
+        assert name == "dict:movies.genre"
+        assert set(artifacts.get(name).values()) == source_genres
 
     def test_dictionary_builder_empty_column(self, imdb_adapter):
         imdb_adapter.execute_script("CREATE TABLE e (t TEXT);")
         extracted = SchemaExtractor(imdb_adapter).extract()
-        with pytest.raises(ExtractionError):
-            DictionaryBuilder(imdb_adapter).build(
-                extracted, "e", "t", ArtifactStore()
-            )
+        with pytest.raises(ExtractionError, match="cannot build dictionary"):
+            self.builder(imdb_adapter)._dictionary(extracted, "e", "t", ArtifactStore())
 
     def test_markov_builder_parameters_from_data(self, imdb_adapter):
         extracted = SchemaExtractor(imdb_adapter).extract()
-        result = MarkovBuilder(imdb_adapter, SampleConfig(fraction=1.0)).build(
-            extracted, "movies", "plot", ArtifactStore()
+        artifacts = ArtifactStore()
+        spec, reason = self.builder(imdb_adapter, fraction=1.0)._markov(
+            extracted, "movies", "plot", artifacts
         )
-        assert result.chain.trained
-        assert 1 <= result.min_words <= result.max_words
-        assert result.vocabulary_size > 10
-        assert result.start_states >= 1
+        chain = artifacts.get(spec.params["model"])
+        assert spec.params["model"] == "markov:movies.plot"
+        assert chain.trained and chain.order == 1
+        assert 1 <= spec.params["min"] <= spec.params["max"]
+        assert len(chain.vocabulary()) > 10
+        assert chain.num_start_states() >= 1
+        assert reason == (
+            f"free text ({len(chain.vocabulary())} words, "
+            f"{chain.num_start_states()} starting states)"
+        )
 
     def test_markov_builder_empty_column(self, imdb_adapter):
         imdb_adapter.execute_script("CREATE TABLE e2 (t TEXT);")
         extracted = SchemaExtractor(imdb_adapter).extract()
-        with pytest.raises(ExtractionError):
-            MarkovBuilder(imdb_adapter).build(extracted, "e2", "t", ArtifactStore())
+        with pytest.raises(ExtractionError, match="cannot build Markov model"):
+            self.builder(imdb_adapter)._markov(extracted, "e2", "t", ArtifactStore())
 
 
 class TestDeterminismOfBuiltModels:
     def test_same_source_same_model(self, imdb_adapter):
         from repro.config import schema_xml
 
-        a = build_model(imdb_adapter, name="m")
-        b = build_model(imdb_adapter, name="m")
+        a = extract_model(imdb_adapter, name="m")
+        b = extract_model(imdb_adapter, name="m")
         assert schema_xml.dumps(a.schema) == schema_xml.dumps(b.schema)
 
     def test_generated_data_is_repeatable(self, imdb_adapter):
-        result = build_model(imdb_adapter, name="m")
+        result = extract_model(imdb_adapter, name="m")
         a = GenerationEngine(result.schema, result.artifacts)
         b = GenerationEngine(result.schema, result.artifacts)
         assert list(a.iter_rows("movies", 0, 20)) == list(b.iter_rows("movies", 0, 20))
+
+
+class TestSourceShapes:
+    """Source columns whose stored text the type-driven generators cannot
+    take: the extracted model must still bind and generate."""
+
+    @pytest.mark.parametrize("sample_data", [True, False], ids=["sampled", "unsampled"])
+    @pytest.mark.parametrize("type_text,values", [
+        ("TIME", ["08:30:00", "12:00:00", "17:45:00"]),
+        ("DATE", ["2020-01-01 10:00:00", "2020-02-01 00:00:00", "2020-03-05 23:59:59"]),
+    ], ids=["time", "datetime-in-date"])
+    def test_extracted_model_binds_and_generates(
+        self, tmp_path, type_text, values, sample_data
+    ):
+        source = SQLiteAdapter(str(tmp_path / "source.db"))
+        source.execute_script(
+            f"CREATE TABLE shift (shift_id INTEGER PRIMARY KEY, at {type_text});"
+            + "".join(f"INSERT INTO shift (at) VALUES ('{v}');" for v in values)
+        )
+        project = DBSynthProject("m", source, BuildOptions(sample_data=sample_data))
+        project.profile()
+        project.build_model()
+        project.save(str(tmp_path / "model"))
+        source.close()
+        engine = GenerationEngine(*DBSynthProject.load_saved(str(tmp_path / "model")))
+        rows = list(engine.iter_rows("shift", 0, 3))
+        assert len(rows) == 3 and all(at is not None for _, at in rows)
+        if type_text == "DATE":
+            assert all("2020-01-01" <= str(at) <= "2020-03-05" for _, at in rows)
+
+
+class TestNonNumericValues:
+    def test_quantiles_raise_adapter_error_and_model_stays_uniform(self, tmp_path):
+        source = SQLiteAdapter(str(tmp_path / "source.db"))
+        source.execute_script(
+            "CREATE TABLE m (score REAL);"
+            "INSERT INTO m VALUES (1.5), (2.5), (4.0), (8.0), ('n/a');"
+        )
+        with pytest.raises(AdapterError, match="m.score"):
+            source.numeric_quantiles("m", "score", 4)
+        result = extract_model(source, options=BuildOptions(use_histograms=True))
+        decision = result.decision_for("m", "score")
+        assert (decision.generator, decision.reason) == (
+            "DoubleGenerator", "floating point with bounds"
+        )
+        source.close()

@@ -1,4 +1,4 @@
-"""Tests for the DBSynth back half: translator, load, fidelity, project."""
+"""Tests for the DBSynth back half: schema DDL, load, fidelity, project."""
 
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ from repro.core.fidelity import (
     default_queries,
 )
 from repro.core.loader import load
-from repro.core.model_builder import build_model
 from repro.core.project import DBSynthProject
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.exceptions import ExtractionError
@@ -23,14 +22,17 @@ from tests.conftest import demo_schema
 
 
 class TestSchemaTranslator:
+    """The schema translator box of paper Figure 3: the model's DDL,
+    applied to a target database."""
+
     def test_to_sql_contains_all_tables(self, schema):
-        sql = SchemaTranslator().to_sql(schema)
+        sql = create_schema_sql(schema, "sqlite")
         assert "CREATE TABLE customer" in sql
         assert "CREATE TABLE orders" in sql
 
     def test_apply_creates_tables(self, schema):
         target = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, target)
+        target.execute_script(create_schema_sql(schema, "sqlite"))
         assert target.table_names() == ["customer", "orders"]
         target.close()
 
@@ -49,7 +51,7 @@ class TestDataLoader:
     @pytest.fixture
     def target(self, schema):
         adapter = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, adapter)
+        adapter.execute_script(create_schema_sql(schema, "sqlite"))
         yield adapter
         adapter.close()
 
@@ -64,7 +66,6 @@ class TestDataLoader:
         """The oracle: every table reads back — value and storage class —
         as the driver's parameterized insert of the engine's rows, with
         foreign keys enforced on both sides."""
-        from repro.db import create_schema_sql
         from repro.model.validation import topological_load_order
         from repro.suites import suite_model
         from repro.update.blackbox import _to_db
@@ -113,7 +114,7 @@ class TestDataLoader:
     def test_load_into_a_path(self, schema, engine, tmp_path):
         path = str(tmp_path / "target.db")
         with SQLiteAdapter(path) as adapter:
-            SchemaTranslator().apply(schema, adapter)
+            adapter.execute_script(create_schema_sql(schema, "sqlite"))
         assert load(engine, path).rows == 240
         with SQLiteAdapter(path) as adapter:
             assert adapter.row_count("orders") == 180
@@ -127,10 +128,10 @@ class TestDataLoader:
 class TestFidelity:
     def test_identical_databases_pass(self, engine, schema):
         a = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, a)
+        a.execute_script(create_schema_sql(schema, "sqlite"))
         load(engine, a)
         b = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, b)
+        b.execute_script(create_schema_sql(schema, "sqlite"))
         load(GenerationEngine(schema), b)
         report = FidelityChecker(a, b).run_default(schema)
         assert report.passed
@@ -140,10 +141,10 @@ class TestFidelity:
 
     def test_mismatched_count_fails(self, schema):
         a = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, a)
+        a.execute_script(create_schema_sql(schema, "sqlite"))
         load(GenerationEngine(schema), a)
         b = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, b)  # left empty
+        b.execute_script(create_schema_sql(schema, "sqlite"))  # left empty
         report = FidelityChecker(a, b).run(
             [FidelityQuery("count", "SELECT COUNT(*) FROM customer", 0.01)]
         )
@@ -205,7 +206,7 @@ class TestFidelity:
 
     def test_summary_lines_format(self, schema):
         a = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, a)
+        a.execute_script(create_schema_sql(schema, "sqlite"))
         load(GenerationEngine(schema), a)
         report = FidelityChecker(a, a).run(
             [FidelityQuery("count", "SELECT COUNT(*) FROM customer")]
@@ -275,7 +276,9 @@ class TestDBSynthProject:
 
 class TestArtifactStorePersistence:
     def test_save_and_load_dir(self, imdb_adapter, tmp_path):
-        result = build_model(imdb_adapter)
+        project = DBSynthProject(name="dbsynth_model", source=imdb_adapter)
+        project.profile()
+        result = project.build_model()
         directory = str(tmp_path / "artifacts")
         result.artifacts.save_dir(directory)
 

@@ -20,7 +20,7 @@ from repro.core.queries import (
     QueryTemplate,
     VirtualExecutor,
 )
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, ModelError
@@ -74,7 +74,7 @@ def executor(schema):
 @pytest.fixture(scope="module")
 def database(schema):
     adapter = SQLiteAdapter(":memory:")
-    SchemaTranslator().apply(schema, adapter)
+    adapter.execute_script(create_schema_sql(schema, "sqlite"))
     load(GenerationEngine(schema), adapter)
     yield adapter
     adapter.close()
@@ -325,7 +325,7 @@ class TestDictionarySelectivity:
     def duplicates(self):
         schema = duplicate_value_schema()
         with SQLiteAdapter(":memory:") as adapter:
-            SchemaTranslator().apply(schema, adapter)
+            adapter.execute_script(create_schema_sql(schema, "sqlite"))
             load(GenerationEngine(schema), adapter)
             yield VirtualExecutor(schema), adapter
 

@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.model_builder import BuildOptions, build_model
+from repro.core.model_builder import BuildOptions
+from repro.core.project import DBSynthProject
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.exceptions import AdapterError, ModelError
 from repro.model.schema import GeneratorSpec
 from tests.conftest import field_values, single_field_engine
+
+
+def _profiled_model(db, **options):
+    """Extract, profile and build a model of *db* without text sampling."""
+    project = DBSynthProject("m", db, BuildOptions(sample_data=False, **options))
+    project.profile()
+    return project.build_model()
 
 
 class TestHistogramGenerator:
@@ -138,25 +146,19 @@ class TestDbsynthHistogramIntegration:
         db.close()
 
     def test_skewed_column_gets_histogram(self, skewed_db):
-        result = build_model(
-            skewed_db, options=BuildOptions(use_histograms=True, sample_data=False)
-        )
+        result = _profiled_model(skewed_db, use_histograms=True)
         assert result.decision_for("m", "v").generator == "HistogramGenerator"
 
     def test_uniform_column_stays_simple(self, skewed_db):
-        result = build_model(
-            skewed_db, options=BuildOptions(use_histograms=True, sample_data=False)
-        )
+        result = _profiled_model(skewed_db, use_histograms=True)
         assert result.decision_for("m", "u").generator == "DoubleGenerator"
 
     def test_histograms_off_by_default(self, skewed_db):
-        result = build_model(skewed_db, options=BuildOptions(sample_data=False))
+        result = _profiled_model(skewed_db)
         assert result.decision_for("m", "v").generator == "DoubleGenerator"
 
     def test_generated_distribution_tracks_source(self, skewed_db):
-        result = build_model(
-            skewed_db, options=BuildOptions(use_histograms=True, sample_data=False)
-        )
+        result = _profiled_model(skewed_db, use_histograms=True)
         engine = GenerationEngine(result.schema, result.artifacts)
         column = result.schema.table_by_name("m").field_index("v")
         generated = sorted(row[column] for row in engine.iter_rows("m"))

@@ -8,7 +8,7 @@ from repro.config import schema_xml
 from repro.core import DBSynthProject
 from repro.core.fidelity import FidelityChecker, default_queries
 from repro.core.loader import load
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.output.config import OutputConfig
@@ -39,7 +39,7 @@ class TestFullSynthesisWorkflow:
         engine = GenerationEngine(schema, artifacts)
 
         target = SQLiteAdapter(str(tmp_path / "target.db"))
-        SchemaTranslator().apply(schema, target)
+        target.execute_script(create_schema_sql(schema, "sqlite"))
         load(engine, target)
 
         report = FidelityChecker(source, target).run(default_queries(schema))
@@ -49,7 +49,7 @@ class TestFullSynthesisWorkflow:
         schema.properties.override("SF", 3)
         big_engine = GenerationEngine(schema, artifacts)
         big_target = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, big_target)
+        big_target.execute_script(create_schema_sql(schema, "sqlite"))
         # Outside a script: a script is one transaction, where SQLite
         # ignores this pragma. Every foreign key is then enforced.
         big_target.execute("PRAGMA foreign_keys = ON")
@@ -111,7 +111,7 @@ class TestTpchRoundTrip:
         for workers in (1, 4):
             engine = GenerationEngine(*suite_model("tpch", 0.0005))
             target = SQLiteAdapter(":memory:")
-            SchemaTranslator().apply(engine.schema, target)
+            target.execute_script(create_schema_sql(engine.schema, "sqlite"))
             # Generate through the scheduler into SQL, then load.
             config = OutputConfig(kind="memory", format="sql")
             generate(engine, config, workers=workers, package_size=128)
@@ -128,7 +128,7 @@ class TestUpdateWorkflow:
 
         schema = demo_schema()
         adapter = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(schema, adapter)
+        adapter.execute_script(create_schema_sql(schema, "sqlite"))
         engine = GenerationEngine(schema)
         load(engine, adapter)
 

@@ -8,8 +8,9 @@ import pytest
 
 from repro import obs
 from repro.core.extraction import SchemaExtractor
-from repro.core.model_builder import build_model
+from repro.core.model_builder import ModelBuilder
 from repro.core.profiling import DataProfiler
+from repro.core.project import DBSynthProject
 from repro.engine import GenerationEngine
 from repro.output.config import OutputConfig
 from repro.scheduler.scheduler import Scheduler
@@ -102,7 +103,7 @@ class TestExtractionTelemetry:
         tracer = obs.enable_tracing()
         extracted = SchemaExtractor(adapter).extract()
         profile = DataProfiler(adapter).profile(extracted)
-        build_model(adapter, name="m")
+        ModelBuilder(adapter).build(extracted, profile, name="m")
         adapter.close()
         names = {s.name for s in tracer.spans()}
         assert {"extraction.schema", "extraction.sizes",
@@ -147,7 +148,9 @@ class TestExtractionTelemetry:
         # cast_members has 289 rows: the dictionary-vs-text probe must
         # stop at 200 of them, not read the column whole
         tracer = obs.enable_tracing()
-        result = build_model(imdb_adapter, name="m")
+        project = DBSynthProject(name="m", source=imdb_adapter)
+        project.profile()
+        result = project.build_model()
         probes = {
             (s.attrs["table"], s.attrs["column"]): s.attrs["values"]
             for s in tracer.spans() if s.name == "model.classify"
@@ -173,7 +176,9 @@ class TestExtractionTelemetry:
         path = str(tmp_path / "source.db")
         adapter = build_imdb_database(path, movies=20, people=30, seed=3)
         registry = obs.enable_metrics()
-        result = build_model(adapter, name="m")
+        project = DBSynthProject(name="m", source=adapter)
+        project.profile()
+        result = project.build_model()
         adapter.close()
         chosen = registry.counter("model_columns_total")
         assert chosen.total() == len(result.decisions)

@@ -17,7 +17,7 @@ import repro.suites.tpch.schema  # noqa: F401  (registers TpchPsSuppkeyGenerator
 from repro.core.driver import same_answer
 from repro.core.loader import load
 from repro.core.queries import Aggregate, Op, Predicate, Query, VirtualExecutor
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.generators.base import ArtifactStore
@@ -488,7 +488,7 @@ def _oracle_world(name: str):
         schema, artifacts = suite_model(name, 0.001)
     engine = GenerationEngine(schema, artifacts)
     adapter = SQLiteAdapter(":memory:")
-    SchemaTranslator().apply(schema, adapter)
+    adapter.execute_script(create_schema_sql(schema, "sqlite"))
     load(engine, adapter)
     samples = {
         table.name: dict(zip(

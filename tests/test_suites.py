@@ -6,7 +6,7 @@ import pytest
 
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.core.loader import load
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.engine import GenerationEngine
 from repro.model.validation import ensure_valid
 from repro.output.config import OutputConfig
@@ -109,7 +109,7 @@ class TestTpchSchema:
     def test_loads_into_sqlite_and_answers_queries(self):
         engine = GenerationEngine(*suite_model("tpch", 0.001))
         target = SQLiteAdapter(":memory:")
-        SchemaTranslator().apply(engine.schema, target)
+        target.execute_script(create_schema_sql(engine.schema, "sqlite"))
         load(engine, target)
         for name, sql in ALL_QUERIES.items():
             rows = target.execute(sql)

@@ -9,7 +9,7 @@ import pytest
 from repro import obs
 from repro.core.loader import load
 from repro.core.queries import Aggregate, ParameterSpec, Query, QueryTemplate
-from repro.core.translator import SchemaTranslator
+from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.exceptions import WorkloadError
@@ -190,7 +190,7 @@ class TestStream:
 def demo_database():
     schema = demo_schema()
     adapter = SQLiteAdapter(":memory:")
-    SchemaTranslator().apply(schema, adapter)
+    adapter.execute_script(create_schema_sql(schema, "sqlite"))
     load(GenerationEngine(schema), adapter)
     yield schema, adapter
     adapter.close()
@@ -229,7 +229,7 @@ class TestReplay:
         assert report.ok
 
         with SQLiteAdapter(":memory:") as sparse:
-            SchemaTranslator().apply(schema, sparse)
+            sparse.execute_script(create_schema_sql(schema, "sqlite"))
             sparse.insert_rows("customer", ["c_id"], [(1,)])
             lying = WorkloadReplayer(schema, sparse).replay([], checks=[good])
         assert lying.check_failures == 1
@@ -300,7 +300,7 @@ class TestCdcInterleave:
     def test_epochs_applied_at_boundaries(self):
         schema = demo_schema()
         with SQLiteAdapter(":memory:") as adapter:
-            SchemaTranslator().apply(schema, adapter)
+            adapter.execute_script(create_schema_sql(schema, "sqlite"))
             load(GenerationEngine(schema), adapter)
             before = adapter.row_count("customer")
             blackbox = UpdateBlackBox(
@@ -336,7 +336,7 @@ class TestCdcInterleave:
             Aggregate("count"), Aggregate("sum", "c_balance"),
         ]))]
         with SQLiteAdapter(":memory:") as adapter:
-            SchemaTranslator().apply(schema, adapter)
+            adapter.execute_script(create_schema_sql(schema, "sqlite"))
             load(GenerationEngine(schema), adapter)
             blackbox = UpdateBlackBox(
                 schema, insert_fraction=0.1, update_fraction=0.1,
@@ -372,7 +372,7 @@ class TestWorkloadCli:
         artifacts = tpch_artifacts()
         path = str(tmp_path_factory.mktemp("wl") / "tpch.db")
         with SQLiteAdapter(path) as adapter:
-            SchemaTranslator().apply(schema, adapter)
+            adapter.execute_script(create_schema_sql(schema, "sqlite"))
             load(GenerationEngine(schema, artifacts), adapter)
         return path
 

@@ -1,4 +1,4 @@
-"""Structural lint for scheduler/output paths: hot loops and swallowed errors.
+"""Structural lint for scheduler/output/extraction paths: hot loops, swallowed errors.
 
 Twelve checks, one AST walk:
 
@@ -139,7 +139,10 @@ all three, and a second loader converted values its own way). It also
 puts the driver back into commands that never touch a database. No
 waiver.
 
-Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``, the
+Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
+``src/repro/db/`` and ``src/repro/core/model_builder.py`` (the
+extraction path: an adapter or model-builder handler that eats every
+error turns a programming error into a silently degraded column), the
 span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
 (query-path check only) ``src/repro/core/queries.py``,
 (one-cutter, one-template, one-draw, one-lookup, one-runtime and
@@ -156,7 +159,10 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 #: directories (every ``.py`` under them) and single files
-CHECKED_PATHS = ("src/repro/scheduler", "src/repro/output")
+CHECKED_PATHS = (
+    "src/repro/scheduler", "src/repro/output",
+    "src/repro/db", "src/repro/core/model_builder.py",
+)
 BANNED_CALLS = ("generate_row", "write_row")
 BENCHMARK_DIR = "benchmarks"
 BANNED_BENCHMARK_CALLS = BANNED_CALLS + ("generate_value", "compute_value")
@@ -473,8 +479,8 @@ def check_file(
                 continue
             violations.append(
                 f"{path.relative_to(REPO)}:{node.lineno}: broad exception "
-                "handler swallows errors in a fault-tolerance path; re-raise, "
-                "narrow the exception type, or waive with "
+                "handler swallows errors in a fault-tolerance or extraction "
+                "path; re-raise, narrow the exception type, or waive with "
                 f"'# {FAULT_WAIVER}: <reason>'"
             )
     return violations
