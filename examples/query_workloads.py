@@ -2,9 +2,11 @@
 
 The paper's conclusion promises two extensions, both implemented here:
 
-1. "generate the queries consistently using PDGF" — query-template
-   parameters are drawn through the same seed hierarchy as the data, so
-   a benchmark's query stream is exactly as repeatable as its data;
+1. "generate the queries consistently using PDGF" — a query-template
+   parameter is a cell of the data: its column's value at a row drawn
+   through the same seed hierarchy, so a benchmark's query stream is
+   exactly as repeatable as its data and every parameter is a value the
+   data holds;
 2. "directly execute the query without ever generating the data" —
    the virtual executor answers aggregate queries from the model alone:
    it computes only the columns a query reads, block by block, writes
@@ -45,9 +47,9 @@ def main() -> None:
         "WHERE l_shipdate >= :start AND l_quantity < :qty "
         "AND l_shipmode = :mode",
         [
-            ParameterSpec("start", "lineitem", "l_shipdate", "date"),
-            ParameterSpec("qty", "lineitem", "l_quantity", "numeric"),
-            ParameterSpec("mode", "lineitem", "l_shipmode", "dictionary"),
+            ParameterSpec("start", "lineitem", "l_shipdate"),
+            ParameterSpec("qty", "lineitem", "l_quantity"),
+            ParameterSpec("mode", "lineitem", "l_shipmode"),
         ],
     )
     generator = QueryParameterGenerator(schema, artifacts)

@@ -10,10 +10,10 @@ query without ever generating the data."
 Two pieces:
 
 * :class:`QueryTemplate` / :class:`QueryParameterGenerator` — TPC-style
-  query templates whose substitution parameters are drawn
-  deterministically from the model (dictionary entries, date windows,
-  numeric ranges) through the same seed hierarchy as the data, so query
-  streams are as repeatable as the data they run against.
+  query templates whose substitution parameters are cells of the data:
+  the value of the parameter's column at a row drawn through the same
+  seed hierarchy as the data, so query streams are as repeatable as the
+  data they run against, and every parameter is a value it holds.
 * :class:`VirtualExecutor` — answers filter-aggregate queries *from the
   model*: any cell can be computed independently (paper §1), so it
   generates only the columns a query reads, one bounded block at a
@@ -41,9 +41,8 @@ from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, ModelError
 from repro.generators.base import ArtifactStore
 from repro.model.datatypes import TypeFamily
-from repro.model.schema import Field, GeneratorSpec, Schema
+from repro.model.schema import Schema
 from repro.prng.xorshift import XorShift64Star, combine_name64
-from repro.text.dictionary import WeightedDictionary
 
 
 class Op(enum.Enum):
@@ -151,17 +150,12 @@ _PARAM_RE = re.compile(r":(\w+)")
 
 @dataclass(frozen=True)
 class ParameterSpec:
-    """How to draw one template parameter from the model.
-
-    ``kind``: ``"dictionary"`` (a value of the named column's dictionary
-    or inline value list), ``"numeric"`` (uniform within the column's
-    modelled bounds), or ``"date"`` (within the column's window).
-    """
+    """One template parameter: a cell of ``table.column``, drawn as
+    :class:`QueryParameterGenerator` describes."""
 
     name: str
     table: str
     column: str
-    kind: str
 
 
 @dataclass
@@ -176,8 +170,20 @@ class QueryTemplate:
         return _PARAM_RE.findall(self.sql)
 
 
+#: rows drawn for one parameter before a column of NULLs makes it NULL
+PARAMETER_DRAWS = 16
+
+
 class QueryParameterGenerator:
     """Draws template parameters deterministically from the model.
+
+    A parameter is the value of its column at a seed-drawn row, which
+    the engine generates like any other cell (paper §1: "any cell of
+    any table can be (re)computed independently"). So every parameter
+    is a value the data holds, drawn with the data's own distribution,
+    whatever generator the column has. A NULL cell is redrawn; a column
+    that yields only NULLs in :data:`PARAMETER_DRAWS` rows, or an empty
+    table, gives a NULL parameter, which SQL compares with nothing.
 
     Stream ``i`` of template ``t`` always yields the same parameter
     vector for a given model seed — query workloads are repeatable in
@@ -187,6 +193,10 @@ class QueryParameterGenerator:
     def __init__(self, schema: Schema, artifacts: ArtifactStore | None = None):
         self.schema = schema
         self.artifacts = artifacts or ArtifactStore()
+
+    @functools.cached_property
+    def _engine(self) -> GenerationEngine:
+        return GenerationEngine(self.schema, self.artifacts)
 
     def _rng_for(self, template: QueryTemplate, index: int) -> XorShift64Star:
         seed = combine_name64(self.schema.seed, f"query:{template.name}:{index}")
@@ -218,120 +228,20 @@ class QueryParameterGenerator:
         """A repeatable stream of *count* query instances."""
         return [self.instantiate(template, i) for i in range(count)]
 
-    # -- parameter drawing -----------------------------------------------------
-
-    def _field_info(self, table: str, column: str) -> tuple[Field, "_FieldModel"]:
-        field = self.schema.table_by_name(table).field_by_name(column)
-        return field, _analyze_field(self.schema, field, self.artifacts)
-
     def _draw(self, spec: ParameterSpec, rng: XorShift64Star) -> object:
-        _field, model = self._field_info(spec.table, spec.column)
-        if spec.kind == "dictionary":
-            if model.dictionary is None:
-                raise ModelError(
-                    f"{spec.table}.{spec.column} has no dictionary to draw from"
-                )
-            return model.dictionary.sample(rng)
-        if spec.kind == "numeric":
-            if model.numeric_bounds is None:
-                raise ModelError(f"{spec.table}.{spec.column} is not numeric")
-            low, high = model.numeric_bounds
-            if model.is_integer:
-                return int(low + rng.next_long(int(high - low) + 1))
-            return low + rng.next_double() * (high - low)
-        if spec.kind == "date":
-            if model.date_bounds is None:
-                raise ModelError(f"{spec.table}.{spec.column} is not a date")
-            low, high = model.date_bounds
-            span = high.toordinal() - low.toordinal() + 1
-            return datetime.date.fromordinal(low.toordinal() + rng.next_long(span))
-        raise ModelError(f"unknown parameter kind {spec.kind!r}")
-
-
-# -- field analysis shared by parameter drawing and virtual execution ---------
-
-
-@dataclass
-class _FieldModel:
-    """The domain a field's parameters are drawn from."""
-
-    numeric_bounds: tuple[float, float] | None = None
-    is_integer: bool = False
-    date_bounds: tuple[datetime.date, datetime.date] | None = None
-    dictionary: WeightedDictionary | None = None
-
-
-def _base_spec(field: Field) -> GeneratorSpec:
-    """The generator that draws *field*'s values, a NULL wrapper removed."""
-    spec = field.generator
-    return spec.child() if spec.name == "NullGenerator" else spec
-
-
-def _analyze_field(
-    schema: Schema, field: Field, artifacts: ArtifactStore
-) -> _FieldModel:
-    model = _FieldModel()
-    spec = _base_spec(field)
-
-    def resolve(value: object, default: float) -> float:
-        if value is None:
-            return default
-        if isinstance(value, (int, float)):
-            return float(value)
-        return float(schema.properties.evaluate_expression(str(value)))
-
-    if spec.name in ("LongGenerator", "IntGenerator"):
-        default_max = 2**63 - 1 if spec.name == "LongGenerator" else 2**31 - 1
-        model.numeric_bounds = (
-            resolve(spec.params.get("min"), 0),
-            resolve(spec.params.get("max"), default_max),
-        )
-        model.is_integer = True
-    elif spec.name == "DoubleGenerator":
-        model.numeric_bounds = (
-            resolve(spec.params.get("min"), 0.0),
-            resolve(spec.params.get("max"), 1.0),
-        )
-    elif spec.name == "IdGenerator":
-        base = int(resolve(spec.params.get("base"), 1))
-        step = int(resolve(spec.params.get("step"), 1))
-        size = schema.table_size(_owning_table(schema, field))
-        model.numeric_bounds = (base, base + max(size - 1, 0) * step)
-        model.is_integer = True
-    elif spec.name == "DateGenerator":
-        low = spec.params.get("min", "1992-01-01")
-        high = spec.params.get("max", "1998-12-31")
-        model.date_bounds = (
-            low if isinstance(low, datetime.date) else datetime.date.fromisoformat(str(low)),
-            high if isinstance(high, datetime.date) else datetime.date.fromisoformat(str(high)),
-        )
-    elif spec.name == "DictListGenerator":
-        name = spec.params.get("dictionary")
-        if name is not None and str(name) in artifacts:
-            artifact = artifacts.get(str(name))
-            if isinstance(artifact, WeightedDictionary):
-                model.dictionary = artifact
-        elif spec.params.get("values"):
-            values = [str(v) for v in spec.params["values"]]  # type: ignore[index]
-            weights = spec.params.get("weights")
-            if weights is not None:
-                from repro.text.dictionary import DictionaryEntry
-
-                total = sum(float(w) for w in weights)  # type: ignore[union-attr]
-                model.dictionary = WeightedDictionary([
-                    DictionaryEntry(v, float(w) / total)
-                    for v, w in zip(values, weights)  # type: ignore[arg-type]
-                ])
-            else:
-                model.dictionary = WeightedDictionary.uniform(values)
-    return model
-
-
-def _owning_table(schema: Schema, field: Field) -> str:
-    for table in schema.tables:
-        if any(f is field for f in table.fields):
-            return table.name
-    raise ModelError(f"field {field.name!r} belongs to no table")
+        """The value of ``spec.column`` at a drawn row, NULLs redrawn."""
+        engine = self._engine
+        bound = engine.bound_table(spec.table)
+        index = bound.field_index(spec.column)
+        size = engine.sizes[spec.table]
+        ctx = engine.new_context(spec.table)
+        for _ in range(PARAMETER_DRAWS if size else 0):
+            row = rng.next_long(size)
+            block = bound.generate_columns(row, row + 1, ctx, fields=[spec.column])
+            (value,) = block.columns[index].to_pylist()
+            if value is not None:
+                return value
+        return None
 
 
 # -- virtual execution ---------------------------------------------------------

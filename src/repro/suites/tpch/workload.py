@@ -31,7 +31,7 @@ PRICING_SUMMARY = QueryTemplate(
     "FROM lineitem WHERE l_shipdate <= :cutoff "
     "GROUP BY l_returnflag, l_linestatus "
     "ORDER BY l_returnflag, l_linestatus",
-    [ParameterSpec("cutoff", "lineitem", "l_shipdate", "date")],
+    [ParameterSpec("cutoff", "lineitem", "l_shipdate")],
 )
 
 # Q6-style revenue forecast with parameterized quantity and ship mode.
@@ -40,8 +40,8 @@ FORECAST_REVENUE = QueryTemplate(
     "SELECT SUM(l_extendedprice * l_discount) FROM lineitem "
     "WHERE l_quantity < :quantity AND l_shipmode = :mode",
     [
-        ParameterSpec("quantity", "lineitem", "l_quantity", "numeric"),
-        ParameterSpec("mode", "lineitem", "l_shipmode", "dictionary"),
+        ParameterSpec("quantity", "lineitem", "l_quantity"),
+        ParameterSpec("mode", "lineitem", "l_shipmode"),
     ],
 )
 
@@ -54,8 +54,8 @@ SHIPPING_PRIORITY = QueryTemplate(
     "AND l_orderkey = o_orderkey AND o_orderdate < :date "
     "GROUP BY l_orderkey ORDER BY revenue DESC LIMIT 10",
     [
-        ParameterSpec("segment", "customer", "c_mktsegment", "dictionary"),
-        ParameterSpec("date", "orders", "o_orderdate", "date"),
+        ParameterSpec("segment", "customer", "c_mktsegment"),
+        ParameterSpec("date", "orders", "o_orderdate"),
     ],
 )
 

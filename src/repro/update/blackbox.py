@@ -102,6 +102,7 @@ class UpdateBlackBox:
         """Batch sizes and the insert row offset for one epoch."""
         if epoch < 1:
             raise GenerationError(f"epochs start at 1, got {epoch}")
+        self._base.bound_table(table)  # an unknown table is a ModelError
         base_size = self._base.sizes[table]
         inserts = int(base_size * self.insert_fraction)
         updates = int(base_size * self.update_fraction)

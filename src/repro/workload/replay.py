@@ -23,6 +23,7 @@ JSONL stream), executes them through
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -101,12 +102,13 @@ class TemplateStats:
         return len(self.seconds) + self.errors
 
     def quantile(self, q: float) -> float:
-        """Exact q-quantile of the recorded wall times (0 with none)."""
+        """Exact q-quantile of the recorded wall times (0 with none):
+        nearest rank, the ``ceil(q·n)``-th smallest, a time measured."""
         if not self.seconds:
             return 0.0
         ordered = sorted(self.seconds)
-        rank = min(int(q * len(ordered)), len(ordered) - 1)
-        return ordered[rank]
+        rank = min(max(math.ceil(q * len(ordered)), 1), len(ordered))
+        return ordered[rank - 1]
 
 
 @dataclass

@@ -14,8 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from repro.core.queries import Query, QueryTemplate
+from repro.core.queries import _NUMERIC, ParameterSpec, Query, QueryTemplate
 from repro.exceptions import WorkloadError
+from repro.model.datatypes import TypeFamily
+
+#: the column families :func:`auto_spec` filters with ``<=``
+_RANGED = (*_NUMERIC, TypeFamily.DATE)
 
 #: Supported arrival processes.
 ARRIVAL_PROCESSES = ("steady", "poisson", "diurnal")
@@ -145,42 +149,27 @@ def auto_spec(
     repetition: float = 0.3,
     arrival: ArrivalSpec | None = None,
 ) -> WorkloadSpec:
-    """Derive a workload for *any* model from what the model knows.
+    """Derive a workload for *any* model from its declared columns.
 
-    One filtered COUNT(*) probe per table: the first column whose
-    generator the parameter machinery can draw from (numeric or date
-    range, or a dictionary) becomes a template parameter; tables with no
-    such column get an unfiltered count. This is the CLI's fallback for
-    extracted models that ship no hand-written templates — the stream is
-    still fully seed-reproducible because every parameter flows through
-    :class:`~repro.core.queries.QueryParameterGenerator`.
+    One COUNT(*) probe per table, filtered by its first non-primary
+    numeric or DATE column (``<= :p``), else by its first non-primary
+    text column (``= :p``); a table with neither gets an unfiltered
+    count. This is the CLI's fallback for extracted models that ship no
+    hand-written templates. *artifacts* is unused: every parameter is a
+    generated cell (:class:`~repro.core.queries.QueryParameterGenerator`),
+    so the stream is seed-reproducible and each filter matches data.
     """
-    from repro.core.queries import ParameterSpec, _analyze_field, _base_spec
-    from repro.generators.base import ArtifactStore
-
-    artifacts = artifacts or ArtifactStore()
     templates: list[WeightedTemplate] = []
     for table in schema.tables:
-        parameter = None
-        for field in table.fields:
-            if _base_spec(field).name == "IdGenerator":
-                continue
-            model = _analyze_field(schema, field, artifacts)
-            if model.numeric_bounds is not None:
-                parameter = (field.name, "numeric", "<=")
-            elif model.date_bounds is not None:
-                parameter = (field.name, "date", "<=")
-            elif model.dictionary is not None:
-                parameter = (field.name, "dictionary", "=")
-            if parameter:
-                break
-        if parameter is None:
-            sql = f"SELECT COUNT(*) FROM {table.name}"
-            specs: list[ParameterSpec] = []
-        else:
-            column, kind, op = parameter
-            sql = f"SELECT COUNT(*) FROM {table.name} WHERE {column} {op} :p"
-            specs = [ParameterSpec("p", table.name, column, kind)]
+        columns = [field for field in table.fields if not field.primary]
+        probes = [(f, "<=") for f in columns if f.dtype.family in _RANGED]
+        probes += [(f, "=") for f in columns if f.dtype.family is TypeFamily.TEXT]
+        sql = f"SELECT COUNT(*) FROM {table.name}"
+        specs: list[ParameterSpec] = []
+        if probes:
+            field, op = probes[0]
+            sql += f" WHERE {field.name} {op} :p"
+            specs = [ParameterSpec("p", table.name, field.name)]
         templates.append(
             WeightedTemplate(QueryTemplate(f"scan_{table.name}", sql, specs))
         )

@@ -31,6 +31,7 @@ from repro.core.queries import QueryParameterGenerator, QueryTemplate
 from repro.exceptions import WorkloadError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Schema
+from repro.prng.distributions import Categorical
 from repro.prng.xorshift import XorShift64Star, combine_name64
 from repro.workload.spec import WorkloadSpec
 
@@ -64,12 +65,13 @@ class ScheduledQuery:
     def from_json(cls, line: str) -> "ScheduledQuery":
         try:
             obj = json.loads(line)
-            return cls(
-                float(obj["ts"]), str(obj["template"]),
-                int(obj["index"]), str(obj["sql"]),
-            )
+            ts = float(obj["ts"])
+            event = cls(ts, str(obj["template"]), int(obj["index"]), str(obj["sql"]))
         except (ValueError, KeyError, TypeError) as exc:
             raise WorkloadError(f"bad stream line: {exc}") from exc
+        if not 0.0 <= ts < math.inf:  # json reads Infinity and NaN
+            raise WorkloadError(f"bad stream line: ts {ts} is not a finite time >= 0")
+        return event
 
 
 class WorkloadStream:
@@ -86,12 +88,10 @@ class WorkloadStream:
         self.spec = spec
         self._parameters = QueryParameterGenerator(schema, artifacts)
         self._pool = spec.effective_pool_size()
-        self._cumulative: list[tuple[float, QueryTemplate]] = []
-        running = 0.0
-        for weighted in spec.templates:
-            running += weighted.weight
-            self._cumulative.append((running, weighted.template))
-        self._total_weight = running
+        self._mix = Categorical(
+            [weighted.template for weighted in spec.templates],
+            [weighted.weight for weighted in spec.templates],
+        )
 
     # -- slot assignment (pure per slot) ------------------------------------
 
@@ -110,12 +110,7 @@ class WorkloadStream:
         change the stream.
         """
         rng = self._slot_rng(index)
-        point = rng.next_double() * self._total_weight
-        template = self._cumulative[-1][1]
-        for bound, candidate in self._cumulative:
-            if point < bound:
-                template = candidate
-                break
+        template = self._mix.sample(rng)
         repeated = (
             self.spec.repetition > 0.0
             and rng.next_double() < self.spec.repetition

@@ -1,5 +1,8 @@
 """The public API surface.
 
+17.0 reads the model once for query workloads: a ``ParameterSpec`` is
+``(name, table, column)`` and names a cell the engine generates, so its
+``kind`` and the second reader of generator specs behind it are gone.
 15.0 has one query answer: ``VirtualExecutor.execute`` answers exactly
 from projected column blocks, so ``predict``, ``verification_result``,
 ``PredictedValue`` and the closed forms behind them are gone, and the
@@ -133,8 +136,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_16(self):
-        assert repro.__version__.startswith("16.")
+    def test_version_is_17(self):
+        assert repro.__version__.startswith("17.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -1013,4 +1016,26 @@ class TestOneQueryAnswer:
         )
         assert list(inspect.signature(BoundTable.generate_columns).parameters) == [
             "self", "start", "stop", "ctx", "fields",
+        ]
+
+
+class TestOneParameterReading:
+    """17.0: a template parameter is a cell the engine generates; the
+    second reader of generator specs and the hand-rolled template-mix
+    scan cannot grow back."""
+
+    SRC = TestOneBodyOneAccountingOneReport.SRC
+    _occurrences = TestOneBodyOneAccountingOneReport._occurrences
+
+    @pytest.mark.parametrize("name", [
+        "_analyze_field", "_FieldModel", "_owning_table", "_base_spec", "_cumulative",
+    ])
+    def test_deleted_names_stay_deleted(self, name):
+        assert not self._occurrences(name, "core") + self._occurrences(name, "workload")
+
+    def test_parameter_spec_names_a_cell(self):
+        from repro.core import ParameterSpec
+
+        assert [f.name for f in dataclasses.fields(ParameterSpec)] == [
+            "name", "table", "column",
         ]

@@ -233,6 +233,12 @@ class TestUpdate:
         assert "insert" in out
 
 
+    def test_unknown_table_is_an_error(self, capsys):
+        assert main(["update", "--suite", "tpch", "--sf", "0.001",
+                     "--table", "ghost", "--epoch", "1"]) == 2
+        assert "error: no such table 'ghost'" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_unknown_model_directory(self, capsys):
         assert main(["preview", "--model", "/nonexistent/dir"]) == 2

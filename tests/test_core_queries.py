@@ -244,9 +244,9 @@ class TestQueryParameterGenerator:
         "SELECT COUNT(*) FROM sales WHERE s_region = :region "
         "AND s_quantity < :qty AND s_date >= :start",
         [
-            ParameterSpec("region", "sales", "s_region", "dictionary"),
-            ParameterSpec("qty", "sales", "s_quantity", "numeric"),
-            ParameterSpec("start", "sales", "s_date", "date"),
+            ParameterSpec("region", "sales", "s_region"),
+            ParameterSpec("qty", "sales", "s_quantity"),
+            ParameterSpec("start", "sales", "s_date"),
         ],
     )
 
@@ -281,26 +281,55 @@ class TestQueryParameterGenerator:
 
     def test_unknown_placeholder_rejected(self, schema):
         template = QueryTemplate(
-            "bad", "SELECT :ghost", [ParameterSpec("x", "sales", "s_quantity", "numeric")]
+            "bad", "SELECT :ghost", [ParameterSpec("x", "sales", "s_quantity")]
         )
         with pytest.raises(ModelError, match="no parameter"):
             QueryParameterGenerator(schema).instantiate(template, 0)
 
-    def test_bad_parameter_kind(self, schema):
+    @pytest.mark.parametrize("table, column, message", [
+        ("sales", "s_ghost", "no field 's_ghost'"),
+        ("ghost", "s_quantity", "no such table 'ghost'"),
+    ])
+    def test_unknown_column_or_table_rejected(self, schema, table, column, message):
         template = QueryTemplate(
-            "bad2", "SELECT :x",
-            [ParameterSpec("x", "sales", "s_quantity", "gaussian")],
+            "bad2", "SELECT :x", [ParameterSpec("x", table, column)]
         )
-        with pytest.raises(ModelError, match="unknown parameter kind"):
+        with pytest.raises(ModelError, match=message):
             QueryParameterGenerator(schema).instantiate(template, 0)
 
-    def test_dictionary_param_on_numeric_column_rejected(self, schema):
+    @pytest.mark.parametrize("column", [
+        "s_id", "s_quantity", "s_price", "s_region", "s_date", "s_note",
+    ])
+    def test_every_parameter_is_a_cell_of_the_data(self, schema, database, column):
         template = QueryTemplate(
-            "bad3", "SELECT :x",
-            [ParameterSpec("x", "sales", "s_quantity", "dictionary")],
+            f"eq_{column}", f"SELECT COUNT(*) FROM sales WHERE {column} = :p",
+            [ParameterSpec("p", "sales", column)],
         )
-        with pytest.raises(ModelError, match="no dictionary"):
-            QueryParameterGenerator(schema).instantiate(template, 0)
+        generator = QueryParameterGenerator(schema)
+        # a quarter of s_note is NULL: some of 40 first draws hit one and
+        # are redrawn
+        for index in range(40):
+            assert generator.parameters_for(template, index)["p"] is not None
+            sql = generator.instantiate(template, index)
+            assert database.execute(sql)[0][0] >= 1, sql
+
+    @pytest.mark.parametrize("size, spec", [
+        ("100", GeneratorSpec("NullGenerator", {"probability": 1.0},
+                              [GeneratorSpec("IntGenerator", {"min": 1, "max": 9})])),
+        ("0", GeneratorSpec("IntGenerator", {"min": 1, "max": 9})),
+    ])
+    def test_all_null_column_or_empty_table_gives_null(self, size, spec):
+        schema = Schema("nulls", seed=3)
+        schema.add_table(Table("t", size, [Field.of("v", "INTEGER", spec)]))
+        template = QueryTemplate(
+            "v", "SELECT COUNT(*) FROM t WHERE v = :p", [ParameterSpec("p", "t", "v")]
+        )
+        sql = QueryParameterGenerator(schema).instantiate(template, 0)
+        assert sql == "SELECT COUNT(*) FROM t WHERE v = NULL"
+        with SQLiteAdapter(":memory:") as adapter:
+            adapter.execute_script(create_schema_sql(schema, "sqlite"))
+            load(GenerationEngine(schema), adapter)
+            assert adapter.execute(sql) == [(0,)]
 
 
 def duplicate_value_schema() -> Schema:

@@ -19,6 +19,7 @@ from repro.workload import (
     ArrivalSpec,
     CdcInterleave,
     ScheduledQuery,
+    TemplateStats,
     WeightedTemplate,
     WorkloadReplayer,
     WorkloadSpec,
@@ -32,12 +33,12 @@ from tests.conftest import demo_schema
 COUNT_CUSTOMERS = QueryTemplate(
     "count_customers",
     "SELECT COUNT(*) FROM customer WHERE c_balance <= :cap",
-    [ParameterSpec("cap", "customer", "c_balance", "numeric")],
+    [ParameterSpec("cap", "customer", "c_balance")],
 )
 COUNT_ORDERS = QueryTemplate(
     "count_orders",
     "SELECT COUNT(*) FROM orders WHERE o_quantity < :q",
-    [ParameterSpec("q", "orders", "o_quantity", "numeric")],
+    [ParameterSpec("q", "orders", "o_quantity")],
 )
 
 
@@ -210,6 +211,16 @@ class TestReplay:
         assert stats.count == len(stats.seconds)
         assert stats.quantile(0.5) >= 0.0
         assert any("replayed 12 queries" in line for line in report.summary_lines())
+
+    @pytest.mark.parametrize("seconds, q, expected", [
+        ([1.0, 2.0, 3.0, 4.0], 0.5, 2.0),
+        ([float(i) for i in range(1, 101)], 0.99, 99.0),
+        ([float(i) for i in range(1, 101)], 1.0, 100.0),
+        ([7.0], 0.0, 7.0),
+    ])
+    def test_quantile_is_nearest_rank(self, seconds, q, expected):
+        # the ceil(q·n)-th smallest, as bench/stats.py::percentile
+        assert TemplateStats("t", list(reversed(seconds))).quantile(q) == expected
 
     def test_failed_query_counted_not_raised(self, demo_database):
         schema, adapter = demo_database
@@ -419,6 +430,20 @@ class TestWorkloadCli:
         assert code == 0
         assert "replayed 6 queries" in out
         assert "checks: 5/5 exact" in out
+
+    @pytest.mark.parametrize("ts", ["Infinity", "NaN", "-1"])
+    def test_replay_rejects_a_bad_timestamp(self, tpch_db, tmp_path, capsys, ts):
+        stream_path = tmp_path / "bad.jsonl"
+        stream_path.write_text(
+            f'{{"ts": {ts}, "template": "t", "index": 0, "sql": "SELECT 1"}}\n'
+        )
+        code = self.run([
+            "workload", "--suite", "tpch", "--sf", "0.001", "--replay",
+            "--stream", str(stream_path), "--database", tpch_db,
+            "--max-speedup", "1",
+        ])
+        assert code == 2
+        assert "error: bad stream line" in capsys.readouterr().err
 
     def test_replay_with_cdc(self, tpch_db, tmp_path, capsys):
         import shutil

@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output/extraction paths: hot loops, swallowed errors.
 
-Twelve checks, one AST walk:
+Thirteen checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -139,12 +139,24 @@ all three, and a second loader converted values its own way). It also
 puts the driver back into commands that never touch a database. No
 waiver.
 
+**One-reader check.** A generator's parameters are interpreted once,
+by the generator's ``bind``. A query parameter is a cell the engine
+generates (:class:`~repro.core.queries.QueryParameterGenerator`), so
+the query and workload modules need no generator parameter at all. A
+``.params`` read in :mod:`repro.core.queries` or under
+:mod:`repro.workload` is a second reader of generator specs, with its
+own defaults, that misses what ``bind`` knows (``places``, ``zipf``,
+NULL wrappers) and so draws parameters no row holds. No
+waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/db/`` and ``src/repro/core/model_builder.py`` (the
 extraction path: an adapter or model-builder handler that eats every
 error turns a programming error into a silently degraded column), the
 span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
 (query-path check only) ``src/repro/core/queries.py``,
+(one-reader check only) ``src/repro/core/queries.py`` and
+``src/repro/workload/``,
 (one-cutter, one-template, one-draw, one-lookup, one-runtime and
 one-driver checks only) every module under ``src/repro/``.
 
@@ -169,6 +181,10 @@ BANNED_BENCHMARK_CALLS = BANNED_CALLS + ("generate_value", "compute_value")
 #: the virtual executor's module, and the per-row walks it must not make
 QUERY_FILE = "src/repro/core/queries.py"
 BANNED_QUERY_CALLS = ("iter_rows", "generate_row", "compute_value")
+#: the query and workload modules, and the generator-spec field they
+#: must not read
+READER_PATHS = (QUERY_FILE, "src/repro/workload")
+SPEC_PARAMS = "params"
 WAIVER = "hot-loop-ok"
 FAULT_WAIVER = "fault-ok"
 BROAD_EXCEPTIONS = ("Exception", "BaseException")
@@ -423,6 +439,18 @@ def second_drivers(path: Path) -> list[str]:
     ]
 
 
+def second_readers(path: Path) -> list[str]:
+    """``.params`` attribute reads in *path*."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.relative_to(REPO)}:{node.lineno}: reads a generator's "
+        f".{SPEC_PARAMS}; the generator's bind is their one reader — "
+        "draw a generated cell instead"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == SPEC_PARAMS
+    ]
+
+
 def check_file(
     path: Path, span_hot: bool = False, columnar_hot: bool = False,
     benchmark: bool = False, banned: tuple[str, ...] | None = None,
@@ -505,6 +533,11 @@ def main() -> int:
         violations.extend(check_file(path, benchmark=True))
     checked.add(REPO / QUERY_FILE)
     violations.extend(check_file(REPO / QUERY_FILE, banned=BANNED_QUERY_CALLS))
+    for rel in READER_PATHS:
+        root = REPO / rel
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
+            checked.add(path)
+            violations.extend(second_readers(path))
     scope = sorted((REPO / CUTTER_SCOPE).rglob("*.py"))
     for path in scope:
         if path != REPO / CUTTER_FILE:
