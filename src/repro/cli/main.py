@@ -394,8 +394,7 @@ def _workload_spec(args: argparse.Namespace, engine: GenerationEngine):
             count=args.queries, repetition=args.repetition, arrival=arrival
         )
     return auto_spec(
-        engine.schema, engine.artifacts,
-        count=args.queries, repetition=args.repetition, arrival=arrival,
+        engine.schema, count=args.queries, repetition=args.repetition, arrival=arrival,
     )
 
 

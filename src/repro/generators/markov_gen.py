@@ -62,8 +62,10 @@ class MarkovChainGenerator(Generator):
         if not tables.plain:
             return super().generate_block(ctx, start, count)
         initial = seeds.array
-        tokens, counts, exhausted, seeds.array = tables.sample(initial, self._min, self._max)
-        texts = tables.join(tokens, counts, self._max_chars)
+        tokens, counts, cut, exhausted, seeds.array = tables.sample(
+            initial, self._min, self._max, self._max_chars
+        )
+        texts = tables.join(tokens, counts, cut, self._max_chars)
         # rows no attempt could bring to ``min`` words: the scalar path
         # keeps the longest of its attempts
         for offset in exhausted:

@@ -374,24 +374,31 @@ class ChainTables:
             dtype=object,
         )
         self.piece_dtype = _np.min_scalar_type(len(self.pieces))
-        self.word_length = _np.array(
-            [len(word) for word in vocabulary] + [0], dtype=_np.int32
-        )
+        #: like ``choice_tokens``, each token's length plus its following
+        #: space (0 for a pad): a row's running sum is the offset just
+        #: past its last space
+        word_span = _np.array([len(word) + 1 for word in vocabulary] + [0], dtype=_np.int64)
+        self.choice_span = word_span[self.choice_tokens.astype(_np.intp)]
         #: every character a generated text can contain
         self.charset = frozenset("".join(vocabulary) + " ")
 
-    def sample(self, states, min_words: int, max_words: int):
+    def sample(self, states, min_words: int, max_words: int, max_chars: int | None = None):
         """Generate one text per PRNG state in *states* (a ``uint64``
-        array, one live xorshift64* state per row).
+        array, one live xorshift64* state per row), clipped to
+        *max_chars* like ``MarkovChainGenerator.generate``: a longer text
+        is cut there and then back to the last word boundary before the
+        cut.
 
-        Returns ``(tokens, counts, exhausted, ends)``: a token-id matrix
-        whose row ``r`` holds that row's text in its first ``counts[r]``
-        columns (later columns are unspecified), the offsets of rows
-        that were still shorter than *min_words* after the last retry —
-        the caller recomputes those few through the scalar path, which
-        keeps the longest attempt — and each row's PRNG state after its
-        last draw, where :meth:`MarkovChain.generate` leaves the stream
-        (an exhausted row's entry is unspecified).
+        Returns ``(tokens, counts, cut, exhausted, ends)``: a token-id
+        matrix whose row ``r`` holds that row's kept words in its first
+        ``counts[r]`` columns (later columns are unspecified), the
+        offsets of rows whose first word is itself cut at *max_chars*,
+        the offsets of rows that were still shorter than *min_words*
+        after the last retry — the caller recomputes those few through
+        the scalar path, which keeps the longest attempt — and each
+        row's PRNG state after its last draw, where
+        :meth:`MarkovChain.generate` leaves the stream (an exhausted
+        row's entry is unspecified).
         """
         count = len(states)
         # a start state appends up to ``order`` tokens to an empty text
@@ -399,12 +406,16 @@ class ChainTables:
         tokens = _np.full((count, width), self.pad, dtype=self.token_dtype)
         flat = tokens.reshape(-1)
         counts = _np.zeros(count, dtype=_np.int64)
+        cut = _np.zeros(count, dtype=bool)
         ends = states.copy()
         exhausted: list[int] = []
+        clip = max_chars is not None
 
         # per still-active row: block offset, PRNG state, next free slot
         # of ``flat``, the slot at which it holds max_words, its segment's
-        # guide offset and bucket shift, attempts used
+        # guide offset and bucket shift, attempts used; with a clip, the
+        # offset just past its last space and how many of its words end
+        # before max_chars
         rows = _np.arange(count, dtype=_np.int64)
         rng = states
         slot = rows * width
@@ -412,7 +423,9 @@ class ChainTables:
         at = _np.full(count, self.segment_at[-1], dtype=_np.uint64)
         shift = _np.full(count, self.segment_shift[-1], dtype=_np.uint64)
         attempts = _np.zeros(count, dtype=_np.int64)
-        appended = self.choice_tokens
+        chars = _np.zeros(count, dtype=_np.int64)
+        fit = _np.zeros(count, dtype=_np.int64)
+        appended, span = self.choice_tokens, self.choice_span
         while len(rows):
             rng, outputs = blocks.xorshift_step(rng)
             choice = lookup(self.guide, self.below, outputs, at, shift)
@@ -421,8 +434,19 @@ class ChainTables:
             # later words overwrite; an active row holds fewer than
             # max_words words, so the cells stay inside its row
             flat[slot] = appended[0][choice]
+            if clip:
+                chars += span[0][choice]
+                # the first cell is a pad only for END, so a pad step
+                # counts one word too many only on a text that ends
+                # within max_chars, which keeps all its words anyway
+                fit += chars <= max_chars
             for extra in range(1, self.order):
                 flat[slot + extra] = appended[extra][choice]
+                if clip:
+                    # pads and words past max_words are not part of the text
+                    step = _np.where(slot + extra < limit, span[extra][choice], 0)
+                    chars += step
+                    fit += (chars <= max_chars) & (step > 0)
             slot += self.choice_advance[choice]
             at, shift = self.next_at[choice], self.next_shift[choice]
             ended = slot >= limit
@@ -430,7 +454,14 @@ class ChainTables:
                 continue
             length = (slot - limit + max_words) % _ENDED
             done = ended & (length >= min_words)
-            counts[rows[done]] = _np.minimum(length[done], max_words)
+            kept = _np.minimum(length[done], max_words)
+            if clip:
+                # the text is ``chars - 1`` long; an over-long one keeps
+                # the words before its last space within the cut
+                over = chars[done] > max_chars + 1
+                kept = _np.where(over, _np.maximum(fit[done], 1), kept)
+                cut[rows[done]] = over & (fit[done] == 0)
+            counts[rows[done]] = kept
             ends[rows[done]] = rng[done]
             retry = ended & ~done
             if retry.any():
@@ -439,52 +470,30 @@ class ChainTables:
                 exhausted.extend(rows[spent].tolist())
                 retry &= ~spent
                 slot[retry] = limit[retry] - max_words
-            active = ~ended | retry
+                chars[retry] = 0
+                fit[retry] = 0
+            active = _np.flatnonzero(~ended | retry)
             rows, rng, slot, limit = rows[active], rng[active], slot[active], limit[active]
             at, shift, attempts = at[active], shift[active], attempts[active]
-        return tokens, counts, exhausted, ends
+            chars, fit = chars[active], fit[active]
+        return tokens, counts, _np.nonzero(cut)[0].tolist(), exhausted, ends
 
-    def join(self, tokens, counts, max_chars: int | None) -> list[str]:
-        """The texts of a :meth:`sample` result, words joined by single
-        spaces and clipped like ``MarkovChainGenerator.generate``: a text
-        longer than *max_chars* is cut there and then back to the last
-        word boundary before the cut."""
-        kept, cut_words = self._kept_words(tokens, counts, max_chars)
+    def join(self, tokens, counts, cut, max_chars: int | None) -> list[str]:
+        """The texts of a :meth:`sample` result: each row's kept words
+        joined by single spaces, and the rows in *cut* (one word each)
+        cut to *max_chars*."""
         # one flat piece list, row-major, each row opened by its "\n"
         # piece (forced for a row without words, so rows stay aligned)
+        kept = _np.arange(tokens.shape[1]) < counts[:, None]
         kept[:, 0] = True
         index = tokens.astype(self.piece_dtype)
         index[:, 1:] += self.pad + 1
         pieces = self.pieces[index[kept]].tolist()
         del index, kept  # the matrices are dead weight under the strings
         texts = "".join(pieces).split("\n")[1:]
-        for offset in cut_words:
+        for offset in cut:
             texts[offset] = texts[offset][:max_chars]
         return texts
-
-    def _kept_words(self, tokens, counts, max_chars: int | None):
-        """Which cells of *tokens* survive the clip to *max_chars* (a
-        boolean matrix), and the rows whose first word itself is cut."""
-        width = tokens.shape[1]
-        position = _np.arange(width, dtype=_np.int32)
-        kept = position < counts[:, None]
-        if max_chars is None:
-            return kept, ()
-        # ends[r, j]: offset of the space that follows word j of row r
-        # (one int32 matrix, reused in place: lengths, running sum, ends)
-        ends = self.word_length[tokens]
-        ends *= kept
-        _np.cumsum(ends, axis=1, out=ends)
-        ends += position
-        over = ends[:, -1] - (width - counts) > max_chars
-        if not over.any():
-            return kept, ()
-        # ``rfind(" ")`` within the cut: the last separator that starts
-        # before max_chars; the words before it survive
-        fit = ((ends < max_chars) & (position < counts[:, None] - 1)).sum(axis=1)
-        keep = _np.where(over, _np.maximum(fit, 1), counts)
-        # no separator in reach: the first word itself is cut
-        return position < keep[:, None], _np.nonzero(over & (fit == 0))[0].tolist()
 
 
 def train_chain(texts: Sequence[str], order: int = 1) -> MarkovChain:

@@ -142,7 +142,6 @@ class WorkloadSpec:
 
 def auto_spec(
     schema,
-    artifacts=None,
     *,
     name: str = "auto",
     count: int = 50,
@@ -155,9 +154,9 @@ def auto_spec(
     numeric or DATE column (``<= :p``), else by its first non-primary
     text column (``= :p``); a table with neither gets an unfiltered
     count. This is the CLI's fallback for extracted models that ship no
-    hand-written templates. *artifacts* is unused: every parameter is a
-    generated cell (:class:`~repro.core.queries.QueryParameterGenerator`),
-    so the stream is seed-reproducible and each filter matches data.
+    hand-written templates. Every parameter is a generated cell
+    (:class:`~repro.core.queries.QueryParameterGenerator`), so the stream
+    is seed-reproducible and each filter matches data.
     """
     templates: list[WeightedTemplate] = []
     for table in schema.tables:

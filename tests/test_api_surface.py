@@ -1,5 +1,6 @@
 """The public API surface.
 
+18.0 drops ``auto_spec``'s unused ``artifacts`` argument.
 17.0 reads the model once for query workloads: a ``ParameterSpec`` is
 ``(name, table, column)`` and names a cell the engine generates, so its
 ``kind`` and the second reader of generator specs behind it are gone.
@@ -136,8 +137,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_17(self):
-        assert repro.__version__.startswith("17.")
+    def test_version_is_18(self):
+        assert repro.__version__.startswith("18.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -1039,3 +1040,8 @@ class TestOneParameterReading:
         assert [f.name for f in dataclasses.fields(ParameterSpec)] == [
             "name", "table", "column",
         ]
+
+    def test_auto_spec_takes_no_artifacts(self):
+        from repro.workload import auto_spec
+
+        assert "artifacts" not in inspect.signature(auto_spec).parameters

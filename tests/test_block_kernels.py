@@ -152,7 +152,7 @@ class TestMarkovKernel:
         spec = GeneratorSpec("MarkovChainGenerator", {"model": "markov:m", "min": 4, "max": 6})
         engine = _engine([Field.of("f", "TEXT", spec)], artifacts)
         _assert_block_is_scalar(engine, kinds=["str"])
-        _, counts, exhausted, _ = chain.block_tables().sample(
+        _, counts, _, exhausted, _ = chain.block_tables().sample(
             np.arange(1, 101, dtype=np.uint64), 4, 6
         )
         assert sorted(exhausted) == list(range(100)) and not counts.any()
@@ -161,10 +161,50 @@ class TestMarkovKernel:
         # min=5 is reachable only through the long documents, so many
         # rows need retries (and keep drawing from their own stream).
         chain = CHAINS["order1"]()
-        _, counts, exhausted, _ = chain.block_tables().sample(
+        _, counts, _, exhausted, _ = chain.block_tables().sample(
             np.arange(1, 2001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15), 5, 9
         )
         assert not exhausted and counts.min() >= 5 and counts.max() <= 9
+
+    # "abc de fgh" is the only text (10 characters)
+    @pytest.mark.parametrize("max_chars, text", [
+        (10, "abc de fgh"),  # exactly max_chars: nothing is cut
+        (11, "abc de fgh"),
+        (9, "abc de"),
+        (6, "abc"),  # the cut lands on a space: back to the one before
+        (7, "abc de"),  # the cut lands just past a space
+        (3, "abc"),
+        (2, "ab"),  # the first word is longer than max_chars: cut inside it
+        (1, "a"),
+    ])
+    def test_clip_boundaries(self, max_chars, text):
+        chain = _chain_from_json(
+            1, [[["abc"], 1]], [[["abc"], [["de", 1]]], [["de"], [["fgh", 1]]]]
+        )
+        assert self._texts(chain, 1, 5, max_chars) == {text}
+
+    def test_retry_after_an_attempt_over_max_chars(self):
+        # a one-word attempt is over max_chars and too short, so it is
+        # retried; the retry starts from an empty text and keeps both words
+        chain = _chain_from_json(
+            1, [[["longwordhere"], 1], [["ab"], 1]], [[["ab"], [["cd", 1]]]]
+        )
+        assert self._texts(chain, 2, 4, 8) == {"ab cd"}
+        _, counts, cut, exhausted, _ = chain.block_tables().sample(
+            np.arange(1, 1001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15), 2, 4, 8
+        )
+        assert not cut and not exhausted and set(counts.tolist()) == {2}
+
+    @staticmethod
+    def _texts(chain, low, high, max_chars) -> set:
+        artifacts = ArtifactStore()
+        artifacts.put("markov:m", chain)
+        spec = GeneratorSpec("MarkovChainGenerator", {
+            "model": "markov:m", "min": low, "max": high, "max_chars": max_chars,
+        })
+        engine = _engine([Field.of("f", "TEXT", spec)], artifacts)
+        _assert_block_is_scalar(engine, kinds=["str"])
+        return {row[0] for row in engine.generate_rows("t", 0, ROWS)}
 
     def test_tokens_with_spaces_keep_the_scalar_loop(self):
         chain = _chain_from_json(
@@ -258,7 +298,7 @@ class TestChainTablesCache:
         assert train_chain(MIXED).block_tables().token_dtype == np.uint8
         tables = GenerationEngine(*suite_model("tpch", 0.001)).artifacts.get(COMMENT_MODEL).block_tables()
         assert tables.token_dtype == np.uint16
-        tokens, _, _, _ = tables.sample(np.arange(1, 10_001, dtype=np.uint64), 3, 14)
+        tokens, _, _, _, _ = tables.sample(np.arange(1, 10_001, dtype=np.uint64), 3, 14)
         assert tokens.nbytes <= 10_000 * 15 * 2
 
     def test_one_guide_table_at_most_twice_the_choices(self):

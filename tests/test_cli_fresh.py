@@ -162,3 +162,43 @@ def test_serve_up_to_first_healthz():
         server.wait(timeout=10)
         reader.join(timeout=10)
         server.stderr.close()
+
+
+class TestOpenBlasPin:
+    """The CLI runs numpy's OpenBLAS on one thread: nothing in ``repro``
+    calls BLAS, and an idle pool only spins. The pin is the CLI's alone;
+    a value the user set wins."""
+
+    @staticmethod
+    def fresh(code: str, **preset: str) -> str:
+        env = {k: v for k, v in ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**env, **preset},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+    )
+    def test_one_thread_after_importing_the_cli(self):
+        threads = self.fresh(
+            "import os, sys, repro.cli.main\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(len(os.listdir('/proc/self/task')))"
+        )
+        assert threads == "1"
+
+    def test_a_preset_value_wins(self):
+        code = "import os, repro.cli.main; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.fresh(code) == "1"
+        assert self.fresh(code, OPENBLAS_NUM_THREADS="3") == "3"
+
+    def test_importing_repro_leaves_the_environment_alone(self):
+        changed = self.fresh(
+            "import os; before = dict(os.environ)\n"
+            "import repro, repro.engine\n"
+            "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)"
+        )
+        assert changed == "True False"

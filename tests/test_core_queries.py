@@ -157,6 +157,15 @@ class TestUnmodelledComparisons:
             executor.execute(Query("sales", [Aggregate("count")],
                                    [Predicate("s_region", Op.EQ, value)]))
 
+    def test_text_column_of_numbers_against_a_float(self):
+        # the property oracle once nudged a number drawn from the sink's
+        # VARCHAR column w_prob ("rare" or an int stored as text) to 61.5
+        from tests.test_batch_generation import kitchen_sink_schema
+
+        query = Query("wide", [Aggregate("count")], [Predicate("w_prob", Op.EQ, 61.5)])
+        with pytest.raises(GenerationError, match="61.5 is not modelled"):
+            VirtualExecutor(*kitchen_sink_schema()).execute(query)
+
     @pytest.mark.parametrize("dtype, constant", [
         ("VARCHAR(30)", 0.1 + 0.2),  # SQLite stores the text '0.3'
         ("VARCHAR(30)", True),  # stored as 1

@@ -54,7 +54,7 @@ def test_every_column_parameter_matches_a_row(suite):
 @pytest.mark.parametrize("suite", SUITES)
 def test_auto_spec_stream_replays_clean(suite):
     schema, artifacts, adapter = loaded(suite)
-    spec = auto_spec(schema, artifacts, count=40)
+    spec = auto_spec(schema, count=40)
     events = WorkloadStream(schema, spec, artifacts).events()
     report = WorkloadReplayer(schema, adapter, artifacts).replay(events)
     assert len(report.executions) == 40
