@@ -16,6 +16,7 @@ from repro.db.adapter import DatabaseAdapter
 from repro.exceptions import ExtractionError
 from repro.model.datatypes import TypeFamily
 from repro.model.schema import Schema
+from repro.model.sqlnames import sql_name
 
 
 @dataclass(frozen=True)
@@ -83,38 +84,39 @@ def default_queries(
     """
     queries: list[FidelityQuery] = []
     for table in schema.tables:
+        name = sql_name(table.name)
         queries.append(
             FidelityQuery(
                 f"count({table.name})",
-                f"SELECT COUNT(*) FROM {table.name}",
+                f"SELECT COUNT(*) FROM {name}",
                 tolerance=count_tolerance,
             )
         )
         for f in table.fields:
             family = f.dtype.family
-            column = f.name
+            column = sql_name(f.name)
             if family in (TypeFamily.INTEGER, TypeFamily.FLOAT, TypeFamily.DECIMAL):
                 if f.primary:
                     continue
                 queries.append(
                     FidelityQuery(
-                        f"avg({table.name}.{column})",
-                        f"SELECT AVG({column}) FROM {table.name}",
+                        f"avg({table.name}.{f.name})",
+                        f"SELECT AVG({column}) FROM {name}",
                         tolerance=numeric_tolerance,
                     )
                 )
                 queries.append(
                     FidelityQuery(
-                        f"range({table.name}.{column})",
-                        f"SELECT MAX({column}) - MIN({column}) FROM {table.name}",
+                        f"range({table.name}.{f.name})",
+                        f"SELECT MAX({column}) - MIN({column}) FROM {name}",
                         tolerance=numeric_tolerance,
                     )
                 )
             if f.nullable:
                 queries.append(
                     FidelityQuery(
-                        f"nulls({table.name}.{column})",
-                        f"SELECT SUM({column} IS NULL) FROM {table.name}",
+                        f"nulls({table.name}.{f.name})",
+                        f"SELECT SUM({column} IS NULL) FROM {name}",
                         tolerance=max(numeric_tolerance, 0.25),
                         absolute_slack=3.0,
                     )

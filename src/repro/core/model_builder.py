@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.extraction import ExtractedColumn, ExtractedSchema, ExtractedTable
-from repro.core.profiling import ColumnProfile, SchemaProfile
+from repro.core.profiling import DICTIONARY_MAX_DISTINCT, ColumnProfile, SchemaProfile
 from repro.core.rules import RuleEngine
 from repro.core.sampling import ColumnSampler, SampleConfig
 from repro.db.adapter import DatabaseAdapter
@@ -38,7 +38,6 @@ from repro.text.dictionary import WeightedDictionary
 from repro.text.markov import MarkovChain
 from repro.text.tokenizer import classify_values, words
 
-_DICTIONARY_MAX_DISTINCT = 1000
 #: a profiled NULL fraction above this gets a NULL wrapper
 _NULL_THRESHOLD = 1e-9
 
@@ -273,7 +272,7 @@ class ModelBuilder:
 
         distinct = stats.distinct_count if stats else None
         if kind == "dictionary" and (
-            distinct is None or distinct <= _DICTIONARY_MAX_DISTINCT
+            distinct is None or distinct <= DICTIONARY_MAX_DISTINCT
         ):
             name = self._dictionary(extracted, table.name, column.name, result.artifacts)
             return (

@@ -17,10 +17,17 @@ from repro.exceptions import ModelError
 from repro.obs import timed
 
 
+#: the most distinct values a dictionary holds; a distinct count is
+#: exact up to it, and the count's scan stops one value past it
+DICTIONARY_MAX_DISTINCT = 1000
+
+
 @dataclass
 class ColumnProfile:
     """Statistics of one source column (min/max are None for a column
-    with no non-NULL value)."""
+    with no non-NULL value). ``distinct_count`` is exact up to
+    :data:`DICTIONARY_MAX_DISTINCT`; a column with more distinct values
+    reads ``DICTIONARY_MAX_DISTINCT + 1``."""
 
     table: str
     column: str
@@ -48,7 +55,10 @@ class SchemaProfile:
 
 
 class DataProfiler:
-    """Runs statistics queries for every column of an extraction."""
+    """Runs the statistics queries of an extraction, one table at a
+    time: a NULL statement and a MIN/MAX statement per table (more for a
+    table wider than one statement's columns) and a capped distinct
+    count per column."""
 
     def __init__(self, adapter: DatabaseAdapter) -> None:
         self.adapter = adapter
@@ -58,30 +68,33 @@ class DataProfiler:
         distinct-count phase durations (the §4 rows) to
         ``extracted.timings``."""
         profile = SchemaProfile()
-        entries = [
-            ColumnProfile(table.name, column.name)
+        columns = {
+            table.name: [column.name for column in table.columns]
             for table in extracted.tables
-            for column in table.columns
-        ]
-        for entry in entries:
-            profile.put(entry)
+        }
+        for table, names in columns.items():
+            for name in names:
+                profile.put(ColumnProfile(table, name))
         adapter, timings = self.adapter, extracted.timings
 
         with timed("profiling.null_fractions") as phase:
-            for entry in entries:
-                entry.null_fraction = adapter.null_fraction(entry.table, entry.column)
+            for table, names in columns.items():
+                for name, fraction in zip(names, adapter.null_fractions(table, names)):
+                    profile.columns[table, name].null_fraction = fraction
         timings.null_seconds += phase.seconds
 
         with timed("profiling.min_max") as phase:
-            for entry in entries:
-                entry.min_value, entry.max_value = adapter.min_max(
-                    entry.table, entry.column
-                )
+            for table, names in columns.items():
+                for name, (low, high) in zip(names, adapter.bounds(table, names)):
+                    entry = profile.columns[table, name]
+                    entry.min_value, entry.max_value = low, high
         timings.minmax_seconds += phase.seconds
 
         with timed("profiling.distinct_counts") as phase:
-            for entry in entries:
-                entry.distinct_count = adapter.distinct_count(entry.table, entry.column)
+            for table, names in columns.items():
+                counts = adapter.distinct_counts(table, names, DICTIONARY_MAX_DISTINCT)
+                for name, count in zip(names, counts):
+                    profile.columns[table, name].distinct_count = count
         timings.distinct_seconds += phase.seconds
         return profile
 

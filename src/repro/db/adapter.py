@@ -62,16 +62,24 @@ class DatabaseAdapter(abc.ABC):
         """Exact row count (the paper's 'table sizes' extraction step)."""
 
     @abc.abstractmethod
-    def min_max(self, table: str, column: str) -> tuple[object, object]:
-        """Minimum and maximum of a column (NULLs ignored)."""
+    def null_fractions(self, table: str, columns: Sequence[str]) -> list[float]:
+        """Fraction of NULL values in ``[0, 1]`` of each of *columns*
+        (0.0 for every column of an empty table)."""
 
     @abc.abstractmethod
-    def null_fraction(self, table: str, column: str) -> float:
-        """Fraction of NULL values in ``[0, 1]``."""
+    def bounds(
+        self, table: str, columns: Sequence[str]
+    ) -> list[tuple[object, object]]:
+        """Minimum and maximum of each of *columns* (NULLs ignored;
+        ``(None, None)`` for a column without a non-NULL value)."""
 
     @abc.abstractmethod
-    def distinct_count(self, table: str, column: str) -> int:
-        """Number of distinct non-NULL values."""
+    def distinct_counts(
+        self, table: str, columns: Sequence[str], limit: int
+    ) -> list[int]:
+        """Number of distinct non-NULL values of each of *columns*, exact
+        up to *limit*; a column with more reads ``limit + 1``, and its
+        scan stops at that many distinct values."""
 
     @abc.abstractmethod
     def histogram(

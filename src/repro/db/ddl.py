@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.exceptions import ModelError
 from repro.model.datatypes import DataType, SqlType
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
+from repro.model.sqlnames import sql_name
 from repro.model.validation import topological_load_order
 
 _DIALECTS = ("ansi", "sqlite", "postgres", "mysql")
@@ -73,8 +74,10 @@ def create_table_sql(
     lines: list[str] = []
     for field in table.fields:
         null_clause = "" if field.nullable else " NOT NULL"
-        lines.append(f"  {field.name} {render_type(field.dtype, dialect)}{null_clause}")
-    pk = [f.name for f in table.primary_key()]
+        lines.append(
+            f"  {sql_name(field.name)} {render_type(field.dtype, dialect)}{null_clause}"
+        )
+    pk = [sql_name(f.name) for f in table.primary_key()]
     if pk:
         lines.append(f"  PRIMARY KEY ({', '.join(pk)})")
     if include_foreign_keys:
@@ -82,10 +85,11 @@ def create_table_sql(
             ref = _references_of(field)
             if ref and ref[0] != table.name:
                 lines.append(
-                    f"  FOREIGN KEY ({field.name}) REFERENCES {ref[0]} ({ref[1]})"
+                    f"  FOREIGN KEY ({sql_name(field.name)}) "
+                    f"REFERENCES {sql_name(ref[0])} ({sql_name(ref[1])})"
                 )
     body = ",\n".join(lines)
-    return f"CREATE TABLE {table.name} (\n{body}\n);"
+    return f"CREATE TABLE {sql_name(table.name)} (\n{body}\n);"
 
 
 def create_schema_sql(

@@ -19,6 +19,8 @@ from repro.db.adapter import ColumnInfo, DatabaseAdapter, ForeignKeyInfo
 from repro.prng.xorshift import mix64
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+#: SQLite's default SQLITE_MAX_COLUMN: no SELECT returns more columns
+_RESULT_COLUMNS = 2000
 
 
 def sample_hash_sql(seed: int) -> str:
@@ -46,6 +48,13 @@ def _ident(name: str) -> str:
     if not _IDENT_RE.match(name):
         raise AdapterError(f"invalid identifier {name!r}")
     return f"[{name}]"
+
+
+def _chunks(columns: Sequence[str], width: int) -> Iterable[Sequence[str]]:
+    """*columns* in runs of at most *width*, so one statement per run
+    stays inside the result-column limit."""
+    for start in range(0, len(columns), width):
+        yield columns[start:start + width]
 
 
 class SQLiteAdapter(DatabaseAdapter):
@@ -101,26 +110,45 @@ class SQLiteAdapter(DatabaseAdapter):
     def row_count(self, table: str) -> int:
         return int(self.execute(f"SELECT COUNT(*) FROM {_ident(table)}")[0][0])
 
-    def min_max(self, table: str, column: str) -> tuple[object, object]:
-        row = self.execute(
-            f"SELECT MIN({_ident(column)}), MAX({_ident(column)}) FROM {_ident(table)}"
-        )[0]
-        return row[0], row[1]
+    def null_fractions(self, table: str, columns: Sequence[str]) -> list[float]:
+        fractions: list[float] = []
+        for chunk in _chunks(columns, _RESULT_COLUMNS - 1):
+            counts = ", ".join(f"COUNT({_ident(column)})" for column in chunk)
+            total, *present = self.execute(
+                f"SELECT COUNT(*), {counts} FROM {_ident(table)}"
+            )[0]
+            fractions.extend((total - n) / total if total else 0.0 for n in present)
+        return fractions
 
-    def null_fraction(self, table: str, column: str) -> float:
-        total, nulls = self.execute(
-            f"SELECT COUNT(*), SUM({_ident(column)} IS NULL) FROM {_ident(table)}"
-        )[0]
-        if not total:
-            return 0.0
-        return (nulls or 0) / total
+    def bounds(
+        self, table: str, columns: Sequence[str]
+    ) -> list[tuple[object, object]]:
+        pairs: list[tuple[object, object]] = []
+        for chunk in _chunks(columns, _RESULT_COLUMNS // 2):
+            select = ", ".join(
+                f"MIN({_ident(column)}), MAX({_ident(column)})" for column in chunk
+            )
+            row = self.execute(f"SELECT {select} FROM {_ident(table)}")[0]
+            pairs.extend(zip(row[::2], row[1::2]))
+        return pairs
 
-    def distinct_count(self, table: str, column: str) -> int:
-        return int(
-            self.execute(
-                f"SELECT COUNT(DISTINCT {_ident(column)}) FROM {_ident(table)}"
-            )[0][0]
-        )
+    def distinct_counts(
+        self, table: str, columns: Sequence[str], limit: int
+    ) -> list[int]:
+        if limit < 0:
+            raise AdapterError(f"distinct-count limit {limit} is negative")
+        tbl = _ident(table)
+        counts = []
+        for column in columns:
+            col = _ident(column)
+            # DISTINCT under a LIMIT stops reading at the limit + 1st new
+            # value; COUNT(DISTINCT) would read the whole column
+            sql = (
+                f"SELECT COUNT(*) FROM (SELECT DISTINCT {col} FROM {tbl} "
+                f"WHERE {col} IS NOT NULL LIMIT {int(limit) + 1})"
+            )
+            counts.append(int(self.execute(sql)[0][0]))
+        return counts
 
     def histogram(
         self, table: str, column: str, buckets: int = 10

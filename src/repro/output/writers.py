@@ -19,6 +19,7 @@ import math
 from json.encoder import encode_basestring
 
 from repro.exceptions import OutputError
+from repro.model.sqlnames import sql_name
 from repro.output.columnar import (
     _CsvTexts,
     _format_block,
@@ -227,8 +228,14 @@ class SqlWriter(RowWriter):
     def _texts(self) -> _SqlTexts:
         return _SqlTexts(self.formatter)
 
+    @functools.cached_property
+    def _lead(self) -> str:
+        """``INSERT INTO table (columns) VALUES (``, names as SQL."""
+        columns = ", ".join(map(sql_name, self.columns))
+        return f"INSERT INTO {sql_name(self.table)} ({columns}) VALUES ("
+
     def write_block(self, block, first: bool = False) -> str:
-        lead = f"INSERT INTO {self.table} ({', '.join(self.columns)}) VALUES ("
+        lead = self._lead
         columns = list(map(self._texts.column, block.columns))
         separators = [", "] * (len(columns) - 1)
         return _format_block(block.count, columns, lead, separators, ");\n")
@@ -252,7 +259,4 @@ class SqlWriter(RowWriter):
             else:
                 text = self.formatter.format(value).replace("'", "''")
                 rendered.append(f"'{text}'")
-        columns = ", ".join(self.columns)
-        return (
-            f"INSERT INTO {self.table} ({columns}) VALUES ({', '.join(rendered)});\n"
-        )
+        return f"{self._lead}{', '.join(rendered)});\n"

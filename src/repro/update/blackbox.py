@@ -28,6 +28,7 @@ from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
 from repro.generators.base import ArtifactStore
 from repro.model.schema import Schema
+from repro.model.sqlnames import sql_name
 from repro.output.rows import ValueFormatter
 from repro.prng.xorshift import XorShift64Star, combine64, hash_string64
 
@@ -200,16 +201,17 @@ class UpdateBlackBox:
         key), which holds for DBSynth-built models.
         """
         counts = {_KIND_INSERT: 0, _KIND_UPDATE: 0, _KIND_DELETE: 0}
+        name, key = sql_name(table), sql_name(key_column)
         for event in self.epoch_events(table, epoch):
             if event.kind == _KIND_DELETE:
                 affected = adapter.execute_dml(
-                    f"DELETE FROM {table} WHERE {key_column} = ?", (event.row + 1,)
+                    f"DELETE FROM {name} WHERE {key} = ?", (event.row + 1,)
                 )
             elif event.kind == _KIND_UPDATE:
                 assert event.columns is not None and event.values is not None
-                assignments = ", ".join(f"{c} = ?" for c in event.columns)
+                assignments = ", ".join(f"{sql_name(c)} = ?" for c in event.columns)
                 affected = adapter.execute_dml(
-                    f"UPDATE {table} SET {assignments} WHERE {key_column} = ?",
+                    f"UPDATE {name} SET {assignments} WHERE {key} = ?",
                     (*_to_db(event.values), event.row + 1),
                 )
             else:

@@ -1,5 +1,9 @@
 """The public API surface.
 
+19.0 profiles a source per table: ``DatabaseAdapter.null_fraction``,
+``min_max`` and ``distinct_count`` (one column each) are
+``null_fractions``, ``bounds`` and ``distinct_counts`` (a table and its
+columns; the distinct count stops one past a limit).
 18.0 drops ``auto_spec``'s unused ``artifacts`` argument.
 17.0 reads the model once for query workloads: a ``ParameterSpec`` is
 ``(name, table, column)`` and names a cell the engine generates, so its
@@ -137,8 +141,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_18(self):
-        assert repro.__version__.startswith("18.")
+    def test_version_is_19(self):
+        assert repro.__version__.startswith("19.")
 
     def test_dataset_promoted(self):
         for name in (

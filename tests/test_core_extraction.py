@@ -77,14 +77,14 @@ class TestDataProfiler:
     def test_null_fractions(self, profiled, imdb_adapter):
         _, profile = profiled
         plot = profile.get("movies", "plot")
-        expected = imdb_adapter.null_fraction("movies", "plot")
+        [expected] = imdb_adapter.null_fractions("movies", ["plot"])
         assert plot.null_fraction == expected
         assert profile.get("movies", "movie_id").null_fraction == 0.0
 
     def test_min_max(self, profiled, imdb_adapter):
         _, profile = profiled
         year = profile.get("movies", "production_year")
-        lo, hi = imdb_adapter.min_max("movies", "production_year")
+        [(lo, hi)] = imdb_adapter.bounds("movies", ["production_year"])
         assert (year.min_value, year.max_value) == (lo, hi)
 
     def test_distinct_counts(self, profiled):

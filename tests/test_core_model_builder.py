@@ -58,7 +58,7 @@ class TestGeneratorChoice:
 
     def test_numeric_bounds_from_profile(self, built, imdb_adapter):
         schema = built.schema
-        lo, hi = imdb_adapter.min_max("movies", "votes")
+        [(lo, hi)] = imdb_adapter.bounds("movies", ["votes"])
         assert schema.properties.get_float("movies_votes_min") == lo
         assert schema.properties.get_float("movies_votes_max") == hi
 
@@ -67,7 +67,7 @@ class TestGeneratorChoice:
             "birth_year"
         ).generator
         assert spec.name == "NullGenerator"
-        expected = imdb_adapter.null_fraction("people", "birth_year")
+        [expected] = imdb_adapter.null_fractions("people", ["birth_year"])
         assert float(spec.params["probability"]) == pytest.approx(expected, abs=1e-4)
 
     def test_table_sizes_scale_with_sf(self, built):

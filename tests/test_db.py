@@ -85,23 +85,33 @@ class TestStatistics:
         assert adapter.row_count("emp") == 4
 
     def test_min_max(self, adapter):
-        assert adapter.min_max("emp", "salary") == (90.25, 120.75)
+        assert adapter.bounds("emp", ["salary"]) == [(90.25, 120.75)]
 
     def test_min_max_all_null(self, adapter):
         adapter.execute_script("CREATE TABLE n (x INTEGER); INSERT INTO n VALUES (NULL);")
-        assert adapter.min_max("n", "x") == (None, None)
+        assert adapter.bounds("n", ["x"]) == [(None, None)]
 
     def test_null_fraction(self, adapter):
-        assert adapter.null_fraction("emp", "salary") == 0.25
-        assert adapter.null_fraction("emp", "note") == 0.5
-        assert adapter.null_fraction("emp", "name") == 0.0
+        assert adapter.null_fractions("emp", ["salary", "note", "name"]) == [
+            0.25, 0.5, 0.0
+        ]
 
     def test_null_fraction_empty_table(self, adapter):
         adapter.execute_script("CREATE TABLE empty (x INTEGER);")
-        assert adapter.null_fraction("empty", "x") == 0.0
+        assert adapter.null_fractions("empty", ["x"]) == [0.0]
 
     def test_distinct_count(self, adapter):
-        assert adapter.distinct_count("emp", "dept_id") == 2
+        assert adapter.distinct_counts("emp", ["dept_id"], limit=1000) == [2]
+
+    def test_per_column_statistics_are_gone(self):
+        for name in ("null_fraction", "min_max", "distinct_count"):
+            assert not hasattr(SQLiteAdapter, name)
+
+    def test_distinct_count_stops_past_the_limit(self, adapter):
+        assert adapter.distinct_counts("emp", ["name", "dept_id"], limit=2) == [3, 2]
+        assert adapter.distinct_counts("emp", ["name"], limit=0) == [1]
+        with pytest.raises(AdapterError, match="negative"):
+            adapter.distinct_counts("emp", ["name"], limit=-1)
 
     def test_histogram(self, adapter):
         histogram = adapter.histogram("emp", "dept_id")

@@ -263,7 +263,7 @@ class TestImdbBuilder:
         assert orphans == 0
 
     def test_has_nulls_to_profile(self, imdb_adapter):
-        assert imdb_adapter.null_fraction("movies", "plot") > 0
+        assert imdb_adapter.null_fractions("movies", ["plot"])[0] > 0
 
     def test_has_free_text(self, imdb_adapter):
         plots = imdb_adapter.sample_column("movies", "plot", limit=10)

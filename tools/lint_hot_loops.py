@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output/extraction paths: hot loops, swallowed errors.
 
-Thirteen checks, one AST walk:
+Fourteen checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -149,6 +149,16 @@ own defaults, that misses what ``bind`` knows (``places``, ``zipf``,
 NULL wrappers) and so draws parameters no row holds. No
 waiver.
 
+**Capped-distinct check.** The model builder reads a distinct count
+only as "one value" and "at most the dictionary limit", so profiling
+counts distinct values with a ``DISTINCT`` subquery under ``LIMIT`` of
+the limit + 1, which stops reading a column at the first value past it
+(:meth:`~repro.db.sqlite_adapter.SQLiteAdapter.distinct_counts`). A
+``COUNT(DISTINCT`` in a string under :mod:`repro.db` or in
+:mod:`repro.core.profiling` reads every column whole again — the
+dearest of the three profiling phases before the cap — while the model
+and its bytes stay the same, so no test notices. No waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/db/`` and ``src/repro/core/model_builder.py`` (the
 extraction path: an adapter or model-builder handler that eats every
@@ -157,6 +167,8 @@ span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
 (query-path check only) ``src/repro/core/queries.py``,
 (one-reader check only) ``src/repro/core/queries.py`` and
 ``src/repro/workload/``,
+(capped-distinct check only) ``src/repro/db/`` and
+``src/repro/core/profiling.py``,
 (one-cutter, one-template, one-draw, one-lookup, one-runtime and
 one-driver checks only) every module under ``src/repro/``.
 
@@ -166,6 +178,7 @@ Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -185,6 +198,10 @@ BANNED_QUERY_CALLS = ("iter_rows", "generate_row", "compute_value")
 #: must not read
 READER_PATHS = (QUERY_FILE, "src/repro/workload")
 SPEC_PARAMS = "params"
+#: the extraction modules whose distinct counts stop at the dictionary
+#: limit, and the count that reads a whole column
+DISTINCT_PATHS = ("src/repro/db", "src/repro/core/profiling.py")
+UNCAPPED_DISTINCT = re.compile(r"COUNT\s*\(\s*DISTINCT\b", re.IGNORECASE)
 WAIVER = "hot-loop-ok"
 FAULT_WAIVER = "fault-ok"
 BROAD_EXCEPTIONS = ("Exception", "BaseException")
@@ -451,6 +468,20 @@ def second_readers(path: Path) -> list[str]:
     ]
 
 
+def uncapped_distincts(path: Path) -> list[str]:
+    """Strings (f-string parts too) in *path* that hold a
+    ``COUNT(DISTINCT``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.relative_to(REPO)}:{node.lineno}: COUNT(DISTINCT ...) reads the "
+        "whole column; count a DISTINCT subquery under LIMIT (the dictionary "
+        "limit + 1), as SQLiteAdapter.distinct_counts does"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and UNCAPPED_DISTINCT.search(node.value)
+    ]
+
+
 def check_file(
     path: Path, span_hot: bool = False, columnar_hot: bool = False,
     benchmark: bool = False, banned: tuple[str, ...] | None = None,
@@ -538,6 +569,11 @@ def main() -> int:
         for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
             checked.add(path)
             violations.extend(second_readers(path))
+    for rel in DISTINCT_PATHS:
+        root = REPO / rel
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
+            checked.add(path)
+            violations.extend(uncapped_distincts(path))
     scope = sorted((REPO / CUTTER_SCOPE).rglob("*.py"))
     for path in scope:
         if path != REPO / CUTTER_FILE:
