@@ -22,6 +22,7 @@ whole model rescales from a single scale-factor override.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.core.extraction import ExtractedColumn, ExtractedSchema, ExtractedTable
@@ -40,6 +41,12 @@ from repro.text.tokenizer import classify_values, words
 
 #: a profiled NULL fraction above this gets a NULL wrapper
 _NULL_THRESHOLD = 1e-9
+
+
+def _property_name(*parts: str) -> str:
+    """The model property named by *parts* joined with ``_``; a character
+    a ``${name}`` reference cannot hold becomes ``_<hex code>_``."""
+    return re.sub(r"[^A-Za-z0-9_]", lambda m: f"_{ord(m.group()):x}_", "_".join(parts))
 
 
 @dataclass
@@ -111,7 +118,7 @@ class ModelBuilder:
         with span("model.build", tables=len(extracted.tables)) as build_span:
             for table in extracted.tables:
                 rows = table.row_count if table.row_count is not None else 1000
-                size_property = f"{table.name}_size"
+                size_property = _property_name(table.name, "size")
                 schema.properties.define(size_property, f"{rows} * ${{SF}}")
                 model_table = Table(table.name, f"${{{size_property}}}")
                 with span("model.table", table=table.name, columns=len(table.columns)):
@@ -338,8 +345,8 @@ class ModelBuilder:
         min_value = stats.min_value if stats and stats.min_value is not None else default_min
         max_value = stats.max_value if stats and stats.max_value is not None else default_max
         properties = result.schema.properties
-        min_prop = f"{table.name}_{column.name}_min"
-        max_prop = f"{table.name}_{column.name}_max"
+        min_prop = _property_name(table.name, column.name, "min")
+        max_prop = _property_name(table.name, column.name, "max")
         properties.define(min_prop, str(min_value))
         properties.define(max_prop, str(max_value))
         return {"min": f"${{{min_prop}}}", "max": f"${{{max_prop}}}"}

@@ -42,6 +42,7 @@ from repro.exceptions import GenerationError, ModelError
 from repro.generators.base import ArtifactStore
 from repro.model.datatypes import TypeFamily
 from repro.model.schema import Schema
+from repro.model.sqlnames import sql_name
 from repro.prng.xorshift import XorShift64Star, combine_name64
 
 
@@ -69,7 +70,7 @@ class Predicate:
     value2: object = None  # upper bound of BETWEEN
 
     def to_sql(self) -> str:
-        column = self.column
+        column = sql_name(self.column)
         if self.op is Op.IS_NULL:
             return f"{column} IS NULL"
         if self.op is Op.NOT_NULL:
@@ -92,7 +93,7 @@ class Aggregate:
     def to_sql(self) -> str:
         if self.func == "count" and self.column is None:
             return "COUNT(*)"
-        return f"{self.func.upper()}({self.column})"
+        return f"{self.func.upper()}({sql_name(self.column)})"
 
 
 @dataclass
@@ -106,7 +107,7 @@ class Query:
 
     def to_sql(self) -> str:
         select = ", ".join(a.to_sql() for a in self.aggregates)
-        sql = f"SELECT {select} FROM {self.table}"
+        sql = f"SELECT {select} FROM {sql_name(self.table)}"
         if self.predicates:
             sql += " WHERE " + " AND ".join(p.to_sql() for p in self.predicates)
         return sql

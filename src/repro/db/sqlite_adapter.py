@@ -10,7 +10,6 @@ unmodified.
 from __future__ import annotations
 
 import itertools
-import re
 import sqlite3
 from typing import Iterable, Sequence
 
@@ -18,7 +17,6 @@ from repro.exceptions import AdapterError
 from repro.db.adapter import ColumnInfo, DatabaseAdapter, ForeignKeyInfo
 from repro.prng.xorshift import mix64
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 #: SQLite's default SQLITE_MAX_COLUMN: no SELECT returns more columns
 _RESULT_COLUMNS = 2000
 
@@ -40,14 +38,13 @@ def sample_hash_sql(seed: int) -> str:
 
 
 def _ident(name: str) -> str:
-    """Validate an identifier before splicing it into SQL. Catalog names
-    come from the database itself, but validating here keeps adapter
-    helpers safe for caller-supplied names too. Brackets, not double
-    quotes: SQLite reads a double-quoted name that matches no column as
-    a string literal, so a missing column would sample its own name."""
-    if not _IDENT_RE.match(name):
-        raise AdapterError(f"invalid identifier {name!r}")
-    return f"[{name}]"
+    """*name* as a backtick-quoted identifier, any backtick in it doubled,
+    so any name a catalog holds — spaces, brackets, quotes — splices into
+    SQL as that one name. Backticks, not double quotes: SQLite reads a
+    double-quoted name that matches no column as a string literal, so a
+    missing column would sample its own name; a backticked one is always
+    a name ("no such column")."""
+    return "`" + name.replace("`", "``") + "`"
 
 
 def _chunks(columns: Sequence[str], width: int) -> Iterable[Sequence[str]]:

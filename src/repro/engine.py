@@ -10,9 +10,12 @@ schedulers for parallel runs.
 
 from __future__ import annotations
 
+import copy
 import importlib
 import threading
 from typing import Iterable
+
+import numpy as np
 
 from repro import columnar
 from repro.exceptions import GenerationError, ModelError
@@ -41,10 +44,11 @@ DEFAULT_GENERATION_BLOCK = 1024
 class BoundTable:
     """A table with its generators instantiated and seeders resolved.
 
-    ``generate_columns`` is the inner loop of every worker: per row
-    block, one vectorized seed derivation and one ``generate_block``
-    call per column. ``generate_row`` is the scalar oracle (built on
-    ``Generator.generate``) the block output must stay byte-identical to.
+    ``gather`` is the inner loop of every worker: per block of rows
+    (``generate_columns`` gathers a range), one vectorized seed
+    derivation and one ``generate_block`` call per column.
+    ``generate_row`` is the scalar oracle (built on ``Generator.generate``)
+    the block output must stay byte-identical to.
     """
 
     __slots__ = (
@@ -96,18 +100,18 @@ class BoundTable:
             ctx.row_values = None
         return values
 
-    def generate_columns(
-        self, start: int, stop: int, ctx: GenerationContext,
-        fields: Iterable[str] | None = None,
+    def gather(
+        self, rows, ctx: GenerationContext, fields: Iterable[str] | None = None,
     ) -> columnar.ColumnBlock:
-        """Rows ``[start, stop)`` as a column block.
+        """The cells at *rows* — int64 row numbers, in any order, repeats
+        allowed — as a column block, cell ``i`` being row ``rows[i]``.
 
-        Column-major: the row block is hashed once (one vector ``mix64``
+        Column-major: the rows are hashed once (one vector ``mix64``
         shared by every column), then each generator produces its whole
         column via :meth:`Generator.generate_block`. Output is
         byte-identical to calling :meth:`generate_row` per row: every
         cell sees exactly the same reseeded PRNG stream, and sibling
-        lookups read completed columns (canonical ``column[offset]``
+        lookups read completed columns (canonical ``column[position]``
         values) instead of recomputing, just like ``generate_row`` reads
         the current row's earlier values.
 
@@ -118,17 +122,17 @@ class BoundTable:
         the full block — a sibling read the walk does not know about
         finds an empty placeholder and is recomputed, just slower.
         """
+        rows = np.asarray(rows, dtype=np.int64)
         wanted = None if fields is None else self._closure(fields)
-        count = stop - start
-        if count <= 0:
+        count = len(rows)
+        if not count:
             return columnar.ColumnBlock(
                 list(self.column_names),
                 [columnar.ObjectColumn([]) for _ in self.column_names],
                 0,
             )
-        row_hashes = blocks.row_hash_block(start, count)
+        row_hashes = blocks.row_hash_block(rows)
         columns: list[columnar.Column] = []
-        ctx.batch_start = start
         ctx.batch_columns = columns
         try:
             for index, (seeder, generator) in enumerate(
@@ -138,7 +142,7 @@ class BoundTable:
                     columns.append(columnar.ObjectColumn([]))
                     continue
                 ctx.seed_block = seeder.seed_block_from_hashes(row_hashes)
-                column = generator.generate_block(ctx, start, count)
+                column = generator.generate_block(ctx, rows)
                 if len(column) != count:
                     raise GenerationError(
                         f"{generator.describe()} returned "
@@ -149,6 +153,23 @@ class BoundTable:
             ctx.batch_columns = None
             ctx.seed_block = None
         return columnar.ColumnBlock(list(self.column_names), columns, count)
+
+    def generate_columns(
+        self, start: int, stop: int, ctx: GenerationContext,
+        fields: Iterable[str] | None = None,
+    ) -> columnar.ColumnBlock:
+        """Rows ``[start, stop)`` as a column block: :meth:`gather` over
+        their range."""
+        return self.gather(np.arange(start, stop, dtype=np.int64), ctx, fields)
+
+    def at_update(self, hierarchy: SeedHierarchy, update: int) -> "BoundTable":
+        """This table's bound generators, every column seeded at *update*."""
+        bound = copy.copy(self)
+        bound._seeders = [
+            ColumnSeeder(hierarchy, self.table.name, name, update) for name in self.column_names
+        ]
+        bound.writers = {}
+        return bound
 
     def _closure(self, fields: Iterable[str]) -> set[int]:
         """Positions of *fields* and of every sibling they read."""
@@ -255,6 +276,18 @@ class GenerationEngine:
         model = (self.schema, self.artifacts, self.update)
         return _rebuild_engine, (sorted(plugins), *model)
 
+    def at_update(self, update: int) -> "GenerationEngine":
+        """This model at another update (abstract time unit) without a
+        second bind: binding does not depend on the update, so the bound
+        generators are shared and only each column's seeder changes."""
+        engine = object.__new__(GenerationEngine)  # copy.copy would rebind (__reduce__)
+        engine.__dict__.update(
+            self.__dict__, update=update, _local=threading.local(), _obs_instruments=None,
+            _tables={name: bound.at_update(self.hierarchy, update)
+                     for name, bound in self._tables.items()},
+        )
+        return engine
+
     # -- contexts ----------------------------------------------------------
 
     def new_context(self, table_name: str) -> GenerationContext:
@@ -262,6 +295,7 @@ class GenerationEngine:
         ctx = GenerationContext(rng=XorShift64Star())
         ctx.compute_sibling = self._sibling_computer(table_name)
         ctx.compute_foreign = self.compute_value
+        ctx.gather_foreign = self.gather
         bound = self._tables.get(table_name)
         if bound is not None:
             ctx.field_indices = {
@@ -314,22 +348,7 @@ class GenerationEngine:
         depth to catch cyclic field dependencies.
         """
         bound = self._bound(table_name)
-        size = self.sizes[table_name]
-        if not 0 <= row < size:
-            raise GenerationError(
-                f"row {row} outside table {table_name!r} (size {size})"
-            )
-        state = self._scratch()
-        if state.depth >= _MAX_DEPENDENCY_DEPTH:
-            raise GenerationError(
-                f"dependency depth exceeded computing {table_name}.{field_name}; "
-                "cyclic field dependency?"
-            )
-        instruments = self._recompute_instruments()
-        if instruments is not None:
-            recomputes, depth_gauge = instruments
-            recomputes.inc(table=table_name)
-            depth_gauge.set_max(state.depth + 1)
+        state = self._descend(table_name, field_name, (row,), 1)
         ctx = state.acquire(self, table_name)
         state.depth += 1
         try:
@@ -337,6 +356,51 @@ class GenerationEngine:
         finally:
             state.depth -= 1
             state.release(ctx)
+
+    def gather(
+        self, table_name: str, rows, fields: Iterable[str] | None = None
+    ) -> columnar.ColumnBlock:
+        """:meth:`compute_value` for many cells at once: *fields* (default
+        all) of *table_name* at every row of *rows*, as one projected
+        :meth:`BoundTable.gather` block. It checks the rows and the
+        dependency depth as ``compute_value`` does, and shares its
+        depth, so a cycle through either primitive is caught."""
+        bound = self._bound(table_name)
+        rows = np.asarray(rows, dtype=np.int64)
+        extremes = (rows.min(), rows.max()) if len(rows) else ()
+        what = "*" if fields is None else "/".join(fields)
+        state = self._descend(table_name, what, extremes, len(rows))
+        state.depth += 1
+        try:
+            return bound.gather(rows, self.new_context(table_name), fields)
+        finally:
+            state.depth -= 1
+
+    def _descend(
+        self, table_name: str, what: str, extremes, cells: int
+    ) -> "_ScratchState":
+        """The checks both recompute primitives make before going one
+        dependency deeper — the *extremes* of their rows inside the
+        table, the depth below the guard — and the count of *cells*
+        recomputed."""
+        size = self.sizes[table_name]
+        for row in extremes:
+            if not 0 <= row < size:
+                raise GenerationError(
+                    f"row {row} outside table {table_name!r} (size {size})"
+                )
+        state = self._scratch()
+        if state.depth >= _MAX_DEPENDENCY_DEPTH:
+            raise GenerationError(
+                f"dependency depth exceeded computing {table_name}.{what}; "
+                "cyclic field dependency?"
+            )
+        instruments = self._recompute_instruments()
+        if instruments is not None:
+            recomputes, depth_gauge = instruments
+            recomputes.inc(cells, table=table_name)
+            depth_gauge.set_max(state.depth + 1)
+        return state
 
     # -- iteration -----------------------------------------------------------
 

@@ -186,19 +186,20 @@ class GenerationContext:
     update: int = 0
     compute_sibling: Callable[[str, int], object] | None = None
     compute_foreign: Callable[[str, str, int], object] | None = None
+    gather_foreign: Callable[[str, np.ndarray, tuple], "columnar.ColumnBlock"] | None = None
     # Filled by BoundTable.generate_row: the current row's already
     # generated values and the field-name → index map. Sibling lookups
     # hit this cache instead of recomputing when the sibling was
     # generated earlier in the same row (field order in the model).
     row_values: list | None = None
     field_indices: dict[str, int] | None = None
-    # Filled by BoundTable.generate_columns: the per-row cell seeds of
-    # the column being generated, the block's first row, and the
-    # completed columns of the current block (the column-major analogue
-    # of ``row_values`` for sibling lookups).
+    # Filled by BoundTable.gather: the per-row cell seeds of the column
+    # being generated and the completed columns of the current block
+    # (the column-major analogue of ``row_values`` for sibling lookups,
+    # read at the cell's ``position`` in the block).
     seed_block: "SeedBlock | None" = None
-    batch_start: int = 0
     batch_columns: list | None = None
+    position: int = 0
 
     def sibling(self, field_name: str) -> object:
         indices = self.field_indices
@@ -212,10 +213,9 @@ class GenerationContext:
                 # already complete for the whole block.
                 columns = self.batch_columns
                 if columns is not None and index < len(columns):
-                    offset = self.row - self.batch_start
                     column = columns[index]
-                    if 0 <= offset < len(column):
-                        return column[offset]
+                    if self.position < len(column):
+                        return column[self.position]
         if self.compute_sibling is None:
             raise GenerationError(
                 f"sibling value {field_name!r} requested outside an engine run"
@@ -228,6 +228,16 @@ class GenerationContext:
                 f"foreign value {table}.{field_name} requested outside an engine run"
             )
         return self.compute_foreign(table, field_name, row)
+
+    def gather(self, table: str, field_name: str, rows: np.ndarray) -> "columnar.Column":
+        """The block form of :meth:`foreign`: *field_name* of *table* at
+        every row of *rows*, as one column."""
+        if self.gather_foreign is None:
+            raise GenerationError(
+                f"foreign block {table}.{field_name} requested outside an engine run"
+            )
+        block = self.gather_foreign(table, rows, (field_name,))
+        return block.columns[block.names.index(field_name)]
 
 
 class Generator(abc.ABC):
@@ -253,27 +263,30 @@ class Generator(abc.ABC):
     def generate(self, ctx: GenerationContext) -> object:
         """Produce the value for the current row."""
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
-        """The column for rows ``[start, start + count)``.
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
+        """The column of the cells at *rows*.
 
-        ``ctx.seed_block`` holds each row's PRNG stream, as ``ctx.rng``
-        holds one row's: the result is a :class:`repro.columnar.Column`
-        of exactly *count* values whose ``to_pylist()`` equals calling
-        :meth:`generate` once per row on those streams, and the block
-        is left with each row's state where ``generate`` leaves
-        ``ctx.rng``. The engine relies on the first to keep every output
-        format byte-identical to the scalar oracle; a meta generator
-        relies on the second to run its children's kernels in turn.
+        *rows* is an int64 array of row numbers, in any order and with
+        repeats allowed; the block has ``len(rows)`` cells, cell ``i``
+        being row ``rows[i]``. ``ctx.seed_block`` holds each cell's PRNG
+        stream, as ``ctx.rng`` holds one row's: the result is a
+        :class:`repro.columnar.Column` of exactly ``len(rows)`` values
+        whose ``to_pylist()`` equals calling :meth:`generate` once per
+        cell on those streams, and the block is left with each cell's
+        state where ``generate`` leaves ``ctx.rng``. The engine relies on
+        the first to keep every output format byte-identical to the
+        scalar oracle; a meta generator relies on the second to run its
+        children's kernels in turn.
 
-        The default *is* that per-row loop, wrapped in an
+        The default *is* that per-cell loop, wrapped in an
         :class:`~repro.columnar.ObjectColumn`, so every generator is
         block-correct for free. High-volume generators override it with
         vectorized kernels that draw through the block (see
-        :class:`repro.prng.blocks.SeedBlock`) and return typed columns
-        the output layer formats at array level. Overrides may consult
-        ``ctx.batch_columns`` for completed sibling columns.
+        :class:`repro.prng.blocks.SeedBlock`), read a row number from
+        *rows* (never from a first row plus an offset) and return typed
+        columns the output layer formats at array level. Overrides may
+        consult ``ctx.batch_columns`` for completed sibling columns,
+        indexed by the cell's position in the block.
         """
         seeds = ctx.seed_block
         if seeds is None:
@@ -283,8 +296,8 @@ class Generator(abc.ABC):
         rng = ctx.rng
         generate = self.generate
         values, ends = [], []
-        for offset, state in enumerate(seeds.ints):
-            ctx.row = start + offset
+        for position, (row, state) in enumerate(zip(rows.tolist(), seeds.ints)):
+            ctx.row, ctx.position = row, position
             rng.reseed_mixed(state)
             values.append(generate(ctx))
             ends.append(rng.state)

@@ -53,46 +53,46 @@ class ChoiceGenerator(Generator):
         choice needs from ``ctx.rng``."""
 
     @abc.abstractmethod
-    def choose_block(self, ctx: GenerationContext, start: int, count: int):
-        """:meth:`choose` for every row of the block, as an integer array,
-        drawing through ``ctx.seed_block``."""
+    def choose_block(self, ctx: GenerationContext, rows: np.ndarray):
+        """:meth:`choose` for every cell of the block of *rows*, as an
+        integer array, drawing through ``ctx.seed_block``."""
 
     def generate(self, ctx: GenerationContext) -> object:
         index = self.choose(ctx)
         return None if index < 0 else self._children[index].generate(ctx)
 
-    def generate_block(self, ctx: GenerationContext, start: int, count: int) -> columnar.Column:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         seeds = ctx.seed_block
         if seeds is None or self._loop:
-            return super().generate_block(ctx, start, count)  # raises without seeds
+            return super().generate_block(ctx, rows)  # raises without seeds
         origin = seeds.array
-        choice = self.choose_block(ctx, start, count)
+        choice = self.choose_block(ctx, rows)
         post = seeds.array
-        rows = np.bincount(choice + 1, minlength=len(self._children) + 1)  # NULL, child 0, ...
+        chosen = np.bincount(choice + 1, minlength=len(self._children) + 1)  # NULL, child 0, ...
         columns, ends = {}, {}
         try:
-            for index in np.flatnonzero(rows[1:]).tolist():
+            for index in np.flatnonzero(chosen[1:]).tolist():
                 seeds.array = post
-                columns[index] = self._children[index].generate_block(ctx, start, count)
+                columns[index] = self._children[index].generate_block(ctx, rows)
                 ends[index] = seeds.array
         except Exception:
             # Exact or fall back: a child may fail on rows the scalar path
             # never gives it; the per-row loop runs each row's own child.
             seeds.array = origin
-            return super().generate_block(ctx, start, count)
+            return super().generate_block(ctx, rows)
         if not columns:
-            return columnar.ObjectColumn([None] * count)  # every row NULL
-        if rows[0] or len(columns) > 1:  # else the one child left them as they are
+            return columnar.ObjectColumn([None] * len(rows))  # every row NULL
+        if chosen[0] or len(columns) > 1:  # else the one child left them as they are
             seeds.array = post.copy()  # a NULL row's stream stops after the choice
             for index, end in ends.items():
                 np.copyto(seeds.array, end, where=choice == index)
         if len(self._children) == 1:  # the child's column kind at every block
             column = columns[0]
-            if rows[0]:
+            if chosen[0]:
                 column.add_nulls(choice < 0)
             return column
         values = {index: column.to_pylist() for index, column in columns.items()}
-        values[-1] = [None] * count
+        values[-1] = [None] * len(rows)
         return columnar.ObjectColumn([values[i][offset] for offset, i in enumerate(choice.tolist())])
 
 
@@ -116,7 +116,7 @@ class ProbabilityGenerator(ChoiceGenerator):
     def choose(self, ctx: GenerationContext) -> int:
         return self._chooser.sample_index(ctx.rng)
 
-    def choose_block(self, ctx: GenerationContext, start: int, count: int):
+    def choose_block(self, ctx: GenerationContext, rows: np.ndarray):
         return self._chooser.index_block(ctx.seed_block)
 
 
@@ -153,9 +153,9 @@ class SwitchGenerator(ChoiceGenerator):
     def choose(self, ctx: GenerationContext) -> int:
         return self._cases.get(str(ctx.sibling(self._field)), self._default)
 
-    def choose_block(self, ctx: GenerationContext, start: int, count: int):
+    def choose_block(self, ctx: GenerationContext, rows: np.ndarray):
         choices = []
-        for row in range(start, start + count):
-            ctx.row = row
+        for position, row in enumerate(rows.tolist()):
+            ctx.row, ctx.position = row, position
             choices.append(self.choose(ctx))
         return np.array(choices)

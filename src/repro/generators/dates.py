@@ -51,9 +51,7 @@ class DateGenerator(Generator):
     def generate(self, ctx: GenerationContext) -> datetime.date:
         return datetime.date.fromordinal(self._min_ordinal + ctx.rng.next_long(self._span))
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.DateColumn:
+    def generate_block(self, ctx: GenerationContext, rows) -> columnar.DateColumn:
         # Absolute ordinals (always inside int64); the generator-lifetime
         # memo makes repeated days convert once per distinct day, not
         # once per row.
@@ -100,9 +98,7 @@ class TimestampGenerator(Generator):
     def generate(self, ctx: GenerationContext) -> datetime.datetime:
         return self._min + datetime.timedelta(seconds=ctx.rng.next_long(self._span))
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.ObjectColumn:
+    def generate_block(self, ctx: GenerationContext, rows) -> columnar.ObjectColumn:
         # Offsets rarely repeat (second resolution), so no memo — the
         # win is the vectorized draw plus skipped per-row reseeds.
         minimum = self._min

@@ -90,12 +90,10 @@ class DictListGenerator(Generator):
         domain = self._domain or max(len(self._dictionary) * 10, 1000)
         return f"{value}#{ctx.rng.next_long(domain)}"
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         values = self._values
         if self._by_row:
-            indices = np.arange(start, start + count, dtype=np.int64) % len(values)
+            indices = rows % len(values)
         else:
             indices = self._dictionary.index_block(ctx.seed_block)
         if self._as_int:

@@ -68,9 +68,7 @@ class FormulaGenerator(Generator):
             return round(result, self._places)
         return result
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         """The formula evaluated once over the sibling columns.
 
         Exact or fall back: anything that keeps the array result from
@@ -80,9 +78,9 @@ class FormulaGenerator(Generator):
         result ``int()`` cannot truncate into int64 — takes the per-row
         loop, which also raises the canonical error at the failing row.
         """
-        column = self._formula_column(ctx) if count >= _KERNEL_MIN_ROWS else None
+        column = self._formula_column(ctx) if len(rows) >= _KERNEL_MIN_ROWS else None
         if column is None:
-            return super().generate_block(ctx, start, count)
+            return super().generate_block(ctx, rows)
         return column
 
     def _formula_column(self, ctx: GenerationContext) -> columnar.Column | None:

@@ -37,22 +37,20 @@ class IdGenerator(Generator):
     def generate(self, ctx: GenerationContext) -> int:
         return self._base + ctx.row * self._step
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
-        # Pure arithmetic progression — no PRNG.
-        step = self._step
-        first = self._base + start * step
-        last = first + (count - 1) * step
-        if (columnar.INT64_MIN <= min(first, last)
-                and max(first, last) <= columnar.INT64_MAX):
-            return columnar.IntColumn(
-                first + step * np.arange(count, dtype=np.int64)
-            )
-        # beyond int64: keep arbitrary-precision ints
-        return columnar.ObjectColumn(
-            [first + step * offset for offset in range(count)]
-        )
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
+        # Pure arithmetic over the row numbers — no PRNG.
+        return affine_column(self._base, self._step, rows)
+
+
+def affine_column(base: int, step: int, rows: np.ndarray) -> columnar.Column:
+    """``base + row * step`` for every row of *rows* (int64): int64
+    arithmetic when base, step and every value fit — the wrap is then
+    exact, as in ``columnar.int_column_from_u64`` — else Python ints."""
+    extremes = (base, step, base + int(rows.min(initial=0)) * step,
+                base + int(rows.max(initial=0)) * step)
+    if columnar.INT64_MIN <= min(extremes) and max(extremes) <= columnar.INT64_MAX:
+        return columnar.IntColumn(base + rows * step)
+    return columnar.ObjectColumn([base + row * step for row in rows.tolist()])
 
 
 @register("RowFormulaGenerator")
@@ -84,14 +82,11 @@ class RowFormulaGenerator(Generator):
         value = self._compiled({**self._base_env, "row": ctx.row})
         return int(value) if self._as_int else value
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
-        """The formula evaluated once over ``row`` as an int64 range; the
-        per-row loop wherever that is not provably the same values (see
-        :meth:`CompiledFormula.evaluate_arrays`)."""
-        if _KERNEL_MIN_ROWS <= count and start + count <= columnar.INT64_MAX:
-            rows = np.arange(start, start + count, dtype=np.int64)
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
+        """The formula evaluated once over ``row`` as the int64 array
+        *rows*; the per-row loop wherever that is not provably the same
+        values (see :meth:`CompiledFormula.evaluate_arrays`)."""
+        if _KERNEL_MIN_ROWS <= len(rows):
             values = self._compiled.evaluate_arrays({**self._base_env, "row": rows})
             if values is not None:
                 if values.dtype == np.int64:
@@ -101,4 +96,4 @@ class RowFormulaGenerator(Generator):
                 column = columnar.int_column_from_floats(values)
                 if column is not None:
                     return column
-        return super().generate_block(ctx, start, count)
+        return super().generate_block(ctx, rows)

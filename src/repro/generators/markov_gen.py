@@ -7,6 +7,8 @@ with ``min``/``max`` word bounds and a model file reference).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import (
@@ -49,18 +51,16 @@ class MarkovChainGenerator(Generator):
     def generate(self, ctx: GenerationContext) -> str:
         return clip_words(self._chain.generate(ctx.rng, self._min, self._max), self._max_chars)
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         """All rows advance through the chain in lockstep, one draw per
         row per step (:class:`~repro.text.markov.ChainTables`). Small
         blocks keep the per-row loop and never build the tables."""
         seeds = ctx.seed_block
-        if seeds is None or count < _KERNEL_MIN_ROWS:
-            return super().generate_block(ctx, start, count)  # raises without seeds
+        if seeds is None or len(rows) < _KERNEL_MIN_ROWS:
+            return super().generate_block(ctx, rows)  # raises without seeds
         tables = self._chain.block_tables()
         if not tables.plain:
-            return super().generate_block(ctx, start, count)
+            return super().generate_block(ctx, rows)
         initial = seeds.array
         tokens, counts, cut, exhausted, seeds.array = tables.sample(
             initial, self._min, self._max, self._max_chars
@@ -69,7 +69,7 @@ class MarkovChainGenerator(Generator):
         # rows no attempt could bring to ``min`` words: the scalar path
         # keeps the longest of its attempts
         for offset in exhausted:
-            ctx.row = start + offset
+            ctx.row = int(rows[offset])
             ctx.rng.reseed_mixed(int(initial[offset]))
             texts[offset] = self.generate(ctx)
             seeds.array[offset] = ctx.rng.state

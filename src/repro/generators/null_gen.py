@@ -46,5 +46,5 @@ class NullGenerator(ChoiceGenerator):
     def choose(self, ctx: GenerationContext) -> int:
         return -1 if ctx.rng.next_double() < self._probability else 0
 
-    def choose_block(self, ctx: GenerationContext, start: int, count: int):
+    def choose_block(self, ctx: GenerationContext, rows: np.ndarray):
         return np.where(ctx.seed_block.next_double() < self._probability, -1, 0)

@@ -46,9 +46,7 @@ class _BoundedNumberGenerator(Generator):
             return self._min + self._zipf.sample_index(ctx.rng)
         return self._min + ctx.rng.next_long(self._span)
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         minimum = self._min
         if self._zipf is not None:
             outs = self._zipf.index_block(ctx.seed_block).astype(np.uint64)
@@ -114,11 +112,9 @@ class DoubleGenerator(Generator):
             value = round(value, self._places)
         return value
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         if self._distribution != "uniform":
-            return super().generate_block(ctx, start, count)
+            return super().generate_block(ctx, rows)
         # Same IEEE-754 expression as ``generate`` (min + u * span),
         # evaluated elementwise — bit-identical doubles.
         values = self._min + ctx.seed_block.next_double() * (self._max - self._min)
@@ -141,7 +137,5 @@ class BooleanGenerator(Generator):
     def generate(self, ctx: GenerationContext) -> bool:
         return ctx.rng.next_double() < self._p_true
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.BoolColumn:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.BoolColumn:
         return columnar.BoolColumn(ctx.seed_block.next_double() < self._p_true)

@@ -16,6 +16,7 @@ import numpy as np
 from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
+from repro.generators.id_gen import affine_column
 from repro.generators.registry import register
 from repro.prng.distributions import Zipf
 
@@ -84,34 +85,15 @@ class DefaultReferenceGenerator(Generator):
             return base + row * step
         return ctx.foreign(self._table_name, self._field_name, row)
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
-        size = self._target_size
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         if self._zipf is not None:
-            rows = self._zipf.index_block(ctx.seed_block)
+            picks = self._zipf.index_block(ctx.seed_block).astype(np.int64)
         else:
-            rows = ctx.seed_block.next_long(size)
+            picks = ctx.seed_block.next_long(self._target_size).astype(np.int64)
         if self._id_fastpath is not None:
-            base, step = self._id_fastpath
-            extremes = (base, step, base + (size - 1) * step)
-            if (columnar.INT64_MIN <= min(extremes)
-                    and max(extremes) <= columnar.INT64_MAX):
-                # every key fits, so wrapping int64 arithmetic is exact
-                # (as in ``columnar.int_column_from_u64``)
-                return columnar.IntColumn(base + rows.astype(np.int64) * step)
-            # beyond int64: keep arbitrary-precision ints
-            return columnar.ObjectColumn(
-                [base + row * step for row in rows.tolist()]
-            )
-        # Non-id target: recompute each referenced cell via the engine
-        # callback (vectorized row picks, per-cell recomputation).
-        foreign = ctx.foreign
-        table_name = self._table_name
-        field_name = self._field_name
-        return columnar.ObjectColumn(
-            [foreign(table_name, field_name, row) for row in rows.tolist()]
-        )
+            return affine_column(*self._id_fastpath, picks)
+        # Non-id target: the referenced cells, recomputed as one block
+        return ctx.gather(self._table_name, self._field_name, picks)
 
     @property
     def target(self) -> tuple[str, str]:

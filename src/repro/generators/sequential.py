@@ -38,13 +38,13 @@ class SequentialGenerator(Generator):
             return self._template.format(*values)
         return self._separator.join("" if v is None else str(v) for v in values)
 
-    def generate_block(self, ctx: GenerationContext, start: int, count: int) -> columnar.Column:
+    def generate_block(self, ctx: GenerationContext, rows) -> columnar.Column:
         """The children's kernels in order on the advancing seed block —
         each starts where the one before left every row's stream, as in
         ``generate`` — then one join per row."""
-        if ctx.seed_block is None or count < _KERNEL_MIN_ROWS:
-            return columnar.StrColumn(super().generate_block(ctx, start, count).data)
-        columns = [child.generate_block(ctx, start, count).to_pylist() for child in self._children]
+        if ctx.seed_block is None or len(rows) < _KERNEL_MIN_ROWS:
+            return columnar.StrColumn(super().generate_block(ctx, rows).data)
+        columns = [child.generate_block(ctx, rows).to_pylist() for child in self._children]
         if self._template is not None:
             return columnar.StrColumn(list(map(self._template.format, *columns)))
         texts = [["" if v is None else str(v) for v in column] for column in columns]

@@ -36,13 +36,11 @@ class StaticValueGenerator(Generator):
     def generate(self, ctx: GenerationContext) -> object:
         return self._value
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.Column:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         value = self._value
         if type(value) is str:
-            return columnar.DictColumn(np.zeros(count, dtype=np.int64), [value])
+            return columnar.DictColumn(np.zeros(len(rows), dtype=np.int64), [value])
         column, dtype = _TYPED.get(type(value), (None, None))
         if column is None or (dtype is np.int64 and not columnar.INT64_MIN <= value <= columnar.INT64_MAX):
-            return columnar.ObjectColumn([value] * count)
-        return column(np.full(count, value, dtype=dtype))
+            return columnar.ObjectColumn([value] * len(rows))
+        return column(np.full(len(rows), value, dtype=dtype))

@@ -59,11 +59,9 @@ class RandomStringGenerator(Generator):
         alpha_len = self._alpha_len
         return "".join(alphabet[rng.next_long(alpha_len)] for _ in range(length))
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.StrColumn:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.StrColumn:
         seeds = ctx.seed_block
-        lengths = np.full(count, self._min, dtype=np.int64)
+        lengths = np.full(len(rows), self._min, dtype=np.int64)
         if self._max > self._min:
             lengths += seeds.next_long(self._max - self._min + 1).astype(np.int64)
         # One vectorized step per character position; each row reads its
@@ -76,8 +74,8 @@ class RandomStringGenerator(Generator):
                                          seeds.next_long(self._alpha_len).tolist())))
             ends = np.where(lengths == position, seeds.array, ends)
         seeds.array = ends
-        rows = zip(*char_columns) if char_columns else [()] * count
-        strings = ["".join(chars[:length]) for chars, length in zip(rows, lengths.tolist())]
+        cells = zip(*char_columns) if char_columns else [()] * len(rows)
+        strings = ["".join(chars[:length]) for chars, length in zip(cells, lengths.tolist())]
         # The alphabet is the whole emittable charset — tagging it lets
         # the CSV formatter skip quote scanning for the entire column.
         return columnar.StrColumn(strings, self._charset)
@@ -111,15 +109,15 @@ class DrawTemplateGenerator(Generator):
         next_long = ctx.rng.next_long
         return self._format % tuple(table[next_long(len(table))] for table in self._tables)
 
-    def generate_block(self, ctx: GenerationContext, start: int, count: int) -> columnar.StrColumn:
-        if ctx.seed_block is None or count < _KERNEL_MIN_ROWS:
-            strings = super().generate_block(ctx, start, count).data
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.StrColumn:
+        if ctx.seed_block is None or len(rows) < _KERNEL_MIN_ROWS:
+            strings = super().generate_block(ctx, rows).data
         else:
             # One vectorized step per table, in part order — the same draw
             # sequence ``generate`` makes for every row.
             next_long = ctx.seed_block.next_long
             picks = [map(table.__getitem__, next_long(len(table)).tolist()) for table in self._tables]
-            strings = list(map(self._format.__mod__, zip(*picks) if picks else [()] * count))
+            strings = list(map(self._format.__mod__, zip(*picks) if picks else [()] * len(rows)))
         return columnar.StrColumn(strings, self._charset)
 
 

@@ -40,12 +40,12 @@ _DOUBLE_SCALE = 1.0 / (1 << 53)
 
 
 class SeedBlock:
-    """One column's PRNG streams over a contiguous row block: ``array``
-    holds row ``r``'s live xorshift64* state, a numpy ``uint64`` array.
+    """One column's PRNG streams over a block of rows: ``array`` holds
+    cell ``i``'s live xorshift64* state, a numpy ``uint64`` array.
 
-    Built from the per-row cell seeds, it applies ``reseed_mixed``'s zero
-    → gamma once, so ``array[r]`` is the state ``ctx.rng`` holds after
-    reseeding row ``r``. The draws advance every row's state in place —
+    Built from the per-cell seeds, it applies ``reseed_mixed``'s zero
+    → gamma once, so ``array[i]`` is the state ``ctx.rng`` holds after
+    reseeding cell ``i``'s row. The draws advance every row's state in place —
     a kernel reads line for line like its ``generate`` — and a kernel
     leaves each row's state where ``generate`` leaves ``ctx.rng``.
     """
@@ -78,15 +78,17 @@ class SeedBlock:
         return self.next_u64() % _np.uint64(bound)
 
 
-def row_hash_block(start: int, count: int):
-    """``mix64(row)`` for rows ``[start, start+count)`` as a uint64 array.
+def row_hash_block(rows, count: int | None = None):
+    """``mix64(row)`` for every row of *rows*, an integer array, as a
+    uint64 array — or, given *count*, for the range ``[rows, rows+count)``.
 
-    One row block is hashed once and shared by every column's seeder
+    One block of rows is hashed once and shared by every column's seeder
     (the block equivalent of ``BoundTable.generate_row`` hashing the row
     once per row).
     """
-    rows = _np.arange(start, start + count, dtype=_np.uint64)
-    return _splitmix_output(rows + _GAMMA)
+    if count is not None:
+        rows = _np.arange(rows, rows + count, dtype=_np.uint64)
+    return _splitmix_output(_np.asarray(rows).astype(_np.uint64, copy=False) + _GAMMA)
 
 
 def seed_block_from_hashes(update_seed: int, row_hashes) -> SeedBlock:

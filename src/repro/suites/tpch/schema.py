@@ -59,11 +59,9 @@ class TpchPsSuppkeyGenerator(Generator):
     def generate(self, ctx: GenerationContext) -> int:
         return self._suppkey(ctx.row)
 
-    def generate_block(
-        self, ctx: GenerationContext, start: int, count: int
-    ) -> columnar.IntColumn:
+    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.IntColumn:
         """The same arithmetic over the block's rows; no draws."""
-        return columnar.IntColumn(self._suppkey(np.arange(start, start + count, dtype=np.int64)))
+        return columnar.IntColumn(self._suppkey(rows))
 
     def _suppkey(self, row):
         part = row // D.SUPPLIERS_PER_PART + 1

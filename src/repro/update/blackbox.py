@@ -90,14 +90,6 @@ class UpdateBlackBox:
         self.update_fraction = update_fraction
         self.delete_fraction = delete_fraction
         self._base = GenerationEngine(schema, artifacts, update=0)
-        self._epoch_engines: dict[int, GenerationEngine] = {}
-
-    def _engine_for(self, epoch: int) -> GenerationEngine:
-        engine = self._epoch_engines.get(epoch)
-        if engine is None:
-            engine = GenerationEngine(self.schema, self.artifacts, update=epoch)
-            self._epoch_engines[epoch] = engine
-        return engine
 
     def plan(self, table: str, epoch: int) -> EpochPlan:
         """Batch sizes and the insert row offset for one epoch."""
@@ -169,25 +161,27 @@ class UpdateBlackBox:
         for row in deletes:
             yield UpdateEvent(_KIND_DELETE, table, row)
 
-        epoch_engine = self._engine_for(epoch)
-        epoch_bound = epoch_engine.bound_table(table)
+        # updates: one block of the epoch engine at the chosen rows;
+        # inserts: one block of the base engine past the table's end
+        rows = self._choose_rows(
+            table, epoch, _KIND_UPDATE, plan.updates, exclude=frozenset(deletes)
+        )
         updatable = self._updatable_columns(table)
         update_columns = tuple(column_names[i] for i in updatable)
-        ctx = epoch_engine.new_context(table)
-        for row in self._choose_rows(
-            table, epoch, _KIND_UPDATE, plan.updates, exclude=frozenset(deletes)
-        ):
-            values = tuple(
-                epoch_bound.generate_value(column, row, ctx) for column in updatable
-            )
+        epoch_engine = self._base.at_update(epoch)
+        block = epoch_engine.bound_table(table).gather(
+            rows, epoch_engine.new_context(table), update_columns
+        )
+        cells = [block.columns[i].to_pylist() for i in updatable]
+        for row, values in zip(rows, zip(*cells) if cells else [()] * len(rows)):
             yield UpdateEvent(_KIND_UPDATE, table, row, values, update_columns)
 
-        insert_ctx = self._base.new_context(table)
-        for row in range(plan.insert_start, plan.insert_start + plan.inserts):
-            values = tuple(base_bound.generate_row(row, insert_ctx))
-            yield UpdateEvent(
-                _KIND_INSERT, table, row, values, tuple(column_names)
-            )
+        stop = plan.insert_start + plan.inserts
+        block = base_bound.generate_columns(
+            plan.insert_start, stop, self._base.new_context(table)
+        )
+        for row, values in zip(range(plan.insert_start, stop), block.to_rows()):
+            yield UpdateEvent(_KIND_INSERT, table, row, tuple(values), tuple(column_names))
 
     def apply_epoch(self, adapter, table: str, epoch: int, key_column: str) -> dict:
         """Apply one epoch's batch to a live database via an adapter.

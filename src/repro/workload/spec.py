@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from repro.core.queries import _NUMERIC, ParameterSpec, Query, QueryTemplate
 from repro.exceptions import WorkloadError
 from repro.model.datatypes import TypeFamily
+from repro.model.sqlnames import sql_name
 
 #: the column families :func:`auto_spec` filters with ``<=``
 _RANGED = (*_NUMERIC, TypeFamily.DATE)
@@ -163,11 +164,11 @@ def auto_spec(
         columns = [field for field in table.fields if not field.primary]
         probes = [(f, "<=") for f in columns if f.dtype.family in _RANGED]
         probes += [(f, "=") for f in columns if f.dtype.family is TypeFamily.TEXT]
-        sql = f"SELECT COUNT(*) FROM {table.name}"
+        sql = f"SELECT COUNT(*) FROM {sql_name(table.name)}"
         specs: list[ParameterSpec] = []
         if probes:
             field, op = probes[0]
-            sql += f" WHERE {field.name} {op} :p"
+            sql += f" WHERE {sql_name(field.name)} {op} :p"
             specs = [ParameterSpec("p", table.name, field.name)]
         templates.append(
             WeightedTemplate(QueryTemplate(f"scan_{table.name}", sql, specs))

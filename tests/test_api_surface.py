@@ -141,8 +141,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_19(self):
-        assert repro.__version__.startswith("19.")
+    def test_version_is_20(self):
+        assert repro.__version__.startswith("20.")
 
     def test_dataset_promoted(self):
         for name in (

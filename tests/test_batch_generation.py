@@ -345,7 +345,8 @@ class TestKitchenSinkEquivalence:
             "w_form_fn": "object", "w_form_fwd": "object", "w_double": "float",
             "w_markov": "str", "w_markov_clip": "str", "w_markov_null0": "str",
             "w_markov_null1": "str", "w_markov_null2": "object",
-            "w_ref": "int", "w_ref_zipf_id": "int", "w_ref_zipf": "object",
+            # a non-Id reference is its target's gathered column
+            "w_ref": "int", "w_ref_zipf_id": "int", "w_ref_zipf": "str",
             "w_zipf": "int",
         }
         assert {name: kinds[name] for name in expected} == expected
@@ -374,13 +375,44 @@ class TestKitchenSinkEquivalence:
         cls = type(generator)
         original_block = cls.generate_block
         try:
-            cls.generate_block = lambda self, ctx, start, count: (
+            cls.generate_block = lambda self, ctx, rows: (
                 columnar.ObjectColumn([1])
             )
             with pytest.raises(GenerationError, match="returned 1 values"):
                 sink_engine.generate_rows("supplier", 0, 4)
         finally:
             cls.generate_block = original_block
+
+
+class TestGatherDependencyGuard:
+    """The block path recomputes a non-Id reference through
+    ``GenerationEngine.gather``, which shares ``compute_value``'s checks."""
+
+    @staticmethod
+    def _engine() -> GenerationEngine:
+        schema = Schema("cyc", seed=1)
+        for name, other in (("a", "b"), ("b", "a")):
+            schema.add_table(Table(name, "40", [
+                Field.of(f"{name}_id", "BIGINT", GeneratorSpec("IdGenerator"), primary=True),
+                Field.of(f"{name}_name", "VARCHAR(10)", GeneratorSpec(
+                    "DefaultReferenceGenerator", {"table": other, "field": f"{other}_name"}
+                )),
+            ]))
+        return GenerationEngine(schema)
+
+    def test_cyclic_reference_chain_detected_on_the_block_path(self):
+        engine = self._engine()
+        with pytest.raises(GenerationError, match="depth"):
+            engine.generate_columns("a", 0, 40)
+        with pytest.raises(GenerationError, match="depth"):
+            engine.gather("b", [3, 1], ["b_name"])
+
+    def test_rows_outside_the_table_are_refused(self):
+        engine = self._engine()
+        with pytest.raises(GenerationError, match="row 40 outside table 'a'"):
+            engine.gather("a", [0, 40], ["a_id"])
+        with pytest.raises(GenerationError, match="row -1 outside table 'a'"):
+            engine.gather("a", [-1], ["a_id"])
 
 
 class TestEnginePickleMidRun:

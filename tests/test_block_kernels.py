@@ -229,7 +229,7 @@ class TestMarkovKernel:
         ctx = engine.new_context("t")
         assert ctx.seed_block is None
         with pytest.raises(GenerationError, match="needs ctx.seed_block"):
-            generator.generate_block(ctx, 0, ROWS)
+            generator.generate_block(ctx, np.arange(ROWS))
 
     def test_charset_covers_every_text(self):
         engine = GenerationEngine(*suite_model("tpch", 0.01))
@@ -767,10 +767,10 @@ def test_suites_never_reach_the_default_loop(monkeypatch):
     reached = set()
     default_loop = Generator.generate_block
 
-    def recording(self, ctx, start, count):
-        if count >= _KERNEL_MIN_ROWS:
+    def recording(self, ctx, rows):
+        if len(rows) >= _KERNEL_MIN_ROWS:
             reached.add(type(self).__name__)
-        return default_loop(self, ctx, start, count)
+        return default_loop(self, ctx, rows)
 
     monkeypatch.setattr(Generator, "generate_block", recording)
     for suite in ("tpch", "ssb", "bigbench"):

@@ -75,9 +75,16 @@ class TestCatalog:
         assert keys[0].ref_column == "id"
         db.close()
 
-    def test_invalid_identifier_rejected(self, adapter):
-        with pytest.raises(AdapterError, match="invalid identifier"):
+    def test_hostile_identifier_is_one_quoted_name(self, adapter):
+        with pytest.raises(AdapterError, match="no such table 'x; DROP TABLE emp'"):
             adapter.columns("x; DROP TABLE emp")
+        with pytest.raises(AdapterError, match="no such table"):
+            adapter.row_count("emp`; DROP TABLE emp; --")
+        assert "emp" in adapter.table_names()
+
+    def test_missing_column_is_an_error_not_a_literal(self, adapter):
+        with pytest.raises(AdapterError, match="no such column"):
+            adapter.sample_column("emp", "nope")
 
 
 class TestStatistics:

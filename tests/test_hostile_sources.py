@@ -8,8 +8,10 @@ Two things are checked on sources written directly with ``sqlite3``:
   and BLOB values, keyword names and tables wider than one statement's
   column chunk, on both sides of the distinct-count limit;
 * a source whose table and column names are SQL keywords goes through
-  ``extract``, ``generate --kind sqlite``, an update epoch and
-  ``verify``.
+  ``extract``, ``generate --kind sqlite``, an update epoch, ``verify``
+  and a replayed query workload;
+* a source whose column names are not plain identifiers extracts and
+  loads.
 """
 
 from __future__ import annotations
@@ -260,5 +262,51 @@ class TestKeywordRoundTrip:
             assert adapter.row_count("order") == (
                 self.ORDERS + plan.inserts - plan.deletes
             )
+        finally:
+            adapter.close()
+
+    def test_workload_replays_on_keyword_names(self, source, tmp_path, capsys):
+        model = str(tmp_path / "model")
+        target = str(tmp_path / "target.db")
+        assert main(["extract", source, "-o", model]) == 0
+        assert main(["generate", "--model", model, "--kind", "sqlite",
+                     "--format", "sql", "--database", target, "-q"]) == 0
+        capsys.readouterr()
+        assert main(["workload", "--model", model, "--queries", "5", "--replay",
+                     "--database", target, "--max-speedup", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "replayed 5 queries" in out and "; 0 failed" in out, out
+
+
+class TestNamesThatAreNotIdentifiers:
+    """Columns ``my col``, ``a]b`` and ``q`t``: extraction reads them
+    through backtick-quoted names, their bound properties get names a
+    ``${...}`` reference can hold, and the model loads and verifies."""
+
+    def test_extract_generate_verify(self, tmp_path):
+        source = str(tmp_path / "source.db")
+        conn = sqlite3.connect(source)
+        conn.execute(
+            'CREATE TABLE t (id INTEGER PRIMARY KEY, "my col" TEXT, "a]b" INTEGER, "q`t" REAL)'
+        )
+        conn.executemany(
+            "INSERT INTO t VALUES (?, ?, ?, ?)",
+            [(i, "xyz"[i % 3], i % 7, i * 0.5) for i in range(1, 101)],
+        )
+        conn.commit()
+        conn.close()
+        model = str(tmp_path / "model")
+        target = str(tmp_path / "target.db")
+        assert main(["extract", source, "-o", model]) == 0
+        assert main(["generate", "--model", model, "--kind", "sqlite",
+                     "--format", "sql", "--database", target, "-q"]) == 0
+        assert main(["verify", "--model", model, "--source", source,
+                     "--target", target]) == 0
+        adapter = SQLiteAdapter(target)
+        try:
+            assert [column.name for column in adapter.columns("t")] == [
+                "id", "my col", "a]b", "q`t"
+            ]
+            assert adapter.row_count("t") == 100
         finally:
             adapter.close()

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -426,11 +429,12 @@ def _block_cells(engine: GenerationEngine, start: int, stop: int):
 
     bound = engine.bound_table("t")
     ctx = engine.new_context("t")
-    hashes = blocks.row_hash_block(start, stop - start)
-    ctx.batch_start, ctx.batch_columns = start, []
+    rows = np.arange(start, stop, dtype=np.int64)
+    hashes = blocks.row_hash_block(rows)
+    ctx.batch_columns = []
     for name, generator in zip(bound.column_names, bound.generators):
         ctx.seed_block = ColumnSeeder(engine.hierarchy, "t", name).seed_block_from_hashes(hashes)
-        ctx.batch_columns.append(generator.generate_block(ctx, start, stop - start))
+        ctx.batch_columns.append(generator.generate_block(ctx, rows))
     return ctx.batch_columns[-1].to_pylist(), ctx.seed_block.array.tolist()
 
 
@@ -577,3 +581,85 @@ class TestQueryOracle:
         assert len(answer) == len(row)
         for expected, actual in zip(answer, row):
             assert same_answer(expected, actual), (query.to_sql(), answer, row)
+
+
+# -- gather oracle -----------------------------------------------------------
+
+_GATHER_WORLDS = ("tpch", "ssb", "bigbench", "sink")
+
+
+@functools.lru_cache(maxsize=None)
+def _gather_world(name: str):
+    """A world's engine and every table's full block, as value lists.
+    The kitchen sink (``sink``) holds every registered generator class."""
+    if name == "sink":
+        from tests.test_batch_generation import kitchen_sink_schema
+
+        schema, artifacts = kitchen_sink_schema()
+    else:
+        schema, artifacts = suite_model(name, 0.001)
+    engine = GenerationEngine(schema, artifacts)
+    full = {
+        table: [column.to_pylist() for column in engine.generate_columns(table).columns]
+        for table in engine.sizes
+    }
+    return engine, full
+
+
+def _assert_gather(world: str, table: str, rows: list[int], fields=None) -> None:
+    """``gather`` at *rows* (projected to *fields*) holds the same cells
+    as the full block and as ``compute_value``, types included."""
+    engine, full = _gather_world(world)
+    names = engine.bound_table(table).column_names
+    block = engine.gather(table, np.array(rows, dtype=np.int64), fields)
+    assert len(block) == len(rows) and block.names == names
+    for index, name in enumerate(names):
+        if fields is not None and name not in fields:
+            continue
+        got = [(type(v), v) for v in block.columns[index].to_pylist()]
+        cells = [full[table][index][row] for row in rows]
+        assert got == [(type(v), v) for v in cells], (table, name)
+        scalar = [engine.compute_value(table, name, row) for row in rows]
+        assert got == [(type(v), v) for v in scalar], (table, name)
+
+
+@st.composite
+def _gathers(draw):
+    """A world, a table, a row array and a projection: drawn rows in drawn
+    order (so shuffled, with repeats), reversed, every row twice, or with
+    the table's last row appended; the projection is all fields or a
+    drawn subset."""
+    world = draw(st.sampled_from(_GATHER_WORLDS))
+    engine, _full = _gather_world(world)
+    table = draw(st.sampled_from(sorted(engine.sizes)))
+    size = engine.sizes[table]
+    rows = draw(st.lists(st.integers(0, size - 1), max_size=48))
+    shape = draw(st.sampled_from(("drawn", "reversed", "twice", "last")))
+    rows = {"drawn": rows, "reversed": rows[::-1], "twice": rows + rows,
+            "last": rows + [size - 1]}[shape]
+    names = engine.bound_table(table).column_names
+    fields = draw(st.none() | st.lists(st.sampled_from(names), min_size=1, unique=True))
+    return world, table, rows, fields
+
+
+class TestGatherOracle:
+    """A block of any rows — any order, repeats, empty — is the same cells
+    of the full block and of ``compute_value``, for every column of the
+    three suites and of the kitchen sink (every registered class)."""
+
+    @pytest.mark.parametrize("world", _GATHER_WORLDS)
+    def test_every_column_at_shuffled_repeated_reversed_rows(self, world):
+        engine, _full = _gather_world(world)
+        for table, size in sorted(engine.sizes.items()):
+            shuffled = random.Random(size).sample(range(size), min(size, 24))
+            rows = shuffled + shuffled[::-1] + [size - 1]
+            _assert_gather(world, table, rows)  # >= 32 cells: the kernels
+            _assert_gather(world, table, rows[:9])  # the small-block loops
+            _assert_gather(world, table, [])
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_gathers())
+    @example(("sink", "wide", [95, 0, 95, 3, 2, 1], None))
+    @example(("sink", "wide", [], ["w_switch", "w_form_fwd"]))
+    def test_gather_equals_full_block_and_compute_value(self, drawn):
+        _assert_gather(*drawn)

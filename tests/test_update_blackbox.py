@@ -197,3 +197,22 @@ def test_event_dataclass_frozen():
     event = UpdateEvent("delete", "t", 1)
     with pytest.raises(AttributeError):
         event.row = 2  # type: ignore[misc]
+
+
+def test_engine_at_update_equals_a_freshly_bound_engine():
+    """An epoch engine shares the base engine's bound generators and
+    swaps only the seeders: every table holds the bytes of an engine
+    bound at that update from the model."""
+    from tests.test_batch_generation import kitchen_sink_schema
+
+    schema, artifacts = kitchen_sink_schema()
+    base = GenerationEngine(schema, artifacts)
+    shifted = base.at_update(3)
+    fresh = GenerationEngine(schema, artifacts, update=3)
+    assert shifted.update == 3 and base.update == 0
+    for table in schema.tables:
+        assert shifted.generate_rows(table.name) == fresh.generate_rows(table.name)
+        assert shifted.generate_rows(table.name) != base.generate_rows(table.name)
+        assert shifted.compute_value(table.name, table.fields[-1].name, 2) == (
+            fresh.compute_value(table.name, table.fields[-1].name, 2)
+        )

@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output/extraction paths: hot loops, swallowed errors.
 
-Fourteen checks, one AST walk:
+Fifteen checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -159,6 +159,17 @@ the limit + 1, which stops reading a column at the first value past it
 dearest of the three profiling phases before the cap — while the model
 and its bytes stay the same, so no test notices. No waiver.
 
+**One-gather check.** Any set of cells is one block:
+:meth:`~repro.engine.BoundTable.gather` computes the cells at any row
+array, and a reference to a non-Id column gathers its target through
+``ctx.gather``. A ``compute_value``, ``generate_value``,
+``generate_row`` or ``.foreign`` call inside a ``generate_block`` or
+``choose_block`` body under :mod:`repro.generators`, or anywhere under
+:mod:`repro.update`, recomputes one cell per call — a non-Id
+reference cost 29x its target column's own block per value that way,
+and a TPC-H ``lineitem`` update epoch 7x its two blocks — with the bytes
+unchanged, so no test notices. No waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/db/`` and ``src/repro/core/model_builder.py`` (the
 extraction path: an adapter or model-builder handler that eats every
@@ -169,6 +180,8 @@ span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
 ``src/repro/workload/``,
 (capped-distinct check only) ``src/repro/db/`` and
 ``src/repro/core/profiling.py``,
+(one-gather check only) ``src/repro/generators/`` and
+``src/repro/update/``,
 (one-cutter, one-template, one-draw, one-lookup, one-runtime and
 one-driver checks only) every module under ``src/repro/``.
 
@@ -202,6 +215,12 @@ SPEC_PARAMS = "params"
 #: limit, and the count that reads a whole column
 DISTINCT_PATHS = ("src/repro/db", "src/repro/core/profiling.py")
 UNCAPPED_DISTINCT = re.compile(r"COUNT\s*\(\s*DISTINCT\b", re.IGNORECASE)
+#: the per-cell recompute calls, banned in the block bodies of the
+#: generator modules and anywhere in the update modules
+CELL_CALLS = ("compute_value", "generate_value", "generate_row", "foreign")
+GENERATOR_DIR = "src/repro/generators"
+BLOCK_METHODS = ("generate_block", "choose_block")
+UPDATE_DIR = "src/repro/update"
 WAIVER = "hot-loop-ok"
 FAULT_WAIVER = "fault-ok"
 BROAD_EXCEPTIONS = ("Exception", "BaseException")
@@ -482,6 +501,23 @@ def uncapped_distincts(path: Path) -> list[str]:
     ]
 
 
+def per_cell_recomputes(path: Path, anywhere: bool = False) -> list[str]:
+    """Per-cell recompute calls in *path*: in a ``generate_block`` /
+    ``choose_block`` body, or *anywhere*."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    scopes = [tree] if anywhere else [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in BLOCK_METHODS
+    ]
+    return [
+        f"{path.relative_to(REPO)}:{node.lineno}: {_call_name(node)}() "
+        "recomputes one cell per call; gather the block (ctx.gather, "
+        "BoundTable.gather)"
+        for scope in scopes for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and _call_name(node) in CELL_CALLS
+    ]
+
+
 def check_file(
     path: Path, span_hot: bool = False, columnar_hot: bool = False,
     benchmark: bool = False, banned: tuple[str, ...] | None = None,
@@ -574,6 +610,10 @@ def main() -> int:
         for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
             checked.add(path)
             violations.extend(uncapped_distincts(path))
+    for rel, anywhere in ((GENERATOR_DIR, False), (UPDATE_DIR, True)):
+        for path in sorted((REPO / rel).rglob("*.py")):
+            checked.add(path)
+            violations.extend(per_cell_recomputes(path, anywhere))
     scope = sorted((REPO / CUTTER_SCOPE).rglob("*.py"))
     for path in scope:
         if path != REPO / CUTTER_FILE:

@@ -8,7 +8,9 @@ per table in ``tests/golden/manifest.json``; and it pins DBSynth's half
 of the claim — same source, same seed ⇒ same *model* — by extracting a
 model from a seeded IMDb-like source (once with the default bernoulli
 sample, once with ``--strategy systematic``) and recording one SHA-256
-per saved project file plus one per table of a slice generated from it. The
+per saved project file plus one per table of a slice generated from it;
+and it pins the update black box — one SHA-256 per suite over the events
+of two update epochs of its fact table. The
 determinism gate runs ``--check`` on every CI platform: a digest drift
 means generation or extraction became platform- or version-dependent
 (or an intentional change that must be acknowledged by re-running this
@@ -38,6 +40,11 @@ GOLDEN_PATH = REPO / "tests" / "golden" / "manifest.json"
 SUITES = (("tpch", 0.001), ("ssb", 0.001), ("bigbench", 0.001))
 
 PACKAGE_SIZE = 1000
+
+#: per suite, the table whose update epochs ``EPOCHS`` are pinned (at the
+#: suite's ``SUITES`` scale factor)
+EPOCH_TABLES = {"tpch": "lineitem", "ssb": "lineorder", "bigbench": "store_sales"}
+EPOCHS = (1, 2)
 
 #: The extraction source: big enough that the default 1% bernoulli sample
 #: of every text column stays above ``SampleConfig.min_values`` — a smaller
@@ -83,6 +90,24 @@ def suite_digests() -> dict:
     return suites
 
 
+def epoch_digests() -> dict:
+    """Per suite: the ``repr`` of every event of ``EPOCHS`` of its
+    ``EPOCH_TABLES`` table, one line each, hashed together."""
+    from repro.suites import suite_model
+    from repro.update import UpdateBlackBox
+
+    epochs = {}
+    for name, scale_factor in SUITES:
+        table = EPOCH_TABLES[name]
+        box = UpdateBlackBox(*suite_model(name, scale_factor))
+        lines = [repr(event) for epoch in EPOCHS for event in box.epoch_events(table, epoch)]
+        epochs[name] = {
+            "table": table, "epochs": list(EPOCHS), "events": len(lines),
+            "sha256": _sha256("\n".join(lines).encode("utf-8")),
+        }
+    return epochs
+
+
 def extracted_digests(strategy: str | None = None) -> dict:
     """``dbsynth extract`` (``--strategy`` *strategy*, when given) over
     the seeded IMDb-like source: the saved project, file by file, and a
@@ -126,6 +151,7 @@ def compute_digests() -> dict:
         "format": "csv",
         "package_size": PACKAGE_SIZE,
         "suites": suite_digests(),
+        "epochs": epoch_digests(),
         "extracted": {
             name: extracted_digests(strategy) for name, strategy in EXTRACTIONS.items()
         },
@@ -138,6 +164,8 @@ def pinned(manifest: dict) -> dict[str, object]:
     for suite, record in manifest["suites"].items():
         for table, entry in record["tables"].items():
             flat[f"{suite}.{table}"] = (entry["rows"], entry["sha256"])
+    for suite, record in manifest["epochs"].items():
+        flat[f"{suite}.{record['table']}@epochs"] = (record["events"], record["sha256"])
     for name, record in manifest["extracted"].items():
         for path, digest in record["files"].items():
             flat[f"{name}-extracted/{path}"] = digest
