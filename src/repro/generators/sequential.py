@@ -8,9 +8,50 @@ Figure 9 benchmarks exactly this shape ("Sequential (2 double + long)").
 
 from __future__ import annotations
 
+import re
+import string
+
 from repro import columnar
 from repro.generators.base import BindContext, GenerationContext, Generator, _KERNEL_MIN_ROWS
 from repro.generators.registry import build_children, register
+
+
+#: the characters ``str`` prints for an int
+_INT_CHARS = frozenset("0123456789-")
+#: a template field spec whose text is the value's digits, zero-padded
+_DIGIT_SPEC = re.compile(r"(0\d*)?d?")
+
+
+def _value_chars(column, template: bool) -> frozenset | None:
+    """The characters ``str`` of *column*'s values can hold (``None``:
+    unknown); in a template a NULL prints as ``None``."""
+    if column.kind == "str":
+        chars = column.charset
+    elif column.kind == "dict":
+        chars = frozenset("".join(map(str, column.entries)))
+    else:
+        chars = _INT_CHARS if column.kind == "int" else None
+    if chars is not None and template and column.nulls is not None:
+        chars |= frozenset("None")
+    return chars
+
+
+def _template_chars(template: str) -> frozenset | None:
+    """The characters a template prints besides its fields' values: its
+    literal text, and the digits and sign of a ``{0:09d}``-style field;
+    ``None`` when a field's spec or conversion could print others."""
+    chars = set()
+    for literal, field, spec, conversion in string.Formatter().parse(template):
+        chars.update(literal)
+        if field is None:
+            continue
+        if conversion is not None or not field.isdigit() and field != "":
+            return None
+        if spec:
+            if not _DIGIT_SPEC.fullmatch(spec):
+                return None
+            chars.update(_INT_CHARS)
+    return frozenset(chars)
 
 
 @register("SequentialGenerator")
@@ -29,6 +70,11 @@ class SequentialGenerator(Generator):
         self._separator = str(self.spec.params.get("separator", ""))
         template = self.spec.params.get("template")
         self._template = str(template) if template is not None else None
+        #: what the separator or template itself prints
+        self._literal_chars = (
+            frozenset(self._separator) if self._template is None
+            else _template_chars(self._template)
+        )
         for child in self._children:
             child.bind(ctx)
 
@@ -41,11 +87,19 @@ class SequentialGenerator(Generator):
     def generate_block(self, ctx: GenerationContext, rows) -> columnar.Column:
         """The children's kernels in order on the advancing seed block —
         each starts where the one before left every row's stream, as in
-        ``generate`` — then one join per row."""
+        ``generate`` — then one join per row. The column's charset is the
+        union of the children's and the separator's or template's, or
+        unknown when one of them is."""
         if ctx.seed_block is None or len(rows) < _KERNEL_MIN_ROWS:
             return columnar.StrColumn(super().generate_block(ctx, rows).data)
-        columns = [child.generate_block(ctx, rows).to_pylist() for child in self._children]
-        if self._template is not None:
-            return columnar.StrColumn(list(map(self._template.format, *columns)))
-        texts = [["" if v is None else str(v) for v in column] for column in columns]
-        return columnar.StrColumn(list(map(self._separator.join, zip(*texts))))
+        columns = [child.generate_block(ctx, rows) for child in self._children]
+        template = self._template is not None
+        charset = self._literal_chars
+        for column in columns:
+            chars = None if charset is None else _value_chars(column, template)
+            charset = None if chars is None else charset | chars
+        values = [column.to_pylist() for column in columns]
+        if template:
+            return columnar.StrColumn(list(map(self._template.format, *values)), charset)
+        texts = [["" if v is None else str(v) for v in column] for column in values]
+        return columnar.StrColumn(list(map(self._separator.join, zip(*texts))), charset)

@@ -162,8 +162,10 @@ class JsonWriter(RowWriter):
         picks = dict(zip(self.columns, block.columns))
         keys = [encode_basestring(name) + ":" for name in picks]
         lead, separators = "{" + "".join(keys[:1]), ["," + key for key in keys[1:]]
-        columns = list(map(self._texts.column, picks.values()))
-        return _format_block(block.count, columns, lead, separators, "}\n")
+        return _format_block(
+            block.count, [self._texts] * len(picks), list(picks.values()), lead,
+            separators, "}\n",
+        )
 
     def write_row(self, values: list[object]) -> str:
         obj: dict[str, object] = {}
@@ -197,11 +199,11 @@ class XmlWriter(RowWriter):
     def write_block(self, block, first: bool = False) -> str:
         # A row is its columns' elements, side by side: the texts carry
         # the tags, so every separator is empty.
-        columns = [
-            texts.column(column) for texts, column in zip(self._texts, block.columns)
-        ]
+        columns = block.columns[: len(self._texts)]
         separators = [""] * (len(columns) - 1)
-        return _format_block(block.count, columns, "  <row>", separators, "</row>\n")
+        return _format_block(
+            block.count, self._texts, columns, "  <row>", separators, "</row>\n"
+        )
 
     def write_row(self, values: list[object]) -> str:
         parts = ["  <row>"]
@@ -235,10 +237,12 @@ class SqlWriter(RowWriter):
         return f"INSERT INTO {sql_name(self.table)} ({columns}) VALUES ("
 
     def write_block(self, block, first: bool = False) -> str:
-        lead = self._lead
-        columns = list(map(self._texts.column, block.columns))
+        columns = block.columns
         separators = [", "] * (len(columns) - 1)
-        return _format_block(block.count, columns, lead, separators, ");\n")
+        return _format_block(
+            block.count, [self._texts] * len(columns), columns, self._lead,
+            separators, ");\n",
+        )
 
     def write_row(self, values: list[object]) -> str:
         rendered = []

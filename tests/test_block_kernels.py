@@ -755,6 +755,60 @@ class TestChoiceColumnKind:
         _assert_block_is_scalar(engine, cuts=self.CUTS)
 
 
+class TestSequentialCharset:
+    """A Sequential column's charset is the union of its children's and
+    its separator's or template's, so CSV proves it quote-free without a
+    scan; one unknown child makes it unknown."""
+
+    COLUMNS = {
+        "tpch": ("supplier.s_name", "customer.c_name", "part.p_name", "part.p_mfgr",
+                 "part.p_brand", "part.p_type", "part.p_container", "orders.o_clerk"),
+        "ssb": ("part.p_category", "part.p_brand1"),
+        "bigbench": ("item.i_name",),
+    }
+
+    @pytest.mark.parametrize("suite", sorted(COLUMNS))
+    def test_charset_covers_every_value(self, suite):
+        engine = GenerationEngine(*suite_model(suite, 1))
+        for name in self.COLUMNS[suite]:
+            table, field = name.split(".")
+            block = engine.generate_columns(table, 0, min(2000, engine.sizes[table]))
+            column = block.columns[block.names.index(field)]
+            assert column.kind == "str" and column.charset is not None, name
+            assert set("".join(column.data)) <= column.charset, name
+
+    @pytest.mark.parametrize("params, children, known", [
+        ({"separator": "-"}, ["id", "long", "dict"], True),
+        ({"template": "#{0:05d}/{1}"}, ["id", "dict"], True),
+        # NULL children print "None" in a template
+        ({"template": "{0}~{1}"}, ["null_dict", "long"], True),
+        ({"separator": " "}, ["id", "text"], False),  # Text: no charset
+        ({"template": "{0:>9}"}, ["id"], False),  # pads with spaces
+        ({"template": "{0!r}"}, ["dict"], False),  # repr adds quotes
+    ])
+    def test_known_children_and_literals(self, params, children, known):
+        specs = {
+            "id": GeneratorSpec("IdGenerator"),
+            "long": GeneratorSpec("LongGenerator", {"min": -50, "max": 50}),
+            "dict": GeneratorSpec("DictListGenerator", {"values": ["a b", "é|", "x"]}),
+            "null_dict": GeneratorSpec("NullGenerator", {"probability": 0.5}, [
+                GeneratorSpec("DictListGenerator", {"values": ["q", "r"]}),
+            ]),
+            "text": GeneratorSpec("TextGenerator", {"min": 1, "max": 3}),
+        }
+        engine = _engine([Field.of("s", "VARCHAR(40)", GeneratorSpec(
+            "SequentialGenerator", params, [specs[child] for child in children]
+        ))])
+        column = engine.generate_columns("t", 0, ROWS).columns[0]
+        assert column.kind == "str"
+        if known:
+            assert column.charset is not None
+            assert set("".join(column.data)) <= column.charset
+        else:
+            assert column.charset is None
+        _assert_block_is_scalar(engine)
+
+
 # -- ratchet -----------------------------------------------------------------
 
 

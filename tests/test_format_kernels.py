@@ -3,13 +3,15 @@ XML.
 
 ``output/columnar.py`` leaves the per-value loop only where it can prove
 the bytes stay the same (DESIGN §3.1). These properties are that proof's
-test: every kernel — the distinct-value table, the scaled-integer float
-text, the day map, the dictionary take, the constant-separator
-interleave — must equal ``write_rows(block.to_rows())`` per block and
-the writer's own ``write_row`` spelling per value, on inputs chosen to
-sit on both sides of every rule (span, exactness, block size) and to
-break naive quoting. The cache tests pin what lives across packages, what
-bounds it, and that each distinct day is rendered once per writer.
+test: every byte kernel — the digit matrix, the scaled-integer float
+text, the day map, the dictionary and boolean tables, the one compaction
+of an all-typed block and the marker split of a mixed one — must equal
+``write_rows(block.to_rows())`` per block and the writer's own
+``write_row`` spelling per value, on inputs chosen to sit on both sides
+of every rule (NUL in a padded literal, a delimiter numbers can print,
+exactness, a usable row marker, block size) and to break naive quoting.
+The cache tests pin what lives across packages, what bounds it, and
+that each distinct day is rendered once per writer.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.engine import GenerationEngine
 from repro.generators.base import _KERNEL_MIN_ROWS
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output import columnar as column_texts
-from repro.output.columnar import csv_escape
+from repro.output.columnar import _MARKERS, _MATRIX_MIN_ROWS, csv_escape
 from repro.output.config import OutputConfig
 from repro.output.formats import _WRITERS_PER_TABLE, _bound_writer, format_package
 from repro.output.rows import ValueFormatter
@@ -40,8 +42,8 @@ from repro.scheduler.work import WorkPackage, partition_rows
 
 FORMATS = ("csv", "json", "sql", "xml")
 WRITERS = {"csv": CsvWriter, "json": JsonWriter, "sql": SqlWriter, "xml": XmlWriter}
-#: both sides of the small-block threshold, and the empty block
-SIZES = (0, 1, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, _KERNEL_MIN_ROWS + 1, 200)
+#: both sides of the byte-kernel cutover, and the empty block
+SIZES = (0, 1, _MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, _MATRIX_MIN_ROWS + 1, 200)
 
 _settings = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -199,14 +201,21 @@ class TestFloatKernel:
             f"{value:.2f}\n" for value in values
         )
 
-    def test_exact_columns_do_not_call_repr_per_row(self):
-        """The point of the kernel: work follows the distinct values."""
-        values = np.array([0.0, 0.01, 0.05, 0.1] * 500)
+    def test_exact_columns_take_the_byte_kernel(self):
+        """The point of the kernel: no value of an on-grid column goes
+        through ``literal`` or the formatter, and no text is built per
+        value."""
+        values = np.array([0.0, 0.01, 0.05, 0.1, -2.5, 1234.5678] * 500)
         column = columnar.FloatColumn(values)
         writer = _writer("csv", ["c0"])
-        texts = writer._texts.column(column)
-        assert texts == [repr(value) for value in values.tolist()]
-        assert len({id(text) for text in texts}) == 4  # four rendered strings
+        assert writer._texts.literals(column) is not None
+        with mock.patch.object(
+            type(writer._texts), "literal", side_effect=AssertionError("per value")
+        ), mock.patch.object(
+            writer.formatter, "format", side_effect=AssertionError("per value")
+        ):
+            text = writer.write_block(_block(column))
+        assert text == "".join(f"{value!r}\n" for value in values.tolist())
 
 
 # -- dates ---------------------------------------------------------------------
@@ -246,7 +255,7 @@ class TestDateKernel:
         """Date blocks on both sides of the block threshold and dates
         inside object columns all read the day map: the formatter sees
         each distinct day once, so 1-row serve reads stay hits."""
-        days = [datetime.date.fromordinal(728_000 + index % 7) for index in range(64)]
+        days = [datetime.date.fromordinal(728_000 + index % 7) for index in range(100)]
         ordinals = np.array([day.toordinal() for day in days])
         writer, oracle = _writer(fmt, ["c0"]), _writer(fmt, ["c0"])
         rendered = []
@@ -254,7 +263,7 @@ class TestDateKernel:
         writer.formatter.format = lambda value: rendered.append(value) or render(value)
         blocks = [
             _block(columnar.DateColumn(ordinals[:size]))
-            for size in (1, 5, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, 64)
+            for size in (1, 5, _MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, 100)
         ] + [_block(columnar.ObjectColumn(days[:size])) for size in (1, 64)]
         for block in blocks:
             assert writer.write_block(block) == oracle.write_rows(block.to_rows())
@@ -344,6 +353,155 @@ class TestTextKinds:
             _check(_block(columnar.ObjectColumn(list(values))), fmt)
 
 
+# -- mixed blocks: runs, markers and the one compaction ---------------------------
+
+#: every byte the assembler could cut a run at, NUL, and multi-byte UTF-8
+CUTTING_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("\x00é€😀|,\"'-.0e<&"),
+        st.sampled_from([chr(marker) for marker in _MARKERS]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+#: a text holding every marker byte: no run around it has one to spare
+ALL_MARKERS = "".join(map(chr, _MARKERS))
+#: a dictionary's first entries: no marker to spare, a NUL inside, the
+#: first marker, multi-byte UTF-8, a plain word
+HOSTILE_ENTRIES = (ALL_MARKERS, "nul\x00", "\x01", "é€😀", "word")
+#: delimiters that numbers, signs, points and exponents print
+NUMBER_DELIMITERS = ("|", "0", "1", "-", ".", "e")
+MIXED_SIZES = (_MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, _MATRIX_MIN_ROWS + 37)
+TYPED_KINDS = ("int", "float", "date", "dict", "bool")
+
+
+def _typed_column(draw, kind: str, size: int):
+    nulls = _mask(draw, size)
+    if kind == "int":
+        values = st.one_of(
+            st.sampled_from((columnar.INT64_MIN, columnar.INT64_MAX, 0, -1, -10, 9)),
+            st.integers(columnar.INT64_MIN, columnar.INT64_MAX),
+            st.integers(-1000, 10**6),
+        )
+        return columnar.IntColumn(np.array(
+            draw(st.lists(values, min_size=size, max_size=size)), dtype=np.int64
+        ), nulls)
+    if kind == "float":
+        decimal_grid = st.integers(-(10**7), 10**7).map(lambda n: n / 100)
+        values = st.one_of(
+            decimal_grid, decimal_grid,
+            st.sampled_from((-0.0, math.nan, math.inf, -math.inf, 1e15, 2e15, 1e-5)),
+        )
+        return columnar.FloatColumn(np.array(
+            draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64
+        ), nulls)
+    if kind == "date":
+        ordinals = st.one_of(
+            st.integers(728_000, 728_040), st.integers(MIN_ORDINAL, MAX_ORDINAL)
+        )
+        return columnar.DateColumn(np.array(
+            draw(st.lists(ordinals, min_size=size, max_size=size)), dtype=np.int64
+        ), nulls=nulls)
+    if kind == "dict":
+        entries = draw(st.lists(
+            st.sampled_from(HOSTILE_ENTRIES), min_size=1, max_size=3, unique=True
+        ))
+        entries += draw(st.lists(CUTTING_TEXT, max_size=5))
+        picks = st.integers(0, len(entries) - 1)
+        return columnar.DictColumn(np.array(
+            draw(st.lists(picks, min_size=size, max_size=size)), dtype=np.int64
+        ), entries, nulls)
+    return columnar.BoolColumn(np.array(
+        draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool
+    ), nulls)
+
+
+@st.composite
+def mixed_blocks(draw):
+    """A run of typed columns first, in the middle, last or alone among
+    string and object columns, sometimes a second run, on both sides of
+    the cutover."""
+    size = draw(st.sampled_from(MIXED_SIZES))
+    texts = draw(st.lists(CUTTING_TEXT, min_size=size, max_size=size))
+    others = [
+        columnar.StrColumn(
+            texts, charset=frozenset("".join(texts)) if draw(st.booleans()) else None,
+            nulls=_mask(draw, size),
+        ),
+        columnar.ObjectColumn(
+            draw(st.lists(OBJECT_VALUES, min_size=size, max_size=size)), _mask(draw, size)
+        ),
+    ]
+    run = [
+        _typed_column(draw, kind, size)
+        for kind in draw(st.lists(
+            st.sampled_from(TYPED_KINDS), min_size=1, max_size=4, unique=True
+        ))
+    ]
+    position = draw(st.sampled_from(("first", "middle", "last", "alone", "twice")))
+    if position == "first":
+        columns = run + others
+    elif position == "middle":
+        columns = others[:1] + run + others[1:]
+    elif position == "last":
+        columns = others + run
+    elif position == "alone":
+        columns = run
+    else:
+        columns = run + others[:1] + [_typed_column(draw, "dict", size)] + others[1:]
+    names = [f"c{index}" for index in range(len(columns))]
+    return columnar.ColumnBlock(names, columns, size)
+
+
+class TestMixedBlocks:
+    @_settings
+    @given(
+        block=mixed_blocks(),
+        delimiter=st.sampled_from(NUMBER_DELIMITERS),
+        null_token=st.sampled_from(("", "NULL", "a\x00b", "\x01", ALL_MARKERS)),
+        date_format=st.sampled_from(("%Y-%m-%d", "%Y\x00%m", "%d\x01%m|%Y")),
+        places=st.sampled_from((None, 0, 2, 6)),
+    )
+    def test_equals_rows(self, block, delimiter, null_token, date_format, places):
+        _check_formats(
+            block, delimiter, null_token=null_token, date_format=date_format,
+            float_places=places,
+        )
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_run_without_a_marker_goes_per_value(self, fmt):
+        """A dictionary holding every marker byte beside a string column:
+        the run has no byte to cut at, so its columns take ``literal``."""
+        size = _MATRIX_MIN_ROWS
+        block = _block(
+            columnar.DictColumn(np.arange(size) % 2, ["a", ALL_MARKERS]),
+            columnar.IntColumn(np.arange(size, dtype=np.int64) - 7),
+            columnar.StrColumn(["x"] * size),
+        )
+        _check(block, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_all_typed_block_is_one_compaction(self, fmt):
+        """No string per row: the chunk is the one compaction's text."""
+        size = 2 * _MATRIX_MIN_ROWS
+        block = _block(
+            columnar.IntColumn(np.arange(size, dtype=np.int64) * -3),
+            columnar.FloatColumn(np.arange(size) / 4),
+            columnar.DateColumn(np.arange(size, dtype=np.int64) + 728_000),
+            columnar.DictColumn(np.arange(size) % 3, ["é", "b|c", "'"]),
+            columnar.BoolColumn(np.arange(size) % 2 == 0),
+        )
+        writer, oracle = _writer(fmt, block.names), _writer(fmt, block.names)
+        with mock.patch.object(
+            column_texts, "_compact", wraps=column_texts._compact
+        ) as compact, mock.patch.object(
+            column_texts._ColumnTexts, "column", side_effect=AssertionError("per value")
+        ):
+            text = writer.write_block(block)
+        assert compact.call_count == 1 and compact.call_args.args[2:] == ()
+        assert text == oracle.write_rows(block.to_rows())
+
+
 # -- the interleave, through a generated table ------------------------------------
 
 
@@ -382,7 +540,10 @@ class TestGeneratedTable:
     @pytest.mark.parametrize("places", [None, 2, 5])
     def test_every_cut_equals_rows(self, fmt, places):
         engine = GenerationEngine(_schema(400))
-        for start, stop in ((0, 400), (7, 7 + _KERNEL_MIN_ROWS - 1), (300, 301)):
+        for start, stop in (
+            (0, 400), (7, 7 + _KERNEL_MIN_ROWS - 1), (7, 7 + _MATRIX_MIN_ROWS - 1),
+            (7, 7 + _MATRIX_MIN_ROWS), (300, 301),
+        ):
             block = engine.generate_columns("t", start, stop)
             _check(block, fmt, float_places=places, null_token="NULL")
 
@@ -390,9 +551,11 @@ class TestGeneratedTable:
 # -- what lives across packages, and what bounds it -------------------------------
 
 
-#: package sizes on both sides of the small-block threshold and of the
-#: int-table switch for ``qty`` (span 43: a table at 200 rows, not at 50)
-_PACKAGE_ROWS = (1, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, 50, 200)
+#: package sizes on both sides of the generators' small-block threshold
+#: and of the byte-kernel cutover
+_PACKAGE_ROWS = (
+    1, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, _MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, 200,
+)
 
 
 @pytest.fixture(scope="module")

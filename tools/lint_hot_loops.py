@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output/extraction paths: hot loops, swallowed errors.
 
-Fifteen checks, one AST walk:
+Sixteen checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -170,6 +170,17 @@ reference cost 29x its target column's own block per value that way,
 and a TPC-H ``lineitem`` update epoch 7x its two blocks — with the bytes
 unchanged, so no test notices. No waiver.
 
+**Quoting check.** A table or column name reaches SQL text quoted —
+through :func:`~repro.model.sqlnames.sql_name` (DDL and loads) or
+:func:`~repro.db.sqlite_adapter._ident` (extraction), or through a
+local variable assigned from an expression that calls one of them. An
+f-string under :mod:`repro.db` or in :mod:`repro.output.sinks` whose
+literal text holds an SQL keyword and that interpolates a bare name
+reading as a table or column name (``{table}``, ``{column}``,
+``{field.name}``) splices the name unquoted: a keyword (``order``,
+``group``) or a space in it breaks the statement, and every test over
+plain names still passes. No waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/db/`` and ``src/repro/core/model_builder.py`` (the
 extraction path: an adapter or model-builder handler that eats every
@@ -182,6 +193,7 @@ span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
 ``src/repro/core/profiling.py``,
 (one-gather check only) ``src/repro/generators/`` and
 ``src/repro/update/``,
+(quoting check only) ``src/repro/db/`` and ``src/repro/output/sinks.py``,
 (one-cutter, one-template, one-draw, one-lookup, one-runtime and
 one-driver checks only) every module under ``src/repro/``.
 
@@ -221,6 +233,15 @@ CELL_CALLS = ("compute_value", "generate_value", "generate_row", "foreign")
 GENERATOR_DIR = "src/repro/generators"
 BLOCK_METHODS = ("generate_block", "choose_block")
 UPDATE_DIR = "src/repro/update"
+#: the SQL modules, the calls that quote a name, what makes an f-string
+#: SQL, and the interpolated names that read as a table or column name
+QUOTING_PATHS = ("src/repro/db", "src/repro/output/sinks.py")
+QUOTERS = ("sql_name", "_ident")
+SQL_KEYWORD = re.compile(
+    r"\b(SELECT|INSERT|UPDATE|DELETE|CREATE|DROP|ALTER|PRAGMA|FROM|INTO|"
+    r"REFERENCES|WHERE|TABLE|VALUES|KEY|JOIN|INDEX)\b"
+)
+NAME_LIKE = re.compile(r"table|column|field|name|ident|^tbl$|^cols?$")
 WAIVER = "hot-loop-ok"
 FAULT_WAIVER = "fault-ok"
 BROAD_EXCEPTIONS = ("Exception", "BaseException")
@@ -518,6 +539,60 @@ def per_cell_recomputes(path: Path, anywhere: bool = False) -> list[str]:
     ]
 
 
+def _mentions_quoter(node: ast.AST) -> bool:
+    return any(_name(inner) in QUOTERS for inner in ast.walk(node)
+               if isinstance(inner, (ast.Name, ast.Attribute)))
+
+
+def _named(node: ast.expr) -> str | None:
+    """The identifier a bare name expression reads: ``table``,
+    ``field.name``'s ``name``, ``names[0]``'s ``names``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return _name(node)
+
+
+def unquoted_names(path: Path) -> list[str]:
+    """SQL f-strings in *path* that interpolate a table or column name
+    neither quoted nor held by a local assigned from a quoting call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    violations = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        quoted = {
+            target.id
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            and node.value is not None and _mentions_quoter(node.value)
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(function):
+            if not isinstance(node, ast.JoinedStr) or not SQL_KEYWORD.search("".join(
+                part.value for part in node.values
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )):
+                continue
+            for part in node.values:
+                if not isinstance(part, ast.FormattedValue):
+                    continue
+                value = part.value
+                if not isinstance(value, (ast.Name, ast.Attribute, ast.Subscript)):
+                    continue  # a call (quoted or not a name), a number, an expression
+                name = _named(value)
+                if name is None or not NAME_LIKE.search(name):
+                    continue
+                if isinstance(value, ast.Name) and name in quoted:
+                    continue
+                violations.append(
+                    f"{path.relative_to(REPO)}:{node.lineno}: SQL f-string "
+                    f"interpolates {ast.unparse(value)} unquoted; pass the "
+                    f"name through {' or '.join(QUOTERS)}"
+                )
+    return violations
+
+
 def check_file(
     path: Path, span_hot: bool = False, columnar_hot: bool = False,
     benchmark: bool = False, banned: tuple[str, ...] | None = None,
@@ -614,6 +689,11 @@ def main() -> int:
         for path in sorted((REPO / rel).rglob("*.py")):
             checked.add(path)
             violations.extend(per_cell_recomputes(path, anywhere))
+    for rel in QUOTING_PATHS:
+        root = REPO / rel
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
+            checked.add(path)
+            violations.extend(unquoted_names(path))
     scope = sorted((REPO / CUTTER_SCOPE).rglob("*.py"))
     for path in scope:
         if path != REPO / CUTTER_FILE:
