@@ -5,11 +5,12 @@ generation cost) is only fully cashed in when formatting happens at
 *array* level: a typed column becomes the UTF-8 bytes of its literals
 without a Python string per cell. Each typed kind has one byte kernel
 that renders a whole column as a ``(rows, width)`` ``uint8`` matrix of
-its literals, padded with NUL — an int's digits by repeated ``// 10``,
-a ``places``-rounded double's whole digits plus a fraction table, a
-date's text from the day map, a dictionary entry's literal, a boolean's
-token — and :func:`_format_block` lays the matrices of a row side by
-side with the row's separators and drops every NUL in one compaction.
+its literals, padded with NUL — an int's digits four at a time from a
+group table, a ``places``-rounded double's whole digits plus a fraction
+table, a date's text from the day map, a dictionary entry's literal, a
+boolean's token, each table read one whole item per row — and
+:func:`_format_block` lays the matrices of a row side by side with the
+row's separators and drops every NUL in one compaction.
 This module is that sink-side half of the columnar pipeline — it
 consumes the :class:`~repro.columnar.ColumnBlock` the engine produced
 and emits exactly the bytes the writer's ``write_rows`` would have
@@ -39,6 +40,7 @@ from __future__ import annotations
 import datetime
 import functools
 import math
+import threading
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 
@@ -49,10 +51,10 @@ _INT_CHARS = frozenset("0123456789-")
 #: characters an on-grid decimal's text can emit (sign, digits, point)
 _DECIMAL_CHARS = _INT_CHARS | {"."}
 _DECIMAL_BYTES = "".join(sorted(_DECIMAL_CHARS)).encode()
-#: the powers of ten below 2**64, and those below 2**32 as uint32 (whose
-#: division is the cheaper one)
+#: the powers of ten below 2**64
 _POWERS = 10 ** _np.arange(20, dtype=_np.uint64)
-_POWERS32 = _POWERS[:10].astype(_np.uint32)
+#: characters JSON's ``encode_basestring`` escapes
+_JSON_ESCAPED = frozenset('"\\' + "".join(map(chr, range(32))))
 
 #: ``repr`` prints fixed notation down to 1e-4, so four decimals is the
 #: widest grid on which "decimal digits, zeros trimmed" is ``repr``.
@@ -63,19 +65,22 @@ _MAX_TABLE_DIGITS = 4
 #: scaled values below this are exact in float64 *and* at most 15
 #: significant digits, which is what makes a decimal text round-trip.
 _SCALED_LIMIT = 1e15
-#: days a writer's day map keeps; past it a day is rendered per lookup
-#: (a run's date columns span a few thousand days)
+#: the widest span of days a writer's day map covers; a block whose days
+#: would widen it further renders them per block (a run's date columns
+#: span a few thousand days)
 _DAY_TEXTS_LIMIT = 65_536
 #: Blocks shorter than this format every value through ``literal``: a
-#: byte kernel pays a dozen numpy calls per column whatever the rows.
-#: Measured per block, per-value path vs byte kernels, in us (TPC-H SF
-#: 0.02 and the all-typed bench table, 2-core Xeon): ``lineitem`` at 48
-#: rows 550 vs 545 (CSV) and 581 vs 597 (JSON), at 64 rows 720 vs 570
-#: (CSV), 755 vs 632 (JSON), 747 vs 621 (SQL), 824 vs 644 (XML);
-#: ``orders`` CSV 303 vs 310 at 48 rows, 398 vs 329 at 64; ``customer``
-#: JSON 276 vs 314 at 64 rows, 416 vs 369 at 96; the typed table's CSV
-#: 193 vs 226 at 32 rows, 268 vs 224 at 48. Every format breaks even
-#: between 48 and 64 rows, above ``generators.base._KERNEL_MIN_ROWS``.
+#: byte kernel pays a few numpy calls per column whatever the rows.
+#: Measured per block, per-value path vs byte kernels, min of 15 rounds,
+#: in us (TPC-H SF 0.02 and the all-typed bench table, 2-core Xeon,
+#: shared): the typed table breaks even at 32 rows (CSV 116 vs 117, SQL
+#: 110 vs 116) and wins at 48 (CSV 164 vs 131); ``lineitem`` between 40
+#: and 48 (CSV 294 vs 314 at 40, 360 vs 312 at 48; JSON 348 vs 340 at
+#: 48); ``orders`` near 48; the tables that alternate typed and string
+#: columns last: ``customer`` CSV 214 vs 219 and SQL 320 vs 303 at 64
+#: rows, 287 vs 214 and 469 vs 378 at 96, ``supplier`` JSON 154 vs 163
+#: at 64. Every format breaks even by 64 rows, above
+#: ``generators.base._KERNEL_MIN_ROWS``.
 _MATRIX_MIN_ROWS = 64
 #: row markers a run may be cut at: the control bytes, which are ASCII
 #: (so never inside a multi-byte UTF-8 sequence) and rare in text
@@ -102,19 +107,31 @@ def csv_escape(text: str, specials: frozenset) -> str:
 
 
 def _table(texts: list[bytes]) -> _np.ndarray | None:
-    """*texts* as a NUL-padded ``(len, width)`` ``uint8`` matrix, or
-    ``None`` when one of them holds a NUL — the padding would swallow
-    it."""
+    """*texts* as one NUL-padded ``S{width}`` array, or ``None`` when one
+    of them holds a NUL — the padding would swallow it."""
     if b"\0" in b"".join(texts):
         return None
-    width = max(map(len, texts), default=0) or 1
-    return _np.array(texts, dtype=f"S{width}").view(_np.uint8).reshape(len(texts), width)
+    return _np.array(texts, dtype=f"S{max(map(len, texts), default=0) or 1}")
+
+
+@functools.lru_cache(maxsize=None)
+def _group_table() -> _np.ndarray:
+    """The ``S4`` table of a 4-digit group, read-only: entry ``g`` is
+    ``g``'s four digits, entry ``10_000 + g`` the same with every zero
+    left of its first digit as NUL — a group with nothing above it
+    (``10_000`` itself all NUL)."""
+    groups = _np.arange(10_000, dtype=_np.uint16)[:, None]  # small temporaries
+    digits = (groups // _np.array([1000, 100, 10, 1], _np.uint16) % 10 + 48).astype(_np.uint8)
+    leading = _np.where(_np.logical_or.accumulate(digits != 48, axis=1), digits, 0)
+    table = _np.concatenate([digits, leading]).view("S4").ravel()
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=None)
 def _fraction_table(digits: int, trim: bool) -> _np.ndarray:
-    """``"." + fraction`` for every *digits*-digit fraction as a byte
-    table — zeros trimmed down to ``".0"`` as ``repr`` prints them, or
+    """``"." + fraction`` for every *digits*-digit fraction as an
+    ``S{width}`` table — zeros trimmed down to ``".0"`` as ``repr`` prints them, or
     kept as ``%.Nf`` does (no point at all for zero digits). Read-only,
     built once."""
     texts = ["%0*d" % (digits, value) if digits else "" for value in range(10**digits)]
@@ -145,18 +162,30 @@ def _digits(magnitude, negative) -> _np.ndarray:
     """``(rows, width)`` ``uint8``: each uint64 *magnitude*'s decimal
     digits, right-aligned with NUL to their left, and ``-`` just before
     the first digit of every row in the boolean *negative* (``None``:
-    no row is negative)."""
+    no row is negative).
+
+    Four digits at a time, lowest group first: per group one division by
+    10 000 and one lookup in a group table — its leading-zeros half
+    where nothing is left above the group (uint32 arithmetic when the
+    widest value has ≤ 9 digits)."""
     count = len(str(int(magnitude.max())))
-    # one broadcast division per position: 10**(count - 1) ... 10**0
-    powers = (_POWERS32 if count <= 9 else _POWERS)[count - 1::-1]
-    magnitude = magnitude.astype(powers.dtype, copy=False)[:, None]
-    out = (magnitude // powers % 10).astype(_np.uint8)
-    out += 48
-    out[:, :-1][magnitude < powers[:-1]] = 0  # left of the number's first digit
-    if negative is not None:
+    sign = int(negative is not None)  # a spare group in front holds the "-"
+    groups = -(-count // 4) + sign
+    out = _np.zeros((len(magnitude), groups), dtype="S4")
+    dtype = _np.uint32 if count <= 9 else _np.uint64
+    step, above = dtype(10_000), magnitude.astype(dtype)
+    table = _group_table()
+    for column in range(groups - 1, sign, -1):
+        group, above = above, above // step
+        group -= above * step
+        _np.add(group, step, out=group, where=above == 0)
+        out[:, column] = table.take(group)
+    out[:, sign] = table.take(above + step)
+    out[magnitude == 0, -1] = b"\0\0\0" b"0"  # the number 0 keeps its digit
+    out = out.view(_np.uint8).reshape(len(out), 4 * groups)[:, 4 * groups - count - sign:]
+    if sign:
         rows = _np.flatnonzero(negative)
-        lengths = _np.maximum((magnitude[rows] >= powers).sum(axis=1), 1)
-        out = _np.concatenate([_np.zeros((len(out), 1), dtype=_np.uint8), out], axis=1)
+        lengths = (_POWERS[1:count, None] <= magnitude[rows]).sum(axis=0) + 1
         out[rows, count - lengths] = 45  # "-"
     return out
 
@@ -192,11 +221,10 @@ def _decimal_pieces(values, digits: int, trim: bool) -> list | None:
     if not exact.all() or (_np.signbit(values) & (scaled == 0)).any():
         return None
     negative = scaled < 0
-    whole, fraction = _np.divmod(_np.abs(scaled).astype(_np.uint64), scale)
-    return [
-        _digits(whole, negative if negative.any() else None),
-        _np.take(_fraction_table(digits, trim), fraction, axis=0),
-    ]
+    magnitude, step = _np.abs(scaled).astype(_np.uint64), _np.uint64(scale)
+    whole = magnitude // step
+    fraction = _fraction_table(digits, trim).take(magnitude - whole * step).view(_np.uint8)
+    return [_digits(whole, negative if negative.any() else None), fraction.reshape(len(whole), -1)]
 
 
 class _Literals:
@@ -204,10 +232,10 @@ class _Literals:
     laid side by side make each row's literal (a piece is a ``(rows,
     width)`` ``uint8`` matrix, or a 1-D constant every row shares), and
     the rows set in ``nulls`` read the ``null`` bytes instead.
-    ``alphabet`` holds every byte a literal can contain — a superset,
-    which is what proves a row marker absent without reading the rows.
-    ``policy`` and ``column`` are the per-value path, for a run that
-    finds no marker."""
+    ``alphabet`` is a list of byte strings (or tables) holding every
+    byte a literal can contain — a superset, which is what proves a row
+    marker absent without reading the rows. ``policy`` and ``column``
+    are the per-value path, for a run that finds no marker."""
 
     __slots__ = ("pieces", "alphabet", "nulls", "null", "policy", "column")
 
@@ -220,25 +248,84 @@ class _Literals:
         self.column = column
 
 
-class _DayTexts(dict):
-    """Date ordinal → the UTF-8 bytes of its text literal, filled on
-    first lookup: a hit is one C-level ``dict`` read, a miss formats the
-    day through the :class:`~repro.output.rows.ValueFormatter` and keeps
-    it while the map holds fewer than ``_DAY_TEXTS_LIMIT`` days."""
+class _DayTexts:
+    """A writer's day map: the UTF-8 literal of every day it has
+    rendered, as one NUL-padded ``S{width}`` array over a span of
+    ordinals — entry ``i`` is day ``low + i``, rendered when
+    ``known[i]``. A block's days are one take from it, after the block
+    has rendered its unseen days together (:meth:`_render`).
+
+    The span never grows past ``_DAY_TEXTS_LIMIT`` days: a block whose
+    days would widen it further renders its own distinct days and keeps
+    none of them. No literal ends in NUL (``strftime`` stops at one), so
+    the padding is exact; one holds a NUL only inside an XML tag.
+
+    A lock orders the threads that share the writer: a lookup changes
+    the span and the entries together. The table it returns is read
+    outside the lock, which is safe because later lookups write only
+    entries that were not rendered, or build a new array."""
 
     def __init__(self, texts: "_ColumnTexts") -> None:
         self._texts = texts
+        self.low, self.table, self.known = 0, _np.zeros(0, dtype="S1"), _np.zeros(0, dtype=bool)
+        self._lock = threading.Lock()  # serve threads share a writer
 
-    def __missing__(self, ordinal: int) -> bytes:
+    def __len__(self) -> int:
+        return int(self.known.sum())
+
+    def __getitem__(self, ordinal: int) -> bytes:
+        """One day's literal: the per-value path."""
+        with self._lock:
+            row = ordinal - self.low
+            if 0 <= row < len(self.known) and self.known[row]:
+                return self.table[row]
+        table, index = self.lookup(_np.array([ordinal]))
+        return table[index[0]]
+
+    def lookup(self, days) -> tuple:
+        """``(table, index)``: an ``S{width}`` table and the entry of
+        each ordinal of the int64 array *days* in it — the map, or the
+        block's own table when its days do not fit the map's bound."""
+        if not len(days):
+            return self.table, days
+        with self._lock:
+            first, last = int(days.min()), int(days.max()) + 1
+            low, span = (self.low, len(self.known)) if len(self.known) else (first, 0)
+            start, stop = min(first, low), max(last, low + span)
+            if stop - start > _DAY_TEXTS_LIMIT:
+                present, index = _distinct(days)
+                return self._render(present), index
+            if (start, stop) != (self.low, self.low + span):  # widen the span
+                pad = (low - start, stop - low - span)
+                self.table = _np.pad(self.table, pad, constant_values=b"")
+                self.low, self.known = start, _np.pad(self.known, pad)
+            index = days - start
+            unseen = ~self.known[index]
+            if unseen.any():
+                fresh = _np.unique(days[unseen])
+                table = self._render(fresh)
+                width = max(self.table.itemsize, table.itemsize)
+                self.table = self.table.astype(f"S{width}", copy=False)
+                self.table[fresh - start] = table
+                self.known[fresh - start] = True
+            return self.table, index
+
+    def _render(self, days) -> _np.ndarray:
+        """The literals of the sorted distinct ordinals *days* as an
+        ``S{width}`` table. The default ``%Y-%m-%d`` over years 1000 to
+        9999 is one ``datetime_as_string`` between the policy's proven
+        text frame; any other format renders one day at a time."""
         texts = self._texts
-        text = texts.text(
-            texts.formatter.format(  # columnar-ok: once per distinct day of the writer's life
-                datetime.date.fromordinal(ordinal)
-            )
-        ).encode()
-        if len(self) < _DAY_TEXTS_LIMIT:
-            self[ordinal] = text
-        return text
+        frame = texts.text_frame(_INT_CHARS) if texts.formatter.date_format == "%Y-%m-%d" else None
+        # years 1000 to 9999 (ordinals 364 878 to 3 652 059), whose text
+        # numpy spells as strftime does, over _INT_CHARS; ordinal 1 is 0001-01-01
+        if frame is not None and 364_878 <= days[0] and days[-1] <= 3_652_059:
+            iso = _np.datetime_as_string(_np.datetime64("0000-12-31") + days.astype("m8[D]"))
+            return _np.array([f"{frame[0]}{text}{frame[1]}".encode() for text in iso.tolist()])
+        return _np.array([
+            texts.text(texts.formatter.format(day)).encode()  # columnar-ok: once per unseen day
+            for day in map(datetime.date.fromordinal, days.tolist())
+        ])
 
 
 class _ColumnTexts:
@@ -248,8 +335,12 @@ class _ColumnTexts:
     turns any column into its list of output texts, one value at a
     time; :meth:`literal` is the per-value oracle every kernel must
     equal — it spells one value exactly as the writer's ``write_row``
-    does. Subclasses say how the format quotes text and spells a number;
-    the constructor takes its NULL / boolean / non-finite tokens.
+    does. Subclasses say how the format quotes text and spells a number,
+    and prove a text frame: ``text_frame(charset)`` is ``(prefix,
+    suffix)`` with ``text(s) == prefix + s + suffix`` for every string
+    *s* drawn from *charset*, or ``None`` when the format would escape or
+    quote some of them. The constructor takes the NULL / boolean /
+    non-finite tokens.
 
     ``days`` is the rendered text of every day the writer has formatted:
     it lives as long as the writer and is bounded (:class:`_DayTexts`).
@@ -286,9 +377,6 @@ class _ColumnTexts:
         ``None`` when the format would quote some of them one by one."""
         return "", ""
 
-    def strings(self, column) -> list[str]:
-        return list(map(self.text, column.data))
-
     # -- the per-value oracle -----------------------------------------------
 
     def literal(self, value) -> str:
@@ -319,18 +407,30 @@ class _ColumnTexts:
             # to_pylist has already put None where the mask is set
             return list(map(self.literal, column.to_pylist()))
         if kind == "date":  # a day's literal is its day map entry
-            days = map(self.days.__getitem__, column.data.tolist())
-            texts = list(map(bytes.decode, days))  # columnar-ok: the per-value path
+            table, index = self.days.lookup(column.data)
+            texts = list(map(bytes.decode, table.take(index).tolist()))  # columnar-ok: per value
         else:
-            texts = self.strings(column)
+            frame = column.charset is not None and self.text_frame(column.charset)
+            if frame:  # proven: no value needs an escape, only the frame
+                prefix, suffix = frame
+                texts = [f"{prefix}{text}{suffix}" for text in column.data]
+            else:
+                texts = list(map(self.text, column.data))
         nulls = column.nulls
         if nulls is not None:
             null = self.null
-            if texts is column.data:
-                texts = list(texts)
             for offset in _np.nonzero(nulls)[0].tolist():
                 texts[offset] = null
         return texts
+
+    def framed(self, column) -> tuple[str, list[str], str]:
+        """``(prefix, texts, suffix)``: a column's per-value texts
+        between what every row shares — a string column without NULL
+        whose charset proves its text frame is its own values, framed,
+        and every other column its :meth:`column` texts."""
+        proven = column.kind == "str" and column.charset is not None and not _np.any(column.nulls)
+        frame = proven and self.text_frame(column.charset)
+        return (frame[0], column.data, frame[1]) if frame else ("", self.column(column), "")
 
     # -- the byte kernels -----------------------------------------------------
 
@@ -349,7 +449,7 @@ class _ColumnTexts:
             prefix, suffix = (text.encode() for text in frame)
             if b"\0" in prefix + suffix:
                 return None
-            alphabet = _DECIMAL_BYTES + prefix + suffix
+            alphabet = [_DECIMAL_BYTES, prefix, suffix]
             pieces = [
                 piece for piece in (
                     _np.frombuffer(prefix, _np.uint8), *pieces,
@@ -358,9 +458,8 @@ class _ColumnTexts:
             ]
         else:
             if kind == "date":
-                present, index = _distinct(data)
-                # columnar-ok: one lookup per distinct day of the block
-                texts = list(map(self.days.__getitem__, present.tolist()))
+                # a day's literal holds a NUL only where the frame does
+                table, index = self.days.lookup(data) if "\0" not in self.text("") else (None, 0)
             elif kind == "dict":
                 entries = column.entries
                 if len(entries) > len(data):
@@ -370,15 +469,15 @@ class _ColumnTexts:
                 else:
                     index = data
                 # columnar-ok: once per dictionary entry (or pick present) per block
-                texts = [text.encode() for text in map(self.literal, entries)]
+                table = _table([text.encode() for text in map(self.literal, entries)])
             elif kind == "bool":
-                texts, index = [self.false.encode(), self.true.encode()], data.view(_np.uint8)
+                table, index = _table([self.false.encode(), self.true.encode()]), data.view(_np.uint8)
             else:
                 return None
-            table = _table(texts)
             if table is None:
                 return None
-            pieces, alphabet = [_np.take(table, index, axis=0)], table.tobytes()
+            pieces = [table.take(index).view(_np.uint8).reshape(len(index), table.itemsize)]
+            alphabet = [table]
         nulls = column.nulls
         if nulls is None or not nulls.any():
             return _Literals(pieces, alphabet, None, None, self, column)
@@ -391,7 +490,7 @@ class _ColumnTexts:
             width = len(null)
         padded = _np.zeros(width, dtype=_np.uint8)
         padded[: len(null)] = _np.frombuffer(null, _np.uint8)
-        return _Literals(pieces, alphabet + null, nulls, padded, self, column)
+        return _Literals(pieces, [*alphabet, null], nulls, padded, self, column)
 
     def _float_pieces(self, data) -> list | None:
         places = self.places
@@ -427,16 +526,11 @@ class _CsvTexts(_ColumnTexts):
             value = self.formatter.format(value)  # columnar-ok: object fallback
         return csv_escape(value, self.specials)
 
-    def frame(self, charset):
+    def text_frame(self, charset):
         # proven quote-free without scanning a value
         return ("", "") if self.specials.isdisjoint(charset) else None
 
-    def strings(self, column):
-        specials = self.specials
-        charset = column.charset
-        if charset is not None and specials.isdisjoint(charset):
-            return column.data  # proven quote-free at bind time
-        return [csv_escape(text, specials) for text in column.data]
+    frame = text_frame
 
 
 class _JsonTexts(_ColumnTexts):
@@ -454,6 +548,9 @@ class _JsonTexts(_ColumnTexts):
             return float.__repr__(value)
         return int.__repr__(value)
 
+    def text_frame(self, charset):
+        return ('"', '"') if _JSON_ESCAPED.isdisjoint(charset) else None
+
 
 class _SqlTexts(_ColumnTexts):
     """SQL literals: bare numbers, ``''``-doubled quoted text, ``NULL``
@@ -468,6 +565,9 @@ class _SqlTexts(_ColumnTexts):
 
     def text(self, text: str) -> str:
         return "'" + text.replace("'", "''") + "'"
+
+    def text_frame(self, charset):
+        return ("'", "'") if "'" not in charset else None
 
 
 class _XmlTexts(_ColumnTexts):
@@ -488,9 +588,11 @@ class _XmlTexts(_ColumnTexts):
     def number(self, value) -> str:
         return self.open + self.formatter.format(value) + self.close  # columnar-ok: object fallback
 
-    def frame(self, charset):
+    def text_frame(self, charset):
         # no number charset holds a character XML escapes
-        return self.open, self.close
+        return (self.open, self.close) if charset.isdisjoint("&<>") else None
+
+    frame = text_frame
 
 
 def _compact(count: int, run: list, marker: int | None = None) -> str:
@@ -526,10 +628,10 @@ def _compact(count: int, run: list, marker: int | None = None) -> str:
 
 def _marker(run: list) -> int | None:
     """A control byte no piece of *run* can contain, or ``None``."""
-    alphabet = b"".join(
-        piece.alphabet if isinstance(piece, _Literals) else piece.encode()
+    alphabet = b"".join(chain.from_iterable(
+        piece.alphabet if isinstance(piece, _Literals) else [piece.encode()]
         for piece in run
-    )
+    ))
     return next((marker for marker in _MARKERS if marker not in alphabet), None)
 
 
@@ -570,9 +672,12 @@ def _format_block(
     row: list = [lead]
     for policy, column, constant in zip(policies, columns, [*separators, tail]):
         literals = policy.literals(column) if usable else None
-        row += [policy.column(column) if literals is None else literals, constant]
+        # a proven text frame folds into the constants around it
+        prefix, texts, suffix = ("", literals, "") if literals is not None else policy.framed(column)
+        row[-1] += prefix
+        row += [texts, suffix + constant]
     if not any(isinstance(piece, _Literals) for piece in row):
-        return _interleave(row[1::2], lead, separators, tail)
+        return _interleave(row[1::2], row[0], row[2:-1:2], row[-1])
     runs = _runs(row)
     if len(runs) == 1:
         return _compact(count, runs[0])

@@ -63,6 +63,10 @@ class OutputConfig:
                 f"unknown sink kind {self.kind!r}; "
                 f"known kinds: {', '.join(SINK_KINDS)}"
             )
+        for name in ("date_format", "timestamp_format"):
+            if "\0" in getattr(self, name):
+                # strftime stops at a NUL: the rest of the format would vanish
+                raise OutputError(f"{name} must not contain a NUL character")
         spec = format_spec(self.format)  # the one unknown-format error
         self.format = spec.name
         if self.kind == "sqlite" and self.format != "sql":

@@ -7,8 +7,10 @@ values are kept in computed form and converted to text once at output
 time. :class:`ValueFormatter` is the conversion, a pure function of the
 value and the output options; rendering a repeated value once is the
 writer's job — its render tables in :mod:`repro.output.columnar` (the
-day map, the distinct-value tables, the dictionary entry texts) call
-this formatter once per distinct value and keep the text.
+day map, the dictionary entry texts) call this formatter once per
+distinct value and keep the text (the default ISO date renders through
+numpy without it). ``OutputConfig`` refuses a ``date_format`` or
+``timestamp_format`` holding a NUL: ``strftime`` stops at one.
 """
 
 from __future__ import annotations

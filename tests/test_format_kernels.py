@@ -19,6 +19,7 @@ from __future__ import annotations
 import datetime
 import decimal
 import math
+import threading
 
 from unittest import mock
 
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from repro import columnar
 from repro.api import Dataset
 from repro.engine import GenerationEngine
+from repro.exceptions import OutputError
 from repro.generators.base import _KERNEL_MIN_ROWS
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output import columnar as column_texts
@@ -253,34 +255,45 @@ class TestDateKernel:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_each_day_is_rendered_once_per_writer(self, fmt):
         """Date blocks on both sides of the block threshold and dates
-        inside object columns all read the day map: the formatter sees
-        each distinct day once, so 1-row serve reads stay hits."""
+        inside object columns all read the day map: each distinct day is
+        rendered once — by the formatter for a custom format, in one
+        vectorized step for the ISO default — so 1-row serve reads stay
+        hits."""
         days = [datetime.date.fromordinal(728_000 + index % 7) for index in range(100)]
         ordinals = np.array([day.toordinal() for day in days])
-        writer, oracle = _writer(fmt, ["c0"]), _writer(fmt, ["c0"])
-        rendered = []
-        render = writer.formatter.format
-        writer.formatter.format = lambda value: rendered.append(value) or render(value)
         blocks = [
             _block(columnar.DateColumn(ordinals[:size]))
             for size in (1, 5, _MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, 100)
         ] + [_block(columnar.ObjectColumn(days[:size])) for size in (1, 64)]
-        for block in blocks:
-            assert writer.write_block(block) == oracle.write_rows(block.to_rows())
-        assert sorted(rendered) == sorted(set(days))
-        assert len(_days(writer)) == 7
+        for date_format in ("%Y-%m-%d", "%d.%m.%Y"):
+            writer = _writer(fmt, ["c0"], date_format=date_format)
+            oracle = _writer(fmt, ["c0"], date_format=date_format)
+            formatted, rendered = [], []
+            format, render = writer.formatter.format, _days(writer)._render
+            writer.formatter.format = lambda value: formatted.append(value) or format(value)
+            _days(writer)._render = lambda ordinals: rendered.extend(ordinals.tolist()) or render(ordinals)
+            for block in blocks:
+                assert writer.write_block(block) == oracle.write_rows(block.to_rows())
+            assert sorted(rendered) == sorted(set(ordinals.tolist()))
+            iso = date_format == "%Y-%m-%d"
+            assert sorted(formatted) == ([] if iso else sorted(set(days)))
+            assert len(_days(writer)) == 7
 
     def test_day_map_stops_growing_at_cache_limit(self):
-        ordinals = np.arange(728_000, 728_050).repeat(2)
-        block = _block(columnar.DateColumn(ordinals))
+        """The map's span of days grows in both directions up to the
+        bound; a block whose days would widen it further renders its
+        own days and leaves the map as it was."""
+        spans = ((728_010, 728_011), (728_009, 728_012), (728_008, 728_013))
         with mock.patch.object(column_texts, "_DAY_TEXTS_LIMIT", 4):
             for fmt in FORMATS:
-                writer = _writer(fmt, block.names)
-                oracle = _writer(fmt, block.names)
-                expected = oracle.write_rows(block.to_rows())
-                for _ in range(3):
+                writer = _writer(fmt, ["c0"])
+                for first, last in spans * 2:
+                    ordinals = np.arange(first, last + 1).repeat(2 * _MATRIX_MIN_ROWS)
+                    block = _block(columnar.DateColumn(ordinals))
+                    expected = _writer(fmt, ["c0"]).write_rows(block.to_rows())
                     assert writer.write_block(block) == expected
                 assert len(_days(writer)) == 4
+                assert (_days(writer).low, len(_days(writer).table)) == (728_009, 4)
 
 
 # -- text: strings, dictionaries, objects, key names -------------------------------
@@ -604,11 +617,11 @@ class TestRenderCacheLifetime:
         first, second = partition_rows("t", 400, 200)
         format_package(engine, output, first)
         days = day_map(output)
-        rendered = dict(days)
-        assert len(rendered) == 5  # five days in the model
-        format_package(engine, output, second)
-        assert day_map(output) is days
-        assert days == rendered and all(days[day] is rendered[day] for day in days)
+        table = days.table
+        assert len(days) == 5  # five days in the model
+        with mock.patch.object(days, "_render", side_effect=AssertionError("rendered")):
+            format_package(engine, output, second)
+        assert day_map(output) is days and days.table is table and len(days) == 5
         # another option set is another writer with a map of its own
         other = OutputConfig(format=fmt, date_format="%d.%m.%Y")
         format_package(engine, other, second)
@@ -624,3 +637,200 @@ class TestRenderCacheLifetime:
         assert len(writers) == _WRITERS_PER_TABLE < len(bodies)
         # an evicted option set still formats the same bytes
         assert dataset.slice("t", 0, 40, format="csv", delimiter="|") == bodies["|"]
+
+
+# -- edges of the group digits, the day matrix and the text frames ---------------
+
+#: both sides of the cutover, and a default package
+ORACLE_SIZES = (_MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, _MATRIX_MIN_ROWS + 1, 10_000)
+#: both sides of every digit count and 4-digit group, negatives of 1 to
+#: 19 digits, and the int64 extremes
+DIGIT_EDGES = sorted({
+    0, 9_999, 10_000, 99_999_999, 100_000_000, columnar.INT64_MIN, columnar.INT64_MAX,
+    *(10**k - 1 for k in range(1, 19)), *(10**k for k in range(1, 19)),
+    *(1 - 10**k for k in range(1, 19)), *(-(10**k) for k in range(19)),
+})
+
+
+def _cycled(values, size: int, dtype=np.int64) -> np.ndarray:
+    return np.resize(np.array(values, dtype=dtype), size)
+
+
+class TestDigitBoundaries:
+    @pytest.mark.parametrize("size", ORACLE_SIZES)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_int_edges(self, fmt, size):
+        """Every edge in one column, the non-negative ones alone (no
+        sign column), each digit count as the widest value, and NULLs."""
+        edges = _cycled(DIGIT_EDGES, size)
+        columns = [edges, edges[edges >= 0], *(
+            _cycled([0, 7, 10**k - 1, 10**k, -(10**k)], size) for k in (1, 4, 8, 9, 12, 16, 18)
+        )]
+        for values in columns:
+            _check(_block(columnar.IntColumn(values)), fmt)
+        nulls = np.arange(size) % 3 == 0
+        _check(_block(columnar.IntColumn(edges, nulls)), fmt, null_token="NULL")
+
+    @pytest.mark.parametrize("size", ORACLE_SIZES)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_decimal_whole_part_edges(self, fmt, size):
+        wholes = [10**k - 1 for k in range(11)] + [10**k for k in range(11)]
+        values = [sign * (whole + 0.25) for whole in wholes for sign in (1, -1)]
+        column = columnar.FloatColumn(_cycled(values, size, np.float64))
+        for places in (None, 2):
+            _check(_block(column), fmt, float_places=places)
+
+
+def _check_writer(writer, oracle, ordinals) -> None:
+    """*writer* (a long-lived one) formats a date block of *ordinals* as
+    a fresh *oracle* spells its rows."""
+    block = _block(columnar.DateColumn(np.asarray(ordinals, dtype=np.int64)))
+    assert writer.write_block(block) == oracle.write_rows(block.to_rows())
+
+
+class TestDayMatrix:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_span_grows_in_both_directions(self, fmt):
+        writer, oracle = _writer(fmt, ["c0"]), _writer(fmt, ["c0"])
+        for first, last in ((728_100, 728_110), (728_050, 728_105), (728_090, 728_300),
+                            (728_000, 728_400)):
+            for size in ORACLE_SIZES:
+                _check_writer(writer, oracle, _cycled(np.arange(first, last + 1), size))
+        days = _days(writer)
+        assert (days.low, len(days.table), len(days)) == (728_000, 401, 401)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_span_past_the_limit_renders_per_block(self, fmt):
+        near = np.arange(728_000, 728_050)
+        far = [728_000, 900_000, 1, datetime.date.max.toordinal(), 728_049]
+        with mock.patch.object(column_texts, "_DAY_TEXTS_LIMIT", 100):
+            writer, oracle = _writer(fmt, ["c0"]), _writer(fmt, ["c0"])
+            for values in (near, far, near, far):
+                for size in ORACLE_SIZES:
+                    _check_writer(writer, oracle, _cycled(values, size))
+        days = _days(writer)
+        assert (days.low, len(days.table), len(days)) == (728_000, 50, 50)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_threads_sharing_a_writer(self, fmt):
+        """Serve threads format through one kept writer: spans that
+        widen the map both ways at once, and per-value reads beside
+        them, still spell every block as a fresh writer does."""
+        writer, errors = _writer(fmt, ["c0"]), []
+
+        def work(offset: int) -> None:
+            oracle = _writer(fmt, ["c0"])
+            for step in range(40):
+                first = 728_000 + offset * (step % 7 - 3) * 50
+                days = _cycled(np.arange(first, first + 40 + step), _MATRIX_MIN_ROWS + step)
+                for block in (
+                    _block(columnar.DateColumn(days)),
+                    _block(columnar.ObjectColumn(
+                        [datetime.date.fromordinal(day) for day in days[:3].tolist()]
+                    )),
+                ):
+                    if writer.write_block(block) != oracle.write_rows(block.to_rows()):
+                        errors.append((offset, step))
+
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in (1, -1, 2, -2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+
+    @pytest.mark.parametrize("date_format", ["%Y-%m-%d", "%Y|%m|%d"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_years_999_1000_and_9999(self, fmt, date_format):
+        """``strftime`` prints year 999 with three digits, numpy with
+        four: only years 1000 to 9999 take the one-step ISO render."""
+        year_1000 = datetime.date(1000, 1, 1).toordinal()
+        last = datetime.date.max.toordinal()
+        writer = _writer(fmt, ["c0"], date_format=date_format)
+        oracle = _writer(fmt, ["c0"], date_format=date_format)
+        for first, stop in ((year_1000, year_1000 + 5), (year_1000 - 5, year_1000 + 5),
+                            (last - 5, last + 1), (1, 6)):
+            for size in ORACLE_SIZES:
+                _check_writer(writer, oracle, _cycled(np.arange(first, stop), size))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_multibyte_format_of_varying_width(self, fmt):
+        """Wider days arriving later widen the map's items."""
+        date_format = "%A, %d. %B %Y · €"
+        writer = _writer(fmt, ["c0"], date_format=date_format)
+        oracle = _writer(fmt, ["c0"], date_format=date_format)
+        may_first = datetime.date(2017, 5, 1).toordinal()  # a Monday in May
+        widths = []
+        for first, stop in ((may_first, may_first + 1), (may_first - 300, may_first + 200)):
+            for size in ORACLE_SIZES:
+                _check_writer(writer, oracle, _cycled(np.arange(first, stop), size))
+            widths.append(_days(writer).table.itemsize)
+        assert widths[0] < widths[1]
+
+
+#: what each format escapes or quotes in a text value
+TEXT_SPECIALS = {
+    "csv": "|\"\n", "json": '"\\' + "".join(map(chr, range(32))), "sql": "'", "xml": "&<>",
+}
+
+
+def _policy(writer):
+    texts = writer._texts
+    return texts[0] if isinstance(texts, list) else texts
+
+
+class TestTextFrame:
+    @_settings
+    @given(
+        fmt=st.sampled_from(FORMATS),
+        plain=st.frozensets(st.characters(blacklist_categories=("Cs",)), max_size=6),
+        specials=st.frozensets(st.sampled_from("|\"\n'&<>\\\x00\x1f\t"), max_size=2),
+        data=st.data(),
+    )
+    def test_frame_is_text(self, fmt, plain, specials, data):
+        """With and without each format's specials: a proven frame is
+        what ``text`` puts around every value, and a block of the
+        charset's strings equals the rows with and without NULLs."""
+        charset = plain | specials
+        policy = _policy(_writer(fmt, ["c0"]))
+        frame = policy.text_frame(charset)
+        assert (frame is None) == (not charset.isdisjoint(TEXT_SPECIALS[fmt]))
+        size = data.draw(st.sampled_from((1, _MATRIX_MIN_ROWS)))
+        texts = data.draw(st.lists(
+            st.text(alphabet=sorted(charset) or "a", max_size=5 if charset else 0),
+            min_size=size, max_size=size,
+        ))
+        if frame is not None:
+            assert all(policy.text(text) == frame[0] + text + frame[1] for text in texts)
+        for nulls in (None, np.arange(size) % 2 == 0):
+            column = columnar.StrColumn(texts, charset=charset, nulls=nulls)
+            _check(_block(column, columnar.IntColumn(np.arange(size, dtype=np.int64))), fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_proven_column_skips_the_escape(self, fmt):
+        """No value of a proven string column without NULL goes through
+        ``text``: its frame folds into the constants around it."""
+        size = 2 * _MATRIX_MIN_ROWS
+        texts = ["plain words", "more of them", ""] * (size // 3) + ["x"] * (size % 3)
+        block = _block(
+            columnar.StrColumn(texts, charset=frozenset("".join(texts))),
+            columnar.IntColumn(np.arange(size, dtype=np.int64)),
+            columnar.StrColumn(texts, charset=frozenset("".join(texts))),
+        )
+        writer, oracle = _writer(fmt, block.names), _writer(fmt, block.names)
+        with mock.patch.object(
+            type(_policy(writer)), "text", side_effect=AssertionError("per value")
+        ):
+            assert writer.write_block(block) == oracle.write_rows(block.to_rows())
+
+
+class TestFormatOptions:
+    @pytest.mark.parametrize("option", ["date_format", "timestamp_format"])
+    def test_nul_in_a_strftime_format_is_refused(self, option):
+        """``strftime`` stops at a NUL: ``%Y\\x00%m`` would print the
+        year alone. The options are refused by name, in a config and in
+        a slice."""
+        with pytest.raises(OutputError, match=option):
+            OutputConfig(**{option: "%Y\x00%m"})
+        with pytest.raises(OutputError, match=option):
+            Dataset(_schema(40)).slice("t", 0, 10, format="csv", **{option: "%Y\x00%m"})
