@@ -72,7 +72,7 @@ _PUBLIC = {
     "PropertyError": "repro.exceptions",
     "ReproError": "repro.exceptions",
     "SchedulingError": "repro.exceptions",
-    "ArtifactStore": "repro.generators.base",
+    "ArtifactStore": "repro.model.artifacts",
     "Field": "repro.model.schema",
     "GeneratorSpec": "repro.model.schema",
     "PropertySet": "repro.model.properties",

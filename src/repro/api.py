@@ -36,7 +36,7 @@ from typing import Iterator
 
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, OutputError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 from repro.output.config import OutputConfig
 from repro.output.formats import BYTE_OPTIONS, format_package, format_spec, table_frame

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.config import schema_xml
 from repro.exceptions import ExtractionError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.core.queries import Query, VirtualExecutor
 from repro.db.adapter import DatabaseAdapter
 from repro.exceptions import GenerationError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 
 

@@ -31,7 +31,7 @@ from repro.core.rules import RuleEngine
 from repro.core.sampling import ColumnSampler, SampleConfig
 from repro.db.adapter import DatabaseAdapter
 from repro.exceptions import AdapterError, ExtractionError, ModelError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.datatypes import DataType, TypeFamily, parse_type
 from repro.obs import active_metrics, span
 from repro.model.schema import Field, GeneratorSpec, Schema, Table

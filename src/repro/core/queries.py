@@ -39,7 +39,7 @@ import numpy as np
 from repro import columnar
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, ModelError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.datatypes import TypeFamily
 from repro.model.schema import Schema
 from repro.model.sqlnames import sql_name

@@ -19,12 +19,9 @@ import numpy as np
 
 from repro import columnar
 from repro.exceptions import GenerationError, ModelError
-from repro.generators.base import (
-    ArtifactStore,
-    BindContext,
-    GenerationContext,
-)
+from repro.generators.base import BindContext, GenerationContext
 from repro.generators.registry import build_bound, plugin_modules, sibling_reads
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema, Table
 from repro.model.validation import ensure_valid
 from repro.obs import active_metrics

@@ -6,13 +6,9 @@ probability/switch, formula) that stack into complex values, plus the
 Markov text generator and the high-level semantic generators.
 """
 
-from repro.generators.base import (
-    ArtifactStore,
-    BindContext,
-    GenerationContext,
-    Generator,
-)
+from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import build, build_bound, known_generators, register
+from repro.model.artifacts import ArtifactStore
 
 __all__ = [
     "ArtifactStore",

@@ -31,6 +31,7 @@ from repro.exceptions import GenerationError, ModelError
 from repro.prng.xorshift import XorShift64Star
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.model.artifacts import ArtifactStore
     from repro.model.properties import PropertySet
     from repro.model.schema import Field, GeneratorSpec, Schema, Table
     from repro.prng.blocks import SeedBlock
@@ -88,68 +89,6 @@ def clip_words(text: str, limit: int | None) -> str:
     return clipped[:space] if space > 0 else clipped
 
 
-class ArtifactStore:
-    """Named store of model artifacts: dictionaries and Markov chains.
-
-    Mirrors PDGF's ``dicts/`` and ``markov/`` directories: the schema XML
-    references artifacts by name (``<file>markov/l_comment.bin</file>``)
-    and the store resolves them, either from memory or from disk.
-    """
-
-    def __init__(self) -> None:
-        self._items: dict[str, object] = {}
-
-    def put(self, name: str, artifact: object) -> None:
-        self._items[name] = artifact
-
-    def get(self, name: str) -> object:
-        try:
-            return self._items[name]
-        except KeyError:
-            raise GenerationError(f"unknown model artifact {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
-    def names(self) -> list[str]:
-        return sorted(self._items)
-
-    def save_dir(self, directory: str) -> None:
-        """Persist all artifacts under *directory* (one file each)."""
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        for name, artifact in self._items.items():
-            safe = name.replace("/", "__")
-            path = os.path.join(directory, safe)
-            save = getattr(artifact, "save", None)
-            if save is None:
-                raise GenerationError(f"artifact {name!r} is not serializable")
-            save(path)
-
-    @classmethod
-    def load_dir(cls, directory: str) -> "ArtifactStore":
-        """Load artifacts saved by :meth:`save_dir`.
-
-        Artifact kind is recovered from the name prefix used by the
-        builders: ``dict:<column>`` vs ``markov:<column>``.
-        """
-        import os
-
-        from repro.text.dictionary import WeightedDictionary
-        from repro.text.markov import MarkovChain
-
-        store = cls()
-        for entry in sorted(os.listdir(directory)):
-            name = entry.replace("__", "/")
-            path = os.path.join(directory, entry)
-            if name.startswith("markov:"):
-                store.put(name, MarkovChain.load(path))
-            else:
-                store.put(name, WeightedDictionary.load(path))
-        return store
-
-
 @dataclass
 class BindContext:
     """Everything a generator may inspect when it is bound to a field."""
@@ -158,7 +97,7 @@ class BindContext:
     table: "Table"
     field: "Field"
     properties: "PropertySet"
-    artifacts: ArtifactStore
+    artifacts: "ArtifactStore"
     # Resolved table sizes, filled by the engine before binding.
     table_sizes: dict[str, int] = dc_field(default_factory=dict)
 

@@ -18,6 +18,15 @@ from repro.generators.registry import build_children, register
 
 #: the characters ``str`` prints for an int
 _INT_CHARS = frozenset("0123456789-")
+#: the characters ``str`` prints for a value of each typed column kind:
+#: ``repr``'s alphabet for a float (``1e-05``, ``inf``, ``nan``), an ISO
+#: date, ``True`` / ``False``
+_KIND_CHARS = {
+    "int": _INT_CHARS,
+    "float": _INT_CHARS | frozenset("+.einfa"),
+    "date": _INT_CHARS,
+    "bool": frozenset("TrueFals"),
+}
 #: a template field spec whose text is the value's digits, zero-padded
 _DIGIT_SPEC = re.compile(r"(0\d*)?d?")
 
@@ -30,7 +39,7 @@ def _value_chars(column, template: bool) -> frozenset | None:
     elif column.kind == "dict":
         chars = frozenset("".join(map(str, column.entries)))
     else:
-        chars = _INT_CHARS if column.kind == "int" else None
+        chars = _KIND_CHARS.get(column.kind)
     if chars is not None and template and column.nulls is not None:
         chars |= frozenset("None")
     return chars

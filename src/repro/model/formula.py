@@ -19,9 +19,6 @@ import operator
 import re
 from typing import Callable, Mapping
 
-import numpy as _np
-
-from repro.columnar import INT64_MAX
 from repro.exceptions import FormulaError
 
 PROPERTY_REF_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_.]*)\}")
@@ -132,14 +129,16 @@ class CompiledFormula:
         not attempted), no integer intermediate that could leave int64
         (:func:`_int_magnitude`), and no numpy floating-point error flag.
         """
+        import numpy as np  # only block kernels get here, holding arrays
+
         try:
             env = self._environment(properties)
-            _int_magnitude(self._tree, env)
-            with _np.errstate(all="raise"):
+            _int_magnitude(self._tree, env, np.ndarray)
+            with np.errstate(all="raise"):
                 result = eval(self._code, _EVAL_GLOBALS, env)  # noqa: S307 - validated AST
         except (_NotExact, FormulaError, NameError, ArithmeticError, ValueError, TypeError):
             return None
-        if isinstance(result, _np.ndarray) and result.dtype in (_np.int64, _np.float64):
+        if isinstance(result, np.ndarray) and result.dtype in (np.int64, np.float64):
             return result
         return None
 
@@ -188,12 +187,14 @@ class _NotExact(Exception):
 
 
 _EXACT_FLOAT_INT = 2**53  # every integer below converts to float exactly
+_INT64_MAX = 2**63 - 1
 
 
-def _int_magnitude(node: ast.AST, env: Mapping[str, object]) -> int | None:
+def _int_magnitude(node: ast.AST, env: Mapping[str, object], array: type) -> int | None:
     """An upper bound of ``|value|`` when *node* is integer-valued, ``None``
     when it is float-valued; raises :class:`_NotExact` where int64 array
-    arithmetic could differ from Python's unbounded ints.
+    arithmetic could differ from Python's unbounded ints. *array* is
+    numpy's ``ndarray``.
 
     Float-valued nodes need no bound: numpy and Python run the same
     double arithmetic, and int operands convert to double the same way.
@@ -202,9 +203,9 @@ def _int_magnitude(node: ast.AST, env: Mapping[str, object]) -> int | None:
         bound = abs(node.value) if isinstance(node.value, int) else None
     elif isinstance(node, ast.Name):
         value = env.get(node.id)
-        if isinstance(value, _np.ndarray) and value.dtype == _np.int64:
+        if isinstance(value, array) and value.dtype == "int64":
             bound = max(abs(int(value.min())), abs(int(value.max()))) if value.size else 0
-        elif isinstance(value, _np.ndarray) and value.dtype == _np.float64:
+        elif isinstance(value, array) and value.dtype == "float64":
             bound = None
         elif type(value) is int:
             bound = abs(value)
@@ -213,10 +214,10 @@ def _int_magnitude(node: ast.AST, env: Mapping[str, object]) -> int | None:
         else:
             raise _NotExact
     elif isinstance(node, ast.UnaryOp):
-        bound = _int_magnitude(node.operand, env)
+        bound = _int_magnitude(node.operand, env, array)
     elif isinstance(node, ast.BinOp):
-        left = _int_magnitude(node.left, env)
-        right = _int_magnitude(node.right, env)
+        left = _int_magnitude(node.left, env, array)
+        right = _int_magnitude(node.right, env, array)
         op = type(node.op)
         if op is ast.Pow:
             raise _NotExact  # numpy's power is not Python's for every operand
@@ -238,7 +239,7 @@ def _int_magnitude(node: ast.AST, env: Mapping[str, object]) -> int | None:
             bound = left + right
     else:
         raise _NotExact  # function calls
-    if bound is not None and bound > INT64_MAX:
+    if bound is not None and bound > _INT64_MAX:
         raise _NotExact
     return bound
 

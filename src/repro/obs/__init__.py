@@ -32,31 +32,11 @@ generation or the new one, never a mix.
 
 from __future__ import annotations
 
+import sys
 import threading
+from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_names
-from repro.obs.export import (
-    HISTOGRAM_QUANTILES,
-    SpanAggregate,
-    aggregate_spans,
-    build_span_tree,
-    read_trace_jsonl,
-    render_prometheus,
-    render_span_tree,
-    span_jsonl_lines,
-    summary_lines,
-    table_totals,
-    trace_lines,
-    write_metrics_text,
-    write_trace_jsonl,
-)
-from repro.obs.profile import (
-    SamplingProfiler,
-    StageProfile,
-    active_profiler,
-    disable_profiling,
-    enable_profiling,
-)
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -65,11 +45,6 @@ from repro.obs.registry import (
     active_metrics,
     disable_metrics,
     enable_metrics,
-)
-from repro.obs.stitch import (
-    WorkerTelemetry,
-    span_payload,
-    stitch_spans,
 )
 from repro.obs.timing import throughput_mb_per_s
 from repro.obs.trace import (
@@ -83,12 +58,31 @@ from repro.obs.trace import (
     timed,
 )
 
+if TYPE_CHECKING:
+    from repro.obs.profile import SamplingProfiler
+
 # One lock serializes every swap of the process-global collectors, and a
 # generation counter lets long-lived readers (the serve thread, an
 # exporter) detect that the world changed under them instead of mixing
 # two generations in one response.
 _state_lock = threading.RLock()
 _generation = 0
+
+
+def active_profiler() -> SamplingProfiler | None:
+    """The process's :class:`SamplingProfiler`, or ``None``. Only
+    :func:`enable_profiling` starts one, so a process that never loaded
+    :mod:`repro.obs.profile` has none, and asking loads nothing."""
+    profile = sys.modules.get("repro.obs.profile")
+    return None if profile is None else profile.active_profiler()
+
+
+def disable_profiling() -> None:
+    """Stop and uninstall the process profiler, if one runs
+    (idempotent)."""
+    profile = sys.modules.get("repro.obs.profile")
+    if profile is not None:
+        profile.disable_profiling()
 
 
 def reset() -> None:
@@ -117,10 +111,36 @@ def state() -> tuple[int, Tracer | None, MetricsRegistry | None, SamplingProfile
         return _generation, active_tracer(), active_metrics(), active_profiler()
 
 
-#: ``obs.ObsServer`` resolves on first use: importing the web server
-#: (``http.server`` → ``email``, ``html``, ``socketserver``) is the cost
-#: of ``--obs-port``, not of every batch run.
-__getattr__, __dir__ = lazy_names(__name__, {"ObsServer": "repro.obs.serve"})
+#: Resolved on first use: the exporters (``--trace``, ``--metrics``,
+#: ``--summary``, ``dbsynth stats``), the stitching of executor
+#: telemetry (``-w N``), the sampling profiler (``--profile``) and the
+#: web server (``--obs-port``; ``http.server`` → ``email``, ``html``,
+#: ``socketserver``) are the cost of the runs that use them, not of
+#: every run.
+_LAZY = {
+    "HISTOGRAM_QUANTILES": "repro.obs.export",
+    "SpanAggregate": "repro.obs.export",
+    "aggregate_spans": "repro.obs.export",
+    "build_span_tree": "repro.obs.export",
+    "read_trace_jsonl": "repro.obs.export",
+    "render_prometheus": "repro.obs.export",
+    "render_span_tree": "repro.obs.export",
+    "span_jsonl_lines": "repro.obs.export",
+    "summary_lines": "repro.obs.export",
+    "table_totals": "repro.obs.export",
+    "trace_lines": "repro.obs.export",
+    "write_metrics_text": "repro.obs.export",
+    "write_trace_jsonl": "repro.obs.export",
+    "SamplingProfiler": "repro.obs.profile",
+    "StageProfile": "repro.obs.profile",
+    "enable_profiling": "repro.obs.profile",
+    "WorkerTelemetry": "repro.obs.stitch",
+    "span_payload": "repro.obs.stitch",
+    "stitch_spans": "repro.obs.stitch",
+    "ObsServer": "repro.obs.serve",
+}
+
+__getattr__, __dir__ = lazy_names(__name__, _LAZY)
 
 
 __all__ = [

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.obs.profile import active_profiler
+from repro.obs import active_profiler
 from repro.obs.registry import active_metrics
 from repro.obs.trace import SpanRecord, Tracer, active_tracer
 

@@ -302,7 +302,9 @@ class _DayTexts:
             index = days - start
             unseen = ~self.known[index]
             if unseen.any():
-                fresh = _np.unique(days[unseen])
+                # sorted distinct days; a bincount over the bounded span
+                # (``unique`` would import ``numpy.ma`` on first use)
+                fresh = _np.flatnonzero(_np.bincount(index[unseen])) + start
                 table = self._render(fresh)
                 width = max(self.table.itemsize, table.itemsize)
                 self.table = self.table.astype(f"S{width}", copy=False)

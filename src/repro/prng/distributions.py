@@ -17,8 +17,6 @@ import bisect
 import math
 from typing import Protocol, Sequence
 
-import numpy as _np
-
 from repro.exceptions import ModelError
 
 #: a draw is u = (output >> 11) * 2**-53: ``_SCALE`` puts a CDF entry on
@@ -83,7 +81,7 @@ def lookup(guide, below, outputs, at, shift):
     answer. A CDF's last entry is 1.0, so the scan never leaves it.
     """
     choice = guide[(outputs >> shift) + at]
-    behind = _np.flatnonzero(below[choice] < outputs)
+    behind = (below[choice] < outputs).nonzero()[0]
     while len(behind):
         choice[behind] += 1
         behind = behind[below[choice[behind]] < outputs[behind]]
@@ -150,11 +148,13 @@ class Categorical:
         assignment publishes it."""
         table = self._table
         if table is None:
+            import numpy as np
+
             guide, below, shift = guide_table(self._cdf)
             table = self._table = (
-                _np.array(guide, dtype=_np.intp),
-                _np.array(below, dtype=_np.uint64),
-                _np.uint64(shift),
+                np.array(guide, dtype=np.intp),
+                np.array(below, dtype=np.uint64),
+                np.uint64(shift),
             )
         guide, below, shift = table
         return lookup(guide, below, seeds.next_u64(), 0, shift)

@@ -35,25 +35,19 @@ Child → parent: ``("package", id, key, result, telemetry)``,
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
 from queue import Empty
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro import exceptions, obs
 from repro.exceptions import ReproError, SchedulingError
-from repro.obs import (
-    WorkerTelemetry,
-    active_metrics,
-    active_profiler,
-    active_tracer,
-    span,
-    span_payload,
-    stitch_spans,
-)
+from repro.obs import active_metrics, active_profiler, active_tracer, span
 from repro.output.formats import encoded_size, format_package
+
+if TYPE_CHECKING:
+    from repro.obs.stitch import WorkerTelemetry
 
 #: how long the parent waits for a result before polling liveness.
 POLL_SECONDS = 0.25
@@ -109,8 +103,11 @@ def mp_context():
 
     Under spawn the engine crosses via :meth:`GenerationEngine.__reduce__`
     — pickled as its model and rebuilt in the child — so both start
-    methods yield identical executors.
+    methods yield identical executors. ``multiprocessing`` loads here,
+    when a pool starts: an inline run never pays for it.
     """
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -155,7 +152,7 @@ class ChildTelemetry:
         *final* export also stops the profiler and adds its counts."""
         payload = {}
         if self.tracer is not None:
-            payload["spans"] = span_payload(self.tracer)
+            payload["spans"] = obs.span_payload(self.tracer)
         if self.registry is not None:
             payload["metrics"] = self.registry.export_deltas()
         if final and self.profiler is not None:
@@ -260,7 +257,7 @@ class PackagePool:
         self._stall_limit = STALL_SECONDS if faults is not None else None
         self._context = mp_context()
         self._results = self._context.Queue()
-        self._telemetry = WorkerTelemetry.from_active()
+        self._telemetry = obs.WorkerTelemetry.from_active()
         self.slots: dict[int, ExecutorSlot] = {}
         self.failures = 0
         self.requeued = 0
@@ -393,7 +390,7 @@ class PackagePool:
             active_tracer(), active_metrics(), active_profiler()
         )
         if tracer is not None:
-            stitch_spans(
+            obs.stitch_spans(
                 tracer, payload.get("spans"), parent_id=self._parent_span_id,
                 extra_attrs={"node": slot.ident}, open_ids=slot.open_spans,
             )

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 from repro.engine import GenerationEngine
 from repro.exceptions import SchedulingError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 from repro.obs import (
     active_metrics,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib
 
 from repro.exceptions import GenerationError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 
 #: The suites that are generation models (``--suite``, ``Dataset.from_suite``).

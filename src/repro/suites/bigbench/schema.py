@@ -12,7 +12,7 @@ BigBench workload representative.
 
 from __future__ import annotations
 
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.prng.xorshift import XorShift64Star
 from repro.text.corpus import comment_sentences

@@ -19,13 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import columnar
-from repro.generators.base import (
-    ArtifactStore,
-    BindContext,
-    GenerationContext,
-    Generator,
-)
+from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.prng.xorshift import XorShift64Star
 from repro.suites.tpch import data as D

@@ -11,6 +11,10 @@ The model is an order-``k`` chain over word tokens: states are ``k``-token
 tuples, transitions carry observed counts, and a separate weighted set of
 *starting states* seeds each generated text. Serialization is JSON so
 models ship alongside the schema XML like PDGF's ``markov/*.bin`` files.
+
+Training, serialization and the scalar walk are plain Python, so
+extraction runs without numpy; :class:`ChainTables`, the block kernel,
+imports it where it builds its arrays.
 """
 
 from __future__ import annotations
@@ -20,10 +24,7 @@ import threading
 from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
-import numpy as _np
-
 from repro.exceptions import ModelError
-from repro.prng import blocks
 from repro.prng.distributions import Categorical, RandomSource, guide_table, lookup
 from repro.text.tokenizer import words as tokenize
 
@@ -306,6 +307,8 @@ class ChainTables:
         )
         if not self.plain:
             return
+        import numpy as _np
+
         token_id = {token: index for index, token in enumerate(vocabulary)}
         pad = len(vocabulary)
         states = [state for state, counter in chain._transitions.items() if counter]
@@ -400,6 +403,10 @@ class ChainTables:
         :meth:`MarkovChain.generate` leaves the stream (an exhausted
         row's entry is unspecified).
         """
+        import numpy as _np
+
+        from repro.prng import blocks
+
         count = len(states)
         # a start state appends up to ``order`` tokens to an empty text
         width = max_words + self.order
@@ -482,6 +489,8 @@ class ChainTables:
         """The texts of a :meth:`sample` result: each row's kept words
         joined by single spaces, and the rows in *cut* (one word each)
         cut to *max_chars*."""
+        import numpy as _np
+
         # one flat piece list, row-major, each row opened by its "\n"
         # piece (forced for a row without words, so rows stay aligned)
         kept = _np.arange(tokens.shape[1]) < counts[:, None]

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 from repro.model.sqlnames import sql_name
 from repro.output.rows import ValueFormatter

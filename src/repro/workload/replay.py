@@ -32,7 +32,7 @@ from repro.core.driver import BenchmarkDriver, DriverReport, QueryExecution
 from repro.core.queries import Query
 from repro.db.adapter import DatabaseAdapter
 from repro.exceptions import WorkloadError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 from repro.obs import active_metrics
 from repro.update.blackbox import UpdateBlackBox

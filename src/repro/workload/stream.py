@@ -29,7 +29,7 @@ from typing import IO, Iterable
 
 from repro.core.queries import QueryParameterGenerator, QueryTemplate
 from repro.exceptions import WorkloadError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 from repro.prng.distributions import Categorical
 from repro.prng.xorshift import XorShift64Star, combine_name64

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import GenerationEngine
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.prng.xorshift import XorShift64Star
 

@@ -429,17 +429,48 @@ class TestOneHttpServer:
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout)
 
+    #: What a run without telemetry flags or a process pool never runs:
+    #: the trace and metrics exporters, the stitching of executor
+    #: telemetry, the sampling profiler, the pool — and ``numpy.ma``,
+    #: which a plain ``numpy.unique`` imports on first use.
+    NOT_ON_A_PLAIN_RUN = (
+        "repro.obs.export", "repro.obs.stitch", "repro.obs.profile",
+        "multiprocessing", "numpy.ma",
+    )
+
+    #: What extraction and DDL translation never run: numpy, the
+    #: generators and their block kernels, the engine.
+    NOT_ON_THE_EXTRACT_PATH = (
+        "numpy", "repro.generators", "repro.prng.blocks", "repro.columnar",
+        "repro.engine",
+    )
+
     def test_preview_loads_only_what_it_runs(self):
         """The paper's "instant" preview (§4) pays for the engine and
         the model, not for extraction, loading, updates, workloads,
         clusters, serving — or a process pool."""
-        watched = [*self.NOT_ON_THE_START_UP_PATH, "multiprocessing"]
+        watched = [*self.NOT_ON_THE_START_UP_PATH, *self.NOT_ON_A_PLAIN_RUN]
         argv = ["preview", "--suite", "tpch", "-n", "1"]
         assert self._loaded_by(argv, watched) == []
 
-    def test_single_node_generate_loads_only_what_it_runs(self):
-        argv = ["generate", "--suite", "tpch", "--sf", "0.001", "--kind", "null", "-q"]
-        assert self._loaded_by(argv, list(self.NOT_ON_THE_START_UP_PATH)) == []
+    def test_single_node_generate_loads_only_what_it_runs(self, tmp_path):
+        watched = [*self.NOT_ON_THE_START_UP_PATH, *self.NOT_ON_A_PLAIN_RUN]
+        for kind in (["--kind", "null"], ["-d", str(tmp_path / "out")]):
+            argv = ["generate", "--suite", "tpch", "--sf", "0.001", *kind, "-q"]
+            assert self._loaded_by(argv, watched) == [], kind
+
+    def test_telemetry_flags_and_workers_load_what_they_use(self, tmp_path):
+        """The modules a plain run leaves out still load, and work, when
+        a flag asks for them."""
+        argv = [
+            "generate", "--suite", "tpch", "--sf", "0.001", "--kind", "null", "-q",
+            "-w", "2", "--trace", str(tmp_path / "t.jsonl"),
+            "--metrics", str(tmp_path / "m.prom"), "--summary",
+        ]
+        loaded = self._loaded_by(argv, ["repro.obs.export", "repro.obs.stitch"])
+        assert loaded == ["repro.obs.export", "repro.obs.stitch"]
+        assert (tmp_path / "t.jsonl").stat().st_size > 0
+        assert "rows_generated_total" in (tmp_path / "m.prom").read_text()
 
     def test_extract_loads_only_what_it_runs(self, tmp_path):
         """The paper's "interactive" model generation (§4) pays for
@@ -455,6 +486,18 @@ class TestOneHttpServer:
         ]
         argv = ["extract", source, "-o", str(tmp_path / "model")]
         assert self._loaded_by(argv, watched) == []
+
+    def test_extract_and_translate_load_no_numpy(self, tmp_path):
+        """Extraction samples, counts and trains in plain Python, and
+        translation prints DDL: neither imports numpy or a kernel."""
+        from repro.suites.imdb import build_imdb_database
+
+        source = str(tmp_path / "source.db")
+        build_imdb_database(source, movies=20, people=30, seed=5).close()
+        model = str(tmp_path / "model")
+        watched = list(self.NOT_ON_THE_EXTRACT_PATH)
+        assert self._loaded_by(["extract", source, "-o", model], watched) == []
+        assert self._loaded_by(["translate", "--model", model], watched) == []
 
     def test_obs_server_still_resolves_lazily(self):
         from repro import obs
@@ -505,7 +548,14 @@ class TestLazyNamespaces:
         # repro.scheduler.scheduler); the namespace must still be complete
         "repro.scheduler": [],
         "repro.config": ["repro.config.schema_xml", "repro.config.format_xml"],
-        "repro.obs": ["repro.obs.serve"],
+        "repro.obs": [
+            "repro.obs.serve", "repro.obs.export", "repro.obs.stitch",
+            "repro.obs.profile",
+        ],
+        "repro.prng": [
+            "repro.prng.xorshift", "repro.prng.seeding", "repro.prng.blocks",
+            "repro.prng.distributions",
+        ],
         "repro.core": [
             "repro.core.loader", "repro.core.driver", "repro.core.queries",
             "repro.core.fidelity", "repro.engine", "repro.scheduler",
@@ -516,6 +566,7 @@ class TestLazyNamespaces:
     CONSTANTS = {
         "DEFAULT_GENERATION_BLOCK": "repro.engine",
         "HISTOGRAM_QUANTILES": "repro.obs.export",
+        "MASK64": "repro.prng.xorshift",
         "DEFAULT_INFLIGHT_EXTRA": "repro.scheduler.scheduler",
         "DEFAULT_PACKAGE_SIZE": "repro.scheduler.work",
         "BASE_CARDINALITIES": "repro.suites.tpch.data",

@@ -21,9 +21,10 @@ import pytest
 from repro import columnar
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
-from repro.generators.base import ArtifactStore, _KERNEL_MIN_ROWS
+from repro.generators.base import _KERNEL_MIN_ROWS
 from repro.generators.registry import _REGISTRY, known_generators
 from repro.generators.strings import DrawTemplateGenerator
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.config import OutputConfig
 from repro.scheduler import Scheduler

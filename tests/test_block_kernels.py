@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 from repro import columnar
 from repro.engine import GenerationEngine
 from repro.exceptions import FormulaError, GenerationError, ModelError
-from repro.generators.base import ArtifactStore, Generator, _KERNEL_MIN_ROWS
+from repro.generators.base import Generator, _KERNEL_MIN_ROWS
+from repro.model.artifacts import ArtifactStore
 from repro.model.formula import compile_formula
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.prng import blocks
@@ -807,6 +808,46 @@ class TestSequentialCharset:
         else:
             assert column.charset is None
         _assert_block_is_scalar(engine)
+
+    #: a child of each column kind the charset knows (a float twice:
+    #: ``repr`` writes small ones with an exponent)
+    KINDS = {
+        "int": GeneratorSpec("LongGenerator", {"min": -50, "max": 10**12}),
+        "float": GeneratorSpec("DoubleGenerator", {"min": -3.0, "max": 3.0, "places": 2}),
+        "float-small": GeneratorSpec("DoubleGenerator", {"min": -1e-4, "max": 1e-4}),
+        "date": GeneratorSpec("DateGenerator", {"min": "0900-01-01", "max": "2099-12-31"}),
+        "bool": GeneratorSpec("BooleanGenerator"),
+        "str": GeneratorSpec("PatternStringGenerator", {"pattern": "^#-@@"}),
+        "dict": GeneratorSpec("DictListGenerator", {"values": ["a b", "é|", "x"]}),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        children=st.lists(
+            st.tuples(st.sampled_from(sorted(KINDS)), st.sampled_from([0.0, 0.4])),
+            min_size=1, max_size=3,
+        ),
+        template=st.booleans(),
+        literal=st.sampled_from(["", "-", " / ", "|#"]),
+    )
+    def test_every_child_kind_declares_its_characters(self, children, template, literal):
+        """Every value of a Sequential over any typed child — with its
+        separator or in a template, NULLs included — stays inside the
+        declared charset."""
+        specs = [
+            GeneratorSpec("NullGenerator", {"probability": probability}, [self.KINDS[kind]])
+            for kind, probability in children
+        ]
+        params = (
+            {"template": literal.join(f"{{{i}}}" for i in range(len(specs)))}
+            if template else {"separator": literal}
+        )
+        engine = _engine([Field.of("s", "VARCHAR(200)", GeneratorSpec(
+            "SequentialGenerator", params, specs
+        ))], rows=64)
+        column = engine.generate_columns("t", 0, 64).columns[0]
+        assert column.kind == "str" and column.charset is not None
+        assert set("".join(column.data)) <= column.charset
 
 
 # -- ratchet -----------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.core.sampling import SampleConfig
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.exceptions import AdapterError, ExtractionError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.validation import ensure_valid
 
 

@@ -282,14 +282,14 @@ class TestArtifactStorePersistence:
         directory = str(tmp_path / "artifacts")
         result.artifacts.save_dir(directory)
 
-        from repro.generators.base import ArtifactStore
+        from repro.model.artifacts import ArtifactStore
 
         restored = ArtifactStore.load_dir(directory)
         assert restored.names() == result.artifacts.names()
 
     def test_unknown_artifact_rejected(self, tmp_path):
         from repro.exceptions import GenerationError
-        from repro.generators.base import ArtifactStore
+        from repro.model.artifacts import ArtifactStore
 
         store = ArtifactStore()
         with pytest.raises(GenerationError, match="unknown model artifact"):
@@ -297,7 +297,7 @@ class TestArtifactStorePersistence:
 
     def test_unserializable_artifact(self, tmp_path):
         from repro.exceptions import GenerationError
-        from repro.generators.base import ArtifactStore
+        from repro.model.artifacts import ArtifactStore
 
         store = ArtifactStore()
         store.put("bad", object())

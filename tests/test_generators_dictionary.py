@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ModelError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import GeneratorSpec
 from repro.text.dictionary import WeightedDictionary
 from tests.conftest import field_values, single_field_engine

@@ -11,7 +11,7 @@ from repro.cli.main import main
 from repro.config import schema_xml
 from repro.engine import GenerationEngine
 from repro.exceptions import ModelError
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.text import corpus
 from repro.text.markov import train_chain

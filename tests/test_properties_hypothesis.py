@@ -23,7 +23,7 @@ from repro.core.queries import Aggregate, Op, Predicate, Query, VirtualExecutor
 from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
-from repro.generators.base import ArtifactStore
+from repro.model.artifacts import ArtifactStore
 from repro.model.datatypes import TypeFamily
 from repro.model import formula as formula_mod
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
