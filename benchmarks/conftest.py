@@ -41,14 +41,18 @@ def simulated_cluster(schema, artifacts, nodes: int, repetitions: int = 5):
     cluster makespan is the max over nodes. Per-node work is
     deterministic and the max is extremely sensitive to one noisy node,
     so each node contributes its best time across *repetitions* (five:
-    with three, one busy second on a shared host spoils a share)."""
+    with three, one busy second on a shared host spoils a share). Each
+    share binds its own engine, as a node on its own machine would, so
+    no share runs on writers another share warmed."""
+    from repro.engine import GenerationEngine
     from repro.output.config import OutputConfig
     from repro.scheduler import RunReport, run_node
 
     best: dict[int, RunReport] = {}
     for _ in range(repetitions):
         for node in range(nodes):
-            run = run_node(schema, nodes, node, OutputConfig(kind="null"), artifacts)
+            engine = GenerationEngine(schema, artifacts)
+            run = run_node(engine, nodes, node, OutputConfig(kind="null"))
             if node not in best or run.seconds < best[node].seconds:
                 best[node] = run
     shares = best.values()

@@ -38,7 +38,7 @@ SCALE_FACTOR = 0.002
 
 def main() -> None:
     schema = tpch_schema(SCALE_FACTOR)
-    artifacts = tpch_artifacts()
+    engine = GenerationEngine(schema, tpch_artifacts())  # bound once, used by all
 
     print("== 1. repeatable query streams ==")
     template = QueryTemplate(
@@ -52,7 +52,7 @@ def main() -> None:
             ParameterSpec("mode", "lineitem", "l_shipmode"),
         ],
     )
-    generator = QueryParameterGenerator(schema, artifacts)
+    generator = QueryParameterGenerator(engine)
     for index, sql in enumerate(generator.stream(template, 3)):
         print(f"  Q{index}: {sql}")
     assert generator.stream(template, 3) == generator.stream(template, 3)
@@ -66,14 +66,14 @@ def main() -> None:
         [Predicate("l_quantity", Op.LT, 24),
          Predicate("l_discount", Op.BETWEEN, 0.05, 0.07)],
     )
-    executor = VirtualExecutor(schema, artifacts)
+    executor = VirtualExecutor(engine)
     answers = executor.execute(query)
     print(f"  {query.to_sql()}")
 
     print("\n== 3. the same SQL against a real database load ==")
     target = SQLiteAdapter(":memory:")
     target.execute_script(create_schema_sql(schema, "sqlite"))
-    load(GenerationEngine(schema, artifacts), target)
+    load(engine, target)
     actual = target.execute(query.to_sql())[0]
     for (key, answer), value in zip(answers.items(), actual):
         status = "equal" if same_answer(answer, value) else "DIFFERENT"
@@ -88,13 +88,13 @@ def main() -> None:
         count=20, repetition=0.3,
         arrival=ArrivalSpec(process="poisson", rate=40.0),
     )
-    stream = WorkloadStream(schema, spec, artifacts)
+    stream = WorkloadStream(engine, spec)
     events = stream.events()
     assert events == stream.events(0, 10) + stream.events(10), \
         "slices compose to the whole stream"
     for event in events[:3]:
         print(f"  t={event.ts:7.3f}s {event.template}#{event.index}")
-    replayer = WorkloadReplayer(schema, target, artifacts)
+    replayer = WorkloadReplayer(engine, target)
     report = replayer.replay(events, checks=spec.checks)
     for line in report.summary_lines():
         print(f"  {line}")

@@ -56,11 +56,11 @@ def main() -> None:
     # Static node shares need no runtime at all: run each in isolation
     # and the outputs concatenate to exactly the single-node data set.
     single = OutputConfig(kind="memory")
-    generate(GenerationEngine(schema, tpch_artifacts()), single)
+    generate(engine, single)
     parts = []
     for node in range(4):
         config = OutputConfig(kind="memory")
-        run_node(schema, 4, node, config, tpch_artifacts())
+        run_node(engine, 4, node, config)
         parts.append(config.memory_output("orders"))
     assert "".join(parts) == single.memory_output("orders")
     print("  node outputs concatenate bit-identically to the single run")
@@ -76,9 +76,7 @@ def main() -> None:
     dbgen_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    pdgf_report = generate(
-        GenerationEngine(schema, tpch_artifacts()), OutputConfig(kind="null")
-    )
+    pdgf_report = generate(engine, OutputConfig(kind="null"))
     pdgf_seconds = time.perf_counter() - start
     print(f"  DBGen: {dbgen_bytes / 1048576 / dbgen_seconds:6.2f} MB/s "
           f"(hard-coded, sequential, single format)")

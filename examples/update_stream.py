@@ -40,11 +40,12 @@ def main() -> None:
     schema = build_schema()
     adapter = SQLiteAdapter(":memory:")
     adapter.execute_script(create_schema_sql(schema, "sqlite"))
-    load(GenerationEngine(schema), adapter)
+    engine = GenerationEngine(schema)
+    load(engine, adapter)
     print(f"== base load: {adapter.row_count('product')} products ==")
 
     blackbox = UpdateBlackBox(
-        schema,
+        engine,  # the loaded model: epochs reuse its bound generators
         insert_fraction=0.10,   # 5 new products per epoch
         update_fraction=0.20,   # 10 price/stock changes per epoch
         delete_fraction=0.04,   # 2 retirements per epoch

@@ -2,7 +2,7 @@
 
 PDGF's determinism means a data set is not a file — it is a pure
 function from ``(model, row range, format)`` to bytes. :class:`Dataset`
-is that function with a handle: bind a model once, then ``slice()`` any
+is that function with a handle over a bound engine: ``slice()`` any
 row range of any table, as Python rows, as typed columns, or encoded in
 any registered output format. The same work-package partitioning and
 the same :func:`~repro.output.formats.format_package` path the batch
@@ -10,12 +10,13 @@ scheduler uses produce the bytes, so a slice is byte-identical to the
 corresponding range of a ``dbsynth generate`` output file — which is
 the contract the ``dbsynth serve`` HTTP endpoints are built on.
 
-Engines bind once and are shared: a process-wide LRU cache keyed by
+Engines bind once and are shared: :func:`bound_engine`, a process-wide
+LRU cache keyed by
 :func:`~repro.resilience.checkpoint.schema_fingerprint` (the model
-identity — seed, update epoch, sizes, fields, generator trees) hands
+identity — seed, update epoch, sizes, fields, generator trees), hands
 the same thread-safe :class:`~repro.engine.GenerationEngine` to every
-``Dataset`` over an equivalent model, so a server answering hundreds of
-requests pays generator binding once, not per request.
+``Dataset.from_suite`` / ``from_model`` over an equivalent model, so a
+process opening many datasets pays generator binding once per model.
 
 Quickstart::
 
@@ -77,10 +78,6 @@ def bound_engine(
             return engine
         _engine_misses += 1
     engine = GenerationEngine(schema, artifacts, update)
-    return _cache_engine(key, engine)
-
-
-def _cache_engine(key: str, engine: GenerationEngine) -> GenerationEngine:
     with _cache_lock:
         existing = _engine_cache.get(key)
         if existing is not None:
@@ -121,21 +118,19 @@ SLICE_OPTIONS = BYTE_OPTIONS[1:]
 
 
 class Dataset:
-    """A bound model with random-access slicing over every table.
+    """A bound engine with random-access slicing over every table.
 
-    Construction binds (or cache-hits) the generation engine; slicing
-    never mutates shared state, so one ``Dataset`` may serve concurrent
-    threads. ``package_size`` fixes the work-package partitioning and
-    therefore the chunk framing of binary formats — keep it equal to the
-    batch run's package size when byte-comparing against files.
+    Slicing never mutates shared state, so one ``Dataset`` may serve
+    concurrent threads. ``package_size`` fixes the work-package
+    partitioning and therefore the chunk framing of binary formats —
+    keep it equal to the batch run's package size when byte-comparing
+    against files.
     """
 
     def __init__(
         self,
-        schema: Schema,
-        artifacts: ArtifactStore | None = None,
+        engine: GenerationEngine,
         *,
-        update: int = 0,
         package_size: int = DEFAULT_PACKAGE_SIZE,
     ) -> None:
         if package_size <= 0:
@@ -143,25 +138,8 @@ class Dataset:
                 f"package_size must be positive, got {package_size}"
             )
         self.package_size = package_size
-        self.fingerprint = schema_fingerprint(schema, update)
-        self.engine = bound_engine(schema, artifacts, update)
-
-    @classmethod
-    def from_engine(
-        cls,
-        engine: GenerationEngine,
-        *,
-        package_size: int = DEFAULT_PACKAGE_SIZE,
-    ) -> "Dataset":
-        """Wrap an already-bound engine (seeding the cache with it)."""
-        key = schema_fingerprint(engine.schema, engine.update)
-        _cache_engine(key, engine)
-        return cls(
-            engine.schema,
-            engine.artifacts,
-            update=engine.update,
-            package_size=package_size,
-        )
+        self.fingerprint = schema_fingerprint(engine.schema, engine.update)
+        self.engine = engine
 
     @classmethod
     def from_model(
@@ -172,15 +150,14 @@ class Dataset:
         update: int = 0,
         package_size: int = DEFAULT_PACKAGE_SIZE,
     ) -> "Dataset":
-        """A dataset over a saved project directory (from ``extract``)."""
+        """A dataset over a saved project directory (from ``extract``),
+        its engine from the :func:`bound_engine` cache."""
         from repro.config.saved_model import load_saved
 
         schema, artifacts = load_saved(directory)
         if scale_factor is not None:
             schema.properties.override("SF", scale_factor)
-        return cls(
-            schema, artifacts, update=update, package_size=package_size
-        )
+        return cls(bound_engine(schema, artifacts, update), package_size=package_size)
 
     @classmethod
     def from_suite(
@@ -191,9 +168,11 @@ class Dataset:
         update: int = 0,
         package_size: int = DEFAULT_PACKAGE_SIZE,
     ) -> "Dataset":
-        """A dataset over a built-in suite model (tpch, ssb, bigbench)."""
+        """A dataset over a built-in suite model (tpch, ssb, bigbench),
+        its engine from the :func:`bound_engine` cache."""
         return cls(
-            *suite_model(name, scale_factor), update=update, package_size=package_size
+            bound_engine(*suite_model(name, scale_factor), update),
+            package_size=package_size,
         )
 
     # -- introspection ----------------------------------------------------

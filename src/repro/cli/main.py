@@ -42,9 +42,12 @@ if TYPE_CHECKING:
     from repro.engine import GenerationEngine
 
 
-def _load_model(args: argparse.Namespace):
-    """``(schema, artifacts)`` from --suite or --model, with -p overrides
-    applied."""
+def _load_engine(args: argparse.Namespace) -> GenerationEngine:
+    """The command's one bound engine: the model from --suite or
+    --model, with -p overrides applied. Every component a command runs
+    takes this engine; none binds the model again."""
+    from repro.engine import GenerationEngine
+
     if args.suite:
         schema, artifacts = suite_model(args.suite, args.scale_factor)
     else:
@@ -56,13 +59,7 @@ def _load_model(args: argparse.Namespace):
         schema.properties.override("SF", args.scale_factor)
     if args.property:
         apply_overrides(schema.properties, args.property)
-    return schema, artifacts
-
-
-def _load_engine(args: argparse.Namespace) -> GenerationEngine:
-    from repro.engine import GenerationEngine
-
-    return GenerationEngine(*_load_model(args))
+    return GenerationEngine(schema, artifacts)
 
 
 class _KnownFormats:
@@ -258,7 +255,6 @@ def _print_report(report, quiet: bool) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.engine import GenerationEngine
     from repro.output.config import OutputConfig
     from repro.scheduler import ProgressMonitor, generate
 
@@ -273,7 +269,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     tracer, registry, profiler, server = _telemetry_begin(args)
     try:
-        schema, artifacts = _load_model(args)
+        engine = _load_engine(args)
         output = OutputConfig(
             kind=args.kind,
             format=args.format,
@@ -291,15 +287,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-        sizes = schema.sizes()
         progress = ProgressMonitor(
-            sum(sizes.values()),
-            sizes,
+            engine.total_rows(),
+            engine.sizes,
             callback=print_progress if not args.quiet else None,
         )
         if server is not None:
             server.attach_progress(progress)
-        engine = GenerationEngine(schema, artifacts)
         if args.kind == "sqlite" and not args.resume:
             from repro.db import SQLiteAdapter, create_schema_sql
 
@@ -326,9 +320,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import DataServer
 
     registry = obs.enable_metrics()  # backs the /metrics endpoint
-    dataset = Dataset.from_engine(
-        _load_engine(args), package_size=args.package_size
-    )
+    dataset = Dataset(_load_engine(args), package_size=args.package_size)
     server = DataServer(
         dataset,
         host=args.host,
@@ -419,7 +411,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         raise ReproError("workload needs --dump FILE and/or --replay")
     engine = _load_engine(args)
     spec = _workload_spec(args, engine)
-    stream = WorkloadStream(engine.schema, spec, engine.artifacts)
+    stream = WorkloadStream(engine, spec)
     if args.dump:
         if args.dump == "-":
             count = stream.dump_jsonl(sys.stdout)
@@ -443,14 +435,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         with SQLiteAdapter(args.database) as target:
             cdc = None
             if args.cdc_epochs:
-                cdc = CdcInterleave(
-                    UpdateBlackBox(engine.schema, engine.artifacts),
-                    epochs=args.cdc_epochs,
-                )
-            replayer = WorkloadReplayer(
-                engine.schema, target, engine.artifacts,
-                max_speedup=args.max_speedup,
-            )
+                cdc = CdcInterleave(UpdateBlackBox(engine), epochs=args.cdc_epochs)
+            replayer = WorkloadReplayer(engine, target, max_speedup=args.max_speedup)
             report = replayer.replay(events, checks=spec.checks, cdc=cdc)
         for line in report.summary_lines():
             print(line)
@@ -505,7 +491,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     from repro.update import UpdateBlackBox
 
     engine = _load_engine(args)
-    blackbox = UpdateBlackBox(engine.schema, engine.artifacts)
+    blackbox = UpdateBlackBox(engine)
     tables = [args.table] if args.table else list(engine.sizes)
     for table in tables:
         plan = blackbox.plan(table, args.epoch)

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 from repro.core.queries import Query, VirtualExecutor
 from repro.db.adapter import DatabaseAdapter
+from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
-from repro.model.artifacts import ArtifactStore
-from repro.model.schema import Schema
 
 
 @dataclass
@@ -92,16 +91,9 @@ class DriverReport:
 class BenchmarkDriver:
     """Runs and grades queries against a target database."""
 
-    def __init__(
-        self,
-        schema: Schema,
-        adapter: DatabaseAdapter,
-        artifacts: ArtifactStore | None = None,
-    ) -> None:
-        self.schema = schema
+    def __init__(self, engine: GenerationEngine, adapter: DatabaseAdapter) -> None:
         self.adapter = adapter
-        self.artifacts = artifacts or ArtifactStore()
-        self._executor = VirtualExecutor(schema, self.artifacts)
+        self._executor = VirtualExecutor(engine)
 
     # -- execution ---------------------------------------------------------------
 

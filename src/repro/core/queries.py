@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import datetime
 import enum
-import functools
 import math
 import operator
 import re
@@ -39,9 +38,7 @@ import numpy as np
 from repro import columnar
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, ModelError
-from repro.model.artifacts import ArtifactStore
 from repro.model.datatypes import TypeFamily
-from repro.model.schema import Schema
 from repro.model.sqlnames import sql_name
 from repro.prng.xorshift import XorShift64Star, combine_name64
 
@@ -191,16 +188,13 @@ class QueryParameterGenerator:
     exactly the way the data is (paper §7).
     """
 
-    def __init__(self, schema: Schema, artifacts: ArtifactStore | None = None):
-        self.schema = schema
-        self.artifacts = artifacts or ArtifactStore()
-
-    @functools.cached_property
-    def _engine(self) -> GenerationEngine:
-        return GenerationEngine(self.schema, self.artifacts)
+    def __init__(self, engine: GenerationEngine) -> None:
+        self._engine = engine
 
     def _rng_for(self, template: QueryTemplate, index: int) -> XorShift64Star:
-        seed = combine_name64(self.schema.seed, f"query:{template.name}:{index}")
+        seed = combine_name64(
+            self._engine.schema.seed, f"query:{template.name}:{index}"
+        )
         return XorShift64Star(seed)
 
     def parameters_for(self, template: QueryTemplate, index: int) -> dict[str, object]:
@@ -265,17 +259,8 @@ class VirtualExecutor:
     database, so the answer is the one SQL gives on the generated data.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        artifacts: ArtifactStore | None = None,
-    ) -> None:
-        self.schema = schema
-        self.artifacts = artifacts or ArtifactStore()
-
-    @functools.cached_property
-    def _engine(self) -> GenerationEngine:
-        return GenerationEngine(self.schema, self.artifacts)
+    def __init__(self, engine: GenerationEngine) -> None:
+        self._engine = engine
 
     def execute(self, query: Query) -> dict[str, object]:
         """The query's answer: one entry per aggregate, in SELECT-list
@@ -283,7 +268,8 @@ class VirtualExecutor:
         :func:`_aggregate_keys`), typed as SQL types it — ``None`` for
         an aggregate over no values, ``int`` counts and integer sums,
         ``float`` averages, MIN / MAX in the column's own type."""
-        table = self.schema.table_by_name(query.table)
+        engine = self._engine
+        table = engine.schema.table_by_name(query.table)
         families = {
             name: table.field_by_name(name).dtype.family
             for name in {p.column for p in query.predicates}
@@ -301,9 +287,9 @@ class VirtualExecutor:
         for predicate in query.predicates:
             if predicate.op is Op.IN:
                 _in_values(predicate)  # its error comes before any generation
-        bound = self._engine.bound_table(query.table)
-        ctx = self._engine.new_context(query.table)
-        size = self._engine.sizes[query.table]
+        bound = engine.bound_table(query.table)
+        ctx = engine.new_context(query.table)
+        size = engine.sizes[query.table]
         rows = 0
         for start in range(0, size, EXECUTE_BLOCK):
             stop = min(start + EXECUTE_BLOCK, size)

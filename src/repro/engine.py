@@ -410,6 +410,19 @@ class GenerationEngine:
     def bound_table(self, table_name: str) -> BoundTable:
         return self._bound(table_name)
 
+    def _range(
+        self, table_name: str, start: int, stop: int | None
+    ) -> tuple[BoundTable, int]:
+        """The bound table and ``stop`` clamped to its size (``None`` is
+        the size); a negative *start* names rows no table holds."""
+        bound = self._bound(table_name)
+        if start < 0:
+            raise GenerationError(
+                f"row {start} outside table {table_name!r} (rows start at 0)"
+            )
+        size = self.sizes[table_name]
+        return bound, size if stop is None else min(stop, size)
+
     def generate_row(self, table_name: str, row: int) -> list[object]:
         """All values of one row (fresh context; use iter_rows in loops)."""
         bound = self._bound(table_name)
@@ -421,12 +434,8 @@ class GenerationEngine:
         """Rows ``[start, stop)`` of a table as one materialized block.
 
         :meth:`generate_columns` transposed to row value lists.
-        ``stop`` defaults to the table size.
         """
-        bound = self._bound(table_name)
-        size = self.sizes[table_name]
-        if stop is None or stop > size:
-            stop = size
+        bound, stop = self._range(table_name, start, stop)
         return bound.generate_rows(start, stop, self.new_context(table_name))
 
     def generate_columns(
@@ -434,11 +443,9 @@ class GenerationEngine:
     ) -> columnar.ColumnBlock:
         """Rows ``[start, stop)`` of a table as one column block — one
         call per work package is how the scheduler drives generation.
-        ``stop`` defaults to the table size."""
-        bound = self._bound(table_name)
-        size = self.sizes[table_name]
-        if stop is None or stop > size:
-            stop = size
+        ``stop`` defaults to, and is clamped to, the table size; a
+        negative ``start`` is a :class:`GenerationError`."""
+        bound, stop = self._range(table_name, start, stop)
         return bound.generate_columns(start, stop, self.new_context(table_name))
 
     def iter_rows(
@@ -454,10 +461,7 @@ class GenerationEngine:
         :meth:`BoundTable.generate_columns`, the same kernels the
         scheduler drives, while emitting rows one at a time.
         """
-        bound = self._bound(table_name)
-        size = self.sizes[table_name]
-        if stop is None or stop > size:
-            stop = size
+        bound, stop = self._range(table_name, start, stop)
         if block_size <= 0:
             raise GenerationError(
                 f"block_size must be positive, got {block_size}"

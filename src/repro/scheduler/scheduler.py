@@ -700,11 +700,10 @@ def node_ranges(
 
 
 def run_node(
-    schema: Schema,
+    engine: GenerationEngine,
     nodes: int,
     node: int,
     output: OutputConfig | None = None,
-    artifacts: ArtifactStore | None = None,
     workers: int = 1,
     package_size: int = DEFAULT_PACKAGE_SIZE,
     checkpoint: str | None = None,
@@ -721,7 +720,6 @@ def run_node(
     journals into its ``node<i>`` subdirectory, so only the nodes that
     actually died need resuming.
     """
-    engine = GenerationEngine(schema, artifacts)
     # one manifest per share: the nodes' output directories are their own
     checkpoint, resume_from = (
         base and os.path.join(base, f"node{node}")

@@ -26,8 +26,6 @@ from typing import Iterator
 
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
-from repro.model.artifacts import ArtifactStore
-from repro.model.schema import Schema
 from repro.model.sqlnames import sql_name
 from repro.output.rows import ValueFormatter
 from repro.prng.xorshift import XorShift64Star, combine64, hash_string64
@@ -63,16 +61,19 @@ class EpochPlan:
 class UpdateBlackBox:
     """Generates per-epoch change batches for a model.
 
-    ``insert_fraction``/``update_fraction``/``delete_fraction`` size each
-    epoch's batch relative to the base table size. Key columns (primary
-    fields and ID generators) are never updated — updates touch the
-    mutable attribute columns only.
+    Runs off the caller's bound engine: the base data (epoch 0) and each
+    epoch's updates come from :meth:`GenerationEngine.at_update`, which
+    shares its bound generators. ``insert_fraction`` /
+    ``update_fraction`` / ``delete_fraction`` size each epoch's batch
+    relative to the base table size. Key columns (primary fields and ID
+    generators) are never updated — updates touch the mutable attribute
+    columns only.
     """
 
     def __init__(
         self,
-        schema: Schema,
-        artifacts: ArtifactStore | None = None,
+        engine: GenerationEngine,
+        *,
         insert_fraction: float = 0.01,
         update_fraction: float = 0.01,
         delete_fraction: float = 0.005,
@@ -84,12 +85,11 @@ class UpdateBlackBox:
         ):
             if fraction < 0:
                 raise GenerationError(f"{name}_fraction must be >= 0, got {fraction}")
-        self.schema = schema
-        self.artifacts = artifacts
+        self.schema = engine.schema
         self.insert_fraction = insert_fraction
         self.update_fraction = update_fraction
         self.delete_fraction = delete_fraction
-        self._base = GenerationEngine(schema, artifacts, update=0)
+        self._base = engine.at_update(0)
 
     def plan(self, table: str, epoch: int) -> EpochPlan:
         """Batch sizes and the insert row offset for one epoch."""

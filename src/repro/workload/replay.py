@@ -31,8 +31,8 @@ from typing import Callable, Sequence
 from repro.core.driver import BenchmarkDriver, DriverReport, QueryExecution
 from repro.core.queries import Query
 from repro.db.adapter import DatabaseAdapter
+from repro.engine import GenerationEngine
 from repro.exceptions import WorkloadError
-from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 from repro.obs import active_metrics
 from repro.update.blackbox import UpdateBlackBox
@@ -180,16 +180,15 @@ class WorkloadReplayer:
 
     def __init__(
         self,
-        schema: Schema,
+        engine: GenerationEngine,
         adapter: DatabaseAdapter,
-        artifacts: ArtifactStore | None = None,
         *,
         max_speedup: float = 0.0,
         clock: Callable[[], float] = time.perf_counter,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.schema = schema
-        self.driver = BenchmarkDriver(schema, adapter, artifacts)
+        self.schema = engine.schema
+        self.driver = BenchmarkDriver(engine, adapter)
         self.adapter = adapter
         self.max_speedup = max_speedup
         self._clock = clock
@@ -230,20 +229,20 @@ class WorkloadReplayer:
                 report.checks = DriverReport()
             report.checks.executions.append(self.driver.run_query(name, query))
 
-        start = self._clock()
-        next_boundary = 0
-        for position, event in enumerate(events):
-            while (
-                next_boundary < len(boundaries)
-                and boundaries[next_boundary][0] <= position
-            ):
-                epoch = boundaries[next_boundary][1]
+        def apply_epochs(through: int) -> None:
+            """Apply, in order, every epoch whose boundary is at or
+            before event *through*."""
+            while boundaries and boundaries[0][0] <= through:
+                _, epoch = boundaries.pop(0)
                 for table, key in cdc_tables:
                     counts = cdc.blackbox.apply_epoch(  # type: ignore[union-attr]
                         self.adapter, table, epoch, key
                     )
                     report.cdc_applied.append((epoch, table, counts))
-                next_boundary += 1
+
+        start = self._clock()
+        for position, event in enumerate(events):
+            apply_epochs(position)
             if self.max_speedup > 0:
                 delay = event.ts / self.max_speedup - (self._clock() - start)
                 if delay > 0:
@@ -268,14 +267,6 @@ class WorkloadReplayer:
                     template=event.template,
                     status="ok" if execution.succeeded else "error",
                 )
-        # Trailing boundaries (all queries already issued) still apply.
-        while next_boundary < len(boundaries):
-            epoch = boundaries[next_boundary][1]
-            for table, key in cdc_tables:
-                counts = cdc.blackbox.apply_epoch(  # type: ignore[union-attr]
-                    self.adapter, table, epoch, key
-                )
-                report.cdc_applied.append((epoch, table, counts))
-            next_boundary += 1
+        apply_epochs(len(events))  # trailing boundaries: every query issued
         report.replay_seconds = self._clock() - start
         return report

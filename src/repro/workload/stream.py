@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from repro.core.queries import QueryParameterGenerator, QueryTemplate
+from repro.engine import GenerationEngine
 from repro.exceptions import WorkloadError
-from repro.model.artifacts import ArtifactStore
-from repro.model.schema import Schema
 from repro.prng.distributions import Categorical
 from repro.prng.xorshift import XorShift64Star, combine_name64
 from repro.workload.spec import WorkloadSpec
@@ -77,16 +76,11 @@ class ScheduledQuery:
 class WorkloadStream:
     """Materializes a spec into scheduled query events."""
 
-    def __init__(
-        self,
-        schema: Schema,
-        spec: WorkloadSpec,
-        artifacts: ArtifactStore | None = None,
-    ) -> None:
+    def __init__(self, engine: GenerationEngine, spec: WorkloadSpec) -> None:
         spec.validate()
-        self.schema = schema
+        self.schema = engine.schema
         self.spec = spec
-        self._parameters = QueryParameterGenerator(schema, artifacts)
+        self._parameters = QueryParameterGenerator(engine)
         self._pool = spec.effective_pool_size()
         self._mix = Categorical(
             [weighted.template for weighted in spec.templates],

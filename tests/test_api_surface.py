@@ -141,8 +141,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_20(self):
-        assert repro.__version__.startswith("20.")
+    def test_version_is_21(self):
+        assert repro.__version__.startswith("21.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -179,7 +179,7 @@ class TestOneGeneratePath:
             OutputConfig(columnar=False)
 
     def test_slice_rejects_columnar_option(self):
-        dataset = repro.Dataset(demo_schema())
+        dataset = repro.Dataset(GenerationEngine(demo_schema()))
         with pytest.raises(repro.OutputError, match="columnar"):
             dataset.slice("customer", 0, 2, format="csv", columnar=False)
 

@@ -239,6 +239,54 @@ class TestUpdate:
         assert "error: no such table 'ghost'" in capsys.readouterr().err
 
 
+class TestOneBindPerCommand:
+    """A command binds its model once, in ``_load_engine``; the stream,
+    the replayer's driver and executor, the update black box and the
+    served dataset all run off that engine."""
+
+    @pytest.fixture
+    def binds(self, monkeypatch) -> list:
+        from repro.engine import GenerationEngine
+
+        calls = []
+        bind = GenerationEngine.__init__
+
+        def counted_bind(self, *args, **kwargs):
+            calls.append(args)
+            bind(self, *args, **kwargs)
+
+        monkeypatch.setattr(GenerationEngine, "__init__", counted_bind)
+        return calls
+
+    def test_workload_replay_with_cdc(self, binds, tmp_path, capsys):
+        database = str(tmp_path / "tpch.db")
+        assert main(["generate", "--suite", "tpch", "--sf", "0.001", "--kind", "sqlite",
+                     "--format", "sql", "--database", database, "-q"]) == 0
+        binds.clear()
+        assert main(["workload", "--suite", "tpch", "--sf", "0.001", "--queries", "10",
+                     "--replay", "--database", database, "--max-speedup", "0",
+                     "--cdc-epochs", "1"]) == 0
+        assert len(binds) == 1
+        out = capsys.readouterr().out
+        assert "checks: 5/5 exact" in out and "cdc epoch 1" in out
+
+    def test_update_show(self, binds, capsys):
+        assert main(["update", "--suite", "tpch", "--sf", "0.001", "--show"]) == 0
+        assert len(binds) == 1
+        assert "update " in capsys.readouterr().out
+
+    def test_serve_startup(self, binds, monkeypatch, capsys):
+        from repro.serve import DataServer
+
+        def interrupt(self) -> None:
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(DataServer, "join", interrupt)
+        assert main(["serve", "--suite", "tpch", "--sf", "0.001", "--port", "0"]) == 0
+        assert len(binds) == 1
+        assert "serving 8 tables" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_unknown_model_directory(self, capsys):
         assert main(["preview", "--model", "/nonexistent/dir"]) == 2

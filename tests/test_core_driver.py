@@ -17,18 +17,18 @@ from tests.conftest import demo_schema
 
 @pytest.fixture(scope="module")
 def demo_setup():
-    schema = demo_schema()
+    engine = GenerationEngine(demo_schema())
     adapter = SQLiteAdapter(":memory:")
-    adapter.execute_script(create_schema_sql(schema, "sqlite"))
-    load(GenerationEngine(schema), adapter)
-    yield schema, adapter
+    adapter.execute_script(create_schema_sql(engine.schema, "sqlite"))
+    load(engine, adapter)
+    yield engine, adapter
     adapter.close()
 
 
 class TestRunQuery:
     def test_timed_and_graded(self, demo_setup):
-        schema, adapter = demo_setup
-        driver = BenchmarkDriver(schema, adapter)
+        engine, adapter = demo_setup
+        driver = BenchmarkDriver(engine, adapter)
         execution = driver.run_query(
             "count", Query("customer", [Aggregate("count")])
         )
@@ -39,11 +39,11 @@ class TestRunQuery:
         assert execution.check_ok is True
 
     def test_prediction_grading_catches_wrong_data(self, demo_setup):
-        schema, _adapter = demo_setup
+        engine, _adapter = demo_setup
         empty = SQLiteAdapter(":memory:")
-        empty.execute_script(create_schema_sql(schema, "sqlite"))
+        empty.execute_script(create_schema_sql(engine.schema, "sqlite"))
         empty.insert_rows("customer", ["c_id"], [(1,)])  # 1 row, model says 60
-        driver = BenchmarkDriver(schema, empty)
+        driver = BenchmarkDriver(engine, empty)
         execution = driver.run_query(
             "count", Query("customer", [Aggregate("count")])
         )
@@ -53,9 +53,9 @@ class TestRunQuery:
     def test_unpredictable_query_still_timed(self, demo_setup):
         # c_name is a PersonNameGenerator: an equality on it is graded
         # against the exact answer like any other check.
-        schema, adapter = demo_setup
+        engine, adapter = demo_setup
         name = adapter.execute("SELECT c_name FROM customer WHERE c_id = 7")[0][0]
-        driver = BenchmarkDriver(schema, adapter)
+        driver = BenchmarkDriver(engine, adapter)
         execution = driver.run_query(
             "names", Query("customer", [Aggregate("count")],
                            [Predicate("c_name", Op.EQ, name)])
@@ -66,8 +66,8 @@ class TestRunQuery:
         assert execution.check_ok is True
 
     def test_a_query_the_model_cannot_answer_is_timed_only(self, demo_setup):
-        schema, adapter = demo_setup
-        driver = BenchmarkDriver(schema, adapter)
+        engine, adapter = demo_setup
+        driver = BenchmarkDriver(engine, adapter)
         # SQLite sums text; the model answers SUM over numbers only
         execution = driver.run_query(
             "text_sum", Query("customer", [Aggregate("sum", "c_name")])
@@ -79,8 +79,8 @@ class TestRunQuery:
         # SQLite compares the loaded ISO text with the number's text
         # (every row is less); the model's day ordinals would say none,
         # so the query is timed and not graded
-        schema, adapter = demo_setup
-        driver = BenchmarkDriver(schema, adapter)
+        engine, adapter = demo_setup
+        driver = BenchmarkDriver(engine, adapter)
         execution = driver.run_query(
             "date_vs_int", Query("orders", [Aggregate("count")],
                                  [Predicate("o_date", Op.LT, 300_000)])
@@ -94,8 +94,8 @@ class TestRunQuery:
         # answers by SQL text alone collapsed them, shifting every
         # later answer onto the wrong result column (the AVG below
         # was graded against a COUNT and always failed).
-        schema, adapter = demo_setup
-        driver = BenchmarkDriver(schema, adapter)
+        engine, adapter = demo_setup
+        driver = BenchmarkDriver(engine, adapter)
         execution = driver.run_query(
             "dups",
             Query("orders", [
@@ -113,8 +113,8 @@ class TestRunQuery:
         assert execution.check_ok is True
 
     def test_sql_error_captured_not_raised(self, demo_setup):
-        schema, adapter = demo_setup
-        driver = BenchmarkDriver(schema, adapter)
+        engine, adapter = demo_setup
+        driver = BenchmarkDriver(engine, adapter)
         execution = driver.run_sql("bad", "SELECT * FROM nowhere")
         assert not execution.succeeded
         assert "nowhere" in (execution.error or "")
@@ -122,8 +122,8 @@ class TestRunQuery:
 
 class TestDriverReport:
     def test_summary_counts(self, demo_setup):
-        schema, adapter = demo_setup
-        driver = BenchmarkDriver(schema, adapter)
+        engine, adapter = demo_setup
+        driver = BenchmarkDriver(engine, adapter)
         report = DriverReport([
             driver.run_sql("probe#0", "SELECT COUNT(*) FROM orders"),
             driver.run_sql("probe#1", "SELECT COUNT(*) FROM customer"),
@@ -148,17 +148,16 @@ class TestDriverReport:
 class TestTpchWorkload:
     @pytest.fixture(scope="class")
     def tpch_setup(self):
-        schema = tpch_schema(0.001)
-        artifacts = tpch_artifacts()
+        engine = GenerationEngine(tpch_schema(0.001), tpch_artifacts())
         adapter = SQLiteAdapter(":memory:")
-        adapter.execute_script(create_schema_sql(schema, "sqlite"))
-        load(GenerationEngine(schema, artifacts), adapter)
-        yield schema, artifacts, adapter
+        adapter.execute_script(create_schema_sql(engine.schema, "sqlite"))
+        load(engine, adapter)
+        yield engine, adapter
         adapter.close()
 
     def test_default_workload_runs_clean(self, tpch_setup):
-        schema, artifacts, adapter = tpch_setup
-        driver = BenchmarkDriver(schema, adapter, artifacts)
+        engine, adapter = tpch_setup
+        driver = BenchmarkDriver(engine, adapter)
         report = DriverReport([
             driver.run_query(name, query) for name, query in PREDICTED_QUERIES
         ])

@@ -68,7 +68,7 @@ def schema():
 
 @pytest.fixture(scope="module")
 def executor(schema):
-    return VirtualExecutor(schema)
+    return VirtualExecutor(GenerationEngine(schema))
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +164,7 @@ class TestUnmodelledComparisons:
 
         query = Query("wide", [Aggregate("count")], [Predicate("w_prob", Op.EQ, 61.5)])
         with pytest.raises(GenerationError, match="61.5 is not modelled"):
-            VirtualExecutor(*kitchen_sink_schema()).execute(query)
+            VirtualExecutor(GenerationEngine(*kitchen_sink_schema())).execute(query)
 
     @pytest.mark.parametrize("dtype, constant", [
         ("VARCHAR(30)", 0.1 + 0.2),  # SQLite stores the text '0.3'
@@ -179,7 +179,7 @@ class TestUnmodelledComparisons:
             )),
         ]))
         with pytest.raises(GenerationError, match="not modelled"):
-            VirtualExecutor(schema).execute(
+            VirtualExecutor(GenerationEngine(schema)).execute(
                 Query("t", [Aggregate("count")], [Predicate("t_value", Op.NOT_NULL)])
             )
 
@@ -260,16 +260,17 @@ class TestQueryParameterGenerator:
     )
 
     def test_deterministic_stream(self, schema):
-        a = QueryParameterGenerator(schema).stream(self.TEMPLATE, 10)
-        b = QueryParameterGenerator(schema).stream(self.TEMPLATE, 10)
+        a = QueryParameterGenerator(GenerationEngine(schema)).stream(self.TEMPLATE, 10)
+        b = QueryParameterGenerator(GenerationEngine(schema)).stream(self.TEMPLATE, 10)
         assert a == b
 
     def test_instances_differ(self, schema):
-        stream = QueryParameterGenerator(schema).stream(self.TEMPLATE, 10)
+        generator = QueryParameterGenerator(GenerationEngine(schema))
+        stream = generator.stream(self.TEMPLATE, 10)
         assert len(set(stream)) > 1
 
     def test_parameters_drawn_from_model_domains(self, schema):
-        generator = QueryParameterGenerator(schema)
+        generator = QueryParameterGenerator(GenerationEngine(schema))
         for index in range(20):
             values = generator.parameters_for(self.TEMPLATE, index)
             assert values["region"] in ("NORTH", "SOUTH", "EAST", "WEST")
@@ -277,15 +278,16 @@ class TestQueryParameterGenerator:
             assert datetime.date(2023, 1, 1) <= values["start"] <= datetime.date(2023, 12, 31)
 
     def test_generated_queries_run(self, schema, database):
-        for sql in QueryParameterGenerator(schema).stream(self.TEMPLATE, 5):
+        generator = QueryParameterGenerator(GenerationEngine(schema))
+        for sql in generator.stream(self.TEMPLATE, 5):
             rows = database.execute(sql)
             assert rows[0][0] >= 0
 
     def test_seed_changes_parameters(self, schema):
         other = query_schema()
         other.seed = 809
-        a = QueryParameterGenerator(schema).stream(self.TEMPLATE, 5)
-        b = QueryParameterGenerator(other).stream(self.TEMPLATE, 5)
+        a = QueryParameterGenerator(GenerationEngine(schema)).stream(self.TEMPLATE, 5)
+        b = QueryParameterGenerator(GenerationEngine(other)).stream(self.TEMPLATE, 5)
         assert a != b
 
     def test_unknown_placeholder_rejected(self, schema):
@@ -293,7 +295,7 @@ class TestQueryParameterGenerator:
             "bad", "SELECT :ghost", [ParameterSpec("x", "sales", "s_quantity")]
         )
         with pytest.raises(ModelError, match="no parameter"):
-            QueryParameterGenerator(schema).instantiate(template, 0)
+            QueryParameterGenerator(GenerationEngine(schema)).instantiate(template, 0)
 
     @pytest.mark.parametrize("table, column, message", [
         ("sales", "s_ghost", "no field 's_ghost'"),
@@ -304,7 +306,7 @@ class TestQueryParameterGenerator:
             "bad2", "SELECT :x", [ParameterSpec("x", table, column)]
         )
         with pytest.raises(ModelError, match=message):
-            QueryParameterGenerator(schema).instantiate(template, 0)
+            QueryParameterGenerator(GenerationEngine(schema)).instantiate(template, 0)
 
     @pytest.mark.parametrize("column", [
         "s_id", "s_quantity", "s_price", "s_region", "s_date", "s_note",
@@ -314,7 +316,7 @@ class TestQueryParameterGenerator:
             f"eq_{column}", f"SELECT COUNT(*) FROM sales WHERE {column} = :p",
             [ParameterSpec("p", "sales", column)],
         )
-        generator = QueryParameterGenerator(schema)
+        generator = QueryParameterGenerator(GenerationEngine(schema))
         # a quarter of s_note is NULL: some of 40 first draws hit one and
         # are redrawn
         for index in range(40):
@@ -333,7 +335,7 @@ class TestQueryParameterGenerator:
         template = QueryTemplate(
             "v", "SELECT COUNT(*) FROM t WHERE v = :p", [ParameterSpec("p", "t", "v")]
         )
-        sql = QueryParameterGenerator(schema).instantiate(template, 0)
+        sql = QueryParameterGenerator(GenerationEngine(schema)).instantiate(template, 0)
         assert sql == "SELECT COUNT(*) FROM t WHERE v = NULL"
         with SQLiteAdapter(":memory:") as adapter:
             adapter.execute_script(create_schema_sql(schema, "sqlite"))
@@ -365,7 +367,7 @@ class TestDictionarySelectivity:
         with SQLiteAdapter(":memory:") as adapter:
             adapter.execute_script(create_schema_sql(schema, "sqlite"))
             load(GenerationEngine(schema), adapter)
-            yield VirtualExecutor(schema), adapter
+            yield VirtualExecutor(GenerationEngine(schema)), adapter
 
     def test_eq_sums_duplicate_entries(self, duplicates):
         executor, adapter = duplicates

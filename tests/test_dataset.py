@@ -36,7 +36,7 @@ def fresh_cache():
 @pytest.fixture
 def dataset() -> Dataset:
     # package_size smaller than the tables so slices span packages
-    return Dataset(demo_schema(), package_size=50)
+    return Dataset(GenerationEngine(demo_schema()), package_size=50)
 
 
 def batch_output(fmt: str, package_size: int = 50, **options) -> dict[str, bytes]:
@@ -52,24 +52,23 @@ def batch_output(fmt: str, package_size: int = 50, **options) -> dict[str, bytes
 
 class TestEngineCache:
     def test_equal_models_share_one_engine(self):
-        first = Dataset(demo_schema())
-        second = Dataset(demo_schema())
-        assert first.engine is second.engine
+        first = bound_engine(demo_schema())
+        second = bound_engine(demo_schema())
+        assert first is second
         info = engine_cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
 
     def test_different_seed_binds_fresh(self):
-        first = Dataset(demo_schema(seed=1))
-        second = Dataset(demo_schema(seed=2))
+        first = Dataset(bound_engine(demo_schema(seed=1)))
+        second = Dataset(bound_engine(demo_schema(seed=2)))
         assert first.engine is not second.engine
         assert first.fingerprint != second.fingerprint
         assert engine_cache_info()["misses"] == 2
 
-    def test_from_engine_seeds_cache(self):
+    def test_dataset_wraps_the_callers_engine(self):
         engine = GenerationEngine(demo_schema())
-        ds = Dataset.from_engine(engine)
-        assert ds.engine is engine
-        assert Dataset(demo_schema()).engine is engine
+        assert Dataset(engine).engine is engine
+        assert engine_cache_info()["size"] == 0  # no bind, no cache entry
 
     def test_bound_engine_eviction(self):
         from repro import api
@@ -82,7 +81,7 @@ class TestEngineCache:
         assert again is not engines[0]
 
     def test_clear_resets_counters(self):
-        Dataset(demo_schema())
+        bound_engine(demo_schema())
         clear_engine_cache()
         info = engine_cache_info()
         assert info == {"hits": 0, "misses": 0, "size": 0, "maxsize": 8}
@@ -96,6 +95,7 @@ class TestIntrospection:
     def test_from_suite(self):
         ds = Dataset.from_suite("tpch", scale_factor=0.001)
         assert ds.tables["nation"] == 25
+        assert Dataset.from_suite("tpch", scale_factor=0.001).engine is ds.engine
         with pytest.raises(GenerationError, match="unknown suite"):
             Dataset.from_suite("nope")
 
@@ -169,8 +169,9 @@ class TestByteIdentity:
         assert sliced.startswith(b"c_id,c_name")
 
     def test_slice_independent_of_package_size_for_text(self):
-        small = Dataset(demo_schema(), package_size=7)
-        large = Dataset(demo_schema(), package_size=10_000)
+        engine = GenerationEngine(demo_schema())
+        small = Dataset(engine, package_size=7)
+        large = Dataset(engine, package_size=10_000)
         assert (
             small.slice("orders", 30, 120, format="csv")
             == large.slice("orders", 30, 120, format="csv")

@@ -134,19 +134,20 @@ class TestUpdateEdgeCases:
     def test_zero_fractions_yield_empty_epochs(self):
         schema = _schema_with_sizes(50)
         blackbox = UpdateBlackBox(
-            schema, insert_fraction=0.0, update_fraction=0.0, delete_fraction=0.0
+            GenerationEngine(schema),
+            insert_fraction=0.0, update_fraction=0.0, delete_fraction=0.0,
         )
         assert list(blackbox.epoch_events("t0", 1)) == []
 
     def test_update_fraction_larger_than_table(self):
         schema = _schema_with_sizes(10)
-        blackbox = UpdateBlackBox(schema, update_fraction=5.0)
+        blackbox = UpdateBlackBox(GenerationEngine(schema), update_fraction=5.0)
         updates = [e for e in blackbox.epoch_events("t0", 1) if e.kind == "update"]
         assert len(updates) == 10  # clamped to the table size
 
     def test_epoch_on_empty_table(self):
         schema = _schema_with_sizes(0)
-        blackbox = UpdateBlackBox(schema)
+        blackbox = UpdateBlackBox(GenerationEngine(schema))
         assert list(blackbox.epoch_events("t0", 1)) == []
 
 

@@ -93,6 +93,31 @@ class TestComputeValue:
             assert ref in customer_ids
 
 
+class TestRanges:
+    """``generate_rows``, ``generate_columns`` and ``iter_rows`` share one
+    range rule: ``stop`` is clamped to the table size, and a negative
+    ``start`` names rows no table holds."""
+
+    def test_generate_rows_rejects_a_negative_start(self, engine):
+        with pytest.raises(GenerationError, match="row -2 outside table 'customer'"):
+            engine.generate_rows("customer", -2, 1)
+
+    def test_generate_columns_rejects_a_negative_start(self, engine):
+        with pytest.raises(GenerationError, match="row -1 outside table 'orders'"):
+            engine.generate_columns("orders", -1)
+
+    def test_iter_rows_rejects_a_negative_start(self, engine):
+        with pytest.raises(GenerationError, match="row -5 outside table 'customer'"):
+            list(engine.iter_rows("customer", -5, 3))
+
+    def test_stop_is_clamped_to_the_table_size(self, engine):
+        rows = engine.generate_rows("customer", 55, 1_000)
+        assert rows == engine.generate_rows("customer", 55)
+        assert len(rows) == 5
+        assert len(engine.generate_columns("customer", 58, 99)) == 2
+        assert len(list(engine.iter_rows("customer", 50, 61))) == 10
+
+
 class TestPreview:
     def test_preview_shape(self, engine):
         rows = engine.preview("customer", 5)

@@ -116,7 +116,7 @@ class TestQueryAggregateRegression:
                 "IntGenerator", {"min": 1, "max": 10}
             )),
         ]))
-        executor = VirtualExecutor(schema)
+        executor = VirtualExecutor(GenerationEngine(schema))
         result = executor.execute(Query("t", [
             Aggregate("count"),
             Aggregate("sum", "v"),

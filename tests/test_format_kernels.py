@@ -628,7 +628,7 @@ class TestRenderCacheLifetime:
         assert day_map(other) is not days and len(day_map(other)) == 5
 
     def test_writers_per_table_are_bounded(self):
-        dataset = Dataset(_schema(40))
+        dataset = Dataset(GenerationEngine(_schema(40)))
         bodies = {
             delimiter: dataset.slice("t", 0, 40, format="csv", delimiter=delimiter)
             for delimiter in "|,;:!#~^&*+="
@@ -833,4 +833,6 @@ class TestFormatOptions:
         with pytest.raises(OutputError, match=option):
             OutputConfig(**{option: "%Y\x00%m"})
         with pytest.raises(OutputError, match=option):
-            Dataset(_schema(40)).slice("t", 0, 10, format="csv", **{option: "%Y\x00%m"})
+            Dataset(GenerationEngine(_schema(40))).slice(
+                "t", 0, 10, format="csv", **{option: "%Y\x00%m"}
+            )

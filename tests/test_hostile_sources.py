@@ -31,6 +31,7 @@ from repro.core.profiling import ColumnProfile, DataProfiler
 from repro.db import sqlite_adapter
 from repro.db.ddl import create_table_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
+from repro.engine import GenerationEngine
 from repro.model.datatypes import parse_type
 from repro.model.schema import Field, GeneratorSpec, Table
 from repro.model.sqlnames import SQLITE_KEYWORDS, sql_name
@@ -252,7 +253,7 @@ class TestKeywordRoundTrip:
         try:
             assert adapter.row_count("order") == self.ORDERS
             assert adapter.row_count("values") == self.VALUES
-            box = UpdateBlackBox(*load_saved(model))
+            box = UpdateBlackBox(GenerationEngine(*load_saved(model)))
             plan = box.plan("order", 1)
             counts = box.apply_epoch(adapter, "order", 1, "id")
             assert counts == {

@@ -133,7 +133,7 @@ class TestUpdateWorkflow:
         load(engine, adapter)
 
         blackbox = UpdateBlackBox(
-            schema, insert_fraction=0.1, update_fraction=0.2, delete_fraction=0.05
+            engine, insert_fraction=0.1, update_fraction=0.2, delete_fraction=0.05
         )
         for epoch in (1, 2, 3):
             blackbox.apply_epoch(adapter, "customer", epoch, "c_id")

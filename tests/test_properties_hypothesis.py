@@ -108,7 +108,9 @@ class TestPartitioningProperties:
         ] if stop > start else []
         assert [(p.start, p.stop, p.sequence) for p in packages] == expected
         assert package_count(start, stop, package_size) == len(packages)
-        dataset = Dataset(_tiny_schema(7, 500), package_size=package_size)
+        dataset = Dataset(
+            GenerationEngine(_tiny_schema(7, 500)), package_size=package_size
+        )
         assert dataset._covering_packages(
             "t", start, stop, format_spec("csv")
         ) == packages
@@ -184,11 +186,12 @@ class TestGenerationProperties:
 
         schema = _tiny_schema(seed, 120)
         single = OutputConfig(kind="memory")
-        generate(GenerationEngine(schema), single, workers=1)
+        engine = GenerationEngine(schema)
+        generate(engine, single, workers=1)
         parts = []
         for node in range(nodes):
             config = OutputConfig(kind="memory")
-            run_node(schema, nodes, node, config)
+            run_node(engine, nodes, node, config)
             parts.append(config.memory_output("t"))
         assert "".join(parts) == single.memory_output("t")
 
@@ -503,7 +506,7 @@ def _oracle_world(name: str):
         ))
         for table in schema.tables
     }
-    return schema, VirtualExecutor(schema, artifacts), adapter, samples
+    return schema, VirtualExecutor(engine), adapter, samples
 
 
 @st.composite

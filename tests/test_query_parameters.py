@@ -22,20 +22,21 @@ INSTANCES = 3
 
 @functools.lru_cache(maxsize=None)
 def loaded(suite: str):
-    """A suite at SF 0.001 and the in-memory database it was loaded into."""
-    schema, artifacts = suite_model(suite, 0.001)
+    """A suite at SF 0.001, bound, and the in-memory database it was
+    loaded into."""
+    engine = GenerationEngine(*suite_model(suite, 0.001))
     adapter = SQLiteAdapter(":memory:")
-    adapter.execute_script(create_schema_sql(schema, "sqlite"))
-    load(GenerationEngine(schema, artifacts), adapter)
-    return schema, artifacts, adapter
+    adapter.execute_script(create_schema_sql(engine.schema, "sqlite"))
+    load(engine, adapter)
+    return engine, adapter
 
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_every_column_parameter_matches_a_row(suite):
-    schema, artifacts, adapter = loaded(suite)
-    generator = QueryParameterGenerator(schema, artifacts)
+    engine, adapter = loaded(suite)
+    generator = QueryParameterGenerator(engine)
     misses = []
-    for table in schema.tables:
+    for table in engine.schema.tables:
         for field in table.fields:
             template = QueryTemplate(
                 f"{table.name}.{field.name}",
@@ -53,10 +54,10 @@ def test_every_column_parameter_matches_a_row(suite):
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_auto_spec_stream_replays_clean(suite):
-    schema, artifacts, adapter = loaded(suite)
-    spec = auto_spec(schema, count=40)
-    events = WorkloadStream(schema, spec, artifacts).events()
-    report = WorkloadReplayer(schema, adapter, artifacts).replay(events)
+    engine, adapter = loaded(suite)
+    spec = auto_spec(engine.schema, count=40)
+    events = WorkloadStream(engine, spec).events()
+    report = WorkloadReplayer(engine, adapter).replay(events)
     assert len(report.executions) == 40
     assert report.failed == 0, [e.error for e in report.executions if e.error]
     filtered = [e for e in report.executions if "WHERE" in e.sql]

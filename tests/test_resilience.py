@@ -426,21 +426,21 @@ class TestWatermarkEdgeCases:
         assert _read_tables(tmp_path / "out") == _read_tables(tmp_path / "ref")
 
     def test_run_node_share_that_does_not_start_at_row_zero(self, tmp_path):
-        schema, base = demo_schema(), str(tmp_path / "ckpt")
-        run_node(schema, 3, 1, _file_config(tmp_path / "ref"), package_size=25)
+        engine, base = GenerationEngine(demo_schema()), str(tmp_path / "ckpt")
+        run_node(engine, 3, 1, _file_config(tmp_path / "ref"), package_size=25)
         # 2 headers, customer [20, 25) + [25, 40), orders [60, 75): the
         # share's packages end on the table's grid, not 25 rows past 60
         faulty = FaultInjectingOutput(
             _file_config(tmp_path / "out"), crash_after_writes=5
         )
         with pytest.raises(InjectedCrash):
-            run_node(schema, 3, 1, faulty, package_size=25, checkpoint=base)
+            run_node(engine, 3, 1, faulty, package_size=25, checkpoint=base)
         # the share journals into its own node<i>/ directory
         orders = RunManifest.load(os.path.join(base, "node1")).parts["orders.tbl"]
         assert orders.start == node_share(180, 3, 1)[0] == 60
         assert orders.stop == 75
         report = run_node(
-            schema, 3, 1, _file_config(tmp_path / "out"), package_size=25,
+            engine, 3, 1, _file_config(tmp_path / "out"), package_size=25,
             checkpoint=base, resume_from=base,
         )
         assert report.resumed_packages == 2 + 1

@@ -152,21 +152,21 @@ class TestMetaScheduler:
         assert set(ranges) == {"customer", "orders"}
 
     def test_union_of_nodes_equals_single_run(self):
-        schema = demo_schema()
+        engine = GenerationEngine(demo_schema())
         single = OutputConfig(kind="memory")
-        generate(GenerationEngine(schema), single, workers=1)
+        generate(engine, single, workers=1)
         for table in ("customer", "orders"):
             parts = []
             for node in range(4):
                 config = OutputConfig(kind="memory")
-                run_node(schema, 4, node, config)
+                run_node(engine, 4, node, config)
                 parts.append(config.memory_output(table))
             assert "".join(parts) == single.memory_output(table)
 
     def test_node_reports_row_counts(self):
-        schema = demo_schema()
-        report = run_node(schema, 2, 0, OutputConfig(kind="null"))
-        other = run_node(schema, 2, 1, OutputConfig(kind="null"))
+        engine = GenerationEngine(demo_schema())
+        report = run_node(engine, 2, 0, OutputConfig(kind="null"))
+        other = run_node(engine, 2, 1, OutputConfig(kind="null"))
         assert report.rows + other.rows == 240
 
     def test_inprocess_cluster_run(self):

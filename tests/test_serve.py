@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro
-from repro.api import Dataset, clear_engine_cache
+from repro.api import Dataset
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
 from repro.obs.registry import MetricsRegistry
@@ -44,13 +44,11 @@ PACKAGE_SIZE = 50
 
 @pytest.fixture(scope="module")
 def server():
-    clear_engine_cache()
-    dataset = Dataset(demo_schema(), package_size=PACKAGE_SIZE)
+    dataset = Dataset(GenerationEngine(demo_schema()), package_size=PACKAGE_SIZE)
     registry = MetricsRegistry()
     server = DataServer(dataset, workers=4, registry=registry).start()
     yield server
     server.stop()
-    clear_engine_cache()
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +70,7 @@ def cold_batch():
 def big_server():
     """A 6000-row table behind ONE generation slot: multi-chunk
     responses, and any slot held across a write starves everyone."""
-    dataset = Dataset(demo_schema(orders=6000), package_size=256)
+    dataset = Dataset(GenerationEngine(demo_schema(orders=6000)), package_size=256)
     server = DataServer(dataset, workers=1, registry=MetricsRegistry()).start()
     yield server
     server.stop()
@@ -511,7 +509,7 @@ class TestSlowAndVanishingClients:
         assert wait_for(lambda: not leaked_threads(threads_before))
 
     def test_stop_returns_promptly_with_an_idle_connection_open(self):
-        dataset = Dataset(demo_schema(), package_size=PACKAGE_SIZE)
+        dataset = Dataset(GenerationEngine(demo_schema()), package_size=PACKAGE_SIZE)
         threads_before = set(threading.enumerate())
         server = DataServer(dataset, registry=MetricsRegistry()).start()
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)

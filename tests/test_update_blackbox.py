@@ -16,7 +16,8 @@ from tests.conftest import demo_schema
 @pytest.fixture
 def blackbox() -> UpdateBlackBox:
     return UpdateBlackBox(
-        demo_schema(), insert_fraction=0.1, update_fraction=0.1, delete_fraction=0.05
+        GenerationEngine(demo_schema()),
+        insert_fraction=0.1, update_fraction=0.1, delete_fraction=0.05,
     )
 
 
@@ -37,7 +38,7 @@ class TestPlan:
 
     def test_negative_fraction_rejected(self):
         with pytest.raises(GenerationError):
-            UpdateBlackBox(demo_schema(), insert_fraction=-0.1)
+            UpdateBlackBox(GenerationEngine(demo_schema()), insert_fraction=-0.1)
 
 
 class TestEvents:
@@ -55,13 +56,24 @@ class TestEvents:
         # Two independent black boxes over the same model agree — epochs
         # are a pure function of (model seed, epoch), not object state.
         boxes = [
-            UpdateBlackBox(demo_schema(), insert_fraction=0.1,
+            UpdateBlackBox(GenerationEngine(demo_schema()), insert_fraction=0.1,
                            update_fraction=0.1, delete_fraction=0.05)
             for _ in range(2)
         ]
         for table in ("customer", "orders"):
             assert list(boxes[0].epoch_events(table, 2)) == list(
                 boxes[1].epoch_events(table, 2)
+            )
+
+    def test_base_is_epoch_zero_whatever_the_engines_update(self, blackbox):
+        # the box takes any bound engine; inserts and row picks come from
+        # the model at epoch 0, updates from the epoch's own seeds
+        later = GenerationEngine(demo_schema()).at_update(4)
+        box = UpdateBlackBox(later, insert_fraction=0.1, update_fraction=0.1,
+                             delete_fraction=0.05)
+        for table in ("customer", "orders"):
+            assert list(box.epoch_events(table, 2)) == list(
+                blackbox.epoch_events(table, 2)
             )
 
     def test_deletes_and_updates_disjoint(self, blackbox):
@@ -172,8 +184,9 @@ class TestApplyEpoch:
         schema, artifacts = suite_model("bigbench", 0.002)
         adapter = SQLiteAdapter(":memory:")
         adapter.execute_script(create_schema_sql(schema, "sqlite"))
-        load(GenerationEngine(schema, artifacts), adapter, tables=["web_clickstreams"])
-        box = UpdateBlackBox(schema, artifacts, insert_fraction=0.01,
+        engine = GenerationEngine(schema, artifacts)
+        load(engine, adapter, tables=["web_clickstreams"])
+        box = UpdateBlackBox(engine, insert_fraction=0.01,
                              update_fraction=0.0, delete_fraction=0.0)
         counts = box.apply_epoch(adapter, "web_clickstreams", 1, "wcs_click_sk")
         assert counts["insert"] == 120
@@ -186,7 +199,7 @@ class TestApplyEpoch:
 
     def test_apply_is_idempotent_per_epoch_for_updates(self):
         # Re-applying the same epoch's updates yields the same values.
-        box = UpdateBlackBox(demo_schema(), update_fraction=0.1,
+        box = UpdateBlackBox(GenerationEngine(demo_schema()), update_fraction=0.1,
                              insert_fraction=0.0, delete_fraction=0.0)
         first = [e.values for e in box.epoch_events("customer", 3)]
         second = [e.values for e in box.epoch_events("customer", 3)]

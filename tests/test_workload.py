@@ -42,6 +42,10 @@ COUNT_ORDERS = QueryTemplate(
 )
 
 
+def demo_engine(**kwargs) -> GenerationEngine:
+    return GenerationEngine(demo_schema(**kwargs))
+
+
 def demo_spec(**kwargs) -> WorkloadSpec:
     defaults = dict(name="demo", count=40, repetition=0.0)
     defaults.update(kwargs)
@@ -104,35 +108,35 @@ class TestStream:
     def test_same_seed_same_bytes(self):
         dumps = []
         for _ in range(2):
-            stream = WorkloadStream(demo_schema(), demo_spec())
+            stream = WorkloadStream(demo_engine(), demo_spec())
             buffer = io.StringIO()
             assert stream.dump_jsonl(buffer) == 40
             dumps.append(buffer.getvalue())
         assert dumps[0] == dumps[1]
 
     def test_different_seed_differs(self):
-        a = WorkloadStream(demo_schema(seed=1), demo_spec()).events()
-        b = WorkloadStream(demo_schema(seed=2), demo_spec()).events()
+        a = WorkloadStream(demo_engine(seed=1), demo_spec()).events()
+        b = WorkloadStream(demo_engine(seed=2), demo_spec()).events()
         assert [e.sql for e in a] != [e.sql for e in b]
 
     def test_slices_compose_to_full_stream(self):
-        stream = WorkloadStream(demo_schema(), demo_spec())
+        stream = WorkloadStream(demo_engine(), demo_spec())
         whole = stream.events()
         sliced = stream.events(0, 13) + stream.events(13, 29) + stream.events(29)
         assert whole == sliced
 
     def test_bad_slice_rejected(self):
-        stream = WorkloadStream(demo_schema(), demo_spec())
+        stream = WorkloadStream(demo_engine(), demo_spec())
         with pytest.raises(WorkloadError):
             stream.events(5, 2)
 
     def test_weighted_mix_leans_to_heavy_template(self):
-        events = WorkloadStream(demo_schema(), demo_spec(count=200)).events()
+        events = WorkloadStream(demo_engine(), demo_spec(count=200)).events()
         orders = sum(1 for e in events if e.template == "count_orders")
         assert orders > len(events) / 2
 
     def test_zero_repetition_is_all_unique(self):
-        stream = WorkloadStream(demo_schema(), demo_spec(repetition=0.0))
+        stream = WorkloadStream(demo_engine(), demo_spec(repetition=0.0))
         pool = stream.spec.effective_pool_size()
         indices = [e.index for e in stream.events()]
         assert len(set(indices)) == len(indices)
@@ -140,7 +144,7 @@ class TestStream:
 
     def test_high_repetition_reuses_pool(self):
         stream = WorkloadStream(
-            demo_schema(), demo_spec(count=60, repetition=0.9, pool_size=3)
+            demo_engine(), demo_spec(count=60, repetition=0.9, pool_size=3)
         )
         events = stream.events()
         pooled = [e for e in events if e.index < 3]
@@ -154,7 +158,7 @@ class TestStream:
     @pytest.mark.parametrize("process", ARRIVAL_PROCESSES)
     def test_arrivals_deterministic_and_monotonic(self, process):
         spec = demo_spec(arrival=ArrivalSpec(process=process, rate=50.0))
-        stream = WorkloadStream(demo_schema(), spec)
+        stream = WorkloadStream(demo_engine(), spec)
         first, second = stream.arrivals(), stream.arrivals()
         assert first == second
         assert first[0] == 0.0
@@ -162,17 +166,17 @@ class TestStream:
 
     def test_steady_arrivals_evenly_spaced(self):
         spec = demo_spec(arrival=ArrivalSpec(process="steady", rate=4.0))
-        timestamps = WorkloadStream(demo_schema(), spec).arrivals(5)
+        timestamps = WorkloadStream(demo_engine(), spec).arrivals(5)
         assert timestamps == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_poisson_arrivals_irregular(self):
         spec = demo_spec(arrival=ArrivalSpec(process="poisson", rate=4.0))
-        timestamps = WorkloadStream(demo_schema(), spec).arrivals(20)
+        timestamps = WorkloadStream(demo_engine(), spec).arrivals(20)
         gaps = {round(b - a, 6) for a, b in zip(timestamps, timestamps[1:])}
         assert len(gaps) > 1
 
     def test_jsonl_round_trip(self):
-        stream = WorkloadStream(demo_schema(), demo_spec())
+        stream = WorkloadStream(demo_engine(), demo_spec())
         buffer = io.StringIO()
         stream.dump_jsonl(buffer)
         buffer.seek(0)
@@ -189,19 +193,19 @@ class TestStream:
 
 @pytest.fixture(scope="module")
 def demo_database():
-    schema = demo_schema()
+    engine = demo_engine()
     adapter = SQLiteAdapter(":memory:")
-    adapter.execute_script(create_schema_sql(schema, "sqlite"))
-    load(GenerationEngine(schema), adapter)
-    yield schema, adapter
+    adapter.execute_script(create_schema_sql(engine.schema, "sqlite"))
+    load(engine, adapter)
+    yield engine, adapter
     adapter.close()
 
 
 class TestReplay:
     def test_replay_runs_and_reports(self, demo_database):
-        schema, adapter = demo_database
-        stream = WorkloadStream(schema, demo_spec(count=12))
-        replayer = WorkloadReplayer(schema, adapter)
+        engine, adapter = demo_database
+        stream = WorkloadStream(engine, demo_spec(count=12))
+        replayer = WorkloadReplayer(engine, adapter)
         report = replayer.replay(stream.events())
         assert len(report.executions) == 12
         assert report.failed == 0
@@ -223,16 +227,16 @@ class TestReplay:
         assert TemplateStats("t", list(reversed(seconds))).quantile(q) == expected
 
     def test_failed_query_counted_not_raised(self, demo_database):
-        schema, adapter = demo_database
-        replayer = WorkloadReplayer(schema, adapter)
+        engine, adapter = demo_database
+        replayer = WorkloadReplayer(engine, adapter)
         report = replayer.replay([ScheduledQuery(0.0, "bad", 0, "SELECT * FROM no")])
         assert report.failed == 1
         assert not report.ok
         assert report.per_template["bad"].errors == 1
 
     def test_check_grading_gates_ok(self, demo_database):
-        schema, adapter = demo_database
-        replayer = WorkloadReplayer(schema, adapter)
+        engine, adapter = demo_database
+        replayer = WorkloadReplayer(engine, adapter)
         good = ("count", Query("customer", [Aggregate("count")]))
         report = replayer.replay([], checks=[good])
         assert report.checks is not None
@@ -240,18 +244,18 @@ class TestReplay:
         assert report.ok
 
         with SQLiteAdapter(":memory:") as sparse:
-            sparse.execute_script(create_schema_sql(schema, "sqlite"))
+            sparse.execute_script(create_schema_sql(engine.schema, "sqlite"))
             sparse.insert_rows("customer", ["c_id"], [(1,)])
-            lying = WorkloadReplayer(schema, sparse).replay([], checks=[good])
+            lying = WorkloadReplayer(engine, sparse).replay([], checks=[good])
         assert lying.check_failures == 1
         assert not lying.ok
 
     def test_latency_histogram_labeled_by_template(self, demo_database):
-        schema, adapter = demo_database
-        stream = WorkloadStream(schema, demo_spec(count=8))
+        engine, adapter = demo_database
+        stream = WorkloadStream(engine, demo_spec(count=8))
         registry = obs.enable_metrics()
         try:
-            WorkloadReplayer(schema, adapter).replay(stream.events())
+            WorkloadReplayer(engine, adapter).replay(stream.events())
         finally:
             obs.disable_metrics()
         text = obs.render_prometheus(registry)
@@ -260,14 +264,14 @@ class TestReplay:
         assert 'workload_queries_total{status="ok",template="count_orders"}' in text
 
     def test_no_metrics_without_registry(self, demo_database):
-        schema, adapter = demo_database
+        engine, adapter = demo_database
         assert obs.active_metrics() is None
-        stream = WorkloadStream(schema, demo_spec(count=2))
-        report = WorkloadReplayer(schema, adapter).replay(stream.events())
+        stream = WorkloadStream(engine, demo_spec(count=2))
+        report = WorkloadReplayer(engine, adapter).replay(stream.events())
         assert report.ok  # silently skips observation, still reports
 
     def test_pacing_honors_timestamps(self, demo_database):
-        schema, adapter = demo_database
+        engine, adapter = demo_database
         waits: list[float] = []
         clock_value = [0.0]
 
@@ -284,7 +288,7 @@ class TestReplay:
             ScheduledQuery(6.0, "t", 2, "SELECT 1"),
         ]
         replayer = WorkloadReplayer(
-            schema, adapter, max_speedup=2.0, clock=clock, sleep=sleep
+            engine, adapter, max_speedup=2.0, clock=clock, sleep=sleep
         )
         report = replayer.replay(events)
         assert report.failed == 0
@@ -292,13 +296,13 @@ class TestReplay:
         assert waits == [1.0, 2.0]
 
     def test_unpaced_replay_never_sleeps(self, demo_database):
-        schema, adapter = demo_database
+        engine, adapter = demo_database
 
         def explode(_seconds: float) -> None:  # pragma: no cover
             raise AssertionError("sleep called in unpaced replay")
 
         events = [ScheduledQuery(9999.0, "t", 0, "SELECT 1")]
-        replayer = WorkloadReplayer(schema, adapter, max_speedup=0.0, sleep=explode)
+        replayer = WorkloadReplayer(engine, adapter, max_speedup=0.0, sleep=explode)
         assert replayer.replay(events).failed == 0
 
 
@@ -312,14 +316,15 @@ class TestCdcInterleave:
         schema = demo_schema()
         with SQLiteAdapter(":memory:") as adapter:
             adapter.execute_script(create_schema_sql(schema, "sqlite"))
-            load(GenerationEngine(schema), adapter)
+            engine = GenerationEngine(schema)
+            load(engine, adapter)
             before = adapter.row_count("customer")
             blackbox = UpdateBlackBox(
-                schema, insert_fraction=0.1, update_fraction=0.1,
+                engine, insert_fraction=0.1, update_fraction=0.1,
                 delete_fraction=0.05,
             )
-            stream = WorkloadStream(schema, demo_spec(count=10))
-            replayer = WorkloadReplayer(schema, adapter)
+            stream = WorkloadStream(engine, demo_spec(count=10))
+            replayer = WorkloadReplayer(engine, adapter)
             report = replayer.replay(
                 stream.events(),
                 cdc=CdcInterleave(blackbox, epochs=2, tables=("customer",)),
@@ -338,6 +343,30 @@ class TestCdcInterleave:
         assert inserted == 12
         assert after == before + inserted - deleted
 
+    def test_trailing_epochs_apply_in_order_after_the_last_event(self):
+        # 1 event, 2 epochs: both boundaries fall at ceil(1·e/3) = 1,
+        # past the only event
+        engine = demo_engine()
+        with SQLiteAdapter(":memory:") as adapter:
+            adapter.execute_script(create_schema_sql(engine.schema, "sqlite"))
+            load(engine, adapter)
+            blackbox = UpdateBlackBox(
+                engine, insert_fraction=0.1, update_fraction=0.1,
+                delete_fraction=0.05,
+            )
+            count = ScheduledQuery(0.0, "count", 0, "SELECT COUNT(*) FROM customer")
+            report = WorkloadReplayer(engine, adapter).replay(
+                [count], cdc=CdcInterleave(blackbox, epochs=2, tables=("customer",)),
+            )
+            after = adapter.row_count("customer")
+        assert [(e, t) for e, t, _ in report.cdc_applied] == [
+            (1, "customer"), (2, "customer"),
+        ]
+        assert report.executions[0].first_row == (60,)  # the untouched base
+        assert after == 60 + sum(
+            c["insert"] - c["delete"] for _, _, c in report.cdc_applied
+        ) != 60
+
     def test_checks_grade_the_database_before_cdc(self):
         # A check on a table the epochs mutate: graded before the first
         # event, it sees the database the model describes and passes
@@ -348,13 +377,14 @@ class TestCdcInterleave:
         ]))]
         with SQLiteAdapter(":memory:") as adapter:
             adapter.execute_script(create_schema_sql(schema, "sqlite"))
-            load(GenerationEngine(schema), adapter)
+            engine = GenerationEngine(schema)
+            load(engine, adapter)
             blackbox = UpdateBlackBox(
-                schema, insert_fraction=0.1, update_fraction=0.1,
+                engine, insert_fraction=0.1, update_fraction=0.1,
                 delete_fraction=0.05,
             )
-            report = WorkloadReplayer(schema, adapter).replay(
-                WorkloadStream(schema, demo_spec(count=4)).events(),
+            report = WorkloadReplayer(engine, adapter).replay(
+                WorkloadStream(engine, demo_spec(count=4)).events(),
                 checks=checks,
                 cdc=CdcInterleave(blackbox, epochs=1, tables=("customer",)),
             )
@@ -366,12 +396,15 @@ class TestCdcInterleave:
 
     def test_explicit_keyless_table_rejected(self):
         schema = demo_schema()
-        cdc = CdcInterleave(UpdateBlackBox(schema), tables=("customer",))
+        cdc = CdcInterleave(
+            UpdateBlackBox(GenerationEngine(schema)), tables=("customer",)
+        )
         assert cdc.resolved_tables(schema) == [("customer", "c_id")]
         schema.table_by_name("customer").field_by_name("c_id").primary = False
         with pytest.raises(WorkloadError):
-            CdcInterleave(UpdateBlackBox(schema), tables=("customer",)
-                          ).resolved_tables(schema)
+            CdcInterleave(
+                UpdateBlackBox(GenerationEngine(schema)), tables=("customer",)
+            ).resolved_tables(schema)
 
 
 class TestWorkloadCli:

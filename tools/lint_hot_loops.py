@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output/extraction paths: hot loops, swallowed errors.
 
-Sixteen checks, one AST walk:
+Seventeen checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -181,6 +181,18 @@ reading as a table or column name (``{table}``, ``{column}``,
 ``group``) or a space in it breaks the statement, and every test over
 plain names still passes. No waiver.
 
+**One-bind check.** A command binds its model once, at an edge — the
+CLI's ``_load_engine``, ``DBSynthProject.engine``, ``api.bound_engine``
+(and the engine's own unpickling) — and every component that runs the
+model takes that bound :class:`~repro.engine.GenerationEngine`. A
+``GenerationEngine(...)`` call anywhere else under ``src/repro/`` is a
+component binding its own copy: the bytes stay the same and no test
+fails, only each command pays the bind again (``dbsynth workload
+--replay --cdc-epochs 1`` bound one model four times that way). The
+one residue is ``ClusterScheduler`` in :mod:`repro.scheduler.scheduler`,
+which the frozen bench still calls with ``(schema, artifacts)``. No
+waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/db/`` and ``src/repro/core/model_builder.py`` (the
 extraction path: an adapter or model-builder handler that eats every
@@ -194,8 +206,8 @@ span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
 (one-gather check only) ``src/repro/generators/`` and
 ``src/repro/update/``,
 (quoting check only) ``src/repro/db/`` and ``src/repro/output/sinks.py``,
-(one-cutter, one-template, one-draw, one-lookup, one-runtime and
-one-driver checks only) every module under ``src/repro/``.
+(one-cutter, one-template, one-draw, one-lookup, one-runtime,
+one-driver and one-bind checks only) every module under ``src/repro/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -284,6 +296,13 @@ DRAW_FILES = ("src/repro/prng/blocks.py", "src/repro/text/markov.py")
 #: the database driver, and the one module that may use it
 DRIVER = "sqlite3"
 DRIVER_FILE = "src/repro/db/sqlite_adapter.py"
+
+#: the bound model, and the only modules that may bind one
+ENGINE_CLASS = "GenerationEngine"
+BIND_FILES = (
+    "src/repro/engine.py", "src/repro/api.py", "src/repro/cli/main.py",
+    "src/repro/core/project.py", "src/repro/scheduler/scheduler.py",
+)
 
 #: the search every weighted draw leaves to the guide-table lookup
 LOOKUP_CALL = "searchsorted"
@@ -496,6 +515,17 @@ def second_drivers(path: Path) -> list[str]:
     ]
 
 
+def second_binds(path: Path) -> list[str]:
+    """``GenerationEngine(...)`` calls in *path*."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.relative_to(REPO)}:{node.lineno}: {ENGINE_CLASS}(...) binds the "
+        "model a second time; take the caller's bound engine"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _call_name(node) == ENGINE_CLASS
+    ]
+
+
 def second_readers(path: Path) -> list[str]:
     """``.params`` attribute reads in *path*."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -703,12 +733,15 @@ def main() -> int:
     violations.extend(template_overrides(scope))
     violations.extend(second_runtimes(scope))
     draw_files = {REPO / rel for rel in DRAW_FILES}
+    bind_files = {REPO / rel for rel in BIND_FILES}
     for path in scope:
         if path not in draw_files:
             violations.extend(raw_draws(path))
         violations.extend(global_searches(path))
         if path != REPO / DRIVER_FILE:
             violations.extend(second_drivers(path))
+        if path not in bind_files:
+            violations.extend(second_binds(path))
     for message in violations:
         print(message)
     print(

@@ -93,13 +93,14 @@ def suite_digests() -> dict:
 def epoch_digests() -> dict:
     """Per suite: the ``repr`` of every event of ``EPOCHS`` of its
     ``EPOCH_TABLES`` table, one line each, hashed together."""
+    from repro.engine import GenerationEngine
     from repro.suites import suite_model
     from repro.update import UpdateBlackBox
 
     epochs = {}
     for name, scale_factor in SUITES:
         table = EPOCH_TABLES[name]
-        box = UpdateBlackBox(*suite_model(name, scale_factor))
+        box = UpdateBlackBox(GenerationEngine(*suite_model(name, scale_factor)))
         lines = [repr(event) for epoch in EPOCHS for event in box.epoch_events(table, epoch)]
         epochs[name] = {
             "table": table, "epochs": list(EPOCHS), "events": len(lines),
@@ -114,6 +115,7 @@ def extracted_digests(strategy: str | None = None) -> dict:
     CSV slice of every table of the model loaded back from it."""
     from repro.api import Dataset
     from repro.core import BuildOptions, DBSynthProject, SampleConfig
+    from repro.engine import GenerationEngine
     from repro.suites.imdb import build_imdb_database
 
     sample = SampleConfig() if strategy is None else SampleConfig(strategy=strategy)
@@ -134,7 +136,7 @@ def extracted_digests(strategy: str | None = None) -> dict:
             str(path.relative_to(saved)): _sha256(path.read_bytes())
             for path in sorted(saved.rglob("*")) if path.is_file()
         }
-        dataset = Dataset(*DBSynthProject.load_saved(str(saved)))
+        dataset = Dataset(GenerationEngine(*DBSynthProject.load_saved(str(saved))))
     tables = {}
     for table, rows in sorted(dataset.tables.items()):
         rows = min(rows, SLICE_ROWS)
