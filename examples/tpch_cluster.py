@@ -53,14 +53,15 @@ def main() -> None:
     print(f"    largest table: {largest.name}, {largest.rows:,} rows, "
           f"{largest.bytes_written / 1048576:.2f} MiB")
 
-    # Static node shares need no runtime at all: run each in isolation
-    # and the outputs concatenate to exactly the single-node data set.
+    # Static node shares need no runtime at all: run each in isolation,
+    # on its own freshly bound engine as on its own machine, and the
+    # outputs concatenate to exactly the single-node data set.
     single = OutputConfig(kind="memory")
-    generate(engine, single)
+    generate(GenerationEngine(schema, tpch_artifacts()), single)
     parts = []
     for node in range(4):
         config = OutputConfig(kind="memory")
-        run_node(engine, 4, node, config)
+        run_node(GenerationEngine(schema, tpch_artifacts()), 4, node, config)
         parts.append(config.memory_output("orders"))
     assert "".join(parts) == single.memory_output("orders")
     print("  node outputs concatenate bit-identically to the single run")

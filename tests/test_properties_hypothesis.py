@@ -186,12 +186,11 @@ class TestGenerationProperties:
 
         schema = _tiny_schema(seed, 120)
         single = OutputConfig(kind="memory")
-        engine = GenerationEngine(schema)
-        generate(engine, single, workers=1)
+        generate(GenerationEngine(schema), single, workers=1)
         parts = []
         for node in range(nodes):
             config = OutputConfig(kind="memory")
-            run_node(engine, nodes, node, config)
+            run_node(GenerationEngine(schema), nodes, node, config)
             parts.append(config.memory_output("t"))
         assert "".join(parts) == single.memory_output("t")
 

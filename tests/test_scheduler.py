@@ -152,21 +152,25 @@ class TestMetaScheduler:
         assert set(ranges) == {"customer", "orders"}
 
     def test_union_of_nodes_equals_single_run(self):
-        engine = GenerationEngine(demo_schema())
+        # every share runs on its own freshly bound engine, as a node on
+        # its own machine would: nodes never communicate
         single = OutputConfig(kind="memory")
-        generate(engine, single, workers=1)
+        generate(GenerationEngine(demo_schema()), single, workers=1)
         for table in ("customer", "orders"):
             parts = []
             for node in range(4):
                 config = OutputConfig(kind="memory")
-                run_node(engine, 4, node, config)
+                run_node(GenerationEngine(demo_schema()), 4, node, config)
                 parts.append(config.memory_output(table))
             assert "".join(parts) == single.memory_output(table)
 
     def test_node_reports_row_counts(self):
-        engine = GenerationEngine(demo_schema())
-        report = run_node(engine, 2, 0, OutputConfig(kind="null"))
-        other = run_node(engine, 2, 1, OutputConfig(kind="null"))
+        report = run_node(
+            GenerationEngine(demo_schema()), 2, 0, OutputConfig(kind="null")
+        )
+        other = run_node(
+            GenerationEngine(demo_schema()), 2, 1, OutputConfig(kind="null")
+        )
         assert report.rows + other.rows == 240
 
     def test_inprocess_cluster_run(self):
