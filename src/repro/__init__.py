@@ -30,10 +30,9 @@ Quickstart — slicing (the data-as-a-service view)::
 Quickstart — batch generation::
 
     from repro import GenerationEngine, OutputConfig, generate
-    from repro.suites.tpch import tpch_schema
+    from repro.suites.tpch import tpch_artifacts, tpch_schema
 
-    schema = tpch_schema(scale_factor=0.01)
-    engine = GenerationEngine(schema)
+    engine = GenerationEngine(tpch_schema(scale_factor=0.01), tpch_artifacts())
     report = generate(engine, OutputConfig(kind="file", directory="out"), workers=4)
     print(report.rows, "rows at", report.mb_per_second, "MB/s")
 
@@ -92,6 +91,6 @@ _PUBLIC = {
 
 __getattr__, __dir__ = lazy_names(__name__, _PUBLIC)
 
-__version__ = "21.0.0"
+__version__ = "22.0.0"
 
 __all__ = [*_PUBLIC, "__version__"]

@@ -11,9 +11,9 @@ corresponding range of a ``dbsynth generate`` output file — which is
 the contract the ``dbsynth serve`` HTTP endpoints are built on.
 
 Engines bind once and are shared: :func:`bound_engine`, a process-wide
-LRU cache keyed by
-:func:`~repro.resilience.checkpoint.schema_fingerprint` (the model
-identity — seed, update epoch, sizes, fields, generator trees), hands
+LRU cache keyed by :func:`~repro.engine.model_identity` (the model
+identity — seed, update epoch, sizes, fields, generator trees,
+artifacts — the digest :attr:`GenerationEngine.fingerprint` holds), hands
 the same thread-safe :class:`~repro.engine.GenerationEngine` to every
 ``Dataset.from_suite`` / ``from_model`` over an equivalent model, so a
 process opening many datasets pays generator binding once per model.
@@ -35,13 +35,12 @@ import threading
 from collections import OrderedDict
 from typing import Iterator
 
-from repro.engine import GenerationEngine
+from repro.engine import GenerationEngine, model_identity
 from repro.exceptions import GenerationError, OutputError
 from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema
 from repro.output.config import OutputConfig
 from repro.output.formats import BYTE_OPTIONS, format_package, format_spec, table_frame
-from repro.resilience.checkpoint import schema_fingerprint
 from repro.scheduler.work import DEFAULT_PACKAGE_SIZE, WorkPackage, cut_packages
 from repro.suites import suite_model
 
@@ -63,13 +62,14 @@ def bound_engine(
 ) -> GenerationEngine:
     """The cached bound engine for a model (binding once per identity).
 
-    Keyed by :func:`schema_fingerprint` — equal fingerprints generate
-    identical values, so sharing the (thread-safe) engine is sound even
-    between schemas built independently. Misses bind outside the lock;
-    a racing duplicate bind keeps the first engine inserted.
+    Keyed by :func:`model_identity`, the engine's own fingerprint taken
+    before binding — equal fingerprints generate identical values, so
+    sharing the (thread-safe) engine is sound even between models built
+    independently. Misses bind outside the lock; a racing duplicate bind
+    keeps the first engine inserted.
     """
     global _engine_hits, _engine_misses
-    key = schema_fingerprint(schema, update)
+    key = model_identity(schema, artifacts, update)
     with _cache_lock:
         engine = _engine_cache.get(key)
         if engine is not None:
@@ -138,7 +138,8 @@ class Dataset:
                 f"package_size must be positive, got {package_size}"
             )
         self.package_size = package_size
-        self.fingerprint = schema_fingerprint(engine.schema, engine.update)
+        #: the engine's fingerprint, digested here and not in a request
+        self.fingerprint = engine.fingerprint
         self.engine = engine
 
     @classmethod
@@ -235,10 +236,10 @@ class Dataset:
         """Yield the encoded slice one work-package chunk at a time.
 
         The streaming twin of :meth:`slice` for encoded formats — what
-        ``dbsynth serve`` writes as chunked transfer. The header is
-        emitted only when the slice starts at row 0 and the footer only
-        when it ends at the table size, so concatenating adjacent slices
-        reproduces the batch file exactly. Text formats accept any row
+        ``dbsynth serve`` writes as chunked transfer. The slice is
+        framed by :func:`~repro.output.formats.table_frame`, as a
+        scheduler run over the same range is, so concatenating adjacent
+        slices reproduces the batch file exactly. Text formats accept any row
         range (rows encode independently); Arrow requires
         package-aligned bounds because its record-batch framing follows
         package boundaries.
@@ -252,14 +253,14 @@ class Dataset:
                 "parquet files, format='arrow' streams columns"
             )
         start, stop = self._resolve_range(table, start, stop)
-        header, footer = table_frame(output, self.engine, table)
-        if start == 0 and header:
+        header, footer = table_frame(output, self.engine, table, start, stop)
+        if header:
             yield header.encode("utf-8") if not spec.binary else header
         for package in self._covering_packages(table, start, stop, spec):
             chunk = format_package(self.engine, output, package)
             if chunk:
                 yield chunk.encode("utf-8") if not spec.binary else chunk
-        if stop == self.engine.sizes[table] and footer:
+        if footer:
             yield footer.encode("utf-8") if not spec.binary else footer
 
     # -- internals --------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 from repro import __version__, obs
 from repro.config import apply_overrides
 from repro.exceptions import ReproError
-from repro.suites import SUITE_NAMES, suite_model
+from repro.suites import SUITE_NAMES, suite_model, suite_schema
 
 if TYPE_CHECKING:
     from repro.engine import GenerationEngine
@@ -350,7 +350,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     from repro.db import create_schema_sql
 
     if args.suite:
-        schema, _ = suite_model(args.suite, args.scale_factor)
+        schema = suite_schema(args.suite, args.scale_factor)
     else:
         schema, _ = load_saved(args.model)
     print(create_schema_sql(schema, args.dialect))

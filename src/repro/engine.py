@@ -11,8 +11,11 @@ schedulers for parallel runs.
 from __future__ import annotations
 
 import copy
+import hashlib
 import importlib
+import json
 import threading
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -36,6 +39,41 @@ _MAX_DEPENDENCY_DEPTH = 16
 #: large enough to amortize vectorized kernels, small enough that a
 #: block of materialized rows stays cache- and memory-friendly.
 DEFAULT_GENERATION_BLOCK = 1024
+
+
+def _spec_tree(spec) -> list:
+    """A GeneratorSpec tree as JSON-able lists (``sort_keys`` orders its
+    parameters)."""
+    return [spec.name, spec.params, [_spec_tree(child) for child in spec.children]]
+
+
+def model_identity(
+    schema: Schema, artifacts: ArtifactStore | None = None, update: int = 0,
+) -> str:
+    """SHA-256 over everything that determines generated *values*: the
+    seed, the update, each table's resolved size, field names, types
+    and generator spec trees, and each artifact's serialized text (what
+    :meth:`~repro.model.artifacts.ArtifactStore.save_dir` writes).
+
+    The model's one identity: :attr:`GenerationEngine.fingerprint`, the
+    bound-engine cache key, ``Dataset.fingerprint`` and every checkpoint
+    fingerprint read it. Models with equal identities generate identical
+    cells. Output options and partitioning are not part of it — they
+    change encoding, not values.
+    """
+    sizes = schema.sizes()
+    canonical = json.dumps({
+        "seed": schema.seed,
+        "update": update,
+        "tables": [
+            [table.name, sizes[table.name], [
+                [f.name, str(f.dtype), _spec_tree(f.generator)] for f in table.fields
+            ]]
+            for table in schema.tables
+        ],
+        "artifacts": (artifacts or ArtifactStore()).dumps(),
+    }, sort_keys=True, default=repr)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class BoundTable:
@@ -273,6 +311,11 @@ class GenerationEngine:
         model = (self.schema, self.artifacts, self.update)
         return _rebuild_engine, (sorted(plugins), *model)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """This model's :func:`model_identity`, digested on first read."""
+        return model_identity(self.schema, self.artifacts, self.update)
+
     def at_update(self, update: int) -> "GenerationEngine":
         """This model at another update (abstract time unit) without a
         second bind: binding does not depend on the update, so the bound
@@ -283,6 +326,7 @@ class GenerationEngine:
             _tables={name: bound.at_update(self.hierarchy, update)
                      for name, bound in self._tables.items()},
         )
+        engine.__dict__.pop("fingerprint", None)  # the update is part of it
         return engine
 
     # -- contexts ----------------------------------------------------------
@@ -413,15 +457,17 @@ class GenerationEngine:
     def _range(
         self, table_name: str, start: int, stop: int | None
     ) -> tuple[BoundTable, int]:
-        """The bound table and ``stop`` clamped to its size (``None`` is
-        the size); a negative *start* names rows no table holds."""
+        """The bound table and ``stop`` clamped to ``[start, size]``
+        (``None`` is the size) — the one range rule of the range methods
+        below and of ``Scheduler.run(row_ranges=)``; a negative *start*
+        names rows no table holds."""
         bound = self._bound(table_name)
         if start < 0:
             raise GenerationError(
                 f"row {start} outside table {table_name!r} (rows start at 0)"
             )
         size = self.sizes[table_name]
-        return bound, size if stop is None else min(stop, size)
+        return bound, max(start, size if stop is None else min(stop, size))
 
     def generate_row(self, table_name: str, row: int) -> list[object]:
         """All values of one row (fresh context; use iter_rows in loops)."""

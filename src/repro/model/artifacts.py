@@ -17,7 +17,9 @@ class ArtifactStore:
 
     Mirrors PDGF's ``dicts/`` and ``markov/`` directories: the schema XML
     references artifacts by name (``<file>markov/l_comment.bin</file>``)
-    and the store resolves them, either from memory or from disk.
+    and the store resolves them, either from memory or from disk. The
+    store does all artifact file I/O; an artifact only ``dumps()`` to
+    and ``loads()`` from text.
     """
 
     def __init__(self) -> None:
@@ -38,16 +40,24 @@ class ArtifactStore:
     def names(self) -> list[str]:
         return sorted(self._items)
 
+    def dumps(self) -> dict[str, str]:
+        """Each artifact's serialized text by name: what :meth:`save_dir`
+        writes, and what the model's fingerprint digests."""
+        texts = {}
+        for name in sorted(self._items):
+            dumps = getattr(self._items[name], "dumps", None)
+            if dumps is None:
+                raise GenerationError(f"artifact {name!r} is not serializable")
+            texts[name] = dumps()
+        return texts
+
     def save_dir(self, directory: str) -> None:
         """Persist all artifacts under *directory* (one file each)."""
         os.makedirs(directory, exist_ok=True)
-        for name, artifact in self._items.items():
-            safe = name.replace("/", "__")
-            path = os.path.join(directory, safe)
-            save = getattr(artifact, "save", None)
-            if save is None:
-                raise GenerationError(f"artifact {name!r} is not serializable")
-            save(path)
+        for name, text in self.dumps().items():
+            path = os.path.join(directory, name.replace("/", "__"))
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
 
     @classmethod
     def load_dir(cls, directory: str) -> ArtifactStore:
@@ -62,9 +72,7 @@ class ArtifactStore:
         store = cls()
         for entry in sorted(os.listdir(directory)):
             name = entry.replace("__", "/")
-            path = os.path.join(directory, entry)
-            if name.startswith("markov:"):
-                store.put(name, MarkovChain.load(path))
-            else:
-                store.put(name, WeightedDictionary.load(path))
+            kind = MarkovChain if name.startswith("markov:") else WeightedDictionary
+            with open(os.path.join(directory, entry), encoding="utf-8") as handle:
+                store.put(name, kind.loads(handle.read()))
         return store

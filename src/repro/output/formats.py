@@ -225,13 +225,24 @@ def format_package(engine, output, package, *, first: bool | None = None):
         return writer.write_block(block, first=first)
 
 
-def table_frame(output, engine, table: str):
-    """``(header, footer)`` of one table's output — what surrounds the
-    package stream, empty when the format has none. The one place a
-    probe writer is asked for them, so the scheduler and
-    ``Dataset.stream`` cannot frame a table differently."""
+def table_frame(output, engine, table: str, start: int = 0, stop: int | None = None):
+    """``(header, footer)`` around rows ``[start, stop)`` of one table's
+    output (``stop`` ``None`` is the table size): the header only where
+    the range starts at row 0, the footer only where it ends at the
+    table's size, each empty when the format has none. An empty range
+    carries neither unless the table is empty, so ranges that tile a
+    table — node shares, trailing empty ones included — framed one by
+    one and concatenated are the whole file. The one place a probe
+    writer is asked for them, so the scheduler and ``Dataset.stream``
+    cannot frame a range differently."""
     writer = _bound_writer(engine.bound_table(table), output)
-    return writer.header(), writer.footer()
+    size = engine.sizes[table]
+    stop = size if stop is None else stop
+    framed = start < stop or size == 0
+    return (
+        writer.header() if framed and start == 0 else "",
+        writer.footer() if framed and stop == size else "",
+    )
 
 
 def encoded_size(chunk) -> int:

@@ -19,7 +19,6 @@ from repro.resilience.checkpoint import (
     RunManifest,
     chunk_digest,
     model_fingerprint,
-    schema_fingerprint,
 )
 from repro.resilience.faults import (
     CrashingSink,
@@ -35,7 +34,6 @@ __all__ = [
     "RunManifest",
     "chunk_digest",
     "model_fingerprint",
-    "schema_fingerprint",
     "CrashingSink",
     "FaultInjectingOutput",
     "FaultPlan",

@@ -12,7 +12,7 @@ a file's first row are its header. A SQLite target is its own record:
 a resumed load reads each table's row count (the journal may lag it by
 one committed package).
 
-Resume (:class:`RunManifest`) replays nothing. It verifies the model
+Resume (:class:`RunManifest`) replays nothing. It verifies the run's
 fingerprint (same model + same output format + same partitioning ⇒ same
 bytes), truncates each file to its watermark and schedules only the
 rows no watermark covers. The result is byte-identical to an
@@ -50,54 +50,6 @@ MANIFEST_VERSION = 2
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
-def _spec_description(spec) -> dict:
-    """Canonical JSON-able form of a GeneratorSpec tree."""
-    return {
-        "name": spec.name,
-        "params": {key: spec.params[key] for key in sorted(spec.params)},
-        "children": [_spec_description(child) for child in spec.children],
-    }
-
-
-def _table_description(table, rows: int) -> dict:
-    """What determines one table's generated values."""
-    return {
-        "name": table.name,
-        "rows": rows,
-        "fields": [
-            [f.name, str(f.dtype), _spec_description(f.generator)]
-            for f in table.fields
-        ],
-    }
-
-
-def _digest(description: dict) -> str:
-    canonical = json.dumps(description, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def schema_fingerprint(schema, update: int = 0) -> str:
-    """SHA-256 over everything that determines generated *values*.
-
-    The model-identity half of :func:`model_fingerprint`: seed, update
-    epoch, per-table resolved sizes, field names, types, and generator
-    spec trees — but no output options or partitioning, which only
-    affect encoding. Two engines with equal schema fingerprints generate
-    identical cell values, which is what lets the ``Dataset`` facade
-    cache bound engines by this key.
-    """
-    return _digest({
-        "version": MANIFEST_VERSION,
-        "seed": schema.seed,
-        "rng": schema.rng,
-        "update": update,
-        "tables": [
-            _table_description(table, schema.table_size(table.name))
-            for table in schema.tables
-        ],
-    })
-
-
 def model_fingerprint(
     engine,
     output,
@@ -107,30 +59,27 @@ def model_fingerprint(
 ) -> str:
     """SHA-256 over everything that determines the output bytes.
 
-    Covers the model (seed, update epoch, per-table sizes, field names,
-    types, and generator spec trees), the format-affecting output
-    options, the package size (partition boundaries), the table list,
-    and any row-range restriction. Deliberately excludes the worker
-    count — it changes scheduling, never bytes, so a checkpoint
+    The model's own identity (:attr:`GenerationEngine.fingerprint
+    <repro.engine.GenerationEngine.fingerprint>`: seed, update, sizes,
+    fields, generator trees and artifacts) plus only what a run adds:
+    the format-affecting output options, the package size (partition
+    boundaries), the table list and each table's row range (the whole
+    table where *row_ranges* names none). Deliberately excludes the
+    worker count — it changes scheduling, never bytes, so a checkpoint
     written with ``-w 4`` can be resumed with ``-w 1``.
     """
-    return _digest({
+    ranges = row_ranges or {}
+    canonical = json.dumps({
         "version": MANIFEST_VERSION,
-        "seed": engine.schema.seed,
-        "update": engine.update,
+        "model": engine.fingerprint,
         "package_size": package_size,
         "tables": [
-            {
-                **_table_description(
-                    engine.bound_table(name).table, engine.sizes[name]
-                ),
-                "range": list(row_ranges[name])
-                if row_ranges and name in row_ranges else None,
-            }
+            [name, list(ranges.get(name, (0, engine.sizes[name])))]
             for name in tables
         ],
         "output": {name: getattr(output, name) for name in BYTE_OPTIONS},
-    })
+    }, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def chunk_digest(chunk) -> tuple[int, str]:

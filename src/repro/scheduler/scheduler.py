@@ -391,7 +391,10 @@ class Scheduler:
     ) -> RunReport:
         """Generate *tables* (default: all), optionally restricted to
         per-table ``[start, stop)`` ranges (a node's static share, see
-        :func:`run_node`).
+        :func:`run_node`). A range follows the engine's one range rule
+        (``stop`` clamped to the table, a negative ``start`` refused) and
+        is framed as :func:`~repro.output.formats.table_frame` frames it,
+        so node shares concatenate to the whole file.
 
         With ``checkpoint`` set, each table file's watermark is
         journaled to the run manifest as its packages reach the sink;
@@ -405,6 +408,11 @@ class Scheduler:
         muxes: dict[str, OrderedSinkMux] = {}
         footers: list[tuple[str, Sink, str]] = []
 
+        ranges = {}
+        for name in names:
+            start, stop = (row_ranges or {}).get(name, (0, None))
+            ranges[name] = start, engine._range(name, start, stop)[1]
+
         accounting = RunAccounting(engine, names, self.progress)
         window = InFlightWindow(self.workers + DEFAULT_INFLIGHT_EXTRA)
         self.last_window = window
@@ -412,7 +420,7 @@ class Scheduler:
         manifest, journal = open_checkpoint(
             engine, self.output, self.package_size, names, self.backend,
             checkpoint=self.checkpoint, resume_from=self.resume_from,
-            row_ranges=row_ranges,
+            row_ranges=ranges,
         )
         requeued = restarts = 0
 
@@ -421,17 +429,12 @@ class Scheduler:
                 "scheduler.run", workers=self.workers,
                 package_size=self.package_size, backend=self.backend,
             ) as run_span:
-                ranges = {name: (0, engine.sizes[name]) for name in names}
-                for name, (start, stop) in (row_ranges or {}).items():
-                    if name in ranges:
-                        stop = max(min(stop, engine.sizes[name]), start)
-                        ranges[name] = start, stop
                 total_rows = sum(stop - start for start, stop in ranges.values())
                 marks = self._resume_marks(manifest, ranges)
                 pending = []
                 for name, (start, stop) in ranges.items():
                     part = marks.get(name)
-                    header, footer = table_frame(self.output, engine, name)
+                    header, footer = table_frame(self.output, engine, name, start, stop)
                     if part is None:
                         # Fresh table, or a resumed one that crashed before
                         # its header became durable: start from the top. The

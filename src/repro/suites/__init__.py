@@ -12,13 +12,23 @@ from repro.model.schema import Schema
 SUITE_NAMES = ("tpch", "ssb", "bigbench")
 
 
-def suite_model(name: str, scale_factor: float) -> tuple[Schema, ArtifactStore]:
-    """Schema and artifacts of a built-in suite model. A suite's package
-    is imported only when it is asked for (TPC-H alone trains a chain)."""
+def _suite(name: str):
     if name not in SUITE_NAMES:
         raise GenerationError(
             f"unknown suite {name!r} (expected {', '.join(SUITE_NAMES)})"
         )
-    module = importlib.import_module(f"repro.suites.{name}")
-    artifacts = getattr(module, f"{name}_artifacts", ArtifactStore)
-    return getattr(module, f"{name}_schema")(scale_factor), artifacts()
+    return importlib.import_module(f"repro.suites.{name}")
+
+
+def suite_schema(name: str, scale_factor: float) -> Schema:
+    """The schema of a built-in suite model, without its artifacts or
+    plug-in generators: all that describing the model (its DDL) reads."""
+    return getattr(_suite(name), f"{name}_schema")(scale_factor)
+
+
+def suite_model(name: str, scale_factor: float) -> tuple[Schema, ArtifactStore]:
+    """Schema and artifacts of a built-in suite model — what binding it
+    needs. A suite's package is imported only when it is asked for
+    (TPC-H alone trains a chain and registers a plug-in generator)."""
+    artifacts = getattr(_suite(name), f"{name}_artifacts", ArtifactStore)
+    return suite_schema(name, scale_factor), artifacts()

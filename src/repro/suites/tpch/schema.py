@@ -16,11 +16,6 @@ suite-registered plugin generator.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import columnar
-from repro.generators.base import BindContext, GenerationContext, Generator
-from repro.generators.registry import register
 from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.prng.xorshift import XorShift64Star
@@ -29,41 +24,6 @@ from repro.text.corpus import comment_sentences
 from repro.text.markov import MarkovChain
 
 COMMENT_MODEL = "markov:tpch.comment"
-
-
-@register("TpchPsSuppkeyGenerator")
-class TpchPsSuppkeyGenerator(Generator):
-    """The partsupp supplier permutation (spec clause 4.2.3 shape).
-
-    The spec formula
-    ``(ps_partkey + i * (S/4 + (ps_partkey - 1) / S)) mod S + 1`` spreads
-    a part's four suppliers around the supplier key space. At the exact
-    spec sizes the four slots never collide, but tiny scaled-down
-    supplier counts can make them collide, violating the (partkey,
-    suppkey) primary key. We therefore use slot offsets ``(i * S) // 4``
-    — four values that are pairwise distinct modulo S for every S >= 4 —
-    preserving the spec's spread while staying collision-free at any
-    scale. Registered from the suite: an example of PDGF's plugin
-    mechanism.
-    """
-
-    def bind(self, ctx: BindContext) -> None:
-        self._suppliers = ctx.table_sizes.get("supplier") or ctx.schema.table_size(
-            "supplier"
-        )
-
-    def generate(self, ctx: GenerationContext) -> int:
-        return self._suppkey(ctx.row)
-
-    def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.IntColumn:
-        """The same arithmetic over the block's rows; no draws."""
-        return columnar.IntColumn(self._suppkey(rows))
-
-    def _suppkey(self, row):
-        part = row // D.SUPPLIERS_PER_PART + 1
-        slot = row % D.SUPPLIERS_PER_PART
-        s = self._suppliers
-        return (part + (slot * s) // D.SUPPLIERS_PER_PART) % s + 1
 
 
 def _dict(values, weights=None, **params) -> GeneratorSpec:
@@ -120,8 +80,14 @@ def tpch_artifacts(seed: int = 20150531, sentences: int = 400) -> ArtifactStore:
     """Artifacts for the model: the shared comment Markov chain.
 
     Trained on a dbgen-grammar corpus so vocabulary (~1500-word class)
-    and branching match the paper's l_comment model in spirit.
+    and branching match the paper's l_comment model in spirit. Asking
+    for the artifacts — what binding needs beyond the schema — also
+    registers the suite's plug-in generator, so describing the model
+    (``tpch_schema`` alone) loads no array kernel.
     """
+    # binding the model needs the partsupp plug-in registered too
+    import repro.suites.tpch.generators  # noqa: F401
+
     store = ArtifactStore()
     chain = MarkovChain(order=1)
     chain.train_all(comment_sentences(XorShift64Star(seed), count=sentences))

@@ -112,12 +112,3 @@ class WeightedDictionary:
             except (ValueError, KeyError, TypeError) as exc:
                 raise ModelError(f"bad dictionary line {lineno}: {exc}") from exc
         return cls(entries)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.dumps())
-
-    @classmethod
-    def load(cls, path: str) -> "WeightedDictionary":
-        with open(path, encoding="utf-8") as handle:
-            return cls.loads(handle.read())

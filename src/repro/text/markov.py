@@ -244,15 +244,6 @@ class MarkovChain:
             raise ModelError(f"bad Markov chain serialization: {exc}") from exc
         return chain
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.dumps())
-
-    @classmethod
-    def load(cls, path: str) -> "MarkovChain":
-        with open(path, encoding="utf-8") as handle:
-            return cls.loads(handle.read())
-
 
 def _state(value: object, order: int) -> tuple[str, ...]:
     """A serialized state: a list of exactly *order* string tokens."""

@@ -37,6 +37,21 @@ def field_values(
     return [values[0] for values in engine.iter_rows("t")]
 
 
+def word_model(word: str, rows: int = 100) -> tuple[Schema, ArtifactStore]:
+    """A one-column model drawing from the dictionary artifact
+    ``dict:w``, which holds only *word*: two such models differ in
+    their artifacts alone."""
+    from repro.text.dictionary import WeightedDictionary
+
+    schema = Schema("words", seed=7)
+    schema.add_table(Table("t", str(rows), [Field.of(
+        "w", "VARCHAR(10)", GeneratorSpec("DictListGenerator", {"dictionary": "dict:w"}),
+    )]))
+    artifacts = ArtifactStore()
+    artifacts.put("dict:w", WeightedDictionary.from_values([word]))
+    return schema, artifacts
+
+
 def demo_schema(seed: int = 42, customers: int = 60, orders: int = 180) -> Schema:
     """A two-table schema exercising references, formulas, and NULLs."""
     schema = Schema("demo", seed=seed)

@@ -141,8 +141,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_21(self):
-        assert repro.__version__.startswith("21.")
+    def test_version_is_22(self):
+        assert repro.__version__.startswith("22.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -489,7 +489,8 @@ class TestOneHttpServer:
 
     def test_extract_and_translate_load_no_numpy(self, tmp_path):
         """Extraction samples, counts and trains in plain Python, and
-        translation prints DDL: neither imports numpy or a kernel."""
+        translation prints DDL — of a saved model or of a suite's
+        schema: neither imports numpy or a kernel."""
         from repro.suites.imdb import build_imdb_database
 
         source = str(tmp_path / "source.db")
@@ -498,6 +499,9 @@ class TestOneHttpServer:
         watched = list(self.NOT_ON_THE_EXTRACT_PATH)
         assert self._loaded_by(["extract", source, "-o", model], watched) == []
         assert self._loaded_by(["translate", "--model", model], watched) == []
+        for suite in ("tpch", "ssb", "bigbench"):
+            argv = ["translate", "--suite", suite]
+            assert self._loaded_by(argv, watched) == [], suite
 
     def test_obs_server_still_resolves_lazily(self):
         from repro import obs
@@ -825,7 +829,7 @@ class TestOneDurableProgressRecord:
         "PackageRecord", "durable_prefix", "table_start", "header_bytes",
         "TableState", "record_package(package", "_validate_prefix",
         "_resilience_setup", "node_checkpoint_dir", "max_node_failures",
-        "no_steal", "steal=",
+        "no_steal", "steal=", "schema_fingerprint",
     ])
     def test_deleted_names_stay_deleted(self, name):
         assert not self._occurrences(name, "")

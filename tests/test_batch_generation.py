@@ -30,7 +30,7 @@ from repro.output.config import OutputConfig
 from repro.scheduler import Scheduler
 from repro.scheduler import node_ranges
 from repro.suites import SUITE_NAMES, suite_model
-import repro.suites.tpch  # noqa: F401 - registers TpchPsSuppkeyGenerator
+import repro.suites.tpch.generators  # noqa: F401 - registers TpchPsSuppkeyGenerator
 from repro.text.markov import train_chain
 
 #: above the generators' small-block constant, so whole-table blocks

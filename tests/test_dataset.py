@@ -23,7 +23,7 @@ from repro.output.config import OutputConfig
 from repro.output.formats import format_spec, known_formats
 from repro.scheduler import generate
 
-from tests.conftest import demo_schema
+from tests.conftest import demo_schema, word_model
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +64,15 @@ class TestEngineCache:
         assert first.engine is not second.engine
         assert first.fingerprint != second.fingerprint
         assert engine_cache_info()["misses"] == 2
+        # models that differ in a dictionary alone are two models too
+        apple = Dataset(bound_engine(*word_model("apple")))
+        zebra = Dataset(bound_engine(*word_model("zebra")))
+        assert apple.engine is not zebra.engine
+        assert apple.fingerprint != zebra.fingerprint
+        assert apple.fingerprint == apple.engine.fingerprint
+        assert apple.slice("t", 0, 1) == [["apple"]]
+        assert zebra.slice("t", 0, 1) == [["zebra"]]
+        assert engine_cache_info()["misses"] == 4
 
     def test_dataset_wraps_the_callers_engine(self):
         engine = GenerationEngine(demo_schema())

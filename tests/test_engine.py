@@ -94,9 +94,10 @@ class TestComputeValue:
 
 
 class TestRanges:
-    """``generate_rows``, ``generate_columns`` and ``iter_rows`` share one
-    range rule: ``stop`` is clamped to the table size, and a negative
-    ``start`` names rows no table holds."""
+    """``generate_rows``, ``generate_columns``, ``iter_rows`` and
+    ``Scheduler.run(row_ranges=)`` share one range rule: ``stop`` is
+    clamped to the table size, and a negative ``start`` names rows no
+    table holds."""
 
     def test_generate_rows_rejects_a_negative_start(self, engine):
         with pytest.raises(GenerationError, match="row -2 outside table 'customer'"):
@@ -109,6 +110,14 @@ class TestRanges:
     def test_iter_rows_rejects_a_negative_start(self, engine):
         with pytest.raises(GenerationError, match="row -5 outside table 'customer'"):
             list(engine.iter_rows("customer", -5, 3))
+
+    def test_scheduler_run_rejects_a_negative_start(self, engine):
+        from repro.output.config import OutputConfig
+        from repro.scheduler import Scheduler
+
+        scheduler = Scheduler(engine, OutputConfig(kind="memory"))
+        with pytest.raises(GenerationError, match="row -2 outside table 'customer'"):
+            scheduler.run(tables=["customer"], row_ranges={"customer": (-2, 1)})
 
     def test_stop_is_clamped_to_the_table_size(self, engine):
         rows = engine.generate_rows("customer", 55, 1_000)

@@ -80,6 +80,7 @@ class TestEngineContexts:
 
 class TestGeneratorDescribe:
     def test_known_generators_listing(self):
+        import repro.suites.tpch.generators  # noqa: F401 - the suite's plug-in
         from repro.generators import known_generators
 
         names = known_generators()

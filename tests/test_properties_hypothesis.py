@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import repro.suites.tpch.schema  # noqa: F401  (registers TpchPsSuppkeyGenerator)
+import repro.suites.tpch.generators  # noqa: F401  (registers TpchPsSuppkeyGenerator)
 from repro.core.driver import same_answer
 from repro.core.loader import load
 from repro.core.queries import Aggregate, Op, Predicate, Query, VirtualExecutor

@@ -42,7 +42,7 @@ from repro.scheduler import (
     run_node,
 )
 from repro.scheduler.work import package_count
-from tests.conftest import demo_schema
+from tests.conftest import demo_schema, word_model
 
 TABLES = ("customer", "orders")
 
@@ -113,6 +113,11 @@ class TestManifest:
         assert base != model_fingerprint(_engine(), output, 50, list(TABLES))
         tabbed = OutputConfig(kind="memory", delimiter="\t")
         assert base != model_fingerprint(_engine(), tabbed, 25, list(TABLES))
+        # an artifact is part of the model
+        apple, zebra = (GenerationEngine(*word_model(w)) for w in ("apple", "zebra"))
+        assert model_fingerprint(apple, output, 25, ["t"]) != model_fingerprint(
+            zebra, output, 25, ["t"]
+        )
         # The worker count never affects bytes — not fingerprinted.
 
     def test_resume_with_changed_model_refused(self, tmp_path):
@@ -127,6 +132,21 @@ class TestManifest:
                 _engine(seed=99), _file_config(out_dir), package_size=25,
                 resume_from=directory,
             ).run()
+        # a dictionary alone changed: refused before any output is touched
+        words = tmp_path / "words"
+        crashed = FaultInjectingOutput(_file_config(words), crash_after_writes=2)
+        with pytest.raises(InjectedCrash):
+            Scheduler(
+                GenerationEngine(*word_model("apple")), crashed, package_size=25,
+                checkpoint=str(words / "ckpt"),
+            ).run()
+        written = (words / "t.tbl").read_bytes()
+        with pytest.raises(SchedulingError, match="refusing to resume"):
+            Scheduler(
+                GenerationEngine(*word_model("zebra")), _file_config(words),
+                package_size=25, resume_from=str(words / "ckpt"),
+            ).run()
+        assert (words / "t.tbl").read_bytes() == written
 
     def test_resume_with_changed_package_size_refused(self, tmp_path):
         directory = str(tmp_path / "ckpt")
@@ -428,10 +448,11 @@ class TestWatermarkEdgeCases:
     def test_run_node_share_that_does_not_start_at_row_zero(self, tmp_path):
         engine, base = GenerationEngine(demo_schema()), str(tmp_path / "ckpt")
         run_node(engine, 3, 1, _file_config(tmp_path / "ref"), package_size=25)
-        # 2 headers, customer [20, 25) + [25, 40), orders [60, 75): the
-        # share's packages end on the table's grid, not 25 rows past 60
+        # customer [20, 25) + [25, 40), orders [60, 75) — no header, the
+        # share does not start at row 0: the share's packages end on the
+        # table's grid, not 25 rows past 60
         faulty = FaultInjectingOutput(
-            _file_config(tmp_path / "out"), crash_after_writes=5
+            _file_config(tmp_path / "out"), crash_after_writes=3
         )
         with pytest.raises(InjectedCrash):
             run_node(engine, 3, 1, faulty, package_size=25, checkpoint=base)

@@ -153,16 +153,27 @@ class TestMetaScheduler:
 
     def test_union_of_nodes_equals_single_run(self):
         # every share runs on its own freshly bound engine, as a node on
-        # its own machine would: nodes never communicate
-        single = OutputConfig(kind="memory")
-        generate(GenerationEngine(demo_schema()), single, workers=1)
-        for table in ("customer", "orders"):
-            parts = []
-            for node in range(4):
-                config = OutputConfig(kind="memory")
-                run_node(GenerationEngine(demo_schema()), 4, node, config)
-                parts.append(config.memory_output(table))
-            assert "".join(parts) == single.memory_output(table)
+        # its own machine would: nodes never communicate. The header
+        # comes from the share at row 0 only, the footer from the share
+        # at the table's end only — not from the empty shares after it
+        # (5 customers on 7 nodes).
+        cases = [
+            (options, customers, nodes)
+            for options in ({}, {"include_header": True}, {"format": "xml"})
+            for customers, nodes in ((60, 4), (5, 7))
+        ]
+        for options, customers, nodes in cases:
+            single = OutputConfig(kind="memory", **options)
+            generate(GenerationEngine(demo_schema(customers=customers)), single)
+            shares = []
+            for node in range(nodes):
+                config = OutputConfig(kind="memory", **options)
+                engine = GenerationEngine(demo_schema(customers=customers))
+                run_node(engine, nodes, node, config)
+                shares.append(config)
+            for table in ("customer", "orders"):
+                parts = [config.memory_output(table) for config in shares]
+                assert "".join(parts) == single.memory_output(table), options
 
     def test_node_reports_row_counts(self):
         report = run_node(

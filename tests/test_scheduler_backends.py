@@ -145,7 +145,7 @@ class TestSpawnedExecutors:
         rebuild, (plugins, *_model) = GenerationEngine(
             *suite_model("tpch", 0.001)
         ).__reduce__()
-        assert plugins == ["repro.suites.tpch.schema"]
+        assert plugins == ["repro.suites.tpch.generators"]
         assert GenerationEngine(demo_schema()).__reduce__()[1][0] == []
 
     def test_tpch_bytes_match_inline_under_a_spawn_context(

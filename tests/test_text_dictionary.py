@@ -77,10 +77,13 @@ class TestSerialization:
         assert WeightedDictionary.loads(d.dumps()).values() == d.values()
 
     def test_file_round_trip(self, tmp_path):
-        d = WeightedDictionary.uniform(["one", "two"])
-        path = str(tmp_path / "dict.jsonl")
-        d.save(path)
-        assert WeightedDictionary.load(path).values() == ["one", "two"]
+        from repro.model.artifacts import ArtifactStore
+
+        store = ArtifactStore()
+        store.put("dict:d", WeightedDictionary.uniform(["one", "two"]))
+        store.save_dir(str(tmp_path / "artifacts"))
+        restored = ArtifactStore.load_dir(str(tmp_path / "artifacts"))
+        assert restored.get("dict:d").values() == ["one", "two"]
 
     def test_bad_line_raises(self):
         with pytest.raises(ModelError, match="bad dictionary line"):

@@ -156,10 +156,14 @@ class TestSerialization:
         ]
 
     def test_file_round_trip(self, tmp_path):
+        from repro.model.artifacts import ArtifactStore
+
         chain = trained()
-        path = str(tmp_path / "model.json")
-        chain.save(path)
-        assert MarkovChain.load(path).dumps() == chain.dumps()
+        store = ArtifactStore()
+        store.put("markov:m", chain)
+        store.save_dir(str(tmp_path / "artifacts"))
+        restored = ArtifactStore.load_dir(str(tmp_path / "artifacts"))
+        assert restored.get("markov:m").dumps() == chain.dumps()
 
     def test_bad_payload(self):
         with pytest.raises(ModelError):

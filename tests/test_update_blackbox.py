@@ -220,9 +220,11 @@ def test_engine_at_update_equals_a_freshly_bound_engine():
 
     schema, artifacts = kitchen_sink_schema()
     base = GenerationEngine(schema, artifacts)
+    base_fingerprint = base.fingerprint  # digested before the copy
     shifted = base.at_update(3)
     fresh = GenerationEngine(schema, artifacts, update=3)
     assert shifted.update == 3 and base.update == 0
+    assert shifted.fingerprint == fresh.fingerprint != base_fingerprint
     for table in schema.tables:
         assert shifted.generate_rows(table.name) == fresh.generate_rows(table.name)
         assert shifted.generate_rows(table.name) != base.generate_rows(table.name)

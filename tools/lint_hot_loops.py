@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output/extraction paths: hot loops, swallowed errors.
 
-Seventeen checks, one AST walk:
+Eighteen checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -193,6 +193,18 @@ one residue is ``ClusterScheduler`` in :mod:`repro.scheduler.scheduler`,
 which the frozen bench still calls with ``(schema, artifacts)``. No
 waiver.
 
+**One-identity check.** A model's identity is one digest,
+:func:`~repro.engine.model_identity` — seed, update, sizes, fields,
+generator trees and artifacts — read as ``GenerationEngine.fingerprint``
+by the bound-engine cache, ``Dataset`` / serve and every checkpoint. A
+module under ``src/repro/`` other than :mod:`repro.engine` that imports
+``hashlib`` and reads a model's parts (``.tables``, ``.fields``,
+``.generator``, ``.children``, ``.params``, ``.artifacts``) is a second
+description of the model for a digest: it can leave a part out (two
+such descriptions once left out the artifacts, so a cached engine, a
+served slice and a resumed run took one model for another) and every
+test over models that differ elsewhere still passes. No waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/db/`` and ``src/repro/core/model_builder.py`` (the
 extraction path: an adapter or model-builder handler that eats every
@@ -207,7 +219,8 @@ span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
 ``src/repro/update/``,
 (quoting check only) ``src/repro/db/`` and ``src/repro/output/sinks.py``,
 (one-cutter, one-template, one-draw, one-lookup, one-runtime,
-one-driver and one-bind checks only) every module under ``src/repro/``.
+one-driver, one-bind and one-identity checks only) every module under
+``src/repro/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -306,6 +319,12 @@ BIND_FILES = (
 #: the one class outside them that still binds (it takes a schema), and
 #: its module; any other bind in that module is reported
 BIND_RESIDUE = ("src/repro/scheduler/scheduler.py", "ClusterScheduler")
+
+#: the one module that describes a model for a digest, the module a
+#: digest is computed with, and the model parts a description reads
+IDENTITY_FILE = "src/repro/engine.py"
+DIGEST_MODULE = "hashlib"
+MODEL_PARTS = ("tables", "fields", "generator", "children", "params", "artifacts")
 
 #: the search every weighted draw leaves to the guide-table lookup
 LOOKUP_CALL = "searchsorted"
@@ -536,6 +555,25 @@ def second_binds(path: Path, residue: str | None = None) -> list[str]:
     ]
 
 
+def second_identities(path: Path) -> list[str]:
+    """Reads of a model's parts in *path*, if it imports ``hashlib``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    if not any(
+        (isinstance(node, ast.Import)
+         and any(alias.name == DIGEST_MODULE for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == DIGEST_MODULE)
+        for node in ast.walk(tree)
+    ):
+        return []
+    return [
+        f"{path.relative_to(REPO)}:{node.lineno}: reads a model's "
+        f".{node.attr} in a module that computes digests: a second model "
+        "identity; digest GenerationEngine.fingerprint (engine.model_identity)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in MODEL_PARTS
+    ]
+
+
 def second_readers(path: Path) -> list[str]:
     """``.params`` attribute reads in *path*."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -754,6 +792,8 @@ def main() -> int:
             violations.extend(second_binds(path, BIND_RESIDUE[1]))
         elif path not in bind_files:
             violations.extend(second_binds(path))
+        if path != REPO / IDENTITY_FILE:
+            violations.extend(second_identities(path))
     for message in violations:
         print(message)
     print(
