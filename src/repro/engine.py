@@ -16,22 +16,21 @@ import importlib
 import json
 import threading
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from repro import columnar
 from repro.exceptions import GenerationError, ModelError
-from repro.generators.base import BindContext, GenerationContext
+from repro.generators.base import _KERNEL_MIN_ROWS, BindContext, GenerationContext
 from repro.generators.registry import build_bound, plugin_modules, sibling_reads
 from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema, Table
 from repro.model.validation import ensure_valid
 from repro.obs import active_metrics
 from repro.output.rows import ValueFormatter
-from repro.prng import blocks
 from repro.prng.seeding import ColumnSeeder, SeedHierarchy
 from repro.prng.xorshift import XorShift64Star, mix64
+
+if TYPE_CHECKING:
+    from repro import columnar
 
 _MAX_DEPENDENCY_DEPTH = 16
 
@@ -157,6 +156,11 @@ class BoundTable:
         the full block — a sibling read the walk does not know about
         finds an empty placeholder and is recomputed, just slower.
         """
+        import numpy as np
+
+        from repro import columnar
+        from repro.prng import blocks
+
         rows = np.asarray(rows, dtype=np.int64)
         wanted = None if fields is None else self._closure(fields)
         count = len(rows)
@@ -176,7 +180,9 @@ class BoundTable:
                 if wanted is not None and index not in wanted:
                     columns.append(columnar.ObjectColumn([]))
                     continue
-                ctx.seed_block = seeder.seed_block_from_hashes(row_hashes)
+                # ColumnSeeder.seed_block_from_hashes without its import:
+                # this loop runs per column of every block
+                ctx.seed_block = blocks.seed_block_from_hashes(seeder.update_seed, row_hashes)
                 column = generator.generate_block(ctx, rows)
                 if len(column) != count:
                     raise GenerationError(
@@ -195,6 +201,8 @@ class BoundTable:
     ) -> columnar.ColumnBlock:
         """Rows ``[start, stop)`` as a column block: :meth:`gather` over
         their range."""
+        import numpy as np
+
         return self.gather(np.arange(start, stop, dtype=np.int64), ctx, fields)
 
     def at_update(self, hierarchy: SeedHierarchy, update: int) -> "BoundTable":
@@ -406,6 +414,8 @@ class GenerationEngine:
         :meth:`BoundTable.gather` block. It checks the rows and the
         dependency depth as ``compute_value`` does, and shares its
         depth, so a cycle through either primitive is caught."""
+        import numpy as np
+
         bound = self._bound(table_name)
         rows = np.asarray(rows, dtype=np.int64)
         extremes = (rows.min(), rows.max()) if len(rows) else ()
@@ -523,12 +533,21 @@ class GenerationEngine:
         self, table_name: str, rows: int = 10, formatter: ValueFormatter | None = None
     ) -> list[list[str]]:
         """First *rows* rows, formatted — PDGF's instant preview that lets
-        users iterate on a model without a full run (paper §4)."""
+        users iterate on a model without a full run (paper §4).
+
+        Fewer rows than a block kernel's cutover (``_KERNEL_MIN_ROWS``)
+        go through the scalar oracle :meth:`BoundTable.generate_row` on
+        one context, so a short preview builds no array and imports no
+        numpy; more go through :meth:`iter_rows` blocks. Both give the
+        same values."""
         formatter = formatter or ValueFormatter(null_token="NULL")
-        return [
-            [formatter.format(v) for v in values]
-            for values in self.iter_rows(table_name, 0, rows)
-        ]
+        bound, stop = self._range(table_name, 0, rows)
+        if stop < _KERNEL_MIN_ROWS:
+            ctx = self.new_context(table_name)
+            values = (bound.generate_row(row, ctx) for row in range(stop))
+        else:
+            values = self.iter_rows(table_name, 0, stop)
+        return [[formatter.format(v) for v in row] for row in values]
 
     def total_rows(self) -> int:
         return sum(self.sizes.values())

@@ -24,13 +24,13 @@ import abc
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, TYPE_CHECKING
 
-import numpy as np
-
-from repro import columnar
 from repro.exceptions import GenerationError, ModelError
 from repro.prng.xorshift import XorShift64Star
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import numpy as np
+
+    from repro import columnar
     from repro.model.artifacts import ArtifactStore
     from repro.model.properties import PropertySet
     from repro.model.schema import Field, GeneratorSpec, Schema, Table
@@ -227,6 +227,10 @@ class Generator(abc.ABC):
         consult ``ctx.batch_columns`` for completed sibling columns,
         indexed by the cell's position in the block.
         """
+        import numpy as np
+
+        from repro import columnar
+
         seeds = ctx.seed_block
         if seeds is None:
             raise GenerationError(

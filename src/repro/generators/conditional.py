@@ -11,14 +11,17 @@ recomputed, never read back). Both — and the NULL wrapper of
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import build_children, register
 from repro.prng.distributions import Categorical
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 
 class ChoiceGenerator(Generator):
@@ -65,6 +68,10 @@ class ChoiceGenerator(Generator):
         seeds = ctx.seed_block
         if seeds is None or self._loop:
             return super().generate_block(ctx, rows)  # raises without seeds
+        import numpy as np
+
+        from repro import columnar
+
         origin = seeds.array
         choice = self.choose_block(ctx, rows)
         post = seeds.array
@@ -154,6 +161,8 @@ class SwitchGenerator(ChoiceGenerator):
         return self._cases.get(str(ctx.sibling(self._field)), self._default)
 
     def choose_block(self, ctx: GenerationContext, rows: np.ndarray):
+        import numpy as np
+
         choices = []
         for position, row in enumerate(rows.tolist()):
             ctx.row, ctx.position = row, position

@@ -10,11 +10,14 @@ so PDGF defers and caches it).
 from __future__ import annotations
 
 import datetime
+from typing import TYPE_CHECKING
 
-from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
+
+if TYPE_CHECKING:
+    from repro import columnar
 
 _EPOCH = datetime.date(1970, 1, 1)
 
@@ -52,6 +55,8 @@ class DateGenerator(Generator):
         return datetime.date.fromordinal(self._min_ordinal + ctx.rng.next_long(self._span))
 
     def generate_block(self, ctx: GenerationContext, rows) -> columnar.DateColumn:
+        from repro import columnar
+
         # Absolute ordinals (always inside int64); the generator-lifetime
         # memo makes repeated days convert once per distinct day, not
         # once per row.
@@ -99,6 +104,8 @@ class TimestampGenerator(Generator):
         return self._min + datetime.timedelta(seconds=ctx.rng.next_long(self._span))
 
     def generate_block(self, ctx: GenerationContext, rows) -> columnar.ObjectColumn:
+        from repro import columnar
+
         # Offsets rarely repeat (second resolution), so no memo — the
         # win is the vectorized draw plus skipped per-row reseeds.
         minimum = self._min

@@ -11,13 +11,17 @@ the base dictionary entry.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro import columnar
 from repro.exceptions import GenerationError, ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
 from repro.text.dictionary import WeightedDictionary
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 
 @register("DictListGenerator")
@@ -91,6 +95,8 @@ class DictListGenerator(Generator):
         return f"{value}#{ctx.rng.next_long(domain)}"
 
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
+        from repro import columnar
+
         values = self._values
         if self._by_row:
             indices = rows % len(values)
@@ -110,6 +116,10 @@ class DictListGenerator(Generator):
         ])
 
     def _int_column(self, indices) -> columnar.Column:
+        import numpy as np
+
+        from repro import columnar
+
         ints = self._int_values
         if ints is None:
             ints = [int(value) for value in self._values]

@@ -10,10 +10,8 @@ generated data).
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import (
     BindContext,
@@ -24,6 +22,11 @@ from repro.generators.base import (
 )
 from repro.generators.registry import register
 from repro.model import formula as _formula
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 FIELD_REF_RE = re.compile(r"\[([A-Za-z_][A-Za-z0-9_]*)\]")
 
@@ -87,6 +90,10 @@ class FormulaGenerator(Generator):
         columns, indices = ctx.batch_columns, ctx.field_indices
         if columns is None or indices is None:
             return None
+        import numpy as np
+
+        from repro import columnar
+
         env = {}
         for name in self._fields:
             index = indices.get(name)

@@ -8,9 +8,8 @@ reference generator can recompute any key without coordination.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import (
     BindContext,
@@ -21,6 +20,11 @@ from repro.generators.base import (
 )
 from repro.generators.registry import register
 from repro.model import formula as _formula
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 
 @register("IdGenerator")
@@ -46,6 +50,8 @@ def affine_column(base: int, step: int, rows: np.ndarray) -> columnar.Column:
     """``base + row * step`` for every row of *rows* (int64): int64
     arithmetic when base, step and every value fit — the wrap is then
     exact, as in ``columnar.int_column_from_u64`` — else Python ints."""
+    from repro import columnar
+
     extremes = (base, step, base + int(rows.min(initial=0)) * step,
                 base + int(rows.max(initial=0)) * step)
     if columnar.INT64_MIN <= min(extremes) and max(extremes) <= columnar.INT64_MAX:
@@ -87,6 +93,10 @@ class RowFormulaGenerator(Generator):
         *rows*; the per-row loop wherever that is not provably the same
         values (see :meth:`CompiledFormula.evaluate_arrays`)."""
         if _KERNEL_MIN_ROWS <= len(rows):
+            import numpy as np
+
+            from repro import columnar
+
             values = self._compiled.evaluate_arrays({**self._base_env, "row": rows})
             if values is not None:
                 if values.dtype == np.int64:

@@ -7,9 +7,8 @@ with ``min``/``max`` word bounds and a model file reference).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import (
     BindContext,
@@ -21,6 +20,11 @@ from repro.generators.base import (
 )
 from repro.generators.registry import register
 from repro.text.markov import MarkovChain
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 
 @register("MarkovChainGenerator")
@@ -61,6 +65,8 @@ class MarkovChainGenerator(Generator):
         tables = self._chain.block_tables()
         if not tables.plain:
             return super().generate_block(ctx, rows)
+        from repro import columnar
+
         initial = seeds.array
         tokens, counts, cut, exhausted, seeds.array = tables.sample(
             initial, self._min, self._max, self._max_chars

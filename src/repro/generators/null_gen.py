@@ -13,12 +13,15 @@ sub base time + sub generator) falls directly out of this structure.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext
 from repro.generators.conditional import ChoiceGenerator
 from repro.generators.registry import register
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @register("NullGenerator")
@@ -47,4 +50,6 @@ class NullGenerator(ChoiceGenerator):
         return -1 if ctx.rng.next_double() < self._probability else 0
 
     def choose_block(self, ctx: GenerationContext, rows: np.ndarray):
+        import numpy as np
+
         return np.where(ctx.seed_block.next_double() < self._probability, -1, 0)

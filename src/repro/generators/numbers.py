@@ -7,13 +7,17 @@ uniform when the source histogram was skewed.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
 from repro.prng.distributions import Zipf, normal
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 
 class _BoundedNumberGenerator(Generator):
@@ -47,6 +51,10 @@ class _BoundedNumberGenerator(Generator):
         return self._min + ctx.rng.next_long(self._span)
 
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
+        import numpy as np
+
+        from repro import columnar
+
         minimum = self._min
         if self._zipf is not None:
             outs = self._zipf.index_block(ctx.seed_block).astype(np.uint64)
@@ -115,6 +123,8 @@ class DoubleGenerator(Generator):
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         if self._distribution != "uniform":
             return super().generate_block(ctx, rows)
+        from repro import columnar
+
         # Same IEEE-754 expression as ``generate`` (min + u * span),
         # evaluated elementwise — bit-identical doubles.
         values = self._min + ctx.seed_block.next_double() * (self._max - self._min)
@@ -138,4 +148,6 @@ class BooleanGenerator(Generator):
         return ctx.rng.next_double() < self._p_true
 
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.BoolColumn:
+        from repro import columnar
+
         return columnar.BoolColumn(ctx.seed_block.next_double() < self._p_true)

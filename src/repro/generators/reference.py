@@ -11,14 +11,18 @@ actually carries in the output.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.id_gen import affine_column
 from repro.generators.registry import register
 from repro.prng.distributions import Zipf
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 
 @register("DefaultReferenceGenerator")
@@ -86,6 +90,8 @@ class DefaultReferenceGenerator(Generator):
         return ctx.foreign(self._table_name, self._field_name, row)
 
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
+        import numpy as np
+
         if self._zipf is not None:
             picks = self._zipf.index_block(ctx.seed_block).astype(np.int64)
         else:

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import re
 import string
+from typing import TYPE_CHECKING
 
-from repro import columnar
 from repro.generators.base import BindContext, GenerationContext, Generator, _KERNEL_MIN_ROWS
 from repro.generators.registry import build_children, register
+
+if TYPE_CHECKING:
+    from repro import columnar
 
 
 #: the characters ``str`` prints for an int
@@ -99,6 +102,8 @@ class SequentialGenerator(Generator):
         ``generate`` — then one join per row. The column's charset is the
         union of the children's and the separator's or template's, or
         unknown when one of them is."""
+        from repro import columnar
+
         if ctx.seed_block is None or len(rows) < _KERNEL_MIN_ROWS:
             return columnar.StrColumn(super().generate_block(ctx, rows).data)
         columns = [child.generate_block(ctx, rows) for child in self._children]

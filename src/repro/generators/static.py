@@ -7,16 +7,15 @@ the pure per-value system overhead of the generation pipeline.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro import columnar
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
 
-#: the typed column of a constant of exactly this type (an ``int`` only
-#: inside int64); a ``str`` is a one-entry dictionary column
-_TYPED = {bool: (columnar.BoolColumn, np.bool_), int: (columnar.IntColumn, np.int64),
-          float: (columnar.FloatColumn, np.float64)}
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 
 @register("StaticValueGenerator")
@@ -37,10 +36,18 @@ class StaticValueGenerator(Generator):
         return self._value
 
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
+        import numpy as np
+
+        from repro import columnar
+
         value = self._value
         if type(value) is str:
             return columnar.DictColumn(np.zeros(len(rows), dtype=np.int64), [value])
-        column, dtype = _TYPED.get(type(value), (None, None))
+        # the typed column of a constant of exactly this type (an ``int``
+        # only inside int64); a ``str`` is the one-entry dictionary above
+        typed = {bool: (columnar.BoolColumn, np.bool_), int: (columnar.IntColumn, np.int64),
+                 float: (columnar.FloatColumn, np.float64)}
+        column, dtype = typed.get(type(value), (None, None))
         if column is None or (dtype is np.int64 and not columnar.INT64_MIN <= value <= columnar.INT64_MAX):
             return columnar.ObjectColumn([value] * len(rows))
         return column(np.full(len(rows), value, dtype=dtype))

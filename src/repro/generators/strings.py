@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import abc
 import string
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro import columnar
 from repro.exceptions import ModelError
 from repro.generators.base import BindContext, GenerationContext, Generator, _KERNEL_MIN_ROWS
 from repro.generators.registry import register
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 _DEFAULT_ALPHABET = string.ascii_lowercase
 _ALPHABETS = {
@@ -60,6 +63,10 @@ class RandomStringGenerator(Generator):
         return "".join(alphabet[rng.next_long(alpha_len)] for _ in range(length))
 
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.StrColumn:
+        import numpy as np
+
+        from repro import columnar
+
         seeds = ctx.seed_block
         lengths = np.full(len(rows), self._min, dtype=np.int64)
         if self._max > self._min:
@@ -110,6 +117,8 @@ class DrawTemplateGenerator(Generator):
         return self._format % tuple(table[next_long(len(table))] for table in self._tables)
 
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.StrColumn:
+        from repro import columnar
+
         if ctx.seed_block is None or len(rows) < _KERNEL_MIN_ROWS:
             strings = super().generate_block(ctx, rows).data
         else:

@@ -225,20 +225,26 @@ def format_package(engine, output, package, *, first: bool | None = None):
         return writer.write_block(block, first=first)
 
 
-def table_frame(output, engine, table: str, start: int = 0, stop: int | None = None):
+def table_frame(
+    output, engine, table: str, start: int = 0, stop: int | None = None,
+    *, frame_empty: bool = True,
+):
     """``(header, footer)`` around rows ``[start, stop)`` of one table's
     output (``stop`` ``None`` is the table size): the header only where
     the range starts at row 0, the footer only where it ends at the
     table's size, each empty when the format has none. An empty range
     carries neither unless the table is empty, so ranges that tile a
     table — node shares, trailing empty ones included — framed one by
-    one and concatenated are the whole file. The one place a probe
-    writer is asked for them, so the scheduler and ``Dataset.stream``
-    cannot frame a range differently."""
+    one and concatenated are the whole file. Every range of an empty
+    table is ``(0, 0)``, so the ranges that tile one cannot tell which
+    of them frames it: the caller says, and ``frame_empty=False``
+    leaves an empty table unframed (``run_node`` passes it on every
+    node but node 0). The one place a probe writer is asked for them, so the
+    scheduler and ``Dataset.stream`` cannot frame a range differently."""
     writer = _bound_writer(engine.bound_table(table), output)
     size = engine.sizes[table]
     stop = size if stop is None else stop
-    framed = start < stop or size == 0
+    framed = start < stop or (size == 0 and frame_empty)
     return (
         writer.header() if framed and start == 0 else "",
         writer.footer() if framed and stop == size else "",

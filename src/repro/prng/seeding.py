@@ -23,8 +23,12 @@ inner loop.
 
 from __future__ import annotations
 
-from repro.prng import blocks
+from typing import TYPE_CHECKING
+
 from repro.prng.xorshift import combine64, combine_name64, mix64
+
+if TYPE_CHECKING:
+    from repro.prng import blocks
 
 
 class SeedHierarchy:
@@ -80,10 +84,11 @@ class ColumnSeeder:
     Workers hold one of these per field while generating a work package;
     the update seed is resolved once, so producing a row seed is a single
     ``combine64`` call (or a single ``mix64`` when the row hash is shared
-    across the columns of a row).
+    across the columns of a row). ``update_seed`` is the column's seed
+    at its update, the one input of every cell seed below.
     """
 
-    __slots__ = ("_update_seed",)
+    __slots__ = ("update_seed",)
 
     def __init__(
         self,
@@ -92,10 +97,10 @@ class ColumnSeeder:
         column: str,
         update: int = 0,
     ) -> None:
-        self._update_seed = hierarchy.update_seed(table, column, update)
+        self.update_seed = hierarchy.update_seed(table, column, update)
 
     def seed_for_row(self, row: int) -> int:
-        return combine64(self._update_seed, row)
+        return combine64(self.update_seed, row)
 
     def seed_from_row_hash(self, row_hash: int) -> int:
         """Row seed given a precomputed ``mix64(row)``.
@@ -104,7 +109,7 @@ class ColumnSeeder:
         generating all columns of a row hashes the row once and derives
         each column's cell seed with a single additional mix.
         """
-        return mix64(self._update_seed ^ row_hash)
+        return mix64(self.update_seed ^ row_hash)
 
     def seed_block_from_hashes(self, row_hashes) -> "blocks.SeedBlock":
         """Cell seeds for a whole row block given its shared row hashes.
@@ -114,4 +119,6 @@ class ColumnSeeder:
         (computed once per block, shared by every column of the table)
         and the per-column mix is one vector operation.
         """
-        return blocks.seed_block_from_hashes(self._update_seed, row_hashes)
+        from repro.prng import blocks
+
+        return blocks.seed_block_from_hashes(self.update_seed, row_hashes)

@@ -262,6 +262,12 @@ class PackagePool:
         self.failures = 0
         self.requeued = 0
         self._crash_cap = max(2, workers)
+        # the array modules every package body runs — the generators
+        # import them at their block entry points — load here, before
+        # the fork, so each forked executor imports nothing
+        from repro import columnar  # noqa: F401
+        from repro.prng import blocks  # noqa: F401
+
         for _ in range(workers):
             self.spawn()
 

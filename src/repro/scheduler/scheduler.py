@@ -388,13 +388,16 @@ class Scheduler:
         self,
         tables: list[str] | None = None,
         row_ranges: dict[str, tuple[int, int]] | None = None,
+        *,
+        frame_empty: bool = True,
     ) -> RunReport:
         """Generate *tables* (default: all), optionally restricted to
         per-table ``[start, stop)`` ranges (a node's static share, see
         :func:`run_node`). A range follows the engine's one range rule
         (``stop`` clamped to the table, a negative ``start`` refused) and
         is framed as :func:`~repro.output.formats.table_frame` frames it,
-        so node shares concatenate to the whole file.
+        *frame_empty* included, so node shares concatenate to the whole
+        file.
 
         With ``checkpoint`` set, each table file's watermark is
         journaled to the run manifest as its packages reach the sink;
@@ -434,7 +437,9 @@ class Scheduler:
                 pending = []
                 for name, (start, stop) in ranges.items():
                     part = marks.get(name)
-                    header, footer = table_frame(self.output, engine, name, start, stop)
+                    header, footer = table_frame(
+                        self.output, engine, name, start, stop, frame_empty=frame_empty,
+                    )
                     if part is None:
                         # Fresh table, or a resumed one that crashed before
                         # its header became durable: start from the top. The
@@ -718,7 +723,9 @@ def run_node(
     instances and generating a distinct range of the data set with each
     instance"): same model + same node index ⇒ same share, every time,
     with no runtime between the machines. It is
-    ``Scheduler.run(row_ranges=node_ranges(...))`` and nothing more.
+    ``Scheduler.run(row_ranges=node_ranges(...))`` and nothing more:
+    every node's share of an empty table is ``(0, 0)``, and node 0's
+    alone carries its header and footer.
     ``checkpoint``/``resume_from`` name a *base* directory; the node
     journals into its ``node<i>`` subdirectory, so only the nodes that
     actually died need resuming.
@@ -733,4 +740,6 @@ def run_node(
         workers=workers, package_size=package_size,
         checkpoint=checkpoint, resume_from=resume_from,
     )
-    return scheduler.run(row_ranges=node_ranges(engine.sizes, nodes, node))
+    return scheduler.run(
+        row_ranges=node_ranges(engine.sizes, nodes, node), frame_empty=node == 0,
+    )

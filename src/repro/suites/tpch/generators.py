@@ -4,12 +4,16 @@ needs it, describing the schema does not."""
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro import columnar
 from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
 from repro.suites.tpch import data as D
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro import columnar
 
 
 @register("TpchPsSuppkeyGenerator")
@@ -38,6 +42,8 @@ class TpchPsSuppkeyGenerator(Generator):
 
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.IntColumn:
         """The same arithmetic over the block's rows; no draws."""
+        from repro import columnar
+
         return columnar.IntColumn(self._suppkey(rows))
 
     def _suppkey(self, row):

@@ -78,6 +78,7 @@ import pytest
 
 import repro
 from repro.engine import GenerationEngine
+from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.config import OutputConfig
 from repro.scheduler import Scheduler, generate
 
@@ -503,6 +504,43 @@ class TestOneHttpServer:
             argv = ["translate", "--suite", suite]
             assert self._loaded_by(argv, watched) == [], suite
 
+    #: What a short preview never runs: arrays and the writers that
+    #: format them.
+    NOT_ON_A_SHORT_PREVIEW = (
+        "numpy", "repro.prng.blocks", "repro.columnar", "repro.output.columnar",
+        "repro.output.writers", "repro.output.sinks",
+    )
+
+    def test_a_short_preview_loads_no_numpy(self, tmp_path):
+        """The paper's "instant" preview (§4) renders a few rows through
+        the scalar oracle: of a suite or of a saved typed model, it
+        builds no array and imports no numpy, no kernel and no writer.
+        A preview of more rows than the kernels' cutover runs blocks."""
+        from repro.config import schema_xml
+
+        schema = Schema("typed", seed=11)
+        schema.add_table(Table("w", "1000", [
+            Field.of("w_id", "BIGINT", GeneratorSpec("IdGenerator")),
+            Field.of("w_qty", "BIGINT", GeneratorSpec("LongGenerator", {"min": 1, "max": 50})),
+            Field.of("w_money", "DECIMAL(12,2)", GeneratorSpec(
+                "DoubleGenerator", {"min": 0.0, "max": 1000.0, "places": 2}
+            )),
+            Field.of("w_bool", "BOOLEAN", GeneratorSpec("BooleanGenerator")),
+            Field.of("w_date", "DATE", GeneratorSpec("DateGenerator")),
+            Field.of("w_dict", "VARCHAR(10)", GeneratorSpec(
+                "DictListGenerator", {"values": ["alpha", "beta"], "weights": [2, 1]}
+            )),
+        ]))
+        model = tmp_path / "typed"
+        model.mkdir()
+        schema_xml.dump(schema, str(model / "model.xml"))
+        watched = list(self.NOT_ON_A_SHORT_PREVIEW)
+        for source in (["--suite", "tpch"], ["--suite", "ssb"], ["--model", str(model)]):
+            argv = ["preview", *source, "-n", "1"]
+            assert self._loaded_by(argv, watched) == [], source
+        argv = ["preview", "--model", str(model), "-n", "100"]
+        assert "numpy" in self._loaded_by(argv, watched)
+
     def test_obs_server_still_resolves_lazily(self):
         from repro import obs
         from repro.obs.serve import ObsServer
@@ -565,6 +603,10 @@ class TestLazyNamespaces:
             "repro.core.fidelity", "repro.engine", "repro.scheduler",
         ],
         "repro.suites.tpch": ["repro.suites.tpch.dbgen", "repro.suites.tpch.queries"],
+        "repro.output": [
+            "repro.output.formats", "repro.output.rows", "repro.output.sinks",
+            "repro.output.writers", "repro.output.columnar",
+        ],
     }
     #: values that carry no ``__module__`` and the module defining them
     CONSTANTS = {

@@ -184,7 +184,7 @@ class TestOpenBlasPin:
     )
     def test_one_thread_after_importing_the_cli(self):
         threads = self.fresh(
-            "import os, sys, repro.cli.main, repro.engine\n"
+            "import os, sys, repro.cli.main, repro.engine, repro.columnar\n"
             "assert 'numpy' in sys.modules\n"
             "print(len(os.listdir('/proc/self/task')))"
         )

@@ -7,7 +7,10 @@ import pytest
 
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, ModelError
+from repro.generators.base import _KERNEL_MIN_ROWS
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
+from repro.output.rows import ValueFormatter
+from repro.suites import SUITE_NAMES, suite_model
 from tests.conftest import demo_schema
 
 
@@ -148,6 +151,43 @@ class TestPreview:
             for row in engine.iter_rows("orders", 0, 3)
         ]
         assert [r[0] for r in preview] == [r[0] for r in full_first]
+
+
+class TestPreviewEqualsTheBlockRendering:
+    """``preview`` renders fewer rows than the kernels' cutover through
+    the scalar oracle and more through blocks; at every count, on both
+    sides of the cutover and past the table's end, its text is the
+    block path's values through ``ValueFormatter(null_token="NULL")``."""
+
+    COUNTS = (-1, 0, 1, 10, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, 100)
+
+    def check(self, engine):
+        formatter = ValueFormatter(null_token="NULL")
+        for table, size in engine.sizes.items():
+            rendered = [
+                [formatter.format(value) for value in row]
+                for row in engine.generate_rows(table)
+            ]
+            for count in (*self.COUNTS, size + 5):
+                assert engine.preview(table, count) == rendered[:max(count, 0)], (table, count)
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_every_suite_table(self, suite):
+        self.check(GenerationEngine(*suite_model(suite, 0.001)))
+
+    def test_every_registered_generator(self):
+        # the kitchen sink holds every generator class, and references
+        # whose target is no Id (recomputed through compute_value)
+        from tests.test_batch_generation import kitchen_sink_schema
+
+        self.check(GenerationEngine(*kitchen_sink_schema()))
+
+    def test_an_extracted_imdb_model(self, imdb_adapter):
+        # Markov text, extracted dictionaries and references
+        from tests.test_core_model_builder import extract_model
+
+        built = extract_model(imdb_adapter, name="imdb")
+        self.check(GenerationEngine(built.schema, built.artifacts))
 
 
 class TestUpdates:

@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro.engine import GenerationEngine
+from repro.model.schema import Field, GeneratorSpec, Table
 from repro.exceptions import SchedulingError
 from repro.output.config import OutputConfig
 from repro.scheduler import ClusterScheduler, node_ranges, run_node
@@ -156,24 +157,35 @@ class TestMetaScheduler:
         # its own machine would: nodes never communicate. The header
         # comes from the share at row 0 only, the footer from the share
         # at the table's end only — not from the empty shares after it
-        # (5 customers on 7 nodes).
+        # (5 customers on 7 nodes). Every share of the 0-row table is
+        # (0, 0), and node 0's alone frames it.
+        def schema(customers):
+            schema = demo_schema(customers=customers)
+            schema.add_table(Table("empty", "0", [
+                Field.of("e_id", "BIGINT", GeneratorSpec("IdGenerator")),
+            ]))
+            return schema
+
         cases = [
             (options, customers, nodes)
             for options in ({}, {"include_header": True}, {"format": "xml"})
-            for customers, nodes in ((60, 4), (5, 7))
+            for customers, nodes in ((60, 4), (5, 7), (60, 2), (60, 3))
         ]
         for options, customers, nodes in cases:
             single = OutputConfig(kind="memory", **options)
-            generate(GenerationEngine(demo_schema(customers=customers)), single)
+            generate(GenerationEngine(schema(customers)), single)
             shares = []
             for node in range(nodes):
                 config = OutputConfig(kind="memory", **options)
-                engine = GenerationEngine(demo_schema(customers=customers))
+                engine = GenerationEngine(schema(customers))
                 run_node(engine, nodes, node, config)
                 shares.append(config)
-            for table in ("customer", "orders"):
+            for table in ("customer", "orders", "empty"):
                 parts = [config.memory_output(table) for config in shares]
-                assert "".join(parts) == single.memory_output(table), options
+                assert "".join(parts) == single.memory_output(table), (options, nodes)
+            if options:  # a frame, which node 0 alone writes
+                assert single.memory_output("empty")
+                assert not any(config.memory_output("empty") for config in shares[1:])
 
     def test_node_reports_row_counts(self):
         report = run_node(

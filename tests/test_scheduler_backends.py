@@ -174,6 +174,52 @@ class TestSpawnedExecutors:
             assert (tmp_path / "n2" / name).read_bytes() == reference, name
 
 
+class TestForkedExecutors:
+    """A forked executor inherits every module a package body runs: the
+    generators import numpy, ``columnar`` and ``prng.blocks`` at their
+    block entry points, so the pool loads them before it forks."""
+
+    PROBE = """
+import json, sys
+from repro.scheduler import executor
+
+main = executor._executor_main
+
+def probed(*args):
+    before = set(sys.modules)
+    try:
+        return main(*args)
+    finally:
+        print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr, flush=True)
+
+executor._executor_main = probed
+from repro.engine import GenerationEngine
+from repro.output.config import OutputConfig
+from repro.scheduler import Scheduler
+from repro.suites import suite_model
+
+Scheduler(GenerationEngine(*suite_model("tpch", 0.001)), OutputConfig(kind="null"), workers=2).run()
+"""
+
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_a_forked_executor_imports_nothing(self):
+        import json
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE], env=env, timeout=120,
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        imported = [json.loads(line) for line in result.stderr.splitlines() if line.startswith("[")]
+        assert imported == [[], []]
+
+
 class TestBoundedWindow:
     def test_peak_buffered_packages_within_window(self, monkeypatch):
         """Acceptance: buffered, not-yet-flushed packages never exceed
