@@ -272,12 +272,6 @@ def int_column_from_floats(values) -> IntColumn | None:
     return IntColumn(values.astype(_np.int64))
 
 
-#: Below this many values :func:`round_places` rounds one by one: the
-#: array passes cost ~10 us flat against 0.5 us per ``round`` (measured;
-#: they break even between 16 and 32 values), and one-row reads stay cheap.
-_ROUND_ARRAY_MIN = 16
-
-
 def round_places(values, places: int):
     """``round(value, places)`` over a float64 array — the same doubles.
 
@@ -289,10 +283,11 @@ def round_places(values, places: int):
     double up to 22), so the exact product rounds to the same integer,
     and integer / power of ten is one correctly rounded division — as is
     ``round``'s decimal-to-double step. The few values that fail the
-    test, every *places* outside 0..22 and every input too short to pay
-    for the array passes go through ``round``.
+    test, and every *places* outside 0..22, go through ``round``. A
+    range too short to pay for the array passes is no block
+    (``engine.SCALAR_ROWS``).
     """
-    if len(values) < _ROUND_ARRAY_MIN or not 0 <= places <= 22:
+    if not 0 <= places <= 22:
         return _np.array([round(v, places) for v in values.tolist()], dtype=_np.float64)
     scale = 10.0**places
     with _np.errstate(all="ignore"):  # inf/nan fail the test below

@@ -226,14 +226,11 @@ class QueryParameterGenerator:
     def _draw(self, spec: ParameterSpec, rng: XorShift64Star) -> object:
         """The value of ``spec.column`` at a drawn row, NULLs redrawn."""
         engine = self._engine
-        bound = engine.bound_table(spec.table)
-        index = bound.field_index(spec.column)
+        engine.bound_table(spec.table).field_index(spec.column)  # an unknown name raises
         size = engine.sizes[spec.table]
-        ctx = engine.new_context(spec.table)
         for _ in range(PARAMETER_DRAWS if size else 0):
             row = rng.next_long(size)
-            block = bound.generate_columns(row, row + 1, ctx, fields=[spec.column])
-            (value,) = block.columns[index].to_pylist()
+            value = engine.compute_value(spec.table, spec.column, row)  # hot-loop-ok: one cell
             if value is not None:
                 return value
         return None

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from repro.exceptions import GenerationError, ModelError
-from repro.generators.base import _KERNEL_MIN_ROWS, BindContext, GenerationContext
+from repro.generators.base import BindContext, GenerationContext
 from repro.generators.registry import build_bound, plugin_modules, sibling_reads
 from repro.model.artifacts import ArtifactStore
 from repro.model.schema import Schema, Table
@@ -38,6 +38,31 @@ _MAX_DEPENDENCY_DEPTH = 16
 #: large enough to amortize vectorized kernels, small enough that a
 #: block of materialized rows stays cache- and memory-friendly.
 DEFAULT_GENERATION_BLOCK = 1024
+
+#: the one small-row rule: a row range shorter than this is computed by
+#: the scalar oracle (``generate_row``, and ``write_rows`` where it
+#: becomes bytes) instead of a column block, whose fixed per-column cost
+#: — seed block, numpy set-up, kernel and byte-kernel preparation — a
+#: short range does not amortize. Read by ``BoundTable.generate_rows``
+#: and ``output.formats.format_package`` only; the two paths give the
+#: same values and bytes by construction, so it sets speed, never output.
+#: Measured on TPC-H SF 0.02, rows from 1000 on, block path (every kernel
+#: and byte kernel on at any length) / ``write_rows`` over ``generate_row``,
+#: µs, lower quartile of 31-61 rounds, best of three runs, shared 2-core
+#: host:
+#:
+#:   rows  lineitem csv  json   orders csv   json   customer csv  json
+#:      1      969/94   1056/114    1009/105   634/74     600/65    656/80
+#:     16    1286/1016  1313/1120    798/577  1503/1030   918/722   881/745
+#:     24    1227/1381  1331/1614    831/838  1348/1481  1125/1208 1037/1183
+#:     32    1341/1940  1432/2172    824/1057  870/1204  1046/1389 1043/1492
+#:     64    1466/3673  2247/5203   1015/2069 1057/2281  1267/2770 1189/2828
+#:
+#: The worst cell's block / scalar, per run: 1.09, 1.05 and 0.99 at 24
+#: rows; 0.88, 0.86 and 0.84 at 32. 32 is the smallest measured size
+#: (1/8/12/16/24/32/48/64) at which the block path is no dearer on every
+#: table, format and run.
+SCALAR_ROWS = 32
 
 
 def _spec_tree(spec) -> list:
@@ -86,7 +111,8 @@ class BoundTable:
     """
 
     __slots__ = (
-        "table", "column_names", "_generators", "_seeders", "_reads", "writers",
+        "table", "column_names", "field_indices", "_generators", "_seeders", "_reads",
+        "writers",
     )
 
     def __init__(
@@ -98,6 +124,8 @@ class BoundTable:
     ) -> None:
         self.table = table
         self.column_names = [f.name for f in table.fields]
+        #: ``{name: position}``, shared read-only by every new context
+        self.field_indices = {name: index for index, name in enumerate(self.column_names)}
         #: output writers kept with the table (``output.formats``), so
         #: rendered text outlives the work package that rendered it
         self.writers: dict = {}
@@ -234,8 +262,12 @@ class BoundTable:
     def generate_rows(
         self, start: int, stop: int, ctx: GenerationContext
     ) -> list[list[object]]:
-        """Rows ``[start, stop)`` as value lists — the column block
-        transposed."""
+        """Rows ``[start, stop)`` as value lists: the column block
+        transposed, or, for fewer than :data:`SCALAR_ROWS` rows,
+        :meth:`generate_row` per row — the same values, without the
+        block's fixed cost (or a numpy import)."""
+        if stop - start < SCALAR_ROWS:
+            return [self.generate_row(row, ctx) for row in range(start, stop)]
         return self.generate_columns(start, stop, ctx).to_rows()
 
     def generate_value(self, column_index: int, row: int, ctx: GenerationContext) -> object:
@@ -347,9 +379,7 @@ class GenerationEngine:
         ctx.gather_foreign = self.gather
         bound = self._tables.get(table_name)
         if bound is not None:
-            ctx.field_indices = {
-                name: index for index, name in enumerate(bound.column_names)
-            }
+            ctx.field_indices = bound.field_indices
         return ctx
 
     def _sibling_computer(self, table_name: str):
@@ -487,10 +517,8 @@ class GenerationEngine:
     def generate_rows(
         self, table_name: str, start: int = 0, stop: int | None = None
     ) -> list[list[object]]:
-        """Rows ``[start, stop)`` of a table as one materialized block.
-
-        :meth:`generate_columns` transposed to row value lists.
-        """
+        """Rows ``[start, stop)`` of a table as row value lists
+        (:meth:`BoundTable.generate_rows`)."""
         bound, stop = self._range(table_name, start, stop)
         return bound.generate_rows(start, stop, self.new_context(table_name))
 
@@ -514,8 +542,8 @@ class GenerationEngine:
         """Yield rows ``start..stop`` of a table as value lists.
 
         Internally generates ``block_size`` rows at a time through
-        :meth:`BoundTable.generate_columns`, the same kernels the
-        scheduler drives, while emitting rows one at a time.
+        :meth:`BoundTable.generate_rows` (so a short range, or a short
+        tail, takes the scalar oracle), while emitting rows one at a time.
         """
         bound, stop = self._range(table_name, start, stop)
         if block_size <= 0:
@@ -523,11 +551,8 @@ class GenerationEngine:
                 f"block_size must be positive, got {block_size}"
             )
         ctx = self.new_context(table_name)
-        row = start
-        while row < stop:
-            upper = min(row + block_size, stop)
-            yield from bound.generate_rows(row, upper, ctx)
-            row = upper
+        for row in range(start, stop, block_size):
+            yield from bound.generate_rows(row, min(row + block_size, stop), ctx)
 
     def preview(
         self, table_name: str, rows: int = 10, formatter: ValueFormatter | None = None
@@ -535,19 +560,10 @@ class GenerationEngine:
         """First *rows* rows, formatted — PDGF's instant preview that lets
         users iterate on a model without a full run (paper §4).
 
-        Fewer rows than a block kernel's cutover (``_KERNEL_MIN_ROWS``)
-        go through the scalar oracle :meth:`BoundTable.generate_row` on
-        one context, so a short preview builds no array and imports no
-        numpy; more go through :meth:`iter_rows` blocks. Both give the
-        same values."""
+        :meth:`iter_rows`, so fewer than :data:`SCALAR_ROWS` rows go
+        through the scalar oracle and import no numpy."""
         formatter = formatter or ValueFormatter(null_token="NULL")
-        bound, stop = self._range(table_name, 0, rows)
-        if stop < _KERNEL_MIN_ROWS:
-            ctx = self.new_context(table_name)
-            values = (bound.generate_row(row, ctx) for row in range(stop))
-        else:
-            values = self.iter_rows(table_name, 0, stop)
-        return [[formatter.format(v) for v in row] for row in values]
+        return [[formatter.format(v) for v in row] for row in self.iter_rows(table_name, 0, rows)]
 
     def total_rows(self) -> int:
         return sum(self.sizes.values())

@@ -37,22 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.prng.blocks import SeedBlock
 
 
-#: Blocks shorter than this keep the per-row loop in the generators whose
-#: array kernels have a fixed cost (MarkovChain, Formula, RowFormula, the
-#: drawn templates of ``strings.DrawTemplateGenerator`` and Sequential;
-#: ``conditional.ChoiceGenerator`` has no cut of its own), so 1-row
-#: serve reads and previews pay nothing for them and never build the
-#: Markov chain tables. Measured on the TPC-H model (per block, loop vs
-#: guide-table kernel): ``o_comment`` 16 rows 108 vs 162 us, 24 rows 147
-#: vs 167 us, 32 rows 194 vs 187 us, 64 rows 387 vs 222 us, 256 rows 1499
-#: vs 363 us, so it breaks even just below 32; the two formula
-#: kernels cost 7-15 us flat and break even at 8 rows; a template pays
-#: one array step per table and breaks even at 8-16 rows (Phone, 11
-#: tables, per value: 1 row 6.2 vs 52 us, 8 rows 5.7 vs 6.8 us, 32 rows
-#: 4.6 vs 2.3 us; 2-core Xeon); the Markov break-even decides.
-_KERNEL_MIN_ROWS = 32
-
-
 def as_bool(value: object, default: bool = False) -> bool:
     """Parse a spec parameter that may come from XML as a string.
 

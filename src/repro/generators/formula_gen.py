@@ -17,7 +17,6 @@ from repro.generators.base import (
     BindContext,
     GenerationContext,
     Generator,
-    _KERNEL_MIN_ROWS,
     as_bool,
 )
 from repro.generators.registry import register
@@ -81,10 +80,8 @@ class FormulaGenerator(Generator):
         result ``int()`` cannot truncate into int64 — takes the per-row
         loop, which also raises the canonical error at the failing row.
         """
-        column = self._formula_column(ctx) if len(rows) >= _KERNEL_MIN_ROWS else None
-        if column is None:
-            return super().generate_block(ctx, rows)
-        return column
+        column = self._formula_column(ctx)
+        return super().generate_block(ctx, rows) if column is None else column
 
     def _formula_column(self, ctx: GenerationContext) -> columnar.Column | None:
         columns, indices = ctx.batch_columns, ctx.field_indices

@@ -15,7 +15,6 @@ from repro.generators.base import (
     BindContext,
     GenerationContext,
     Generator,
-    _KERNEL_MIN_ROWS,
     as_bool,
 )
 from repro.generators.registry import register
@@ -92,18 +91,17 @@ class RowFormulaGenerator(Generator):
         """The formula evaluated once over ``row`` as the int64 array
         *rows*; the per-row loop wherever that is not provably the same
         values (see :meth:`CompiledFormula.evaluate_arrays`)."""
-        if _KERNEL_MIN_ROWS <= len(rows):
-            import numpy as np
+        import numpy as np
 
-            from repro import columnar
+        from repro import columnar
 
-            values = self._compiled.evaluate_arrays({**self._base_env, "row": rows})
-            if values is not None:
-                if values.dtype == np.int64:
-                    return columnar.IntColumn(values)
-                if not self._as_int:
-                    return columnar.FloatColumn(values)
-                column = columnar.int_column_from_floats(values)
-                if column is not None:
-                    return column
+        values = self._compiled.evaluate_arrays({**self._base_env, "row": rows})
+        if values is not None:
+            if values.dtype == np.int64:
+                return columnar.IntColumn(values)
+            if not self._as_int:
+                return columnar.FloatColumn(values)
+            column = columnar.int_column_from_floats(values)
+            if column is not None:
+                return column
         return super().generate_block(ctx, rows)

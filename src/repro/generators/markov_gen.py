@@ -14,7 +14,6 @@ from repro.generators.base import (
     BindContext,
     GenerationContext,
     Generator,
-    _KERNEL_MIN_ROWS,
     clip_words,
     max_chars,
 )
@@ -57,14 +56,13 @@ class MarkovChainGenerator(Generator):
 
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.Column:
         """All rows advance through the chain in lockstep, one draw per
-        row per step (:class:`~repro.text.markov.ChainTables`). Small
-        blocks keep the per-row loop and never build the tables."""
-        seeds = ctx.seed_block
-        if seeds is None or len(rows) < _KERNEL_MIN_ROWS:
+        row per step (:class:`~repro.text.markov.ChainTables`), built by
+        the first block of any length. A range shorter than
+        ``engine.SCALAR_ROWS`` that becomes rows or bytes is computed row
+        by row, so it builds none."""
+        seeds, tables = ctx.seed_block, self._chain.block_tables()
+        if seeds is None or not tables.plain:
             return super().generate_block(ctx, rows)  # raises without seeds
-        tables = self._chain.block_tables()
-        if not tables.plain:
-            return super().generate_block(ctx, rows)
         from repro import columnar
 
         initial = seeds.array

@@ -72,9 +72,12 @@ class CountryGenerator(DrawTemplateGenerator):
 class EmailGenerator(DrawTemplateGenerator):
     """``first.last<n>@domain`` addresses over the built-in domains."""
 
+    #: the lowered name lists, built once so their characters are too
+    _NAMES = ([name.lower() for name in corpus.FIRST_NAMES],
+              [name.lower() for name in corpus.LAST_NAMES])
+
     def parts(self) -> list:
-        first = [name.lower() for name in corpus.FIRST_NAMES]
-        last = [name.lower() for name in corpus.LAST_NAMES]
+        first, last = self._NAMES
         return [first, ".", last, range(1000), "@", corpus.EMAIL_DOMAINS]
 
 

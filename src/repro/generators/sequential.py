@@ -12,7 +12,7 @@ import re
 import string
 from typing import TYPE_CHECKING
 
-from repro.generators.base import BindContext, GenerationContext, Generator, _KERNEL_MIN_ROWS
+from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import build_children, register
 
 if TYPE_CHECKING:
@@ -104,7 +104,7 @@ class SequentialGenerator(Generator):
         unknown when one of them is."""
         from repro import columnar
 
-        if ctx.seed_block is None or len(rows) < _KERNEL_MIN_ROWS:
+        if ctx.seed_block is None:
             return columnar.StrColumn(super().generate_block(ctx, rows).data)
         columns = [child.generate_block(ctx, rows) for child in self._children]
         template = self._template is not None

@@ -11,11 +11,12 @@ and the semantic generators of :mod:`repro.generators.semantic`.
 from __future__ import annotations
 
 import abc
+import functools
 import string
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ModelError
-from repro.generators.base import BindContext, GenerationContext, Generator, _KERNEL_MIN_ROWS
+from repro.generators.base import BindContext, GenerationContext, Generator
 from repro.generators.registry import register
 
 if TYPE_CHECKING:
@@ -88,6 +89,22 @@ class RandomStringGenerator(Generator):
         return columnar.StrColumn(strings, self._charset)
 
 
+def _table_chars(table) -> frozenset[str]:
+    """Every character a pick from *table* can hold. A ``range`` gives
+    a superset — the digits, and ``-`` if an end is below zero — which
+    is safe: a charset only proves that no value needs an escape."""
+    if isinstance(table, range):
+        return frozenset(string.digits + "-" * (min(table.start, table.stop) < 0))
+    return _entry_chars(tuple(table))
+
+
+@functools.lru_cache(maxsize=256)
+def _entry_chars(entries: tuple) -> frozenset[str]:
+    """The characters of a table's entries, joined once per distinct
+    table rather than once per bound field."""
+    return frozenset("".join(map(str, entries)))
+
+
 class DrawTemplateGenerator(Generator):
     """A string of parts drawn in order from the cell's stream: each part
     is a literal ``str`` or a table — a sequence of strings, or a
@@ -110,7 +127,9 @@ class DrawTemplateGenerator(Generator):
             part.replace("%", "%%") if isinstance(part, str) else "%s" for part in parts
         )
         # Every character a value can hold, so CSV can skip quote scanning.
-        self._charset = frozenset("".join("".join(map(str, part)) for part in parts))
+        self._charset = frozenset().union(*(
+            part if isinstance(part, str) else _table_chars(part) for part in parts
+        ))
 
     def generate(self, ctx: GenerationContext) -> str:
         next_long = ctx.rng.next_long
@@ -119,7 +138,7 @@ class DrawTemplateGenerator(Generator):
     def generate_block(self, ctx: GenerationContext, rows: np.ndarray) -> columnar.StrColumn:
         from repro import columnar
 
-        if ctx.seed_block is None or len(rows) < _KERNEL_MIN_ROWS:
+        if ctx.seed_block is None:
             strings = super().generate_block(ctx, rows).data
         else:
             # One vectorized step per table, in part order — the same draw

@@ -69,19 +69,6 @@ _SCALED_LIMIT = 1e15
 #: would widen it further renders them per block (a run's date columns
 #: span a few thousand days)
 _DAY_TEXTS_LIMIT = 65_536
-#: Blocks shorter than this format every value through ``literal``: a
-#: byte kernel pays a few numpy calls per column whatever the rows.
-#: Measured per block, per-value path vs byte kernels, min of 15 rounds,
-#: in us (TPC-H SF 0.02 and the all-typed bench table, 2-core Xeon,
-#: shared): the typed table breaks even at 32 rows (CSV 116 vs 117, SQL
-#: 110 vs 116) and wins at 48 (CSV 164 vs 131); ``lineitem`` between 40
-#: and 48 (CSV 294 vs 314 at 40, 360 vs 312 at 48; JSON 348 vs 340 at
-#: 48); ``orders`` near 48; the tables that alternate typed and string
-#: columns last: ``customer`` CSV 214 vs 219 and SQL 320 vs 303 at 64
-#: rows, 287 vs 214 and 469 vs 378 at 96, ``supplier`` JSON 154 vs 163
-#: at 64. Every format breaks even by 64 rows, above
-#: ``generators.base._KERNEL_MIN_ROWS``.
-_MATRIX_MIN_ROWS = 64
 #: row markers a run may be cut at: the control bytes, which are ASCII
 #: (so never inside a multi-byte UTF-8 sequence) and rare in text
 _MARKERS = bytes(range(1, 32))
@@ -402,8 +389,8 @@ class _ColumnTexts:
 
     def column(self, column) -> list[str]:
         """One column as output texts (length == block count), one value
-        at a time: the path of object and string columns, of blocks under
-        ``_MATRIX_MIN_ROWS``, and of a typed column whose kernel declines."""
+        at a time: the path of object and string columns, and of a typed
+        column whose kernel declines."""
         kind = column.kind
         if kind not in ("str", "date"):
             # to_pylist has already put None where the mask is set
@@ -659,18 +646,19 @@ def _format_block(
     ``tail`` — byte-identical to the writer's ``write_rows`` over
     ``block.to_rows()``. ``policies[i]`` spells column *i*.
 
-    Typed columns of a block of at least ``_MATRIX_MIN_ROWS`` rows take
-    their byte kernels. Each maximal run of them, with the constants
-    around it, is one compaction: the whole chunk when every column is
-    typed, else one string per row, cut at a marker byte the run
-    provably lacks, which one join over every piece of every row then
-    sets beside the per-value texts of the other columns.
+    Typed columns take their byte kernels at any block size: a range
+    too short for their fixed cost to pay is no block
+    (``output.formats.format_package``). Each maximal run of them, with
+    the constants around it, is one compaction: the whole chunk when
+    every column is typed, else one string per row, cut at a marker byte
+    the run provably lacks, which one join over every piece of every row
+    then sets beside the per-value texts of the other columns.
     """
     if count == 0:
         return ""
     if not columns:
         return (lead + tail) * count
-    usable = count >= _MATRIX_MIN_ROWS and "\0" not in lead + tail + "".join(separators)
+    usable = "\0" not in lead + tail + "".join(separators)
     row: list = [lead]
     for policy, column, constant in zip(policies, columns, [*separators, tail]):
         literals = policy.literals(column) if usable else None

@@ -30,9 +30,11 @@ the header and footer around the packages.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Callable
 
+from repro.engine import SCALAR_ROWS
 from repro.exceptions import OutputError
 from repro.obs import span
 from repro.output.writers import (
@@ -176,6 +178,7 @@ BYTE_OPTIONS = (
     "format", "delimiter", "include_header", "null_token",
     "date_format", "timestamp_format", "float_places",
 )
+_byte_options = operator.attrgetter(*BYTE_OPTIONS)
 
 
 def _bound_writer(bound, output) -> RowWriter:
@@ -187,7 +190,7 @@ def _bound_writer(bound, output) -> RowWriter:
     requests on a cached engine. The oldest writer goes when a table has
     seen more than ``_WRITERS_PER_TABLE`` option sets.
     """
-    key = (type(output), *(getattr(output, name) for name in BYTE_OPTIONS))
+    key = (type(output), *_byte_options(output))
     writers = bound.writers
     writer = writers.get(key)
     if writer is None:
@@ -212,6 +215,12 @@ def format_package(engine, output, package, *, first: bool | None = None):
     writers emit stream framing (the Arrow schema message) exactly once,
     in that package's chunk.
 
+    A package of fewer than :data:`repro.engine.SCALAR_ROWS` rows — a
+    short served slice, a table's tail — is rendered by the scalar
+    oracle, ``write_rows`` over ``generate_rows``, which the column
+    formatters are tested to equal; the columnar-only formats (Arrow,
+    Parquet) have no row form and always take the block.
+
     Returns the chunk: ``str`` for text formats, ``bytes`` for binary.
     """
     if first is None:
@@ -219,10 +228,12 @@ def format_package(engine, output, package, *, first: bool | None = None):
     bound = engine.bound_table(package.table)
     writer = _bound_writer(bound, output)
     ctx = engine.new_context(package.table)
+    start, stop = package.start, package.stop
+    scalar = stop - start < SCALAR_ROWS and not format_spec(output.format).columnar_only
     with span("package.generate", table=package.table):
-        block = bound.generate_columns(package.start, package.stop, ctx)
+        block = (bound.generate_rows if scalar else bound.generate_columns)(start, stop, ctx)
     with span("package.format", table=package.table):
-        return writer.write_block(block, first=first)
+        return writer.write_rows(block) if scalar else writer.write_block(block, first=first)
 
 
 def table_frame(

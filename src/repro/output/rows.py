@@ -54,6 +54,8 @@ class ValueFormatter:
         if isinstance(value, datetime.datetime):
             return value.strftime(self.timestamp_format)
         if isinstance(value, datetime.date):
+            if self.date_format == "%Y-%m-%d" and value.year >= 1000:
+                return value.isoformat()  # strftime's text at a tenth of its cost
             return value.strftime(self.date_format)
         if isinstance(value, bytes):
             return value.hex()

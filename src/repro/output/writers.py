@@ -32,6 +32,11 @@ from repro.output.columnar import (
 )
 from repro.output.rows import ValueFormatter
 
+#: ``JsonWriter.write_row``'s encoder, built once: ``json.dumps`` with
+#: options builds one per call. Sinks are UTF-8, so non-ASCII text stays
+#: readable instead of \u-escaped.
+_JSON_ROW = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
 
 class RowWriter(abc.ABC):
     """Formats rows of one table into text chunks."""
@@ -176,11 +181,7 @@ class JsonWriter(RowWriter):
                 obj[name] = value
             else:
                 obj[name] = self.formatter.format(value)
-        # Sinks are UTF-8; keep non-ASCII text readable instead of \u-escaped.
-        return (
-            json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-            + "\n"
-        )
+        return _JSON_ROW.encode(obj) + "\n"
 
 
 class XmlWriter(RowWriter):

@@ -42,10 +42,12 @@ def mix64(value: int) -> int:
     This is the stateless "PRNG as hash function" primitive: the seed
     hierarchy derives child seeds as ``mix64(parent_seed ^ mix64(index))``
     so that any cell's seed can be computed without generating any other
-    cell.
+    cell. One SplitMix64 step, inlined: it runs once per cell.
     """
-    _, out = splitmix64(value & MASK64)
-    return out
+    z = (value + _SPLITMIX_GAMMA) & MASK64
+    z = ((z ^ (z >> 30)) * _SPLITMIX_MUL1) & MASK64
+    z = ((z ^ (z >> 27)) * _SPLITMIX_MUL2) & MASK64
+    return z ^ (z >> 31)
 
 
 def combine64(seed: int, index: int) -> int:

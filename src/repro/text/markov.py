@@ -184,7 +184,7 @@ class MarkovChain:
             out.extend(t for t in state if t != END)
             while len(out) < max_words:
                 sampler = self._transition_categorical(state)
-                token = sampler.sample(rng) if sampler else END
+                token = END if sampler is None else sampler.sample(rng)
                 if token == END:
                     break
                 out.append(str(token))

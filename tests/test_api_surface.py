@@ -515,7 +515,7 @@ class TestOneHttpServer:
         """The paper's "instant" preview (§4) renders a few rows through
         the scalar oracle: of a suite or of a saved typed model, it
         builds no array and imports no numpy, no kernel and no writer.
-        A preview of more rows than the kernels' cutover runs blocks."""
+        A preview of ``SCALAR_ROWS`` rows or more runs blocks."""
         from repro.config import schema_xml
 
         schema = Schema("typed", seed=11)

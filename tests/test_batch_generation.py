@@ -21,7 +21,6 @@ import pytest
 from repro import columnar
 from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError
-from repro.generators.base import _KERNEL_MIN_ROWS
 from repro.generators.registry import _REGISTRY, known_generators
 from repro.generators.strings import DrawTemplateGenerator
 from repro.model.artifacts import ArtifactStore
@@ -337,7 +336,6 @@ class TestKitchenSinkEquivalence:
     def test_array_kernels_are_hit(self, sink_engine):
         # The equivalence tests above prove nothing about a kernel that
         # silently fell back to the per-row loop: pin the column kinds.
-        assert WIDE_ROWS >= _KERNEL_MIN_ROWS
         block = sink_engine.generate_columns("wide")
         kinds = dict(zip(block.names, (column.kind for column in block.columns)))
         expected = {
@@ -380,7 +378,7 @@ class TestKitchenSinkEquivalence:
                 columnar.ObjectColumn([1])
             )
             with pytest.raises(GenerationError, match="returned 1 values"):
-                sink_engine.generate_rows("supplier", 0, 4)
+                sink_engine.generate_columns("supplier", 0, 4)
         finally:
             cls.generate_block = original_block
 

@@ -26,9 +26,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import columnar
-from repro.engine import GenerationEngine
+from repro.api import Dataset
+from repro.engine import SCALAR_ROWS, GenerationEngine
 from repro.exceptions import FormulaError, GenerationError, ModelError
-from repro.generators.base import Generator, _KERNEL_MIN_ROWS
+from repro.generators.base import Generator
 from repro.model.artifacts import ArtifactStore
 from repro.model.formula import compile_formula
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
@@ -39,7 +40,7 @@ from repro.suites import suite_model
 from repro.suites.tpch.schema import COMMENT_MODEL
 from repro.text.markov import MarkovChain, train_chain
 
-ROWS = 400  # well above _KERNEL_MIN_ROWS
+ROWS = 400  # well above SCALAR_ROWS
 
 
 def _engine(fields, artifacts=None, rows=ROWS) -> GenerationEngine:
@@ -58,7 +59,7 @@ def _scalar_rows(engine, start, stop):
     return [bound.generate_row(row, ctx) for row in range(start, stop)]
 
 
-CUTS = ((0, ROWS), (3, 3 + _KERNEL_MIN_ROWS), (117, 350))
+CUTS = ((0, ROWS), (3, 4), (3, 3 + SCALAR_ROWS), (117, 350))
 
 
 def _assert_block_is_scalar(engine, kinds=None, cuts=CUTS):
@@ -255,12 +256,17 @@ class TestChainTablesCache:
         spec = GeneratorSpec("MarkovChainGenerator", {"model": "markov:m", "min": 2, "max": 6})
         return _engine([Field.of("f", "TEXT", spec)], artifacts), chain
 
-    def test_small_blocks_and_previews_build_no_tables(self):
+    def test_short_ranges_build_no_tables(self):
+        """A range shorter than ``SCALAR_ROWS`` is computed row by row
+        wherever it becomes rows or bytes; a column block of any length
+        builds the tables."""
         engine, chain = self._engine()
-        engine.preview("t", rows=1)
-        engine.generate_columns("t", 5, 5 + _KERNEL_MIN_ROWS - 1)
+        short = SCALAR_ROWS - 1
+        engine.preview("t", rows=short)
+        engine.generate_rows("t", 5, 5 + short)
+        Dataset(engine).slice("t", 5, 5 + short, format="csv")
         assert chain._tables is None
-        engine.generate_columns("t", 5, 5 + _KERNEL_MIN_ROWS)
+        engine.generate_columns("t", 5, 6)
         assert chain._tables is not None
 
     def test_built_once_under_racing_threads(self):
@@ -855,7 +861,7 @@ class TestSequentialCharset:
 
 def test_suites_never_reach_the_default_loop(monkeypatch):
     """No generator class runs the base class's per-row loop on a block
-    of ``_KERNEL_MIN_ROWS`` rows or more, on any shipped suite. The drawn
+    of any length, on any shipped suite. The drawn
     templates left this set when they got their kernel, Sequential and
     TpchPsSuppkey when the seed block began to advance through kernels;
     a class that joins it again fails here."""
@@ -863,8 +869,7 @@ def test_suites_never_reach_the_default_loop(monkeypatch):
     default_loop = Generator.generate_block
 
     def recording(self, ctx, rows):
-        if len(rows) >= _KERNEL_MIN_ROWS:
-            reached.add(type(self).__name__)
+        reached.add(type(self).__name__)
         return default_loop(self, ctx, rows)
 
     monkeypatch.setattr(Generator, "generate_block", recording)
@@ -881,9 +886,10 @@ def test_tpch_object_value_share_stays_low():
     Markov/formula/reference kernels, 0.0453 with them, 0.0426 with the
     drawn templates, 0.000024 with the Sequential, static and
     partsupp-supplier kernels, 0.000013 with integer dictionaries as
-    int64 (left: ``r_comment`` and ``n_comment``, Markov text on 5- and
-    25-row tables, below ``_KERNEL_MIN_ROWS``). A kernel that silently
-    falls back fails here, not only in the benchmark."""
+    int64, 0 since the kernels run at any block length (``r_comment``
+    and ``n_comment``, Markov text on 5- and 25-row tables, were the
+    last). A kernel that silently falls back fails here, not only in
+    the benchmark."""
     engine = GenerationEngine(*suite_model("tpch", 0.02))
     values = object_values = 0
     for table, size in engine.sizes.items():
@@ -891,4 +897,4 @@ def test_tpch_object_value_share_stays_low():
         for column in block.columns:
             values += size
             object_values += size * isinstance(column, columnar.ObjectColumn)
-    assert object_values / values <= 0.00002
+    assert object_values / values == 0

@@ -9,6 +9,8 @@ package partitioning.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.api import (
@@ -17,11 +19,12 @@ from repro.api import (
     clear_engine_cache,
     engine_cache_info,
 )
-from repro.engine import GenerationEngine
+from repro.engine import SCALAR_ROWS, GenerationEngine
 from repro.exceptions import GenerationError, OutputError
 from repro.output.config import OutputConfig
 from repro.output.formats import format_spec, known_formats
 from repro.scheduler import generate
+from repro.suites import suite_model
 
 from tests.conftest import demo_schema, word_model
 
@@ -154,6 +157,40 @@ class TestByteIdentity:
             for a, b in zip(cuts, cuts[1:])
         )
         assert joined == batch
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "sql", "xml"])
+    @pytest.mark.parametrize("model", ["tpch", "ssb", "bigbench", "kitchen-sink"])
+    def test_drawn_short_slices_concatenate_to_batch_file(self, model, fmt):
+        """Every table cut into slices of drawn lengths 0..2·SCALAR_ROWS
+        — row by row under the cut, blocks at and over it — joins to
+        the batch file (a small table is cut afresh until about 2 000
+        rows are sliced), and the batch file is the whole table's
+        column block rendered by ``write_block`` (so a table shorter
+        than the cut, which the batch run renders row by row, is
+        checked against the block too)."""
+        from tests.test_batch_generation import kitchen_sink_schema
+
+        engine = GenerationEngine(
+            *(kitchen_sink_schema() if model == "kitchen-sink" else suite_model(model, 0.001))
+        )
+        output = OutputConfig(kind="memory", format=fmt)
+        generate(engine, output)
+        dataset = Dataset(engine)
+        rng = random.Random(f"{model}/{fmt}")
+        for table, size in engine.sizes.items():
+            batch = output.memory_output(table).encode("utf-8")
+            writer = output.new_writer(table, dataset.columns(table))
+            block = writer.write_block(engine.generate_columns(table))
+            assert batch == (writer.header() + block + writer.footer()).encode("utf-8"), table
+            for _ in range(min(20, max(1, 2000 // max(size, 1)))):
+                cuts = [0]
+                while cuts[-1] < size:
+                    cuts.append(min(size, cuts[-1] + rng.randint(0, 2 * SCALAR_ROWS)))
+                joined = b"".join(
+                    dataset.slice(table, start, stop, format=fmt)
+                    for start, stop in zip(cuts, cuts[1:])
+                )
+                assert joined == batch, (table, cuts)
 
     def test_interior_slice_equals_batch_lines(self, dataset):
         batch = batch_output("json")["customer"].decode("utf-8")

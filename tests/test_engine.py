@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import GenerationEngine
+from repro.engine import SCALAR_ROWS, GenerationEngine
 from repro.exceptions import GenerationError, ModelError
-from repro.generators.base import _KERNEL_MIN_ROWS
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output.rows import ValueFormatter
 from repro.suites import SUITE_NAMES, suite_model
@@ -154,19 +153,19 @@ class TestPreview:
 
 
 class TestPreviewEqualsTheBlockRendering:
-    """``preview`` renders fewer rows than the kernels' cutover through
-    the scalar oracle and more through blocks; at every count, on both
-    sides of the cutover and past the table's end, its text is the
-    block path's values through ``ValueFormatter(null_token="NULL")``."""
+    """``preview`` renders fewer than ``SCALAR_ROWS`` rows through the
+    scalar oracle and more through blocks; at every count, on both
+    sides of the cut and past the table's end, its text is the column
+    block's values through ``ValueFormatter(null_token="NULL")``."""
 
-    COUNTS = (-1, 0, 1, 10, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, 100)
+    COUNTS = (-1, 0, 1, 10, SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1, 100)
 
     def check(self, engine):
         formatter = ValueFormatter(null_token="NULL")
         for table, size in engine.sizes.items():
             rendered = [
                 [formatter.format(value) for value in row]
-                for row in engine.generate_rows(table)
+                for row in engine.generate_columns(table).to_rows()
             ]
             for count in (*self.COUNTS, size + 5):
                 assert engine.preview(table, count) == rendered[:max(count, 0)], (table, count)

@@ -30,12 +30,11 @@ from hypothesis import strategies as st
 
 from repro import columnar
 from repro.api import Dataset
-from repro.engine import GenerationEngine
+from repro.engine import SCALAR_ROWS, GenerationEngine
 from repro.exceptions import OutputError
-from repro.generators.base import _KERNEL_MIN_ROWS
 from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.output import columnar as column_texts
-from repro.output.columnar import _MARKERS, _MATRIX_MIN_ROWS, csv_escape
+from repro.output.columnar import _MARKERS, csv_escape
 from repro.output.config import OutputConfig
 from repro.output.formats import _WRITERS_PER_TABLE, _bound_writer, format_package
 from repro.output.rows import ValueFormatter
@@ -44,8 +43,9 @@ from repro.scheduler.work import WorkPackage, partition_rows
 
 FORMATS = ("csv", "json", "sql", "xml")
 WRITERS = {"csv": CsvWriter, "json": JsonWriter, "sql": SqlWriter, "xml": XmlWriter}
-#: both sides of the byte-kernel cutover, and the empty block
-SIZES = (0, 1, _MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, _MATRIX_MIN_ROWS + 1, 200)
+#: both sides of the scalar cut and of 64 (the byte kernels' former
+#: cutover), and the empty block; 200 stays last
+SIZES = (0, 1, SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1, 63, 64, 65, 200)
 
 _settings = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -254,7 +254,7 @@ class TestDateKernel:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_each_day_is_rendered_once_per_writer(self, fmt):
-        """Date blocks on both sides of the block threshold and dates
+        """Date blocks on both sides of the scalar cut and of 64, and dates
         inside object columns all read the day map: each distinct day is
         rendered once — by the formatter for a custom format, in one
         vectorized step for the ISO default — so 1-row serve reads stay
@@ -263,7 +263,7 @@ class TestDateKernel:
         ordinals = np.array([day.toordinal() for day in days])
         blocks = [
             _block(columnar.DateColumn(ordinals[:size]))
-            for size in (1, 5, _MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, 100)
+            for size in (1, 5, SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1, 63, 64, 100)
         ] + [_block(columnar.ObjectColumn(days[:size])) for size in (1, 64)]
         for date_format in ("%Y-%m-%d", "%d.%m.%Y"):
             writer = _writer(fmt, ["c0"], date_format=date_format)
@@ -288,7 +288,7 @@ class TestDateKernel:
             for fmt in FORMATS:
                 writer = _writer(fmt, ["c0"])
                 for first, last in spans * 2:
-                    ordinals = np.arange(first, last + 1).repeat(2 * _MATRIX_MIN_ROWS)
+                    ordinals = np.arange(first, last + 1).repeat(128)
                     block = _block(columnar.DateColumn(ordinals))
                     expected = _writer(fmt, ["c0"]).write_rows(block.to_rows())
                     assert writer.write_block(block) == expected
@@ -384,7 +384,7 @@ ALL_MARKERS = "".join(map(chr, _MARKERS))
 HOSTILE_ENTRIES = (ALL_MARKERS, "nul\x00", "\x01", "é€😀", "word")
 #: delimiters that numbers, signs, points and exponents print
 NUMBER_DELIMITERS = ("|", "0", "1", "-", ".", "e")
-MIXED_SIZES = (_MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, _MATRIX_MIN_ROWS + 37)
+MIXED_SIZES = (SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1, 63, 64, 101)
 TYPED_KINDS = ("int", "float", "date", "dict", "bool")
 
 
@@ -433,7 +433,7 @@ def _typed_column(draw, kind: str, size: int):
 def mixed_blocks(draw):
     """A run of typed columns first, in the middle, last or alone among
     string and object columns, sometimes a second run, on both sides of
-    the cutover."""
+    the scalar cut and of 64."""
     size = draw(st.sampled_from(MIXED_SIZES))
     texts = draw(st.lists(CUTTING_TEXT, min_size=size, max_size=size))
     others = [
@@ -485,7 +485,7 @@ class TestMixedBlocks:
     def test_run_without_a_marker_goes_per_value(self, fmt):
         """A dictionary holding every marker byte beside a string column:
         the run has no byte to cut at, so its columns take ``literal``."""
-        size = _MATRIX_MIN_ROWS
+        size = 64
         block = _block(
             columnar.DictColumn(np.arange(size) % 2, ["a", ALL_MARKERS]),
             columnar.IntColumn(np.arange(size, dtype=np.int64) - 7),
@@ -496,7 +496,7 @@ class TestMixedBlocks:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_all_typed_block_is_one_compaction(self, fmt):
         """No string per row: the chunk is the one compaction's text."""
-        size = 2 * _MATRIX_MIN_ROWS
+        size = 128
         block = _block(
             columnar.IntColumn(np.arange(size, dtype=np.int64) * -3),
             columnar.FloatColumn(np.arange(size) / 4),
@@ -554,8 +554,8 @@ class TestGeneratedTable:
     def test_every_cut_equals_rows(self, fmt, places):
         engine = GenerationEngine(_schema(400))
         for start, stop in (
-            (0, 400), (7, 7 + _KERNEL_MIN_ROWS - 1), (7, 7 + _MATRIX_MIN_ROWS - 1),
-            (7, 7 + _MATRIX_MIN_ROWS), (300, 301),
+            (0, 400), (7, 7 + SCALAR_ROWS - 1), (7, 7 + SCALAR_ROWS),
+            (7, 7 + SCALAR_ROWS + 1), (7, 7 + 63), (7, 7 + 64), (300, 301),
         ):
             block = engine.generate_columns("t", start, stop)
             _check(block, fmt, float_places=places, null_token="NULL")
@@ -564,11 +564,9 @@ class TestGeneratedTable:
 # -- what lives across packages, and what bounds it -------------------------------
 
 
-#: package sizes on both sides of the generators' small-block threshold
-#: and of the byte-kernel cutover
-_PACKAGE_ROWS = (
-    1, _KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, _MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, 200,
-)
+#: package sizes on both sides of the scalar cut and of 64 (the byte
+#: kernels' former cutover)
+_PACKAGE_ROWS = (1, SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1, 63, 64, 200)
 
 
 @pytest.fixture(scope="module")
@@ -641,8 +639,9 @@ class TestRenderCacheLifetime:
 
 # -- edges of the group digits, the day matrix and the text frames ---------------
 
-#: both sides of the cutover, and a default package
-ORACLE_SIZES = (_MATRIX_MIN_ROWS - 1, _MATRIX_MIN_ROWS, _MATRIX_MIN_ROWS + 1, 10_000)
+#: both sides of the scalar cut and of 64 (the byte kernels' former
+#: cutover), and a default package
+ORACLE_SIZES = (SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1, 63, 64, 65, 10_000)
 #: both sides of every digit count and 4-digit group, negatives of 1 to
 #: 19 digits, and the int64 extremes
 DIGIT_EDGES = sorted({
@@ -722,7 +721,7 @@ class TestDayMatrix:
             oracle = _writer(fmt, ["c0"])
             for step in range(40):
                 first = 728_000 + offset * (step % 7 - 3) * 50
-                days = _cycled(np.arange(first, first + 40 + step), _MATRIX_MIN_ROWS + step)
+                days = _cycled(np.arange(first, first + 40 + step), 64 + step)
                 for block in (
                     _block(columnar.DateColumn(days)),
                     _block(columnar.ObjectColumn(
@@ -795,7 +794,7 @@ class TestTextFrame:
         policy = _policy(_writer(fmt, ["c0"]))
         frame = policy.text_frame(charset)
         assert (frame is None) == (not charset.isdisjoint(TEXT_SPECIALS[fmt]))
-        size = data.draw(st.sampled_from((1, _MATRIX_MIN_ROWS)))
+        size = data.draw(st.sampled_from((1, SCALAR_ROWS, 64)))
         texts = data.draw(st.lists(
             st.text(alphabet=sorted(charset) or "a", max_size=5 if charset else 0),
             min_size=size, max_size=size,
@@ -810,7 +809,7 @@ class TestTextFrame:
     def test_proven_column_skips_the_escape(self, fmt):
         """No value of a proven string column without NULL goes through
         ``text``: its frame folds into the constants around it."""
-        size = 2 * _MATRIX_MIN_ROWS
+        size = 128
         texts = ["plain words", "more of them", ""] * (size // 3) + ["x"] * (size % 3)
         block = _block(
             columnar.StrColumn(texts, charset=frozenset("".join(texts))),

@@ -388,7 +388,12 @@ class TestCrossProcessAggregation:
 
 
 class _ExplodingWriter(CsvWriter):
+    """Fails a package on either side of ``SCALAR_ROWS``."""
+
     def write_block(self, block, first=False):  # noqa: ARG002 - signature fixed by base
+        raise RuntimeError("worker boom")
+
+    def write_rows(self, rows):  # noqa: ARG002 - signature fixed by base
         raise RuntimeError("worker boom")
 
 

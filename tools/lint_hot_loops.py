@@ -1,11 +1,12 @@
 """Structural lint for scheduler/output/extraction paths: hot loops, swallowed errors.
 
-Eighteen checks, one AST walk:
+Twenty checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
 (``generate_columns`` → ``write_block``, with ``write_rows`` as the
-per-row formats' block formatter). A per-row call — ``generate_row(...)``
+per-row formats' block formatter, and ``generate_rows`` → ``write_rows``
+for a package under the one small-row rule below). A per-row call — ``generate_row(...)``
 or ``write_row(...)`` — sneaking back into those files reintroduces
 per-value interpreter overhead without failing any correctness test, so
 CI guards it structurally. Method *definitions* are fine (writers must
@@ -205,6 +206,20 @@ such descriptions once left out the artifacts, so a cached engine, a
 served slice and a resumed run took one model for another) and every
 test over models that differ elsewhere still passes. No waiver.
 
+**One small-row rule.** A row range shorter than
+:data:`~repro.engine.SCALAR_ROWS` is computed by the scalar oracle where
+ranges become rows or bytes — ``BoundTable.generate_rows`` and
+``output.formats.format_package`` — and everything else (every kernel,
+every byte kernel) runs at any block length. A read of ``SCALAR_ROWS``
+outside those two functions is a second place deciding "is this range
+small?", and a ``len(...)`` comparison against a constant inside a
+``generate_block`` / ``choose_block`` body under :mod:`repro.generators`
+is a cutover of a generator's own: either can drift from the measured
+cut, or keep a path alive that the engine never reaches, with the bytes
+unchanged, so no test notices (seven such cuts once lived in five
+generators, the engine and the formatter, under two constants). No
+waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/db/`` and ``src/repro/core/model_builder.py`` (the
 extraction path: an adapter or model-builder handler that eats every
@@ -219,8 +234,8 @@ span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
 ``src/repro/update/``,
 (quoting check only) ``src/repro/db/`` and ``src/repro/output/sinks.py``,
 (one-cutter, one-template, one-draw, one-lookup, one-runtime,
-one-driver, one-bind and one-identity checks only) every module under
-``src/repro/``.
+one-driver, one-bind, one-identity and one small-row rule checks only)
+every module under ``src/repro/``.
 
 Usage: ``python tools/lint_hot_loops.py`` (exit 1 on violations).
 """
@@ -325,6 +340,16 @@ BIND_RESIDUE = ("src/repro/scheduler/scheduler.py", "ClusterScheduler")
 IDENTITY_FILE = "src/repro/engine.py"
 DIGEST_MODULE = "hashlib"
 MODEL_PARTS = ("tables", "fields", "generator", "children", "params", "artifacts")
+
+#: the one small-row constant, and the (module, qualified function)
+#: pairs that read it
+SMALL_ROW_CONSTANT = "SCALAR_ROWS"
+SMALL_ROW_READERS = (
+    ("src/repro/engine.py", "BoundTable.generate_rows"),
+    ("src/repro/output/formats.py", "format_package"),
+)
+#: how a constant is spelled: UPPER_CASE, maybe private
+CONSTANT_NAME = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
 
 #: the search every weighted draw leaves to the guide-table lookup
 LOOKUP_CALL = "searchsorted"
@@ -574,6 +599,71 @@ def second_identities(path: Path) -> list[str]:
     ]
 
 
+def _is_constant(node: ast.expr, module_names: set[str]) -> bool:
+    """A module-level name, or a name or attribute spelled as a
+    constant."""
+    if isinstance(node, ast.Name):
+        return node.id in module_names or bool(CONSTANT_NAME.match(node.id))
+    return isinstance(node, ast.Attribute) and bool(CONSTANT_NAME.match(node.attr))
+
+
+def small_row_cuts(path: Path) -> list[str]:
+    """Reads of the small-row constant in *path* outside its two
+    readers (their modules may import it), and, under the generator
+    modules, a ``len(...)`` comparison against a constant in a block
+    body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    rel = path.relative_to(REPO).as_posix()
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [
+        (f"{cls.name}.{node.name}", node)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    ]
+    readers = {
+        id(node)
+        for name, function in functions if (rel, name) in SMALL_ROW_READERS
+        for node in ast.walk(function)
+    } | {  # a reader's module may import it at its top
+        id(node) for node in tree.body
+        if isinstance(node, ast.ImportFrom) and rel in dict(SMALL_ROW_READERS)
+    }
+    violations = [
+        f"{rel}:{node.lineno}: reads {SMALL_ROW_CONSTANT} outside "
+        "BoundTable.generate_rows and format_package; a short range is "
+        "decided there alone"
+        for node in ast.walk(tree)
+        if id(node) not in readers and (
+            (isinstance(node, ast.Name) and node.id == SMALL_ROW_CONSTANT
+             and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == SMALL_ROW_CONSTANT)
+            or (isinstance(node, ast.ImportFrom)
+                and any(alias.name == SMALL_ROW_CONSTANT for alias in node.names))
+        )
+    ]
+    if not rel.startswith(GENERATOR_DIR + "/"):
+        return violations
+    module_names = {
+        target.id
+        for statement in tree.body if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for target in (statement.targets if isinstance(statement, ast.Assign)
+                       else [statement.target])
+        if isinstance(target, ast.Name)
+    }
+    return violations + [
+        f"{rel}:{node.lineno}: a block-length cut in {function.name}; a "
+        f"kernel runs at any length ({SMALL_ROW_CONSTANT} is the engine's "
+        "one small-row rule)"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name in BLOCK_METHODS
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Call) and _call_name(side) == "len"
+                for side in (node.left, *node.comparators))
+        and any(_is_constant(side, module_names) for side in (node.left, *node.comparators))
+    ]
+
+
 def second_readers(path: Path) -> list[str]:
     """``.params`` attribute reads in *path*."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -794,6 +884,7 @@ def main() -> int:
             violations.extend(second_binds(path))
         if path != REPO / IDENTITY_FILE:
             violations.extend(second_identities(path))
+        violations.extend(small_row_cuts(path))
     for message in violations:
         print(message)
     print(
