@@ -73,7 +73,7 @@ def main() -> None:
         fidelity = project.verify(compare_target)
         for line in fidelity.summary_lines()[:10]:
             print("  " + line)
-        print(f"  ... pass rate over {len(fidelity.comparisons)} queries: "
+        print(f"  ... pass rate over {len(fidelity.comparisons)} checks: "
               f"{fidelity.pass_rate:.0%}")
 
         source.close()

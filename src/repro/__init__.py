@@ -91,6 +91,6 @@ _PUBLIC = {
 
 __getattr__, __dir__ = lazy_names(__name__, _PUBLIC)
 
-__version__ = "22.0.0"
+__version__ = "23.0.0"
 
 __all__ = [*_PUBLIC, "__version__"]

@@ -346,23 +346,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    from repro.config.saved_model import load_saved
+    from repro.config.saved_model import saved_schema
     from repro.db import create_schema_sql
 
     if args.suite:
         schema = suite_schema(args.suite, args.scale_factor)
     else:
-        schema, _ = load_saved(args.model)
+        schema = saved_schema(args.model)
     print(create_schema_sql(schema, args.dialect))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.config.saved_model import load_saved
+    from repro.config.saved_model import saved_schema
     from repro.core.fidelity import FidelityChecker, default_queries
     from repro.db import SQLiteAdapter
 
-    schema, _ = load_saved(args.model)
+    schema = saved_schema(args.model)
     with SQLiteAdapter(args.source) as source, SQLiteAdapter(args.target) as target:
         report = FidelityChecker(source, target).run(default_queries(schema))
     for line in report.summary_lines():
@@ -542,10 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--format",
         choices=_KnownFormats(),
-        default="csv",
         metavar="FORMAT",
-        help="output format: %(choices)s; arrow/parquet need the optional "
-        "pyarrow extra",
+        help="output format: %(choices)s (default: sql for --kind sqlite, "
+        "else csv); arrow/parquet need the optional pyarrow extra",
     )
     gen.add_argument("-d", "--directory", default=".")
     gen.add_argument("--database", help="target database for --kind sqlite")

@@ -42,7 +42,7 @@ def loads(text: str) -> OutputConfig:
 
     kwargs: dict[str, object] = {
         "kind": root.get("kind", "file"),
-        "format": root.get("format", "csv"),
+        "format": root.get("format"),
     }
     for element in root:
         if element.tag in _TEXT_OPTIONS:

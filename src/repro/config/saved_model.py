@@ -37,15 +37,19 @@ class ProjectPaths:
         return os.path.join(self.root, "schema.sql")
 
 
-def load_saved(directory: str) -> tuple[Schema, ArtifactStore]:
-    """Reload a saved project's model and artifacts."""
+def saved_schema(directory: str) -> Schema:
+    """A saved project's model without its artifacts: all that
+    describing the model (its DDL, its verify checks) reads."""
     paths = ProjectPaths(directory)
     if not os.path.exists(paths.model_xml):
         raise ExtractionError(f"no saved model at {paths.model_xml}")
-    schema = schema_xml.load(paths.model_xml)
-    artifacts = (
-        ArtifactStore.load_dir(paths.artifact_dir)
-        if os.path.isdir(paths.artifact_dir)
-        else ArtifactStore()
-    )
-    return schema, artifacts
+    return schema_xml.load(paths.model_xml)
+
+
+def load_saved(directory: str) -> tuple[Schema, ArtifactStore]:
+    """Reload a saved project's model and artifacts."""
+    schema = saved_schema(directory)
+    artifacts = ProjectPaths(directory).artifact_dir
+    if os.path.isdir(artifacts):
+        return schema, ArtifactStore.load_dir(artifacts)
+    return schema, ArtifactStore()

@@ -2,38 +2,67 @@
 
 The paper's demo "verif[ies] the quality by running SQL queries on the
 original data and the generated data and compar[ing] the results"
-(paper §5). This module builds a default query suite from a model
-(counts, numeric aggregates, distinct counts, NULL counts, top-k group
-frequencies), runs it against both databases, and reports per-query
-relative errors.
+(paper §5). This module builds a default suite of graded checks from a
+model — row counts, numeric averages and ranges, NULL counts — runs it
+against both databases, and reports per-check relative errors.
+
+The checks read their values from structured
+:class:`~repro.core.queries.Query` objects, one per table (more for a
+table wider than one statement's result columns): the query type the
+virtual executor answers from the model, rendered to SQL by
+:meth:`Query.to_sql` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.queries import Aggregate, Query, _aggregate_keys
+from repro.db import sqlite_adapter
 from repro.db.adapter import DatabaseAdapter
 from repro.exceptions import ExtractionError
 from repro.model.datatypes import TypeFamily
 from repro.model.schema import Schema
-from repro.model.sqlnames import sql_name
+
+_NUMERIC = (TypeFamily.INTEGER, TypeFamily.FLOAT, TypeFamily.DECIMAL)
 
 
 @dataclass(frozen=True)
 class FidelityQuery:
-    """One comparison query with a tolerance for the relative error."""
+    """One graded check: a value read from *query*'s answer, with a
+    tolerance for its relative error.
+
+    ``reads`` names the answer entries (:func:`_aggregate_keys`) the
+    value is made of: one entry is the value, two their difference —
+    ``MAX − MIN`` for a range, ``COUNT(*) − COUNT(c)`` for NULLs.
+    """
 
     name: str
-    sql: str
+    query: Query
+    reads: tuple[str, ...]
     tolerance: float = 0.15
     # Absolute slack for small-count comparisons (e.g. NULL counts on
     # small tables, where one row is a large relative error).
     absolute_slack: float = 0.0
 
+    def value(self, answer: dict[str, object]) -> object:
+        """The check's value in one answer of its query. A difference
+        with a NULL side is ``None``; one with a side that is not a
+        number (text in a numeric column) is the pair itself, which
+        grades by equality."""
+        values = tuple(answer[key] for key in self.reads)
+        if len(values) == 1:
+            return values[0]
+        if None in values:
+            return None
+        if not all(isinstance(v, (int, float)) for v in values):
+            return values
+        return values[0] - values[1]
+
 
 @dataclass
 class QueryComparison:
-    """Result of one query on both databases."""
+    """Result of one check on both databases."""
 
     query: FidelityQuery
     original: object
@@ -78,49 +107,37 @@ def default_queries(
 ) -> list[FidelityQuery]:
     """Build the default comparison suite from a model.
 
-    Count queries get a tight tolerance (sizes are modelled exactly);
+    Count checks get a tight tolerance (sizes are modelled exactly);
     numeric aggregates get a loose one (uniform synthesis preserves the
-    range, approximately the mean, but not higher moments).
+    range, approximately the mean, but not higher moments). A table's
+    checks share one :class:`Query`, cut where its aggregates would pass
+    the result-column limit (no check's aggregates are split).
     """
     queries: list[FidelityQuery] = []
     for table in schema.tables:
-        name = sql_name(table.name)
-        queries.append(
-            FidelityQuery(
-                f"count({table.name})",
-                f"SELECT COUNT(*) FROM {name}",
-                tolerance=count_tolerance,
-            )
-        )
+        count = Aggregate("count")
+        checks = [(f"count({table.name})", [count], count_tolerance, 0.0)]
         for f in table.fields:
-            family = f.dtype.family
-            column = sql_name(f.name)
-            if family in (TypeFamily.INTEGER, TypeFamily.FLOAT, TypeFamily.DECIMAL):
+            label = f"{table.name}.{f.name}"
+            if f.dtype.family in _NUMERIC:
                 if f.primary:
                     continue
-                queries.append(
-                    FidelityQuery(
-                        f"avg({table.name}.{f.name})",
-                        f"SELECT AVG({column}) FROM {name}",
-                        tolerance=numeric_tolerance,
-                    )
-                )
-                queries.append(
-                    FidelityQuery(
-                        f"range({table.name}.{f.name})",
-                        f"SELECT MAX({column}) - MIN({column}) FROM {name}",
-                        tolerance=numeric_tolerance,
-                    )
-                )
+                checks.append((f"avg({label})", [Aggregate("avg", f.name)],
+                               numeric_tolerance, 0.0))
+                checks.append((f"range({label})", [Aggregate("max", f.name),
+                               Aggregate("min", f.name)], numeric_tolerance, 0.0))
             if f.nullable:
-                queries.append(
-                    FidelityQuery(
-                        f"nulls({table.name}.{f.name})",
-                        f"SELECT SUM({column} IS NULL) FROM {name}",
-                        tolerance=max(numeric_tolerance, 0.25),
-                        absolute_slack=3.0,
-                    )
-                )
+                checks.append((f"nulls({label})", [count, Aggregate("count", f.name)],
+                               max(numeric_tolerance, 0.25), 3.0))
+        query, selected = Query(table.name, []), set()
+        for name, aggregates, tolerance, slack in checks:
+            added = [a for a in aggregates if a not in selected]
+            if len(selected) + len(added) > sqlite_adapter.RESULT_COLUMNS:
+                query, selected, added = Query(table.name, []), set(), aggregates
+            query.aggregates.extend(added)
+            selected.update(added)
+            reads = tuple(a.to_sql() for a in aggregates)
+            queries.append(FidelityQuery(name, query, reads, tolerance, slack))
     return queries
 
 
@@ -133,19 +150,19 @@ def _as_number(value: object) -> float | None:
         return None
 
 
-def compare_query(
-    query: FidelityQuery,
-    original: DatabaseAdapter,
-    synthetic: DatabaseAdapter,
-) -> QueryComparison:
-    """Run one query on both adapters and grade the difference."""
-    orig_rows = original.execute(query.sql)
-    synth_rows = synthetic.execute(query.sql)
-    orig_value = orig_rows[0][0] if orig_rows else None
-    synth_value = synth_rows[0][0] if synth_rows else None
+def _answer(adapter: DatabaseAdapter, query: Query) -> dict[str, object]:
+    """*query*'s one result row on *adapter*, keyed as the virtual
+    executor keys its answer."""
+    row = adapter.execute(query.to_sql())[0]
+    return dict(zip(_aggregate_keys(query.aggregates), row))
 
-    orig_num = _as_number(orig_value)
-    synth_num = _as_number(synth_value)
+
+def _grade(
+    query: FidelityQuery, original: dict[str, object], synthetic: dict[str, object]
+) -> QueryComparison:
+    """Grade one check on the two answers of its query."""
+    orig_value, synth_value = query.value(original), query.value(synthetic)
+    orig_num, synth_num = _as_number(orig_value), _as_number(synth_value)
     if orig_num is None or synth_num is None:
         passed = orig_value == synth_value
         return QueryComparison(query, orig_value, synth_value, None, passed)
@@ -158,24 +175,28 @@ def compare_query(
     return QueryComparison(query, orig_value, synth_value, error, passed)
 
 
-class FidelityChecker:
-    """Runs a query suite against original and synthetic databases."""
+def compare_query(
+    query: FidelityQuery, original: DatabaseAdapter, synthetic: DatabaseAdapter
+) -> QueryComparison:
+    """Run one check's query on both adapters and grade the difference."""
+    return _grade(query, _answer(original, query.query), _answer(synthetic, query.query))
 
-    def __init__(
-        self, original: DatabaseAdapter, synthetic: DatabaseAdapter
-    ) -> None:
+
+class FidelityChecker:
+    """Runs a suite of checks against original and synthetic databases."""
+
+    def __init__(self, original: DatabaseAdapter, synthetic: DatabaseAdapter) -> None:
         self.original = original
         self.synthetic = synthetic
 
     def run(self, queries: list[FidelityQuery]) -> FidelityReport:
+        """Grade every check; each distinct query runs once per database,
+        and every check reading it is graded on that one answer."""
         if not queries:
             raise ExtractionError("fidelity check needs at least one query")
-        report = FidelityReport()
-        for query in queries:
-            report.comparisons.append(
-                compare_query(query, self.original, self.synthetic)
-            )
-        return report
-
-    def run_default(self, schema: Schema) -> FidelityReport:
-        return self.run(default_queries(schema))
+        sides = (self.original, self.synthetic)
+        answers: dict[int, list[dict[str, object]]] = {}
+        for q in queries:  # keyed by identity: the checks hold their queries alive
+            if id(q.query) not in answers:
+                answers[id(q.query)] = [_answer(side, q.query) for side in sides]
+        return FidelityReport([_grade(q, *answers[id(q.query)]) for q in queries])

@@ -27,5 +27,5 @@ def load(
     order = topological_load_order(engine.schema)
     if tables is not None:
         order = [name for name in order if name in tables]
-    output = OutputConfig(kind="sqlite", format="sql", database=target)
+    output = OutputConfig(kind="sqlite", database=target)
     return generate(engine, output, tables=order)

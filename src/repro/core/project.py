@@ -135,6 +135,5 @@ class DBSynthProject:
         """Step 6: original-vs-synthetic query comparison."""
         from repro.core.fidelity import FidelityChecker, default_queries
 
-        result = self._require_model()
-        checker = FidelityChecker(self.source, target)
-        return checker.run(default_queries(result.schema))
+        schema = self._require_model().schema
+        return FidelityChecker(self.source, target).run(default_queries(schema))

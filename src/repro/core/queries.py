@@ -31,16 +31,18 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field as dc_field
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-import numpy as np
-
-from repro import columnar
-from repro.engine import GenerationEngine
 from repro.exceptions import GenerationError, ModelError
 from repro.model.datatypes import TypeFamily
 from repro.model.sqlnames import sql_name
 from repro.prng.xorshift import XorShift64Star, combine_name64
+
+if TYPE_CHECKING:  # only execution builds arrays: verify renders SQL without them
+    import numpy as np
+
+    from repro import columnar
+    from repro.engine import GenerationEngine
 
 
 class Op(enum.Enum):
@@ -164,9 +166,6 @@ class QueryTemplate:
     sql: str
     parameters: list[ParameterSpec]
 
-    def placeholder_names(self) -> list[str]:
-        return _PARAM_RE.findall(self.sql)
-
 
 #: rows drawn for one parameter before a column of NULLs makes it NULL
 PARAMETER_DRAWS = 16
@@ -265,6 +264,8 @@ class VirtualExecutor:
         :func:`_aggregate_keys`), typed as SQL types it — ``None`` for
         an aggregate over no values, ``int`` counts and integer sums,
         ``float`` averages, MIN / MAX in the column's own type."""
+        import numpy as np
+
         engine = self._engine
         table = engine.schema.table_by_name(query.table)
         families = {
@@ -338,6 +339,8 @@ def _in_values(predicate: Predicate) -> tuple:
 
 def _objects(items: list) -> np.ndarray:
     """*items* as a 1-D object array (a tuple value stays one element)."""
+    import numpy as np
+
     array = np.empty(len(items), dtype=object)
     array[:] = items
     return array
@@ -411,13 +414,15 @@ def _keys(column: columnar.Column, family: TypeFamily) -> tuple[np.ndarray, np.n
     ordinals, TIMESTAMP ``datetime``, and TEXT — like every other
     family — ``str``. Values under the mask are arbitrary.
     """
+    import numpy as np
+
     nulls = column.nulls if column.nulls is not None else np.zeros(len(column), bool)
     if (family in _NUMERIC and column.kind in ("int", "float", "bool")) or (
         family is TypeFamily.DATE and column.kind == "date"
     ):
         return column.data, nulls
     key = _key_of(family)
-    if isinstance(column, columnar.DictColumn):
+    if column.kind == "dict":
         return _objects([key(entry) for entry in column.entries])[column.data], nulls
     values = _objects(column.to_pylist())
     nulls = nulls | (values == None)  # noqa: E711 - elementwise
@@ -458,6 +463,8 @@ def _mask(
     values: np.ndarray, nulls: np.ndarray, predicate: Predicate, family: TypeFamily
 ) -> np.ndarray:
     """The rows of one block where *predicate* holds — never a NULL."""
+    import numpy as np
+
     if predicate.op is Op.IS_NULL:
         return nulls
     if predicate.op is Op.NOT_NULL:
@@ -534,6 +541,8 @@ class _Accumulator:
             self.high = high if self.high is None else max(self.high, high)
 
     def result(self, func: str) -> object:
+        import numpy as np
+
         if func == "count":
             return self.count
         if not self.count:

@@ -17,8 +17,9 @@ from repro.exceptions import AdapterError
 from repro.db.adapter import ColumnInfo, DatabaseAdapter, ForeignKeyInfo
 from repro.prng.xorshift import mix64
 
-#: SQLite's default SQLITE_MAX_COLUMN: no SELECT returns more columns
-_RESULT_COLUMNS = 2000
+#: SQLite's default SQLITE_MAX_COLUMN: no SELECT returns more columns, so
+#: profiling's statements here and verify's queries are cut to it
+RESULT_COLUMNS = 2000
 
 
 def sample_hash_sql(seed: int) -> str:
@@ -109,7 +110,7 @@ class SQLiteAdapter(DatabaseAdapter):
 
     def null_fractions(self, table: str, columns: Sequence[str]) -> list[float]:
         fractions: list[float] = []
-        for chunk in _chunks(columns, _RESULT_COLUMNS - 1):
+        for chunk in _chunks(columns, RESULT_COLUMNS - 1):
             counts = ", ".join(f"COUNT({_ident(column)})" for column in chunk)
             total, *present = self.execute(
                 f"SELECT COUNT(*), {counts} FROM {_ident(table)}"
@@ -121,7 +122,7 @@ class SQLiteAdapter(DatabaseAdapter):
         self, table: str, columns: Sequence[str]
     ) -> list[tuple[object, object]]:
         pairs: list[tuple[object, object]] = []
-        for chunk in _chunks(columns, _RESULT_COLUMNS // 2):
+        for chunk in _chunks(columns, RESULT_COLUMNS // 2):
             select = ", ".join(
                 f"MIN({_ident(column)}), MAX({_ident(column)})" for column in chunk
             )

@@ -40,13 +40,15 @@ class OutputConfig:
     ``format``: ``"csv"``, ``"json"``, ``"xml"``, ``"sql"``, ``"arrow"``,
     or ``"parquet"`` (the binary formats need the optional pyarrow extra).
     Format names are case-insensitive and stored in their registry form.
+    Left out, it is ``"sql"`` for a sqlite sink (the only format that
+    loads) and ``"csv"`` for every other.
     ``database`` (``kind="sqlite"``): a SQLite path, or an open
     :class:`~repro.db.adapter.DatabaseAdapter` the run borrows and
     leaves open.
     """
 
     kind: str = "null"
-    format: str = "csv"
+    format: str | None = None
     directory: str = "."
     database: str | DatabaseAdapter = ""
     delimiter: str = "|"
@@ -67,6 +69,8 @@ class OutputConfig:
             if "\0" in getattr(self, name):
                 # strftime stops at a NUL: the rest of the format would vanish
                 raise OutputError(f"{name} must not contain a NUL character")
+        if self.format is None:
+            self.format = "sql" if self.kind == "sqlite" else "csv"
         spec = format_spec(self.format)  # the one unknown-format error
         self.format = spec.name
         if self.kind == "sqlite" and self.format != "sql":

@@ -142,8 +142,8 @@ class TestMetricsModuleRemoved:
 
 
 class TestTopLevelSurface:
-    def test_version_is_22(self):
-        assert repro.__version__.startswith("22.")
+    def test_version_is_23(self):
+        assert repro.__version__.startswith("23.")
 
     def test_dataset_promoted(self):
         for name in (
@@ -504,6 +504,23 @@ class TestOneHttpServer:
             argv = ["translate", "--suite", suite]
             assert self._loaded_by(argv, watched) == [], suite
 
+    def test_verify_loads_no_numpy(self, tmp_path):
+        """``verify`` renders its checks' queries to SQL and reads the
+        model XML alone: no numpy, no column blocks, no engine, and no
+        artifact (no dictionary or Markov chain is read)."""
+        from repro.cli.main import main
+        from repro.suites.imdb import build_imdb_database
+
+        source = str(tmp_path / "source.db")
+        build_imdb_database(source, movies=20, people=30, seed=5).close()
+        model = str(tmp_path / "model")
+        assert main(["extract", source, "-o", model]) == 0
+        argv = ["verify", "--model", model, "--source", source, "--target", source]
+        loaded = self._loaded_by(argv, ["numpy", "repro"])
+        unrun = ("numpy", "repro.columnar", "repro.engine", "repro.text")
+        assert not [m for m in loaded if m.startswith(unrun)]
+        assert len(loaded) <= 35  # the repro modules verify loaded in 22.0
+
     #: What a short preview never runs: arrays and the writers that
     #: format them.
     NOT_ON_A_SHORT_PREVIEW = (
@@ -776,8 +793,9 @@ class TestNoSecondWayOffTheHotPath:
     def test_fidelity_query_lost_its_unread_field(self):
         from repro.core.fidelity import FidelityQuery
 
+        # 23.0: a check holds the table's Query it reads, not SQL text
         names = [field.name for field in dataclasses.fields(FidelityQuery)]
-        assert names == ["name", "sql", "tolerance", "absolute_slack"]
+        assert names == ["name", "query", "reads", "tolerance", "absolute_slack"]
 
     def test_cluster_run_binds_the_model_once_per_process(
         self, tmp_path, monkeypatch, capsys

@@ -206,6 +206,23 @@ class TestVerify:
         assert "pass rate:" in out
         assert code in (0, 1)  # statistical; usually 0
 
+    def test_round_trip_without_format(self, source_db, project_dir, tmp_path, capsys):
+        """``--kind sqlite`` derives its one format: the load equals one
+        under ``--format sql`` and verifies; another format is refused."""
+        derived, explicit = str(tmp_path / "derived.db"), str(tmp_path / "explicit.db")
+        command = ["generate", "--model", project_dir, "--kind", "sqlite", "-q"]
+        assert main([*command, "--database", derived]) == 0
+        assert main([*command, "--format", "sql", "--database", explicit]) == 0
+        with SQLiteAdapter(derived) as a, SQLiteAdapter(explicit) as b:
+            for table in a.table_names():
+                dump = f"SELECT * FROM {table} ORDER BY rowid"
+                assert a.execute(dump) == b.execute(dump), table
+        assert main(["verify", "--model", project_dir, "--source", source_db,
+                     "--target", derived]) in (0, 1)  # statistical; usually 0
+        assert "pass rate:" in capsys.readouterr().out
+        assert main([*command, "--format", "csv", "--database", derived]) == 2
+        assert "sqlite sinks require format='sql'" in capsys.readouterr().err
+
     def test_verify_against_empty_target_fails(self, source_db, project_dir,
                                                tmp_path, capsys):
         target = str(tmp_path / "empty.db")

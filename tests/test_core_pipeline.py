@@ -13,6 +13,7 @@ from repro.core.fidelity import (
     default_queries,
 )
 from repro.core.loader import load
+from repro.core.queries import Aggregate, Query
 from repro.core.project import DBSynthProject
 from repro.db.ddl import create_schema_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
@@ -125,6 +126,14 @@ class TestDataLoader:
         assert isinstance(value, str) and value.startswith("2020-")
 
 
+def _check(name, table, *aggregates, **grading):
+    """A check reading *aggregates* of a one-query suite: one is its
+    value, two their difference."""
+    query = Query(table, list(aggregates))
+    reads = tuple(a.to_sql() for a in aggregates)
+    return FidelityQuery(name, query, reads, **grading)
+
+
 class TestFidelity:
     def test_identical_databases_pass(self, engine, schema):
         a = SQLiteAdapter(":memory:")
@@ -133,7 +142,7 @@ class TestFidelity:
         b = SQLiteAdapter(":memory:")
         b.execute_script(create_schema_sql(schema, "sqlite"))
         load(GenerationEngine(schema), b)
-        report = FidelityChecker(a, b).run_default(schema)
+        report = FidelityChecker(a, b).run(default_queries(schema))
         assert report.passed
         assert report.pass_rate == 1.0
         a.close()
@@ -146,7 +155,7 @@ class TestFidelity:
         b = SQLiteAdapter(":memory:")
         b.execute_script(create_schema_sql(schema, "sqlite"))  # left empty
         report = FidelityChecker(a, b).run(
-            [FidelityQuery("count", "SELECT COUNT(*) FROM customer", 0.01)]
+            [_check("count", "customer", Aggregate("count"), tolerance=0.01)]
         )
         assert not report.passed
         assert report.failures()
@@ -158,12 +167,12 @@ class TestFidelity:
         b = SQLiteAdapter(":memory:")
         a.execute_script("CREATE TABLE t (x REAL); INSERT INTO t VALUES (100);")
         b.execute_script("CREATE TABLE t (x REAL); INSERT INTO t VALUES (110);")
-        query = FidelityQuery("avg", "SELECT AVG(x) FROM t", tolerance=0.15)
+        query = _check("avg", "t", Aggregate("avg", "x"), tolerance=0.15)
         comparison = compare_query(query, a, b)
         assert comparison.relative_error == pytest.approx(0.10)
         assert comparison.passed
         strict = compare_query(
-            FidelityQuery("avg", "SELECT AVG(x) FROM t", tolerance=0.05), a, b
+            _check("avg", "t", Aggregate("avg", "x"), tolerance=0.05), a, b
         )
         assert not strict.passed
         a.close()
@@ -174,8 +183,8 @@ class TestFidelity:
         b = SQLiteAdapter(":memory:")
         a.execute_script("CREATE TABLE t (x REAL); INSERT INTO t VALUES (3);")
         b.execute_script("CREATE TABLE t (x REAL); INSERT INTO t VALUES (5);")
-        query = FidelityQuery(
-            "small", "SELECT SUM(x) FROM t", tolerance=0.1, absolute_slack=3.0
+        query = _check(
+            "small", "t", Aggregate("sum", "x"), tolerance=0.1, absolute_slack=3.0
         )
         assert compare_query(query, a, b).passed
         a.close()
@@ -186,8 +195,13 @@ class TestFidelity:
         b = SQLiteAdapter(":memory:")
         a.execute_script("CREATE TABLE t (x TEXT); INSERT INTO t VALUES ('same');")
         b.execute_script("CREATE TABLE t (x TEXT); INSERT INTO t VALUES ('same');")
-        query = FidelityQuery("text", "SELECT MAX(x) FROM t")
+        query = _check("text", "t", Aggregate("max", "x"))
         assert compare_query(query, a, b).passed
+        # a difference with a side that is not a number is the pair
+        ranged = _check("range", "t", Aggregate("max", "x"), Aggregate("min", "x"))
+        comparison = compare_query(ranged, a, b)
+        assert comparison.original == ("same", "same") and comparison.passed
+        assert comparison.relative_error is None
         a.close()
         b.close()
 
@@ -197,6 +211,22 @@ class TestFidelity:
         assert "count(customer)" in names
         assert "avg(orders.o_quantity)" in names
         assert any(n.startswith("nulls(") for n in names)
+        # one query per table, which every check of the table reads
+        tables = {q.query.table: q.query.to_sql() for q in queries}
+        assert sorted(tables) == ["customer", "orders"]
+        assert all(q.query.to_sql() == tables[q.query.table] for q in queries)
+
+    def test_one_statement_per_table(self, engine, schema):
+        a = SQLiteAdapter(":memory:")
+        a.execute_script(create_schema_sql(schema, "sqlite"))
+        load(engine, a)
+        statements = []
+        a._conn.set_trace_callback(statements.append)
+        report = FidelityChecker(a, a).run(default_queries(schema))
+        a._conn.set_trace_callback(None)
+        assert len(report.comparisons) > len(schema.tables)
+        assert len(statements) == 2 * len(schema.tables)  # once per side
+        a.close()
 
     def test_empty_query_list_rejected(self, schema):
         a = SQLiteAdapter(":memory:")
@@ -209,7 +239,7 @@ class TestFidelity:
         a.execute_script(create_schema_sql(schema, "sqlite"))
         load(GenerationEngine(schema), a)
         report = FidelityChecker(a, a).run(
-            [FidelityQuery("count", "SELECT COUNT(*) FROM customer")]
+            [_check("count", "customer", Aggregate("count"))]
         )
         lines = report.summary_lines()
         assert len(lines) == 1

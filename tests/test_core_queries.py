@@ -247,6 +247,28 @@ class TestAnalyticPrediction:
                 executor.execute(query)
 
 
+class TestVerifyQueriesFromTheModel:
+    """Verify's checks read the query type the virtual executor
+    answers: on each suite's loaded data, the model's answer to every
+    default query is the database's."""
+
+    @pytest.mark.parametrize("suite", ["tpch", "ssb", "bigbench"])
+    def test_every_default_query_matches_sql(self, suite, tmp_path):
+        from repro.core.fidelity import default_queries
+        from repro.suites import suite_model
+
+        engine = GenerationEngine(*suite_model(suite, 0.001))
+        with SQLiteAdapter(str(tmp_path / "loaded.db")) as adapter:
+            adapter.execute_script(create_schema_sql(engine.schema, "sqlite"))
+            load(engine, adapter)
+            queries = {c.query.to_sql(): c.query for c in default_queries(engine.schema)}
+            assert len(queries) == len(engine.schema.tables)
+            executor = VirtualExecutor(engine)
+            for sql, query in queries.items():
+                answer = executor.execute(query)
+                assert_answers_equal(answer.values(), adapter.execute(sql)[0])
+
+
 class TestQueryParameterGenerator:
     TEMPLATE = QueryTemplate(
         "scan",

@@ -7,6 +7,9 @@ Two things are checked on sources written directly with ``sqlite3``:
   all-NULL and NOT NULL columns, columns that mix INTEGER, REAL, TEXT
   and BLOB values, keyword names and tables wider than one statement's
   column chunk, on both sides of the distinct-count limit;
+* verify's default checks, read from one query per table, equal the
+  per-check statements they replaced (kept here as the oracle) on the
+  same sources, under a small result-column limit;
 * a source whose table and column names are SQL keywords goes through
   ``extract``, ``generate --kind sqlite``, an update epoch, ``verify``
   and a replayed query workload;
@@ -20,20 +23,21 @@ import sqlite3
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli.main import main
 from repro.config.saved_model import load_saved
 from repro.core import profiling
 from repro.core.extraction import SchemaExtractor
+from repro.core.fidelity import FidelityChecker, default_queries
 from repro.core.profiling import ColumnProfile, DataProfiler
 from repro.db import sqlite_adapter
 from repro.db.ddl import create_table_sql
 from repro.db.sqlite_adapter import SQLiteAdapter
 from repro.engine import GenerationEngine
 from repro.model.datatypes import parse_type
-from repro.model.schema import Field, GeneratorSpec, Table
+from repro.model.schema import Field, GeneratorSpec, Schema, Table
 from repro.model.sqlnames import SQLITE_KEYWORDS, sql_name
 from repro.output.writers import SqlWriter
 from repro.update import UpdateBlackBox
@@ -135,7 +139,7 @@ class TestProfilerOracle:
         path = str(tmp_path_factory.mktemp("source") / "source.db")
         _write(path, tables)
         with mock.patch.object(profiling, "DICTIONARY_MAX_DISTINCT", DISTINCT_LIMIT), \
-                mock.patch.object(sqlite_adapter, "_RESULT_COLUMNS", RESULT_COLUMNS):
+                mock.patch.object(sqlite_adapter, "RESULT_COLUMNS", RESULT_COLUMNS):
             profile, expected = _profile(path)
         assert len(profile.columns) == sum(len(columns) for _, columns, _ in tables)
         assert profile.columns == expected
@@ -175,6 +179,102 @@ class TestProfilerOracle:
         columns = sum(len(table.columns) for table in extracted.tables)
         assert len(statements) == 2 * tables + columns
         assert not [s for s in statements if "COUNT(DISTINCT" in s.upper()]
+
+
+#: each default check's own statement before verify read one query per
+#: table, and the two values a range that is not a number is made of
+OLD_CHECKS = {
+    "count": "SELECT COUNT(*) FROM {table}",
+    "avg": "SELECT AVG({column}) FROM {table}",
+    "range": "SELECT MAX({column}) - MIN({column}) FROM {table}",
+    "nulls": "SELECT SUM({column} IS NULL) FROM {table}",
+    "pair": "SELECT MAX({column}), MIN({column}) FROM {table}",
+}
+
+
+def _old_check(adapter: SQLiteAdapter, name: str, kind: str | None = None) -> tuple:
+    """The result row of check *name*'s (``avg(t.c)``) old statement,
+    or of the *kind* statement over its column."""
+    own, _, label = name[:-1].partition("(")
+    table, _, column = label.partition(".")
+    sql = OLD_CHECKS[kind or own].format(table=f"[{table}]", column=f"[{column}]")
+    return adapter.execute(sql)[0]
+
+
+def _model(tables) -> Schema:
+    """The model of a drawn source: each column's declared type (TEXT
+    when none), nullable unless declared NOT NULL."""
+    schema = Schema("source")
+    for table, columns, rows in tables:
+        schema.add_table(Table(table, str(len(rows)), [
+            Field.of(name, kind or "TEXT", GeneratorSpec("NullGenerator"),
+                     nullable=not not_null)
+            for name, kind, not_null in columns
+        ]))
+    return schema
+
+
+class TestVerifyOracle:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sources())
+    @example([("t", [("a", "INTEGER", False), ("b", "REAL", False)], [])])
+    @example([("t", [("a", "INTEGER", True), ("b", "REAL", False)],
+               [("ab", None), (1, b"x"), (2, 0.5)])])
+    def test_checks_equal_per_check_sql(self, tmp_path_factory, tables):
+        """Source and target (every other source row) values of every
+        check are its old statement's, but for two: an empty table's
+        NULL count is 0, not NULL (the same grade); and a range whose MIN
+        or MAX is not a number is the (MAX, MIN) pair, graded by
+        equality, where SQLite subtracted the texts' numeric prefixes."""
+        directory = tmp_path_factory.mktemp("verify")
+        source, target = str(directory / "source.db"), str(directory / "target.db")
+        _write(source, tables)
+        _write(target, [(table, columns, rows[1::2]) for table, columns, rows in tables])
+        with mock.patch.object(sqlite_adapter, "RESULT_COLUMNS", RESULT_COLUMNS):
+            checks = default_queries(_model(tables))
+        assert max(len(check.query.aggregates) for check in checks) <= RESULT_COLUMNS
+        with SQLiteAdapter(source) as original, SQLiteAdapter(target) as synthetic:
+            report = FidelityChecker(original, synthetic).run(checks)
+            for c in report.comparisons:
+                name = c.query.name
+                for value, adapter in ((c.original, original), (c.synthetic, synthetic)):
+                    old = _old_check(adapter, name)[0]
+                    if name.startswith("nulls(") and old is None:
+                        old = 0
+                    if isinstance(value, tuple):  # a MIN or MAX that is not a number
+                        assert name.startswith("range(")
+                        old = _old_check(adapter, name, "pair")
+                        assert not all(isinstance(v, (int, float)) for v in old)
+                    assert value == old, (name, value, old)
+                if isinstance(c.original, tuple) or isinstance(c.synthetic, tuple):
+                    assert c.relative_error is None
+                    assert c.passed == (c.original == c.synthetic)
+
+    def test_wider_than_one_statement_at_the_real_limit(self, tmp_path):
+        """500 nullable INTEGER columns are 2 001 aggregates: two
+        statements per database, none past SQLite's 2 000 columns."""
+        width = 500
+        columns = [(f"c{i}", "INTEGER", False) for i in range(width)]
+        rows = [tuple(range(r, r + width)) for r in range(3)] + [(None,) * width]
+        tables = [("wide", columns, rows)]
+        path = str(tmp_path / "wide.db")
+        _write(path, tables)
+        checks = default_queries(_model(tables))
+        assert len(checks) == 1 + 3 * width
+        statements = []
+        with SQLiteAdapter(path) as adapter:
+            adapter._conn.set_trace_callback(statements.append)
+            report = FidelityChecker(adapter, adapter).run(checks)
+            adapter._conn.set_trace_callback(None)
+            assert report.passed
+            for comparison in report.comparisons:
+                if comparison.query.name.endswith(("(wide)", ".c0)", f".c{width - 1})")):
+                    old = _old_check(adapter, comparison.query.name)[0]
+                    assert comparison.original == old
+        queries = {id(check.query): check.query for check in checks}
+        assert len(queries) == 2 and len(statements) == 4
+        assert max(len(q.aggregates) for q in queries.values()) <= sqlite_adapter.RESULT_COLUMNS
 
 
 class TestSqlName:

@@ -391,6 +391,13 @@ class TestOutputConfig:
         with pytest.raises(OutputError):
             OutputConfig(kind="sqlite", format="csv")
 
+    def test_format_left_out_is_derived_from_the_kind(self):
+        from repro.config import format_xml
+
+        assert OutputConfig(kind="sqlite").format == "sql"
+        assert OutputConfig().format == OutputConfig(kind="file").format == "csv"
+        assert format_xml.loads('<output kind="sqlite"/>').format == "sql"
+
     @pytest.mark.parametrize(
         "kind, given", [("sqlite", "SQL"), ("file", "PARQUET"), ("memory", "CSV")]
     )

@@ -1,6 +1,6 @@
 """Structural lint for scheduler/output/extraction paths: hot loops, swallowed errors.
 
-Twenty checks, one AST walk:
+Twenty-one checks, one AST walk:
 
 **Hot-loop check.** Block generation only pays off if the scheduler
 work-package loop and the writers stay on the single block API
@@ -220,6 +220,17 @@ unchanged, so no test notices (seven such cuts once lived in five
 generators, the engine and the formatter, under two constants). No
 waiver.
 
+**One query type.** A query the DBSynth modules send is a structured
+:class:`~repro.core.queries.Query`, rendered to SQL by
+:mod:`repro.core.queries` alone — the type the virtual executor answers
+from the model. A module under :mod:`repro.core` other than
+:mod:`repro.core.queries` that imports ``sql_name`` or holds a string
+(docstrings aside) with a ``SELECT`` is a second query builder: its
+statements are ones the executor cannot answer, so verify's model side
+has nothing to compare them with, and every test over plain names and
+SQL answers still passes (verify built its 95 TPC-H statements that
+way, one per check). No waiver.
+
 Checked scope: ``src/repro/scheduler/``, ``src/repro/output/``,
 ``src/repro/db/`` and ``src/repro/core/model_builder.py`` (the
 extraction path: an adapter or model-builder handler that eats every
@@ -232,6 +243,7 @@ span-recording obs modules, (oracle-timing check only) ``benchmarks/``,
 ``src/repro/core/profiling.py``,
 (one-gather check only) ``src/repro/generators/`` and
 ``src/repro/update/``,
+(one query type check only) ``src/repro/core/``,
 (quoting check only) ``src/repro/db/`` and ``src/repro/output/sinks.py``,
 (one-cutter, one-template, one-draw, one-lookup, one-runtime,
 one-driver, one-bind, one-identity and one small-row rule checks only)
@@ -267,6 +279,11 @@ SPEC_PARAMS = "params"
 #: limit, and the count that reads a whole column
 DISTINCT_PATHS = ("src/repro/db", "src/repro/core/profiling.py")
 UNCAPPED_DISTINCT = re.compile(r"COUNT\s*\(\s*DISTINCT\b", re.IGNORECASE)
+#: the DBSynth modules, the one among them that renders queries, the
+#: name quoter only it imports, and what makes a string a query
+QUERY_TYPE_DIR = "src/repro/core"
+QUOTER = "sql_name"
+SELECT_TEXT = re.compile(r"\bSELECT\s")
 #: the per-cell recompute calls, banned in the block bodies of the
 #: generator modules and anywhere in the update modules
 CELL_CALLS = ("compute_value", "generate_value", "generate_row", "foreign")
@@ -676,6 +693,33 @@ def second_readers(path: Path) -> list[str]:
     ]
 
 
+def second_query_builders(path: Path) -> list[str]:
+    """``sql_name`` imports and non-docstring strings (f-string parts
+    too) holding a ``SELECT`` in *path*."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    rel = path.relative_to(REPO)
+    return [
+        f"{rel}:{node.lineno}: imports {QUOTER}: a second query builder; "
+        "build a repro.core.queries.Query and render it with to_sql()"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == QUOTER for alias in node.names)
+    ] + [
+        f"{rel}:{node.lineno}: SELECT text outside {QUERY_FILE}: a second "
+        "query builder; build a repro.core.queries.Query and render it "
+        "with to_sql()"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings and SELECT_TEXT.search(node.value)
+    ]
+
+
 def uncapped_distincts(path: Path) -> list[str]:
     """Strings (f-string parts too) in *path* that hold a
     ``COUNT(DISTINCT``."""
@@ -853,6 +897,10 @@ def main() -> int:
         for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
             checked.add(path)
             violations.extend(uncapped_distincts(path))
+    for path in sorted((REPO / QUERY_TYPE_DIR).rglob("*.py")):
+        if path != REPO / QUERY_FILE:
+            checked.add(path)
+            violations.extend(second_query_builders(path))
     for rel, anywhere in ((GENERATOR_DIR, False), (UPDATE_DIR, True)):
         for path in sorted((REPO / rel).rglob("*.py")):
             checked.add(path)
